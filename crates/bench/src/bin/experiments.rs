@@ -69,7 +69,6 @@ const EXPERIMENTS: &[(&str, fn())] = &[
     ("planner", planner),
     ("joinorder", join_order_run),
     ("parallel", parallel_scaling),
-    ("vectorized", vectorized_scaling_run),
     ("vectorized-parallel", vectorized_parallel_run),
     ("cost", cost_model_run),
     ("obs", obs_run),
@@ -1145,182 +1144,7 @@ fn parallel_scaling() {
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized vs row-at-a-time execution
-// ---------------------------------------------------------------------------
-
-/// Row-at-a-time vs vectorized execution, serial and at 4 workers, on
-/// planner-routed figure workloads plus the set-join shoot-out's
-/// columnar signature path. Every measured pair is asserted
-/// byte-identical before it is reported. The 4-worker rows isolate
-/// what vectorization adds *on top of* partition parallelism: the
-/// unified kernel layer runs the same columnar kernels over
-/// per-partition index views, so the columnar win compounds with
-/// partitioning instead of degrading to the row engine (the full
-/// workers axis lives in the `vectorized-parallel` experiment).
-fn vectorized_scaling_run() {
-    use sj_eval::Execution;
-    use sj_setjoin::{
-        parallel_signature_set_join, parallel_signature_set_join_rowwise, signature_set_join,
-        signature_set_join_rowwise,
-    };
-    let mut csv = CsvSink::new(
-        "vectorized_scaling",
-        &[
-            "workload",
-            "scale",
-            "threads",
-            "row_ms",
-            "vectorized_ms",
-            "speedup",
-        ],
-    );
-    println!(
-        "{:<26} {:>8} {:>8} {:>10} {:>10} {:>9}",
-        "workload", "scale", "threads", "row ms", "vec ms", "speedup"
-    );
-    let mut run_case = |workload: &str,
-                        scale: usize,
-                        threads: usize,
-                        row: &dyn Fn() -> Relation,
-                        vec_: &dyn Fn() -> Relation| {
-        assert_eq!(row(), vec_(), "{workload} @{threads}: vectorized ≢ row");
-        // Interleave the samples so slow drift (frequency scaling, a
-        // noisy co-tenant) hits both modes alike, then take medians.
-        let reps = 9;
-        let mut row_t: Vec<f64> = Vec::with_capacity(reps);
-        let mut vec_t: Vec<f64> = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            row_t.push(sj_bench::time_once(row).1);
-            vec_t.push(sj_bench::time_once(vec_).1);
-        }
-        let med = |v: &mut Vec<f64>| {
-            v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            v[v.len() / 2]
-        };
-        let (row_ms, vec_ms) = (med(&mut row_t), med(&mut vec_t));
-        let speedup = row_ms / vec_ms.max(1e-9);
-        println!(
-            "{workload:<26} {scale:>8} {threads:>8} {row_ms:>10.3} {vec_ms:>10.3} {speedup:>8.2}x"
-        );
-        csv.row(&[
-            workload.into(),
-            scale.to_string(),
-            threads.to_string(),
-            format!("{row_ms:.4}"),
-            format!("{vec_ms:.4}"),
-            format!("{speedup:.3}"),
-        ]);
-    };
-
-    // Planner-routed engine queries under the Execution knob.
-    let mut engine_case = |workload: &str, scale: usize, db: &Database, e: &Expr| {
-        for threads in [1usize, 4] {
-            let run = |exec: Execution| {
-                let db = db.clone();
-                let e = e.clone();
-                move || {
-                    Engine::new(db.clone())
-                        .parallelism(Parallelism::Threads(threads))
-                        .execution(exec)
-                        .query(e.clone())
-                        .run()
-                        .unwrap()
-                        .relation
-                }
-            };
-            run_case(
-                workload,
-                scale,
-                threads,
-                &run(Execution::RowAtATime),
-                &run(Execution::Vectorized),
-            );
-        }
-    };
-
-    // E17a — selection scan: σ₁<₂ over a wide-domain binary relation.
-    // The vectorized path runs a dense i64 compare per chunk and gathers
-    // sorted survivors without re-sorting.
-    let n = 262_144usize;
-    let scan_db = {
-        let mut rng = sj_workload::SplitMix64::new(0x5CA11);
-        let dom = n as i64;
-        let mut db = Database::new();
-        db.set(
-            "R",
-            Relation::from_tuples(
-                2,
-                (0..n).map(|_| {
-                    sj_storage::Tuple::from_ints(&[rng.range_i64(1, dom), rng.range_i64(1, dom)])
-                }),
-            )
-            .unwrap(),
-        );
-        db
-    };
-    engine_case(
-        "planned σ1<2 scan",
-        n,
-        &scan_db,
-        &Expr::rel("R").select_lt(1, 2),
-    );
-
-    // E17b — foreign-key hash join on the beer scene (same shape as the
-    // parallel-scaling experiment): integer keys hash straight from the
-    // dense column, no per-tuple key vectors.
-    let k = 16_384i64;
-    let bdb = beer_database(k, 0xBEE5);
-    engine_case(
-        "planned ⋈ hash fk",
-        k as usize,
-        &bdb,
-        &Expr::rel("Visits").join(Condition::eq(2, 1), Expr::rel("Serves")),
-    );
-
-    // E17c — the set-join shoot-out's signature containment join:
-    // row-wise grouping + Value signatures vs the columnar group-range /
-    // dense-signature path. Serial compares the two implementations
-    // directly; at 4 workers the partitioned join dispatches the same
-    // columnar kernels per partition, so the contrast persists under
-    // parallelism instead of collapsing to a parity row.
-    // Wide sets over a medium domain: signatures saturate, so the exact
-    // verification merges (where the columnar path runs on dense i64
-    // slices) carry the cost, not the pairwise filter loop.
-    let sj_groups = 512usize;
-    let (sr, ss) = SetJoinWorkload {
-        r_groups: sj_groups,
-        s_groups: sj_groups,
-        set_size: SetSizeDist::Uniform(32, 128),
-        domain: 128,
-        elements: ElementDist::Zipf(0.8),
-        seed: 0x5E71,
-    }
-    .generate();
-    let _ = (sr.columns(), ss.columns());
-    run_case(
-        "setjoin ⊇ signature64",
-        sj_groups,
-        1,
-        &|| signature_set_join_rowwise(&sr, &ss, SetPredicate::Contains),
-        &|| signature_set_join(&sr, &ss, SetPredicate::Contains),
-    );
-    run_case(
-        "setjoin ⊇ partitioned",
-        sj_groups,
-        4,
-        &|| parallel_signature_set_join_rowwise(&sr, &ss, SetPredicate::Contains, 4),
-        &|| parallel_signature_set_join(&sr, &ss, SetPredicate::Contains, 4),
-    );
-
-    let path = csv.finish().unwrap();
-    println!(
-        "vectorized: rows verified byte-identical → {}",
-        path.display()
-    );
-}
-
-// ---------------------------------------------------------------------------
-// E18 — Execution × Parallelism compounding on the set-join kernel layer
+// E18 — row-wise vs columnar set joins across the workers axis
 // ---------------------------------------------------------------------------
 
 /// The workers axis for the vectorized suite: division in both
@@ -1513,13 +1337,13 @@ fn vectorized_parallel_run() {
         println!("  check {w}: vec@4w {vec4:.3}ms | row@4w {row4:.3}ms | vec@1w {vec1:.3}ms");
         assert!(
             vec4 <= row4 * 1.25 + SLACK_MS,
-            "{w}: Threads(4) x Vectorized ({vec4:.3}ms) degraded below \
-             Threads(4) x RowAtATime ({row4:.3}ms)"
+            "{w}: columnar set join at 4 workers ({vec4:.3}ms) degraded below \
+             the row-wise set join at 4 workers ({row4:.3}ms)"
         );
         assert!(
             vec4 <= vec1 * 1.25 + SLACK_MS,
-            "{w}: Threads(4) x Vectorized ({vec4:.3}ms) degraded below \
-             Serial x Vectorized ({vec1:.3}ms)"
+            "{w}: columnar set join at 4 workers ({vec4:.3}ms) degraded below \
+             its own serial run ({vec1:.3}ms)"
         );
     }
     let path = csv.finish().unwrap();

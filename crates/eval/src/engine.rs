@@ -293,7 +293,6 @@ pub struct Engine {
     algorithm: AlgorithmChoice,
     registry: Arc<Registry>,
     parallelism: Parallelism,
-    execution: Execution,
     stats: StatsMode,
     catalog: Arc<StatsCatalog>,
     cost_model: Arc<CostModel>,
@@ -315,7 +314,6 @@ impl Engine {
             algorithm: AlgorithmChoice::default(),
             registry: Registry::standard_shared(),
             parallelism: Parallelism::default(),
-            execution: Execution::from_env(),
             stats: StatsMode::default(),
             catalog: Arc::new(StatsCatalog::new()),
             cost_model: Arc::new(CostModel::default()),
@@ -376,23 +374,10 @@ impl Engine {
         self
     }
 
-    /// Set the execution mode for the planned path's serial operator
-    /// work: [`Execution::Vectorized`] (the default) runs the chunked
-    /// columnar kernels of [`crate::ops_vec`], [`Execution::RowAtATime`]
-    /// the classic tuple operators of [`crate::ops`]. Results are
-    /// byte-identical either way; like [`Engine::parallelism`] the knob
-    /// is ignored by the tree-walking [`Strategy::Naive`] and
-    /// [`Strategy::Reference`] evaluators (tuple-at-a-time by
-    /// definition). The process default honors the `SETJOINS_EXECUTION`
-    /// environment variable ([`Execution::from_env`]).
-    pub fn execution(mut self, execution: Execution) -> Engine {
-        self.execution = execution;
+    /// Accepted and ignored: [`Execution`] has one value and selects
+    /// nothing (see [`crate::exec`]). Kept because `benchmark/` calls it.
+    pub fn execution(self, _execution: Execution) -> Engine {
         self
-    }
-
-    /// The configured execution mode.
-    pub fn execution_mode(&self) -> Execution {
-        self.execution
     }
 
     /// Set the statistics mode (see [`StatsMode`]). Clones of a
@@ -732,11 +717,7 @@ impl Query<'_> {
             Strategy::Planned => {
                 let plan = engine.plan_for(&expr)?;
                 if instrumented {
-                    let report = plan.execute_instrumented_with_execution(
-                        &engine.db,
-                        parallelism,
-                        engine.execution,
-                    )?;
+                    let report = plan.execute_instrumented_with(&engine.db, parallelism)?;
                     QueryOutput {
                         relation: report.result.clone(),
                         report: Some(Report::Planned(report)),
@@ -746,11 +727,7 @@ impl Query<'_> {
                     }
                 } else {
                     QueryOutput {
-                        relation: plan.execute_with_execution(
-                            &engine.db,
-                            parallelism,
-                            engine.execution,
-                        )?,
+                        relation: plan.execute_with(&engine.db, parallelism)?,
                         report: None,
                         plan: Some(plan),
                         elapsed: None,

@@ -1,87 +1,24 @@
-//! The execution-mode knob: row-at-a-time vs vectorized operators.
+//! The execution-mode type: one value, kept for the callers that still
+//! pass it.
 //!
-//! [`Execution`] selects which physical operator implementations the
-//! planned path uses for its per-node work: the classic tuple-at-a-time
-//! functions in [`crate::ops`] or the chunked columnar kernels in
-//! [`crate::ops_vec`]. Under [`crate::par::Parallelism::Threads`] the
-//! knob composes with partitioning through the unified kernel layer
-//! ([`crate::kernel`]): each partition runs the row index-view or the
-//! vectorized gather-view kernel the knob selects. All combinations are
-//! **byte-identical** in output for every plan — the differential
-//! suites in `tests/` enforce it — so the knob is purely about speed.
-//!
-//! Like [`crate::par::Parallelism`], the knob only affects
-//! [`crate::engine::Strategy::Planned`]; the naive and reference
-//! evaluators are tuple-at-a-time by definition (they exist to
-//! transliterate the paper's semantics, not to be fast).
-//!
-//! The process-wide default is [`Execution::Vectorized`]; setting the
-//! `SETJOINS_EXECUTION` environment variable to `row` (or
-//! `row-at-a-time`) flips it, which is how CI runs the whole test suite
-//! once per mode.
+//! [`Execution`] used to select between row-at-a-time and vectorized
+//! operator bodies. The row fork served no workload and won no
+//! measurement, so it is gone: the planned path has one body per
+//! operator ([`crate::kernel`], plus [`crate::ops_vec::select`] for σ),
+//! and the tuple operators of [`crate::ops`] remain only as the
+//! [`crate::engine::Strategy::Naive`] evaluator and the kernels'
+//! fallback. What is left here is a one-variant type that
+//! `Engine::execution`, `ServerConfig::execution`,
+//! `PhysicalPlan::execute_with_execution` and the `kernel::*` entry
+//! points accept and ignore, because `benchmark/` compiles against those
+//! signatures and only a benchmark-purpose PR may edit it; that PR drops
+//! the argument and this type with it.
 
-use std::fmt;
-use std::sync::OnceLock;
-
-/// Which operator implementations the planned executor uses.
+/// The planned executor's operator implementations. One value: not an
+/// option.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Execution {
-    /// Classic tuple-at-a-time operators ([`crate::ops`]).
-    RowAtATime,
-    /// Chunked columnar operators ([`crate::ops_vec`]) over
-    /// [`sj_storage::Columns`] views. The default.
+    /// Columnar kernels over [`sj_storage::Columns`] ([`crate::kernel`]).
     #[default]
     Vectorized,
-}
-
-impl Execution {
-    /// True iff the vectorized kernels are selected.
-    #[inline]
-    pub fn is_vectorized(self) -> bool {
-        matches!(self, Execution::Vectorized)
-    }
-
-    /// The process-wide default: [`Execution::Vectorized`] unless the
-    /// `SETJOINS_EXECUTION` environment variable selects the row engine
-    /// (`row`, `row-at-a-time`, or `scalar`; case-insensitive). Read
-    /// once and cached — the variable is a process-level CI toggle, not
-    /// a per-query switch (use [`crate::engine::Engine::execution`] for
-    /// that).
-    pub fn from_env() -> Execution {
-        static MODE: OnceLock<Execution> = OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var("SETJOINS_EXECUTION") {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "row" | "row-at-a-time" | "scalar" => Execution::RowAtATime,
-                _ => Execution::Vectorized,
-            },
-            Err(_) => Execution::Vectorized,
-        })
-    }
-}
-
-impl fmt::Display for Execution {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Execution::RowAtATime => write!(f, "row-at-a-time"),
-            Execution::Vectorized => write!(f, "vectorized"),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_is_vectorized() {
-        assert_eq!(Execution::default(), Execution::Vectorized);
-        assert!(Execution::Vectorized.is_vectorized());
-        assert!(!Execution::RowAtATime.is_vectorized());
-    }
-
-    #[test]
-    fn display_forms() {
-        assert_eq!(Execution::RowAtATime.to_string(), "row-at-a-time");
-        assert_eq!(Execution::Vectorized.to_string(), "vectorized");
-    }
 }

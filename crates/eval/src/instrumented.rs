@@ -12,9 +12,10 @@
 
 use crate::error::EvalError;
 use crate::ops;
+use crate::plain::walk;
 use sj_algebra::Expr;
 use sj_storage::{Database, Relation};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Statistics for one node of the expression tree (or, for the planned
 /// evaluator, of the physical-plan DAG).
@@ -37,9 +38,9 @@ pub struct NodeStat {
     /// excluded.
     pub elapsed: Duration,
     /// Per-partition timings when the node ran partition-parallel
-    /// ([`crate::ops::PartitionStat`]); empty for serial operators and
+    /// ([`crate::kernel::PartitionStat`]); empty for serial operators and
     /// serial runs.
-    pub partitions: Vec<crate::ops::PartitionStat>,
+    pub partitions: Vec<crate::kernel::PartitionStat>,
 }
 
 /// The result of an instrumented evaluation.
@@ -117,13 +118,23 @@ pub(crate) fn naive_operator(expr: &Expr) -> &'static str {
     }
 }
 
-/// Evaluate with instrumentation. Node ids follow pre-order, exactly the
-/// order of [`Expr::subexpressions`].
+/// Evaluate with instrumentation: the plain evaluator's tree walk with an
+/// observer recording one [`NodeStat`] per node. Node ids follow
+/// pre-order, exactly the order of [`Expr::subexpressions`].
 pub fn evaluate_instrumented(expr: &Expr, db: &Database) -> Result<EvalReport, EvalError> {
     expr.arity(&db.schema())?;
     let mut nodes: Vec<Option<NodeStat>> = vec![None; expr.node_count()];
-    let mut counter = 0usize;
-    let result = eval_rec(expr, db, &mut nodes, &mut counter);
+    let result = walk(expr, db, &mut 0, &mut |id, node, rel, elapsed| {
+        nodes[id] = Some(NodeStat {
+            id,
+            label: node.label(),
+            operator: naive_operator(node).to_string(),
+            arity: rel.arity(),
+            cardinality: rel.len(),
+            elapsed,
+            partitions: Vec::new(),
+        });
+    });
     Ok(EvalReport {
         result,
         nodes: nodes
@@ -132,79 +143,6 @@ pub fn evaluate_instrumented(expr: &Expr, db: &Database) -> Result<EvalReport, E
             .collect(),
         db_size: db.size(),
     })
-}
-
-fn eval_rec(
-    expr: &Expr,
-    db: &Database,
-    nodes: &mut Vec<Option<NodeStat>>,
-    counter: &mut usize,
-) -> Relation {
-    let id = *counter;
-    *counter += 1;
-    // Children are evaluated before the node's own operator is timed, so
-    // `elapsed` is self time.
-    let (rel, elapsed) = match expr {
-        Expr::Rel(name) => {
-            let start = Instant::now();
-            let rel = db.get(name).expect("validated").clone();
-            (rel, start.elapsed())
-        }
-        Expr::Union(a, b) => {
-            let ra = eval_rec(a, db, nodes, counter);
-            let rb = eval_rec(b, db, nodes, counter);
-            let start = Instant::now();
-            (ra.union(&rb).expect("validated"), start.elapsed())
-        }
-        Expr::Diff(a, b) => {
-            let ra = eval_rec(a, db, nodes, counter);
-            let rb = eval_rec(b, db, nodes, counter);
-            let start = Instant::now();
-            (ra.difference(&rb).expect("validated"), start.elapsed())
-        }
-        Expr::Project(cols, a) => {
-            let ra = eval_rec(a, db, nodes, counter);
-            let start = Instant::now();
-            (ops::project(&ra, cols), start.elapsed())
-        }
-        Expr::Select(sel, a) => {
-            let ra = eval_rec(a, db, nodes, counter);
-            let start = Instant::now();
-            (ops::select(&ra, sel), start.elapsed())
-        }
-        Expr::ConstTag(c, a) => {
-            let ra = eval_rec(a, db, nodes, counter);
-            let start = Instant::now();
-            (ops::const_tag(&ra, c), start.elapsed())
-        }
-        Expr::Join(theta, a, b) => {
-            let ra = eval_rec(a, db, nodes, counter);
-            let rb = eval_rec(b, db, nodes, counter);
-            let start = Instant::now();
-            (ops::join(&ra, &rb, theta), start.elapsed())
-        }
-        Expr::Semijoin(theta, a, b) => {
-            let ra = eval_rec(a, db, nodes, counter);
-            let rb = eval_rec(b, db, nodes, counter);
-            let start = Instant::now();
-            (ops::semijoin(&ra, &rb, theta), start.elapsed())
-        }
-        Expr::GroupCount(cols, a) => {
-            let ra = eval_rec(a, db, nodes, counter);
-            let start = Instant::now();
-            (ops::group_count(&ra, cols), start.elapsed())
-        }
-    };
-    nodes[id] = Some(NodeStat {
-        id,
-        label: expr.label(),
-        operator: naive_operator(expr).to_string(),
-        arity: rel.arity(),
-        cardinality: rel.len(),
-        elapsed,
-        partitions: Vec::new(),
-    });
-    rel
 }
 
 #[cfg(test)]

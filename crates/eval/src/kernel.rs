@@ -1,48 +1,58 @@
-//! The partition-aware kernel layer: one entry point per binary operator
-//! that composes the two performance knobs orthogonally.
+//! The kernel layer: the one home of hash join, hash semijoin, merge
+//! join and merge semijoin on the planned path, each written **once**
+//! over a selection of its operands' rows (`Rows`).
 //!
-//! Every kernel takes the [`Execution`] mode *and* a worker count and
-//! dispatches on both:
+//! A kernel call cuts its two operands into partition pairs and runs the
+//! operator body on every pair:
 //!
-//! * `workers ≤ 1` — the serial operators run directly: the chunked
-//!   columnar kernels of [`crate::ops_vec`] under
-//!   [`Execution::Vectorized`], the row operators of [`crate::ops`]
-//!   under [`Execution::RowAtATime`]. No partitioning, no stats (a
-//!   serial node reports no partitions).
-//! * `workers > 1` — both operands are hash-partitioned on the equality
-//!   key into ascending tuple-index lists
-//!   (`Relation::partition_indices`), the partition pairs are fanned out
-//!   over scoped worker threads, and *each partition* runs the kernel
-//!   the `Execution` knob selects: the row index-view kernels
-//!   (`join_idx` et al.), or the vectorized gather-view kernels
-//!   (`join_view` et al.) that hash and compare through the zero-copy
-//!   [`ColsView`] columns of the shared operands. Per-partition
-//!   [`PartitionStat`]s are collected either way, so instrumented
-//!   reports are execution-mode agnostic.
+//! * `workers ≤ 1` is the degenerate partitioning: one pair covering
+//!   `0..len` of both operands as plain ranges. No index list is built,
+//!   no thread or `kernel.partition` span is opened, and no
+//!   [`PartitionStat`] is reported — a serial node has no partitions.
+//! * `workers > 1` places every row by its composite key hash
+//!   ([`sj_storage::Columns::key_hashes`], `hash % workers`) into
+//!   ascending index lists, so equal keys co-locate, and fans the pairs
+//!   out over scoped worker threads; the same body runs per pair and one
+//!   [`PartitionStat`] per pair is collected.
 //!
-//! The vectorized partition kernels are the chunked kernels of
-//! [`crate::ops_vec`] re-expressed over gather views: key hashes are
-//! computed column-at-a-time through [`sj_storage::ColGather`] (a dense
-//! `vals[idx[i]]` loop per typed column — no `Value` is cloned or boxed
-//! on either side of the hash table), hash-paired rows are confirmed
-//! with exact cell comparisons ([`ColsView::cell_eq`]), and the merge
-//! variants compare key prefixes through [`ColsView::cell_cmp`] (an
-//! `i64` or dictionary-code compare on typed columns). Conditions with
-//! no equality atom keep the row nested-loop kernel under either mode —
-//! there is nothing to vectorize in a cartesian filter.
+//! The key hash is computed once per operand and used twice: it places
+//! the row and it keys the row in the partition's hash table, so a
+//! partitioned join never hashes a key a second time. Hash-paired rows
+//! are confirmed with exact cell comparisons
+//! ([`sj_storage::Columns::cell_eq`]); the merge variants compare key
+//! prefixes through [`sj_storage::Columns::cell_cmp`] (an `i64` or
+//! dictionary-code compare on typed columns). No input tuple is cloned
+//! into a partition — partitions are 4-byte row indices into the shared
+//! operands.
 //!
-//! Output is byte-identical across all four `(Execution, workers)`
-//! quadrants: partitions are key-disjoint, so one canonicalization pass
-//! over the concatenated outputs restores the global order, and the
-//! differential suites (`tests/parallel.rs`, `tests/vectorized.rs`)
-//! hold every combination to the serial row reference.
+//! Every selection is ascending, so every body emits in canonical
+//! order: join bodies yield sorted tuples, semijoin bodies yield
+//! ascending left row ids. One partition's output therefore *is* the
+//! result; several partitions are merged by ordering `u32` row ids and
+//! gathering once (⋉), or by one canonicalization pass over the
+//! key-disjoint concatenation (⋈). Either way the result goes through
+//! [`Relation::from_sorted_tuples`], whose linear order check is the
+//! safety net behind the "already sorted" claims.
+//!
+//! A θ with no equality atom has no key to hash: the filtered nested
+//! loop runs over the left operand cut into at most `workers` contiguous
+//! ranges, each seeing the whole right operand (one range when serial).
+//! Operands beyond the `u32` row capacity are an input condition, not a
+//! panic: one gate at every entry point, for every worker count, hands
+//! them to the row operators of [`crate::ops`].
+//!
+//! Output is byte-identical to [`crate::ops`] for every worker count —
+//! `tests/vectorized.rs` holds the kernels to the row operators and to a
+//! brute-force nested loop on every θ shape and operand kind.
 
 use crate::exec::Execution;
 use crate::ops::{self, split_condition};
-use crate::ops_vec::hash_view_rows;
+use crate::ops_vec::gather;
 use sj_algebra::Condition;
 use sj_setjoin::parallel::fan_out;
-use sj_storage::{ColsView, FxHashMap, Relation, Tuple, Value};
+use sj_storage::{ensure_u32_indexable, Columns, FxHashMap, Relation, Tuple, Value};
+use std::cmp::Ordering;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Execution record of one partition of a partition-parallel operator,
@@ -64,126 +74,596 @@ pub struct PartitionStat {
 }
 
 // ---------------------------------------------------------------------------
-// Unified operator entry points: (Execution, workers) → kernel
+// Row selections and the partition driver
 // ---------------------------------------------------------------------------
 
-/// `r₁ ⋈θ r₂` under the given execution mode and worker count. Serial
-/// (`workers ≤ 1`) runs report no partitions; parallel runs report one
-/// [`PartitionStat`] per partition.
+/// An ascending selection of one operand's rows — what one partition of
+/// a kernel call sees of that operand.
+#[derive(Debug, Clone, Copy)]
+enum Rows<'a> {
+    /// The contiguous rows `start..end`: the whole operand of a serial
+    /// run, or one chunk of the split used when θ has no equality atom.
+    Range(usize, usize),
+    /// One hash partition: the listed rows, ascending.
+    List(&'a [u32]),
+}
+
+impl Rows<'_> {
+    /// Every row of `r`.
+    fn all(r: &Relation) -> Rows<'static> {
+        Rows::Range(0, r.len())
+    }
+
+    #[inline]
+    fn len(self) -> usize {
+        match self {
+            Rows::Range(start, end) => end - start,
+            Rows::List(rows) => rows.len(),
+        }
+    }
+
+    /// The absolute row index of the selection's `k`-th row.
+    #[inline]
+    fn at(self, k: usize) -> usize {
+        match self {
+            Rows::Range(start, _) => start + k,
+            Rows::List(rows) => rows[k] as usize,
+        }
+    }
+}
+
+/// True when both operands fit the `u32` row ids the kernels store in
+/// partition lists, hash-table postings and semijoin survivor lists.
+/// Beyond that the row operators of [`crate::ops`] take over: capacity
+/// is an input condition, not a panic.
+fn fits_row_ids(left_rows: usize, right_rows: usize) -> bool {
+    ensure_u32_indexable(left_rows).is_ok() && ensure_u32_indexable(right_rows).is_ok()
+}
+
+/// Place rows into `n` ascending index lists by `hash % n`. Every caller
+/// sits behind the [`fits_row_ids`] gate, so `i as u32` is exact.
+fn place(hashes: &[u64], n: usize) -> Vec<Vec<u32>> {
+    let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n];
+    for (i, &h) in hashes.iter().enumerate() {
+        lists[(h % n as u64) as usize].push(i as u32);
+    }
+    lists
+}
+
+/// Where a keyed kernel call placed its operands' rows: one ascending
+/// index list per partition and operand. A serial run places nothing.
+#[derive(Default)]
+struct Placement {
+    left: Vec<Vec<u32>>,
+    right: Vec<Vec<u32>>,
+}
+
+impl Placement {
+    /// Place both operands' rows by their key hashes, so matching keys
+    /// meet in the same partition.
+    fn by_hash(lh: &[u64], rh: &[u64], workers: usize) -> Placement {
+        if workers <= 1 {
+            return Placement::default();
+        }
+        Placement {
+            left: place(lh, workers),
+            right: place(rh, workers),
+        }
+    }
+
+    /// [`Placement::by_hash`] on the aligned key prefix `0..k` of a merge
+    /// kernel (partitions stay key-sorted — they are subsequences). A
+    /// serial run hashes nothing.
+    fn by_prefix(r1: &Relation, r2: &Relation, k: usize, workers: usize) -> Placement {
+        if workers <= 1 {
+            return Placement::default();
+        }
+        let cols: Vec<usize> = (0..k).collect();
+        let (lh, rh) = (
+            r1.columns().key_hashes(&cols),
+            r2.columns().key_hashes(&cols),
+        );
+        Placement::by_hash(&lh, &rh, workers)
+    }
+
+    /// The partition pairs: the placed lists, or — nothing placed — the
+    /// one pair covering every row of both operands.
+    fn pairs(&self, r1: &Relation, r2: &Relation) -> Vec<(Rows<'_>, Rows<'_>)> {
+        if self.left.is_empty() {
+            return vec![(Rows::all(r1), Rows::all(r2))];
+        }
+        self.left
+            .iter()
+            .zip(&self.right)
+            .map(|(l, r)| (Rows::List(l), Rows::List(r)))
+            .collect()
+    }
+}
+
+/// Split `0..len` into at most `n` contiguous ranges — the partitioning
+/// used when there is no key to hash on. No rows, no chunks.
+fn chunk_rows(len: usize, n: usize) -> Vec<Rows<'static>> {
+    let per = len.div_ceil(n.max(1)).max(1);
+    (0..len)
+        .step_by(per)
+        .map(|start| Rows::Range(start, (start + per).min(len)))
+        .collect()
+}
+
+/// The partition pairs of a kernel call whose θ has no equality atom:
+/// the left operand in contiguous chunks, each seeing the whole right
+/// operand.
+fn chunk_pairs(
+    r1: &Relation,
+    r2: &Relation,
+    workers: usize,
+) -> Vec<(Rows<'static>, Rows<'static>)> {
+    chunk_rows(r1.len(), workers)
+        .into_iter()
+        .map(|chunk| (chunk, Rows::all(r2)))
+        .collect()
+}
+
+/// Run `body` on every partition pair. A serial run (`workers ≤ 1`) is
+/// the one-partition view: the body runs inline and reports nothing.
+/// Otherwise the pairs fan out over `workers` scoped threads, each under
+/// a `kernel.partition` span, and one [`PartitionStat`] per pair comes
+/// back with the outputs (in partition order).
+fn run_pairs<O: Send>(
+    pairs: Vec<(Rows<'_>, Rows<'_>)>,
+    workers: usize,
+    body: impl Fn(Rows<'_>, Rows<'_>) -> Vec<O> + Sync,
+) -> (Vec<Vec<O>>, Vec<PartitionStat>) {
+    if workers <= 1 {
+        let outs = pairs.into_iter().map(|(l, r)| body(l, r)).collect();
+        return (outs, Vec::new());
+    }
+    let parent = sj_obs::current_span();
+    let pairs: Vec<_> = pairs.into_iter().enumerate().collect();
+    fan_out(pairs, workers, |(partition, (l, r))| {
+        sj_obs::with_parent(parent, || {
+            let mut span = sj_obs::span!(
+                "kernel.partition",
+                partition = partition,
+                left = l.len(),
+                right = r.len()
+            );
+            let start = Instant::now();
+            let out = body(l, r);
+            let elapsed = start.elapsed();
+            span.attr("out_rows", out.len());
+            let stat = PartitionStat {
+                partition,
+                left_rows: l.len(),
+                right_rows: r.len(),
+                out_rows: out.len(),
+                elapsed,
+            };
+            (out, stat)
+        })
+    })
+    .into_iter()
+    .unzip()
+}
+
+/// The result of a ⋈-shaped kernel call from its partitions' outputs.
+/// Each output is in canonical order, so a single partition passes the
+/// order check untouched. Hash partitions are key-disjoint, so their
+/// concatenation holds no duplicates and is a sequence of sorted runs:
+/// the stable sort merges runs instead of re-sorting what is already
+/// sorted (the in-order chunks of the no-equality split are one run).
+fn union_outputs(arity: usize, mut outs: Vec<Vec<Tuple>>) -> Relation {
+    let tuples = if outs.len() == 1 {
+        outs.pop().expect("one partition")
+    } else {
+        let mut all: Vec<Tuple> = outs.into_iter().flatten().collect();
+        all.sort();
+        all
+    };
+    Relation::from_sorted_tuples(arity, tuples)
+}
+
+/// The result of a ⋉-shaped kernel call from its partitions' surviving
+/// left row ids: each list is ascending and the lists are disjoint, so
+/// merging the `u32` runs (the stable sort detects them) restores
+/// canonical order and the tuples are gathered exactly once.
+fn gather_outputs(r1: &Relation, mut outs: Vec<Vec<u32>>) -> Relation {
+    let keep = if outs.len() == 1 {
+        outs.pop().expect("one partition")
+    } else {
+        let mut all = outs.concat();
+        all.sort();
+        all
+    };
+    gather(r1, &keep)
+}
+
+/// The shell every binary kernel shares: the `kernel.*` span with its
+/// operand sizes, and the capacity gate that hands oversized operands to
+/// the row operator `fallback` for every worker count.
+fn kernel_call(
+    name: &'static str,
+    r1: &Relation,
+    r2: &Relation,
+    workers: usize,
+    fallback: impl FnOnce() -> Relation,
+    run: impl FnOnce() -> (Relation, Vec<PartitionStat>),
+) -> (Relation, Vec<PartitionStat>) {
+    let mut span = sj_obs::span!(
+        name,
+        left = r1.len(),
+        right = r2.len(),
+        workers = workers.max(1)
+    );
+    let (rel, stats) = if fits_row_ids(r1.len(), r2.len()) {
+        run()
+    } else {
+        (fallback(), Vec::new())
+    };
+    span.attr("out_rows", rel.len());
+    (rel, stats)
+}
+
+// ---------------------------------------------------------------------------
+// Operator entry points
+// ---------------------------------------------------------------------------
+
+/// One operand of a hash kernel: the relation, its per-row key hashes
+/// (indexed by absolute row, computed once for the whole call), and the
+/// rows this partition sees.
+#[derive(Clone, Copy)]
+struct Keyed<'a> {
+    rel: &'a Relation,
+    hashes: &'a [u64],
+    rows: Rows<'a>,
+}
+
+/// Run a hash kernel `body` over the partition pairs of `r₁ ⋈/⋉ r₂` on
+/// the equality pairs `eq`: each operand's key is hashed exactly once,
+/// and the same hashes place the rows and key the partitions' tables.
+fn run_hashed<O: Send>(
+    r1: &Relation,
+    r2: &Relation,
+    eq: &[(usize, usize)],
+    workers: usize,
+    body: impl Fn(Keyed<'_>, Keyed<'_>) -> Vec<O> + Sync,
+) -> (Vec<Vec<O>>, Vec<PartitionStat>) {
+    let left_cols: Vec<usize> = eq.iter().map(|&(lc, _)| lc).collect();
+    let right_cols: Vec<usize> = eq.iter().map(|&(_, rc)| rc).collect();
+    let lh = r1.columns().key_hashes(&left_cols);
+    let rh = r2.columns().key_hashes(&right_cols);
+    let placed = Placement::by_hash(&lh, &rh, workers);
+    run_pairs(placed.pairs(r1, r2), workers, |l, r| {
+        let left = Keyed {
+            rel: r1,
+            hashes: &lh,
+            rows: l,
+        };
+        let right = Keyed {
+            rel: r2,
+            hashes: &rh,
+            rows: r,
+        };
+        body(left, right)
+    })
+}
+
+/// `r₁ ⋈θ r₂` at the given worker count. Serial (`workers ≤ 1`) runs
+/// report no partitions; partitioned runs report one [`PartitionStat`]
+/// per partition. `_exec` is accepted and ignored (see
+/// [`crate::exec`]).
 pub fn join(
     r1: &Relation,
     r2: &Relation,
     theta: &Condition,
-    exec: Execution,
+    _exec: Execution,
     workers: usize,
 ) -> (Relation, Vec<PartitionStat>) {
-    let mut span = sj_obs::span!(
-        "kernel.join",
-        left = r1.len(),
-        right = r2.len(),
-        workers = workers.max(1)
-    );
-    let (rel, stats) = if workers <= 1 {
-        let rel = if exec.is_vectorized() {
-            crate::ops_vec::join(r1, r2, theta)
+    let fallback = || ops::join(r1, r2, theta);
+    kernel_call("kernel.join", r1, r2, workers, fallback, || {
+        let (eq, residual) = split_condition(theta);
+        let (outs, stats) = if eq.is_empty() {
+            run_pairs(chunk_pairs(r1, r2, workers), workers, |l, r| {
+                nested_loop_join(r1, r2, l, r, theta)
+            })
         } else {
-            ops::join(r1, r2, theta)
+            run_hashed(r1, r2, &eq, workers, |l, r| hash_join(l, r, &eq, &residual))
         };
-        (rel, Vec::new())
-    } else {
-        par_join_exec(r1, r2, theta, exec, workers)
-    };
-    span.attr("out_rows", rel.len());
-    (rel, stats)
+        (union_outputs(r1.arity() + r2.arity(), outs), stats)
+    })
 }
 
-/// `r₁ ⋉θ r₂` under the given execution mode and worker count.
+/// `r₁ ⋉θ r₂` at the given worker count (see [`join`]).
 pub fn semijoin(
     r1: &Relation,
     r2: &Relation,
     theta: &Condition,
-    exec: Execution,
+    _exec: Execution,
     workers: usize,
 ) -> (Relation, Vec<PartitionStat>) {
-    let mut span = sj_obs::span!(
-        "kernel.semijoin",
-        left = r1.len(),
-        right = r2.len(),
-        workers = workers.max(1)
-    );
-    let (rel, stats) = if workers <= 1 {
-        let rel = if exec.is_vectorized() {
-            crate::ops_vec::semijoin(r1, r2, theta)
+    let fallback = || ops::semijoin(r1, r2, theta);
+    kernel_call("kernel.semijoin", r1, r2, workers, fallback, || {
+        let (eq, residual) = split_condition(theta);
+        let (outs, stats) = if eq.is_empty() {
+            run_pairs(chunk_pairs(r1, r2, workers), workers, |l, r| {
+                nested_loop_semijoin(r1, r2, l, r, theta)
+            })
         } else {
-            ops::semijoin(r1, r2, theta)
+            run_hashed(r1, r2, &eq, workers, |l, r| {
+                hash_semijoin(l, r, &eq, &residual)
+            })
         };
-        (rel, Vec::new())
-    } else {
-        par_semijoin_exec(r1, r2, theta, exec, workers)
-    };
-    span.attr("out_rows", rel.len());
-    (rel, stats)
+        (gather_outputs(r1, outs), stats)
+    })
 }
 
 /// Merge equi-join on an aligned key prefix of length `k` (see
-/// [`ops::merge_prefix_len`]) under the given execution mode and worker
-/// count.
+/// [`ops::merge_prefix_len`]) at the given worker count.
 pub fn merge_join(
     r1: &Relation,
     r2: &Relation,
     k: usize,
     residual: &Condition,
-    exec: Execution,
+    _exec: Execution,
     workers: usize,
 ) -> (Relation, Vec<PartitionStat>) {
-    let mut span = sj_obs::span!(
-        "kernel.merge_join",
-        left = r1.len(),
-        right = r2.len(),
-        workers = workers.max(1)
-    );
-    let (rel, stats) = if workers <= 1 {
-        let rel = if exec.is_vectorized() {
-            crate::ops_vec::merge_join(r1, r2, k, residual)
-        } else {
-            ops::merge_join(r1, r2, k, residual)
-        };
-        (rel, Vec::new())
-    } else {
-        par_merge_join_exec(r1, r2, k, residual, exec, workers)
-    };
-    span.attr("out_rows", rel.len());
-    (rel, stats)
+    let fallback = || ops::merge_join(r1, r2, k, residual);
+    kernel_call("kernel.merge_join", r1, r2, workers, fallback, || {
+        let placed = Placement::by_prefix(r1, r2, k, workers);
+        let (outs, stats) = run_pairs(placed.pairs(r1, r2), workers, |l, r| {
+            merge_join_rows(r1, r2, l, r, k, residual)
+        });
+        (union_outputs(r1.arity() + r2.arity(), outs), stats)
+    })
 }
 
-/// Merge equi-semijoin on an aligned key prefix of length `k` under the
-/// given execution mode and worker count.
+/// Merge equi-semijoin on an aligned key prefix of length `k` at the
+/// given worker count.
 pub fn merge_semijoin(
     r1: &Relation,
     r2: &Relation,
     k: usize,
     residual: &Condition,
-    exec: Execution,
+    _exec: Execution,
     workers: usize,
 ) -> (Relation, Vec<PartitionStat>) {
-    let mut span = sj_obs::span!(
-        "kernel.merge_semijoin",
-        left = r1.len(),
-        right = r2.len(),
-        workers = workers.max(1)
-    );
-    let (rel, stats) = if workers <= 1 {
-        let rel = if exec.is_vectorized() {
-            crate::ops_vec::merge_semijoin(r1, r2, k, residual)
-        } else {
-            ops::merge_semijoin(r1, r2, k, residual)
+    let fallback = || ops::merge_semijoin(r1, r2, k, residual);
+    kernel_call("kernel.merge_semijoin", r1, r2, workers, fallback, || {
+        let placed = Placement::by_prefix(r1, r2, k, workers);
+        let (outs, stats) = run_pairs(placed.pairs(r1, r2), workers, |l, r| {
+            merge_semijoin_rows(r1, r2, l, r, k, residual)
+        });
+        (gather_outputs(r1, outs), stats)
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Operator bodies: one per operator, over row selections
+// ---------------------------------------------------------------------------
+
+/// Exact key equality between row `i` of `c1` and row `j` of `c2` — the
+/// collision check behind every hash pairing.
+#[inline]
+fn keys_eq(c1: &Columns, i: usize, c2: &Columns, j: usize, eq: &[(usize, usize)]) -> bool {
+    eq.iter().all(|&(lc, rc)| c1.cell_eq(lc, i, c2, rc, j))
+}
+
+/// The build side's hash table: key hash → ascending absolute row ids.
+/// Collisions are resolved by the probes' exact [`keys_eq`] check.
+fn build_table(side: Keyed<'_>) -> FxHashMap<u64, Vec<u32>> {
+    let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+    table.reserve(side.rows.len());
+    for k in 0..side.rows.len() {
+        let j = side.rows.at(k);
+        table.entry(side.hashes[j]).or_default().push(j as u32);
+    }
+    table
+}
+
+/// Hash join of one partition pair: build on the right selection, probe
+/// from the left, confirm key equality on the typed columns, filter by
+/// the residual. Output is in canonical order (left rows ascending,
+/// postings ascending).
+fn hash_join(
+    left: Keyed<'_>,
+    right: Keyed<'_>,
+    eq: &[(usize, usize)],
+    residual: &Condition,
+) -> Vec<Tuple> {
+    let table = build_table(right);
+    let (a, b) = (left.rel.tuples(), right.rel.tuples());
+    let (c1, c2) = (left.rel.columns(), right.rel.columns());
+    let mut out: Vec<Tuple> = Vec::new();
+    for k in 0..left.rows.len() {
+        let i = left.rows.at(k);
+        let Some(cands) = table.get(&left.hashes[i]) else {
+            continue;
         };
-        (rel, Vec::new())
-    } else {
-        par_merge_semijoin_exec(r1, r2, k, residual, exec, workers)
-    };
-    span.attr("out_rows", rel.len());
-    (rel, stats)
+        let t1 = &a[i];
+        for &j in cands {
+            let j = j as usize;
+            if keys_eq(c1, i, c2, j, eq) {
+                let t2 = &b[j];
+                if residual.eval(t1.values(), t2.values()) {
+                    out.push(t1.concat(t2));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Hash semijoin of one partition pair (see [`hash_join`]): the
+/// ascending ids of the left rows with a partner.
+fn hash_semijoin(
+    left: Keyed<'_>,
+    right: Keyed<'_>,
+    eq: &[(usize, usize)],
+    residual: &Condition,
+) -> Vec<u32> {
+    let table = build_table(right);
+    let (a, b) = (left.rel.tuples(), right.rel.tuples());
+    let (c1, c2) = (left.rel.columns(), right.rel.columns());
+    let mut keep: Vec<u32> = Vec::new();
+    for k in 0..left.rows.len() {
+        let i = left.rows.at(k);
+        let Some(cands) = table.get(&left.hashes[i]) else {
+            continue;
+        };
+        let survives = cands.iter().any(|&j| {
+            let j = j as usize;
+            keys_eq(c1, i, c2, j, eq)
+                && (residual.is_empty() || residual.eval(a[i].values(), b[j].values()))
+        });
+        if survives {
+            keep.push(i as u32);
+        }
+    }
+    keep
+}
+
+/// Compare the first `k` columns of row `i` of `ca` and row `j` of `cb`
+/// through the typed cell comparator.
+#[inline]
+fn cmp_prefix(ca: &Columns, i: usize, cb: &Columns, j: usize, k: usize) -> Ordering {
+    for c in 0..k {
+        match ca.cell_cmp(c, i, cb, c, j) {
+            Ordering::Equal => continue,
+            other => return other,
+        }
+    }
+    Ordering::Equal
+}
+
+/// End (as a position in `rows`) of the run of selected rows sharing the
+/// first `k` column values of the row at position `start`.
+#[inline]
+fn run_end(cols: &Columns, rows: Rows<'_>, start: usize, k: usize) -> usize {
+    let first = rows.at(start);
+    let mut end = start + 1;
+    while end < rows.len() && cmp_prefix(cols, rows.at(end), cols, first, k) == Ordering::Equal {
+        end += 1;
+    }
+    end
+}
+
+/// Visit every pair of key-equal runs of two key-sorted selections: the
+/// merge walk both merge kernels share. `on_match` receives the position
+/// ranges (into `l` and `r`) of one left run and the right run with the
+/// same `k`-column key; a non-matching side skips its whole run at once.
+fn merge_runs(
+    (ca, l): (&Columns, Rows<'_>),
+    (cb, r): (&Columns, Rows<'_>),
+    k: usize,
+    mut on_match: impl FnMut(Range<usize>, Range<usize>),
+) {
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < l.len() && j < r.len() {
+        match cmp_prefix(ca, l.at(i), cb, r.at(j), k) {
+            Ordering::Less => i = run_end(ca, l, i, k),
+            Ordering::Greater => j = run_end(cb, r, j, k),
+            Ordering::Equal => {
+                let (i_end, j_end) = (run_end(ca, l, i, k), run_end(cb, r, j, k));
+                on_match(i..i_end, j..j_end);
+                i = i_end;
+                j = j_end;
+            }
+        }
+    }
+}
+
+/// Merge join of one partition pair on the aligned key prefix `0..k`:
+/// both selections are ascending, hence key-sorted, and the output is
+/// emitted in canonical order.
+fn merge_join_rows(
+    r1: &Relation,
+    r2: &Relation,
+    l: Rows<'_>,
+    r: Rows<'_>,
+    k: usize,
+    residual: &Condition,
+) -> Vec<Tuple> {
+    let (a, b) = (r1.tuples(), r2.tuples());
+    let mut out: Vec<Tuple> = Vec::new();
+    merge_runs((r1.columns(), l), (r2.columns(), r), k, |lrun, rrun| {
+        for ii in lrun {
+            let t1 = &a[l.at(ii)];
+            for jj in rrun.clone() {
+                let t2 = &b[r.at(jj)];
+                if residual.eval(t1.values(), t2.values()) {
+                    out.push(t1.concat(t2));
+                }
+            }
+        }
+    });
+    out
+}
+
+/// Merge semijoin of one partition pair (see [`merge_join_rows`]): the
+/// ascending ids of the left rows whose key run on the right holds a
+/// tuple passing `residual`.
+fn merge_semijoin_rows(
+    r1: &Relation,
+    r2: &Relation,
+    l: Rows<'_>,
+    r: Rows<'_>,
+    k: usize,
+    residual: &Condition,
+) -> Vec<u32> {
+    let (a, b) = (r1.tuples(), r2.tuples());
+    let mut keep: Vec<u32> = Vec::new();
+    merge_runs((r1.columns(), l), (r2.columns(), r), k, |lrun, rrun| {
+        for ii in lrun {
+            let i = l.at(ii);
+            if residual.is_empty()
+                || rrun
+                    .clone()
+                    .any(|jj| residual.eval(a[i].values(), b[r.at(jj)].values()))
+            {
+                keep.push(i as u32);
+            }
+        }
+    });
+    keep
+}
+
+/// Filtered nested-loop join of one left chunk against the whole right
+/// operand, for a θ with no equality atom. Output is in canonical order.
+fn nested_loop_join(
+    r1: &Relation,
+    r2: &Relation,
+    l: Rows<'_>,
+    r: Rows<'_>,
+    theta: &Condition,
+) -> Vec<Tuple> {
+    let (a, b) = (r1.tuples(), r2.tuples());
+    let mut out: Vec<Tuple> = Vec::new();
+    for t1 in (0..l.len()).map(|k| &a[l.at(k)]) {
+        for t2 in (0..r.len()).map(|k| &b[r.at(k)]) {
+            if theta.eval(t1.values(), t2.values()) {
+                out.push(t1.concat(t2));
+            }
+        }
+    }
+    out
+}
+
+/// Nested-loop semijoin of one left chunk against the whole right
+/// operand, for a θ with no equality atom: the ascending ids of the left
+/// rows with a partner.
+fn nested_loop_semijoin(
+    r1: &Relation,
+    r2: &Relation,
+    l: Rows<'_>,
+    r: Rows<'_>,
+    theta: &Condition,
+) -> Vec<u32> {
+    let (a, b) = (r1.tuples(), r2.tuples());
+    (0..l.len())
+        .map(|k| l.at(k))
+        .filter(|&i| (0..r.len()).any(|k| theta.eval(a[i].values(), b[r.at(k)].values())))
+        .map(|i| i as u32)
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -240,10 +720,8 @@ pub struct MultiwaySpec {
 /// contiguous chunks fanned out over scoped threads (one
 /// [`PartitionStat`] per chunk, `right_rows = 0` — there is no probe
 /// side); the canonicalizing merge keeps the output byte-identical for
-/// every worker count. The [`Execution`] knob is accepted for kernel
-/// signature uniformity but selects nothing: the posting-list indexes
-/// are already column-oriented, so there is no row-at-a-time variant to
-/// choose.
+/// every worker count. `_exec` is accepted and ignored (see
+/// [`crate::exec`]).
 pub fn multiway_join(
     children: &[&Relation],
     spec: &MultiwaySpec,
@@ -384,713 +862,31 @@ pub fn multiway_join(
         }
     }
     let rot_fwd: Vec<&FxHashMap<Value, Vec<Value>>> = (0..k).map(|i| &fwd[rot(i)]).collect();
-    let run = |chunk: &[u32]| {
+    let run = |chunk: Rows<'_>| {
         let mut out: Vec<Tuple> = Vec::new();
         let mut binding: Vec<Value> = Vec::with_capacity(k);
-        for &ci in chunk {
+        for ci in 0..chunk.len() {
             binding.clear();
-            binding.push(cands[ci as usize].clone());
+            binding.push(cands[chunk.at(ci)].clone());
             search(1, k, &rot_fwd, &bwd, &mut binding, &emit, &mut out);
         }
         out
     };
 
-    if workers <= 1 {
-        let all: Vec<u32> = (0..cands.len() as u32).collect();
-        let tuples = run(&all);
-        let rel = Relation::from_tuples(out_arity, tuples).expect("assembled arity");
-        span.attr("out_rows", rel.len());
-        return (rel, Vec::new());
-    }
-    let parent = sj_obs::current_span();
-    let outputs = fan_out(
-        chunk_indices(cands.len(), workers)
-            .into_iter()
-            .enumerate()
-            .collect::<Vec<_>>(),
-        workers,
-        |(partition, chunk)| {
-            sj_obs::with_parent(parent, || {
-                let mut pspan = sj_obs::span!(
-                    "kernel.partition",
-                    partition = partition,
-                    left = chunk.len()
-                );
-                let start = Instant::now();
-                let out = run(&chunk);
-                pspan.attr("out_rows", out.len());
-                (chunk.len(), out, start.elapsed())
-            })
-        },
-    );
-    let mut stats = Vec::with_capacity(outputs.len());
-    let mut tuples: Vec<Tuple> = Vec::new();
-    for (partition, (left_rows, out, elapsed)) in outputs.into_iter().enumerate() {
-        stats.push(PartitionStat {
-            partition,
-            left_rows,
-            right_rows: 0,
-            out_rows: out.len(),
-            elapsed,
-        });
-        tuples.extend(out);
-    }
+    // Chunks of the start candidates play the left operand; there is no
+    // right one.
+    let pairs = chunk_rows(cands.len(), workers)
+        .into_iter()
+        .map(|chunk| (chunk, Rows::Range(0, 0)))
+        .collect();
+    let (outs, stats) = run_pairs(pairs, workers, |chunk, _| run(chunk));
     // Chunks partition the start candidates, and a binding determines
     // its tuple, so the concatenation is duplicate-free; one
     // canonicalization pass restores the global order.
-    let merged = Relation::from_tuples(out_arity, tuples).expect("partition arities agree");
+    let tuples: Vec<Tuple> = outs.into_iter().flatten().collect();
+    let merged = Relation::from_tuples(out_arity, tuples).expect("assembled arity");
     span.attr("out_rows", merged.len());
     (merged, stats)
-}
-
-// ---------------------------------------------------------------------------
-// Partition-parallel machinery
-// ---------------------------------------------------------------------------
-
-/// Split `0..len` into at most `n` contiguous index ranges — the
-/// partitioning used when θ has no equality atom to hash on.
-fn chunk_indices(len: usize, n: usize) -> Vec<Vec<u32>> {
-    let n = n.max(1).min(len.max(1));
-    let per = len.div_ceil(n).max(1);
-    (0..len as u32)
-        .collect::<Vec<u32>>()
-        .chunks(per)
-        .map(|c| c.to_vec())
-        .collect()
-}
-
-/// Run a binary operator partition-parallel over **index views**:
-/// hash-partition both sides on the equality key (`left_cols` /
-/// `right_cols`, 0-based) into ascending tuple-index lists
-/// ([`Relation::partition_indices`]) so matching keys co-locate, fan
-/// the partition pairs out over `workers` scoped threads, and union the
-/// per-partition outputs back into canonical order. With no equality
-/// columns the left side is chunked into contiguous index ranges and
-/// every chunk sees the full right side.
-///
-/// Partitions are views — index lists into the shared operands — so no
-/// input tuple is ever cloned into a partition (the scheme
-/// `sj_setjoin::parallel` uses, ported to the planned-query path; only
-/// the 4-byte indices and the output tuples are materialized). The
-/// per-partition kernel `op` is chosen by the caller — row index-view
-/// or vectorized gather-view — which is exactly how `Execution` and
-/// `Parallelism` compose.
-fn par_binary(
-    r1: &Relation,
-    r2: &Relation,
-    left_cols: &[usize],
-    right_cols: &[usize],
-    workers: usize,
-    out_arity: usize,
-    op: impl Fn(&[u32], &[u32]) -> Vec<Tuple> + Sync,
-) -> (Relation, Vec<PartitionStat>) {
-    let workers = workers.max(1);
-    let parent = sj_obs::current_span();
-    let timed = |partition: usize, li: &[u32], ri: &[u32]| {
-        sj_obs::with_parent(parent, || {
-            let mut span = sj_obs::span!(
-                "kernel.partition",
-                partition = partition,
-                left = li.len(),
-                right = ri.len()
-            );
-            let start = Instant::now();
-            let out = op(li, ri);
-            let elapsed = start.elapsed();
-            span.attr("out_rows", out.len());
-            (li.len(), ri.len(), out, elapsed)
-        })
-    };
-    let outputs = if left_cols.is_empty() {
-        // No key to co-partition on: chunk the left side; every chunk
-        // probes the whole right side through one shared index list.
-        let full: Vec<u32> = (0..r2.len() as u32).collect();
-        let chunks: Vec<(usize, Vec<u32>)> = chunk_indices(r1.len(), workers)
-            .into_iter()
-            .enumerate()
-            .collect();
-        fan_out(chunks, workers, |(p, li)| timed(p, &li, &full))
-    } else {
-        let pairs: Vec<_> = r1
-            .partition_indices(left_cols, workers)
-            .into_iter()
-            .zip(r2.partition_indices(right_cols, workers))
-            .enumerate()
-            .collect();
-        fan_out(pairs, workers, |(p, (li, ri))| timed(p, &li, &ri))
-    };
-    let mut stats = Vec::with_capacity(outputs.len());
-    let mut tuples: Vec<Tuple> = Vec::new();
-    for (partition, (left_rows, right_rows, out, elapsed)) in outputs.into_iter().enumerate() {
-        stats.push(PartitionStat {
-            partition,
-            left_rows,
-            right_rows,
-            out_rows: out.len(),
-            elapsed,
-        });
-        tuples.extend(out);
-    }
-    // Partitions are key-disjoint (or, for the chunked no-equality path,
-    // row-disjoint), so the flattened outputs contain no duplicates; one
-    // canonicalization pass restores the global order.
-    let merged = Relation::from_tuples(out_arity, tuples).expect("partition arities agree");
-    (merged, stats)
-}
-
-/// Partition-parallel join with the per-partition kernel chosen by
-/// `exec`: vectorized gather-view when there is an equality key,
-/// otherwise the row nested-loop index kernel under either mode.
-fn par_join_exec(
-    r1: &Relation,
-    r2: &Relation,
-    theta: &Condition,
-    exec: Execution,
-    workers: usize,
-) -> (Relation, Vec<PartitionStat>) {
-    let (eq, residual) = split_condition(theta);
-    let left_cols: Vec<usize> = eq.iter().map(|&(lc, _)| lc).collect();
-    let right_cols: Vec<usize> = eq.iter().map(|&(_, rc)| rc).collect();
-    let out_arity = r1.arity() + r2.arity();
-    let vectorize = exec.is_vectorized() && !eq.is_empty();
-    par_binary(
-        r1,
-        r2,
-        &left_cols,
-        &right_cols,
-        workers,
-        out_arity,
-        |li, ri| {
-            if vectorize {
-                join_view(r1, r2, li, ri, &eq, &residual)
-            } else {
-                join_idx(r1, r2, li, ri, theta)
-            }
-        },
-    )
-}
-
-/// Partition-parallel semijoin (see [`par_join_exec`]).
-fn par_semijoin_exec(
-    r1: &Relation,
-    r2: &Relation,
-    theta: &Condition,
-    exec: Execution,
-    workers: usize,
-) -> (Relation, Vec<PartitionStat>) {
-    let (eq, residual) = split_condition(theta);
-    let left_cols: Vec<usize> = eq.iter().map(|&(lc, _)| lc).collect();
-    let right_cols: Vec<usize> = eq.iter().map(|&(_, rc)| rc).collect();
-    let vectorize = exec.is_vectorized() && !eq.is_empty();
-    par_binary(
-        r1,
-        r2,
-        &left_cols,
-        &right_cols,
-        workers,
-        r1.arity(),
-        |li, ri| {
-            if vectorize {
-                semijoin_view(r1, r2, li, ri, &eq, &residual)
-            } else {
-                semijoin_idx(r1, r2, li, ri, theta)
-            }
-        },
-    )
-}
-
-/// Partition-parallel merge join on an aligned key prefix: both sides
-/// are hash-partitioned on the prefix columns (partitions stay
-/// canonically sorted — they are subsequences), merged per partition
-/// with the `exec`-selected kernel, and unioned back.
-fn par_merge_join_exec(
-    r1: &Relation,
-    r2: &Relation,
-    k: usize,
-    residual: &Condition,
-    exec: Execution,
-    workers: usize,
-) -> (Relation, Vec<PartitionStat>) {
-    let cols: Vec<usize> = (0..k).collect();
-    let out_arity = r1.arity() + r2.arity();
-    let vectorize = exec.is_vectorized();
-    par_binary(r1, r2, &cols, &cols, workers, out_arity, |li, ri| {
-        if vectorize {
-            merge_join_view(r1, r2, li, ri, k, residual)
-        } else {
-            merge_join_idx(r1, r2, li, ri, k, residual)
-        }
-    })
-}
-
-/// Partition-parallel merge semijoin on an aligned key prefix.
-fn par_merge_semijoin_exec(
-    r1: &Relation,
-    r2: &Relation,
-    k: usize,
-    residual: &Condition,
-    exec: Execution,
-    workers: usize,
-) -> (Relation, Vec<PartitionStat>) {
-    let cols: Vec<usize> = (0..k).collect();
-    let vectorize = exec.is_vectorized();
-    par_binary(r1, r2, &cols, &cols, workers, r1.arity(), |li, ri| {
-        if vectorize {
-            merge_semijoin_view(r1, r2, li, ri, k, residual)
-        } else {
-            merge_semijoin_idx(r1, r2, li, ri, k, residual)
-        }
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Row-execution compatibility wrappers
-// ---------------------------------------------------------------------------
-
-/// Partition-parallel [`ops::join`] with row per-partition kernels:
-/// byte-identical output for every worker count (partition placement is
-/// deterministic and the merge restores canonical order).
-pub fn par_join(r1: &Relation, r2: &Relation, theta: &Condition, workers: usize) -> Relation {
-    par_join_stats(r1, r2, theta, workers).0
-}
-
-/// [`par_join`] plus per-partition statistics for instrumentation.
-pub fn par_join_stats(
-    r1: &Relation,
-    r2: &Relation,
-    theta: &Condition,
-    workers: usize,
-) -> (Relation, Vec<PartitionStat>) {
-    par_join_exec(r1, r2, theta, Execution::RowAtATime, workers)
-}
-
-/// Partition-parallel [`ops::semijoin`] with row per-partition kernels.
-pub fn par_semijoin(r1: &Relation, r2: &Relation, theta: &Condition, workers: usize) -> Relation {
-    par_semijoin_stats(r1, r2, theta, workers).0
-}
-
-/// [`par_semijoin`] plus per-partition statistics.
-pub fn par_semijoin_stats(
-    r1: &Relation,
-    r2: &Relation,
-    theta: &Condition,
-    workers: usize,
-) -> (Relation, Vec<PartitionStat>) {
-    par_semijoin_exec(r1, r2, theta, Execution::RowAtATime, workers)
-}
-
-/// Partition-parallel [`ops::merge_join`] with row per-partition kernels.
-pub fn par_merge_join_stats(
-    r1: &Relation,
-    r2: &Relation,
-    k: usize,
-    residual: &Condition,
-    workers: usize,
-) -> (Relation, Vec<PartitionStat>) {
-    par_merge_join_exec(r1, r2, k, residual, Execution::RowAtATime, workers)
-}
-
-/// Partition-parallel [`ops::merge_semijoin`] with row per-partition
-/// kernels.
-pub fn par_merge_semijoin_stats(
-    r1: &Relation,
-    r2: &Relation,
-    k: usize,
-    residual: &Condition,
-    workers: usize,
-) -> (Relation, Vec<PartitionStat>) {
-    par_merge_semijoin_exec(r1, r2, k, residual, Execution::RowAtATime, workers)
-}
-
-// ---------------------------------------------------------------------------
-// Row index-view kernels
-// ---------------------------------------------------------------------------
-
-/// [`ops::join`] restricted to the tuples of `r1` at `li` and of `r2` at
-/// `ri` (ascending index views): hash build over the right view, probe
-/// from the left view, residual filter on candidates.
-fn join_idx(r1: &Relation, r2: &Relation, li: &[u32], ri: &[u32], theta: &Condition) -> Vec<Tuple> {
-    let (eq, residual) = split_condition(theta);
-    let (a, b) = (r1.tuples(), r2.tuples());
-    let mut out: Vec<Tuple> = Vec::new();
-    if eq.is_empty() {
-        for &i in li {
-            let t1 = &a[i as usize];
-            for &j in ri {
-                let t2 = &b[j as usize];
-                if theta.eval(t1.values(), t2.values()) {
-                    out.push(t1.concat(t2));
-                }
-            }
-        }
-    } else {
-        let left_cols: Vec<usize> = eq.iter().map(|&(lc, _)| lc).collect();
-        let right_cols: Vec<usize> = eq.iter().map(|&(_, rc)| rc).collect();
-        let mut index: FxHashMap<Vec<Value>, Vec<u32>> = FxHashMap::default();
-        for &j in ri {
-            let t2 = &b[j as usize];
-            let key: Vec<Value> = right_cols.iter().map(|&c| t2[c].clone()).collect();
-            index.entry(key).or_default().push(j);
-        }
-        let mut key: Vec<Value> = Vec::with_capacity(left_cols.len());
-        for &i in li {
-            let t1 = &a[i as usize];
-            key.clear();
-            key.extend(left_cols.iter().map(|&c| t1[c].clone()));
-            if let Some(hits) = index.get(key.as_slice()) {
-                for &j in hits {
-                    let t2 = &b[j as usize];
-                    if residual.eval(t1.values(), t2.values()) {
-                        out.push(t1.concat(t2));
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// [`ops::semijoin`] over index views (see [`join_idx`]).
-fn semijoin_idx(
-    r1: &Relation,
-    r2: &Relation,
-    li: &[u32],
-    ri: &[u32],
-    theta: &Condition,
-) -> Vec<Tuple> {
-    let (eq, residual) = split_condition(theta);
-    let (a, b) = (r1.tuples(), r2.tuples());
-    let tuple_at = |i: &u32| a[*i as usize].clone();
-    if eq.is_empty() {
-        if ri.is_empty() {
-            Vec::new()
-        } else if theta.is_empty() {
-            li.iter().map(tuple_at).collect()
-        } else {
-            li.iter()
-                .filter(|&&i| {
-                    let t1 = &a[i as usize];
-                    ri.iter()
-                        .any(|&j| theta.eval(t1.values(), b[j as usize].values()))
-                })
-                .map(tuple_at)
-                .collect()
-        }
-    } else {
-        let left_cols: Vec<usize> = eq.iter().map(|&(lc, _)| lc).collect();
-        let right_cols: Vec<usize> = eq.iter().map(|&(_, rc)| rc).collect();
-        let mut index: FxHashMap<Vec<Value>, Vec<u32>> = FxHashMap::default();
-        for &j in ri {
-            let t2 = &b[j as usize];
-            let key: Vec<Value> = right_cols.iter().map(|&c| t2[c].clone()).collect();
-            index.entry(key).or_default().push(j);
-        }
-        let mut key: Vec<Value> = Vec::with_capacity(left_cols.len());
-        li.iter()
-            .filter(|&&i| {
-                let t1 = &a[i as usize];
-                key.clear();
-                key.extend(left_cols.iter().map(|&c| t1[c].clone()));
-                index.get(key.as_slice()).is_some_and(|hits| {
-                    residual.is_empty()
-                        || hits
-                            .iter()
-                            .any(|&j| residual.eval(t1.values(), b[j as usize].values()))
-                })
-            })
-            .map(tuple_at)
-            .collect()
-    }
-}
-
-/// Compare the first `k` components of two tuples.
-#[inline]
-fn cmp_prefix(a: &Tuple, b: &Tuple, k: usize) -> std::cmp::Ordering {
-    a.values()[..k].cmp(&b.values()[..k])
-}
-
-/// End of the run of indices whose tuples share the first `k`
-/// components with the tuple at `idx[start]`.
-#[inline]
-fn run_end_idx(ts: &[Tuple], idx: &[u32], start: usize, k: usize) -> usize {
-    let mut end = start + 1;
-    while end < idx.len()
-        && cmp_prefix(&ts[idx[end] as usize], &ts[idx[start] as usize], k)
-            == std::cmp::Ordering::Equal
-    {
-        end += 1;
-    }
-    end
-}
-
-/// [`ops::merge_join`] over index views: the index lists are ascending,
-/// so their tuples are already in canonical (key-sorted) order.
-fn merge_join_idx(
-    r1: &Relation,
-    r2: &Relation,
-    li: &[u32],
-    ri: &[u32],
-    k: usize,
-    residual: &Condition,
-) -> Vec<Tuple> {
-    let (a, b) = (r1.tuples(), r2.tuples());
-    let mut out: Vec<Tuple> = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < li.len() && j < ri.len() {
-        match cmp_prefix(&a[li[i] as usize], &b[ri[j] as usize], k) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let (i_end, j_end) = (run_end_idx(a, li, i, k), run_end_idx(b, ri, j, k));
-                for &ii in &li[i..i_end] {
-                    let t1 = &a[ii as usize];
-                    for &jj in &ri[j..j_end] {
-                        let t2 = &b[jj as usize];
-                        if residual.eval(t1.values(), t2.values()) {
-                            out.push(t1.concat(t2));
-                        }
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    out
-}
-
-/// [`ops::merge_semijoin`] over index views (see [`merge_join_idx`]).
-fn merge_semijoin_idx(
-    r1: &Relation,
-    r2: &Relation,
-    li: &[u32],
-    ri: &[u32],
-    k: usize,
-    residual: &Condition,
-) -> Vec<Tuple> {
-    let (a, b) = (r1.tuples(), r2.tuples());
-    let mut out: Vec<Tuple> = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < li.len() && j < ri.len() {
-        match cmp_prefix(&a[li[i] as usize], &b[ri[j] as usize], k) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let (i_end, j_end) = (run_end_idx(a, li, i, k), run_end_idx(b, ri, j, k));
-                for &ii in &li[i..i_end] {
-                    let t1 = &a[ii as usize];
-                    if residual.is_empty()
-                        || ri[j..j_end]
-                            .iter()
-                            .any(|&jj| residual.eval(t1.values(), b[jj as usize].values()))
-                    {
-                        out.push(t1.clone());
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Vectorized gather-view kernels
-// ---------------------------------------------------------------------------
-
-/// Exact key equality between view row `li` of `lv` and view row `ri`
-/// of `rv` — the collision check behind every hash pairing.
-#[inline]
-fn keys_eq_view(
-    lv: &ColsView<'_>,
-    li: usize,
-    rv: &ColsView<'_>,
-    ri: usize,
-    eq: &[(usize, usize)],
-) -> bool {
-    eq.iter().all(|&(lc, rc)| lv.cell_eq(lc, li, rv, rc, ri))
-}
-
-/// Vectorized hash join over one partition pair: build the hash table
-/// from the right gather view, probe from the left gather view, both
-/// hashed column-at-a-time through [`sj_storage::ColGather`].
-fn join_view(
-    r1: &Relation,
-    r2: &Relation,
-    li: &[u32],
-    ri: &[u32],
-    eq: &[(usize, usize)],
-    residual: &Condition,
-) -> Vec<Tuple> {
-    let (lv, rv) = (r1.columns().view(li), r2.columns().view(ri));
-    let left_cols: Vec<usize> = eq.iter().map(|&(lc, _)| lc).collect();
-    let right_cols: Vec<usize> = eq.iter().map(|&(_, rc)| rc).collect();
-    let mut scratch: Vec<u64> = Vec::new();
-    hash_view_rows(&rv, &right_cols, &mut scratch);
-    let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-    table.reserve(rv.len());
-    for (k, &h) in scratch.iter().enumerate() {
-        table.entry(h).or_default().push(k as u32);
-    }
-    hash_view_rows(&lv, &left_cols, &mut scratch);
-    let (a, b) = (r1.tuples(), r2.tuples());
-    let mut out: Vec<Tuple> = Vec::new();
-    for (k, &h) in scratch.iter().enumerate() {
-        let Some(cands) = table.get(&h) else { continue };
-        let t1 = &a[lv.row(k)];
-        for &vk in cands {
-            let vk = vk as usize;
-            if keys_eq_view(&lv, k, &rv, vk, eq) {
-                let t2 = &b[rv.row(vk)];
-                if residual.eval(t1.values(), t2.values()) {
-                    out.push(t1.concat(t2));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Vectorized hash semijoin over one partition pair (see [`join_view`]).
-fn semijoin_view(
-    r1: &Relation,
-    r2: &Relation,
-    li: &[u32],
-    ri: &[u32],
-    eq: &[(usize, usize)],
-    residual: &Condition,
-) -> Vec<Tuple> {
-    let (lv, rv) = (r1.columns().view(li), r2.columns().view(ri));
-    let left_cols: Vec<usize> = eq.iter().map(|&(lc, _)| lc).collect();
-    let right_cols: Vec<usize> = eq.iter().map(|&(_, rc)| rc).collect();
-    let mut scratch: Vec<u64> = Vec::new();
-    hash_view_rows(&rv, &right_cols, &mut scratch);
-    let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-    table.reserve(rv.len());
-    for (k, &h) in scratch.iter().enumerate() {
-        table.entry(h).or_default().push(k as u32);
-    }
-    hash_view_rows(&lv, &left_cols, &mut scratch);
-    let (a, b) = (r1.tuples(), r2.tuples());
-    let mut out: Vec<Tuple> = Vec::new();
-    for (k, &h) in scratch.iter().enumerate() {
-        let Some(cands) = table.get(&h) else { continue };
-        let t1 = &a[lv.row(k)];
-        let survives = cands.iter().any(|&vk| {
-            let vk = vk as usize;
-            keys_eq_view(&lv, k, &rv, vk, eq)
-                && (residual.is_empty() || residual.eval(t1.values(), b[rv.row(vk)].values()))
-        });
-        if survives {
-            out.push(t1.clone());
-        }
-    }
-    out
-}
-
-/// Compare the first `k` columns of view row `i` of `lv` and view row
-/// `j` of `rv` through the typed cell comparator.
-#[inline]
-fn cmp_prefix_view(
-    lv: &ColsView<'_>,
-    i: usize,
-    rv: &ColsView<'_>,
-    j: usize,
-    k: usize,
-) -> std::cmp::Ordering {
-    for c in 0..k {
-        match lv.cell_cmp(c, i, rv, c, j) {
-            std::cmp::Ordering::Equal => continue,
-            other => return other,
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
-/// End of the run of view rows sharing row `start`'s first `k` column
-/// values.
-#[inline]
-fn run_end_view(v: &ColsView<'_>, start: usize, k: usize) -> usize {
-    let mut end = start + 1;
-    while end < v.len() && cmp_prefix_view(v, end, v, start, k) == std::cmp::Ordering::Equal {
-        end += 1;
-    }
-    end
-}
-
-/// Vectorized merge join over one partition pair: run detection and
-/// prefix comparison through [`ColsView::cell_cmp`] (typed column
-/// compares); a non-matching side skips its whole run at once.
-fn merge_join_view(
-    r1: &Relation,
-    r2: &Relation,
-    li: &[u32],
-    ri: &[u32],
-    k: usize,
-    residual: &Condition,
-) -> Vec<Tuple> {
-    let (lv, rv) = (r1.columns().view(li), r2.columns().view(ri));
-    let (a, b) = (r1.tuples(), r2.tuples());
-    let mut out: Vec<Tuple> = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lv.len() && j < rv.len() {
-        match cmp_prefix_view(&lv, i, &rv, j, k) {
-            std::cmp::Ordering::Less => i = run_end_view(&lv, i, k),
-            std::cmp::Ordering::Greater => j = run_end_view(&rv, j, k),
-            std::cmp::Ordering::Equal => {
-                let (i_end, j_end) = (run_end_view(&lv, i, k), run_end_view(&rv, j, k));
-                for ii in i..i_end {
-                    let t1 = &a[lv.row(ii)];
-                    for jj in j..j_end {
-                        let t2 = &b[rv.row(jj)];
-                        if residual.eval(t1.values(), t2.values()) {
-                            out.push(t1.concat(t2));
-                        }
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    out
-}
-
-/// Vectorized merge semijoin over one partition pair (see
-/// [`merge_join_view`]).
-fn merge_semijoin_view(
-    r1: &Relation,
-    r2: &Relation,
-    li: &[u32],
-    ri: &[u32],
-    k: usize,
-    residual: &Condition,
-) -> Vec<Tuple> {
-    let (lv, rv) = (r1.columns().view(li), r2.columns().view(ri));
-    let (a, b) = (r1.tuples(), r2.tuples());
-    let mut out: Vec<Tuple> = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lv.len() && j < rv.len() {
-        match cmp_prefix_view(&lv, i, &rv, j, k) {
-            std::cmp::Ordering::Less => i = run_end_view(&lv, i, k),
-            std::cmp::Ordering::Greater => j = run_end_view(&rv, j, k),
-            std::cmp::Ordering::Equal => {
-                let (i_end, j_end) = (run_end_view(&lv, i, k), run_end_view(&rv, j, k));
-                for ii in i..i_end {
-                    let t1 = &a[lv.row(ii)];
-                    if residual.is_empty()
-                        || (j..j_end).any(|jj| residual.eval(t1.values(), b[rv.row(jj)].values()))
-                    {
-                        out.push(t1.clone());
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1135,9 +931,9 @@ mod tests {
         ]
     }
 
-    /// Both execution modes at every worker count are byte-identical to
-    /// the serial row reference, for joins and semijoins on every theta
-    /// shape and operand type.
+    /// Every worker count is byte-identical to the row operators, for
+    /// joins and semijoins on every theta shape and operand type. (The
+    /// full matrix, with a brute-force oracle, is `tests/vectorized.rs`.)
     #[test]
     fn kernel_join_and_semijoin_match_serial_reference() {
         let thetas = [
@@ -1151,37 +947,31 @@ mod tests {
             for theta in &thetas {
                 let want_join = ops::join(&a, &b, theta);
                 let want_semi = ops::semijoin(&a, &b, theta);
-                for exec in [Execution::RowAtATime, Execution::Vectorized] {
-                    for workers in [1usize, 2, 4, 8] {
-                        let (j, jstats) = join(&a, &b, theta, exec, workers);
-                        assert_eq!(j, want_join, "join {theta} on {name} {exec:?} @{workers}");
-                        let (s, _) = semijoin(&a, &b, theta, exec, workers);
+                for workers in [1usize, 2, 4, 8] {
+                    let (j, jstats) = join(&a, &b, theta, Execution::Vectorized, workers);
+                    assert_eq!(j, want_join, "join {theta} on {name} @{workers}");
+                    let (s, _) = semijoin(&a, &b, theta, Execution::Vectorized, workers);
+                    assert_eq!(s, want_semi, "semijoin {theta} on {name} @{workers}");
+                    if workers <= 1 {
+                        assert!(jstats.is_empty(), "serial runs report no partitions");
+                    } else {
+                        // The no-equality split of an empty left side
+                        // has no chunks; every other partitioned run
+                        // reports partitions.
+                        let chunked_empty = split_condition(theta).0.is_empty() && a.is_empty();
+                        assert!(!jstats.is_empty() || chunked_empty);
                         assert_eq!(
-                            s, want_semi,
-                            "semijoin {theta} on {name} {exec:?} @{workers}"
+                            jstats.iter().map(|p| p.out_rows).sum::<usize>(),
+                            j.len(),
+                            "partition stats account for every output tuple"
                         );
-                        if workers <= 1 {
-                            assert!(jstats.is_empty(), "serial runs report no partitions");
-                        } else {
-                            // The chunked no-equality path over an empty
-                            // left side has nothing to partition; every
-                            // other parallel run reports partitions.
-                            let chunked_empty = split_condition(theta).0.is_empty() && a.is_empty();
-                            assert!(!jstats.is_empty() || chunked_empty);
-                            assert_eq!(
-                                jstats.iter().map(|p| p.out_rows).sum::<usize>(),
-                                j.len(),
-                                "partition stats account for every output tuple"
-                            );
-                        }
                     }
                 }
             }
         }
     }
 
-    /// Merge variants: both execution modes at every worker count equal
-    /// the serial row merge.
+    /// Merge variants: every worker count equals the row merge.
     #[test]
     fn kernel_merge_variants_match_serial_reference() {
         let residuals = [
@@ -1196,63 +986,94 @@ mod tests {
             for residual in &residuals {
                 let want_join = ops::merge_join(&a, &b, 1, residual);
                 let want_semi = ops::merge_semijoin(&a, &b, 1, residual);
-                for exec in [Execution::RowAtATime, Execution::Vectorized] {
-                    for workers in [1usize, 3, 4, 8] {
-                        let (j, _) = merge_join(&a, &b, 1, residual, exec, workers);
-                        assert_eq!(j, want_join, "merge join on {name} {exec:?} @{workers}");
-                        let (s, _) = merge_semijoin(&a, &b, 1, residual, exec, workers);
-                        assert_eq!(s, want_semi, "merge semijoin on {name} {exec:?} @{workers}");
-                    }
+                for workers in [1usize, 3, 4, 8] {
+                    let (j, jstats) =
+                        merge_join(&a, &b, 1, residual, Execution::Vectorized, workers);
+                    assert_eq!(j, want_join, "merge join on {name} @{workers}");
+                    assert_eq!(jstats.len(), if workers > 1 { workers } else { 0 });
+                    let (s, _) =
+                        merge_semijoin(&a, &b, 1, residual, Execution::Vectorized, workers);
+                    assert_eq!(s, want_semi, "merge semijoin on {name} @{workers}");
                 }
             }
         }
     }
 
-    /// The vectorized gather-view kernels are exercised directly (not
-    /// through the no-equality fallback): a single partition covering
-    /// everything must reproduce the serial operators.
+    /// Hash placement sends every row to exactly one of `n` ascending
+    /// lists and equal keys to the same one; the no-equality split chunks
+    /// the left side and shows every chunk the whole right side.
     #[test]
-    fn view_kernels_match_serial_on_full_views() {
-        for (name, a, b) in operands() {
-            let li: Vec<u32> = (0..a.len() as u32).collect();
-            let ri: Vec<u32> = (0..b.len() as u32).collect();
-            let theta = Condition::eq(1, 1).and(2, CompOp::Neq, 2);
-            let (eq, residual) = split_condition(&theta);
-            let got = Relation::from_tuples(
-                a.arity() + b.arity(),
-                join_view(&a, &b, &li, &ri, &eq, &residual),
-            )
-            .unwrap();
-            assert_eq!(got, ops::join(&a, &b, &theta), "join_view on {name}");
-            let semi =
-                Relation::from_tuples(a.arity(), semijoin_view(&a, &b, &li, &ri, &eq, &residual))
-                    .unwrap();
-            assert_eq!(
-                semi,
-                ops::semijoin(&a, &b, &theta),
-                "semijoin_view on {name}"
-            );
-            let mj = Relation::from_tuples(
-                a.arity() + b.arity(),
-                merge_join_view(&a, &b, &li, &ri, 1, &Condition::always()),
-            )
-            .unwrap();
-            assert_eq!(
-                mj,
-                ops::merge_join(&a, &b, 1, &Condition::always()),
-                "merge_join_view on {name}"
-            );
-            let ms = Relation::from_tuples(
-                a.arity(),
-                merge_semijoin_view(&a, &b, &li, &ri, 1, &Condition::always()),
-            )
-            .unwrap();
-            assert_eq!(
-                ms,
-                ops::merge_semijoin(&a, &b, 1, &Condition::always()),
-                "merge_semijoin_view on {name}"
-            );
+    fn partitions_cover_every_row_exactly_once() {
+        let lrows: Vec<Vec<i64>> = (0..100).map(|i| vec![i % 11, i]).collect();
+        let lrefs: Vec<&[i64]> = lrows.iter().map(|r| r.as_slice()).collect();
+        let a = r(&lrefs);
+        let b = r(&[&[1, 5], &[2, 9], &[3, 1]]);
+        let exec = Execution::Vectorized;
+        let (out, stats) = join(&a, &b, &Condition::eq(1, 1), exec, 4);
+        assert_eq!(stats.len(), 4);
+        assert_eq!(stats.iter().map(|s| s.left_rows).sum::<usize>(), a.len());
+        assert_eq!(stats.iter().map(|s| s.right_rows).sum::<usize>(), b.len());
+        assert_eq!(stats.iter().map(|s| s.out_rows).sum::<usize>(), out.len());
+        for (i, s) in stats.iter().enumerate() {
+            assert_eq!(s.partition, i);
         }
+        let (_, nl_stats) = join(&a, &b, &Condition::always(), exec, 4);
+        assert!(nl_stats.iter().all(|s| s.right_rows == b.len()));
+        assert_eq!(nl_stats.iter().map(|s| s.left_rows).sum::<usize>(), a.len());
+
+        let hashes = a.columns().key_hashes(&[0]);
+        for n in [2usize, 3, 8] {
+            let lists = place(&hashes, n);
+            assert_eq!(lists.len(), n);
+            assert!(lists.iter().all(|l| l.windows(2).all(|w| w[0] < w[1])));
+            assert_eq!(lists.iter().map(|l| l.len()).sum::<usize>(), a.len());
+            for key in 0..11i64 {
+                let holding = lists
+                    .iter()
+                    .filter(|l| {
+                        l.iter()
+                            .any(|&i| a.tuples()[i as usize][0] == Value::int(key))
+                    })
+                    .count();
+                assert_eq!(holding, 1, "key {key} spans partitions at n = {n}");
+            }
+        }
+    }
+
+    /// Chunks are contiguous, in order, cover `0..len`, and never
+    /// outnumber the rows or the workers.
+    #[test]
+    fn chunk_rows_cover_the_range_in_order() {
+        for len in [0usize, 1, 3, 4, 5, 100] {
+            for n in [0usize, 1, 2, 4, 7] {
+                let chunks = chunk_rows(len, n);
+                assert!(chunks.len() <= n.max(1).min(len.max(1)), "{len} / {n}");
+                let mut next = 0;
+                for c in &chunks {
+                    let Rows::Range(start, end) = *c else {
+                        panic!("chunks are ranges")
+                    };
+                    assert_eq!(start, next);
+                    assert!(end > start);
+                    next = end;
+                }
+                assert_eq!(next, len, "{len} / {n}");
+            }
+        }
+    }
+
+    /// The capacity gate is a predicate on row counts: `u32::MAX` rows on
+    /// either side still index, one more falls back to the row operators
+    /// — at every worker count, because the gate sits at the kernel entry
+    /// before any partitioning.
+    #[test]
+    fn capacity_gate_is_a_predicate_on_counts() {
+        let max = u32::MAX as usize;
+        assert!(fits_row_ids(0, 0));
+        assert!(fits_row_ids(max, max));
+        assert!(!fits_row_ids(max + 1, 0));
+        assert!(!fits_row_ids(0, max + 1));
+        assert!(!fits_row_ids(usize::MAX, usize::MAX));
     }
 
     /// A small directed graph with a hub, a matching, and some chain
@@ -1311,19 +1132,17 @@ mod tests {
         for (k, want) in [(3usize, &tri_ref), (4, &quad_ref)] {
             let children: Vec<&Relation> = vec![&e; k];
             let spec = cycle_spec(k);
-            for exec in [Execution::RowAtATime, Execution::Vectorized] {
-                for workers in [1usize, 2, 4, 8] {
-                    let (got, stats) = multiway_join(&children, &spec, exec, workers);
-                    assert_eq!(got, *want, "k={k} {exec:?} @{workers}");
-                    if workers <= 1 {
-                        assert!(stats.is_empty(), "serial runs report no partitions");
-                    } else {
-                        assert_eq!(
-                            stats.iter().map(|p| p.out_rows).sum::<usize>(),
-                            got.len(),
-                            "partition stats account for every output tuple"
-                        );
-                    }
+            for workers in [1usize, 2, 4, 8] {
+                let (got, stats) = multiway_join(&children, &spec, Execution::Vectorized, workers);
+                assert_eq!(got, *want, "k={k} @{workers}");
+                if workers <= 1 {
+                    assert!(stats.is_empty(), "serial runs report no partitions");
+                } else {
+                    assert_eq!(
+                        stats.iter().map(|p| p.out_rows).sum::<usize>(),
+                        got.len(),
+                        "partition stats account for every output tuple"
+                    );
                 }
             }
         }
@@ -1337,7 +1156,7 @@ mod tests {
         let empty = Relation::empty(2);
         let spec = cycle_spec(3);
         for workers in [1usize, 4] {
-            let (got, _) = multiway_join(&[&e, &empty, &e], &spec, Execution::RowAtATime, workers);
+            let (got, _) = multiway_join(&[&e, &empty, &e], &spec, Execution::Vectorized, workers);
             assert!(got.is_empty(), "empty child @{workers}");
             assert_eq!(got.arity(), 6);
         }

@@ -50,8 +50,7 @@ pub use exec::Execution;
 pub use explain::explain;
 pub use instrumented::{evaluate_instrumented, EvalReport, NodeStat};
 pub use joinorder::{JoinOrder, DP_MAX_RELATIONS};
-pub use kernel::{multiway_join, MultiwayLeaf, MultiwaySpec};
-pub use ops::PartitionStat;
+pub use kernel::{multiway_join, MultiwayLeaf, MultiwaySpec, PartitionStat};
 pub use par::Parallelism;
 pub use plain::evaluate;
 pub use plan::{
@@ -70,7 +69,7 @@ pub mod prelude {
     pub use crate::exec::Execution;
     pub use crate::instrumented::{evaluate_instrumented, EvalReport, NodeStat};
     pub use crate::joinorder::JoinOrder;
-    pub use crate::ops::PartitionStat;
+    pub use crate::kernel::PartitionStat;
     pub use crate::par::Parallelism;
     pub use crate::plain::evaluate;
     pub use crate::plan::{evaluate_planned, evaluate_planned_instrumented, PlannedReport};

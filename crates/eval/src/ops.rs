@@ -270,19 +270,6 @@ pub fn merge_semijoin(r1: &Relation, r2: &Relation, k: usize, residual: &Conditi
     Relation::from_sorted_tuples(r1.arity(), out)
 }
 
-// ---------------------------------------------------------------------------
-// Partition-parallel join and semijoin (kernel-layer re-exports)
-// ---------------------------------------------------------------------------
-
-// The partition-parallel machinery lives in [`crate::kernel`], where it
-// composes with the `Execution` knob (row or vectorized per-partition
-// kernels). These row-execution entry points are re-exported here so the
-// historical `ops::par_*` / `ops::PartitionStat` paths keep working.
-pub use crate::kernel::{
-    par_join, par_join_stats, par_merge_join_stats, par_merge_semijoin_stats, par_semijoin,
-    par_semijoin_stats, PartitionStat,
-};
-
 /// `γ_{cols; count}(r)` — group by the 1-based `cols` and append the group
 /// cardinality as an integer (Section 5). With `cols` empty the result is a
 /// single `(count,)` tuple — `{(0,)}` for an empty input, matching SQL's
@@ -522,103 +509,6 @@ mod tests {
             merge_semijoin(&a, &Relation::empty(2), 1, &Condition::always()),
             Relation::empty(2)
         );
-    }
-
-    #[test]
-    fn par_join_and_semijoin_match_serial_at_every_worker_count() {
-        // 300 left / 200 right tuples over 23 keys: every partition of
-        // every tested worker count is populated.
-        let lrows: Vec<Vec<i64>> = (0..300).map(|i| vec![i % 23, i]).collect();
-        let lrefs: Vec<&[i64]> = lrows.iter().map(|r| r.as_slice()).collect();
-        let a = r(&lrefs);
-        let rrows: Vec<Vec<i64>> = (0..200).map(|i| vec![i % 23, i % 17]).collect();
-        let rrefs: Vec<&[i64]> = rrows.iter().map(|r| r.as_slice()).collect();
-        let b = r(&rrefs);
-        for theta in [
-            Condition::eq(1, 1),                       // merge-able prefix
-            Condition::eq(2, 1),                       // hash
-            Condition::eq(1, 1).and(2, CompOp::Lt, 2), // hash + residual
-            Condition::lt(1, 1),                       // nested loop
-            Condition::always(),                       // cartesian
-        ] {
-            let want_join = join(&a, &b, &theta);
-            let want_semi = semijoin(&a, &b, &theta);
-            for workers in [1usize, 2, 4, 8] {
-                assert_eq!(
-                    par_join(&a, &b, &theta, workers),
-                    want_join,
-                    "join {theta} @ {workers}"
-                );
-                assert_eq!(
-                    par_semijoin(&a, &b, &theta, workers),
-                    want_semi,
-                    "semijoin {theta} @ {workers}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn par_merge_variants_match_serial() {
-        let lrows: Vec<Vec<i64>> = (0..240).map(|i| vec![i % 19, i]).collect();
-        let lrefs: Vec<&[i64]> = lrows.iter().map(|r| r.as_slice()).collect();
-        let a = r(&lrefs);
-        let rrows: Vec<Vec<i64>> = (0..160).map(|i| vec![i % 19, i % 13]).collect();
-        let rrefs: Vec<&[i64]> = rrows.iter().map(|r| r.as_slice()).collect();
-        let b = r(&rrefs);
-        let theta = Condition::eq(1, 1).and(2, CompOp::Neq, 2);
-        let k = merge_prefix_len(&theta).unwrap();
-        let (_, residual) = split_condition(&theta);
-        let want_join = merge_join(&a, &b, k, &residual);
-        let want_semi = merge_semijoin(&a, &b, k, &residual);
-        for workers in [1usize, 3, 4] {
-            let (j, jstats) = par_merge_join_stats(&a, &b, k, &residual, workers);
-            assert_eq!(j, want_join, "merge-join @ {workers}");
-            assert_eq!(jstats.len(), workers);
-            let (s, _) = par_merge_semijoin_stats(&a, &b, k, &residual, workers);
-            assert_eq!(s, want_semi, "merge-semijoin @ {workers}");
-        }
-    }
-
-    #[test]
-    fn par_stats_account_for_every_tuple() {
-        let lrows: Vec<Vec<i64>> = (0..100).map(|i| vec![i % 11, i]).collect();
-        let lrefs: Vec<&[i64]> = lrows.iter().map(|r| r.as_slice()).collect();
-        let a = r(&lrefs);
-        let b = r(&[&[1, 5], &[2, 9], &[3, 1]]);
-        let (out, stats) = par_join_stats(&a, &b, &Condition::eq(1, 1), 4);
-        assert_eq!(stats.len(), 4);
-        assert_eq!(stats.iter().map(|s| s.left_rows).sum::<usize>(), a.len());
-        assert_eq!(stats.iter().map(|s| s.right_rows).sum::<usize>(), b.len());
-        assert_eq!(stats.iter().map(|s| s.out_rows).sum::<usize>(), out.len());
-        for (i, s) in stats.iter().enumerate() {
-            assert_eq!(s.partition, i);
-        }
-        // The no-equality path chunks the left side and replicates the
-        // right side into every chunk.
-        let (_, nl_stats) = par_join_stats(&a, &b, &Condition::always(), 4);
-        assert!(nl_stats.iter().all(|s| s.right_rows == b.len()));
-        assert_eq!(nl_stats.iter().map(|s| s.left_rows).sum::<usize>(), a.len());
-    }
-
-    #[test]
-    fn par_operators_on_empty_inputs() {
-        let e2 = Relation::empty(2);
-        let b = r(&[&[1, 5]]);
-        for workers in [1usize, 4] {
-            assert_eq!(
-                par_join(&e2, &b, &Condition::eq(1, 1), workers),
-                Relation::empty(4)
-            );
-            assert_eq!(
-                par_semijoin(&e2, &b, &Condition::always(), workers),
-                Relation::empty(2)
-            );
-            assert_eq!(
-                par_join(&b, &e2, &Condition::eq(1, 1), workers),
-                Relation::empty(4)
-            );
-        }
     }
 
     #[test]

@@ -1,65 +1,26 @@
-//! Vectorized (chunked columnar) physical operators.
+//! Vectorized selection over whole typed columns.
 //!
-//! Batched counterparts of the hot operators in [`crate::ops`], working
-//! on a relation's [`Columns`] view instead of its tuples:
+//! σ is the one hot operator with no twin in [`crate::kernel`] (it has a
+//! single operand and nothing to partition): [`select`] scans the
+//! relation's [`Columns`] with one dense typed loop per predicate,
+//! collecting a **selection vector** of surviving row indices, and only
+//! then gathers the surviving tuples — the output is a subsequence of the
+//! canonical order, so no re-sort is needed.
 //!
-//! * [`select`] scans each column chunk ([`sj_storage::Chunk`], default
-//!   [`DEFAULT_CHUNK_ROWS`] rows) with a dense typed loop, collecting a
-//!   **selection vector** of surviving row indices, and only then
-//!   gathers the surviving tuples — the output is a subsequence of the
-//!   canonical order, so no re-sort is needed.
-//! * [`join`] / [`semijoin`] build their hash keys from column slices:
-//!   per-row key hashes are computed column-at-a-time into a scratch
-//!   vector (an integer column hashes as a dense `&[i64]` loop, a
-//!   dictionary-encoded string column as a per-code table lookup — no
-//!   `Value` is cloned or boxed on either side of the hash table).
-//!   Hash-paired rows are confirmed with exact cell comparisons
-//!   ([`Columns::cell_eq`]), so hash collisions cannot leak wrong rows.
-//! * [`merge_join`] / [`merge_semijoin`] walk the two sorted inputs by
-//!   **column runs**: key-prefix comparisons and run detection go
-//!   through [`Columns::cell_cmp`] (an `i64` or dictionary-code compare
-//!   on typed columns), and a non-matching side skips its whole run at
-//!   once instead of one tuple at a time.
-//!
-//! Every function is output-equivalent to its row counterpart — the
-//! differential suites (`tests/vectorized.rs`) hold them byte-identical
-//! across strategies, optimize levels, worker counts, and chunk sizes.
-//! Shapes the columnar kernels do not cover (conditions with no equality
-//! atom, relations beyond the `u32` row-index capacity) fall back to the
-//! row implementation rather than approximating it.
-//!
-//! The chunk size is [`DEFAULT_CHUNK_ROWS`] unless the
-//! `SETJOINS_TEST_CHUNK` environment variable overrides it (mirroring
-//! `SETJOINS_TEST_THREADS`; CI runs the differential suites at chunk
-//! sizes 1 and 3 to stress chunk-boundary arithmetic). The `*_chunked`
-//! variants take the chunk size explicitly for tests.
+//! Output-equivalent to [`ops::select`]; `tests/vectorized.rs` holds the
+//! two byte-identical on every predicate shape and column kind. A
+//! relation beyond the `u32` row-index capacity falls back to the row
+//! implementation rather than truncating.
 
-use crate::ops::{self, split_condition};
-use sj_algebra::{Condition, Selection};
-use sj_storage::column::{hash_int_cell, hash_value_cell};
-use sj_storage::{
-    Chunk, ColGather, ColSlice, ColsView, Columns, FxHashMap, Relation, Tuple, Value,
-    DEFAULT_CHUNK_ROWS,
-};
-use std::sync::OnceLock;
-
-/// The chunk size in effect for this process: `SETJOINS_TEST_CHUNK` when
-/// set to a positive integer, [`DEFAULT_CHUNK_ROWS`] otherwise. Read
-/// once and cached.
-pub fn effective_chunk_rows() -> usize {
-    static CHUNK: OnceLock<usize> = OnceLock::new();
-    *CHUNK.get_or_init(|| {
-        std::env::var("SETJOINS_TEST_CHUNK")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_CHUNK_ROWS)
-    })
-}
+use crate::ops;
+use sj_algebra::Selection;
+use sj_storage::{ColumnData, Columns, Relation, Value};
+use std::cmp::Ordering;
 
 /// Gather the tuples at ascending row indices `keep` — a subsequence of
-/// the canonical order, so the fast `from_sorted_tuples` path applies.
-fn gather(r: &Relation, keep: &[u32]) -> Relation {
+/// the canonical order, so [`Relation::from_sorted_tuples`]' linear order
+/// check passes without a sort.
+pub(crate) fn gather(r: &Relation, keep: &[u32]) -> Relation {
     debug_assert!(keep.windows(2).all(|w| w[0] < w[1]));
     Relation::from_sorted_tuples(
         r.arity(),
@@ -69,430 +30,83 @@ fn gather(r: &Relation, keep: &[u32]) -> Relation {
     )
 }
 
-/// Seed of every composite row-key hash ([`hash_rows`] /
-/// [`hash_view_rows`]).
-const KEY_HASH_SEED: u64 = 0x5157_cc1b_7272_20a9;
-
-/// Mix one column's cell hash into a row's running key hash.
+/// The positions at which `hits` yields `true`, as a selection vector.
 #[inline]
-fn mix(h: u64, x: u64) -> u64 {
-    (h.rotate_left(23) ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+fn positions(hits: impl Iterator<Item = bool>) -> Vec<u32> {
+    hits.enumerate()
+        .filter(|&(_, hit)| hit)
+        .map(|(row, _)| row as u32)
+        .collect()
 }
 
-/// Compute the composite key hash of every row in `chunk` over the
-/// 0-based key `cols`, column at a time, into the scratch vector `out`.
-fn hash_rows(chunk: Chunk<'_>, cols: &[usize], out: &mut Vec<u64>) {
-    out.clear();
-    out.resize(chunk.len(), KEY_HASH_SEED);
-    for &c in cols {
-        match chunk.col(c) {
-            ColSlice::Int(v) => {
-                for (h, &x) in out.iter_mut().zip(v) {
-                    *h = mix(*h, hash_int_cell(x));
-                }
-            }
-            ColSlice::Str { codes, dict } => {
-                for (h, &cd) in out.iter_mut().zip(codes) {
-                    *h = mix(*h, dict.hash_of(cd));
-                }
-            }
-            ColSlice::Mixed(v) => {
-                for (h, x) in out.iter_mut().zip(v) {
-                    *h = mix(*h, hash_value_cell(x));
-                }
-            }
-        }
-    }
-}
-
-/// [`hash_rows`] over a gather view: the composite key hash of every
-/// view row over the 0-based key `cols`, column at a time, into the
-/// scratch vector `out`. Same seed and mixer as the chunked variant —
-/// the partition kernels in [`crate::kernel`] hash with exactly the
-/// per-cell hashes the serial vectorized operators use.
-pub(crate) fn hash_view_rows(view: &ColsView<'_>, cols: &[usize], out: &mut Vec<u64>) {
-    out.clear();
-    out.resize(view.len(), KEY_HASH_SEED);
-    for &c in cols {
-        match view.col(c) {
-            ColGather::Int { vals, idx } => {
-                for (h, &i) in out.iter_mut().zip(idx) {
-                    *h = mix(*h, hash_int_cell(vals[i as usize]));
-                }
-            }
-            ColGather::Str { codes, idx, dict } => {
-                for (h, &i) in out.iter_mut().zip(idx) {
-                    *h = mix(*h, dict.hash_of(codes[i as usize]));
-                }
-            }
-            ColGather::Mixed { vals, idx } => {
-                for (h, &i) in out.iter_mut().zip(idx) {
-                    *h = mix(*h, hash_value_cell(&vals[i as usize]));
-                }
-            }
-        }
-    }
-}
-
-/// Exact key equality between row `li` of `c1` and row `ri` of `c2` —
-/// the collision check behind every hash pairing.
-#[inline]
-fn keys_eq(c1: &Columns, li: usize, c2: &Columns, ri: usize, eq: &[(usize, usize)]) -> bool {
-    eq.iter().all(|&(lc, rc)| c1.cell_eq(lc, li, c2, rc, ri))
-}
-
-/// True when the relation fits the `u32` row indices the chunked kernels
-/// use internally; beyond that the row operators take over.
-#[inline]
-fn indexable(r: &Relation) -> bool {
-    sj_storage::ensure_u32_indexable(r.len()).is_ok()
-}
-
-// ---------------------------------------------------------------------------
-// Selection
-// ---------------------------------------------------------------------------
-
-/// Vectorized `σ(r)` — chunked selection with selection vectors.
-/// Output-equivalent to [`ops::select`].
+/// Vectorized `σ(r)`. Output-equivalent to [`ops::select`].
 pub fn select(r: &Relation, sel: &Selection) -> Relation {
-    select_chunked(r, sel, effective_chunk_rows())
-}
-
-/// [`select`] with an explicit chunk size.
-pub fn select_chunked(r: &Relation, sel: &Selection, chunk_rows: usize) -> Relation {
-    if !indexable(r) {
+    if sj_storage::ensure_u32_indexable(r.len()).is_err() {
         return ops::select(r, sel);
     }
     let cols = r.columns();
-    let mut keep: Vec<u32> = Vec::new();
-    for chunk in cols.chunks(chunk_rows) {
-        match sel {
-            Selection::Eq(i, j) => sel_eq(cols, chunk, *i - 1, *j - 1, &mut keep),
-            Selection::Lt(i, j) => sel_lt(cols, chunk, *i - 1, *j - 1, &mut keep),
-            Selection::EqConst(i, c) => sel_eq_const(chunk, *i - 1, c, &mut keep),
-        }
-    }
+    let keep = match sel {
+        Selection::Eq(i, j) => sel_eq(cols, *i - 1, *j - 1),
+        Selection::Lt(i, j) => sel_lt(cols, *i - 1, *j - 1),
+        Selection::EqConst(i, c) => sel_eq_const(cols, *i - 1, c),
+    };
     gather(r, &keep)
 }
 
-/// Selection vector for `σ_{i=j}` over one chunk.
-fn sel_eq(cols: &Columns, chunk: Chunk<'_>, i: usize, j: usize, keep: &mut Vec<u32>) {
-    let base = chunk.start() as u32;
-    match (chunk.col(i), chunk.col(j)) {
-        (ColSlice::Int(a), ColSlice::Int(b)) => {
-            for (k, (&x, &y)) in a.iter().zip(b).enumerate() {
-                if x == y {
-                    keep.push(base + k as u32);
-                }
-            }
-        }
+/// Selection vector for `σ_{i=j}`.
+fn sel_eq(cols: &Columns, i: usize, j: usize) -> Vec<u32> {
+    match (cols.col(i), cols.col(j)) {
+        (ColumnData::Int(a), ColumnData::Int(b)) => positions(a.iter().zip(b).map(|(x, y)| x == y)),
         // Same relation ⇒ same dictionary: code equality is string equality.
-        (ColSlice::Str { codes: a, .. }, ColSlice::Str { codes: b, .. }) => {
-            for (k, (&x, &y)) in a.iter().zip(b).enumerate() {
-                if x == y {
-                    keep.push(base + k as u32);
-                }
-            }
-        }
+        (ColumnData::Str(a), ColumnData::Str(b)) => positions(a.iter().zip(b).map(|(x, y)| x == y)),
         // An all-integer column never equals an all-string column.
-        (ColSlice::Int(_), ColSlice::Str { .. }) | (ColSlice::Str { .. }, ColSlice::Int(_)) => {}
-        _ => {
-            for k in 0..chunk.len() {
-                let row = chunk.start() + k;
-                if cols.cell_eq(i, row, cols, j, row) {
-                    keep.push(base + k as u32);
-                }
-            }
+        (ColumnData::Int(_), ColumnData::Str(_)) | (ColumnData::Str(_), ColumnData::Int(_)) => {
+            Vec::new()
         }
+        _ => positions((0..cols.len()).map(|row| cols.cell_eq(i, row, cols, j, row))),
     }
 }
 
-/// Selection vector for `σ_{i<j}` over one chunk.
-fn sel_lt(cols: &Columns, chunk: Chunk<'_>, i: usize, j: usize, keep: &mut Vec<u32>) {
-    let base = chunk.start() as u32;
-    match (chunk.col(i), chunk.col(j)) {
-        (ColSlice::Int(a), ColSlice::Int(b)) => {
-            for (k, (&x, &y)) in a.iter().zip(b).enumerate() {
-                if x < y {
-                    keep.push(base + k as u32);
-                }
-            }
-        }
+/// Selection vector for `σ_{i<j}`.
+fn sel_lt(cols: &Columns, i: usize, j: usize) -> Vec<u32> {
+    match (cols.col(i), cols.col(j)) {
+        (ColumnData::Int(a), ColumnData::Int(b)) => positions(a.iter().zip(b).map(|(x, y)| x < y)),
         // Same dictionary: code order is string order.
-        (ColSlice::Str { codes: a, .. }, ColSlice::Str { codes: b, .. }) => {
-            for (k, (&x, &y)) in a.iter().zip(b).enumerate() {
-                if x < y {
-                    keep.push(base + k as u32);
-                }
-            }
-        }
+        (ColumnData::Str(a), ColumnData::Str(b)) => positions(a.iter().zip(b).map(|(x, y)| x < y)),
         // Every integer sorts before every string, and never after.
-        (ColSlice::Int(_), ColSlice::Str { .. }) => {
-            keep.extend((0..chunk.len() as u32).map(|k| base + k));
-        }
-        (ColSlice::Str { .. }, ColSlice::Int(_)) => {}
-        _ => {
-            for k in 0..chunk.len() {
-                let row = chunk.start() + k;
-                if cols.cell_cmp(i, row, cols, j, row) == std::cmp::Ordering::Less {
-                    keep.push(base + k as u32);
-                }
-            }
-        }
+        (ColumnData::Int(_), ColumnData::Str(_)) => (0..cols.len() as u32).collect(),
+        (ColumnData::Str(_), ColumnData::Int(_)) => Vec::new(),
+        _ => positions(
+            (0..cols.len()).map(|row| cols.cell_cmp(i, row, cols, j, row) == Ordering::Less),
+        ),
     }
 }
 
-/// Selection vector for `σ_{i=c}` over one chunk.
-fn sel_eq_const(chunk: Chunk<'_>, i: usize, c: &Value, keep: &mut Vec<u32>) {
-    let base = chunk.start() as u32;
-    match (chunk.col(i), c) {
-        (ColSlice::Int(v), Value::Int(x)) => {
-            for (k, &val) in v.iter().enumerate() {
-                if val == *x {
-                    keep.push(base + k as u32);
-                }
-            }
-        }
-        (ColSlice::Str { codes, dict }, Value::Str(s)) => {
-            // One dictionary lookup, then a dense code scan; a constant
-            // absent from the dictionary matches nothing.
-            if let Some(code) = dict.code_of(s) {
-                for (k, &cd) in codes.iter().enumerate() {
-                    if cd == code {
-                        keep.push(base + k as u32);
-                    }
-                }
-            }
-        }
-        (ColSlice::Mixed(v), c) => {
-            for (k, val) in v.iter().enumerate() {
-                if val == c {
-                    keep.push(base + k as u32);
-                }
-            }
-        }
+/// Selection vector for `σ_{i=c}`.
+fn sel_eq_const(cols: &Columns, i: usize, c: &Value) -> Vec<u32> {
+    match (cols.col(i), c) {
+        (ColumnData::Int(v), Value::Int(x)) => positions(v.iter().map(|val| val == x)),
+        // One dictionary lookup, then a dense code scan; a constant
+        // absent from the dictionary matches nothing.
+        (ColumnData::Str(codes), Value::Str(s)) => match cols.dict().code_of(s) {
+            Some(code) => positions(codes.iter().map(|&cd| cd == code)),
+            None => Vec::new(),
+        },
+        (ColumnData::Mixed(v), c) => positions(v.iter().map(|val| val == c)),
         // Typed column vs other-variant constant: no row can match.
-        (ColSlice::Int(_), Value::Str(_)) | (ColSlice::Str { .. }, Value::Int(_)) => {}
+        (ColumnData::Int(_), Value::Str(_)) | (ColumnData::Str(_), Value::Int(_)) => Vec::new(),
     }
-}
-
-// ---------------------------------------------------------------------------
-// Hash join / semijoin
-// ---------------------------------------------------------------------------
-
-/// Build the hash table over the right operand's key columns: composite
-/// key hash → ascending row indices. Collisions are resolved by the
-/// probes' exact [`keys_eq`] check.
-fn build_table(
-    cols: &Columns,
-    key_cols: &[usize],
-    chunk_rows: usize,
-    scratch: &mut Vec<u64>,
-) -> FxHashMap<u64, Vec<u32>> {
-    let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-    table.reserve(cols.len());
-    for chunk in cols.chunks(chunk_rows) {
-        hash_rows(chunk, key_cols, scratch);
-        for (k, &h) in scratch.iter().enumerate() {
-            table.entry(h).or_default().push((chunk.start() + k) as u32);
-        }
-    }
-    table
-}
-
-/// Vectorized `r₁ ⋈θ r₂`. Output-equivalent to [`ops::join`]; conditions
-/// with no equality atom fall back to the row nested loop.
-pub fn join(r1: &Relation, r2: &Relation, theta: &Condition) -> Relation {
-    join_chunked(r1, r2, theta, effective_chunk_rows())
-}
-
-/// [`join`] with an explicit chunk size.
-pub fn join_chunked(
-    r1: &Relation,
-    r2: &Relation,
-    theta: &Condition,
-    chunk_rows: usize,
-) -> Relation {
-    let (eq, residual) = split_condition(theta);
-    if eq.is_empty() || !indexable(r1) || !indexable(r2) {
-        return ops::join(r1, r2, theta);
-    }
-    let left_cols: Vec<usize> = eq.iter().map(|&(lc, _)| lc).collect();
-    let right_cols: Vec<usize> = eq.iter().map(|&(_, rc)| rc).collect();
-    let (c1, c2) = (r1.columns(), r2.columns());
-    let mut scratch: Vec<u64> = Vec::new();
-    let table = build_table(c2, &right_cols, chunk_rows, &mut scratch);
-    let mut out: Vec<Tuple> = Vec::new();
-    for chunk in c1.chunks(chunk_rows) {
-        hash_rows(chunk, &left_cols, &mut scratch);
-        for (k, &h) in scratch.iter().enumerate() {
-            let Some(cands) = table.get(&h) else { continue };
-            let li = chunk.start() + k;
-            let t1 = &r1.tuples()[li];
-            for &ri in cands {
-                let ri = ri as usize;
-                if keys_eq(c1, li, c2, ri, &eq) {
-                    let t2 = &r2.tuples()[ri];
-                    if residual.eval(t1.values(), t2.values()) {
-                        out.push(t1.concat(t2));
-                    }
-                }
-            }
-        }
-    }
-    Relation::from_tuples(r1.arity() + r2.arity(), out).expect("join arity is n+m")
-}
-
-/// Vectorized `r₁ ⋉θ r₂`. Output-equivalent to [`ops::semijoin`];
-/// conditions with no equality atom fall back to the row implementation.
-pub fn semijoin(r1: &Relation, r2: &Relation, theta: &Condition) -> Relation {
-    semijoin_chunked(r1, r2, theta, effective_chunk_rows())
-}
-
-/// [`semijoin`] with an explicit chunk size.
-pub fn semijoin_chunked(
-    r1: &Relation,
-    r2: &Relation,
-    theta: &Condition,
-    chunk_rows: usize,
-) -> Relation {
-    let (eq, residual) = split_condition(theta);
-    if eq.is_empty() || !indexable(r1) || !indexable(r2) {
-        return ops::semijoin(r1, r2, theta);
-    }
-    let left_cols: Vec<usize> = eq.iter().map(|&(lc, _)| lc).collect();
-    let right_cols: Vec<usize> = eq.iter().map(|&(_, rc)| rc).collect();
-    let (c1, c2) = (r1.columns(), r2.columns());
-    let mut scratch: Vec<u64> = Vec::new();
-    let table = build_table(c2, &right_cols, chunk_rows, &mut scratch);
-    let mut keep: Vec<u32> = Vec::new();
-    for chunk in c1.chunks(chunk_rows) {
-        hash_rows(chunk, &left_cols, &mut scratch);
-        for (k, &h) in scratch.iter().enumerate() {
-            let Some(cands) = table.get(&h) else { continue };
-            let li = chunk.start() + k;
-            let survives = cands.iter().any(|&ri| {
-                let ri = ri as usize;
-                keys_eq(c1, li, c2, ri, &eq)
-                    && (residual.is_empty()
-                        || residual.eval(r1.tuples()[li].values(), r2.tuples()[ri].values()))
-            });
-            if survives {
-                keep.push(li as u32);
-            }
-        }
-    }
-    gather(r1, &keep)
-}
-
-// ---------------------------------------------------------------------------
-// Merge join / semijoin over sorted column runs
-// ---------------------------------------------------------------------------
-
-/// Compare the first `k` columns of row `i` of `ca` and row `j` of `cb`.
-#[inline]
-fn cmp_prefix(ca: &Columns, i: usize, cb: &Columns, j: usize, k: usize) -> std::cmp::Ordering {
-    for c in 0..k {
-        match ca.cell_cmp(c, i, cb, c, j) {
-            std::cmp::Ordering::Equal => continue,
-            other => return other,
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
-/// End of the run of rows sharing row `start`'s first `k` column values.
-#[inline]
-fn run_end(cols: &Columns, start: usize, k: usize) -> usize {
-    let mut end = start + 1;
-    while end < cols.len() && cmp_prefix(cols, end, cols, start, k) == std::cmp::Ordering::Equal {
-        end += 1;
-    }
-    end
-}
-
-/// Vectorized merge equi-join on an aligned key prefix of length `k`
-/// (see [`ops::merge_prefix_len`]). Output-equivalent to
-/// [`ops::merge_join`]; the non-matching side skips a whole column run
-/// per comparison.
-pub fn merge_join(r1: &Relation, r2: &Relation, k: usize, residual: &Condition) -> Relation {
-    let (ca, cb) = (r1.columns(), r2.columns());
-    let (a, b) = (r1.tuples(), r2.tuples());
-    let mut out: Vec<Tuple> = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < ca.len() && j < cb.len() {
-        match cmp_prefix(ca, i, cb, j, k) {
-            std::cmp::Ordering::Less => i = run_end(ca, i, k),
-            std::cmp::Ordering::Greater => j = run_end(cb, j, k),
-            std::cmp::Ordering::Equal => {
-                let (i_end, j_end) = (run_end(ca, i, k), run_end(cb, j, k));
-                for t1 in &a[i..i_end] {
-                    for t2 in &b[j..j_end] {
-                        if residual.eval(t1.values(), t2.values()) {
-                            out.push(t1.concat(t2));
-                        }
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    Relation::from_sorted_tuples(r1.arity() + r2.arity(), out)
-}
-
-/// Vectorized merge equi-semijoin on an aligned key prefix of length
-/// `k`. Output-equivalent to [`ops::merge_semijoin`].
-pub fn merge_semijoin(r1: &Relation, r2: &Relation, k: usize, residual: &Condition) -> Relation {
-    let (ca, cb) = (r1.columns(), r2.columns());
-    let (a, b) = (r1.tuples(), r2.tuples());
-    let mut out: Vec<Tuple> = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < ca.len() && j < cb.len() {
-        match cmp_prefix(ca, i, cb, j, k) {
-            std::cmp::Ordering::Less => i = run_end(ca, i, k),
-            std::cmp::Ordering::Greater => j = run_end(cb, j, k),
-            std::cmp::Ordering::Equal => {
-                let (i_end, j_end) = (run_end(ca, i, k), run_end(cb, j, k));
-                for t1 in &a[i..i_end] {
-                    if residual.is_empty()
-                        || b[j..j_end]
-                            .iter()
-                            .any(|t2| residual.eval(t1.values(), t2.values()))
-                    {
-                        out.push(t1.clone());
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    Relation::from_sorted_tuples(r1.arity(), out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sj_algebra::{Atom, CompOp};
-
-    fn rel(rows: &[&[i64]]) -> Relation {
-        Relation::from_int_rows(rows)
-    }
-
-    fn eq_cond(l: usize, r: usize) -> Condition {
-        Condition::new([Atom {
-            left: l,
-            op: CompOp::Eq,
-            right: r,
-        }])
-    }
 
     #[test]
-    fn select_matches_row_select_across_chunk_sizes() {
+    fn select_matches_row_select() {
         let rows: Vec<Vec<i64>> = (0..50).map(|i| vec![i % 7, i % 3, i]).collect();
         let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let r = rel(&refs);
+        let r = Relation::from_int_rows(&refs);
         for sel in [
             Selection::Eq(1, 2),
             Selection::Lt(1, 2),
@@ -500,28 +114,21 @@ mod tests {
             Selection::EqConst(1, Value::int(99)),
             Selection::EqConst(1, Value::str("nope")),
         ] {
-            let expect = ops::select(&r, &sel);
-            for chunk in [1usize, 3, 7, 49, 50, 51, DEFAULT_CHUNK_ROWS] {
-                assert_eq!(select_chunked(&r, &sel, chunk), expect, "{sel:?} @ {chunk}");
-            }
+            assert_eq!(select(&r, &sel), ops::select(&r, &sel), "{sel:?}");
         }
+        assert!(select(&Relation::empty(2), &Selection::Eq(1, 2)).is_empty());
     }
 
     #[test]
     fn select_on_string_and_mixed_columns() {
         let r = Relation::from_str_rows(&[&["a", "a"], &["a", "b"], &["b", "b"]]);
-        assert_eq!(
-            select_chunked(&r, &Selection::Eq(1, 2), 2),
-            ops::select(&r, &Selection::Eq(1, 2))
-        );
-        assert_eq!(
-            select_chunked(&r, &Selection::Lt(1, 2), 2),
-            ops::select(&r, &Selection::Lt(1, 2))
-        );
-        assert_eq!(
-            select_chunked(&r, &Selection::EqConst(2, Value::str("b")), 2),
-            ops::select(&r, &Selection::EqConst(2, Value::str("b")))
-        );
+        for sel in [
+            Selection::Eq(1, 2),
+            Selection::Lt(1, 2),
+            Selection::EqConst(2, Value::str("b")),
+        ] {
+            assert_eq!(select(&r, &sel), ops::select(&r, &sel), "{sel:?}");
+        }
         // Mixed column: ints and strings in one column.
         let m = Relation::from_tuples(
             2,
@@ -538,136 +145,7 @@ mod tests {
             Selection::EqConst(1, Value::str("x")),
             Selection::EqConst(1, Value::int(1)),
         ] {
-            for chunk in [1usize, 2, 4] {
-                assert_eq!(
-                    select_chunked(&m, &sel, chunk),
-                    ops::select(&m, &sel),
-                    "{sel:?} @ {chunk}"
-                );
-            }
+            assert_eq!(select(&m, &sel), ops::select(&m, &sel), "{sel:?}");
         }
-    }
-
-    #[test]
-    fn join_and_semijoin_match_row_versions() {
-        let r1 = rel(&[&[1, 10], &[2, 20], &[3, 30], &[3, 31]]);
-        let r2 = rel(&[&[10, 3], &[20, 2], &[40, 9], &[10, 3]]);
-        let theta = eq_cond(2, 1); // r1.col2 == r2.col1
-        for chunk in [1usize, 2, 3, 4, 5] {
-            assert_eq!(
-                join_chunked(&r1, &r2, &theta, chunk),
-                ops::join(&r1, &r2, &theta),
-                "join @ {chunk}"
-            );
-            assert_eq!(
-                semijoin_chunked(&r1, &r2, &theta, chunk),
-                ops::semijoin(&r1, &r2, &theta),
-                "semijoin @ {chunk}"
-            );
-        }
-    }
-
-    #[test]
-    fn join_with_residual_and_no_eq_fallback() {
-        let r1 = rel(&[&[1, 5], &[2, 6], &[3, 7]]);
-        let r2 = rel(&[&[1, 6], &[2, 6], &[3, 9]]);
-        // Mixed condition: equality plus a residual `<`.
-        let theta = Condition::new([
-            Atom {
-                left: 1,
-                op: CompOp::Eq,
-                right: 1,
-            },
-            Atom {
-                left: 2,
-                op: CompOp::Lt,
-                right: 2,
-            },
-        ]);
-        assert_eq!(
-            join_chunked(&r1, &r2, &theta, 2),
-            ops::join(&r1, &r2, &theta)
-        );
-        assert_eq!(
-            semijoin_chunked(&r1, &r2, &theta, 2),
-            ops::semijoin(&r1, &r2, &theta)
-        );
-        // No equality atom: falls back to the row nested loop.
-        let lt_only = Condition::new([Atom {
-            left: 1,
-            op: CompOp::Lt,
-            right: 1,
-        }]);
-        assert_eq!(
-            join_chunked(&r1, &r2, &lt_only, 2),
-            ops::join(&r1, &r2, &lt_only)
-        );
-        assert_eq!(
-            semijoin_chunked(&r1, &r2, &lt_only, 2),
-            ops::semijoin(&r1, &r2, &lt_only)
-        );
-    }
-
-    #[test]
-    fn cross_variant_keys_never_collide_into_matches() {
-        // Left joins an int key against a right string key: no matches,
-        // even though hash buckets could collide.
-        let r1 = rel(&[&[1], &[2]]);
-        let r2 = Relation::from_str_rows(&[&["1"], &["2"]]);
-        let theta = eq_cond(1, 1);
-        assert!(join_chunked(&r1, &r2, &theta, 1).is_empty());
-        assert!(semijoin_chunked(&r1, &r2, &theta, 1).is_empty());
-    }
-
-    #[test]
-    fn merge_paths_match_row_versions() {
-        let r1 = rel(&[&[1, 10], &[1, 11], &[2, 20], &[4, 40]]);
-        let r2 = rel(&[&[1, 5], &[2, 6], &[2, 7], &[3, 8]]);
-        let none = Condition::new([]);
-        assert_eq!(
-            merge_join(&r1, &r2, 1, &none),
-            ops::merge_join(&r1, &r2, 1, &none)
-        );
-        assert_eq!(
-            merge_semijoin(&r1, &r2, 1, &none),
-            ops::merge_semijoin(&r1, &r2, 1, &none)
-        );
-        let residual = Condition::new([Atom {
-            left: 2,
-            op: CompOp::Lt,
-            right: 2,
-        }]);
-        assert_eq!(
-            merge_join(&r1, &r2, 1, &residual),
-            ops::merge_join(&r1, &r2, 1, &residual)
-        );
-        assert_eq!(
-            merge_semijoin(&r1, &r2, 1, &residual),
-            ops::merge_semijoin(&r1, &r2, 1, &residual)
-        );
-        // String keys exercise the dictionary-code compare.
-        let s1 = Relation::from_str_rows(&[&["a", "x"], &["b", "y"], &["c", "z"]]);
-        let s2 = Relation::from_str_rows(&[&["b", "p"], &["c", "q"], &["d", "r"]]);
-        assert_eq!(
-            merge_join(&s1, &s2, 1, &none),
-            ops::merge_join(&s1, &s2, 1, &none)
-        );
-        assert_eq!(
-            merge_semijoin(&s1, &s2, 1, &none),
-            ops::merge_semijoin(&s1, &s2, 1, &none)
-        );
-    }
-
-    #[test]
-    fn empty_operands() {
-        let e = Relation::empty(2);
-        let r = rel(&[&[1, 2]]);
-        let theta = eq_cond(1, 1);
-        assert!(join_chunked(&e, &r, &theta, 4).is_empty());
-        assert!(join_chunked(&r, &e, &theta, 4).is_empty());
-        assert!(semijoin_chunked(&e, &r, &theta, 4).is_empty());
-        assert!(semijoin_chunked(&r, &e, &theta, 4).is_empty());
-        assert!(select_chunked(&e, &Selection::Eq(1, 2), 4).is_empty());
-        assert!(merge_join(&e, &r, 1, &Condition::new([])).is_empty());
     }
 }

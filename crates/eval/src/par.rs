@@ -4,8 +4,8 @@
 //! One type serves every layer: the `Engine` builder stores it, the
 //! physical planner's DAG executor consults it (independent plan nodes
 //! run concurrently, join/semijoin nodes run partition-parallel — see
-//! [`crate::kernel`], where the worker count composes orthogonally with
-//! the [`crate::exec::Execution`] mode), and the registry-routed set
+//! [`crate::kernel`], where a serial run is the one-partition view of
+//! the same operator bodies), and the registry-routed set
 //! operators receive its worker count as the selection hint for the
 //! partition-parallel division/set-join variants.
 //!

@@ -1,9 +1,11 @@
-//! The plain (un-instrumented) recursive evaluator.
+//! The plain recursive evaluator, and the one tree walk it shares with
+//! the instrumented evaluator.
 
 use crate::error::EvalError;
 use crate::ops;
 use sj_algebra::Expr;
 use sj_storage::{Database, Relation};
+use std::time::{Duration, Instant};
 
 /// Evaluate `expr` on `db`.
 ///
@@ -24,39 +26,46 @@ use sj_storage::{Database, Relation};
 /// ```
 pub fn evaluate(expr: &Expr, db: &Database) -> Result<Relation, EvalError> {
     expr.arity(&db.schema())?;
-    Ok(eval_unchecked(expr, db))
+    Ok(walk(expr, db, &mut 0, &mut |_, _, _, _| {}))
 }
 
-/// Recursive evaluation without re-validation. `pub(crate)` so the
-/// instrumented evaluator shares the operator implementations.
-pub(crate) fn eval_unchecked(expr: &Expr, db: &Database) -> Relation {
-    match expr {
-        Expr::Rel(name) => db.get(name).expect("validated: relation exists").clone(),
-        Expr::Union(a, b) => {
-            let ra = eval_unchecked(a, db);
-            let rb = eval_unchecked(b, db);
-            ra.union(&rb).expect("validated: arities agree")
-        }
-        Expr::Diff(a, b) => {
-            let ra = eval_unchecked(a, db);
-            let rb = eval_unchecked(b, db);
-            ra.difference(&rb).expect("validated: arities agree")
-        }
-        Expr::Project(cols, a) => ops::project(&eval_unchecked(a, db), cols),
-        Expr::Select(sel, a) => ops::select(&eval_unchecked(a, db), sel),
-        Expr::ConstTag(c, a) => ops::const_tag(&eval_unchecked(a, db), c),
-        Expr::Join(theta, a, b) => {
-            let ra = eval_unchecked(a, db);
-            let rb = eval_unchecked(b, db);
-            ops::join(&ra, &rb, theta)
-        }
-        Expr::Semijoin(theta, a, b) => {
-            let ra = eval_unchecked(a, db);
-            let rb = eval_unchecked(b, db);
-            ops::semijoin(&ra, &rb, theta)
-        }
-        Expr::GroupCount(cols, a) => ops::group_count(&eval_unchecked(a, db), cols),
-    }
+/// The tree walk behind [`evaluate`] and
+/// [`crate::instrumented::evaluate_instrumented`]: recursive evaluation of
+/// a **validated** expression with the row operators of [`crate::ops`].
+/// `observe` sees every node once — its pre-order id (the order of
+/// [`Expr::subexpressions`]; `next_id` starts at 0), the node, its
+/// output, and the time spent in the node's own operator, children
+/// excluded.
+pub(crate) fn walk(
+    expr: &Expr,
+    db: &Database,
+    next_id: &mut usize,
+    observe: &mut dyn FnMut(usize, &Expr, &Relation, Duration),
+) -> Relation {
+    let id = *next_id;
+    *next_id += 1;
+    // Children are evaluated before the node's own operator is timed, so
+    // the observed time is self time.
+    let kids: Vec<Relation> = expr
+        .children()
+        .into_iter()
+        .map(|child| walk(child, db, next_id, observe))
+        .collect();
+    let start = Instant::now();
+    let rel = match (expr, kids.as_slice()) {
+        (Expr::Rel(name), []) => db.get(name).expect("validated: relation exists").clone(),
+        (Expr::Union(..), [a, b]) => a.union(b).expect("validated: arities agree"),
+        (Expr::Diff(..), [a, b]) => a.difference(b).expect("validated: arities agree"),
+        (Expr::Project(cols, _), [a]) => ops::project(a, cols),
+        (Expr::Select(sel, _), [a]) => ops::select(a, sel),
+        (Expr::ConstTag(c, _), [a]) => ops::const_tag(a, c),
+        (Expr::Join(theta, ..), [a, b]) => ops::join(a, b, theta),
+        (Expr::Semijoin(theta, ..), [a, b]) => ops::semijoin(a, b, theta),
+        (Expr::GroupCount(cols, _), [a]) => ops::group_count(a, cols),
+        _ => unreachable!("Expr::children yields each operator's own arity"),
+    };
+    observe(id, expr, &rel, start.elapsed());
+    rel
 }
 
 #[cfg(test)]

@@ -36,9 +36,8 @@ use crate::error::EvalError;
 use crate::exec::Execution;
 use crate::instrumented::NodeStat;
 use crate::joinorder::{self, JoinOrder};
-use crate::kernel;
+use crate::kernel::{self, PartitionStat};
 use crate::ops;
-use crate::ops::PartitionStat;
 use crate::ops_vec;
 use crate::par::Parallelism;
 use sj_algebra::{AlgebraError, Condition, Expr, JoinGraph, Selection};
@@ -50,6 +49,10 @@ use std::time::{Duration, Instant};
 /// Index of a node within a [`PhysicalPlan`] (topological: children come
 /// before parents, the root is the last node).
 pub type NodeId = usize;
+
+/// What executing one node yields: its output and, when it ran
+/// partition-parallel, one [`PartitionStat`] per partition.
+type NodeOutput = (Arc<Relation>, Vec<PartitionStat>);
 
 /// Combined input size (tuples, both children) below which a binary
 /// operator node runs serially even under `Parallelism::Threads` —
@@ -283,24 +286,21 @@ impl PhysicalPlan {
     /// concurrent scoped threads and join/semijoin nodes additionally run
     /// partition-parallel ([`kernel::join`] and friends). Output is
     /// byte-identical to [`PhysicalPlan::execute`] for every worker
-    /// count. Serial per-node work uses the process-default
-    /// [`Execution`] mode ([`Execution::from_env`]); use
-    /// [`PhysicalPlan::execute_with_execution`] to pin it.
+    /// count.
     pub fn execute_with(&self, db: &Database, par: Parallelism) -> Result<Relation, EvalError> {
-        self.execute_with_execution(db, par, Execution::from_env())
+        let root = self.run(db, par.workers(), |_, _, _, _, _| {})?;
+        Ok(Arc::try_unwrap(root).unwrap_or_else(|arc| arc.as_ref().clone()))
     }
 
-    /// Execute under explicit [`Parallelism`] **and** [`Execution`]
-    /// knobs. Output is byte-identical across all four combinations —
-    /// the knobs choose implementations, never semantics.
+    /// [`PhysicalPlan::execute_with`]; `_exec` is accepted and ignored
+    /// (see [`crate::exec`]).
     pub fn execute_with_execution(
         &self,
         db: &Database,
         par: Parallelism,
-        exec: Execution,
+        _exec: Execution,
     ) -> Result<Relation, EvalError> {
-        let root = self.run(db, par.workers(), exec, |_, _, _, _, _| {})?;
-        Ok(Arc::try_unwrap(root).unwrap_or_else(|arc| arc.as_ref().clone()))
+        self.execute_with(db, par)
     }
 
     /// Execute with per-node instrumentation (serial).
@@ -317,23 +317,11 @@ impl PhysicalPlan {
         db: &Database,
         par: Parallelism,
     ) -> Result<PlannedReport, EvalError> {
-        self.execute_instrumented_with_execution(db, par, Execution::from_env())
-    }
-
-    /// [`PhysicalPlan::execute_instrumented_with`] under an explicit
-    /// [`Execution`] mode.
-    pub fn execute_instrumented_with_execution(
-        &self,
-        db: &Database,
-        par: Parallelism,
-        exec: Execution,
-    ) -> Result<PlannedReport, EvalError> {
         let workers = par.workers();
         let mut slots: Vec<Option<NodeStat>> = vec![None; self.nodes.len()];
         let root = self.run(
             db,
             workers,
-            exec,
             |id, node: &PlanNode, rel: &Relation, elapsed, partitions: &[PartitionStat]| {
                 slots[id] = Some(NodeStat {
                     id,
@@ -372,22 +360,18 @@ impl PhysicalPlan {
     /// tag, grouping) always run serially — their cost is one pass over
     /// input the partitioning itself would have to make.
     ///
-    /// Join/semijoin work routes through the unified kernel layer
-    /// ([`crate::kernel`]), which dispatches on **both** knobs at once:
-    /// serial nodes run the row or chunked-columnar serial operator,
-    /// partitioned nodes run the row index-view or vectorized
-    /// gather-view kernel per partition. `Threads(n)` therefore
-    /// compounds with [`Execution::Vectorized`] instead of silently
-    /// degrading parallel nodes to row execution, and every
-    /// `(Execution, Parallelism)` quadrant stays byte-identical.
+    /// Join/semijoin work routes through the kernel layer
+    /// ([`crate::kernel`]), which runs one body per operator at every
+    /// worker count: a serial node is the one-partition view of the same
+    /// kernel a partitioned node fans out, so every worker count stays
+    /// byte-identical.
     fn exec_op(
         &self,
         node: &PlanNode,
         kids: &[&Relation],
         db: &Database,
         workers: usize,
-        exec: Execution,
-    ) -> Result<(Arc<Relation>, Vec<PartitionStat>), EvalError> {
+    ) -> Result<NodeOutput, EvalError> {
         let serial = |r: Relation| (Arc::new(r), Vec::new());
         let workers = if kids.len() == 2 {
             let (l, r) = (kids[0].len(), kids[1].len());
@@ -403,6 +387,9 @@ impl PhysicalPlan {
         } else {
             workers
         };
+        // The one value of a type the kernel signatures still carry (see
+        // `crate::exec`).
+        let exec = Execution::Vectorized;
         Ok(match &node.op {
             PhysOp::Scan(name) => {
                 let r = db.get_shared(name).ok_or_else(|| {
@@ -423,11 +410,7 @@ impl PhysicalPlan {
                     .expect("validated: arities agree"),
             ),
             PhysOp::Project(cols) => serial(ops::project(kids[0], cols)),
-            PhysOp::Filter(sel) => serial(if exec.is_vectorized() {
-                ops_vec::select(kids[0], sel)
-            } else {
-                ops::select(kids[0], sel)
-            }),
+            PhysOp::Filter(sel) => serial(ops_vec::select(kids[0], sel)),
             PhysOp::Tag(c) => serial(ops::const_tag(kids[0], c)),
             PhysOp::HashJoin(theta) | PhysOp::NestedLoopJoin(theta) => {
                 let (rel, parts) = kernel::join(kids[0], kids[1], theta, exec, workers);
@@ -466,10 +449,45 @@ impl PhysicalPlan {
         })
     }
 
-    /// One pass over the DAG; `observe` sees every node's output. With
-    /// `workers > 1` the pass proceeds level by level (a node's level is
-    /// its dependency depth): nodes on the same level have no path
-    /// between them, so each level fans out over scoped threads.
+    /// Execute node `id` against the already-computed `results` of its
+    /// children under a `plan.node` span, timing the node's own operator.
+    fn run_node(
+        &self,
+        id: NodeId,
+        results: &[Option<Arc<Relation>>],
+        db: &Database,
+        workers: usize,
+    ) -> (Result<NodeOutput, EvalError>, Duration) {
+        let node = &self.nodes[id];
+        let kids: Vec<&Relation> = node
+            .children
+            .iter()
+            .map(|&c| {
+                results[c]
+                    .as_deref()
+                    .expect("children are computed before their parents")
+            })
+            .collect();
+        let mut span = sj_obs::span!(
+            "plan.node",
+            node = id,
+            op = node.op.name(),
+            input = kids.iter().map(|k| k.len()).sum::<usize>()
+        );
+        let start = Instant::now();
+        let out = self.exec_op(node, &kids, db, workers);
+        if let Ok((rel, _)) = &out {
+            span.attr("rows", rel.len());
+        }
+        (out, start.elapsed())
+    }
+
+    /// One pass over the DAG; `observe` sees every node's output. The
+    /// pass proceeds level by level. With `workers > 1` a node's level is
+    /// its dependency depth: nodes on the same level have no path between
+    /// them, so each level fans out over scoped threads. A serial pass is
+    /// the degenerate levelling — every node its own level, in
+    /// topological order.
     ///
     /// Each intermediate is dropped as soon as its last consumer has run,
     /// so peak memory tracks the live frontier of the DAG rather than the
@@ -478,7 +496,6 @@ impl PhysicalPlan {
         &self,
         db: &Database,
         workers: usize,
-        exec: Execution,
         mut observe: impl FnMut(NodeId, &PlanNode, &Relation, Duration, &[PartitionStat]),
     ) -> Result<Arc<Relation>, EvalError> {
         let mut pending_consumers = vec![0usize; self.nodes.len()];
@@ -489,116 +506,51 @@ impl PhysicalPlan {
         }
         pending_consumers[self.root] += 1; // the caller consumes the root
         let mut results: Vec<Option<Arc<Relation>>> = vec![None; self.nodes.len()];
-        let evict =
-            |id: NodeId, results: &mut Vec<Option<Arc<Relation>>>, pending: &mut Vec<usize>| {
-                for &c in &self.nodes[id].children {
-                    pending[c] -= 1;
-                    if pending[c] == 0 {
-                        results[c] = None;
-                    }
-                }
-            };
-        if workers <= 1 {
-            for (id, node) in self.nodes.iter().enumerate() {
-                let kids: Vec<&Relation> = node
-                    .children
-                    .iter()
-                    .map(|&c| {
-                        results[c]
-                            .as_deref()
-                            .expect("topological order: children computed first")
-                    })
-                    .collect();
-                let mut span = sj_obs::span!(
-                    "plan.node",
-                    node = id,
-                    op = node.op.name(),
-                    input = kids.iter().map(|k| k.len()).sum::<usize>()
-                );
-                let start = Instant::now();
-                let (rel, parts) = self.exec_op(node, &kids, db, 1, exec)?;
-                span.attr("rows", rel.len());
-                drop(span);
-                observe(id, node, &rel, start.elapsed(), &parts);
-                results[id] = Some(rel);
-                evict(id, &mut results, &mut pending_consumers);
-            }
+        let levels = if workers <= 1 {
+            (0..self.nodes.len()).map(|id| vec![id]).collect()
         } else {
-            for level in self.levels() {
+            self.levels()
+        };
+        for level in levels {
+            let outputs: Vec<_> = if level.len() == 1 {
                 // One node: run inline, skip the thread machinery (but
                 // keep intra-operator partition parallelism).
-                let outputs: Vec<(NodeId, Result<_, EvalError>, Duration)> = if level.len() == 1 {
-                    let id = level[0];
-                    let node = &self.nodes[id];
-                    let kids: Vec<&Relation> = node
-                        .children
+                vec![(level[0], self.run_node(level[0], &results, db, workers))]
+            } else {
+                // The worker budget is split across the level's
+                // concurrent nodes so intra-operator partitioning
+                // never oversubscribes the budget quadratically.
+                let node_workers = (workers / level.len()).max(1);
+                let results = &results;
+                let parent = sj_obs::current_span();
+                std::thread::scope(|s| {
+                    let handles: Vec<_> = level
                         .iter()
-                        .map(|&c| results[c].as_deref().expect("children on lower levels"))
-                        .collect();
-                    let mut span = sj_obs::span!(
-                        "plan.node",
-                        node = id,
-                        op = node.op.name(),
-                        input = kids.iter().map(|k| k.len()).sum::<usize>()
-                    );
-                    let start = Instant::now();
-                    let out = self.exec_op(node, &kids, db, workers, exec);
-                    if let Ok((rel, _)) = &out {
-                        span.attr("rows", rel.len());
-                    }
-                    vec![(id, out, start.elapsed())]
-                } else {
-                    // The worker budget is split across the level's
-                    // concurrent nodes so intra-operator partitioning
-                    // never oversubscribes the budget quadratically.
-                    let node_workers = (workers / level.len()).max(1);
-                    let results = &results;
-                    let parent = sj_obs::current_span();
-                    std::thread::scope(|s| {
-                        let handles: Vec<_> = level
-                            .iter()
-                            .map(|&id| {
-                                let node = &self.nodes[id];
-                                s.spawn(move || {
-                                    sj_obs::with_parent(parent, || {
-                                        let kids: Vec<&Relation> = node
-                                            .children
-                                            .iter()
-                                            .map(|&c| {
-                                                results[c]
-                                                    .as_deref()
-                                                    .expect("children on lower levels")
-                                            })
-                                            .collect();
-                                        let mut span = sj_obs::span!(
-                                            "plan.node",
-                                            node = id,
-                                            op = node.op.name(),
-                                            input = kids.iter().map(|k| k.len()).sum::<usize>()
-                                        );
-                                        let start = Instant::now();
-                                        let out = self.exec_op(node, &kids, db, node_workers, exec);
-                                        if let Ok((rel, _)) = &out {
-                                            span.attr("rows", rel.len());
-                                        }
-                                        (id, out, start.elapsed())
-                                    })
+                        .map(|&id| {
+                            s.spawn(move || {
+                                sj_obs::with_parent(parent, || {
+                                    (id, self.run_node(id, results, db, node_workers))
                                 })
                             })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("plan worker panicked"))
-                            .collect()
-                    })
-                };
-                for (id, out, elapsed) in outputs {
-                    let (rel, parts) = out?;
-                    observe(id, &self.nodes[id], &rel, elapsed, &parts);
-                    results[id] = Some(rel);
-                }
-                for &id in &level {
-                    evict(id, &mut results, &mut pending_consumers);
+                        })
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("plan worker panicked"))
+                        .collect()
+                })
+            };
+            for (id, (out, elapsed)) in outputs {
+                let (rel, parts) = out?;
+                observe(id, &self.nodes[id], &rel, elapsed, &parts);
+                results[id] = Some(rel);
+            }
+            for &id in &level {
+                for &c in &self.nodes[id].children {
+                    pending_consumers[c] -= 1;
+                    if pending_consumers[c] == 0 {
+                        results[c] = None;
+                    }
                 }
             }
         }
@@ -1263,9 +1215,7 @@ mod tests {
         db.set("R", Relation::from_int_rows(&[&[1], &[2]]));
         let plan = PhysicalPlan::of(&Expr::rel("R"), &db.schema()).unwrap();
         // A bare scan's result must be the stored allocation itself.
-        let shared = plan
-            .run(&db, 1, Execution::default(), |_, _, _, _, _| {})
-            .unwrap();
+        let shared = plan.run(&db, 1, |_, _, _, _, _| {}).unwrap();
         assert!(std::ptr::eq(shared.as_ref(), db.get("R").unwrap()));
     }
 

@@ -120,7 +120,8 @@ pub struct ServerConfig {
     pub stats: StatsMode,
     /// Optimizer level queries are compiled with.
     pub optimize: OptimizeLevel,
-    /// Execution mode (vectorized / row-at-a-time) for every query.
+    /// Accepted and ignored: [`Execution`] has one value and selects
+    /// nothing (see `sj_eval::exec`). Kept because `benchmark/` sets it.
     pub execution: Execution,
     /// Run cold queries instrumented so their
     /// [`sj_eval::PlannedReport::max_q_error`] feeds
@@ -140,7 +141,7 @@ impl Default for ServerConfig {
             result_cache_capacity: 1024,
             stats: StatsMode::Cached,
             optimize: OptimizeLevel::Full,
-            execution: Execution::from_env(),
+            execution: Execution::Vectorized,
             instrument: true,
         }
     }
@@ -314,7 +315,6 @@ struct Shared {
     next_session: AtomicU64,
     cache_mode: CacheMode,
     per_query: Parallelism,
-    execution: Execution,
     instrument: bool,
     /// Set by [`Server::shutdown`]/`Drop`: workers exit on their next
     /// poll tick even while session handles (and their queue senders)
@@ -365,7 +365,6 @@ impl Shared {
             next_session: AtomicU64::new(0),
             cache_mode: CacheMode::Off,
             per_query: Parallelism::Serial,
-            execution: Execution::RowAtATime,
             instrument: false,
             closed: AtomicBool::new(true),
         }
@@ -481,23 +480,18 @@ impl Shared {
                 if applicable {
                     self.stats.bump_plan_hits();
                     let (relation, profile) = if want_profile {
-                        let report =
-                            Report::Planned(entry.plan.execute_instrumented_with_execution(
-                                ctx.snap.db(),
-                                self.per_query,
-                                self.execution,
-                            )?);
+                        let report = Report::Planned(
+                            entry
+                                .plan
+                                .execute_instrumented_with(ctx.snap.db(), self.per_query)?,
+                        );
                         let relation = Arc::new(report.result().clone());
                         let profile = QueryProfile::from_report(&report, Some(started.elapsed()))
                             .with_cache_tier("plan-cache");
                         (relation, Some(profile.render()))
                     } else {
                         (
-                            Arc::new(entry.plan.execute_with_execution(
-                                ctx.snap.db(),
-                                self.per_query,
-                                self.execution,
-                            )?),
+                            Arc::new(entry.plan.execute_with(ctx.snap.db(), self.per_query)?),
                             None,
                         )
                     };
@@ -768,8 +762,7 @@ impl Server {
                 Instrument::Off
             })
             .stats(config.stats)
-            .parallelism(per_query)
-            .execution(config.execution);
+            .parallelism(per_query);
         let metrics = Arc::new(Metrics::new());
         let shared = Arc::new(Shared {
             master: RwLock::new(Master {
@@ -791,7 +784,6 @@ impl Server {
             next_session: AtomicU64::new(0),
             cache_mode: config.cache,
             per_query,
-            execution: config.execution,
             instrument: config.instrument,
             closed: AtomicBool::new(false),
         });

@@ -150,18 +150,9 @@ fn trace_replay_cache_on_equals_cache_off_equals_direct() {
 
 /// Concurrent sessions hammering the *same* hot query must all get the
 /// correct answer whether they are served cold, from the plan tier, or
-/// from the result tier — under every worker count the suite is run at
-/// (`SETJOINS_TEST_THREADS` narrows, default {1, 2, 4, 8}).
+/// from the result tier — under every worker count.
 #[test]
 fn hot_query_is_correct_under_every_worker_count() {
-    let counts: Vec<usize> = match std::env::var("SETJOINS_TEST_THREADS") {
-        Ok(s) => s
-            .split(',')
-            .filter_map(|t| t.trim().parse().ok())
-            .filter(|&n| n >= 1)
-            .collect(),
-        Err(_) => vec![1, 2, 4, 8],
-    };
     let w = workload();
     let e = division::division_double_difference("R", "S");
     let expected = Engine::new(w.database())
@@ -169,7 +160,7 @@ fn hot_query_is_correct_under_every_worker_count() {
         .run()
         .expect("reference")
         .relation;
-    for &n in &counts {
+    for n in [1usize, 2, 4, 8] {
         let server = Server::start(w.database(), config(n, CacheMode::PlanAndResult));
         std::thread::scope(|scope| {
             for _ in 0..n.max(2) {

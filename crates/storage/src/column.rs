@@ -1,5 +1,5 @@
 //! Columnar view of a relation: typed per-column vectors, a per-relation
-//! string dictionary, and chunked slices for vectorized execution.
+//! string dictionary, and the composite key hash the join kernels share.
 //!
 //! The row representation ([`crate::Relation`]'s sorted `Vec<Tuple>`) stays
 //! the *canonical* one — it is what equality, ordering, and the set
@@ -18,32 +18,25 @@
 //!   the strings. Each entry also carries a precomputed value hash so
 //!   hashing a string cell is a table lookup.
 //! * [`Columns`] — the full columnar image of one relation: row count,
-//!   one [`ColumnData`] per column, and the shared dictionary.
-//! * [`Chunk`] — a view over a row range of a [`Columns`] (default
-//!   [`DEFAULT_CHUNK_ROWS`] rows), yielding per-column slices
-//!   ([`ColSlice`]) that the vectorized operators in `sj-eval` scan.
-//! * [`ColsView`] — a zero-copy *gather* view over an arbitrary ascending
-//!   row-index list (typically one partition of
-//!   `Relation::partition_indices`), yielding per-column gather slices
-//!   ([`ColGather`]) so the partition-parallel kernels can run the same
-//!   typed column loops as the chunked serial ones without materializing
-//!   per-partition relations.
+//!   one [`ColumnData`] per column, and the shared dictionary. Operators
+//!   address it by absolute row index; which rows an operator (or one of
+//!   its partitions) visits is the operator's business (`sj-eval`'s
+//!   kernel layer), not a storage type.
 //!
-//! Cells are hashed with [`Columns::cell_hash`], which depends only on the
-//! cell's *value* — an integer hashes the same whether it sits in an
-//! `Int` or a `Mixed` column, and a string hashes the same under any
-//! dictionary — so hashes computed on two different relations can be used
-//! to pair up build and probe sides of a hash join. Hash equality is never
-//! trusted on its own; the operators confirm with [`Columns::cell_eq`].
+//! Keys are hashed in exactly one place, [`Columns::key_hashes`], which
+//! depends only on the cells' *values* — an integer hashes the same
+//! whether it sits in an `Int` or a `Mixed` column, and a string hashes
+//! the same under any dictionary — so hashes computed on two different
+//! relations pair up the build and probe sides of a hash join, and the
+//! same `u64` also places the row in a hash partition. Hash equality is
+//! never trusted on its own; the operators confirm with
+//! [`Columns::cell_eq`].
 
 use crate::hash::fx_hash_one;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::sync::Arc;
-
-/// Default number of rows per [`Chunk`] produced by [`Columns::chunks`].
-pub const DEFAULT_CHUNK_ROWS: usize = 2048;
 
 /// Hash of an integer cell. SplitMix64 finalizer — one multiply-xor-shift
 /// pipeline per value, no `Hasher` state to thread through a dense loop.
@@ -74,6 +67,15 @@ pub fn hash_value_cell(v: &Value) -> u64 {
         Value::Int(i) => hash_int_cell(*i),
         Value::Str(s) => hash_str_cell(s),
     }
+}
+
+/// Seed of every composite key hash ([`Columns::key_hashes`]).
+const KEY_HASH_SEED: u64 = 0x5157_cc1b_7272_20a9;
+
+/// Mix one column's cell hash into a row's running key hash.
+#[inline]
+fn mix(h: u64, x: u64) -> u64 {
+    (h.rotate_left(23) ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
 /// A per-relation string dictionary: the distinct strings of all
@@ -209,51 +211,6 @@ impl ColumnData {
     }
 }
 
-/// A borrowed slice of one column over a row range — what a [`Chunk`]
-/// hands to the vectorized operators.
-#[derive(Debug, Clone, Copy)]
-pub enum ColSlice<'a> {
-    /// Dense integers.
-    Int(&'a [i64]),
-    /// Dictionary codes plus the dictionary they decode through.
-    Str {
-        /// Codes for the rows in the slice.
-        codes: &'a [u32],
-        /// The owning relation's dictionary.
-        dict: &'a StrDict,
-    },
-    /// Plain values (mixed-variant column).
-    Mixed(&'a [Value]),
-}
-
-impl ColSlice<'_> {
-    /// Number of rows in the slice.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            ColSlice::Int(v) => v.len(),
-            ColSlice::Str { codes, .. } => codes.len(),
-            ColSlice::Mixed(v) => v.len(),
-        }
-    }
-
-    /// True iff the slice has no rows.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Materialize the value at slice-local row `i`.
-    #[inline]
-    pub fn value(&self, i: usize) -> Value {
-        match self {
-            ColSlice::Int(v) => Value::Int(v[i]),
-            ColSlice::Str { codes, dict } => Value::Str(Arc::clone(dict.get(codes[i]))),
-            ColSlice::Mixed(v) => v[i].clone(),
-        }
-    }
-}
-
 /// The columnar image of one relation: `len` rows, one [`ColumnData`] per
 /// column, and the shared string dictionary.
 ///
@@ -377,19 +334,6 @@ impl Columns {
         &self.dict
     }
 
-    /// A [`ColSlice`] over rows `start..start + rows` of column `c`.
-    #[inline]
-    pub fn slice(&self, c: usize, start: usize, rows: usize) -> ColSlice<'_> {
-        match &self.cols[c] {
-            ColumnData::Int(v) => ColSlice::Int(&v[start..start + rows]),
-            ColumnData::Str(v) => ColSlice::Str {
-                codes: &v[start..start + rows],
-                dict: &self.dict,
-            },
-            ColumnData::Mixed(v) => ColSlice::Mixed(&v[start..start + rows]),
-        }
-    }
-
     /// Materialize the value at `(column c, row r)`.
     #[inline]
     pub fn value_at(&self, c: usize, r: usize) -> Value {
@@ -400,15 +344,35 @@ impl Columns {
         }
     }
 
-    /// Value-based hash of the cell at `(c, r)` — consistent across
-    /// relations and column representations (see module docs).
-    #[inline]
-    pub fn cell_hash(&self, c: usize, r: usize) -> u64 {
-        match &self.cols[c] {
-            ColumnData::Int(v) => hash_int_cell(v[r]),
-            ColumnData::Str(v) => self.dict.hash_of(v[r]),
-            ColumnData::Mixed(v) => hash_value_cell(&v[r]),
+    /// The composite hash of every row's key over the 0-based `key`
+    /// columns, computed one column at a time: an integer column hashes
+    /// as a dense `&[i64]` loop, a dictionary-encoded column as a
+    /// per-code table lookup, and no `Value` is cloned or boxed. The
+    /// hash is value-based (see the module docs), so equal keys of two
+    /// relations hash alike whatever their column representations. An
+    /// empty key hashes every row to the same value.
+    pub fn key_hashes(&self, key: &[usize]) -> Vec<u64> {
+        let mut out = vec![KEY_HASH_SEED; self.len];
+        for &c in key {
+            match &self.cols[c] {
+                ColumnData::Int(v) => {
+                    for (h, &x) in out.iter_mut().zip(v) {
+                        *h = mix(*h, hash_int_cell(x));
+                    }
+                }
+                ColumnData::Str(v) => {
+                    for (h, &code) in out.iter_mut().zip(v) {
+                        *h = mix(*h, self.dict.hash_of(code));
+                    }
+                }
+                ColumnData::Mixed(v) => {
+                    for (h, x) in out.iter_mut().zip(v) {
+                        *h = mix(*h, hash_value_cell(x));
+                    }
+                }
+            }
         }
+        out
     }
 
     /// Exact value equality between cell `(c, r)` of `self` and cell
@@ -457,273 +421,6 @@ impl Columns {
             (Int(_), Str(_)) => Ordering::Less,
             (Str(_), Int(_)) => Ordering::Greater,
             _ => self.value_at(c, r).cmp(&other.value_at(oc, or_)),
-        }
-    }
-
-    /// Iterate [`Chunk`]s of at most `chunk_rows` rows (the last chunk may
-    /// be shorter). `chunk_rows = 0` is treated as 1. An empty relation
-    /// yields no chunks.
-    pub fn chunks(&self, chunk_rows: usize) -> Chunks<'_> {
-        Chunks {
-            cols: self,
-            next: 0,
-            chunk_rows: chunk_rows.max(1),
-        }
-    }
-
-    /// A zero-copy [`ColsView`] gathering the given row indices (e.g. one
-    /// partition of `Relation::partition_indices`). Nothing is copied —
-    /// the view borrows both the columns and the index list; row order is
-    /// the index-list order. Indices must be in range.
-    #[inline]
-    pub fn view<'a>(&'a self, rows: &'a [u32]) -> ColsView<'a> {
-        debug_assert!(rows.iter().all(|&i| (i as usize) < self.len));
-        ColsView { cols: self, rows }
-    }
-}
-
-/// Iterator over the [`Chunk`]s of a [`Columns`].
-#[derive(Debug)]
-pub struct Chunks<'a> {
-    cols: &'a Columns,
-    next: usize,
-    chunk_rows: usize,
-}
-
-impl<'a> Iterator for Chunks<'a> {
-    type Item = Chunk<'a>;
-
-    fn next(&mut self) -> Option<Chunk<'a>> {
-        if self.next >= self.cols.len() {
-            return None;
-        }
-        let start = self.next;
-        let rows = self.chunk_rows.min(self.cols.len() - start);
-        self.next = start + rows;
-        Some(Chunk {
-            cols: self.cols,
-            start,
-            rows,
-        })
-    }
-}
-
-/// A view over a contiguous row range of a [`Columns`] — the unit of work
-/// of the vectorized operators.
-#[derive(Debug, Clone, Copy)]
-pub struct Chunk<'a> {
-    cols: &'a Columns,
-    start: usize,
-    rows: usize,
-}
-
-impl<'a> Chunk<'a> {
-    /// Absolute index of the chunk's first row.
-    #[inline]
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
-    /// Number of rows in the chunk.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.rows
-    }
-
-    /// True iff the chunk has no rows (never produced by
-    /// [`Columns::chunks`]).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
-    /// The slice of column `c` covering this chunk's rows.
-    #[inline]
-    pub fn col(&self, c: usize) -> ColSlice<'a> {
-        self.cols.slice(c, self.start, self.rows)
-    }
-
-    /// The owning [`Columns`].
-    #[inline]
-    pub fn columns(&self) -> &'a Columns {
-        self.cols
-    }
-}
-
-/// A zero-copy gather view over a [`Columns`]: the rows named by an
-/// index list, in index-list order — the columnar image of one partition
-/// of `Relation::partition_indices` without materializing any tuples.
-///
-/// Where a [`Chunk`] covers a *contiguous* row range, a `ColsView` covers
-/// an arbitrary (ascending, for partitions) selection. Both hand the
-/// vectorized operators dense typed columns; the view's columns carry the
-/// indirection explicitly ([`ColGather`]) so the inner loops stay typed.
-#[derive(Debug, Clone, Copy)]
-pub struct ColsView<'a> {
-    cols: &'a Columns,
-    rows: &'a [u32],
-}
-
-impl<'a> ColsView<'a> {
-    /// Number of rows in the view.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True iff the view selects no rows.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Number of columns (the owner's arity).
-    #[inline]
-    pub fn arity(&self) -> usize {
-        self.cols.arity()
-    }
-
-    /// The owning [`Columns`].
-    #[inline]
-    pub fn columns(&self) -> &'a Columns {
-        self.cols
-    }
-
-    /// The gathered row indices, in view order.
-    #[inline]
-    pub fn rows(&self) -> &'a [u32] {
-        self.rows
-    }
-
-    /// Absolute row index of view row `i`.
-    #[inline]
-    pub fn row(&self, i: usize) -> usize {
-        self.rows[i] as usize
-    }
-
-    /// The gather slice of column `c` over this view's rows.
-    #[inline]
-    pub fn col(&self, c: usize) -> ColGather<'a> {
-        match self.cols.col(c) {
-            ColumnData::Int(v) => ColGather::Int {
-                vals: v,
-                idx: self.rows,
-            },
-            ColumnData::Str(v) => ColGather::Str {
-                codes: v,
-                idx: self.rows,
-                dict: self.cols.dict(),
-            },
-            ColumnData::Mixed(v) => ColGather::Mixed {
-                vals: v,
-                idx: self.rows,
-            },
-        }
-    }
-
-    /// Materialize the value at `(column c, view row i)`.
-    #[inline]
-    pub fn value_at(&self, c: usize, i: usize) -> Value {
-        self.cols.value_at(c, self.row(i))
-    }
-
-    /// Value-based hash of cell `(c, view row i)` — identical to
-    /// [`Columns::cell_hash`] on the underlying row.
-    #[inline]
-    pub fn cell_hash(&self, c: usize, i: usize) -> u64 {
-        self.cols.cell_hash(c, self.row(i))
-    }
-
-    /// Exact value equality between cell `(c, i)` of `self` and cell
-    /// `(oc, oi)` of `other`, both in view coordinates.
-    #[inline]
-    pub fn cell_eq(&self, c: usize, i: usize, other: &ColsView<'_>, oc: usize, oi: usize) -> bool {
-        self.cols
-            .cell_eq(c, self.row(i), other.cols, oc, other.row(oi))
-    }
-
-    /// Total order on cells across views, matching [`Columns::cell_cmp`].
-    #[inline]
-    pub fn cell_cmp(
-        &self,
-        c: usize,
-        i: usize,
-        other: &ColsView<'_>,
-        oc: usize,
-        oi: usize,
-    ) -> Ordering {
-        self.cols
-            .cell_cmp(c, self.row(i), other.cols, oc, other.row(oi))
-    }
-}
-
-/// One column of a [`ColsView`]: the owner's dense typed vector plus the
-/// gather index list. The vectorized kernels match the variant once per
-/// column and then run a tight `vals[idx[i]]` loop — the same shape as a
-/// [`ColSlice`] loop with one extra indirection.
-#[derive(Debug, Clone, Copy)]
-pub enum ColGather<'a> {
-    /// Dense integers gathered through `idx`.
-    Int {
-        /// The owner's full integer column.
-        vals: &'a [i64],
-        /// Row indices selected by the view.
-        idx: &'a [u32],
-    },
-    /// Dictionary codes gathered through `idx`.
-    Str {
-        /// The owner's full code column.
-        codes: &'a [u32],
-        /// Row indices selected by the view.
-        idx: &'a [u32],
-        /// The owning relation's dictionary.
-        dict: &'a StrDict,
-    },
-    /// Plain values gathered through `idx` (mixed-variant column).
-    Mixed {
-        /// The owner's full value column.
-        vals: &'a [Value],
-        /// Row indices selected by the view.
-        idx: &'a [u32],
-    },
-}
-
-impl ColGather<'_> {
-    /// Number of rows in the gather slice.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            ColGather::Int { idx, .. }
-            | ColGather::Str { idx, .. }
-            | ColGather::Mixed { idx, .. } => idx.len(),
-        }
-    }
-
-    /// True iff the slice selects no rows.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Cell hash of view row `i`, consistent with [`Columns::cell_hash`].
-    #[inline]
-    pub fn hash(&self, i: usize) -> u64 {
-        match self {
-            ColGather::Int { vals, idx } => hash_int_cell(vals[idx[i] as usize]),
-            ColGather::Str { codes, idx, dict } => dict.hash_of(codes[idx[i] as usize]),
-            ColGather::Mixed { vals, idx } => hash_value_cell(&vals[idx[i] as usize]),
-        }
-    }
-
-    /// Materialize the value at view row `i`.
-    #[inline]
-    pub fn value(&self, i: usize) -> Value {
-        match self {
-            ColGather::Int { vals, idx } => Value::Int(vals[idx[i] as usize]),
-            ColGather::Str { codes, idx, dict } => {
-                Value::Str(Arc::clone(dict.get(codes[idx[i] as usize])))
-            }
-            ColGather::Mixed { vals, idx } => vals[idx[i] as usize].clone(),
         }
     }
 }
@@ -781,18 +478,43 @@ mod tests {
     }
 
     #[test]
-    fn cell_hash_is_representation_independent() {
+    fn key_hashes_are_representation_independent() {
         // Same value in an Int column and a Mixed column.
         let dense = Relation::from_int_rows(&[&[7]]);
         let mixed = Relation::from_tuples(1, vec![tuple![7], tuple!["x"]]).unwrap();
         assert_eq!(
-            dense.columns().cell_hash(0, 0),
-            mixed.columns().cell_hash(0, 0)
+            dense.columns().key_hashes(&[0])[0],
+            mixed.columns().key_hashes(&[0])[0]
         );
         // Same string under two different dictionaries.
         let a = Relation::from_str_rows(&[&["flu"], &["zzz"]]);
         let b = Relation::from_str_rows(&[&["ague"], &["flu"]]);
-        assert_eq!(a.columns().cell_hash(0, 0), b.columns().cell_hash(0, 1));
+        assert_eq!(
+            a.columns().key_hashes(&[0])[0],
+            b.columns().key_hashes(&[0])[1]
+        );
+    }
+
+    #[test]
+    fn key_hashes_follow_the_key_columns_in_order() {
+        let r = Relation::from_tuples(
+            3,
+            vec![tuple![1, "a", 2], tuple![2, "a", 1], tuple![2, "b", 1]],
+        )
+        .unwrap();
+        let c = r.columns();
+        // One hash per row; rows agreeing on the key agree on the hash,
+        // and the composite is order-sensitive: (1, 2) ≠ (2, 1).
+        let on_b = c.key_hashes(&[1]);
+        assert_eq!(on_b.len(), 3);
+        assert_eq!(on_b[0], on_b[1]);
+        assert_ne!(on_b[1], on_b[2]);
+        assert_eq!(c.key_hashes(&[0, 2])[0], c.key_hashes(&[2, 0])[1]);
+        assert_ne!(c.key_hashes(&[0, 2])[0], c.key_hashes(&[0, 2])[1]);
+        // The empty key sends every row to one value; no rows, no hashes.
+        let none = c.key_hashes(&[]);
+        assert!(none.windows(2).all(|w| w[0] == w[1]));
+        assert!(Relation::empty(2).columns().key_hashes(&[0]).is_empty());
     }
 
     #[test]
@@ -816,88 +538,5 @@ mod tests {
         // a's code for each of b's entries.
         assert_eq!(a.translate_from(&b), vec![None, Some(0), None, Some(1)]);
         assert_eq!(b.translate_from(&a), vec![Some(1), Some(3), None]);
-    }
-
-    #[test]
-    fn chunking_covers_exactly_once() {
-        let rows: Vec<Vec<i64>> = (0..10).map(|i| vec![i]).collect();
-        let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let r = Relation::from_int_rows(&refs);
-        let c = r.columns();
-        for chunk_rows in [1usize, 3, 4, 10, 11, 0] {
-            let mut seen = 0usize;
-            for ch in c.chunks(chunk_rows) {
-                assert_eq!(ch.start(), seen);
-                assert!(!ch.is_empty());
-                assert!(ch.len() <= chunk_rows.max(1));
-                assert_eq!(ch.col(0).len(), ch.len());
-                seen += ch.len();
-            }
-            assert_eq!(seen, 10, "chunk_rows = {chunk_rows}");
-        }
-        assert_eq!(Relation::empty(1).columns().chunks(4).count(), 0);
-    }
-
-    #[test]
-    fn views_gather_without_copying() {
-        let r = Relation::from_tuples(
-            2,
-            vec![tuple![1, "a"], tuple![2, "b"], tuple![3, "a"], tuple![4, 9]],
-        )
-        .unwrap();
-        let c = r.columns();
-        let idx: Vec<u32> = vec![0, 2, 3];
-        let v = c.view(&idx);
-        assert_eq!(v.len(), 3);
-        assert_eq!(v.arity(), 2);
-        assert_eq!(v.rows(), &idx[..]);
-        // Values, hashes, eq and cmp all agree with the owner's cells.
-        for (vi, &ri) in idx.iter().enumerate() {
-            for col in 0..2 {
-                assert_eq!(v.value_at(col, vi), c.value_at(col, ri as usize));
-                assert_eq!(v.cell_hash(col, vi), c.cell_hash(col, ri as usize));
-                assert_eq!(v.col(col).value(vi), c.value_at(col, ri as usize));
-                assert_eq!(v.col(col).hash(vi), c.cell_hash(col, ri as usize));
-            }
-        }
-        let full: Vec<u32> = (0..c.len() as u32).collect();
-        let w = c.view(&full);
-        assert!(v.cell_eq(1, 0, &w, 1, 2)); // "a" == "a"
-        assert!(!v.cell_eq(1, 0, &w, 1, 1)); // "a" != "b"
-        assert_eq!(v.cell_cmp(0, 1, &w, 0, 3), Ordering::Less); // 3 < 4
-                                                                // Typed gathers expose the owner's dense vectors.
-        match v.col(0) {
-            ColGather::Int { vals, idx } => {
-                assert_eq!(vals, &[1, 2, 3, 4]);
-                assert_eq!(idx, &[0, 2, 3]);
-            }
-            other => panic!("expected Int gather, got {other:?}"),
-        }
-        match v.col(1) {
-            ColGather::Mixed { vals, idx } => {
-                assert_eq!(vals.len(), 4);
-                assert_eq!(idx, &[0, 2, 3]);
-            }
-            other => panic!("expected Mixed gather, got {other:?}"),
-        }
-        // An empty view of a non-empty relation is fine.
-        assert!(c.view(&[]).is_empty());
-    }
-
-    #[test]
-    fn chunk_slices_decode_to_the_right_values() {
-        let r = Relation::from_str_rows(&[&["a"], &["b"], &["c"], &["d"], &["e"]]);
-        let c = r.columns();
-        let chunks: Vec<Chunk> = c.chunks(2).collect();
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[2].len(), 1);
-        assert_eq!(chunks[1].col(0).value(1), Value::str("d"));
-        match chunks[1].col(0) {
-            ColSlice::Str { codes, dict } => {
-                assert_eq!(codes, &[2, 3]);
-                assert_eq!(dict.get(codes[0]).as_ref(), "c");
-            }
-            other => panic!("expected Str slice, got {other:?}"),
-        }
     }
 }

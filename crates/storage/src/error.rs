@@ -21,8 +21,8 @@ pub enum StorageError {
         /// The arity it was checked against.
         arity: usize,
     },
-    /// A relation exceeded the `u32::MAX`-row capacity of the zero-copy
-    /// `u32` tuple-index views ([`crate::relation::ensure_u32_indexable`]).
+    /// A relation exceeded the `u32::MAX`-row capacity of `u32` row
+    /// indices ([`crate::relation::ensure_u32_indexable`]).
     RelationTooLarge {
         /// The offending row count.
         rows: usize,

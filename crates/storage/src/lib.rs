@@ -16,8 +16,9 @@
 //!   canonically (sorted, deduplicated) so that set equality is structural
 //!   equality and membership is a binary search. Each relation also
 //!   carries a lazily built **columnar view** ([`Relation::columns`]) —
-//!   typed per-column vectors with dictionary-encoded strings, chunked
-//!   into [`Chunk`]s for the vectorized operators in `sj-eval` (see
+//!   typed per-column vectors with dictionary-encoded strings, plus the
+//!   one composite key hash ([`Columns::key_hashes`]) that both places a
+//!   row in a hash partition and keys it in a join's hash table (see
 //!   [`mod@column`]).
 //! * [`Database`] — an assignment of relations to relation names, together
 //!   with the notions the paper defines on databases: size (Definition 15 —
@@ -46,9 +47,7 @@ pub mod schema;
 pub mod tuple;
 pub mod value;
 
-pub use column::{
-    Chunk, ColGather, ColSlice, ColsView, ColumnData, Columns, StrDict, DEFAULT_CHUNK_ROWS,
-};
+pub use column::{ColumnData, Columns, StrDict};
 pub use database::{Database, RelationMut, Snapshot};
 pub use error::StorageError;
 pub use hash::{FxHashMap, FxHashSet, FxHasher};

@@ -314,11 +314,11 @@ impl Relation {
     ///
     /// Tuples are visited in canonical order, so each partition is a
     /// strictly increasing subsequence and inherits the canonical
-    /// representation without re-sorting. The partition-parallel
-    /// operators in `sj-eval` and `sj-setjoin` are built on this: build
-    /// and probe run per partition, and any per-partition results can be
+    /// representation without re-sorting. Per-partition results can be
     /// merged back without global re-deduplication (keys never span
-    /// partitions).
+    /// partitions). The join kernels of `sj-eval` do not call this: they
+    /// place row *indices* by [`crate::Columns::key_hashes`] and never
+    /// clone a tuple into a partition.
     pub fn partition_by_hash(&self, cols: &[usize], n: usize) -> Vec<Relation> {
         let n = n.max(1);
         debug_assert!(
@@ -336,68 +336,6 @@ impl Relation {
         parts
             .into_iter()
             .map(|p| Relation::raw(self.arity, p))
-            .collect()
-    }
-
-    /// The **zero-copy** variant of [`Relation::partition_by_hash`]:
-    /// the same disjoint hash partitions, but as lists of tuple
-    /// *indices* into [`Relation::tuples`] instead of cloned tuples.
-    /// Each list is strictly ascending, so visiting a partition's
-    /// indices walks its tuples in canonical order — partition-parallel
-    /// operators can build and probe through these views without ever
-    /// copying a tuple (the scheme the `sj-setjoin` parallel operators
-    /// pioneered, ported here for `sj-eval`'s planned-query path).
-    ///
-    /// `n = 0` is treated as one partition; with `cols` empty every
-    /// tuple lands in partition 0 (same conventions as
-    /// [`Relation::partition_of`]).
-    ///
-    /// Panics when the relation exceeds [`u32::MAX`] rows — index views
-    /// are `u32` by design; use [`Relation::try_partition_indices`] for
-    /// the fallible variant with a typed error.
-    pub fn partition_indices(&self, cols: &[usize], n: usize) -> Vec<Vec<u32>> {
-        self.try_partition_indices(cols, n)
-            .expect("partition_indices: relation too large for u32 index views")
-    }
-
-    /// Fallible [`Relation::partition_indices`]: returns
-    /// [`StorageError::RelationTooLarge`] instead of silently truncating
-    /// (or panicking) when the relation has more than [`u32::MAX`] rows
-    /// and its tuple positions no longer fit the `u32` index views.
-    pub fn try_partition_indices(&self, cols: &[usize], n: usize) -> crate::Result<Vec<Vec<u32>>> {
-        ensure_u32_indexable(self.tuples.len())?;
-        let n = n.max(1);
-        debug_assert!(
-            cols.iter().all(|&c| c < self.arity),
-            "partition_indices: key column out of range"
-        );
-        let mut parts: Vec<Vec<u32>> = vec![Vec::new(); n];
-        if n > 1 {
-            for (i, t) in self.tuples.iter().enumerate() {
-                parts[Self::partition_of(t, cols, n)].push(i as u32);
-            }
-        } else {
-            parts[0] = (0..self.tuples.len() as u32).collect();
-        }
-        Ok(parts)
-    }
-
-    /// [`Relation::partition_by_hash`] on a shared handle, returning
-    /// `Arc`-shared partitions. The degenerate single-partition case is
-    /// clone-free: the one "partition" is the input's own allocation
-    /// (`Arc::clone`), which is what lets a parallelism degree of 1 cost
-    /// nothing over the serial path.
-    pub fn partition_by_hash_shared(
-        self: &Arc<Self>,
-        cols: &[usize],
-        n: usize,
-    ) -> Vec<Arc<Relation>> {
-        if n <= 1 {
-            return vec![Arc::clone(self)];
-        }
-        self.partition_by_hash(cols, n)
-            .into_iter()
-            .map(Arc::new)
             .collect()
     }
 
@@ -425,13 +363,14 @@ impl Relation {
     }
 }
 
-/// The boundary check behind every `u32` tuple-index view. A relation of
-/// `rows` tuples uses positions `0..rows`, but partition bookkeeping also
-/// stores `rows` itself as a `u32` (the `0..len as u32` single-partition
-/// range), so the safe capacity is `u32::MAX` **rows** — not the
-/// `u32::MAX + 1` that position indexing alone would allow. Anything
-/// larger gets a typed [`StorageError::RelationTooLarge`] instead of a
-/// silent `as u32` truncation.
+/// The boundary check behind every `u32` row index (hash-partition index
+/// lists, hash-table postings, semijoin survivor lists). A relation of
+/// `rows` tuples uses positions `0..rows`, and bookkeeping also stores
+/// `rows` itself as a `u32`, so the safe capacity is `u32::MAX` **rows** —
+/// not the `u32::MAX + 1` that position indexing alone would allow.
+/// Anything larger gets a typed [`StorageError::RelationTooLarge`], which
+/// callers treat as an input condition (the `sj-eval` kernels fall back to
+/// the row operators) rather than truncating with `as u32`.
 pub fn ensure_u32_indexable(rows: usize) -> crate::Result<()> {
     if rows > u32::MAX as usize {
         return Err(StorageError::RelationTooLarge { rows });
@@ -635,55 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_indices_agree_with_partition_by_hash() {
-        let rows: Vec<Vec<i64>> = (0..200).map(|i| vec![i % 37, i]).collect();
-        let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let a = Relation::from_int_rows(&refs);
-        for n in [1usize, 2, 4, 8] {
-            let by_tuple = a.partition_by_hash(&[0], n);
-            let by_index = a.partition_indices(&[0], n);
-            assert_eq!(by_index.len(), n);
-            for (p_rel, p_idx) in by_tuple.iter().zip(&by_index) {
-                // Same tuples in the same order, and indices ascending
-                // (canonical order preserved through the view).
-                let via_idx: Vec<&Tuple> = p_idx.iter().map(|&i| &a.tuples()[i as usize]).collect();
-                let direct: Vec<&Tuple> = p_rel.iter().collect();
-                assert_eq!(via_idx, direct, "n = {n}");
-                assert!(p_idx.windows(2).all(|w| w[0] < w[1]), "n = {n}");
-            }
-            let total: usize = by_index.iter().map(|p| p.len()).sum();
-            assert_eq!(total, a.len());
-        }
-        // Empty key and empty input conventions match partition_by_hash.
-        let idx = a.partition_indices(&[], 3);
-        assert_eq!(idx[0].len(), a.len());
-        assert!(idx[1].is_empty() && idx[2].is_empty());
-        assert!(Relation::empty(2)
-            .partition_indices(&[0], 4)
-            .iter()
-            .all(|p| p.is_empty()));
-        // n = 0 behaves as one partition.
-        assert_eq!(a.partition_indices(&[0], 0).len(), 1);
-    }
-
-    #[test]
-    fn partition_single_degenerates_to_arc_share() {
-        let a = Arc::new(r(&[&[1, 2], &[3, 4]]));
-        let parts = a.partition_by_hash_shared(&[0], 1);
-        assert_eq!(parts.len(), 1);
-        assert!(
-            Arc::ptr_eq(&a, &parts[0]),
-            "n = 1 must share the input allocation, not clone it"
-        );
-        // n = 0 is treated as one partition, same sharing guarantee.
-        let parts0 = a.partition_by_hash_shared(&[0], 0);
-        assert!(Arc::ptr_eq(&a, &parts0[0]));
-        // The plain variant at n = 1 returns the input as its only part.
-        let plain = a.partition_by_hash(&[0], 1);
-        assert_eq!(plain, vec![(*a).clone()]);
-    }
-
-    #[test]
     fn partition_by_hash_empty_key_and_empty_input() {
         let a = r(&[&[1, 2], &[3, 4]]);
         // Empty key: every tuple hashes alike — all land in partition 0.
@@ -717,13 +607,6 @@ mod tests {
             })
         );
         assert!(ensure_u32_indexable(usize::MAX).is_err());
-        // The fallible partition API threads the check through; in-range
-        // relations succeed and agree with the panicking variant.
-        let a = r(&[&[1, 2], &[3, 4]]);
-        assert_eq!(
-            a.try_partition_indices(&[0], 4).unwrap(),
-            a.partition_indices(&[0], 4)
-        );
     }
 
     #[test]

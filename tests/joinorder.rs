@@ -1,45 +1,26 @@
 //! Differential suite for the join-order enumerator and the multiway
 //! join: every [`JoinOrder`] mode must be byte-identical to the
-//! as-written order across `Execution::{RowAtATime, Vectorized}` ×
-//! `Threads{1, 4}` — reordering and the worst-case-optimal operator are
-//! pure plan-level decisions, invisible in the answer. The fixed cases
+//! as-written order at every tested worker count
+//! ([`common::WORKER_COUNTS`]) — reordering and the worst-case-optimal
+//! operator are pure plan-level decisions, invisible in the answer. The fixed cases
 //! cover the shapes the enumerator finds degenerate (single relations,
 //! self-joins, empty inputs, stars, collapsing chains, expressions
 //! *around* the join chain) plus the skewed triangle where the AGM
 //! trigger actually fires; the property test runs the same matrix over
 //! random small relations.
-//!
-//! `SETJOINS_TEST_THREADS` narrows the worker counts exactly as in
-//! `tests/parallel.rs`.
 
 use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
 use setjoins::prelude::*;
-use setjoins::{eval::Execution, JoinOrder};
+use setjoins::JoinOrder;
 use sj_workload::{CyclicWorkload, EdgeDist};
+
+mod common;
+use common::WORKER_COUNTS;
 
 const MODES: [JoinOrder; 3] = [JoinOrder::AsWritten, JoinOrder::Greedy, JoinOrder::Dp];
 
-/// Worker counts under test.
-fn worker_counts() -> Vec<usize> {
-    match std::env::var("SETJOINS_TEST_THREADS") {
-        Ok(s) => {
-            let counts: Vec<usize> = s
-                .split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&n| n >= 1)
-                .collect();
-            assert!(
-                !counts.is_empty(),
-                "SETJOINS_TEST_THREADS={s:?} has no usable counts"
-            );
-            counts
-        }
-        Err(_) => vec![1, 4],
-    }
-}
-
-/// Run `e` under every (mode × stats × execution × workers) cell and
+/// Run `e` under every (mode × stats × workers) cell and
 /// assert each answer byte-identical to the as-written baseline.
 fn differential(name: &str, db: &Database, e: &Expr) {
     let baseline = Engine::new(db.clone())
@@ -51,21 +32,18 @@ fn differential(name: &str, db: &Database, e: &Expr) {
         .relation;
     for mode in MODES {
         for stats in [StatsMode::Off, StatsMode::Analyze] {
-            for exec in [Execution::RowAtATime, Execution::Vectorized] {
-                for &workers in &worker_counts() {
-                    let out = Engine::new(db.clone())
-                        .stats(stats)
-                        .join_order(mode)
-                        .execution(exec)
-                        .parallelism(Parallelism::Threads(workers))
-                        .query(e.clone())
-                        .run()
-                        .unwrap();
-                    assert_eq!(
-                        out.relation, baseline,
-                        "{name}: {mode} × {stats} × {exec:?} × {workers}w diverged"
-                    );
-                }
+            for workers in WORKER_COUNTS {
+                let out = Engine::new(db.clone())
+                    .stats(stats)
+                    .join_order(mode)
+                    .parallelism(Parallelism::Threads(workers))
+                    .query(e.clone())
+                    .run()
+                    .unwrap();
+                assert_eq!(
+                    out.relation, baseline,
+                    "{name}: {mode} × {stats} × {workers}w diverged"
+                );
             }
         }
     }
@@ -255,21 +233,18 @@ proptest! {
             .unwrap()
             .relation;
         for mode in MODES {
-            for exec in [Execution::RowAtATime, Execution::Vectorized] {
-                for &workers in &worker_counts() {
-                    let out = Engine::new(db.clone())
-                        .stats(StatsMode::Analyze)
-                        .join_order(mode)
-                        .execution(exec)
-                        .parallelism(Parallelism::Threads(workers))
-                        .query(e.clone())
-                        .run()
-                        .unwrap();
-                    prop_assert_eq!(
-                        &out.relation, &baseline,
-                        "{} × {:?} × {}w diverged on query {}", mode, exec, workers, qi
-                    );
-                }
+            for workers in WORKER_COUNTS {
+                let out = Engine::new(db.clone())
+                    .stats(StatsMode::Analyze)
+                    .join_order(mode)
+                    .parallelism(Parallelism::Threads(workers))
+                    .query(e.clone())
+                    .run()
+                    .unwrap();
+                prop_assert_eq!(
+                    &out.relation, &baseline,
+                    "{} × {}w diverged on query {}", mode, workers, qi
+                );
             }
         }
     }

@@ -1,14 +1,10 @@
 //! Workspace observability suite: instrumentation must be
 //! **differentially invisible** — turning [`Instrument::Profile`] on or
-//! installing a trace collector never changes an answer, across both
-//! [`Execution`] modes and every tested worker count — while the
+//! installing a trace collector never changes an answer at any tested
+//! worker count ([`common::WORKER_COUNTS`]) — while the
 //! rendered artifacts (planned reports, query profiles, served traces,
 //! the Prometheus-style exposition) keep the shape golden tests can
 //! pin.
-//!
-//! The tested worker counts default to `{1, 2, 4, 8}`;
-//! `SETJOINS_TEST_THREADS` (a comma-separated list or a single number)
-//! narrows them, which CI uses to run the suite at `4`.
 
 use setjoins::obs::RingCollector;
 use setjoins::prelude::*;
@@ -16,6 +12,9 @@ use setjoins::server::{Server, ServerConfig};
 use sj_algebra::division;
 use sj_workload::DivisionWorkload;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+
+mod common;
+use common::WORKER_COUNTS;
 
 /// Every test here serializes on one lock: the trace collector is a
 /// process-wide resource, so a test that installs one would otherwise
@@ -25,25 +24,6 @@ fn lock() -> MutexGuard<'static, ()> {
     LOCK.get_or_init(|| Mutex::new(()))
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Worker counts under test (see module docs).
-fn thread_counts() -> Vec<usize> {
-    match std::env::var("SETJOINS_TEST_THREADS") {
-        Ok(s) => {
-            let counts: Vec<usize> = s
-                .split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&n| n >= 1)
-                .collect();
-            assert!(
-                !counts.is_empty(),
-                "SETJOINS_TEST_THREADS={s:?} has no usable counts"
-            );
-            counts
-        }
-        Err(_) => vec![1, 2, 4, 8],
-    }
 }
 
 fn division_db() -> Database {
@@ -60,8 +40,7 @@ fn division_db() -> Database {
 
 /// The tentpole invariant: `Instrument::Off`, `Instrument::Profile`,
 /// and a run under an installed [`RingCollector`] produce byte-identical
-/// relations on the paper's division plans, for both execution modes at
-/// every tested worker count.
+/// relations on the paper's division plans at every tested worker count.
 #[test]
 fn observability_is_differentially_invisible() {
     let _guard = lock();
@@ -77,41 +56,35 @@ fn observability_is_differentially_invisible() {
             .run()
             .unwrap()
             .relation;
-        for exec in [Execution::RowAtATime, Execution::Vectorized] {
-            for &n in &thread_counts() {
-                let build = || {
-                    Engine::new(db.clone())
-                        .strategy(Strategy::Planned)
-                        .parallelism(Parallelism::Threads(n))
-                        .execution(exec)
-                };
-                let off = build().query(e.clone()).run().unwrap().relation;
-                assert_eq!(off, reference, "{e} {exec} @{n}w: Off ≠ reference");
+        for n in WORKER_COUNTS {
+            let build = || {
+                Engine::new(db.clone())
+                    .strategy(Strategy::Planned)
+                    .parallelism(Parallelism::Threads(n))
+            };
+            let off = build().query(e.clone()).run().unwrap().relation;
+            assert_eq!(off, reference, "{e} @{n}w: Off ≠ reference");
 
-                let profiled = build()
-                    .instrument(Instrument::Profile)
-                    .query(e.clone())
-                    .run()
-                    .unwrap();
-                assert_eq!(
-                    profiled.relation, reference,
-                    "{e} {exec} @{n}w: Profile ≠ reference"
-                );
-                assert!(
-                    profiled.profile().is_some(),
-                    "Instrument::Profile yields a profile"
-                );
+            let profiled = build()
+                .instrument(Instrument::Profile)
+                .query(e.clone())
+                .run()
+                .unwrap();
+            assert_eq!(
+                profiled.relation, reference,
+                "{e} @{n}w: Profile ≠ reference"
+            );
+            assert!(
+                profiled.profile().is_some(),
+                "Instrument::Profile yields a profile"
+            );
 
-                let ring = Arc::new(RingCollector::new(1 << 14));
-                let collected = setjoins::obs::with_collector(ring.clone(), || {
-                    build().query(e.clone()).run().unwrap().relation
-                });
-                assert_eq!(
-                    collected, reference,
-                    "{e} {exec} @{n}w: collector-on ≠ reference"
-                );
-                assert!(!ring.log().is_empty(), "collector captured engine spans");
-            }
+            let ring = Arc::new(RingCollector::new(1 << 14));
+            let collected = setjoins::obs::with_collector(ring.clone(), || {
+                build().query(e.clone()).run().unwrap().relation
+            });
+            assert_eq!(collected, reference, "{e} @{n}w: collector-on ≠ reference");
+            assert!(!ring.log().is_empty(), "collector captured engine spans");
         }
     }
 }

@@ -2,47 +2,24 @@
 //! set-join and division algorithm, every evaluation [`Strategy`], and
 //! every [`OptimizeLevel`] must produce byte-identical relations under
 //! [`Parallelism::Serial`] and [`Parallelism::Threads(n)`] for every
-//! tested worker count — and, through the kernel layer, under **both**
-//! [`Execution`] modes per worker count (each partition runs the row
-//! index-view or the vectorized gather-view kernel). Inputs cover
-//! random relations (property tests) as well as the adversarial shapes
-//! hash partitioning finds hardest: empty operands, skewed and
+//! tested worker count ([`common::WORKER_COUNTS`]). Inputs cover random
+//! relations (property tests) as well as the adversarial shapes hash
+//! partitioning finds hardest: empty operands, skewed and
 //! zipf-distributed keys (one partition holds almost everything) and
 //! all-duplicate inputs.
-//!
-//! The tested worker counts default to `{1, 2, 4, 8}`;
-//! `SETJOINS_TEST_THREADS` (a comma-separated list or a single number)
-//! narrows them, which CI uses to run the whole suite once at `1` and
-//! once at `4`.
 
 use proptest::prelude::*;
 // `engine::Strategy` (the enum) and proptest's `Strategy` (the trait)
 // collide under the two globs: bind each explicitly.
 use proptest::strategy::Strategy as PropStrategy;
-use setjoins::eval::{Execution, Parallelism, Strategy};
+use setjoins::eval::{Parallelism, Strategy};
 use setjoins::prelude::*;
 use sj_algebra::division;
 use sj_setjoin::nested_loop_set_join;
 use sj_workload::{DivisionWorkload, ElementDist, SetJoinWorkload, SetSizeDist};
 
-/// Worker counts under test (see module docs).
-fn thread_counts() -> Vec<usize> {
-    match std::env::var("SETJOINS_TEST_THREADS") {
-        Ok(s) => {
-            let counts: Vec<usize> = s
-                .split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&n| n >= 1)
-                .collect();
-            assert!(
-                !counts.is_empty(),
-                "SETJOINS_TEST_THREADS={s:?} has no usable counts"
-            );
-            counts
-        }
-        Err(_) => vec![1, 2, 4, 8],
-    }
-}
+mod common;
+use common::WORKER_COUNTS;
 
 // ---------------------------------------------------------------------------
 // Adversarial deterministic inputs
@@ -95,7 +72,7 @@ fn division_algorithms_parallel_equals_serial_on_adversarial_inputs() {
                         "{} serial on {rname}÷{sname} {sem:?}",
                         alg.name()
                     );
-                    for &n in &thread_counts() {
+                    for n in WORKER_COUNTS {
                         assert_eq!(
                             alg.run_with_workers(&r, &s, sem, n),
                             baseline,
@@ -128,7 +105,7 @@ fn set_join_algorithms_parallel_equals_serial_on_adversarial_inputs() {
                     if !alg.supports(pred) {
                         continue;
                     }
-                    for &n in &thread_counts() {
+                    for n in WORKER_COUNTS {
                         assert_eq!(
                             alg.run_with_workers(&r, &s, pred, n),
                             baseline,
@@ -184,21 +161,18 @@ fn engine_division_plans_parallel_equals_serial() {
                     .unwrap()
                     .relation;
                 for strategy in [Strategy::Planned, Strategy::Naive, Strategy::Reference] {
-                    for &n in &thread_counts() {
-                        for exec in [Execution::RowAtATime, Execution::Vectorized] {
-                            let out = Engine::new(db.clone())
-                                .optimize(level)
-                                .strategy(strategy)
-                                .parallelism(Parallelism::Threads(n))
-                                .execution(exec)
-                                .query(e.clone())
-                                .run()
-                                .unwrap();
-                            assert_eq!(
-                                out.relation, reference,
-                                "{dbname} {e} {strategy} {level:?} {exec} @{n} workers"
-                            );
-                        }
+                    for n in WORKER_COUNTS {
+                        let out = Engine::new(db.clone())
+                            .optimize(level)
+                            .strategy(strategy)
+                            .parallelism(Parallelism::Threads(n))
+                            .query(e.clone())
+                            .run()
+                            .unwrap();
+                        assert_eq!(
+                            out.relation, reference,
+                            "{dbname} {e} {strategy} {level:?} @{n} workers"
+                        );
                     }
                 }
             }
@@ -227,7 +201,7 @@ fn engine_set_operators_parallel_equals_serial() {
         Relation::unary((0..4).map(|v| Value::int(1_000_001 + v))),
     );
     let serial = Engine::new(db.clone());
-    for &n in &thread_counts() {
+    for n in WORKER_COUNTS {
         let threaded = Engine::new(db.clone()).parallelism(Parallelism::Threads(n));
         for pred in [
             SetPredicate::Contains,
@@ -305,7 +279,7 @@ proptest! {
                 .unwrap()
                 .relation;
             for strategy in [Strategy::Planned, Strategy::Naive, Strategy::Reference] {
-                for &n in &thread_counts() {
+                for n in WORKER_COUNTS {
                     let out = Engine::new(db.clone())
                         .optimize(level)
                         .strategy(strategy)
@@ -337,7 +311,7 @@ proptest! {
                 if !alg.supports(pred) {
                     continue;
                 }
-                for &n in &thread_counts() {
+                for n in WORKER_COUNTS {
                     prop_assert_eq!(
                         alg.run_with_workers(&r, &s, pred, n),
                         baseline.clone(),
@@ -349,7 +323,7 @@ proptest! {
         for sem in [DivisionSemantics::Containment, DivisionSemantics::Equality] {
             let baseline = sj_setjoin::nested_loop_division(&r, &d, sem);
             for alg in reg.division_algorithms() {
-                for &n in &thread_counts() {
+                for n in WORKER_COUNTS {
                     prop_assert_eq!(
                         alg.run_with_workers(&r, &d, sem, n),
                         baseline.clone(),

@@ -2,31 +2,13 @@
 //! must be a transparent layer — every answer it returns, at every
 //! worker count and cache mode, is byte-identical to a direct
 //! [`Engine`] run over the same database state.
-//!
-//! Worker counts default to `{1, 2, 4, 8}`; `SETJOINS_TEST_THREADS`
-//! (comma list or single number) narrows them, as in `parallel.rs`.
 
 use setjoins::prelude::*;
 use setjoins::server::{CacheMode, Provenance, Server, ServerConfig, WriteOp};
 use sj_workload::{ServingWorkload, TraceOp};
 
-fn thread_counts() -> Vec<usize> {
-    match std::env::var("SETJOINS_TEST_THREADS") {
-        Ok(s) => {
-            let counts: Vec<usize> = s
-                .split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&n| n >= 1)
-                .collect();
-            assert!(
-                !counts.is_empty(),
-                "SETJOINS_TEST_THREADS={s:?} has no usable counts"
-            );
-            counts
-        }
-        Err(_) => vec![1, 2, 4, 8],
-    }
-}
+mod common;
+use common::WORKER_COUNTS;
 
 fn workload() -> ServingWorkload {
     ServingWorkload {
@@ -46,7 +28,7 @@ fn workload() -> ServingWorkload {
 fn served_answers_equal_direct_engine_at_every_worker_count() {
     let w = workload();
     let trace = w.trace();
-    for &workers in &thread_counts() {
+    for workers in WORKER_COUNTS {
         let server = Server::start(
             w.database(),
             ServerConfig {

@@ -1,53 +1,33 @@
-//! Differential suite proving **vectorized ≡ row-at-a-time**: the
-//! batched operators of `sj_eval::ops_vec` must produce byte-identical
-//! relations to their row-wise `sj_eval::ops` counterparts, and the
-//! engine must produce byte-identical results across the full knob
-//! matrix `Execution::{RowAtATime, Vectorized}` ×
-//! `Threads{1, 2, 4, 8}` × chunk `{1, 3, default}` for every strategy ×
-//! optimize level — on random inputs as well as on the shapes chunked
-//! and partitioned execution find hardest: empty relations, single
-//! rows, zipf-skewed and all-duplicate keys, and relations sized
-//! exactly at, one below, and one above a chunk boundary. Since the
-//! kernel layer (`sj_eval::kernel`) runs vectorized kernels *inside*
-//! partitions, the worker counts here exercise the partitioned
-//! gather-view kernels, not just the serial chunked ones.
+//! The kernel differential suite: the one-body-per-operator kernels of
+//! `sj_eval::kernel` (and the columnar σ of `sj_eval::ops_vec`) must
+//! produce byte-identical relations to the row operators of
+//! `sj_eval::ops` **and** to a brute-force nested loop written here from
+//! the definitions — for every θ shape (aligned prefix, off-diagonal
+//! equality, equality + residual, inequality only, empty) × operand kind
+//! (int, string, mixed-variant, cross-dictionary, empty, single row,
+//! all-duplicate, zipf) × worker count. A serial run is the
+//! one-partition view of the same body a partitioned run fans out, so
+//! the worker axis is the whole configuration space; operand sizes sit
+//! at 0 / 1 / n−1 / n / n+1 around every tested worker count `n`, where
+//! hash placement leaves partitions empty or singleton.
 //!
-//! Chunk sizes under test are `{1, 3, default}` through the explicit
-//! `*_chunked` entry points; CI additionally re-runs the whole suite
-//! with `SETJOINS_TEST_CHUNK=1` and `=3`, which reroutes every
-//! engine-level vectorized operator through degenerate chunking.
-//! `SETJOINS_TEST_THREADS` narrows the worker counts exactly as in
-//! `tests/parallel.rs`.
+//! Serial runs must report no `PartitionStat`; partitioned runs must
+//! account for every input and output row.
 
 use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
-use setjoins::eval::{ops, ops_vec, Execution, Parallelism, Strategy};
+use setjoins::eval::{kernel, ops, ops_vec, Execution, Parallelism, PartitionStat, Strategy};
 use setjoins::prelude::*;
-use sj_algebra::Selection;
-use sj_storage::DEFAULT_CHUNK_ROWS;
+use sj_algebra::{Atom, CompOp, Selection};
 
-/// Chunk sizes the explicit `*_chunked` calls exercise: degenerate
-/// (every row its own chunk), tiny-and-odd, and the production default.
-const CHUNKS: [usize; 3] = [1, 3, DEFAULT_CHUNK_ROWS];
+mod common;
+use common::WORKER_COUNTS;
 
-/// Worker counts under test.
-fn worker_counts() -> Vec<usize> {
-    match std::env::var("SETJOINS_TEST_THREADS") {
-        Ok(s) => {
-            let counts: Vec<usize> = s
-                .split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&n| n >= 1)
-                .collect();
-            assert!(
-                !counts.is_empty(),
-                "SETJOINS_TEST_THREADS={s:?} has no usable counts"
-            );
-            counts
-        }
-        Err(_) => vec![1, 2, 4, 8],
-    }
-}
+/// Worker counts for the direct kernel calls: [`WORKER_COUNTS`] plus 3,
+/// a modulus that is not a power of two.
+const KERNEL_WORKERS: [usize; 5] = [1, 2, 3, 4, 8];
+
+const EXEC: Execution = Execution::Vectorized;
 
 fn pairs(rows: impl IntoIterator<Item = [i64; 2]>) -> Relation {
     Relation::from_tuples(2, rows.into_iter().map(|r| Tuple::from_ints(&r))).unwrap()
@@ -59,21 +39,13 @@ fn sized(n: usize) -> Relation {
     pairs((0..n as i64).map(|i| [i % 97, i % 13]))
 }
 
-/// Chunk-boundary sizes relative to `chunk`: 0, 1, chunk−1, chunk,
-/// chunk+1 (deduplicated for tiny chunks).
-fn boundary_sizes(chunk: usize) -> Vec<usize> {
-    let mut v = vec![0, 1, chunk.saturating_sub(1), chunk, chunk + 1];
-    v.sort_unstable();
-    v.dedup();
-    v
-}
-
-/// Input pairs covering typed columns (int, string, mixed) and the
-/// adversarial shapes of the parallel suite.
+/// Input pairs covering every operand kind named in the module docs.
 fn operand_pairs() -> Vec<(String, Relation, Relation)> {
     let mut out: Vec<(String, Relation, Relation)> = vec![
         (
-            "strings".into(),
+            // Two string relations never share a dictionary: every key
+            // comparison here crosses dictionaries.
+            "strings-cross-dictionary".into(),
             Relation::from_str_rows(&[
                 &["an", "headache"],
                 &["an", "sore throat"],
@@ -84,6 +56,7 @@ fn operand_pairs() -> Vec<(String, Relation, Relation)> {
                 &["flu", "headache"],
                 &["flu", "sore throat"],
                 &["lyme", "memory loss"],
+                &["an", "headache"],
             ]),
         ),
         (
@@ -96,6 +69,13 @@ fn operand_pairs() -> Vec<(String, Relation, Relation)> {
             Relation::from_tuples(2, vec![tuple![1, 7], tuple![2, "x"], tuple![9, "y"]]).unwrap(),
         ),
         (
+            // An all-int key column against an all-string one: hash
+            // buckets may collide, keys never match.
+            "int-vs-string".into(),
+            pairs((0..6).map(|i| [i, i])),
+            Relation::from_str_rows(&[&["1", "1"], &["2", "2"]]),
+        ),
+        (
             "skewed".into(),
             pairs((0..60).map(|i| [7, i])),
             pairs((0..40).map(|i| [i % 5, 7])),
@@ -103,7 +83,7 @@ fn operand_pairs() -> Vec<(String, Relation, Relation)> {
         (
             // Harmonic key frequencies (rank-r key appears ~n/r times):
             // one partition carries most rows, the tail is singletons.
-            "zipf-skewed".into(),
+            "zipf".into(),
             pairs((0..120).map(|i| [120 / (i + 1), i % 11])),
             pairs((0..80).map(|i| [80 / (i + 1), i % 7])),
         ),
@@ -112,27 +92,118 @@ fn operand_pairs() -> Vec<(String, Relation, Relation)> {
             pairs((0..50).map(|_| [3, 9])),
             pairs((0..30).map(|_| [3, 9])),
         ),
+        ("single-row".into(), sized(1), sized(20)),
         ("empty-left".into(), Relation::empty(2), sized(20)),
         ("empty-right".into(), sized(20), Relation::empty(2)),
+        ("ints".into(), sized(300), sized(200)),
     ];
-    for &chunk in &CHUNKS {
-        for n in boundary_sizes(chunk) {
-            out.push((
-                format!("boundary-{n}-of-{chunk}"),
-                sized(n),
-                sized(n / 2 + 1),
-            ));
-        }
+    // 0 / 1 / n−1 / n / n+1 rows around every tested worker count n.
+    let mut sizes: Vec<usize> = KERNEL_WORKERS
+        .iter()
+        .flat_map(|&n| [0, 1, n - 1, n, n + 1])
+        .collect();
+    sizes.sort_unstable();
+    sizes.dedup();
+    for n in sizes {
+        out.push((format!("{n}-rows"), sized(n), sized(n / 2 + 1)));
     }
     out
 }
 
+fn atom(left: usize, op: CompOp, right: usize) -> Atom {
+    Atom { left, op, right }
+}
+
+/// Every θ shape the kernels dispatch on.
+fn thetas() -> Vec<Condition> {
+    vec![
+        Condition::eq(1, 1),                       // aligned prefix
+        Condition::eq_pairs([(1, 1), (2, 2)]),     // aligned prefix, composite
+        Condition::eq(2, 1),                       // off-diagonal equality
+        Condition::eq(2, 2),                       // equality off the prefix
+        Condition::eq(1, 1).and(2, CompOp::Lt, 2), // equality + residual
+        Condition::eq(2, 1).and(1, CompOp::Neq, 2),
+        Condition::lt(1, 1), // inequality only
+        Condition::always(), // empty
+    ]
+}
+
 // ---------------------------------------------------------------------------
-// Direct operator differentials at explicit chunk sizes
+// The brute-force oracle: the definitions, nothing else
 // ---------------------------------------------------------------------------
 
-/// Chunked selection ≡ row selection, every chunk size, every predicate
-/// shape, every operand — including sizes straddling each chunk boundary.
+fn brute_join(r: &Relation, s: &Relation, theta: &Condition) -> Relation {
+    let mut out = Vec::new();
+    for t1 in r {
+        for t2 in s {
+            if theta.eval(t1.values(), t2.values()) {
+                out.push(t1.concat(t2));
+            }
+        }
+    }
+    Relation::from_tuples(r.arity() + s.arity(), out).unwrap()
+}
+
+fn brute_semijoin(r: &Relation, s: &Relation, theta: &Condition) -> Relation {
+    let keep = r
+        .iter()
+        .filter(|t1| s.iter().any(|t2| theta.eval(t1.values(), t2.values())))
+        .cloned();
+    Relation::from_tuples(r.arity(), keep).unwrap()
+}
+
+/// Serial runs report nothing; partitioned runs account for every row.
+/// `keyed` says whether the rows were hash-placed (every row of both
+/// operands lands in exactly one of `workers` partitions) or the left
+/// operand was chunked against the whole right one.
+fn check_stats(
+    what: &str,
+    stats: &[PartitionStat],
+    workers: usize,
+    keyed: bool,
+    left: usize,
+    right: usize,
+    out: usize,
+) {
+    if workers <= 1 {
+        assert!(stats.is_empty(), "{what}: serial runs report no partitions");
+        return;
+    }
+    for (i, p) in stats.iter().enumerate() {
+        assert_eq!(p.partition, i, "{what}: partitions come back in order");
+    }
+    assert_eq!(
+        stats.iter().map(|p| p.out_rows).sum::<usize>(),
+        out,
+        "{what}: partitions account for every output row"
+    );
+    assert_eq!(
+        stats.iter().map(|p| p.left_rows).sum::<usize>(),
+        left,
+        "{what}: every left row is in exactly one partition"
+    );
+    if keyed {
+        assert_eq!(stats.len(), workers, "{what}: one partition per worker");
+        assert_eq!(stats.iter().map(|p| p.right_rows).sum::<usize>(), right);
+    } else {
+        assert!(
+            stats.len() <= workers,
+            "{what}: at most one chunk per worker"
+        );
+        assert!(stats.iter().all(|p| p.right_rows == right));
+    }
+}
+
+fn has_equality(theta: &Condition) -> bool {
+    theta.atoms().iter().any(|a| a.op == CompOp::Eq)
+}
+
+// ---------------------------------------------------------------------------
+// Direct operator differentials
+// ---------------------------------------------------------------------------
+
+/// Columnar selection ≡ row selection, every predicate shape, every
+/// operand.
 #[test]
 fn vectorized_select_equals_row_select() {
     let sels = [
@@ -146,93 +217,93 @@ fn vectorized_select_equals_row_select() {
     for (name, r, s) in operand_pairs() {
         for rel in [&r, &s] {
             for sel in &sels {
-                let baseline = ops::select(rel, sel);
-                for &chunk in &CHUNKS {
-                    assert_eq!(
-                        ops_vec::select_chunked(rel, sel, chunk),
-                        baseline,
-                        "select {sel:?} on {name} @chunk {chunk}"
-                    );
+                assert_eq!(
+                    ops_vec::select(rel, sel),
+                    ops::select(rel, sel),
+                    "select {sel:?} on {name}"
+                );
+            }
+        }
+    }
+}
+
+/// `kernel::{join, semijoin}` ≡ `ops::{join, semijoin}` ≡ brute force on
+/// every θ shape × operand kind × worker count.
+#[test]
+fn vectorized_joins_equal_row_joins() {
+    for (name, r, s) in operand_pairs() {
+        for theta in &thetas() {
+            let want_join = brute_join(&r, &s, theta);
+            let want_semi = brute_semijoin(&r, &s, theta);
+            assert_eq!(
+                ops::join(&r, &s, theta),
+                want_join,
+                "ops join {theta} on {name}"
+            );
+            assert_eq!(
+                ops::semijoin(&r, &s, theta),
+                want_semi,
+                "ops semijoin {theta} on {name}"
+            );
+            let keyed = has_equality(theta);
+            for workers in KERNEL_WORKERS {
+                let what = format!("join {theta} on {name} @{workers}");
+                let (j, stats) = kernel::join(&r, &s, theta, EXEC, workers);
+                assert_eq!(j, want_join, "{what}");
+                check_stats(&what, &stats, workers, keyed, r.len(), s.len(), j.len());
+
+                let what = format!("semijoin {theta} on {name} @{workers}");
+                let (sj, stats) = kernel::semijoin(&r, &s, theta, EXEC, workers);
+                assert_eq!(sj, want_semi, "{what}");
+                check_stats(&what, &stats, workers, keyed, r.len(), s.len(), sj.len());
+            }
+        }
+    }
+}
+
+/// `kernel::{merge_join, merge_semijoin}` ≡ `ops::merge_*` ≡ brute force
+/// on the canonical sort prefix, with and without residual atoms.
+#[test]
+fn vectorized_merges_equal_row_merges() {
+    let residuals = [
+        Condition::always(),
+        Condition::new([atom(2, CompOp::Lt, 2)]),
+        Condition::new([atom(2, CompOp::Neq, 2)]),
+    ];
+    for (name, r, s) in operand_pairs() {
+        for k in [1usize, 2] {
+            for residual in &residuals {
+                // θ = (1=1 ∧ … ∧ k=k) ∧ residual, for the oracle.
+                let theta = Condition::new(
+                    (1..=k)
+                        .map(|c| atom(c, CompOp::Eq, c))
+                        .chain(residual.atoms().iter().copied()),
+                );
+                let want_join = brute_join(&r, &s, &theta);
+                let want_semi = brute_semijoin(&r, &s, &theta);
+                assert_eq!(ops::merge_join(&r, &s, k, residual), want_join);
+                assert_eq!(ops::merge_semijoin(&r, &s, k, residual), want_semi);
+                for workers in KERNEL_WORKERS {
+                    let what = format!("merge join k={k} [{residual}] on {name} @{workers}");
+                    let (j, stats) = kernel::merge_join(&r, &s, k, residual, EXEC, workers);
+                    assert_eq!(j, want_join, "{what}");
+                    check_stats(&what, &stats, workers, true, r.len(), s.len(), j.len());
+
+                    let what = format!("merge semijoin k={k} [{residual}] on {name} @{workers}");
+                    let (sj, stats) = kernel::merge_semijoin(&r, &s, k, residual, EXEC, workers);
+                    assert_eq!(sj, want_semi, "{what}");
+                    check_stats(&what, &stats, workers, true, r.len(), s.len(), sj.len());
                 }
             }
         }
     }
 }
 
-/// Chunked hash join/semijoin ≡ row join/semijoin, with and without
-/// residual inequality atoms, across typed and mixed columns.
-#[test]
-fn vectorized_joins_equal_row_joins() {
-    let thetas = [
-        Condition::eq(1, 1),
-        Condition::eq(2, 2),
-        Condition::new(vec![
-            sj_algebra::Atom {
-                left: 1,
-                op: sj_algebra::CompOp::Eq,
-                right: 1,
-            },
-            sj_algebra::Atom {
-                left: 2,
-                op: sj_algebra::CompOp::Lt,
-                right: 2,
-            },
-        ]),
-        Condition::lt(1, 1), // no equality atom: falls back to the row path
-    ];
-    for (name, r, s) in operand_pairs() {
-        for theta in &thetas {
-            let join_base = ops::join(&r, &s, theta);
-            let semi_base = ops::semijoin(&r, &s, theta);
-            for &chunk in &CHUNKS {
-                assert_eq!(
-                    ops_vec::join_chunked(&r, &s, theta, chunk),
-                    join_base,
-                    "join {theta} on {name} @chunk {chunk}"
-                );
-                assert_eq!(
-                    ops_vec::semijoin_chunked(&r, &s, theta, chunk),
-                    semi_base,
-                    "semijoin {theta} on {name} @chunk {chunk}"
-                );
-            }
-        }
-    }
-}
-
-/// Columnar merge join/semijoin ≡ row merge join/semijoin on the
-/// canonical sort prefix.
-#[test]
-fn vectorized_merges_equal_row_merges() {
-    let residuals = [
-        Condition::always(),
-        Condition::new(vec![sj_algebra::Atom {
-            left: 2,
-            op: sj_algebra::CompOp::Lt,
-            right: 2,
-        }]),
-    ];
-    for (name, r, s) in operand_pairs() {
-        for residual in &residuals {
-            assert_eq!(
-                ops_vec::merge_join(&r, &s, 1, residual),
-                ops::merge_join(&r, &s, 1, residual),
-                "merge join on {name} residual {residual}"
-            );
-            assert_eq!(
-                ops_vec::merge_semijoin(&r, &s, 1, residual),
-                ops::merge_semijoin(&r, &s, 1, residual),
-                "merge semijoin on {name} residual {residual}"
-            );
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Engine end to end: Execution knob differential
+// Engine end to end: the kernels behind the planner ≡ the row evaluator
 // ---------------------------------------------------------------------------
 
-/// Queries exercising every operator the vectorized path touches.
+/// Queries exercising every operator the kernel layer serves.
 fn engine_queries() -> Vec<Expr> {
     vec![
         Expr::rel("R").select_eq(1, 2),
@@ -250,9 +321,10 @@ fn engine_queries() -> Vec<Expr> {
     ]
 }
 
-/// Every strategy × optimize level × worker count: `Execution::Vectorized`
-/// byte-identical to `Execution::RowAtATime`, on a real workload and on
-/// every adversarial operand pair.
+/// Every optimize level × worker count: `Strategy::Planned` (the
+/// kernels) byte-identical to `Strategy::Naive` (the row operators, one
+/// at a time), on a real workload, on every adversarial operand pair,
+/// and on operands large enough that the planner really partitions.
 #[test]
 fn engine_vectorized_equals_row_at_a_time() {
     use sj_workload::{DivisionWorkload, ElementDist, SetJoinWorkload, SetSizeDist};
@@ -282,7 +354,14 @@ fn engine_vectorized_equals_row_at_a_time() {
         db
     };
     let mut dbs: Vec<(String, Database)> = vec![("division-workload".into(), workload_db)];
-    for (name, r, s) in operand_pairs() {
+    let mut operands = operand_pairs();
+    // Past the planner's serial cutoff: these nodes run partitioned.
+    operands.push((
+        "partitioned".into(),
+        pairs((0..3000).map(|i| [i % 211, i])),
+        pairs((0..3000).map(|i| [i % 197, i % 89])),
+    ));
+    for (name, r, s) in operands {
         let mut db = Database::new();
         db.set("R", r);
         db.set("S", s);
@@ -292,25 +371,23 @@ fn engine_vectorized_equals_row_at_a_time() {
     for (dbname, db) in &dbs {
         for e in engine_queries() {
             for level in [OptimizeLevel::Off, OptimizeLevel::Full] {
-                for strategy in [Strategy::Planned, Strategy::Naive] {
-                    for &n in &worker_counts() {
-                        let run = |exec: Execution| {
-                            Engine::new(db.clone())
-                                .optimize(level)
-                                .strategy(strategy)
-                                .parallelism(Parallelism::Threads(n))
-                                .execution(exec)
-                                .query(e.clone())
-                                .run()
-                                .unwrap()
-                                .relation
-                        };
-                        assert_eq!(
-                            run(Execution::Vectorized),
-                            run(Execution::RowAtATime),
-                            "{dbname} {e} {strategy} {level:?} @{n} workers"
-                        );
-                    }
+                let run = |strategy: Strategy, n: usize| {
+                    Engine::new(db.clone())
+                        .optimize(level)
+                        .strategy(strategy)
+                        .parallelism(Parallelism::Threads(n))
+                        .query(e.clone())
+                        .run()
+                        .unwrap()
+                        .relation
+                };
+                let row = run(Strategy::Naive, 1);
+                for n in WORKER_COUNTS {
+                    assert_eq!(
+                        run(Strategy::Planned, n),
+                        row,
+                        "{dbname} {e} {level:?} @{n} workers"
+                    );
                 }
             }
         }
@@ -332,8 +409,8 @@ fn arb_relation(arity: usize) -> impl PropStrategy<Value = Relation> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random relations and conditions: every chunked operator equals
-    /// its row counterpart at every chunk size.
+    /// Random relations and conditions: every kernel equals its row
+    /// counterpart at every worker count.
     #[test]
     fn vectorized_ops_equal_row_ops_on_random_relations(
         r in arb_relation(2),
@@ -341,31 +418,30 @@ proptest! {
         ci in 0usize..3,
     ) {
         let theta = [Condition::eq(1, 1), Condition::eq(2, 2), Condition::eq(2, 1)][ci].clone();
-        for &chunk in &CHUNKS {
+        let sel = Selection::Eq(1, 2);
+        prop_assert_eq!(ops_vec::select(&r, &sel), ops::select(&r, &sel));
+        let always = Condition::always();
+        for workers in KERNEL_WORKERS {
             prop_assert_eq!(
-                ops_vec::join_chunked(&r, &s, &theta, chunk),
+                kernel::join(&r, &s, &theta, EXEC, workers).0,
                 ops::join(&r, &s, &theta),
-                "join chunk {}", chunk
+                "join @{}", workers
             );
             prop_assert_eq!(
-                ops_vec::semijoin_chunked(&r, &s, &theta, chunk),
+                kernel::semijoin(&r, &s, &theta, EXEC, workers).0,
                 ops::semijoin(&r, &s, &theta),
-                "semijoin chunk {}", chunk
+                "semijoin @{}", workers
             );
-            let sel = Selection::Eq(1, 2);
             prop_assert_eq!(
-                ops_vec::select_chunked(&r, &sel, chunk),
-                ops::select(&r, &sel),
-                "select chunk {}", chunk
+                kernel::merge_join(&r, &s, 1, &always, EXEC, workers).0,
+                ops::merge_join(&r, &s, 1, &always),
+                "merge join @{}", workers
+            );
+            prop_assert_eq!(
+                kernel::merge_semijoin(&r, &s, 1, &always, EXEC, workers).0,
+                ops::merge_semijoin(&r, &s, 1, &always),
+                "merge semijoin @{}", workers
             );
         }
-        prop_assert_eq!(
-            ops_vec::merge_join(&r, &s, 1, &Condition::always()),
-            ops::merge_join(&r, &s, 1, &Condition::always())
-        );
-        prop_assert_eq!(
-            ops_vec::merge_semijoin(&r, &s, 1, &Condition::always()),
-            ops::merge_semijoin(&r, &s, 1, &Condition::always())
-        );
     }
 }
