@@ -1,19 +1,20 @@
-//! # sj-bench — experiment harness
+//! # sj-bench — the paper's deterministic artifacts
 //!
-//! Shared plumbing for the Criterion benches (`benches/`) and the
-//! `experiments` binary (`src/bin/experiments.rs`), which regenerates
-//! every table and figure of the reproduction as text and CSV (under
-//! `results/`).
+//! The [`experiments`] (run by the `experiments` binary,
+//! `src/bin/experiments.rs`) regenerate every table and figure of the
+//! reproduction as text and CSV (under `results/`), plus the workloads
+//! and the CSV plumbing they share. Every number is a tuple count, an
+//! exponent or a verdict, so the committed CSVs are byte-reproducible.
+//! Nothing in this crate reads a clock: wall-clock measurement is
+//! `benchmark/` (see `/BENCHMARK.json`).
+
+pub mod experiments;
 
 use sj_storage::Database;
-use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// The standard scale points used across the experiments.
 pub const SCALES: [usize; 5] = [16, 32, 64, 128, 256];
-
-/// Larger scales for the timing benchmarks of the direct algorithms.
-pub const TIMING_SCALES: [usize; 4] = [256, 1024, 4096, 16384];
 
 /// The adversarial division series at the standard scales.
 pub fn standard_adversarial_series() -> Vec<Database> {
@@ -67,7 +68,8 @@ pub fn beer_database_adversarial(k: i64) -> Database {
     db
 }
 
-/// A simple CSV writer into `results/<name>.csv` at the workspace root.
+/// One CSV table, destined for `results/<name>.csv` at the workspace
+/// root.
 pub struct CsvSink {
     path: PathBuf,
     rows: Vec<String>,
@@ -88,39 +90,36 @@ impl CsvSink {
         self.rows.push(cells.join(","));
     }
 
-    /// Write the file (creating `results/` if needed); returns the path.
+    /// The file's exact contents: one line per row, each
+    /// newline-terminated.
+    pub fn render(&self) -> String {
+        self.rows.join("\n") + "\n"
+    }
+
+    /// Where [`CsvSink::finish`] writes.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Write [`CsvSink::render`] to [`CsvSink::path`] (creating
+    /// `results/` if needed); returns the path.
     pub fn finish(self) -> std::io::Result<PathBuf> {
         if let Some(parent) = self.path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        let mut f = std::fs::File::create(&self.path)?;
-        writeln!(f, "{}", self.rows.join("\n"))?;
+        std::fs::write(&self.path, self.render())?;
         Ok(self.path)
     }
 }
 
 fn workspace_results_dir() -> PathBuf {
     // CARGO_MANIFEST_DIR of this crate is <root>/crates/bench.
-    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
     manifest
         .parent()
         .and_then(|p| p.parent())
         .map(|root| root.join("results"))
         .unwrap_or_else(|| PathBuf::from("results"))
-}
-
-/// Milliseconds (fractional) for one run of `f`.
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = std::time::Instant::now();
-    let out = f();
-    (out, start.elapsed().as_secs_f64() * 1e3)
-}
-
-/// Median-of-`reps` timing in milliseconds.
-pub fn time_median<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut times: Vec<f64> = (0..reps).map(|_| time_once(&mut f).1).collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
 }
 
 #[cfg(test)]
@@ -146,20 +145,11 @@ mod tests {
     }
 
     #[test]
-    fn timing_helpers() {
-        let (v, ms) = time_once(|| 21 * 2);
-        assert_eq!(v, 42);
-        assert!(ms >= 0.0);
-        assert!(time_median(3, || ()) >= 0.0);
-    }
-
-    #[test]
-    fn csv_sink_writes() {
+    fn csv_sink_renders() {
         let mut sink = CsvSink::new("test_sink", &["a", "b"]);
+        assert_eq!(sink.render(), "a,b\n");
         sink.row(&["1".into(), "2".into()]);
-        let path = sink.finish().unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(body, "a,b\n1,2\n");
-        std::fs::remove_file(path).ok();
+        assert_eq!(sink.render(), "a,b\n1,2\n");
+        assert!(sink.path().ends_with("results/test_sink.csv"));
     }
 }

@@ -354,8 +354,9 @@ impl PhysicalPlan {
     /// statistics ask the [`CostModel`] (spawn + partitioning overhead
     /// vs the work the extra workers take over), stats-free plans use
     /// the fixed [`PAR_MIN_NODE_INPUT`] cutoff — below either bar,
-    /// partitioning costs more than the operator itself, as the
-    /// `planned` rows of `results/parallel_scaling.csv` document. The
+    /// partitioning costs more than the operator itself (both bars are
+    /// hand-set; the benchmark's `eval.class_par_ratio.*` is what the
+    /// gate's decisions cost against a serial run). The
     /// cheap linear operators (scan, merge set ops, projection, filter,
     /// tag, grouping) always run serially — their cost is one pass over
     /// input the partitioning itself would have to make.

@@ -16,8 +16,9 @@
 //! attribute expressions are **not evaluated**, nothing allocates, no
 //! lock is touched, and the returned [`SpanGuard`] is inert (its `Drop`
 //! does nothing). `crates/obs/tests/alloc.rs` pins the zero-allocation
-//! property with a counting global allocator; `experiments -- obs`
-//! bounds the residual overhead on a real workload.
+//! property with a counting global allocator; the benchmark's
+//! `obs.span_off_ns` times the site and `bench.trace_overhead_share`
+//! the traced share of a workload.
 
 use std::cell::RefCell;
 use std::collections::HashMap;

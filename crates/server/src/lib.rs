@@ -60,8 +60,9 @@
 //! any tier.
 //!
 //! The serving workload driver lives in `sj-workload`
-//! (`ServingWorkload`), the throughput experiment in
-//! `experiments -- serving`, and the differential suites in
+//! (`ServingWorkload`), the throughput measurement in `benchmark/`
+//! (workloads `serve-hot`, `serve-cold`, `serve-churn`), and the
+//! differential suites in
 //! `crates/server/tests/` and the workspace `tests/serving.rs`.
 
 #![warn(missing_docs)]

@@ -173,7 +173,7 @@ pub(crate) fn remap(codes: &[u32], map: &[u32]) -> Vec<u32> {
 /// The columnar signature set join, when the element columns support it:
 /// both integer columns, or both dictionary-encoded string columns.
 /// Returns `None` otherwise (mixed-variant element columns) — callers
-/// fall back to the row-wise [`crate::signature_set_join_rowwise`].
+/// fall back to the row-wise `signature_set_join_rowwise`.
 /// Output is byte-identical to the row path.
 pub fn columnar_signature_set_join(
     r: &Relation,

@@ -40,16 +40,14 @@ pub use division::{
 };
 pub use general::divide_general;
 pub use inverted::inverted_index_set_join;
-pub use parallel::{
-    parallel_hash_division, parallel_signature_set_join, parallel_signature_set_join_rowwise,
-};
+pub use parallel::{parallel_hash_division, parallel_signature_set_join};
 pub use registry::{
     run_division_traced, run_set_join_traced, ComplexityClass, DivisionAlgorithm, Registry,
     SetJoinAlgorithm,
 };
 pub use setjoin::{
     group_sets, hash_set_equality_join, intersect_join_via_equijoin, nested_loop_set_join,
-    set_join, signature_set_join, signature_set_join_rowwise, SetPredicate,
+    set_join, signature_set_join, SetPredicate,
 };
 pub use wide_signature::{filter_survivors, wide_signature_set_join, WideSignature};
 
@@ -135,8 +133,10 @@ mod proptests {
             }
         }
 
-        /// Division is the set-containment join against a single-group
-        /// divisor: R ÷ S = π_A(R ⋈_{B ⊇ D} {0} × S).
+        /// Division is the set join against a single-group divisor, in
+        /// both semantics: R ÷ S = π_A(R ⋈_{B ⊇ D} {0} × S) and
+        /// R ÷₌ S = π_A(R ⋈_{B = D} {0} × S) — through the default set
+        /// join and through the partitioned one.
         #[test]
         fn division_is_a_set_join(
             r in arb_pairs(5, 6, 20),
@@ -150,15 +150,21 @@ mod proptests {
                     sj_storage::Value::int(0), t[0].clone(),
                 ])),
             ).unwrap();
-            let join = set_join(&r, &lifted, SetPredicate::Contains);
-            let via_join = Relation::from_tuples(
-                1,
-                join.iter().map(|t| Tuple::new(vec![t[0].clone()])),
-            ).unwrap();
-            prop_assert_eq!(
-                via_join,
-                divide(&r, &s, DivisionSemantics::Containment)
-            );
+            for (pred, sem) in [
+                (SetPredicate::Contains, DivisionSemantics::Containment),
+                (SetPredicate::Equals, DivisionSemantics::Equality),
+            ] {
+                for join in [
+                    set_join(&r, &lifted, pred),
+                    parallel_signature_set_join(&r, &lifted, pred, 4),
+                ] {
+                    let via_join = Relation::from_tuples(
+                        1,
+                        join.iter().map(|t| Tuple::new(vec![t[0].clone()])),
+                    ).unwrap();
+                    prop_assert_eq!(via_join, divide(&r, &s, sem), "{:?}", sem);
+                }
+            }
         }
 
         /// The inverted-index join equals the nested-loop baseline.

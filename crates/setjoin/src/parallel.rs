@@ -215,7 +215,7 @@ const PSJ_FANOUT: usize = 16;
 /// `i64`/joint-code verification merges ([`joint_codes`]) — no `Value`
 /// is cloned or hash-dispatched in the partition loops. Mixed-variant
 /// element columns fall back to the row-wise
-/// [`parallel_signature_set_join_rowwise`]. Output is byte-identical
+/// `parallel_signature_set_join_rowwise`. Output is byte-identical
 /// either way, at every worker count.
 ///
 /// # Panics
@@ -397,14 +397,14 @@ where
 
 /// The row-wise partition-based set join: groups materialized as
 /// `(key, Vec<Value>)`, signatures hashed per `Value` — the fallback
-/// for mixed-variant element columns and the differential baseline for
-/// the columnar path.
+/// for mixed-variant element columns and the in-crate differential
+/// baseline of the columnar path.
 ///
 /// # Panics
 ///
 /// On [`SetPredicate::IntersectsNonempty`], like the dispatching
 /// [`parallel_signature_set_join`].
-pub fn parallel_signature_set_join_rowwise(
+pub(crate) fn parallel_signature_set_join_rowwise(
     r: &Relation,
     s: &Relation,
     pred: SetPredicate,

@@ -730,14 +730,13 @@ impl Registry {
 // ---------------------------------------------------------------------------
 
 /// Verification work per nested-loop candidate pair, in
-/// [`CostModel::verify`] units — calibrated against the measured
-/// `results/setjoin_shootout.csv` medians (the exact merge test bails
+/// [`CostModel::verify`] units — hand-set (the exact merge test bails
 /// out early on most non-matching pairs, so the effective per-pair cost
 /// is a small constant rather than the full set size).
 const NL_PAIR: f64 = 2.4;
 
 /// Per-candidate scan factor of the inverted-index join's postings
-/// intersection (calibrated like [`NL_PAIR`]).
+/// intersection (hand-set like [`NL_PAIR`]).
 const INV_SCAN: f64 = 0.55;
 
 /// Per-probe-group bookkeeping of the inverted-index join (it
@@ -754,8 +753,9 @@ const PSJ_PROBE: f64 = 0.2;
 /// algorithm on inputs with the given statistics.
 ///
 /// The standard algorithm names get refined formulas (constants
-/// calibrated against `results/division_shootout.csv`); anything else
-/// is priced by the generic [`CostModel::class_cost`] of its declared
+/// hand-set; the benchmark's `setjoin.auto_regret.div-direct` checks
+/// the selector they drive against `setjoin.division_ms.*`); anything
+/// else is priced by the generic [`CostModel::class_cost`] of its declared
 /// [`ComplexityClass`] — so user-registered algorithms participate in
 /// cost-based selection from their class alone.
 pub fn division_cost(
@@ -798,8 +798,8 @@ pub fn division_cost(
 
 /// Estimated cost, in [`CostModel`] units, of running a set-join
 /// algorithm on inputs with the given statistics (see
-/// [`division_cost`]; constants calibrated against
-/// `results/setjoin_shootout.csv`).
+/// [`division_cost`]; constants hand-set, the selector checked by the
+/// benchmark's `setjoin.auto_regret.setjoin-*`).
 ///
 /// The quadratic algorithms are priced on the **group-pair space**
 /// `G_R · G_S` with the expected exact-verification work derived from

@@ -138,7 +138,7 @@ pub fn signature(values: &[Value]) -> u64 {
 /// work runs on the columnar view — zero-copy group slices, a dense u64
 /// signature fold, and `i64`/dictionary-code verification merges (see
 /// [`crate::columnar`]). Mixed-variant columns fall back to the
-/// row-wise [`signature_set_join_rowwise`]. Output is identical either
+/// row-wise `signature_set_join_rowwise`. Output is identical either
 /// way.
 pub fn signature_set_join(r: &Relation, s: &Relation, pred: SetPredicate) -> Relation {
     if let Some(out) = crate::columnar::columnar_signature_set_join(r, s, pred) {
@@ -148,9 +148,14 @@ pub fn signature_set_join(r: &Relation, s: &Relation, pred: SetPredicate) -> Rel
 }
 
 /// The row-wise signature set join: groups materialized as
-/// `(key, Vec<Value>)`, signatures hashed per `Value`. Kept public as
-/// the differential baseline for the columnar path and for benchmarks.
-pub fn signature_set_join_rowwise(r: &Relation, s: &Relation, pred: SetPredicate) -> Relation {
+/// `(key, Vec<Value>)`, signatures hashed per `Value` — the fallback
+/// for mixed-variant element columns and the in-crate differential
+/// baseline of the columnar path.
+pub(crate) fn signature_set_join_rowwise(
+    r: &Relation,
+    s: &Relation,
+    pred: SetPredicate,
+) -> Relation {
     let rg = group_sets(r);
     let sg = group_sets(s);
     let rsig: Vec<u64> = rg.iter().map(|(_, vs)| signature(vs)).collect();

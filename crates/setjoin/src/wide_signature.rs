@@ -176,19 +176,31 @@ mod tests {
     fn wider_signatures_filter_no_worse() {
         // Survivor count is monotonically non-increasing in width on the
         // same workload (more bits ⇒ fewer collisions ⇒ fewer false
-        // positives), and always ≥ the true result size.
-        let r = relation_of_sets(40, 8, 64, 3);
-        let s = relation_of_sets(40, 6, 64, 4);
-        let truth = nested_loop_set_join(&r, &s, SetPredicate::Contains).len();
-        let mut last = usize::MAX;
-        for words in [1usize, 2, 4, 8] {
-            let surv = filter_survivors(&r, &s, SetPredicate::Contains, words);
-            assert!(surv >= truth, "filter lost true pairs");
-            assert!(
-                surv <= last,
-                "width {words} filtered worse: {surv} > {last}"
-            );
-            last = surv;
+        // positives), and always ≥ the true result size. The second
+        // pair is the regime of the `signature-ablation` experiment:
+        // large left sets saturate 64 bits, small right sets keep true
+        // containments plausible, so width has something to remove.
+        for (r, s) in [
+            (
+                relation_of_sets(40, 8, 64, 3),
+                relation_of_sets(40, 6, 64, 4),
+            ),
+            (
+                relation_of_sets(40, 40, 256, 5),
+                relation_of_sets(40, 2, 256, 6),
+            ),
+        ] {
+            let truth = nested_loop_set_join(&r, &s, SetPredicate::Contains).len();
+            let mut last = usize::MAX;
+            for words in [1usize, 2, 4, 8] {
+                let surv = filter_survivors(&r, &s, SetPredicate::Contains, words);
+                assert!(surv >= truth, "filter lost true pairs");
+                assert!(
+                    surv <= last,
+                    "width {words} filtered worse: {surv} > {last}"
+                );
+                last = surv;
+            }
         }
     }
 

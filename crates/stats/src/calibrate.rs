@@ -71,9 +71,9 @@ impl Calibrator {
     /// Record an observation by **evaluating a cost formula at basis
     /// models**: the formulas are linear in the constants, so
     /// `cost(eᵢ)` (constant `i` = 1, the rest 0) *is* the `i`-th
-    /// feature, exactly. This is how the shootout experiments feed the
-    /// registry's own `division_cost` / `set_join_cost` closures in
-    /// without re-deriving any formula.
+    /// feature, exactly. This is how a caller feeds the registry's own
+    /// `division_cost` / `set_join_cost` closures in without
+    /// re-deriving any formula.
     pub fn observe_cost(&mut self, cost: impl Fn(&CostModel) -> f64, measured: f64) {
         let mut features = [0.0; COST_PARAMS];
         for (i, f) in features.iter_mut().enumerate() {

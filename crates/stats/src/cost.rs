@@ -8,10 +8,12 @@
 //! two linear algorithms, so [`CostModel`] refines it into a scalar
 //! **estimated cost** in abstract *tuple-operation units*: one unit ≈
 //! touching one tuple in a tight merge scan (a handful of nanoseconds
-//! on current hardware). The per-operation constants were calibrated
-//! against the measured medians in `results/division_shootout.csv` and
-//! `results/setjoin_shootout.csv`; `experiments -- cost` re-validates
-//! the calibration against fresh measurements on every run.
+//! on current hardware). The per-operation constants are hand-set; no
+//! committed measurement derives them. What checks them is the
+//! benchmark (`benchmark/`, metric names in `/BENCHMARK.json`):
+//! `setjoin.auto_regret.*` is the costed selector's pick ÷ the fastest
+//! registered algorithm, `eval.class_par_ratio.*` is what the
+//! partition gate's decisions cost against a serial run.
 
 use std::fmt;
 

@@ -49,6 +49,18 @@ fn differential(name: &str, db: &Database, e: &Expr) {
     }
 }
 
+/// Does `JoinOrder::Dp` over fresh statistics lower `e` to the multiway
+/// operator?
+fn fires_multiway(db: &Database, e: &Expr) -> bool {
+    Engine::new(db.clone())
+        .stats(StatsMode::Analyze)
+        .join_order(JoinOrder::Dp)
+        .query(e.clone())
+        .explain()
+        .unwrap()
+        .contains("multiway-join")
+}
+
 fn pairs(rows: impl IntoIterator<Item = [i64; 2]>) -> Relation {
     Relation::from_tuples(2, rows.into_iter().map(|r| Tuple::from_ints(&r))).unwrap()
 }
@@ -134,6 +146,7 @@ fn chains_stars_and_wrapped_joins_agree() {
     let star = Expr::rel("R")
         .join(Condition::eq(1, 1), Expr::rel("S"))
         .join(Condition::eq(1, 1), Expr::rel("T"));
+    assert!(!fires_multiway(&db, &star), "the trigger fired on a star");
     // Expressions around and inside the chain: the reorderer recurses
     // through non-join nodes and restores the written column order.
     let wrapped = chain.clone().project([5, 1, 3]).select_lt(2, 1);
@@ -165,18 +178,21 @@ fn skewed_triangles_agree_where_the_multiway_operator_fires() {
     // The suite's premise: this workload actually routes Dp through the
     // multiway operator (skew pushes every pairwise estimate past the
     // AGM bound) — otherwise the differential below tests nothing new.
-    let explained = Engine::new(db.clone())
-        .stats(StatsMode::Analyze)
-        .join_order(JoinOrder::Dp)
-        .query(q.clone())
-        .explain()
-        .unwrap();
     assert!(
-        explained.contains("multiway-join"),
-        "AGM trigger stayed cold on the skewed triangle:\n{explained}"
+        fires_multiway(&db, &q),
+        "AGM trigger stayed cold on the skewed triangle"
     );
     differential("skewed triangle", &db, &q);
 
+    // The two controls where the trigger must stay cold: without hubs a
+    // triangle's pairwise plans are already AGM-tight, and for any
+    // 4-cycle the cheapest adjacent pairwise estimate is at most
+    // `min(r1·r2, r3·r4) ≤ √(r1·r2·r3·r4)`, the cycle's AGM bound,
+    // whatever the skew.
+    let uniform = CyclicWorkload {
+        edges: EdgeDist::Uniform,
+        ..w
+    };
     let four = CyclicWorkload {
         cycle_len: 4,
         edges_per_table: 300,
@@ -184,7 +200,11 @@ fn skewed_triangles_agree_where_the_multiway_operator_fires() {
         edges: EdgeDist::Zipf(1.2),
         seed: 0x7A2,
     };
-    differential("skewed 4-cycle", &four.database(), &four.query());
+    for (name, control) in [("uniform triangle", uniform), ("skewed 4-cycle", four)] {
+        let (db, q) = (control.database(), control.query());
+        assert!(!fires_multiway(&db, &q), "the trigger fired on the {name}");
+        differential(name, &db, &q);
+    }
 }
 
 // ---------------------------------------------------------------------------

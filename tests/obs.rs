@@ -158,17 +158,27 @@ fn query_profile_render_is_deterministic_and_complete() {
 }
 
 /// One served query yields one connected trace:
-/// `server.dispatch → {storage.snapshot, server.query → plan.node}`,
-/// with the exit attributes (tier, output rows) on the query span.
+/// `server.dispatch → {storage.snapshot, server.query → plan.node →
+/// kernel.* → kernel.partition}`, with the exit attributes (tier,
+/// output rows) on the query span. The second query is an equi-join
+/// big enough to open the partition gate at two workers, so its
+/// `kernel.partition` spans open on pool threads and must still hang
+/// off the serving span.
 #[test]
 fn served_queries_trace_the_full_hierarchy() {
     let _guard = lock();
-    let db = division_db();
+    let mut db = division_db();
     let expected = Engine::new(db.clone())
         .query(division::division_double_difference("R", "S"))
         .run()
         .unwrap()
         .relation;
+    let n = 12_000i64;
+    let ints = |f: fn(i64) -> i64| {
+        Relation::from_tuples(2, (0..n).map(|i| Tuple::from_ints(&[i, f(i)]))).unwrap()
+    };
+    db.set("E", ints(|i| i));
+    db.set("F", ints(|i| i + 1));
     let server = Server::start(
         db,
         ServerConfig {
@@ -184,14 +194,21 @@ fn served_queries_trace_the_full_hierarchy() {
             .query(division::division_double_difference("R", "S"))
             .unwrap();
         assert_eq!(*resp.relation, expected);
+        let joined = session
+            .query(Expr::rel("E").join_eq([(2, 1)], Expr::rel("F")))
+            .unwrap();
+        assert_eq!(joined.relation.len(), n as usize);
         resp.relation.len()
     });
     server.shutdown();
     let log = ring.log();
-    assert_eq!(log.spans("server.dispatch").count(), 1);
+    assert_eq!(log.evicted, 0, "ring sized for both traces");
+    assert_eq!(log.spans("server.dispatch").count(), 2);
     let queries: Vec<_> = log.spans("server.query").collect();
-    assert_eq!(queries.len(), 1);
-    assert!(log.has_ancestor(queries[0], "server.dispatch"));
+    assert_eq!(queries.len(), 2);
+    assert!(queries
+        .iter()
+        .all(|q| log.has_ancestor(q, "server.dispatch")));
     assert_eq!(
         queries[0].attr("tier").map(ToString::to_string).as_deref(),
         Some("cold")
@@ -208,6 +225,62 @@ fn served_queries_trace_the_full_hierarchy() {
             .all(|p| log.has_ancestor(p, "server.query")),
         "every plan node hangs off the query span"
     );
+    let mut kernels = log
+        .records
+        .iter()
+        .filter(|r| r.name.starts_with("kernel.") && r.name != "kernel.partition")
+        .peekable();
+    assert!(kernels.peek().is_some(), "kernel entry points traced");
+    assert!(
+        kernels.all(|k| log.has_ancestor(k, "plan.node")),
+        "every kernel call hangs off a plan node"
+    );
+    let mut partitions = log.spans("kernel.partition").peekable();
+    assert!(
+        partitions.peek().is_some(),
+        "the 12k ⋈ 12k join at 2 workers fans out into partition spans"
+    );
+    assert!(
+        partitions.all(|p| log.has_ancestor(p, "server.query")),
+        "cross-thread partition spans stay attached to the serving span"
+    );
+}
+
+/// [`Engine::calibrate`] closes the loop from a trace back into the
+/// cost model. What a serial run's kernel spans can price is a tuple
+/// pass, a hash op and operator setup; every other constant must come
+/// back as the engine's own value (not the default's), and whatever the
+/// wall clock said, all seven stay finite and non-negative.
+#[test]
+fn engine_calibrate_keeps_what_the_trace_never_exercised() {
+    let _guard = lock();
+    let own = CostModel::from_array([1.0, 2.0, 150.0, 321.0, 4321.0, 0.5, 1.5]);
+    let engine = Engine::new(division_db())
+        .strategy(Strategy::Planned)
+        .cost_model(own.clone());
+    let ring = Arc::new(RingCollector::new(1 << 12));
+    setjoins::obs::with_collector(ring.clone(), || {
+        engine
+            .query(division::division_double_difference("R", "S"))
+            .run()
+            .unwrap();
+        engine
+            .query(Expr::rel("R").join_eq([(1, 1)], Expr::rel("R")))
+            .run()
+            .unwrap();
+    });
+    let log = ring.log();
+    assert!(
+        log.records.iter().any(|r| r.name.starts_with("kernel.")),
+        "the trace holds kernel spans to fit"
+    );
+    let refit = engine.calibrate(&log).to_array();
+    assert!(
+        refit.iter().all(|c| c.is_finite() && *c >= 0.0),
+        "{refit:?}"
+    );
+    // partition_setup, spawn, sig_test, verify
+    assert_eq!(refit[3..], own.to_array()[3..]);
 }
 
 /// [`Server::metrics_text`] exposes the serving series with correct
