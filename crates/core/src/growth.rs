@@ -77,11 +77,11 @@ impl GrowthReport {
 pub fn measure_growth(e: &Expr, series: &[Database]) -> Result<GrowthReport, EvalError> {
     let mut points = Vec::with_capacity(series.len());
     for db in series {
-        let report = evaluate_instrumented(e, db)?;
+        let (_, report) = evaluate_instrumented(e, db)?;
         points.push(GrowthPoint {
             db_size: report.db_size,
             max_intermediate: report.max_intermediate(),
-            output: report.result.len(),
+            output: report.output_rows,
         });
     }
     let xy: Vec<(f64, f64)> = points

@@ -77,11 +77,11 @@ mod integration {
         for n in [2usize, 4, 8] {
             let dn = pump.database(n);
             assert!(dn.size() <= pump.size_constant() * n, "size bound at n={n}");
-            let report = evaluate_instrumented(&e, &dn).unwrap();
+            let (_, report) = evaluate_instrumented(&e, &dn).unwrap();
             assert!(
-                report.result.len() >= n * n,
+                report.output_rows >= n * n,
                 "|E(D{n})| = {} < n² = {}",
-                report.result.len(),
+                report.output_rows,
                 n * n
             );
             // E₁(Dₙ) contains every left copy (guarded bisimilarity at
@@ -213,10 +213,10 @@ mod integration {
                 "S",
                 Relation::unary((0..7).map(|b| sj_storage::Value::int(1000 + b))),
             );
-            let report = evaluate_instrumented(&sa_equivalent, &db).unwrap();
+            let (result, report) = evaluate_instrumented(&sa_equivalent, &db).unwrap();
             assert!(report.max_intermediate() <= db.size());
             // And equivalence holds at every scale.
-            assert_eq!(report.result, evaluate(&e, &db).unwrap());
+            assert_eq!(result, evaluate(&e, &db).unwrap());
         }
     }
 

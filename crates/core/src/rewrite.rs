@@ -433,7 +433,7 @@ mod tests {
         let e = Expr::rel("R").join(Condition::eq(2, 1), Expr::rel("U1"));
         let sa = to_sa_eq(&e, &schema()).unwrap();
         let d = db();
-        let report = evaluate_instrumented(&sa, &d).unwrap();
+        let (_, report) = evaluate_instrumented(&sa, &d).unwrap();
         assert!(report.max_intermediate() <= d.size() + 1);
     }
 

@@ -1,13 +1,11 @@
 //! The [`Engine`]: one configurable entry point for every way this
 //! workspace can answer a query.
 //!
-//! Before the engine existed, every caller hand-wired its own pipeline
-//! out of ~15 free functions: pick an optimizer call, pick an evaluator
-//! (`evaluate` / `evaluate_instrumented` / `evaluate_planned` /
-//! `evaluate_reference`), pick a division or set-join algorithm, and pick
-//! one of two `explain` flavors. The paper's dichotomy is fundamentally a
-//! statement about *which plan/algorithm gets picked* — so that choice
-//! should be configuration on one object, not copy-pasted call sites:
+//! The paper's dichotomy is fundamentally a statement about *which
+//! plan/algorithm gets picked* — so that choice is configuration on one
+//! object (optimizer pipeline, evaluator, instrumentation, division or
+//! set-join algorithm), not a pipeline each caller hand-wires out of free
+//! functions:
 //!
 //! ```
 //! use sj_eval::{Engine, Instrument, Strategy};
@@ -34,15 +32,21 @@
 //!
 //! * [`Engine::query`] builds a [`Query`]; [`Query::run`] returns a
 //!   single [`QueryOutput`] `{ relation, report, plan }`, and
-//!   [`Query::explain`] unifies the old `explain` / `explain_plan` pair.
+//!   [`Query::explain`] renders the plan of whichever strategy is set.
 //! * [`Engine::divide`] and [`Engine::set_join`] route the direct
 //!   division/set-join operators through the
 //!   [`sj_setjoin::Registry`], so algorithm ablations are a
 //!   one-line [`Engine::algorithm`] change; the default
-//!   [`AlgorithmChoice::Auto`] picks by predicate and input statistics.
+//!   [`AlgorithmChoice::Auto`] picks the estimated-cheapest algorithm.
+//! * Statistics are an input, not a mode: the engine owns a
+//!   [`StatsCatalog`] that analyzes each relation the first time a plan
+//!   or an `Auto` pick reads it and again whenever the stored relation
+//!   changed (`Arc::ptr_eq` freshness). Every [`Strategy::Planned`] plan
+//!   and every `Auto` pick is costed from it; [`Strategy::Naive`] and
+//!   [`Strategy::Reference`] never touch it.
 
 use crate::error::EvalError;
-use crate::exec::Execution;
+use crate::exec::{Execution, StatsMode};
 use crate::explain::render_tree;
 use crate::instrumented::{evaluate_instrumented, EvalReport};
 use crate::joinorder::JoinOrder;
@@ -53,7 +57,7 @@ use crate::reference::evaluate_reference;
 use sj_algebra::{AlgebraError, Expr, OptimizeLevel, Pipeline};
 use sj_setjoin::registry::{ComplexityClass, Registry};
 use sj_setjoin::{DivisionSemantics, SetPredicate};
-use sj_stats::{AnalyzeSource, CatalogSource, CostModel, StatsCatalog, TableStats};
+use sj_stats::{CatalogSource, CostModel, StatsCatalog, TableStats};
 use sj_storage::{Database, Relation};
 use std::fmt;
 use std::sync::Arc;
@@ -62,9 +66,11 @@ use std::time::{Duration, Instant};
 /// Which evaluator executes the (optimized) expression.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
 pub enum Strategy {
-    /// The DAG-memoizing physical planner ([`crate::evaluate_planned`]):
-    /// every distinct subexpression evaluated once, zero-copy leaf scans,
-    /// merge operators on aligned key prefixes. The production default.
+    /// The DAG-memoizing, cost-based physical planner
+    /// ([`crate::PhysicalPlan`]): every distinct subexpression evaluated
+    /// once, zero-copy leaf scans, merge operators on aligned key
+    /// prefixes, join chains ordered from statistics. The production
+    /// default.
     #[default]
     Planned,
     /// The tree-walking evaluator ([`crate::evaluate`]): one evaluation
@@ -94,55 +100,13 @@ pub enum Instrument {
     /// No per-node statistics; fastest. [`QueryOutput::report`] is `None`.
     #[default]
     Off,
-    /// Record per-node cardinalities (the Definition 16 quantities).
+    /// Record per-node cardinalities (the Definition 16 quantities) and
+    /// self times in a [`Report`], plus the end-to-end
+    /// [`QueryOutput::elapsed`]; [`QueryOutput::profile`] packages them
+    /// as an `EXPLAIN ANALYZE`-style [`crate::QueryProfile`] (estimated
+    /// vs actual rows, q-error, partition counts, with a timing-masked
+    /// rendering for golden tests).
     Cardinalities,
-    /// Cardinalities plus wall-clock timing: per-node self times in the
-    /// report and the end-to-end [`QueryOutput::elapsed`].
-    Timings,
-    /// Everything `Timings` records, packaged as an `EXPLAIN
-    /// ANALYZE`-style [`crate::QueryProfile`] via
-    /// [`QueryOutput::profile`]: per-node estimated vs actual rows,
-    /// q-error, elapsed, and partition counts, with a
-    /// timing-masked rendering for golden tests.
-    Profile,
-}
-
-/// Whether (and how) the engine collects per-relation statistics for
-/// cost-based decisions.
-///
-/// With statistics, [`Engine::divide`] / [`Engine::set_join`] pick the
-/// estimated-cheapest registry algorithm
-/// ([`Registry::auto_division_costed`]), and [`Strategy::Planned`]
-/// queries plan with per-node cardinality estimates (operator choice,
-/// the partition-parallelism gate, `est≈` annotations in [`Query::explain`]
-/// and instrumented reports). Results never depend on the mode — only
-/// which algorithm/operator computes them.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
-pub enum StatsMode {
-    /// No statistics. Selection falls back to the fixed thresholds of
-    /// [`sj_setjoin::registry::thresholds`] — byte-identical behavior
-    /// to engines predating the statistics subsystem.
-    #[default]
-    Off,
-    /// Analyze operand relations afresh on every call: always-current
-    /// statistics at the price of one `ANALYZE` pass per operand
-    /// (linear in the relation — usually dwarfed by the operator
-    /// itself).
-    Analyze,
-    /// Analyze on first use and cache per relation name in a shared
-    /// [`StatsCatalog`]; the cache invalidates copy-on-write whenever
-    /// a relation is replaced or mutated (see [`StatsCatalog`]).
-    Cached,
-}
-
-impl fmt::Display for StatsMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StatsMode::Off => write!(f, "off"),
-            StatsMode::Analyze => write!(f, "analyze"),
-            StatsMode::Cached => write!(f, "cached"),
-        }
-    }
 }
 
 /// How [`Engine::divide`] / [`Engine::set_join`] pick their algorithm
@@ -150,7 +114,7 @@ impl fmt::Display for StatsMode {
 #[derive(Clone, PartialEq, Eq, Debug, Default, Hash)]
 pub enum AlgorithmChoice {
     /// Let [`Registry::auto_set_join`] / [`Registry::auto_division`]
-    /// choose from the predicate and input statistics.
+    /// pick the cheapest algorithm for the operands' statistics.
     #[default]
     Auto,
     /// Always use the named algorithm (registry lookup by name).
@@ -175,14 +139,6 @@ pub enum Report {
 }
 
 impl Report {
-    /// The query result the instrumented run computed.
-    pub fn result(&self) -> &Relation {
-        match self {
-            Report::Naive(r) => &r.result,
-            Report::Planned(r) => &r.result,
-        }
-    }
-
     /// The largest intermediate (or final) cardinality — the quantity the
     /// dichotomy theorem is about.
     pub fn max_intermediate(&self) -> usize {
@@ -244,8 +200,8 @@ pub struct QueryOutput {
     pub report: Option<Report>,
     /// The physical plan that was executed ([`Strategy::Planned`] only).
     pub plan: Option<PhysicalPlan>,
-    /// End-to-end wall-clock time (optimize + plan + execute), recorded
-    /// under [`Instrument::Timings`] and [`Instrument::Profile`].
+    /// End-to-end wall-clock time (optimize + plan + execute), present
+    /// iff `report` is.
     pub elapsed: Option<Duration>,
     /// The parallelism the engine ran the query under. Worker counts and
     /// per-partition timings appear in the planned report
@@ -255,9 +211,7 @@ pub struct QueryOutput {
 
 impl QueryOutput {
     /// The `EXPLAIN ANALYZE`-style per-node breakdown of this run, when
-    /// a report was collected (any instrument level except `Off`;
-    /// request [`Instrument::Profile`] to also get the end-to-end
-    /// elapsed time in the header).
+    /// a report was collected ([`Instrument::Cardinalities`]).
     pub fn profile(&self) -> Option<crate::QueryProfile> {
         self.report
             .as_ref()
@@ -293,7 +247,6 @@ pub struct Engine {
     algorithm: AlgorithmChoice,
     registry: Arc<Registry>,
     parallelism: Parallelism,
-    stats: StatsMode,
     catalog: Arc<StatsCatalog>,
     cost_model: Arc<CostModel>,
     join_order: JoinOrder,
@@ -304,7 +257,9 @@ impl Engine {
     /// ([`OptimizeLevel::Off`] — the expression runs as written),
     /// [`Strategy::Planned`], [`Instrument::Off`],
     /// [`AlgorithmChoice::Auto`] over the standard registry,
-    /// [`Parallelism::Serial`].
+    /// [`Parallelism::Serial`], [`JoinOrder::Dp`], the default
+    /// [`CostModel`] and an empty statistics catalog that fills on
+    /// first use.
     pub fn new(db: Database) -> Engine {
         Engine {
             db,
@@ -314,7 +269,6 @@ impl Engine {
             algorithm: AlgorithmChoice::default(),
             registry: Registry::standard_shared(),
             parallelism: Parallelism::default(),
-            stats: StatsMode::default(),
             catalog: Arc::new(StatsCatalog::new()),
             cost_model: Arc::new(CostModel::default()),
             join_order: JoinOrder::default(),
@@ -362,9 +316,10 @@ impl Engine {
 
     /// Set the execution parallelism. Under [`Parallelism::Threads`] the
     /// planned executor runs independent DAG nodes concurrently and
-    /// join/semijoin nodes partition-parallel, and the registry's `auto`
-    /// selectors may pick the partition-parallel division/set-join
-    /// variants for large inputs. Results are byte-identical to
+    /// join/semijoin nodes partition-parallel where the cost model's
+    /// gate says the operands are large enough, and the registry's
+    /// `auto` selectors price the partition-parallel division/set-join
+    /// variants at this worker count. Results are byte-identical to
     /// [`Parallelism::Serial`] (the default) for every worker count; the
     /// tree-walking [`Strategy::Naive`] and [`Strategy::Reference`]
     /// evaluators — measurement instruments, not production paths —
@@ -380,11 +335,9 @@ impl Engine {
         self
     }
 
-    /// Set the statistics mode (see [`StatsMode`]). Clones of a
-    /// [`StatsMode::Cached`] engine share one catalog, so statistics
-    /// analyzed by one clone benefit the others.
-    pub fn stats(mut self, mode: StatsMode) -> Engine {
-        self.stats = mode;
+    /// Accepted and ignored: [`StatsMode`] has one value and selects
+    /// nothing (see [`crate::exec`]). Kept because `benchmark/` calls it.
+    pub fn stats(self, _mode: StatsMode) -> Engine {
         self
     }
 
@@ -421,12 +374,10 @@ impl Engine {
     }
 
     /// Set the join-order mode: how the planner associates join chains
-    /// when statistics are on ([`JoinOrder::Dp`], the default, runs the
-    /// exhaustive bushy search and enables the worst-case-optimal
-    /// multiway collapse for AGM-bound-beating cyclic chains;
-    /// [`JoinOrder::AsWritten`] keeps the written shape). Ignored under
-    /// [`StatsMode::Off`] — without estimates there is nothing to cost
-    /// orders with. Results are byte-identical in every mode.
+    /// ([`JoinOrder::Dp`], the default, runs the exhaustive bushy search
+    /// and enables the worst-case-optimal multiway collapse for
+    /// AGM-bound-beating cyclic chains; [`JoinOrder::AsWritten`] keeps
+    /// the written shape). Results are byte-identical in both modes.
     pub fn join_order(mut self, order: JoinOrder) -> Engine {
         self.join_order = order;
         self
@@ -437,13 +388,9 @@ impl Engine {
         self.join_order
     }
 
-    /// The configured statistics mode.
-    pub fn stats_mode(&self) -> StatsMode {
-        self.stats
-    }
-
-    /// The shared statistics catalog ([`StatsMode::Cached`] fills it;
-    /// the other modes leave it empty).
+    /// The statistics catalog, shared by every clone and
+    /// [fork](Engine::fork) of this engine; planning and `Auto` picks
+    /// fill it lazily.
     pub fn catalog(&self) -> &StatsCatalog {
         &self.catalog
     }
@@ -495,7 +442,8 @@ impl Engine {
     }
 
     /// Division `dividend ÷ divisor`, routed through the registry
-    /// ([`AlgorithmChoice::Auto`] picks by semantics and input size).
+    /// ([`AlgorithmChoice::Auto`] picks the algorithm the cost model
+    /// prices cheapest on the operands' statistics).
     pub fn divide(
         &self,
         dividend: &str,
@@ -507,11 +455,9 @@ impl Engine {
         let workers = self.parallelism.workers();
         let alg = match &self.algorithm {
             AlgorithmChoice::Auto => {
-                let rs = self.operand_stats(dividend, r);
-                let ss = self.operand_stats(divisor, s);
-                let stats = rs.as_deref().zip(ss.as_deref());
+                let (rs, ss) = (self.operand_stats(dividend), self.operand_stats(divisor));
                 self.registry
-                    .auto_division_costed(r, s, sem, workers, stats, &self.cost_model)
+                    .auto_division(&rs, &ss, sem, workers, &self.cost_model)
                     .ok_or_else(|| EvalError::UnknownAlgorithm("auto (empty registry)".into()))?
             }
             AlgorithmChoice::Named(name) => self
@@ -546,11 +492,9 @@ impl Engine {
         let workers = self.parallelism.workers();
         let alg = match &self.algorithm {
             AlgorithmChoice::Auto => {
-                let rs = self.operand_stats(left, r);
-                let ss = self.operand_stats(right, s);
-                let stats = rs.as_deref().zip(ss.as_deref());
+                let (rs, ss) = (self.operand_stats(left), self.operand_stats(right));
                 self.registry
-                    .auto_set_join_costed(r, s, pred, workers, stats, &self.cost_model)
+                    .auto_set_join(&rs, &ss, pred, workers, &self.cost_model)
                     .ok_or_else(|| {
                         // None means nothing registered supports the predicate
                         // — distinguish that from a genuinely empty registry.
@@ -588,44 +532,24 @@ impl Engine {
         })
     }
 
-    /// Build the physical plan for an (optimized) expression: plain
-    /// under [`StatsMode::Off`], estimate-annotated and cost-gated
-    /// otherwise.
+    /// Build the physical plan for an (optimized) expression, costed
+    /// from the engine's catalog.
     fn plan_for(&self, expr: &Expr) -> Result<PhysicalPlan, EvalError> {
-        let schema = self.db.schema();
-        match self.stats {
-            StatsMode::Off => PhysicalPlan::of(expr, &schema),
-            StatsMode::Analyze => {
-                let src = AnalyzeSource::new(&self.db);
-                PhysicalPlan::of_costed_with_order(
-                    expr,
-                    &schema,
-                    &src,
-                    &self.cost_model,
-                    self.join_order,
-                )
-            }
-            StatsMode::Cached => {
-                let src = CatalogSource::new(&self.catalog, &self.db);
-                PhysicalPlan::of_costed_with_order(
-                    expr,
-                    &schema,
-                    &src,
-                    &self.cost_model,
-                    self.join_order,
-                )
-            }
-        }
+        PhysicalPlan::of_costed_with_order(
+            expr,
+            &self.db.schema(),
+            &CatalogSource::new(&self.catalog, &self.db),
+            &self.cost_model,
+            self.join_order,
+        )
     }
 
-    /// Statistics for a set-operator operand per the configured
-    /// [`StatsMode`]: `None` (off), a fresh analysis, or a catalog hit.
-    fn operand_stats(&self, name: &str, rel: &Relation) -> Option<Arc<TableStats>> {
-        match self.stats {
-            StatsMode::Off => None,
-            StatsMode::Analyze => Some(Arc::new(TableStats::analyze(rel))),
-            StatsMode::Cached => self.catalog.stats_for(&self.db, name),
-        }
+    /// Catalog statistics for a set-operator operand that
+    /// [`Engine::operand`] already found.
+    fn operand_stats(&self, name: &str) -> Arc<TableStats> {
+        self.catalog
+            .stats_for(&self.db, name)
+            .expect("the operand exists: `operand` looked it up")
     }
 
     /// Look up a set-operator operand and check its arity.
@@ -668,12 +592,6 @@ impl Query<'_> {
     }
 
     /// Optimize, plan (under [`Strategy::Planned`]), and execute.
-    ///
-    /// Instrumented runs hand the result out twice — as
-    /// [`QueryOutput::relation`] and inside the report, whose `result`
-    /// field the report renderers use — at the cost of one copy of the
-    /// result relation. Turn instrumentation [`Instrument::Off`] on hot
-    /// paths where only the relation matters.
     pub fn run(&self) -> Result<QueryOutput, EvalError> {
         let engine = self.engine;
         let start = Instant::now();
@@ -686,79 +604,49 @@ impl Query<'_> {
             Strategy::Planned => engine.parallelism,
             Strategy::Naive | Strategy::Reference => Parallelism::Serial,
         };
-        let mut out = match engine.strategy {
-            Strategy::Reference => QueryOutput {
-                relation: evaluate_reference(&expr, &engine.db)?,
-                report: None,
-                plan: None,
-                elapsed: None,
-                parallelism,
-            },
-            Strategy::Naive => {
-                if instrumented {
-                    let report = evaluate_instrumented(&expr, &engine.db)?;
-                    QueryOutput {
-                        relation: report.result.clone(),
-                        report: Some(Report::Naive(report)),
-                        plan: None,
-                        elapsed: None,
-                        parallelism,
-                    }
-                } else {
-                    QueryOutput {
-                        relation: evaluate(&expr, &engine.db)?,
-                        report: None,
-                        plan: None,
-                        elapsed: None,
-                        parallelism,
-                    }
-                }
+        let (relation, report, plan) = match engine.strategy {
+            Strategy::Reference => (evaluate_reference(&expr, &engine.db)?, None, None),
+            Strategy::Naive if instrumented => {
+                let (relation, report) = evaluate_instrumented(&expr, &engine.db)?;
+                (relation, Some(Report::Naive(report)), None)
             }
+            Strategy::Naive => (evaluate(&expr, &engine.db)?, None, None),
             Strategy::Planned => {
                 let plan = engine.plan_for(&expr)?;
-                if instrumented {
-                    let report = plan.execute_instrumented_with(&engine.db, parallelism)?;
-                    QueryOutput {
-                        relation: report.result.clone(),
-                        report: Some(Report::Planned(report)),
-                        plan: Some(plan),
-                        elapsed: None,
-                        parallelism,
-                    }
+                let (relation, report) = if instrumented {
+                    let (relation, report) =
+                        plan.execute_instrumented_with(&engine.db, parallelism)?;
+                    (relation, Some(Report::Planned(report)))
                 } else {
-                    QueryOutput {
-                        relation: plan.execute_with(&engine.db, parallelism)?,
-                        report: None,
-                        plan: Some(plan),
-                        elapsed: None,
-                        parallelism,
-                    }
-                }
+                    (plan.execute_with(&engine.db, parallelism)?, None)
+                };
+                (relation, report, Some(plan))
             }
         };
-        if matches!(engine.instrument, Instrument::Timings | Instrument::Profile) {
-            out.elapsed = Some(start.elapsed());
-        }
-        Ok(out)
+        Ok(QueryOutput {
+            relation,
+            elapsed: report.is_some().then(|| start.elapsed()),
+            report,
+            plan,
+            parallelism,
+        })
     }
 
-    /// Render the query plan, unifying the two historical flavors:
+    /// Render the query plan:
     ///
     /// * under [`Strategy::Planned`], the physical DAG with operator
-    ///   choices and sharing annotations (no execution) — the old
-    ///   `explain_plan`;
+    ///   choices, sharing annotations and `~N rows` estimates per node
+    ///   (no execution; compare against the actuals in an instrumented
+    ///   run's report);
     /// * under [`Strategy::Naive`] / [`Strategy::Reference`], an
     ///   `EXPLAIN ANALYZE`-style tree with actual per-node cardinalities
-    ///   (runs the instrumented tree evaluator) — the old `explain`.
+    ///   (runs the instrumented tree evaluator).
     pub fn explain(&self) -> Result<String, EvalError> {
         let expr = self.optimized()?;
         match self.engine.strategy {
-            // With statistics enabled the rendered DAG carries `~N
-            // rows` estimates per node (compare against the actuals in
-            // an instrumented run's report).
             Strategy::Planned => Ok(self.engine.plan_for(&expr)?.explain()),
             Strategy::Naive | Strategy::Reference => {
-                let report = evaluate_instrumented(&expr, &self.engine.db)?;
+                let (_, report) = evaluate_instrumented(&expr, &self.engine.db)?;
                 Ok(render_tree(&expr, &report))
             }
         }
@@ -824,7 +712,7 @@ mod tests {
         let report = out.report.unwrap();
         assert!(report.as_naive().is_some());
         assert_eq!(report.as_naive().unwrap().nodes.len(), e.node_count());
-        assert_eq!(report.result(), &out.relation);
+        assert_eq!(report.as_naive().unwrap().output_rows, out.relation.len());
 
         let planned = Engine::new(division_db())
             .strategy(Strategy::Planned)
@@ -833,21 +721,22 @@ mod tests {
         let report = out.report.unwrap();
         assert!(report.as_planned().is_some());
         assert_eq!(report.as_planned().unwrap().nodes.len(), 7);
-        assert!(out.elapsed.is_none(), "Cardinalities ⇒ no wall clock");
+        assert_eq!(report.as_planned().unwrap().output_rows, out.relation.len());
 
         // The reference evaluator has no instrumentation: report is None.
         let reference = Engine::new(division_db())
             .strategy(Strategy::Reference)
             .instrument(Instrument::Cardinalities);
-        assert!(reference.query(e).run().unwrap().report.is_none());
+        let out = reference.query(e).run().unwrap();
+        assert!(out.report.is_none());
+        assert!(out.elapsed.is_none(), "no report ⇒ no wall clock");
     }
 
     #[test]
-    fn timings_record_wall_clock() {
+    fn a_report_comes_with_the_wall_clock() {
         let e = division::division_double_difference("R", "S");
-        let engine = Engine::new(division_db()).instrument(Instrument::Timings);
+        let engine = Engine::new(division_db()).instrument(Instrument::Cardinalities);
         let out = engine.query(e).run().unwrap();
-        assert!(out.elapsed.is_some());
         assert!(out.report.unwrap().total_elapsed() <= out.elapsed.unwrap());
     }
 
@@ -1028,8 +917,9 @@ mod tests {
 
     #[test]
     fn parallel_auto_picks_partition_variants_on_large_set_ops() {
-        // Fig-scale dividend: big enough for the parallel auto rules.
-        let rows: Vec<Vec<i64>> = (0..12_000).map(|i| vec![i / 3, i % 3]).collect();
+        // Fig-scale dividend: big enough that four workers amortize the
+        // spawn cost in the cost model.
+        let rows: Vec<Vec<i64>> = (0..60_000).map(|i| vec![i / 4, i % 4]).collect();
         let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
         let mut db = Database::new();
         db.set("R", Relation::from_int_rows(&refs));
@@ -1042,57 +932,16 @@ mod tests {
         let b = threaded
             .divide("R", "S", DivisionSemantics::Containment)
             .unwrap();
-        assert_eq!(a.algorithm, "hash");
+        assert_eq!(a.algorithm, "sort-merge", "a 3-value divisor: merging wins");
         assert_eq!(b.algorithm, "parallel-hash");
         assert_eq!(a.relation, b.relation, "parallel ≡ serial");
         assert_eq!(b.complexity, ComplexityClass::Linear);
     }
 
     #[test]
-    fn stats_modes_preserve_results_and_refine_picks() {
-        // Fig-scale selective containment input: the threshold selector
-        // stays with signature64, the cost-based one prices the anchor
-        // pruning and picks the partition-based join even serially.
-        let rows: Vec<Vec<i64>> = (0..2000)
-            .flat_map(|g| (0..6).map(move |v| vec![g, (g * 7 + v) % 64]))
-            .collect();
-        let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let mut db = Database::new();
-        db.set("R", Relation::from_int_rows(&refs));
-        db.set("S", Relation::from_int_rows(&refs));
-        let off = Engine::new(db.clone());
-        let analyze = Engine::new(db.clone()).stats(StatsMode::Analyze);
-        let cached = Engine::new(db).stats(StatsMode::Cached);
-        let a = off.set_join("R", "S", SetPredicate::Contains).unwrap();
-        let b = analyze.set_join("R", "S", SetPredicate::Contains).unwrap();
-        let c = cached.set_join("R", "S", SetPredicate::Contains).unwrap();
-        assert_eq!(a.algorithm, "signature64", "threshold pick unchanged");
-        assert_eq!(b.algorithm, "parallel-signature", "cost-based pick");
-        assert_eq!(c.algorithm, b.algorithm);
-        assert_eq!(a.relation, b.relation, "mode never changes results");
-        assert_eq!(a.relation, c.relation);
-        // Cached mode filled the shared catalog; Analyze did not.
-        assert_eq!(cached.catalog().len(), 2);
-        assert!(analyze.catalog().is_empty());
-        // Queries keep their results too, at every mode.
-        let e = division::division_double_difference("R", "S2");
-        let mut qdb = division_db();
-        qdb.set("S2", Relation::from_int_rows(&[&[7], &[8]]));
-        let want = Engine::new(qdb.clone()).query(e.clone()).run().unwrap();
-        for mode in [StatsMode::Analyze, StatsMode::Cached] {
-            let out = Engine::new(qdb.clone())
-                .stats(mode)
-                .query(e.clone())
-                .run()
-                .unwrap();
-            assert_eq!(out.relation, want.relation, "{mode}");
-        }
-    }
-
-    #[test]
     fn cached_stats_invalidate_when_the_db_changes() {
         // Tiny relations: cost-based selection picks nested-loop.
-        let mut engine = Engine::new(fig1_db()).stats(StatsMode::Cached);
+        let mut engine = Engine::new(fig1_db());
         let small = engine
             .set_join("Person", "Person", SetPredicate::Contains)
             .unwrap();
@@ -1113,77 +962,46 @@ mod tests {
     }
 
     #[test]
-    fn explain_is_annotated_with_estimates_under_stats() {
+    fn explain_is_annotated_with_estimates() {
         let e = division::division_double_difference("R", "S");
-        let plain = Engine::new(division_db())
-            .query(e.clone())
-            .explain()
-            .unwrap();
-        assert!(!plain.contains("rows"), "{plain}");
         let annotated = Engine::new(division_db())
-            .stats(StatsMode::Analyze)
             .query(e.clone())
             .explain()
             .unwrap();
-        assert!(annotated.contains("~"), "{annotated}");
-        assert!(annotated.contains("rows"), "{annotated}");
+        assert!(annotated.contains("~5 rows"), "{annotated}");
         // Instrumented runs put estimated next to actual per node.
         let out = Engine::new(division_db())
-            .stats(StatsMode::Analyze)
             .instrument(Instrument::Cardinalities)
             .query(e)
             .run()
             .unwrap();
-        let report = out.report.unwrap();
-        let rendered = report.render();
+        let rendered = out.report.unwrap().render();
         assert!(rendered.contains("est≈"), "{rendered}");
         assert!(rendered.contains("card"), "{rendered}");
     }
 
     #[test]
-    fn stats_off_is_byte_identical_to_the_threshold_selector() {
-        // The PR-4 boundary behaviors: tiny division → sort-merge, big
-        // containment division → hash, equality → counting; parallel
-        // hints flip to the partition variants only past the documented
-        // thresholds. StatsMode::Off must reproduce all of it (it
-        // routes through the identical threshold code path).
-        use sj_setjoin::registry::thresholds::*;
-        let rows: Vec<Vec<i64>> = (0..(PARALLEL_DIVISION_INPUT as i64))
-            .map(|i| vec![i / 4, i % 4])
-            .collect();
-        let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let mut db = Database::new();
-        db.set("R", Relation::from_int_rows(&refs));
-        db.set("S", Relation::from_int_rows(&[&[0], &[1]]));
-        let serial = Engine::new(db.clone());
-        assert_eq!(serial.stats_mode(), StatsMode::Off);
-        assert_eq!(
-            serial
-                .divide("R", "S", DivisionSemantics::Containment)
-                .unwrap()
-                .algorithm,
-            "hash"
-        );
-        assert_eq!(
-            serial
-                .divide("R", "S", DivisionSemantics::Equality)
-                .unwrap()
-                .algorithm,
-            "counting"
-        );
-        let threaded = Engine::new(db).parallelism(Parallelism::Threads(4));
-        assert_eq!(
-            threaded
-                .divide("R", "S", DivisionSemantics::Containment)
-                .unwrap()
-                .algorithm,
-            "parallel-hash"
-        );
+    fn tree_walking_strategies_never_touch_the_catalog() {
+        let e = division::division_double_difference("R", "S");
+        for strategy in [Strategy::Naive, Strategy::Reference] {
+            let engine = Engine::new(division_db())
+                .strategy(strategy)
+                .instrument(Instrument::Cardinalities);
+            engine.query(e.clone()).run().unwrap();
+            engine.query(e.clone()).explain().unwrap();
+            assert!(engine.catalog().is_empty(), "{strategy}");
+        }
+        // A named algorithm needs no statistics either.
+        let named = Engine::new(division_db()).algorithm(AlgorithmChoice::named("hash"));
+        named
+            .divide("R", "S", DivisionSemantics::Containment)
+            .unwrap();
+        assert!(named.catalog().is_empty());
     }
 
     #[test]
     fn fork_rebinds_db_and_shares_the_catalog() {
-        let engine = Engine::new(fig1_db()).stats(StatsMode::Cached);
+        let engine = Engine::new(fig1_db());
         engine
             .set_join("Person", "Person", SetPredicate::Contains)
             .unwrap();
@@ -1201,8 +1019,6 @@ mod tests {
         // ...and its analyses (R and S, done while planning) become
         // visible to the original through the shared catalog.
         assert_eq!(engine.catalog().len(), 3, "Person + R + S");
-        // Configuration rides along.
-        assert_eq!(fork.stats_mode(), StatsMode::Cached);
     }
 
     #[test]

@@ -32,6 +32,11 @@ pub enum EvalError {
         /// The arity the operator requires.
         expected: usize,
     },
+    /// The planner's statistics source has nothing for a relation the
+    /// (validated) expression reads. Every plan is costed, so this is
+    /// an error rather than a silent un-costed plan; the engine's own
+    /// catalog analyzes on demand and never produces it.
+    MissingStatistics(String),
 }
 
 impl fmt::Display for EvalError {
@@ -57,6 +62,9 @@ impl fmt::Display for EvalError {
                 f,
                 "relation {relation:?} has arity {arity}, the set operator needs {expected}"
             ),
+            EvalError::MissingStatistics(relation) => {
+                write!(f, "no statistics for relation {relation:?}")
+            }
         }
     }
 }
@@ -68,7 +76,8 @@ impl std::error::Error for EvalError {
             EvalError::Storage(e) => Some(e),
             EvalError::UnknownAlgorithm(_)
             | EvalError::UnsupportedPredicate { .. }
-            | EvalError::InvalidSetOperand { .. } => None,
+            | EvalError::InvalidSetOperand { .. }
+            | EvalError::MissingStatistics(_) => None,
         }
     }
 }

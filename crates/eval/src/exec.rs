@@ -1,18 +1,18 @@
-//! The execution-mode type: one value, kept for the callers that still
-//! pass it.
+//! The one-valued types the frozen `benchmark/` surface still passes.
 //!
 //! [`Execution`] used to select between row-at-a-time and vectorized
-//! operator bodies. The row fork served no workload and won no
-//! measurement, so it is gone: the planned path has one body per
-//! operator ([`crate::kernel`], plus [`crate::ops_vec::select`] for σ),
-//! and the tuple operators of [`crate::ops`] remain only as the
-//! [`crate::engine::Strategy::Naive`] evaluator and the kernels'
-//! fallback. What is left here is a one-variant type that
-//! `Engine::execution`, `ServerConfig::execution`,
+//! operator bodies, [`StatsMode`] between threshold rules and the cost
+//! model. Neither fork served a workload or won a measurement, so both
+//! are gone: the planned path has one body per operator
+//! ([`crate::kernel`], plus [`crate::ops_vec::select`] for σ), and every
+//! plan and every algorithm pick is costed from the engine's statistics
+//! catalog. What is left here are one-variant types that
+//! `Engine::execution`, `Engine::stats`, `ServerConfig::execution`,
 //! `PhysicalPlan::execute_with_execution` and the `kernel::*` entry
 //! points accept and ignore, because `benchmark/` compiles against those
 //! signatures and only a benchmark-purpose PR may edit it; that PR drops
-//! the argument and this type with it.
+//! the arguments and these types with them. The test below fails, naming
+//! the shim, as soon as `benchmark/` stops calling one.
 
 /// The planned executor's operator implementations. One value: not an
 /// option.
@@ -21,4 +21,51 @@ pub enum Execution {
     /// Columnar kernels over [`sj_storage::Columns`] ([`crate::kernel`]).
     #[default]
     Vectorized,
+}
+
+/// Where the engine's statistics come from. One value: not an option.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum StatsMode {
+    /// Analyze each relation on first use and cache the result in the
+    /// engine's shared [`sj_stats::StatsCatalog`], which re-analyzes
+    /// whenever the stored relation was replaced or mutated.
+    #[default]
+    Cached,
+}
+
+#[cfg(test)]
+mod tests {
+    /// A shim may not outlive its caller: every accepted-and-ignored
+    /// item exists only because `benchmark/src` still spells its call
+    /// form. When a benchmark-purpose PR drops one, this names the shim
+    /// to delete with it.
+    #[test]
+    fn every_shim_still_has_its_benchmark_caller() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmark/src");
+        let mut source = String::new();
+        for entry in std::fs::read_dir(dir).expect("benchmark/src is part of the checkout") {
+            let path = entry.expect("readable directory entry").path();
+            if path.extension().is_some_and(|e| e == "rs") {
+                source += &std::fs::read_to_string(&path).expect("readable source file");
+            }
+        }
+        for (call, shim) in [
+            (
+                "Execution::Vectorized",
+                "sj_eval::Execution (with ServerConfig::execution and the kernels' `exec` argument)",
+            ),
+            (".execution(", "Engine::execution"),
+            ("StatsMode::Cached", "sj_eval::StatsMode"),
+            (".stats(StatsMode", "Engine::stats"),
+            (
+                "execute_with_execution",
+                "PhysicalPlan::execute_with_execution",
+            ),
+        ] {
+            assert!(
+                source.contains(call),
+                "benchmark/src no longer contains `{call}`: delete the shim {shim}"
+            );
+        }
+    }
 }

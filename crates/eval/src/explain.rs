@@ -19,7 +19,7 @@ use sj_storage::Database;
 
 /// Evaluate and render the annotated plan tree.
 pub fn explain(e: &Expr, db: &Database) -> Result<String, EvalError> {
-    let report = evaluate_instrumented(e, db)?;
+    let (_, report) = evaluate_instrumented(e, db)?;
     Ok(render_tree(e, &report))
 }
 
@@ -28,9 +28,7 @@ pub fn render_tree(e: &Expr, report: &EvalReport) -> String {
     let max = report.max_intermediate();
     let mut out = format!(
         "|D| = {}   output = {}   max intermediate = {}\n",
-        report.db_size,
-        report.result.len(),
-        max
+        report.db_size, report.output_rows, max
     );
     let mut id = 0usize;
     render_node(e, report, max, &mut id, "", true, true, &mut out);

@@ -6,7 +6,7 @@
 //! `c(E') = O(n)` for **every subexpression** `E'`, *quadratic* when some
 //! subexpression is `Ω(n²)`. Measuring those intermediate sizes is the
 //! core experimental tool of this reproduction: the instrumented evaluator
-//! returns, along with the result, the cardinality of every node of the
+//! returns, beside the result, the cardinality of every node of the
 //! expression tree (identified by its pre-order index, matching
 //! [`Expr::subexpressions`]).
 
@@ -43,11 +43,12 @@ pub struct NodeStat {
     pub partitions: Vec<crate::kernel::PartitionStat>,
 }
 
-/// The result of an instrumented evaluation.
+/// What an instrumented evaluation measured; the evaluator hands the
+/// result relation back beside it.
 #[derive(Debug, Clone)]
 pub struct EvalReport {
-    /// The query result (the root node's output).
-    pub result: Relation,
+    /// Rows of the query result (the root node's output).
+    pub output_rows: usize,
     /// Per-node statistics in pre-order (index 0 is the root).
     pub nodes: Vec<NodeStat>,
     /// The input database size `|D|` (Definition 15).
@@ -88,7 +89,7 @@ impl EvalReport {
         let mut out = format!(
             "|D| = {}, output = {}, max intermediate = {}\n",
             self.db_size,
-            self.result.len(),
+            self.output_rows,
             self.max_intermediate()
         );
         for n in &self.nodes {
@@ -121,7 +122,10 @@ pub(crate) fn naive_operator(expr: &Expr) -> &'static str {
 /// Evaluate with instrumentation: the plain evaluator's tree walk with an
 /// observer recording one [`NodeStat`] per node. Node ids follow
 /// pre-order, exactly the order of [`Expr::subexpressions`].
-pub fn evaluate_instrumented(expr: &Expr, db: &Database) -> Result<EvalReport, EvalError> {
+pub fn evaluate_instrumented(
+    expr: &Expr,
+    db: &Database,
+) -> Result<(Relation, EvalReport), EvalError> {
     expr.arity(&db.schema())?;
     let mut nodes: Vec<Option<NodeStat>> = vec![None; expr.node_count()];
     let result = walk(expr, db, &mut 0, &mut |id, node, rel, elapsed| {
@@ -135,14 +139,15 @@ pub fn evaluate_instrumented(expr: &Expr, db: &Database) -> Result<EvalReport, E
             partitions: Vec::new(),
         });
     });
-    Ok(EvalReport {
-        result,
+    let report = EvalReport {
+        output_rows: result.len(),
         nodes: nodes
             .into_iter()
             .map(|n| n.expect("every node visited"))
             .collect(),
         db_size: db.size(),
-    })
+    };
+    Ok((result, report))
 }
 
 #[cfg(test)]
@@ -175,15 +180,16 @@ mod tests {
         let db = division_db(4, 3);
         let e = division::division_double_difference("R", "S");
         let plain = evaluate(&e, &db).unwrap();
-        let inst = evaluate_instrumented(&e, &db).unwrap();
-        assert_eq!(plain, inst.result);
+        let (result, report) = evaluate_instrumented(&e, &db).unwrap();
+        assert_eq!(plain, result);
+        assert_eq!(report.output_rows, plain.len());
     }
 
     #[test]
     fn node_ids_match_preorder_subexpressions() {
         let db = division_db(3, 2);
         let e = division::division_double_difference("R", "S");
-        let report = evaluate_instrumented(&e, &db).unwrap();
+        let (_, report) = evaluate_instrumented(&e, &db).unwrap();
         let subs = e.subexpressions();
         assert_eq!(report.nodes.len(), subs.len());
         for (stat, sub) in report.nodes.iter().zip(subs.iter()) {
@@ -196,7 +202,7 @@ mod tests {
         // On the all-divide family, π₁(R) × S has |A-values| · |S| tuples.
         let db = division_db(10, 10);
         let e = division::division_double_difference("R", "S");
-        let report = evaluate_instrumented(&e, &db).unwrap();
+        let (_, report) = evaluate_instrumented(&e, &db).unwrap();
         // |D| = 110; the product node has 100 tuples.
         assert_eq!(report.db_size, 110);
         assert!(report.max_intermediate() >= 100);
@@ -219,7 +225,7 @@ mod tests {
         db.set("Serves", Relation::from_int_rows(&[&[10, 5], &[20, 6]]));
         db.set("Likes", Relation::from_int_rows(&[&[1, 5]]));
         let e = division::example3_lousy_bar_sa();
-        let report = evaluate_instrumented(&e, &db).unwrap();
+        let (_, report) = evaluate_instrumented(&e, &db).unwrap();
         assert!(report.max_intermediate() <= report.db_size);
     }
 
@@ -227,7 +233,7 @@ mod tests {
     fn expansion_factor_and_render() {
         let db = division_db(5, 5);
         let e = division::division_double_difference("R", "S");
-        let report = evaluate_instrumented(&e, &db).unwrap();
+        let (_, report) = evaluate_instrumented(&e, &db).unwrap();
         assert!(report.expansion_factor() > 0.0);
         let s = report.render();
         assert!(s.contains("max intermediate"));
@@ -240,7 +246,7 @@ mod tests {
         db.set("A", Relation::from_int_rows(&[&[1], &[2]]));
         db.set("B", Relation::from_int_rows(&[&[3]]));
         let e = Expr::rel("A").union(Expr::rel("B"));
-        let report = evaluate_instrumented(&e, &db).unwrap();
+        let (_, report) = evaluate_instrumented(&e, &db).unwrap();
         assert_eq!(report.nodes.len(), 3);
         assert_eq!(report.nodes[0].cardinality, 3); // union
         assert_eq!(report.nodes[1].cardinality, 2); // A
@@ -253,7 +259,7 @@ mod tests {
         db.set("A", Relation::from_int_rows(&[&[1], &[2]]));
         db.set("B", Relation::from_int_rows(&[&[1], &[3]]));
         let e = Expr::rel("A").join(Condition::eq(1, 1), Expr::rel("B"));
-        let report = evaluate_instrumented(&e, &db).unwrap();
+        let (_, report) = evaluate_instrumented(&e, &db).unwrap();
         assert_eq!(report.nodes[0].arity, 2);
         assert_eq!(report.nodes[0].cardinality, 1);
     }

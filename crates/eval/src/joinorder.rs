@@ -16,8 +16,8 @@
 //! Enumeration is the textbook subset DP over connected (and, pricing
 //! cross products honestly, disconnected) leaf sets: **bushy** trees
 //! for up to [`DP_MAX_RELATIONS`] relations (`O(3ⁿ)` split pairs —
-//! trivial at n ≤ 8), greedy pair-merging beyond that or under
-//! [`JoinOrder::Greedy`]. Ties and splits are resolved
+//! trivial at n ≤ 8), greedy pair-merging beyond that — a choice made
+//! from the chain's length, not by a caller. Ties and splits are resolved
 //! deterministically (canonical split orientation, first-found-wins
 //! submask order), so the same statistics always produce the same
 //! plan — a requirement for the server's plan cache.
@@ -49,18 +49,12 @@ pub const DP_MAX_RELATIONS: usize = 8;
 /// and speed change.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
 pub enum JoinOrder {
-    /// Keep the association order the query was written in (the
-    /// pre-enumeration behavior, and the only option without
-    /// statistics).
+    /// Keep the association order the query was written in.
     AsWritten,
-    /// Greedily merge the pair with the smallest estimated join output
-    /// until one tree remains — `O(n³)`, linear trees not guaranteed
-    /// optimal.
-    Greedy,
     /// Exhaustive bushy dynamic programming up to
-    /// [`DP_MAX_RELATIONS`] relations (greedy beyond), plus the
-    /// worst-case-optimal multiway collapse for AGM-bound-beating
-    /// cyclic chains. The default under statistics.
+    /// [`DP_MAX_RELATIONS`] relations (greedy pair-merging beyond), plus
+    /// the worst-case-optimal multiway collapse for AGM-bound-beating
+    /// cyclic chains. The default.
     #[default]
     Dp,
 }
@@ -69,7 +63,6 @@ impl std::fmt::Display for JoinOrder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JoinOrder::AsWritten => write!(f, "as-written"),
-            JoinOrder::Greedy => write!(f, "greedy"),
             JoinOrder::Dp => write!(f, "dp"),
         }
     }
@@ -91,17 +84,18 @@ pub fn reorder(
         return None;
     }
     let estimator = Estimator::new(src);
-    let rewritten = reorder_expr(expr, schema, &estimator, order);
+    let rewritten = reorder_expr(expr, schema, &estimator);
     (rewritten != *expr).then_some(rewritten)
 }
 
-fn reorder_expr(e: &Expr, schema: &Schema, est: &Estimator<'_>, order: JoinOrder) -> Expr {
+/// [`reorder`] under [`JoinOrder::Dp`], the one mode that rewrites.
+fn reorder_expr(e: &Expr, schema: &Schema, est: &Estimator<'_>) -> Expr {
     if matches!(e, Expr::Join(..)) {
         if let Some(g) = JoinGraph::extract(e, schema) {
             let leaves: Vec<Expr> = g
                 .leaves
                 .iter()
-                .map(|l| reorder_expr(l, schema, est, order))
+                .map(|l| reorder_expr(l, schema, est))
                 .collect();
             let leaf_ests: Option<Vec<CardEst>> =
                 g.leaves.iter().map(|l| est.estimate(l)).collect();
@@ -109,13 +103,13 @@ fn reorder_expr(e: &Expr, schema: &Schema, est: &Estimator<'_>, order: JoinOrder
                 // Leaves without statistics keep the written order.
                 None => g.as_written.clone(),
                 Some(ests) => {
-                    if order == JoinOrder::Dp && multiway_plan(&g, &ests).is_some() {
+                    if multiway_plan(&g, &ests).is_some() {
                         // The lowering pass collapses this chain into
                         // the multiway operator — leave its shape alone
                         // so it still looks like the extracted cycle.
                         g.as_written.clone()
                     } else {
-                        choose_order(&g, &ests, order)
+                        choose_order(&g, &ests)
                     }
                 }
             };
@@ -126,34 +120,30 @@ fn reorder_expr(e: &Expr, schema: &Schema, est: &Estimator<'_>, order: JoinOrder
     match e {
         Expr::Rel(_) => e.clone(),
         Expr::Union(a, b) => Expr::Union(
-            Box::new(reorder_expr(a, schema, est, order)),
-            Box::new(reorder_expr(b, schema, est, order)),
+            Box::new(reorder_expr(a, schema, est)),
+            Box::new(reorder_expr(b, schema, est)),
         ),
         Expr::Diff(a, b) => Expr::Diff(
-            Box::new(reorder_expr(a, schema, est, order)),
-            Box::new(reorder_expr(b, schema, est, order)),
+            Box::new(reorder_expr(a, schema, est)),
+            Box::new(reorder_expr(b, schema, est)),
         ),
         Expr::Project(cols, a) => {
-            Expr::Project(cols.clone(), Box::new(reorder_expr(a, schema, est, order)))
+            Expr::Project(cols.clone(), Box::new(reorder_expr(a, schema, est)))
         }
-        Expr::Select(sel, a) => {
-            Expr::Select(sel.clone(), Box::new(reorder_expr(a, schema, est, order)))
-        }
-        Expr::ConstTag(c, a) => {
-            Expr::ConstTag(c.clone(), Box::new(reorder_expr(a, schema, est, order)))
-        }
+        Expr::Select(sel, a) => Expr::Select(sel.clone(), Box::new(reorder_expr(a, schema, est))),
+        Expr::ConstTag(c, a) => Expr::ConstTag(c.clone(), Box::new(reorder_expr(a, schema, est))),
         Expr::Join(theta, a, b) => Expr::Join(
             theta.clone(),
-            Box::new(reorder_expr(a, schema, est, order)),
-            Box::new(reorder_expr(b, schema, est, order)),
+            Box::new(reorder_expr(a, schema, est)),
+            Box::new(reorder_expr(b, schema, est)),
         ),
         Expr::Semijoin(theta, a, b) => Expr::Semijoin(
             theta.clone(),
-            Box::new(reorder_expr(a, schema, est, order)),
-            Box::new(reorder_expr(b, schema, est, order)),
+            Box::new(reorder_expr(a, schema, est)),
+            Box::new(reorder_expr(b, schema, est)),
         ),
         Expr::GroupCount(cols, a) => {
-            Expr::GroupCount(cols.clone(), Box::new(reorder_expr(a, schema, est, order)))
+            Expr::GroupCount(cols.clone(), Box::new(reorder_expr(a, schema, est)))
         }
     }
 }
@@ -161,8 +151,8 @@ fn reorder_expr(e: &Expr, schema: &Schema, est: &Estimator<'_>, order: JoinOrder
 /// The cheapest association order for `g` under the `C_out` metric,
 /// never worse than the as-written order (when the search's best ties
 /// the written cost, the written shape wins — no churn for nothing).
-pub fn choose_order(g: &JoinGraph<'_>, leaf_ests: &[CardEst], order: JoinOrder) -> OrderTree {
-    let chosen = if order == JoinOrder::Dp && g.len() <= DP_MAX_RELATIONS {
+pub fn choose_order(g: &JoinGraph<'_>, leaf_ests: &[CardEst]) -> OrderTree {
+    let chosen = if g.len() <= DP_MAX_RELATIONS {
         dp_order(g, leaf_ests)
     } else {
         greedy_order(g, leaf_ests)
@@ -265,9 +255,9 @@ fn dp_order(g: &JoinGraph<'_>, leaf_ests: &[CardEst]) -> OrderTree {
     best[full].take().expect("full mask planned").tree
 }
 
-/// Greedy pairing for chains past the DP cutoff (or under
-/// [`JoinOrder::Greedy`]): repeatedly join the pair of partial trees
-/// with the smallest estimated output (ties → lowest index pair).
+/// Greedy pairing for chains past the DP cutoff: repeatedly join the
+/// pair of partial trees with the smallest estimated output (ties →
+/// lowest index pair).
 /// `O(n³)` estimate evaluations; linear in practice on chain shapes.
 fn greedy_order(g: &JoinGraph<'_>, leaf_ests: &[CardEst]) -> OrderTree {
     let mut forest: Vec<Partial> = (0..g.len())
@@ -362,7 +352,7 @@ fn leaf_layout(g: &JoinGraph<'_>, leaf: usize) -> Vec<(usize, usize)> {
 mod tests {
     use super::*;
     use sj_algebra::Condition;
-    use sj_stats::AnalyzeSource;
+    use sj_stats::{CatalogSource, StatsCatalog};
     use sj_storage::{Database, Relation};
 
     /// R: 1000 rows, S: 10 rows, T: 3 rows; chain R ⋈ S ⋈ T written
@@ -391,7 +381,8 @@ mod tests {
     #[test]
     fn dp_reorders_a_badly_written_chain() {
         let db = chain_db();
-        let src = AnalyzeSource::new(&db);
+        let cat = StatsCatalog::new();
+        let src = CatalogSource::new(&cat, &db);
         let e = chain_expr();
         let reordered = reorder(&e, &db.schema(), &src, JoinOrder::Dp)
             .expect("worst-first chain must be reordered");
@@ -403,7 +394,7 @@ mod tests {
         let g = JoinGraph::extract(&e, &db.schema()).unwrap();
         let est = Estimator::new(&src);
         let ests: Vec<CardEst> = g.leaves.iter().map(|l| est.estimate(l).unwrap()).collect();
-        let chosen = choose_order(&g, &ests, JoinOrder::Dp);
+        let chosen = choose_order(&g, &ests);
         assert!(order_cost(&g, &chosen, &ests) < order_cost(&g, &g.as_written, &ests));
         // S and T meet first in the cheapest tree.
         assert_ne!(chosen, g.as_written);
@@ -412,14 +403,16 @@ mod tests {
     #[test]
     fn as_written_mode_never_rewrites() {
         let db = chain_db();
-        let src = AnalyzeSource::new(&db);
+        let cat = StatsCatalog::new();
+        let src = CatalogSource::new(&cat, &db);
         assert!(reorder(&chain_expr(), &db.schema(), &src, JoinOrder::AsWritten).is_none());
     }
 
     #[test]
     fn well_written_chains_are_left_alone() {
         let db = chain_db();
-        let src = AnalyzeSource::new(&db);
+        let cat = StatsCatalog::new();
+        let src = CatalogSource::new(&cat, &db);
         // T ⋈ S ⋈ R — already cheapest-first; the canonical DP tree
         // ties or matches it, so nothing changes.
         let e = Expr::rel("T")
@@ -428,20 +421,21 @@ mod tests {
         let g = JoinGraph::extract(&e, &db.schema()).unwrap();
         let est = Estimator::new(&src);
         let ests: Vec<CardEst> = g.leaves.iter().map(|l| est.estimate(l).unwrap()).collect();
-        let chosen = choose_order(&g, &ests, JoinOrder::Dp);
+        let chosen = choose_order(&g, &ests);
         assert!(order_cost(&g, &chosen, &ests) <= order_cost(&g, &g.as_written, &ests));
     }
 
     #[test]
     fn greedy_and_dp_agree_on_small_chains_cost_order() {
         let db = chain_db();
-        let src = AnalyzeSource::new(&db);
+        let cat = StatsCatalog::new();
+        let src = CatalogSource::new(&cat, &db);
         let e = chain_expr();
         let g = JoinGraph::extract(&e, &db.schema()).unwrap();
         let est = Estimator::new(&src);
         let ests: Vec<CardEst> = g.leaves.iter().map(|l| est.estimate(l).unwrap()).collect();
-        let dp = choose_order(&g, &ests, JoinOrder::Dp);
-        let greedy = choose_order(&g, &ests, JoinOrder::Greedy);
+        let dp = dp_order(&g, &ests);
+        let greedy = greedy_order(&g, &ests);
         // DP is exhaustive: its cost lower-bounds greedy's.
         assert!(order_cost(&g, &dp, &ests) <= order_cost(&g, &greedy, &ests));
     }
@@ -456,7 +450,7 @@ mod tests {
     fn triangle_graph_ests<'a>(
         tri: &'a Expr,
         db: &Database,
-        src: &AnalyzeSource<'_>,
+        src: &dyn StatsSource,
     ) -> (JoinGraph<'a>, Vec<CardEst>) {
         let g = JoinGraph::extract(tri, &db.schema()).unwrap();
         let est = Estimator::new(src);
@@ -476,7 +470,8 @@ mod tests {
         rows.extend((1..200).map(|i| vec![i, 0]));
         let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
         db.set("E", Relation::from_int_rows(&refs));
-        let src = AnalyzeSource::new(&db);
+        let cat = StatsCatalog::new();
+        let src = CatalogSource::new(&cat, &db);
         let (g, ests) = triangle_graph_ests(&tri, &db, &src);
         assert!(
             multiway_plan(&g, &ests).is_some(),
@@ -492,13 +487,15 @@ mod tests {
             .collect();
         let refs2: Vec<&[i64]> = rows2.iter().map(|r| r.as_slice()).collect();
         db2.set("E", Relation::from_int_rows(&refs2));
-        let src2 = AnalyzeSource::new(&db2);
+        let cat = StatsCatalog::new();
+        let src2 = CatalogSource::new(&cat, &db2);
         let (g2, ests2) = triangle_graph_ests(&tri, &db2, &src2);
         assert!(multiway_plan(&g2, &ests2).is_none());
 
         // A chain never collapses regardless of sizes.
         let db3 = chain_db();
-        let src3 = AnalyzeSource::new(&db3);
+        let cat = StatsCatalog::new();
+        let src3 = CatalogSource::new(&cat, &db3);
         let chain = chain_expr();
         let g3 = JoinGraph::extract(&chain, &db3.schema()).unwrap();
         let est3 = Estimator::new(&src3);
@@ -515,7 +512,8 @@ mod tests {
         let mrows: Vec<Vec<i64>> = (0..100).map(|i| vec![i, i]).collect();
         let mrefs: Vec<&[i64]> = mrows.iter().map(|r| r.as_slice()).collect();
         db4.set("E", Relation::from_int_rows(&mrefs));
-        let src4 = AnalyzeSource::new(&db4);
+        let cat = StatsCatalog::new();
+        let src4 = CatalogSource::new(&cat, &db4);
         let (g4, ests4) = triangle_graph_ests(&tri, &db4, &src4);
         assert!(multiway_plan(&g4, &ests4).is_none());
     }
@@ -529,7 +527,8 @@ mod tests {
         rows.extend((0..200).map(|i| vec![i, 0]));
         let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
         db.set("E", Relation::from_int_rows(&refs));
-        let src = AnalyzeSource::new(&db);
+        let cat = StatsCatalog::new();
+        let src = CatalogSource::new(&cat, &db);
         let tri = triangle_expr();
         let (g, ests) = triangle_graph_ests(&tri, &db, &src);
         let spec = multiway_plan(&g, &ests).expect("hub triangle beats AGM");

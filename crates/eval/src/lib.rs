@@ -13,18 +13,23 @@
 //! * [`reference::evaluate_reference`] — a naive nested-loop transliteration
 //!   of the paper's semantics, used to cross-validate the optimized
 //!   operators in unit and property tests.
-//! * [`plan::evaluate_planned`] — the physical planner: the expression is
-//!   hash-consed into an operator DAG so each **distinct** subexpression
-//!   is evaluated exactly once, leaf relations are scanned zero-copy via
-//!   `Arc` handles, and joins/semijoins whose equality keys align with
-//!   the canonical sort order run as sort-free merges. See [`plan`] for
-//!   the design; [`plan::explain_plan`] renders the chosen operators.
+//! * [`plan::PhysicalPlan`] — the cost-based physical planner: the
+//!   expression is hash-consed into an operator DAG so each **distinct**
+//!   subexpression is evaluated exactly once, leaf relations are scanned
+//!   zero-copy via `Arc` handles, joins/semijoins whose equality keys
+//!   align with the canonical sort order run as sort-free merges, and
+//!   join chains are ordered from statistics. See [`plan`] for the
+//!   design; [`plan::PhysicalPlan::explain`] renders the chosen
+//!   operators.
 //! * [`engine::Engine`] — **the recommended entry point**: one facade
-//!   over all of the above plus the `sj-setjoin` algorithm registry.
-//!   Optimizer pipeline, evaluation strategy, instrumentation, and
+//!   over all of the above plus the `sj-setjoin` algorithm registry and
+//!   the `sj-stats` catalog every plan and algorithm pick is costed
+//!   from. Optimizer pipeline, evaluation strategy, instrumentation, and
 //!   set-join algorithm selection are builder configuration; queries
-//!   return a single [`engine::QueryOutput`]. The free functions above
-//!   remain as thin direct wrappers around the same machinery.
+//!   return a single [`engine::QueryOutput`]. The pre-`Engine` free
+//!   functions that remain exported — [`evaluate`],
+//!   [`evaluate_instrumented`], [`evaluate_reference`] — are the tree
+//!   walkers themselves.
 
 pub mod engine;
 pub mod error;
@@ -42,37 +47,32 @@ pub mod profile;
 pub mod reference;
 
 pub use engine::{
-    AlgorithmChoice, Engine, Instrument, Query, QueryOutput, Report, SetOpOutput, StatsMode,
-    Strategy,
+    AlgorithmChoice, Engine, Instrument, Query, QueryOutput, Report, SetOpOutput, Strategy,
 };
 pub use error::EvalError;
-pub use exec::Execution;
+pub use exec::{Execution, StatsMode};
 pub use explain::explain;
 pub use instrumented::{evaluate_instrumented, EvalReport, NodeStat};
 pub use joinorder::{JoinOrder, DP_MAX_RELATIONS};
 pub use kernel::{multiway_join, MultiwayLeaf, MultiwaySpec, PartitionStat};
 pub use par::Parallelism;
 pub use plain::evaluate;
-pub use plan::{
-    evaluate_planned, evaluate_planned_instrumented, explain_plan, PhysOp, PhysicalPlan,
-    PlannedReport, Q_ERROR_BUDGET,
-};
+pub use plan::{PhysOp, PhysicalPlan, PlannedReport, Q_ERROR_BUDGET};
 pub use profile::{ProfileNode, QueryProfile};
 pub use reference::evaluate_reference;
 
 /// Most-used items in one import.
 pub mod prelude {
     pub use crate::engine::{
-        AlgorithmChoice, Engine, Instrument, Query, QueryOutput, Report, SetOpOutput, StatsMode,
-        Strategy,
+        AlgorithmChoice, Engine, Instrument, Query, QueryOutput, Report, SetOpOutput, Strategy,
     };
-    pub use crate::exec::Execution;
+    pub use crate::exec::{Execution, StatsMode};
     pub use crate::instrumented::{evaluate_instrumented, EvalReport, NodeStat};
     pub use crate::joinorder::JoinOrder;
     pub use crate::kernel::PartitionStat;
     pub use crate::par::Parallelism;
     pub use crate::plain::evaluate;
-    pub use crate::plan::{evaluate_planned, evaluate_planned_instrumented, PlannedReport};
+    pub use crate::plan::PlannedReport;
     pub use crate::profile::{ProfileNode, QueryProfile};
     pub use crate::reference::evaluate_reference;
 }
@@ -81,10 +81,7 @@ pub mod prelude {
 mod proptests {
     // `engine::Strategy` would shadow proptest's `Strategy` trait under a
     // glob, so the evaluator entry points are imported explicitly.
-    use super::{
-        evaluate, evaluate_instrumented, evaluate_planned, evaluate_planned_instrumented,
-        evaluate_reference,
-    };
+    use super::{evaluate, evaluate_instrumented, evaluate_reference, Engine, Instrument};
     use proptest::prelude::*;
     use sj_algebra::{Atom, CompOp, Condition, Expr};
     use sj_storage::{Database, Relation, Tuple, Value};
@@ -125,6 +122,15 @@ mod proptests {
         .prop_map(Condition::new)
     }
 
+    /// `e` on `db` through a default engine: the planned strategy.
+    fn planned(e: &Expr, db: &Database) -> Relation {
+        Engine::new(db.clone())
+            .query(e.clone())
+            .run()
+            .unwrap()
+            .relation
+    }
+
     /// Arbitrary **valid** arity-2 expressions over R, S (arity 2).
     fn arb_expr2() -> impl Strategy<Value = Expr> {
         let leaf = prop_oneof![Just(Expr::rel("R")), Just(Expr::rel("S"))];
@@ -162,8 +168,9 @@ mod proptests {
         #[test]
         fn instrumented_consistent(e in arb_expr2(), db in arb_db()) {
             let plain = evaluate(&e, &db).unwrap();
-            let report = evaluate_instrumented(&e, &db).unwrap();
-            prop_assert_eq!(&report.result, &plain);
+            let (result, report) = evaluate_instrumented(&e, &db).unwrap();
+            prop_assert_eq!(&result, &plain);
+            prop_assert_eq!(report.output_rows, plain.len());
             prop_assert_eq!(report.nodes.len(), e.node_count());
             prop_assert_eq!(report.nodes[0].cardinality, plain.len());
             prop_assert!(report.max_intermediate() >= plain.len());
@@ -190,9 +197,9 @@ mod proptests {
         #[test]
         fn planned_matches_naive(e in arb_expr2(), db in arb_db()) {
             prop_assert_eq!(
-                evaluate_planned(&e, &db).unwrap(),
+                planned(&e, &db),
                 evaluate(&e, &db).unwrap(),
-                "evaluate_planned({}) diverged", e
+                "planning {} diverged", e
             );
         }
 
@@ -203,7 +210,7 @@ mod proptests {
         fn optimized_planned_matches_naive(e in arb_expr2(), db in arb_db()) {
             let opt = sj_algebra::optimize(&e, &db.schema()).unwrap();
             prop_assert_eq!(
-                evaluate_planned(&opt, &db).unwrap(),
+                planned(&opt, &db),
                 evaluate(&e, &db).unwrap(),
                 "optimize({}) = {} then plan diverged", e, opt
             );
@@ -215,8 +222,15 @@ mod proptests {
         #[test]
         fn planned_instrumented_consistent(e in arb_expr2(), db in arb_db()) {
             let plain = evaluate(&e, &db).unwrap();
-            let report = evaluate_planned_instrumented(&e, &db).unwrap();
-            prop_assert_eq!(&report.result, &plain);
+            let out = Engine::new(db.clone())
+                .instrument(Instrument::Cardinalities)
+                .query(e.clone())
+                .run()
+                .unwrap();
+            prop_assert_eq!(&out.relation, &plain);
+            let report = out.report.unwrap();
+            let report = report.as_planned().unwrap();
+            prop_assert_eq!(report.output_rows, plain.len());
             prop_assert!(report.nodes.len() <= e.node_count());
             prop_assert_eq!(report.expr_nodes, e.node_count());
             // Occurrences over plan nodes sum to the tree size.
@@ -240,8 +254,8 @@ mod proptests {
         #[test]
         fn optimizer_never_hurts_intermediates(e in arb_expr2(), db in arb_db()) {
             let opt = sj_algebra::optimize(&e, &db.schema()).unwrap();
-            let before = evaluate_instrumented(&e, &db).unwrap().max_intermediate();
-            let after = evaluate_instrumented(&opt, &db).unwrap().max_intermediate();
+            let before = evaluate_instrumented(&e, &db).unwrap().1.max_intermediate();
+            let after = evaluate_instrumented(&opt, &db).unwrap().1.max_intermediate();
             prop_assert!(after <= before, "{}: {} -> {} ({} tuples -> {})",
                 e, e, opt, before, after);
         }
@@ -251,9 +265,9 @@ mod proptests {
         #[test]
         fn semijoins_bounded_by_operand(t in arb_condition(), db in arb_db()) {
             let e = Expr::rel("R").semijoin(t, Expr::rel("S"));
-            let report = evaluate_instrumented(&e, &db).unwrap();
+            let (_, report) = evaluate_instrumented(&e, &db).unwrap();
             let r_size = db.get("R").unwrap().len();
-            prop_assert!(report.result.len() <= r_size);
+            prop_assert!(report.output_rows <= r_size);
         }
     }
 }

@@ -26,11 +26,16 @@
 //!    conditions fall back to filtered nested loops. Non-equality atoms
 //!    ride along as residual filters, reusing the `ops` machinery.
 //!
-//! Entry points: [`evaluate_planned`] (drop-in replacement for
-//! [`crate::evaluate`]), [`evaluate_planned_instrumented`] (returns a
-//! [`PlannedReport`] with per-node operator choice, cardinality and
-//! timing), and [`PhysicalPlan::explain`] (an `EXPLAIN`-style rendering of
-//! the DAG with sharing annotations).
+//! Every plan is costed. [`PhysicalPlan::of_costed_with_order`] is the
+//! one constructor: it takes the statistics source and the cost model
+//! that order join chains, demote hash builds on provably tiny operands,
+//! annotate every node with an estimate and, at execution time, gate
+//! partition parallelism. [`crate::Engine`] calls it with its own
+//! catalog; [`PhysicalPlan::execute_with`] /
+//! [`PhysicalPlan::execute_instrumented_with`] run the plan (the latter
+//! hands a [`PlannedReport`] with per-node operator choice, cardinality
+//! and timing back beside the result), and [`PhysicalPlan::explain`]
+//! renders the DAG with sharing annotations.
 
 use crate::error::EvalError;
 use crate::exec::Execution;
@@ -53,12 +58,6 @@ pub type NodeId = usize;
 /// What executing one node yields: its output and, when it ran
 /// partition-parallel, one [`PartitionStat`] per partition.
 type NodeOutput = (Arc<Relation>, Vec<PartitionStat>);
-
-/// Combined input size (tuples, both children) below which a binary
-/// operator node runs serially even under `Parallelism::Threads` —
-/// mirrors the registry's input-size gates for the direct set
-/// operators.
-const PAR_MIN_NODE_INPUT: usize = 4096;
 
 /// Estimation-accuracy budget for instrumented reports: a node whose
 /// q-error ([`PlannedReport::q_error`]) exceeds this factor is flagged
@@ -146,11 +145,10 @@ pub struct PlanNode {
     /// How many times the subexpression occurs in the original tree —
     /// `> 1` means the naive evaluator would have re-evaluated it.
     pub occurrences: usize,
-    /// Estimated output cardinality, present when the plan was built
-    /// with statistics ([`PhysicalPlan::of_costed`]). Purely advisory:
-    /// it drives operator choice and appears in `explain` output, never
-    /// in results.
-    pub est_rows: Option<f64>,
+    /// Estimated output cardinality. Purely advisory: it drives
+    /// operator choice and appears in `explain` output, never in
+    /// results.
+    pub est_rows: f64,
 }
 
 /// A lowered, hash-consed physical plan.
@@ -163,43 +161,29 @@ pub struct PhysicalPlan {
     nodes: Vec<PlanNode>,
     root: NodeId,
     expr_nodes: usize,
-    /// Present when the plan was built with statistics: gates
-    /// partition-parallelism per node from actual operand sizes at
-    /// execution time (replacing the fixed [`PAR_MIN_NODE_INPUT`]).
-    cost_model: Option<CostModel>,
+    /// Gates partition parallelism per node from actual operand sizes
+    /// at execution time.
+    cost_model: CostModel,
 }
 
 impl PhysicalPlan {
     /// Validate `expr` against `schema` and lower it to a physical DAG.
-    pub fn of(expr: &Expr, schema: &Schema) -> Result<PhysicalPlan, EvalError> {
-        Self::build(expr, schema, None, JoinOrder::AsWritten)
-    }
-
-    /// [`PhysicalPlan::of`] with statistics: every node carries an
+    ///
+    /// Before lowering, every join chain is reassociated into the
+    /// cheapest order `order`'s search finds ([`joinorder::reorder`] —
+    /// results stay byte-identical; a restoring projection keeps the
+    /// written column order), and under [`JoinOrder::Dp`] cyclic chains
+    /// whose every pairwise order is estimated past the AGM bound
+    /// collapse into one [`PhysOp::MultiwayJoin`]. Every node carries an
     /// estimated output cardinality ([`PlanNode::est_rows`], shown by
     /// [`PhysicalPlan::explain`] and compared against actuals in
     /// instrumented reports), binary operator choice consults the
     /// estimates (a join whose operands are provably tiny skips the
-    /// hash build), and partition-parallel execution is gated by the
-    /// [`CostModel`] instead of a fixed input-size threshold. Results
-    /// are identical to the stats-free plan — only constants change.
-    pub fn of_costed(
-        expr: &Expr,
-        schema: &Schema,
-        source: &dyn StatsSource,
-        model: &CostModel,
-    ) -> Result<PhysicalPlan, EvalError> {
-        Self::build(expr, schema, Some((source, model)), JoinOrder::default())
-    }
-
-    /// [`PhysicalPlan::of_costed`] with an explicit join-order mode:
-    /// before lowering, every join chain is reassociated into the
-    /// cheapest order the mode's search finds
-    /// ([`joinorder::reorder`] — results stay byte-identical; a
-    /// restoring projection keeps the written column order), and under
-    /// [`JoinOrder::Dp`] cyclic chains whose every pairwise order is
-    /// estimated past the AGM bound collapse into one
-    /// [`PhysOp::MultiwayJoin`].
+    /// hash build), and partition-parallel execution is gated by
+    /// `model`. Statistics change constants, never results.
+    ///
+    /// Errors with [`EvalError::MissingStatistics`] when `source` has
+    /// nothing for a relation the expression reads.
     pub fn of_costed_with_order(
         expr: &Expr,
         schema: &Schema,
@@ -207,28 +191,24 @@ impl PhysicalPlan {
         model: &CostModel,
         order: JoinOrder,
     ) -> Result<PhysicalPlan, EvalError> {
-        Self::build(expr, schema, Some((source, model)), order)
-    }
-
-    fn build(
-        expr: &Expr,
-        schema: &Schema,
-        stats: Option<(&dyn StatsSource, &CostModel)>,
-        order: JoinOrder,
-    ) -> Result<PhysicalPlan, EvalError> {
         expr.arity(schema)?;
+        if let Some(name) = expr
+            .relation_names()
+            .into_iter()
+            .find(|name| source.table_stats(name).is_none())
+        {
+            return Err(EvalError::MissingStatistics(name.to_string()));
+        }
         // Join-order search happens on the logical tree, before
         // lowering, so hash-consing and operator choice see the chosen
         // shape. Chains ear-marked for the multiway collapse are left
         // as written — `lower` recognizes and collapses them whole.
-        let reordered = match stats {
-            Some((src, _)) => joinorder::reorder(expr, schema, src, order),
-            None => None,
-        };
+        let reordered = joinorder::reorder(expr, schema, source, order);
         let planned_expr: &Expr = reordered.as_ref().unwrap_or(expr);
         let mut planner = Planner {
             schema,
-            stats,
+            estimator: Estimator::new(source),
+            model,
             order,
             nodes: Vec::new(),
             memo: FxHashMap::default(),
@@ -243,7 +223,7 @@ impl PhysicalPlan {
             nodes: planner.nodes,
             root,
             expr_nodes: planned_expr.node_count(),
-            cost_model: stats.map(|(_, m)| m.clone()),
+            cost_model: model.clone(),
         })
     }
 
@@ -288,8 +268,7 @@ impl PhysicalPlan {
     /// byte-identical to [`PhysicalPlan::execute`] for every worker
     /// count.
     pub fn execute_with(&self, db: &Database, par: Parallelism) -> Result<Relation, EvalError> {
-        let root = self.run(db, par.workers(), |_, _, _, _, _| {})?;
-        Ok(Arc::try_unwrap(root).unwrap_or_else(|arc| arc.as_ref().clone()))
+        Ok(unshare(self.run(db, par.workers(), |_, _, _, _, _| {})?))
     }
 
     /// [`PhysicalPlan::execute_with`]; `_exec` is accepted and ignored
@@ -304,19 +283,23 @@ impl PhysicalPlan {
     }
 
     /// Execute with per-node instrumentation (serial).
-    pub fn execute_instrumented(&self, db: &Database) -> Result<PlannedReport, EvalError> {
+    pub fn execute_instrumented(
+        &self,
+        db: &Database,
+    ) -> Result<(Relation, PlannedReport), EvalError> {
         self.execute_instrumented_with(db, Parallelism::Serial)
     }
 
     /// Execute under the given [`Parallelism`] with per-node
-    /// instrumentation; parallel operator nodes additionally report their
-    /// per-partition build/probe timings ([`NodeStat::partitions`]), and
-    /// the report records the worker count.
+    /// instrumentation, returning the result beside its report;
+    /// parallel operator nodes additionally report their per-partition
+    /// build/probe timings ([`NodeStat::partitions`]), and the report
+    /// records the worker count.
     pub fn execute_instrumented_with(
         &self,
         db: &Database,
         par: Parallelism,
-    ) -> Result<PlannedReport, EvalError> {
+    ) -> Result<(Relation, PlannedReport), EvalError> {
         let workers = par.workers();
         let mut slots: Vec<Option<NodeStat>> = vec![None; self.nodes.len()];
         let root = self.run(
@@ -334,8 +317,8 @@ impl PhysicalPlan {
                 });
             },
         )?;
-        Ok(PlannedReport {
-            result: Arc::try_unwrap(root).unwrap_or_else(|arc| arc.as_ref().clone()),
+        let report = PlannedReport {
+            output_rows: root.len(),
             occurrences: self.nodes.iter().map(|n| n.occurrences).collect(),
             estimates: self.nodes.iter().map(|n| n.est_rows).collect(),
             nodes: slots
@@ -345,18 +328,19 @@ impl PhysicalPlan {
             db_size: db.size(),
             expr_nodes: self.expr_nodes,
             workers,
-        })
+        };
+        Ok((unshare(root), report))
     }
 
     /// Execute one node against its already-computed children. Binary
     /// join/semijoin operators go partition-parallel when `workers > 1`
-    /// **and** the operand sizes justify it: plans built with
-    /// statistics ask the [`CostModel`] (spawn + partitioning overhead
-    /// vs the work the extra workers take over), stats-free plans use
-    /// the fixed [`PAR_MIN_NODE_INPUT`] cutoff — below either bar,
-    /// partitioning costs more than the operator itself (both bars are
-    /// hand-set; the benchmark's `eval.class_par_ratio.*` is what the
-    /// gate's decisions cost against a serial run). The
+    /// **and** the actual operand sizes justify it: the one gate is
+    /// [`CostModel::parallel_node_worthwhile`] (spawn + partitioning
+    /// overhead vs the work the extra workers take over) — below its
+    /// bar, partitioning costs more than the operator itself (the
+    /// constants are hand-set; the benchmark's
+    /// `eval.class_par_ratio.*` is what the gate's decisions cost
+    /// against a serial run). The
     /// cheap linear operators (scan, merge set ops, projection, filter,
     /// tag, grouping) always run serially — their cost is one pass over
     /// input the partitioning itself would have to make.
@@ -376,11 +360,7 @@ impl PhysicalPlan {
         let serial = |r: Relation| (Arc::new(r), Vec::new());
         let workers = if kids.len() == 2 {
             let (l, r) = (kids[0].len(), kids[1].len());
-            let worthwhile = match &self.cost_model {
-                Some(m) => m.parallel_node_worthwhile(l, r, workers),
-                None => l + r >= PAR_MIN_NODE_INPUT,
-            };
-            if worthwhile {
+            if self.cost_model.parallel_node_worthwhile(l, r, workers) {
                 workers
             } else {
                 1
@@ -439,10 +419,7 @@ impl PhysicalPlan {
                 // it here on the total input size (there is no probe
                 // side — the second operand count is 0).
                 let total: usize = kids.iter().map(|k| k.len()).sum();
-                let worthwhile = match &self.cost_model {
-                    Some(m) => m.parallel_node_worthwhile(total, 0, workers),
-                    None => total >= PAR_MIN_NODE_INPUT,
-                };
+                let worthwhile = self.cost_model.parallel_node_worthwhile(total, 0, workers);
                 let w = if worthwhile { workers } else { 1 };
                 let (rel, parts) = kernel::multiway_join(kids, spec, exec, w);
                 (Arc::new(rel), parts)
@@ -631,12 +608,11 @@ impl PhysicalPlan {
         } else {
             String::new()
         };
-        let est = match node.est_rows {
-            Some(e) => format!("  ~{e:.0} rows"),
-            None => String::new(),
-        };
         let head = format!("{branch}#{id} {}", node.op.name());
-        out.push_str(&format!("{head:<40} {}{est}{shared}\n", node.label));
+        out.push_str(&format!(
+            "{head:<40} {}  ~{:.0} rows{shared}\n",
+            node.label, node.est_rows
+        ));
         let n = node.children.len();
         for (i, &c) in node.children.iter().enumerate() {
             self.render(c, &child_prefix, i + 1 == n, false, seen, out);
@@ -655,10 +631,11 @@ impl PhysicalPlan {
 /// `(operator, child NodeIds)` after lowering children for `O(n)` total.
 struct Planner<'a> {
     schema: &'a Schema,
-    /// Statistics context when planning cost-based
-    /// ([`PhysicalPlan::of_costed`]): a stats source for the leaves and
-    /// the cost model that turns estimates into operator choices.
-    stats: Option<(&'a dyn StatsSource, &'a CostModel)>,
+    /// Cardinality estimates over the plan's statistics source; every
+    /// leaf was checked to have statistics before lowering started.
+    estimator: Estimator<'a>,
+    /// The cost model that turns estimates into operator choices.
+    model: &'a CostModel,
     /// Join-order mode the plan was built under; gates the multiway
     /// collapse (which fires only under [`JoinOrder::Dp`]).
     order: JoinOrder,
@@ -747,23 +724,28 @@ impl<'a> Planner<'a> {
             label: e.label(),
             arity,
             occurrences: 0, // filled by `count_occurrences`
-            est_rows: None, // filled by `annotate_estimates`
+            est_rows: 0.0,  // filled by `annotate_estimates`
         });
         self.memo.entry(h).or_default().push((e, id));
         id
     }
 
-    /// Record an estimated output cardinality on every plan node
-    /// (cost-based plans only). One estimator pass per distinct
-    /// subexpression — quadratic in the expression size, microseconds
-    /// at this workspace's scales.
+    /// The estimated output shape of a subexpression of the planned
+    /// tree.
+    fn estimate(&self, e: &Expr) -> CardEst {
+        self.estimator
+            .estimate(e)
+            .expect("every leaf has statistics: checked before lowering")
+    }
+
+    /// Record an estimated output cardinality on every plan node. One
+    /// estimator pass per distinct subexpression — quadratic in the
+    /// expression size, microseconds at this workspace's scales.
     fn annotate_estimates(&mut self) {
-        let Some((src, _)) = self.stats else { return };
-        let estimator = Estimator::new(src);
         let ids: Vec<(&Expr, NodeId)> =
             self.memo.values().flat_map(|v| v.iter().copied()).collect();
         for (e, id) in ids {
-            self.nodes[id].est_rows = estimator.estimate(e).map(|c| c.rows);
+            self.nodes[id].est_rows = self.estimate(e).rows;
         }
     }
 
@@ -771,17 +753,14 @@ impl<'a> Planner<'a> {
     /// multiway operator? Delegates the decision to
     /// [`joinorder::multiway_plan`] — the same function the reorder
     /// pass consulted when it left the chain's shape alone — so the two
-    /// passes cannot disagree. Requires [`JoinOrder::Dp`], statistics,
-    /// and estimates for every leaf.
+    /// passes cannot disagree. Requires [`JoinOrder::Dp`].
     fn try_multiway(&self, e: &'a Expr) -> Option<(kernel::MultiwaySpec, Vec<&'a Expr>)> {
         if self.order != JoinOrder::Dp {
             return None;
         }
-        let (src, _) = self.stats?;
         let g = JoinGraph::extract(e, self.schema)?;
-        let estimator = Estimator::new(src);
-        let ests: Option<Vec<CardEst>> = g.leaves.iter().map(|l| estimator.estimate(l)).collect();
-        let spec = joinorder::multiway_plan(&g, &ests?)?;
+        let ests: Vec<CardEst> = g.leaves.iter().map(|l| self.estimate(l)).collect();
+        let spec = joinorder::multiway_plan(&g, &ests)?;
         Some((spec, g.leaves))
     }
 
@@ -790,17 +769,10 @@ impl<'a> Planner<'a> {
     /// decision uses the estimator's guaranteed upper bounds
     /// (`CardEst::upper`), never the selectivity-scaled row estimates:
     /// an optimistic estimate on correlated data must not be able to
-    /// demote an `O(n)` hash join into an `Ω(n²)` nested loop. Missing
-    /// statistics keep the default.
+    /// demote an `O(n)` hash join into an `Ω(n²)` nested loop.
     fn hash_build_pays_off(&self, a: &Expr, b: &Expr) -> bool {
-        let Some((src, model)) = self.stats else {
-            return true;
-        };
-        let estimator = Estimator::new(src);
-        match (estimator.estimate(a), estimator.estimate(b)) {
-            (Some(ea), Some(eb)) => model.hash_worthwhile(ea.upper, eb.upper),
-            _ => true,
-        }
+        self.model
+            .hash_worthwhile(self.estimate(a).upper, self.estimate(b).upper)
     }
 
     fn choose_join_for(&self, theta: &Condition, a: &Expr, b: &Expr) -> PhysOp {
@@ -832,13 +804,14 @@ impl<'a> Planner<'a> {
     }
 }
 
-/// The result of an instrumented planned evaluation: one [`NodeStat`] per
-/// **DAG node** (not per tree node — that is the point), in topological
-/// order with the root last.
+/// What an instrumented planned evaluation measured: one [`NodeStat`]
+/// per **DAG node** (not per tree node — that is the point), in
+/// topological order with the root last. The executor hands the result
+/// relation back beside it.
 #[derive(Debug, Clone)]
 pub struct PlannedReport {
-    /// The query result (the root node's output).
-    pub result: Relation,
+    /// Rows of the query result (the root node's output).
+    pub output_rows: usize,
     /// Per-node statistics, indexed by [`NodeId`]. Each node appears
     /// exactly once: the planned evaluator computes every distinct
     /// subexpression once.
@@ -846,11 +819,10 @@ pub struct PlannedReport {
     /// Per-node occurrence counts in the logical tree (parallel to
     /// `nodes`).
     pub occurrences: Vec<usize>,
-    /// Per-node estimated cardinalities (parallel to `nodes`), present
-    /// for plans built with statistics — `render` prints them next to
-    /// the actual cardinalities, making estimator error visible per
-    /// node.
-    pub estimates: Vec<Option<f64>>,
+    /// Per-node estimated cardinalities (parallel to `nodes`) —
+    /// `render` prints them next to the actual cardinalities, making
+    /// estimator error visible per node.
+    pub estimates: Vec<f64>,
     /// The input database size `|D|`.
     pub db_size: usize,
     /// Size of the logical expression tree.
@@ -881,19 +853,19 @@ impl PlannedReport {
     /// (1.0 = exact, ≥ budget = flagged by [`PlannedReport::render`]).
     /// Both sides are clamped to ≥ 1 row first, so empty outputs and
     /// sub-row estimates compare as "one row" instead of dividing by
-    /// zero. `None` for plans built without statistics.
-    pub fn q_error(&self, id: NodeId) -> Option<f64> {
-        let est = self.estimates[id]?.max(1.0);
+    /// zero.
+    pub fn q_error(&self, id: NodeId) -> f64 {
+        let est = self.estimates[id].max(1.0);
         let actual = (self.nodes[id].cardinality as f64).max(1.0);
-        Some((est / actual).max(actual / est))
+        (est / actual).max(actual / est)
     }
 
     /// The worst per-node q-error of the run — the headline estimator
-    /// accuracy number. `None` for plans built without statistics.
-    pub fn max_q_error(&self) -> Option<f64> {
+    /// accuracy number.
+    pub fn max_q_error(&self) -> f64 {
         (0..self.nodes.len())
-            .filter_map(|id| self.q_error(id))
-            .fold(None, |acc, q| Some(acc.map_or(q, |a: f64| a.max(q))))
+            .map(|id| self.q_error(id))
+            .fold(1.0, f64::max)
     }
 
     /// Render a per-node table (id, operator, label, cardinality, ×occ,
@@ -917,7 +889,7 @@ impl PlannedReport {
         let mut out = format!(
             "|D| = {}, output = {}, max intermediate = {}, {} plan nodes for {} tree nodes{workers}\n",
             self.db_size,
-            self.result.len(),
+            self.output_rows,
             self.max_intermediate(),
             self.nodes.len(),
             self.expr_nodes,
@@ -934,14 +906,11 @@ impl PlannedReport {
             } else {
                 format!("  [{} partitions]", n.partitions.len())
             };
-            let est = match est {
-                Some(e) => match self.q_error(n.id) {
-                    Some(q) if q > Q_ERROR_BUDGET => {
-                        format!("  est≈{e:.0} (q-error {q:.0} over budget)")
-                    }
-                    _ => format!("  est≈{e:.0}"),
-                },
-                None => String::new(),
+            let q = self.q_error(n.id);
+            let est = if q > Q_ERROR_BUDGET {
+                format!("  est≈{est:.0} (q-error {q:.0} over budget)")
+            } else {
+                format!("  est≈{est:.0}")
             };
             out.push_str(&format!(
                 "  [{:>3}] {:<20} {:<28} arity {}  card {}{est}{shared}{parts}\n",
@@ -952,40 +921,11 @@ impl PlannedReport {
     }
 }
 
-/// Evaluate `expr` on `db` through the physical planner: plan against the
-/// database's induced schema, then execute the DAG. Agrees with
-/// [`crate::evaluate`] on every valid expression, but evaluates each
-/// distinct subexpression once and never deep-clones a stored relation.
-///
-/// ```
-/// use sj_algebra::division;
-/// use sj_eval::{evaluate, evaluate_planned};
-/// use sj_storage::{Database, Relation};
-///
-/// let mut db = Database::new();
-/// db.set("R", Relation::from_int_rows(&[&[1, 7], &[1, 8], &[2, 7]]));
-/// db.set("S", Relation::from_int_rows(&[&[7], &[8]]));
-/// let e = division::division_double_difference("R", "S");
-/// assert_eq!(
-///     evaluate_planned(&e, &db).unwrap(),
-///     evaluate(&e, &db).unwrap()
-/// );
-/// ```
-pub fn evaluate_planned(expr: &Expr, db: &Database) -> Result<Relation, EvalError> {
-    PhysicalPlan::of(expr, &db.schema())?.execute(db)
-}
-
-/// Planned evaluation with per-DAG-node instrumentation.
-pub fn evaluate_planned_instrumented(
-    expr: &Expr,
-    db: &Database,
-) -> Result<PlannedReport, EvalError> {
-    PhysicalPlan::of(expr, &db.schema())?.execute_instrumented(db)
-}
-
-/// Plan and render the physical DAG without executing it.
-pub fn explain_plan(expr: &Expr, schema: &Schema) -> Result<String, EvalError> {
-    Ok(PhysicalPlan::of(expr, schema)?.explain())
+/// The root's output as an owned relation: moved out when the plan held
+/// the only handle, copied when the root is a stored relation the
+/// database still shares (a bare scan).
+fn unshare(root: Arc<Relation>) -> Relation {
+    Arc::try_unwrap(root).unwrap_or_else(|arc| arc.as_ref().clone())
 }
 
 #[cfg(test)]
@@ -993,6 +933,23 @@ mod tests {
     use super::*;
     use crate::plain::evaluate;
     use sj_algebra::division;
+    use sj_stats::{CatalogSource, StatsCatalog};
+
+    /// Plan `e` the way a default engine over `db` does: default cost
+    /// model and join order, statistics analyzed on demand.
+    fn try_plan(e: &Expr, db: &Database) -> Result<PhysicalPlan, EvalError> {
+        PhysicalPlan::of_costed_with_order(
+            e,
+            &db.schema(),
+            &CatalogSource::new(&StatsCatalog::new(), db),
+            &CostModel::default(),
+            JoinOrder::default(),
+        )
+    }
+
+    fn plan(e: &Expr, db: &Database) -> PhysicalPlan {
+        try_plan(e, db).unwrap()
+    }
 
     fn division_db() -> Database {
         let mut db = Database::new();
@@ -1007,7 +964,7 @@ mod tests {
     #[test]
     fn division_dag_shares_r_and_its_projection() {
         let e = division::division_double_difference("R", "S");
-        let plan = PhysicalPlan::of(&e, &division_db().schema()).unwrap();
+        let plan = plan(&e, &division_db());
         // 10 tree nodes collapse to 7 distinct subexpressions.
         assert_eq!(plan.expr_node_count(), 10);
         assert_eq!(plan.node_count(), 7);
@@ -1032,7 +989,7 @@ mod tests {
         // three times), π₁(R) once (twice in the tree).
         let e = division::division_double_difference("R", "S");
         let db = division_db();
-        let report = evaluate_planned_instrumented(&e, &db).unwrap();
+        let (result, report) = plan(&e, &db).execute_instrumented(&db).unwrap();
         assert_eq!(report.expr_nodes, 10);
         assert_eq!(report.nodes.len(), 7);
         assert_eq!(report.evaluations_saved(), 3);
@@ -1049,7 +1006,8 @@ mod tests {
         for (i, n) in report.nodes.iter().enumerate() {
             assert_eq!(n.id, i);
         }
-        assert_eq!(report.result, evaluate(&e, &db).unwrap());
+        assert_eq!(result, evaluate(&e, &db).unwrap());
+        assert_eq!(report.output_rows, result.len());
     }
 
     #[test]
@@ -1074,7 +1032,7 @@ mod tests {
             division::cyclic_beer_query_ra(),
         ] {
             assert_eq!(
-                evaluate_planned(&e, &db).unwrap(),
+                plan(&e, &db).execute(&db).unwrap(),
                 evaluate(&e, &db).unwrap(),
                 "{e}"
             );
@@ -1088,7 +1046,7 @@ mod tests {
             division::division_equality_counting("R", "S"),
         ] {
             assert_eq!(
-                evaluate_planned(&e, &ddb).unwrap(),
+                plan(&e, &ddb).execute(&ddb).unwrap(),
                 evaluate(&e, &ddb).unwrap(),
                 "{e}"
             );
@@ -1097,7 +1055,12 @@ mod tests {
 
     #[test]
     fn operator_choice_prefers_merge_on_aligned_prefix() {
-        let schema = Schema::new([("R", 2), ("S", 2)]);
+        // Big enough that a hash build pays off wherever one applies.
+        let rows: Vec<Vec<i64>> = (0..500).map(|i| vec![i, i % 50]).collect();
+        let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let mut db = Database::new();
+        db.set("R", Relation::from_int_rows(&refs));
+        db.set("S", Relation::from_int_rows(&refs));
         let cases = [
             (
                 Expr::rel("R").semijoin(Condition::eq(1, 1), Expr::rel("S")),
@@ -1133,7 +1096,7 @@ mod tests {
             ),
         ];
         for (e, expect) in cases {
-            let plan = PhysicalPlan::of(&e, &schema).unwrap();
+            let plan = plan(&e, &db);
             let root = &plan.nodes()[plan.root()];
             assert_eq!(root.op.name(), expect, "{e}");
         }
@@ -1164,7 +1127,7 @@ mod tests {
         ];
         for e in exprs {
             assert_eq!(
-                evaluate_planned(&e, &db).unwrap(),
+                plan(&e, &db).execute(&db).unwrap(),
                 evaluate(&e, &db).unwrap(),
                 "{e}"
             );
@@ -1174,7 +1137,7 @@ mod tests {
     #[test]
     fn explain_shows_operators_and_sharing() {
         let e = division::division_double_difference("R", "S");
-        let s = explain_plan(&e, &division_db().schema()).unwrap();
+        let s = plan(&e, &division_db()).explain();
         assert!(s.contains("physical plan: 7 nodes for 10 logical nodes"));
         assert!(s.contains("scan"));
         assert!(s.contains("nested-loop-join"));
@@ -1185,7 +1148,7 @@ mod tests {
     #[test]
     fn execute_rejects_mismatched_database() {
         let e = Expr::rel("R").project([1]);
-        let plan = PhysicalPlan::of(&e, &Schema::new([("R", 2)])).unwrap();
+        let plan = plan(&e, &division_db());
         // Missing relation.
         let empty = Database::new();
         assert!(matches!(
@@ -1204,17 +1167,33 @@ mod tests {
     #[test]
     fn planned_validation_errors_surface_like_plain() {
         let db = Database::new();
-        assert!(evaluate_planned(&Expr::rel("R"), &db).is_err());
+        assert!(try_plan(&Expr::rel("R"), &db).is_err());
         let mut db2 = Database::new();
         db2.set("R", Relation::empty(1));
-        assert!(evaluate_planned(&Expr::rel("R").project([2]), &db2).is_err());
+        assert!(try_plan(&Expr::rel("R").project([2]), &db2).is_err());
+    }
+
+    #[test]
+    fn a_source_without_a_validated_leaf_is_a_typed_error() {
+        // The schema knows R, the statistics source does not: no silent
+        // un-costed plan.
+        let no_stats: FxHashMap<String, Arc<sj_stats::TableStats>> = FxHashMap::default();
+        let err = PhysicalPlan::of_costed_with_order(
+            &Expr::rel("R").project([1]),
+            &division_db().schema(),
+            &no_stats,
+            &CostModel::default(),
+            JoinOrder::default(),
+        )
+        .unwrap_err();
+        assert_eq!(err, EvalError::MissingStatistics("R".into()));
     }
 
     #[test]
     fn scan_is_zero_copy() {
         let mut db = Database::new();
         db.set("R", Relation::from_int_rows(&[&[1], &[2]]));
-        let plan = PhysicalPlan::of(&Expr::rel("R"), &db.schema()).unwrap();
+        let plan = plan(&Expr::rel("R"), &db);
         // A bare scan's result must be the stored allocation itself.
         let shared = plan.run(&db, 1, |_, _, _, _, _| {}).unwrap();
         assert!(std::ptr::eq(shared.as_ref(), db.get("R").unwrap()));
@@ -1234,7 +1213,7 @@ mod tests {
             Expr::rel("R").semijoin(Condition::eq(2, 1), Expr::rel("S")),
         ];
         for e in exprs {
-            let plan = PhysicalPlan::of(&e, &db.schema()).unwrap();
+            let plan = plan(&e, &db);
             let want = plan.execute(&db).unwrap();
             for par in [
                 Parallelism::Threads(1),
@@ -1254,23 +1233,22 @@ mod tests {
     #[test]
     fn parallel_instrumented_report_is_ordered_and_records_workers() {
         let e = division::division_double_difference("R", "S");
-        // Large enough that the join nodes clear PAR_MIN_NODE_INPUT and
-        // actually run partitioned (tiny inputs are gated to serial).
+        // 16 000 groups: enough that the product node clears the cost
+        // model's gate at four workers and actually runs partitioned
+        // (tiny inputs are gated to serial).
         let mut db = Database::new();
-        let rows: Vec<Vec<i64>> = (0..PAR_MIN_NODE_INPUT as i64 * 2)
-            .map(|i| vec![i % 5000, i % 3])
-            .collect();
+        let rows: Vec<Vec<i64>> = (0..32_000).map(|i| vec![i % 16_000, i % 3]).collect();
         let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
         db.set("R", Relation::from_int_rows(&refs));
         db.set("S", Relation::from_int_rows(&[&[0], &[1], &[2]]));
-        let plan = PhysicalPlan::of(&e, &db.schema()).unwrap();
-        let serial = plan.execute_instrumented(&db).unwrap();
+        let plan = plan(&e, &db);
+        let (serial_result, serial) = plan.execute_instrumented(&db).unwrap();
         assert_eq!(serial.workers, 1);
-        let par = plan
+        let (par_result, par) = plan
             .execute_instrumented_with(&db, Parallelism::Threads(4))
             .unwrap();
         assert_eq!(par.workers, 4);
-        assert_eq!(par.result, serial.result);
+        assert_eq!(par_result, serial_result);
         // Same shape as the serial report: one stat per DAG node, ids in
         // topological order, identical cardinalities.
         assert_eq!(par.nodes.len(), serial.nodes.len());
@@ -1309,7 +1287,7 @@ mod tests {
     #[test]
     fn levels_respect_dependencies() {
         let e = division::division_double_difference("R", "S");
-        let plan = PhysicalPlan::of(&e, &division_db().schema()).unwrap();
+        let plan = plan(&e, &division_db());
         let levels = plan.levels();
         assert_eq!(
             levels.iter().map(|l| l.len()).sum::<usize>(),
@@ -1332,73 +1310,52 @@ mod tests {
     }
 
     #[test]
-    fn costed_plan_annotates_estimates_and_preserves_results() {
-        use sj_stats::{AnalyzeSource, CostModel};
+    fn plan_annotates_estimates_and_reports_pair_them_with_actuals() {
         let db = division_db();
         let e = division::division_double_difference("R", "S");
-        let plain = PhysicalPlan::of(&e, &db.schema()).unwrap();
-        assert!(plain.nodes().iter().all(|n| n.est_rows.is_none()));
-        let src = AnalyzeSource::new(&db);
-        let model = CostModel::default();
-        let costed = PhysicalPlan::of_costed(&e, &db.schema(), &src, &model).unwrap();
-        assert_eq!(costed.node_count(), plain.node_count());
-        assert!(
-            costed.nodes().iter().all(|n| n.est_rows.is_some()),
-            "every node gets an estimate"
-        );
+        let plan = plan(&e, &db);
         // Leaf scans are estimated exactly.
-        let scan_r = costed
+        let scan_r = plan
             .nodes()
             .iter()
             .find(|n| n.op == PhysOp::Scan("R".into()))
             .unwrap();
-        assert_eq!(scan_r.est_rows, Some(5.0));
-        // Same results as the plain plan; explain carries the estimates.
-        assert_eq!(costed.execute(&db).unwrap(), plain.execute(&db).unwrap());
-        assert!(costed.explain().contains("~"), "{}", costed.explain());
-        assert!(!plain.explain().contains("~5 rows"));
+        assert_eq!(scan_r.est_rows, 5.0);
+        assert_eq!(plan.execute(&db).unwrap(), evaluate(&e, &db).unwrap());
+        assert!(plan.explain().contains("~5 rows"), "{}", plan.explain());
         // Instrumented report pairs estimates with actuals.
-        let report = costed.execute_instrumented(&db).unwrap();
+        let (_, report) = plan.execute_instrumented(&db).unwrap();
         assert_eq!(report.estimates.len(), report.nodes.len());
-        assert!(report.estimates.iter().all(|e| e.is_some()));
         assert!(report.render().contains("est≈"), "{}", report.render());
     }
 
     #[test]
-    fn costed_plan_demotes_hash_on_provably_tiny_inputs() {
-        use sj_stats::{AnalyzeSource, CostModel};
+    fn plan_demotes_hash_on_provably_tiny_inputs() {
         let mut db = Database::new();
         db.set("R", Relation::from_int_rows(&[&[1, 10], &[2, 20]]));
         db.set("S", Relation::from_int_rows(&[&[10, 1], &[20, 2]]));
-        // Off-prefix equality: the static planner always hashes…
+        // Off-prefix equality would hash; the planner sees 2×2 rows and
+        // skips the build.
         let e = Expr::rel("R").join(Condition::eq(2, 1), Expr::rel("S"));
-        let plain = PhysicalPlan::of(&e, &db.schema()).unwrap();
-        assert_eq!(plain.nodes()[plain.root()].op.name(), "hash-join");
-        // …the costed planner sees 2×2 rows and skips the build.
-        let src = AnalyzeSource::new(&db);
-        let model = CostModel::default();
-        let costed = PhysicalPlan::of_costed(&e, &db.schema(), &src, &model).unwrap();
-        assert_eq!(costed.nodes()[costed.root()].op.name(), "nested-loop-join");
-        assert_eq!(costed.execute(&db).unwrap(), plain.execute(&db).unwrap());
+        let tiny = plan(&e, &db);
+        assert_eq!(tiny.nodes()[tiny.root()].op.name(), "nested-loop-join");
+        assert_eq!(tiny.execute(&db).unwrap(), evaluate(&e, &db).unwrap());
         // At scale the hash join stays.
         let rows: Vec<Vec<i64>> = (0..500).map(|i| vec![i, i % 50]).collect();
         let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
         let mut big = Database::new();
         big.set("R", Relation::from_int_rows(&refs));
         big.set("S", Relation::from_int_rows(&refs));
-        let src = AnalyzeSource::new(&big);
-        let costed = PhysicalPlan::of_costed(&e, &big.schema(), &src, &model).unwrap();
-        assert_eq!(costed.nodes()[costed.root()].op.name(), "hash-join");
+        let at_scale = plan(&e, &big);
+        assert_eq!(at_scale.nodes()[at_scale.root()].op.name(), "hash-join");
         // Merge on aligned prefixes is never demoted.
         let aligned = Expr::rel("R").join(Condition::eq(1, 1), Expr::rel("S"));
-        let src = AnalyzeSource::new(&db);
-        let costed = PhysicalPlan::of_costed(&aligned, &db.schema(), &src, &model).unwrap();
-        assert_eq!(costed.nodes()[costed.root()].op.name(), "merge-join");
+        let merged = plan(&aligned, &db);
+        assert_eq!(merged.nodes()[merged.root()].op.name(), "merge-join");
     }
 
     #[test]
     fn correlated_selection_estimates_never_demote_hash_joins() {
-        use sj_stats::{AnalyzeSource, CostModel};
         // Every tuple satisfies σ₁₌₂, but the independence assumption
         // estimates the selection at |R|/distinct ≈ 1 row. The demotion
         // gate must use the guaranteed upper bound (|R|), not that
@@ -1412,23 +1369,20 @@ mod tests {
         let e = Expr::rel("R")
             .select_eq(1, 2)
             .join(Condition::eq(2, 1), Expr::rel("S").select_eq(1, 2));
-        let src = AnalyzeSource::new(&db);
-        let costed =
-            PhysicalPlan::of_costed(&e, &db.schema(), &src, &CostModel::default()).unwrap();
-        assert_eq!(costed.nodes()[costed.root()].op.name(), "hash-join");
+        let plan = plan(&e, &db);
+        assert_eq!(plan.nodes()[plan.root()].op.name(), "hash-join");
         // The (deliberately optimistic) row estimate on the selection
         // nodes really is tiny — the point is that it must not matter.
-        let sel_node = costed
+        let sel_node = plan
             .nodes()
             .iter()
             .find(|n| n.op.name() == "filter")
             .unwrap();
-        assert!(sel_node.est_rows.unwrap() < 100.0);
+        assert!(sel_node.est_rows < 100.0);
     }
 
     #[test]
     fn q_error_flags_estimates_over_budget() {
-        use sj_stats::{AnalyzeSource, CostModel};
         // Correlated columns: σ₁₌₂ keeps every tuple, but the
         // independence assumption estimates ~1 row — a q-error in the
         // thousands, well past the render budget.
@@ -1437,10 +1391,7 @@ mod tests {
         let mut db = Database::new();
         db.set("R", Relation::from_int_rows(&refs));
         let e = Expr::rel("R").select_eq(1, 2);
-        let src = AnalyzeSource::new(&db);
-        let costed =
-            PhysicalPlan::of_costed(&e, &db.schema(), &src, &CostModel::default()).unwrap();
-        let report = costed.execute_instrumented(&db).unwrap();
+        let (_, report) = plan(&e, &db).execute_instrumented(&db).unwrap();
         // The leaf scan is estimated exactly; the filter misses by >16×.
         let scan_id = report
             .nodes
@@ -1448,33 +1399,21 @@ mod tests {
             .find(|n| n.operator == "scan")
             .unwrap()
             .id;
-        assert_eq!(report.q_error(scan_id), Some(1.0));
-        assert!(report.max_q_error().unwrap() > Q_ERROR_BUDGET);
-        assert!(
-            report.render().contains("over budget"),
-            "{}",
+        assert_eq!(report.q_error(scan_id), 1.0);
+        assert!(report.max_q_error() > Q_ERROR_BUDGET);
+        assert_eq!(
+            report.render().matches("over budget").count(),
+            1,
+            "only the correlated filter is flagged:\n{}",
             report.render()
         );
-        // Stats-free plans have no estimates, hence no q-errors and no
-        // markers.
-        let plain = PhysicalPlan::of(&e, &db.schema()).unwrap();
-        let plain_report = plain.execute_instrumented(&db).unwrap();
-        assert!(plain_report.max_q_error().is_none());
-        assert!(!plain_report.render().contains("q-error"));
-        // An exact estimator stays unflagged.
-        let exact = costed
-            .execute_instrumented(&db)
-            .unwrap()
-            .render()
-            .matches("over budget")
-            .count();
-        assert_eq!(exact, 1, "only the correlated filter is flagged");
     }
 
     #[test]
     fn report_render_mentions_sharing_and_plan_size() {
         let e = division::division_double_difference("R", "S");
-        let report = evaluate_planned_instrumented(&e, &division_db()).unwrap();
+        let db = division_db();
+        let (_, report) = plan(&e, &db).execute_instrumented(&db).unwrap();
         let s = report.render();
         assert!(s.contains("7 plan nodes for 10 tree nodes"), "{s}");
         assert!(s.contains("×3"), "{s}");

@@ -3,8 +3,8 @@
 //! partition counts, cache provenance — packaged for rendering.
 //!
 //! A [`QueryProfile`] is derived from whichever [`Report`] an
-//! instrumented [`crate::Query::run`] produced (requested via
-//! [`crate::Instrument::Profile`]) and rendered two ways:
+//! instrumented [`crate::Query::run`] produced
+//! ([`crate::QueryOutput::profile`]) and rendered two ways:
 //!
 //! * [`QueryProfile::render`] — the full report with wall-clock times;
 //! * [`QueryProfile::render_stable`] — the same report with every
@@ -33,7 +33,8 @@ pub struct ProfileNode {
     pub arity: usize,
     /// Actual output cardinality.
     pub actual: usize,
-    /// Estimated output cardinality, when the plan was costed.
+    /// Estimated output cardinality (planned reports only: the tree
+    /// walkers estimate nothing).
     pub estimate: Option<f64>,
     /// `max(est/actual, actual/est)`, both clamped to ≥ 1 row.
     pub q_error: Option<f64>,
@@ -73,14 +74,14 @@ impl QueryProfile {
                 .iter()
                 .zip(&r.occurrences)
                 .zip(&r.estimates)
-                .map(|((n, &occ), est)| ProfileNode {
+                .map(|((n, &occ), &est)| ProfileNode {
                     id: n.id,
                     operator: n.operator.clone(),
                     label: n.label.clone(),
                     arity: n.arity,
                     actual: n.cardinality,
-                    estimate: *est,
-                    q_error: r.q_error(n.id),
+                    estimate: Some(est),
+                    q_error: Some(r.q_error(n.id)),
                     elapsed: n.elapsed,
                     partitions: n.partitions.len(),
                     occurrences: occ,
@@ -103,13 +104,13 @@ impl QueryProfile {
                 })
                 .collect(),
         };
-        let workers = match report {
-            Report::Planned(r) => r.workers,
-            Report::Naive(_) => 1,
+        let (workers, output_rows) = match report {
+            Report::Planned(r) => (r.workers, r.output_rows),
+            Report::Naive(r) => (1, r.output_rows),
         };
         QueryProfile {
             nodes,
-            output_rows: report.result().len(),
+            output_rows,
             db_size: report.db_size(),
             workers,
             elapsed,
@@ -207,7 +208,7 @@ impl QueryProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, Instrument, StatsMode, Strategy};
+    use crate::engine::{Engine, Instrument, Strategy};
     use sj_algebra::division;
     use sj_storage::{Database, Relation};
 
@@ -225,18 +226,17 @@ mod tests {
     fn profile_from_planned_report() {
         let engine = Engine::new(division_db())
             .strategy(Strategy::Planned)
-            .stats(StatsMode::Analyze)
-            .instrument(Instrument::Profile);
+            .instrument(Instrument::Cardinalities);
         let out = engine
             .query(division::division_double_difference("R", "S"))
             .run()
             .unwrap();
-        let profile = out.profile().expect("Profile instrument ⇒ profile");
+        let profile = out.profile().expect("a report ⇒ a profile");
         assert_eq!(profile.output_rows, out.relation.len());
         assert!(!profile.nodes.is_empty());
         assert!(profile.nodes.iter().any(|n| n.estimate.is_some()));
         assert!(profile.max_q_error().is_some());
-        assert!(out.elapsed.is_some(), "Profile implies timing");
+        assert_eq!(profile.elapsed, out.elapsed);
         let rendered = profile.render();
         assert!(rendered.contains("µs"), "{rendered}");
         let stable = profile.render_stable();

@@ -137,8 +137,8 @@ pub struct StatsSnapshot {
     /// bounded queue was full.
     pub rejected: u64,
     /// The worst [`sj_eval::PlannedReport::max_q_error`] across all cold
-    /// queries, when instrumentation and statistics are on — cost-model
-    /// drift made visible in serving.
+    /// queries, when instrumentation is on — cost-model drift made
+    /// visible in serving.
     pub max_q_error_seen: Option<f64>,
 }
 

@@ -41,7 +41,7 @@ use crate::metrics::{ServerStats, StatsSnapshot};
 use sj_algebra::{Expr, OptimizeLevel};
 use sj_eval::{
     Engine, EvalError, Execution, Instrument, Parallelism, PhysicalPlan, QueryProfile, Report,
-    StatsMode, Strategy,
+    Strategy,
 };
 use sj_obs::{Histogram, Metrics};
 use sj_storage::{Database, FxHashMap, Relation, Snapshot, StorageError, Tuple};
@@ -94,8 +94,8 @@ impl fmt::Display for CacheMode {
 }
 
 /// Server configuration. `Default` is a production-shaped setup:
-/// auto-sized worker pool, both cache tiers, cached statistics, full
-/// optimization, instrumented q-error tracking.
+/// auto-sized worker pool, both cache tiers, full optimization,
+/// instrumented q-error tracking.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Server worker threads (inter-query concurrency). `0` = one per
@@ -116,8 +116,6 @@ pub struct ServerConfig {
     pub plan_cache_capacity: usize,
     /// Result-tier capacity (entries).
     pub result_cache_capacity: usize,
-    /// Statistics mode for planning and algorithm selection.
-    pub stats: StatsMode,
     /// Optimizer level queries are compiled with.
     pub optimize: OptimizeLevel,
     /// Accepted and ignored: [`Execution`] has one value and selects
@@ -125,8 +123,7 @@ pub struct ServerConfig {
     pub execution: Execution,
     /// Run cold queries instrumented so their
     /// [`sj_eval::PlannedReport::max_q_error`] feeds
-    /// [`StatsSnapshot::max_q_error_seen`]. Costs one result-relation
-    /// copy per cold query.
+    /// [`StatsSnapshot::max_q_error_seen`].
     pub instrument: bool,
 }
 
@@ -139,7 +136,6 @@ impl Default for ServerConfig {
             cache: CacheMode::default(),
             plan_cache_capacity: 1024,
             result_cache_capacity: 1024,
-            stats: StatsMode::Cached,
             optimize: OptimizeLevel::Full,
             execution: Execution::Vectorized,
             instrument: true,
@@ -315,7 +311,6 @@ struct Shared {
     next_session: AtomicU64,
     cache_mode: CacheMode,
     per_query: Parallelism,
-    instrument: bool,
     /// Set by [`Server::shutdown`]/`Drop`: workers exit on their next
     /// poll tick even while session handles (and their queue senders)
     /// are still alive, and new submissions fail fast with
@@ -365,7 +360,6 @@ impl Shared {
             next_session: AtomicU64::new(0),
             cache_mode: CacheMode::Off,
             per_query: Parallelism::Serial,
-            instrument: false,
             closed: AtomicBool::new(true),
         }
     }
@@ -480,15 +474,15 @@ impl Shared {
                 if applicable {
                     self.stats.bump_plan_hits();
                     let (relation, profile) = if want_profile {
-                        let report = Report::Planned(
-                            entry
-                                .plan
-                                .execute_instrumented_with(ctx.snap.db(), self.per_query)?,
-                        );
-                        let relation = Arc::new(report.result().clone());
-                        let profile = QueryProfile::from_report(&report, Some(started.elapsed()))
-                            .with_cache_tier("plan-cache");
-                        (relation, Some(profile.render()))
+                        let (relation, report) = entry
+                            .plan
+                            .execute_instrumented_with(ctx.snap.db(), self.per_query)?;
+                        let profile = QueryProfile::from_report(
+                            &Report::Planned(report),
+                            Some(started.elapsed()),
+                        )
+                        .with_cache_tier("plan-cache");
+                        (Arc::new(relation), Some(profile.render()))
                     } else {
                         (
                             Arc::new(entry.plan.execute_with(ctx.snap.db(), self.per_query)?),
@@ -515,18 +509,13 @@ impl Shared {
         // execute, and populate both tiers.
         let mut engine = self.template.fork(ctx.snap.db().clone());
         if want_profile {
-            engine = engine.instrument(Instrument::Profile);
+            engine = engine.instrument(Instrument::Cardinalities);
         }
         let out = engine.query(expr.clone()).run()?;
-        if self.instrument || want_profile {
-            if let Some(q) = out
-                .report
-                .as_ref()
-                .and_then(|r| r.as_planned())
-                .and_then(|p| p.max_q_error())
-            {
-                self.stats.record_q_error(q);
-            }
+        // A report exists iff the run was instrumented (by config or for
+        // the profile).
+        if let Some(planned) = out.report.as_ref().and_then(|r| r.as_planned()) {
+            self.stats.record_q_error(planned.max_q_error());
         }
         let profile = want_profile
             .then(|| out.profile().map(|p| p.with_cache_tier("cold").render()))
@@ -761,7 +750,6 @@ impl Server {
             } else {
                 Instrument::Off
             })
-            .stats(config.stats)
             .parallelism(per_query);
         let metrics = Arc::new(Metrics::new());
         let shared = Arc::new(Shared {
@@ -784,7 +772,6 @@ impl Server {
             next_session: AtomicU64::new(0),
             cache_mode: config.cache,
             per_query,
-            instrument: config.instrument,
             closed: AtomicBool::new(false),
         });
         let (tx, rx) = mpsc::sync_channel(config.queue_capacity.max(1));

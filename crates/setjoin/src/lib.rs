@@ -17,9 +17,10 @@
 //!
 //! All algorithms are also available through the [`registry`] — trait
 //! objects behind [`registry::SetJoinAlgorithm`] /
-//! [`registry::DivisionAlgorithm`] with the deterministic
+//! [`registry::DivisionAlgorithm`] with the deterministic, cost-based
 //! [`registry::Registry::auto_set_join`] and
-//! [`registry::Registry::auto_division`] selectors. The free functions
+//! [`registry::Registry::auto_division`] selectors over the operands'
+//! `sj_stats::TableStats`. The free functions
 //! below remain the convenient direct entry points; prefer the registry
 //! (or `sj-eval`'s `Engine`, which routes through it) when the algorithm
 //! choice should be configuration rather than code.

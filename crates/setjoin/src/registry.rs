@@ -1,5 +1,6 @@
 //! The set-join / division **algorithm registry**: every algorithm of this
-//! crate behind one trait object, with a deterministic `auto` selector.
+//! crate behind one trait object, with one cost-based selector per
+//! operator.
 //!
 //! The paper's dichotomy is ultimately a statement about *which algorithm a
 //! query processor is allowed to pick*: inside plain RA every division plan
@@ -11,10 +12,11 @@
 //!   predicates, complexity class per Definition 16, and `run`.
 //! * [`Registry`] — a named collection of algorithms;
 //!   [`Registry::standard`] holds every algorithm this crate implements.
-//! * [`Registry::auto_set_join`] / [`Registry::auto_division`] — pick an
-//!   algorithm from the predicate and input statistics ([`Relation::len`];
-//!   canonical storage order means both operands are always sorted, so the
-//!   merge-based algorithms never need a sort pass).
+//! * [`Registry::auto_set_join`] / [`Registry::auto_division`] — price
+//!   every registered algorithm on the operands' [`TableStats`]
+//!   ([`set_join_cost`] / [`division_cost`]) and pick the cheapest.
+//!   Statistics are an input, not a mode: a caller without a catalog
+//!   runs [`TableStats::analyze`] on the operands first.
 //!
 //! The free functions of [`crate::division`] and [`crate::setjoin`] remain
 //! available as thin wrappers; `sj-eval`'s `Engine` routes its division and
@@ -420,43 +422,12 @@ impl DivisionAlgorithm for ParallelHashDivision {
 // ---------------------------------------------------------------------------
 
 /// A collection of set-join and division algorithms, addressable by name,
-/// with a deterministic `auto` selector.
+/// with a deterministic cost-based selector per operator.
 #[derive(Clone, Default)]
 pub struct Registry {
     set_joins: Vec<Arc<dyn SetJoinAlgorithm>>,
     divisions: Vec<Arc<dyn DivisionAlgorithm>>,
 }
-
-/// The selection thresholds of the stats-free `auto` selectors
-/// ([`Registry::auto_set_join_with`] / [`Registry::auto_division_with`]),
-/// named and documented in one place and public so tests and experiments
-/// can construct inputs exactly on either side of each boundary. The
-/// cost-based selectors ([`Registry::auto_set_join_costed`] /
-/// [`Registry::auto_division_costed`]) replace these fixed cutoffs with
-/// [`CostModel`] estimates when statistics are available.
-pub mod thresholds {
-    /// Inputs at or below this many tuples (both operands together) skip
-    /// signature/hash machinery: the setup cost dominates at toy sizes.
-    pub const SMALL_INPUT: usize = 64;
-
-    /// Average group size at which the `auto` selector widens signatures
-    /// from one to four words (large sets saturate 64-bit signatures).
-    pub const WIDE_SET_THRESHOLD: usize = 16;
-
-    /// Combined input size (tuples, both operands) above which the `auto`
-    /// selectors prefer the partition-parallel set-join variant when the
-    /// caller signals a parallel execution context (`workers > 1`). Below
-    /// it, partition bookkeeping outweighs the pruning.
-    pub const PARALLEL_SETJOIN_INPUT: usize = 4096;
-
-    /// Combined input size above which the `auto` selectors prefer the
-    /// partition-parallel division when `workers > 1`.
-    pub const PARALLEL_DIVISION_INPUT: usize = 8192;
-}
-
-use thresholds::{
-    PARALLEL_DIVISION_INPUT, PARALLEL_SETJOIN_INPUT, SMALL_INPUT, WIDE_SET_THRESHOLD,
-};
 
 impl Registry {
     /// An empty registry.
@@ -542,139 +513,21 @@ impl Registry {
             .cloned()
     }
 
-    /// Pick a set-join algorithm from the predicate and input statistics.
-    ///
-    /// Deterministic rules, in order:
-    ///
-    /// 1. `=` → `hash-set-equality` (quasilinear beats any pair scan).
-    /// 2. `∩ ≠ ∅` → `equijoin-intersect` (the paper's equijoin remark).
-    /// 3. Tiny inputs (≤ 64 tuples total) → `nested-loop`: signature
-    ///    setup costs more than it saves.
-    /// 4. Large average group size (≥ 16 values) → `signature256`:
-    ///    64-bit signatures saturate and stop filtering.
-    /// 5. Otherwise → `signature64`.
-    ///
-    /// Returns `None` only when the registry lacks an algorithm for the
-    /// predicate (never for [`Registry::standard`]).
-    pub fn auto_set_join(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        pred: SetPredicate,
-    ) -> Option<Arc<dyn SetJoinAlgorithm>> {
-        self.auto_set_join_with(r, s, pred, 1)
-    }
-
-    /// [`Registry::auto_set_join`] with a parallel-context hint: when the
-    /// caller will execute with `workers > 1` threads (the `Engine`
-    /// passes its parallelism degree) and the containment input is large
-    /// (≥ 4096 tuples combined), the partition-parallel
-    /// `parallel-signature` variant is preferred — the anchor-element
-    /// partitioning both prunes candidate pairs and gives the workers
-    /// independent shards. `workers ≤ 1` reproduces the serial choice
-    /// exactly; `=` and `∩ ≠ ∅` keep their dedicated (quasi)linear
-    /// algorithms at every worker count.
-    pub fn auto_set_join_with(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        pred: SetPredicate,
-        workers: usize,
-    ) -> Option<Arc<dyn SetJoinAlgorithm>> {
-        let pick = |name: &str| self.find_set_join(name).filter(|a| a.supports(pred));
-        let fallback = || {
-            self.set_joins
-                .iter()
-                .rev()
-                .find(|a| a.supports(pred))
-                .cloned()
-        };
-        let n = r.len() + s.len();
-        let preferred = match pred {
-            SetPredicate::Equals => pick("hash-set-equality"),
-            SetPredicate::IntersectsNonempty => pick("equijoin-intersect"),
-            SetPredicate::Contains | SetPredicate::ContainedIn => {
-                if workers > 1 && n >= PARALLEL_SETJOIN_INPUT {
-                    pick("parallel-signature")
-                } else if n <= SMALL_INPUT {
-                    pick("nested-loop")
-                } else if avg_group_size(r).max(avg_group_size(s)) >= WIDE_SET_THRESHOLD {
-                    pick("signature256")
-                } else {
-                    pick("signature64")
-                }
-            }
-        };
-        preferred.or_else(fallback)
-    }
-
-    /// Pick a division algorithm from the semantics and input statistics.
-    ///
-    /// Deterministic rules, in order:
-    ///
-    /// 1. Tiny inputs (≤ 64 tuples total) → `sort-merge`: canonical
-    ///    storage order makes it sort-free, and it allocates nothing.
-    /// 2. Equality semantics → `counting` (group sizes fall out of the
-    ///    single counting pass).
-    /// 3. Otherwise → `hash` (Graefe's bitmap division).
-    ///
-    /// Returns `None` only for an empty registry.
-    pub fn auto_division(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        sem: DivisionSemantics,
-    ) -> Option<Arc<dyn DivisionAlgorithm>> {
-        self.auto_division_with(r, s, sem, 1)
-    }
-
-    /// [`Registry::auto_division`] with a parallel-context hint: with
-    /// `workers > 1` and a large dividend (≥ 8192 tuples combined) the
-    /// hash-partitioned `parallel-hash` variant is preferred so the
-    /// build/probe pass shards across the worker threads. `workers ≤ 1`
-    /// reproduces the serial choice exactly.
-    pub fn auto_division_with(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        sem: DivisionSemantics,
-        workers: usize,
-    ) -> Option<Arc<dyn DivisionAlgorithm>> {
-        let pick = |name: &str| self.find_division(name);
-        let preferred = if workers > 1 && r.len() + s.len() >= PARALLEL_DIVISION_INPUT {
-            pick("parallel-hash")
-        } else if r.len() + s.len() <= SMALL_INPUT {
-            pick("sort-merge")
-        } else if sem == DivisionSemantics::Equality {
-            pick("counting")
-        } else {
-            pick("hash")
-        };
-        preferred.or_else(|| self.divisions.last().cloned())
-    }
-
-    /// **Cost-based** division selection: with statistics, every
-    /// registered algorithm is priced by [`division_cost`] and the
-    /// cheapest wins; without statistics this is exactly
-    /// [`Registry::auto_division_with`] (the threshold rules), so
-    /// engines with statistics disabled behave identically to engines
-    /// predating the cost model.
+    /// Pick the division algorithm [`division_cost`] prices cheapest on
+    /// operands with the given statistics, under `workers` threads.
     ///
     /// Deterministic: identical statistics produce identical picks; on
     /// exact cost ties the latest registration of a name wins (matching
-    /// the [`Registry::find_division`] shadowing rule).
-    pub fn auto_division_costed(
+    /// the [`Registry::find_division`] shadowing rule). Returns `None`
+    /// only for an empty registry.
+    pub fn auto_division(
         &self,
-        r: &Relation,
-        s: &Relation,
+        r: &TableStats,
+        s: &TableStats,
         sem: DivisionSemantics,
         workers: usize,
-        stats: Option<(&TableStats, &TableStats)>,
         model: &CostModel,
     ) -> Option<Arc<dyn DivisionAlgorithm>> {
-        let Some((rs, ss)) = stats else {
-            return self.auto_division_with(r, s, sem, workers);
-        };
         let mut best: Option<(f64, Arc<dyn DivisionAlgorithm>)> = None;
         let mut seen: Vec<&str> = Vec::new();
         for alg in self.divisions.iter().rev() {
@@ -682,7 +535,7 @@ impl Registry {
                 continue; // shadowed by a later registration
             }
             seen.push(alg.name());
-            let cost = division_cost(model, alg.as_ref(), rs, ss, sem, workers);
+            let cost = division_cost(model, alg.as_ref(), r, s, sem, workers);
             if best.as_ref().is_none_or(|(b, _)| cost < *b) {
                 best = Some((cost, alg.clone()));
             }
@@ -690,22 +543,18 @@ impl Registry {
         best.map(|(_, a)| a)
     }
 
-    /// **Cost-based** set-join selection over the algorithms supporting
-    /// `pred` (see [`Registry::auto_division_costed`]; prices come from
-    /// [`set_join_cost`]). Falls back to the threshold rules of
-    /// [`Registry::auto_set_join_with`] when `stats` is `None`.
-    pub fn auto_set_join_costed(
+    /// Pick the cheapest set-join algorithm among those supporting
+    /// `pred` (see [`Registry::auto_division`]; prices come from
+    /// [`set_join_cost`]). Returns `None` only when the registry lacks
+    /// an algorithm for the predicate (never for [`Registry::standard`]).
+    pub fn auto_set_join(
         &self,
-        r: &Relation,
-        s: &Relation,
+        r: &TableStats,
+        s: &TableStats,
         pred: SetPredicate,
         workers: usize,
-        stats: Option<(&TableStats, &TableStats)>,
         model: &CostModel,
     ) -> Option<Arc<dyn SetJoinAlgorithm>> {
-        let Some((rs, ss)) = stats else {
-            return self.auto_set_join_with(r, s, pred, workers);
-        };
         let mut best: Option<(f64, Arc<dyn SetJoinAlgorithm>)> = None;
         let mut seen: Vec<&str> = Vec::new();
         for alg in self.set_joins.iter().rev() {
@@ -716,7 +565,7 @@ impl Registry {
             if !alg.supports(pred) {
                 continue;
             }
-            let cost = set_join_cost(model, alg.as_ref(), rs, ss, pred, workers);
+            let cost = set_join_cost(model, alg.as_ref(), r, s, pred, workers);
             if best.as_ref().is_none_or(|(b, _)| cost < *b) {
                 best = Some((cost, alg.clone()));
             }
@@ -907,22 +756,6 @@ impl fmt::Debug for Registry {
     }
 }
 
-/// Average number of values per group of a binary relation (0 when empty).
-fn avg_group_size(r: &Relation) -> usize {
-    // Canonical storage order keeps equal keys adjacent: counting group
-    // boundaries is one allocation-free scan (materializing `group_sets`
-    // here would clone every value just to take a length).
-    let mut groups = 0usize;
-    let mut prev = None;
-    for t in r {
-        if prev != Some(&t[0]) {
-            groups += 1;
-            prev = Some(&t[0]);
-        }
-    }
-    r.len().checked_div(groups).unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -989,141 +822,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_set_join_picks_by_predicate() {
-        let reg = Registry::standard();
-        let r = pairs(&[[1, 10], [1, 11]]);
-        let s = pairs(&[[5, 10]]);
-        assert_eq!(
-            reg.auto_set_join(&r, &s, SetPredicate::Equals)
-                .unwrap()
-                .name(),
-            "hash-set-equality"
-        );
-        assert_eq!(
-            reg.auto_set_join(&r, &s, SetPredicate::IntersectsNonempty)
-                .unwrap()
-                .name(),
-            "equijoin-intersect"
-        );
-        // Tiny containment input → nested loops.
-        assert_eq!(
-            reg.auto_set_join(&r, &s, SetPredicate::Contains)
-                .unwrap()
-                .name(),
-            "nested-loop"
-        );
-    }
-
-    #[test]
-    fn auto_set_join_scales_with_input_stats() {
-        let reg = Registry::standard();
-        // > SMALL_INPUT tuples, small groups → 64-bit signatures.
-        let rows: Vec<[i64; 2]> = (0..60).flat_map(|g| [[g, 2 * g], [g, 2 * g + 1]]).collect();
-        let big = pairs(&rows);
-        assert_eq!(
-            reg.auto_set_join(&big, &big, SetPredicate::Contains)
-                .unwrap()
-                .name(),
-            "signature64"
-        );
-        // Wide groups (≥ WIDE_SET_THRESHOLD values each) → wide signatures.
-        let wide_rows: Vec<[i64; 2]> = (0..4).flat_map(|g| (0..20).map(move |v| [g, v])).collect();
-        let wide = pairs(&wide_rows);
-        assert_eq!(
-            reg.auto_set_join(&wide, &wide, SetPredicate::Contains)
-                .unwrap()
-                .name(),
-            "signature256"
-        );
-    }
-
-    #[test]
-    fn auto_division_picks_by_stats_and_semantics() {
-        let reg = Registry::standard();
-        let small = pairs(&[[1, 7], [2, 7]]);
-        let divisor = Relation::from_int_rows(&[&[7]]);
-        assert_eq!(
-            reg.auto_division(&small, &divisor, DivisionSemantics::Containment)
-                .unwrap()
-                .name(),
-            "sort-merge"
-        );
-        let rows: Vec<[i64; 2]> = (0..200).map(|i| [i / 4, i % 4]).collect();
-        let big = pairs(&rows);
-        assert_eq!(
-            reg.auto_division(&big, &divisor, DivisionSemantics::Containment)
-                .unwrap()
-                .name(),
-            "hash"
-        );
-        assert_eq!(
-            reg.auto_division(&big, &divisor, DivisionSemantics::Equality)
-                .unwrap()
-                .name(),
-            "counting"
-        );
-    }
-
-    #[test]
-    fn auto_with_workers_prefers_parallel_variants_on_large_inputs() {
-        let reg = Registry::standard();
-        // Fig-scale containment input: > PARALLEL_SETJOIN_INPUT tuples.
-        let rows: Vec<[i64; 2]> = (0..1200)
-            .flat_map(|g| (0..2).map(move |v| [g, v]))
-            .collect();
-        let big = pairs(&rows);
-        assert_eq!(
-            reg.auto_set_join_with(&big, &big, SetPredicate::Contains, 4)
-                .unwrap()
-                .name(),
-            "parallel-signature"
-        );
-        // Same input, serial context: the serial pick is unchanged.
-        assert_eq!(
-            reg.auto_set_join_with(&big, &big, SetPredicate::Contains, 1)
-                .unwrap()
-                .name(),
-            reg.auto_set_join(&big, &big, SetPredicate::Contains)
-                .unwrap()
-                .name()
-        );
-        // Equality keeps its dedicated quasilinear algorithm even in a
-        // parallel context.
-        assert_eq!(
-            reg.auto_set_join_with(&big, &big, SetPredicate::Equals, 8)
-                .unwrap()
-                .name(),
-            "hash-set-equality"
-        );
-        // Division: large dividend + workers ⇒ parallel-hash; serial
-        // context unchanged.
-        let drows: Vec<[i64; 2]> = (0..10_000).map(|i| [i / 4, i % 4]).collect();
-        let dividend = pairs(&drows);
-        let divisor = Relation::from_int_rows(&[&[0], &[1]]);
-        assert_eq!(
-            reg.auto_division_with(&dividend, &divisor, DivisionSemantics::Containment, 4)
-                .unwrap()
-                .name(),
-            "parallel-hash"
-        );
-        assert_eq!(
-            reg.auto_division_with(&dividend, &divisor, DivisionSemantics::Containment, 1)
-                .unwrap()
-                .name(),
-            "hash"
-        );
-        // Small inputs never trigger the parallel variants, whatever the
-        // worker count.
-        let small = pairs(&[[1, 7], [2, 7]]);
-        assert_eq!(
-            reg.auto_division_with(&small, &divisor, DivisionSemantics::Containment, 8)
-                .unwrap()
-                .name(),
-            "sort-merge"
-        );
-    }
-
-    #[test]
     fn run_with_workers_defaults_to_run_for_serial_algorithms() {
         let reg = Registry::standard();
         let r = pairs(&[[1, 10], [1, 11], [2, 10]]);
@@ -1146,21 +844,6 @@ mod tests {
                 "{}",
                 alg.name()
             );
-        }
-    }
-
-    #[test]
-    fn auto_never_picks_an_unsupported_algorithm() {
-        let reg = Registry::standard();
-        let r = pairs(&[[1, 10]]);
-        for pred in [
-            SetPredicate::Contains,
-            SetPredicate::ContainedIn,
-            SetPredicate::Equals,
-            SetPredicate::IntersectsNonempty,
-        ] {
-            let alg = reg.auto_set_join(&r, &r, pred).unwrap();
-            assert!(alg.supports(pred), "{} vs {pred:?}", alg.name());
         }
     }
 
@@ -1200,83 +883,53 @@ mod tests {
         assert_eq!(WideSignatureSetJoin { words: 1 }.name(), "signature-wide");
     }
 
-    fn stats_pair(r: &Relation, s: &Relation) -> (TableStats, TableStats) {
-        (TableStats::analyze(r), TableStats::analyze(s))
-    }
-
     #[test]
-    fn costed_auto_without_stats_is_the_threshold_selector() {
-        let reg = Registry::standard();
-        let model = CostModel::default();
-        let rows: Vec<[i64; 2]> = (0..500).map(|i| [i / 4, i % 4]).collect();
-        let big = pairs(&rows);
-        let small = pairs(&[[1, 7], [2, 7]]);
-        let divisor = Relation::from_int_rows(&[&[7]]);
-        for (r, s) in [(&big, &divisor), (&small, &divisor)] {
-            for sem in [DivisionSemantics::Containment, DivisionSemantics::Equality] {
-                for workers in [1usize, 4] {
-                    assert_eq!(
-                        reg.auto_division_costed(r, s, sem, workers, None, &model)
-                            .unwrap()
-                            .name(),
-                        reg.auto_division_with(r, s, sem, workers).unwrap().name(),
-                        "stats off must reproduce the threshold pick"
-                    );
-                }
-            }
-        }
-        for pred in [
-            SetPredicate::Contains,
-            SetPredicate::Equals,
-            SetPredicate::IntersectsNonempty,
-        ] {
-            assert_eq!(
-                reg.auto_set_join_costed(&big, &big, pred, 1, None, &model)
-                    .unwrap()
-                    .name(),
-                reg.auto_set_join_with(&big, &big, pred, 1).unwrap().name()
-            );
-        }
-    }
-
-    #[test]
-    fn costed_division_picks_by_scale_and_workers() {
+    fn auto_division_picks_by_scale_and_workers() {
         let reg = Registry::standard();
         let model = CostModel::default();
         // A divisor comfortably larger than the mean set size: per-group
         // divisor merges (sort-merge's cost) outweigh per-tuple hashing.
         let drows: Vec<[i64; 1]> = (0..8).map(|i| [i]).collect();
         let divisor = Relation::from_tuples(1, drows.iter().map(|r| Tuple::from_ints(r))).unwrap();
-        // Tiny input: the allocation-free merge wins on setup cost.
-        let small = pairs(&[[1, 0], [1, 1], [2, 0]]);
-        let (rs, ss) = stats_pair(&small, &divisor);
-        let pick = |r: &Relation, st: &(TableStats, TableStats), workers| {
-            reg.auto_division_costed(
-                r,
-                &divisor,
-                DivisionSemantics::Containment,
-                workers,
-                Some((&st.0, &st.1)),
-                &model,
-            )
-            .unwrap()
-            .name()
+        let ss = TableStats::analyze(&divisor);
+        let pick = |r: &Relation, sem, workers| {
+            reg.auto_division(&TableStats::analyze(r), &ss, sem, workers, &model)
+                .unwrap()
+                .name()
         };
-        assert_eq!(pick(&small, &(rs, ss), 1), "sort-merge");
-        // Fig-scale input: the one-pass counting division wins serial…
+        // Tiny input: the allocation-free merge wins on setup cost, at
+        // any worker count.
+        let small = pairs(&[[1, 0], [1, 1], [2, 0]]);
+        assert_eq!(
+            pick(&small, DivisionSemantics::Containment, 1),
+            "sort-merge"
+        );
+        assert_eq!(
+            pick(&small, DivisionSemantics::Containment, 8),
+            "sort-merge"
+        );
+        // Fig-scale input: the one-pass counting division wins serial,
+        // under both semantics…
         let rows: Vec<[i64; 2]> = (0..60_000).map(|i| [i / 4, i % 4]).collect();
         let big = pairs(&rows);
-        let st = stats_pair(&big, &divisor);
-        assert_eq!(pick(&big, &st, 1), "counting");
+        assert_eq!(pick(&big, DivisionSemantics::Containment, 1), "counting");
+        assert_eq!(pick(&big, DivisionSemantics::Equality, 1), "counting");
         // …and the partitioned variant wins once workers amortize the
         // spawn cost.
-        assert_eq!(pick(&big, &st, 4), "parallel-hash");
+        assert_eq!(
+            pick(&big, DivisionSemantics::Containment, 4),
+            "parallel-hash"
+        );
     }
 
     #[test]
-    fn costed_set_join_prices_the_anchor_pruning() {
+    fn auto_set_join_prices_the_anchor_pruning() {
         let reg = Registry::standard();
         let model = CostModel::default();
+        let pick = |r: &Relation, pred| {
+            let st = TableStats::analyze(r);
+            reg.auto_set_join(&st, &st, pred, 1, &model).unwrap().name()
+        };
         // Many groups over a small element domain — the regime where
         // anchor partitioning prunes the pair space and the
         // partition-based join wins even single-threaded.
@@ -1284,76 +937,28 @@ mod tests {
             .flat_map(|g| (0..6).map(move |v| [g, (g * 7 + v) % 64]))
             .collect();
         let big = pairs(&rows);
-        let (rs, ss) = stats_pair(&big, &big);
-        let alg = reg
-            .auto_set_join_costed(
-                &big,
-                &big,
-                SetPredicate::Contains,
-                1,
-                Some((&rs, &ss)),
-                &model,
-            )
-            .unwrap();
-        assert_eq!(alg.name(), "parallel-signature");
+        assert_eq!(pick(&big, SetPredicate::Contains), "parallel-signature");
         // Small group counts: signatures win (spawn/partition overhead
         // dominates), and tiny inputs fall back to nested loops.
         let mid_rows: Vec<[i64; 2]> = (0..128)
             .flat_map(|g| (0..6).map(move |v| [g, (g * 7 + v) % 64]))
             .collect();
-        let mid = pairs(&mid_rows);
-        let (ms, _) = stats_pair(&mid, &mid);
-        let alg = reg
-            .auto_set_join_costed(
-                &mid,
-                &mid,
-                SetPredicate::Contains,
-                1,
-                Some((&ms, &ms)),
-                &model,
-            )
-            .unwrap();
-        assert_eq!(alg.name(), "signature64");
+        assert_eq!(
+            pick(&pairs(&mid_rows), SetPredicate::Contains),
+            "signature64"
+        );
         let tiny = pairs(&[[1, 10], [1, 11], [2, 10]]);
-        let (ts, _) = stats_pair(&tiny, &tiny);
-        let alg = reg
-            .auto_set_join_costed(
-                &tiny,
-                &tiny,
-                SetPredicate::Contains,
-                1,
-                Some((&ts, &ts)),
-                &model,
-            )
-            .unwrap();
-        assert_eq!(alg.name(), "nested-loop");
+        assert_eq!(pick(&tiny, SetPredicate::Contains), "nested-loop");
         // Dedicated (quasi)linear algorithms keep their predicates.
-        let alg = reg
-            .auto_set_join_costed(
-                &big,
-                &big,
-                SetPredicate::Equals,
-                1,
-                Some((&rs, &ss)),
-                &model,
-            )
-            .unwrap();
-        assert_eq!(alg.name(), "hash-set-equality");
-        let alg = reg
-            .auto_set_join_costed(
-                &big,
-                &big,
-                SetPredicate::IntersectsNonempty,
-                1,
-                Some((&rs, &ss)),
-                &model,
-            )
-            .unwrap();
-        assert_eq!(alg.name(), "equijoin-intersect");
+        assert_eq!(pick(&big, SetPredicate::Equals), "hash-set-equality");
+        assert_eq!(
+            pick(&big, SetPredicate::IntersectsNonempty),
+            "equijoin-intersect"
+        );
     }
 
     #[test]
-    fn costed_auto_never_picks_unsupported_and_prices_unknown_by_class() {
+    fn auto_never_picks_unsupported_and_prices_unknown_by_class() {
         struct Custom;
         impl SetJoinAlgorithm for Custom {
             fn name(&self) -> &'static str {
@@ -1373,58 +978,26 @@ mod tests {
         reg.register_set_join(Arc::new(Custom));
         let model = CostModel::default();
         let rows: Vec<[i64; 2]> = (0..4000).map(|i| [i / 4, i % 16]).collect();
-        let big = pairs(&rows);
-        let st = TableStats::analyze(&big);
+        let st = TableStats::analyze(&pairs(&rows));
         // A (claimed) linear algorithm beats every quadratic formula at
         // scale: the generic class fallback prices it competitively.
         let alg = reg
-            .auto_set_join_costed(
-                &big,
-                &big,
-                SetPredicate::Contains,
-                1,
-                Some((&st, &st)),
-                &model,
-            )
+            .auto_set_join(&st, &st, SetPredicate::Contains, 1, &model)
             .unwrap();
         assert_eq!(alg.name(), "custom-linear");
-        // Unsupported predicates never see it.
-        let alg = reg
-            .auto_set_join_costed(
-                &big,
-                &big,
-                SetPredicate::Equals,
-                1,
-                Some((&st, &st)),
-                &model,
-            )
-            .unwrap();
-        assert!(alg.supports(SetPredicate::Equals), "{}", alg.name());
-    }
-
-    #[test]
-    fn thresholds_are_exposed_and_used() {
-        // The constants are public so tests can sit exactly on the
-        // boundary: one tuple past SMALL_INPUT flips the division pick.
-        use super::thresholds::*;
-        let divisor = Relation::from_int_rows(&[&[0]]);
-        let at: Vec<[i64; 2]> = (0..SMALL_INPUT as i64 - 1).map(|i| [i, 0]).collect();
-        let over: Vec<[i64; 2]> = (0..SMALL_INPUT as i64).map(|i| [i, 0]).collect();
-        let reg = Registry::standard();
-        assert_eq!(
-            reg.auto_division(&pairs(&at), &divisor, DivisionSemantics::Containment)
-                .unwrap()
-                .name(),
-            "sort-merge"
-        );
-        assert_eq!(
-            reg.auto_division(&pairs(&over), &divisor, DivisionSemantics::Containment)
-                .unwrap()
-                .name(),
-            "hash"
-        );
-        const { assert!(WIDE_SET_THRESHOLD > 0) };
-        const { assert!(PARALLEL_SETJOIN_INPUT < PARALLEL_DIVISION_INPUT) };
+        // Unsupported predicates never see it, at scale or on one tuple.
+        let one = TableStats::analyze(&pairs(&[[1, 10]]));
+        for pred in [
+            SetPredicate::Contains,
+            SetPredicate::ContainedIn,
+            SetPredicate::Equals,
+            SetPredicate::IntersectsNonempty,
+        ] {
+            for stats in [&st, &one] {
+                let alg = reg.auto_set_join(stats, stats, pred, 1, &model).unwrap();
+                assert!(alg.supports(pred), "{} vs {pred:?}", alg.name());
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 
 /// A source of per-relation statistics keyed by relation name — what
 /// the cardinality estimator and the planner consume. Implemented by
-/// [`StatsCatalog`] (cached) and [`AnalyzeSource`] (always fresh).
+/// [`CatalogSource`] (a [`StatsCatalog`] bound to a database).
 pub trait StatsSource {
     /// Statistics for the named relation, or `None` when unknown.
     fn table_stats(&self, name: &str) -> Option<Arc<TableStats>>;
@@ -110,25 +110,6 @@ impl StatsCatalog {
     }
 }
 
-/// A [`StatsSource`] that re-analyzes on every request — the
-/// uncached `StatsMode::Analyze` path.
-pub struct AnalyzeSource<'a> {
-    db: &'a Database,
-}
-
-impl<'a> AnalyzeSource<'a> {
-    /// A fresh-analysis source over `db`.
-    pub fn new(db: &'a Database) -> AnalyzeSource<'a> {
-        AnalyzeSource { db }
-    }
-}
-
-impl StatsSource for AnalyzeSource<'_> {
-    fn table_stats(&self, name: &str) -> Option<Arc<TableStats>> {
-        self.db.get(name).map(|r| Arc::new(TableStats::analyze(r)))
-    }
-}
-
 /// A [`StatsSource`] view of a catalog bound to a database.
 pub struct CatalogSource<'a> {
     catalog: &'a StatsCatalog,
@@ -207,17 +188,6 @@ mod tests {
         assert_eq!(cat.len(), 2);
         cat.clear();
         assert!(cat.is_empty());
-    }
-
-    #[test]
-    fn analyze_source_is_always_fresh() {
-        let d = db();
-        let src = AnalyzeSource::new(&d);
-        let a = src.table_stats("R").unwrap();
-        let b = src.table_stats("R").unwrap();
-        assert_eq!(a, b);
-        assert!(!Arc::ptr_eq(&a, &b), "fresh analysis per request");
-        assert!(src.table_stats("missing").is_none());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! on current hardware). The per-operation constants are hand-set; no
 //! committed measurement derives them. What checks them is the
 //! benchmark (`benchmark/`, metric names in `/BENCHMARK.json`):
-//! `setjoin.auto_regret.*` is the costed selector's pick ÷ the fastest
+//! `setjoin.auto_regret.*` is the registry selector's pick ÷ the fastest
 //! registered algorithm, `eval.class_par_ratio.*` is what the
 //! partition gate's decisions cost against a serial run.
 

@@ -13,8 +13,9 @@
 //!   binary relations.
 //! * [`StatsCatalog`] — cached statistics per relation name with
 //!   copy-on-write invalidation riding on `Database`'s `Arc`-backed
-//!   storage; [`StatsSource`] is the read interface, with
-//!   [`AnalyzeSource`] as the always-fresh alternative.
+//!   storage; [`StatsSource`] is the read interface the estimator
+//!   and the planner consume ([`CatalogSource`] binds a catalog to a
+//!   database).
 //! * [`CostModel`] — prices a [`ComplexityClass`] (which lives here,
 //!   at the bottom of the crate graph, and is re-exported by
 //!   `sj-setjoin`) plus input statistics into a scalar cost in
@@ -39,7 +40,7 @@ pub mod histogram;
 pub mod table;
 
 pub use calibrate::{Calibrator, Observation};
-pub use catalog::{AnalyzeSource, CatalogSource, StatsCatalog, StatsSource};
+pub use catalog::{CatalogSource, StatsCatalog, StatsSource};
 pub use cost::{ComplexityClass, CostModel, COST_PARAMS, COST_PARAM_NAMES};
 pub use estimate::{
     containment_selectivity, cycle_agm_bound, division_rows, eq_join_rows_skewed, join_est,

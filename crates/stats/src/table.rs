@@ -86,9 +86,9 @@ pub struct TableStats {
 impl TableStats {
     /// Analyze a relation through its columnar view: fused dense scans
     /// per column (see the module docs for the per-representation
-    /// breakdown) plus the group scan over column 0's run lengths —
-    /// `StatsMode::Analyze` runs this per operator call, so the scan
-    /// count matters.
+    /// breakdown) plus the group scan over column 0's run lengths. The
+    /// catalog runs this once per relation version, on the first query
+    /// that touches it, so the scan count is cold-query latency.
     ///
     /// Canonical storage order makes the leading column's distinct
     /// count and the group boundaries allocation-free run counts; only

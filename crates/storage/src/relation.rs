@@ -90,6 +90,11 @@ impl Relation {
         }
         v.sort_unstable();
         v.dedup();
+        // Dedup can leave most of the buffer unused (a projection of n
+        // rows onto a few distinct keys), every page of it touched; a
+        // relation that outlives its query — a served or cached answer —
+        // would pin all of it.
+        v.shrink_to_fit();
         Ok(Relation::raw(arity, v))
     }
 
@@ -422,6 +427,13 @@ mod tests {
     #[test]
     fn set_equality_ignores_input_order() {
         assert_eq!(r(&[&[1], &[2]]), r(&[&[2], &[1]]));
+    }
+
+    #[test]
+    fn from_tuples_drops_the_capacity_dedup_freed() {
+        let r = Relation::from_tuples(1, (0..4096).map(|i| Tuple::from_ints(&[i % 4]))).unwrap();
+        assert_eq!(r.len(), 4);
+        assert!(r.tuples.capacity() < 64, "{}", r.tuples.capacity());
     }
 
     #[test]

@@ -36,7 +36,8 @@
 //!     .instrument(Instrument::Cardinalities);
 //!
 //! // Division and set joins route through the algorithm registry; the
-//! // default `AlgorithmChoice::Auto` picks by predicate and input size.
+//! // default `AlgorithmChoice::Auto` picks the algorithm the cost model
+//! // prices cheapest on the operands' statistics.
 //! let division = engine
 //!     .divide("Person", "Symptoms", DivisionSemantics::Containment)
 //!     .unwrap();
@@ -55,10 +56,14 @@
 //! assert!(out.report.unwrap().max_intermediate() >= 2);
 //! ```
 //!
-//! The pre-`Engine` free functions (`evaluate`, `evaluate_planned`,
-//! `divide`, `set_join`, …) remain exported: they are thin wrappers over
-//! the same operators and registry entries, convenient for one-off calls
-//! on bare relations.
+//! Statistics are an input, not a mode: the engine analyzes a relation
+//! the first time a plan or an `Auto` pick reads it (and again only after
+//! it changed), and every plan and pick is costed from that catalog.
+//!
+//! The pre-`Engine` free functions remain exported — `evaluate`,
+//! `evaluate_instrumented` and `evaluate_reference` (the tree walkers
+//! `Strategy::Naive` / `Reference` run), `divide` and `set_join` (the
+//! direct operators on bare relations).
 
 pub use sj_algebra as algebra;
 pub use sj_bisim as bisim;

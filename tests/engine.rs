@@ -14,6 +14,8 @@ use sj_workload::{
     adversarial_division_series, DivisionWorkload, ElementDist, SetJoinWorkload, SetSizeDist,
 };
 
+mod common;
+
 // ---------------------------------------------------------------------------
 // Deterministic workload cross-checks
 // ---------------------------------------------------------------------------
@@ -163,27 +165,15 @@ fn query_output_shape_follows_configuration() {
     let db = sj_workload::figures::example3_beer_db();
     let e = division::example3_lousy_bar_sa();
     // plan present iff Planned; report present iff instrumented (and the
-    // strategy supports it); elapsed present iff Timings.
-    let cases: Vec<(Strategy, Instrument, bool, bool, bool)> = vec![
-        (Strategy::Planned, Instrument::Off, true, false, false),
-        (
-            Strategy::Planned,
-            Instrument::Cardinalities,
-            true,
-            true,
-            false,
-        ),
-        (Strategy::Planned, Instrument::Timings, true, true, true),
-        (
-            Strategy::Naive,
-            Instrument::Cardinalities,
-            false,
-            true,
-            false,
-        ),
-        (Strategy::Reference, Instrument::Timings, false, false, true),
+    // strategy supports it); elapsed present iff the report is.
+    let cases: Vec<(Strategy, Instrument, bool, bool)> = vec![
+        (Strategy::Planned, Instrument::Off, true, false),
+        (Strategy::Planned, Instrument::Cardinalities, true, true),
+        (Strategy::Naive, Instrument::Off, false, false),
+        (Strategy::Naive, Instrument::Cardinalities, false, true),
+        (Strategy::Reference, Instrument::Cardinalities, false, false),
     ];
-    for (strategy, instrument, has_plan, has_report, has_elapsed) in cases {
+    for (strategy, instrument, has_plan, has_report) in cases {
         let out = Engine::new(db.clone())
             .strategy(strategy)
             .instrument(instrument)
@@ -198,11 +188,10 @@ fn query_output_shape_follows_configuration() {
         );
         assert_eq!(
             out.elapsed.is_some(),
-            has_elapsed,
+            has_report,
             "{strategy}/{instrument:?}"
         );
         if let Some(report) = &out.report {
-            assert_eq!(report.result(), &out.relation);
             assert!(report.max_intermediate() >= out.relation.len());
         }
     }
@@ -260,6 +249,11 @@ fn arb_expr() -> impl PropStrategy<Value = Expr> {
             (inner.clone(), inner.clone())
                 .prop_map(|(a, b)| a.join(Condition::eq(1, 1), b).project([1, 2])),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a.semijoin(Condition::eq(2, 1), b)),
+            // A bare three-leaf chain: the only shape `JoinOrder` can move.
+            (inner.clone(), inner.clone(), inner.clone()).prop_map(|(a, b, c)| a
+                .join(Condition::eq(2, 1), b)
+                .join(Condition::eq(4, 1), c)
+                .project([1, 6])),
             inner.clone().prop_map(|a| a.project([2, 1])),
         ]
     })
@@ -276,6 +270,18 @@ fn arb_predicate() -> impl PropStrategy<Value = SetPredicate> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The configuration matrix, stated once: every surviving value of
+    /// every live engine axis ([`common::engines`]) answers exactly what
+    /// the reference evaluator does, on random expressions and databases.
+    #[test]
+    fn every_engine_configuration_equals_the_reference(e in arb_expr(), db in arb_db()) {
+        let want = setjoins::eval::evaluate_reference(&e, &db).unwrap();
+        for (label, engine) in common::engines(&db) {
+            let out = engine.query(e.clone()).run().unwrap();
+            prop_assert_eq!(&out.relation, &want, "{} on {}", label, e);
+        }
+    }
 
     /// Engine output is identical across all `Strategy` variants on
     /// random expressions and databases.
@@ -362,7 +368,7 @@ proptest! {
     }
 
     /// Instrumented runs return the same relation as bare runs, and the
-    /// report's result matches.
+    /// report counts its rows.
     #[test]
     fn instrumentation_never_changes_results(e in arb_expr(), db in arb_db()) {
         for strategy in [Strategy::Planned, Strategy::Naive] {
@@ -374,7 +380,7 @@ proptest! {
                 .run()
                 .unwrap();
             prop_assert_eq!(&inst.relation, &bare.relation);
-            prop_assert_eq!(inst.report.unwrap().result(), &bare.relation);
+            prop_assert_eq!(inst.profile().unwrap().output_rows, bare.relation.len());
         }
     }
 }

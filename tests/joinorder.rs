@@ -18,42 +18,36 @@ use sj_workload::{CyclicWorkload, EdgeDist};
 mod common;
 use common::WORKER_COUNTS;
 
-const MODES: [JoinOrder; 3] = [JoinOrder::AsWritten, JoinOrder::Greedy, JoinOrder::Dp];
+const MODES: [JoinOrder; 2] = [JoinOrder::AsWritten, JoinOrder::Dp];
 
-/// Run `e` under every (mode × stats × workers) cell and
-/// assert each answer byte-identical to the as-written baseline.
+/// Run `e` under every (mode × workers) cell and assert each answer
+/// byte-identical to the as-written baseline.
 fn differential(name: &str, db: &Database, e: &Expr) {
     let baseline = Engine::new(db.clone())
-        .stats(StatsMode::Analyze)
         .join_order(JoinOrder::AsWritten)
         .query(e.clone())
         .run()
         .unwrap()
         .relation;
     for mode in MODES {
-        for stats in [StatsMode::Off, StatsMode::Analyze] {
-            for workers in WORKER_COUNTS {
-                let out = Engine::new(db.clone())
-                    .stats(stats)
-                    .join_order(mode)
-                    .parallelism(Parallelism::Threads(workers))
-                    .query(e.clone())
-                    .run()
-                    .unwrap();
-                assert_eq!(
-                    out.relation, baseline,
-                    "{name}: {mode} × {stats} × {workers}w diverged"
-                );
-            }
+        for workers in WORKER_COUNTS {
+            let out = Engine::new(db.clone())
+                .join_order(mode)
+                .parallelism(Parallelism::Threads(workers))
+                .query(e.clone())
+                .run()
+                .unwrap();
+            assert_eq!(
+                out.relation, baseline,
+                "{name}: {mode} × {workers}w diverged"
+            );
         }
     }
 }
 
-/// Does `JoinOrder::Dp` over fresh statistics lower `e` to the multiway
-/// operator?
+/// Does `JoinOrder::Dp` lower `e` to the multiway operator?
 fn fires_multiway(db: &Database, e: &Expr) -> bool {
     Engine::new(db.clone())
-        .stats(StatsMode::Analyze)
         .join_order(JoinOrder::Dp)
         .query(e.clone())
         .explain()
@@ -223,7 +217,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random ternary chains and triangle closures: every mode at every
-    /// execution and worker count equals the as-written answer.
+    /// worker count equals the as-written answer.
     #[test]
     fn modes_agree_on_random_databases(
         r in arb_relation(2),
@@ -246,7 +240,6 @@ proptest! {
             .join(Condition::eq(1, 1), Expr::rel("T"));
         let e = [chain, cycle, star][qi].clone();
         let baseline = Engine::new(db.clone())
-            .stats(StatsMode::Analyze)
             .join_order(JoinOrder::AsWritten)
             .query(e.clone())
             .run()
@@ -255,7 +248,6 @@ proptest! {
         for mode in MODES {
             for workers in WORKER_COUNTS {
                 let out = Engine::new(db.clone())
-                    .stats(StatsMode::Analyze)
                     .join_order(mode)
                     .parallelism(Parallelism::Threads(workers))
                     .query(e.clone())

@@ -1,6 +1,6 @@
 //! Workspace observability suite: instrumentation must be
-//! **differentially invisible** — turning [`Instrument::Profile`] on or
-//! installing a trace collector never changes an answer at any tested
+//! **differentially invisible** — turning [`Instrument::Cardinalities`] on
+//! or installing a trace collector never changes an answer at any tested
 //! worker count ([`common::WORKER_COUNTS`]) — while the
 //! rendered artifacts (planned reports, query profiles, served traces,
 //! the Prometheus-style exposition) keep the shape golden tests can
@@ -38,7 +38,7 @@ fn division_db() -> Database {
     .database()
 }
 
-/// The tentpole invariant: `Instrument::Off`, `Instrument::Profile`,
+/// The tentpole invariant: `Instrument::Off`, `Instrument::Cardinalities`,
 /// and a run under an installed [`RingCollector`] produce byte-identical
 /// relations on the paper's division plans at every tested worker count.
 #[test]
@@ -66,18 +66,15 @@ fn observability_is_differentially_invisible() {
             assert_eq!(off, reference, "{e} @{n}w: Off ≠ reference");
 
             let profiled = build()
-                .instrument(Instrument::Profile)
+                .instrument(Instrument::Cardinalities)
                 .query(e.clone())
                 .run()
                 .unwrap();
             assert_eq!(
                 profiled.relation, reference,
-                "{e} @{n}w: Profile ≠ reference"
+                "{e} @{n}w: Cardinalities ≠ reference"
             );
-            assert!(
-                profiled.profile().is_some(),
-                "Instrument::Profile yields a profile"
-            );
+            assert!(profiled.profile().is_some(), "a report yields a profile");
 
             let ring = Arc::new(RingCollector::new(1 << 14));
             let collected = setjoins::obs::with_collector(ring.clone(), || {
@@ -130,14 +127,13 @@ fn query_profile_render_is_deterministic_and_complete() {
     let run = || {
         Engine::new(db.clone())
             .strategy(Strategy::Planned)
-            .stats(StatsMode::Analyze)
-            .instrument(Instrument::Profile)
+            .instrument(Instrument::Cardinalities)
             .parallelism(Parallelism::Threads(4))
             .query(division::division_double_difference("R", "S"))
             .run()
             .unwrap()
             .profile()
-            .expect("Instrument::Profile yields a profile")
+            .expect("a report yields a profile")
     };
     let (a, b) = (run(), run());
     assert_eq!(

@@ -1,11 +1,33 @@
-//! Integration tests for the physical planner: `evaluate_planned` must
-//! agree with `evaluate` on every query family the reproduction exercises,
-//! while evaluating each distinct subexpression exactly once.
+//! Integration tests for the physical planner: `Strategy::Planned` (the
+//! engine's default) must agree with `evaluate` on every query family the
+//! reproduction exercises, while evaluating each distinct subexpression
+//! exactly once.
 
 use sj_algebra::{division, optimize, Condition, Expr};
-use sj_eval::{evaluate, evaluate_planned, evaluate_planned_instrumented, PhysicalPlan};
+use sj_eval::{evaluate, Engine, Instrument, PhysicalPlan, PlannedReport};
+use sj_stats::CatalogSource;
 use sj_storage::{Database, Relation};
 use sj_workload::{adversarial_division_series, DivisionWorkload};
+
+/// `e` on `db` through a default engine: planned, costed from its catalog.
+fn planned(e: &Expr, db: &Database) -> Relation {
+    Engine::new(db.clone())
+        .query(e.clone())
+        .run()
+        .unwrap()
+        .relation
+}
+
+/// The same run instrumented: the answer beside its per-DAG-node report.
+fn planned_instrumented(e: &Expr, db: &Database) -> (Relation, PlannedReport) {
+    let out = Engine::new(db.clone())
+        .instrument(Instrument::Cardinalities)
+        .query(e.clone())
+        .run()
+        .unwrap();
+    let report = out.report.unwrap().as_planned().unwrap().clone();
+    (out.relation, report)
+}
 
 fn beer_db() -> Database {
     let mut db = Database::new();
@@ -53,11 +75,7 @@ fn planned_agrees_with_naive_on_beer_queries() {
         division::example3_lousy_bar_ra(),
         division::cyclic_beer_query_ra(),
     ] {
-        assert_eq!(
-            evaluate_planned(&e, &db).unwrap(),
-            evaluate(&e, &db).unwrap(),
-            "{e}"
-        );
+        assert_eq!(planned(&e, &db), evaluate(&e, &db).unwrap(), "{e}");
     }
 }
 
@@ -70,7 +88,7 @@ fn planned_agrees_with_naive_on_division_workloads() {
                 continue;
             }
             assert_eq!(
-                evaluate_planned(&e, &db).unwrap(),
+                planned(&e, &db),
                 evaluate(&e, &db).unwrap(),
                 "{name} on |D| = {}",
                 db.size()
@@ -90,11 +108,7 @@ fn planned_agrees_with_naive_on_division_workloads() {
         if name == "set-containment" {
             continue;
         }
-        assert_eq!(
-            evaluate_planned(&e, &db).unwrap(),
-            evaluate(&e, &db).unwrap(),
-            "{name}"
-        );
+        assert_eq!(planned(&e, &db), evaluate(&e, &db).unwrap(), "{name}");
     }
 }
 
@@ -107,7 +121,7 @@ fn planned_agrees_with_naive_after_optimization() {
     ] {
         let opt = optimize(&e, &db.schema()).unwrap();
         assert_eq!(
-            evaluate_planned(&opt, &db).unwrap(),
+            planned(&opt, &db),
             evaluate(&e, &db).unwrap(),
             "optimize({e}) = {opt}"
         );
@@ -122,20 +136,22 @@ fn division_double_difference_is_memoized_into_seven_nodes() {
     db.set("R", Relation::from_int_rows(&[&[1, 7], &[1, 8], &[2, 7]]));
     db.set("S", Relation::from_int_rows(&[&[7], &[8]]));
     let e = division::division_double_difference("R", "S");
-    let report = evaluate_planned_instrumented(&e, &db).unwrap();
+    let (result, report) = planned_instrumented(&e, &db);
     assert_eq!(report.expr_nodes, 10);
     assert_eq!(report.nodes.len(), 7);
     assert_eq!(report.nodes.iter().filter(|n| n.label == "R").count(), 1);
-    assert_eq!(report.result, Relation::from_int_rows(&[&[1]]));
+    assert_eq!(result, Relation::from_int_rows(&[&[1]]));
 }
 
 #[test]
 fn planner_explain_marks_merge_operators_and_sharing() {
-    let schema = sj_storage::Schema::new([("R", 2), ("S", 2)]);
+    let mut db = Database::new();
+    db.set("R", Relation::from_int_rows(&[&[1, 7], &[2, 8]]));
+    db.set("S", Relation::from_int_rows(&[&[1, 9]]));
     let e = Expr::rel("R")
         .semijoin(Condition::eq(1, 1), Expr::rel("S"))
         .union(Expr::rel("R").semijoin(Condition::eq(1, 1), Expr::rel("S")));
-    let plan = PhysicalPlan::of(&e, &schema).unwrap();
+    let plan = Engine::new(db).query(e).run().unwrap().plan.unwrap();
     // The two identical semijoin branches collapse: 7 tree nodes, 4 DAG
     // nodes (R, S, the semijoin, the union).
     assert_eq!(plan.node_count(), 4);
@@ -147,14 +163,24 @@ fn planner_explain_marks_merge_operators_and_sharing() {
 #[test]
 fn engine_planned_strategy_returns_the_same_plan_shape() {
     // The Engine's Planned strategy must expose exactly the plan the
-    // low-level API builds: 7 DAG nodes for the 10-node division tree.
+    // one constructor builds over the engine's own catalog, cost model
+    // and join order: 7 DAG nodes for the 10-node division tree.
     let mut db = Database::new();
     db.set("R", Relation::from_int_rows(&[&[1, 7], &[1, 8], &[2, 7]]));
     db.set("S", Relation::from_int_rows(&[&[7], &[8]]));
     let e = division::division_double_difference("R", "S");
-    let direct = PhysicalPlan::of(&e, &db.schema()).unwrap();
-    let out = sj_eval::Engine::new(db).query(e).run().unwrap();
+    let engine = Engine::new(db);
+    let direct = PhysicalPlan::of_costed_with_order(
+        &e,
+        &engine.db().schema(),
+        &CatalogSource::new(engine.catalog(), engine.db()),
+        engine.cost_model_ref(),
+        engine.join_order_mode(),
+    )
+    .unwrap();
+    let out = engine.query(e).run().unwrap();
     let via_engine = out.plan.expect("Planned strategy returns its plan");
+    assert_eq!(direct.node_count(), 7);
     assert_eq!(via_engine.node_count(), direct.node_count());
     assert_eq!(via_engine.expr_node_count(), direct.expr_node_count());
     assert_eq!(via_engine.explain(), direct.explain());
@@ -165,8 +191,13 @@ fn engine_planned_strategy_returns_the_same_plan_shape() {
 fn planned_instrumentation_reports_operators_and_timing() {
     let db = beer_db();
     let e = division::example3_lousy_bar_sa();
-    let report = evaluate_planned_instrumented(&e, &db).unwrap();
-    assert!(report.nodes.iter().any(|n| n.operator == "hash-semijoin"));
+    let (_, report) = planned_instrumented(&e, &db);
+    // Three visits against two bars: provably too small for a hash
+    // build, so the off-prefix semijoins run as filtered nested loops.
+    assert!(report
+        .nodes
+        .iter()
+        .any(|n| n.operator == "nested-loop-semijoin"));
     assert!(report.nodes.iter().any(|n| n.operator == "scan"));
     // Self times are recorded (may be zero on coarse clocks, but the sum
     // is well-defined).

@@ -1,12 +1,14 @@
-//! Integration suite for the statistics subsystem: `StatsMode` end to
-//! end through the `Engine`, invariants the acceptance criteria demand
-//! (stats off ⇒ byte-identical PR-4 selection; stats on ⇒ identical
-//! *results* with cost-refined *picks*), catalog invalidation through
-//! engine mutation, and the explain/report annotations.
+//! Integration suite for the statistics subsystem: how the engine
+//! decides. Statistics are an input, not a mode — every `Auto` pick is
+//! the arg-min of the registry's cost formulas over the operands'
+//! catalog statistics and every plan is costed from the same catalog —
+//! so the suite pins the picks at both ends of the scale, that a pick
+//! never changes an answer, catalog invalidation through engine
+//! mutation, and the explain/report annotations.
 
 use setjoins::prelude::*;
 use sj_algebra::division;
-use sj_setjoin::registry::thresholds;
+use sj_setjoin::registry::{division_cost, DivisionAlgorithm};
 use sj_workload::{DivisionWorkload, ElementDist, SetJoinWorkload, SetSizeDist};
 
 fn division_db(groups: usize) -> Database {
@@ -37,53 +39,64 @@ fn setjoin_db(groups: usize, dist: ElementDist) -> Database {
     db
 }
 
-/// Every stats mode produces identical relations for queries and both
-/// set operators, across scales and predicates — the mode may only
-/// change *which algorithm* computes the answer.
+/// Which algorithm the statistics pick never shows in the answer:
+/// `Auto` equals the nested-loop baseline for both set operators and
+/// the planned query equals the tree walker, across scales and
+/// predicates. `Engine::stats` is accepted and ignored — same picks,
+/// same answers.
 #[test]
 fn stats_modes_never_change_results() {
+    let nested = AlgorithmChoice::named("nested-loop");
     for groups in [32usize, 2048] {
         let ddb = division_db(groups);
-        let sdb = setjoin_db(groups.min(512), ElementDist::Zipf(1.0));
-        let baseline = Engine::new(ddb.clone());
-        let sj_baseline = Engine::new(sdb.clone());
-        for mode in [StatsMode::Analyze, StatsMode::Cached] {
-            let engine = Engine::new(ddb.clone()).stats(mode);
-            for sem in [DivisionSemantics::Containment, DivisionSemantics::Equality] {
-                assert_eq!(
-                    engine.divide("R", "S", sem).unwrap().relation,
-                    baseline.divide("R", "S", sem).unwrap().relation,
-                    "{mode} {sem:?} at {groups} groups"
-                );
-            }
-            let e = division::division_counting("R", "S");
+        let engine = Engine::new(ddb.clone());
+        let shimmed = Engine::new(ddb.clone()).stats(StatsMode::Cached);
+        let baseline = Engine::new(ddb).algorithm(nested.clone());
+        for sem in [DivisionSemantics::Containment, DivisionSemantics::Equality] {
+            let auto = engine.divide("R", "S", sem).unwrap();
             assert_eq!(
-                engine.query(e.clone()).run().unwrap().relation,
-                baseline.query(e).run().unwrap().relation,
-                "{mode} query at {groups} groups"
+                auto.relation,
+                baseline.divide("R", "S", sem).unwrap().relation,
+                "{} {sem:?} at {groups} groups",
+                auto.algorithm
             );
-            let sj_engine = Engine::new(sdb.clone()).stats(mode);
-            for pred in [
-                SetPredicate::Contains,
-                SetPredicate::ContainedIn,
-                SetPredicate::Equals,
-                SetPredicate::IntersectsNonempty,
-            ] {
-                assert_eq!(
-                    sj_engine.set_join("R", "S", pred).unwrap().relation,
-                    sj_baseline.set_join("R", "S", pred).unwrap().relation,
-                    "{mode} {pred:?}"
-                );
-            }
+            assert_eq!(
+                shimmed.divide("R", "S", sem).unwrap().algorithm,
+                auto.algorithm
+            );
+        }
+        let e = division::division_counting("R", "S");
+        let walked = baseline.clone().strategy(Strategy::Naive);
+        assert_eq!(
+            engine.query(e.clone()).run().unwrap().relation,
+            walked.query(e).run().unwrap().relation,
+            "query at {groups} groups"
+        );
+        let sdb = setjoin_db(groups.min(512), ElementDist::Zipf(1.0));
+        let sj_engine = Engine::new(sdb.clone());
+        let sj_baseline = Engine::new(sdb).algorithm(nested.clone());
+        for pred in [
+            SetPredicate::Contains,
+            SetPredicate::ContainedIn,
+            SetPredicate::Equals,
+            SetPredicate::IntersectsNonempty,
+        ] {
+            let auto = sj_engine.set_join("R", "S", pred).unwrap();
+            assert_eq!(
+                auto.relation,
+                sj_baseline.set_join("R", "S", pred).unwrap().relation,
+                "{} {pred:?}",
+                auto.algorithm
+            );
         }
     }
 }
 
-/// With stats off, selection is the PR-4 threshold behavior, pinned at
-/// the exposed threshold constants.
+/// The pick is the arg-min of `division_cost` over the registry, pinned
+/// on the two dividends either side of 64 tuples where the retired
+/// threshold rule used to flip; the quotient is the nested loop's.
 #[test]
 fn stats_off_reproduces_threshold_selection_at_the_boundaries() {
-    // One tuple below/above SMALL_INPUT flips sort-merge → hash.
     let divisor = Relation::from_int_rows(&[&[0]]);
     let mk = |n: usize| {
         let rows: Vec<Vec<i64>> = (0..n as i64 - 1).map(|i| vec![i, 0]).collect();
@@ -93,42 +106,49 @@ fn stats_off_reproduces_threshold_selection_at_the_boundaries() {
         db.set("S", divisor.clone());
         db
     };
-    let at = Engine::new(mk(thresholds::SMALL_INPUT));
-    assert_eq!(
-        at.divide("R", "S", DivisionSemantics::Containment)
+    let sem = DivisionSemantics::Containment;
+    let model = CostModel::default();
+    for total in [64usize, 66] {
+        let db = mk(total);
+        let (r, s) = (db.get("R").unwrap(), db.get("S").unwrap());
+        let (rs, ss) = (TableStats::analyze(r), TableStats::analyze(s));
+        let cost = |alg: &dyn DivisionAlgorithm| division_cost(&model, alg, &rs, &ss, sem, 1);
+        // Latest registration wins exact ties, hence `rev`.
+        let cheapest = Registry::standard()
+            .division_algorithms()
+            .iter()
+            .rev()
+            .min_by(|a, b| cost(a.as_ref()).total_cmp(&cost(b.as_ref())))
             .unwrap()
-            .algorithm,
-        "sort-merge"
-    );
-    let over = Engine::new(mk(thresholds::SMALL_INPUT + 2));
-    assert_eq!(
-        over.divide("R", "S", DivisionSemantics::Containment)
-            .unwrap()
-            .algorithm,
-        "hash"
-    );
+            .name();
+        let out = Engine::new(db.clone()).divide("R", "S", sem).unwrap();
+        assert_eq!(out.algorithm, cheapest, "{total} tuples");
+        assert_eq!(
+            out.relation,
+            sj_setjoin::nested_loop_division(r, s, sem),
+            "{total} tuples"
+        );
+    }
 }
 
-/// Cost-based selection upgrades the serial containment pick on the
-/// selective fig-scale workload (the measured regime where the
-/// partition-based join's anchor pruning wins even single-threaded),
-/// while tiny inputs keep the setup-free nested loop.
+/// The cost model prices the anchor pruning: on the selective fig-scale
+/// workload the partition-based join wins even single-threaded (where a
+/// size rule would stay with `signature64`), while tiny inputs keep the
+/// setup-free nested loop.
 #[test]
 fn cost_based_selection_refines_the_containment_pick() {
     let db = setjoin_db(2048, ElementDist::Uniform);
-    let threshold = Engine::new(db.clone())
+    let signature = Engine::new(db.clone())
+        .algorithm(AlgorithmChoice::named("signature64"))
         .set_join("R", "S", SetPredicate::Contains)
         .unwrap();
     let costed = Engine::new(db)
-        .stats(StatsMode::Analyze)
         .set_join("R", "S", SetPredicate::Contains)
         .unwrap();
-    assert_eq!(threshold.algorithm, "signature64");
     assert_eq!(costed.algorithm, "parallel-signature");
-    assert_eq!(threshold.relation, costed.relation);
+    assert_eq!(signature.relation, costed.relation);
     let tiny = setjoin_db(4, ElementDist::Uniform);
     let costed = Engine::new(tiny)
-        .stats(StatsMode::Analyze)
         .set_join("R", "S", SetPredicate::Contains)
         .unwrap();
     assert_eq!(costed.algorithm, "nested-loop");
@@ -138,7 +158,7 @@ fn cost_based_selection_refines_the_containment_pick() {
 /// (copy-on-write invalidation end to end).
 #[test]
 fn cached_mode_tracks_engine_db_mutation() {
-    let mut engine = Engine::new(division_db(16)).stats(StatsMode::Cached);
+    let mut engine = Engine::new(division_db(16));
     let before = engine
         .divide("R", "S", DivisionSemantics::Containment)
         .unwrap();
@@ -157,22 +177,15 @@ fn cached_mode_tracks_engine_db_mutation() {
     assert_eq!(after.algorithm, "counting");
 }
 
-/// Explain output and instrumented reports carry estimated-vs-actual
-/// row annotations exactly when statistics are enabled.
+/// A default engine's explain output and instrumented reports carry
+/// estimated-vs-actual row annotations.
 #[test]
 fn explain_and_reports_annotate_estimates() {
     let db = division_db(256);
     let e = division::division_double_difference("R", "S");
-    let plain = Engine::new(db.clone()).query(e.clone()).explain().unwrap();
-    assert!(!plain.contains("rows"), "{plain}");
-    let annotated = Engine::new(db.clone())
-        .stats(StatsMode::Cached)
-        .query(e.clone())
-        .explain()
-        .unwrap();
+    let annotated = Engine::new(db.clone()).query(e.clone()).explain().unwrap();
     assert!(annotated.contains("rows"), "{annotated}");
     let out = Engine::new(db)
-        .stats(StatsMode::Analyze)
         .instrument(Instrument::Cardinalities)
         .query(e)
         .run()
@@ -180,12 +193,11 @@ fn explain_and_reports_annotate_estimates() {
     let planned = out.report.unwrap();
     let planned = planned.as_planned().unwrap();
     assert_eq!(planned.estimates.len(), planned.nodes.len());
-    assert!(planned.estimates.iter().all(Option::is_some));
     assert!(planned.render().contains("est≈"));
     // Scan estimates are exact: est == actual cardinality on leaves.
     for (stat, est) in planned.nodes.iter().zip(&planned.estimates) {
         if stat.operator == "scan" {
-            assert_eq!(est.unwrap() as usize, stat.cardinality, "{}", stat.label);
+            assert_eq!(*est as usize, stat.cardinality, "{}", stat.label);
         }
     }
 }
@@ -196,7 +208,11 @@ fn explain_and_reports_annotate_estimates() {
 fn stats_compose_with_optimizer_and_parallelism() {
     let db = division_db(512);
     let e = division::division_via_join("R", "S");
-    let want = Engine::new(db.clone()).query(e.clone()).run().unwrap();
+    let want = Engine::new(db.clone())
+        .strategy(Strategy::Naive)
+        .query(e.clone())
+        .run()
+        .unwrap();
     for level in [
         OptimizeLevel::Off,
         OptimizeLevel::Structural,
@@ -204,7 +220,6 @@ fn stats_compose_with_optimizer_and_parallelism() {
     ] {
         for par in [Parallelism::Serial, Parallelism::Threads(4)] {
             let out = Engine::new(db.clone())
-                .stats(StatsMode::Cached)
                 .optimize(level)
                 .parallelism(par)
                 .query(e.clone())

@@ -43,7 +43,7 @@ fn instrumented_eval_on_large_linear_plan() {
     }
     .database();
     let plan = sj_algebra::division::division_counting("R", "S");
-    let report = evaluate_instrumented(&plan, &db).unwrap();
+    let (_, report) = evaluate_instrumented(&plan, &db).unwrap();
     assert!(report.db_size > 20_000);
     assert!(report.max_intermediate() <= report.db_size + 2);
 }
@@ -108,7 +108,7 @@ fn parallel_division_workload_is_deterministic_across_runs() {
         let run = || {
             Engine::new(db.clone())
                 .parallelism(Parallelism::Threads(4))
-                .instrument(Instrument::Timings)
+                .instrument(Instrument::Cardinalities)
                 .query(plan.clone())
                 .run()
                 .unwrap()
