@@ -6,15 +6,18 @@
 //! hot (zipf-skewed) query sets nearly free.
 //!
 //! ```text
-//!  clients ──► Session ──► bounded queue ──► worker pool (N threads)
-//!                                                 │ snapshot capture
-//!                  ┌──────────────────────────────┤ (read lock, µs)
-//!                  ▼                              ▼
-//!        RwLock<master Database>        result cache ──hit──► Arc<Relation>
-//!          ▲ copy-on-write writes         │miss
-//!          │ + per-relation epochs      plan cache ──hit──► execute plan
-//!        WriteOp (Insert/Set/              │miss
-//!        Remove/Analyze)                 Engine::fork(snapshot) — cold
+//!  clients ──► Session ──► result cache ──hit──► Arc<Relation>   (caller's thread:
+//!                              │miss                one lookup, stamps checked
+//!                              ▼                    under the read lock)
+//!                        bounded queue ──► worker pool (N threads)
+//!                                                 │ re-probe, then
+//!                  ┌──────────────────────────────┤ snapshot capture
+//!                  ▼                              ▼ (read lock, µs)
+//!        RwLock<master Database>        plan cache ──hit──► execute plan
+//!          ▲ copy-on-write writes          │miss
+//!          │ + per-relation epochs      Engine::fork(snapshot) — cold
+//!        WriteOp (Insert/Set/
+//!        Remove/Analyze)
 //! ```
 //!
 //! **Snapshot isolation.** Every query executes against an immutable
@@ -31,7 +34,9 @@
 //!
 //! * the **result cache** stamps each entry with the mutation epoch of
 //!   every relation the query reads; any write to one of them
-//!   invalidates the entry (eager sweep + stamp re-validation on hit);
+//!   invalidates the entry (eager sweep + stamp re-validation on hit).
+//!   A hit never leaves the thread that asked: [`Session::query`]
+//!   probes the tier itself and only a miss becomes a queued job;
 //! * the **plan cache** stamps entries with the statistics epoch and
 //!   operand arities; data writes leave plans valid (a physical plan is
 //!   correct for any contents), `ANALYZE` retires them.
@@ -48,13 +53,15 @@
 //! [`StatsSnapshot::max_q_error_seen`] so cost-model drift shows up in
 //! serving dashboards, not just per-query `render()` output. The
 //! counters are a facade over a shared [`sj_obs::Metrics`] registry
-//! that also carries per-tier latency histograms, queue-wait, and
-//! per-class / per-session query counters —
-//! [`Server::metrics_text`] renders the whole registry as a
+//! that also carries per-tier latency histograms, queue wait and
+//! depth, contained worker panics, and per-class / per-session query
+//! counters — [`Server::metrics_text`] renders the whole registry as a
 //! Prometheus-style exposition. Workers open `server.dispatch` /
-//! `server.query` spans around every job (zero-cost while no
-//! [`sj_obs::Collector`] is installed), so an installed collector sees
-//! the full serving hierarchy down to individual kernel partitions;
+//! `server.query` spans around every job, and an inline result-cache
+//! hit opens a root `server.query` on the caller's thread (zero-cost
+//! while no [`sj_obs::Collector`] is installed), so an installed
+//! collector sees the full serving hierarchy down to individual kernel
+//! partitions;
 //! [`Session::query_profiled`] attaches a rendered
 //! [`sj_eval::QueryProfile`] (`EXPLAIN ANALYZE`) to the response for
 //! any tier.
@@ -69,6 +76,7 @@
 
 mod cache;
 mod metrics;
+mod queue;
 mod server;
 
 pub use cache::{ExprCache, ExprHashFn};

@@ -5,14 +5,27 @@
 //!
 //! One `RwLock<Master>` guards the **master** database plus its
 //! invalidation bookkeeping. Nobody executes queries under that lock:
-//! a reader takes the lock only long enough to capture a
-//! [`Snapshot`] (one `Arc` clone per relation — microseconds), then
-//! executes against the snapshot outside it. Writers take the write
-//! lock, mutate copy-on-write (never disturbing live snapshots), bump
-//! the per-relation epochs, and leave. Readers therefore never block
-//! on query execution and writers never block on readers beyond the
-//! capture window — the paper-engine's `Arc<Relation>` copy-on-write
-//! storage is what makes this cheap.
+//! a reader holds it only long enough to validate a cached result's
+//! stamps, or to capture a [`Snapshot`] (one `Arc` clone per relation
+//! — microseconds) and execute against the snapshot outside it.
+//! Writers take the write lock, mutate copy-on-write (never disturbing
+//! live snapshots), bump the per-relation epochs, and leave. Readers
+//! therefore never block on query execution and writers never block
+//! on readers beyond that window — the paper-engine's `Arc<Relation>`
+//! copy-on-write storage is what makes this cheap.
+//!
+//! Which thread serves which tier:
+//!
+//! * a **result-cache hit** is answered on the **caller's thread**,
+//!   inside [`Session::query`]: one cache lookup, one read-lock hold
+//!   to validate it, no snapshot, no heap allocation, no queue, no
+//!   other thread (`tests/alloc.rs` pins the zero allocations);
+//! * everything else — plan-cache hits and cold queries — is a `Job`
+//!   on the bounded `queue::Queue`, executed by one of the
+//!   `workers` pool threads. Workers park on the queue's condvar until
+//!   there is work or the server closes; nothing polls. A panic inside
+//!   one job is caught at the job boundary: the client gets
+//!   [`ServerError::QueryPanicked`], the worker lives on.
 //!
 //! # Cache tiers
 //!
@@ -22,7 +35,11 @@
 //!   shared result `Arc`. Any write to a referenced relation
 //!   invalidates the entry (eagerly swept on write, re-validated by
 //!   stamp comparison on hit — so the sweep/insert race with an
-//!   in-flight query can never serve a stale result).
+//!   in-flight query can never serve a stale result). The probe is one
+//!   function, `Shared::probe_result`, with two callers: the session
+//!   (above), and the worker as the first thing it does with a job —
+//!   so when many clients miss together after an invalidation, the
+//!   first job to finish answers the rest from the cache.
 //! * **Plan cache** — keyed the same way, stamped with the statistics
 //!   epoch and the operand arities. A hit skips optimize+plan and
 //!   re-executes the cached physical plan against the current
@@ -38,34 +55,51 @@
 
 use crate::cache::ExprCache;
 use crate::metrics::{ServerStats, StatsSnapshot};
+use crate::queue::{PushError, Queue};
 use sj_algebra::{Expr, OptimizeLevel};
 use sj_eval::{
     Engine, EvalError, Execution, Instrument, Parallelism, PhysicalPlan, QueryProfile, Report,
     Strategy,
 };
-use sj_obs::{Histogram, Metrics};
+use sj_obs::{Counter, Histogram, Metrics};
 use sj_storage::{Database, FxHashMap, Relation, Snapshot, StorageError, Tuple};
+use std::any::Any;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, SyncSender};
+use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The query-class label one expression gets in the per-class metric
-/// series (`sj_server_queries_by_class_total{class="..."}`): the root
-/// operator of the submitted expression.
-fn query_class(expr: &Expr) -> &'static str {
+/// The labels of the per-class metric series
+/// (`sj_server_queries_by_class_total{class="..."}`), indexed by
+/// [`query_class`].
+const QUERY_CLASSES: [&str; 9] = [
+    "scan",
+    "union",
+    "difference",
+    "projection",
+    "selection",
+    "const-tag",
+    "join",
+    "semijoin",
+    "group-count",
+];
+
+/// The query class of one expression — the root operator of the
+/// submitted expression — as an index into [`QUERY_CLASSES`].
+fn query_class(expr: &Expr) -> usize {
     match expr {
-        Expr::Rel(_) => "scan",
-        Expr::Union(..) => "union",
-        Expr::Diff(..) => "difference",
-        Expr::Project(..) => "projection",
-        Expr::Select(..) => "selection",
-        Expr::ConstTag(..) => "const-tag",
-        Expr::Join(..) => "join",
-        Expr::Semijoin(..) => "semijoin",
-        Expr::GroupCount(..) => "group-count",
+        Expr::Rel(_) => 0,
+        Expr::Union(..) => 1,
+        Expr::Diff(..) => 2,
+        Expr::Project(..) => 3,
+        Expr::Select(..) => 4,
+        Expr::ConstTag(..) => 5,
+        Expr::Join(..) => 6,
+        Expr::Semijoin(..) => 7,
+        Expr::GroupCount(..) => 8,
     }
 }
 
@@ -183,8 +217,12 @@ pub enum ServerError {
     Storage(StorageError),
     /// [`Session::try_query`] found the bounded submission queue full.
     QueueFull,
-    /// The server has shut down (or its workers are gone).
+    /// The server has shut down.
     Stopped,
+    /// The query panicked inside the engine. The panic was contained
+    /// at the job boundary — the worker that ran it keeps serving —
+    /// and this carries its message.
+    QueryPanicked(String),
 }
 
 impl fmt::Display for ServerError {
@@ -194,6 +232,7 @@ impl fmt::Display for ServerError {
             ServerError::Storage(e) => write!(f, "write failed: {e}"),
             ServerError::QueueFull => write!(f, "submission queue full"),
             ServerError::Stopped => write!(f, "server stopped"),
+            ServerError::QueryPanicked(message) => write!(f, "query panicked: {message}"),
         }
     }
 }
@@ -243,7 +282,11 @@ pub struct QueryResponse {
     pub provenance: Provenance,
     /// The database epoch of the snapshot it was computed against.
     pub epoch: u64,
-    /// Wall-clock serving time (capture → answer) on the worker.
+    /// Wall-clock serving time on the thread that served it: probe →
+    /// answer on the caller's own thread for an inline result-cache
+    /// hit, probe → capture → answer on a worker for everything else.
+    /// Time spent queued is not in it
+    /// (`sj_server_queue_wait_seconds` has that).
     pub elapsed: Duration,
     /// Rendered `EXPLAIN ANALYZE`-style profile
     /// ([`sj_eval::QueryProfile::render`] with the serving tier
@@ -280,14 +323,26 @@ struct PlanEntry {
 }
 
 /// A result-tier entry: the shared result plus the epoch stamps it was
-/// computed under.
-#[derive(Clone)]
+/// computed under. Cached behind an `Arc`, so a lookup clones a
+/// pointer, not the stamps.
 struct ResultEntry {
     relation: Arc<Relation>,
     deps: DepStamps,
 }
 
-/// Everything workers share.
+impl ResultEntry {
+    /// Is every relation the result read still at the epoch it was
+    /// stamped with? Compared in place — the entry was found under
+    /// full expression equality, so its dependency names *are* the
+    /// probing expression's.
+    fn valid_under(&self, rel_epochs: &FxHashMap<String, u64>) -> bool {
+        self.deps
+            .iter()
+            .all(|(name, epoch)| rel_epochs.get(name).copied().unwrap_or(0) == *epoch)
+    }
+}
+
+/// Everything sessions and workers share.
 struct Shared {
     master: RwLock<Master>,
     /// Configuration template; forked per query onto a snapshot. Its
@@ -295,28 +350,45 @@ struct Shared {
     /// are the shared parts.
     template: Engine,
     plan_cache: ExprCache<PlanEntry>,
-    result_cache: ExprCache<ResultEntry>,
+    result_cache: ExprCache<Arc<ResultEntry>>,
     stats: ServerStats,
-    /// The registry behind [`ServerStats`], shared with every labeled
-    /// series the workers update ([`Server::metrics_text`] exposes it).
+    /// The registry behind [`ServerStats`] and every other series here
+    /// ([`Server::metrics_text`] exposes it). Handles are resolved once
+    /// — below, and per session in [`Server::session`] — so serving a
+    /// query never looks a series up.
     metrics: Arc<Metrics>,
+    /// `sj_server_queries_by_class_total{class=…}`, one handle per
+    /// [`QUERY_CLASSES`] entry.
+    class_queries: [Arc<Counter>; QUERY_CLASSES.len()],
+    /// Jobs whose panic a worker contained
+    /// (`sj_server_worker_panics_total`).
+    worker_panics: Arc<Counter>,
     /// Serving latency per tier (`sj_server_query_seconds{tier=...}`).
     latency_cold: Arc<Histogram>,
     latency_plan: Arc<Histogram>,
     latency_result: Arc<Histogram>,
     /// Time jobs spend in the bounded queue before a worker dequeues
-    /// them (`sj_server_queue_wait_seconds`).
+    /// them (`sj_server_queue_wait_seconds`). Inline result-cache hits
+    /// never queue, so its count is the number of misses.
     queue_wait: Arc<Histogram>,
+    /// The submission queue; closing it is what stops the server
+    /// ([`Server::shutdown`]/`Drop`): workers drain it and exit, and
+    /// submissions — inline hits included — fail with
+    /// [`ServerError::Stopped`] even on sessions that outlive it.
+    queue: Queue<Job>,
     /// Session-id allocator for the per-session query counters.
     next_session: AtomicU64,
     cache_mode: CacheMode,
     per_query: Parallelism,
-    /// Set by [`Server::shutdown`]/`Drop`: workers exit on their next
-    /// poll tick even while session handles (and their queue senders)
-    /// are still alive, and new submissions fail fast with
-    /// [`ServerError::Stopped`].
-    closed: AtomicBool,
+    /// Test-only failpoint: called with every query a worker is about
+    /// to execute — past the result tier, snapshot captured — and free
+    /// to panic or block.
+    #[cfg(test)]
+    failpoint: std::sync::Mutex<Option<Failpoint>>,
 }
+
+#[cfg(test)]
+type Failpoint = Arc<dyn Fn(&Expr) + Send + Sync>;
 
 /// The capture a query executes against: an immutable snapshot plus
 /// the validity stamps taken under the same lock hold.
@@ -326,73 +398,23 @@ struct QueryCtx {
     stats_epoch: u64,
 }
 
-/// Snapshot context a [`ReadTxn`] pins at `begin` and reuses for every
-/// query it runs.
-#[derive(Clone)]
-pub(crate) struct TxnCtx {
+/// Snapshot context a [`ReadTxn`] pins at `begin` and every query it
+/// runs shares: the inline probe borrows it, a queued job holds the
+/// `Arc`.
+struct TxnCtx {
     snap: Snapshot,
     rel_epochs: FxHashMap<String, u64>,
     stats_epoch: u64,
 }
 
 impl Shared {
-    /// An inert, already-closed `Shared` — the placeholder
-    /// [`Server::shutdown`] swaps in so the real one can be unwrapped.
-    fn closed_stub() -> Shared {
-        let metrics = Arc::new(Metrics::new());
-        Shared {
-            master: RwLock::new(Master {
-                db: Database::new(),
-                rel_epochs: FxHashMap::default(),
-                stats_epoch: 0,
-            }),
-            template: Engine::new(Database::new()),
-            plan_cache: ExprCache::new(1),
-            result_cache: ExprCache::new(1),
-            stats: ServerStats::new(metrics.clone()),
-            latency_cold: metrics.histogram_with("sj_server_query_seconds", &[("tier", "cold")]),
-            latency_plan: metrics
-                .histogram_with("sj_server_query_seconds", &[("tier", "plan-cache")]),
-            latency_result: metrics
-                .histogram_with("sj_server_query_seconds", &[("tier", "result-cache")]),
-            queue_wait: metrics.histogram("sj_server_queue_wait_seconds"),
-            metrics,
-            next_session: AtomicU64::new(0),
-            cache_mode: CacheMode::Off,
-            per_query: Parallelism::Serial,
-            closed: AtomicBool::new(true),
-        }
-    }
-
-    /// Sorted, deduplicated relation names an expression reads.
-    fn dep_names(expr: &Expr) -> Vec<String> {
-        let mut names: Vec<String> = expr
-            .relation_names()
+    /// The stamps of every relation `expr` reads, looked up in
+    /// `rel_epochs`.
+    fn dep_stamps(expr: &Expr, rel_epochs: &FxHashMap<String, u64>) -> DepStamps {
+        expr.relation_names()
             .into_iter()
-            .map(str::to_string)
-            .collect();
-        names.sort_unstable();
-        names.dedup();
-        names
-    }
-
-    fn stamps_from(names: &[String], rel_epochs: &FxHashMap<String, u64>) -> DepStamps {
-        names
-            .iter()
-            .map(|n| (n.clone(), rel_epochs.get(n).copied().unwrap_or(0)))
+            .map(|n| (n.to_string(), rel_epochs.get(n).copied().unwrap_or(0)))
             .collect()
-    }
-
-    /// Capture a consistent (snapshot, stamps) pair for a one-shot
-    /// query: one read-lock hold, no execution inside it.
-    fn capture(&self, expr: &Expr) -> QueryCtx {
-        let names = Shared::dep_names(expr);
-        let master = self.master.read().expect("master poisoned");
-        QueryCtx {
-            snap: master.db.snapshot(),
-            dep_stamps: Shared::stamps_from(&names, &master.rel_epochs),
-            stats_epoch: master.stats_epoch,
-        }
     }
 
     /// Capture the full context a transaction pins.
@@ -405,61 +427,120 @@ impl Shared {
         }
     }
 
-    fn ctx_for(&self, expr: &Expr, pinned: Option<&TxnCtx>) -> QueryCtx {
+    /// The (snapshot, stamps) pair a query that has to execute runs
+    /// against: the transaction's pinned state, or a fresh capture
+    /// under one read-lock hold (no execution inside it).
+    fn capture(&self, expr: &Expr, pinned: Option<&TxnCtx>) -> QueryCtx {
         match pinned {
-            Some(txn) => {
-                let names = Shared::dep_names(expr);
+            Some(txn) => QueryCtx {
+                snap: txn.snap.clone(),
+                dep_stamps: Shared::dep_stamps(expr, &txn.rel_epochs),
+                stats_epoch: txn.stats_epoch,
+            },
+            None => {
+                let master = self.master.read().expect("master poisoned");
                 QueryCtx {
-                    snap: txn.snap.clone(),
-                    dep_stamps: Shared::stamps_from(&names, &txn.rel_epochs),
-                    stats_epoch: txn.stats_epoch,
+                    snap: master.db.snapshot(),
+                    dep_stamps: Shared::dep_stamps(expr, &master.rel_epochs),
+                    stats_epoch: master.stats_epoch,
                 }
             }
-            None => self.capture(expr),
         }
     }
 
-    /// Serve one query against its captured context. This is the
-    /// worker hot path; it holds no locks beyond the cache mutexes.
-    /// With `want_profile`, the response carries a rendered
-    /// [`QueryProfile`] for whichever tier answered.
-    fn run_query(
+    /// Count one served query in the total, its class series and its
+    /// session's series; returns the class label.
+    fn count_query(&self, expr: &Expr, session_queries: &Counter) -> &'static str {
+        let class = query_class(expr);
+        self.stats.bump_queries();
+        self.class_queries[class].inc();
+        session_queries.inc();
+        QUERY_CLASSES[class]
+    }
+
+    /// Tier 1, the result cache: answer `expr` without executing
+    /// anything, or `None`. Called by [`Session::submit`] on the
+    /// client's own thread and by [`Shared::run_query`] on a worker,
+    /// and nowhere else.
+    ///
+    /// Validity and epoch are one consistent capture — the entry's
+    /// stamps are compared against the live per-relation epochs, and
+    /// the database epoch read, under a single read-lock hold (or both
+    /// taken from the transaction's pinned context) — but nothing is
+    /// snapshotted or allocated: the cache hands out a pointer to its
+    /// entry, and all that is cloned from the entry is the result's
+    /// `Arc`. A miss counts nothing and leaves no span: whoever
+    /// executes the query accounts for it.
+    fn probe_result(
         &self,
         expr: &Expr,
-        ctx: &QueryCtx,
+        pinned: Option<&TxnCtx>,
+        session_queries: &Counter,
         want_profile: bool,
-    ) -> Result<QueryResponse, ServerError> {
+    ) -> Option<QueryResponse> {
+        // Without a result tier the probe is this one branch.
+        if self.cache_mode != CacheMode::PlanAndResult {
+            return None;
+        }
         let started = Instant::now();
-        self.stats.bump_queries();
-        let class = query_class(expr);
-        self.metrics
-            .counter_with("sj_server_queries_by_class_total", &[("class", class)])
-            .inc();
-        let mut span = sj_obs::span!("server.query", class = class);
+        let entry = self.result_cache.get(expr)?;
+        let epoch = match pinned {
+            Some(txn) => entry.valid_under(&txn.rel_epochs).then(|| txn.snap.epoch()),
+            None => {
+                let master = self.master.read().expect("master poisoned");
+                entry
+                    .valid_under(&master.rel_epochs)
+                    .then(|| master.db.epoch())
+            }
+        }?;
+        let class = self.count_query(expr, session_queries);
+        self.stats.bump_result_hits();
+        // Opened once the hit is certain, so the span marks the hit
+        // (its latency is in the histogram below); under a worker it
+        // hangs off `server.dispatch`, inline it is a root.
+        let _span = sj_obs::span!(
+            "server.query",
+            class = class,
+            tier = "result-cache",
+            out_rows = entry.relation.len()
+        );
+        let elapsed = started.elapsed();
+        self.latency_result.observe_duration(elapsed);
+        let profile = want_profile.then(|| {
+            QueryProfile::cache_hit("result-cache", entry.relation.len(), elapsed).render()
+        });
+        Some(QueryResponse {
+            relation: entry.relation.clone(),
+            provenance: Provenance::ResultCache,
+            epoch,
+            elapsed,
+            profile,
+        })
+    }
 
-        // Tier 1: result cache — skip execution entirely.
-        if self.cache_mode == CacheMode::PlanAndResult {
-            if let Some(entry) = self.result_cache.get(expr) {
-                if entry.deps == ctx.dep_stamps {
-                    self.stats.bump_result_hits();
-                    let elapsed = started.elapsed();
-                    self.latency_result.observe_duration(elapsed);
-                    span.attr("tier", "result-cache");
-                    span.attr("out_rows", entry.relation.len());
-                    let profile = want_profile.then(|| {
-                        QueryProfile::cache_hit("result-cache", entry.relation.len(), elapsed)
-                            .render()
-                    });
-                    return Ok(QueryResponse {
-                        relation: entry.relation,
-                        provenance: Provenance::ResultCache,
-                        epoch: ctx.snap.epoch(),
-                        elapsed,
-                        profile,
-                    });
-                }
+    /// Serve one queued job on a worker: re-probe the result tier (a
+    /// job queued behind the one that refilled the cache is a hit by
+    /// now), then capture and execute. Holds no lock while executing.
+    /// With `job.profile`, the response carries a rendered
+    /// [`QueryProfile`] for whichever tier answered.
+    fn run_query(&self, job: &Job) -> Result<QueryResponse, ServerError> {
+        let started = Instant::now();
+        let expr = &job.expr;
+        let pinned = job.pinned.as_deref();
+        let want_profile = job.profile;
+        if let Some(hit) = self.probe_result(expr, pinned, &job.session_queries, want_profile) {
+            return Ok(hit);
+        }
+        let class = self.count_query(expr, &job.session_queries);
+        let ctx = self.capture(expr, pinned);
+        #[cfg(test)]
+        {
+            let hook = self.failpoint.lock().expect("failpoint poisoned").clone();
+            if let Some(hook) = hook {
+                hook(expr);
             }
         }
+        let mut span = sj_obs::span!("server.query", class = class);
 
         // Tier 2: plan cache — skip optimize+plan, execute the cached
         // physical plan against this snapshot.
@@ -489,7 +570,7 @@ impl Shared {
                             None,
                         )
                     };
-                    self.store_result(expr, &relation, ctx);
+                    self.store_result(expr, &relation, &ctx);
                     let elapsed = started.elapsed();
                     self.latency_plan.observe_duration(elapsed);
                     span.attr("tier", "plan-cache");
@@ -524,9 +605,10 @@ impl Shared {
         if self.cache_mode != CacheMode::Off {
             if let Some(plan) = out.plan {
                 let schema = ctx.snap.schema();
-                let deps = Shared::dep_names(expr)
-                    .into_iter()
-                    .filter_map(|n| schema.arity_of(&n).map(|a| (n, a)))
+                let deps = ctx
+                    .dep_stamps
+                    .iter()
+                    .filter_map(|(n, _)| schema.arity_of(n).map(|a| (n.clone(), a)))
                     .collect();
                 self.plan_cache.insert(
                     expr.clone(),
@@ -538,7 +620,7 @@ impl Shared {
                 );
             }
         }
-        self.store_result(expr, &relation, ctx);
+        self.store_result(expr, &relation, &ctx);
         let elapsed = started.elapsed();
         self.latency_cold.observe_duration(elapsed);
         span.attr("tier", "cold");
@@ -560,10 +642,10 @@ impl Shared {
         if self.cache_mode == CacheMode::PlanAndResult {
             self.result_cache.insert(
                 expr.clone(),
-                ResultEntry {
+                Arc::new(ResultEntry {
                     relation: relation.clone(),
                     deps: ctx.dep_stamps.clone(),
-                },
+                }),
             );
         }
     }
@@ -651,13 +733,16 @@ impl Shared {
     }
 }
 
-/// One unit of queued work: a query plus its reply channel (and, for
-/// transactional reads, the pinned snapshot context).
+/// One unit of queued work: a query the result tier could not answer
+/// inline, plus its reply channel (and, for transactional reads, the
+/// pinned snapshot context).
 struct Job {
     expr: Expr,
-    pinned: Option<TxnCtx>,
-    /// Submitting session's id (per-session metric label).
+    pinned: Option<Arc<TxnCtx>>,
+    /// Submitting session's id (`server.dispatch` span attribute)…
     session: u64,
+    /// …and its `sj_server_session_queries_total` handle.
+    session_queries: Arc<Counter>,
     /// Attach a rendered [`QueryProfile`] to the response.
     profile: bool,
     /// When the job entered the queue (queue-wait histogram).
@@ -665,45 +750,45 @@ struct Job {
     reply: SyncSender<Result<QueryResponse, ServerError>>,
 }
 
-fn worker_loop(shared: Arc<Shared>, rx: Arc<Mutex<Receiver<Job>>>) {
-    loop {
-        // Hold the receiver lock only while dequeuing, and poll with a
-        // timeout so workers notice shutdown (sender dropped) promptly
-        // even if a session handle still exists somewhere.
-        let job = {
-            let rx = rx.lock().expect("job queue poisoned");
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(job) => job,
-                Err(RecvTimeoutError::Timeout) => {
-                    if shared.closed.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
-        };
+/// The message of a caught panic (`panic!` payloads are a `&str` or a
+/// `String`; anything else came from `panic_any`).
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => payload
+            .downcast_ref::<&'static str>()
+            .map_or_else(|| "non-string panic payload".into(), |s| s.to_string()),
+    }
+}
+
+fn worker_loop(shared: &Shared) {
+    // Parks inside `pop` while the queue is empty; `None` means the
+    // server closed and every accepted job has been served.
+    while let Some(job) = shared.queue.pop() {
         let queue_wait = job.submitted.elapsed();
         shared.queue_wait.observe_duration(queue_wait);
-        let session_label = job.session.to_string();
-        shared
-            .metrics
-            .counter_with(
-                "sj_server_session_queries_total",
-                &[("session", &session_label)],
-            )
-            .inc();
-        // The dispatch span parents both the snapshot capture
-        // (`storage.snapshot`, opened inside `Database::snapshot`) and
-        // the serving span (`server.query` and everything below it).
-        let span = sj_obs::span!(
-            "server.dispatch",
-            session = job.session,
-            queue_wait_us = queue_wait.as_micros() as u64
-        );
-        let ctx = shared.ctx_for(&job.expr, job.pinned.as_ref());
-        let result = shared.run_query(&job.expr, &ctx, job.profile);
-        drop(span);
+        // The job boundary: a panic below (an engine bug on this one
+        // query) must cost this one reply, not the worker. Unwinding
+        // cannot leave shared state torn — `run_query` executes with no
+        // lock held, and every shared structure it updates (caches,
+        // counters, the stats catalog) changes under its own lock or
+        // atomically, in calls that run to completion.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            // The dispatch span parents the serving span
+            // (`server.query` and everything below it) and, for a
+            // query that executes, its snapshot capture
+            // (`storage.snapshot`, opened inside `Database::snapshot`).
+            let _span = sj_obs::span!(
+                "server.dispatch",
+                session = job.session,
+                queue_wait_us = queue_wait.as_micros() as u64
+            );
+            shared.run_query(&job)
+        }))
+        .unwrap_or_else(|payload| {
+            shared.worker_panics.inc();
+            Err(ServerError::QueryPanicked(panic_message(payload)))
+        });
         // A client that gave up (dropped its reply receiver) is fine.
         let _ = job.reply.send(result);
     }
@@ -714,7 +799,6 @@ fn worker_loop(shared: Arc<Shared>, rx: Arc<Mutex<Receiver<Job>>>) {
 /// [crate docs](crate) for the architecture.
 pub struct Server {
     shared: Arc<Shared>,
-    tx: Option<SyncSender<Job>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -752,6 +836,8 @@ impl Server {
             })
             .parallelism(per_query);
         let metrics = Arc::new(Metrics::new());
+        let tier_latency =
+            |tier| metrics.histogram_with("sj_server_query_seconds", &[("tier", tier)]);
         let shared = Arc::new(Shared {
             master: RwLock::new(Master {
                 db,
@@ -762,33 +848,36 @@ impl Server {
             plan_cache: ExprCache::new(config.plan_cache_capacity),
             result_cache: ExprCache::new(config.result_cache_capacity),
             stats: ServerStats::new(metrics.clone()),
-            latency_cold: metrics.histogram_with("sj_server_query_seconds", &[("tier", "cold")]),
-            latency_plan: metrics
-                .histogram_with("sj_server_query_seconds", &[("tier", "plan-cache")]),
-            latency_result: metrics
-                .histogram_with("sj_server_query_seconds", &[("tier", "result-cache")]),
+            class_queries: QUERY_CLASSES.map(|class| {
+                metrics.counter_with("sj_server_queries_by_class_total", &[("class", class)])
+            }),
+            worker_panics: metrics.counter("sj_server_worker_panics_total"),
+            latency_cold: tier_latency("cold"),
+            latency_plan: tier_latency("plan-cache"),
+            latency_result: tier_latency("result-cache"),
             queue_wait: metrics.histogram("sj_server_queue_wait_seconds"),
+            queue: Queue::new(
+                config.queue_capacity,
+                metrics.gauge("sj_server_queue_depth"),
+            ),
             metrics,
             next_session: AtomicU64::new(0),
             cache_mode: config.cache,
             per_query,
-            closed: AtomicBool::new(false),
+            #[cfg(test)]
+            failpoint: std::sync::Mutex::new(None),
         });
-        let (tx, rx) = mpsc::sync_channel(config.queue_capacity.max(1));
-        let rx = Arc::new(Mutex::new(rx));
         let handles = (0..workers)
             .map(|i| {
                 let shared = shared.clone();
-                let rx = rx.clone();
                 std::thread::Builder::new()
                     .name(format!("sj-server-worker-{i}"))
-                    .spawn(move || worker_loop(shared, rx))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn server worker")
             })
             .collect();
         Server {
             shared,
-            tx: Some(tx),
             workers: handles,
         }
     }
@@ -797,10 +886,14 @@ impl Server {
     /// move across threads); every session submits into the same
     /// bounded queue.
     pub fn session(&self) -> Session {
+        let id = self.shared.next_session.fetch_add(1, Ordering::Relaxed) + 1;
         Session {
-            id: self.shared.next_session.fetch_add(1, Ordering::Relaxed) + 1,
+            id,
+            queries: self.shared.metrics.counter_with(
+                "sj_server_session_queries_total",
+                &[("session", &id.to_string())],
+            ),
             shared: self.shared.clone(),
-            tx: self.tx.as_ref().expect("server running").clone(),
         }
     }
 
@@ -827,8 +920,11 @@ impl Server {
     /// Prometheus-style text exposition of every serving series:
     /// the [`ServerStats`] counters (`sj_server_*_total`), the
     /// per-tier latency histograms (`sj_server_query_seconds{tier=…}`),
-    /// queue wait (`sj_server_queue_wait_seconds`), per-class and
-    /// per-session query counters, and the running
+    /// queue wait (`sj_server_queue_wait_seconds` — jobs only: a
+    /// result-cache hit answered inline never queued) and the queue's
+    /// current length (`sj_server_queue_depth`), per-class and
+    /// per-session query counters, contained worker panics
+    /// (`sj_server_worker_panics_total`), and the running
     /// `sj_server_max_q_error` maximum.
     pub fn metrics_text(&self) -> String {
         self.shared.metrics.expose()
@@ -865,12 +961,8 @@ impl Server {
     /// master database.
     pub fn shutdown(mut self) -> Database {
         self.stop();
-        let shared = std::mem::replace(
-            &mut self.shared,
-            // `self`'s Drop runs after this; give it a dummy Shared so
-            // the real one can be unwrapped below.
-            Arc::new(Shared::closed_stub()),
-        );
+        let shared = self.shared.clone();
+        drop(self);
         match Arc::try_unwrap(shared) {
             Ok(shared) => shared.master.into_inner().expect("master poisoned").db,
             // A session handle still holds the Arc: fall back to a
@@ -886,13 +978,14 @@ impl Server {
     }
 
     fn stop(&mut self) {
-        // Dropping our sender disconnects the queue once every session
-        // handle is gone; the closed flag covers the case where
-        // sessions outlive the server — workers then exit on their
-        // next poll tick instead of waiting for disconnection.
-        self.shared.closed.store(true, Ordering::Relaxed);
-        self.tx = None;
+        // Closing the queue wakes every parked worker; each serves
+        // what was already accepted and exits. Sessions may outlive
+        // the server — they see the closed queue and fail fast.
+        self.shared.queue.close();
         for handle in self.workers.drain(..) {
+            // Runs from `Drop` too, so a worker's panic must not
+            // become a second one here; per-job panics never reach
+            // this far (`worker_loop` contains them).
             let _ = handle.join();
         }
     }
@@ -911,13 +1004,16 @@ impl Drop for Server {
 #[derive(Clone)]
 pub struct Session {
     id: u64,
+    /// This session's `sj_server_session_queries_total` series.
+    queries: Arc<Counter>,
     shared: Arc<Shared>,
-    tx: SyncSender<Job>,
 }
 
 impl Session {
-    /// Run `expr` against a fresh snapshot, blocking while the bounded
-    /// queue is full (backpressure) and until the answer arrives.
+    /// Run `expr` against the current database state. A result-cache
+    /// hit is answered right here on the calling thread; anything else
+    /// is queued for the worker pool — blocking while the bounded queue
+    /// is full (backpressure) and until the answer arrives.
     pub fn query(&self, expr: Expr) -> Result<QueryResponse, ServerError> {
         self.submit(expr, None, true, false)
     }
@@ -932,7 +1028,8 @@ impl Session {
 
     /// Like [`Session::query`] but **rejecting** instead of blocking
     /// when the queue is full — bounded admission for latency-critical
-    /// callers.
+    /// callers. A result-cache hit never touches the queue, so it is
+    /// answered however full the queue is.
     pub fn try_query(&self, expr: Expr) -> Result<QueryResponse, ServerError> {
         self.submit(expr, None, false, false)
     }
@@ -943,7 +1040,7 @@ impl Session {
     pub fn begin(&self) -> ReadTxn {
         ReadTxn {
             session: self.clone(),
-            ctx: self.shared.capture_txn(),
+            ctx: Arc::new(self.shared.capture_txn()),
         }
     }
 
@@ -963,34 +1060,45 @@ impl Session {
     fn submit(
         &self,
         expr: Expr,
-        pinned: Option<TxnCtx>,
+        pinned: Option<&Arc<TxnCtx>>,
         block: bool,
         profile: bool,
     ) -> Result<QueryResponse, ServerError> {
-        if self.shared.closed.load(Ordering::Relaxed) {
+        let shared = &*self.shared;
+        if shared.queue.is_closed() {
             return Err(ServerError::Stopped);
+        }
+        if let Some(hit) =
+            shared.probe_result(&expr, pinned.map(|ctx| &**ctx), &self.queries, profile)
+        {
+            return Ok(hit);
         }
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
         let job = Job {
             expr,
-            pinned,
+            pinned: pinned.cloned(),
             session: self.id,
+            session_queries: self.queries.clone(),
             profile,
             submitted: Instant::now(),
             reply: reply_tx,
         };
-        if block {
-            self.tx.send(job).map_err(|_| ServerError::Stopped)?;
+        let pushed = if block {
+            shared.queue.push(job)
         } else {
-            match self.tx.try_send(job) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) => {
-                    self.shared.stats.bump_rejected();
-                    return Err(ServerError::QueueFull);
-                }
-                Err(TrySendError::Disconnected(_)) => return Err(ServerError::Stopped),
+            shared.queue.try_push(job)
+        };
+        match pushed {
+            Ok(()) => {}
+            Err(PushError::Full(_)) => {
+                shared.stats.bump_rejected();
+                return Err(ServerError::QueueFull);
             }
+            Err(PushError::Closed(_)) => return Err(ServerError::Stopped),
         }
+        // Every accepted job is answered: workers drain the queue
+        // before they exit and contain a panicking job, so a dropped
+        // reply sender means the pool itself is gone.
         reply_rx.recv().map_err(|_| ServerError::Stopped)?
     }
 }
@@ -1005,14 +1113,13 @@ impl Session {
 /// directly.
 pub struct ReadTxn {
     session: Session,
-    ctx: TxnCtx,
+    ctx: Arc<TxnCtx>,
 }
 
 impl ReadTxn {
     /// Run `expr` against the pinned snapshot.
     pub fn query(&self, expr: Expr) -> Result<QueryResponse, ServerError> {
-        self.session
-            .submit(expr, Some(self.ctx.clone()), true, false)
+        self.session.submit(expr, Some(&self.ctx), true, false)
     }
 
     /// The pinned snapshot (e.g. for differential checks against a
@@ -1273,10 +1380,14 @@ mod tests {
                 || text.contains("sj_server_query_seconds_bucket{tier=\"cold\",le=\"+Inf\"} 1"),
             "{text}"
         );
+        // Only the cold query queued: the result-cache hit was answered
+        // inline on this thread and never waited for a worker.
         assert!(
-            text.contains("sj_server_queue_wait_seconds_count 2"),
+            text.contains("sj_server_queue_wait_seconds_count 1"),
             "{text}"
         );
+        assert!(text.contains("sj_server_queue_depth 0"), "{text}");
+        assert!(text.contains("sj_server_worker_panics_total 0"), "{text}");
         assert!(text.contains("sj_server_max_q_error"), "{text}");
         // The exposition is stable between scrapes with no traffic.
         assert_eq!(server.metrics_text(), text);
@@ -1333,12 +1444,182 @@ mod tests {
                 tuple: tuple![11],
             })
             .unwrap();
+        let cached = division::division_double_difference("R", "S");
+        session.query(cached.clone()).unwrap();
+        assert_eq!(
+            session.query(cached.clone()).unwrap().provenance,
+            Provenance::ResultCache
+        );
         let db = server.shutdown();
         assert_eq!(db.get("S").unwrap().len(), 3);
         assert!(matches!(
             session.query(Expr::rel("R")),
             Err(ServerError::Stopped)
         ));
+        // A query the result tier could still answer inline is refused
+        // all the same: the session outlived its server.
+        assert!(matches!(session.query(cached), Err(ServerError::Stopped)));
+    }
+
+    fn set_failpoint(server: &Server, hook: impl Fn(&Expr) + Send + Sync + 'static) {
+        *server.shared.failpoint.lock().unwrap() = Some(Arc::new(hook));
+    }
+
+    /// The race the stamps exist for, forced: a query captures its
+    /// snapshot, a write to a relation it reads lands (and sweeps a
+    /// cache that does not hold the result yet), and only then does the
+    /// query finish and cache what it computed. That entry is stale on
+    /// arrival and the probe must refuse it.
+    #[test]
+    fn a_result_cached_after_its_dependency_changed_is_never_served() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        let server = Server::start(division_db(), config(1, CacheMode::PlanAndResult));
+        let session = server.session();
+        let e = division::division_double_difference("R", "S");
+        let captured = Arc::new(Barrier::new(2));
+        let written = Arc::new(Barrier::new(2));
+        {
+            let (captured, written) = (captured.clone(), written.clone());
+            let first = AtomicBool::new(true);
+            set_failpoint(&server, move |_| {
+                if first.swap(false, Ordering::Relaxed) {
+                    captured.wait();
+                    written.wait();
+                }
+            });
+        }
+        let write_epoch = std::thread::scope(|scope| {
+            let early = scope.spawn(|| session.query(e.clone()).unwrap());
+            captured.wait();
+            let write_epoch = session
+                .write(WriteOp::Insert {
+                    relation: "R".into(),
+                    tuple: tuple![2, 8],
+                })
+                .unwrap();
+            written.wait();
+            // Correct for the snapshot it ran against — and cached.
+            let early = early.join().unwrap();
+            assert_eq!(*early.relation, Relation::from_int_rows(&[&[1]]));
+            assert!(early.epoch < write_epoch);
+            write_epoch
+        });
+        assert_eq!(
+            server.result_cache_len(),
+            1,
+            "the late entry is in the cache"
+        );
+
+        let fresh = session.query(e).unwrap();
+        assert_eq!(fresh.provenance, Provenance::PlanCache);
+        assert_eq!(*fresh.relation, Relation::from_int_rows(&[&[1], &[2]]));
+        assert_eq!(fresh.epoch, write_epoch);
+    }
+
+    #[test]
+    fn a_panicking_query_costs_one_reply_not_the_worker() {
+        let server = Server::start(division_db(), config(1, CacheMode::PlanAndResult));
+        let session = server.session();
+        let poisoned = Expr::rel("R").project([1]);
+        let trigger = poisoned.clone();
+        set_failpoint(&server, move |e| {
+            if *e == trigger {
+                panic!("injected failure");
+            }
+        });
+
+        assert_eq!(
+            session.query(poisoned).map(|r| r.provenance),
+            Err(ServerError::QueryPanicked("injected failure".into()))
+        );
+        assert!(server
+            .metrics_text()
+            .contains("sj_server_worker_panics_total 1"));
+
+        // The pool's only worker survived it: the next query answers.
+        let next = session
+            .query(division::division_double_difference("R", "S"))
+            .unwrap();
+        assert_eq!(*next.relation, Relation::from_int_rows(&[&[1]]));
+        assert_eq!(server.stats().queries, 2, "the poisoned query counted");
+        drop(session);
+        assert_eq!(server.shutdown(), division_db());
+    }
+
+    #[test]
+    fn try_query_answers_cached_queries_while_the_queue_is_full() {
+        use std::sync::Barrier;
+        let server = Server::start(
+            division_db(),
+            ServerConfig {
+                queue_capacity: 2,
+                ..config(1, CacheMode::PlanAndResult)
+            },
+        );
+        let session = server.session();
+        let cached = division::division_double_difference("R", "S");
+        session.query(cached.clone()).unwrap();
+
+        // Park the only worker inside a query…
+        let parked = Arc::new(Barrier::new(2));
+        let release = Arc::new(Barrier::new(2));
+        let blocker = Expr::rel("S");
+        {
+            let (parked, release, blocker) = (parked.clone(), release.clone(), blocker.clone());
+            set_failpoint(&server, move |e| {
+                if *e == blocker {
+                    parked.wait();
+                    release.wait();
+                }
+            });
+        }
+        let uncached = Expr::rel("R").project([2]);
+        std::thread::scope(|scope| {
+            let blocked = scope.spawn(|| session.query(blocker.clone()));
+            parked.wait();
+            // …and fill the queue behind it through the queue's own
+            // API, so "full" is a fact and not a race.
+            let mut replies = Vec::new();
+            loop {
+                let (reply, answer) = mpsc::sync_channel(1);
+                let job = Job {
+                    expr: uncached.clone(),
+                    pinned: None,
+                    session: session.id,
+                    session_queries: session.queries.clone(),
+                    profile: false,
+                    submitted: Instant::now(),
+                    reply,
+                };
+                match server.shared.queue.try_push(job) {
+                    Ok(()) => replies.push(answer),
+                    Err(PushError::Full(_)) => break,
+                    Err(PushError::Closed(_)) => panic!("server is running"),
+                }
+            }
+            assert_eq!(replies.len(), 2, "queue_capacity jobs fit");
+            assert!(server.metrics_text().contains("sj_server_queue_depth 2"));
+
+            // A result-cache hit never touches the queue…
+            let hit = session.try_query(cached.clone()).unwrap();
+            assert_eq!(hit.provenance, Provenance::ResultCache);
+            assert_eq!(server.stats().rejected, 0);
+            // …a query that has to execute is turned away.
+            assert_eq!(
+                session.try_query(uncached.clone()).map(|r| r.provenance),
+                Err(ServerError::QueueFull)
+            );
+            assert_eq!(server.stats().rejected, 1);
+
+            // Un-park the worker: it serves everything it had accepted.
+            release.wait();
+            assert!(blocked.join().unwrap().is_ok());
+            for answer in replies {
+                assert!(answer.recv().unwrap().is_ok());
+            }
+        });
+        assert!(server.metrics_text().contains("sj_server_queue_depth 0"));
     }
 
     #[test]

@@ -13,6 +13,9 @@ use sj_eval::Engine;
 use sj_server::{CacheMode, Server, ServerConfig, WriteOp};
 use sj_storage::{Database, Relation, Tuple};
 use sj_workload::{ServingWorkload, TraceOp, ELEMENT_BASE};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 
 fn config(workers: usize, cache: CacheMode) -> ServerConfig {
     ServerConfig {
@@ -187,6 +190,149 @@ fn hot_query_is_correct_under_every_worker_count() {
             "at most one cold/plan execution per worker burst: {stats:?}"
         );
     }
+}
+
+/// Un-pinned reads racing a writer — the path where a result-cache hit
+/// is answered inline on the reader's own thread, validated against the
+/// live epochs instead of a snapshot. Every response claims an epoch;
+/// its relation must be exactly what a direct engine computes on the
+/// database *as of that epoch* (so a hit that outlived an insert it
+/// depends on is caught on the spot), and no reader may see the epoch
+/// go backwards.
+#[test]
+fn unpinned_reads_are_exact_at_their_epoch_while_a_writer_inserts() {
+    const INSERTS: i64 = 24;
+    let w = workload();
+    let server = Server::start(w.database(), config(2, CacheMode::PlanAndResult));
+    let pool = w.query_pool();
+    let writer = server.session();
+    let done = AtomicBool::new(false);
+    // Reads answered so far; the writer paces itself on it so that the
+    // inserts land *between* reads whatever the scheduler does.
+    let reads = AtomicU64::new(0);
+
+    // The database at every epoch the server passes through, replayed
+    // locally in lockstep with the (single) writer.
+    let mut local = w.database();
+    let mut states = BTreeMap::from([(server.snapshot().epoch(), local.clone())]);
+
+    let observed: Vec<(usize, u64, Arc<Relation>)> = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..4)
+            .map(|r| {
+                let session = server.session();
+                let (pool, done, reads) = (&pool, &done, &reads);
+                scope.spawn(move || {
+                    let mut seen = Vec::new();
+                    let mut last_epoch = 0;
+                    // Keep reading until the writer is through, and at
+                    // least one full pass over the pool after that.
+                    let mut passes_after_done = 0;
+                    while passes_after_done < 2 {
+                        if done.load(Ordering::Acquire) {
+                            passes_after_done += 1;
+                        }
+                        for i in 0..pool.len() {
+                            let q = (i + r) % pool.len();
+                            let resp = session.query(pool[q].clone()).expect("read");
+                            assert!(
+                                resp.epoch >= last_epoch,
+                                "reader {r}: epoch went backwards, {last_epoch} → {}",
+                                resp.epoch
+                            );
+                            last_epoch = resp.epoch;
+                            seen.push((q, resp.epoch, resp.relation));
+                            reads.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                    seen
+                })
+            })
+            .collect();
+        for i in 0..INSERTS {
+            while reads.load(Ordering::Relaxed) < (i as u64 + 1) * 16 {
+                std::thread::yield_now();
+            }
+            let tuple = Tuple::from_ints(&[1 + i % 32, ELEMENT_BASE + 700 + i]);
+            local.insert("R", tuple.clone()).expect("local insert");
+            let epoch = writer
+                .write(WriteOp::Insert {
+                    relation: "R".into(),
+                    tuple,
+                })
+                .expect("writer insert");
+            states.insert(epoch, local.clone());
+        }
+        done.store(true, Ordering::Release);
+        readers
+            .into_iter()
+            .flat_map(|reader| reader.join().expect("reader"))
+            .collect()
+    });
+    assert_eq!(states.len() as i64, INSERTS + 1, "one epoch per insert");
+
+    let mut expected: BTreeMap<(usize, u64), Relation> = BTreeMap::new();
+    for (q, epoch, relation) in &observed {
+        let reference = expected.entry((*q, *epoch)).or_insert_with(|| {
+            let db = states
+                .get(epoch)
+                .expect("response epoch is a written epoch");
+            Engine::new(db.clone())
+                .query(pool[*q].clone())
+                .run()
+                .expect("direct query")
+                .relation
+        });
+        assert_eq!(
+            **relation, *reference,
+            "served ≠ direct engine at epoch {epoch} for {}",
+            pool[*q]
+        );
+    }
+    let final_epoch = *states.keys().last().expect("states");
+    assert!(
+        observed.iter().any(|(_, epoch, _)| *epoch == final_epoch),
+        "reads continued past the last insert"
+    );
+    let stats = server.stats();
+    assert_eq!(stats.queries, observed.len() as u64);
+    assert!(stats.result_hits > 0, "the hit path was exercised");
+}
+
+/// A herd: many clients released together on one query nobody has run.
+/// All of them miss inline and queue, but an inline miss counts nothing
+/// — each query is counted once, by the worker that serves it — and the
+/// workers' own re-probe means only the jobs dequeued before the first
+/// one finishes execute: at most one per worker, not one per client.
+#[test]
+fn a_herd_on_one_cold_query_executes_once_per_worker_at_most() {
+    const CLIENTS: usize = 8;
+    const WORKERS: usize = 2;
+    let w = workload();
+    let e = division::division_double_difference("R", "S");
+    let expected = Engine::new(w.database())
+        .query(e.clone())
+        .run()
+        .expect("reference")
+        .relation;
+    let server = Server::start(w.database(), config(WORKERS, CacheMode::PlanAndResult));
+    let gate = Barrier::new(CLIENTS);
+    std::thread::scope(|scope| {
+        for _ in 0..CLIENTS {
+            let session = server.session();
+            let (e, expected, gate) = (&e, &expected, &gate);
+            scope.spawn(move || {
+                gate.wait();
+                let resp = session.query(e.clone()).expect("herd query");
+                assert_eq!(*resp.relation, *expected);
+            });
+        }
+    });
+    let stats = server.stats();
+    assert_eq!(stats.queries, CLIENTS as u64, "{stats:?}");
+    assert!(
+        (1..=WORKERS as u64).contains(&stats.executed()),
+        "cold + plan-tier executions bounded by the pool, not the herd: {stats:?}"
+    );
 }
 
 // ---------------------------------------------------------------------------
