@@ -461,17 +461,17 @@ fn semijoin_linear() -> Option<CsvSink> {
             let report = engine.query((*plan).clone()).run().unwrap().report.unwrap();
             println!(
                 "{k:>6} {:>7} {name:>22} {:>16}",
-                report.db_size(),
+                report.db_size,
                 report.max_intermediate()
             );
             csv.row(&[
                 k.to_string(),
-                report.db_size().to_string(),
+                report.db_size.to_string(),
                 name.into(),
                 report.max_intermediate().to_string(),
             ]);
             if name.contains("SA=") {
-                assert!(report.max_intermediate() <= report.db_size());
+                assert!(report.max_intermediate() <= report.db_size);
             }
         }
     }
@@ -492,17 +492,17 @@ fn semijoin_linear() -> Option<CsvSink> {
             let report = engine.query((*plan).clone()).run().unwrap().report.unwrap();
             println!(
                 "{k:>6} {:>7} {name:>26} {:>16}",
-                report.db_size(),
+                report.db_size,
                 report.max_intermediate()
             );
             csv.row(&[
                 format!("adv-{k}"),
-                report.db_size().to_string(),
+                report.db_size.to_string(),
                 name.into(),
                 report.max_intermediate().to_string(),
             ]);
             if name.contains("SA=") {
-                assert!(report.max_intermediate() <= report.db_size());
+                assert!(report.max_intermediate() <= report.db_size);
             } else {
                 assert!(report.max_intermediate() >= (k * k) as usize);
             }

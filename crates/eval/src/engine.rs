@@ -47,13 +47,14 @@
 
 use crate::error::EvalError;
 use crate::exec::{Execution, StatsMode};
-use crate::explain::render_tree;
-use crate::instrumented::{evaluate_instrumented, EvalReport};
+use crate::explain::explain;
+use crate::instrumented::evaluate_instrumented;
 use crate::joinorder::JoinOrder;
 use crate::par::Parallelism;
 use crate::plain::evaluate;
-use crate::plan::{PhysicalPlan, PlannedReport};
+use crate::plan::PhysicalPlan;
 use crate::reference::evaluate_reference;
+use crate::report::Report;
 use sj_algebra::{AlgebraError, Expr, OptimizeLevel, Pipeline};
 use sj_setjoin::registry::{ComplexityClass, Registry};
 use sj_setjoin::{DivisionSemantics, SetPredicate};
@@ -100,12 +101,12 @@ pub enum Instrument {
     /// No per-node statistics; fastest. [`QueryOutput::report`] is `None`.
     #[default]
     Off,
-    /// Record per-node cardinalities (the Definition 16 quantities) and
-    /// self times in a [`Report`], plus the end-to-end
-    /// [`QueryOutput::elapsed`]; [`QueryOutput::profile`] packages them
-    /// as an `EXPLAIN ANALYZE`-style [`crate::QueryProfile`] (estimated
-    /// vs actual rows, q-error, partition counts, with a timing-masked
-    /// rendering for golden tests).
+    /// Record per-node cardinalities (the Definition 16 quantities),
+    /// self times and — under [`Strategy::Planned`] — estimates and
+    /// partition counts in a [`Report`], plus the end-to-end
+    /// [`Report::elapsed`]; [`Report::render`] is the `EXPLAIN
+    /// ANALYZE`-style table (with a timing-masked form for golden
+    /// tests).
     Cardinalities,
 }
 
@@ -128,95 +129,22 @@ impl AlgorithmChoice {
     }
 }
 
-/// The per-node statistics of an instrumented run, from whichever
-/// evaluator produced them.
-#[derive(Debug, Clone)]
-pub enum Report {
-    /// One [`crate::NodeStat`] per expression-tree node (pre-order).
-    Naive(EvalReport),
-    /// One [`crate::NodeStat`] per physical-plan DAG node (topological).
-    Planned(PlannedReport),
-}
-
-impl Report {
-    /// The largest intermediate (or final) cardinality — the quantity the
-    /// dichotomy theorem is about.
-    pub fn max_intermediate(&self) -> usize {
-        match self {
-            Report::Naive(r) => r.max_intermediate(),
-            Report::Planned(r) => r.max_intermediate(),
-        }
-    }
-
-    /// The input database size `|D|`.
-    pub fn db_size(&self) -> usize {
-        match self {
-            Report::Naive(r) => r.db_size,
-            Report::Planned(r) => r.db_size,
-        }
-    }
-
-    /// Sum of per-node self times.
-    pub fn total_elapsed(&self) -> Duration {
-        match self {
-            Report::Naive(r) => r.total_elapsed(),
-            Report::Planned(r) => r.total_elapsed(),
-        }
-    }
-
-    /// Render the per-node table of whichever report this is.
-    pub fn render(&self) -> String {
-        match self {
-            Report::Naive(r) => r.render(),
-            Report::Planned(r) => r.render(),
-        }
-    }
-
-    /// The naive (per-tree-node) report, when that evaluator ran.
-    pub fn as_naive(&self) -> Option<&EvalReport> {
-        match self {
-            Report::Naive(r) => Some(r),
-            Report::Planned(_) => None,
-        }
-    }
-
-    /// The planned (per-DAG-node) report, when the planner ran.
-    pub fn as_planned(&self) -> Option<&PlannedReport> {
-        match self {
-            Report::Naive(_) => None,
-            Report::Planned(r) => Some(r),
-        }
-    }
-}
-
 /// Everything a [`Query::run`] produces.
 #[derive(Debug, Clone)]
 pub struct QueryOutput {
     /// The query result.
     pub relation: Relation,
-    /// Per-node statistics, present iff [`Instrument`] is not `Off` and
-    /// the strategy supports instrumentation (the reference evaluator
-    /// does not).
+    /// Per-node statistics and the end-to-end wall time
+    /// ([`Report::elapsed`]: optimize + plan + execute), present iff
+    /// [`Instrument`] is not `Off` and the strategy supports
+    /// instrumentation (the reference evaluator does not).
     pub report: Option<Report>,
     /// The physical plan that was executed ([`Strategy::Planned`] only).
     pub plan: Option<PhysicalPlan>,
-    /// End-to-end wall-clock time (optimize + plan + execute), present
-    /// iff `report` is.
-    pub elapsed: Option<Duration>,
     /// The parallelism the engine ran the query under. Worker counts and
-    /// per-partition timings appear in the planned report
-    /// ([`PlannedReport::workers`], [`crate::NodeStat::partitions`]).
+    /// per-partition timings appear in the report ([`Report::workers`],
+    /// [`crate::NodeStat::partitions`]).
     pub parallelism: Parallelism,
-}
-
-impl QueryOutput {
-    /// The `EXPLAIN ANALYZE`-style per-node breakdown of this run, when
-    /// a report was collected ([`Instrument::Cardinalities`]).
-    pub fn profile(&self) -> Option<crate::QueryProfile> {
-        self.report
-            .as_ref()
-            .map(|r| crate::QueryProfile::from_report(r, self.elapsed))
-    }
 }
 
 /// The result of a registry-routed [`Engine::divide`] /
@@ -604,28 +532,29 @@ impl Query<'_> {
             Strategy::Planned => engine.parallelism,
             Strategy::Naive | Strategy::Reference => Parallelism::Serial,
         };
-        let (relation, report, plan) = match engine.strategy {
+        let (relation, mut report, plan) = match engine.strategy {
             Strategy::Reference => (evaluate_reference(&expr, &engine.db)?, None, None),
             Strategy::Naive if instrumented => {
                 let (relation, report) = evaluate_instrumented(&expr, &engine.db)?;
-                (relation, Some(Report::Naive(report)), None)
+                (relation, Some(report), None)
             }
             Strategy::Naive => (evaluate(&expr, &engine.db)?, None, None),
             Strategy::Planned => {
                 let plan = engine.plan_for(&expr)?;
                 let (relation, report) = if instrumented {
-                    let (relation, report) =
-                        plan.execute_instrumented_with(&engine.db, parallelism)?;
-                    (relation, Some(Report::Planned(report)))
+                    let (relation, report) = plan.execute_reported(&engine.db, parallelism)?;
+                    (relation, Some(report))
                 } else {
                     (plan.execute_with(&engine.db, parallelism)?, None)
                 };
                 (relation, report, Some(plan))
             }
         };
+        if let Some(report) = &mut report {
+            report.elapsed = Some(start.elapsed());
+        }
         Ok(QueryOutput {
             relation,
-            elapsed: report.is_some().then(|| start.elapsed()),
             report,
             plan,
             parallelism,
@@ -645,10 +574,7 @@ impl Query<'_> {
         let expr = self.optimized()?;
         match self.engine.strategy {
             Strategy::Planned => Ok(self.engine.plan_for(&expr)?.explain()),
-            Strategy::Naive | Strategy::Reference => {
-                let (_, report) = evaluate_instrumented(&expr, &self.engine.db)?;
-                Ok(render_tree(&expr, &report))
-            }
+            Strategy::Naive | Strategy::Reference => explain(&expr, &self.engine.db),
         }
     }
 }
@@ -698,7 +624,6 @@ mod tests {
             assert_eq!(out.relation, expected, "{strategy}");
             assert_eq!(out.plan.is_some(), strategy == Strategy::Planned);
             assert!(out.report.is_none(), "Instrument::Off ⇒ no report");
-            assert!(out.elapsed.is_none());
         }
     }
 
@@ -710,34 +635,40 @@ mod tests {
             .instrument(Instrument::Cardinalities);
         let out = naive.query(e.clone()).run().unwrap();
         let report = out.report.unwrap();
-        assert!(report.as_naive().is_some());
-        assert_eq!(report.as_naive().unwrap().nodes.len(), e.node_count());
-        assert_eq!(report.as_naive().unwrap().output_rows, out.relation.len());
+        assert!(report.nodes.iter().all(|n| n.estimate.is_none()));
+        assert_eq!(report.max_q_error(), None);
+        let rendered = report.render_stable();
+        assert!(
+            !rendered.contains("est≈"),
+            "no estimate, no column: {rendered}"
+        );
+        assert!(rendered.contains("  ×1  [serial]  -"), "{rendered}");
+        assert_eq!(report.nodes.len(), e.node_count());
+        assert_eq!(report.output_rows, out.relation.len());
 
         let planned = Engine::new(division_db())
             .strategy(Strategy::Planned)
             .instrument(Instrument::Cardinalities);
         let out = planned.query(e.clone()).run().unwrap();
         let report = out.report.unwrap();
-        assert!(report.as_planned().is_some());
-        assert_eq!(report.as_planned().unwrap().nodes.len(), 7);
-        assert_eq!(report.as_planned().unwrap().output_rows, out.relation.len());
+        assert!(report.nodes.iter().all(|n| n.estimate.is_some()));
+        assert_eq!(report.nodes.len(), 7);
+        assert_eq!(report.output_rows, out.relation.len());
 
         // The reference evaluator has no instrumentation: report is None.
         let reference = Engine::new(division_db())
             .strategy(Strategy::Reference)
             .instrument(Instrument::Cardinalities);
         let out = reference.query(e).run().unwrap();
-        assert!(out.report.is_none());
-        assert!(out.elapsed.is_none(), "no report ⇒ no wall clock");
+        assert!(out.report.is_none(), "no report ⇒ no wall clock");
     }
 
     #[test]
     fn a_report_comes_with_the_wall_clock() {
         let e = division::division_double_difference("R", "S");
         let engine = Engine::new(division_db()).instrument(Instrument::Cardinalities);
-        let out = engine.query(e).run().unwrap();
-        assert!(out.report.unwrap().total_elapsed() <= out.elapsed.unwrap());
+        let report = engine.query(e).run().unwrap().report.unwrap();
+        assert!(report.total_elapsed() <= report.elapsed.unwrap());
     }
 
     #[test]
@@ -897,7 +828,7 @@ mod tests {
             assert_eq!(out.relation, serial.relation, "{par}");
             assert_eq!(out.parallelism, par);
             let report = out.report.unwrap();
-            assert_eq!(report.as_planned().unwrap().workers, par.workers());
+            assert_eq!(report.workers, par.workers());
             assert_eq!(
                 report.max_intermediate(),
                 serial.report.as_ref().unwrap().max_intermediate()

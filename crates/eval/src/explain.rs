@@ -13,7 +13,8 @@
 //! ```
 
 use crate::error::EvalError;
-use crate::instrumented::{evaluate_instrumented, EvalReport};
+use crate::instrumented::evaluate_instrumented;
+use crate::report::Report;
 use sj_algebra::Expr;
 use sj_storage::Database;
 
@@ -23,8 +24,9 @@ pub fn explain(e: &Expr, db: &Database) -> Result<String, EvalError> {
     Ok(render_tree(e, &report))
 }
 
-/// Render a previously computed report against its expression.
-pub fn render_tree(e: &Expr, report: &EvalReport) -> String {
+/// Render a tree walker's report ([`evaluate_instrumented`]: one node
+/// per tree node, pre-order) against its expression.
+pub fn render_tree(e: &Expr, report: &Report) -> String {
     let max = report.max_intermediate();
     let mut out = format!(
         "|D| = {}   output = {}   max intermediate = {}\n",
@@ -38,7 +40,7 @@ pub fn render_tree(e: &Expr, report: &EvalReport) -> String {
 #[allow(clippy::too_many_arguments)]
 fn render_node(
     e: &Expr,
-    report: &EvalReport,
+    report: &Report,
     max: usize,
     id: &mut usize,
     prefix: &str,

@@ -6,106 +6,21 @@
 //! `c(E') = O(n)` for **every subexpression** `E'`, *quadratic* when some
 //! subexpression is `Ω(n²)`. Measuring those intermediate sizes is the
 //! core experimental tool of this reproduction: the instrumented evaluator
-//! returns, beside the result, the cardinality of every node of the
-//! expression tree (identified by its pre-order index, matching
-//! [`Expr::subexpressions`]).
+//! returns, beside the result, a [`Report`] with the cardinality of every
+//! node of the expression tree (identified by its pre-order index,
+//! matching [`Expr::subexpressions`]).
 
 use crate::error::EvalError;
 use crate::ops;
 use crate::plain::walk;
+use crate::report::{NodeStat, Report};
 use sj_algebra::Expr;
 use sj_storage::{Database, Relation};
-use std::time::Duration;
-
-/// Statistics for one node of the expression tree (or, for the planned
-/// evaluator, of the physical-plan DAG).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeStat {
-    /// Pre-order index of the node within the root expression (plan-node
-    /// id, in topological order, for [`crate::plan::PlannedReport`]).
-    pub id: usize,
-    /// Operator label (see [`Expr::label`]).
-    pub label: String,
-    /// The physical operator that produced this node's output (e.g.
-    /// `hash-join`, `merge-semijoin`, `scan`). The planner chooses per
-    /// node; the naive evaluator reports the fixed choice `ops` makes.
-    pub operator: String,
-    /// Output arity of the node.
-    pub arity: usize,
-    /// Output cardinality `|E'(D)|`.
-    pub cardinality: usize,
-    /// Wall-clock time spent in this node's own operator, children
-    /// excluded.
-    pub elapsed: Duration,
-    /// Per-partition timings when the node ran partition-parallel
-    /// ([`crate::kernel::PartitionStat`]); empty for serial operators and
-    /// serial runs.
-    pub partitions: Vec<crate::kernel::PartitionStat>,
-}
-
-/// What an instrumented evaluation measured; the evaluator hands the
-/// result relation back beside it.
-#[derive(Debug, Clone)]
-pub struct EvalReport {
-    /// Rows of the query result (the root node's output).
-    pub output_rows: usize,
-    /// Per-node statistics in pre-order (index 0 is the root).
-    pub nodes: Vec<NodeStat>,
-    /// The input database size `|D|` (Definition 15).
-    pub db_size: usize,
-}
-
-impl EvalReport {
-    /// The largest intermediate (or final) result cardinality — the
-    /// quantity whose growth Theorem 17 shows is either `O(n)` or `Ω(n²)`.
-    pub fn max_intermediate(&self) -> usize {
-        self.nodes.iter().map(|n| n.cardinality).max().unwrap_or(0)
-    }
-
-    /// The node achieving the maximum intermediate size.
-    pub fn max_node(&self) -> Option<&NodeStat> {
-        self.nodes.iter().max_by_key(|n| n.cardinality)
-    }
-
-    /// `max_intermediate / |D|` — the "expansion factor"; bounded by a
-    /// constant across a scaling series iff the expression behaves linearly
-    /// on that series.
-    pub fn expansion_factor(&self) -> f64 {
-        if self.db_size == 0 {
-            0.0
-        } else {
-            self.max_intermediate() as f64 / self.db_size as f64
-        }
-    }
-
-    /// Total time across all nodes (the sum of per-node self times).
-    pub fn total_elapsed(&self) -> Duration {
-        self.nodes.iter().map(|n| n.elapsed).sum()
-    }
-
-    /// Render a per-node table (id, label, operator, cardinality), for
-    /// reports.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "|D| = {}, output = {}, max intermediate = {}\n",
-            self.db_size,
-            self.output_rows,
-            self.max_intermediate()
-        );
-        for n in &self.nodes {
-            out.push_str(&format!(
-                "  [{:>3}] {:<28} {:<20} arity {}  card {}\n",
-                n.id, n.label, n.operator, n.arity, n.cardinality
-            ));
-        }
-        out
-    }
-}
 
 /// The physical operator the naive (tree-walking) evaluator uses for a
 /// node — the fixed dispatch of [`crate::ops`], reported in [`NodeStat`]
-/// so naive and planned reports are comparable.
-pub(crate) fn naive_operator(expr: &Expr) -> &'static str {
+/// so tree-walk and planned reports are comparable.
+fn naive_operator(expr: &Expr) -> &'static str {
     match expr {
         Expr::Rel(_) => "scan",
         Expr::Union(..) => "merge-union",
@@ -120,32 +35,34 @@ pub(crate) fn naive_operator(expr: &Expr) -> &'static str {
 }
 
 /// Evaluate with instrumentation: the plain evaluator's tree walk with an
-/// observer recording one [`NodeStat`] per node. Node ids follow
-/// pre-order, exactly the order of [`Expr::subexpressions`].
-pub fn evaluate_instrumented(
-    expr: &Expr,
-    db: &Database,
-) -> Result<(Relation, EvalReport), EvalError> {
+/// observer recording one [`NodeStat`] per node (no estimate, one
+/// occurrence each). Node ids follow pre-order, exactly the order of
+/// [`Expr::subexpressions`].
+pub fn evaluate_instrumented(expr: &Expr, db: &Database) -> Result<(Relation, Report), EvalError> {
     expr.arity(&db.schema())?;
-    let mut nodes: Vec<Option<NodeStat>> = vec![None; expr.node_count()];
+    let mut nodes = Vec::with_capacity(expr.node_count());
     let result = walk(expr, db, &mut 0, &mut |id, node, rel, elapsed| {
-        nodes[id] = Some(NodeStat {
+        nodes.push(NodeStat {
             id,
             label: node.label(),
-            operator: naive_operator(node).to_string(),
+            operator: naive_operator(node),
             arity: rel.arity(),
             cardinality: rel.len(),
+            estimate: None,
+            occurrences: 1,
             elapsed,
             partitions: Vec::new(),
         });
     });
-    let report = EvalReport {
+    // Observed children first; reported in pre-order.
+    nodes.sort_by_key(|n| n.id);
+    let report = Report {
         output_rows: result.len(),
-        nodes: nodes
-            .into_iter()
-            .map(|n| n.expect("every node visited"))
-            .collect(),
+        nodes,
         db_size: db.size(),
+        expr_nodes: expr.node_count(),
+        workers: 1,
+        ..Report::default()
     };
     Ok((result, report))
 }

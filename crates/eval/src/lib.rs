@@ -10,6 +10,11 @@
 //!   This is the measurement instrument behind the paper's Definition 16
 //!   ("linear" = every intermediate O(n); "quadratic" = some intermediate
 //!   Ω(n²)) and is used by all dichotomy experiments.
+//! * [`report::Report`] — what an instrumented run measured, from either
+//!   evaluator: one [`NodeStat`] per node (cardinality, operator, self
+//!   time; estimate, sharing and partition counts where the planner
+//!   ran), the accessors the experiments read (`max_intermediate`,
+//!   `max_q_error`, …) and the one `EXPLAIN ANALYZE` table renderer.
 //! * [`reference::evaluate_reference`] — a naive nested-loop transliteration
 //!   of the paper's semantics, used to cross-validate the optimized
 //!   operators in unit and property tests.
@@ -43,38 +48,35 @@ pub mod ops_vec;
 pub mod par;
 pub mod plain;
 pub mod plan;
-pub mod profile;
 pub mod reference;
+pub mod report;
 
-pub use engine::{
-    AlgorithmChoice, Engine, Instrument, Query, QueryOutput, Report, SetOpOutput, Strategy,
-};
+pub use engine::{AlgorithmChoice, Engine, Instrument, Query, QueryOutput, SetOpOutput, Strategy};
 pub use error::EvalError;
 pub use exec::{Execution, StatsMode};
 pub use explain::explain;
-pub use instrumented::{evaluate_instrumented, EvalReport, NodeStat};
+pub use instrumented::evaluate_instrumented;
 pub use joinorder::{JoinOrder, DP_MAX_RELATIONS};
 pub use kernel::{multiway_join, MultiwayLeaf, MultiwaySpec, PartitionStat};
 pub use par::Parallelism;
 pub use plain::evaluate;
-pub use plan::{PhysOp, PhysicalPlan, PlannedReport, Q_ERROR_BUDGET};
-pub use profile::{ProfileNode, QueryProfile};
+pub use plan::{PhysOp, PhysicalPlan};
 pub use reference::evaluate_reference;
+pub use report::{NodeStat, Report, Q_ERROR_BUDGET};
 
 /// Most-used items in one import.
 pub mod prelude {
     pub use crate::engine::{
-        AlgorithmChoice, Engine, Instrument, Query, QueryOutput, Report, SetOpOutput, Strategy,
+        AlgorithmChoice, Engine, Instrument, Query, QueryOutput, SetOpOutput, Strategy,
     };
     pub use crate::exec::{Execution, StatsMode};
-    pub use crate::instrumented::{evaluate_instrumented, EvalReport, NodeStat};
+    pub use crate::instrumented::evaluate_instrumented;
     pub use crate::joinorder::JoinOrder;
     pub use crate::kernel::PartitionStat;
     pub use crate::par::Parallelism;
     pub use crate::plain::evaluate;
-    pub use crate::plan::PlannedReport;
-    pub use crate::profile::{ProfileNode, QueryProfile};
     pub use crate::reference::evaluate_reference;
+    pub use crate::report::{NodeStat, Report};
 }
 
 #[cfg(test)]
@@ -229,12 +231,14 @@ mod proptests {
                 .unwrap();
             prop_assert_eq!(&out.relation, &plain);
             let report = out.report.unwrap();
-            let report = report.as_planned().unwrap();
             prop_assert_eq!(report.output_rows, plain.len());
             prop_assert!(report.nodes.len() <= e.node_count());
             prop_assert_eq!(report.expr_nodes, e.node_count());
             // Occurrences over plan nodes sum to the tree size.
-            prop_assert_eq!(report.occurrences.iter().sum::<usize>(), e.node_count());
+            prop_assert_eq!(
+                report.nodes.iter().map(|n| n.occurrences).sum::<usize>(),
+                e.node_count()
+            );
             prop_assert_eq!(report.nodes.last().unwrap().cardinality, plain.len());
         }
 

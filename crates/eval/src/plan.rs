@@ -32,19 +32,19 @@
 //! annotate every node with an estimate and, at execution time, gate
 //! partition parallelism. [`crate::Engine`] calls it with its own
 //! catalog; [`PhysicalPlan::execute_with`] /
-//! [`PhysicalPlan::execute_instrumented_with`] run the plan (the latter
-//! hands a [`PlannedReport`] with per-node operator choice, cardinality
-//! and timing back beside the result), and [`PhysicalPlan::explain`]
-//! renders the DAG with sharing annotations.
+//! [`PhysicalPlan::execute_reported`] run the plan (the latter hands a
+//! [`Report`] with per-node operator choice, estimate, cardinality and
+//! timing back beside the result), and [`PhysicalPlan::explain`] renders
+//! the DAG with sharing annotations.
 
 use crate::error::EvalError;
 use crate::exec::Execution;
-use crate::instrumented::NodeStat;
 use crate::joinorder::{self, JoinOrder};
 use crate::kernel::{self, PartitionStat};
 use crate::ops;
 use crate::ops_vec;
 use crate::par::Parallelism;
+use crate::report::{NodeStat, Report};
 use sj_algebra::{AlgebraError, Condition, Expr, JoinGraph, Selection};
 use sj_stats::{CardEst, CostModel, Estimator, StatsSource};
 use sj_storage::{Database, FxHashMap, Relation, Schema, Value};
@@ -58,15 +58,6 @@ pub type NodeId = usize;
 /// What executing one node yields: its output and, when it ran
 /// partition-parallel, one [`PartitionStat`] per partition.
 type NodeOutput = (Arc<Relation>, Vec<PartitionStat>);
-
-/// Estimation-accuracy budget for instrumented reports: a node whose
-/// q-error ([`PlannedReport::q_error`]) exceeds this factor is flagged
-/// in [`PlannedReport::render`] output. The value is deliberately loose
-/// — the estimator assumes independence and uniformity, so factor-of-two
-/// errors are routine and harmless; an order-of-magnitude miss is what
-/// changes operator choices (hash-build demotion, parallel gating) and
-/// deserves a visible marker.
-pub const Q_ERROR_BUDGET: f64 = 16.0;
 
 /// The physical operator executing one DAG node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -253,20 +244,14 @@ impl PhysicalPlan {
         self.nodes.iter().filter(|n| n.occurrences > 1).count()
     }
 
-    /// Execute the plan serially. The database must conform to the schema
-    /// the plan was built against; scans re-check name and arity (the
-    /// cheap part) and error out on mismatch, everything else was
-    /// validated at plan time.
-    pub fn execute(&self, db: &Database) -> Result<Relation, EvalError> {
-        self.execute_with(db, Parallelism::Serial)
-    }
-
-    /// Execute the plan under the given [`Parallelism`]. With more than
-    /// one worker, independent DAG nodes (same dependency depth) run on
-    /// concurrent scoped threads and join/semijoin nodes additionally run
-    /// partition-parallel ([`kernel::join`] and friends). Output is
-    /// byte-identical to [`PhysicalPlan::execute`] for every worker
-    /// count.
+    /// Execute the plan under the given [`Parallelism`]. The database
+    /// must conform to the schema the plan was built against; scans
+    /// re-check name and arity (the cheap part) and error out on
+    /// mismatch, everything else was validated at plan time. With more
+    /// than one worker, independent DAG nodes (same dependency depth) run
+    /// on concurrent scoped threads and join/semijoin nodes additionally
+    /// run partition-parallel ([`kernel::join`] and friends). Output is
+    /// byte-identical for every worker count.
     pub fn execute_with(&self, db: &Database, par: Parallelism) -> Result<Relation, EvalError> {
         Ok(unshare(self.run(db, par.workers(), |_, _, _, _, _| {})?))
     }
@@ -282,52 +267,46 @@ impl PhysicalPlan {
         self.execute_with(db, par)
     }
 
-    /// Execute with per-node instrumentation (serial).
-    pub fn execute_instrumented(
-        &self,
-        db: &Database,
-    ) -> Result<(Relation, PlannedReport), EvalError> {
-        self.execute_instrumented_with(db, Parallelism::Serial)
-    }
-
-    /// Execute under the given [`Parallelism`] with per-node
-    /// instrumentation, returning the result beside its report;
-    /// parallel operator nodes additionally report their per-partition
-    /// build/probe timings ([`NodeStat::partitions`]), and the report
-    /// records the worker count.
-    pub fn execute_instrumented_with(
+    /// [`PhysicalPlan::execute_with`] with per-node instrumentation: the
+    /// result beside a [`Report`] holding one [`NodeStat`] per **DAG
+    /// node** (not per tree node — that is the point), in topological
+    /// order with the root last. Each carries the plan's estimate and
+    /// sharing count next to the actual cardinality, parallel operator
+    /// nodes their per-partition build/probe timings
+    /// ([`NodeStat::partitions`]), and the report the worker count.
+    pub fn execute_reported(
         &self,
         db: &Database,
         par: Parallelism,
-    ) -> Result<(Relation, PlannedReport), EvalError> {
+    ) -> Result<(Relation, Report), EvalError> {
         let workers = par.workers();
-        let mut slots: Vec<Option<NodeStat>> = vec![None; self.nodes.len()];
+        let mut nodes = Vec::with_capacity(self.nodes.len());
         let root = self.run(
             db,
             workers,
             |id, node: &PlanNode, rel: &Relation, elapsed, partitions: &[PartitionStat]| {
-                slots[id] = Some(NodeStat {
+                nodes.push(NodeStat {
                     id,
                     label: node.label.clone(),
-                    operator: node.op.name().to_string(),
+                    operator: node.op.name(),
                     arity: rel.arity(),
                     cardinality: rel.len(),
+                    estimate: Some(node.est_rows),
+                    occurrences: node.occurrences,
                     elapsed,
                     partitions: partitions.to_vec(),
                 });
             },
         )?;
-        let report = PlannedReport {
+        // Observed level by level; reported by id.
+        nodes.sort_by_key(|n| n.id);
+        let report = Report {
             output_rows: root.len(),
-            occurrences: self.nodes.iter().map(|n| n.occurrences).collect(),
-            estimates: self.nodes.iter().map(|n| n.est_rows).collect(),
-            nodes: slots
-                .into_iter()
-                .map(|n| n.expect("every node observed"))
-                .collect(),
+            nodes,
             db_size: db.size(),
             expr_nodes: self.expr_nodes,
             workers,
+            ..Report::default()
         };
         Ok((unshare(root), report))
     }
@@ -804,123 +783,6 @@ impl<'a> Planner<'a> {
     }
 }
 
-/// What an instrumented planned evaluation measured: one [`NodeStat`]
-/// per **DAG node** (not per tree node — that is the point), in
-/// topological order with the root last. The executor hands the result
-/// relation back beside it.
-#[derive(Debug, Clone)]
-pub struct PlannedReport {
-    /// Rows of the query result (the root node's output).
-    pub output_rows: usize,
-    /// Per-node statistics, indexed by [`NodeId`]. Each node appears
-    /// exactly once: the planned evaluator computes every distinct
-    /// subexpression once.
-    pub nodes: Vec<NodeStat>,
-    /// Per-node occurrence counts in the logical tree (parallel to
-    /// `nodes`).
-    pub occurrences: Vec<usize>,
-    /// Per-node estimated cardinalities (parallel to `nodes`) —
-    /// `render` prints them next to the actual cardinalities, making
-    /// estimator error visible per node.
-    pub estimates: Vec<f64>,
-    /// The input database size `|D|`.
-    pub db_size: usize,
-    /// Size of the logical expression tree.
-    pub expr_nodes: usize,
-    /// Worker threads the executor ran with (1 for serial runs).
-    pub workers: usize,
-}
-
-impl PlannedReport {
-    /// The largest intermediate (or final) cardinality.
-    pub fn max_intermediate(&self) -> usize {
-        self.nodes.iter().map(|n| n.cardinality).max().unwrap_or(0)
-    }
-
-    /// Total time across all plan nodes.
-    pub fn total_elapsed(&self) -> Duration {
-        self.nodes.iter().map(|n| n.elapsed).sum()
-    }
-
-    /// Tree-node evaluations the memoization avoided
-    /// (`expr_nodes − plan nodes`).
-    pub fn evaluations_saved(&self) -> usize {
-        self.expr_nodes - self.nodes.len()
-    }
-
-    /// The q-error of node `id`: `max(est/actual, actual/est)`, the
-    /// standard symmetric multiplicative measure of estimation accuracy
-    /// (1.0 = exact, ≥ budget = flagged by [`PlannedReport::render`]).
-    /// Both sides are clamped to ≥ 1 row first, so empty outputs and
-    /// sub-row estimates compare as "one row" instead of dividing by
-    /// zero.
-    pub fn q_error(&self, id: NodeId) -> f64 {
-        let est = self.estimates[id].max(1.0);
-        let actual = (self.nodes[id].cardinality as f64).max(1.0);
-        (est / actual).max(actual / est)
-    }
-
-    /// The worst per-node q-error of the run — the headline estimator
-    /// accuracy number.
-    pub fn max_q_error(&self) -> f64 {
-        (0..self.nodes.len())
-            .map(|id| self.q_error(id))
-            .fold(1.0, f64::max)
-    }
-
-    /// Render a per-node table (id, operator, label, cardinality, ×occ,
-    /// partition count). Nodes whose estimate misses the actual
-    /// cardinality by more than [`Q_ERROR_BUDGET`]× carry a
-    /// `q-error … over budget` marker. Every node carries its sharing
-    /// count (`×1` for unshared nodes — the count doubles as cache
-    /// provenance: how many logical tree nodes this memoized DAG node
-    /// served) and its partition marker (`[serial]` for unpartitioned
-    /// nodes), so lines stay column-comparable and diff-stable across
-    /// node kinds. Deliberately **stable across runs** of the same
-    /// configuration: cardinalities, operator choices, estimates,
-    /// worker and partition counts are deterministic; wall-clock times
-    /// are omitted (see `QueryProfile` for the timed variant).
-    pub fn render(&self) -> String {
-        let workers = if self.workers > 1 {
-            format!(", {} workers", self.workers)
-        } else {
-            String::new()
-        };
-        let mut out = format!(
-            "|D| = {}, output = {}, max intermediate = {}, {} plan nodes for {} tree nodes{workers}\n",
-            self.db_size,
-            self.output_rows,
-            self.max_intermediate(),
-            self.nodes.len(),
-            self.expr_nodes,
-        );
-        for ((n, &occ), est) in self
-            .nodes
-            .iter()
-            .zip(&self.occurrences)
-            .zip(&self.estimates)
-        {
-            let shared = format!("  ×{occ}");
-            let parts = if n.partitions.is_empty() {
-                "  [serial]".to_string()
-            } else {
-                format!("  [{} partitions]", n.partitions.len())
-            };
-            let q = self.q_error(n.id);
-            let est = if q > Q_ERROR_BUDGET {
-                format!("  est≈{est:.0} (q-error {q:.0} over budget)")
-            } else {
-                format!("  est≈{est:.0}")
-            };
-            out.push_str(&format!(
-                "  [{:>3}] {:<20} {:<28} arity {}  card {}{est}{shared}{parts}\n",
-                n.id, n.operator, n.label, n.arity, n.cardinality
-            ));
-        }
-        out
-    }
-}
-
 /// The root's output as an owned relation: moved out when the plan held
 /// the only handle, copied when the root is a stored relation the
 /// database still shares (a bare scan).
@@ -932,6 +794,7 @@ fn unshare(root: Arc<Relation>) -> Relation {
 mod tests {
     use super::*;
     use crate::plain::evaluate;
+    use crate::report::Q_ERROR_BUDGET;
     use sj_algebra::division;
     use sj_stats::{CatalogSource, StatsCatalog};
 
@@ -989,7 +852,9 @@ mod tests {
         // three times), π₁(R) once (twice in the tree).
         let e = division::division_double_difference("R", "S");
         let db = division_db();
-        let (result, report) = plan(&e, &db).execute_instrumented(&db).unwrap();
+        let (result, report) = plan(&e, &db)
+            .execute_reported(&db, Parallelism::Serial)
+            .unwrap();
         assert_eq!(report.expr_nodes, 10);
         assert_eq!(report.nodes.len(), 7);
         assert_eq!(report.evaluations_saved(), 3);
@@ -1032,7 +897,9 @@ mod tests {
             division::cyclic_beer_query_ra(),
         ] {
             assert_eq!(
-                plan(&e, &db).execute(&db).unwrap(),
+                plan(&e, &db)
+                    .execute_with(&db, Parallelism::Serial)
+                    .unwrap(),
                 evaluate(&e, &db).unwrap(),
                 "{e}"
             );
@@ -1046,7 +913,9 @@ mod tests {
             division::division_equality_counting("R", "S"),
         ] {
             assert_eq!(
-                plan(&e, &ddb).execute(&ddb).unwrap(),
+                plan(&e, &ddb)
+                    .execute_with(&ddb, Parallelism::Serial)
+                    .unwrap(),
                 evaluate(&e, &ddb).unwrap(),
                 "{e}"
             );
@@ -1127,7 +996,9 @@ mod tests {
         ];
         for e in exprs {
             assert_eq!(
-                plan(&e, &db).execute(&db).unwrap(),
+                plan(&e, &db)
+                    .execute_with(&db, Parallelism::Serial)
+                    .unwrap(),
                 evaluate(&e, &db).unwrap(),
                 "{e}"
             );
@@ -1152,14 +1023,14 @@ mod tests {
         // Missing relation.
         let empty = Database::new();
         assert!(matches!(
-            plan.execute(&empty),
+            plan.execute_with(&empty, Parallelism::Serial),
             Err(EvalError::Algebra(AlgebraError::UnknownRelation(_)))
         ));
         // Wrong arity.
         let mut wrong = Database::new();
         wrong.set("R", Relation::from_int_rows(&[&[1, 2, 3]]));
         assert!(matches!(
-            plan.execute(&wrong),
+            plan.execute_with(&wrong, Parallelism::Serial),
             Err(EvalError::Algebra(AlgebraError::ArityMismatch { .. }))
         ));
     }
@@ -1214,7 +1085,7 @@ mod tests {
         ];
         for e in exprs {
             let plan = plan(&e, &db);
-            let want = plan.execute(&db).unwrap();
+            let want = plan.execute_with(&db, Parallelism::Serial).unwrap();
             for par in [
                 Parallelism::Threads(1),
                 Parallelism::Threads(2),
@@ -1242,11 +1113,9 @@ mod tests {
         db.set("R", Relation::from_int_rows(&refs));
         db.set("S", Relation::from_int_rows(&[&[0], &[1], &[2]]));
         let plan = plan(&e, &db);
-        let (serial_result, serial) = plan.execute_instrumented(&db).unwrap();
+        let (serial_result, serial) = plan.execute_reported(&db, Parallelism::Serial).unwrap();
         assert_eq!(serial.workers, 1);
-        let (par_result, par) = plan
-            .execute_instrumented_with(&db, Parallelism::Threads(4))
-            .unwrap();
+        let (par_result, par) = plan.execute_reported(&db, Parallelism::Threads(4)).unwrap();
         assert_eq!(par.workers, 4);
         assert_eq!(par_result, serial_result);
         // Same shape as the serial report: one stat per DAG node, ids in
@@ -1321,11 +1190,14 @@ mod tests {
             .find(|n| n.op == PhysOp::Scan("R".into()))
             .unwrap();
         assert_eq!(scan_r.est_rows, 5.0);
-        assert_eq!(plan.execute(&db).unwrap(), evaluate(&e, &db).unwrap());
+        assert_eq!(
+            plan.execute_with(&db, Parallelism::Serial).unwrap(),
+            evaluate(&e, &db).unwrap()
+        );
         assert!(plan.explain().contains("~5 rows"), "{}", plan.explain());
         // Instrumented report pairs estimates with actuals.
-        let (_, report) = plan.execute_instrumented(&db).unwrap();
-        assert_eq!(report.estimates.len(), report.nodes.len());
+        let (_, report) = plan.execute_reported(&db, Parallelism::Serial).unwrap();
+        assert!(report.nodes.iter().all(|n| n.estimate.is_some()));
         assert!(report.render().contains("est≈"), "{}", report.render());
     }
 
@@ -1339,7 +1211,10 @@ mod tests {
         let e = Expr::rel("R").join(Condition::eq(2, 1), Expr::rel("S"));
         let tiny = plan(&e, &db);
         assert_eq!(tiny.nodes()[tiny.root()].op.name(), "nested-loop-join");
-        assert_eq!(tiny.execute(&db).unwrap(), evaluate(&e, &db).unwrap());
+        assert_eq!(
+            tiny.execute_with(&db, Parallelism::Serial).unwrap(),
+            evaluate(&e, &db).unwrap()
+        );
         // At scale the hash join stays.
         let rows: Vec<Vec<i64>> = (0..500).map(|i| vec![i, i % 50]).collect();
         let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
@@ -1391,7 +1266,9 @@ mod tests {
         let mut db = Database::new();
         db.set("R", Relation::from_int_rows(&refs));
         let e = Expr::rel("R").select_eq(1, 2);
-        let (_, report) = plan(&e, &db).execute_instrumented(&db).unwrap();
+        let (_, report) = plan(&e, &db)
+            .execute_reported(&db, Parallelism::Serial)
+            .unwrap();
         // The leaf scan is estimated exactly; the filter misses by >16×.
         let scan_id = report
             .nodes
@@ -1399,8 +1276,8 @@ mod tests {
             .find(|n| n.operator == "scan")
             .unwrap()
             .id;
-        assert_eq!(report.q_error(scan_id), 1.0);
-        assert!(report.max_q_error() > Q_ERROR_BUDGET);
+        assert_eq!(report.q_error(scan_id), Some(1.0));
+        assert!(report.max_q_error().unwrap() > Q_ERROR_BUDGET);
         assert_eq!(
             report.render().matches("over budget").count(),
             1,
@@ -1413,7 +1290,9 @@ mod tests {
     fn report_render_mentions_sharing_and_plan_size() {
         let e = division::division_double_difference("R", "S");
         let db = division_db();
-        let (_, report) = plan(&e, &db).execute_instrumented(&db).unwrap();
+        let (_, report) = plan(&e, &db)
+            .execute_reported(&db, Parallelism::Serial)
+            .unwrap();
         let s = report.render();
         assert!(s.contains("7 plan nodes for 10 tree nodes"), "{s}");
         assert!(s.contains("×3"), "{s}");

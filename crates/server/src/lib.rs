@@ -48,23 +48,25 @@
 //! becomes a server policy instead of a per-query setting.
 //!
 //! **Observability.** [`ServerStats`] counts queries, per-tier hits,
-//! writes, ANALYZEs and queue rejections, and folds every cold query's
-//! [`sj_eval::PlannedReport::max_q_error`] into
-//! [`StatsSnapshot::max_q_error_seen`] so cost-model drift shows up in
-//! serving dashboards, not just per-query `render()` output. The
+//! writes, ANALYZEs and queue rejections, and folds the
+//! [`sj_eval::Report::max_q_error`] of every query that executed — cold
+//! or off a cached plan — into [`StatsSnapshot::max_q_error_seen`]
+//! (counting the ones past [`sj_eval::Q_ERROR_BUDGET`] in
+//! `sj_server_q_error_over_budget_total`) so cost-model drift shows up
+//! in serving dashboards, not just per-query `render()` output. The
 //! counters are a facade over a shared [`sj_obs::Metrics`] registry
 //! that also carries per-tier latency histograms, queue wait and
-//! depth, contained worker panics, and per-class / per-session query
-//! counters — [`Server::metrics_text`] renders the whole registry as a
+//! depth, contained worker panics, and per-class query counters —
+//! [`Server::metrics_text`] renders the whole registry as a
 //! Prometheus-style exposition. Workers open `server.dispatch` /
 //! `server.query` spans around every job, and an inline result-cache
 //! hit opens a root `server.query` on the caller's thread (zero-cost
 //! while no [`sj_obs::Collector`] is installed), so an installed
 //! collector sees the full serving hierarchy down to individual kernel
 //! partitions;
-//! [`Session::query_profiled`] attaches a rendered
-//! [`sj_eval::QueryProfile`] (`EXPLAIN ANALYZE`) to the response for
-//! any tier.
+//! [`Session::query_profiled`] attaches the rendered
+//! [`sj_eval::Report`] (`EXPLAIN ANALYZE`) of whichever tier answered
+//! to the response.
 //!
 //! The serving workload driver lives in `sj-workload`
 //! (`ServingWorkload`), the throughput measurement in `benchmark/`

@@ -4,17 +4,20 @@
 //! up in the Prometheus-style [`crate::Server::metrics_text`]
 //! exposition.
 //!
-//! Besides the cache hit counters, the server folds each cold query's
-//! [`PlannedReport::max_q_error`] into
-//! [`ServerStats::max_q_error_seen`](StatsSnapshot::max_q_error_seen) —
+//! Besides the cache hit counters, the server folds the
+//! [`Report::max_q_error`] of every query that *executed* — cold, or a
+//! cached plan re-run over data that changed since it was costed — into
+//! [`ServerStats::max_q_error_seen`](StatsSnapshot::max_q_error_seen),
 //! the worst cardinality-estimation error any served query has
-//! exhibited. This surfaces cost-model drift *in serving*, not just in
-//! per-query `render()` output: a dashboard reading the stats snapshot
-//! (or scraping the exposition) sees estimator trouble the moment a hot
-//! workload starts hitting it.
+//! exhibited, and counts the executions past [`Q_ERROR_BUDGET`] in
+//! `sj_server_q_error_over_budget_total`. This surfaces cost-model
+//! drift *in serving*, not just in per-query `render()` output: a
+//! dashboard reading the stats snapshot (or scraping the exposition)
+//! sees estimator trouble the moment a hot workload starts hitting it.
 //!
-//! [`PlannedReport::max_q_error`]: sj_eval::PlannedReport::max_q_error
+//! [`Report::max_q_error`]: sj_eval::Report::max_q_error
 
+use sj_eval::Q_ERROR_BUDGET;
 use sj_obs::{Counter, MaxGauge, Metrics};
 use std::fmt;
 use std::sync::Arc;
@@ -36,6 +39,8 @@ pub struct ServerStats {
     /// stick as the maximum forever (NaN's bit pattern compares
     /// greater than every finite value's).
     max_q_error: Arc<MaxGauge>,
+    /// Executions whose worst q-error exceeded [`Q_ERROR_BUDGET`].
+    q_error_over_budget: Arc<Counter>,
 }
 
 impl Default for ServerStats {
@@ -55,6 +60,7 @@ impl ServerStats {
             analyzes: registry.counter("sj_server_analyzes_total"),
             rejected: registry.counter("sj_server_rejected_total"),
             max_q_error: registry.max_gauge("sj_server_max_q_error"),
+            q_error_over_budget: registry.counter("sj_server_q_error_over_budget_total"),
             registry,
         }
     }
@@ -88,11 +94,15 @@ impl ServerStats {
         self.rejected.inc();
     }
 
-    /// Fold one query's worst per-node q-error into the running
-    /// maximum. [`MaxGauge::observe`] drops NaN, infinities, and
-    /// non-positive values, so junk can never poison the maximum.
+    /// Fold one execution's worst per-node q-error into the running
+    /// maximum ([`MaxGauge::observe`] drops NaN, infinities, and
+    /// non-positive values, so junk can never poison it) and count it
+    /// when it is past [`Q_ERROR_BUDGET`].
     pub(crate) fn record_q_error(&self, q_error: f64) {
         self.max_q_error.observe(q_error);
+        if q_error > Q_ERROR_BUDGET {
+            self.q_error_over_budget.inc();
+        }
     }
 
     /// A consistent-enough point-in-time copy of all counters (each
@@ -136,9 +146,9 @@ pub struct StatsSnapshot {
     /// Submissions rejected by [`crate::Session::try_query`] because the
     /// bounded queue was full.
     pub rejected: u64,
-    /// The worst [`sj_eval::PlannedReport::max_q_error`] across all cold
-    /// queries, when instrumentation is on — cost-model drift made
-    /// visible in serving.
+    /// The worst [`sj_eval::Report::max_q_error`] across all queries
+    /// that executed (cold or off a cached plan), when instrumentation
+    /// is on — cost-model drift made visible in serving.
     pub max_q_error_seen: Option<f64>,
 }
 
@@ -189,6 +199,11 @@ mod tests {
         s.record_q_error(17.0);
         s.record_q_error(1.0);
         assert_eq!(s.snapshot().max_q_error_seen, Some(17.0));
+        // One of the three was past the budget of 16.
+        assert!(s
+            .registry()
+            .expose()
+            .contains("sj_server_q_error_over_budget_total 1"));
         // Junk values are ignored — the NaN-poisoning regression.
         s.record_q_error(f64::NAN);
         s.record_q_error(f64::INFINITY);

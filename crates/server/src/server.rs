@@ -58,8 +58,7 @@ use crate::metrics::{ServerStats, StatsSnapshot};
 use crate::queue::{PushError, Queue};
 use sj_algebra::{Expr, OptimizeLevel};
 use sj_eval::{
-    Engine, EvalError, Execution, Instrument, Parallelism, PhysicalPlan, QueryProfile, Report,
-    Strategy,
+    Engine, EvalError, Execution, Instrument, Parallelism, PhysicalPlan, Report, Strategy,
 };
 use sj_obs::{Counter, Histogram, Metrics};
 use sj_storage::{Database, FxHashMap, Relation, Snapshot, StorageError, Tuple};
@@ -155,9 +154,10 @@ pub struct ServerConfig {
     /// Accepted and ignored: [`Execution`] has one value and selects
     /// nothing (see `sj_eval::exec`). Kept because `benchmark/` sets it.
     pub execution: Execution,
-    /// Run cold queries instrumented so their
-    /// [`sj_eval::PlannedReport::max_q_error`] feeds
-    /// [`StatsSnapshot::max_q_error_seen`].
+    /// Run every query that executes — cold or off a cached plan —
+    /// instrumented, so its [`sj_eval::Report::max_q_error`] feeds
+    /// [`StatsSnapshot::max_q_error_seen`] and
+    /// `sj_server_q_error_over_budget_total`.
     pub instrument: bool,
 }
 
@@ -262,13 +262,21 @@ pub enum Provenance {
     ResultCache,
 }
 
+impl Provenance {
+    /// The tier's label: in [`sj_eval::Report::tier`], on the
+    /// `server.query` span and in `sj_server_query_seconds{tier=…}`.
+    pub fn tier(self) -> &'static str {
+        match self {
+            Provenance::Cold => "cold",
+            Provenance::PlanCache => "plan-cache",
+            Provenance::ResultCache => "result-cache",
+        }
+    }
+}
+
 impl fmt::Display for Provenance {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Provenance::Cold => write!(f, "cold"),
-            Provenance::PlanCache => write!(f, "plan-cache"),
-            Provenance::ResultCache => write!(f, "result-cache"),
-        }
+        f.write_str(self.tier())
     }
 }
 
@@ -289,10 +297,10 @@ pub struct QueryResponse {
     /// (`sj_server_queue_wait_seconds` has that).
     pub elapsed: Duration,
     /// Rendered `EXPLAIN ANALYZE`-style profile
-    /// ([`sj_eval::QueryProfile::render`] with the serving tier
-    /// attached), present when the query was submitted via
-    /// [`Session::query_profiled`]. A result-cache hit profiles as just
-    /// the tier line — no plan ran.
+    /// ([`sj_eval::Report::render`] with the serving tier and this
+    /// `elapsed` stamped on it), present when the query was submitted
+    /// via [`Session::query_profiled`]. A result-cache hit profiles as
+    /// just the tier line — no plan ran.
     pub profile: Option<String>,
 }
 
@@ -353,9 +361,8 @@ struct Shared {
     result_cache: ExprCache<Arc<ResultEntry>>,
     stats: ServerStats,
     /// The registry behind [`ServerStats`] and every other series here
-    /// ([`Server::metrics_text`] exposes it). Handles are resolved once
-    /// — below, and per session in [`Server::session`] — so serving a
-    /// query never looks a series up.
+    /// ([`Server::metrics_text`] exposes it). Handles are resolved once,
+    /// below, so serving a query never looks a series up.
     metrics: Arc<Metrics>,
     /// `sj_server_queries_by_class_total{class=…}`, one handle per
     /// [`QUERY_CLASSES`] entry.
@@ -363,10 +370,9 @@ struct Shared {
     /// Jobs whose panic a worker contained
     /// (`sj_server_worker_panics_total`).
     worker_panics: Arc<Counter>,
-    /// Serving latency per tier (`sj_server_query_seconds{tier=...}`).
-    latency_cold: Arc<Histogram>,
-    latency_plan: Arc<Histogram>,
-    latency_result: Arc<Histogram>,
+    /// Serving latency per tier (`sj_server_query_seconds{tier=...}`),
+    /// indexed by [`Provenance`].
+    latency: [Arc<Histogram>; 3],
     /// Time jobs spend in the bounded queue before a worker dequeues
     /// them (`sj_server_queue_wait_seconds`). Inline result-cache hits
     /// never queue, so its count is the number of misses.
@@ -376,10 +382,13 @@ struct Shared {
     /// submissions — inline hits included — fail with
     /// [`ServerError::Stopped`] even on sessions that outlive it.
     queue: Queue<Job>,
-    /// Session-id allocator for the per-session query counters.
+    /// Session-id allocator (`server.dispatch` span attribute).
     next_session: AtomicU64,
     cache_mode: CacheMode,
     per_query: Parallelism,
+    /// [`ServerConfig::instrument`]: every execution builds a
+    /// [`Report`], profiled or not.
+    instrument: bool,
     /// Test-only failpoint: called with every query a worker is about
     /// to execute — past the result tier, snapshot captured — and free
     /// to panic or block.
@@ -448,14 +457,53 @@ impl Shared {
         }
     }
 
-    /// Count one served query in the total, its class series and its
-    /// session's series; returns the class label.
-    fn count_query(&self, expr: &Expr, session_queries: &Counter) -> &'static str {
+    /// Count one served query in the total and its class series;
+    /// returns the class label.
+    fn count_query(&self, expr: &Expr) -> &'static str {
         let class = query_class(expr);
         self.stats.bump_queries();
         self.class_queries[class].inc();
-        session_queries.inc();
         QUERY_CLASSES[class]
+    }
+
+    /// Everything an answer leaves behind, from the one [`Report`] of
+    /// the run that produced it (`None`: a result-cache hit, which ran
+    /// nothing, or an uninstrumented execution): the tier's latency
+    /// observation, the estimator-drift series
+    /// (`sj_server_max_q_error`, `sj_server_q_error_over_budget_total`)
+    /// and, when asked for, the rendered profile — the report with tier
+    /// and serving time stamped on it.
+    fn respond(
+        &self,
+        relation: Arc<Relation>,
+        provenance: Provenance,
+        epoch: u64,
+        report: Option<Report>,
+        started: Instant,
+        want_profile: bool,
+    ) -> QueryResponse {
+        let elapsed = started.elapsed();
+        self.latency[provenance as usize].observe_duration(elapsed);
+        if let Some(q) = report.as_ref().and_then(Report::max_q_error) {
+            self.stats.record_q_error(q);
+        }
+        let profile = want_profile.then(|| {
+            // No report: nothing executed, the answer is all there is.
+            let mut report = report.unwrap_or_else(|| Report {
+                output_rows: relation.len(),
+                ..Report::default()
+            });
+            report.tier = Some(provenance.tier());
+            report.elapsed = Some(elapsed);
+            report.render()
+        });
+        QueryResponse {
+            relation,
+            provenance,
+            epoch,
+            elapsed,
+            profile,
+        }
     }
 
     /// Tier 1, the result cache: answer `expr` without executing
@@ -475,7 +523,6 @@ impl Shared {
         &self,
         expr: &Expr,
         pinned: Option<&TxnCtx>,
-        session_queries: &Counter,
         want_profile: bool,
     ) -> Option<QueryResponse> {
         // Without a result tier the probe is this one branch.
@@ -493,7 +540,7 @@ impl Shared {
                     .then(|| master.db.epoch())
             }
         }?;
-        let class = self.count_query(expr, session_queries);
+        let class = self.count_query(expr);
         self.stats.bump_result_hits();
         // Opened once the hit is certain, so the span marks the hit
         // (its latency is in the histogram below); under a worker it
@@ -504,34 +551,32 @@ impl Shared {
             tier = "result-cache",
             out_rows = entry.relation.len()
         );
-        let elapsed = started.elapsed();
-        self.latency_result.observe_duration(elapsed);
-        let profile = want_profile.then(|| {
-            QueryProfile::cache_hit("result-cache", entry.relation.len(), elapsed).render()
-        });
-        Some(QueryResponse {
-            relation: entry.relation.clone(),
-            provenance: Provenance::ResultCache,
+        Some(self.respond(
+            entry.relation.clone(),
+            Provenance::ResultCache,
             epoch,
-            elapsed,
-            profile,
-        })
+            None,
+            started,
+            want_profile,
+        ))
     }
 
     /// Serve one queued job on a worker: re-probe the result tier (a
     /// job queued behind the one that refilled the cache is a hit by
     /// now), then capture and execute. Holds no lock while executing.
-    /// With `job.profile`, the response carries a rendered
-    /// [`QueryProfile`] for whichever tier answered.
+    /// With `job.profile`, the response carries the rendered [`Report`]
+    /// of whichever tier answered.
     fn run_query(&self, job: &Job) -> Result<QueryResponse, ServerError> {
         let started = Instant::now();
         let expr = &job.expr;
         let pinned = job.pinned.as_deref();
         let want_profile = job.profile;
-        if let Some(hit) = self.probe_result(expr, pinned, &job.session_queries, want_profile) {
+        if let Some(hit) = self.probe_result(expr, pinned, want_profile) {
             return Ok(hit);
         }
-        let class = self.count_query(expr, &job.session_queries);
+        let class = self.count_query(expr);
+        // Whatever executes below builds a report iff this holds.
+        let instrumented = self.instrument || want_profile;
         let ctx = self.capture(expr, pinned);
         #[cfg(test)]
         {
@@ -544,67 +589,38 @@ impl Shared {
 
         // Tier 2: plan cache — skip optimize+plan, execute the cached
         // physical plan against this snapshot.
-        if self.cache_mode != CacheMode::Off {
-            if let Some(entry) = self.plan_cache.get(expr) {
-                let schema = ctx.snap.schema();
-                let applicable = entry.stats_epoch == ctx.stats_epoch
+        let db = ctx.snap.db();
+        let schema = ctx.snap.schema();
+        let caching = self.cache_mode != CacheMode::Off;
+        let cached = caching
+            .then(|| self.plan_cache.get(expr))
+            .flatten()
+            .filter(|entry| {
+                entry.stats_epoch == ctx.stats_epoch
                     && entry
                         .deps
                         .iter()
-                        .all(|(n, a)| schema.arity_of(n) == Some(*a));
-                if applicable {
-                    self.stats.bump_plan_hits();
-                    let (relation, profile) = if want_profile {
-                        let (relation, report) = entry
-                            .plan
-                            .execute_instrumented_with(ctx.snap.db(), self.per_query)?;
-                        let profile = QueryProfile::from_report(
-                            &Report::Planned(report),
-                            Some(started.elapsed()),
-                        )
-                        .with_cache_tier("plan-cache");
-                        (Arc::new(relation), Some(profile.render()))
-                    } else {
-                        (
-                            Arc::new(entry.plan.execute_with(ctx.snap.db(), self.per_query)?),
-                            None,
-                        )
-                    };
-                    self.store_result(expr, &relation, &ctx);
-                    let elapsed = started.elapsed();
-                    self.latency_plan.observe_duration(elapsed);
-                    span.attr("tier", "plan-cache");
-                    span.attr("out_rows", relation.len());
-                    return Ok(QueryResponse {
-                        relation,
-                        provenance: Provenance::PlanCache,
-                        epoch: ctx.snap.epoch(),
-                        elapsed,
-                        profile,
-                    });
-                }
+                        .all(|(n, a)| schema.arity_of(n) == Some(*a))
+            });
+        let (provenance, relation, report) = if let Some(entry) = cached {
+            self.stats.bump_plan_hits();
+            if instrumented {
+                let (relation, report) = entry.plan.execute_reported(db, self.per_query)?;
+                (Provenance::PlanCache, relation, Some(report))
+            } else {
+                let relation = entry.plan.execute_with(db, self.per_query)?;
+                (Provenance::PlanCache, relation, None)
             }
-        }
-
-        // Cold: fork the template engine onto the snapshot, compile,
-        // execute, and populate both tiers.
-        let mut engine = self.template.fork(ctx.snap.db().clone());
-        if want_profile {
-            engine = engine.instrument(Instrument::Cardinalities);
-        }
-        let out = engine.query(expr.clone()).run()?;
-        // A report exists iff the run was instrumented (by config or for
-        // the profile).
-        if let Some(planned) = out.report.as_ref().and_then(|r| r.as_planned()) {
-            self.stats.record_q_error(planned.max_q_error());
-        }
-        let profile = want_profile
-            .then(|| out.profile().map(|p| p.with_cache_tier("cold").render()))
-            .flatten();
-        let relation = Arc::new(out.relation);
-        if self.cache_mode != CacheMode::Off {
-            if let Some(plan) = out.plan {
-                let schema = ctx.snap.schema();
+        } else {
+            // Cold: fork the template engine onto the snapshot, compile,
+            // execute, and populate the plan tier.
+            let engine = self.template.fork(db.clone()).instrument(if instrumented {
+                Instrument::Cardinalities
+            } else {
+                Instrument::Off
+            });
+            let out = engine.query(expr.clone()).run()?;
+            if let Some(plan) = out.plan.filter(|_| caching) {
                 let deps = ctx
                     .dep_stamps
                     .iter()
@@ -619,19 +635,20 @@ impl Shared {
                     },
                 );
             }
-        }
+            (Provenance::Cold, out.relation, out.report)
+        };
+        let relation = Arc::new(relation);
         self.store_result(expr, &relation, &ctx);
-        let elapsed = started.elapsed();
-        self.latency_cold.observe_duration(elapsed);
-        span.attr("tier", "cold");
+        span.attr("tier", provenance.tier());
         span.attr("out_rows", relation.len());
-        Ok(QueryResponse {
+        Ok(self.respond(
             relation,
-            provenance: Provenance::Cold,
-            epoch: ctx.snap.epoch(),
-            elapsed,
-            profile,
-        })
+            provenance,
+            ctx.snap.epoch(),
+            report,
+            started,
+            want_profile,
+        ))
     }
 
     /// Populate the result tier. The entry carries the stamps captured
@@ -739,11 +756,9 @@ impl Shared {
 struct Job {
     expr: Expr,
     pinned: Option<Arc<TxnCtx>>,
-    /// Submitting session's id (`server.dispatch` span attribute)…
+    /// Submitting session's id (`server.dispatch` span attribute).
     session: u64,
-    /// …and its `sj_server_session_queries_total` handle.
-    session_queries: Arc<Counter>,
-    /// Attach a rendered [`QueryProfile`] to the response.
+    /// Attach the rendered [`Report`] to the response.
     profile: bool,
     /// When the job entered the queue (queue-wait histogram).
     submitted: Instant,
@@ -829,15 +844,8 @@ impl Server {
         let template = Engine::new(Database::new())
             .optimize(config.optimize)
             .strategy(Strategy::Planned)
-            .instrument(if config.instrument {
-                Instrument::Cardinalities
-            } else {
-                Instrument::Off
-            })
             .parallelism(per_query);
         let metrics = Arc::new(Metrics::new());
-        let tier_latency =
-            |tier| metrics.histogram_with("sj_server_query_seconds", &[("tier", tier)]);
         let shared = Arc::new(Shared {
             master: RwLock::new(Master {
                 db,
@@ -852,9 +860,12 @@ impl Server {
                 metrics.counter_with("sj_server_queries_by_class_total", &[("class", class)])
             }),
             worker_panics: metrics.counter("sj_server_worker_panics_total"),
-            latency_cold: tier_latency("cold"),
-            latency_plan: tier_latency("plan-cache"),
-            latency_result: tier_latency("result-cache"),
+            latency: [
+                Provenance::Cold,
+                Provenance::PlanCache,
+                Provenance::ResultCache,
+            ]
+            .map(|p| metrics.histogram_with("sj_server_query_seconds", &[("tier", p.tier())])),
             queue_wait: metrics.histogram("sj_server_queue_wait_seconds"),
             queue: Queue::new(
                 config.queue_capacity,
@@ -864,6 +875,7 @@ impl Server {
             next_session: AtomicU64::new(0),
             cache_mode: config.cache,
             per_query,
+            instrument: config.instrument,
             #[cfg(test)]
             failpoint: std::sync::Mutex::new(None),
         });
@@ -883,16 +895,12 @@ impl Server {
     }
 
     /// A new client session. Sessions are cheap handles (clone freely,
-    /// move across threads); every session submits into the same
-    /// bounded queue.
+    /// move across threads) that register nothing — a client may open
+    /// one per request; every session submits into the same bounded
+    /// queue.
     pub fn session(&self) -> Session {
-        let id = self.shared.next_session.fetch_add(1, Ordering::Relaxed) + 1;
         Session {
-            id,
-            queries: self.shared.metrics.counter_with(
-                "sj_server_session_queries_total",
-                &[("session", &id.to_string())],
-            ),
+            id: self.shared.next_session.fetch_add(1, Ordering::Relaxed) + 1,
             shared: self.shared.clone(),
         }
     }
@@ -922,10 +930,13 @@ impl Server {
     /// per-tier latency histograms (`sj_server_query_seconds{tier=…}`),
     /// queue wait (`sj_server_queue_wait_seconds` — jobs only: a
     /// result-cache hit answered inline never queued) and the queue's
-    /// current length (`sj_server_queue_depth`), per-class and
-    /// per-session query counters, contained worker panics
-    /// (`sj_server_worker_panics_total`), and the running
-    /// `sj_server_max_q_error` maximum.
+    /// current length (`sj_server_queue_depth`), per-class query
+    /// counters, contained worker panics
+    /// (`sj_server_worker_panics_total`), the running
+    /// `sj_server_max_q_error` maximum and the count of executions
+    /// whose worst node missed its estimate by more than
+    /// [`sj_eval::Q_ERROR_BUDGET`]
+    /// (`sj_server_q_error_over_budget_total`).
     pub fn metrics_text(&self) -> String {
         self.shared.metrics.expose()
     }
@@ -999,13 +1010,12 @@ impl Drop for Server {
 
 /// A client handle: submit queries (and writes) to the server. Cheap
 /// to clone; safe to move to other threads. Each `Server::session`
-/// call gets a fresh session id for the per-session metric series
-/// (clones share their original's identity).
+/// call gets a fresh session id, which the `server.dispatch` span of
+/// every job it queues carries (clones share their original's
+/// identity).
 #[derive(Clone)]
 pub struct Session {
     id: u64,
-    /// This session's `sj_server_session_queries_total` series.
-    queries: Arc<Counter>,
     shared: Arc<Shared>,
 }
 
@@ -1068,9 +1078,7 @@ impl Session {
         if shared.queue.is_closed() {
             return Err(ServerError::Stopped);
         }
-        if let Some(hit) =
-            shared.probe_result(&expr, pinned.map(|ctx| &**ctx), &self.queries, profile)
-        {
+        if let Some(hit) = shared.probe_result(&expr, pinned.map(|ctx| &**ctx), profile) {
             return Ok(hit);
         }
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
@@ -1078,7 +1086,6 @@ impl Session {
             expr,
             pinned: pinned.cloned(),
             session: self.id,
-            session_queries: self.queries.clone(),
             profile,
             submitted: Instant::now(),
             reply: reply_tx,
@@ -1313,6 +1320,71 @@ mod tests {
         assert!(q.unwrap() >= 1.0, "q-error is ≥ 1 by definition: {q:?}");
     }
 
+    /// Estimator drift on the plan tier: a cached plan keeps the
+    /// estimates it was costed with, so re-running it over data that
+    /// changed since is exactly the run whose q-error matters.
+    #[test]
+    fn plan_tier_executions_feed_the_q_error_series() {
+        // σ₁₌₂ over 20 rows with a ≠ b everywhere: estimated ≈ 1 row,
+        // actually 0 — within budget on the cold run.
+        let rows: Vec<[i64; 2]> = (0..20).map(|i| [i, i + 100]).collect();
+        let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let mut db = Database::new();
+        db.set("R", Relation::from_int_rows(&refs));
+        let e = Expr::rel("R").select_eq(1, 2);
+        // The plan the server is about to cache, costed on those 20 rows.
+        let plan = Engine::new(db.clone())
+            .optimize(ServerConfig::default().optimize)
+            .query(e.clone())
+            .run()
+            .unwrap()
+            .plan
+            .unwrap();
+
+        let server = Server::start(db, config(1, CacheMode::PlanAndResult));
+        let session = server.session();
+        let over_budget = || {
+            let metrics = server.metrics();
+            metrics.counter("sj_server_q_error_over_budget_total").get()
+        };
+        let cold = session.query(e.clone()).unwrap();
+        assert_eq!(cold.provenance, Provenance::Cold);
+        assert_eq!(over_budget(), 0);
+
+        // Twenty rows with a = b: the result entry dies, the plan — and
+        // its one-row estimate for the filter — survives.
+        for k in 200..220 {
+            let (relation, tuple) = ("R".into(), tuple![k, k]);
+            session.write(WriteOp::Insert { relation, tuple }).unwrap();
+        }
+        let warm = session.query(e).unwrap();
+        assert_eq!(warm.provenance, Provenance::PlanCache);
+        // That run again, outside the server: stale plan, new data.
+        let (_, report) = plan
+            .execute_reported(server.snapshot().db(), Parallelism::Serial)
+            .unwrap();
+        let q = report.max_q_error().unwrap();
+        assert!(q > sj_eval::Q_ERROR_BUDGET, "{}", report.render_stable());
+        assert_eq!(over_budget(), 1, "the plan-tier run counted");
+        assert_eq!(server.stats().max_q_error_seen, Some(q));
+    }
+
+    #[test]
+    fn sessions_register_no_metric_series() {
+        let server = Server::start(division_db(), config(1, CacheMode::PlanAndResult));
+        let e = division::division_double_difference("R", "S");
+        // A client that opens a session per request…
+        for _ in 0..2 {
+            server.session().query(e.clone()).unwrap();
+        }
+        let before = server.metrics_text().len();
+        for _ in 0..10_000 {
+            server.session();
+        }
+        // …must not grow the registry with every one.
+        assert_eq!(server.metrics_text().len(), before);
+    }
+
     #[test]
     fn profiled_queries_carry_profiles_per_tier() {
         let server = Server::start(division_db(), config(1, CacheMode::PlanAndResult));
@@ -1332,6 +1404,10 @@ mod tests {
         let p = hit.profile.as_deref().unwrap();
         assert!(p.contains("tier result-cache"), "{p}");
         assert!(!p.contains("arity"), "no nodes on a result hit: {p}");
+        assert!(
+            !p.contains("|D|") && !p.contains("workers"),
+            "a hit prints nothing it has no value for: {p}"
+        );
 
         // Kill the result entry but keep the plan: the plan-cache hit
         // re-executes instrumented and carries the full breakdown.
@@ -1369,10 +1445,6 @@ mod tests {
         assert!(text.contains("sj_server_analyzes_total 1"), "{text}");
         assert!(
             text.contains("sj_server_queries_by_class_total{class="),
-            "{text}"
-        );
-        assert!(
-            text.contains("sj_server_session_queries_total{session=\"1\"} 2"),
             "{text}"
         );
         assert!(
@@ -1587,7 +1659,6 @@ mod tests {
                     expr: uncached.clone(),
                     pinned: None,
                     session: session.id,
-                    session_queries: session.queries.clone(),
                     profile: false,
                     submitted: Instant::now(),
                     reply,

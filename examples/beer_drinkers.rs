@@ -86,7 +86,7 @@ fn main() {
         let report = out.report.unwrap();
         println!(
             "  |D| = {:>4}  max intermediate = {:>6}  output = {}",
-            report.db_size(),
+            report.db_size,
             report.max_intermediate(),
             out.relation.len()
         );

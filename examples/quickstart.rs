@@ -58,7 +58,7 @@ fn main() {
         "same answer; but the plan's largest intermediate holds {} tuples \
          on a {}-tuple database:",
         report.max_intermediate(),
-        report.db_size()
+        report.db_size
     );
     println!("{}", report.render());
 

@@ -53,7 +53,11 @@
 //! let out = engine.query(plan).run().unwrap();
 //! assert_eq!(out.relation, division.relation);
 //! assert!(out.plan.is_some()); // the memoized physical DAG
-//! assert!(out.report.unwrap().max_intermediate() >= 2);
+//! // What the run measured is one `Report`, whichever evaluator ran:
+//! // per-node cardinalities (Definition 16), estimates, timings.
+//! let report = out.report.unwrap();
+//! assert!(report.max_intermediate() >= 2);
+//! assert!(report.render().starts_with("profile:")); // EXPLAIN ANALYZE
 //! ```
 //!
 //! Statistics are an input, not a mode: the engine analyzes a relation
@@ -87,9 +91,8 @@ pub use sj_stats::{CostModel, TableStats};
 pub mod prelude {
     pub use sj_algebra::{Condition, Expr, OptimizeLevel, Pass, Pipeline};
     pub use sj_eval::{
-        evaluate, evaluate_instrumented, AlgorithmChoice, Engine, EvalReport, Execution,
-        Instrument, JoinOrder, Parallelism, Query, QueryOutput, Report, SetOpOutput, StatsMode,
-        Strategy,
+        evaluate, evaluate_instrumented, AlgorithmChoice, Engine, Execution, Instrument, JoinOrder,
+        Parallelism, Query, QueryOutput, Report, SetOpOutput, StatsMode, Strategy,
     };
     pub use sj_setjoin::{
         divide, set_join, ComplexityClass, DivisionSemantics, Registry, SetPredicate,

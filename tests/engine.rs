@@ -165,7 +165,7 @@ fn query_output_shape_follows_configuration() {
     let db = sj_workload::figures::example3_beer_db();
     let e = division::example3_lousy_bar_sa();
     // plan present iff Planned; report present iff instrumented (and the
-    // strategy supports it); elapsed present iff the report is.
+    // strategy supports it); the wall clock rides on the report.
     let cases: Vec<(Strategy, Instrument, bool, bool)> = vec![
         (Strategy::Planned, Instrument::Off, true, false),
         (Strategy::Planned, Instrument::Cardinalities, true, true),
@@ -186,12 +186,8 @@ fn query_output_shape_follows_configuration() {
             has_report,
             "{strategy}/{instrument:?}"
         );
-        assert_eq!(
-            out.elapsed.is_some(),
-            has_report,
-            "{strategy}/{instrument:?}"
-        );
         if let Some(report) = &out.report {
+            assert!(report.elapsed.is_some(), "{strategy}/{instrument:?}");
             assert!(report.max_intermediate() >= out.relation.len());
         }
     }
@@ -280,6 +276,28 @@ proptest! {
         for (label, engine) in common::engines(&db) {
             let out = engine.query(e.clone()).run().unwrap();
             prop_assert_eq!(&out.relation, &want, "{} on {}", label, e);
+            // The report's shape, stated once: present iff the run was
+            // instrumented and a strategy that observes nodes ran it.
+            let planned = out.plan.is_some();
+            let wanted = label.contains("Cardinalities") && !label.starts_with("reference");
+            prop_assert_eq!(out.report.is_some(), wanted, "{}", label);
+            let Some(report) = out.report else { continue };
+            prop_assert_eq!(report.output_rows, want.len(), "{}", label);
+            // Plan nodes are topological (root last), tree nodes pre-order.
+            let root = if planned { report.nodes.last() } else { report.nodes.first() };
+            prop_assert_eq!(root.unwrap().cardinality, want.len(), "{}", label);
+            prop_assert!(report.max_intermediate() >= report.output_rows, "{}", label);
+            prop_assert_eq!(
+                report.nodes.iter().map(|n| n.occurrences).sum::<usize>(),
+                report.expr_nodes,
+                "{}", label
+            );
+            prop_assert!(
+                report.nodes.iter().all(|n| n.estimate.is_some() == planned),
+                "{}: estimates iff planned", label
+            );
+            let again = engine.query(e.clone()).run().unwrap().report.unwrap();
+            prop_assert_eq!(report.render_stable(), again.render_stable(), "{}", label);
         }
     }
 
@@ -380,7 +398,7 @@ proptest! {
                 .run()
                 .unwrap();
             prop_assert_eq!(&inst.relation, &bare.relation);
-            prop_assert_eq!(inst.profile().unwrap().output_rows, bare.relation.len());
+            prop_assert_eq!(inst.report.unwrap().output_rows, bare.relation.len());
         }
     }
 }

@@ -74,7 +74,7 @@ fn observability_is_differentially_invisible() {
                 profiled.relation, reference,
                 "{e} @{n}w: Cardinalities ≠ reference"
             );
-            assert!(profiled.profile().is_some(), "a report yields a profile");
+            assert!(profiled.report.is_some(), "instrumented ⇒ a report");
 
             let ring = Arc::new(RingCollector::new(1 << 14));
             let collected = setjoins::obs::with_collector(ring.clone(), || {
@@ -86,8 +86,7 @@ fn observability_is_differentially_invisible() {
     }
 }
 
-/// Satellite golden: every node line of [`PlannedReport::render`]
-/// carries the sharing count (`×occ`) and the partition provenance
+/// Satellite golden: every node line of [`Report::render`] carries the sharing count (`×occ`) and the partition provenance
 /// (`[serial]` or `[N partitions]`) — uniformly, profiled or not.
 #[test]
 fn planned_report_render_marks_every_node() {
@@ -101,9 +100,7 @@ fn planned_report_render_marks_every_node() {
             .query(division::division_double_difference("R", "S"))
             .run()
             .unwrap();
-        let Some(Report::Planned(report)) = &out.report else {
-            panic!("planned strategy yields a planned report");
-        };
+        let report = out.report.expect("instrumented ⇒ a report");
         let rendered = report.render();
         let node_lines: Vec<&str> = rendered.lines().skip(1).collect();
         assert!(!node_lines.is_empty(), "report has node lines");
@@ -117,7 +114,7 @@ fn planned_report_render_marks_every_node() {
     }
 }
 
-/// [`QueryProfile::render_stable`] is byte-identical across two runs of
+/// [`Report::render_stable`] is byte-identical across two runs of
 /// the same configuration (timings masked), and the timed render
 /// carries estimates, q-errors, sharing, partitions, and wall-clock.
 #[test]
@@ -132,8 +129,8 @@ fn query_profile_render_is_deterministic_and_complete() {
             .query(division::division_double_difference("R", "S"))
             .run()
             .unwrap()
-            .profile()
-            .expect("a report yields a profile")
+            .report
+            .expect("instrumented ⇒ a report")
     };
     let (a, b) = (run(), run());
     assert_eq!(
@@ -302,7 +299,6 @@ fn metrics_text_is_stable_and_complete() {
         "sj_server_queries_total 2",
         "sj_server_cache_hits_total{tier=\"result\"} 1",
         "sj_server_queries_by_class_total{class=\"difference\"} 2",
-        "sj_server_session_queries_total{session=\"1\"} 2",
         // One, not two: only the cold query was a job. The result-cache
         // hit was answered inline on this thread and never queued.
         "sj_server_queue_wait_seconds_count 1",

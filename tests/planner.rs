@@ -4,7 +4,7 @@
 //! exactly once.
 
 use sj_algebra::{division, optimize, Condition, Expr};
-use sj_eval::{evaluate, Engine, Instrument, PhysicalPlan, PlannedReport};
+use sj_eval::{evaluate, Engine, Instrument, PhysicalPlan, Report};
 use sj_stats::CatalogSource;
 use sj_storage::{Database, Relation};
 use sj_workload::{adversarial_division_series, DivisionWorkload};
@@ -19,14 +19,13 @@ fn planned(e: &Expr, db: &Database) -> Relation {
 }
 
 /// The same run instrumented: the answer beside its per-DAG-node report.
-fn planned_instrumented(e: &Expr, db: &Database) -> (Relation, PlannedReport) {
+fn planned_instrumented(e: &Expr, db: &Database) -> (Relation, Report) {
     let out = Engine::new(db.clone())
         .instrument(Instrument::Cardinalities)
         .query(e.clone())
         .run()
         .unwrap();
-    let report = out.report.unwrap().as_planned().unwrap().clone();
-    (out.relation, report)
+    (out.relation, out.report.unwrap())
 }
 
 fn beer_db() -> Database {
@@ -203,12 +202,7 @@ fn planned_instrumentation_reports_operators_and_timing() {
     // is well-defined).
     let _ = report.total_elapsed();
     // The shared Serves scan appears once with occurrence count 2.
-    let (serves_idx, serves) = report
-        .nodes
-        .iter()
-        .enumerate()
-        .find(|(_, n)| n.label == "Serves")
-        .unwrap();
-    assert_eq!(report.occurrences[serves_idx], 2);
+    let serves = report.nodes.iter().find(|n| n.label == "Serves").unwrap();
+    assert_eq!(serves.occurrences, 2);
     assert_eq!(serves.cardinality, 2);
 }

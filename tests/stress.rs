@@ -120,7 +120,11 @@ fn parallel_division_workload_is_deterministic_across_runs() {
             "identical tuples across runs: {plan}"
         );
         let (ra, rb) = (a.report.unwrap(), b.report.unwrap());
-        assert_eq!(ra.render(), rb.render(), "render()-stable shape: {plan}");
+        assert_eq!(
+            ra.render_stable(),
+            rb.render_stable(),
+            "render_stable() shape: {plan}"
+        );
         // ... and identical to the serial run.
         let serial = Engine::new(db.clone()).query(plan.clone()).run().unwrap();
         assert_eq!(a.relation, serial.relation, "parallel ≡ serial: {plan}");
