@@ -34,7 +34,7 @@
 //!   single [`QueryOutput`] `{ relation, report, plan }`, and
 //!   [`Query::explain`] renders the plan of whichever strategy is set.
 //! * [`Engine::divide`] and [`Engine::set_join`] route the direct
-//!   division/set-join operators through the
+//!   division/set-join operators through the algorithm tables behind
 //!   [`sj_setjoin::Registry`], so algorithm ablations are a
 //!   one-line [`Engine::algorithm`] change; the default
 //!   [`AlgorithmChoice::Auto`] picks the estimated-cheapest algorithm.
@@ -111,14 +111,14 @@ pub enum Instrument {
 }
 
 /// How [`Engine::divide`] / [`Engine::set_join`] pick their algorithm
-/// from the registry.
+/// from [`Registry::standard`].
 #[derive(Clone, PartialEq, Eq, Debug, Default, Hash)]
 pub enum AlgorithmChoice {
     /// Let [`Registry::auto_set_join`] / [`Registry::auto_division`]
     /// pick the cheapest algorithm for the operands' statistics.
     #[default]
     Auto,
-    /// Always use the named algorithm (registry lookup by name).
+    /// Always use the named algorithm (table lookup by name).
     Named(String),
 }
 
@@ -147,15 +147,15 @@ pub struct QueryOutput {
     pub parallelism: Parallelism,
 }
 
-/// The result of a registry-routed [`Engine::divide`] /
+/// The result of a table-routed [`Engine::divide`] /
 /// [`Engine::set_join`], carrying which algorithm ran.
 #[derive(Debug, Clone)]
 pub struct SetOpOutput {
     /// The operator result.
     pub relation: Relation,
-    /// Name of the algorithm the registry supplied.
+    /// Name of the algorithm that ran.
     pub algorithm: &'static str,
-    /// Its complexity class for the executed predicate/semantics.
+    /// Its worst-case complexity class.
     pub complexity: ComplexityClass,
     /// Wall-clock time of the algorithm run.
     pub elapsed: Duration,
@@ -173,7 +173,6 @@ pub struct Engine {
     strategy: Strategy,
     instrument: Instrument,
     algorithm: AlgorithmChoice,
-    registry: Arc<Registry>,
     parallelism: Parallelism,
     catalog: Arc<StatsCatalog>,
     cost_model: Arc<CostModel>,
@@ -184,7 +183,7 @@ impl Engine {
     /// An engine over `db` with the default configuration: no rewrites
     /// ([`OptimizeLevel::Off`] — the expression runs as written),
     /// [`Strategy::Planned`], [`Instrument::Off`],
-    /// [`AlgorithmChoice::Auto`] over the standard registry,
+    /// [`AlgorithmChoice::Auto`],
     /// [`Parallelism::Serial`], [`JoinOrder::Dp`], the default
     /// [`CostModel`] and an empty statistics catalog that fills on
     /// first use.
@@ -195,7 +194,6 @@ impl Engine {
             strategy: Strategy::default(),
             instrument: Instrument::default(),
             algorithm: AlgorithmChoice::default(),
-            registry: Registry::standard_shared(),
             parallelism: Parallelism::default(),
             catalog: Arc::new(StatsCatalog::new()),
             cost_model: Arc::new(CostModel::default()),
@@ -232,13 +230,6 @@ impl Engine {
     /// algorithm.
     pub fn algorithm(mut self, choice: AlgorithmChoice) -> Engine {
         self.algorithm = choice;
-        self
-    }
-
-    /// Swap in a custom algorithm registry (e.g. with tuned variants
-    /// shadowing the standard entries).
-    pub fn registry(mut self, registry: Arc<Registry>) -> Engine {
-        self.registry = registry;
         self
     }
 
@@ -339,7 +330,7 @@ impl Engine {
     }
 
     /// A clone of this engine bound to a different database, sharing
-    /// everything else: the registry, cost model, and — crucially — the
+    /// everything else: the cost model and — crucially — the
     /// [`StatsCatalog`], so statistics analyzed by any fork benefit all
     /// of them (the catalog's `Arc::ptr_eq` freshness check keeps this
     /// sound across databases that share relation `Arc`s, e.g.
@@ -359,17 +350,12 @@ impl Engine {
         &self.pipeline
     }
 
-    /// The configured algorithm registry.
-    pub fn algorithms(&self) -> &Registry {
-        &self.registry
-    }
-
     /// Build a [`Query`] for `expr` against this engine's configuration.
     pub fn query(&self, expr: Expr) -> Query<'_> {
         Query { engine: self, expr }
     }
 
-    /// Division `dividend ÷ divisor`, routed through the registry
+    /// Division `dividend ÷ divisor`, routed through the algorithm table
     /// ([`AlgorithmChoice::Auto`] picks the algorithm the cost model
     /// prices cheapest on the operands' statistics).
     pub fn divide(
@@ -384,31 +370,29 @@ impl Engine {
         let alg = match &self.algorithm {
             AlgorithmChoice::Auto => {
                 let (rs, ss) = (self.operand_stats(dividend), self.operand_stats(divisor));
-                self.registry
-                    .auto_division(&rs, &ss, sem, workers, &self.cost_model)
-                    .ok_or_else(|| EvalError::UnknownAlgorithm("auto (empty registry)".into()))?
+                Registry::standard().auto_division(&rs, &ss, workers, &self.cost_model)
             }
-            AlgorithmChoice::Named(name) => self
-                .registry
+            AlgorithmChoice::Named(name) => Registry::standard()
                 .find_division(name)
                 .ok_or_else(|| EvalError::UnknownAlgorithm(name.clone()))?,
         };
         let start = Instant::now();
-        let relation = sj_setjoin::run_division_traced(&*alg, r, s, sem, workers);
+        let relation = sj_setjoin::run_division_traced(alg, r, s, sem, workers);
         Ok(SetOpOutput {
             relation,
             algorithm: alg.name(),
-            complexity: alg.complexity(sem),
+            complexity: alg.complexity(),
             elapsed: start.elapsed(),
         })
     }
 
-    /// Set join `left ⋈_{B pred D} right`, routed through the registry.
+    /// Set join `left ⋈_{B pred D} right`, routed through the algorithm
+    /// table.
     ///
     /// Errors with [`EvalError::UnsupportedPredicate`] when a
     /// [`AlgorithmChoice::Named`] algorithm does not implement `pred`
-    /// (e.g. `inverted-index` asked for `⊆`), or when no registered
-    /// algorithm does under [`AlgorithmChoice::Auto`].
+    /// (e.g. `inverted-index` asked for `⊆`); [`AlgorithmChoice::Auto`]
+    /// only considers algorithms that do.
     pub fn set_join(
         &self,
         left: &str,
@@ -421,24 +405,10 @@ impl Engine {
         let alg = match &self.algorithm {
             AlgorithmChoice::Auto => {
                 let (rs, ss) = (self.operand_stats(left), self.operand_stats(right));
-                self.registry
-                    .auto_set_join(&rs, &ss, pred, workers, &self.cost_model)
-                    .ok_or_else(|| {
-                        // None means nothing registered supports the predicate
-                        // — distinguish that from a genuinely empty registry.
-                        if self.registry.set_join_algorithms().is_empty() {
-                            EvalError::UnknownAlgorithm("auto (empty registry)".into())
-                        } else {
-                            EvalError::UnsupportedPredicate {
-                                algorithm: "auto".into(),
-                                predicate: format!("{pred:?}"),
-                            }
-                        }
-                    })?
+                Registry::standard().auto_set_join(&rs, &ss, pred, workers, &self.cost_model)
             }
             AlgorithmChoice::Named(name) => {
-                let alg = self
-                    .registry
+                let alg = Registry::standard()
                     .find_set_join(name)
                     .ok_or_else(|| EvalError::UnknownAlgorithm(name.clone()))?;
                 if !alg.supports(pred) {
@@ -451,11 +421,11 @@ impl Engine {
             }
         };
         let start = Instant::now();
-        let relation = sj_setjoin::run_set_join_traced(&*alg, r, s, pred, workers);
+        let relation = sj_setjoin::run_set_join_traced(alg, r, s, pred, workers);
         Ok(SetOpOutput {
             relation,
             algorithm: alg.name(),
-            complexity: alg.complexity(pred),
+            complexity: alg.complexity(),
             elapsed: start.elapsed(),
         })
     }
@@ -784,28 +754,6 @@ mod tests {
                 .algorithm(AlgorithmChoice::named("inverted-index"))
                 .set_join("Person", "Person", SetPredicate::ContainedIn),
             Err(EvalError::UnsupportedPredicate { .. })
-        ));
-        // Auto over a registry that has algorithms, none supporting the
-        // predicate: the error blames the predicate, not the registry.
-        let mut contains_only = Registry::new();
-        contains_only.register_set_join(Arc::new(sj_setjoin::registry::InvertedIndexSetJoin));
-        let err = engine
-            .clone()
-            .registry(Arc::new(contains_only))
-            .set_join("Person", "Person", SetPredicate::ContainedIn)
-            .unwrap_err();
-        assert!(
-            matches!(&err, EvalError::UnsupportedPredicate { algorithm, .. } if algorithm == "auto"),
-            "{err}"
-        );
-        // A genuinely empty registry is reported as such.
-        assert!(matches!(
-            engine.clone().registry(Arc::new(Registry::new())).set_join(
-                "Person",
-                "Person",
-                SetPredicate::Contains
-            ),
-            Err(EvalError::UnknownAlgorithm(_))
         ));
     }
 

@@ -11,8 +11,8 @@ pub enum EvalError {
     Algebra(AlgebraError),
     /// A storage operation failed.
     Storage(StorageError),
-    /// The engine was asked for a set-join/division algorithm the
-    /// registry does not know.
+    /// The engine was asked for a set-join/division algorithm that names
+    /// no entry of `sj_setjoin`'s algorithm tables.
     UnknownAlgorithm(String),
     /// The selected algorithm does not implement the requested predicate.
     UnsupportedPredicate {

@@ -354,8 +354,8 @@ impl ResultEntry {
 struct Shared {
     master: RwLock<Master>,
     /// Configuration template; forked per query onto a snapshot. Its
-    /// own database is empty — the catalog, registry, and cost model
-    /// are the shared parts.
+    /// own database is empty — the catalog and cost model are the
+    /// shared parts.
     template: Engine,
     plan_cache: ExprCache<PlanEntry>,
     result_cache: ExprCache<Arc<ResultEntry>>,

@@ -36,16 +36,6 @@ fn check_shapes(r: &Relation, s: &Relation) {
     assert_eq!(s.arity(), 1, "divisor must be unary S(B)");
 }
 
-/// Division by the default algorithm ([`hash_division`]).
-///
-/// Thin wrapper kept for convenience; algorithm-aware callers should go
-/// through [`crate::registry::Registry`] (or `sj-eval`'s `Engine`), where
-/// the choice is configuration and the `auto` selector consults input
-/// statistics.
-pub fn divide(r: &Relation, s: &Relation, sem: DivisionSemantics) -> Relation {
-    hash_division(r, s, sem)
-}
-
 /// Nested-loop division: for every candidate A-value, probe `R` for every
 /// divisor value. The quadratic baseline (deliberately so — it mirrors the
 /// work pattern of the quadratic RA plans).
@@ -195,26 +185,10 @@ pub fn counting_division(r: &Relation, s: &Relation, sem: DivisionSemantics) -> 
     Relation::from_tuples(1, out).expect("unary output")
 }
 
-/// A division algorithm as a plain function pointer. The trait-object
-/// form lives in [`crate::registry::DivisionAlgorithm`]; this alias
-/// remains for the benchmark/test helpers below.
-pub type DivisionFn = fn(&Relation, &Relation, DivisionSemantics) -> Relation;
-
-/// All four algorithms, labeled — convenient for the shoot-out benchmark
-/// and the cross-validation tests. Thin wrapper over the same entries
-/// [`crate::registry::Registry::standard`] registers.
-pub fn all_algorithms() -> Vec<(&'static str, DivisionFn)> {
-    vec![
-        ("nested-loop", nested_loop_division),
-        ("sort-merge", sort_merge_division),
-        ("hash", hash_division),
-        ("counting", counting_division),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Registry;
     use DivisionSemantics::{Containment, Equality};
 
     fn r() -> Relation {
@@ -235,9 +209,10 @@ mod tests {
 
     #[test]
     fn containment_division() {
-        for (name, alg) in all_algorithms() {
+        for alg in Registry::standard().division_algorithms() {
+            let name = alg.name();
             assert_eq!(
-                alg(&r(), &s(), Containment),
+                alg.run(&r(), &s(), Containment, 3),
                 Relation::from_int_rows(&[&[1], &[2]]),
                 "{name}"
             );
@@ -246,9 +221,10 @@ mod tests {
 
     #[test]
     fn equality_division() {
-        for (name, alg) in all_algorithms() {
+        for alg in Registry::standard().division_algorithms() {
+            let name = alg.name();
             assert_eq!(
-                alg(&r(), &s(), Equality),
+                alg.run(&r(), &s(), Equality, 3),
                 Relation::from_int_rows(&[&[2]]),
                 "{name}"
             );
@@ -258,32 +234,38 @@ mod tests {
     #[test]
     fn empty_divisor() {
         let empty = Relation::empty(1);
-        for (name, alg) in all_algorithms() {
+        for alg in Registry::standard().division_algorithms() {
+            let name = alg.name();
             // Containment: every A qualifies (⊇ ∅).
             assert_eq!(
-                alg(&r(), &empty, Containment),
+                alg.run(&r(), &empty, Containment, 3),
                 Relation::from_int_rows(&[&[1], &[2], &[3], &[4]]),
                 "{name} containment"
             );
             // Equality: no A has an empty B-set.
-            assert!(alg(&r(), &empty, Equality).is_empty(), "{name} equality");
+            assert!(
+                alg.run(&r(), &empty, Equality, 3).is_empty(),
+                "{name} equality"
+            );
         }
     }
 
     #[test]
     fn empty_dividend() {
         let empty_r = Relation::empty(2);
-        for (name, alg) in all_algorithms() {
-            assert!(alg(&empty_r, &s(), Containment).is_empty(), "{name}");
-            assert!(alg(&empty_r, &s(), Equality).is_empty(), "{name}");
+        for alg in Registry::standard().division_algorithms() {
+            let name = alg.name();
+            assert!(alg.run(&empty_r, &s(), Containment, 3).is_empty(), "{name}");
+            assert!(alg.run(&empty_r, &s(), Equality, 3).is_empty(), "{name}");
         }
     }
 
     #[test]
     fn divisor_value_absent_from_dividend() {
         let s99 = Relation::from_int_rows(&[&[7], &[99]]);
-        for (name, alg) in all_algorithms() {
-            assert!(alg(&r(), &s99, Containment).is_empty(), "{name}");
+        for alg in Registry::standard().division_algorithms() {
+            let name = alg.name();
+            assert!(alg.run(&r(), &s99, Containment, 3).is_empty(), "{name}");
         }
     }
 
@@ -301,9 +283,10 @@ mod tests {
             &["Carol", "headache"],
         ]);
         let symptoms = Relation::from_str_rows(&[&["headache"], &["neck pain"]]);
-        for (name, alg) in all_algorithms() {
+        for alg in Registry::standard().division_algorithms() {
+            let name = alg.name();
             assert_eq!(
-                alg(&person, &symptoms, Containment),
+                alg.run(&person, &symptoms, Containment, 3),
                 Relation::from_str_rows(&[&["An"], &["Bob"]]),
                 "{name}"
             );
@@ -318,23 +301,23 @@ mod tests {
         db.set("S", s());
         let plan = sj_algebra::division::division_double_difference("R", "S");
         let via_ra = evaluate(&plan, &db).unwrap();
-        assert_eq!(via_ra, divide(&r(), &s(), Containment));
+        assert_eq!(via_ra, hash_division(&r(), &s(), Containment));
         let eq_plan = sj_algebra::division::division_equality("R", "S");
         assert_eq!(
             evaluate(&eq_plan, &db).unwrap(),
-            divide(&r(), &s(), Equality)
+            hash_division(&r(), &s(), Equality)
         );
     }
 
     #[test]
     #[should_panic(expected = "dividend must be binary")]
     fn wrong_dividend_arity_panics() {
-        divide(&Relation::empty(3), &Relation::empty(1), Containment);
+        hash_division(&Relation::empty(3), &Relation::empty(1), Containment);
     }
 
     #[test]
     #[should_panic(expected = "divisor must be unary")]
     fn wrong_divisor_arity_panics() {
-        divide(&Relation::empty(2), &Relation::empty(2), Containment);
+        hash_division(&Relation::empty(2), &Relation::empty(2), Containment);
     }
 }

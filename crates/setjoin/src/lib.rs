@@ -12,18 +12,22 @@
 //!   intersection-nonempty joins, via nested loops, Bloom-signature
 //!   filtering, group hashing, and the equijoin reduction for `∩ ≠ ∅`.
 //!
-//! Every algorithm is cross-validated against the others and against the
-//! RA plans of `sj_algebra::division` evaluated by `sj-eval`.
+//! Each set operator is stated once. Every set-join algorithm except the
+//! oracle [`nested_loop_set_join`] has one body over the dense operand
+//! view of [`columnar`] — integer, string and mixed-variant element
+//! columns are encodings of that view, not separate code paths — and
+//! every algorithm is declared in exactly one place, the [`registry`]
+//! tables, which carry its name, supported predicates, complexity class,
+//! cost formula and `run` function. The property tests below state
+//! "every table entry ≡ the oracle" once, over the tables.
 //!
-//! All algorithms are also available through the [`registry`] — trait
-//! objects behind [`registry::SetJoinAlgorithm`] /
-//! [`registry::DivisionAlgorithm`] with the deterministic, cost-based
+//! The [`registry`] also holds the deterministic, cost-based
 //! [`registry::Registry::auto_set_join`] and
 //! [`registry::Registry::auto_division`] selectors over the operands'
-//! `sj_stats::TableStats`. The free functions
-//! below remain the convenient direct entry points; prefer the registry
-//! (or `sj-eval`'s `Engine`, which routes through it) when the algorithm
-//! choice should be configuration rather than code.
+//! `sj_stats::TableStats`. The free functions re-exported below are the
+//! direct entry points when the caller knows which algorithm it means;
+//! prefer the registry (or `sj-eval`'s `Engine`, which routes through it)
+//! when the algorithm choice should be configuration rather than code.
 
 pub mod columnar;
 pub mod division;
@@ -34,10 +38,8 @@ pub mod registry;
 pub mod setjoin;
 pub mod wide_signature;
 
-pub use columnar::{columnar_signature_set_join, group_ranges, joint_codes};
 pub use division::{
-    counting_division, divide, hash_division, nested_loop_division, sort_merge_division,
-    DivisionSemantics,
+    counting_division, hash_division, nested_loop_division, sort_merge_division, DivisionSemantics,
 };
 pub use general::divide_general;
 pub use inverted::inverted_index_set_join;
@@ -47,28 +49,72 @@ pub use registry::{
     SetJoinAlgorithm,
 };
 pub use setjoin::{
-    group_sets, hash_set_equality_join, intersect_join_via_equijoin, nested_loop_set_join,
-    set_join, signature_set_join, SetPredicate,
+    hash_set_equality_join, intersect_join_via_equijoin, nested_loop_set_join, signature_set_join,
+    SetPredicate,
 };
-pub use wide_signature::{filter_survivors, wide_signature_set_join, WideSignature};
+pub use wide_signature::{filter_survivors, wide_signature_set_join};
 
 #[cfg(test)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use sj_storage::{Relation, Tuple};
+    use sj_storage::{Relation, Tuple, Value};
 
-    fn arb_pairs(max_key: i64, max_val: i64, len: usize) -> impl Strategy<Value = Relation> {
-        proptest::collection::vec((1..=max_key, 1..=max_val), 0..len).prop_map(|rows| {
-            Relation::from_tuples(2, rows.into_iter().map(|(a, b)| Tuple::from_ints(&[a, b])))
-                .unwrap()
-        })
+    /// How a generated integer becomes an element cell — one variant per
+    /// encoding of the operand view.
+    #[derive(Clone, Copy, Debug)]
+    enum Cells {
+        /// All integers: the zero-copy `i64` column.
+        Int,
+        /// All strings: joint dictionary codes.
+        Str,
+        /// Integers and strings in one column: joint ranks.
+        Mixed,
     }
 
-    fn arb_divisor(max_val: i64, len: usize) -> impl Strategy<Value = Relation> {
-        proptest::collection::vec(1..=max_val, 0..len).prop_map(|vals| {
-            Relation::from_tuples(1, vals.into_iter().map(|v| Tuple::from_ints(&[v]))).unwrap()
-        })
+    impl Cells {
+        fn cell(self, v: i64) -> Value {
+            match self {
+                Cells::Int => Value::int(v),
+                // Not zero-padded: string order differs from integer
+                // order, so an order-confusing encoding shows.
+                Cells::Str => Value::str(format!("{v}")),
+                Cells::Mixed if v % 2 == 0 => Value::int(v),
+                Cells::Mixed => Value::str(format!("{}", v / 2)),
+            }
+        }
+    }
+
+    /// The element kinds of an operand pair: all-int, all-string, mixed
+    /// int+string in one column, and an int operand against a string one.
+    const KINDS: [(Cells, Cells); 4] = [
+        (Cells::Int, Cells::Int),
+        (Cells::Str, Cells::Str),
+        (Cells::Mixed, Cells::Mixed),
+        (Cells::Int, Cells::Str),
+    ];
+
+    fn relation(rows: &[(i64, i64)], cells: Cells) -> Relation {
+        let tuples = rows
+            .iter()
+            .map(|&(a, b)| Tuple::new(vec![Value::int(a), cells.cell(b)]));
+        Relation::from_tuples(2, tuples).unwrap()
+    }
+
+    fn arb_rows(max_key: i64, max_val: i64, len: usize) -> impl Strategy<Value = Vec<(i64, i64)>> {
+        proptest::collection::vec((1..=max_key, 1..=max_val), 0..len)
+    }
+
+    fn arb_pairs(max_key: i64, max_val: i64, len: usize) -> impl Strategy<Value = Relation> {
+        arb_rows(max_key, max_val, len).prop_map(|rows| relation(&rows, Cells::Int))
+    }
+
+    fn arb_divisor(max_val: i64, len: usize) -> impl Strategy<Value = Vec<i64>> {
+        proptest::collection::vec(1..=max_val, 0..len)
+    }
+
+    fn divisor(vals: &[i64], cells: Cells) -> Relation {
+        Relation::from_tuples(1, vals.iter().map(|&v| Tuple::new(vec![cells.cell(v)]))).unwrap()
     }
 
     /// Brute-force division oracle.
@@ -93,106 +139,125 @@ mod proptests {
         Relation::from_tuples(1, out.map(|a| Tuple::new(vec![a]))).unwrap()
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+    /// Every set-join table entry, on every predicate it supports, at
+    /// one and three workers, equals the nested-loop oracle.
+    fn assert_set_joins_match_the_oracle(r: &Relation, s: &Relation, what: &str) {
+        for pred in SetPredicate::ALL {
+            let want = nested_loop_set_join(r, s, pred);
+            for alg in Registry::standard().set_join_algorithms() {
+                for workers in [1, 3] {
+                    if alg.supports(pred) {
+                        assert_eq!(
+                            alg.run(r, s, pred, workers),
+                            want,
+                            "{} on {pred:?} at {workers} workers, {what}",
+                            alg.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
 
-        /// Every division algorithm equals the brute-force oracle, both
-        /// semantics.
-        #[test]
-        fn division_algorithms_agree(
-            r in arb_pairs(6, 6, 24),
-            s in arb_divisor(6, 6),
-        ) {
-            for sem in [DivisionSemantics::Containment, DivisionSemantics::Equality] {
-                let want = oracle_divide(&r, &s, sem);
-                for (name, alg) in division::all_algorithms() {
-                    prop_assert_eq!(
-                        alg(&r, &s, sem),
-                        want.clone(),
-                        "{} under {:?}", name, sem
+    /// Every division table entry, both semantics, at one and three
+    /// workers, equals the brute-force oracle.
+    fn assert_divisions_match_the_oracle(r: &Relation, s: &Relation, what: &str) {
+        for sem in [DivisionSemantics::Containment, DivisionSemantics::Equality] {
+            let want = oracle_divide(r, s, sem);
+            for alg in Registry::standard().division_algorithms() {
+                for workers in [1, 3] {
+                    assert_eq!(
+                        alg.run(r, s, sem, workers),
+                        want,
+                        "{} under {sem:?} at {workers} workers, {what}",
+                        alg.name()
                     );
                 }
             }
         }
+    }
 
-        /// Signature and hash set joins equal the nested-loop baseline on
-        /// every predicate.
+    /// The shapes partitioning finds hardest, as fixed cases of the one
+    /// statement: empty, one key holding everything, all-duplicate rows,
+    /// one element shared by every key, harmonic key frequencies, and a
+    /// benign mix.
+    #[test]
+    fn every_algorithm_equals_the_oracle_on_adversarial_operands() {
+        let shapes: Vec<(&str, Vec<(i64, i64)>)> = vec![
+            ("empty", vec![]),
+            ("skewed-key", (0..60).map(|i| (7, i)).collect()),
+            ("all-duplicate", (0..50).map(|_| (3, 9)).collect()),
+            ("shared-value", (0..40).map(|i| (i, 5)).collect()),
+            ("zipf-key", (0..90).map(|i| (90 / (i + 1), i % 7)).collect()),
+            ("mixed", (0..80).map(|i| (i % 13, i % 7)).collect()),
+        ];
+        for (rname, rrows) in &shapes {
+            for (rc, sc) in KINDS {
+                let r = relation(rrows, rc);
+                for (sname, srows) in &shapes {
+                    let what = format!("{rname} {rc:?} ⋈ {sname} {sc:?}");
+                    assert_set_joins_match_the_oracle(&r, &relation(srows, sc), &what);
+                }
+                for vals in [&[][..], &[5], &[0, 5, 9]] {
+                    let what = format!("{rname} {rc:?} ÷ {vals:?} {sc:?}");
+                    assert_divisions_match_the_oracle(&r, &divisor(vals, sc), &what);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every algorithm ≡ the oracle, stated once over the tables:
+        /// every predicate × every set-join entry that supports it, and
+        /// both semantics × every division entry, × workers ∈ {1, 3} ×
+        /// every element kind. It iterates the arrays, so a new entry
+        /// is covered without editing a list.
         #[test]
-        fn set_join_algorithms_agree(
-            r in arb_pairs(5, 8, 20),
-            s in arb_pairs(5, 8, 20),
+        fn every_algorithm_equals_the_oracle(
+            r in arb_rows(5, 8, 20),
+            s in arb_rows(5, 8, 20),
+            d in arb_divisor(8, 6),
         ) {
-            use SetPredicate::*;
-            for pred in [Contains, ContainedIn, Equals, IntersectsNonempty] {
-                let want = nested_loop_set_join(&r, &s, pred);
-                prop_assert_eq!(
-                    signature_set_join(&r, &s, pred),
-                    want.clone(),
-                    "signature on {:?}", pred
-                );
-                prop_assert_eq!(set_join(&r, &s, pred), want, "default on {:?}", pred);
+            for (rc, sc) in KINDS {
+                let what = format!("{rc:?} against {sc:?}");
+                let rel = relation(&r, rc);
+                assert_set_joins_match_the_oracle(&rel, &relation(&s, sc), &what);
+                assert_divisions_match_the_oracle(&rel, &divisor(&d, sc), &what);
             }
         }
 
         /// Division is the set join against a single-group divisor, in
         /// both semantics: R ÷ S = π_A(R ⋈_{B ⊇ D} {0} × S) and
-        /// R ÷₌ S = π_A(R ⋈_{B = D} {0} × S) — through the default set
-        /// join and through the partitioned one.
+        /// R ÷₌ S = π_A(R ⋈_{B = D} {0} × S) — through the serial
+        /// signature join and through the partitioned one.
         #[test]
         fn division_is_a_set_join(
             r in arb_pairs(5, 6, 20),
             s in arb_divisor(6, 5),
         ) {
             prop_assume!(!s.is_empty());
+            let s = divisor(&s, Cells::Int);
             // Lift the divisor into a single C-group keyed 0.
             let lifted = Relation::from_tuples(
                 2,
-                s.iter().map(|t| Tuple::new(vec![
-                    sj_storage::Value::int(0), t[0].clone(),
-                ])),
+                s.iter().map(|t| Tuple::new(vec![Value::int(0), t[0].clone()])),
             ).unwrap();
             for (pred, sem) in [
                 (SetPredicate::Contains, DivisionSemantics::Containment),
                 (SetPredicate::Equals, DivisionSemantics::Equality),
             ] {
                 for join in [
-                    set_join(&r, &lifted, pred),
+                    signature_set_join(&r, &lifted, pred),
                     parallel_signature_set_join(&r, &lifted, pred, 4),
                 ] {
                     let via_join = Relation::from_tuples(
                         1,
                         join.iter().map(|t| Tuple::new(vec![t[0].clone()])),
                     ).unwrap();
-                    prop_assert_eq!(via_join, divide(&r, &s, sem), "{:?}", sem);
+                    prop_assert_eq!(via_join, hash_division(&r, &s, sem), "{:?}", sem);
                 }
-            }
-        }
-
-        /// The inverted-index join equals the nested-loop baseline.
-        #[test]
-        fn inverted_index_agrees(
-            r in arb_pairs(5, 8, 20),
-            s in arb_pairs(5, 8, 20),
-        ) {
-            prop_assert_eq!(
-                inverted_index_set_join(&r, &s),
-                nested_loop_set_join(&r, &s, SetPredicate::Contains)
-            );
-        }
-
-        /// Wide signatures are exact at every width.
-        #[test]
-        fn wide_signature_agrees(
-            r in arb_pairs(5, 8, 20),
-            s in arb_pairs(5, 8, 20),
-            words in 1usize..4,
-        ) {
-            for pred in [SetPredicate::Contains, SetPredicate::Equals] {
-                prop_assert_eq!(
-                    wide_signature_set_join(&r, &s, pred, words),
-                    nested_loop_set_join(&r, &s, pred),
-                    "{:?} width {}", pred, words
-                );
             }
         }
 
@@ -203,10 +268,11 @@ mod proptests {
             r in arb_pairs(6, 6, 24),
             s in arb_divisor(6, 6),
         ) {
+            let s = divisor(&s, Cells::Int);
             for sem in [DivisionSemantics::Containment, DivisionSemantics::Equality] {
                 prop_assert_eq!(
                     divide_general(&r, &[1], 2, &s, sem),
-                    divide(&r, &s, sem),
+                    hash_division(&r, &s, sem),
                     "{:?}", sem
                 );
             }
@@ -218,9 +284,9 @@ mod proptests {
             r in arb_pairs(4, 6, 16),
             s in arb_pairs(4, 6, 16),
         ) {
-            let fwd = set_join(&r, &s, SetPredicate::Contains);
-            let bwd = set_join(&r, &s, SetPredicate::ContainedIn);
-            let eq = set_join(&r, &s, SetPredicate::Equals);
+            let fwd = signature_set_join(&r, &s, SetPredicate::Contains);
+            let bwd = signature_set_join(&r, &s, SetPredicate::ContainedIn);
+            let eq = hash_set_equality_join(&r, &s);
             let both = fwd.intersection(&bwd).unwrap();
             prop_assert_eq!(both, eq);
         }

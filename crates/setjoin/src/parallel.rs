@@ -8,7 +8,7 @@
 //! per-partition outputs merge back in canonical order. Partitions are
 //! *views* (slices and index lists) — no tuple is ever cloned into a
 //! partition, so the partitioned pass costs no more than the serial one
-//! even at one worker. Two distinct wins follow:
+//! even at one worker. Three distinct wins follow:
 //!
 //! * **Concurrency.** Partitions are independent, so `w` workers give up
 //!   to `w`-fold wall-clock scaling on multi-core hosts.
@@ -19,13 +19,12 @@
 //!   Helmer–Moerkotte. A group is only ever compared against the groups
 //!   whose sets contain its anchor, shrinking the quadratic candidate
 //!   pair space even at one worker.
-//! * **Vectorized partition kernels (set joins).** When the element
-//!   columns are dense (all-`i64` or dictionary strings), the
-//!   per-partition signature tests and verification merges run over the
-//!   columnar group ranges of [`crate::columnar`] — the parallelism and
-//!   the vectorization compound instead of excluding each other, the
-//!   same composition `sj-eval`'s kernel layer gives the planned query
-//!   path.
+//! * **Dense partition kernels (set joins).** The per-partition
+//!   signature tests and verification merges run over the dense operand
+//!   view of [`crate::columnar`] — integer slices whatever the cells
+//!   hold — so the parallelism and the vectorization compound instead of
+//!   excluding each other, the same composition `sj-eval`'s kernel layer
+//!   gives the planned query path.
 //!
 //! Determinism: partition placement is a pure function of the input,
 //! workers only produce their own partition's output, and every merge
@@ -33,11 +32,11 @@
 //! output is byte-identical to the serial algorithms (property-tested in
 //! `tests/parallel.rs`).
 
-use crate::columnar::{dense_signature, group_ranges, joint_codes, predicate_on, remap};
+use crate::columnar::{emit, Signed};
 use crate::division::{hash_division, DivisionSemantics};
-use crate::setjoin::{group_sets, predicate_holds_public, signature, SetPredicate};
+use crate::setjoin::{intersect_join_via_equijoin, SetPredicate};
 use sj_storage::hash::fx_hash_one;
-use sj_storage::{ColumnData, Columns, FxHashMap, FxHashSet, Relation, Tuple, Value};
+use sj_storage::{FxHashMap, FxHashSet, Relation, Tuple, Value};
 
 /// Hard ceiling on worker threads, whatever the caller asks for: the
 /// operators spawn one OS thread per worker, so an absurd request
@@ -188,7 +187,7 @@ pub fn parallel_hash_division(
 /// negligible.
 const PSJ_FANOUT: usize = 16;
 
-/// Partition-based signature set join (`⊇`, `⊆`, `=`).
+/// Partition-based signature set join.
 ///
 /// The hash-partitioning that makes equi-joins parallel does not apply
 /// directly to set predicates — a qualifying pair shares *set contents*,
@@ -201,339 +200,86 @@ const PSJ_FANOUT: usize = 16;
 /// `D`, in particular its anchor, lies in `B`: probing just the
 /// anchor's postings list finds every qualifying pair exactly once,
 /// and candidates are signature-filtered before the exact merge test.
-/// For `=` both sides partition by a hash of their full value list
+/// For `=` the key is a hash of the group's full element slice instead
 /// (equal sets collide by construction) and nothing is replicated.
 ///
 /// `∩ ≠ ∅` has no anchor element (any shared element qualifies) and is
-/// already an ordinary equijoin; use
-/// [`crate::intersect_join_via_equijoin`].
+/// already an ordinary equijoin, so it is answered by
+/// [`intersect_join_via_equijoin`] on the same operand view — the
+/// function is total over [`SetPredicate`]. (The registry entry still
+/// declares `⊇ / ⊆ / =` only: for `∩ ≠ ∅` this *is* `equijoin-intersect`.)
 ///
-/// Like the serial [`crate::signature_set_join`], the per-partition work
-/// is **vectorized when the element columns are dense**: both all-`i64`
-/// or both dictionary-encoded strings run on zero-copy columnar group
-/// ranges ([`group_ranges`]) with dense signature folds and
-/// `i64`/joint-code verification merges ([`joint_codes`]) — no `Value`
-/// is cloned or hash-dispatched in the partition loops. Mixed-variant
-/// element columns fall back to the row-wise
-/// `parallel_signature_set_join_rowwise`. Output is byte-identical
-/// either way, at every worker count.
-///
-/// # Panics
-///
-/// On [`SetPredicate::IntersectsNonempty`] — callers go through
-/// [`crate::registry::SetJoinAlgorithm::supports`].
+/// Output is byte-identical to the serial algorithms at every worker
+/// count.
 pub fn parallel_signature_set_join(
     r: &Relation,
     s: &Relation,
     pred: SetPredicate,
     workers: usize,
 ) -> Relation {
-    assert!(
-        pred != SetPredicate::IntersectsNonempty,
-        "partition-based set join: ∩≠∅ has no anchor element; use the equijoin reduction"
-    );
-    assert_eq!(r.arity(), 2, "set-join operands must be binary");
-    assert_eq!(s.arity(), 2, "set-join operands must be binary");
-    let workers = resolve_workers(workers);
-    let (rc, sc) = (r.columns(), s.columns());
-    match (rc.col(1), sc.col(1)) {
-        (ColumnData::Int(b), ColumnData::Int(d)) => {
-            parallel_columnar_set_join(rc, sc, b, d, pred, workers)
-        }
-        (ColumnData::Str(b), ColumnData::Str(d)) => {
-            let (mb, md) = joint_codes(rc.dict(), sc.dict());
-            parallel_columnar_set_join(rc, sc, &remap(b, &mb), &remap(d, &md), pred, workers)
-        }
-        // Mixed-variant (or cross-variant) element columns: row path.
-        _ => parallel_signature_set_join_rowwise(r, s, pred, workers),
+    if pred == SetPredicate::IntersectsNonempty {
+        return intersect_join_via_equijoin(r, s);
     }
-}
-
-/// One set-join operand in columnar form: the group ranges of its key
-/// column, one dense signature per group, and the (dense) element
-/// column the ranges slice into.
-struct ColumnarSide<'a, T> {
-    ranges: Vec<(u32, u32)>,
-    sigs: Vec<u64>,
-    elems: &'a [T],
-    cols: &'a Columns,
-}
-
-impl<'a, T: Copy + Ord + Into<i64>> ColumnarSide<'a, T> {
-    fn new(cols: &'a Columns, elems: &'a [T]) -> Self {
-        let ranges = group_ranges(cols);
-        let sigs = ranges
-            .iter()
-            .map(|&(a, b)| dense_signature(&elems[a as usize..b as usize]))
+    let workers = resolve_workers(workers);
+    let x = Signed::new(r, s, pred, 1);
+    // The partitioned probe side is the contained one: R for ⊆, S for ⊇
+    // (and, by convention, for =).
+    let probe_left = pred == SetPredicate::ContainedIn;
+    let (probe, build) = if probe_left {
+        (&x.r, &x.s)
+    } else {
+        (&x.s, &x.r)
+    };
+    // One key per probe group, and the build groups filed under each
+    // key: a probe group's candidates are exactly `table[its key]`.
+    let (keys, table): (Vec<i64>, FxHashMap<i64, Vec<u32>>) = if pred == SetPredicate::Equals {
+        let key = |set: &[i64]| fx_hash_one(&set) as i64;
+        let mut table: FxHashMap<i64, Vec<u32>> = FxHashMap::default();
+        for g in 0..build.len() {
+            table.entry(key(build.set(g))).or_default().push(g as u32);
+        }
+        ((0..probe.len()).map(|g| key(probe.set(g))).collect(), table)
+    } else {
+        // Anchor per probe group: its least frequent element in the
+        // build side's postings; ties break on the element itself,
+        // keeping the choice deterministic.
+        let postings = build.postings();
+        let freq = |v: i64| postings.get(&v).map_or(0, |p| p.len());
+        let anchors = (0..probe.len())
+            .map(|g| {
+                let set = probe.set(g).iter().copied();
+                set.min_by_key(|&v| (freq(v), v))
+                    .expect("groups are nonempty")
+            })
             .collect();
-        ColumnarSide {
-            ranges,
-            sigs,
-            elems,
-            cols,
-        }
-    }
-
-    /// Group `g`'s element set: a zero-copy, strictly increasing slice
-    /// of the element column.
-    fn set(&self, g: usize) -> &'a [T] {
-        let (a, b) = self.ranges[g];
-        &self.elems[a as usize..b as usize]
-    }
-
-    /// Group `g`'s key value (only materialized for output tuples).
-    fn key(&self, g: usize) -> Value {
-        self.cols.value_at(0, self.ranges[g].0 as usize)
-    }
-}
-
-/// The partition-based set join over dense columnar operands: the same
-/// anchor-element partitioning as the row path, with every per-partition
-/// signature test and verification merge running on dense `i64`s or
-/// joint dictionary codes.
-fn parallel_columnar_set_join<T>(
-    rc: &Columns,
-    sc: &Columns,
-    relems: &[T],
-    selems: &[T],
-    pred: SetPredicate,
-    workers: usize,
-) -> Relation
-where
-    T: Copy + Ord + std::hash::Hash + Into<i64> + Sync,
-{
-    let rside = ColumnarSide::new(rc, relems);
-    let sside = ColumnarSide::new(sc, selems);
-    let parts = (workers * PSJ_FANOUT).min(rside.ranges.len().max(sside.ranges.len()).max(1));
-    // As in the row path: `probe_left` says whether the partitioned
-    // probe side is R (⊆) or S (⊇ and =); output column order is fixed.
-    let run = |probe: &ColumnarSide<T>,
-               build: &ColumnarSide<T>,
-               probe_parts: Vec<Vec<u32>>,
-               candidates: &(dyn Fn(usize) -> Vec<u32> + Sync),
-               probe_left: bool| {
-        let outputs = fan_out(probe_parts, workers, |ids| {
-            let mut out: Vec<Tuple> = Vec::new();
-            for pi in ids {
-                let pset = probe.set(pi as usize);
-                let psig = probe.sigs[pi as usize];
-                for bi in candidates(pi as usize) {
-                    let bset = build.set(bi as usize);
-                    let bsig = build.sigs[bi as usize];
-                    let may = match pred {
-                        SetPredicate::Equals => psig == bsig,
-                        _ => psig & !bsig == 0,
-                    };
-                    let holds = may
-                        && if probe_left {
-                            predicate_on(pred, pset, bset)
-                        } else {
-                            predicate_on(pred, bset, pset)
-                        };
-                    if holds {
-                        let (a, c) = if probe_left {
-                            (probe.key(pi as usize), build.key(bi as usize))
-                        } else {
-                            (build.key(bi as usize), probe.key(pi as usize))
-                        };
-                        out.push(Tuple::new(vec![a, c]));
-                    }
-                }
-            }
-            out
-        });
-        Relation::from_tuples(2, outputs.into_iter().flatten()).expect("binary output")
+        (anchors, postings)
     };
-    match pred {
-        SetPredicate::Equals => {
-            let part_of = |set: &[T]| (fx_hash_one(&set) % parts as u64) as usize;
-            let mut s_parts: Vec<Vec<u32>> = vec![Vec::new(); parts];
-            for g in 0..sside.ranges.len() {
-                s_parts[part_of(sside.set(g))].push(g as u32);
-            }
-            let mut r_parts: Vec<Vec<u32>> = vec![Vec::new(); parts];
-            for g in 0..rside.ranges.len() {
-                r_parts[part_of(rside.set(g))].push(g as u32);
-            }
-            let candidates = |si: usize| r_parts[part_of(sside.set(si))].clone();
-            run(&sside, &rside, s_parts, &candidates, false)
-        }
-        SetPredicate::Contains | SetPredicate::ContainedIn => {
-            let (contained, containing, probe_left) = if pred == SetPredicate::Contains {
-                (&sside, &rside, false)
-            } else {
-                (&rside, &sside, true)
-            };
-            // Postings over the containing side's dense elements; each
-            // group's slice is strictly increasing, so no dedup needed.
-            let mut postings: FxHashMap<T, Vec<u32>> = FxHashMap::default();
-            for g in 0..containing.ranges.len() {
-                for &v in containing.set(g) {
-                    postings.entry(v).or_default().push(g as u32);
-                }
-            }
-            let freq = |v: T| postings.get(&v).map_or(0, |p| p.len());
-            let anchors: Vec<T> = (0..contained.ranges.len())
-                .map(|g| {
-                    contained
-                        .set(g)
-                        .iter()
-                        .copied()
-                        .min_by_key(|&v| (freq(v), v))
-                        .expect("groups are nonempty")
-                })
-                .collect();
-            let mut probe_parts: Vec<Vec<u32>> = vec![Vec::new(); parts];
-            for (ix, &anchor) in anchors.iter().enumerate() {
-                let p = (fx_hash_one(&anchor) % parts as u64) as usize;
-                probe_parts[p].push(ix as u32);
-            }
-            let candidates = |pi: usize| postings.get(&anchors[pi]).cloned().unwrap_or_default();
-            run(contained, containing, probe_parts, &candidates, probe_left)
-        }
-        SetPredicate::IntersectsNonempty => unreachable!("rejected by the dispatcher"),
+    let parts = (workers * PSJ_FANOUT).min(probe.len().max(build.len()).max(1));
+    let mut probe_parts: Vec<Vec<u32>> = vec![Vec::new(); parts];
+    for (g, key) in keys.iter().enumerate() {
+        probe_parts[(fx_hash_one(key) % parts as u64) as usize].push(g as u32);
     }
-}
-
-/// The row-wise partition-based set join: groups materialized as
-/// `(key, Vec<Value>)`, signatures hashed per `Value` — the fallback
-/// for mixed-variant element columns and the in-crate differential
-/// baseline of the columnar path.
-///
-/// # Panics
-///
-/// On [`SetPredicate::IntersectsNonempty`], like the dispatching
-/// [`parallel_signature_set_join`].
-pub(crate) fn parallel_signature_set_join_rowwise(
-    r: &Relation,
-    s: &Relation,
-    pred: SetPredicate,
-    workers: usize,
-) -> Relation {
-    assert!(
-        pred != SetPredicate::IntersectsNonempty,
-        "partition-based set join: ∩≠∅ has no anchor element; use the equijoin reduction"
-    );
-    let workers = resolve_workers(workers);
-    let rg = group_sets(r);
-    let sg = group_sets(s);
-    let rsig: Vec<u64> = rg.iter().map(|(_, vs)| signature(vs)).collect();
-    let ssig: Vec<u64> = sg.iter().map(|(_, vs)| signature(vs)).collect();
-    let parts = (workers * PSJ_FANOUT).min(rg.len().max(sg.len()).max(1));
-    // Emit one output relation per partition; `(a, c)` column order is
-    // fixed, so `probe_left` distinguishes whether the partitioned probe
-    // side is R (⊆: R anchors into S's postings) or S (⊇ and =).
-    let run = |probe: &[(Value, Vec<Value>)],
-               probe_sigs: &[u64],
-               probe_parts: Vec<Vec<u32>>,
-               candidates: &(dyn Fn(usize) -> Vec<u32> + Sync),
-               build: &[(Value, Vec<Value>)],
-               build_sigs: &[u64],
-               probe_left: bool| {
-        let outputs = fan_out(probe_parts, workers, |ids| {
-            let mut out: Vec<Tuple> = Vec::new();
-            for pi in ids {
-                let (pkey, pset) = &probe[pi as usize];
-                let psig = probe_sigs[pi as usize];
-                for bi in candidates(pi as usize) {
-                    let (bkey, bset) = &build[bi as usize];
-                    let bsig = build_sigs[bi as usize];
-                    // The probe side is always the *contained* side for
-                    // ⊇/⊆; for `=` the signatures must coincide.
-                    let may = match pred {
-                        SetPredicate::Equals => psig == bsig,
-                        _ => psig & !bsig == 0,
-                    };
-                    let holds = may
-                        && if probe_left {
-                            predicate_holds_public(pred, pset, bset)
-                        } else {
-                            predicate_holds_public(pred, bset, pset)
-                        };
-                    if holds {
-                        let (a, c) = if probe_left {
-                            (pkey, bkey)
-                        } else {
-                            (bkey, pkey)
-                        };
-                        out.push(Tuple::new(vec![a.clone(), c.clone()]));
-                    }
+    let outputs = fan_out(probe_parts, workers, |ids| {
+        let mut out: Vec<(u32, u32)> = Vec::new();
+        for p in ids {
+            for &b in table.get(&keys[p as usize]).map_or(&[][..], Vec::as_slice) {
+                let (gr, gs) = if probe_left { (p, b) } else { (b, p) };
+                if x.holds(gr as usize, gs as usize) {
+                    out.push((gr, gs));
                 }
             }
-            out
-        });
-        // Each qualifying pair is found exactly once (a probe group
-        // lives in one partition and probes one postings list), so the
-        // merge is a flatten plus one canonicalization pass.
-        Relation::from_tuples(2, outputs.into_iter().flatten()).expect("binary output")
-    };
-    match pred {
-        SetPredicate::Equals => {
-            // Partition both sides by a hash of the full (canonical)
-            // value list: equal sets collide by construction.
-            let part_of = |set: &[Value]| (fx_hash_one(&set) % parts as u64) as usize;
-            let mut s_parts: Vec<Vec<u32>> = vec![Vec::new(); parts];
-            for (ix, (_, set)) in sg.iter().enumerate() {
-                s_parts[part_of(set)].push(ix as u32);
-            }
-            let mut r_parts: Vec<Vec<u32>> = vec![Vec::new(); parts];
-            for (ix, (_, set)) in rg.iter().enumerate() {
-                r_parts[part_of(set)].push(ix as u32);
-            }
-            let candidates = |si: usize| r_parts[part_of(&sg[si].1)].clone();
-            run(&sg, &ssig, s_parts, &candidates, &rg, &rsig, false)
         }
-        SetPredicate::Contains | SetPredicate::ContainedIn => {
-            // Postings over the containing side; the contained side
-            // probes with its least-frequent element as anchor.
-            let (contained, contained_sigs, containing, containing_sigs, probe_left) =
-                if pred == SetPredicate::Contains {
-                    (&sg, &ssig, &rg, &rsig, false)
-                } else {
-                    (&rg, &rsig, &sg, &ssig, true)
-                };
-            let mut postings: FxHashMap<&Value, Vec<u32>> = FxHashMap::default();
-            for (ix, (_, set)) in containing.iter().enumerate() {
-                for v in set {
-                    postings.entry(v).or_default().push(ix as u32);
-                }
-            }
-            let freq = |v: &Value| postings.get(v).map_or(0, |p| p.len());
-            // Anchor per probe group: its least frequent element; ties
-            // break on the value itself (sets are sorted), keeping the
-            // choice deterministic.
-            let anchors: Vec<&Value> = contained
-                .iter()
-                .map(|(_, set)| {
-                    set.iter()
-                        .min_by_key(|v| (freq(v), *v))
-                        .expect("groups are nonempty")
-                })
-                .collect();
-            let mut probe_parts: Vec<Vec<u32>> = vec![Vec::new(); parts];
-            for (ix, anchor) in anchors.iter().enumerate() {
-                let p = (fx_hash_one(anchor) % parts as u64) as usize;
-                probe_parts[p].push(ix as u32);
-            }
-            let candidates = |pi: usize| postings.get(anchors[pi]).cloned().unwrap_or_default();
-            run(
-                contained,
-                contained_sigs,
-                probe_parts,
-                &candidates,
-                containing,
-                containing_sigs,
-                probe_left,
-            )
-        }
-        SetPredicate::IntersectsNonempty => unreachable!("rejected above"),
-    }
+        out
+    });
+    // Each qualifying pair is found exactly once (a probe group lives in
+    // one partition and probes one candidate list).
+    emit(&x.r, &x.s, outputs.into_iter().flatten().collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::division::{divide, nested_loop_division};
+    use crate::division::nested_loop_division;
     use crate::setjoin::nested_loop_set_join;
     use sj_storage::Relation;
 
@@ -557,7 +303,7 @@ mod tests {
         let (r, _) = workload();
         let s = Relation::from_int_rows(&[&[0], &[3], &[7]]);
         for sem in [DivisionSemantics::Containment, DivisionSemantics::Equality] {
-            let want = divide(&r, &s, sem);
+            let want = hash_division(&r, &s, sem);
             assert_eq!(want, nested_loop_division(&r, &s, sem), "oracle {sem:?}");
             for workers in [1, 2, 3, 4, 8] {
                 assert_eq!(
@@ -589,74 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn columnar_parallel_matches_rowwise_on_every_column_shape() {
-        // Int elements (columnar), string elements (joint-code
-        // columnar), and mixed-variant elements (row fallback) — the
-        // dispatcher must agree with the row-wise implementation and
-        // the serial oracle on all of them, at every worker count.
-        let (ints_r, ints_s) = workload();
-        let strs_r = Relation::from_str_rows(&[
-            &["An", "headache"],
-            &["An", "sore throat"],
-            &["Bob", "headache"],
-            &["Bob", "memory loss"],
-            &["Bob", "sore throat"],
-            &["Carol", "headache"],
-        ]);
-        let strs_s = Relation::from_str_rows(&[
-            &["flu", "headache"],
-            &["flu", "sore throat"],
-            &["Lyme", "headache"],
-            &["Lyme", "memory loss"],
-            &["Lyme", "sore throat"],
-        ]);
-        let mixed_r = Relation::from_tuples(
-            2,
-            vec![
-                sj_storage::tuple![1, 7],
-                sj_storage::tuple![1, "x"],
-                sj_storage::tuple![2, 7],
-                sj_storage::tuple![3, "x"],
-            ],
-        )
-        .unwrap();
-        let mixed_s = Relation::from_tuples(
-            2,
-            vec![
-                sj_storage::tuple![10, 7],
-                sj_storage::tuple![10, "x"],
-                sj_storage::tuple![11, 7],
-            ],
-        )
-        .unwrap();
-        for (name, r, s) in [
-            ("ints", &ints_r, &ints_s),
-            ("strings", &strs_r, &strs_s),
-            ("mixed", &mixed_r, &mixed_s),
-        ] {
-            for pred in [
-                SetPredicate::Contains,
-                SetPredicate::ContainedIn,
-                SetPredicate::Equals,
-            ] {
-                let want = nested_loop_set_join(r, s, pred);
-                for workers in [1, 2, 4, 8] {
-                    assert_eq!(
-                        parallel_signature_set_join(r, s, pred, workers),
-                        want,
-                        "{name} {pred:?} at {workers} workers"
-                    );
-                    assert_eq!(
-                        parallel_signature_set_join_rowwise(r, s, pred, workers),
-                        want,
-                        "rowwise {name} {pred:?} at {workers} workers"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn parallel_operators_handle_empty_inputs() {
         let e = Relation::empty(2);
         let s1 = Relation::empty(1);
@@ -681,15 +359,24 @@ mod tests {
         let r = Relation::from_int_rows(&[&[1, 7], &[2, 8]]);
         assert_eq!(
             parallel_hash_division(&r, &s1, DivisionSemantics::Containment, 4),
-            divide(&r, &s1, DivisionSemantics::Containment)
+            nested_loop_division(&r, &s1, DivisionSemantics::Containment)
         );
     }
 
+    /// `∩ ≠ ∅` has no anchor element; the function answers it by the
+    /// equijoin reduction instead of panicking.
     #[test]
-    #[should_panic(expected = "no anchor element")]
-    fn parallel_set_join_rejects_intersection() {
+    fn parallel_set_join_is_total_over_the_predicates() {
         let (r, s) = workload();
-        parallel_signature_set_join(&r, &s, SetPredicate::IntersectsNonempty, 2);
+        let want = nested_loop_set_join(&r, &s, SetPredicate::IntersectsNonempty);
+        assert!(!want.is_empty());
+        for workers in [1, 2, 3] {
+            assert_eq!(
+                parallel_signature_set_join(&r, &s, SetPredicate::IntersectsNonempty, workers),
+                want,
+                "{workers} workers"
+            );
+        }
     }
 
     #[test]

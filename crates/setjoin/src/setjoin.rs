@@ -8,12 +8,15 @@
 //!
 //! Algorithms:
 //!
-//! * [`nested_loop_set_join`] — compare every group pair; the baseline.
-//!   For set-containment joins the paper notes that nothing asymptotically
-//!   better than quadratic is known.
+//! * [`nested_loop_set_join`] — compare every group pair on `Value`s;
+//!   the oracle every other algorithm (and the benchmark) is checked
+//!   against, and deliberately the only one that does not read the dense
+//!   operand view. For set-containment joins the paper notes that
+//!   nothing asymptotically better than quadratic is known.
 //! * [`signature_set_join`] — 64-bit Bloom-style signatures per group
 //!   prune non-candidates before an exact sorted-merge verification
-//!   (Helmer–Moerkotte / Ramasamy et al. style). Same worst case, large
+//!   (Helmer–Moerkotte / Ramasamy et al. style): the one-word case of
+//!   [`crate::wide_signature_set_join`]. Same worst case, large
 //!   constant-factor wins on selective inputs.
 //! * [`hash_set_equality_join`] — set-equality join by hashing each
 //!   group's canonical B-list: O(n log n) + output, the strategy behind
@@ -21,7 +24,7 @@
 //! * [`intersect_join_via_equijoin`] — the `∩ ≠ ∅` predicate executed as
 //!   `π_{A,C}(R ⋈_{B=D} S)`, witnessing the paper's remark.
 
-use sj_storage::hash::fx_hash_one;
+use crate::columnar::{emit, Operand};
 use sj_storage::{FxHashMap, Relation, Tuple, Value};
 
 /// The set predicate of a set join.
@@ -37,9 +40,19 @@ pub enum SetPredicate {
     IntersectsNonempty,
 }
 
+impl SetPredicate {
+    /// All four predicates.
+    pub const ALL: [SetPredicate; 4] = [
+        SetPredicate::Contains,
+        SetPredicate::ContainedIn,
+        SetPredicate::Equals,
+        SetPredicate::IntersectsNonempty,
+    ];
+}
+
 /// Group a binary relation into `(key, sorted value list)` pairs, in key
 /// order. Canonical relation order makes this a single pass.
-pub fn group_sets(r: &Relation) -> Vec<(Value, Vec<Value>)> {
+fn group_sets(r: &Relation) -> Vec<(Value, Vec<Value>)> {
     assert_eq!(r.arity(), 2, "set-join operands must be binary");
     let mut out: Vec<(Value, Vec<Value>)> = Vec::new();
     for t in r {
@@ -66,12 +79,6 @@ fn sorted_subset(sub: &[Value], sup: &[Value]) -> bool {
     true
 }
 
-/// Exact predicate check on two sorted value lists (crate-internal API
-/// shared with the wide-signature variant).
-pub(crate) fn predicate_holds_public(pred: SetPredicate, b: &[Value], d: &[Value]) -> bool {
-    predicate_holds(pred, b, d)
-}
-
 fn predicate_holds(pred: SetPredicate, b: &[Value], d: &[Value]) -> bool {
     match pred {
         SetPredicate::Contains => sorted_subset(d, b),
@@ -91,22 +98,8 @@ fn predicate_holds(pred: SetPredicate, b: &[Value], d: &[Value]) -> bool {
     }
 }
 
-/// Set join by the default strategy: hash for `Equals`, equijoin for
-/// `IntersectsNonempty`, signatures otherwise.
-///
-/// Thin wrapper kept for convenience; algorithm-aware callers should go
-/// through [`crate::registry::Registry`] (or `sj-eval`'s `Engine`), where
-/// the choice is configuration and the `auto` selector also consults
-/// input statistics.
-pub fn set_join(r: &Relation, s: &Relation, pred: SetPredicate) -> Relation {
-    match pred {
-        SetPredicate::Equals => hash_set_equality_join(r, s),
-        SetPredicate::IntersectsNonempty => intersect_join_via_equijoin(r, s),
-        _ => signature_set_join(r, s, pred),
-    }
-}
-
-/// Nested-loop set join: every (A-group, C-group) pair verified exactly.
+/// Nested-loop set join: every (A-group, C-group) pair verified exactly,
+/// on `Value`s.
 pub fn nested_loop_set_join(r: &Relation, s: &Relation, pred: SetPredicate) -> Relation {
     let rg = group_sets(r);
     let sg = group_sets(s);
@@ -121,104 +114,49 @@ pub fn nested_loop_set_join(r: &Relation, s: &Relation, pred: SetPredicate) -> R
     Relation::from_tuples(2, out).expect("binary output")
 }
 
-/// 64-bit superset signature of a value list: the OR of one hash bit per
-/// element. `sig(X) bits ⊆ sig(Y) bits` is necessary for `X ⊆ Y`.
-pub fn signature(values: &[Value]) -> u64 {
-    values
-        .iter()
-        .fold(0u64, |acc, v| acc | (1u64 << (fx_hash_one(v) % 64)))
-}
-
 /// Signature-filtered set join: compare 64-bit signatures first (a single
 /// AND/compare), verify survivors with the exact merge test. Worst case
 /// quadratic — as the paper notes, no better bound is known for
 /// containment — but the filter removes most pairs on selective inputs.
-///
-/// When both element columns are dense (all-integer or all-string), the
-/// work runs on the columnar view — zero-copy group slices, a dense u64
-/// signature fold, and `i64`/dictionary-code verification merges (see
-/// [`crate::columnar`]). Mixed-variant columns fall back to the
-/// row-wise `signature_set_join_rowwise`. Output is identical either
-/// way.
 pub fn signature_set_join(r: &Relation, s: &Relation, pred: SetPredicate) -> Relation {
-    if let Some(out) = crate::columnar::columnar_signature_set_join(r, s, pred) {
-        return out;
-    }
-    signature_set_join_rowwise(r, s, pred)
+    crate::wide_signature::wide_signature_set_join(r, s, pred, 1)
 }
 
-/// The row-wise signature set join: groups materialized as
-/// `(key, Vec<Value>)`, signatures hashed per `Value` — the fallback
-/// for mixed-variant element columns and the in-crate differential
-/// baseline of the columnar path.
-pub(crate) fn signature_set_join_rowwise(
-    r: &Relation,
-    s: &Relation,
-    pred: SetPredicate,
-) -> Relation {
-    let rg = group_sets(r);
-    let sg = group_sets(s);
-    let rsig: Vec<u64> = rg.iter().map(|(_, vs)| signature(vs)).collect();
-    let ssig: Vec<u64> = sg.iter().map(|(_, vs)| signature(vs)).collect();
-    let mut out = Vec::new();
-    for ((a, b_set), &sb) in rg.iter().zip(&rsig) {
-        for ((c, d_set), &sd) in sg.iter().zip(&ssig) {
-            let may = match pred {
-                SetPredicate::Contains => sd & !sb == 0,
-                SetPredicate::ContainedIn => sb & !sd == 0,
-                SetPredicate::Equals => sb == sd,
-                SetPredicate::IntersectsNonempty => sb & sd != 0 || b_set.is_empty(),
-            };
-            if may && predicate_holds(pred, b_set, d_set) {
-                out.push(Tuple::new(vec![a.clone(), c.clone()]));
-            }
-        }
-    }
-    Relation::from_tuples(2, out).expect("binary output")
-}
-
-/// Set-equality join via hashing each group's canonical (sorted) value
-/// list: build a table from `S`'s groups, probe with `R`'s groups.
+/// Set-equality join via hashing each group's canonical (sorted) element
+/// slice: build a table from `S`'s groups, probe with `R`'s groups.
 /// O(n log n) time plus output size — the "sorting or counting tricks"
 /// strategy of footnote 1.
 pub fn hash_set_equality_join(r: &Relation, s: &Relation) -> Relation {
-    let rg = group_sets(r);
-    let sg = group_sets(s);
-    let mut table: FxHashMap<&[Value], Vec<&Value>> = FxHashMap::default();
-    for (c, d_set) in &sg {
-        table.entry(d_set.as_slice()).or_default().push(c);
+    let (r, s) = Operand::pair(r, s);
+    let mut table: FxHashMap<&[i64], Vec<u32>> = FxHashMap::default();
+    for gs in 0..s.len() {
+        table.entry(s.set(gs)).or_default().push(gs as u32);
     }
     let mut out = Vec::new();
-    for (a, b_set) in &rg {
-        if let Some(cs) = table.get(b_set.as_slice()) {
-            for c in cs {
-                out.push(Tuple::new(vec![a.clone(), (*c).clone()]));
-            }
+    for gr in 0..r.len() {
+        if let Some(cs) = table.get(r.set(gr)) {
+            out.extend(cs.iter().map(|&gs| (gr as u32, gs)));
         }
     }
-    Relation::from_tuples(2, out).expect("binary output")
+    emit(&r, &s, out)
 }
 
 /// The `∩ ≠ ∅` set join as an ordinary equijoin — the paper's remark made
 /// executable: `π_{A,C}(R ⋈_{B=D} S)` with duplicates removed by set
 /// semantics.
 pub fn intersect_join_via_equijoin(r: &Relation, s: &Relation) -> Relation {
-    assert_eq!(r.arity(), 2);
-    assert_eq!(s.arity(), 2);
-    // Hash join on B = D, projecting (A, C) immediately.
-    let mut by_d: FxHashMap<&Value, Vec<&Value>> = FxHashMap::default();
-    for t in s {
-        by_d.entry(&t[1]).or_default().push(&t[0]);
-    }
+    let (r, s) = Operand::pair(r, s);
+    // Hash join on B = D, projecting (A-group, C-group) immediately.
+    let by_d = s.postings();
     let mut out = Vec::new();
-    for t in r {
-        if let Some(cs) = by_d.get(&t[1]) {
-            for c in cs {
-                out.push(Tuple::new(vec![t[0].clone(), (*c).clone()]));
+    for gr in 0..r.len() {
+        for v in r.set(gr) {
+            if let Some(cs) = by_d.get(v) {
+                out.extend(cs.iter().map(|&gs| (gr as u32, gs)));
             }
         }
     }
-    Relation::from_tuples(2, out).expect("binary output")
+    emit(&r, &s, out)
 }
 
 #[cfg(test)]
@@ -257,7 +195,6 @@ mod tests {
         let want = Relation::from_str_rows(&[&["An", "flu"], &["Bob", "flu"], &["Bob", "Lyme"]]);
         assert_eq!(nested_loop_set_join(&person(), &disease(), Contains), want);
         assert_eq!(signature_set_join(&person(), &disease(), Contains), want);
-        assert_eq!(set_join(&person(), &disease(), Contains), want);
     }
 
     #[test]
@@ -278,11 +215,6 @@ mod tests {
                 signature_set_join(&r, &s, pred),
                 naive,
                 "signature vs naive on {pred:?}"
-            );
-            assert_eq!(
-                set_join(&r, &s, pred),
-                naive,
-                "default vs naive on {pred:?}"
             );
         }
         assert_eq!(
@@ -333,14 +265,6 @@ mod tests {
         assert_eq!(g[0].0, Value::int(1));
         assert_eq!(g[0].1, vec![Value::int(7), Value::int(8)]);
         assert_eq!(g[1].1, vec![Value::int(9)]);
-    }
-
-    #[test]
-    fn signature_is_superset_monotone() {
-        let small = vec![Value::int(1), Value::int(2)];
-        let big = vec![Value::int(1), Value::int(2), Value::int(3)];
-        let (ss, sb) = (signature(&small), signature(&big));
-        assert_eq!(ss & !sb, 0, "subset signature must be covered");
     }
 
     #[test]

@@ -1,126 +1,49 @@
-//! Configurable-width Bloom signatures for set joins.
+//! The all-pairs signature set join at a configurable width.
 //!
-//! The 64-bit signatures in [`crate::setjoin`] saturate once sets exceed a
-//! few dozen elements, killing the filter's selectivity (visible in the
-//! Zipf benchmark). This module generalizes to `W × 64` bits, the knob
-//! studied by Helmer & Moerkotte (VLDB 1997 — reference \[13\] of the
-//! paper): wider signatures trade memory and per-pair AND cost for a lower
-//! false-positive rate.
+//! 64-bit signatures saturate once sets exceed a few dozen elements,
+//! killing the filter's selectivity (visible in the Zipf benchmark).
+//! `W × 64` bits is the knob studied by Helmer & Moerkotte (VLDB 1997 —
+//! reference \[13\] of the paper): wider signatures trade memory and
+//! per-pair AND cost for a lower false-positive rate. The join is written
+//! once, over the dense operand view at stride `W`;
+//! [`crate::signature_set_join`] is `W = 1`, the registry's
+//! `signature256` is `W = 4`, and [`filter_survivors`] is the same
+//! candidate loop counting instead of verifying.
 
-use crate::setjoin::{group_sets, SetPredicate};
-use sj_storage::hash::fx_hash_one;
-use sj_storage::{Relation, Tuple, Value};
-
-/// A multi-word Bloom signature.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct WideSignature {
-    words: Vec<u64>,
-}
-
-impl WideSignature {
-    /// Signature of a value list with `words × 64` bits.
-    pub fn of(values: &[Value], words: usize) -> Self {
-        assert!(words > 0);
-        let bits = (words * 64) as u64;
-        let mut w = vec![0u64; words];
-        for v in values {
-            let bit = fx_hash_one(v) % bits;
-            w[(bit / 64) as usize] |= 1u64 << (bit % 64);
-        }
-        WideSignature { words: w }
-    }
-
-    /// Is every bit of `self` also set in `other`? (Necessary condition
-    /// for the underlying set inclusion.)
-    pub fn subset_of(&self, other: &WideSignature) -> bool {
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(a, b)| a & !b == 0)
-    }
-
-    /// Do the signatures share a bit? (Necessary for nonempty
-    /// intersection.)
-    pub fn intersects(&self, other: &WideSignature) -> bool {
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
-    }
-
-    /// Number of set bits.
-    pub fn popcount(&self) -> u32 {
-        self.words.iter().map(|w| w.count_ones()).sum()
-    }
-
-    /// Width in words.
-    pub fn width(&self) -> usize {
-        self.words.len()
-    }
-}
+use crate::columnar::{emit, Signed};
+use crate::setjoin::SetPredicate;
+use sj_storage::Relation;
 
 /// Signature-filtered set join with a configurable signature width
-/// (`words × 64` bits). Semantically identical to
-/// [`crate::setjoin::signature_set_join`]; the width only changes how many
-/// pairs reach the exact verification.
+/// (`words × 64` bits): compare signatures first, verify survivors with
+/// the exact merge test. The width only changes how many pairs reach the
+/// verification, never the result.
+///
+/// # Panics
+///
+/// If `words` is zero.
 pub fn wide_signature_set_join(
     r: &Relation,
     s: &Relation,
     pred: SetPredicate,
     words: usize,
 ) -> Relation {
-    let rg = group_sets(r);
-    let sg = group_sets(s);
-    let rsig: Vec<WideSignature> = rg
-        .iter()
-        .map(|(_, vs)| WideSignature::of(vs, words))
-        .collect();
-    let ssig: Vec<WideSignature> = sg
-        .iter()
-        .map(|(_, vs)| WideSignature::of(vs, words))
-        .collect();
-    let mut out: Vec<Tuple> = Vec::new();
-    for ((a, b_set), sb) in rg.iter().zip(&rsig) {
-        for ((c, d_set), sd) in sg.iter().zip(&ssig) {
-            let may = match pred {
-                SetPredicate::Contains => sd.subset_of(sb),
-                SetPredicate::ContainedIn => sb.subset_of(sd),
-                SetPredicate::Equals => sb == sd,
-                SetPredicate::IntersectsNonempty => sb.intersects(sd) || b_set.is_empty(),
-            };
-            if may && crate::setjoin::predicate_holds_public(pred, b_set, d_set) {
-                out.push(Tuple::new(vec![a.clone(), c.clone()]));
-            }
+    let x = Signed::new(r, s, pred, words);
+    let mut out = Vec::new();
+    x.for_each_candidate(|gr, gs| {
+        if x.verify(gr, gs) {
+            out.push((gr as u32, gs as u32));
         }
-    }
-    Relation::from_tuples(2, out).expect("binary output")
+    });
+    emit(&x.r, &x.s, out)
 }
 
 /// Count how many candidate pairs survive the signature filter (before
 /// exact verification) — the measurement behind the width-ablation
 /// experiment: larger `words` ⇒ fewer false positives.
 pub fn filter_survivors(r: &Relation, s: &Relation, pred: SetPredicate, words: usize) -> usize {
-    let rg = group_sets(r);
-    let sg = group_sets(s);
-    let rsig: Vec<WideSignature> = rg
-        .iter()
-        .map(|(_, vs)| WideSignature::of(vs, words))
-        .collect();
-    let ssig: Vec<WideSignature> = sg
-        .iter()
-        .map(|(_, vs)| WideSignature::of(vs, words))
-        .collect();
     let mut survivors = 0usize;
-    for ((_, b_set), sb) in rg.iter().zip(&rsig) {
-        for (_, sd) in sg.iter().zip(&ssig).map(|((_, d), sig)| (d, sig)) {
-            let may = match pred {
-                SetPredicate::Contains => sd.subset_of(sb),
-                SetPredicate::ContainedIn => sb.subset_of(sd),
-                SetPredicate::Equals => *sb == *sd,
-                SetPredicate::IntersectsNonempty => sb.intersects(sd) || b_set.is_empty(),
-            };
-            if may {
-                survivors += 1;
-            }
-        }
-    }
+    Signed::new(r, s, pred, words).for_each_candidate(|_, _| survivors += 1);
     survivors
 }
 
@@ -202,19 +125,5 @@ mod tests {
                 last = surv;
             }
         }
-    }
-
-    #[test]
-    fn signature_basics() {
-        let a = WideSignature::of(&[Value::int(1), Value::int(2)], 2);
-        let b = WideSignature::of(&[Value::int(1), Value::int(2), Value::int(3)], 2);
-        assert!(a.subset_of(&b));
-        assert!(a.intersects(&b));
-        assert!(a.popcount() <= 2);
-        assert_eq!(a.width(), 2);
-        let empty = WideSignature::of(&[], 2);
-        assert!(empty.subset_of(&a));
-        assert!(!empty.intersects(&a));
-        assert_eq!(empty.popcount(), 0);
     }
 }

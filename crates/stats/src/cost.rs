@@ -5,7 +5,8 @@
 //! that classification for the direct algorithms (it lives here, at the
 //! bottom of the dependency graph, so both the `sj-setjoin` registry
 //! and the planner can speak it). A complexity class alone cannot rank
-//! two linear algorithms, so [`CostModel`] refines it into a scalar
+//! two linear algorithms, so [`CostModel`] supplies the unit costs the
+//! registry's per-algorithm formulas combine into a scalar
 //! **estimated cost** in abstract *tuple-operation units*: one unit ≈
 //! touching one tuple in a tight merge scan (a handful of nanoseconds
 //! on current hardware). The per-operation constants are hand-set; no
@@ -128,22 +129,6 @@ impl CostModel {
         }
     }
 
-    /// The generic class→cost mapping: price `n` input tuples at the
-    /// given [`ComplexityClass`]. This is the fallback the registry's
-    /// cost-based selector uses for algorithms it has no refined
-    /// formula for (e.g. user-registered ones) — the complexity class
-    /// is the only thing the [`ComplexityClass`]-carrying traits
-    /// guarantee.
-    pub fn class_cost(&self, class: ComplexityClass, n: f64) -> f64 {
-        let n = n.max(0.0);
-        self.tuple_pass
-            * match class {
-                ComplexityClass::Linear => n,
-                ComplexityClass::Quasilinear => n * (n + 1.0).log2(),
-                ComplexityClass::Quadratic => n * n,
-            }
-    }
-
     /// Should a partition-parallel binary plan node (hash/merge
     /// join or semijoin) be partitioned across `workers` threads, given
     /// the operands' actual cardinalities? Compares the partitioning
@@ -185,26 +170,6 @@ mod tests {
         assert_eq!(ComplexityClass::Quadratic.to_string(), "O(n²)");
         assert!(ComplexityClass::Linear < ComplexityClass::Quasilinear);
         assert!(ComplexityClass::Quasilinear < ComplexityClass::Quadratic);
-    }
-
-    #[test]
-    fn class_cost_is_monotone_in_class_and_size() {
-        let m = CostModel::default();
-        for n in [10.0, 1000.0, 1e6] {
-            assert!(
-                m.class_cost(ComplexityClass::Linear, n)
-                    < m.class_cost(ComplexityClass::Quasilinear, n)
-            );
-            assert!(
-                m.class_cost(ComplexityClass::Quasilinear, n)
-                    < m.class_cost(ComplexityClass::Quadratic, n)
-            );
-        }
-        assert!(
-            m.class_cost(ComplexityClass::Linear, 100.0)
-                < m.class_cost(ComplexityClass::Linear, 200.0)
-        );
-        assert_eq!(m.class_cost(ComplexityClass::Quadratic, 0.0), 0.0);
     }
 
     #[test]

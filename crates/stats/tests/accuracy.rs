@@ -126,7 +126,7 @@ proptest! {
         let s = Relation::unary((0..2).map(Value::int));
         let stats = TableStats::analyze(&r);
         let est = division_rows(&stats, s.len(), false);
-        let actual = sj_setjoin::divide(&r, &s, sj_setjoin::DivisionSemantics::Containment).len();
+        let actual = sj_setjoin::hash_division(&r, &s, sj_setjoin::DivisionSemantics::Containment).len();
         let q = q_error(est, actual);
         prop_assert!(q <= 12.0, "division q-error {q:.2} (est {est:.1}, actual {actual})");
     }

@@ -407,7 +407,7 @@ pub fn adversarial_division_series(group_counts: &[usize], seed: u64) -> Vec<Dat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sj_setjoin::{divide, DivisionSemantics};
+    use sj_setjoin::{hash_division, DivisionSemantics};
 
     #[test]
     fn division_workload_expected_quotient_is_correct() {
@@ -422,7 +422,7 @@ mod tests {
             };
             let (r, s, expected) = w.generate();
             assert_eq!(
-                divide(&r, &s, DivisionSemantics::Containment),
+                hash_division(&r, &s, DivisionSemantics::Containment),
                 expected,
                 "seed {seed}"
             );
@@ -462,7 +462,10 @@ mod tests {
         };
         let (r, s, expected) = w.generate();
         assert!(s.is_empty());
-        assert_eq!(divide(&r, &s, DivisionSemantics::Containment), expected);
+        assert_eq!(
+            hash_division(&r, &s, DivisionSemantics::Containment),
+            expected
+        );
     }
 
     #[test]
@@ -476,11 +479,14 @@ mod tests {
             seed: 99,
         };
         let (r, s) = w.generate();
-        let rg = sj_setjoin::group_sets(&r);
-        assert_eq!(rg.len(), 30);
-        assert!(rg.iter().all(|(_, vs)| vs.len() == 5));
-        let sg = sj_setjoin::group_sets(&s);
-        assert_eq!(sg.len(), 20);
+        // Fixed(5) caps every set at five elements, so groups × 5 rows
+        // means every group is full.
+        let keys = |rel: &Relation| {
+            let keys: std::collections::BTreeSet<_> = rel.iter().map(|t| t[0].clone()).collect();
+            keys.len()
+        };
+        assert_eq!((keys(&r), r.len()), (30, 150));
+        assert_eq!((keys(&s), s.len()), (20, 100));
         // Key ranges disjoint.
         let max_r_key = r.iter().map(|t| t[0].clone()).max().unwrap();
         let min_s_key = s.iter().map(|t| t[0].clone()).min().unwrap();

@@ -66,8 +66,9 @@
 //!
 //! The pre-`Engine` free functions remain exported — `evaluate`,
 //! `evaluate_instrumented` and `evaluate_reference` (the tree walkers
-//! `Strategy::Naive` / `Reference` run), `divide` and `set_join` (the
-//! direct operators on bare relations).
+//! `Strategy::Naive` / `Reference` run); the direct operators on bare
+//! relations are `sj_setjoin`'s per-algorithm functions
+//! (`setjoin::hash_division`, `setjoin::signature_set_join`, …).
 
 pub use sj_algebra as algebra;
 pub use sj_bisim as bisim;
@@ -94,9 +95,7 @@ pub mod prelude {
         evaluate, evaluate_instrumented, AlgorithmChoice, Engine, Execution, Instrument, JoinOrder,
         Parallelism, Query, QueryOutput, Report, SetOpOutput, StatsMode, Strategy,
     };
-    pub use sj_setjoin::{
-        divide, set_join, ComplexityClass, DivisionSemantics, Registry, SetPredicate,
-    };
+    pub use sj_setjoin::{ComplexityClass, DivisionSemantics, Registry, SetPredicate};
     pub use sj_stats::{CostModel, StatsCatalog, TableStats};
     pub use sj_storage::{tuple, Database, Relation, Schema, Tuple, Value};
 }

@@ -55,9 +55,9 @@ fn divisors() -> Vec<(&'static str, Relation)> {
     ]
 }
 
-/// Every registered division algorithm, every worker count, every
-/// adversarial input: byte-identical to its own serial run and to the
-/// registry baseline.
+/// Every registered division algorithm, every worker count (1 is the
+/// serial run), every adversarial input: byte-identical to the
+/// nested-loop baseline.
 #[test]
 fn division_algorithms_parallel_equals_serial_on_adversarial_inputs() {
     let reg = Registry::standard();
@@ -66,15 +66,9 @@ fn division_algorithms_parallel_equals_serial_on_adversarial_inputs() {
             for sem in [DivisionSemantics::Containment, DivisionSemantics::Equality] {
                 let baseline = sj_setjoin::nested_loop_division(&r, &s, sem);
                 for alg in reg.division_algorithms() {
-                    assert_eq!(
-                        alg.run(&r, &s, sem),
-                        baseline,
-                        "{} serial on {rname}÷{sname} {sem:?}",
-                        alg.name()
-                    );
                     for n in WORKER_COUNTS {
                         assert_eq!(
-                            alg.run_with_workers(&r, &s, sem, n),
+                            alg.run(&r, &s, sem, n),
                             baseline,
                             "{} @{n} workers on {rname}÷{sname} {sem:?}",
                             alg.name()
@@ -107,7 +101,7 @@ fn set_join_algorithms_parallel_equals_serial_on_adversarial_inputs() {
                     }
                     for n in WORKER_COUNTS {
                         assert_eq!(
-                            alg.run_with_workers(&r, &s, pred, n),
+                            alg.run(&r, &s, pred, n),
                             baseline,
                             "{} @{n} workers on {rname}⋈{sname} {pred:?}",
                             alg.name()
@@ -313,7 +307,7 @@ proptest! {
                 }
                 for n in WORKER_COUNTS {
                     prop_assert_eq!(
-                        alg.run_with_workers(&r, &s, pred, n),
+                        alg.run(&r, &s, pred, n),
                         baseline.clone(),
                         "{} {:?} @{}", alg.name(), pred, n
                     );
@@ -325,7 +319,7 @@ proptest! {
             for alg in reg.division_algorithms() {
                 for n in WORKER_COUNTS {
                     prop_assert_eq!(
-                        alg.run_with_workers(&r, &d, sem, n),
+                        alg.run(&r, &d, sem, n),
                         baseline.clone(),
                         "{} {:?} @{}", alg.name(), sem, n
                     );

@@ -145,6 +145,6 @@ fn generalized_division_on_workload() {
     let divisor = Relation::unary(r2.iter().take(3).map(|t| t[1].clone()));
     let via_general =
         sj_setjoin::divide_general(&r3, &[1], 2, &divisor, DivisionSemantics::Containment);
-    let via_binary = sj_setjoin::divide(&r2, &divisor, DivisionSemantics::Containment);
+    let via_binary = sj_setjoin::hash_division(&r2, &divisor, DivisionSemantics::Containment);
     assert_eq!(via_general, via_binary);
 }

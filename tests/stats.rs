@@ -8,7 +8,6 @@
 
 use setjoins::prelude::*;
 use sj_algebra::division;
-use sj_setjoin::registry::{division_cost, DivisionAlgorithm};
 use sj_workload::{DivisionWorkload, ElementDist, SetJoinWorkload, SetSizeDist};
 
 fn division_db(groups: usize) -> Database {
@@ -92,7 +91,7 @@ fn stats_modes_never_change_results() {
     }
 }
 
-/// The pick is the arg-min of `division_cost` over the registry, pinned
+/// The pick is the arg-min of `DivisionAlgorithm::cost` over the table, pinned
 /// on the two dividends either side of 64 tuples where the retired
 /// threshold rule used to flip; the quotient is the nested loop's.
 #[test]
@@ -112,13 +111,15 @@ fn stats_off_reproduces_threshold_selection_at_the_boundaries() {
         let db = mk(total);
         let (r, s) = (db.get("R").unwrap(), db.get("S").unwrap());
         let (rs, ss) = (TableStats::analyze(r), TableStats::analyze(s));
-        let cost = |alg: &dyn DivisionAlgorithm| division_cost(&model, alg, &rs, &ss, sem, 1);
-        // Latest registration wins exact ties, hence `rev`.
+        // The latest entry wins exact ties, hence `rev`.
         let cheapest = Registry::standard()
             .division_algorithms()
             .iter()
             .rev()
-            .min_by(|a, b| cost(a.as_ref()).total_cmp(&cost(b.as_ref())))
+            .min_by(|a, b| {
+                a.cost(&model, &rs, &ss, 1)
+                    .total_cmp(&b.cost(&model, &rs, &ss, 1))
+            })
             .unwrap()
             .name();
         let out = Engine::new(db.clone()).divide("R", "S", sem).unwrap();
@@ -238,7 +239,7 @@ fn stats_api_is_exported() {
     assert_eq!(stats.rows, 2);
     assert_eq!(stats.groups(), 1);
     let model = CostModel::default();
-    assert!(model.class_cost(ComplexityClass::Quadratic, 100.0) > 0.0);
+    assert!(model.hash_worthwhile(100.0, 100.0));
     let catalog: StatsCatalog = StatsCatalog::new();
     assert!(catalog.is_empty());
     let _ = setjoins::stats::Histogram::empty();
