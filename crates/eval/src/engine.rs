@@ -175,7 +175,6 @@ pub struct Engine {
     algorithm: AlgorithmChoice,
     parallelism: Parallelism,
     catalog: Arc<StatsCatalog>,
-    cost_model: Arc<CostModel>,
     join_order: JoinOrder,
 }
 
@@ -184,9 +183,10 @@ impl Engine {
     /// ([`OptimizeLevel::Off`] — the expression runs as written),
     /// [`Strategy::Planned`], [`Instrument::Off`],
     /// [`AlgorithmChoice::Auto`],
-    /// [`Parallelism::Serial`], [`JoinOrder::Dp`], the default
-    /// [`CostModel`] and an empty statistics catalog that fills on
-    /// first use.
+    /// [`Parallelism::Serial`], [`JoinOrder::Dp`] and an empty
+    /// statistics catalog that fills on first use. Plans and `Auto`
+    /// picks are priced with [`CostModel::default`] — the one statement
+    /// of the cost constants; there is no knob to swap it.
     pub fn new(db: Database) -> Engine {
         Engine {
             db,
@@ -196,7 +196,6 @@ impl Engine {
             algorithm: AlgorithmChoice::default(),
             parallelism: Parallelism::default(),
             catalog: Arc::new(StatsCatalog::new()),
-            cost_model: Arc::new(CostModel::default()),
             join_order: JoinOrder::default(),
         }
     }
@@ -204,13 +203,6 @@ impl Engine {
     /// Set the optimizer level (a named pass pipeline).
     pub fn optimize(mut self, level: OptimizeLevel) -> Engine {
         self.pipeline = level.pipeline();
-        self
-    }
-
-    /// Set a custom optimizer pass pipeline (finer-grained than
-    /// [`Engine::optimize`]).
-    pub fn passes(mut self, pipeline: Pipeline) -> Engine {
-        self.pipeline = pipeline;
         self
     }
 
@@ -260,38 +252,6 @@ impl Engine {
         self
     }
 
-    /// Swap in a custom [`CostModel`] (e.g. re-calibrated constants
-    /// for different hardware).
-    pub fn cost_model(mut self, model: CostModel) -> Engine {
-        self.cost_model = Arc::new(model);
-        self
-    }
-
-    /// The cost model the engine currently plans with.
-    pub fn cost_model_ref(&self) -> &CostModel {
-        &self.cost_model
-    }
-
-    /// Refit the cost-model constants from the kernel spans recorded in
-    /// `log` — the observability feedback loop. Every closed
-    /// `kernel.*` span (recorded by running queries under an installed
-    /// [`sj_obs::Collector`]) contributes its operand sizes, worker
-    /// count, output rows, and wall-clock duration; the
-    /// [`sj_stats::Calibrator`] refits the constants by relative-error
-    /// least squares, keeping the engine's current constants for
-    /// primitives the trace never exercised. Returns the recalibrated
-    /// model; apply it with [`Engine::cost_model`]:
-    ///
-    /// ```ignore
-    /// let model = engine.calibrate(&ring.log());
-    /// let engine = engine.cost_model(model);
-    /// ```
-    pub fn calibrate(&self, log: &sj_obs::TraceLog) -> CostModel {
-        let mut calibrator = sj_stats::Calibrator::new();
-        calibrator.observe_trace(log);
-        calibrator.fit(&self.cost_model)
-    }
-
     /// Set the join-order mode: how the planner associates join chains
     /// ([`JoinOrder::Dp`], the default, runs the exhaustive bushy search
     /// and enables the worst-case-optimal multiway collapse for
@@ -300,11 +260,6 @@ impl Engine {
     pub fn join_order(mut self, order: JoinOrder) -> Engine {
         self.join_order = order;
         self
-    }
-
-    /// The configured join-order mode.
-    pub fn join_order_mode(&self) -> JoinOrder {
-        self.join_order
     }
 
     /// The statistics catalog, shared by every clone and
@@ -330,7 +285,7 @@ impl Engine {
     }
 
     /// A clone of this engine bound to a different database, sharing
-    /// everything else: the cost model and — crucially — the
+    /// everything else — crucially the
     /// [`StatsCatalog`], so statistics analyzed by any fork benefit all
     /// of them (the catalog's `Arc::ptr_eq` freshness check keeps this
     /// sound across databases that share relation `Arc`s, e.g.
@@ -343,11 +298,6 @@ impl Engine {
         let mut forked = self.clone();
         forked.db = db;
         forked
-    }
-
-    /// The configured optimizer pipeline.
-    pub fn optimizer(&self) -> &Pipeline {
-        &self.pipeline
     }
 
     /// Build a [`Query`] for `expr` against this engine's configuration.
@@ -370,7 +320,7 @@ impl Engine {
         let alg = match &self.algorithm {
             AlgorithmChoice::Auto => {
                 let (rs, ss) = (self.operand_stats(dividend), self.operand_stats(divisor));
-                Registry::standard().auto_division(&rs, &ss, workers, &self.cost_model)
+                Registry::standard().auto_division(&rs, &ss, workers, &CostModel::default())
             }
             AlgorithmChoice::Named(name) => Registry::standard()
                 .find_division(name)
@@ -405,7 +355,7 @@ impl Engine {
         let alg = match &self.algorithm {
             AlgorithmChoice::Auto => {
                 let (rs, ss) = (self.operand_stats(left), self.operand_stats(right));
-                Registry::standard().auto_set_join(&rs, &ss, pred, workers, &self.cost_model)
+                Registry::standard().auto_set_join(&rs, &ss, pred, workers, &CostModel::default())
             }
             AlgorithmChoice::Named(name) => {
                 let alg = Registry::standard()
@@ -437,7 +387,7 @@ impl Engine {
             expr,
             &self.db.schema(),
             &CatalogSource::new(&self.catalog, &self.db),
-            &self.cost_model,
+            &CostModel::default(),
             self.join_order,
         )
     }
@@ -660,15 +610,6 @@ mod tests {
             full.query(e.clone()).run().unwrap().relation,
             off.query(e).run().unwrap().relation
         );
-    }
-
-    #[test]
-    fn custom_pass_pipeline_is_respected() {
-        use sj_algebra::{Pass, Pipeline};
-        let e = Expr::rel("R").project([2, 1]).project([2, 2]);
-        let engine = Engine::new(division_db()).passes(Pipeline::new([Pass::ProjectionPruning]));
-        let opt = engine.query(e).optimized().unwrap();
-        assert_eq!(sj_algebra::to_text(&opt), "project[1,1](R)");
     }
 
     #[test]

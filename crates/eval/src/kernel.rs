@@ -39,7 +39,8 @@
 //! ranges, each seeing the whole right operand (one range when serial).
 //! Operands beyond the `u32` row capacity are an input condition, not a
 //! panic: one gate at every entry point, for every worker count, hands
-//! them to the row operators of [`crate::ops`].
+//! them to the row operators [`ops::join`] / [`ops::semijoin`] (a merge
+//! call on its rebuilt condition `1=1 ∧ … ∧ k=k ∧ residual`).
 //!
 //! Output is byte-identical to [`crate::ops`] for every worker count —
 //! `tests/vectorized.rs` holds the kernels to the row operators and to a
@@ -397,6 +398,14 @@ pub fn semijoin(
     })
 }
 
+/// The θ a merge kernel call on the aligned prefix `0..k` computes,
+/// `1=1 ∧ … ∧ k=k ∧ residual` — what its capacity fallback hands to the
+/// row operators.
+fn prefix_condition(k: usize, residual: &Condition) -> Condition {
+    let prefix = Condition::eq_pairs((1..=k).map(|c| (c, c)));
+    Condition::new(prefix.atoms().iter().chain(residual.atoms()).copied())
+}
+
 /// Merge equi-join on an aligned key prefix of length `k` (see
 /// [`ops::merge_prefix_len`]) at the given worker count.
 pub fn merge_join(
@@ -407,7 +416,7 @@ pub fn merge_join(
     _exec: Execution,
     workers: usize,
 ) -> (Relation, Vec<PartitionStat>) {
-    let fallback = || ops::merge_join(r1, r2, k, residual);
+    let fallback = || ops::join(r1, r2, &prefix_condition(k, residual));
     kernel_call("kernel.merge_join", r1, r2, workers, fallback, || {
         let placed = Placement::by_prefix(r1, r2, k, workers);
         let (outs, stats) = run_pairs(placed.pairs(r1, r2), workers, |l, r| {
@@ -427,7 +436,7 @@ pub fn merge_semijoin(
     _exec: Execution,
     workers: usize,
 ) -> (Relation, Vec<PartitionStat>) {
-    let fallback = || ops::merge_semijoin(r1, r2, k, residual);
+    let fallback = || ops::semijoin(r1, r2, &prefix_condition(k, residual));
     kernel_call("kernel.merge_semijoin", r1, r2, workers, fallback, || {
         let placed = Placement::by_prefix(r1, r2, k, workers);
         let (outs, stats) = run_pairs(placed.pairs(r1, r2), workers, |l, r| {
@@ -892,7 +901,7 @@ pub fn multiway_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sj_algebra::CompOp;
+    use sj_algebra::{Atom, CompOp};
     use sj_storage::tuple;
 
     fn r(rows: &[&[i64]]) -> Relation {
@@ -971,12 +980,13 @@ mod tests {
         }
     }
 
-    /// Merge variants: every worker count equals the row merge.
+    /// Merge variants: every worker count equals the row operators on
+    /// the rebuilt condition — the call the capacity fallback makes.
     #[test]
     fn kernel_merge_variants_match_serial_reference() {
         let residuals = [
             Condition::always(),
-            Condition::new([sj_algebra::Atom {
+            Condition::new([Atom {
                 left: 2,
                 op: CompOp::Neq,
                 right: 2,
@@ -984,8 +994,9 @@ mod tests {
         ];
         for (name, a, b) in operands() {
             for residual in &residuals {
-                let want_join = ops::merge_join(&a, &b, 1, residual);
-                let want_semi = ops::merge_semijoin(&a, &b, 1, residual);
+                let theta = prefix_condition(1, residual);
+                let want_join = ops::join(&a, &b, &theta);
+                let want_semi = ops::semijoin(&a, &b, &theta);
                 for workers in [1usize, 3, 4, 8] {
                     let (j, jstats) =
                         merge_join(&a, &b, 1, residual, Execution::Vectorized, workers);

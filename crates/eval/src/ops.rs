@@ -60,8 +60,10 @@ pub(crate) fn split_condition(theta: &Condition) -> (Vec<(usize, usize)>, Condit
     (eq, residual)
 }
 
-/// The physical dispatch [`join`] uses for θ, by name — the single source
-/// of truth for instrumentation reports (the planner's merge variants are
+/// The physical dispatch [`join`] and [`crate::kernel::join`] use for θ,
+/// by name: hash when θ has an equality atom, filtered nested loop
+/// otherwise. The single source of operator names for the naive walker's
+/// reports and for `PhysOp::Join` (the planner's merge variants are
 /// chosen a level above, in `plan`).
 pub fn join_dispatch(theta: &Condition) -> &'static str {
     if split_condition(theta).0.is_empty() {
@@ -71,7 +73,8 @@ pub fn join_dispatch(theta: &Condition) -> &'static str {
     }
 }
 
-/// The physical dispatch [`semijoin`] uses for θ, by name.
+/// The physical dispatch [`semijoin`] and [`crate::kernel::semijoin`] use
+/// for θ, by name (see [`join_dispatch`]).
 pub fn semijoin_dispatch(theta: &Condition) -> &'static str {
     if split_condition(theta).0.is_empty() {
         "nested-loop-semijoin"
@@ -172,10 +175,10 @@ pub fn semijoin(r1: &Relation, r2: &Relation, theta: &Condition) -> Relation {
 ///
 /// Relations are stored in canonical (lexicographic) order, so both
 /// operands of such a condition are already sorted by their key: the
-/// planner in [`crate::plan`] can then run [`merge_join`] /
-/// [`merge_semijoin`] without any sort or hash-table build. Returns `None`
-/// when θ has no equality atom or the equalities are not an aligned
-/// prefix.
+/// planner in [`crate::plan`] can then run [`crate::kernel::merge_join`]
+/// / [`crate::kernel::merge_semijoin`] without any sort or hash-table
+/// build. Returns `None` when θ has no equality atom or the equalities
+/// are not an aligned prefix.
 pub fn merge_prefix_len(theta: &Condition) -> Option<usize> {
     let (mut eq, _) = split_condition(theta);
     if eq.is_empty() {
@@ -189,85 +192,6 @@ pub fn merge_prefix_len(theta: &Condition) -> Option<usize> {
         }
     }
     Some(eq.len())
-}
-
-/// Compare the first `k` components of two tuples.
-#[inline]
-fn cmp_prefix(a: &Tuple, b: &Tuple, k: usize) -> std::cmp::Ordering {
-    a.values()[..k].cmp(&b.values()[..k])
-}
-
-/// End of the run of tuples sharing `ts[start]`'s first `k` components.
-#[inline]
-fn run_end(ts: &[Tuple], start: usize, k: usize) -> usize {
-    let mut end = start + 1;
-    while end < ts.len() && cmp_prefix(&ts[end], &ts[start], k) == std::cmp::Ordering::Equal {
-        end += 1;
-    }
-    end
-}
-
-/// Merge equi-join on an aligned key prefix of length `k` (see
-/// [`merge_prefix_len`]), with `residual` applied to each candidate pair.
-///
-/// Both inputs are in canonical order, hence sorted by the key; the output
-/// is produced already in canonical order (pairs are emitted in
-/// lexicographic `(t₁, t₂)` order and are pairwise distinct), so no
-/// re-sort or dedup is needed.
-pub fn merge_join(r1: &Relation, r2: &Relation, k: usize, residual: &Condition) -> Relation {
-    let (a, b) = (r1.tuples(), r2.tuples());
-    let mut out: Vec<Tuple> = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match cmp_prefix(&a[i], &b[j], k) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let (i_end, j_end) = (run_end(a, i, k), run_end(b, j, k));
-                for t1 in &a[i..i_end] {
-                    for t2 in &b[j..j_end] {
-                        if residual.eval(t1.values(), t2.values()) {
-                            out.push(t1.concat(t2));
-                        }
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    Relation::from_sorted_tuples(r1.arity() + r2.arity(), out)
-}
-
-/// Merge equi-semijoin on an aligned key prefix of length `k` (see
-/// [`merge_prefix_len`]). A left tuple survives iff its key block on the
-/// right contains a tuple passing `residual`. Output is a subsequence of
-/// the (canonically ordered) left input — no re-sort needed.
-pub fn merge_semijoin(r1: &Relation, r2: &Relation, k: usize, residual: &Condition) -> Relation {
-    let (a, b) = (r1.tuples(), r2.tuples());
-    let mut out: Vec<Tuple> = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match cmp_prefix(&a[i], &b[j], k) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let (i_end, j_end) = (run_end(a, i, k), run_end(b, j, k));
-                for t1 in &a[i..i_end] {
-                    if residual.is_empty()
-                        || b[j..j_end]
-                            .iter()
-                            .any(|t2| residual.eval(t1.values(), t2.values()))
-                    {
-                        out.push(t1.clone());
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    Relation::from_sorted_tuples(r1.arity(), out)
 }
 
 /// `γ_{cols; count}(r)` — group by the 1-based `cols` and append the group
@@ -453,61 +377,6 @@ mod tests {
         assert_eq!(
             merge_prefix_len(&Condition::eq_pairs([(1, 1), (2, 1)])),
             None
-        );
-    }
-
-    #[test]
-    fn merge_join_matches_hash_join() {
-        let a = r(&[&[1, 10], &[1, 20], &[2, 5], &[3, 1], &[3, 2]]);
-        let b = r(&[&[1, 100], &[1, 200], &[3, 7], &[4, 9]]);
-        for theta in [
-            Condition::eq(1, 1),
-            Condition::eq(1, 1).and(2, CompOp::Lt, 2),
-            Condition::eq(1, 1).and(2, CompOp::Neq, 2),
-        ] {
-            let k = merge_prefix_len(&theta).unwrap();
-            let (_, residual) = split_condition(&theta);
-            assert_eq!(
-                merge_join(&a, &b, k, &residual),
-                join(&a, &b, &theta),
-                "theta = {theta}"
-            );
-        }
-        // Composite prefix key.
-        let c = r(&[&[1, 10, 0], &[1, 10, 1], &[2, 5, 2]]);
-        let d = r(&[&[1, 10, 7], &[2, 6, 8]]);
-        let theta = Condition::eq_pairs([(1, 1), (2, 2)]);
-        assert_eq!(
-            merge_join(&c, &d, 2, &Condition::always()),
-            join(&c, &d, &theta)
-        );
-        // Empty operands.
-        assert_eq!(
-            merge_join(&Relation::empty(2), &b, 1, &Condition::always()),
-            Relation::empty(4)
-        );
-    }
-
-    #[test]
-    fn merge_semijoin_matches_hash_semijoin() {
-        let a = r(&[&[1, 10], &[1, 20], &[2, 5], &[3, 1]]);
-        let b = r(&[&[1, 15], &[3, 0], &[4, 9]]);
-        for theta in [
-            Condition::eq(1, 1),
-            Condition::eq(1, 1).and(2, CompOp::Lt, 2),
-            Condition::eq(1, 1).and(2, CompOp::Gt, 2),
-        ] {
-            let k = merge_prefix_len(&theta).unwrap();
-            let (_, residual) = split_condition(&theta);
-            assert_eq!(
-                merge_semijoin(&a, &b, k, &residual),
-                semijoin(&a, &b, &theta),
-                "theta = {theta}"
-            );
-        }
-        assert_eq!(
-            merge_semijoin(&a, &Relation::empty(2), 1, &Condition::always()),
-            Relation::empty(2)
         );
     }
 

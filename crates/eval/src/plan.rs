@@ -21,16 +21,19 @@
 //!    (lexicographic) order, so when a join/semijoin's equality atoms pair
 //!    an aligned column prefix (`1=1, …, k=k` — see
 //!    [`ops::merge_prefix_len`]) both operands are *already sorted by the
-//!    key* and the planner picks a sort-free merge join/semijoin; other
-//!    equality conditions get the hash variants, and equality-free
-//!    conditions fall back to filtered nested loops. Non-equality atoms
-//!    ride along as residual filters, reusing the `ops` machinery.
+//!    key* and the planner picks a sort-free merge join/semijoin. Every
+//!    other θ gets the one [`PhysOp::Join`] / [`PhysOp::Semijoin`]
+//!    variant, whose kernel hashes on θ's equality atoms and falls back
+//!    to a filtered nested loop when there are none — the node is named
+//!    by that same rule ([`ops::join_dispatch`]), so the name in
+//!    `EXPLAIN` is the body that runs. Non-equality atoms ride along as
+//!    residual filters.
 //!
 //! Every plan is costed. [`PhysicalPlan::of_costed_with_order`] is the
-//! one constructor: it takes the statistics source and the cost model
-//! that order join chains, demote hash builds on provably tiny operands,
-//! annotate every node with an estimate and, at execution time, gate
-//! partition parallelism. [`crate::Engine`] calls it with its own
+//! one constructor: it takes the statistics source that orders join
+//! chains and annotates every node with an estimate, and the cost model
+//! that gates partition parallelism at execution time. Operator choice
+//! reads θ alone. [`crate::Engine`] calls it with its own
 //! catalog; [`PhysicalPlan::execute_with`] /
 //! [`PhysicalPlan::execute_reported`] run the plan (the latter hands a
 //! [`Report`] with per-node operator choice, estimate, cardinality and
@@ -74,20 +77,19 @@ pub enum PhysOp {
     Filter(Selection),
     /// Constant tagging.
     Tag(Value),
-    /// Hash equi-join (+ residual filter) — build right, probe left.
-    HashJoin(Condition),
+    /// `⋈θ` off the aligned prefix, through [`kernel::join`]: hash join
+    /// on θ's equality atoms (build right, probe left, residual filter),
+    /// filtered nested loop when θ has none. [`PhysOp::name`] says which.
+    Join(Condition),
     /// Sort-free merge join: the equality atoms pair the first `prefix`
     /// columns of both operands in order, which both canonical inputs are
     /// already sorted by.
     MergeJoin { theta: Condition, prefix: usize },
-    /// Filtered nested-loop join (no equality atom to index on).
-    NestedLoopJoin(Condition),
-    /// Hash equi-semijoin (+ residual filter).
-    HashSemijoin(Condition),
+    /// `⋉θ` off the aligned prefix, through [`kernel::semijoin`] (see
+    /// [`PhysOp::Join`]).
+    Semijoin(Condition),
     /// Sort-free merge semijoin on an aligned key prefix.
     MergeSemijoin { theta: Condition, prefix: usize },
-    /// Nested-loop semijoin (no equality atom).
-    NestedLoopSemijoin(Condition),
     /// Hash grouping with a count aggregate.
     HashGroupCount(Vec<usize>),
     /// Worst-case-optimal multiway join of a cyclic join chain
@@ -100,7 +102,10 @@ pub enum PhysOp {
 }
 
 impl PhysOp {
-    /// Short operator name for reports and `explain` output.
+    /// Short operator name for reports and `explain` output. The
+    /// θ-dispatched variants are named by the rule their kernel applies
+    /// ([`ops::join_dispatch`] / [`ops::semijoin_dispatch`]), so a label
+    /// that differs from the body cannot be written down.
     pub fn name(&self) -> &'static str {
         match self {
             PhysOp::Scan(_) => "scan",
@@ -109,12 +114,10 @@ impl PhysOp {
             PhysOp::Project(_) => "project",
             PhysOp::Filter(_) => "filter",
             PhysOp::Tag(_) => "tag",
-            PhysOp::HashJoin(_) => "hash-join",
+            PhysOp::Join(theta) => ops::join_dispatch(theta),
             PhysOp::MergeJoin { .. } => "merge-join",
-            PhysOp::NestedLoopJoin(_) => "nested-loop-join",
-            PhysOp::HashSemijoin(_) => "hash-semijoin",
+            PhysOp::Semijoin(theta) => ops::semijoin_dispatch(theta),
             PhysOp::MergeSemijoin { .. } => "merge-semijoin",
-            PhysOp::NestedLoopSemijoin(_) => "nested-loop-semijoin",
             PhysOp::HashGroupCount(_) => "hash-group",
             PhysOp::MultiwayJoin(_) => "multiway-join",
         }
@@ -136,8 +139,8 @@ pub struct PlanNode {
     /// How many times the subexpression occurs in the original tree —
     /// `> 1` means the naive evaluator would have re-evaluated it.
     pub occurrences: usize,
-    /// Estimated output cardinality. Purely advisory: it drives
-    /// operator choice and appears in `explain` output, never in
+    /// Estimated output cardinality. Purely advisory: it appears in
+    /// `explain` output and reports (next to the actual), never in
     /// results.
     pub est_rows: f64,
 }
@@ -168,10 +171,11 @@ impl PhysicalPlan {
     /// collapse into one [`PhysOp::MultiwayJoin`]. Every node carries an
     /// estimated output cardinality ([`PlanNode::est_rows`], shown by
     /// [`PhysicalPlan::explain`] and compared against actuals in
-    /// instrumented reports), binary operator choice consults the
-    /// estimates (a join whose operands are provably tiny skips the
-    /// hash build), and partition-parallel execution is gated by
-    /// `model`. Statistics change constants, never results.
+    /// instrumented reports). Binary operator choice reads θ alone —
+    /// merge on an aligned prefix, otherwise the kernel's own
+    /// hash-or-nested-loop dispatch — and partition-parallel execution
+    /// is gated by `model` on actual operand sizes. Statistics change
+    /// constants, never results.
     ///
     /// Errors with [`EvalError::MissingStatistics`] when `source` has
     /// nothing for a relation the expression reads.
@@ -199,7 +203,6 @@ impl PhysicalPlan {
         let mut planner = Planner {
             schema,
             estimator: Estimator::new(source),
-            model,
             order,
             nodes: Vec::new(),
             memo: FxHashMap::default(),
@@ -372,7 +375,7 @@ impl PhysicalPlan {
             PhysOp::Project(cols) => serial(ops::project(kids[0], cols)),
             PhysOp::Filter(sel) => serial(ops_vec::select(kids[0], sel)),
             PhysOp::Tag(c) => serial(ops::const_tag(kids[0], c)),
-            PhysOp::HashJoin(theta) | PhysOp::NestedLoopJoin(theta) => {
+            PhysOp::Join(theta) => {
                 let (rel, parts) = kernel::join(kids[0], kids[1], theta, exec, workers);
                 (Arc::new(rel), parts)
             }
@@ -382,7 +385,7 @@ impl PhysicalPlan {
                     kernel::merge_join(kids[0], kids[1], *prefix, &residual, exec, workers);
                 (Arc::new(rel), parts)
             }
-            PhysOp::HashSemijoin(theta) | PhysOp::NestedLoopSemijoin(theta) => {
+            PhysOp::Semijoin(theta) => {
                 let (rel, parts) = kernel::semijoin(kids[0], kids[1], theta, exec, workers);
                 (Arc::new(rel), parts)
             }
@@ -613,8 +616,6 @@ struct Planner<'a> {
     /// Cardinality estimates over the plan's statistics source; every
     /// leaf was checked to have statistics before lowering started.
     estimator: Estimator<'a>,
-    /// The cost model that turns estimates into operator choices.
-    model: &'a CostModel,
     /// Join-order mode the plan was built under; gates the multiway
     /// collapse (which fires only under [`JoinOrder::Dp`]).
     order: JoinOrder,
@@ -664,14 +665,11 @@ impl<'a> Planner<'a> {
                     let children = leaves.into_iter().map(|l| self.lower(l)).collect();
                     (PhysOp::MultiwayJoin(spec), children)
                 } else {
-                    (
-                        self.choose_join_for(theta, a, b),
-                        vec![self.lower(a), self.lower(b)],
-                    )
+                    (choose_join_for(theta), vec![self.lower(a), self.lower(b)])
                 }
             }
             Expr::Semijoin(theta, a, b) => (
-                self.choose_semijoin_for(theta, a, b),
+                choose_semijoin_for(theta),
                 vec![self.lower(a), self.lower(b)],
             ),
             Expr::GroupCount(cols, a) => {
@@ -686,10 +684,9 @@ impl<'a> Planner<'a> {
             (PhysOp::Project(cols), _) => cols.len(),
             (PhysOp::Tag(_), &[c]) => self.nodes[c].arity + 1,
             (PhysOp::HashGroupCount(cols), _) => cols.len() + 1,
-            (
-                PhysOp::HashJoin(_) | PhysOp::MergeJoin { .. } | PhysOp::NestedLoopJoin(_),
-                &[l, r],
-            ) => self.nodes[l].arity + self.nodes[r].arity,
+            (PhysOp::Join(_) | PhysOp::MergeJoin { .. }, &[l, r]) => {
+                self.nodes[l].arity + self.nodes[r].arity
+            }
             (PhysOp::MultiwayJoin(_), kids) => {
                 kids.iter().map(|&c| self.nodes[c].arity).sum::<usize>()
             }
@@ -742,44 +739,28 @@ impl<'a> Planner<'a> {
         let spec = joinorder::multiway_plan(&g, &ests)?;
         Some((spec, g.leaves))
     }
+}
 
-    /// Are both join operands **provably** small enough that a
-    /// filtered nested loop beats paying for the hash build? The
-    /// decision uses the estimator's guaranteed upper bounds
-    /// (`CardEst::upper`), never the selectivity-scaled row estimates:
-    /// an optimistic estimate on correlated data must not be able to
-    /// demote an `O(n)` hash join into an `Ω(n²)` nested loop.
-    fn hash_build_pays_off(&self, a: &Expr, b: &Expr) -> bool {
-        self.model
-            .hash_worthwhile(self.estimate(a).upper, self.estimate(b).upper)
+/// Merge on an aligned key prefix (sort-free on canonical inputs);
+/// otherwise the one θ-dispatched variant.
+fn choose_join_for(theta: &Condition) -> PhysOp {
+    match ops::merge_prefix_len(theta) {
+        Some(prefix) => PhysOp::MergeJoin {
+            theta: theta.clone(),
+            prefix,
+        },
+        None => PhysOp::Join(theta.clone()),
     }
+}
 
-    fn choose_join_for(&self, theta: &Condition, a: &Expr, b: &Expr) -> PhysOp {
-        if let Some(prefix) = ops::merge_prefix_len(theta) {
-            // Merge on an aligned prefix is sort-free either way —
-            // statistics cannot improve on it.
-            PhysOp::MergeJoin {
-                theta: theta.clone(),
-                prefix,
-            }
-        } else if !ops::split_condition(theta).0.is_empty() && self.hash_build_pays_off(a, b) {
-            PhysOp::HashJoin(theta.clone())
-        } else {
-            PhysOp::NestedLoopJoin(theta.clone())
-        }
-    }
-
-    fn choose_semijoin_for(&self, theta: &Condition, a: &Expr, b: &Expr) -> PhysOp {
-        if let Some(prefix) = ops::merge_prefix_len(theta) {
-            PhysOp::MergeSemijoin {
-                theta: theta.clone(),
-                prefix,
-            }
-        } else if !ops::split_condition(theta).0.is_empty() && self.hash_build_pays_off(a, b) {
-            PhysOp::HashSemijoin(theta.clone())
-        } else {
-            PhysOp::NestedLoopSemijoin(theta.clone())
-        }
+/// [`choose_join_for`], for `⋉θ`.
+fn choose_semijoin_for(theta: &Condition) -> PhysOp {
+    match ops::merge_prefix_len(theta) {
+        Some(prefix) => PhysOp::MergeSemijoin {
+            theta: theta.clone(),
+            prefix,
+        },
+        None => PhysOp::Semijoin(theta.clone()),
     }
 }
 
@@ -924,7 +905,6 @@ mod tests {
 
     #[test]
     fn operator_choice_prefers_merge_on_aligned_prefix() {
-        // Big enough that a hash build pays off wherever one applies.
         let rows: Vec<Vec<i64>> = (0..500).map(|i| vec![i, i % 50]).collect();
         let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
         let mut db = Database::new();
@@ -968,6 +948,15 @@ mod tests {
             let plan = plan(&e, &db);
             let root = &plan.nodes()[plan.root()];
             assert_eq!(root.op.name(), expect, "{e}");
+            // Off the aligned prefix the name is the kernel's own
+            // dispatch on θ — the body that runs.
+            match &root.op {
+                PhysOp::Join(theta) => assert_eq!(root.op.name(), ops::join_dispatch(theta)),
+                PhysOp::Semijoin(theta) => {
+                    assert_eq!(root.op.name(), ops::semijoin_dispatch(theta))
+                }
+                op => assert!(op.name().starts_with("merge-"), "{e}: {op:?}"),
+            }
         }
     }
 
@@ -1202,58 +1191,36 @@ mod tests {
     }
 
     #[test]
-    fn plan_demotes_hash_on_provably_tiny_inputs() {
+    fn tiny_equality_joins_plan_and_report_as_the_hash_body_that_runs() {
+        // 2 × 2 rows, off-prefix equality: `kernel::join` /
+        // `kernel::semijoin` hash on the equality atom at every size, so
+        // plan, EXPLAIN and report all say `hash-*`.
         let mut db = Database::new();
         db.set("R", Relation::from_int_rows(&[&[1, 10], &[2, 20]]));
         db.set("S", Relation::from_int_rows(&[&[10, 1], &[20, 2]]));
-        // Off-prefix equality would hash; the planner sees 2×2 rows and
-        // skips the build.
-        let e = Expr::rel("R").join(Condition::eq(2, 1), Expr::rel("S"));
-        let tiny = plan(&e, &db);
-        assert_eq!(tiny.nodes()[tiny.root()].op.name(), "nested-loop-join");
-        assert_eq!(
-            tiny.execute_with(&db, Parallelism::Serial).unwrap(),
-            evaluate(&e, &db).unwrap()
-        );
-        // At scale the hash join stays.
-        let rows: Vec<Vec<i64>> = (0..500).map(|i| vec![i, i % 50]).collect();
-        let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let mut big = Database::new();
-        big.set("R", Relation::from_int_rows(&refs));
-        big.set("S", Relation::from_int_rows(&refs));
-        let at_scale = plan(&e, &big);
-        assert_eq!(at_scale.nodes()[at_scale.root()].op.name(), "hash-join");
-        // Merge on aligned prefixes is never demoted.
+        let theta = Condition::eq(2, 1);
+        let cases = [
+            (
+                Expr::rel("R").join(theta.clone(), Expr::rel("S")),
+                "hash-join",
+            ),
+            (
+                Expr::rel("R").semijoin(theta.clone(), Expr::rel("S")),
+                "hash-semijoin",
+            ),
+        ];
+        for (e, expect) in cases {
+            let plan = plan(&e, &db);
+            assert_eq!(plan.nodes()[plan.root()].op.name(), expect, "{e}");
+            assert!(plan.explain().contains(expect), "{}", plan.explain());
+            let (result, report) = plan.execute_reported(&db, Parallelism::Serial).unwrap();
+            assert_eq!(report.nodes.last().unwrap().operator, expect, "{e}");
+            assert_eq!(result, evaluate(&e, &db).unwrap(), "{e}");
+        }
+        // Merge on an aligned prefix is chosen at every size too.
         let aligned = Expr::rel("R").join(Condition::eq(1, 1), Expr::rel("S"));
         let merged = plan(&aligned, &db);
         assert_eq!(merged.nodes()[merged.root()].op.name(), "merge-join");
-    }
-
-    #[test]
-    fn correlated_selection_estimates_never_demote_hash_joins() {
-        // Every tuple satisfies σ₁₌₂, but the independence assumption
-        // estimates the selection at |R|/distinct ≈ 1 row. The demotion
-        // gate must use the guaranteed upper bound (|R|), not that
-        // optimistic estimate — otherwise stats would turn an O(n)
-        // hash join into an Ω(n²) nested loop here.
-        let rows: Vec<Vec<i64>> = (0..2000).map(|i| vec![i, i]).collect();
-        let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let mut db = Database::new();
-        db.set("R", Relation::from_int_rows(&refs));
-        db.set("S", Relation::from_int_rows(&refs));
-        let e = Expr::rel("R")
-            .select_eq(1, 2)
-            .join(Condition::eq(2, 1), Expr::rel("S").select_eq(1, 2));
-        let plan = plan(&e, &db);
-        assert_eq!(plan.nodes()[plan.root()].op.name(), "hash-join");
-        // The (deliberately optimistic) row estimate on the selection
-        // nodes really is tiny — the point is that it must not matter.
-        let sel_node = plan
-            .nodes()
-            .iter()
-            .find(|n| n.op.name() == "filter")
-            .unwrap();
-        assert!(sel_node.est_rows < 100.0);
     }
 
     #[test]

@@ -25,8 +25,8 @@ use std::time::Duration;
 /// in rendered reports, and `sj-server` counts the runs that have one.
 /// The value is deliberately loose — the estimator assumes independence
 /// and uniformity, so factor-of-two errors are routine and harmless; an
-/// order-of-magnitude miss is what changes operator choices (hash-build
-/// demotion, parallel gating) and deserves a visible marker.
+/// order-of-magnitude miss is what changes what estimates decide (the
+/// join order, the multiway collapse) and deserves a visible marker.
 pub const Q_ERROR_BUDGET: f64 = 16.0;
 
 /// What one node of the expression tree (tree walkers) or of the

@@ -11,7 +11,7 @@
 //!   lock, and the attribute expressions are never evaluated. The
 //!   bundled [`RingCollector`] records spans into a fixed-capacity ring
 //!   buffer whose snapshot, a [`TraceLog`], renders as a hierarchical
-//!   trace and feeds the cost-model calibrator in `sj-stats`.
+//!   trace and answers ancestry queries in tests.
 //!
 //! * [`metrics`] — a named-series [`Metrics`] registry: monotonic
 //!   [`Counter`]s, [`Gauge`]s, NaN-proof running maxima ([`MaxGauge`]),
@@ -22,7 +22,8 @@
 //!
 //! The span taxonomy used across the workspace (see the README's
 //! "Observability" section): `server.dispatch` → `server.query` →
-//! `storage.snapshot` / `plan.node` → `kernel.*` → `kernel.partition`.
+//! `storage.snapshot` / `stats.analyze` / `plan.node` → `kernel.*` →
+//! `kernel.partition`.
 
 pub mod metrics;
 pub mod trace;

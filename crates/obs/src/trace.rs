@@ -440,8 +440,8 @@ impl Collector for RingCollector {
 }
 
 /// A point-in-time snapshot of a [`RingCollector`]: the raw material
-/// for hierarchical rendering ([`TraceLog::render`]) and cost-model
-/// calibration (`sj_stats::Calibrator::observe_trace`).
+/// for hierarchical rendering ([`TraceLog::render`]) and for ancestry
+/// queries over the recorded spans ([`TraceLog::has_ancestor`]).
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog {
     /// Recorded spans in entry order.

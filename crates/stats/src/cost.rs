@@ -1,4 +1,5 @@
-//! The cost model: complexity classes priced in concrete work units.
+//! The cost model: complexity classes, and the seven unit costs that
+//! rank algorithms inside one class.
 //!
 //! Definition 16 of the paper classifies expressions by the asymptotic
 //! growth of their largest intermediate; [`ComplexityClass`] carries
@@ -9,12 +10,19 @@
 //! registry's per-algorithm formulas combine into a scalar
 //! **estimated cost** in abstract *tuple-operation units*: one unit ≈
 //! touching one tuple in a tight merge scan (a handful of nanoseconds
-//! on current hardware). The per-operation constants are hand-set; no
-//! committed measurement derives them. What checks them is the
-//! benchmark (`benchmark/`, metric names in `/BENCHMARK.json`):
-//! `setjoin.auto_regret.*` is the registry selector's pick ÷ the fastest
-//! registered algorithm, `eval.class_par_ratio.*` is what the
-//! partition gate's decisions cost against a serial run.
+//! on current hardware).
+//!
+//! A constant exists only for a decision execution honours: the
+//! registry's `auto` selectors and the planned executor's partition
+//! gate ([`CostModel::parallel_node_worthwhile`]) are the two readers.
+//! [`CostModel::default`] is the one statement of the seven values;
+//! they are hand-set, and nothing in the workspace refits them. What
+//! checks them is the benchmark (`benchmark/`, metric names in
+//! `/BENCHMARK.json`): `setjoin.auto_regret.*` is the registry
+//! selector's pick ÷ the fastest registered algorithm,
+//! `eval.class_par_ratio.*` and `eval.kernel.*_par_ratio` are what the
+//! partition gate's decisions cost against a serial run — a refit is an
+//! edit of `Default` measured there.
 
 use std::fmt;
 
@@ -47,7 +55,7 @@ impl fmt::Display for ComplexityClass {
 
 /// Unit costs for the primitive operations the algorithms are built
 /// from, in tuple-operation units (see the module docs). All fields are
-/// public so experiments can ablate single constants.
+/// public so a caller of the registry can ablate single constants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Touching one tuple in a tight sequential scan or merge.
@@ -85,50 +93,7 @@ impl Default for CostModel {
     }
 }
 
-/// Number of unit constants in a [`CostModel`].
-pub const COST_PARAMS: usize = 7;
-
-/// The constants' names, in [`CostModel::to_array`] order.
-pub const COST_PARAM_NAMES: [&str; COST_PARAMS] = [
-    "tuple_pass",
-    "hash_op",
-    "setup",
-    "partition_setup",
-    "spawn",
-    "sig_test",
-    "verify",
-];
-
 impl CostModel {
-    /// The constants as a fixed-order array (see [`COST_PARAM_NAMES`]).
-    /// The registry's cost formulas are *linear* in these constants,
-    /// which is what lets [`crate::Calibrator`] refit them from
-    /// measured runtimes by least squares.
-    pub fn to_array(&self) -> [f64; COST_PARAMS] {
-        [
-            self.tuple_pass,
-            self.hash_op,
-            self.setup,
-            self.partition_setup,
-            self.spawn,
-            self.sig_test,
-            self.verify,
-        ]
-    }
-
-    /// Rebuild a model from [`CostModel::to_array`] order.
-    pub fn from_array(a: [f64; COST_PARAMS]) -> CostModel {
-        CostModel {
-            tuple_pass: a[0],
-            hash_op: a[1],
-            setup: a[2],
-            partition_setup: a[3],
-            spawn: a[4],
-            sig_test: a[5],
-            verify: a[6],
-        }
-    }
-
     /// Should a partition-parallel binary plan node (hash/merge
     /// join or semijoin) be partitioned across `workers` threads, given
     /// the operands' actual cardinalities? Compares the partitioning
@@ -146,16 +111,6 @@ impl CostModel {
         // it.
         let saved = (self.hash_op + self.tuple_pass) * n * (1.0 - 1.0 / workers as f64);
         saved > overhead
-    }
-
-    /// Is a hash build worth it for a binary operator node over inputs
-    /// of the given estimated combined size, versus a filtered nested
-    /// loop? The break-even sits where the quadratic pair scan
-    /// overtakes table setup plus per-tuple hashing.
-    pub fn hash_worthwhile(&self, est_left: f64, est_right: f64) -> bool {
-        let nested = self.tuple_pass * (est_left * est_right).max(0.0);
-        let hashed = self.setup + self.hash_op * (est_left + est_right).max(0.0);
-        nested > hashed
     }
 }
 
@@ -182,12 +137,5 @@ mod tests {
         let n = 20_000usize;
         assert!(m.parallel_node_worthwhile(n, n, 4));
         assert!(!m.parallel_node_worthwhile(2_000, 2_000, 8));
-    }
-
-    #[test]
-    fn hash_gate() {
-        let m = CostModel::default();
-        assert!(!m.hash_worthwhile(5.0, 5.0), "25 pairs < table setup");
-        assert!(m.hash_worthwhile(100.0, 100.0));
     }
 }

@@ -12,18 +12,19 @@
 //!   `|R|·|S| / max(d_R(a), d_S(b))` distinct-count formula per
 //!   equality atom, capped by the `|R|·|S|` product — the binary
 //!   special case of the AGM output bound (*Size bounds and query
-//!   plans for relational joins*, Atserias–Grohe–Marx), which is what
-//!   makes the estimate safe to use as an upper bound for operator
-//!   gating;
+//!   plans for relational joins*, Atserias–Grohe–Marx), which keeps
+//!   a join estimate from ever exceeding what the join can produce;
 //! * **division** output is estimated from the dividend's group
 //!   statistics: each group qualifies with probability
 //!   `p^|S|` where `p` is the per-element coverage probability
 //!   ([`division_rows`]).
 //!
-//! Estimates are deliberately *upper-leaning*: the planner uses them to
-//! rule out hash machinery and partitioning on provably tiny inputs,
-//! where an overestimate merely forfeits a micro-optimization while an
-//! underestimate would pick a quadratic loop on a large node.
+//! Estimates are deliberately *upper-leaning*: their consumers rank
+//! alternatives by cost (join orders, the multiway collapse, the
+//! registry's algorithm pick), where an overestimate merely forfeits a
+//! cheaper alternative while an underestimate would rank a plan with a
+//! huge intermediate first. No estimate selects an operator body — the
+//! planner picks merge/hash/nested-loop from θ alone.
 
 use crate::catalog::StatsSource;
 use crate::histogram::{Histogram, StringHistogram};
@@ -66,9 +67,10 @@ pub struct CardEst {
     /// without any selectivity assumption (selections and semijoins
     /// cannot grow their input, a join cannot exceed the operand
     /// product, a union cannot exceed the operand sum). Unlike
-    /// [`CardEst::rows`] this can never under-estimate, so it is the
-    /// safe quantity for decisions where an underestimate would be
-    /// catastrophic — e.g. demoting a hash join to a nested loop.
+    /// [`CardEst::rows`] this can never under-estimate. Its consumer
+    /// is the estimator itself: every [`CardEst::rows`] is clamped by
+    /// it, so the values cost ranking reads (join order, the multiway
+    /// choice) never exceed what the operator can produce.
     pub upper: f64,
     /// Per-column estimates (length = output arity).
     pub cols: Vec<ColEst>,
@@ -390,8 +392,8 @@ pub fn division_rows(r: &TableStats, s_rows: usize, equality: bool) -> f64 {
     // `p_elem > 0` whenever `groups > 0` (every group holds ≥ 1 row),
     // so the estimate is floored strictly above 0.0: `powi` used to
     // underflow to exactly 0 for divisors in the thousands, and a hard
-    // 0 reads as "provably empty" downstream (the planner demotes hash
-    // operators on provably tiny inputs). See [`prob_pow`].
+    // 0 reads as "provably empty" to whatever ranks costs downstream.
+    // See [`prob_pow`].
     let mut est = g.groups as f64 * prob_pow(p_elem, s_rows as f64);
     if equality {
         let size_span = (g.max_set - g.min_set + 1) as f64;
@@ -418,9 +420,9 @@ pub fn containment_selectivity(containing: &TableStats, contained: &TableStats) 
 
 /// `p^n` for a probability `p ∈ [0, 1]`, computed in log-space and
 /// floored at the smallest positive double. A strictly positive base
-/// must never collapse to exactly 0.0: estimates of 0 read as
-/// "provably empty" to consumers (hash→nested-loop demotion, cost
-/// ranking), and `powi`/`powf` underflow to hard 0 once the exponent
+/// must never collapse to exactly 0.0: an estimate of 0 reads as
+/// "provably empty" to cost ranking (a free plan always ranks first),
+/// and `powi`/`powf` underflow to hard 0 once the exponent
 /// reaches the low thousands. The log-space form keeps the result
 /// positive and monotone in `n` all the way down.
 fn prob_pow(p: f64, n: f64) -> f64 {
@@ -573,9 +575,10 @@ mod tests {
         // Regression: `p_elem.powi(s_rows)` underflowed to exactly 0.0
         // once the divisor reached the low thousands (0.525^2000 ≈
         // 1e-560, far below the smallest denormal), and est_rows = 0
-        // reads as "provably empty" — triggering the planner's
-        // hash→nested-loop demotion on precisely the inputs where a
-        // nested loop is catastrophic.
+        // reads as "provably empty" — the registry's cost ranking
+        // (which prices output and verification work from this
+        // selectivity) then sees them as free, on precisely the inputs
+        // where the choice matters most.
         //
         // One group with 2000 distinct elements and one with 100:
         // distinct(B) = 2000, mean_set = 1050, p_elem = 0.525 < 1,

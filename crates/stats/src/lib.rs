@@ -16,12 +16,13 @@
 //!   storage; [`StatsSource`] is the read interface the estimator
 //!   and the planner consume ([`CatalogSource`] binds a catalog to a
 //!   database).
-//! * [`CostModel`] — prices a [`ComplexityClass`] (which lives here,
-//!   at the bottom of the crate graph, and is re-exported by
-//!   `sj-setjoin`) plus input statistics into a scalar cost in
-//!   tuple-operation units. The `sj-setjoin` registry uses it to pick
-//!   the cheapest algorithm; the `sj-eval` planner uses it to gate
-//!   hash machinery and partition parallelism.
+//! * [`CostModel`] — seven unit costs in tuple-operation units, stated
+//!   once in its `Default`. The `sj-setjoin` registry combines them
+//!   with input statistics into a scalar cost to pick the cheapest
+//!   algorithm; the `sj-eval` executor reads them to gate partition
+//!   parallelism. [`ComplexityClass`] (Definition 16's classes for the
+//!   direct algorithms) lives beside it, at the bottom of the crate
+//!   graph, and is re-exported by `sj-setjoin`.
 //! * [`Estimator`] — cardinality estimation for algebra expressions
 //!   (histogram selectivities, distinct-count join estimates capped by
 //!   the AGM product bound, group-statistics division estimates —
@@ -32,16 +33,14 @@
 //! produce identical statistics, estimates, and therefore identical
 //! plans and algorithm picks.
 
-pub mod calibrate;
 pub mod catalog;
 pub mod cost;
 pub mod estimate;
 pub mod histogram;
 pub mod table;
 
-pub use calibrate::{Calibrator, Observation};
 pub use catalog::{CatalogSource, StatsCatalog, StatsSource};
-pub use cost::{ComplexityClass, CostModel, COST_PARAMS, COST_PARAM_NAMES};
+pub use cost::{ComplexityClass, CostModel};
 pub use estimate::{
     containment_selectivity, cycle_agm_bound, division_rows, eq_join_rows_skewed, join_est,
     CardEst, ColEst, Estimator,

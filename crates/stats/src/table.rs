@@ -88,15 +88,17 @@ impl TableStats {
     /// per column (see the module docs for the per-representation
     /// breakdown) plus the group scan over column 0's run lengths. The
     /// catalog runs this once per relation version, on the first query
-    /// that touches it, so the scan count is cold-query latency.
+    /// that touches it, so the scan count is cold-query latency — the
+    /// `stats.analyze` span is where a trace shows it.
     ///
     /// Canonical storage order makes the leading column's distinct
     /// count and the group boundaries allocation-free run counts; only
     /// the non-leading distinct counts need a hash set (integers) or a
     /// code bitmap (strings).
     pub fn analyze(r: &Relation) -> TableStats {
-        let view = r.columns();
         let arity = r.arity();
+        let _span = sj_obs::span!("stats.analyze", rows = r.len(), arity = arity);
+        let view = r.columns();
         let mut columns = Vec::with_capacity(arity);
         for c in 0..arity {
             columns.push(match view.col(c) {

@@ -8,7 +8,7 @@
 
 use setjoins::obs::RingCollector;
 use setjoins::prelude::*;
-use setjoins::server::{Server, ServerConfig};
+use setjoins::server::{CacheMode, Server, ServerConfig, WriteOp};
 use sj_algebra::division;
 use sj_workload::DivisionWorkload;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -151,12 +151,16 @@ fn query_profile_render_is_deterministic_and_complete() {
 }
 
 /// One served query yields one connected trace:
-/// `server.dispatch → {storage.snapshot, server.query → plan.node →
-/// kernel.* → kernel.partition}`, with the exit attributes (tier,
-/// output rows) on the query span. The second query is an equi-join
-/// big enough to open the partition gate at two workers, so its
-/// `kernel.partition` spans open on pool threads and must still hang
-/// off the serving span.
+/// `server.dispatch → {storage.snapshot, server.query → {stats.analyze,
+/// plan.node → kernel.* → kernel.partition}}`, with the exit attributes
+/// (tier, output rows) on the query span. The second query is an
+/// equi-join big enough to open the partition gate at two workers, so
+/// its `kernel.partition` spans open on pool threads and must still hang
+/// off the serving span. The cache is off, so every query plans — and
+/// planning is where ANALYZE hides: a query reading a relation the
+/// catalog has not analyzed at its current `Arc` (first use, or first
+/// use after an insert) has a `stats.analyze` span under its
+/// `server.query`; a repeat on unchanged relations has none.
 #[test]
 fn served_queries_trace_the_full_hierarchy() {
     let _guard = lock();
@@ -172,33 +176,76 @@ fn served_queries_trace_the_full_hierarchy() {
     };
     db.set("E", ints(|i| i));
     db.set("F", ints(|i| i + 1));
+    let (r_rows, s_rows) = (db.get("R").unwrap().len(), db.get("S").unwrap().len());
     let server = Server::start(
         db,
         ServerConfig {
             workers: 1,
             cores: 2,
+            cache: CacheMode::Off,
             ..ServerConfig::default()
         },
     );
     let session = server.session();
     let ring = Arc::new(RingCollector::new(1 << 14));
     let rows = setjoins::obs::with_collector(ring.clone(), || {
-        let resp = session
-            .query(division::division_double_difference("R", "S"))
-            .unwrap();
+        let division = || {
+            session
+                .query(division::division_double_difference("R", "S"))
+                .unwrap()
+        };
+        let resp = division();
         assert_eq!(*resp.relation, expected);
         let joined = session
             .query(Expr::rel("E").join_eq([(2, 1)], Expr::rel("F")))
             .unwrap();
         assert_eq!(joined.relation.len(), n as usize);
+        division(); // R and S unchanged: the catalog is current
+        session
+            .write(WriteOp::Insert {
+                relation: "R".into(),
+                tuple: Tuple::from_ints(&[-1, -1]),
+            })
+            .unwrap();
+        division(); // R copied on write: re-analyzed, S is not
         resp.relation.len()
     });
     server.shutdown();
     let log = ring.log();
-    assert_eq!(log.evicted, 0, "ring sized for both traces");
-    assert_eq!(log.spans("server.dispatch").count(), 2);
+    assert_eq!(log.evicted, 0, "ring sized for all four traces");
+    assert_eq!(log.spans("server.dispatch").count(), 4);
     let queries: Vec<_> = log.spans("server.query").collect();
-    assert_eq!(queries.len(), 2);
+    assert_eq!(queries.len(), 4);
+    // Rows of every relation ANALYZEd under each query, ascending.
+    let analyzed: Vec<Vec<u64>> = queries
+        .iter()
+        .map(|q| {
+            let mut rows: Vec<u64> = log
+                .spans("stats.analyze")
+                .filter(|a| {
+                    std::iter::successors(Some(*a), |s| s.parent.and_then(|p| log.get(p)))
+                        .any(|s| s.id == q.id)
+                })
+                .map(|a| a.attr_u64("rows").expect("stats.analyze carries rows"))
+                .collect();
+            rows.sort_unstable();
+            rows
+        })
+        .collect();
+    assert!(s_rows < r_rows, "the divisor is the smaller relation");
+    assert_eq!(
+        analyzed[0],
+        [s_rows as u64, r_rows as u64],
+        "first use analyzes R and S"
+    );
+    assert_eq!(analyzed[1], [n as u64, n as u64], "first use of E and F");
+    assert!(analyzed[2].is_empty(), "repeat on unchanged relations");
+    assert_eq!(analyzed[3], [r_rows as u64 + 1], "only R changed");
+    assert_eq!(
+        log.spans("stats.analyze").count(),
+        5,
+        "every ANALYZE hangs off the query that paid for it"
+    );
     assert!(queries
         .iter()
         .all(|q| log.has_ancestor(q, "server.dispatch")));
@@ -237,43 +284,6 @@ fn served_queries_trace_the_full_hierarchy() {
         partitions.all(|p| log.has_ancestor(p, "server.query")),
         "cross-thread partition spans stay attached to the serving span"
     );
-}
-
-/// [`Engine::calibrate`] closes the loop from a trace back into the
-/// cost model. What a serial run's kernel spans can price is a tuple
-/// pass, a hash op and operator setup; every other constant must come
-/// back as the engine's own value (not the default's), and whatever the
-/// wall clock said, all seven stay finite and non-negative.
-#[test]
-fn engine_calibrate_keeps_what_the_trace_never_exercised() {
-    let _guard = lock();
-    let own = CostModel::from_array([1.0, 2.0, 150.0, 321.0, 4321.0, 0.5, 1.5]);
-    let engine = Engine::new(division_db())
-        .strategy(Strategy::Planned)
-        .cost_model(own.clone());
-    let ring = Arc::new(RingCollector::new(1 << 12));
-    setjoins::obs::with_collector(ring.clone(), || {
-        engine
-            .query(division::division_double_difference("R", "S"))
-            .run()
-            .unwrap();
-        engine
-            .query(Expr::rel("R").join_eq([(1, 1)], Expr::rel("R")))
-            .run()
-            .unwrap();
-    });
-    let log = ring.log();
-    assert!(
-        log.records.iter().any(|r| r.name.starts_with("kernel.")),
-        "the trace holds kernel spans to fit"
-    );
-    let refit = engine.calibrate(&log).to_array();
-    assert!(
-        refit.iter().all(|c| c.is_finite() && *c >= 0.0),
-        "{refit:?}"
-    );
-    // partition_setup, spawn, sig_test, verify
-    assert_eq!(refit[3..], own.to_array()[3..]);
 }
 
 /// [`Server::metrics_text`] exposes the serving series with correct

@@ -4,8 +4,8 @@
 //! exactly once.
 
 use sj_algebra::{division, optimize, Condition, Expr};
-use sj_eval::{evaluate, Engine, Instrument, PhysicalPlan, Report};
-use sj_stats::CatalogSource;
+use sj_eval::{evaluate, Engine, Instrument, JoinOrder, PhysicalPlan, Report};
+use sj_stats::{CatalogSource, CostModel};
 use sj_storage::{Database, Relation};
 use sj_workload::{adversarial_division_series, DivisionWorkload};
 
@@ -162,8 +162,9 @@ fn planner_explain_marks_merge_operators_and_sharing() {
 #[test]
 fn engine_planned_strategy_returns_the_same_plan_shape() {
     // The Engine's Planned strategy must expose exactly the plan the
-    // one constructor builds over the engine's own catalog, cost model
-    // and join order: 7 DAG nodes for the 10-node division tree.
+    // one constructor builds over the engine's own catalog with the
+    // default cost model and join order: 7 DAG nodes for the 10-node
+    // division tree.
     let mut db = Database::new();
     db.set("R", Relation::from_int_rows(&[&[1, 7], &[1, 8], &[2, 7]]));
     db.set("S", Relation::from_int_rows(&[&[7], &[8]]));
@@ -173,8 +174,8 @@ fn engine_planned_strategy_returns_the_same_plan_shape() {
         &e,
         &engine.db().schema(),
         &CatalogSource::new(engine.catalog(), engine.db()),
-        engine.cost_model_ref(),
-        engine.join_order_mode(),
+        &CostModel::default(),
+        JoinOrder::default(),
     )
     .unwrap();
     let out = engine.query(e).run().unwrap();
@@ -191,12 +192,10 @@ fn planned_instrumentation_reports_operators_and_timing() {
     let db = beer_db();
     let e = division::example3_lousy_bar_sa();
     let (_, report) = planned_instrumented(&e, &db);
-    // Three visits against two bars: provably too small for a hash
-    // build, so the off-prefix semijoins run as filtered nested loops.
-    assert!(report
-        .nodes
-        .iter()
-        .any(|n| n.operator == "nested-loop-semijoin"));
+    // Three visits against two bars: tiny, but the off-prefix
+    // equality semijoins still run the hash body — `kernel::semijoin`
+    // dispatches on θ alone — and the report names what ran.
+    assert!(report.nodes.iter().any(|n| n.operator == "hash-semijoin"));
     assert!(report.nodes.iter().any(|n| n.operator == "scan"));
     // Self times are recorded (may be zero on coarse clocks, but the sum
     // is well-defined).

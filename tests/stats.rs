@@ -238,8 +238,7 @@ fn stats_api_is_exported() {
     let stats = TableStats::analyze(&Relation::from_int_rows(&[&[1, 2], &[1, 3]]));
     assert_eq!(stats.rows, 2);
     assert_eq!(stats.groups(), 1);
-    let model = CostModel::default();
-    assert!(model.hash_worthwhile(100.0, 100.0));
+    assert!(CostModel::default().parallel_node_worthwhile(1 << 20, 1 << 20, 4));
     let catalog: StatsCatalog = StatsCatalog::new();
     assert!(catalog.is_empty());
     let _ = setjoins::stats::Histogram::empty();

@@ -261,7 +261,8 @@ fn vectorized_joins_equal_row_joins() {
     }
 }
 
-/// `kernel::{merge_join, merge_semijoin}` ≡ `ops::merge_*` ≡ brute force
+/// `kernel::{merge_join, merge_semijoin}` ≡ `ops::{join, semijoin}` on
+/// the rebuilt condition (the kernels' capacity fallback) ≡ brute force
 /// on the canonical sort prefix, with and without residual atoms.
 #[test]
 fn vectorized_merges_equal_row_merges() {
@@ -273,7 +274,8 @@ fn vectorized_merges_equal_row_merges() {
     for (name, r, s) in operand_pairs() {
         for k in [1usize, 2] {
             for residual in &residuals {
-                // θ = (1=1 ∧ … ∧ k=k) ∧ residual, for the oracle.
+                // θ = (1=1 ∧ … ∧ k=k) ∧ residual, for the row operators
+                // and the oracle.
                 let theta = Condition::new(
                     (1..=k)
                         .map(|c| atom(c, CompOp::Eq, c))
@@ -281,8 +283,8 @@ fn vectorized_merges_equal_row_merges() {
                 );
                 let want_join = brute_join(&r, &s, &theta);
                 let want_semi = brute_semijoin(&r, &s, &theta);
-                assert_eq!(ops::merge_join(&r, &s, k, residual), want_join);
-                assert_eq!(ops::merge_semijoin(&r, &s, k, residual), want_semi);
+                assert_eq!(ops::join(&r, &s, &theta), want_join);
+                assert_eq!(ops::semijoin(&r, &s, &theta), want_semi);
                 for workers in KERNEL_WORKERS {
                     let what = format!("merge join k={k} [{residual}] on {name} @{workers}");
                     let (j, stats) = kernel::merge_join(&r, &s, k, residual, EXEC, workers);
@@ -421,6 +423,7 @@ proptest! {
         let sel = Selection::Eq(1, 2);
         prop_assert_eq!(ops_vec::select(&r, &sel), ops::select(&r, &sel));
         let always = Condition::always();
+        let prefix = Condition::eq(1, 1);
         for workers in KERNEL_WORKERS {
             prop_assert_eq!(
                 kernel::join(&r, &s, &theta, EXEC, workers).0,
@@ -434,12 +437,12 @@ proptest! {
             );
             prop_assert_eq!(
                 kernel::merge_join(&r, &s, 1, &always, EXEC, workers).0,
-                ops::merge_join(&r, &s, 1, &always),
+                ops::join(&r, &s, &prefix),
                 "merge join @{}", workers
             );
             prop_assert_eq!(
                 kernel::merge_semijoin(&r, &s, 1, &always, EXEC, workers).0,
-                ops::merge_semijoin(&r, &s, 1, &always),
+                ops::semijoin(&r, &s, &prefix),
                 "merge semijoin @{}", workers
             );
         }
