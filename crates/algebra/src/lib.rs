@@ -43,7 +43,7 @@ pub use display::{to_text, to_unicode};
 pub use error::AlgebraError;
 pub use expr::{Expr, Selection};
 pub use joingraph::{CyclePos, JoinEdge, JoinGraph, OrderTree};
-pub use optimize::{optimize, OptimizeLevel, Pass, Pipeline};
+pub use optimize::{optimize, OptimizeLevel};
 pub use parse::parse;
 pub use transform::semijoins_to_joins_checked;
 

@@ -17,116 +17,18 @@
 //!   columns — i.e. each left tuple's contribution does not depend on how
 //!   many right tuples match. This turns quadratic intermediates into
 //!   linear ones exactly in the cases Theorem 18 covers syntactically.
-//! * [`Pass`] / [`Pipeline`] / [`OptimizeLevel`] — the rewrites as a
-//!   configurable pass pipeline: which passes run, and to what fixpoint,
-//!   is data rather than code. `sj-eval`'s `Engine` carries a `Pipeline`
-//!   as its optimizer configuration.
-//! * [`optimize`] — a fixpoint driver applying all of the above
-//!   (equivalent to [`OptimizeLevel::Full`]).
+//! * [`OptimizeLevel`] — which of the rewrites run:
+//!   [`OptimizeLevel::run`] is the one fixpoint driver, and `sj-eval`'s
+//!   `Engine` carries a level as its optimizer configuration.
+//! * [`optimize`] — [`OptimizeLevel::Full`] by its classical name.
 
 use crate::error::AlgebraError;
 use crate::expr::{Expr, Selection};
 use sj_storage::Schema;
 use std::fmt;
 
-/// One algebraic rewrite pass, as a value.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub enum Pass {
-    /// [`joins_to_semijoins`] — the paper's semijoin reduction.
-    SemijoinReduction,
-    /// [`push_down_selections`].
-    SelectionPushdown,
-    /// [`prune_projections`].
-    ProjectionPruning,
-}
-
-impl Pass {
-    /// Apply this pass once.
-    pub fn apply(self, e: &Expr, schema: &Schema) -> Result<Expr, AlgebraError> {
-        Ok(match self {
-            Pass::SemijoinReduction => joins_to_semijoins(e, schema)?,
-            Pass::SelectionPushdown => push_down_selections(e, schema),
-            Pass::ProjectionPruning => prune_projections(e),
-        })
-    }
-
-    /// Short name for reports and `EXPLAIN` output.
-    pub fn name(self) -> &'static str {
-        match self {
-            Pass::SemijoinReduction => "semijoin-reduction",
-            Pass::SelectionPushdown => "selection-pushdown",
-            Pass::ProjectionPruning => "projection-pruning",
-        }
-    }
-}
-
-impl fmt::Display for Pass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// An ordered list of rewrite passes run to a (bounded) fixpoint — the
-/// optimizer as configuration. Build one from an [`OptimizeLevel`] or
-/// assemble a custom pass list with [`Pipeline::new`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Pipeline {
-    passes: Vec<Pass>,
-    max_rounds: usize,
-}
-
-impl Pipeline {
-    /// A pipeline over the given passes, iterated to a fixpoint (at most
-    /// 32 rounds — every standard pass shrinks a measure, so real inputs
-    /// converge in a handful).
-    pub fn new(passes: impl IntoIterator<Item = Pass>) -> Pipeline {
-        Pipeline {
-            passes: passes.into_iter().collect(),
-            max_rounds: 32,
-        }
-    }
-
-    /// The empty pipeline: validates, then returns the expression as-is.
-    pub fn empty() -> Pipeline {
-        Pipeline::new([])
-    }
-
-    /// The passes, in application order.
-    pub fn passes(&self) -> &[Pass] {
-        &self.passes
-    }
-
-    /// True when the pipeline rewrites nothing.
-    pub fn is_empty(&self) -> bool {
-        self.passes.is_empty()
-    }
-
-    /// Validate `e` against `schema`, then run every pass in order,
-    /// repeating until a full round changes nothing.
-    pub fn run(&self, e: &Expr, schema: &Schema) -> Result<Expr, AlgebraError> {
-        e.arity(schema)?;
-        if self.passes.is_empty() {
-            // The Off pipeline is the engine's per-query default: skip
-            // the clone-and-compare fixpoint round entirely.
-            return Ok(e.clone());
-        }
-        let mut current = e.clone();
-        for _ in 0..self.max_rounds {
-            let mut next = current.clone();
-            for pass in &self.passes {
-                next = pass.apply(&next, schema)?;
-            }
-            if next == current {
-                break;
-            }
-            current = next;
-        }
-        Ok(current)
-    }
-}
-
-/// How hard the optimizer tries — the coarse configuration knob carried by
-/// `sj-eval`'s `Engine`; each level names a [`Pipeline`].
+/// How hard the optimizer tries — the configuration knob carried by
+/// `sj-eval`'s `Engine`; [`OptimizeLevel::run`] applies a level.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
 pub enum OptimizeLevel {
     /// No rewrites: evaluate the expression exactly as written. The right
@@ -144,19 +46,38 @@ pub enum OptimizeLevel {
 }
 
 impl OptimizeLevel {
-    /// The pass pipeline this level denotes.
-    pub fn pipeline(self) -> Pipeline {
-        match self {
-            OptimizeLevel::Off => Pipeline::empty(),
-            OptimizeLevel::Structural => {
-                Pipeline::new([Pass::SelectionPushdown, Pass::ProjectionPruning])
-            }
-            OptimizeLevel::Full => Pipeline::new([
-                Pass::SemijoinReduction,
-                Pass::SelectionPushdown,
-                Pass::ProjectionPruning,
-            ]),
+    /// Validate `e` against `schema`, then apply this level's rewrites
+    /// — [`joins_to_semijoins`] (`Full` only), [`push_down_selections`],
+    /// [`prune_projections`], in that order — repeating until a full
+    /// round changes nothing (at most 32 rounds: every rewrite shrinks
+    /// a measure, so real inputs converge in a handful).
+    pub fn run(self, e: &Expr, schema: &Schema) -> Result<Expr, AlgebraError> {
+        e.arity(schema)?;
+        let mut current = e.clone();
+        if self == OptimizeLevel::Off {
+            // The engine's per-query default: no clone-and-compare
+            // fixpoint round for a level that rewrites nothing.
+            return Ok(current);
         }
+        for _ in 0..32 {
+            let reduced = match self {
+                OptimizeLevel::Full => joins_to_semijoins(&current, schema)?,
+                _ => current.clone(),
+            };
+            let next = prune_projections(&push_down_selections(&reduced, schema));
+            if next == current {
+                break;
+            }
+            current = next;
+        }
+        Ok(current)
+    }
+
+    /// The level itself. Kept because `benchmark/` spells
+    /// `OptimizeLevel::Full.pipeline().run(..)`; call
+    /// [`OptimizeLevel::run`] directly.
+    pub fn pipeline(self) -> OptimizeLevel {
+        self
     }
 }
 
@@ -171,10 +92,9 @@ impl fmt::Display for OptimizeLevel {
 }
 
 /// Apply all rewrites to a fixpoint (bounded, since every rewrite strictly
-/// shrinks a measure or is applied once). Thin wrapper over
-/// [`OptimizeLevel::Full`]'s pipeline.
+/// shrinks a measure or is applied once): [`OptimizeLevel::Full`].
 pub fn optimize(e: &Expr, schema: &Schema) -> Result<Expr, AlgebraError> {
-    OptimizeLevel::Full.pipeline().run(e, schema)
+    OptimizeLevel::Full.run(e, schema)
 }
 
 /// Remap a selection through a projection: column `i` of `π_cols(E)`'s
@@ -515,77 +435,49 @@ mod tests {
     }
 
     #[test]
-    fn levels_denote_expected_pipelines() {
-        assert!(OptimizeLevel::Off.pipeline().is_empty());
-        assert_eq!(
-            OptimizeLevel::Structural.pipeline().passes(),
-            &[Pass::SelectionPushdown, Pass::ProjectionPruning]
-        );
-        assert_eq!(
-            OptimizeLevel::Full.pipeline().passes(),
-            &[
-                Pass::SemijoinReduction,
-                Pass::SelectionPushdown,
-                Pass::ProjectionPruning
-            ]
-        );
-        assert_eq!(OptimizeLevel::default(), OptimizeLevel::Off);
-    }
-
-    #[test]
-    fn off_pipeline_is_identity_but_still_validates() {
+    fn off_level_is_identity_but_still_validates() {
         let e = Expr::rel("R")
             .join(Condition::eq(2, 1), Expr::rel("S"))
             .project([1, 2]);
-        assert_eq!(OptimizeLevel::Off.pipeline().run(&e, &schema()).unwrap(), e);
+        assert_eq!(OptimizeLevel::default(), OptimizeLevel::Off);
+        assert_eq!(OptimizeLevel::Off.run(&e, &schema()).unwrap(), e);
         // Validation still fires on malformed input.
         assert!(OptimizeLevel::Off
-            .pipeline()
             .run(&Expr::rel("Nope"), &schema())
             .is_err());
     }
 
     #[test]
-    fn full_pipeline_agrees_with_optimize() {
+    fn full_level_agrees_with_optimize() {
         let e = Expr::rel("R")
             .join(Condition::eq(2, 1), Expr::rel("S"))
             .project([1, 2])
             .select_eq(1, 2);
         assert_eq!(
-            OptimizeLevel::Full.pipeline().run(&e, &schema()).unwrap(),
+            OptimizeLevel::Full.run(&e, &schema()).unwrap(),
             optimize(&e, &schema()).unwrap()
         );
     }
 
     #[test]
-    fn structural_pipeline_keeps_the_join_skeleton() {
+    fn structural_level_keeps_the_join_skeleton() {
         let e = Expr::rel("R")
             .join(Condition::eq(2, 1), Expr::rel("S"))
             .project([1, 2]);
-        let o = OptimizeLevel::Structural
-            .pipeline()
-            .run(&e, &schema())
-            .unwrap();
+        let o = OptimizeLevel::Structural.run(&e, &schema()).unwrap();
         assert!(
             o.subexpressions()
                 .iter()
                 .any(|s| matches!(s, Expr::Join(..))),
             "structural level must not run semijoin reduction: {o}"
         );
-        let full = OptimizeLevel::Full.pipeline().run(&e, &schema()).unwrap();
+        let full = OptimizeLevel::Full.run(&e, &schema()).unwrap();
         assert!(
             full.subexpressions()
                 .iter()
                 .any(|s| matches!(s, Expr::Semijoin(..))),
             "full level does: {full}"
         );
-    }
-
-    #[test]
-    fn pass_names_render() {
-        assert_eq!(Pass::SemijoinReduction.to_string(), "semijoin-reduction");
-        assert_eq!(OptimizeLevel::Full.to_string(), "full");
-        assert_eq!(OptimizeLevel::Off.to_string(), "off");
     }
 
     #[test]

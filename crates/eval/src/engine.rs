@@ -41,9 +41,9 @@
 //! * Statistics are an input, not a mode: the engine owns a
 //!   [`StatsCatalog`] that analyzes each relation the first time a plan
 //!   or an `Auto` pick reads it and again whenever the stored relation
-//!   changed (`Arc::ptr_eq` freshness). Every [`Strategy::Planned`] plan
-//!   and every `Auto` pick is costed from it; [`Strategy::Naive`] and
-//!   [`Strategy::Reference`] never touch it.
+//!   changed (its [`Database::version_of`] moved). Every
+//!   [`Strategy::Planned`] plan and every `Auto` pick is costed from
+//!   it; [`Strategy::Naive`] and [`Strategy::Reference`] never touch it.
 
 use crate::error::EvalError;
 use crate::exec::{Execution, StatsMode};
@@ -55,7 +55,7 @@ use crate::plain::evaluate;
 use crate::plan::PhysicalPlan;
 use crate::reference::evaluate_reference;
 use crate::report::Report;
-use sj_algebra::{AlgebraError, Expr, OptimizeLevel, Pipeline};
+use sj_algebra::{AlgebraError, Expr, OptimizeLevel};
 use sj_setjoin::registry::{ComplexityClass, Registry};
 use sj_setjoin::{DivisionSemantics, SetPredicate};
 use sj_stats::{CatalogSource, CostModel, StatsCatalog, TableStats};
@@ -169,7 +169,7 @@ pub struct SetOpOutput {
 #[derive(Clone, Debug)]
 pub struct Engine {
     db: Database,
-    pipeline: Pipeline,
+    optimize: OptimizeLevel,
     strategy: Strategy,
     instrument: Instrument,
     algorithm: AlgorithmChoice,
@@ -190,7 +190,7 @@ impl Engine {
     pub fn new(db: Database) -> Engine {
         Engine {
             db,
-            pipeline: OptimizeLevel::Off.pipeline(),
+            optimize: OptimizeLevel::Off,
             strategy: Strategy::default(),
             instrument: Instrument::default(),
             algorithm: AlgorithmChoice::default(),
@@ -200,9 +200,9 @@ impl Engine {
         }
     }
 
-    /// Set the optimizer level (a named pass pipeline).
+    /// Set the optimizer level.
     pub fn optimize(mut self, level: OptimizeLevel) -> Engine {
-        self.pipeline = level.pipeline();
+        self.optimize = level;
         self
     }
 
@@ -287,9 +287,10 @@ impl Engine {
     /// A clone of this engine bound to a different database, sharing
     /// everything else — crucially the
     /// [`StatsCatalog`], so statistics analyzed by any fork benefit all
-    /// of them (the catalog's `Arc::ptr_eq` freshness check keeps this
-    /// sound across databases that share relation `Arc`s, e.g.
-    /// snapshots of one evolving master).
+    /// of them (the catalog compares [`Database::version_of`], which is
+    /// unique across the process: snapshots of one evolving master
+    /// share entries for the relations they share, and unrelated
+    /// databases can never be served each other's).
     ///
     /// This is the serving substrate: `sj-server` holds one template
     /// engine and forks it per query onto an immutable
@@ -431,12 +432,10 @@ impl Query<'_> {
         &self.expr
     }
 
-    /// The expression after the engine's optimizer pipeline.
+    /// The expression after the engine's optimizer level.
     pub fn optimized(&self) -> Result<Expr, EvalError> {
-        Ok(self
-            .engine
-            .pipeline
-            .run(&self.expr, &self.engine.db.schema())?)
+        let engine = self.engine;
+        Ok(engine.optimize.run(&self.expr, &engine.db.schema())?)
     }
 
     /// Optimize, plan (under [`Strategy::Planned`]), and execute.

@@ -11,7 +11,8 @@
 //! `PhysicalPlan::execute_with_execution` and the `kernel::*` entry
 //! points accept and ignore, because `benchmark/` compiles against those
 //! signatures and only a benchmark-purpose PR may edit it; that PR drops
-//! the arguments and these types with them. The test below fails, naming
+//! the arguments and these types with them (and, in `sj-algebra`, the
+//! identity `OptimizeLevel::pipeline`). The test below fails, naming
 //! the shim, as soon as `benchmark/` stops calling one.
 
 /// The planned executor's operator implementations. One value: not an
@@ -61,6 +62,7 @@ mod tests {
                 "execute_with_execution",
                 "PhysicalPlan::execute_with_execution",
             ),
+            (".pipeline()", "sj_algebra::OptimizeLevel::pipeline"),
         ] {
             assert!(
                 source.contains(call),

@@ -17,8 +17,8 @@
 //!   [`Counter`]s, [`Gauge`]s, NaN-proof running maxima ([`MaxGauge`]),
 //!   and fixed-bucket latency [`Histogram`]s (p50/p95/p99 derivable),
 //!   with deterministic Prometheus-style text exposition
-//!   ([`Metrics::expose`]). `sj-server` keeps its `ServerStats` API as a
-//!   thin facade over one of these registries.
+//!   ([`Metrics::expose`]). `sj-server` registers its serving series in
+//!   one of these registries and keeps the handles.
 //!
 //! The span taxonomy used across the workspace (see the README's
 //! "Observability" section): `server.dispatch` → `server.query` →

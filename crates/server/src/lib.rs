@@ -15,7 +15,7 @@
 //!                  ▼                              ▼ (read lock, µs)
 //!        RwLock<master Database>        plan cache ──hit──► execute plan
 //!          ▲ copy-on-write writes          │miss
-//!          │ + per-relation epochs      Engine::fork(snapshot) — cold
+//!          │ (storage re-stamps R)      Engine::fork(snapshot) — cold
 //!        WriteOp (Insert/Set/
 //!        Remove/Analyze)
 //! ```
@@ -32,9 +32,10 @@
 //! *plus a full expression equality check* (collisions degrade to
 //! misses, never wrong results):
 //!
-//! * the **result cache** stamps each entry with the mutation epoch of
-//!   every relation the query reads; any write to one of them
-//!   invalidates the entry (eager sweep + stamp re-validation on hit).
+//! * the **result cache** stamps each entry with the version
+//!   ([`Database::version_of`]) of every relation the query reads; any
+//!   write to one of them invalidates the entry (eager sweep + stamp
+//!   re-validation on hit, against the database the query sees).
 //!   A hit never leaves the thread that asked: [`Session::query`]
 //!   probes the tier itself and only a miss becomes a queued job;
 //! * the **plan cache** stamps entries with the statistics epoch and
@@ -47,14 +48,14 @@
 //! partition workers) — the engine's [`sj_eval::Parallelism`] knob
 //! becomes a server policy instead of a per-query setting.
 //!
-//! **Observability.** [`ServerStats`] counts queries, per-tier hits,
+//! **Observability.** [`Server::stats`] counts queries, per-tier hits,
 //! writes, ANALYZEs and queue rejections, and folds the
 //! [`sj_eval::Report::max_q_error`] of every query that executed — cold
 //! or off a cached plan — into [`StatsSnapshot::max_q_error_seen`]
 //! (counting the ones past [`sj_eval::Q_ERROR_BUDGET`] in
 //! `sj_server_q_error_over_budget_total`) so cost-model drift shows up
 //! in serving dashboards, not just per-query `render()` output. The
-//! counters are a facade over a shared [`sj_obs::Metrics`] registry
+//! counters are handles into a shared [`sj_obs::Metrics`] registry
 //! that also carries per-tier latency histograms, queue wait and
 //! depth, contained worker panics, and per-class query counters —
 //! [`Server::metrics_text`] renders the whole registry as a
@@ -82,7 +83,7 @@ mod queue;
 mod server;
 
 pub use cache::{ExprCache, ExprHashFn};
-pub use metrics::{ServerStats, StatsSnapshot};
+pub use metrics::StatsSnapshot;
 pub use server::{
     CacheMode, Provenance, QueryResponse, ReadTxn, Server, ServerConfig, ServerError, Session,
     WriteOp,

@@ -3,16 +3,18 @@
 //!
 //! # Concurrency model
 //!
-//! One `RwLock<Master>` guards the **master** database plus its
-//! invalidation bookkeeping. Nobody executes queries under that lock:
-//! a reader holds it only long enough to validate a cached result's
-//! stamps, or to capture a [`Snapshot`] (one `Arc` clone per relation
-//! — microseconds) and execute against the snapshot outside it.
-//! Writers take the write lock, mutate copy-on-write (never disturbing
-//! live snapshots), bump the per-relation epochs, and leave. Readers
-//! therefore never block on query execution and writers never block
-//! on readers beyond that window — the paper-engine's `Arc<Relation>`
-//! copy-on-write storage is what makes this cheap.
+//! One `RwLock<Master>` guards the **master** database and the
+//! statistics epoch. Nobody executes queries under that lock: a reader
+//! holds it only long enough to validate a cached result's stamps, or
+//! to capture a [`Snapshot`] (one `Arc` clone per relation —
+//! microseconds) and execute against the snapshot outside it. Writers
+//! take the write lock, mutate copy-on-write (never disturbing live
+//! snapshots; in place when there is none) and leave — storage itself
+//! re-stamps the relation they touched ([`Database::version_of`]), so
+//! there is no invalidation bookkeeping to keep beside the database.
+//! Readers therefore never block on query execution and writers never
+//! block on readers beyond that window — the paper-engine's
+//! `Arc<Relation>` copy-on-write storage is what makes this cheap.
 //!
 //! Which thread serves which tier:
 //!
@@ -30,12 +32,14 @@
 //! # Cache tiers
 //!
 //! * **Result cache** — keyed by the submitted expression, stamped
-//!   with the epoch of every relation the expression reads. A hit
+//!   with the version of every relation the expression reads. A hit
 //!   skips *everything* (optimize, plan, execute) and returns the
 //!   shared result `Arc`. Any write to a referenced relation
-//!   invalidates the entry (eagerly swept on write, re-validated by
-//!   stamp comparison on hit — so the sweep/insert race with an
-//!   in-flight query can never serve a stale result). The probe is one
+//!   invalidates the entry (eagerly swept on write, re-validated on
+//!   hit by comparing its stamps with [`Database::version_of`] in the
+//!   database the query sees — the live master, or a transaction's
+//!   pinned snapshot — so the sweep/insert race with an in-flight
+//!   query can never serve a stale result). The probe is one
 //!   function, `Shared::probe_result`, with two callers: the session
 //!   (above), and the worker as the first thing it does with a job —
 //!   so when many clients miss together after an invalidation, the
@@ -54,14 +58,15 @@
 //! collisions degrade to misses, never wrong results.
 
 use crate::cache::ExprCache;
-use crate::metrics::{ServerStats, StatsSnapshot};
+use crate::metrics::StatsSnapshot;
 use crate::queue::{PushError, Queue};
 use sj_algebra::{Expr, OptimizeLevel};
 use sj_eval::{
     Engine, EvalError, Execution, Instrument, Parallelism, PhysicalPlan, Report, Strategy,
+    Q_ERROR_BUDGET,
 };
-use sj_obs::{Counter, Histogram, Metrics};
-use sj_storage::{Database, FxHashMap, Relation, Snapshot, StorageError, Tuple};
+use sj_obs::{Counter, Histogram, MaxGauge, Metrics};
+use sj_storage::{Database, Relation, Snapshot, StorageError, Tuple};
 use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -304,16 +309,9 @@ pub struct QueryResponse {
     pub profile: Option<String>,
 }
 
-/// Per-relation epoch stamps for the relations one expression reads,
-/// in sorted name order — the result-cache validity token.
-type DepStamps = Vec<(String, u64)>;
-
 /// The master state guarded by the server's `RwLock`.
 struct Master {
     db: Database,
-    /// `relation name → db.epoch() after its last write`. Relations
-    /// never written since startup are implicitly at epoch 0.
-    rel_epochs: FxHashMap<String, u64>,
     /// Bumped by [`WriteOp::Analyze`]; plan-cache entries carry the
     /// value they were built under.
     stats_epoch: u64,
@@ -330,23 +328,26 @@ struct PlanEntry {
     stats_epoch: u64,
 }
 
-/// A result-tier entry: the shared result plus the epoch stamps it was
+/// A result-tier entry: the shared result plus the version stamps it was
 /// computed under. Cached behind an `Arc`, so a lookup clones a
 /// pointer, not the stamps.
 struct ResultEntry {
     relation: Arc<Relation>,
-    deps: DepStamps,
+    /// [`Database::version_of`] every relation the expression reads, in
+    /// the snapshot the result was computed from — the validity token.
+    deps: Vec<(String, Option<u64>)>,
 }
 
 impl ResultEntry {
-    /// Is every relation the result read still at the epoch it was
-    /// stamped with? Compared in place — the entry was found under
-    /// full expression equality, so its dependency names *are* the
-    /// probing expression's.
-    fn valid_under(&self, rel_epochs: &FxHashMap<String, u64>) -> bool {
+    /// Does `db` hold every relation the result read at the version it
+    /// was stamped with (a relation removed since is `None`, which
+    /// matches no stamp of a result that ran)? Compared in place — the
+    /// entry was found under full expression equality, so its
+    /// dependency names *are* the probing expression's.
+    fn valid_under(&self, db: &Database) -> bool {
         self.deps
             .iter()
-            .all(|(name, epoch)| rel_epochs.get(name).copied().unwrap_or(0) == *epoch)
+            .all(|(name, version)| db.version_of(name) == *version)
     }
 }
 
@@ -359,11 +360,30 @@ struct Shared {
     template: Engine,
     plan_cache: ExprCache<PlanEntry>,
     result_cache: ExprCache<Arc<ResultEntry>>,
-    stats: ServerStats,
-    /// The registry behind [`ServerStats`] and every other series here
-    /// ([`Server::metrics_text`] exposes it). Handles are resolved once,
-    /// below, so serving a query never looks a series up.
+    /// The registry behind every series here ([`Server::metrics_text`]
+    /// exposes it). Handles are resolved once, below, so serving a
+    /// query never looks a series up.
     metrics: Arc<Metrics>,
+    /// `sj_server_queries_total`: every answer, whichever tier gave it.
+    queries: Arc<Counter>,
+    /// `sj_server_cache_hits_total{tier="plan"}` / `{tier="result"}`.
+    plan_hits: Arc<Counter>,
+    result_hits: Arc<Counter>,
+    /// `sj_server_writes_total` (Insert / Set / Remove that succeeded)
+    /// and `sj_server_analyzes_total`.
+    writes: Arc<Counter>,
+    analyzes: Arc<Counter>,
+    /// `sj_server_rejected_total`: `try_query` found the queue full.
+    rejected: Arc<Counter>,
+    /// `sj_server_max_q_error`, the largest q-error any execution
+    /// showed. [`MaxGauge`] guards against NaN / non-positive junk: one
+    /// poisoned observation would otherwise stick as the maximum
+    /// forever (NaN's bit pattern compares greater than every finite
+    /// value's).
+    max_q_error: Arc<MaxGauge>,
+    /// `sj_server_q_error_over_budget_total`: executions whose worst
+    /// q-error exceeded [`Q_ERROR_BUDGET`].
+    q_error_over_budget: Arc<Counter>,
     /// `sj_server_queries_by_class_total{class=…}`, one handle per
     /// [`QUERY_CLASSES`] entry.
     class_queries: [Arc<Counter>; QUERY_CLASSES.len()],
@@ -399,61 +419,25 @@ struct Shared {
 #[cfg(test)]
 type Failpoint = Arc<dyn Fn(&Expr) + Send + Sync>;
 
-/// The capture a query executes against: an immutable snapshot plus
-/// the validity stamps taken under the same lock hold.
+/// The capture a query executes against: an immutable snapshot — which
+/// carries the version of every relation in it, the validity stamps of
+/// whatever is computed from it — and the statistics epoch read under
+/// the same lock hold. A [`ReadTxn`] pins one at `begin` and every
+/// query it runs shares it (the inline probe borrows it, a queued job
+/// holds the `Arc`); any other query that has to execute takes its own.
 struct QueryCtx {
     snap: Snapshot,
-    dep_stamps: DepStamps,
-    stats_epoch: u64,
-}
-
-/// Snapshot context a [`ReadTxn`] pins at `begin` and every query it
-/// runs shares: the inline probe borrows it, a queued job holds the
-/// `Arc`.
-struct TxnCtx {
-    snap: Snapshot,
-    rel_epochs: FxHashMap<String, u64>,
     stats_epoch: u64,
 }
 
 impl Shared {
-    /// The stamps of every relation `expr` reads, looked up in
-    /// `rel_epochs`.
-    fn dep_stamps(expr: &Expr, rel_epochs: &FxHashMap<String, u64>) -> DepStamps {
-        expr.relation_names()
-            .into_iter()
-            .map(|n| (n.to_string(), rel_epochs.get(n).copied().unwrap_or(0)))
-            .collect()
-    }
-
-    /// Capture the full context a transaction pins.
-    fn capture_txn(&self) -> TxnCtx {
+    /// Capture the master as it is now, under one read-lock hold (no
+    /// execution inside it).
+    fn capture(&self) -> QueryCtx {
         let master = self.master.read().expect("master poisoned");
-        TxnCtx {
+        QueryCtx {
             snap: master.db.snapshot(),
-            rel_epochs: master.rel_epochs.clone(),
             stats_epoch: master.stats_epoch,
-        }
-    }
-
-    /// The (snapshot, stamps) pair a query that has to execute runs
-    /// against: the transaction's pinned state, or a fresh capture
-    /// under one read-lock hold (no execution inside it).
-    fn capture(&self, expr: &Expr, pinned: Option<&TxnCtx>) -> QueryCtx {
-        match pinned {
-            Some(txn) => QueryCtx {
-                snap: txn.snap.clone(),
-                dep_stamps: Shared::dep_stamps(expr, &txn.rel_epochs),
-                stats_epoch: txn.stats_epoch,
-            },
-            None => {
-                let master = self.master.read().expect("master poisoned");
-                QueryCtx {
-                    snap: master.db.snapshot(),
-                    dep_stamps: Shared::dep_stamps(expr, &master.rel_epochs),
-                    stats_epoch: master.stats_epoch,
-                }
-            }
         }
     }
 
@@ -461,9 +445,33 @@ impl Shared {
     /// returns the class label.
     fn count_query(&self, expr: &Expr) -> &'static str {
         let class = query_class(expr);
-        self.stats.bump_queries();
+        self.queries.inc();
         self.class_queries[class].inc();
         QUERY_CLASSES[class]
+    }
+
+    /// Fold one execution's worst per-node q-error into the running
+    /// maximum and count it when it is past [`Q_ERROR_BUDGET`].
+    fn record_q_error(&self, q_error: f64) {
+        self.max_q_error.observe(q_error);
+        if q_error > Q_ERROR_BUDGET {
+            self.q_error_over_budget.inc();
+        }
+    }
+
+    /// A consistent-enough point-in-time copy of all counters (each
+    /// counter is read atomically; the set is not fenced — fine for
+    /// monitoring).
+    fn snapshot(&self) -> StatsSnapshot {
+        StatsSnapshot {
+            queries: self.queries.get(),
+            plan_hits: self.plan_hits.get(),
+            result_hits: self.result_hits.get(),
+            writes: self.writes.get(),
+            analyzes: self.analyzes.get(),
+            rejected: self.rejected.get(),
+            max_q_error_seen: self.max_q_error.get(),
+        }
     }
 
     /// Everything an answer leaves behind, from the one [`Report`] of
@@ -485,7 +493,7 @@ impl Shared {
         let elapsed = started.elapsed();
         self.latency[provenance as usize].observe_duration(elapsed);
         if let Some(q) = report.as_ref().and_then(Report::max_q_error) {
-            self.stats.record_q_error(q);
+            self.record_q_error(q);
         }
         let profile = want_profile.then(|| {
             // No report: nothing executed, the answer is all there is.
@@ -511,18 +519,18 @@ impl Shared {
     /// client's own thread and by [`Shared::run_query`] on a worker,
     /// and nowhere else.
     ///
-    /// Validity and epoch are one consistent capture — the entry's
-    /// stamps are compared against the live per-relation epochs, and
-    /// the database epoch read, under a single read-lock hold (or both
-    /// taken from the transaction's pinned context) — but nothing is
-    /// snapshotted or allocated: the cache hands out a pointer to its
-    /// entry, and all that is cloned from the entry is the result's
-    /// `Arc`. A miss counts nothing and leaves no span: whoever
-    /// executes the query accounts for it.
+    /// Validity and epoch are one consistent read of the database the
+    /// query sees — the transaction's pinned snapshot, or the live
+    /// master under a single read-lock hold: the entry's stamps are
+    /// compared with that database's versions and its epoch taken —
+    /// but nothing is snapshotted or allocated: the cache hands out a
+    /// pointer to its entry, and all that is cloned from the entry is
+    /// the result's `Arc`. A miss counts nothing and leaves no span:
+    /// whoever executes the query accounts for it.
     fn probe_result(
         &self,
         expr: &Expr,
-        pinned: Option<&TxnCtx>,
+        pinned: Option<&QueryCtx>,
         want_profile: bool,
     ) -> Option<QueryResponse> {
         // Without a result tier the probe is this one branch.
@@ -531,17 +539,19 @@ impl Shared {
         }
         let started = Instant::now();
         let entry = self.result_cache.get(expr)?;
-        let epoch = match pinned {
-            Some(txn) => entry.valid_under(&txn.rel_epochs).then(|| txn.snap.epoch()),
-            None => {
-                let master = self.master.read().expect("master poisoned");
-                entry
-                    .valid_under(&master.rel_epochs)
-                    .then(|| master.db.epoch())
-            }
+        let epoch = {
+            let live;
+            let db: &Database = match pinned {
+                Some(txn) => &txn.snap,
+                None => {
+                    live = self.master.read().expect("master poisoned");
+                    &live.db
+                }
+            };
+            entry.valid_under(db).then(|| db.epoch())
         }?;
         let class = self.count_query(expr);
-        self.stats.bump_result_hits();
+        self.result_hits.inc();
         // Opened once the hit is certain, so the span marks the hit
         // (its latency is in the histogram below); under a worker it
         // hangs off `server.dispatch`, inline it is a root.
@@ -577,7 +587,14 @@ impl Shared {
         let class = self.count_query(expr);
         // Whatever executes below builds a report iff this holds.
         let instrumented = self.instrument || want_profile;
-        let ctx = self.capture(expr, pinned);
+        let fresh;
+        let ctx = match pinned {
+            Some(txn) => txn,
+            None => {
+                fresh = self.capture();
+                &fresh
+            }
+        };
         #[cfg(test)]
         {
             let hook = self.failpoint.lock().expect("failpoint poisoned").clone();
@@ -603,7 +620,7 @@ impl Shared {
                         .all(|(n, a)| schema.arity_of(n) == Some(*a))
             });
         let (provenance, relation, report) = if let Some(entry) = cached {
-            self.stats.bump_plan_hits();
+            self.plan_hits.inc();
             if instrumented {
                 let (relation, report) = entry.plan.execute_reported(db, self.per_query)?;
                 (Provenance::PlanCache, relation, Some(report))
@@ -621,10 +638,10 @@ impl Shared {
             });
             let out = engine.query(expr.clone()).run()?;
             if let Some(plan) = out.plan.filter(|_| caching) {
-                let deps = ctx
-                    .dep_stamps
-                    .iter()
-                    .filter_map(|(n, _)| schema.arity_of(n).map(|a| (n.clone(), a)))
+                let deps = expr
+                    .relation_names()
+                    .into_iter()
+                    .filter_map(|n| schema.arity_of(n).map(|a| (n.to_string(), a)))
                     .collect();
                 self.plan_cache.insert(
                     expr.clone(),
@@ -638,7 +655,7 @@ impl Shared {
             (Provenance::Cold, out.relation, out.report)
         };
         let relation = Arc::new(relation);
-        self.store_result(expr, &relation, &ctx);
+        self.store_result(expr, &relation, db);
         span.attr("tier", provenance.tier());
         span.attr("out_rows", relation.len());
         Ok(self.respond(
@@ -651,50 +668,54 @@ impl Shared {
         ))
     }
 
-    /// Populate the result tier. The entry carries the stamps captured
-    /// *before* execution: if a writer touched a dependency in the
-    /// meantime, the stamps are already stale and every future hit
-    /// attempt fails the comparison — the insert/sweep race is benign.
-    fn store_result(&self, expr: &Expr, relation: &Arc<Relation>, ctx: &QueryCtx) {
+    /// Populate the result tier. The entry carries the versions of the
+    /// snapshot `db` it was computed from: if a writer touched a
+    /// dependency in the meantime, the stamps are already stale and
+    /// every future hit attempt fails the comparison — the insert/sweep
+    /// race is benign.
+    fn store_result(&self, expr: &Expr, relation: &Arc<Relation>, db: &Database) {
         if self.cache_mode == CacheMode::PlanAndResult {
+            let deps = expr
+                .relation_names()
+                .into_iter()
+                .map(|n| (n.to_string(), db.version_of(n)))
+                .collect();
             self.result_cache.insert(
                 expr.clone(),
                 Arc::new(ResultEntry {
                     relation: relation.clone(),
-                    deps: ctx.dep_stamps.clone(),
+                    deps,
                 }),
             );
         }
     }
 
-    /// Apply one write: mutate the master copy-on-write, stamp the
-    /// touched relation, then sweep the caches eagerly (outside the
-    /// write lock — stamp validation backstops the race).
+    /// Apply one write: mutate the master copy-on-write (storage
+    /// re-stamps the touched relation), then sweep the caches eagerly
+    /// (outside the write lock — stamp validation backstops the race).
     fn apply_write(&self, op: WriteOp) -> Result<u64, ServerError> {
         match op {
             WriteOp::Insert { relation, tuple } => {
-                let epoch = {
+                let (fresh, epoch) = {
                     let mut master = self.master.write().expect("master poisoned");
-                    master.db.insert(&relation, tuple)?;
-                    let epoch = master.db.epoch();
-                    master.rel_epochs.insert(relation.clone(), epoch);
-                    epoch
+                    (master.db.insert(&relation, tuple)?, master.db.epoch())
                 };
-                self.stats.bump_writes();
+                self.writes.inc();
                 // Inserts can't change arity: results referencing the
-                // relation die, plans survive.
-                self.sweep_results(&relation);
+                // relation die, plans survive. A tuple already present
+                // changed nothing — same epoch, nothing to sweep.
+                if fresh {
+                    self.sweep_results(&relation);
+                }
                 Ok(epoch)
             }
             WriteOp::Set { relation, rows } => {
                 let epoch = {
                     let mut master = self.master.write().expect("master poisoned");
                     master.db.set(relation.clone(), rows);
-                    let epoch = master.db.epoch();
-                    master.rel_epochs.insert(relation.clone(), epoch);
-                    epoch
+                    master.db.epoch()
                 };
-                self.stats.bump_writes();
+                self.writes.inc();
                 // Replacement may change the schema: sweep both tiers.
                 self.sweep_results(&relation);
                 self.sweep_plans(&relation);
@@ -708,11 +729,9 @@ impl Shared {
                             relation.clone(),
                         )));
                     }
-                    let epoch = master.db.epoch();
-                    master.rel_epochs.insert(relation.clone(), epoch);
-                    epoch
+                    master.db.epoch()
                 };
-                self.stats.bump_writes();
+                self.writes.inc();
                 self.sweep_results(&relation);
                 self.sweep_plans(&relation);
                 Ok(epoch)
@@ -723,12 +742,12 @@ impl Shared {
                     master.stats_epoch += 1;
                     master.db.snapshot()
                 };
-                self.stats.bump_analyzes();
+                self.analyzes.inc();
                 // Refresh the shared catalog outside any lock; the
-                // catalog's own Arc-identity check skips relations
-                // whose analysis is already current.
-                for name in snap.names().map(str::to_string).collect::<Vec<_>>() {
-                    self.template.catalog().stats_for(snap.db(), &name);
+                // catalog's own version check skips relations whose
+                // analysis is already current.
+                for name in snap.names() {
+                    self.template.catalog().stats_for(&snap, name);
                 }
                 // Plans were chosen under the old statistics; retire
                 // them (lazily — the stats_epoch check on hit) and
@@ -755,7 +774,7 @@ impl Shared {
 /// pinned snapshot context).
 struct Job {
     expr: Expr,
-    pinned: Option<Arc<TxnCtx>>,
+    pinned: Option<Arc<QueryCtx>>,
     /// Submitting session's id (`server.dispatch` span attribute).
     session: u64,
     /// Attach the rendered [`Report`] to the response.
@@ -847,15 +866,18 @@ impl Server {
             .parallelism(per_query);
         let metrics = Arc::new(Metrics::new());
         let shared = Arc::new(Shared {
-            master: RwLock::new(Master {
-                db,
-                rel_epochs: FxHashMap::default(),
-                stats_epoch: 0,
-            }),
+            master: RwLock::new(Master { db, stats_epoch: 0 }),
             template,
             plan_cache: ExprCache::new(config.plan_cache_capacity),
             result_cache: ExprCache::new(config.result_cache_capacity),
-            stats: ServerStats::new(metrics.clone()),
+            queries: metrics.counter("sj_server_queries_total"),
+            plan_hits: metrics.counter_with("sj_server_cache_hits_total", &[("tier", "plan")]),
+            result_hits: metrics.counter_with("sj_server_cache_hits_total", &[("tier", "result")]),
+            writes: metrics.counter("sj_server_writes_total"),
+            analyzes: metrics.counter("sj_server_analyzes_total"),
+            rejected: metrics.counter("sj_server_rejected_total"),
+            max_q_error: metrics.max_gauge("sj_server_max_q_error"),
+            q_error_over_budget: metrics.counter("sj_server_q_error_over_budget_total"),
             class_queries: QUERY_CLASSES.map(|class| {
                 metrics.counter_with("sj_server_queries_by_class_total", &[("class", class)])
             }),
@@ -922,11 +944,11 @@ impl Server {
 
     /// Aggregate serving metrics.
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats.snapshot()
+        self.shared.snapshot()
     }
 
     /// Prometheus-style text exposition of every serving series:
-    /// the [`ServerStats`] counters (`sj_server_*_total`), the
+    /// the [`StatsSnapshot`] counters (`sj_server_*_total`), the
     /// per-tier latency histograms (`sj_server_query_seconds{tier=…}`),
     /// queue wait (`sj_server_queue_wait_seconds` — jobs only: a
     /// result-cache hit answered inline never queued) and the queue's
@@ -1050,7 +1072,7 @@ impl Session {
     pub fn begin(&self) -> ReadTxn {
         ReadTxn {
             session: self.clone(),
-            ctx: Arc::new(self.shared.capture_txn()),
+            ctx: Arc::new(self.shared.capture()),
         }
     }
 
@@ -1064,13 +1086,13 @@ impl Session {
 
     /// Aggregate serving metrics.
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats.snapshot()
+        self.shared.snapshot()
     }
 
     fn submit(
         &self,
         expr: Expr,
-        pinned: Option<&Arc<TxnCtx>>,
+        pinned: Option<&Arc<QueryCtx>>,
         block: bool,
         profile: bool,
     ) -> Result<QueryResponse, ServerError> {
@@ -1098,7 +1120,7 @@ impl Session {
         match pushed {
             Ok(()) => {}
             Err(PushError::Full(_)) => {
-                shared.stats.bump_rejected();
+                shared.rejected.inc();
                 return Err(ServerError::QueueFull);
             }
             Err(PushError::Closed(_)) => return Err(ServerError::Stopped),
@@ -1120,7 +1142,7 @@ impl Session {
 /// directly.
 pub struct ReadTxn {
     session: Session,
-    ctx: Arc<TxnCtx>,
+    ctx: Arc<QueryCtx>,
 }
 
 impl ReadTxn {
@@ -1208,6 +1230,10 @@ mod tests {
         assert_eq!(stats.result_hits, 2);
         assert_eq!(stats.writes, 1);
         assert_eq!(stats.cold(), 1);
+        assert_eq!(stats.executed(), 2);
+        assert!(server
+            .metrics_text()
+            .contains("sj_server_cache_hits_total{tier=\"plan\"} 1"));
     }
 
     #[test]
@@ -1229,6 +1255,52 @@ mod tests {
             session.query(e).unwrap().provenance,
             Provenance::ResultCache
         );
+    }
+
+    #[test]
+    fn a_duplicate_insert_changes_nothing() {
+        let server = Server::start(division_db(), config(1, CacheMode::PlanAndResult));
+        let session = server.session();
+        let e = division::division_double_difference("R", "S");
+        let cold = session.query(e.clone()).unwrap();
+        let epoch = session
+            .write(WriteOp::Insert {
+                relation: "R".into(),
+                tuple: tuple![1, 7],
+            })
+            .unwrap();
+        assert_eq!(epoch, cold.epoch, "no mutation, no new epoch");
+        // The result that read R is still the result.
+        let again = session.query(e).unwrap();
+        assert_eq!(again.provenance, Provenance::ResultCache);
+        assert_eq!(again.epoch, cold.epoch);
+    }
+
+    /// With no snapshot or transaction open, the master holds the only
+    /// handle on a stored relation — the statistics catalog in
+    /// particular keeps none — so a write mutates it in place and a
+    /// removal frees it.
+    #[test]
+    fn writes_leave_no_copy_of_the_old_relation_behind() {
+        let server = Server::start(division_db(), config(1, CacheMode::PlanAndResult));
+        let stored = |name| Arc::downgrade(&server.snapshot().get_shared(name).unwrap());
+        let r = stored("R");
+        server.write(WriteOp::Analyze).unwrap();
+        server
+            .write(WriteOp::Insert {
+                relation: "R".into(),
+                tuple: tuple![2, 8],
+            })
+            .unwrap();
+        assert!(r.upgrade().is_none(), "the analyzed R outlived the insert");
+        let s = stored("S");
+        server.write(WriteOp::Analyze).unwrap();
+        server
+            .write(WriteOp::Remove {
+                relation: "S".into(),
+            })
+            .unwrap();
+        assert!(s.upgrade().is_none(), "the analyzed S outlived its removal");
     }
 
     #[test]

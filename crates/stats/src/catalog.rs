@@ -1,24 +1,24 @@
 //! The statistics catalog: cached `ANALYZE` results over a
-//! [`Database`], invalidated copy-on-write.
+//! [`Database`], invalidated by version.
 //!
-//! [`Database`] stores relations behind [`Arc`]s and mutates them
-//! copy-on-write through `Arc::make_mut`. Each catalog entry keeps a
-//! strong handle to the relation it analyzed, which makes the
-//! allocation identity an **airtight fingerprint**: while the catalog
-//! holds its handle the relation is reader-shared, so *any* later
-//! mutation — `Database::set`, `insert`, a write through `get_mut` — replaces or
-//! copies the stored `Arc`, and [`StatsCatalog::stats_for`] detects
-//! the new allocation with one `Arc::ptr_eq` and re-analyzes. Stale
-//! statistics are therefore impossible; the price is that a replaced
-//! relation's old allocation lives until its catalog entry is
-//! refreshed or [`StatsCatalog::clear`]ed.
+//! Storage stamps every binding of a name with a
+//! [`Database::version_of`] that changes whenever the contents can
+//! have — `Database::set`, `insert`, a write through `get_mut` — and
+//! is never reused in the process. Each catalog entry records the
+//! version it analyzed, and [`StatsCatalog::stats_for`] serves it only
+//! to a database whose relation of that name still carries that
+//! version: equal versions mean equal contents, so stale statistics
+//! are impossible, across every database (snapshot, fork, unrelated)
+//! that shares the catalog. The catalog holds no handle on the
+//! relation itself: a writer with no live reader mutates in place, and
+//! a replaced or removed relation is freed at once.
 //!
 //! The catalog itself sits behind a lock and is shared across engine
 //! clones via `Arc<StatsCatalog>`; entries are replaced, never mutated,
 //! so readers get consistent `Arc<TableStats>` snapshots.
 
 use crate::table::TableStats;
-use sj_storage::{Database, FxHashMap, Relation};
+use sj_storage::{Database, FxHashMap};
 use std::sync::{Arc, Mutex};
 
 /// A source of per-relation statistics keyed by relation name — what
@@ -36,18 +36,14 @@ impl StatsSource for FxHashMap<String, Arc<TableStats>> {
     }
 }
 
-#[derive(Clone)]
 struct Entry {
-    /// The relation as analyzed. Holding the handle keeps the stored
-    /// `Arc` reader-shared, so any mutation copies-on-write to a new
-    /// allocation — pointer equality is then a complete freshness
-    /// check.
-    rel: Arc<Relation>,
+    /// [`Database::version_of`] the relation as analyzed.
+    version: u64,
     stats: Arc<TableStats>,
 }
 
-/// A cache of [`TableStats`] per relation name with copy-on-write
-/// invalidation (see the module docs).
+/// A cache of [`TableStats`] per relation name, invalidated by version
+/// (see the module docs).
 #[derive(Default)]
 pub struct StatsCatalog {
     entries: Mutex<FxHashMap<String, Entry>>,
@@ -68,29 +64,29 @@ impl StatsCatalog {
     }
 
     /// Statistics for `db`'s relation `name`, analyzing and caching on
-    /// the first request and whenever the stored relation was replaced
-    /// since the cached analysis.
+    /// the first request and whenever `db` holds another version of the
+    /// relation than the cached analysis saw.
     pub fn stats_for(&self, db: &Database, name: &str) -> Option<Arc<TableStats>> {
-        let rel = db.get_shared(name)?;
+        let version = db.version_of(name)?;
         {
             let entries = self.entries.lock().expect("stats catalog poisoned");
-            if let Some(e) = entries.get(name) {
-                if Arc::ptr_eq(&e.rel, &rel) {
-                    return Some(e.stats.clone());
-                }
+            if let Some(e) = entries.get(name).filter(|e| e.version == version) {
+                return Some(e.stats.clone());
             }
         }
         // Analyze outside the lock: concurrent misses may race to
-        // analyze the same relation, but both compute identical stats
-        // and the last write wins — correctness over duplicate work.
-        let stats = Arc::new(TableStats::analyze(&rel));
-        self.entries.lock().expect("stats catalog poisoned").insert(
-            name.to_string(),
-            Entry {
-                rel,
-                stats: stats.clone(),
-            },
-        );
+        // analyze the same relation, but equal versions compute
+        // identical stats and the last write wins — correctness over
+        // duplicate work.
+        let stats = Arc::new(TableStats::analyze(db.get(name)?));
+        let entry = Entry {
+            version,
+            stats: stats.clone(),
+        };
+        self.entries
+            .lock()
+            .expect("stats catalog poisoned")
+            .insert(name.to_string(), entry);
         Some(stats)
     }
 
@@ -132,7 +128,7 @@ impl StatsSource for CatalogSource<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sj_storage::tuple;
+    use sj_storage::{tuple, Relation};
 
     fn db() -> Database {
         let mut d = Database::new();
@@ -171,12 +167,48 @@ mod tests {
         let mut d = db();
         let before = cat.stats_for(&d, "S").unwrap();
         assert_eq!(before.rows, 2);
-        // The catalog's entry keeps the Arc reader-shared, so this
-        // insert copies-on-write to a fresh allocation — which is
-        // exactly what the ptr_eq freshness check detects.
+        // Nothing else holds S, so this insert mutates the stored
+        // allocation in place — same pointer, new version, which is
+        // what the freshness check reads.
         d.insert("S", tuple![9]).unwrap();
         let after = cat.stats_for(&d, "S").unwrap();
         assert_eq!(after.rows, 3);
+    }
+
+    #[test]
+    fn the_catalog_keeps_no_relation_alive() {
+        let cat = StatsCatalog::new();
+        let mut d = db();
+        let analyzed = Arc::downgrade(&d.get_shared("R").unwrap());
+        let before = cat.stats_for(&d, "R").unwrap();
+        // The database holds the only strong handle, so the write takes
+        // the allocation over instead of copying it and leaving the
+        // analyzed state behind…
+        d.insert("R", tuple![9, 9]).unwrap();
+        assert!(analyzed.upgrade().is_none());
+        let after = cat.stats_for(&d, "R").unwrap();
+        assert_eq!((before.rows, after.rows), (3, 4), "…and still re-analyzes");
+        // A replaced relation is gone the moment the database lets go
+        // of it, entry or no entry.
+        let analyzed = Arc::downgrade(&d.get_shared("R").unwrap());
+        d.set("R", Relation::from_int_rows(&[&[1, 1]]));
+        assert!(analyzed.upgrade().is_none());
+    }
+
+    #[test]
+    fn one_catalog_serves_unrelated_databases() {
+        // Built the same way, step for step, with different contents:
+        // versions counted per database would collide here.
+        let cat = StatsCatalog::new();
+        let a = db();
+        let mut b = Database::new();
+        b.set("R", Relation::from_int_rows(&[&[9, 9]]));
+        assert_eq!(cat.stats_for(&a, "R").unwrap().rows, 3);
+        assert_eq!(cat.stats_for(&b, "R").unwrap().rows, 1);
+        // A snapshot holds its source's contents, so it shares the entry.
+        let first = cat.stats_for(&a, "R").unwrap();
+        let again = cat.stats_for(&a.snapshot(), "R").unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   per-column distinct counts, min/max, equi-width [`Histogram`]s,
 //!   and the set-join view (group count and set-size moments) for
 //!   binary relations.
-//! * [`StatsCatalog`] — cached statistics per relation name with
-//!   copy-on-write invalidation riding on `Database`'s `Arc`-backed
-//!   storage; [`StatsSource`] is the read interface the estimator
+//! * [`StatsCatalog`] — cached statistics per relation name,
+//!   invalidated by the version `Database` stamps each relation's
+//!   contents with; [`StatsSource`] is the read interface the estimator
 //!   and the planner consume ([`CatalogSource`] binds a catalog to a
 //!   database).
 //! * [`CostModel`] — seven unit costs in tuple-operation units, stated

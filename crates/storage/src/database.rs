@@ -7,7 +7,37 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The next [`Database::version_of`] stamp: one counter for the whole
+/// process, so a stamp is never handed out twice — not even to two
+/// unrelated databases.
+static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
+
+fn next_version() -> u64 {
+    // Relaxed: the stamp only has to be unique, which the atomic
+    // increment gives under any ordering. It publishes nothing — the
+    // contents it names travel with the `Database` itself.
+    NEXT_VERSION.fetch_add(1, Ordering::Relaxed)
+}
+
+/// What a name is bound to: the relation, and the version of that
+/// binding's contents (see [`Database::version_of`]).
+#[derive(Clone)]
+struct Binding {
+    rel: Arc<Relation>,
+    version: u64,
+}
+
+impl Binding {
+    fn new(rel: Arc<Relation>) -> Binding {
+        Binding {
+            rel,
+            version: next_version(),
+        }
+    }
+}
 
 /// A database `D` over a schema `S`: an assignment of a finite relation
 /// `D(R)` to each relation name `R ∈ S` (Section 2 of the paper).
@@ -21,11 +51,14 @@ use std::sync::Arc;
 /// [`Arc::make_mut`] (copy-on-write), so the plain `&Relation` /
 /// `&mut Relation` API is unchanged.
 ///
-/// Every mutation also bumps a monotonic [`Database::epoch`] counter,
-/// and [`Database::snapshot`] captures a cheap immutable handle (one
-/// `Arc` clone per relation, zero tuple clones) — together these are
-/// the substrate for snapshot-isolated serving (`sj-server`): readers
-/// keep their snapshot while writers copy-on-write underneath them.
+/// Every mutation also bumps a monotonic [`Database::epoch`] counter
+/// and re-stamps the binding it touched ([`Database::version_of`]), and
+/// [`Database::snapshot`] captures a cheap immutable handle (one `Arc`
+/// clone per relation, zero tuple clones) — together these are the
+/// substrate for snapshot-isolated serving (`sj-server`): readers keep
+/// their snapshot while writers copy-on-write underneath them. The
+/// epoch *orders* the states of one database; a version *identifies*
+/// the contents of one binding, whichever database holds it.
 ///
 /// ```
 /// use sj_storage::{Database, Relation};
@@ -36,17 +69,18 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone, Default)]
 pub struct Database {
-    relations: BTreeMap<String, Arc<Relation>>,
+    relations: BTreeMap<String, Binding>,
     /// Mutation counter; see [`Database::epoch`]. Not part of equality:
     /// two databases with the same contents compare equal regardless of
     /// their mutation histories.
     epoch: u64,
 }
 
-/// Contents-only equality — the epoch is a mutation counter, not data.
+/// Contents-only equality — the epoch and the versions record history,
+/// not data.
 impl PartialEq for Database {
     fn eq(&self, other: &Self) -> bool {
-        self.relations == other.relations
+        self.iter().eq(other.iter())
     }
 }
 
@@ -63,7 +97,7 @@ impl Database {
         Database {
             relations: rels
                 .into_iter()
-                .map(|(n, r)| (n.into(), Arc::new(r)))
+                .map(|(n, r)| (n.into(), Binding::new(Arc::new(r))))
                 .collect(),
             epoch: 0,
         }
@@ -74,7 +108,7 @@ impl Database {
         Database {
             relations: schema
                 .iter()
-                .map(|(n, a)| (n.to_string(), Arc::new(Relation::empty(a))))
+                .map(|(n, a)| (n.to_string(), Binding::new(Arc::new(Relation::empty(a)))))
                 .collect(),
             epoch: 0,
         }
@@ -82,23 +116,20 @@ impl Database {
 
     /// Assign `rel` to `name`, replacing any previous assignment.
     pub fn set(&mut self, name: impl Into<String>, rel: Relation) {
-        self.relations.insert(name.into(), Arc::new(rel));
-        self.epoch += 1;
+        self.set_shared(name, Arc::new(rel));
     }
 
     /// Assign an already-shared relation to `name` without copying it.
     pub fn set_shared(&mut self, name: impl Into<String>, rel: Arc<Relation>) {
-        self.relations.insert(name.into(), rel);
+        self.relations.insert(name.into(), Binding::new(rel));
         self.epoch += 1;
     }
 
     /// Remove the relation assigned to `name`, returning its handle.
     pub fn remove(&mut self, name: &str) -> Option<Arc<Relation>> {
-        let removed = self.relations.remove(name);
-        if removed.is_some() {
-            self.epoch += 1;
-        }
-        removed
+        let removed = self.relations.remove(name)?;
+        self.epoch += 1;
+        Some(removed.rel)
     }
 
     /// The database's **mutation epoch**: a monotonic counter bumped by
@@ -119,6 +150,26 @@ impl Database {
         self.epoch
     }
 
+    /// The **version** of the contents bound to `name`, `None` when
+    /// nothing is: the one answer to "did this relation change since I
+    /// last looked?". A binding is stamped when it is created or
+    /// replaced (the constructors, [`Database::set`],
+    /// [`Database::set_shared`]) and re-stamped by the first write
+    /// through a [`RelationMut`] guard — the moments the epoch
+    /// advances for that name. [`Clone`] and [`Database::snapshot`]
+    /// copy the stamp with the contents; reads never move it.
+    ///
+    /// Stamps come from one process-wide counter, so **equal versions
+    /// mean equal contents in any two databases of the process** —
+    /// snapshots of one evolving master, or databases built apart. That
+    /// is what lets a cache shared across databases (`sj-stats`'
+    /// catalog, `sj-server`'s result tier) key on it. The converse does
+    /// not hold: replacing a relation by an equal one is a new version.
+    /// Like the epoch, versions are history and not part of equality.
+    pub fn version_of(&self, name: &str) -> Option<u64> {
+        self.relations.get(name).map(|b| b.version)
+    }
+
     /// A cheap immutable [`Snapshot`] of the database: one `Arc` clone
     /// per relation name, **zero tuple clones**. The snapshot keeps
     /// reading the relations as they are now; later writers mutate
@@ -134,14 +185,14 @@ impl Database {
 
     /// The relation assigned to `name`, if any.
     pub fn get(&self, name: &str) -> Option<&Relation> {
-        self.relations.get(name).map(|r| r.as_ref())
+        self.relations.get(name).map(|b| b.rel.as_ref())
     }
 
     /// A shared, zero-copy handle to the relation assigned to `name`.
     /// This is how the planned evaluator scans leaves: bumping the
     /// reference count instead of deep-cloning the tuple vector.
     pub fn get_shared(&self, name: &str) -> Option<Arc<Relation>> {
-        self.relations.get(name).cloned()
+        self.relations.get(name).map(|b| b.rel.clone())
     }
 
     /// The relation assigned to `name`, as an error-producing lookup.
@@ -157,29 +208,41 @@ impl Database {
     /// — and only a relation still shared with a reader is copied
     /// before mutation.
     ///
-    /// Both the copy-on-write and the [`Database::epoch`] bump are
-    /// deferred to the guard's first *mutable* dereference: merely
-    /// obtaining (or reading through) the guard mutates nothing,
-    /// advances no epoch, and invalidates no cache.
+    /// The copy-on-write, the [`Database::epoch`] bump and the new
+    /// [`Database::version_of`] stamp are all deferred to the guard's
+    /// first *mutable* dereference: merely obtaining (or reading
+    /// through) the guard mutates nothing, advances no epoch, and
+    /// invalidates no cache.
     pub fn get_mut(&mut self, name: &str) -> Option<RelationMut<'_>> {
-        let rel = self.relations.get_mut(name)?;
+        let binding = self.relations.get_mut(name)?;
         Some(RelationMut {
-            rel,
+            binding,
             epoch: &mut self.epoch,
             wrote: false,
         })
     }
 
-    /// Insert a tuple into relation `name` (which must exist).
+    /// Insert a tuple into relation `name` (which must exist). Returns
+    /// `true` if the tuple was new; a tuple already present is not a
+    /// mutation — no epoch, no version, no copy-on-write.
     pub fn insert(&mut self, name: &str, t: Tuple) -> crate::Result<bool> {
-        self.get_mut(name)
-            .ok_or_else(|| StorageError::UnknownRelation(name.to_string()))?
-            .insert(t)
+        let mut rel = self
+            .get_mut(name)
+            .ok_or_else(|| StorageError::UnknownRelation(name.to_string()))?;
+        // Membership through the guard's immutable deref. A tuple of
+        // the wrong arity is never a member, so it still reaches
+        // `Relation::insert` and its `ArityMismatch`.
+        if rel.contains(&t) {
+            return Ok(false);
+        }
+        rel.insert(t)
     }
 
     /// Iterate `(name, relation)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Relation)> {
-        self.relations.iter().map(|(n, r)| (n.as_str(), r.as_ref()))
+        self.relations
+            .iter()
+            .map(|(n, b)| (n.as_str(), b.rel.as_ref()))
     }
 
     /// Relation names in sorted order.
@@ -189,22 +252,21 @@ impl Database {
 
     /// The schema induced by the stored relations.
     pub fn schema(&self) -> Schema {
-        Schema::new(self.relations.iter().map(|(n, r)| (n.clone(), r.arity())))
+        Schema::new(self.iter().map(|(n, r)| (n, r.arity())))
     }
 
     /// **Definition 15**: the size `|D|` of the database — the sum of the
     /// cardinalities of its relations.
     pub fn size(&self) -> usize {
-        self.relations.values().map(|r| r.len()).sum()
+        self.iter().map(|(_, r)| r.len()).sum()
     }
 
     /// The active domain: all values occurring in any relation, sorted and
     /// deduplicated. GF formulas are interpreted over this set.
     pub fn active_domain(&self) -> Vec<Value> {
         let mut v: Vec<Value> = self
-            .relations
-            .values()
-            .flat_map(|r| r.iter().flat_map(|t| t.iter().cloned()))
+            .iter()
+            .flat_map(|(_, r)| r.iter().flat_map(|t| t.iter().cloned()))
             .collect();
         v.sort_unstable();
         v.dedup();
@@ -229,11 +291,7 @@ impl Database {
     /// `T_D = ⋃ {D(R) | R ∈ S}` — a set union, so duplicates across
     /// relations collapse). Tuples of different arities coexist.
     pub fn tuple_space_set(&self) -> Vec<Tuple> {
-        let mut v: Vec<Tuple> = self
-            .relations
-            .values()
-            .flat_map(|r| r.iter().cloned())
-            .collect();
+        let mut v: Vec<Tuple> = self.iter().flat_map(|(_, r)| r.iter().cloned()).collect();
         v.sort_unstable();
         v.dedup();
         v
@@ -244,9 +302,8 @@ impl Database {
     /// deduplicated vector of values; the list itself is deduplicated.
     pub fn guarded_sets(&self) -> Vec<Vec<Value>> {
         let mut v: Vec<Vec<Value>> = self
-            .relations
-            .values()
-            .flat_map(|r| r.iter().map(Tuple::value_set))
+            .iter()
+            .flat_map(|(_, r)| r.iter().map(Tuple::value_set))
             .collect();
         v.sort_unstable();
         v.dedup();
@@ -257,24 +314,12 @@ impl Database {
     /// new database. Used to build isomorphic copies (the re-spacing step in
     /// the Lemma 24 pump construction).
     pub fn map_values(&self, mut f: impl FnMut(&Value) -> Value) -> Database {
-        let relations = self
-            .relations
-            .iter()
-            .map(|(n, r)| {
-                let tuples = r.iter().map(|t| t.iter().map(&mut f).collect::<Tuple>());
-                (
-                    n.clone(),
-                    Arc::new(
-                        Relation::from_tuples(r.arity(), tuples)
-                            .expect("map_values preserves arity"),
-                    ),
-                )
-            })
-            .collect();
-        Database {
-            relations,
-            epoch: 0,
-        }
+        Database::from_relations(self.iter().map(|(n, r)| {
+            let tuples = r.iter().map(|t| t.iter().map(&mut f).collect::<Tuple>());
+            let mapped =
+                Relation::from_tuples(r.arity(), tuples).expect("map_values preserves arity");
+            (n, mapped)
+        }))
     }
 
     /// Number of relation names.
@@ -287,18 +332,19 @@ impl Database {
 /// [`Database::get_mut`].
 ///
 /// Dereferencing it immutably reads the stored relation in place — no
-/// copy, no epoch bump. The first **mutable** dereference is the moment
-/// the access becomes a mutation: the guard then bumps
-/// [`Database::epoch`] (exactly once per guard) and performs the
-/// copy-on-write `Arc::make_mut`, cloning the relation only if a
-/// [`Database::get_shared`] handle still aliases it.
+/// copy, no epoch bump, no new version. The first **mutable**
+/// dereference is the moment the access becomes a mutation: the guard
+/// then bumps [`Database::epoch`] and re-stamps the binding's
+/// [`Database::version_of`] (each exactly once per guard) and performs
+/// the copy-on-write `Arc::make_mut`, cloning the relation only if a
+/// [`Database::get_shared`] handle or a [`Snapshot`] still aliases it.
 ///
-/// This keeps the epoch honest in both directions: contents can never
-/// change without the epoch advancing, and a read-only pass through
-/// `get_mut` no longer advances it spuriously (which used to invalidate
-/// `sj-server` result-cache entries for free).
+/// This keeps both stamps honest in both directions: contents can never
+/// change without the epoch and the version advancing, and a read-only
+/// pass through `get_mut` advances neither (so it invalidates no
+/// `sj-server` result-cache entry and no `sj-stats` catalog entry).
 pub struct RelationMut<'a> {
-    rel: &'a mut Arc<Relation>,
+    binding: &'a mut Binding,
     epoch: &'a mut u64,
     wrote: bool,
 }
@@ -307,7 +353,7 @@ impl std::ops::Deref for RelationMut<'_> {
     type Target = Relation;
 
     fn deref(&self) -> &Relation {
-        self.rel
+        &self.binding.rel
     }
 }
 
@@ -316,8 +362,9 @@ impl std::ops::DerefMut for RelationMut<'_> {
         if !self.wrote {
             self.wrote = true;
             *self.epoch += 1;
+            self.binding.version = next_version();
         }
-        Arc::make_mut(self.rel)
+        Arc::make_mut(&mut self.binding.rel)
     }
 }
 
@@ -335,7 +382,9 @@ impl fmt::Debug for RelationMut<'_> {
 /// writer mutating the source database afterwards goes through
 /// copy-on-write (`Arc::make_mut`), so this handle keeps reading exactly
 /// the state it captured. [`Snapshot::epoch`] records which mutation
-/// epoch that was.
+/// epoch that was, and [`Database::version_of`] on the snapshot keeps
+/// answering with the versions captured — comparing one against the
+/// source's current version tells whether that relation moved on.
 ///
 /// Derefs to [`Database`], so every read-only query API works on it
 /// directly; [`Snapshot::into_db`] yields an owned `Database` (e.g. to
@@ -374,7 +423,7 @@ impl std::ops::Deref for Snapshot {
 impl fmt::Debug for Database {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut s = f.debug_struct("Database");
-        for (n, r) in &self.relations {
+        for (n, r) in self.iter() {
             s.field(n, r);
         }
         s.finish()
@@ -551,6 +600,92 @@ mod tests {
         assert_eq!(fig2(), again);
         assert_ne!(mutated.epoch(), again.epoch());
         assert_ne!(mutated, again, "contents differ");
+    }
+
+    #[test]
+    fn version_changes_with_the_contents_and_only_then() {
+        let mut d = fig2();
+        let v0 = d.version_of("R").unwrap();
+        assert_eq!(d.version_of("no-such"), None);
+        // Reads, copies and unused or read-only guards keep the stamp.
+        d.get("R");
+        d.get_shared("R");
+        assert_eq!(d.snapshot().version_of("R"), Some(v0));
+        assert_eq!(d.clone().version_of("R"), Some(v0));
+        d.get_mut("R").unwrap();
+        assert_eq!(d.get_mut("R").unwrap().len(), 2);
+        assert_eq!(d.version_of("R"), Some(v0));
+        // One new stamp per writing guard, however often it writes —
+        // and none for its neighbours.
+        let s0 = d.version_of("S");
+        let snap = d.snapshot();
+        {
+            let mut guard = d.get_mut("R").unwrap();
+            guard.insert(tuple!["x", "y", "z"]).unwrap();
+            let v1 = guard.binding.version;
+            guard.remove(&tuple!["x", "y", "z"]);
+            assert_eq!(guard.binding.version, v1);
+            assert_ne!(v1, v0);
+        }
+        let v1 = d.version_of("R").unwrap();
+        assert_eq!(d.version_of("S"), s0);
+        assert_eq!(
+            snap.version_of("R"),
+            Some(v0),
+            "a snapshot keeps its stamps"
+        );
+        // Equal contents are still a new binding: set, set_shared and
+        // remove-then-set each re-stamp.
+        let mut seen = vec![v0, v1];
+        let same = d.get_shared("R").unwrap();
+        d.set("R", (*same).clone());
+        seen.push(d.version_of("R").unwrap());
+        d.set_shared("R", same.clone());
+        seen.push(d.version_of("R").unwrap());
+        d.remove("R").unwrap();
+        assert_eq!(d.version_of("R"), None);
+        d.set_shared("R", same);
+        seen.push(d.version_of("R").unwrap());
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), 5, "every binding got a stamp of its own");
+        assert_eq!(d, fig2(), "versions are not part of equality");
+        // Databases built apart never share a stamp, name by name or
+        // across names — one catalog may serve them all.
+        let (a, b) = (fig2(), fig2().map_values(Value::clone));
+        let mut all: Vec<u64> = [&a, &b, &Database::empty_over(&a.schema())]
+            .iter()
+            .flat_map(|db| db.names().map(|n| db.version_of(n).unwrap()))
+            .collect();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), 9);
+    }
+
+    #[test]
+    fn duplicate_insert_is_not_a_mutation() {
+        let mut d = fig2();
+        let shared = d.get_shared("S").unwrap();
+        let (e0, v0) = (d.epoch(), d.version_of("S"));
+        assert!(!d.insert("S", tuple!["d", "a", "b"]).unwrap());
+        assert_eq!((d.epoch(), d.version_of("S")), (e0, v0));
+        assert!(
+            std::ptr::eq(shared.as_ref(), d.get("S").unwrap()),
+            "nothing was copied"
+        );
+        // The wrong arity is still an error, not a silent `false`.
+        assert!(matches!(
+            d.insert("S", tuple!["d", "a"]),
+            Err(StorageError::ArityMismatch {
+                expected: 3,
+                found: 2
+            })
+        ));
+        // And a fresh tuple is still a mutation.
+        let e1 = d.epoch();
+        assert!(d.insert("S", tuple!["x", "y", "z"]).unwrap());
+        assert_eq!(d.epoch(), e1 + 1);
+        assert_ne!(d.version_of("S"), v0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`storage`] | `sj-storage` | values, tuples, relations, databases |
-//! | [`algebra`] | `sj-algebra` | RA / SA / extended-RA expression ASTs, optimizer pass pipeline |
+//! | [`algebra`] | `sj-algebra` | RA / SA / extended-RA expression ASTs, optimizer rewrites |
 //! | [`eval`] | `sj-eval` | the [`Engine`] facade and the underlying evaluators |
 //! | [`logic`] | `sj-logic` | guarded fragment, Theorem 8 translations |
 //! | [`bisim`] | `sj-bisim` | guarded bisimulation checker and solver |
@@ -90,7 +90,7 @@ pub use sj_stats::{CostModel, TableStats};
 
 /// Most-used items in one import.
 pub mod prelude {
-    pub use sj_algebra::{Condition, Expr, OptimizeLevel, Pass, Pipeline};
+    pub use sj_algebra::{Condition, Expr, OptimizeLevel};
     pub use sj_eval::{
         evaluate, evaluate_instrumented, AlgorithmChoice, Engine, Execution, Instrument, JoinOrder,
         Parallelism, Query, QueryOutput, Report, SetOpOutput, StatsMode, Strategy,
