@@ -9,6 +9,18 @@
 //! Conventions: the dividend `R(A, B)` is binary (column 1 = A, column 2 =
 //! B), the divisor `S(B)` is unary, and set-join operands are binary
 //! `R(A, B)`, `S(C, D)`.
+//!
+//! `sj-eval`'s physical planner recognizes two of these shapes over
+//! stored operands and runs each as one direct division operator (its
+//! `PhysOp::Divide`): [`division_double_difference`] (which
+//! [`division_via_join`] builds too) and [`division_equality`]. No RA
+//! rewrite can make them linear, so lowering them is an operator choice,
+//! not an optimizer pass; the naive and reference evaluators keep running
+//! them as written, which is what the experiments measure. The counting
+//! shapes are not lowered: they are linear already, and
+//! [`division_counting`] is not division when `S` is empty — it counts
+//! the groups of `R ⋈ S`, which is empty then, so it returns ∅ where
+//! division returns π₁(R).
 
 use crate::condition::Condition;
 use crate::expr::Expr;

@@ -31,9 +31,12 @@ use std::fmt;
 /// `sj-eval`'s `Engine`; [`OptimizeLevel::run`] applies a level.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
 pub enum OptimizeLevel {
-    /// No rewrites: evaluate the expression exactly as written. The right
-    /// choice when the expression's own intermediate sizes are the object
-    /// of study (all the paper's Definition 16 measurements).
+    /// No rewrites: the expression reaches the evaluator as written. With
+    /// `sj-eval`'s naive evaluator that is the right choice when the
+    /// expression's own intermediate sizes are the object of study (all
+    /// the paper's Definition 16 measurements); its planner still picks
+    /// physical operators, and runs the RA division idioms as one
+    /// division node, at every level.
     #[default]
     Off,
     /// Structural cleanups only: selection pushdown and projection

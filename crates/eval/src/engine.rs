@@ -70,8 +70,9 @@ pub enum Strategy {
     /// The DAG-memoizing, cost-based physical planner
     /// ([`crate::PhysicalPlan`]): every distinct subexpression evaluated
     /// once, zero-copy leaf scans, merge operators on aligned key
-    /// prefixes, join chains ordered from statistics. The production
-    /// default.
+    /// prefixes, join chains ordered from statistics, the RA division
+    /// idioms run as one division node ([`crate::PhysOp::Divide`]). The
+    /// production default.
     #[default]
     Planned,
     /// The tree-walking evaluator ([`crate::evaluate`]): one evaluation
@@ -179,8 +180,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An engine over `db` with the default configuration: no rewrites
-    /// ([`OptimizeLevel::Off`] — the expression runs as written),
+    /// An engine over `db` with the default configuration: no algebraic
+    /// rewrites ([`OptimizeLevel::Off`]),
     /// [`Strategy::Planned`], [`Instrument::Off`],
     /// [`AlgorithmChoice::Auto`],
     /// [`Parallelism::Serial`], [`JoinOrder::Dp`] and an empty
@@ -565,13 +566,25 @@ mod tests {
         assert_eq!(report.nodes.len(), e.node_count());
         assert_eq!(report.output_rows, out.relation.len());
 
-        let planned = Engine::new(division_db())
+        // A near miss the planner does not lower (the subtracted relation
+        // is `T`, a copy of `R`): one stat per distinct subtree, 8 for the
+        // 10-node tree.
+        let mut db = division_db();
+        db.set("T", db.get("R").unwrap().clone());
+        let candidates = Expr::rel("R").project([1]);
+        let near_miss = candidates.clone().diff(
+            candidates
+                .product(Expr::rel("S"))
+                .diff(Expr::rel("T"))
+                .project([1]),
+        );
+        let planned = Engine::new(db)
             .strategy(Strategy::Planned)
             .instrument(Instrument::Cardinalities);
-        let out = planned.query(e.clone()).run().unwrap();
+        let out = planned.query(near_miss).run().unwrap();
         let report = out.report.unwrap();
         assert!(report.nodes.iter().all(|n| n.estimate.is_some()));
-        assert_eq!(report.nodes.len(), 7);
+        assert_eq!(report.nodes.len(), 8);
         assert_eq!(report.output_rows, out.relation.len());
 
         // The reference evaluator has no instrumentation: report is None.
@@ -648,6 +661,36 @@ mod tests {
         assert_eq!(nested.relation, out.relation);
         assert_eq!(nested.algorithm, "nested-loop");
         assert_eq!(nested.complexity, ComplexityClass::Quadratic);
+    }
+
+    #[test]
+    fn planned_division_idioms_run_the_algorithm_divide_picks() {
+        let engine = Engine::new(division_db()).instrument(Instrument::Cardinalities);
+        for (e, sem) in [
+            (
+                division::division_double_difference("R", "S"),
+                DivisionSemantics::Containment,
+            ),
+            (
+                division::division_equality("R", "S"),
+                DivisionSemantics::Equality,
+            ),
+        ] {
+            let direct = engine.divide("R", "S", sem).unwrap();
+            let q = engine.query(e.clone());
+            let explained = q.explain().unwrap();
+            assert!(explained.contains("physical plan: 3 nodes"), "{explained}");
+            assert!(explained.contains(direct.algorithm), "{explained}");
+            let out = q.run().unwrap();
+            assert_eq!(out.relation, direct.relation, "{e}");
+            let report = out.report.unwrap();
+            let root = report.nodes.last().unwrap();
+            assert_eq!(root.operator, direct.algorithm);
+            assert!(root.label.starts_with("divide["), "{}", root.label);
+            // R has three distinct first-column values.
+            assert!(root.estimate.unwrap() <= 3.0);
+            assert_eq!(report.max_intermediate(), 5, "|R|");
+        }
     }
 
     #[test]

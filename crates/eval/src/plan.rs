@@ -6,7 +6,8 @@
 //! subexpression occurs more than once: `division_double_difference`
 //! mentions `R` three times and `π₁(R)` twice, and the naive evaluator
 //! re-evaluates (and deep-clones) every occurrence. This module removes
-//! that waste in three steps:
+//! that waste — and, for division, the quadratic intermediate itself —
+//! in three steps:
 //!
 //! 1. **Hash-consing.** Lowering walks the expression bottom-up and keys
 //!    each node by [`Expr::structural_hash`] (confirmed with `==`), so
@@ -27,7 +28,12 @@
 //!    to a filtered nested loop when there are none — the node is named
 //!    by that same rule ([`ops::join_dispatch`]), so the name in
 //!    `EXPLAIN` is the body that runs. Non-equality atoms ride along as
-//!    residual filters.
+//!    residual filters. The two textbook RA division idioms over stored
+//!    operands — the double difference and its equality variant — lower
+//!    whole to one [`PhysOp::Divide`] node run by a linear algorithm of
+//!    the `sj-setjoin` registry: Proposition 26 says no RA rewrite can
+//!    make them linear, so the escape is an operator choice, made here
+//!    like merge-vs-hash and under every optimizer level.
 //!
 //! Every plan is costed. [`PhysicalPlan::of_costed_with_order`] is the
 //! one constructor: it takes the statistics source that orders join
@@ -49,6 +55,7 @@ use crate::ops_vec;
 use crate::par::Parallelism;
 use crate::report::{NodeStat, Report};
 use sj_algebra::{AlgebraError, Condition, Expr, JoinGraph, Selection};
+use sj_setjoin::{DivisionSemantics, Registry};
 use sj_stats::{CardEst, CostModel, Estimator, StatsSource};
 use sj_storage::{Database, FxHashMap, Relation, Schema, Value};
 use std::sync::Arc;
@@ -99,6 +106,19 @@ pub enum PhysOp {
     /// pairwise order's estimated intermediate exceeds the cycle's AGM
     /// output bound ([`joinorder::multiway_plan`]).
     MultiwayJoin(kernel::MultiwaySpec),
+    /// Division `X ÷ Y` of a stored binary dividend by a stored unary
+    /// divisor (children `[X, Y]`), standing for a whole RA idiom that
+    /// would otherwise materialize the product `π₁(X) × Y`: the double
+    /// difference `π₁(X) − π₁((π₁(X) × Y) − X)`
+    /// ([`DivisionSemantics::Containment`]) or its equality variant
+    /// `DD(X, Y) − π₁(X − (π₁(X) × Y))` ([`DivisionSemantics::Equality`]).
+    /// `algorithm` is the [`Registry`] entry that
+    /// [`Registry::auto_division`] prices cheapest on the two scans'
+    /// statistics at plan time — the node's name and the body that runs.
+    Divide {
+        sem: DivisionSemantics,
+        algorithm: &'static str,
+    },
 }
 
 impl PhysOp {
@@ -120,6 +140,7 @@ impl PhysOp {
             PhysOp::MergeSemijoin { .. } => "merge-semijoin",
             PhysOp::HashGroupCount(_) => "hash-group",
             PhysOp::MultiwayJoin(_) => "multiway-join",
+            PhysOp::Divide { algorithm, .. } => algorithm,
         }
     }
 }
@@ -132,7 +153,8 @@ pub struct PlanNode {
     /// Child node ids (left to right).
     pub children: Vec<NodeId>,
     /// Logical label of the subexpression this node computes
-    /// ([`Expr::label`]).
+    /// ([`Expr::label`]; `divide[⊇]` / `divide[=]` for a
+    /// [`PhysOp::Divide`], which computes a whole idiom).
     pub label: String,
     /// Output arity.
     pub arity: usize,
@@ -168,7 +190,9 @@ impl PhysicalPlan {
     /// results stay byte-identical; a restoring projection keeps the
     /// written column order), and under [`JoinOrder::Dp`] cyclic chains
     /// whose every pairwise order is estimated past the AGM bound
-    /// collapse into one [`PhysOp::MultiwayJoin`]. Every node carries an
+    /// collapse into one [`PhysOp::MultiwayJoin`]. The RA division idioms
+    /// over stored operands lower to one [`PhysOp::Divide`] whose
+    /// algorithm `model` prices cheapest. Every node carries an
     /// estimated output cardinality ([`PlanNode::est_rows`], shown by
     /// [`PhysicalPlan::explain`] and compared against actuals in
     /// instrumented reports). Binary operator choice reads θ alone —
@@ -202,7 +226,9 @@ impl PhysicalPlan {
         let planned_expr: &Expr = reordered.as_ref().unwrap_or(expr);
         let mut planner = Planner {
             schema,
+            source,
             estimator: Estimator::new(source),
+            model,
             order,
             nodes: Vec::new(),
             memo: FxHashMap::default(),
@@ -325,7 +351,9 @@ impl PhysicalPlan {
     /// against a serial run). The
     /// cheap linear operators (scan, merge set ops, projection, filter,
     /// tag, grouping) always run serially — their cost is one pass over
-    /// input the partitioning itself would have to make.
+    /// input the partitioning itself would have to make. A division node
+    /// hands the same gated worker count to its registry algorithm, whose
+    /// serial entries ignore it.
     ///
     /// Join/semijoin work routes through the kernel layer
     /// ([`crate::kernel`]), which runs one body per operator at every
@@ -396,6 +424,14 @@ impl PhysicalPlan {
                 (Arc::new(rel), parts)
             }
             PhysOp::HashGroupCount(cols) => serial(ops::group_count(kids[0], cols)),
+            PhysOp::Divide { sem, algorithm } => {
+                let alg = Registry::standard()
+                    .find_division(algorithm)
+                    .expect("planned from the registry table");
+                serial(sj_setjoin::run_division_traced(
+                    alg, kids[0], kids[1], *sem, workers,
+                ))
+            }
             PhysOp::MultiwayJoin(spec) => {
                 // The n-ary node bypasses the binary gate above; gate
                 // it here on the total input size (there is no probe
@@ -613,9 +649,13 @@ impl PhysicalPlan {
 /// `(operator, child NodeIds)` after lowering children for `O(n)` total.
 struct Planner<'a> {
     schema: &'a Schema,
-    /// Cardinality estimates over the plan's statistics source; every
-    /// leaf was checked to have statistics before lowering started.
+    /// The plan's statistics source; every leaf was checked to have
+    /// statistics before lowering started.
+    source: &'a dyn StatsSource,
+    /// Cardinality estimates over `source`.
     estimator: Estimator<'a>,
+    /// Prices the division algorithms a [`PhysOp::Divide`] picks from.
+    model: &'a CostModel,
     /// Join-order mode the plan was built under; gates the multiway
     /// collapse (which fires only under [`JoinOrder::Dp`]).
     order: JoinOrder,
@@ -656,7 +696,16 @@ impl<'a> Planner<'a> {
         let (op, children) = match e {
             Expr::Rel(name) => (PhysOp::Scan(name.clone()), vec![]),
             Expr::Union(a, b) => (PhysOp::MergeUnion, vec![self.lower(a), self.lower(b)]),
-            Expr::Diff(a, b) => (PhysOp::MergeDiff, vec![self.lower(a), self.lower(b)]),
+            Expr::Diff(a, b) => match division_idiom(e, self.schema) {
+                Some((sem, x, y)) => {
+                    let algorithm = self.pick_division(x, y);
+                    (
+                        PhysOp::Divide { sem, algorithm },
+                        vec![self.lower(x), self.lower(y)],
+                    )
+                }
+                None => (PhysOp::MergeDiff, vec![self.lower(a), self.lower(b)]),
+            },
             Expr::Project(cols, a) => (PhysOp::Project(cols.clone()), vec![self.lower(a)]),
             Expr::Select(sel, a) => (PhysOp::Filter(sel.clone()), vec![self.lower(a)]),
             Expr::ConstTag(c, a) => (PhysOp::Tag(c.clone()), vec![self.lower(a)]),
@@ -682,6 +731,7 @@ impl<'a> Planner<'a> {
                 .arity_of(name)
                 .expect("validated: relation exists"),
             (PhysOp::Project(cols), _) => cols.len(),
+            (PhysOp::Divide { .. }, _) => 1,
             (PhysOp::Tag(_), &[c]) => self.nodes[c].arity + 1,
             (PhysOp::HashGroupCount(cols), _) => cols.len() + 1,
             (PhysOp::Join(_) | PhysOp::MergeJoin { .. }, &[l, r]) => {
@@ -693,11 +743,22 @@ impl<'a> Planner<'a> {
             (_, &[c, ..]) => self.nodes[c].arity,
             _ => unreachable!("every non-scan operator has children"),
         };
+        let label = match &op {
+            PhysOp::Divide {
+                sem: DivisionSemantics::Containment,
+                ..
+            } => "divide[⊇]".to_string(),
+            PhysOp::Divide {
+                sem: DivisionSemantics::Equality,
+                ..
+            } => "divide[=]".to_string(),
+            _ => e.label(),
+        };
         let id = self.nodes.len();
         self.nodes.push(PlanNode {
             op,
             children,
-            label: e.label(),
+            label,
             arity,
             occurrences: 0, // filled by `count_occurrences`
             est_rows: 0.0,  // filled by `annotate_estimates`
@@ -725,6 +786,24 @@ impl<'a> Planner<'a> {
         }
     }
 
+    /// The registry's cheapest division algorithm on the stored operands
+    /// `x` and `y` (both [`Expr::Rel`]), priced at one worker: a plan is
+    /// built before the parallelism it runs under is known, and the
+    /// server's plan tier reuses it at any.
+    fn pick_division(&self, x: &Expr, y: &Expr) -> &'static str {
+        let stats = |e: &Expr| {
+            let Expr::Rel(name) = e else {
+                unreachable!("division idioms lower over stored relations only")
+            };
+            self.source
+                .table_stats(name)
+                .expect("every leaf has statistics: checked before lowering")
+        };
+        Registry::standard()
+            .auto_division(&stats(x), &stats(y), 1, self.model)
+            .name()
+    }
+
     /// Should this join chain collapse into one worst-case-optimal
     /// multiway operator? Delegates the decision to
     /// [`joinorder::multiway_plan`] — the same function the reorder
@@ -738,6 +817,70 @@ impl<'a> Planner<'a> {
         let ests: Vec<CardEst> = g.leaves.iter().map(|l| self.estimate(l)).collect();
         let spec = joinorder::multiway_plan(&g, &ests)?;
         Some((spec, g.leaves))
+    }
+}
+
+/// `(semantics, X, Y)` when `e` is one of the RA division idioms of
+/// [`PhysOp::Divide`] over a stored binary `X` and a stored unary `Y`,
+/// every repeated occurrence of either structurally equal.
+fn division_idiom<'e>(
+    e: &'e Expr,
+    schema: &Schema,
+) -> Option<(DivisionSemantics, &'e Expr, &'e Expr)> {
+    let (sem, x, y) = match double_difference(e) {
+        Some((x, y)) => (DivisionSemantics::Containment, x, y),
+        None => {
+            // DD(X, Y) − π₁(X − (π₁(X) × Y))
+            let Expr::Diff(dd, extras) = e else {
+                return None;
+            };
+            let (x, y) = double_difference(dd)?;
+            let Expr::Diff(x2, pairs) = first_column_of(extras)? else {
+                return None;
+            };
+            if **x2 != *x || candidates_times(pairs, x)? != y {
+                return None;
+            }
+            (DivisionSemantics::Equality, x, y)
+        }
+    };
+    let stored =
+        |e: &Expr, arity| matches!(e, Expr::Rel(name) if schema.arity_of(name) == Some(arity));
+    (stored(x, 2) && stored(y, 1)).then_some((sem, x, y))
+}
+
+/// `(X, Y)` when `e` is `π₁(X) − π₁((π₁(X) × Y) − X)`.
+fn double_difference(e: &Expr) -> Option<(&Expr, &Expr)> {
+    let Expr::Diff(candidates, missing) = e else {
+        return None;
+    };
+    let x = first_column_of(candidates)?;
+    let Expr::Diff(pairs, realized) = first_column_of(missing)? else {
+        return None;
+    };
+    let y = candidates_times(pairs, x)?;
+    (**realized == *x).then_some((x, y))
+}
+
+/// `X` when `e` is `π₁(X)`.
+fn first_column_of(e: &Expr) -> Option<&Expr> {
+    match e {
+        Expr::Project(cols, x) if cols[..] == [1] => Some(x),
+        _ => None,
+    }
+}
+
+/// `Y` when `e` is the product `π₁(x) × Y`. [`JoinOrder::Dp`] leaves it
+/// as written: a two-leaf chain's canonical split keeps the first leaf
+/// on the left.
+fn candidates_times<'e>(e: &'e Expr, x: &Expr) -> Option<&'e Expr> {
+    match e {
+        Expr::Join(theta, candidates, y)
+            if theta.is_empty() && first_column_of(candidates) == Some(x) =>
+        {
+            Some(y)
+        }
+        _ => None,
     }
 }
 
@@ -805,19 +948,43 @@ mod tests {
         db
     }
 
+    /// The double difference with the subtracted `R` renamed `T`: a near
+    /// miss the planner does not lower, so its DAG keeps the shared `R`
+    /// and `π₁(R)` the memoization collapses. Over a `T` equal to `R` it
+    /// answers the division.
+    fn near_miss_division() -> Expr {
+        let candidates = Expr::rel("R").project([1]);
+        let missing = candidates
+            .clone()
+            .product(Expr::rel("S"))
+            .diff(Expr::rel("T"))
+            .project([1]);
+        candidates.diff(missing)
+    }
+
+    /// [`division_db`] plus `T`, a copy of `R`.
+    fn near_miss_db() -> Database {
+        let mut db = division_db();
+        db.set("T", db.get("R").unwrap().clone());
+        db
+    }
+
     #[test]
     fn division_dag_shares_r_and_its_projection() {
-        let e = division::division_double_difference("R", "S");
-        let plan = plan(&e, &division_db());
-        // 10 tree nodes collapse to 7 distinct subexpressions.
+        let plan = plan(&near_miss_division(), &near_miss_db());
+        // 10 tree nodes collapse to 8 distinct subexpressions.
         assert_eq!(plan.expr_node_count(), 10);
-        assert_eq!(plan.node_count(), 7);
+        assert_eq!(plan.node_count(), 8);
+        assert!(plan
+            .nodes()
+            .iter()
+            .all(|n| !matches!(n.op, PhysOp::Divide { .. })));
         let scan_r = plan
             .nodes()
             .iter()
             .find(|n| n.op == PhysOp::Scan("R".into()))
             .unwrap();
-        assert_eq!(scan_r.occurrences, 3);
+        assert_eq!(scan_r.occurrences, 2);
         let proj = plan
             .nodes()
             .iter()
@@ -827,18 +994,70 @@ mod tests {
     }
 
     #[test]
-    fn division_each_distinct_subtree_evaluated_exactly_once() {
-        // The acceptance check of the planner issue: instrumentation shows
-        // one evaluation per distinct subtree — R once (the tree has it
-        // three times), π₁(R) once (twice in the tree).
-        let e = division::division_double_difference("R", "S");
+    fn division_idioms_lower_to_one_divide_node() {
         let db = division_db();
+        let (r, s) = (db.get("R").unwrap(), db.get("S").unwrap());
+        let cases = [
+            (
+                division::division_double_difference("R", "S"),
+                DivisionSemantics::Containment,
+            ),
+            // `×` is `join[true]`: the same tree.
+            (
+                division::division_via_join("R", "S"),
+                DivisionSemantics::Containment,
+            ),
+            (
+                division::division_equality("R", "S"),
+                DivisionSemantics::Equality,
+            ),
+        ];
+        let expected = Registry::standard()
+            .auto_division(
+                &sj_stats::TableStats::analyze(r),
+                &sj_stats::TableStats::analyze(s),
+                1,
+                &CostModel::default(),
+            )
+            .name();
+        for (e, want) in cases {
+            let plan = plan(&e, &db);
+            assert_eq!(plan.node_count(), 3, "scan R, scan S, divide: {e}");
+            let root = &plan.nodes()[plan.root()];
+            let PhysOp::Divide { sem, algorithm } = root.op else {
+                panic!("{e} lowers to {:?}", root.op)
+            };
+            assert_eq!(sem, want, "{e}");
+            assert_eq!(algorithm, expected, "{e}");
+            assert_eq!(root.op.name(), expected, "the name is the body that runs");
+            let scans: Vec<&str> = root
+                .children
+                .iter()
+                .map(|&c| plan.nodes()[c].label.as_str())
+                .collect();
+            assert_eq!(scans, ["R", "S"]);
+            // The as-written expression's estimate, bounded by R's
+            // distinct first-column count (3 groups).
+            assert!(root.est_rows <= 3.0, "{}", root.est_rows);
+            assert!(plan.explain().contains(expected), "{}", plan.explain());
+            let (result, report) = plan.execute_reported(&db, Parallelism::Serial).unwrap();
+            assert_eq!(result, evaluate(&e, &db).unwrap(), "{e}");
+            assert_eq!(report.max_intermediate(), r.len(), "{e}");
+        }
+    }
+
+    #[test]
+    fn division_each_distinct_subtree_evaluated_exactly_once() {
+        // Instrumentation shows one evaluation per distinct subtree — R
+        // once (the tree has it twice), π₁(R) once (twice in the tree).
+        let e = near_miss_division();
+        let db = near_miss_db();
         let (result, report) = plan(&e, &db)
             .execute_reported(&db, Parallelism::Serial)
             .unwrap();
         assert_eq!(report.expr_nodes, 10);
-        assert_eq!(report.nodes.len(), 7);
-        assert_eq!(report.evaluations_saved(), 3);
+        assert_eq!(report.nodes.len(), 8);
+        assert_eq!(report.evaluations_saved(), 2);
         assert_eq!(report.nodes.iter().filter(|n| n.label == "R").count(), 1);
         assert_eq!(
             report
@@ -853,6 +1072,8 @@ mod tests {
             assert_eq!(n.id, i);
         }
         assert_eq!(result, evaluate(&e, &db).unwrap());
+        let lowered = division::division_double_difference("R", "S");
+        assert_eq!(result, evaluate(&lowered, &db).unwrap(), "T = R");
         assert_eq!(report.output_rows, result.len());
     }
 
@@ -996,13 +1217,25 @@ mod tests {
 
     #[test]
     fn explain_shows_operators_and_sharing() {
-        let e = division::division_double_difference("R", "S");
-        let s = plan(&e, &division_db()).explain();
-        assert!(s.contains("physical plan: 7 nodes for 10 logical nodes"));
+        let s = plan(&near_miss_division(), &near_miss_db()).explain();
+        assert!(s.contains("physical plan: 8 nodes for 10 logical nodes"));
         assert!(s.contains("scan"));
         assert!(s.contains("nested-loop-join"));
-        assert!(s.contains("×3"), "R is shared three times:\n{s}");
+        assert!(s.contains("×2"), "R and π₁(R) are shared twice:\n{s}");
         assert!(s.contains("… see above"), "{s}");
+        assert!(!s.contains("divide["), "{s}");
+        // The lowered idiom: the division node over the two scans.
+        let lowered = plan(
+            &division::division_double_difference("R", "S"),
+            &division_db(),
+        )
+        .explain();
+        assert!(
+            lowered.contains("physical plan: 3 nodes for 10 logical nodes"),
+            "{lowered}"
+        );
+        assert!(lowered.contains("divide[⊇]"), "{lowered}");
+        assert!(lowered.contains("×3"), "R occurs three times:\n{lowered}");
     }
 
     #[test]
@@ -1092,7 +1325,7 @@ mod tests {
 
     #[test]
     fn parallel_instrumented_report_is_ordered_and_records_workers() {
-        let e = division::division_double_difference("R", "S");
+        let e = near_miss_division();
         // 16 000 groups: enough that the product node clears the cost
         // model's gate at four workers and actually runs partitioned
         // (tiny inputs are gated to serial).
@@ -1100,6 +1333,7 @@ mod tests {
         let rows: Vec<Vec<i64>> = (0..32_000).map(|i| vec![i % 16_000, i % 3]).collect();
         let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
         db.set("R", Relation::from_int_rows(&refs));
+        db.set("T", Relation::from_int_rows(&refs));
         db.set("S", Relation::from_int_rows(&[&[0], &[1], &[2]]));
         let plan = plan(&e, &db);
         let (serial_result, serial) = plan.execute_reported(&db, Parallelism::Serial).unwrap();
@@ -1140,6 +1374,15 @@ mod tests {
         );
         assert!(par.render().contains("4 workers"), "{}", par.render());
         assert!(par.render().contains("partitions]"), "{}", par.render());
+        // The lowered idiom answers the same at four workers without the
+        // 48 000-row product: its largest intermediate is R itself.
+        let lowered = try_plan(&division::division_double_difference("R", "S"), &db).unwrap();
+        let (div_result, div) = lowered
+            .execute_reported(&db, Parallelism::Threads(4))
+            .unwrap();
+        assert_eq!(div_result, serial_result);
+        assert_eq!(div.workers, 4);
+        assert_eq!(div.max_intermediate(), 32_000);
     }
 
     #[test]
@@ -1255,14 +1498,23 @@ mod tests {
 
     #[test]
     fn report_render_mentions_sharing_and_plan_size() {
-        let e = division::division_double_difference("R", "S");
-        let db = division_db();
-        let (_, report) = plan(&e, &db)
+        let db = near_miss_db();
+        let (_, report) = plan(&near_miss_division(), &db)
             .execute_reported(&db, Parallelism::Serial)
             .unwrap();
         let s = report.render();
-        assert!(s.contains("7 plan nodes for 10 tree nodes"), "{s}");
-        assert!(s.contains("×3"), "{s}");
+        assert!(s.contains("8 plan nodes for 10 tree nodes"), "{s}");
+        assert!(s.contains("×2"), "{s}");
         assert!(s.contains("scan"), "{s}");
+        // The lowered idiom reports its division node and the dividend as
+        // its largest intermediate.
+        let db = division_db();
+        let (_, report) = plan(&division::division_double_difference("R", "S"), &db)
+            .execute_reported(&db, Parallelism::Serial)
+            .unwrap();
+        let s = report.render();
+        assert!(s.contains("3 plan nodes for 10 tree nodes"), "{s}");
+        assert!(s.contains("max intermediate = 5"), "{s}");
+        assert!(s.contains("divide[⊇]"), "{s}");
     }
 }

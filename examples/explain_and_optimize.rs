@@ -4,7 +4,10 @@
 //! The engine unifies what used to be two explain flavors: under
 //! `Strategy::Naive` it renders the expression tree with actual
 //! cardinalities (`EXPLAIN ANALYZE`), under `Strategy::Planned` the
-//! memoized physical DAG with operator choices (`EXPLAIN`).
+//! memoized physical DAG with operator choices (`EXPLAIN`). The last
+//! section shows both on the division plan: the naive tree keeps the
+//! quadratic product no rewrite removes, the planned DAG runs the idiom
+//! as one division node.
 //!
 //! ```bash
 //! cargo run --example explain_and_optimize
@@ -71,10 +74,31 @@ fn main() {
         "after optimization the largest intermediate remains (the product \
          feeds a difference, not a projection):"
     );
-    println!("{}", optimized.query(division).explain().unwrap());
+    println!("{}", optimized.query(division.clone()).explain().unwrap());
+
+    // The planner leaves RA instead: it recognizes the idiom and runs it
+    // as one division node, one linear algorithm of the registry.
+    let planned = optimized.clone().strategy(Strategy::Planned);
+    let dag = planned.query(division.clone()).explain().unwrap();
+    println!("== physical DAG of the division plan ==\n{dag}");
+    assert!(
+        dag.contains("divide[⊇]"),
+        "the idiom lowers to a division node"
+    );
+    let out = planned
+        .clone()
+        .instrument(Instrument::Cardinalities)
+        .query(division.clone())
+        .run()
+        .unwrap();
+    assert_eq!(out.relation, raw.query(division).run().unwrap().relation);
     println!(
-        "the only escape is leaving RA: grouping+counting (Section 5) or a \
-         direct division operator — `Engine::divide`, which routes through \
-         the linear algorithms of the registry."
+        "RA cannot escape the quadratic product; the planner does: under \
+         `Strategy::Planned` the idiom runs as a direct division operator \
+         (the same registry algorithms `Engine::divide` uses), and the \
+         largest intermediate is the dividend itself ({} rows). \
+         `Strategy::Naive` keeps evaluating the RA as written — the \
+         instrument for Proposition 26.",
+        out.report.unwrap().max_intermediate()
     );
 }

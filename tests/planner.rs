@@ -1,10 +1,11 @@
 //! Integration tests for the physical planner: `Strategy::Planned` (the
 //! engine's default) must agree with `evaluate` on every query family the
 //! reproduction exercises, while evaluating each distinct subexpression
-//! exactly once.
+//! exactly once and running the RA division idioms as one division node.
 
 use sj_algebra::{division, optimize, Condition, Expr};
 use sj_eval::{evaluate, Engine, Instrument, JoinOrder, PhysicalPlan, Report};
+use sj_setjoin::DivisionSemantics;
 use sj_stats::{CatalogSource, CostModel};
 use sj_storage::{Database, Relation};
 use sj_workload::{adversarial_division_series, DivisionWorkload};
@@ -127,19 +128,62 @@ fn planned_agrees_with_naive_after_optimization() {
     }
 }
 
-#[test]
-fn division_double_difference_is_memoized_into_seven_nodes() {
-    // The tree has 10 nodes; R occurs 3×, π₁(R) 2× — the DAG must have
-    // exactly 7, each evaluated once.
+/// `R = {(1,7), (1,8), (2,7)}`, `S = {7, 8}` and `T`, a copy of `R`.
+fn small_division_db() -> Database {
     let mut db = Database::new();
     db.set("R", Relation::from_int_rows(&[&[1, 7], &[1, 8], &[2, 7]]));
     db.set("S", Relation::from_int_rows(&[&[7], &[8]]));
+    db.set("T", Relation::from_int_rows(&[&[1, 7], &[1, 8], &[2, 7]]));
+    db
+}
+
+/// `π₁(R) − π₁((π₁(R) × S) − T)`: the double difference with its
+/// subtracted relation renamed, a near miss the planner does not lower.
+fn near_miss_division() -> Expr {
+    let candidates = Expr::rel("R").project([1]);
+    candidates.clone().diff(
+        candidates
+            .product(Expr::rel("S"))
+            .diff(Expr::rel("T"))
+            .project([1]),
+    )
+}
+
+#[test]
+fn near_miss_division_is_memoized_into_eight_nodes() {
+    // The tree has 10 nodes; R occurs 2×, π₁(R) 2× — the DAG must have
+    // exactly 8, each evaluated once.
+    let db = small_division_db();
+    let (result, report) = planned_instrumented(&near_miss_division(), &db);
+    assert_eq!(report.expr_nodes, 10);
+    assert_eq!(report.nodes.len(), 8);
+    assert_eq!(report.nodes.iter().filter(|n| n.label == "R").count(), 1);
+    assert_eq!(result, Relation::from_int_rows(&[&[1]]));
+}
+
+#[test]
+fn division_double_difference_lowers_to_three_nodes() {
+    // Scan R, scan S and one division node run by the registry's pick:
+    // the product π₁(R) × S is never built, so R is the largest
+    // intermediate.
+    let db = small_division_db();
     let e = division::division_double_difference("R", "S");
     let (result, report) = planned_instrumented(&e, &db);
     assert_eq!(report.expr_nodes, 10);
-    assert_eq!(report.nodes.len(), 7);
-    assert_eq!(report.nodes.iter().filter(|n| n.label == "R").count(), 1);
+    assert_eq!(report.nodes.len(), 3);
+    assert_eq!(report.max_intermediate(), 3, "|R|");
     assert_eq!(result, Relation::from_int_rows(&[&[1]]));
+    let engine = Engine::new(db);
+    let picked = engine
+        .divide("R", "S", DivisionSemantics::Containment)
+        .unwrap()
+        .algorithm;
+    let plan = engine.query(e).run().unwrap().plan.unwrap();
+    let root = &plan.nodes()[plan.root()];
+    assert_eq!(root.op.name(), picked);
+    assert!(plan.explain().contains(picked), "{}", plan.explain());
+    // R's first column holds two distinct groups.
+    assert!(root.est_rows <= 2.0, "{}", root.est_rows);
 }
 
 #[test]
@@ -163,28 +207,29 @@ fn planner_explain_marks_merge_operators_and_sharing() {
 fn engine_planned_strategy_returns_the_same_plan_shape() {
     // The Engine's Planned strategy must expose exactly the plan the
     // one constructor builds over the engine's own catalog with the
-    // default cost model and join order: 7 DAG nodes for the 10-node
-    // division tree.
-    let mut db = Database::new();
-    db.set("R", Relation::from_int_rows(&[&[1, 7], &[1, 8], &[2, 7]]));
-    db.set("S", Relation::from_int_rows(&[&[7], &[8]]));
-    let e = division::division_double_difference("R", "S");
-    let engine = Engine::new(db);
-    let direct = PhysicalPlan::of_costed_with_order(
-        &e,
-        &engine.db().schema(),
-        &CatalogSource::new(engine.catalog(), engine.db()),
-        &CostModel::default(),
-        JoinOrder::default(),
-    )
-    .unwrap();
-    let out = engine.query(e).run().unwrap();
-    let via_engine = out.plan.expect("Planned strategy returns its plan");
-    assert_eq!(direct.node_count(), 7);
-    assert_eq!(via_engine.node_count(), direct.node_count());
-    assert_eq!(via_engine.expr_node_count(), direct.expr_node_count());
-    assert_eq!(via_engine.explain(), direct.explain());
-    assert_eq!(out.relation, Relation::from_int_rows(&[&[1]]));
+    // default cost model and join order: 8 DAG nodes for the 10-node
+    // near miss, 3 for the 10-node double difference it lowers.
+    let engine = Engine::new(small_division_db());
+    for (e, nodes) in [
+        (near_miss_division(), 8),
+        (division::division_double_difference("R", "S"), 3),
+    ] {
+        let direct = PhysicalPlan::of_costed_with_order(
+            &e,
+            &engine.db().schema(),
+            &CatalogSource::new(engine.catalog(), engine.db()),
+            &CostModel::default(),
+            JoinOrder::default(),
+        )
+        .unwrap();
+        let out = engine.query(e.clone()).run().unwrap();
+        let via_engine = out.plan.expect("Planned strategy returns its plan");
+        assert_eq!(direct.node_count(), nodes, "{e}");
+        assert_eq!(via_engine.node_count(), direct.node_count());
+        assert_eq!(via_engine.expr_node_count(), 10);
+        assert_eq!(via_engine.explain(), direct.explain());
+        assert_eq!(out.relation, Relation::from_int_rows(&[&[1]]));
+    }
 }
 
 #[test]

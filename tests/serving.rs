@@ -74,6 +74,43 @@ fn served_answers_equal_direct_engine_at_every_worker_count() {
     }
 }
 
+/// Estimator error on the serving pool: one cold, instrumented pass of
+/// the default pool. The two RA division idioms run as one division node
+/// each, whose estimate (the dividend's group count) keeps both runs
+/// within [`Q_ERROR_BUDGET`](setjoins::eval::Q_ERROR_BUDGET).
+#[test]
+fn lowered_division_queries_stay_within_the_q_error_budget() {
+    let w = ServingWorkload::default();
+    let server = Server::start(
+        w.database(),
+        ServerConfig {
+            cache: CacheMode::Off,
+            instrument: true,
+            ..ServerConfig::default()
+        },
+    );
+    let session = server.session();
+    let over_budget = || {
+        server
+            .metrics()
+            .counter("sj_server_q_error_over_budget_total")
+            .get()
+    };
+    let lowered = [
+        setjoins::algebra::division::division_double_difference("R", "S"),
+        setjoins::algebra::division::division_equality("R", "S"),
+    ];
+    for e in w.query_pool() {
+        let before = over_budget();
+        let resp = session.query_profiled(e.clone()).expect("pool query");
+        let profile = resp.profile.expect("profiled");
+        if lowered.contains(&e) {
+            assert!(profile.contains("divide["), "{e}:\n{profile}");
+            assert_eq!(over_budget(), before, "{e}:\n{profile}");
+        }
+    }
+}
+
 /// Serving smoke: the default server config over a paper figure — cold,
 /// plan-cached and result-cached runs of the Fig. 1 division query all
 /// agree with the engine, and provenance progresses through the tiers.
