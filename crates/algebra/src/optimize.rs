@@ -17,7 +17,7 @@
 //!   columns — i.e. each left tuple's contribution does not depend on how
 //!   many right tuples match. This turns quadratic intermediates into
 //!   linear ones exactly in the cases Theorem 18 covers syntactically.
-//! * [`OptimizeLevel`] — which of the rewrites run:
+//! * [`OptimizeLevel`] — whether the rewrites run:
 //!   [`OptimizeLevel::run`] is the one fixpoint driver, and `sj-eval`'s
 //!   `Engine` carries a level as its optimizer configuration.
 //! * [`optimize`] — [`OptimizeLevel::Full`] by its classical name.
@@ -27,8 +27,11 @@ use crate::expr::{Expr, Selection};
 use sj_storage::Schema;
 use std::fmt;
 
-/// How hard the optimizer tries — the configuration knob carried by
-/// `sj-eval`'s `Engine`; [`OptimizeLevel::run`] applies a level.
+/// Whether the optimizer runs — the configuration knob carried by
+/// `sj-eval`'s `Engine`; [`OptimizeLevel::run`] applies a level. The two
+/// values are the paper's two questions: how big are the intermediates
+/// of the expression as written (`Off`), and how far do the rewrites
+/// shrink them (`Full`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
 pub enum OptimizeLevel {
     /// No rewrites: the expression reaches the evaluator as written. With
@@ -39,19 +42,17 @@ pub enum OptimizeLevel {
     /// division node, at every level.
     #[default]
     Off,
-    /// Structural cleanups only: selection pushdown and projection
-    /// pruning. Never changes the join/semijoin skeleton.
-    Structural,
-    /// Everything, including the paper's semijoin reduction — joins whose
+    /// Every rewrite: the paper's semijoin reduction — joins whose
     /// output is projected to left columns become semijoins (linear
-    /// intermediates wherever Theorem 18 applies syntactically).
+    /// intermediates wherever Theorem 18 applies syntactically) — plus
+    /// selection pushdown and projection pruning.
     Full,
 }
 
 impl OptimizeLevel {
-    /// Validate `e` against `schema`, then apply this level's rewrites
-    /// — [`joins_to_semijoins`] (`Full` only), [`push_down_selections`],
-    /// [`prune_projections`], in that order — repeating until a full
+    /// Validate `e` against `schema`, then, under `Full`, apply
+    /// [`joins_to_semijoins`], [`push_down_selections`] and
+    /// [`prune_projections`], in that order, repeating until a full
     /// round changes nothing (at most 32 rounds: every rewrite shrinks
     /// a measure, so real inputs converge in a handful).
     pub fn run(self, e: &Expr, schema: &Schema) -> Result<Expr, AlgebraError> {
@@ -63,10 +64,7 @@ impl OptimizeLevel {
             return Ok(current);
         }
         for _ in 0..32 {
-            let reduced = match self {
-                OptimizeLevel::Full => joins_to_semijoins(&current, schema)?,
-                _ => current.clone(),
-            };
+            let reduced = joins_to_semijoins(&current, schema)?;
             let next = prune_projections(&push_down_selections(&reduced, schema));
             if next == current {
                 break;
@@ -88,7 +86,6 @@ impl fmt::Display for OptimizeLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             OptimizeLevel::Off => write!(f, "off"),
-            OptimizeLevel::Structural => write!(f, "structural"),
             OptimizeLevel::Full => write!(f, "full"),
         }
     }
@@ -463,17 +460,10 @@ mod tests {
     }
 
     #[test]
-    fn structural_level_keeps_the_join_skeleton() {
+    fn full_level_runs_semijoin_reduction() {
         let e = Expr::rel("R")
             .join(Condition::eq(2, 1), Expr::rel("S"))
             .project([1, 2]);
-        let o = OptimizeLevel::Structural.run(&e, &schema()).unwrap();
-        assert!(
-            o.subexpressions()
-                .iter()
-                .any(|s| matches!(s, Expr::Join(..))),
-            "structural level must not run semijoin reduction: {o}"
-        );
         let full = OptimizeLevel::Full.run(&e, &schema()).unwrap();
         assert!(
             full.subexpressions()

@@ -35,25 +35,24 @@
 //!   [`Query::explain`] renders the plan of whichever strategy is set.
 //! * [`Engine::divide`] and [`Engine::set_join`] route the direct
 //!   division/set-join operators through the algorithm tables behind
-//!   [`sj_setjoin::Registry`], so algorithm ablations are a
-//!   one-line [`Engine::algorithm`] change; the default
-//!   [`AlgorithmChoice::Auto`] picks the estimated-cheapest algorithm.
+//!   [`sj_setjoin::Registry`], which picks the estimated-cheapest
+//!   algorithm. An ablation looks its algorithm up in
+//!   [`Registry::standard`] and calls [`sj_setjoin::run_division_traced`]
+//!   / [`sj_setjoin::run_set_join_traced`] itself.
 //! * Statistics are an input, not a mode: the engine owns a
 //!   [`StatsCatalog`] that analyzes each relation the first time a plan
-//!   or an `Auto` pick reads it and again whenever the stored relation
-//!   changed (its [`Database::version_of`] moved). Every
-//!   [`Strategy::Planned`] plan and every `Auto` pick is costed from
-//!   it; [`Strategy::Naive`] and [`Strategy::Reference`] never touch it.
+//!   or an algorithm pick reads it and again whenever the stored
+//!   relation changed (its [`Database::version_of`] moved). Every
+//!   [`Strategy::Planned`] plan and every pick is costed from it;
+//!   [`Strategy::Naive`] never touches it.
 
 use crate::error::EvalError;
-use crate::exec::{Execution, StatsMode};
+use crate::exec::{Execution, JoinOrder, StatsMode};
 use crate::explain::explain;
 use crate::instrumented::evaluate_instrumented;
-use crate::joinorder::JoinOrder;
 use crate::par::Parallelism;
 use crate::plain::evaluate;
 use crate::plan::PhysicalPlan;
-use crate::reference::evaluate_reference;
 use crate::report::Report;
 use sj_algebra::{AlgebraError, Expr, OptimizeLevel};
 use sj_setjoin::registry::{ComplexityClass, Registry};
@@ -64,7 +63,12 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Which evaluator executes the (optimized) expression.
+/// Which evaluator executes the (optimized) expression. The paper needs
+/// exactly these two regimes: RA run as written (Definition 16's
+/// intermediate sizes) and RA run with the linear operators
+/// (Proposition 26's division node). The nested-loop reference
+/// evaluator is a test oracle, called directly as
+/// [`crate::evaluate_reference`], not a strategy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
 pub enum Strategy {
     /// The DAG-memoizing, cost-based physical planner
@@ -80,10 +84,6 @@ pub enum Strategy {
     /// Definition 16 experiments, where per-occurrence cardinalities are
     /// the point.
     Naive,
-    /// The nested-loop transliteration of the paper's semantics
-    /// ([`crate::evaluate_reference`]): slow, obviously correct, used to
-    /// cross-validate the other two.
-    Reference,
 }
 
 impl fmt::Display for Strategy {
@@ -91,7 +91,6 @@ impl fmt::Display for Strategy {
         match self {
             Strategy::Planned => write!(f, "planned"),
             Strategy::Naive => write!(f, "naive"),
-            Strategy::Reference => write!(f, "reference"),
         }
     }
 }
@@ -111,25 +110,6 @@ pub enum Instrument {
     Cardinalities,
 }
 
-/// How [`Engine::divide`] / [`Engine::set_join`] pick their algorithm
-/// from [`Registry::standard`].
-#[derive(Clone, PartialEq, Eq, Debug, Default, Hash)]
-pub enum AlgorithmChoice {
-    /// Let [`Registry::auto_set_join`] / [`Registry::auto_division`]
-    /// pick the cheapest algorithm for the operands' statistics.
-    #[default]
-    Auto,
-    /// Always use the named algorithm (table lookup by name).
-    Named(String),
-}
-
-impl AlgorithmChoice {
-    /// Convenience constructor for the named form.
-    pub fn named(name: impl Into<String>) -> AlgorithmChoice {
-        AlgorithmChoice::Named(name.into())
-    }
-}
-
 /// Everything a [`Query::run`] produces.
 #[derive(Debug, Clone)]
 pub struct QueryOutput {
@@ -137,8 +117,7 @@ pub struct QueryOutput {
     pub relation: Relation,
     /// Per-node statistics and the end-to-end wall time
     /// ([`Report::elapsed`]: optimize + plan + execute), present iff
-    /// [`Instrument`] is not `Off` and the strategy supports
-    /// instrumentation (the reference evaluator does not).
+    /// [`Instrument`] is not `Off`.
     pub report: Option<Report>,
     /// The physical plan that was executed ([`Strategy::Planned`] only).
     pub plan: Option<PhysicalPlan>,
@@ -173,20 +152,16 @@ pub struct Engine {
     optimize: OptimizeLevel,
     strategy: Strategy,
     instrument: Instrument,
-    algorithm: AlgorithmChoice,
     parallelism: Parallelism,
     catalog: Arc<StatsCatalog>,
-    join_order: JoinOrder,
 }
 
 impl Engine {
     /// An engine over `db` with the default configuration: no algebraic
     /// rewrites ([`OptimizeLevel::Off`]),
     /// [`Strategy::Planned`], [`Instrument::Off`],
-    /// [`AlgorithmChoice::Auto`],
-    /// [`Parallelism::Serial`], [`JoinOrder::Dp`] and an empty
-    /// statistics catalog that fills on first use. Plans and `Auto`
-    /// picks are priced with [`CostModel::default`] — the one statement
+    /// [`Parallelism::Serial`] and an empty statistics catalog that
+    /// fills on first use. Plans and algorithm picks are priced with [`CostModel::default`] — the one statement
     /// of the cost constants; there is no knob to swap it.
     pub fn new(db: Database) -> Engine {
         Engine {
@@ -194,10 +169,8 @@ impl Engine {
             optimize: OptimizeLevel::Off,
             strategy: Strategy::default(),
             instrument: Instrument::default(),
-            algorithm: AlgorithmChoice::default(),
             parallelism: Parallelism::default(),
             catalog: Arc::new(StatsCatalog::new()),
-            join_order: JoinOrder::default(),
         }
     }
 
@@ -219,13 +192,6 @@ impl Engine {
         self
     }
 
-    /// Set how [`Engine::divide`] / [`Engine::set_join`] pick their
-    /// algorithm.
-    pub fn algorithm(mut self, choice: AlgorithmChoice) -> Engine {
-        self.algorithm = choice;
-        self
-    }
-
     /// Set the execution parallelism. Under [`Parallelism::Threads`] the
     /// planned executor runs independent DAG nodes concurrently and
     /// join/semijoin nodes partition-parallel where the cost model's
@@ -233,9 +199,8 @@ impl Engine {
     /// `auto` selectors price the partition-parallel division/set-join
     /// variants at this worker count. Results are byte-identical to
     /// [`Parallelism::Serial`] (the default) for every worker count; the
-    /// tree-walking [`Strategy::Naive`] and [`Strategy::Reference`]
-    /// evaluators — measurement instruments, not production paths —
-    /// always run serially.
+    /// tree-walking [`Strategy::Naive`] evaluator — a measurement
+    /// instrument, not a production path — always runs serially.
     pub fn parallelism(mut self, parallelism: Parallelism) -> Engine {
         self.parallelism = parallelism;
         self
@@ -253,18 +218,15 @@ impl Engine {
         self
     }
 
-    /// Set the join-order mode: how the planner associates join chains
-    /// ([`JoinOrder::Dp`], the default, runs the exhaustive bushy search
-    /// and enables the worst-case-optimal multiway collapse for
-    /// AGM-bound-beating cyclic chains; [`JoinOrder::AsWritten`] keeps
-    /// the written shape). Results are byte-identical in both modes.
-    pub fn join_order(mut self, order: JoinOrder) -> Engine {
-        self.join_order = order;
+    /// Accepted and ignored: [`JoinOrder`] has one value and selects
+    /// nothing (the planner always runs its join-order search). Kept
+    /// because `benchmark/` calls it.
+    pub fn join_order(self, _order: JoinOrder) -> Engine {
         self
     }
 
     /// The statistics catalog, shared by every clone and
-    /// [fork](Engine::fork) of this engine; planning and `Auto` picks
+    /// [fork](Engine::fork) of this engine; planning and algorithm picks
     /// fill it lazily.
     pub fn catalog(&self) -> &StatsCatalog {
         &self.catalog
@@ -307,9 +269,9 @@ impl Engine {
         Query { engine: self, expr }
     }
 
-    /// Division `dividend ÷ divisor`, routed through the algorithm table
-    /// ([`AlgorithmChoice::Auto`] picks the algorithm the cost model
-    /// prices cheapest on the operands' statistics).
+    /// Division `dividend ÷ divisor`, run by the algorithm of the table
+    /// the cost model prices cheapest on the operands' statistics
+    /// ([`Registry::auto_division`]).
     pub fn divide(
         &self,
         dividend: &str,
@@ -319,15 +281,8 @@ impl Engine {
         let r = self.operand(dividend, 2)?;
         let s = self.operand(divisor, 1)?;
         let workers = self.parallelism.workers();
-        let alg = match &self.algorithm {
-            AlgorithmChoice::Auto => {
-                let (rs, ss) = (self.operand_stats(dividend), self.operand_stats(divisor));
-                Registry::standard().auto_division(&rs, &ss, workers, &CostModel::default())
-            }
-            AlgorithmChoice::Named(name) => Registry::standard()
-                .find_division(name)
-                .ok_or_else(|| EvalError::UnknownAlgorithm(name.clone()))?,
-        };
+        let (rs, ss) = (self.operand_stats(dividend), self.operand_stats(divisor));
+        let alg = Registry::standard().auto_division(&rs, &ss, workers, &CostModel::default());
         let start = Instant::now();
         let relation = sj_setjoin::run_division_traced(alg, r, s, sem, workers);
         Ok(SetOpOutput {
@@ -338,13 +293,9 @@ impl Engine {
         })
     }
 
-    /// Set join `left ⋈_{B pred D} right`, routed through the algorithm
-    /// table.
-    ///
-    /// Errors with [`EvalError::UnsupportedPredicate`] when a
-    /// [`AlgorithmChoice::Named`] algorithm does not implement `pred`
-    /// (e.g. `inverted-index` asked for `⊆`); [`AlgorithmChoice::Auto`]
-    /// only considers algorithms that do.
+    /// Set join `left ⋈_{B pred D} right`, run by the cheapest algorithm
+    /// of the table that implements `pred`
+    /// ([`Registry::auto_set_join`]).
     pub fn set_join(
         &self,
         left: &str,
@@ -354,24 +305,9 @@ impl Engine {
         let r = self.operand(left, 2)?;
         let s = self.operand(right, 2)?;
         let workers = self.parallelism.workers();
-        let alg = match &self.algorithm {
-            AlgorithmChoice::Auto => {
-                let (rs, ss) = (self.operand_stats(left), self.operand_stats(right));
-                Registry::standard().auto_set_join(&rs, &ss, pred, workers, &CostModel::default())
-            }
-            AlgorithmChoice::Named(name) => {
-                let alg = Registry::standard()
-                    .find_set_join(name)
-                    .ok_or_else(|| EvalError::UnknownAlgorithm(name.clone()))?;
-                if !alg.supports(pred) {
-                    return Err(EvalError::UnsupportedPredicate {
-                        algorithm: name.clone(),
-                        predicate: format!("{pred:?}"),
-                    });
-                }
-                alg
-            }
-        };
+        let (rs, ss) = (self.operand_stats(left), self.operand_stats(right));
+        let alg =
+            Registry::standard().auto_set_join(&rs, &ss, pred, workers, &CostModel::default());
         let start = Instant::now();
         let relation = sj_setjoin::run_set_join_traced(alg, r, s, pred, workers);
         Ok(SetOpOutput {
@@ -390,7 +326,7 @@ impl Engine {
             &self.db.schema(),
             &CatalogSource::new(&self.catalog, &self.db),
             &CostModel::default(),
-            self.join_order,
+            JoinOrder::Dp,
         )
     }
 
@@ -450,10 +386,9 @@ impl Query<'_> {
         // executor honors the parallelism knob.
         let parallelism = match engine.strategy {
             Strategy::Planned => engine.parallelism,
-            Strategy::Naive | Strategy::Reference => Parallelism::Serial,
+            Strategy::Naive => Parallelism::Serial,
         };
         let (relation, mut report, plan) = match engine.strategy {
-            Strategy::Reference => (evaluate_reference(&expr, &engine.db)?, None, None),
             Strategy::Naive if instrumented => {
                 let (relation, report) = evaluate_instrumented(&expr, &engine.db)?;
                 (relation, Some(report), None)
@@ -487,14 +422,14 @@ impl Query<'_> {
     ///   choices, sharing annotations and `~N rows` estimates per node
     ///   (no execution; compare against the actuals in an instrumented
     ///   run's report);
-    /// * under [`Strategy::Naive`] / [`Strategy::Reference`], an
+    /// * under [`Strategy::Naive`], an
     ///   `EXPLAIN ANALYZE`-style tree with actual per-node cardinalities
     ///   (runs the instrumented tree evaluator).
     pub fn explain(&self) -> Result<String, EvalError> {
         let expr = self.optimized()?;
         match self.engine.strategy {
             Strategy::Planned => Ok(self.engine.plan_for(&expr)?.explain()),
-            Strategy::Naive | Strategy::Reference => explain(&expr, &self.engine.db),
+            Strategy::Naive => explain(&expr, &self.engine.db),
         }
     }
 }
@@ -502,6 +437,7 @@ impl Query<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::evaluate_reference;
     use sj_algebra::division;
     use sj_algebra::Condition;
 
@@ -538,7 +474,8 @@ mod tests {
     fn all_strategies_agree_on_the_division_plan() {
         let e = division::division_double_difference("R", "S");
         let expected = Relation::from_int_rows(&[&[1]]);
-        for strategy in [Strategy::Planned, Strategy::Naive, Strategy::Reference] {
+        assert_eq!(evaluate_reference(&e, &division_db()).unwrap(), expected);
+        for strategy in [Strategy::Planned, Strategy::Naive] {
             let engine = Engine::new(division_db()).strategy(strategy);
             let out = engine.query(e.clone()).run().unwrap();
             assert_eq!(out.relation, expected, "{strategy}");
@@ -586,13 +523,6 @@ mod tests {
         assert!(report.nodes.iter().all(|n| n.estimate.is_some()));
         assert_eq!(report.nodes.len(), 8);
         assert_eq!(report.output_rows, out.relation.len());
-
-        // The reference evaluator has no instrumentation: report is None.
-        let reference = Engine::new(division_db())
-            .strategy(Strategy::Reference)
-            .instrument(Instrument::Cardinalities);
-        let out = reference.query(e).run().unwrap();
-        assert!(out.report.is_none(), "no report ⇒ no wall clock");
     }
 
     #[test]
@@ -652,15 +582,18 @@ mod tests {
         // Tiny input → the auto selector picks the sort-free merge.
         assert_eq!(out.algorithm, "sort-merge");
         assert_eq!(out.complexity, ComplexityClass::Linear);
-        // Algorithm ablation is a one-line config change.
-        let nested = engine
-            .clone()
-            .algorithm(AlgorithmChoice::named("nested-loop"))
-            .divide("Person", "Symptoms", DivisionSemantics::Containment)
-            .unwrap();
-        assert_eq!(nested.relation, out.relation);
-        assert_eq!(nested.algorithm, "nested-loop");
-        assert_eq!(nested.complexity, ComplexityClass::Quadratic);
+        // An ablation forces its algorithm through the registry.
+        let nested = Registry::standard().find_division("nested-loop").unwrap();
+        let db = engine.db();
+        let forced = sj_setjoin::run_division_traced(
+            nested,
+            db.get("Person").unwrap(),
+            db.get("Symptoms").unwrap(),
+            DivisionSemantics::Containment,
+            1,
+        );
+        assert_eq!(forced, out.relation);
+        assert_eq!(nested.complexity(), ComplexityClass::Quadratic);
     }
 
     #[test]
@@ -704,13 +637,16 @@ mod tests {
         let auto = engine
             .set_join("Person", "Disease", SetPredicate::Contains)
             .unwrap();
-        let named = engine
-            .clone()
-            .algorithm(AlgorithmChoice::named("signature64"))
-            .set_join("Person", "Disease", SetPredicate::Contains)
-            .unwrap();
-        assert_eq!(auto.relation, named.relation);
-        assert_eq!(named.algorithm, "signature64");
+        let signature = Registry::standard().find_set_join("signature64").unwrap();
+        let db = engine.db();
+        let forced = sj_setjoin::run_set_join_traced(
+            signature,
+            db.get("Person").unwrap(),
+            db.get("Disease").unwrap(),
+            SetPredicate::Contains,
+            1,
+        );
+        assert_eq!(auto.relation, forced);
     }
 
     #[test]
@@ -723,20 +659,6 @@ mod tests {
         assert!(matches!(
             engine.divide("Symptoms", "Symptoms", DivisionSemantics::Containment),
             Err(EvalError::InvalidSetOperand { expected: 2, .. })
-        ));
-        assert!(matches!(
-            engine
-                .clone()
-                .algorithm(AlgorithmChoice::named("no-such"))
-                .divide("Person", "Symptoms", DivisionSemantics::Containment),
-            Err(EvalError::UnknownAlgorithm(_))
-        ));
-        assert!(matches!(
-            engine
-                .clone()
-                .algorithm(AlgorithmChoice::named("inverted-index"))
-                .set_join("Person", "Person", SetPredicate::ContainedIn),
-            Err(EvalError::UnsupportedPredicate { .. })
         ));
     }
 
@@ -845,20 +767,12 @@ mod tests {
     #[test]
     fn tree_walking_strategies_never_touch_the_catalog() {
         let e = division::division_double_difference("R", "S");
-        for strategy in [Strategy::Naive, Strategy::Reference] {
-            let engine = Engine::new(division_db())
-                .strategy(strategy)
-                .instrument(Instrument::Cardinalities);
-            engine.query(e.clone()).run().unwrap();
-            engine.query(e.clone()).explain().unwrap();
-            assert!(engine.catalog().is_empty(), "{strategy}");
-        }
-        // A named algorithm needs no statistics either.
-        let named = Engine::new(division_db()).algorithm(AlgorithmChoice::named("hash"));
-        named
-            .divide("R", "S", DivisionSemantics::Containment)
-            .unwrap();
-        assert!(named.catalog().is_empty());
+        let engine = Engine::new(division_db())
+            .strategy(Strategy::Naive)
+            .instrument(Instrument::Cardinalities);
+        engine.query(e.clone()).run().unwrap();
+        engine.query(e).explain().unwrap();
+        assert!(engine.catalog().is_empty());
     }
 
     #[test]

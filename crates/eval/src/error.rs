@@ -11,16 +11,6 @@ pub enum EvalError {
     Algebra(AlgebraError),
     /// A storage operation failed.
     Storage(StorageError),
-    /// The engine was asked for a set-join/division algorithm that names
-    /// no entry of `sj_setjoin`'s algorithm tables.
-    UnknownAlgorithm(String),
-    /// The selected algorithm does not implement the requested predicate.
-    UnsupportedPredicate {
-        /// Name of the algorithm that was asked.
-        algorithm: String,
-        /// Debug rendering of the predicate it rejected.
-        predicate: String,
-    },
     /// A division/set-join operand has the wrong shape (division needs a
     /// binary dividend and a unary divisor; set joins need two binary
     /// operands).
@@ -44,16 +34,6 @@ impl fmt::Display for EvalError {
         match self {
             EvalError::Algebra(e) => write!(f, "algebra error: {e}"),
             EvalError::Storage(e) => write!(f, "storage error: {e}"),
-            EvalError::UnknownAlgorithm(name) => {
-                write!(
-                    f,
-                    "no registered set-join/division algorithm named {name:?}"
-                )
-            }
-            EvalError::UnsupportedPredicate {
-                algorithm,
-                predicate,
-            } => write!(f, "algorithm {algorithm:?} does not support {predicate}"),
             EvalError::InvalidSetOperand {
                 relation,
                 arity,
@@ -74,10 +54,7 @@ impl std::error::Error for EvalError {
         match self {
             EvalError::Algebra(e) => Some(e),
             EvalError::Storage(e) => Some(e),
-            EvalError::UnknownAlgorithm(_)
-            | EvalError::UnsupportedPredicate { .. }
-            | EvalError::InvalidSetOperand { .. }
-            | EvalError::MissingStatistics(_) => None,
+            EvalError::InvalidSetOperand { .. } | EvalError::MissingStatistics(_) => None,
         }
     }
 }

@@ -2,13 +2,16 @@
 //!
 //! [`Execution`] used to select between row-at-a-time and vectorized
 //! operator bodies, [`StatsMode`] between threshold rules and the cost
-//! model. Neither fork served a workload or won a measurement, so both
-//! are gone: the planned path has one body per operator
-//! ([`crate::kernel`], plus [`crate::ops_vec::select`] for σ), and every
-//! plan and every algorithm pick is costed from the engine's statistics
-//! catalog. What is left here are one-variant types that
-//! `Engine::execution`, `Engine::stats`, `ServerConfig::execution`,
-//! `PhysicalPlan::execute_with_execution` and the `kernel::*` entry
+//! model, [`JoinOrder`] between the written join association and the
+//! cost-based search. No caller chose the other fork, so all three are
+//! gone: the planned path has one body per operator ([`crate::kernel`],
+//! plus [`crate::ops_vec::select`] for σ), every plan and every
+//! algorithm pick is costed from the engine's statistics catalog, and
+//! every plan's join chains are ordered by [`crate::joinorder`]. What is
+//! left here are one-variant types that `Engine::execution`,
+//! `Engine::stats`, `Engine::join_order`, `ServerConfig::execution`,
+//! `PhysicalPlan::execute_with_execution`, the order argument of
+//! `PhysicalPlan::of_costed_with_order` and the `kernel::*` entry
 //! points accept and ignore, because `benchmark/` compiles against those
 //! signatures and only a benchmark-purpose PR may edit it; that PR drops
 //! the arguments and these types with them (and, in `sj-algebra`, the
@@ -32,6 +35,17 @@ pub enum StatsMode {
     /// whenever the stored relation was replaced or mutated.
     #[default]
     Cached,
+}
+
+/// How the planner associates join chains. One value: not an option.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum JoinOrder {
+    /// Exhaustive bushy dynamic programming up to
+    /// [`crate::DP_MAX_RELATIONS`] relations (greedy pair-merging
+    /// beyond), plus the worst-case-optimal multiway collapse for
+    /// AGM-bound-beating cyclic chains ([`crate::joinorder`]).
+    #[default]
+    Dp,
 }
 
 #[cfg(test)]
@@ -63,6 +77,11 @@ mod tests {
                 "PhysicalPlan::execute_with_execution",
             ),
             (".pipeline()", "sj_algebra::OptimizeLevel::pipeline"),
+            (
+                "JoinOrder::Dp",
+                "sj_eval::JoinOrder (with PhysicalPlan::of_costed_with_order's order argument)",
+            ),
+            (".join_order(", "Engine::join_order"),
         ] {
             assert!(
                 source.contains(call),

@@ -11,7 +11,7 @@
 //! the expression in that order
 //! ([`sj_algebra::JoinGraph::join_expr_with`]); a final projection
 //! restores the as-written column order, so results are byte-identical
-//! for every [`JoinOrder`] mode.
+//! to the written chain's.
 //!
 //! Enumeration is the textbook subset DP over connected (and, pricing
 //! cross products honestly, disconnected) leaf sets: **bushy** trees
@@ -44,51 +44,19 @@ use sj_storage::Schema;
 /// would start to show up in planning time.
 pub const DP_MAX_RELATIONS: usize = 8;
 
-/// How the planner associates join chains (the `Engine::join_order`
-/// knob). Results are byte-identical across all modes; only plan shape
-/// and speed change.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
-pub enum JoinOrder {
-    /// Keep the association order the query was written in.
-    AsWritten,
-    /// Exhaustive bushy dynamic programming up to
-    /// [`DP_MAX_RELATIONS`] relations (greedy pair-merging beyond), plus
-    /// the worst-case-optimal multiway collapse for AGM-bound-beating
-    /// cyclic chains. The default.
-    #[default]
-    Dp,
-}
-
-impl std::fmt::Display for JoinOrder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JoinOrder::AsWritten => write!(f, "as-written"),
-            JoinOrder::Dp => write!(f, "dp"),
-        }
-    }
-}
-
-/// Reassociate every join chain of `expr` per `order`, using leaf
-/// cardinality estimates from `src`. Returns `None` when nothing
-/// changed: the mode is [`JoinOrder::AsWritten`], statistics are
-/// missing for some leaf, every chosen order already matches the
-/// written one, or a chain is ear-marked for the multiway collapse
-/// (which the lowering pass performs on the unchanged shape).
-pub fn reorder(
-    expr: &Expr,
-    schema: &Schema,
-    src: &dyn StatsSource,
-    order: JoinOrder,
-) -> Option<Expr> {
-    if order == JoinOrder::AsWritten {
-        return None;
-    }
+/// Reassociate every join chain of `expr` into its cheapest order, using
+/// leaf cardinality estimates from `src`. Returns `None` when nothing
+/// changed: statistics are missing for some leaf, every chosen order
+/// already matches the written one, or a chain is ear-marked for the
+/// multiway collapse (which the lowering pass performs on the unchanged
+/// shape).
+pub fn reorder(expr: &Expr, schema: &Schema, src: &dyn StatsSource) -> Option<Expr> {
     let estimator = Estimator::new(src);
     let rewritten = reorder_expr(expr, schema, &estimator);
     (rewritten != *expr).then_some(rewritten)
 }
 
-/// [`reorder`] under [`JoinOrder::Dp`], the one mode that rewrites.
+/// [`reorder`]'s recursion.
 fn reorder_expr(e: &Expr, schema: &Schema, est: &Estimator<'_>) -> Expr {
     if matches!(e, Expr::Join(..)) {
         if let Some(g) = JoinGraph::extract(e, schema) {
@@ -384,8 +352,8 @@ mod tests {
         let cat = StatsCatalog::new();
         let src = CatalogSource::new(&cat, &db);
         let e = chain_expr();
-        let reordered = reorder(&e, &db.schema(), &src, JoinOrder::Dp)
-            .expect("worst-first chain must be reordered");
+        let reordered =
+            reorder(&e, &db.schema(), &src).expect("worst-first chain must be reordered");
         // The cheapest association is R ⋈ (S ⋈ T): the leaf sequence is
         // unchanged, so the rebuild needs no restoring projection and
         // stays a join.
@@ -398,14 +366,6 @@ mod tests {
         assert!(order_cost(&g, &chosen, &ests) < order_cost(&g, &g.as_written, &ests));
         // S and T meet first in the cheapest tree.
         assert_ne!(chosen, g.as_written);
-    }
-
-    #[test]
-    fn as_written_mode_never_rewrites() {
-        let db = chain_db();
-        let cat = StatsCatalog::new();
-        let src = CatalogSource::new(&cat, &db);
-        assert!(reorder(&chain_expr(), &db.schema(), &src, JoinOrder::AsWritten).is_none());
     }
 
     #[test]

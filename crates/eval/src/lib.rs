@@ -29,8 +29,8 @@
 //! * [`engine::Engine`] — **the recommended entry point**: one facade
 //!   over all of the above plus the `sj-setjoin` algorithm registry and
 //!   the `sj-stats` catalog every plan and algorithm pick is costed
-//!   from. Optimizer pipeline, evaluation strategy, instrumentation, and
-//!   set-join algorithm selection are builder configuration; queries
+//!   from. Optimizer level, evaluation strategy, instrumentation and
+//!   parallelism are builder configuration; queries
 //!   return a single [`engine::QueryOutput`]. The pre-`Engine` free
 //!   functions that remain exported — [`evaluate`],
 //!   [`evaluate_instrumented`], [`evaluate_reference`] — are the tree
@@ -51,12 +51,12 @@ pub mod plan;
 pub mod reference;
 pub mod report;
 
-pub use engine::{AlgorithmChoice, Engine, Instrument, Query, QueryOutput, SetOpOutput, Strategy};
+pub use engine::{Engine, Instrument, Query, QueryOutput, SetOpOutput, Strategy};
 pub use error::EvalError;
-pub use exec::{Execution, StatsMode};
+pub use exec::{Execution, JoinOrder, StatsMode};
 pub use explain::explain;
 pub use instrumented::evaluate_instrumented;
-pub use joinorder::{JoinOrder, DP_MAX_RELATIONS};
+pub use joinorder::DP_MAX_RELATIONS;
 pub use kernel::{multiway_join, MultiwayLeaf, MultiwaySpec, PartitionStat};
 pub use par::Parallelism;
 pub use plain::evaluate;
@@ -66,12 +66,9 @@ pub use report::{NodeStat, Report, Q_ERROR_BUDGET};
 
 /// Most-used items in one import.
 pub mod prelude {
-    pub use crate::engine::{
-        AlgorithmChoice, Engine, Instrument, Query, QueryOutput, SetOpOutput, Strategy,
-    };
-    pub use crate::exec::{Execution, StatsMode};
+    pub use crate::engine::{Engine, Instrument, Query, QueryOutput, SetOpOutput, Strategy};
+    pub use crate::exec::{Execution, JoinOrder, StatsMode};
     pub use crate::instrumented::evaluate_instrumented;
-    pub use crate::joinorder::JoinOrder;
     pub use crate::kernel::PartitionStat;
     pub use crate::par::Parallelism;
     pub use crate::plain::evaluate;

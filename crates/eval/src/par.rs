@@ -27,9 +27,10 @@ pub enum Parallelism {
     Serial,
     /// Fan partitioned operators (and independent plan nodes) out over
     /// this many scoped worker threads. `Threads(0)` means "one worker
-    /// per available CPU" (capped at 8); `Threads(1)` is serial
-    /// execution through the parallel code path — useful for testing the
-    /// partition machinery without concurrency.
+    /// per available CPU" (capped at 8). `Threads(1)` resolves to one
+    /// worker ([`Parallelism::workers`]), and every executor at one
+    /// worker takes the kernels' one-partition path: it runs
+    /// byte-for-byte what `Serial` runs.
     Threads(usize),
 }
 

@@ -48,7 +48,8 @@
 
 use crate::error::EvalError;
 use crate::exec::Execution;
-use crate::joinorder::{self, JoinOrder};
+use crate::exec::JoinOrder;
+use crate::joinorder;
 use crate::kernel::{self, PartitionStat};
 use crate::ops;
 use crate::ops_vec;
@@ -102,8 +103,7 @@ pub enum PhysOp {
     /// Worst-case-optimal multiway join of a cyclic join chain
     /// ([`kernel::multiway_join`]): the children are the chain's leaves
     /// in written order, and the spec names the Hamiltonian variable
-    /// cycle over them. Chosen under [`JoinOrder::Dp`] when every
-    /// pairwise order's estimated intermediate exceeds the cycle's AGM
+    /// cycle over them. Chosen when every pairwise order's estimated intermediate exceeds the cycle's AGM
     /// output bound ([`joinorder::multiway_plan`]).
     MultiwayJoin(kernel::MultiwaySpec),
     /// Division `X ÷ Y` of a stored binary dividend by a stored unary
@@ -186,11 +186,11 @@ impl PhysicalPlan {
     /// Validate `expr` against `schema` and lower it to a physical DAG.
     ///
     /// Before lowering, every join chain is reassociated into the
-    /// cheapest order `order`'s search finds ([`joinorder::reorder`] —
+    /// cheapest order the search finds ([`joinorder::reorder`] —
     /// results stay byte-identical; a restoring projection keeps the
-    /// written column order), and under [`JoinOrder::Dp`] cyclic chains
-    /// whose every pairwise order is estimated past the AGM bound
-    /// collapse into one [`PhysOp::MultiwayJoin`]. The RA division idioms
+    /// written column order), and cyclic chains whose every pairwise
+    /// order is estimated past the AGM bound collapse into one
+    /// [`PhysOp::MultiwayJoin`]. The RA division idioms
     /// over stored operands lower to one [`PhysOp::Divide`] whose
     /// algorithm `model` prices cheapest. Every node carries an
     /// estimated output cardinality ([`PlanNode::est_rows`], shown by
@@ -201,6 +201,8 @@ impl PhysicalPlan {
     /// is gated by `model` on actual operand sizes. Statistics change
     /// constants, never results.
     ///
+    /// `_order` is accepted and ignored ([`JoinOrder`] has one value).
+    ///
     /// Errors with [`EvalError::MissingStatistics`] when `source` has
     /// nothing for a relation the expression reads.
     pub fn of_costed_with_order(
@@ -208,7 +210,7 @@ impl PhysicalPlan {
         schema: &Schema,
         source: &dyn StatsSource,
         model: &CostModel,
-        order: JoinOrder,
+        _order: JoinOrder,
     ) -> Result<PhysicalPlan, EvalError> {
         expr.arity(schema)?;
         if let Some(name) = expr
@@ -222,14 +224,13 @@ impl PhysicalPlan {
         // lowering, so hash-consing and operator choice see the chosen
         // shape. Chains ear-marked for the multiway collapse are left
         // as written — `lower` recognizes and collapses them whole.
-        let reordered = joinorder::reorder(expr, schema, source, order);
+        let reordered = joinorder::reorder(expr, schema, source);
         let planned_expr: &Expr = reordered.as_ref().unwrap_or(expr);
         let mut planner = Planner {
             schema,
             source,
             estimator: Estimator::new(source),
             model,
-            order,
             nodes: Vec::new(),
             memo: FxHashMap::default(),
         };
@@ -656,9 +657,6 @@ struct Planner<'a> {
     estimator: Estimator<'a>,
     /// Prices the division algorithms a [`PhysOp::Divide`] picks from.
     model: &'a CostModel,
-    /// Join-order mode the plan was built under; gates the multiway
-    /// collapse (which fires only under [`JoinOrder::Dp`]).
-    order: JoinOrder,
     nodes: Vec<PlanNode>,
     memo: FxHashMap<u64, Vec<(&'a Expr, NodeId)>>,
 }
@@ -808,11 +806,8 @@ impl<'a> Planner<'a> {
     /// multiway operator? Delegates the decision to
     /// [`joinorder::multiway_plan`] — the same function the reorder
     /// pass consulted when it left the chain's shape alone — so the two
-    /// passes cannot disagree. Requires [`JoinOrder::Dp`].
+    /// passes cannot disagree.
     fn try_multiway(&self, e: &'a Expr) -> Option<(kernel::MultiwaySpec, Vec<&'a Expr>)> {
-        if self.order != JoinOrder::Dp {
-            return None;
-        }
         let g = JoinGraph::extract(e, self.schema)?;
         let ests: Vec<CardEst> = g.leaves.iter().map(|l| self.estimate(l)).collect();
         let spec = joinorder::multiway_plan(&g, &ests)?;
@@ -870,8 +865,8 @@ fn first_column_of(e: &Expr) -> Option<&Expr> {
     }
 }
 
-/// `Y` when `e` is the product `π₁(x) × Y`. [`JoinOrder::Dp`] leaves it
-/// as written: a two-leaf chain's canonical split keeps the first leaf
+/// `Y` when `e` is the product `π₁(x) × Y`. The join-order search leaves
+/// it as written: a two-leaf chain's canonical split keeps the first leaf
 /// on the left.
 fn candidates_times<'e>(e: &'e Expr, x: &Expr) -> Option<&'e Expr> {
     match e {

@@ -36,8 +36,8 @@ pub struct StatsSnapshot {
     /// bounded queue was full.
     pub rejected: u64,
     /// The worst [`sj_eval::Report::max_q_error`] across all queries
-    /// that executed (cold or off a cached plan), when instrumentation
-    /// is on — cost-model drift made visible in serving.
+    /// that executed (cold or off a cached plan; every execution is
+    /// instrumented) — cost-model drift made visible in serving.
     pub max_q_error_seen: Option<f64>,
 }
 

@@ -107,16 +107,14 @@ fn query_class(expr: &Expr) -> usize {
     }
 }
 
-/// Which cache tiers a server runs with.
+/// Whether a server caches: both tiers or neither.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum CacheMode {
     /// No caching: every query optimizes, plans, and executes.
     Off,
-    /// Plan tier only: hot queries skip optimize+plan but always
-    /// execute against the current snapshot.
-    Plan,
     /// Both tiers (the default): hot queries skip execution entirely
-    /// until a write invalidates their result.
+    /// until a write invalidates their result, and re-executions after
+    /// a data write skip optimize+plan.
     #[default]
     PlanAndResult,
 }
@@ -125,15 +123,19 @@ impl fmt::Display for CacheMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CacheMode::Off => write!(f, "off"),
-            CacheMode::Plan => write!(f, "plan"),
             CacheMode::PlanAndResult => write!(f, "plan+result"),
         }
     }
 }
 
-/// Server configuration. `Default` is a production-shaped setup:
-/// auto-sized worker pool, both cache tiers, full optimization,
-/// instrumented q-error tracking.
+/// Server configuration: resource bounds sized to the deployment, plus
+/// whether to cache. `Default` is a production-shaped setup: auto-sized
+/// worker pool, both cache tiers. What is not configurable: every query
+/// is compiled at [`OptimizeLevel::Full`], and every query that
+/// executes — cold or off a cached plan — runs instrumented, so its
+/// [`sj_eval::Report::max_q_error`] feeds
+/// [`StatsSnapshot::max_q_error_seen`] and
+/// `sj_server_q_error_over_budget_total`.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Server worker threads (inter-query concurrency). `0` = one per
@@ -148,22 +150,15 @@ pub struct ServerConfig {
     /// Bounded submission-queue capacity ([`Session::query`] blocks
     /// when full, [`Session::try_query`] rejects).
     pub queue_capacity: usize,
-    /// Which cache tiers run.
+    /// Whether the cache tiers run.
     pub cache: CacheMode,
     /// Plan-tier capacity (entries).
     pub plan_cache_capacity: usize,
     /// Result-tier capacity (entries).
     pub result_cache_capacity: usize,
-    /// Optimizer level queries are compiled with.
-    pub optimize: OptimizeLevel,
     /// Accepted and ignored: [`Execution`] has one value and selects
     /// nothing (see `sj_eval::exec`). Kept because `benchmark/` sets it.
     pub execution: Execution,
-    /// Run every query that executes — cold or off a cached plan —
-    /// instrumented, so its [`sj_eval::Report::max_q_error`] feeds
-    /// [`StatsSnapshot::max_q_error_seen`] and
-    /// `sj_server_q_error_over_budget_total`.
-    pub instrument: bool,
 }
 
 impl Default for ServerConfig {
@@ -175,9 +170,7 @@ impl Default for ServerConfig {
             cache: CacheMode::default(),
             plan_cache_capacity: 1024,
             result_cache_capacity: 1024,
-            optimize: OptimizeLevel::Full,
             execution: Execution::Vectorized,
-            instrument: true,
         }
     }
 }
@@ -404,11 +397,9 @@ struct Shared {
     queue: Queue<Job>,
     /// Session-id allocator (`server.dispatch` span attribute).
     next_session: AtomicU64,
-    cache_mode: CacheMode,
+    /// [`ServerConfig::cache`] is [`CacheMode::PlanAndResult`].
+    caching: bool,
     per_query: Parallelism,
-    /// [`ServerConfig::instrument`]: every execution builds a
-    /// [`Report`], profiled or not.
-    instrument: bool,
     /// Test-only failpoint: called with every query a worker is about
     /// to execute — past the result tier, snapshot captured — and free
     /// to panic or block.
@@ -476,7 +467,7 @@ impl Shared {
 
     /// Everything an answer leaves behind, from the one [`Report`] of
     /// the run that produced it (`None`: a result-cache hit, which ran
-    /// nothing, or an uninstrumented execution): the tier's latency
+    /// nothing): the tier's latency
     /// observation, the estimator-drift series
     /// (`sj_server_max_q_error`, `sj_server_q_error_over_budget_total`)
     /// and, when asked for, the rendered profile — the report with tier
@@ -533,8 +524,8 @@ impl Shared {
         pinned: Option<&QueryCtx>,
         want_profile: bool,
     ) -> Option<QueryResponse> {
-        // Without a result tier the probe is this one branch.
-        if self.cache_mode != CacheMode::PlanAndResult {
+        // Without caching the probe is this one branch.
+        if !self.caching {
             return None;
         }
         let started = Instant::now();
@@ -585,8 +576,6 @@ impl Shared {
             return Ok(hit);
         }
         let class = self.count_query(expr);
-        // Whatever executes below builds a report iff this holds.
-        let instrumented = self.instrument || want_profile;
         let fresh;
         let ctx = match pinned {
             Some(txn) => txn,
@@ -608,8 +597,8 @@ impl Shared {
         // physical plan against this snapshot.
         let db = ctx.snap.db();
         let schema = ctx.snap.schema();
-        let caching = self.cache_mode != CacheMode::Off;
-        let cached = caching
+        let cached = self
+            .caching
             .then(|| self.plan_cache.get(expr))
             .flatten()
             .filter(|entry| {
@@ -621,23 +610,13 @@ impl Shared {
             });
         let (provenance, relation, report) = if let Some(entry) = cached {
             self.plan_hits.inc();
-            if instrumented {
-                let (relation, report) = entry.plan.execute_reported(db, self.per_query)?;
-                (Provenance::PlanCache, relation, Some(report))
-            } else {
-                let relation = entry.plan.execute_with(db, self.per_query)?;
-                (Provenance::PlanCache, relation, None)
-            }
+            let (relation, report) = entry.plan.execute_reported(db, self.per_query)?;
+            (Provenance::PlanCache, relation, Some(report))
         } else {
-            // Cold: fork the template engine onto the snapshot, compile,
-            // execute, and populate the plan tier.
-            let engine = self.template.fork(db.clone()).instrument(if instrumented {
-                Instrument::Cardinalities
-            } else {
-                Instrument::Off
-            });
-            let out = engine.query(expr.clone()).run()?;
-            if let Some(plan) = out.plan.filter(|_| caching) {
+            // Cold: fork the instrumented template engine onto the
+            // snapshot, compile, execute, and populate the plan tier.
+            let out = self.template.fork(db.clone()).query(expr.clone()).run()?;
+            if let Some(plan) = out.plan.filter(|_| self.caching) {
                 let deps = expr
                     .relation_names()
                     .into_iter()
@@ -674,7 +653,7 @@ impl Shared {
     /// every future hit attempt fails the comparison — the insert/sweep
     /// race is benign.
     fn store_result(&self, expr: &Expr, relation: &Arc<Relation>, db: &Database) {
-        if self.cache_mode == CacheMode::PlanAndResult {
+        if self.caching {
             let deps = expr
                 .relation_names()
                 .into_iter()
@@ -861,8 +840,9 @@ impl Server {
             Parallelism::Threads(per)
         };
         let template = Engine::new(Database::new())
-            .optimize(config.optimize)
+            .optimize(OptimizeLevel::Full)
             .strategy(Strategy::Planned)
+            .instrument(Instrument::Cardinalities)
             .parallelism(per_query);
         let metrics = Arc::new(Metrics::new());
         let shared = Arc::new(Shared {
@@ -895,9 +875,8 @@ impl Server {
             ),
             metrics,
             next_session: AtomicU64::new(0),
-            cache_mode: config.cache,
+            caching: config.cache == CacheMode::PlanAndResult,
             per_query,
-            instrument: config.instrument,
             #[cfg(test)]
             failpoint: std::sync::Mutex::new(None),
         });
@@ -1321,7 +1300,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_off_is_always_cold_and_plan_mode_always_executes() {
+    fn cache_off_is_always_cold() {
         let e = division::division_double_difference("R", "S");
         let server = Server::start(division_db(), config(1, CacheMode::Off));
         let session = server.session();
@@ -1333,18 +1312,6 @@ mod tests {
         }
         assert_eq!(server.plan_cache_len(), 0);
         assert_eq!(server.result_cache_len(), 0);
-
-        let server = Server::start(division_db(), config(1, CacheMode::Plan));
-        let session = server.session();
-        assert_eq!(
-            session.query(e.clone()).unwrap().provenance,
-            Provenance::Cold
-        );
-        assert_eq!(
-            session.query(e.clone()).unwrap().provenance,
-            Provenance::PlanCache
-        );
-        assert_eq!(server.result_cache_len(), 0, "no result tier");
     }
 
     #[test]
@@ -1406,7 +1373,7 @@ mod tests {
         let e = Expr::rel("R").select_eq(1, 2);
         // The plan the server is about to cache, costed on those 20 rows.
         let plan = Engine::new(db.clone())
-            .optimize(ServerConfig::default().optimize)
+            .optimize(OptimizeLevel::Full)
             .query(e.clone())
             .run()
             .unwrap()

@@ -99,11 +99,9 @@ impl SetJoinAlgorithm {
     /// one per CPU), the serial ones ignore it. Results are
     /// byte-identical for every worker count.
     ///
-    /// Reached through [`Self::supports`]-checked paths only — the
-    /// selectors filter on it and `Engine::set_join` answers
-    /// `UnsupportedPredicate` — so no entry checks `pred` again: a
-    /// single-predicate entry asked for another predicate answers its
-    /// own.
+    /// Callers check [`Self::supports`] first — the selectors filter on
+    /// it — so no entry checks `pred` again: a single-predicate entry
+    /// asked for another predicate answers its own.
     pub fn run(&self, r: &Relation, s: &Relation, pred: SetPredicate, workers: usize) -> Relation {
         (self.run)(r, s, pred, workers)
     }

@@ -7,8 +7,10 @@
 //! ```
 
 use setjoins::prelude::*;
+use setjoins::setjoin::run_division_traced;
 use sj_storage::display::render_relation;
 use sj_workload::figures;
+use std::time::Instant;
 
 fn main() {
     let engine = Engine::new(figures::fig1());
@@ -62,7 +64,8 @@ fn main() {
     assert_eq!(quotient.relation, figures::fig1_expected_division());
 
     // Compare the registered algorithm families on a scaled-up version of
-    // the same workload: ablation is one `.algorithm(...)` away.
+    // the same workload: an ablation looks each algorithm up in the
+    // registry and runs it directly.
     println!("== scaled workload: 2,000 patients, 12-symptom checklist ==\n");
     let w = sj_workload::DivisionWorkload {
         groups: 2_000,
@@ -73,25 +76,23 @@ fn main() {
         seed: 20_260_613,
     };
     let (r, s, expected) = w.generate();
+    for alg in Registry::standard().division_algorithms() {
+        let start = Instant::now();
+        let quotient = run_division_traced(alg, &r, &s, DivisionSemantics::Containment, 1);
+        let elapsed = start.elapsed();
+        assert_eq!(quotient, expected);
+        println!(
+            "  {:<12} {:>8.1?}  → {} qualifying patients ({})",
+            alg.name(),
+            elapsed,
+            quotient.len(),
+            alg.complexity()
+        );
+    }
     let mut big = Database::new();
     big.set("Person", r);
     big.set("Symptoms", s);
     let big_engine = Engine::new(big);
-    for alg in Registry::standard().division_algorithms() {
-        let run = big_engine
-            .clone()
-            .algorithm(AlgorithmChoice::named(alg.name()))
-            .divide("Person", "Symptoms", DivisionSemantics::Containment)
-            .unwrap();
-        assert_eq!(run.relation, expected);
-        println!(
-            "  {:<12} {:>8.1?}  → {} qualifying patients ({})",
-            run.algorithm,
-            run.elapsed,
-            run.relation.len(),
-            run.complexity
-        );
-    }
     let auto = big_engine
         .divide("Person", "Symptoms", DivisionSemantics::Containment)
         .unwrap();

@@ -28,8 +28,8 @@ fn main() {
     println!("{}", render_relation(&required, "Required", &["course"]));
 
     // 2. One engine over the data. Division routes through the algorithm
-    // registry — the default `AlgorithmChoice::Auto` picks from the
-    // semantics and input size; naming an algorithm is a one-line change.
+    // registry, which picks the algorithm the cost model prices cheapest
+    // on the operands' statistics.
     let mut db = Database::new();
     db.set("R", enrolled);
     db.set("S", required);

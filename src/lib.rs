@@ -25,7 +25,7 @@
 //!
 //! The [`Engine`] is the single entry point: build it over a database,
 //! configure optimizer level / evaluation strategy / instrumentation /
-//! set-join algorithm choice, then run queries and set operators:
+//! parallelism, then run queries and set operators:
 //!
 //! ```
 //! use setjoins::prelude::*;
@@ -35,9 +35,9 @@
 //!     .strategy(Strategy::Planned)
 //!     .instrument(Instrument::Cardinalities);
 //!
-//! // Division and set joins route through the algorithm registry; the
-//! // default `AlgorithmChoice::Auto` picks the algorithm the cost model
-//! // prices cheapest on the operands' statistics.
+//! // Division and set joins route through the algorithm registry, which
+//! // picks the algorithm the cost model prices cheapest on the operands'
+//! // statistics.
 //! let division = engine
 //!     .divide("Person", "Symptoms", DivisionSemantics::Containment)
 //!     .unwrap();
@@ -61,13 +61,16 @@
 //! ```
 //!
 //! Statistics are an input, not a mode: the engine analyzes a relation
-//! the first time a plan or an `Auto` pick reads it (and again only after
-//! it changed), and every plan and pick is costed from that catalog.
+//! the first time a plan or an algorithm pick reads it (and again only
+//! after it changed), and every plan and pick is costed from that catalog.
+//! To force one algorithm — an ablation — look it up in
+//! [`Registry::standard`] and run it with `setjoin::run_division_traced` /
+//! `setjoin::run_set_join_traced`.
 //!
 //! The pre-`Engine` free functions remain exported — `evaluate`,
-//! `evaluate_instrumented` and `evaluate_reference` (the tree walkers
-//! `Strategy::Naive` / `Reference` run); the direct operators on bare
-//! relations are `sj_setjoin`'s per-algorithm functions
+//! `evaluate_instrumented` (the tree walkers `Strategy::Naive` runs) and
+//! `evaluate_reference` (the nested-loop test oracle); the direct
+//! operators on bare relations are `sj_setjoin`'s per-algorithm functions
 //! (`setjoin::hash_division`, `setjoin::signature_set_join`, …).
 
 pub use sj_algebra as algebra;
@@ -92,8 +95,8 @@ pub use sj_stats::{CostModel, TableStats};
 pub mod prelude {
     pub use sj_algebra::{Condition, Expr, OptimizeLevel};
     pub use sj_eval::{
-        evaluate, evaluate_instrumented, AlgorithmChoice, Engine, Execution, Instrument, JoinOrder,
-        Parallelism, Query, QueryOutput, Report, SetOpOutput, StatsMode, Strategy,
+        evaluate, evaluate_instrumented, Engine, Execution, Instrument, JoinOrder, Parallelism,
+        Query, QueryOutput, Report, SetOpOutput, StatsMode, Strategy,
     };
     pub use sj_setjoin::{ComplexityClass, DivisionSemantics, Registry, SetPredicate};
     pub use sj_stats::{CostModel, StatsCatalog, TableStats};

@@ -264,21 +264,15 @@ fn the_edge_shapes_hold_what_they_claim() {
 #[test]
 fn planned_explain_shows_a_division_node_for_the_idioms_only() {
     let db = database(7, Shape::Random, false);
-    for level in [
-        OptimizeLevel::Off,
-        OptimizeLevel::Structural,
-        OptimizeLevel::Full,
-    ] {
-        for order in [JoinOrder::AsWritten, JoinOrder::Dp] {
-            let engine = Engine::new(db.clone()).optimize(level).join_order(order);
-            for (name, e, divides) in corpus() {
-                let explained = engine.query(e).explain().unwrap();
-                assert_eq!(
-                    explained.matches("divide[").count(),
-                    divides,
-                    "{name} at {level}/{order}:\n{explained}"
-                );
-            }
+    for level in [OptimizeLevel::Off, OptimizeLevel::Full] {
+        let engine = Engine::new(db.clone()).optimize(level);
+        for (name, e, divides) in corpus() {
+            let explained = engine.query(e).explain().unwrap();
+            assert_eq!(
+                explained.matches("divide[").count(),
+                divides,
+                "{name} at {level}:\n{explained}"
+            );
         }
     }
 }

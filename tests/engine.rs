@@ -1,14 +1,16 @@
 //! Integration and property tests for the unified `Engine` API: output
-//! must be identical across every evaluation [`Strategy`] and across
-//! every registered set-join/division algorithm, on random databases and
-//! predicates as well as on the paper's workloads.
+//! must be identical to the reference evaluator under every evaluation
+//! [`Strategy`], and identical across every registered set-join/division
+//! algorithm, on random databases and predicates as well as on the
+//! paper's workloads.
 
 use proptest::prelude::*;
 // `engine::Strategy` (the enum) and proptest's `Strategy` (the trait)
 // collide under the two globs: bind each explicitly.
 use proptest::strategy::Strategy as PropStrategy;
-use setjoins::eval::Strategy;
+use setjoins::eval::{evaluate_reference, Strategy};
 use setjoins::prelude::*;
+use setjoins::setjoin::{run_division_traced, run_set_join_traced};
 use sj_algebra::division;
 use sj_workload::{
     adversarial_division_series, DivisionWorkload, ElementDist, SetJoinWorkload, SetSizeDist,
@@ -36,8 +38,8 @@ fn paper_division_plans() -> Vec<(&'static str, Expr)> {
     ]
 }
 
-/// Acceptance check of the Engine issue: `Strategy::Reference` matches
-/// `Planned` and `Naive` byte-for-byte on the paper's division workloads.
+/// `Planned` and `Naive` match the reference evaluator byte-for-byte on
+/// the paper's division workloads.
 #[test]
 fn strategies_agree_on_division_workloads() {
     for db in adversarial_division_series(&[16, 64], 0xE16E) {
@@ -50,7 +52,7 @@ fn strategies_agree_on_division_workloads() {
                     .unwrap()
                     .relation
             };
-            let reference = run(Strategy::Reference);
+            let reference = evaluate_reference(&e, &db).unwrap();
             assert_eq!(run(Strategy::Planned), reference, "{name} planned");
             assert_eq!(run(Strategy::Naive), reference, "{name} naive");
         }
@@ -82,22 +84,19 @@ fn strategies_and_registry_agree_on_set_join_workloads() {
             .unwrap()
             .relation
     };
-    let reference = run(Strategy::Reference);
+    let reference = evaluate_reference(&plan, &db).unwrap();
     assert_eq!(run(Strategy::Planned), reference, "planned");
     assert_eq!(run(Strategy::Naive), reference, "naive");
-    // Every registered algorithm, through the engine's named choice.
-    let engine = Engine::new(db.clone());
+    // Every registered algorithm, forced through the registry.
+    let (r, s) = (db.get("R").unwrap(), db.get("S").unwrap());
     for alg in Registry::standard().set_join_algorithms() {
         if !alg.supports(SetPredicate::Contains) {
             continue;
         }
-        let out = engine
-            .clone()
-            .algorithm(AlgorithmChoice::named(alg.name()))
-            .set_join("R", "S", SetPredicate::Contains)
-            .unwrap();
-        assert_eq!(out.relation, reference, "{}", out.algorithm);
+        let out = run_set_join_traced(alg, r, s, SetPredicate::Contains, 1);
+        assert_eq!(out, reference, "{}", alg.name());
     }
+    let engine = Engine::new(db.clone());
     let auto = engine.set_join("R", "S", SetPredicate::Contains).unwrap();
     assert_eq!(auto.relation, reference, "auto={}", auto.algorithm);
 }
@@ -118,14 +117,15 @@ fn engine_division_matches_ra_plans_on_scaled_workloads() {
         .run()
         .unwrap()
         .relation;
+    let (r, s) = (engine.db().get("R").unwrap(), engine.db().get("S").unwrap());
     for alg in Registry::standard().division_algorithms() {
-        let out = engine
-            .clone()
-            .algorithm(AlgorithmChoice::named(alg.name()))
-            .divide("R", "S", DivisionSemantics::Containment)
-            .unwrap();
-        assert_eq!(out.relation, via_plan, "{}", out.algorithm);
+        let out = run_division_traced(alg, r, s, DivisionSemantics::Containment, 1);
+        assert_eq!(out, via_plan, "{}", alg.name());
     }
+    let auto = engine
+        .divide("R", "S", DivisionSemantics::Containment)
+        .unwrap();
+    assert_eq!(auto.relation, via_plan, "auto={}", auto.algorithm);
 }
 
 #[test]
@@ -136,17 +136,8 @@ fn optimizer_levels_preserve_results_across_strategies() {
         division::example3_lousy_bar_sa(),
         division::cyclic_beer_query_ra(),
     ] {
-        let expected = Engine::new(db.clone())
-            .strategy(Strategy::Reference)
-            .query(e.clone())
-            .run()
-            .unwrap()
-            .relation;
-        for level in [
-            OptimizeLevel::Off,
-            OptimizeLevel::Structural,
-            OptimizeLevel::Full,
-        ] {
+        let expected = evaluate_reference(&e, &db).unwrap();
+        for level in [OptimizeLevel::Off, OptimizeLevel::Full] {
             for strategy in [Strategy::Planned, Strategy::Naive] {
                 let out = Engine::new(db.clone())
                     .optimize(level)
@@ -164,14 +155,13 @@ fn optimizer_levels_preserve_results_across_strategies() {
 fn query_output_shape_follows_configuration() {
     let db = sj_workload::figures::example3_beer_db();
     let e = division::example3_lousy_bar_sa();
-    // plan present iff Planned; report present iff instrumented (and the
-    // strategy supports it); the wall clock rides on the report.
+    // plan present iff Planned; report present iff instrumented; the
+    // wall clock rides on the report.
     let cases: Vec<(Strategy, Instrument, bool, bool)> = vec![
         (Strategy::Planned, Instrument::Off, true, false),
         (Strategy::Planned, Instrument::Cardinalities, true, true),
         (Strategy::Naive, Instrument::Off, false, false),
         (Strategy::Naive, Instrument::Cardinalities, false, true),
-        (Strategy::Reference, Instrument::Cardinalities, false, false),
     ];
     for (strategy, instrument, has_plan, has_report) in cases {
         let out = Engine::new(db.clone())
@@ -277,9 +267,9 @@ proptest! {
             let out = engine.query(e.clone()).run().unwrap();
             prop_assert_eq!(&out.relation, &want, "{} on {}", label, e);
             // The report's shape, stated once: present iff the run was
-            // instrumented and a strategy that observes nodes ran it.
+            // instrumented.
             let planned = out.plan.is_some();
-            let wanted = label.contains("Cardinalities") && !label.starts_with("reference");
+            let wanted = label.contains("Cardinalities");
             prop_assert_eq!(out.report.is_some(), wanted, "{}", label);
             let Some(report) = out.report else { continue };
             prop_assert_eq!(report.output_rows, want.len(), "{}", label);
@@ -301,38 +291,36 @@ proptest! {
         }
     }
 
-    /// Engine output is identical across all `Strategy` variants on
-    /// random expressions and databases.
+    /// Engine output is identical to the reference evaluator under both
+    /// `Strategy` variants on random expressions and databases.
     #[test]
     fn engine_output_identical_across_strategies(e in arb_expr(), db in arb_db()) {
         let run = |s: Strategy| {
             Engine::new(db.clone()).strategy(s).query(e.clone()).run().unwrap().relation
         };
-        let reference = run(Strategy::Reference);
+        let reference = evaluate_reference(&e, &db).unwrap();
         prop_assert_eq!(&run(Strategy::Planned), &reference, "planned vs reference on {}", e);
         prop_assert_eq!(&run(Strategy::Naive), &reference, "naive vs reference on {}", e);
     }
 
-    /// Optimization at any level never changes any strategy's output.
+    /// Optimization never changes any strategy's output.
     #[test]
     fn engine_output_stable_under_optimization(e in arb_expr(), db in arb_db()) {
         let base = Engine::new(db.clone()).query(e.clone()).run().unwrap().relation;
-        for level in [OptimizeLevel::Structural, OptimizeLevel::Full] {
-            for strategy in [Strategy::Planned, Strategy::Naive] {
-                let out = Engine::new(db.clone())
-                    .optimize(level)
-                    .strategy(strategy)
-                    .query(e.clone())
-                    .run()
-                    .unwrap();
-                prop_assert_eq!(&out.relation, &base, "{} at {}/{}", e, level, strategy);
-            }
+        for strategy in [Strategy::Planned, Strategy::Naive] {
+            let out = Engine::new(db.clone())
+                .optimize(OptimizeLevel::Full)
+                .strategy(strategy)
+                .query(e.clone())
+                .run()
+                .unwrap();
+            prop_assert_eq!(&out.relation, &base, "{} at full/{}", e, strategy);
         }
     }
 
     /// Every registered set-join algorithm (and the auto selector) agrees
     /// with the nested-loop baseline on random inputs and predicates —
-    /// through the engine's registry routing.
+    /// each forced through the registry, the pick through the engine.
     #[test]
     fn registered_set_join_algorithms_agree(
         r in arb_pairs(5, 8, 20),
@@ -340,21 +328,17 @@ proptest! {
         pred in arb_predicate(),
     ) {
         let want = sj_setjoin::nested_loop_set_join(&r, &s, pred);
-        let mut db = Database::new();
-        db.set("R", r);
-        db.set("S", s);
-        let engine = Engine::new(db);
         for alg in Registry::standard().set_join_algorithms() {
             if !alg.supports(pred) {
                 continue;
             }
-            let out = engine
-                .clone()
-                .algorithm(AlgorithmChoice::named(alg.name()))
-                .set_join("R", "S", pred)
-                .unwrap();
-            prop_assert_eq!(&out.relation, &want, "{} on {:?}", out.algorithm, pred);
+            let out = run_set_join_traced(alg, &r, &s, pred, 1);
+            prop_assert_eq!(&out, &want, "{} on {:?}", alg.name(), pred);
         }
+        let mut db = Database::new();
+        db.set("R", r);
+        db.set("S", s);
+        let engine = Engine::new(db);
         let auto = engine.set_join("R", "S", pred).unwrap();
         prop_assert_eq!(&auto.relation, &want, "auto={} on {:?}", auto.algorithm, pred);
     }
@@ -373,12 +357,8 @@ proptest! {
         for sem in [DivisionSemantics::Containment, DivisionSemantics::Equality] {
             let want = sj_setjoin::nested_loop_division(&r, &s, sem);
             for alg in Registry::standard().division_algorithms() {
-                let out = engine
-                    .clone()
-                    .algorithm(AlgorithmChoice::named(alg.name()))
-                    .divide("R", "S", sem)
-                    .unwrap();
-                prop_assert_eq!(&out.relation, &want, "{} under {:?}", out.algorithm, sem);
+                let out = run_division_traced(alg, &r, &s, sem, 1);
+                prop_assert_eq!(&out, &want, "{} under {:?}", alg.name(), sem);
             }
             let auto = engine.divide("R", "S", sem).unwrap();
             prop_assert_eq!(&auto.relation, &want, "auto={} under {:?}", auto.algorithm, sem);

@@ -1,8 +1,9 @@
 //! Differential suite for the join-order enumerator and the multiway
-//! join: every [`JoinOrder`] mode must be byte-identical to the
-//! as-written order at every tested worker count
-//! ([`common::WORKER_COUNTS`]) — reordering and the worst-case-optimal
-//! operator are pure plan-level decisions, invisible in the answer. The fixed cases
+//! join: every engine of the configuration matrix ([`common::engines`],
+//! which covers every tested worker count) must be byte-identical to
+//! `Strategy::Naive`, which evaluates the chain as written and never
+//! plans — reordering and the worst-case-optimal operator are pure
+//! plan-level decisions, invisible in the answer. The fixed cases
 //! cover the shapes the enumerator finds degenerate (single relations,
 //! self-joins, empty inputs, stars, collapsing chains, expressions
 //! *around* the join chain) plus the skewed triangle where the AGM
@@ -11,44 +12,35 @@
 
 use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
+use setjoins::eval::Strategy;
 use setjoins::prelude::*;
-use setjoins::JoinOrder;
 use sj_workload::{CyclicWorkload, EdgeDist};
 
 mod common;
-use common::WORKER_COUNTS;
 
-const MODES: [JoinOrder; 2] = [JoinOrder::AsWritten, JoinOrder::Dp];
-
-/// Run `e` under every (mode × workers) cell and assert each answer
-/// byte-identical to the as-written baseline.
-fn differential(name: &str, db: &Database, e: &Expr) {
-    let baseline = Engine::new(db.clone())
-        .join_order(JoinOrder::AsWritten)
+/// `e` evaluated as written: the tree walker, no planner, no reordering.
+fn as_written(db: &Database, e: &Expr) -> Relation {
+    Engine::new(db.clone())
+        .strategy(Strategy::Naive)
         .query(e.clone())
         .run()
         .unwrap()
-        .relation;
-    for mode in MODES {
-        for workers in WORKER_COUNTS {
-            let out = Engine::new(db.clone())
-                .join_order(mode)
-                .parallelism(Parallelism::Threads(workers))
-                .query(e.clone())
-                .run()
-                .unwrap();
-            assert_eq!(
-                out.relation, baseline,
-                "{name}: {mode} × {workers}w diverged"
-            );
-        }
+        .relation
+}
+
+/// Run `e` on every engine of the matrix and assert each answer
+/// byte-identical to the as-written baseline.
+fn differential(name: &str, db: &Database, e: &Expr) {
+    let baseline = as_written(db, e);
+    for (label, engine) in common::engines(db) {
+        let out = engine.query(e.clone()).run().unwrap();
+        assert_eq!(out.relation, baseline, "{name}: {label} diverged");
     }
 }
 
-/// Does `JoinOrder::Dp` lower `e` to the multiway operator?
+/// Does the planner lower `e` to the multiway operator?
 fn fires_multiway(db: &Database, e: &Expr) -> bool {
     Engine::new(db.clone())
-        .join_order(JoinOrder::Dp)
         .query(e.clone())
         .explain()
         .unwrap()
@@ -169,8 +161,8 @@ fn skewed_triangles_agree_where_the_multiway_operator_fires() {
     };
     let db = w.database();
     let q = w.query();
-    // The suite's premise: this workload actually routes Dp through the
-    // multiway operator (skew pushes every pairwise estimate past the
+    // The suite's premise: this workload actually routes the planner
+    // through the multiway operator (skew pushes every pairwise estimate past the
     // AGM bound) — otherwise the differential below tests nothing new.
     assert!(
         fires_multiway(&db, &q),
@@ -216,8 +208,8 @@ fn arb_relation(arity: usize) -> impl PropStrategy<Value = Relation> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random ternary chains and triangle closures: every mode at every
-    /// worker count equals the as-written answer.
+    /// Random ternary chains and triangle closures: every engine of the
+    /// matrix equals the as-written answer.
     #[test]
     fn modes_agree_on_random_databases(
         r in arb_relation(2),
@@ -239,25 +231,10 @@ proptest! {
             .join(Condition::eq(1, 1), Expr::rel("S"))
             .join(Condition::eq(1, 1), Expr::rel("T"));
         let e = [chain, cycle, star][qi].clone();
-        let baseline = Engine::new(db.clone())
-            .join_order(JoinOrder::AsWritten)
-            .query(e.clone())
-            .run()
-            .unwrap()
-            .relation;
-        for mode in MODES {
-            for workers in WORKER_COUNTS {
-                let out = Engine::new(db.clone())
-                    .join_order(mode)
-                    .parallelism(Parallelism::Threads(workers))
-                    .query(e.clone())
-                    .run()
-                    .unwrap();
-                prop_assert_eq!(
-                    &out.relation, &baseline,
-                    "{} × {}w diverged on query {}", mode, workers, qi
-                );
-            }
+        let baseline = as_written(&db, &e);
+        for (label, engine) in common::engines(&db) {
+            let out = engine.query(e.clone()).run().unwrap();
+            prop_assert_eq!(&out.relation, &baseline, "{} diverged on query {}", label, qi);
         }
     }
 }

@@ -36,20 +36,16 @@ fn fig1_every_algorithm_and_the_ra_plan_agree() {
     let db = figures::fig1();
     let person = db.get("Person").unwrap();
     let symptoms = db.get("Symptoms").unwrap();
-    // Every registered division algorithm, via the engine's named choice.
-    let engine = Engine::new(db.clone());
+    // Every registered division algorithm, forced through the registry.
     for alg in Registry::standard().division_algorithms() {
-        let out = engine
-            .clone()
-            .algorithm(AlgorithmChoice::named(alg.name()))
-            .divide("Person", "Symptoms", DivisionSemantics::Containment)
-            .unwrap();
-        assert_eq!(
-            out.relation,
-            figures::fig1_expected_division(),
-            "{}",
-            out.algorithm
+        let out = setjoins::setjoin::run_division_traced(
+            alg,
+            person,
+            symptoms,
+            DivisionSemantics::Containment,
+            1,
         );
+        assert_eq!(out, figures::fig1_expected_division(), "{}", alg.name());
     }
     // The quadratic RA plan computes the same table.
     let mut ra_db = Database::new();

@@ -1,8 +1,8 @@
 //! Differential suite proving **parallel ≡ serial**: every registered
-//! set-join and division algorithm, every evaluation [`Strategy`], and
-//! every [`OptimizeLevel`] must produce byte-identical relations under
-//! [`Parallelism::Serial`] and [`Parallelism::Threads(n)`] for every
-//! tested worker count ([`common::WORKER_COUNTS`]). Inputs cover random
+//! set-join and division algorithm at every tested worker count
+//! ([`common::WORKER_COUNTS`]), and every engine of the configuration
+//! matrix ([`common::engines`]), must produce byte-identical relations
+//! to the [`Parallelism::Serial`] run. Inputs cover random
 //! relations (property tests) as well as the adversarial shapes hash
 //! partitioning finds hardest: empty operands, skewed and
 //! zipf-distributed keys (one partition holds almost everything) and
@@ -10,9 +10,9 @@
 
 use proptest::prelude::*;
 // `engine::Strategy` (the enum) and proptest's `Strategy` (the trait)
-// collide under the two globs: bind each explicitly.
+// collide under the two globs: bind the trait explicitly.
 use proptest::strategy::Strategy as PropStrategy;
-use setjoins::eval::{Parallelism, Strategy};
+use setjoins::eval::Parallelism;
 use setjoins::prelude::*;
 use sj_algebra::division;
 use sj_setjoin::nested_loop_set_join;
@@ -113,9 +113,9 @@ fn set_join_algorithms_parallel_equals_serial_on_adversarial_inputs() {
     }
 }
 
-/// The engine end to end on the paper's division plans: every strategy ×
-/// every optimize level × every worker count agrees with the serial
-/// reference run, on a real workload and on the adversarial shapes.
+/// The engine end to end on the paper's division plans: every engine of
+/// the matrix agrees with the serial default engine, on a real workload
+/// and on the adversarial shapes.
 #[test]
 fn engine_division_plans_parallel_equals_serial() {
     let mut dbs: Vec<(String, Database)> = vec![(
@@ -143,32 +143,10 @@ fn engine_division_plans_parallel_equals_serial() {
     ];
     for (dbname, db) in &dbs {
         for e in &plans {
-            for level in [
-                OptimizeLevel::Off,
-                OptimizeLevel::Structural,
-                OptimizeLevel::Full,
-            ] {
-                let reference = Engine::new(db.clone())
-                    .optimize(level)
-                    .query(e.clone())
-                    .run()
-                    .unwrap()
-                    .relation;
-                for strategy in [Strategy::Planned, Strategy::Naive, Strategy::Reference] {
-                    for n in WORKER_COUNTS {
-                        let out = Engine::new(db.clone())
-                            .optimize(level)
-                            .strategy(strategy)
-                            .parallelism(Parallelism::Threads(n))
-                            .query(e.clone())
-                            .run()
-                            .unwrap();
-                        assert_eq!(
-                            out.relation, reference,
-                            "{dbname} {e} {strategy} {level:?} @{n} workers"
-                        );
-                    }
-                }
+            let serial = Engine::new(db.clone()).query(e.clone()).run().unwrap();
+            for (label, engine) in common::engines(db) {
+                let out = engine.query(e.clone()).run().unwrap();
+                assert_eq!(out.relation, serial.relation, "{dbname} {e} {label}");
             }
         }
     }
@@ -261,32 +239,14 @@ fn arb_expr() -> impl PropStrategy<Value = Expr> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random expression × random database × every strategy × every
-    /// optimize level × every worker count: identical to the serial run.
+    /// Random expression × random database × every engine of the
+    /// matrix: identical to the serial run.
     #[test]
     fn parallel_equals_serial_on_random_expressions(e in arb_expr(), db in arb_db()) {
-        for level in [OptimizeLevel::Off, OptimizeLevel::Full] {
-            let reference = Engine::new(db.clone())
-                .optimize(level)
-                .query(e.clone())
-                .run()
-                .unwrap()
-                .relation;
-            for strategy in [Strategy::Planned, Strategy::Naive, Strategy::Reference] {
-                for n in WORKER_COUNTS {
-                    let out = Engine::new(db.clone())
-                        .optimize(level)
-                        .strategy(strategy)
-                        .parallelism(Parallelism::Threads(n))
-                        .query(e.clone())
-                        .run()
-                        .unwrap();
-                    prop_assert_eq!(
-                        &out.relation, &reference,
-                        "{} under {} {:?} @{} workers", e, strategy, level, n
-                    );
-                }
-            }
+        let serial = Engine::new(db.clone()).query(e.clone()).run().unwrap();
+        for (label, engine) in common::engines(&db) {
+            let out = engine.query(e.clone()).run().unwrap();
+            prop_assert_eq!(&out.relation, &serial.relation, "{} under {}", e, label);
         }
     }
 

@@ -85,7 +85,6 @@ fn lowered_division_queries_stay_within_the_q_error_budget() {
         w.database(),
         ServerConfig {
             cache: CacheMode::Off,
-            instrument: true,
             ..ServerConfig::default()
         },
     );

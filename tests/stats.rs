@@ -7,6 +7,7 @@
 //! mutation, and the explain/report annotations.
 
 use setjoins::prelude::*;
+use setjoins::setjoin::{run_division_traced, run_set_join_traced};
 use sj_algebra::division;
 use sj_workload::{DivisionWorkload, ElementDist, SetJoinWorkload, SetSizeDist};
 
@@ -45,17 +46,19 @@ fn setjoin_db(groups: usize, dist: ElementDist) -> Database {
 /// same answers.
 #[test]
 fn stats_modes_never_change_results() {
-    let nested = AlgorithmChoice::named("nested-loop");
+    let registry = Registry::standard();
+    let nested_division = registry.find_division("nested-loop").unwrap();
+    let nested_set_join = registry.find_set_join("nested-loop").unwrap();
     for groups in [32usize, 2048] {
         let ddb = division_db(groups);
         let engine = Engine::new(ddb.clone());
         let shimmed = Engine::new(ddb.clone()).stats(StatsMode::Cached);
-        let baseline = Engine::new(ddb).algorithm(nested.clone());
+        let (r, s) = (ddb.get("R").unwrap(), ddb.get("S").unwrap());
         for sem in [DivisionSemantics::Containment, DivisionSemantics::Equality] {
             let auto = engine.divide("R", "S", sem).unwrap();
             assert_eq!(
                 auto.relation,
-                baseline.divide("R", "S", sem).unwrap().relation,
+                run_division_traced(nested_division, r, s, sem, 1),
                 "{} {sem:?} at {groups} groups",
                 auto.algorithm
             );
@@ -65,7 +68,7 @@ fn stats_modes_never_change_results() {
             );
         }
         let e = division::division_counting("R", "S");
-        let walked = baseline.clone().strategy(Strategy::Naive);
+        let walked = Engine::new(ddb.clone()).strategy(Strategy::Naive);
         assert_eq!(
             engine.query(e.clone()).run().unwrap().relation,
             walked.query(e).run().unwrap().relation,
@@ -73,7 +76,7 @@ fn stats_modes_never_change_results() {
         );
         let sdb = setjoin_db(groups.min(512), ElementDist::Zipf(1.0));
         let sj_engine = Engine::new(sdb.clone());
-        let sj_baseline = Engine::new(sdb).algorithm(nested.clone());
+        let (r, s) = (sdb.get("R").unwrap(), sdb.get("S").unwrap());
         for pred in [
             SetPredicate::Contains,
             SetPredicate::ContainedIn,
@@ -83,7 +86,7 @@ fn stats_modes_never_change_results() {
             let auto = sj_engine.set_join("R", "S", pred).unwrap();
             assert_eq!(
                 auto.relation,
-                sj_baseline.set_join("R", "S", pred).unwrap().relation,
+                run_set_join_traced(nested_set_join, r, s, pred, 1),
                 "{} {pred:?}",
                 auto.algorithm
             );
@@ -139,15 +142,18 @@ fn stats_off_reproduces_threshold_selection_at_the_boundaries() {
 #[test]
 fn cost_based_selection_refines_the_containment_pick() {
     let db = setjoin_db(2048, ElementDist::Uniform);
-    let signature = Engine::new(db.clone())
-        .algorithm(AlgorithmChoice::named("signature64"))
-        .set_join("R", "S", SetPredicate::Contains)
-        .unwrap();
+    let signature = run_set_join_traced(
+        Registry::standard().find_set_join("signature64").unwrap(),
+        db.get("R").unwrap(),
+        db.get("S").unwrap(),
+        SetPredicate::Contains,
+        1,
+    );
     let costed = Engine::new(db)
         .set_join("R", "S", SetPredicate::Contains)
         .unwrap();
     assert_eq!(costed.algorithm, "parallel-signature");
-    assert_eq!(signature.relation, costed.relation);
+    assert_eq!(signature, costed.relation);
     let tiny = setjoin_db(4, ElementDist::Uniform);
     let costed = Engine::new(tiny)
         .set_join("R", "S", SetPredicate::Contains)
@@ -214,11 +220,7 @@ fn stats_compose_with_optimizer_and_parallelism() {
         .query(e.clone())
         .run()
         .unwrap();
-    for level in [
-        OptimizeLevel::Off,
-        OptimizeLevel::Structural,
-        OptimizeLevel::Full,
-    ] {
+    for level in [OptimizeLevel::Off, OptimizeLevel::Full] {
         for par in [Parallelism::Serial, Parallelism::Threads(4)] {
             let out = Engine::new(db.clone())
                 .optimize(level)
