@@ -1,6 +1,18 @@
 //! The kernel layer: the one home of hash join, hash semijoin, merge
 //! join and merge semijoin on the planned path, each written **once**
-//! over a selection of its operands' rows (`Rows`).
+//! over a selection of its operands' rows (`Rows`), and of the planned
+//! path's projection, grouping and tagging ([`project`],
+//! [`group_count`], [`tag`]).
+//!
+//! **Prefix consumers.** A canonical relation is sorted by every prefix
+//! `1..k` of its columns, and a ⋉ or σ emits ascending row ids of its
+//! left input. So `π[1..k]` over either is one pass over those ids that
+//! keeps the first row of each run of equal prefixes
+//! ([`project_semijoin`], [`project_merge_semijoin`],
+//! [`crate::ops_vec::project_select`]), and `γ[1..k; count](r₁ ⋈θ r₂)`
+//! sums per-left-row partner counts over the same runs ([`group_join`]):
+//! tuples are built for the distinct keys only, never for the rows the
+//! consumer would discard.
 //!
 //! A kernel call cuts its two operands into partition pairs and runs the
 //! operator body on every pair:
@@ -40,7 +52,8 @@
 //! Operands beyond the `u32` row capacity are an input condition, not a
 //! panic: one gate at every entry point, for every worker count, hands
 //! them to the row operators [`ops::join`] / [`ops::semijoin`] (a merge
-//! call on its rebuilt condition `1=1 ∧ … ∧ k=k ∧ residual`).
+//! call on its rebuilt condition `1=1 ∧ … ∧ k=k ∧ residual`; a prefix
+//! consumer applies [`project`] / [`group_count`] to that result).
 //!
 //! Output is byte-identical to [`crate::ops`] for every worker count —
 //! `tests/vectorized.rs` holds the kernels to the row operators and to a
@@ -68,7 +81,9 @@ pub struct PartitionStat {
     pub left_rows: usize,
     /// Right-operand tuples routed to this partition.
     pub right_rows: usize,
-    /// Output tuples this partition produced.
+    /// Rows this partition's body emitted: output tuples of a ⋈, and
+    /// left rows with a partner of a ⋉ or a group-join (before a fused
+    /// prefix projection or the group sums combine them).
     pub out_rows: usize,
     /// Wall-clock time of this partition's build + probe.
     pub elapsed: Duration,
@@ -267,16 +282,22 @@ fn union_outputs(arity: usize, mut outs: Vec<Vec<Tuple>>) -> Relation {
 /// The result of a ⋉-shaped kernel call from its partitions' surviving
 /// left row ids: each list is ascending and the lists are disjoint, so
 /// merging the `u32` runs (the stable sort detects them) restores
-/// canonical order and the tuples are gathered exactly once.
-fn gather_outputs(r1: &Relation, mut outs: Vec<Vec<u32>>) -> Relation {
-    let keep = if outs.len() == 1 {
-        outs.pop().expect("one partition")
-    } else {
-        let mut all = outs.concat();
-        all.sort();
-        all
-    };
-    gather(r1, &keep)
+/// canonical order and the tuples — or, under a fused `π[1..k]`, their
+/// distinct `k`-prefixes — are gathered exactly once.
+fn gather_outputs(r1: &Relation, outs: Vec<Vec<u32>>, k: usize) -> Relation {
+    let keep = merge_ids(outs, |&id| id);
+    gather(r1, keep.iter().map(|&i| i as usize), k)
+}
+
+/// One ascending list from per-partition lists that are each ascending
+/// in `id` and pairwise disjoint in it.
+fn merge_ids<T: Copy>(mut outs: Vec<Vec<T>>, id: impl Fn(&T) -> u32) -> Vec<T> {
+    if outs.len() == 1 {
+        return outs.pop().expect("one partition");
+    }
+    let mut all = outs.concat();
+    all.sort_by_key(id);
+    all
 }
 
 /// The shell every binary kernel shares: the `kernel.*` span with its
@@ -382,7 +403,21 @@ pub fn semijoin(
     _exec: Execution,
     workers: usize,
 ) -> (Relation, Vec<PartitionStat>) {
-    let fallback = || ops::semijoin(r1, r2, theta);
+    project_semijoin(r1, r2, theta, r1.arity(), workers)
+}
+
+/// `π[1..k](r₁ ⋉θ r₂)` for `k ≤ arity(r₁)` at the given worker count:
+/// the [`semijoin`] bodies, with the surviving rows gathered as distinct
+/// `k`-prefixes. `k = arity(r₁)` is [`semijoin`] itself. Partition stats
+/// count surviving left rows.
+pub fn project_semijoin(
+    r1: &Relation,
+    r2: &Relation,
+    theta: &Condition,
+    k: usize,
+    workers: usize,
+) -> (Relation, Vec<PartitionStat>) {
+    let fallback = || project(&ops::semijoin(r1, r2, theta), &prefix_cols(k));
     kernel_call("kernel.semijoin", r1, r2, workers, fallback, || {
         let (eq, residual) = split_condition(theta);
         let (outs, stats) = if eq.is_empty() {
@@ -394,8 +429,66 @@ pub fn semijoin(
                 hash_semijoin(l, r, &eq, &residual)
             })
         };
-        (gather_outputs(r1, outs), stats)
+        (gather_outputs(r1, outs, k), stats)
     })
+}
+
+/// `γ[1..k; count](r₁ ⋈θ r₂)` for `1 ≤ k ≤ arity(r₁)` at the given worker
+/// count, without building a join row: for every left row the body
+/// counts its θ-partners — a hash probe confirmed by key equality and
+/// the residual, or a filtered nested loop when θ has no equality atom —
+/// and the counts are summed over runs of equal `k`-prefix, which a
+/// canonical `r₁` holds adjacent. The rows are partitioned as by
+/// [`join`] (by θ's equality key, or in left chunks), so every left row
+/// is counted in exactly one partition and per-row counts merge by row
+/// id. Partition stats count left rows with at least one partner.
+///
+/// # Panics
+///
+/// When `k` is 0 or exceeds `arity(r₁)`: `γ[]` counts `{(0)}` on an
+/// empty join, which no left row can report.
+pub fn group_join(
+    r1: &Relation,
+    r2: &Relation,
+    theta: &Condition,
+    k: usize,
+    workers: usize,
+) -> (Relation, Vec<PartitionStat>) {
+    assert!(
+        (1..=r1.arity()).contains(&k),
+        "group-join keys are a non-empty prefix of the left operand"
+    );
+    let fallback = || group_count(&ops::join(r1, r2, theta), &prefix_cols(k));
+    kernel_call("kernel.group_join", r1, r2, workers, fallback, || {
+        let (eq, residual) = split_condition(theta);
+        let (outs, stats) = if eq.is_empty() {
+            run_pairs(chunk_pairs(r1, r2, workers), workers, |l, r| {
+                nested_loop_counts(r1, r2, l, r, theta)
+            })
+        } else {
+            run_hashed(r1, r2, &eq, workers, |l, r| {
+                hash_counts(l, r, &eq, &residual)
+            })
+        };
+        let counts = merge_ids(outs, |&(id, _)| id);
+        let rows = counts.into_iter().map(|(id, n)| (id as usize, n));
+        (sum_runs(r1, rows, k), stats)
+    })
+}
+
+/// `(1..=k)`: the 1-based column list of a `k`-prefix.
+pub(crate) fn prefix_cols(k: usize) -> Vec<usize> {
+    (1..=k).collect()
+}
+
+/// `Some(k)` when the 1-based `cols` are the prefix `1, 2, …, k` of the
+/// input's columns (`k = 0` for the empty list) — the column lists a
+/// canonical relation is already sorted by.
+pub(crate) fn prefix_len(cols: &[usize]) -> Option<usize> {
+    cols.iter()
+        .enumerate()
+        .all(|(i, &c)| c == i + 1)
+        .then_some(cols.len())
 }
 
 /// The θ a merge kernel call on the aligned prefix `0..k` computes,
@@ -436,13 +529,30 @@ pub fn merge_semijoin(
     _exec: Execution,
     workers: usize,
 ) -> (Relation, Vec<PartitionStat>) {
-    let fallback = || ops::semijoin(r1, r2, &prefix_condition(k, residual));
+    project_merge_semijoin(r1, r2, k, residual, r1.arity(), workers)
+}
+
+/// `π[1..keep](r₁ ⋉ r₂)` on the aligned key prefix of length `k`: the
+/// [`merge_semijoin`] body with its survivors gathered as distinct
+/// `keep`-prefixes (see [`project_semijoin`]).
+pub fn project_merge_semijoin(
+    r1: &Relation,
+    r2: &Relation,
+    k: usize,
+    residual: &Condition,
+    keep: usize,
+    workers: usize,
+) -> (Relation, Vec<PartitionStat>) {
+    let fallback = || {
+        let semi = ops::semijoin(r1, r2, &prefix_condition(k, residual));
+        project(&semi, &prefix_cols(keep))
+    };
     kernel_call("kernel.merge_semijoin", r1, r2, workers, fallback, || {
         let placed = Placement::by_prefix(r1, r2, k, workers);
         let (outs, stats) = run_pairs(placed.pairs(r1, r2), workers, |l, r| {
             merge_semijoin_rows(r1, r2, l, r, k, residual)
         });
-        (gather_outputs(r1, outs), stats)
+        (gather_outputs(r1, outs, keep), stats)
     })
 }
 
@@ -529,6 +639,39 @@ fn hash_semijoin(
         }
     }
     keep
+}
+
+/// The group-join probe of one partition pair (see [`hash_semijoin`]):
+/// `(id, partners)` for every left row with at least one partner, in
+/// ascending id order.
+fn hash_counts(
+    left: Keyed<'_>,
+    right: Keyed<'_>,
+    eq: &[(usize, usize)],
+    residual: &Condition,
+) -> Vec<(u32, u32)> {
+    let table = build_table(right);
+    let (a, b) = (left.rel.tuples(), right.rel.tuples());
+    let (c1, c2) = (left.rel.columns(), right.rel.columns());
+    let mut counts: Vec<(u32, u32)> = Vec::new();
+    for k in 0..left.rows.len() {
+        let i = left.rows.at(k);
+        let Some(cands) = table.get(&left.hashes[i]) else {
+            continue;
+        };
+        let partners = cands
+            .iter()
+            .filter(|&&j| {
+                let j = j as usize;
+                keys_eq(c1, i, c2, j, eq)
+                    && (residual.is_empty() || residual.eval(a[i].values(), b[j].values()))
+            })
+            .count();
+        if partners > 0 {
+            counts.push((i as u32, partners as u32));
+        }
+    }
+    counts
 }
 
 /// Compare the first `k` columns of row `i` of `ca` and row `j` of `cb`
@@ -673,6 +816,98 @@ fn nested_loop_semijoin(
         .filter(|&i| (0..r.len()).any(|k| theta.eval(a[i].values(), b[r.at(k)].values())))
         .map(|i| i as u32)
         .collect()
+}
+
+/// The group-join count of one left chunk against the whole right
+/// operand, for a θ with no equality atom (see [`hash_counts`]).
+fn nested_loop_counts(
+    r1: &Relation,
+    r2: &Relation,
+    l: Rows<'_>,
+    r: Rows<'_>,
+    theta: &Condition,
+) -> Vec<(u32, u32)> {
+    let (a, b) = (r1.tuples(), r2.tuples());
+    (0..l.len())
+        .map(|k| l.at(k))
+        .filter_map(|i| {
+            let partners = (0..r.len())
+                .filter(|&k| theta.eval(a[i].values(), b[r.at(k)].values()))
+                .count();
+            (partners > 0).then_some((i as u32, partners as u32))
+        })
+        .collect()
+}
+
+// ---------------------------------------------------------------------------
+// Single-operand bodies: projection, grouping, tagging
+// ---------------------------------------------------------------------------
+
+/// `π_cols(r)` (1-based columns, may repeat and reorder). On a column
+/// prefix `1..k` the canonical input is already sorted by the key, so
+/// one pass keeps the first row of every run of equal prefixes and
+/// builds tuples only for those; any other column list projects every
+/// row and sorts.
+pub fn project(r: &Relation, cols: &[usize]) -> Relation {
+    if let Some(k) = prefix_len(cols) {
+        return gather(r, 0..r.len(), k);
+    }
+    let zero_based: Vec<usize> = cols.iter().map(|c| c - 1).collect();
+    Relation::from_tuples(cols.len(), r.iter().map(|t| t.project(&zero_based)))
+        .expect("projection preserves arity")
+}
+
+/// `γ_{cols; count}(r)` (Section 5): every group of the 1-based `cols`
+/// with its cardinality appended. With `cols` empty the result is the one
+/// tuple `(|r|)` — `{(0)}` on empty input, as SQL's `COUNT(*)`. On a
+/// column prefix `1..k` the groups are the runs of the canonical input,
+/// counted in one pass; any other column list hashes each row's key and
+/// sorts the groups.
+pub fn group_count(r: &Relation, cols: &[usize]) -> Relation {
+    match prefix_len(cols) {
+        Some(0) => Relation::unary([Value::int(r.len() as i64)]),
+        Some(k) => sum_runs(r, (0..r.len()).map(|i| (i, 1)), k),
+        None => {
+            let zero_based: Vec<usize> = cols.iter().map(|c| c - 1).collect();
+            let mut groups: FxHashMap<Tuple, i64> = FxHashMap::default();
+            for t in r {
+                *groups.entry(t.project(&zero_based)).or_insert(0) += 1;
+            }
+            let rows = groups.into_iter().map(|(key, n)| key.tag(Value::int(n)));
+            Relation::from_tuples(cols.len() + 1, rows).expect("group arity is k+1")
+        }
+    }
+}
+
+/// `τ_c(r)`: `c` appended to every tuple. Appending one constant keeps
+/// the canonical order, so nothing is re-sorted.
+pub fn tag(r: &Relation, c: &Value) -> Relation {
+    Relation::from_sorted_tuples(r.arity() + 1, r.iter().map(|t| t.tag(c.clone())).collect())
+}
+
+/// `(prefix, Σ count)` for every run of equal `k`-prefix among the
+/// `(row, count)` pairs of canonical `r`, rows ascending — the step
+/// [`group_join`] and [`group_count`] share. The runs come in key order,
+/// so the output is canonical as built.
+fn sum_runs(r: &Relation, counts: impl IntoIterator<Item = (usize, u32)>, k: usize) -> Relation {
+    let tuples = r.tuples();
+    let group =
+        |key: &[Value], n: i64| -> Tuple { key.iter().cloned().chain([Value::int(n)]).collect() };
+    let mut out: Vec<Tuple> = Vec::new();
+    let mut run: Option<(&[Value], i64)> = None;
+    for (i, n) in counts {
+        let key = &tuples[i].values()[..k];
+        match &mut run {
+            Some((run_key, total)) if *run_key == key => *total += i64::from(n),
+            _ => {
+                if let Some((run_key, total)) = run.replace((key, i64::from(n))) {
+                    out.push(group(run_key, total));
+                }
+            }
+        }
+    }
+    out.extend(run.map(|(key, total)| group(key, total)));
+    Relation::from_sorted_tuples(k + 1, out)
 }
 
 // ---------------------------------------------------------------------------

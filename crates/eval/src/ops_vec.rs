@@ -5,29 +5,47 @@
 //! relation's [`Columns`] with one dense typed loop per predicate,
 //! collecting a **selection vector** of surviving row indices, and only
 //! then gathers the surviving tuples — the output is a subsequence of the
-//! canonical order, so no re-sort is needed.
+//! canonical order, so no re-sort is needed. [`project_select`] is the
+//! same scan under its only consumer `π[1..k]`: it gathers the distinct
+//! `k`-prefixes of the survivors instead of the rows.
 //!
 //! Output-equivalent to [`ops::select`]; `tests/vectorized.rs` holds the
 //! two byte-identical on every predicate shape and column kind. A
 //! relation beyond the `u32` row-index capacity falls back to the row
 //! implementation rather than truncating.
 
-use crate::ops;
+use crate::{kernel, ops};
 use sj_algebra::Selection;
-use sj_storage::{ColumnData, Columns, Relation, Value};
+use sj_storage::{ColumnData, Columns, Relation, Tuple, Value};
 use std::cmp::Ordering;
 
-/// Gather the tuples at ascending row indices `keep` — a subsequence of
-/// the canonical order, so [`Relation::from_sorted_tuples`]' linear order
-/// check passes without a sort.
-pub(crate) fn gather(r: &Relation, keep: &[u32]) -> Relation {
-    debug_assert!(keep.windows(2).all(|w| w[0] < w[1]));
-    Relation::from_sorted_tuples(
-        r.arity(),
-        keep.iter()
-            .map(|&i| r.tuples()[i as usize].clone())
-            .collect(),
-    )
+/// The distinct `k`-prefixes of `r`'s rows at the ascending indices
+/// `rows`, which for `k = arity` are the rows themselves. A canonical
+/// relation is sorted by every prefix of its columns, so ascending rows
+/// have non-decreasing prefixes: equal prefixes are adjacent, one
+/// comparison against the last emitted key deduplicates them, and the
+/// output is canonical without a sort ([`Relation::from_sorted_tuples`]'
+/// linear order check stays as the safety net). Tuples are built only
+/// for the distinct keys.
+pub(crate) fn gather(r: &Relation, rows: impl IntoIterator<Item = usize>, k: usize) -> Relation {
+    let tuples = r.tuples();
+    let out: Vec<Tuple> = if k == r.arity() {
+        rows.into_iter().map(|i| tuples[i].clone()).collect()
+    } else {
+        let mut out: Vec<Tuple> = Vec::new();
+        for i in rows {
+            let key = &tuples[i].values()[..k];
+            if out.last().is_none_or(|last| last.values() != key) {
+                out.push(key.iter().cloned().collect());
+            }
+        }
+        out
+    };
+    debug_assert!(
+        out.windows(2).all(|w| w[0] < w[1]),
+        "ascending rows of a canonical relation give ascending distinct prefixes"
+    );
+    Relation::from_sorted_tuples(k, out)
 }
 
 /// The positions at which `hits` yields `true`, as a selection vector.
@@ -41,8 +59,15 @@ fn positions(hits: impl Iterator<Item = bool>) -> Vec<u32> {
 
 /// Vectorized `σ(r)`. Output-equivalent to [`ops::select`].
 pub fn select(r: &Relation, sel: &Selection) -> Relation {
+    project_select(r, sel, r.arity())
+}
+
+/// Vectorized `π[1..k](σ(r))` for `k ≤ arity(r)`: the selection vector
+/// of [`select`], gathered as distinct `k`-prefixes. `k = arity(r)` is
+/// [`select`] itself.
+pub fn project_select(r: &Relation, sel: &Selection, k: usize) -> Relation {
     if sj_storage::ensure_u32_indexable(r.len()).is_err() {
-        return ops::select(r, sel);
+        return kernel::project(&ops::select(r, sel), &kernel::prefix_cols(k));
     }
     let cols = r.columns();
     let keep = match sel {
@@ -50,7 +75,7 @@ pub fn select(r: &Relation, sel: &Selection) -> Relation {
         Selection::Lt(i, j) => sel_lt(cols, *i - 1, *j - 1),
         Selection::EqConst(i, c) => sel_eq_const(cols, *i - 1, c),
     };
-    gather(r, &keep)
+    gather(r, keep.iter().map(|&i| i as usize), k)
 }
 
 /// Selection vector for `σ_{i=j}`.

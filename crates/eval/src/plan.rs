@@ -33,7 +33,17 @@
 //!    whole to one [`PhysOp::Divide`] node run by a linear algorithm of
 //!    the `sj-setjoin` registry: Proposition 26 says no RA rewrite can
 //!    make them linear, so the escape is an operator choice, made here
-//!    like merge-vs-hash and under every optimizer level.
+//!    like merge-vs-hash and under every optimizer level. A consumer
+//!    that keeps only a key prefix `1..k` of its input runs inside the
+//!    input's node, under every optimizer level too: `π[1..k](A ⋉θ B)`
+//!    and `π[1..k](σ(A))` are the ⋉ or σ node emitting the distinct
+//!    `k`-prefixes of its survivors (`project: Some(k)`), and
+//!    `γ[1..k; count](A ⋈θ B)` with `k ≤ arity(A)` is one
+//!    [`PhysOp::GroupJoin`] that counts each left row's partners instead
+//!    of building the join. A shape fuses only when every occurrence of
+//!    its input is under that same consumer, so a shared ⋉ or ⋈ stays one
+//!    memoized node; the fused node is labelled with both operators and
+//!    estimated as the consumer.
 //!
 //! Every plan is costed. [`PhysicalPlan::of_costed_with_order`] is the
 //! one constructor: it takes the statistics source that orders join
@@ -79,10 +89,20 @@ pub enum PhysOp {
     MergeUnion,
     /// Set difference as a linear merge.
     MergeDiff,
-    /// Projection (1-based columns), with re-canonicalization.
+    /// Projection (1-based columns) through [`kernel::project`]: one
+    /// deduplicating pass on a column prefix `1..k` of the canonical
+    /// input, project-and-sort on any other list. A prefix projection
+    /// whose input is a ⋉ or σ consumed by it alone is not a node of its
+    /// own: it fuses into that node's `project` field.
     Project(Vec<usize>),
-    /// Selection filter.
-    Filter(Selection),
+    /// Selection filter through [`ops_vec::select`]; with `project:
+    /// Some(k)` it is the fused `π[1..k](σ(A))` of
+    /// [`ops_vec::project_select`], emitting the distinct `k`-prefixes of
+    /// the surviving rows.
+    Filter {
+        sel: Selection,
+        project: Option<usize>,
+    },
     /// Constant tagging.
     Tag(Value),
     /// `⋈θ` off the aligned prefix, through [`kernel::join`]: hash join
@@ -94,12 +114,28 @@ pub enum PhysOp {
     /// already sorted by.
     MergeJoin { theta: Condition, prefix: usize },
     /// `⋉θ` off the aligned prefix, through [`kernel::semijoin`] (see
-    /// [`PhysOp::Join`]).
-    Semijoin(Condition),
-    /// Sort-free merge semijoin on an aligned key prefix.
-    MergeSemijoin { theta: Condition, prefix: usize },
-    /// Hash grouping with a count aggregate.
+    /// [`PhysOp::Join`]); with `project: Some(k)` the fused
+    /// `π[1..k](A ⋉θ B)` of [`kernel::project_semijoin`].
+    Semijoin {
+        theta: Condition,
+        project: Option<usize>,
+    },
+    /// Sort-free merge semijoin on an aligned key prefix; `project` as
+    /// for [`PhysOp::Semijoin`].
+    MergeSemijoin {
+        theta: Condition,
+        prefix: usize,
+        project: Option<usize>,
+    },
+    /// Grouping with a count aggregate through [`kernel::group_count`]:
+    /// counted runs on a column prefix `1..k` of the canonical input, a
+    /// hash of the key on any other list.
     HashGroupCount(Vec<usize>),
+    /// `γ[1..keys; count](A ⋈θ B)` (`1 ≤ keys ≤ arity(A)`, the join
+    /// consumed by the grouping alone) through [`kernel::group_join`]:
+    /// per left row a count of its θ-partners, summed over runs of equal
+    /// key — no join row is built.
+    GroupJoin { theta: Condition, keys: usize },
     /// Worst-case-optimal multiway join of a cyclic join chain
     /// ([`kernel::multiway_join`]): the children are the chain's leaves
     /// in written order, and the spec names the Hamiltonian variable
@@ -125,22 +161,46 @@ impl PhysOp {
     /// Short operator name for reports and `explain` output. The
     /// θ-dispatched variants are named by the rule their kernel applies
     /// ([`ops::join_dispatch`] / [`ops::semijoin_dispatch`]), so a label
-    /// that differs from the body cannot be written down.
+    /// that differs from the body cannot be written down; a fused prefix
+    /// projection adds `+project`.
     pub fn name(&self) -> &'static str {
+        let hashed = |theta: &Condition| !ops::split_condition(theta).0.is_empty();
         match self {
             PhysOp::Scan(_) => "scan",
             PhysOp::MergeUnion => "merge-union",
             PhysOp::MergeDiff => "merge-diff",
             PhysOp::Project(_) => "project",
-            PhysOp::Filter(_) => "filter",
+            PhysOp::Filter { project: None, .. } => "filter",
+            PhysOp::Filter {
+                project: Some(_), ..
+            } => "filter+project",
             PhysOp::Tag(_) => "tag",
             PhysOp::Join(theta) => ops::join_dispatch(theta),
             PhysOp::MergeJoin { .. } => "merge-join",
-            PhysOp::Semijoin(theta) => ops::semijoin_dispatch(theta),
-            PhysOp::MergeSemijoin { .. } => "merge-semijoin",
+            PhysOp::Semijoin {
+                theta,
+                project: None,
+            } => ops::semijoin_dispatch(theta),
+            PhysOp::Semijoin { theta, .. } if hashed(theta) => "hash-semijoin+project",
+            PhysOp::Semijoin { .. } => "nested-loop-semijoin+project",
+            PhysOp::MergeSemijoin { project: None, .. } => "merge-semijoin",
+            PhysOp::MergeSemijoin { .. } => "merge-semijoin+project",
+            PhysOp::HashGroupCount(cols) if kernel::prefix_len(cols).is_some() => "sorted-group",
             PhysOp::HashGroupCount(_) => "hash-group",
+            PhysOp::GroupJoin { theta, .. } if hashed(theta) => "hash-group-join",
+            PhysOp::GroupJoin { .. } => "nested-loop-group-join",
             PhysOp::MultiwayJoin(_) => "multiway-join",
             PhysOp::Divide { algorithm, .. } => algorithm,
+        }
+    }
+
+    /// `Some(k)` for a ⋉ or σ node that runs its consumer `π[1..k]`.
+    fn fused_projection(&self) -> Option<usize> {
+        match self {
+            PhysOp::Filter { project, .. }
+            | PhysOp::Semijoin { project, .. }
+            | PhysOp::MergeSemijoin { project, .. } => *project,
+            _ => None,
         }
     }
 }
@@ -192,7 +252,8 @@ impl PhysicalPlan {
     /// order is estimated past the AGM bound collapse into one
     /// [`PhysOp::MultiwayJoin`]. The RA division idioms
     /// over stored operands lower to one [`PhysOp::Divide`] whose
-    /// algorithm `model` prices cheapest. Every node carries an
+    /// algorithm `model` prices cheapest, and key-prefix consumers fuse
+    /// into the node they consume (see the module docs). Every node carries an
     /// estimated output cardinality ([`PlanNode::est_rows`], shown by
     /// [`PhysicalPlan::explain`] and compared against actuals in
     /// instrumented reports). Binary operator choice reads θ alone —
@@ -228,6 +289,7 @@ impl PhysicalPlan {
         let planned_expr: &Expr = reordered.as_ref().unwrap_or(expr);
         let mut planner = Planner {
             schema,
+            root: planned_expr,
             source,
             estimator: Estimator::new(source),
             model,
@@ -401,9 +463,12 @@ impl PhysicalPlan {
                     .difference(kids[1])
                     .expect("validated: arities agree"),
             ),
-            PhysOp::Project(cols) => serial(ops::project(kids[0], cols)),
-            PhysOp::Filter(sel) => serial(ops_vec::select(kids[0], sel)),
-            PhysOp::Tag(c) => serial(ops::const_tag(kids[0], c)),
+            PhysOp::Project(cols) => serial(kernel::project(kids[0], cols)),
+            PhysOp::Filter { sel, project } => {
+                let k = project.unwrap_or(kids[0].arity());
+                serial(ops_vec::project_select(kids[0], sel, k))
+            }
+            PhysOp::Tag(c) => serial(kernel::tag(kids[0], c)),
             PhysOp::Join(theta) => {
                 let (rel, parts) = kernel::join(kids[0], kids[1], theta, exec, workers);
                 (Arc::new(rel), parts)
@@ -414,17 +479,28 @@ impl PhysicalPlan {
                     kernel::merge_join(kids[0], kids[1], *prefix, &residual, exec, workers);
                 (Arc::new(rel), parts)
             }
-            PhysOp::Semijoin(theta) => {
-                let (rel, parts) = kernel::semijoin(kids[0], kids[1], theta, exec, workers);
+            PhysOp::Semijoin { theta, project } => {
+                let k = project.unwrap_or(kids[0].arity());
+                let (rel, parts) = kernel::project_semijoin(kids[0], kids[1], theta, k, workers);
                 (Arc::new(rel), parts)
             }
-            PhysOp::MergeSemijoin { theta, prefix } => {
+            PhysOp::MergeSemijoin {
+                theta,
+                prefix,
+                project,
+            } => {
                 let (_, residual) = ops::split_condition(theta);
-                let (rel, parts) =
-                    kernel::merge_semijoin(kids[0], kids[1], *prefix, &residual, exec, workers);
+                let k = project.unwrap_or(kids[0].arity());
+                let (rel, parts) = kernel::project_merge_semijoin(
+                    kids[0], kids[1], *prefix, &residual, k, workers,
+                );
                 (Arc::new(rel), parts)
             }
-            PhysOp::HashGroupCount(cols) => serial(ops::group_count(kids[0], cols)),
+            PhysOp::HashGroupCount(cols) => serial(kernel::group_count(kids[0], cols)),
+            PhysOp::GroupJoin { theta, keys } => {
+                let (rel, parts) = kernel::group_join(kids[0], kids[1], theta, *keys, workers);
+                (Arc::new(rel), parts)
+            }
             PhysOp::Divide { sem, algorithm } => {
                 let alg = Registry::standard()
                     .find_division(algorithm)
@@ -650,6 +726,9 @@ impl PhysicalPlan {
 /// `(operator, child NodeIds)` after lowering children for `O(n)` total.
 struct Planner<'a> {
     schema: &'a Schema,
+    /// The tree being lowered, for the occurrence counts that decide
+    /// whether a consumer may fuse with its input.
+    root: &'a Expr,
     /// The plan's statistics source; every leaf was checked to have
     /// statistics before lowering started.
     source: &'a dyn StatsSource,
@@ -704,8 +783,17 @@ impl<'a> Planner<'a> {
                 }
                 None => (PhysOp::MergeDiff, vec![self.lower(a), self.lower(b)]),
             },
-            Expr::Project(cols, a) => (PhysOp::Project(cols.clone()), vec![self.lower(a)]),
-            Expr::Select(sel, a) => (PhysOp::Filter(sel.clone()), vec![self.lower(a)]),
+            Expr::Project(cols, a) => match self.fuse_projection(e, cols, a) {
+                Some(fused) => fused,
+                None => (PhysOp::Project(cols.clone()), vec![self.lower(a)]),
+            },
+            Expr::Select(sel, a) => (
+                PhysOp::Filter {
+                    sel: sel.clone(),
+                    project: None,
+                },
+                vec![self.lower(a)],
+            ),
             Expr::ConstTag(c, a) => (PhysOp::Tag(c.clone()), vec![self.lower(a)]),
             Expr::Join(theta, a, b) => {
                 if let Some((spec, leaves)) = self.try_multiway(e) {
@@ -716,31 +804,36 @@ impl<'a> Planner<'a> {
                 }
             }
             Expr::Semijoin(theta, a, b) => (
-                choose_semijoin_for(theta),
+                choose_semijoin_for(theta, None),
                 vec![self.lower(a), self.lower(b)],
             ),
-            Expr::GroupCount(cols, a) => {
-                (PhysOp::HashGroupCount(cols.clone()), vec![self.lower(a)])
-            }
+            Expr::GroupCount(cols, a) => match self.fuse_grouping(e, cols, a) {
+                Some(fused) => fused,
+                None => (PhysOp::HashGroupCount(cols.clone()), vec![self.lower(a)]),
+            },
         };
-        let arity = match (&op, children.as_slice()) {
-            (PhysOp::Scan(name), _) => self
-                .schema
-                .arity_of(name)
-                .expect("validated: relation exists"),
-            (PhysOp::Project(cols), _) => cols.len(),
-            (PhysOp::Divide { .. }, _) => 1,
-            (PhysOp::Tag(_), &[c]) => self.nodes[c].arity + 1,
-            (PhysOp::HashGroupCount(cols), _) => cols.len() + 1,
-            (PhysOp::Join(_) | PhysOp::MergeJoin { .. }, &[l, r]) => {
-                self.nodes[l].arity + self.nodes[r].arity
-            }
-            (PhysOp::MultiwayJoin(_), kids) => {
-                kids.iter().map(|&c| self.nodes[c].arity).sum::<usize>()
-            }
-            (_, &[c, ..]) => self.nodes[c].arity,
-            _ => unreachable!("every non-scan operator has children"),
-        };
+        let fused = op.fused_projection().is_some() || matches!(op, PhysOp::GroupJoin { .. });
+        let arity = op
+            .fused_projection()
+            .unwrap_or_else(|| match (&op, children.as_slice()) {
+                (PhysOp::Scan(name), _) => self
+                    .schema
+                    .arity_of(name)
+                    .expect("validated: relation exists"),
+                (PhysOp::Project(cols), _) => cols.len(),
+                (PhysOp::Divide { .. }, _) => 1,
+                (PhysOp::Tag(_), &[c]) => self.nodes[c].arity + 1,
+                (PhysOp::HashGroupCount(cols), _) => cols.len() + 1,
+                (PhysOp::GroupJoin { keys, .. }, _) => keys + 1,
+                (PhysOp::Join(_) | PhysOp::MergeJoin { .. }, &[l, r]) => {
+                    self.nodes[l].arity + self.nodes[r].arity
+                }
+                (PhysOp::MultiwayJoin(_), kids) => {
+                    kids.iter().map(|&c| self.nodes[c].arity).sum::<usize>()
+                }
+                (_, &[c, ..]) => self.nodes[c].arity,
+                _ => unreachable!("every non-scan operator has children"),
+            });
         let label = match &op {
             PhysOp::Divide {
                 sem: DivisionSemantics::Containment,
@@ -750,6 +843,7 @@ impl<'a> Planner<'a> {
                 sem: DivisionSemantics::Equality,
                 ..
             } => "divide[=]".to_string(),
+            _ if fused => format!("{}∘{}", e.label(), e.children()[0].label()),
             _ => e.label(),
         };
         let id = self.nodes.len();
@@ -800,6 +894,75 @@ impl<'a> Planner<'a> {
         Registry::standard()
             .auto_division(&stats(x), &stats(y), 1, self.model)
             .name()
+    }
+
+    /// `π[1..k](A ⋉θ B)` or `π[1..k](σ(A))` as the one ⋉ or σ node that
+    /// emits distinct `k`-prefixes, when `consumer` (the projection) is
+    /// `input`'s only consumer.
+    fn fuse_projection(
+        &mut self,
+        consumer: &Expr,
+        cols: &[usize],
+        input: &'a Expr,
+    ) -> Option<(PhysOp, Vec<NodeId>)> {
+        let k = kernel::prefix_len(cols)?;
+        let (op, operands): (PhysOp, Vec<&'a Expr>) = match input {
+            Expr::Semijoin(theta, a, b) => (choose_semijoin_for(theta, Some(k)), vec![a, b]),
+            Expr::Select(sel, a) => (
+                PhysOp::Filter {
+                    sel: sel.clone(),
+                    project: Some(k),
+                },
+                vec![a],
+            ),
+            _ => return None,
+        };
+        if !self.sole_consumer(consumer, input) {
+            return None;
+        }
+        Some((op, operands.into_iter().map(|x| self.lower(x)).collect()))
+    }
+
+    /// `γ[1..k; count](A ⋈θ B)` with `1 ≤ k ≤ arity(A)` as one
+    /// [`PhysOp::GroupJoin`], when `consumer` (the grouping) is the join's
+    /// only consumer and the join is not a multiway collapse. `γ[]` stays
+    /// a grouping: it answers `{(0)}` on an empty join.
+    fn fuse_grouping(
+        &mut self,
+        consumer: &Expr,
+        cols: &[usize],
+        input: &'a Expr,
+    ) -> Option<(PhysOp, Vec<NodeId>)> {
+        let Expr::Join(theta, a, b) = input else {
+            return None;
+        };
+        let keys = kernel::prefix_len(cols).filter(|&k| k >= 1)?;
+        let left_arity = a.arity(self.schema).expect("validated before lowering");
+        if keys > left_arity
+            || !self.sole_consumer(consumer, input)
+            || self.try_multiway(input).is_some()
+        {
+            return None;
+        }
+        Some((
+            PhysOp::GroupJoin {
+                theta: theta.clone(),
+                keys,
+            },
+            vec![self.lower(a), self.lower(b)],
+        ))
+    }
+
+    /// True when every occurrence of `input` in the tree is the input of
+    /// an occurrence of `consumer`: fusing the two then leaves no other
+    /// consumer without `input`'s memoized node.
+    fn sole_consumer(&self, consumer: &Expr, input: &Expr) -> bool {
+        let (mut inputs, mut consumers) = (0usize, 0usize);
+        for s in self.root.subexpressions() {
+            inputs += usize::from(s == input);
+            consumers += usize::from(s == consumer);
+        }
+        inputs == consumers
     }
 
     /// Should this join chain collapse into one worst-case-optimal
@@ -891,14 +1054,19 @@ fn choose_join_for(theta: &Condition) -> PhysOp {
     }
 }
 
-/// [`choose_join_for`], for `⋉θ`.
-fn choose_semijoin_for(theta: &Condition) -> PhysOp {
+/// [`choose_join_for`], for `⋉θ` under an optional fused prefix
+/// projection.
+fn choose_semijoin_for(theta: &Condition, project: Option<usize>) -> PhysOp {
     match ops::merge_prefix_len(theta) {
         Some(prefix) => PhysOp::MergeSemijoin {
             theta: theta.clone(),
             prefix,
+            project,
         },
-        None => PhysOp::Semijoin(theta.clone()),
+        None => PhysOp::Semijoin {
+            theta: theta.clone(),
+            project,
+        },
     }
 }
 
@@ -1168,7 +1336,7 @@ mod tests {
             // dispatch on θ — the body that runs.
             match &root.op {
                 PhysOp::Join(theta) => assert_eq!(root.op.name(), ops::join_dispatch(theta)),
-                PhysOp::Semijoin(theta) => {
+                PhysOp::Semijoin { theta, .. } => {
                     assert_eq!(root.op.name(), ops::semijoin_dispatch(theta))
                 }
                 op => assert!(op.name().starts_with("merge-"), "{e}: {op:?}"),

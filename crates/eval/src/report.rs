@@ -118,7 +118,7 @@ impl Report {
         self.nodes.iter().map(|n| n.elapsed).sum()
     }
 
-    /// Tree-node evaluations the memoization avoided
+    /// Tree-node evaluations the memoization and operator fusion avoided
     /// (`expr_nodes − nodes`); 0 under the tree walkers.
     pub fn evaluations_saved(&self) -> usize {
         self.expr_nodes - self.nodes.len()

@@ -98,7 +98,26 @@ fn main() {
          (the same registry algorithms `Engine::divide` uses), and the \
          largest intermediate is the dividend itself ({} rows). \
          `Strategy::Naive` keeps evaluating the RA as written — the \
-         instrument for Proposition 26.",
+         instrument for Proposition 26.\n",
         out.report.unwrap().max_intermediate()
+    );
+
+    // The §5 counting plan is linear as written, but it still builds
+    // R ⋈ S only to count it per group. The planner runs γ₁(R ⋈ S) as one
+    // group-join: each R row counts its partners in S, and no join row
+    // is built.
+    let counting = sj_algebra::division::division_counting("R", "S");
+    println!("== counting plan (§5) ==\n{counting}\n");
+    println!("{}", raw.query(counting.clone()).explain().unwrap());
+    let dag = planned.query(counting.clone()).explain().unwrap();
+    println!("== physical DAG of the counting plan ==\n{dag}");
+    assert!(
+        dag.contains("hash-group-join") && dag.contains("gcount[1]∘join[2=1]"),
+        "γ₁(R ⋈ S) runs as one group-join node"
+    );
+    assert!(!dag.contains("hash-join"), "no join row is built");
+    assert_eq!(
+        planned.query(counting.clone()).run().unwrap().relation,
+        raw.query(counting).run().unwrap().relation
     );
 }

@@ -3,8 +3,8 @@
 //! reproduction exercises, while evaluating each distinct subexpression
 //! exactly once and running the RA division idioms as one division node.
 
-use sj_algebra::{division, optimize, Condition, Expr};
-use sj_eval::{evaluate, Engine, Instrument, JoinOrder, PhysicalPlan, Report};
+use sj_algebra::{division, optimize, Condition, Expr, OptimizeLevel};
+use sj_eval::{evaluate, Engine, Instrument, JoinOrder, PhysOp, PhysicalPlan, Report};
 use sj_setjoin::DivisionSemantics;
 use sj_stats::{CatalogSource, CostModel};
 use sj_storage::{Database, Relation};
@@ -239,8 +239,20 @@ fn planned_instrumentation_reports_operators_and_timing() {
     let (_, report) = planned_instrumented(&e, &db);
     // Three visits against two bars: tiny, but the off-prefix
     // equality semijoins still run the hash body — `kernel::semijoin`
-    // dispatches on θ alone — and the report names what ran.
-    assert!(report.nodes.iter().any(|n| n.operator == "hash-semijoin"));
+    // dispatches on θ alone — fused with the `π₁` that is each one's
+    // only consumer, and the report names what ran.
+    let fused: Vec<&str> = report
+        .nodes
+        .iter()
+        .filter(|n| n.operator == "hash-semijoin+project")
+        .map(|n| n.label.as_str())
+        .collect();
+    assert_eq!(
+        fused,
+        ["project[1]∘semijoin[2=2]", "project[1]∘semijoin[2=1]"],
+        "{}",
+        report.render_stable()
+    );
     assert!(report.nodes.iter().any(|n| n.operator == "scan"));
     // Self times are recorded (may be zero on coarse clocks, but the sum
     // is well-defined).
@@ -249,4 +261,110 @@ fn planned_instrumentation_reports_operators_and_timing() {
     let serves = report.nodes.iter().find(|n| n.label == "Serves").unwrap();
     assert_eq!(serves.occurrences, 2);
     assert_eq!(serves.cardinality, 2);
+}
+
+/// The serving pool's semijoin shape, `π₁(R ⋉[2=1] (S − σ₁₌c(S)))`, at
+/// both optimizer levels: the projection runs inside the semijoin, so
+/// the plan has one node fewer than the same query under `π₂` (which
+/// does not fuse), and the semijoin's survivors are never materialized
+/// — the largest intermediate is `R` itself.
+#[test]
+fn prefix_projection_of_a_semijoin_fuses_into_it() {
+    let db = DivisionWorkload {
+        groups: 24,
+        divisor_size: 5,
+        containment_fraction: 0.4,
+        extra_per_group: 3,
+        noise_domain: 40,
+        seed: 11,
+    }
+    .database();
+    let c = db.get("S").unwrap().tuples()[0][0].clone();
+    let query = |col: usize| {
+        Expr::rel("R")
+            .semijoin_eq(
+                [(2, 1)],
+                Expr::rel("S").diff(Expr::rel("S").select_const(1, c.clone())),
+            )
+            .project([col])
+    };
+    for level in [OptimizeLevel::Off, OptimizeLevel::Full] {
+        let engine = Engine::new(db.clone())
+            .optimize(level)
+            .instrument(Instrument::Cardinalities);
+        let run = |e: Expr| engine.query(e).run().unwrap();
+        let (fused, near_miss) = (run(query(1)), run(query(2)));
+        let plan = fused.plan.unwrap();
+        assert_eq!(
+            plan.node_count() + 1,
+            near_miss.plan.unwrap().node_count(),
+            "{level}:\n{}",
+            plan.explain()
+        );
+        let root = &plan.nodes()[plan.root()];
+        assert_eq!(root.op.name(), "hash-semijoin+project");
+        assert_eq!(root.label, "project[1]∘semijoin[2=1]");
+        let report = fused.report.unwrap();
+        assert_eq!(
+            report.max_intermediate(),
+            db.get("R").unwrap().len(),
+            "{}",
+            report.render_stable()
+        );
+        let want = evaluate(&query(1), &db).unwrap();
+        assert!(!want.is_empty());
+        assert_eq!(fused.relation, want, "{level}");
+    }
+}
+
+/// The §5 counting plan's `γ₁(R ⋈[2=1] S)` runs as one group-join over
+/// the two scans: no join row is built and no grouping consumes a join.
+#[test]
+fn counting_division_plans_a_group_join() {
+    let db = DivisionWorkload {
+        groups: 24,
+        divisor_size: 5,
+        containment_fraction: 0.4,
+        extra_per_group: 3,
+        noise_domain: 40,
+        seed: 11,
+    }
+    .database();
+    let e = division::division_counting("R", "S");
+    for level in [OptimizeLevel::Off, OptimizeLevel::Full] {
+        let out = Engine::new(db.clone())
+            .optimize(level)
+            .query(e.clone())
+            .run()
+            .unwrap();
+        let plan = out.plan.unwrap();
+        let explained = plan.explain();
+        let group_joins: Vec<_> = plan
+            .nodes()
+            .iter()
+            .filter(|n| n.op.name() == "hash-group-join")
+            .collect();
+        assert_eq!(group_joins.len(), 1, "{level}:\n{explained}");
+        assert_eq!(group_joins[0].label, "gcount[1]∘join[2=1]");
+        let scans: Vec<&str> = group_joins[0]
+            .children
+            .iter()
+            .map(|&c| plan.nodes()[c].label.as_str())
+            .collect();
+        assert_eq!(scans, ["R", "S"], "{level}:\n{explained}");
+        for node in plan.nodes() {
+            if matches!(node.op, PhysOp::HashGroupCount(_)) {
+                let input = &plan.nodes()[node.children[0]];
+                assert!(
+                    !input.op.name().ends_with("-join"),
+                    "{level}: a grouping consumes a join:\n{explained}"
+                );
+            }
+        }
+        if level == OptimizeLevel::Full {
+            assert!(!explained.contains("hash-join"), "{explained}");
+            assert!(!explained.contains("hash-group "), "{explained}");
+        }
+        assert_eq!(out.relation, evaluate(&e, &db).unwrap(), "{level}");
+    }
 }

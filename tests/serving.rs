@@ -77,7 +77,9 @@ fn served_answers_equal_direct_engine_at_every_worker_count() {
 /// Estimator error on the serving pool: one cold, instrumented pass of
 /// the default pool. The two RA division idioms run as one division node
 /// each, whose estimate (the dividend's group count) keeps both runs
-/// within [`Q_ERROR_BUDGET`](setjoins::eval::Q_ERROR_BUDGET).
+/// within [`Q_ERROR_BUDGET`](setjoins::eval::Q_ERROR_BUDGET), and so do
+/// the six semijoin-family queries `π₁(R ⋉[2=1] (S − σ₁₌c(S)))`, whose
+/// semijoin runs fused with its projection.
 #[test]
 fn lowered_division_queries_stay_within_the_q_error_budget() {
     let w = ServingWorkload::default();
@@ -99,6 +101,7 @@ fn lowered_division_queries_stay_within_the_q_error_budget() {
         setjoins::algebra::division::division_double_difference("R", "S"),
         setjoins::algebra::division::division_equality("R", "S"),
     ];
+    let mut semijoin_family = 0;
     for e in w.query_pool() {
         let before = over_budget();
         let resp = session.query_profiled(e.clone()).expect("pool query");
@@ -107,7 +110,13 @@ fn lowered_division_queries_stay_within_the_q_error_budget() {
             assert!(profile.contains("divide["), "{e}:\n{profile}");
             assert_eq!(over_budget(), before, "{e}:\n{profile}");
         }
+        if matches!(&e, Expr::Project(_, inner) if matches!(**inner, Expr::Semijoin(..))) {
+            semijoin_family += 1;
+            assert!(profile.contains("hash-semijoin+project"), "{e}:\n{profile}");
+            assert_eq!(over_budget(), before, "{e}:\n{profile}");
+        }
     }
+    assert_eq!(semijoin_family, 6);
 }
 
 /// Serving smoke: the default server config over a paper figure — cold,

@@ -13,12 +13,27 @@
 //!
 //! Serial runs must report no `PartitionStat`; partitioned runs must
 //! account for every input and output row.
+//!
+//! The prefix consumers are held the same way: the fused bodies
+//! `kernel::project_semijoin` / `project_merge_semijoin` /
+//! `ops_vec::project_select` to `ops::project` over the row operator,
+//! `kernel::group_join` to `ops::group_count ∘ ops::join`, and
+//! `kernel::{project, group_count, tag}` to their `ops` twins — called
+//! directly, because the planner's parallel gate keeps operands this
+//! small serial. Through the `Engine`, every `common::engines`
+//! configuration answers the fused shapes and their near misses exactly
+//! as `evaluate_reference` does, and every plan holds the fused nodes
+//! the corpus says.
 
 use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
-use setjoins::eval::{kernel, ops, ops_vec, Execution, Parallelism, PartitionStat, Strategy};
+use setjoins::eval::{
+    evaluate_reference, kernel, ops, ops_vec, Execution, Parallelism, PartitionStat, Strategy,
+};
 use setjoins::prelude::*;
 use sj_algebra::{Atom, CompOp, Selection};
+use sj_workload::SplitMix64;
+use std::collections::BTreeMap;
 
 mod common;
 use common::WORKER_COUNTS;
@@ -152,6 +167,42 @@ fn brute_semijoin(r: &Relation, s: &Relation, theta: &Condition) -> Relation {
     Relation::from_tuples(r.arity(), keep).unwrap()
 }
 
+/// The distinct `k`-prefixes of `r`'s tuples.
+fn brute_prefixes(r: &Relation, k: usize) -> Relation {
+    Relation::from_tuples(k, r.iter().map(|t| Tuple::new(t.values()[..k].to_vec()))).unwrap()
+}
+
+/// Every `k`-prefix of `r`'s tuples with the number of tuples carrying it.
+fn brute_prefix_counts(r: &Relation, k: usize) -> Relation {
+    let mut groups: BTreeMap<Vec<Value>, i64> = BTreeMap::new();
+    for t in r {
+        *groups.entry(t.values()[..k].to_vec()).or_default() += 1;
+    }
+    let rows = groups.into_iter().map(|(mut key, n)| {
+        key.push(Value::int(n));
+        Tuple::new(key)
+    });
+    Relation::from_tuples(k + 1, rows).unwrap()
+}
+
+/// `(1..=k)`: the 1-based column list of a `k`-prefix.
+fn prefix(k: usize) -> Vec<usize> {
+    (1..=k).collect()
+}
+
+/// [`operand_pairs`] plus a ternary left operand, so a key prefix can be
+/// shorter than the left row by more than one column.
+fn prefix_operand_pairs() -> Vec<(String, Relation, Relation)> {
+    let mut out = operand_pairs();
+    let triples = (0..90i64).map(|i| Tuple::from_ints(&[i % 7, i % 5, i]));
+    out.push((
+        "ternary-left".into(),
+        Relation::from_tuples(3, triples).unwrap(),
+        sized(40),
+    ));
+    out
+}
+
 /// Serial runs report nothing; partitioned runs account for every row.
 /// `keyed` says whether the rows were hash-placed (every row of both
 /// operands lands in exactly one of `workers` partitions) or the left
@@ -203,7 +254,7 @@ fn has_equality(theta: &Condition) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Columnar selection ≡ row selection, every predicate shape, every
-/// operand.
+/// operand, and under every key prefix of a fused projection.
 #[test]
 fn vectorized_select_equals_row_select() {
     let sels = [
@@ -214,14 +265,18 @@ fn vectorized_select_equals_row_select() {
         Selection::EqConst(2, Value::str("headache")),
         Selection::EqConst(2, Value::str("absent")),
     ];
-    for (name, r, s) in operand_pairs() {
+    for (name, r, s) in prefix_operand_pairs() {
         for rel in [&r, &s] {
             for sel in &sels {
-                assert_eq!(
-                    ops_vec::select(rel, sel),
-                    ops::select(rel, sel),
-                    "select {sel:?} on {name}"
-                );
+                let want = ops::select(rel, sel);
+                assert_eq!(ops_vec::select(rel, sel), want, "select {sel:?} on {name}");
+                for k in 0..=rel.arity() {
+                    assert_eq!(
+                        ops_vec::project_select(rel, sel, k),
+                        ops::project(&want, &prefix(k)),
+                        "π[1..{k}]∘select {sel:?} on {name}"
+                    );
+                }
             }
         }
     }
@@ -295,10 +350,115 @@ fn vectorized_merges_equal_row_merges() {
                     let (sj, stats) = kernel::merge_semijoin(&r, &s, k, residual, EXEC, workers);
                     assert_eq!(sj, want_semi, "{what}");
                     check_stats(&what, &stats, workers, true, r.len(), s.len(), sj.len());
+
+                    for keep in 0..=r.arity() {
+                        let what = format!("π[1..{keep}]∘{what}");
+                        let (p, stats) =
+                            kernel::project_merge_semijoin(&r, &s, k, residual, keep, workers);
+                        assert_eq!(p, brute_prefixes(&want_semi, keep), "{what}");
+                        let survivors = want_semi.len();
+                        check_stats(&what, &stats, workers, true, r.len(), s.len(), survivors);
+                    }
                 }
             }
         }
     }
+}
+
+/// The fused prefix consumers: `kernel::project_semijoin` ≡
+/// `ops::project ∘ ops::semijoin` and `kernel::group_join` ≡
+/// `ops::group_count ∘ ops::join` ≡ the definitions, for every key
+/// prefix × θ shape × operand kind × worker count. Both bodies partition
+/// as `kernel::join` does, and their partitions account for every left
+/// row with a partner.
+#[test]
+fn prefix_consumer_kernels_equal_row_operators() {
+    for (name, r, s) in prefix_operand_pairs() {
+        for theta in &thetas() {
+            let semi = brute_semijoin(&r, &s, theta);
+            let join = brute_join(&r, &s, theta);
+            let keyed = has_equality(theta);
+            for k in 0..=r.arity() {
+                let want_projected = brute_prefixes(&semi, k);
+                assert_eq!(
+                    ops::project(&ops::semijoin(&r, &s, theta), &prefix(k)),
+                    want_projected,
+                    "ops π[1..{k}]∘semijoin {theta} on {name}"
+                );
+                // `γ[]` counts `{(0)}` on an empty join: it is not a
+                // group-join.
+                let want_counts = (k >= 1).then(|| brute_prefix_counts(&join, k));
+                if let Some(want) = &want_counts {
+                    assert_eq!(
+                        &ops::group_count(&ops::join(&r, &s, theta), &prefix(k)),
+                        want,
+                        "ops γ[1..{k}]∘join {theta} on {name}"
+                    );
+                }
+                for workers in KERNEL_WORKERS {
+                    let what = format!("π[1..{k}]∘semijoin {theta} on {name} @{workers}");
+                    let (p, stats) = kernel::project_semijoin(&r, &s, theta, k, workers);
+                    assert_eq!(p, want_projected, "{what}");
+                    check_stats(&what, &stats, workers, keyed, r.len(), s.len(), semi.len());
+
+                    let Some(want) = &want_counts else { continue };
+                    let what = format!("γ[1..{k}]∘join {theta} on {name} @{workers}");
+                    let (g, stats) = kernel::group_join(&r, &s, theta, k, workers);
+                    assert_eq!(&g, want, "{what}");
+                    check_stats(&what, &stats, workers, keyed, r.len(), s.len(), semi.len());
+                }
+            }
+        }
+    }
+}
+
+/// `kernel::{project, group_count, tag}` — the planned path's single
+/// operand bodies — ≡ `ops::{project, group_count, const_tag}` on column
+/// prefixes (the run-based paths), on every other column list (sort or
+/// hash), and on empty input (`γ[]` is `{(0)}`).
+#[test]
+fn single_operand_kernels_equal_row_operators() {
+    let col_lists: [&[usize]; 9] = [
+        &[],
+        &[1],
+        &[1, 2],
+        &[1, 2, 3],
+        &[2],
+        &[2, 1],
+        &[1, 1],
+        &[3, 1],
+        &[2, 2, 1],
+    ];
+    for (name, r, s) in prefix_operand_pairs() {
+        for rel in [&r, &s] {
+            for cols in col_lists
+                .iter()
+                .filter(|cols| cols.iter().all(|&c| c <= rel.arity()))
+            {
+                assert_eq!(
+                    kernel::project(rel, cols),
+                    ops::project(rel, cols),
+                    "project {cols:?} on {name}"
+                );
+                assert_eq!(
+                    kernel::group_count(rel, cols),
+                    ops::group_count(rel, cols),
+                    "group_count {cols:?} on {name}"
+                );
+            }
+            for c in [Value::int(7), Value::str("x")] {
+                assert_eq!(
+                    kernel::tag(rel, &c),
+                    ops::const_tag(rel, &c),
+                    "tag {c} on {name}"
+                );
+            }
+        }
+    }
+    assert_eq!(
+        kernel::group_count(&Relation::empty(2), &[]),
+        Relation::from_int_rows(&[&[0]])
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -396,6 +556,170 @@ fn engine_vectorized_equals_row_at_a_time() {
     }
 }
 
+/// Queries over `R/2`, `S/2` whose consumer keeps a key prefix, each with
+/// the number of fused nodes (`…+project`, `…group-join`) its plan holds
+/// at `[OptimizeLevel::Off, OptimizeLevel::Full]`. The near misses plan
+/// unfused.
+fn prefix_consumer_corpus(c: &Value) -> Vec<(&'static str, Expr, [usize; 2])> {
+    let (r, s) = (Expr::rel("R"), Expr::rel("S"));
+    let semi = |theta: Condition| r.clone().semijoin(theta, s.clone());
+    let join = |theta: Condition| r.clone().join(theta, s.clone());
+    let shared = semi(Condition::eq(2, 1));
+    vec![
+        ("π₁ ⋉ hash", semi(Condition::eq(2, 1)).project([1]), [1, 1]),
+        ("π₁ ⋉ merge", semi(Condition::eq(1, 1)).project([1]), [1, 1]),
+        (
+            "π₁ ⋉ residual ≠",
+            semi(Condition::eq(2, 1).and(1, CompOp::Neq, 2)).project([1]),
+            [1, 1],
+        ),
+        (
+            "π₁ ⋉ no equality",
+            semi(Condition::lt(1, 2)).project([1]),
+            [1, 1],
+        ),
+        ("π₁,₂ ⋉", semi(Condition::eq(2, 1)).project([1, 2]), [1, 1]),
+        (
+            "π₁ σ₂₌c",
+            r.clone().select_const(2, c.clone()).project([1]),
+            [1, 1],
+        ),
+        ("π₁ σ₁<₂", r.clone().select_lt(1, 2).project([1]), [1, 1]),
+        (
+            "γ₁ ⋈ hash",
+            join(Condition::eq(2, 1)).group_count([1]),
+            [1, 1],
+        ),
+        (
+            "γ₁ ⋈ residual <",
+            join(Condition::eq(2, 1).and(1, CompOp::Lt, 2)).group_count([1]),
+            [1, 1],
+        ),
+        (
+            "γ₁ ⋈ no equality",
+            join(Condition::neq(1, 1)).group_count([1]),
+            [1, 1],
+        ),
+        (
+            "γ₁,₂ ⋈",
+            join(Condition::eq(1, 1)).group_count([1, 2]),
+            [1, 1],
+        ),
+        // The semijoin reduction makes the outer `π₁(· ⋈ γ[](S))` a ⋉.
+        (
+            "counting division",
+            sj_algebra::division::division_counting("R", "S"),
+            [1, 2],
+        ),
+        ("π₁ ⋈", join(Condition::eq(2, 1)).project([1]), [0, 1]),
+        (
+            "shared consumer",
+            shared
+                .clone()
+                .project([1])
+                .union(shared.clone().project([1])),
+            [1, 1],
+        ),
+        (
+            "near miss: π₂",
+            semi(Condition::eq(2, 1)).project([2]),
+            [0, 0],
+        ),
+        (
+            "near miss: π[2,1]",
+            semi(Condition::eq(2, 1)).project([2, 1]),
+            [0, 0],
+        ),
+        (
+            "near miss: γ into B",
+            join(Condition::eq(2, 1)).group_count([1, 2, 3]),
+            [0, 0],
+        ),
+        (
+            "near miss: γ[]",
+            join(Condition::eq(2, 1)).group_count([]),
+            [0, 0],
+        ),
+        (
+            "near miss: shared ⋉",
+            shared.clone().project([1]).union(shared.project([2])),
+            [0, 0],
+        ),
+    ]
+}
+
+/// A seeded database over `R/2`, `S/2` with cells in `1..=4`, as integers
+/// or (with `strings`) their decimal strings; `empty` empties one side.
+fn prefix_consumer_db(seed: u64, strings: bool, empty: Option<&str>) -> Database {
+    let mut rng = SplitMix64::new(seed);
+    let cell = |v: i64| {
+        if strings {
+            Value::str(format!("{v}"))
+        } else {
+            Value::int(v)
+        }
+    };
+    let mut db = Database::new();
+    for name in ["R", "S"] {
+        let n = if empty == Some(name) {
+            0
+        } else {
+            rng.below(14) as usize
+        };
+        let rows: Vec<Tuple> = (0..n)
+            .map(|_| Tuple::new(vec![cell(rng.range_i64(1, 4)), cell(rng.range_i64(1, 4))]))
+            .collect();
+        db.set(name, Relation::from_tuples(2, rows).unwrap());
+    }
+    db
+}
+
+/// Every engine configuration answers every prefix-consumer query exactly
+/// as the reference evaluator does, and every plan fuses exactly where
+/// the corpus says.
+#[test]
+fn every_engine_agrees_on_prefix_consumers() {
+    for seed in 0..8u64 {
+        for empty in [None, Some("R"), Some("S")] {
+            let strings = seed % 2 == 1;
+            let db = prefix_consumer_db(seed, strings, empty);
+            let c = db
+                .get("R")
+                .unwrap()
+                .iter()
+                .next()
+                .map_or(Value::int(1), |t| t[1].clone());
+            let corpus = prefix_consumer_corpus(&c);
+            let expected: Vec<Relation> = corpus
+                .iter()
+                .map(|(_, e, _)| evaluate_reference(e, &db).unwrap())
+                .collect();
+            for (label, engine) in common::engines(&db) {
+                let full = label.contains("/full/");
+                for ((name, e, fused), want) in corpus.iter().zip(&expected) {
+                    let what = format!("{name} under {label}, seed {seed} {empty:?}");
+                    let out = engine.query(e.clone()).run().unwrap();
+                    assert_eq!(&out.relation, want, "{what}");
+                    let Some(plan) = out.plan else { continue };
+                    let fused_nodes = plan
+                        .nodes()
+                        .iter()
+                        .filter(|n| {
+                            n.op.name().ends_with("+project") || n.op.name().ends_with("group-join")
+                        })
+                        .count();
+                    assert_eq!(
+                        fused_nodes,
+                        fused[usize::from(full)],
+                        "{what}:\n{}",
+                        plan.explain()
+                    );
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Property tests
 // ---------------------------------------------------------------------------
@@ -444,6 +768,16 @@ proptest! {
                 kernel::merge_semijoin(&r, &s, 1, &always, EXEC, workers).0,
                 ops::semijoin(&r, &s, &prefix),
                 "merge semijoin @{}", workers
+            );
+            prop_assert_eq!(
+                kernel::project_semijoin(&r, &s, &theta, 1, workers).0,
+                ops::project(&ops::semijoin(&r, &s, &theta), &[1]),
+                "π₁∘semijoin @{}", workers
+            );
+            prop_assert_eq!(
+                kernel::group_join(&r, &s, &theta, 1, workers).0,
+                ops::group_count(&ops::join(&r, &s, &theta), &[1]),
+                "γ₁∘join @{}", workers
             );
         }
     }
