@@ -701,15 +701,15 @@ mod tests {
 
     #[test]
     fn parallel_auto_picks_partition_variants_on_large_set_ops() {
-        // Fig-scale dividend: big enough that four workers amortize the
-        // spawn cost in the cost model.
-        let rows: Vec<Vec<i64>> = (0..60_000).map(|i| vec![i / 4, i % 4]).collect();
+        // A dividend big enough that eight workers amortize the spawns
+        // and the serial grouping pass in the cost model.
+        let rows: Vec<Vec<i64>> = (0..400_000).map(|i| vec![i / 16, i % 16]).collect();
         let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
         let mut db = Database::new();
         db.set("R", Relation::from_int_rows(&refs));
         db.set("S", Relation::from_int_rows(&[&[0], &[1], &[2]]));
         let serial = Engine::new(db.clone());
-        let threaded = Engine::new(db).parallelism(Parallelism::Threads(4));
+        let threaded = Engine::new(db).parallelism(Parallelism::Threads(8));
         let a = serial
             .divide("R", "S", DivisionSemantics::Containment)
             .unwrap();

@@ -10,9 +10,9 @@
 //! keeps the first row of each run of equal prefixes
 //! ([`project_semijoin`], [`project_merge_semijoin`],
 //! [`crate::ops_vec::project_select`]), and `γ[1..k; count](r₁ ⋈θ r₂)`
-//! sums per-left-row partner counts over the same runs ([`group_join`]):
-//! tuples are built for the distinct keys only, never for the rows the
-//! consumer would discard.
+//! sums partner counts over the same runs ([`group_join`]): tuples are
+//! built for the distinct keys only, never for the rows the consumer
+//! would discard.
 //!
 //! A kernel call cuts its two operands into partition pairs and runs the
 //! operator body on every pair:
@@ -21,21 +21,31 @@
 //!   `0..len` of both operands as plain ranges. No index list is built,
 //!   no thread or `kernel.partition` span is opened, and no
 //!   [`PartitionStat`] is reported — a serial node has no partitions.
-//! * `workers > 1` places every row by its composite key hash
-//!   ([`sj_storage::Columns::key_hashes`], `hash % workers`) into
-//!   ascending index lists, so equal keys co-locate, and fans the pairs
-//!   out over scoped worker threads; the same body runs per pair and one
-//!   [`PartitionStat`] per pair is collected.
+//! * `workers > 1` places every row by a hash of its key (`hash %
+//!   workers`) into ascending index lists, so equal keys co-locate, and
+//!   fans the pairs out over scoped worker threads; the same body runs
+//!   per pair and one [`PartitionStat`] per pair is collected.
 //!
-//! The key hash is computed once per operand and used twice: it places
-//! the row and it keys the row in the partition's hash table, so a
-//! partitioned join never hashes a key a second time. Hash-paired rows
-//! are confirmed with exact cell comparisons
-//! ([`sj_storage::Columns::cell_eq`]); the merge variants compare key
-//! prefixes through [`sj_storage::Columns::cell_cmp`] (an `i64` or
-//! dictionary-code compare on typed columns). No input tuple is cloned
-//! into a partition — partitions are 4-byte row indices into the shared
+//! **Key codes.** A hash kernel reads its equality columns in the joint,
+//! order-preserving code space of [`sj_storage::column::joint_codes`]:
+//! each left key column is coded together with its right partner, so a
+//! key is a row of `i64`s and key equality across the two relations is
+//! integer equality — zero-copy for integer columns, one remap per call
+//! for two dictionaries. The codes place the rows, key the build table,
+//! and confirm every candidate pair; no key cell is read as a `Value`.
+//! The merge variants compare key prefixes through
+//! [`sj_storage::Columns::cell_cmp`] (an `i64` or dictionary-code compare
+//! on typed columns) and place rows by the value-based
+//! [`sj_storage::Columns::key_hashes`]. No input tuple is cloned into a
+//! partition — partitions are 4-byte row indices into the shared
 //! operands.
+//!
+//! **Runs.** Under a prefix consumer the left operand's rows come in
+//! runs of equal `k`-prefix, found by typed passes over its columns
+//! ([`sj_storage::Columns::run_starts`]). A fused `π[1..k](⋉)` probes a
+//! run only up to its first survivor, the group-join sums partner counts
+//! per run, and the gather that builds the output reads the key cells of
+//! one row per run from the columns.
 //!
 //! Every selection is ascending, so every body emits in canonical
 //! order: join bodies yield sorted tuples, semijoin bodies yield
@@ -64,7 +74,9 @@ use crate::ops::{self, split_condition};
 use crate::ops_vec::gather;
 use sj_algebra::Condition;
 use sj_setjoin::parallel::fan_out;
+use sj_storage::column::{hash_int_cell, joint_codes};
 use sj_storage::{ensure_u32_indexable, Columns, FxHashMap, Relation, Tuple, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -81,9 +93,10 @@ pub struct PartitionStat {
     pub left_rows: usize,
     /// Right-operand tuples routed to this partition.
     pub right_rows: usize,
-    /// Rows this partition's body emitted: output tuples of a ⋈, and
-    /// left rows with a partner of a ⋉ or a group-join (before a fused
-    /// prefix projection or the group sums combine them).
+    /// Rows this partition's body emitted: output tuples of a ⋈; left
+    /// rows with a partner of a ⋉ (under a fused `π[1..k]`, the first
+    /// survivor of each run of equal `k`-prefix); runs of equal key
+    /// prefix with a partner of a group-join.
     pub out_rows: usize,
     /// Wall-clock time of this partition's build + probe.
     pub elapsed: Duration,
@@ -119,11 +132,36 @@ impl Rows<'_> {
     }
 
     /// The absolute row index of the selection's `k`-th row.
-    #[inline]
+    #[inline(always)]
     fn at(self, k: usize) -> usize {
         match self {
             Rows::Range(start, _) => start + k,
             Rows::List(rows) => rows[k] as usize,
+        }
+    }
+
+    /// Where the runs of equal `k`-prefix of `r` begin among the
+    /// selected rows ([`Columns::run_starts`]).
+    fn run_starts(self, r: &Relation, k: usize) -> Vec<usize> {
+        let cols = r.columns();
+        match self {
+            Rows::Range(start, end) => cols.run_starts(k, end - start, |p| start + p),
+            Rows::List(rows) => cols.run_starts(k, rows.len(), |p| rows[p] as usize),
+        }
+    }
+
+    /// The first selected row at `positions` that `accept`s — the
+    /// selection's kind matched once, not per row.
+    #[inline]
+    fn find(self, positions: Range<usize>, accept: impl Fn(usize) -> bool) -> Option<usize> {
+        match self {
+            Rows::Range(start, _) => {
+                (start + positions.start..start + positions.end).find(|&i| accept(i))
+            }
+            Rows::List(rows) => rows[positions]
+                .iter()
+                .map(|&i| i as usize)
+                .find(|&i| accept(i)),
         }
     }
 }
@@ -136,12 +174,13 @@ fn fits_row_ids(left_rows: usize, right_rows: usize) -> bool {
     ensure_u32_indexable(left_rows).is_ok() && ensure_u32_indexable(right_rows).is_ok()
 }
 
-/// Place rows into `n` ascending index lists by `hash % n`. Every caller
-/// sits behind the [`fits_row_ids`] gate, so `i as u32` is exact.
-fn place(hashes: &[u64], n: usize) -> Vec<Vec<u32>> {
+/// Place rows `0..len` into `n` ascending index lists by
+/// `hash(row) % n`. Every caller sits behind the [`fits_row_ids`] gate,
+/// so `i as u32` is exact.
+fn place(len: usize, n: usize, hash: impl Fn(usize) -> u64) -> Vec<Vec<u32>> {
     let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (i, &h) in hashes.iter().enumerate() {
-        lists[(h % n as u64) as usize].push(i as u32);
+    for i in 0..len {
+        lists[(hash(i) % n as u64) as usize].push(i as u32);
     }
     lists
 }
@@ -155,21 +194,24 @@ struct Placement {
 }
 
 impl Placement {
-    /// Place both operands' rows by their key hashes, so matching keys
-    /// meet in the same partition.
-    fn by_hash(lh: &[u64], rh: &[u64], workers: usize) -> Placement {
+    /// Place both operands' `(rows, key hash)` so matching keys meet in
+    /// the same partition. A serial run hashes nothing.
+    fn by_hash(
+        (left_rows, left_hash): (usize, impl Fn(usize) -> u64),
+        (right_rows, right_hash): (usize, impl Fn(usize) -> u64),
+        workers: usize,
+    ) -> Placement {
         if workers <= 1 {
             return Placement::default();
         }
         Placement {
-            left: place(lh, workers),
-            right: place(rh, workers),
+            left: place(left_rows, workers, left_hash),
+            right: place(right_rows, workers, right_hash),
         }
     }
 
     /// [`Placement::by_hash`] on the aligned key prefix `0..k` of a merge
-    /// kernel (partitions stay key-sorted — they are subsequences). A
-    /// serial run hashes nothing.
+    /// kernel (partitions stay key-sorted — they are subsequences).
     fn by_prefix(r1: &Relation, r2: &Relation, k: usize, workers: usize) -> Placement {
         if workers <= 1 {
             return Placement::default();
@@ -179,7 +221,7 @@ impl Placement {
             r1.columns().key_hashes(&cols),
             r2.columns().key_hashes(&cols),
         );
-        Placement::by_hash(&lh, &rh, workers)
+        Placement::by_hash((lh.len(), |i| lh[i]), (rh.len(), |j| rh[j]), workers)
     }
 
     /// The partition pairs: the placed lists, or — nothing placed — the
@@ -286,7 +328,7 @@ fn union_outputs(arity: usize, mut outs: Vec<Vec<Tuple>>) -> Relation {
 /// distinct `k`-prefixes — are gathered exactly once.
 fn gather_outputs(r1: &Relation, outs: Vec<Vec<u32>>, k: usize) -> Relation {
     let keep = merge_ids(outs, |&id| id);
-    gather(r1, keep.iter().map(|&i| i as usize), k)
+    gather(r1, k, keep.len(), |p| keep[p] as usize)
 }
 
 /// One ascending list from per-partition lists that are each ascending
@@ -330,19 +372,57 @@ fn kernel_call(
 // Operator entry points
 // ---------------------------------------------------------------------------
 
-/// One operand of a hash kernel: the relation, its per-row key hashes
-/// (indexed by absolute row, computed once for the whole call), and the
-/// rows this partition sees.
+/// Both operands' equality keys on the pairs `eq` (0-based): each left
+/// key column coded jointly with its right partner ([`joint_codes`]), so
+/// a key is a row of `i64`s and equal keys of the two relations are
+/// equal codes.
+type KeyCodes<'a> = (Vec<Cow<'a, [i64]>>, Vec<Cow<'a, [i64]>>);
+
+fn key_codes<'a>(r1: &'a Relation, r2: &'a Relation, eq: &[(usize, usize)]) -> KeyCodes<'a> {
+    let (c1, c2) = (r1.columns(), r2.columns());
+    eq.iter()
+        .map(|&(lc, rc)| joint_codes((c1, lc), (c2, rc)))
+        .unzip()
+}
+
+/// One operand's key: its code columns, read a row at a time. This and
+/// the few helpers the probe loops call per row are `inline(always)`:
+/// across codegen units they otherwise stay calls, which costs the
+/// group-join a fifth of its time.
+#[derive(Clone, Copy)]
+struct Key<'a>(&'a [&'a [i64]]);
+
+impl Key<'_> {
+    /// Row `i`'s key hash: its codes' cell hashes, mixed a column at a
+    /// time. It places the row and buckets it in a build table.
+    #[inline(always)]
+    fn hash(self, i: usize) -> u64 {
+        self.0
+            .iter()
+            .fold(0, |h, codes| h.rotate_left(23) ^ hash_int_cell(codes[i]))
+    }
+
+    /// Does row `i` carry the key of row `j` of `other`?
+    #[inline(always)]
+    fn eq(self, i: usize, other: Key<'_>, j: usize) -> bool {
+        self.0.iter().zip(other.0).all(|(a, b)| a[i] == b[j])
+    }
+}
+
+/// One operand of a hash kernel: the relation, its key (indexed by
+/// absolute row, coded once for the whole call), and the rows this
+/// partition sees.
 #[derive(Clone, Copy)]
 struct Keyed<'a> {
     rel: &'a Relation,
-    hashes: &'a [u64],
+    key: Key<'a>,
     rows: Rows<'a>,
 }
 
 /// Run a hash kernel `body` over the partition pairs of `r₁ ⋈/⋉ r₂` on
-/// the equality pairs `eq`: each operand's key is hashed exactly once,
-/// and the same hashes place the rows and key the partitions' tables.
+/// the equality pairs `eq`: both operands' keys are coded once, and the
+/// same codes place the rows, bucket the partitions' tables and confirm
+/// their matches.
 fn run_hashed<O: Send>(
     r1: &Relation,
     r2: &Relation,
@@ -350,20 +430,26 @@ fn run_hashed<O: Send>(
     workers: usize,
     body: impl Fn(Keyed<'_>, Keyed<'_>) -> Vec<O> + Sync,
 ) -> (Vec<Vec<O>>, Vec<PartitionStat>) {
-    let left_cols: Vec<usize> = eq.iter().map(|&(lc, _)| lc).collect();
-    let right_cols: Vec<usize> = eq.iter().map(|&(_, rc)| rc).collect();
-    let lh = r1.columns().key_hashes(&left_cols);
-    let rh = r2.columns().key_hashes(&right_cols);
-    let placed = Placement::by_hash(&lh, &rh, workers);
+    let (lk, rk) = key_codes(r1, r2, eq);
+    let (lk, rk): (Vec<&[i64]>, Vec<&[i64]>) = (
+        lk.iter().map(|c| c.as_ref()).collect(),
+        rk.iter().map(|c| c.as_ref()).collect(),
+    );
+    let (lk, rk) = (Key(&lk), Key(&rk));
+    let placed = Placement::by_hash(
+        (r1.len(), |i| lk.hash(i)),
+        (r2.len(), |j| rk.hash(j)),
+        workers,
+    );
     run_pairs(placed.pairs(r1, r2), workers, |l, r| {
         let left = Keyed {
             rel: r1,
-            hashes: &lh,
+            key: lk,
             rows: l,
         };
         let right = Keyed {
             rel: r2,
-            hashes: &rh,
+            key: rk,
             rows: r,
         };
         body(left, right)
@@ -389,7 +475,7 @@ pub fn join(
                 nested_loop_join(r1, r2, l, r, theta)
             })
         } else {
-            run_hashed(r1, r2, &eq, workers, |l, r| hash_join(l, r, &eq, &residual))
+            run_hashed(r1, r2, &eq, workers, |l, r| hash_join(l, r, &residual))
         };
         (union_outputs(r1.arity() + r2.arity(), outs), stats)
     })
@@ -408,8 +494,9 @@ pub fn semijoin(
 
 /// `π[1..k](r₁ ⋉θ r₂)` for `k ≤ arity(r₁)` at the given worker count:
 /// the [`semijoin`] bodies, with the surviving rows gathered as distinct
-/// `k`-prefixes. `k = arity(r₁)` is [`semijoin`] itself. Partition stats
-/// count surviving left rows.
+/// `k`-prefixes. For `k < arity(r₁)` a body stops probing a run of equal
+/// `k`-prefix at its first survivor. `k = arity(r₁)` is [`semijoin`]
+/// itself. Partition stats count the survivors each body emitted.
 pub fn project_semijoin(
     r1: &Relation,
     r2: &Relation,
@@ -422,11 +509,11 @@ pub fn project_semijoin(
         let (eq, residual) = split_condition(theta);
         let (outs, stats) = if eq.is_empty() {
             run_pairs(chunk_pairs(r1, r2, workers), workers, |l, r| {
-                nested_loop_semijoin(r1, r2, l, r, theta)
+                nested_loop_semijoin(r1, r2, l, r, theta, k)
             })
         } else {
             run_hashed(r1, r2, &eq, workers, |l, r| {
-                hash_semijoin(l, r, &eq, &residual)
+                hash_semijoin(l, r, &residual, k)
             })
         };
         (gather_outputs(r1, outs, k), stats)
@@ -435,13 +522,15 @@ pub fn project_semijoin(
 
 /// `γ[1..k; count](r₁ ⋈θ r₂)` for `1 ≤ k ≤ arity(r₁)` at the given worker
 /// count, without building a join row: for every left row the body
-/// counts its θ-partners — a hash probe confirmed by key equality and
+/// counts its θ-partners — a hash probe confirmed on the key codes and
 /// the residual, or a filtered nested loop when θ has no equality atom —
-/// and the counts are summed over runs of equal `k`-prefix, which a
-/// canonical `r₁` holds adjacent. The rows are partitioned as by
-/// [`join`] (by θ's equality key, or in left chunks), so every left row
-/// is counted in exactly one partition and per-row counts merge by row
-/// id. Partition stats count left rows with at least one partner.
+/// and sums the counts over runs of equal `k`-prefix, which a canonical
+/// `r₁` holds adjacent; a partition reports one `(first row, total)`
+/// per run with partners, never a row on its own. The rows are
+/// partitioned as by [`join`] (by θ's equality key, or in left chunks),
+/// so a run may be split across partitions: the per-partition totals
+/// merge by row id and the final pass sums the runs again. Partition
+/// stats count runs with at least one partner.
 ///
 /// # Panics
 ///
@@ -463,16 +552,14 @@ pub fn group_join(
         let (eq, residual) = split_condition(theta);
         let (outs, stats) = if eq.is_empty() {
             run_pairs(chunk_pairs(r1, r2, workers), workers, |l, r| {
-                nested_loop_counts(r1, r2, l, r, theta)
+                nested_loop_counts(r1, r2, l, r, theta, k)
             })
         } else {
-            run_hashed(r1, r2, &eq, workers, |l, r| {
-                hash_counts(l, r, &eq, &residual)
-            })
+            run_hashed(r1, r2, &eq, workers, |l, r| hash_counts(l, r, &residual, k))
         };
-        let counts = merge_ids(outs, |&(id, _)| id);
-        let rows = counts.into_iter().map(|(id, n)| (id as usize, n));
-        (sum_runs(r1, rows, k), stats)
+        let runs = merge_ids(outs, |&(id, _)| id);
+        let grouped = sum_runs(r1, k, runs.len(), |p| runs[p].0 as usize, |p| runs[p].1);
+        (grouped, stats)
     })
 }
 
@@ -560,118 +647,181 @@ pub fn project_merge_semijoin(
 // Operator bodies: one per operator, over row selections
 // ---------------------------------------------------------------------------
 
-/// Exact key equality between row `i` of `c1` and row `j` of `c2` — the
-/// collision check behind every hash pairing.
-#[inline]
-fn keys_eq(c1: &Columns, i: usize, c2: &Columns, j: usize, eq: &[(usize, usize)]) -> bool {
-    eq.iter().all(|&(lc, rc)| c1.cell_eq(lc, i, c2, rc, j))
+/// The build side's hash table: the selected rows bucketed by key hash
+/// in one counting sort — flat, no list per key, every bucket listing
+/// its rows ascending, each beside its full hash — with the side's key
+/// to confirm candidates on.
+struct Table<'a> {
+    key: Key<'a>,
+    mask: usize,
+    /// Bucket `b` holds `entries[starts[b]..starts[b + 1]]`.
+    starts: Vec<u32>,
+    /// `(hash, row)`: a candidate whose hash differs is rejected without
+    /// reading its key.
+    entries: Vec<(u64, u32)>,
 }
 
-/// The build side's hash table: key hash → ascending absolute row ids.
-/// Collisions are resolved by the probes' exact [`keys_eq`] check.
-fn build_table(side: Keyed<'_>) -> FxHashMap<u64, Vec<u32>> {
-    let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-    table.reserve(side.rows.len());
-    for k in 0..side.rows.len() {
-        let j = side.rows.at(k);
-        table.entry(side.hashes[j]).or_default().push(j as u32);
+impl<'a> Table<'a> {
+    fn build(side: Keyed<'a>) -> Self {
+        let n = side.rows.len();
+        let mask = (2 * n).next_power_of_two() - 1;
+        let hashed: Vec<(u64, u32)> = (0..n)
+            .map(|p| {
+                let j = side.rows.at(p);
+                (side.key.hash(j), j as u32)
+            })
+            .collect();
+        let mut starts = vec![0u32; mask + 2];
+        for &(h, _) in &hashed {
+            starts[Self::bucket(h, mask) + 1] += 1;
+        }
+        for b in 1..starts.len() {
+            starts[b] += starts[b - 1];
+        }
+        let mut fill = starts.clone();
+        let mut entries = vec![(0u64, 0u32); n];
+        for entry in hashed {
+            let b = Self::bucket(entry.0, mask);
+            entries[fill[b] as usize] = entry;
+            fill[b] += 1;
+        }
+        Table {
+            key: side.key,
+            mask,
+            starts,
+            entries,
+        }
     }
-    table
+
+    /// A hash's bucket, from its high half: partition placement reads
+    /// the low bits, which all rows of one partition may share.
+    #[inline(always)]
+    fn bucket(hash: u64, mask: usize) -> usize {
+        hash.rotate_left(32) as usize & mask
+    }
+
+    /// The build rows whose key codes equal row `i`'s of `probe`,
+    /// ascending.
+    #[inline(always)]
+    fn partners(&self, probe: Key<'a>, i: usize) -> impl Iterator<Item = usize> + '_ {
+        let h = probe.hash(i);
+        let b = Self::bucket(h, self.mask);
+        self.entries[self.starts[b] as usize..self.starts[b + 1] as usize]
+            .iter()
+            .filter(move |&&(eh, j)| eh == h && probe.eq(i, self.key, j as usize))
+            .map(|&(_, j)| j as usize)
+    }
 }
 
 /// Hash join of one partition pair: build on the right selection, probe
-/// from the left, confirm key equality on the typed columns, filter by
-/// the residual. Output is in canonical order (left rows ascending,
-/// postings ascending).
-fn hash_join(
-    left: Keyed<'_>,
-    right: Keyed<'_>,
-    eq: &[(usize, usize)],
-    residual: &Condition,
-) -> Vec<Tuple> {
-    let table = build_table(right);
+/// from the left, confirm on the key codes, filter by the residual.
+/// Output is in canonical order (left rows ascending, postings
+/// ascending).
+fn hash_join(left: Keyed<'_>, right: Keyed<'_>, residual: &Condition) -> Vec<Tuple> {
+    let table = Table::build(right);
     let (a, b) = (left.rel.tuples(), right.rel.tuples());
-    let (c1, c2) = (left.rel.columns(), right.rel.columns());
+    // Hoisted: the empty residual is the common case, and `Condition`
+    // lives in another crate — one call per call, not per pair.
+    let unfiltered = residual.is_empty();
     let mut out: Vec<Tuple> = Vec::new();
     for k in 0..left.rows.len() {
         let i = left.rows.at(k);
-        let Some(cands) = table.get(&left.hashes[i]) else {
-            continue;
-        };
         let t1 = &a[i];
-        for &j in cands {
-            let j = j as usize;
-            if keys_eq(c1, i, c2, j, eq) {
-                let t2 = &b[j];
-                if residual.eval(t1.values(), t2.values()) {
-                    out.push(t1.concat(t2));
-                }
+        for j in table.partners(left.key, i) {
+            let t2 = &b[j];
+            if unfiltered || residual.eval(t1.values(), t2.values()) {
+                out.push(t1.concat(t2));
             }
         }
     }
     out
 }
 
-/// Hash semijoin of one partition pair (see [`hash_join`]): the
-/// ascending ids of the left rows with a partner.
-fn hash_semijoin(
-    left: Keyed<'_>,
-    right: Keyed<'_>,
-    eq: &[(usize, usize)],
-    residual: &Condition,
-) -> Vec<u32> {
-    let table = build_table(right);
-    let (a, b) = (left.rel.tuples(), right.rel.tuples());
-    let (c1, c2) = (left.rel.columns(), right.rel.columns());
-    let mut keep: Vec<u32> = Vec::new();
-    for k in 0..left.rows.len() {
-        let i = left.rows.at(k);
-        let Some(cands) = table.get(&left.hashes[i]) else {
-            continue;
-        };
-        let survives = cands.iter().any(|&j| {
-            let j = j as usize;
-            keys_eq(c1, i, c2, j, eq)
-                && (residual.is_empty() || residual.eval(a[i].values(), b[j].values()))
-        });
-        if survives {
-            keep.push(i as u32);
-        }
+/// The ascending ids of the selected rows of `r` that `survives`. Under
+/// a fused `π[1..k]` (`k < arity(r)`) each run of rows sharing their
+/// `k`-prefix is probed only up to its first survivor: that prefix is in
+/// the output already.
+fn survivors(r: &Relation, rows: Rows<'_>, k: usize, survives: impl Fn(usize) -> bool) -> Vec<u32> {
+    let keep = |run: &[usize]| rows.find(run[0]..run[1], &survives).map(|i| i as u32);
+    if k == r.arity() {
+        (0..rows.len()).filter_map(|p| keep(&[p, p + 1])).collect()
+    } else {
+        rows.run_starts(r, k).windows(2).filter_map(keep).collect()
     }
-    keep
+}
+
+/// Hash semijoin of one partition pair (see [`hash_join`]) under a
+/// consumer keeping the `k`-prefix: the ascending ids of the left rows
+/// with a partner, one per run under a fused projection
+/// ([`survivors`]).
+fn hash_semijoin(left: Keyed<'_>, right: Keyed<'_>, residual: &Condition, k: usize) -> Vec<u32> {
+    let table = Table::build(right);
+    let (a, b) = (left.rel.tuples(), right.rel.tuples());
+    // The residual is tested once, not per candidate (see `hash_join`).
+    if residual.is_empty() {
+        return survivors(left.rel, left.rows, k, |i| {
+            table.partners(left.key, i).next().is_some()
+        });
+    }
+    survivors(left.rel, left.rows, k, |i| {
+        table
+            .partners(left.key, i)
+            .any(|j| residual.eval(a[i].values(), b[j].values()))
+    })
+}
+
+/// A group-join partition's runs: `(first row, Σ partners)` for every
+/// run of equal `k`-prefix among its left rows with at least one
+/// partner, in row order — never a row on its own.
+fn partner_runs(
+    r: &Relation,
+    rows: Rows<'_>,
+    k: usize,
+    partners: impl Fn(usize) -> usize,
+) -> Vec<(u32, u64)> {
+    fn sums(
+        starts: &[usize],
+        row: impl Fn(usize) -> usize,
+        partners: impl Fn(usize) -> usize,
+    ) -> Vec<(u32, u64)> {
+        let runs = starts.windows(2).map(|run| (run[0], run[1]));
+        runs.filter_map(|(first, end)| {
+            let total: u64 = (first..end).map(|p| partners(row(p)) as u64).sum();
+            (total > 0).then(|| (row(first) as u32, total))
+        })
+        .collect()
+    }
+    // The selection's kind is matched once, not per row.
+    let starts = rows.run_starts(r, k);
+    match rows {
+        Rows::Range(start, _) => sums(&starts, |p| start + p, partners),
+        Rows::List(ids) => sums(&starts, |p| ids[p] as usize, partners),
+    }
 }
 
 /// The group-join probe of one partition pair (see [`hash_semijoin`]):
-/// `(id, partners)` for every left row with at least one partner, in
-/// ascending id order.
+/// partner counts summed per run of equal `k`-prefix.
 fn hash_counts(
     left: Keyed<'_>,
     right: Keyed<'_>,
-    eq: &[(usize, usize)],
     residual: &Condition,
-) -> Vec<(u32, u32)> {
-    let table = build_table(right);
+    k: usize,
+) -> Vec<(u32, u64)> {
+    let table = Table::build(right);
     let (a, b) = (left.rel.tuples(), right.rel.tuples());
-    let (c1, c2) = (left.rel.columns(), right.rel.columns());
-    let mut counts: Vec<(u32, u32)> = Vec::new();
-    for k in 0..left.rows.len() {
-        let i = left.rows.at(k);
-        let Some(cands) = table.get(&left.hashes[i]) else {
-            continue;
-        };
-        let partners = cands
-            .iter()
-            .filter(|&&j| {
-                let j = j as usize;
-                keys_eq(c1, i, c2, j, eq)
-                    && (residual.is_empty() || residual.eval(a[i].values(), b[j].values()))
-            })
-            .count();
-        if partners > 0 {
-            counts.push((i as u32, partners as u32));
-        }
+    // Two bodies of one closure shape: testing the residual per
+    // candidate is a call into another crate (see `hash_join`).
+    if residual.is_empty() {
+        return partner_runs(left.rel, left.rows, k, |i| {
+            table.partners(left.key, i).count()
+        });
     }
-    counts
+    partner_runs(left.rel, left.rows, k, |i| {
+        table
+            .partners(left.key, i)
+            .filter(|&j| residual.eval(a[i].values(), b[j].values()))
+            .count()
+    })
 }
 
 /// Compare the first `k` columns of row `i` of `ca` and row `j` of `cb`
@@ -802,20 +952,20 @@ fn nested_loop_join(
 
 /// Nested-loop semijoin of one left chunk against the whole right
 /// operand, for a θ with no equality atom: the ascending ids of the left
-/// rows with a partner.
+/// rows with a partner (one per run under a fused `π[1..k]`, see
+/// [`survivors`]).
 fn nested_loop_semijoin(
     r1: &Relation,
     r2: &Relation,
     l: Rows<'_>,
     r: Rows<'_>,
     theta: &Condition,
+    k: usize,
 ) -> Vec<u32> {
     let (a, b) = (r1.tuples(), r2.tuples());
-    (0..l.len())
-        .map(|k| l.at(k))
-        .filter(|&i| (0..r.len()).any(|k| theta.eval(a[i].values(), b[r.at(k)].values())))
-        .map(|i| i as u32)
-        .collect()
+    survivors(r1, l, k, |i| {
+        (0..r.len()).any(|p| theta.eval(a[i].values(), b[r.at(p)].values()))
+    })
 }
 
 /// The group-join count of one left chunk against the whole right
@@ -826,17 +976,14 @@ fn nested_loop_counts(
     l: Rows<'_>,
     r: Rows<'_>,
     theta: &Condition,
-) -> Vec<(u32, u32)> {
+    k: usize,
+) -> Vec<(u32, u64)> {
     let (a, b) = (r1.tuples(), r2.tuples());
-    (0..l.len())
-        .map(|k| l.at(k))
-        .filter_map(|i| {
-            let partners = (0..r.len())
-                .filter(|&k| theta.eval(a[i].values(), b[r.at(k)].values()))
-                .count();
-            (partners > 0).then_some((i as u32, partners as u32))
-        })
-        .collect()
+    partner_runs(r1, l, k, |i| {
+        (0..r.len())
+            .filter(|&p| theta.eval(a[i].values(), b[r.at(p)].values()))
+            .count()
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -850,7 +997,7 @@ fn nested_loop_counts(
 /// row and sorts.
 pub fn project(r: &Relation, cols: &[usize]) -> Relation {
     if let Some(k) = prefix_len(cols) {
-        return gather(r, 0..r.len(), k);
+        return gather(r, k, r.len(), |p| p);
     }
     let zero_based: Vec<usize> = cols.iter().map(|c| c - 1).collect();
     Relation::from_tuples(cols.len(), r.iter().map(|t| t.project(&zero_based)))
@@ -866,7 +1013,7 @@ pub fn project(r: &Relation, cols: &[usize]) -> Relation {
 pub fn group_count(r: &Relation, cols: &[usize]) -> Relation {
     match prefix_len(cols) {
         Some(0) => Relation::unary([Value::int(r.len() as i64)]),
-        Some(k) => sum_runs(r, (0..r.len()).map(|i| (i, 1)), k),
+        Some(k) => sum_runs(r, k, r.len(), |p| p, |_| 1),
         None => {
             let zero_based: Vec<usize> = cols.iter().map(|c| c - 1).collect();
             let mut groups: FxHashMap<Tuple, i64> = FxHashMap::default();
@@ -885,28 +1032,31 @@ pub fn tag(r: &Relation, c: &Value) -> Relation {
     Relation::from_sorted_tuples(r.arity() + 1, r.iter().map(|t| t.tag(c.clone())).collect())
 }
 
-/// `(prefix, Σ count)` for every run of equal `k`-prefix among the
-/// `(row, count)` pairs of canonical `r`, rows ascending — the step
-/// [`group_join`] and [`group_count`] share. The runs come in key order,
-/// so the output is canonical as built.
-fn sum_runs(r: &Relation, counts: impl IntoIterator<Item = (usize, u32)>, k: usize) -> Relation {
-    let tuples = r.tuples();
-    let group =
-        |key: &[Value], n: i64| -> Tuple { key.iter().cloned().chain([Value::int(n)]).collect() };
-    let mut out: Vec<Tuple> = Vec::new();
-    let mut run: Option<(&[Value], i64)> = None;
-    for (i, n) in counts {
-        let key = &tuples[i].values()[..k];
-        match &mut run {
-            Some((run_key, total)) if *run_key == key => *total += i64::from(n),
-            _ => {
-                if let Some((run_key, total)) = run.replace((key, i64::from(n))) {
-                    out.push(group(run_key, total));
-                }
-            }
-        }
-    }
-    out.extend(run.map(|(key, total)| group(key, total)));
+/// `(prefix, Σ count)` for every run of equal `k`-prefix among the rows
+/// `row(0), …, row(len − 1)` of canonical `r` (ascending), each counted
+/// `count(p)` times — the step [`group_join`] and [`group_count`]
+/// share. The key cells of each run's first row are read from the
+/// columns; the runs come in key order, so the output is canonical as
+/// built.
+fn sum_runs(
+    r: &Relation,
+    k: usize,
+    len: usize,
+    row: impl Fn(usize) -> usize,
+    count: impl Fn(usize) -> u64,
+) -> Relation {
+    let cols = r.columns();
+    let starts = cols.run_starts(k, len, &row);
+    let out = starts
+        .windows(2)
+        .map(|w| {
+            let total: u64 = (w[0]..w[1]).map(&count).sum();
+            (0..k)
+                .map(|c| cols.value_at(c, row(w[0])))
+                .chain([Value::int(total as i64)])
+                .collect()
+        })
+        .collect();
     Relation::from_sorted_tuples(k + 1, out)
 }
 
@@ -1269,7 +1419,7 @@ mod tests {
 
         let hashes = a.columns().key_hashes(&[0]);
         for n in [2usize, 3, 8] {
-            let lists = place(&hashes, n);
+            let lists = place(hashes.len(), n, |i| hashes[i]);
             assert_eq!(lists.len(), n);
             assert!(lists.iter().all(|l| l.windows(2).all(|w| w[0] < w[1])));
             assert_eq!(lists.iter().map(|l| l.len()).sum::<usize>(), a.len());

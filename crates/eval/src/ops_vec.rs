@@ -19,27 +19,25 @@ use sj_algebra::Selection;
 use sj_storage::{ColumnData, Columns, Relation, Tuple, Value};
 use std::cmp::Ordering;
 
-/// The distinct `k`-prefixes of `r`'s rows at the ascending indices
-/// `rows`, which for `k = arity` are the rows themselves. A canonical
-/// relation is sorted by every prefix of its columns, so ascending rows
-/// have non-decreasing prefixes: equal prefixes are adjacent, one
-/// comparison against the last emitted key deduplicates them, and the
-/// output is canonical without a sort ([`Relation::from_sorted_tuples`]'
-/// linear order check stays as the safety net). Tuples are built only
-/// for the distinct keys.
-pub(crate) fn gather(r: &Relation, rows: impl IntoIterator<Item = usize>, k: usize) -> Relation {
-    let tuples = r.tuples();
+/// The distinct `k`-prefixes of `r`'s rows `row(0), …, row(len − 1)`
+/// (ascending indices), which for `k = arity` are the rows themselves. A
+/// canonical relation is sorted by every prefix of its columns, so
+/// ascending rows have non-decreasing prefixes: equal prefixes form
+/// runs ([`Columns::run_starts`]), and the output is canonical without
+/// a sort ([`Relation::from_sorted_tuples`]' linear order check stays as
+/// the safety net). A tuple is built for the first row of each run only,
+/// from its key cells in the columns.
+pub(crate) fn gather(r: &Relation, k: usize, len: usize, row: impl Fn(usize) -> usize) -> Relation {
+    let cols = r.columns();
+    let tuple = |p: usize| -> Tuple { (0..k).map(|c| cols.value_at(c, row(p))).collect() };
     let out: Vec<Tuple> = if k == r.arity() {
-        rows.into_iter().map(|i| tuples[i].clone()).collect()
+        (0..len).map(tuple).collect()
     } else {
-        let mut out: Vec<Tuple> = Vec::new();
-        for i in rows {
-            let key = &tuples[i].values()[..k];
-            if out.last().is_none_or(|last| last.values() != key) {
-                out.push(key.iter().cloned().collect());
-            }
-        }
-        out
+        let starts = cols.run_starts(k, len, &row);
+        starts[..starts.len() - 1]
+            .iter()
+            .map(|&p| tuple(p))
+            .collect()
     };
     debug_assert!(
         out.windows(2).all(|w| w[0] < w[1]),
@@ -75,7 +73,7 @@ pub fn project_select(r: &Relation, sel: &Selection, k: usize) -> Relation {
         Selection::Lt(i, j) => sel_lt(cols, *i - 1, *j - 1),
         Selection::EqConst(i, c) => sel_eq_const(cols, *i - 1, c),
     };
-    gather(r, keep.iter().map(|&i| i as usize), k)
+    gather(r, k, keep.len(), |p| keep[p] as usize)
 }
 
 /// Selection vector for `σ_{i=j}`.

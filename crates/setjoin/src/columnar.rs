@@ -1,100 +1,49 @@
-//! The dense operand view: what every set-join algorithm of this crate
-//! (bar the nested-loop oracle) reads instead of tuples.
+//! The dense operand view: what every division and set-join algorithm
+//! of this crate (bar the nested-loop oracles) reads instead of tuples.
 //!
-//! A binary set-join operand `R(A, B)` in canonical order is already
-//! grouped: column 0's equal-key runs are the groups, and a group's
-//! element *set* is a contiguous, strictly increasing slice of column 1.
-//! `Operand::pair` turns both operands of one join into that shape,
-//! with the two element columns encoded in a **joint, order-preserving
-//! dense space** of `i64`s — so every cross-operand comparison, hash and
-//! signature bit is an integer operation, whatever the cells hold:
-//!
-//! | element columns | encoding |
-//! |---|---|
-//! | `Int` / `Int` | the `i64` column itself, zero-copy |
-//! | `Str` / `Str` | dictionary codes remapped through `joint_codes` |
-//! | anything else (`Mixed`, or `Int` against `Str`) | the rank of each cell in the sorted joint dictionary of both columns |
-//!
-//! `Value: Ord` makes the last row order-preserving too, so a
-//! mixed-variant column is one more *encoding* of the operand, not a
-//! second algorithm body. Group order is key order on both sides, so an
-//! algorithm's result is a list of `(R-group, S-group)` index pairs and
-//! `emit` materializes the two key `Value`s of each pair — the only
-//! place a `Value` is touched.
+//! A binary operand `R(A, B)` in canonical order is already grouped:
+//! column 0's equal-key runs are the groups, and a group's element *set*
+//! is a contiguous, strictly increasing slice of column 1. `Operand`
+//! is that shape, with the element column in the joint, order-preserving
+//! dense space `sj_storage::column::joint_codes` builds for the two
+//! operands of one call — a set join's two element columns
+//! (`Operand::pair`), or a dividend's element column and the divisor
+//! (`Operand::dividend`). Every cross-operand comparison, hash and
+//! signature bit is then an integer operation, whatever the cells hold;
+//! a mixed-variant column is one more *encoding* of the operand, not a
+//! second algorithm body. Group order is key order, so an algorithm's
+//! result is a list of group indices (or index pairs), and the key
+//! `Value`s of the qualifying groups are the only cells ever
+//! materialized (`emit`, `Operand::quotient`).
 //!
 //! Signature *bits* hash the dense cell, not the `Value`; signatures only
 //! prune, the exact `predicate_on` decides, so the encoding never shows
 //! in a result.
 
 use crate::setjoin::SetPredicate;
-use sj_storage::column::hash_int_cell;
-use sj_storage::{ColumnData, Columns, FxHashMap, Relation, StrDict, Tuple, Value};
+use sj_storage::column::{hash_int_cell, joint_codes};
+use sj_storage::{Columns, FxHashMap, Relation, Tuple, Value};
 use std::borrow::Cow;
+use std::ops::Range;
 
-/// The `(start, end)` row ranges of column 0's equal-key runs — the
-/// groups of a binary set-join operand, in key order.
-fn group_ranges(cols: &Columns) -> Vec<(u32, u32)> {
-    let n = cols.len();
-    let mut out: Vec<(u32, u32)> = Vec::new();
-    if n == 0 {
-        return out;
-    }
-    let mut push_runs = |neq: &mut dyn FnMut(usize) -> bool| {
-        let mut start = 0usize;
-        for i in 1..n {
-            if neq(i) {
-                out.push((start as u32, i as u32));
-                start = i;
-            }
-        }
-        out.push((start as u32, n as u32));
-    };
-    match cols.col(0) {
-        ColumnData::Int(v) => push_runs(&mut |i| v[i] != v[i - 1]),
-        ColumnData::Str(v) => push_runs(&mut |i| v[i] != v[i - 1]),
-        ColumnData::Mixed(v) => push_runs(&mut |i| v[i] != v[i - 1]),
-    }
-    out
-}
-
-/// Merge two sorted dictionaries into one joint code space: returns, for
-/// each dictionary, the strictly increasing map from its codes to joint
-/// codes. Equal strings get the same joint code, so cross-relation
-/// string equality (and order) becomes integer equality (and order).
-fn joint_codes(a: &StrDict, b: &StrDict) -> (Vec<i64>, Vec<i64>) {
-    let (mut ma, mut mb) = (Vec::with_capacity(a.len()), Vec::with_capacity(b.len()));
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut next = 0i64;
-    while i < a.len() || j < b.len() {
-        let ord = if i == a.len() {
-            std::cmp::Ordering::Greater
-        } else if j == b.len() {
-            std::cmp::Ordering::Less
-        } else {
-            a.strings()[i].as_ref().cmp(b.strings()[j].as_ref())
-        };
-        if ord.is_le() {
-            ma.push(next);
-            i += 1;
-        }
-        if ord.is_ge() {
-            mb.push(next);
-            j += 1;
-        }
-        next += 1;
-    }
-    (ma, mb)
-}
-
-/// One set-join operand as groups over a dense element column (see the
+/// One operand as groups over a dense element column (see the
 /// [module docs](self)). Built in pairs — the encoding is joint.
 pub(crate) struct Operand<'a> {
     cols: &'a Columns,
-    groups: Vec<(u32, u32)>,
+    /// Group `g` is rows `starts[g]..starts[g + 1]`.
+    starts: Vec<usize>,
     elems: Cow<'a, [i64]>,
 }
 
 impl<'a> Operand<'a> {
+    fn of(cols: &'a Columns, elems: Cow<'a, [i64]>) -> Self {
+        Operand {
+            cols,
+            starts: cols.run_starts(1, cols.len(), |row| row),
+            elems,
+        }
+    }
+
     /// Both operands of `r ⋈ s` in their joint dense element space.
     ///
     /// # Panics
@@ -104,49 +53,71 @@ impl<'a> Operand<'a> {
         assert_eq!(r.arity(), 2, "set-join operands must be binary");
         assert_eq!(s.arity(), 2, "set-join operands must be binary");
         let (rc, sc) = (r.columns(), s.columns());
-        let (relems, selems): (Cow<[i64]>, Cow<[i64]>) = match (rc.col(1), sc.col(1)) {
-            (ColumnData::Int(b), ColumnData::Int(d)) => (Cow::Borrowed(b), Cow::Borrowed(d)),
-            (ColumnData::Str(b), ColumnData::Str(d)) => {
-                let (mb, md) = joint_codes(rc.dict(), sc.dict());
-                let remap = |codes: &[u32], map: &[i64]| -> Cow<[i64]> {
-                    codes.iter().map(|&c| map[c as usize]).collect()
-                };
-                (remap(b, &mb), remap(d, &md))
-            }
-            _ => {
-                let cells = |rel: &'a Relation| rel.iter().map(|t| &t[1]);
-                let mut dict: Vec<&Value> = cells(r).chain(cells(s)).collect();
-                dict.sort_unstable();
-                dict.dedup();
-                let rank = |v| {
-                    dict.binary_search(&v)
-                        .expect("the dictionary holds every cell")
-                };
-                (
-                    cells(r).map(|v| rank(v) as i64).collect(),
-                    cells(s).map(|v| rank(v) as i64).collect(),
-                )
-            }
-        };
-        let side = |cols: &'a Columns, elems| Operand {
-            cols,
-            groups: group_ranges(cols),
-            elems,
-        };
-        (side(rc, relems), side(sc, selems))
+        let (relems, selems) = joint_codes((rc, 1), (sc, 1));
+        (Operand::of(rc, relems), Operand::of(sc, selems))
+    }
+
+    /// The dividend `r(A, B)` of `r ÷ s` and the divisor's values, both
+    /// in their joint dense space: the divisor is canonical, so its
+    /// codes are strictly increasing.
+    ///
+    /// # Panics
+    ///
+    /// If `r` is not binary or `s` not unary.
+    pub(crate) fn dividend(r: &'a Relation, s: &'a Relation) -> (Operand<'a>, Cow<'a, [i64]>) {
+        assert_eq!(r.arity(), 2, "dividend must be binary R(A,B)");
+        assert_eq!(s.arity(), 1, "divisor must be unary S(B)");
+        let rc = r.columns();
+        let (relems, divisor) = joint_codes((rc, 1), (s.columns(), 0));
+        (Operand::of(rc, relems), divisor)
     }
 
     /// Number of groups.
     pub(crate) fn len(&self) -> usize {
-        self.groups.len()
+        self.starts.len() - 1
     }
 
     /// Group `g`'s element set: a nonempty, strictly increasing slice of
     /// the dense element column.
     #[inline]
     pub(crate) fn set(&self, g: usize) -> &[i64] {
-        let (a, b) = self.groups[g];
-        &self.elems[a as usize..b as usize]
+        &self.elems[self.starts[g]..self.starts[g + 1]]
+    }
+
+    /// Group `g`'s key, the one cell of it ever materialized.
+    fn key(&self, g: usize) -> Value {
+        self.cols.value_at(0, self.starts[g])
+    }
+
+    /// The unary relation of the keys of `groups` (ascending group
+    /// indices): a division's quotient, built from the qualifying
+    /// groups alone.
+    pub(crate) fn quotient(&self, groups: impl IntoIterator<Item = usize>) -> Relation {
+        let keys = groups.into_iter().map(|g| Tuple::new(vec![self.key(g)]));
+        Relation::from_sorted_tuples(1, keys.collect())
+    }
+
+    /// At most `n` contiguous, nonempty ranges of group indices covering
+    /// every group, cut where the row count crosses each `i/n` of the
+    /// column — group-aligned ranges of the column, so a group never
+    /// spans two of them.
+    pub(crate) fn chunks(&self, n: usize) -> Vec<Range<usize>> {
+        let (rows, n) = (self.elems.len(), n.max(1));
+        let mut out = Vec::with_capacity(n);
+        let mut start = 0usize;
+        for i in 1..=n {
+            if start == self.len() {
+                break;
+            }
+            // The first group starting at or past the cut ends the range.
+            let cut = rows * i / n;
+            let end = self.starts[..self.len()]
+                .partition_point(|&first| first < cut)
+                .max(start + 1);
+            out.push(start..end);
+            start = end;
+        }
+        out
     }
 
     /// Element → the (ascending) groups whose set holds it.
@@ -310,10 +281,9 @@ impl<'a> Signed<'a> {
 pub(crate) fn emit(r: &Operand, s: &Operand, mut pairs: Vec<(u32, u32)>) -> Relation {
     pairs.sort_unstable();
     pairs.dedup();
-    let key = |side: &Operand, g: u32| side.cols.value_at(0, side.groups[g as usize].0 as usize);
     let tuples = pairs
         .into_iter()
-        .map(|(a, c)| Tuple::new(vec![key(r, a), key(s, c)]))
+        .map(|(a, c)| Tuple::new(vec![r.key(a as usize), s.key(c as usize)]))
         .collect();
     Relation::from_sorted_tuples(2, tuples)
 }
@@ -323,23 +293,28 @@ mod tests {
     use super::*;
     use sj_storage::tuple;
 
+    /// Chunks are contiguous, nonempty, cover every group once, and
+    /// never outnumber the groups or the requested count.
     #[test]
-    fn group_ranges_follow_column_zero() {
-        let r = Relation::from_int_rows(&[&[2, 9], &[1, 7], &[1, 8], &[3, 1]]);
-        assert_eq!(group_ranges(r.columns()), vec![(0, 2), (2, 3), (3, 4)]);
-        assert!(group_ranges(Relation::empty(2).columns()).is_empty());
-        let s = Relation::from_str_rows(&[&["a", "x"], &["a", "y"], &["b", "x"]]);
-        assert_eq!(group_ranges(s.columns()), vec![(0, 2), (2, 3)]);
-    }
-
-    #[test]
-    fn joint_codes_agree_with_string_order() {
-        let a = StrDict::from_strings(["b", "d"].map(std::sync::Arc::from));
-        let b = StrDict::from_strings(["a", "b", "c"].map(std::sync::Arc::from));
-        let (ma, mb) = joint_codes(&a, &b);
-        // Joint space: a=0, b=1, c=2, d=3.
-        assert_eq!(ma, vec![1, 3]);
-        assert_eq!(mb, vec![0, 1, 2]);
+    fn chunks_are_group_aligned_and_cover_every_group() {
+        let rows: Vec<Vec<i64>> = (0..100).map(|i| vec![i % 9, i]).collect();
+        let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let r = Relation::from_int_rows(&refs);
+        let (empty_r, empty_s) = (Relation::empty(2), Relation::empty(1));
+        let (op, _) = Operand::dividend(&r, &empty_s);
+        for n in [0usize, 1, 2, 3, 4, 8, 200] {
+            let chunks = op.chunks(n);
+            assert!(chunks.len() <= n.max(1).min(op.len()), "n = {n}");
+            let mut next = 0;
+            for c in &chunks {
+                assert_eq!(c.start, next, "n = {n}");
+                assert!(c.end > c.start, "n = {n}");
+                next = c.end;
+            }
+            assert_eq!(next, op.len(), "n = {n}");
+        }
+        let (empty, _) = Operand::dividend(&empty_r, &empty_s);
+        assert!(empty.chunks(4).is_empty());
     }
 
     /// Every encoding keeps group slices strictly increasing and maps

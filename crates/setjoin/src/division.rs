@@ -6,7 +6,7 @@
 //! | algorithm | paper-era name | complexity |
 //! |---|---|---|
 //! | [`nested_loop_division`] | naive / nested loops | O(\|πA R\| · \|S\| · log \|R\|) |
-//! | [`sort_merge_division`] | merge division | O(sort + \|R\| + \|S\|) |
+//! | [`sort_merge_division`] | merge division | O(\|R\| + \|S\|) on sorted storage |
 //! | [`hash_division`] | Graefe's hash-division | O(\|R\| + \|S\|) expected |
 //! | [`counting_division`] | aggregate/counting division | O(\|R\| + \|S\|) expected |
 //!
@@ -19,7 +19,16 @@
 //! Both division semantics from the paper's introduction are supported:
 //! **containment** (`{b | R(a,b)} ⊇ S`) and **equality**
 //! (`{b | R(a,b)} = S`).
+//!
+//! Every linear algorithm (and the partitioned one of
+//! [`crate::parallel`]) reads the dividend as the dense operand view of
+//! [`crate::columnar`]: its groups are column 0's runs, and its element
+//! column and the divisor are coded jointly, so a group's B-set is a
+//! sorted `i64` slice and the divisor a sorted `i64` slice too. A `Tuple`
+//! is built only for each quotient key. The nested loop stays on
+//! `Value`s — it is the quadratic baseline and the oracle.
 
+use crate::columnar::Operand;
 use sj_storage::{FxHashMap, FxHashSet, Relation, Tuple, Value};
 
 /// Which comparison the division applies to each A-group's B-set.
@@ -31,16 +40,12 @@ pub enum DivisionSemantics {
     Equality,
 }
 
-fn check_shapes(r: &Relation, s: &Relation) {
-    assert_eq!(r.arity(), 2, "dividend must be binary R(A,B)");
-    assert_eq!(s.arity(), 1, "divisor must be unary S(B)");
-}
-
 /// Nested-loop division: for every candidate A-value, probe `R` for every
 /// divisor value. The quadratic baseline (deliberately so — it mirrors the
 /// work pattern of the quadratic RA plans).
 pub fn nested_loop_division(r: &Relation, s: &Relation, sem: DivisionSemantics) -> Relation {
-    check_shapes(r, s);
+    assert_eq!(r.arity(), 2, "dividend must be binary R(A,B)");
+    assert_eq!(s.arity(), 1, "divisor must be unary S(B)");
     let mut candidates: Vec<Value> = r.iter().map(|t| t[0].clone()).collect();
     candidates.dedup(); // canonical order ⇒ equal As adjacent
     let divisor: Vec<&Value> = s.iter().map(|t| &t[0]).collect();
@@ -64,94 +69,70 @@ pub fn nested_loop_division(r: &Relation, s: &Relation, sem: DivisionSemantics) 
     Relation::from_tuples(1, out).expect("unary output")
 }
 
-/// Sort-merge division. `Relation` storage is already sorted by (A, B), so
-/// each A-group's B-list appears in order; one merge pass against the
-/// (sorted) divisor decides each group. Linear after sorting — this is the
-/// O(n log n) strategy the paper's footnote 1 refers to.
+/// Sort-merge division. Relations are stored in canonical order, so each
+/// A-group's B-set and the divisor are sorted already: no sort runs, and
+/// one pass over the groups decides each one. A group smaller than the
+/// divisor cannot contain it (and under equality a group of any other
+/// size cannot equal it), so its size alone rejects it; otherwise a merge
+/// walks the group against the divisor and stops at the first divisor
+/// value the group lacks. Each dividend row is touched at most once and
+/// the divisor at most once per surviving group of at least `|S|` rows,
+/// so the pass is O(|R| + |S|).
 pub fn sort_merge_division(r: &Relation, s: &Relation, sem: DivisionSemantics) -> Relation {
-    check_shapes(r, s);
-    let divisor: Vec<&Value> = s.iter().map(|t| &t[0]).collect();
-    let tuples = r.tuples();
-    let mut out: Vec<Tuple> = Vec::new();
-    let mut i = 0;
-    while i < tuples.len() {
-        let a = &tuples[i][0];
-        // Extent of this A-group.
-        let mut j = i;
-        while j < tuples.len() && &tuples[j][0] == a {
-            j += 1;
-        }
-        // Merge the group's sorted B-run against the sorted divisor.
-        let mut matched = 0usize;
-        let mut gi = i;
-        let mut di = 0usize;
-        while gi < j && di < divisor.len() {
-            match tuples[gi][1].cmp(divisor[di]) {
-                std::cmp::Ordering::Less => gi += 1,
-                std::cmp::Ordering::Greater => di += 1,
-                std::cmp::Ordering::Equal => {
-                    matched += 1;
-                    gi += 1;
-                    di += 1;
-                }
-            }
-        }
-        let group_size = j - i;
-        let qualifies = match sem {
-            DivisionSemantics::Containment => matched == divisor.len(),
-            DivisionSemantics::Equality => matched == divisor.len() && group_size == divisor.len(),
+    let (dividend, divisor) = Operand::dividend(r, s);
+    dividend.quotient((0..dividend.len()).filter(|&g| {
+        let set = dividend.set(g);
+        let sized = match sem {
+            DivisionSemantics::Containment => set.len() >= divisor.len(),
+            DivisionSemantics::Equality => set.len() == divisor.len(),
         };
-        if qualifies {
-            out.push(Tuple::new(vec![a.clone()]));
+        sized && covers(set, &divisor)
+    }))
+}
+
+/// Does sorted `set` hold every value of sorted `divisor`? A merge that
+/// stops at the first divisor value the set lacks.
+fn covers(set: &[i64], divisor: &[i64]) -> bool {
+    let mut i = 0usize;
+    for &d in divisor {
+        while i < set.len() && set[i] < d {
+            i += 1;
         }
-        i = j;
+        if i == set.len() || set[i] != d {
+            return false;
+        }
+        i += 1;
     }
-    Relation::from_tuples(1, out).expect("unary output")
+    true
 }
 
 /// Graefe's hash-division: a hash table over the divisor assigns each
-/// divisor value an index; each candidate A-value keeps a bitmap of the
-/// divisor values it has covered (plus an "extra B" flag for the equality
-/// variant). One pass over `R`, one table, expected linear time.
+/// divisor value a bit index, and one pass over the dividend sets, per
+/// A-group, the bits of the divisor values it covers — plus an "extra B"
+/// flag for the equality variant. Groups are contiguous runs, so one
+/// bitmap serves every group in turn, cleared between them. One table,
+/// one probe per dividend row: expected linear time.
 pub fn hash_division(r: &Relation, s: &Relation, sem: DivisionSemantics) -> Relation {
-    check_shapes(r, s);
-    let mut divisor_index: FxHashMap<&Value, usize> = FxHashMap::default();
-    for (ix, t) in s.iter().enumerate() {
-        divisor_index.insert(&t[0], ix);
-    }
-    let words = divisor_index.len().div_ceil(64);
-    struct Group {
-        bitmap: Vec<u64>,
-        covered: usize,
-        extra: bool,
-    }
-    let mut groups: FxHashMap<&Value, Group> = FxHashMap::default();
-    for t in r {
-        let g = groups.entry(&t[0]).or_insert_with(|| Group {
-            bitmap: vec![0; words],
-            covered: 0,
-            extra: false,
-        });
-        match divisor_index.get(&t[1]) {
-            Some(&ix) => {
-                let (w, bit) = (ix / 64, 1u64 << (ix % 64));
-                if g.bitmap[w] & bit == 0 {
-                    g.bitmap[w] |= bit;
-                    g.covered += 1;
+    let (dividend, divisor) = Operand::dividend(r, s);
+    let index: FxHashMap<i64, usize> = divisor.iter().enumerate().map(|(ix, &d)| (d, ix)).collect();
+    let mut bitmap = vec![0u64; divisor.len().div_ceil(64)];
+    dividend.quotient((0..dividend.len()).filter(|&g| {
+        bitmap.fill(0);
+        let (mut covered, mut extra) = (0usize, false);
+        for v in dividend.set(g) {
+            match index.get(v) {
+                Some(&ix) => {
+                    let (w, bit) = (ix / 64, 1u64 << (ix % 64));
+                    if bitmap[w] & bit == 0 {
+                        bitmap[w] |= bit;
+                        covered += 1;
+                    }
                 }
+                None => extra = true,
             }
-            None => g.extra = true,
         }
-    }
-    let need = divisor_index.len();
-    let out = groups.into_iter().filter_map(|(a, g)| {
-        let ok = match sem {
-            DivisionSemantics::Containment => g.covered == need,
-            DivisionSemantics::Equality => g.covered == need && !g.extra,
-        };
-        ok.then(|| Tuple::new(vec![a.clone()]))
-    });
-    Relation::from_tuples(1, out).expect("unary output")
+        covered == divisor.len() && (sem == DivisionSemantics::Containment || !extra)
+    }))
 }
 
 /// Counting (aggregate) division — the direct-execution counterpart of the
@@ -162,27 +143,17 @@ pub fn hash_division(r: &Relation, s: &Relation, sem: DivisionSemantics) -> Rela
 /// matches), the direct implementation handles the empty divisor:
 /// `R ÷ ∅ = π_A(R)` under containment.
 pub fn counting_division(r: &Relation, s: &Relation, sem: DivisionSemantics) -> Relation {
-    check_shapes(r, s);
-    let divisor: FxHashSet<&Value> = s.iter().map(|t| &t[0]).collect();
-    // matched and total counts per A (distinct (A,B) guaranteed by set
-    // semantics).
-    let mut counts: FxHashMap<&Value, (usize, usize)> = FxHashMap::default();
-    for t in r {
-        let e = counts.entry(&t[0]).or_insert((0, 0));
-        if divisor.contains(&t[1]) {
-            e.0 += 1;
-        }
-        e.1 += 1;
-    }
-    let need = divisor.len();
-    let out = counts.into_iter().filter_map(|(a, (matched, total))| {
-        let ok = match sem {
-            DivisionSemantics::Containment => matched == need,
-            DivisionSemantics::Equality => matched == need && total == need,
-        };
-        ok.then(|| Tuple::new(vec![a.clone()]))
-    });
-    Relation::from_tuples(1, out).expect("unary output")
+    let (dividend, divisor) = Operand::dividend(r, s);
+    let divisor: FxHashSet<i64> = divisor.iter().copied().collect();
+    dividend.quotient((0..dividend.len()).filter(|&g| counted(dividend.set(g), &divisor, sem)))
+}
+
+/// The Section 5 test on one A-group's B-set: as many of its values fall
+/// in the divisor as the divisor has (set semantics: no B repeats within
+/// a group), and under equality no others.
+pub(crate) fn counted(set: &[i64], divisor: &FxHashSet<i64>, sem: DivisionSemantics) -> bool {
+    let matched = set.iter().filter(|v| divisor.contains(v)).count();
+    matched == divisor.len() && (sem == DivisionSemantics::Containment || set.len() == matched)
 }
 
 #[cfg(test)]

@@ -94,10 +94,19 @@ mod proptests {
         (Cells::Int, Cells::Str),
     ];
 
-    fn relation(rows: &[(i64, i64)], cells: Cells) -> Relation {
+    /// The group-key kinds of column A: the quotient and the join output
+    /// read their keys back from an `Int`, a `Str` (whose string order
+    /// is not the integers' order) or a `Mixed` column.
+    const KEYS: [Cells; 3] = [Cells::Int, Cells::Str, Cells::Mixed];
+
+    /// Worker counts for the divisions: serial, an even and an odd split,
+    /// and more workers than most operands have groups.
+    const DIVISION_WORKERS: [usize; 4] = [1, 2, 3, 8];
+
+    fn relation(rows: &[(i64, i64)], keys: Cells, cells: Cells) -> Relation {
         let tuples = rows
             .iter()
-            .map(|&(a, b)| Tuple::new(vec![Value::int(a), cells.cell(b)]));
+            .map(|&(a, b)| Tuple::new(vec![keys.cell(a), cells.cell(b)]));
         Relation::from_tuples(2, tuples).unwrap()
     }
 
@@ -106,7 +115,7 @@ mod proptests {
     }
 
     fn arb_pairs(max_key: i64, max_val: i64, len: usize) -> impl Strategy<Value = Relation> {
-        arb_rows(max_key, max_val, len).prop_map(|rows| relation(&rows, Cells::Int))
+        arb_rows(max_key, max_val, len).prop_map(|rows| relation(&rows, Cells::Int, Cells::Int))
     }
 
     fn arb_divisor(max_val: i64, len: usize) -> impl Strategy<Value = Vec<i64>> {
@@ -159,13 +168,13 @@ mod proptests {
         }
     }
 
-    /// Every division table entry, both semantics, at one and three
-    /// workers, equals the brute-force oracle.
+    /// Every division table entry, both semantics, at every
+    /// [`DIVISION_WORKERS`] count, equals the brute-force oracle.
     fn assert_divisions_match_the_oracle(r: &Relation, s: &Relation, what: &str) {
         for sem in [DivisionSemantics::Containment, DivisionSemantics::Equality] {
             let want = oracle_divide(r, s, sem);
             for alg in Registry::standard().division_algorithms() {
-                for workers in [1, 3] {
+                for workers in DIVISION_WORKERS {
                     assert_eq!(
                         alg.run(r, s, sem, workers),
                         want,
@@ -192,15 +201,18 @@ mod proptests {
             ("mixed", (0..80).map(|i| (i % 13, i % 7)).collect()),
         ];
         for (rname, rrows) in &shapes {
-            for (rc, sc) in KINDS {
-                let r = relation(rrows, rc);
-                for (sname, srows) in &shapes {
-                    let what = format!("{rname} {rc:?} ⋈ {sname} {sc:?}");
-                    assert_set_joins_match_the_oracle(&r, &relation(srows, sc), &what);
-                }
-                for vals in [&[][..], &[5], &[0, 5, 9]] {
-                    let what = format!("{rname} {rc:?} ÷ {vals:?} {sc:?}");
-                    assert_divisions_match_the_oracle(&r, &divisor(vals, sc), &what);
+            for keys in KEYS {
+                for (rc, sc) in KINDS {
+                    let r = relation(rrows, keys, rc);
+                    for (sname, srows) in &shapes {
+                        let what = format!("{rname} {keys:?}/{rc:?} ⋈ {sname} {sc:?}");
+                        let s = relation(srows, keys, sc);
+                        assert_set_joins_match_the_oracle(&r, &s, &what);
+                    }
+                    for vals in [&[][..], &[5], &[0, 5, 9]] {
+                        let what = format!("{rname} {keys:?}/{rc:?} ÷ {vals:?} {sc:?}");
+                        assert_divisions_match_the_oracle(&r, &divisor(vals, sc), &what);
+                    }
                 }
             }
         }
@@ -210,8 +222,9 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Every algorithm ≡ the oracle, stated once over the tables:
-        /// every predicate × every set-join entry that supports it, and
-        /// both semantics × every division entry, × workers ∈ {1, 3} ×
+        /// every predicate × every set-join entry that supports it at
+        /// workers ∈ {1, 3}, and both semantics × every division entry
+        /// at every [`DIVISION_WORKERS`] count, × every group-key kind ×
         /// every element kind. It iterates the arrays, so a new entry
         /// is covered without editing a list.
         #[test]
@@ -220,11 +233,13 @@ mod proptests {
             s in arb_rows(5, 8, 20),
             d in arb_divisor(8, 6),
         ) {
-            for (rc, sc) in KINDS {
-                let what = format!("{rc:?} against {sc:?}");
-                let rel = relation(&r, rc);
-                assert_set_joins_match_the_oracle(&rel, &relation(&s, sc), &what);
-                assert_divisions_match_the_oracle(&rel, &divisor(&d, sc), &what);
+            for keys in KEYS {
+                for (rc, sc) in KINDS {
+                    let what = format!("{keys:?} keys, {rc:?} against {sc:?}");
+                    let rel = relation(&r, keys, rc);
+                    assert_set_joins_match_the_oracle(&rel, &relation(&s, keys, sc), &what);
+                    assert_divisions_match_the_oracle(&rel, &divisor(&d, sc), &what);
+                }
             }
         }
 

@@ -5,10 +5,13 @@
 //! them as **partitioned build/probe**: the build side becomes one
 //! shared read-only index, the probe side is split into disjoint
 //! partitions that fan out over `std::thread::scope` workers, and the
-//! per-partition outputs merge back in canonical order. Partitions are
-//! *views* (slices and index lists) — no tuple is ever cloned into a
-//! partition, so the partitioned pass costs no more than the serial one
-//! even at one worker. Three distinct wins follow:
+//! per-partition outputs merge back in canonical order. Both operators
+//! read the dense operand view of [`crate::columnar`], and a partition is
+//! a list of its group indices — a division cuts group-aligned ranges of
+//! the dividend's column, a set join lists the probe groups of one
+//! anchor hash — so no tuple is ever cloned into a partition and the
+//! partitioned pass costs no more than the serial one even at one
+//! worker. Three distinct wins follow:
 //!
 //! * **Concurrency.** Partitions are independent, so `w` workers give up
 //!   to `w`-fold wall-clock scaling on multi-core hosts.
@@ -19,10 +22,9 @@
 //!   Helmer–Moerkotte. A group is only ever compared against the groups
 //!   whose sets contain its anchor, shrinking the quadratic candidate
 //!   pair space even at one worker.
-//! * **Dense partition kernels (set joins).** The per-partition
-//!   signature tests and verification merges run over the dense operand
-//!   view of [`crate::columnar`] — integer slices whatever the cells
-//!   hold — so the parallelism and the vectorization compound instead of
+//! * **Dense partition kernels.** The per-partition divisor probes,
+//!   signature tests and verification merges run over integer slices
+//!   whatever the cells hold — so the parallelism and the vectorization compound instead of
 //!   excluding each other, the same composition `sj-eval`'s kernel layer
 //!   gives the planned query path.
 //!
@@ -32,11 +34,11 @@
 //! output is byte-identical to the serial algorithms (property-tested in
 //! `tests/parallel.rs`).
 
-use crate::columnar::{emit, Signed};
-use crate::division::{hash_division, DivisionSemantics};
+use crate::columnar::{emit, Operand, Signed};
+use crate::division::{counted, hash_division, DivisionSemantics};
 use crate::setjoin::{intersect_join_via_equijoin, SetPredicate};
 use sj_storage::hash::fx_hash_one;
-use sj_storage::{FxHashMap, FxHashSet, Relation, Tuple, Value};
+use sj_storage::{FxHashMap, FxHashSet, Relation};
 
 /// Hard ceiling on worker threads, whatever the caller asks for: the
 /// operators spawn one OS thread per worker, so an absurd request
@@ -104,81 +106,34 @@ where
     indexed.into_iter().map(|(_, t)| t).collect()
 }
 
-/// Split canonically sorted tuples into at most `n` contiguous,
-/// **group-aligned** ranges: a cut never separates two tuples sharing
-/// the first column, so every A-group lives wholly in one partition.
-/// Zero-copy — partitions are subslices.
-fn group_aligned_chunks(tuples: &[Tuple], n: usize) -> Vec<&[Tuple]> {
-    if tuples.is_empty() {
-        return Vec::new();
-    }
-    let n = n.max(1).min(tuples.len());
-    let mut chunks = Vec::with_capacity(n);
-    let mut start = 0usize;
-    for i in 1..=n {
-        if start >= tuples.len() {
-            break;
-        }
-        let mut end = (tuples.len() * i / n).max(start + 1);
-        // Snap forward to the next group boundary.
-        while end < tuples.len() && tuples[end][0] == tuples[end - 1][0] {
-            end += 1;
-        }
-        chunks.push(&tuples[start..end]);
-        start = end;
-    }
-    chunks
-}
-
-/// Partition-parallel hash-division. The divisor becomes one shared hash
-/// index (the build side, built once); the canonically sorted dividend
-/// is split into group-aligned contiguous partitions (zero-copy slices)
-/// whose probe passes fan out over the workers. Each worker counts, per
-/// A-run, the B-values hitting the divisor index — Graefe's
-/// hash-division with the bitmap replaced by a per-run counter, which
-/// the sorted run makes sufficient (set semantics: no B repeats within a
-/// group). Per-partition quotients are already in A-order and A-ranges
-/// are disjoint and increasing, so the merge is a concatenation.
+/// Partition-parallel hash-division. The divisor becomes one shared
+/// hash set of codes (the build side, built once); the dividend's groups
+/// are cut into group-aligned contiguous ranges of its column
+/// (`Operand::chunks`) whose probe passes fan out over the workers.
+/// Each worker counts, per A-group, the B-values hitting the divisor —
+/// Graefe's hash-division with the bitmap replaced by a per-group
+/// counter, which set semantics make sufficient (no B repeats within a
+/// group). Per-range quotients are ascending group indices and the
+/// ranges are disjoint and increasing, so the merge is a concatenation.
+/// One worker runs [`hash_division`].
 pub fn parallel_hash_division(
     r: &Relation,
     s: &Relation,
     sem: DivisionSemantics,
     workers: usize,
 ) -> Relation {
-    assert_eq!(r.arity(), 2, "dividend must be binary R(A,B)");
-    assert_eq!(s.arity(), 1, "divisor must be unary S(B)");
     let workers = resolve_workers(workers);
     if workers <= 1 {
         return hash_division(r, s, sem);
     }
-    let divisor: FxHashSet<&Value> = s.iter().map(|t| &t[0]).collect();
-    let need = divisor.len();
-    let chunks = group_aligned_chunks(r.tuples(), workers);
-    let outputs = fan_out(chunks, workers, |chunk| {
-        let mut out: Vec<Tuple> = Vec::new();
-        let mut i = 0usize;
-        while i < chunk.len() {
-            let a = &chunk[i][0];
-            let mut matched = 0usize;
-            let mut j = i;
-            while j < chunk.len() && &chunk[j][0] == a {
-                if divisor.contains(&chunk[j][1]) {
-                    matched += 1;
-                }
-                j += 1;
-            }
-            let qualifies = match sem {
-                DivisionSemantics::Containment => matched == need,
-                DivisionSemantics::Equality => matched == need && j - i == need,
-            };
-            if qualifies {
-                out.push(Tuple::new(vec![a.clone()]));
-            }
-            i = j;
-        }
-        out
+    let (dividend, divisor) = Operand::dividend(r, s);
+    let divisor: FxHashSet<i64> = divisor.iter().copied().collect();
+    let outputs = fan_out(dividend.chunks(workers), workers, |groups| {
+        groups
+            .filter(|&g| counted(dividend.set(g), &divisor, sem))
+            .collect::<Vec<usize>>()
     });
-    Relation::from_sorted_tuples(1, outputs.into_iter().flatten().collect())
+    dividend.quotient(outputs.into_iter().flatten())
 }
 
 /// How many probe partitions the partition-based set join fans a worker
@@ -377,27 +332,6 @@ mod tests {
                 "{workers} workers"
             );
         }
-    }
-
-    #[test]
-    fn group_aligned_chunks_never_split_a_group() {
-        let rows: Vec<Vec<i64>> = (0..100).map(|i| vec![i % 9, i]).collect();
-        let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let r = Relation::from_int_rows(&refs);
-        for n in [1usize, 2, 3, 4, 8, 200] {
-            let chunks = group_aligned_chunks(r.tuples(), n);
-            assert!(chunks.len() <= n.max(1));
-            let total: usize = chunks.iter().map(|c| c.len()).sum();
-            assert_eq!(total, r.len(), "chunks cover the input at n = {n}");
-            for w in chunks.windows(2) {
-                assert_ne!(
-                    w[0].last().unwrap()[0],
-                    w[1].first().unwrap()[0],
-                    "group split across chunks at n = {n}"
-                );
-            }
-        }
-        assert!(group_aligned_chunks(&[], 4).is_empty());
     }
 
     #[test]

@@ -392,6 +392,13 @@ static SET_JOIN_ALGORITHMS: [&SetJoinAlgorithm; 7] = [
 // The division table
 // ---------------------------------------------------------------------------
 
+/// The pass every linear division entry makes before its body: the
+/// dividend's column-0 runs (its groups) and its element column coded
+/// jointly with the divisor, one `tuple_pass` per row and per group.
+fn dividend_pass(m: &CostModel, r: &TableStats) -> f64 {
+    m.tuple_pass * (r.rows as f64 + r.groups() as f64)
+}
+
 /// Every division algorithm this crate implements — the one place each
 /// is named.
 static DIVISION_ALGORITHMS: [&DivisionAlgorithm; 5] = [
@@ -405,36 +412,48 @@ static DIVISION_ALGORITHMS: [&DivisionAlgorithm; 5] = [
         },
         run: |r, s, sem, _| nested_loop_division(r, s, sem),
     },
-    // One allocation-free merge per group, sort-free because relations
-    // are stored in canonical order: the whole divisor is re-walked per
-    // group, the dividend once in total.
+    // Every linear entry reads the dense dividend (`crate::columnar`):
+    // one pass groups its column ([`dividend_pass`]), and only then does
+    // the body run. The sort-merge body is the cheapest per row: a
+    // group smaller than the divisor is rejected by its size, and a
+    // merge stops at the first divisor value a group lacks, so no row
+    // is touched twice and none is hashed.
     &DivisionAlgorithm {
         name: "sort-merge",
         class: ComplexityClass::Linear,
-        cost: |m, r, s, _| 0.7 * m.tuple_pass * (r.rows as f64 + r.groups() as f64 * s.rows as f64),
+        cost: |m, r, _, _| dividend_pass(m, r) + 0.5 * m.tuple_pass * r.rows as f64,
         run: |r, s, sem, _| sort_merge_division(r, s, sem),
     },
     // Graefe's bitmap division: build the divisor table, one hash probe
-    // per dividend tuple.
+    // and one bitmap update per dividend row.
     &DivisionAlgorithm {
         name: "hash",
         class: ComplexityClass::Linear,
-        cost: |m, r, s, _| m.setup + m.tuple_pass * s.rows as f64 + m.hash_op * r.rows as f64,
+        cost: |m, r, s, _| {
+            m.setup
+                + m.hash_op * s.rows as f64
+                + dividend_pass(m, r)
+                + 2.0 * m.hash_op * r.rows as f64
+        },
         run: |r, s, sem, _| hash_division(r, s, sem),
     },
-    // The Section 5 grouping/counting strategy: the same tuples with a
-    // slightly leaner per-tuple operation (counter bump vs bitmap index).
+    // The Section 5 grouping/counting strategy: the same probes with a
+    // leaner per-row operation (a counter bump, no bitmap).
     &DivisionAlgorithm {
         name: "counting",
         class: ComplexityClass::Linear,
         cost: |m, r, s, _| {
-            m.setup + m.tuple_pass * s.rows as f64 + 0.95 * m.hash_op * r.rows as f64
+            m.setup
+                + m.hash_op * s.rows as f64
+                + dividend_pass(m, r)
+                + 1.5 * m.hash_op * r.rows as f64
         },
         run: |r, s, sem, _| counting_division(r, s, sem),
     },
-    // Shared divisor index + group-aligned zero-copy dividend slices:
-    // the probe pass shards across workers, everything else (spawn,
-    // partition bookkeeping, merge) is overhead.
+    // The counting probes on group-aligned ranges of the column, one
+    // per worker: the probes shard, the grouping pass and the spawns do
+    // not. It beats the serial merge only once enough workers share
+    // enough rows.
     &DivisionAlgorithm {
         name: "parallel-hash",
         class: ComplexityClass::Linear,
@@ -442,8 +461,9 @@ static DIVISION_ALGORITHMS: [&DivisionAlgorithm; 5] = [
             m.setup
                 + m.partition_setup
                 + m.spawn * w
-                + m.tuple_pass * (s.rows as f64 + r.groups() as f64)
-                + 0.95 * m.hash_op * r.rows as f64 / w
+                + m.hash_op * s.rows as f64
+                + dividend_pass(m, r)
+                + 1.5 * m.hash_op * r.rows as f64 / w
         },
         run: parallel_hash_division,
     },
@@ -613,31 +633,52 @@ mod tests {
         assert!(reg.find_division("no-such").is_none());
     }
 
+    /// Statistics of a dividend of `rows` tuples in `groups` groups and
+    /// of a divisor of `divisor` values: the inputs the division
+    /// formulas read, at any scale without generating it.
+    fn division_shape(rows: usize, groups: usize, divisor: usize) -> (TableStats, TableStats) {
+        let mut r = TableStats::analyze(&pairs(&[[1, 1], [2, 1]]));
+        r.rows = rows;
+        let g = r
+            .group
+            .as_mut()
+            .expect("binary relations have a group view");
+        g.groups = groups;
+        g.mean_set = rows as f64 / groups as f64;
+        let mut s = TableStats::analyze(&Relation::from_int_rows(&[&[1]]));
+        s.rows = divisor;
+        (r, s)
+    }
+
+    /// The pick follows the bodies that run: the sort-merge body touches
+    /// each dividend row once and hashes nothing, so it wins at every
+    /// serial scale — at both benchmark shapes, the serving pool's
+    /// `Divide` node (48 549 × 32, one worker) and the batch suite's
+    /// direct division (742 497 × 128 at two workers). Only many workers
+    /// on a large dividend amortize the spawns and the serial grouping
+    /// pass of the partitioned probes.
     #[test]
     fn auto_division_picks_by_scale_and_workers() {
         let reg = Registry::standard();
         let model = CostModel::default();
-        // A divisor comfortably larger than the mean set size: per-group
-        // divisor merges (sort-merge's cost) outweigh per-tuple hashing.
-        let drows: Vec<[i64; 1]> = (0..8).map(|i| [i]).collect();
-        let divisor = Relation::from_tuples(1, drows.iter().map(|r| Tuple::from_ints(r))).unwrap();
-        let ss = TableStats::analyze(&divisor);
-        let pick = |r: &Relation, workers| {
-            reg.auto_division(&TableStats::analyze(r), &ss, workers, &model)
-                .name()
+        let pick = |(r, s): (TableStats, TableStats), workers| {
+            reg.auto_division(&r, &s, workers, &model).name()
         };
-        // Tiny input: the allocation-free merge wins on setup cost, at
-        // any worker count.
-        let small = pairs(&[[1, 0], [1, 1], [2, 0]]);
-        assert_eq!(pick(&small, 1), "sort-merge");
-        assert_eq!(pick(&small, 8), "sort-merge");
-        // Fig-scale input: the one-pass counting division wins serial…
-        let rows: Vec<[i64; 2]> = (0..60_000).map(|i| [i / 4, i % 4]).collect();
-        let big = pairs(&rows);
-        assert_eq!(pick(&big, 1), "counting");
-        // …and the partitioned variant wins once workers amortize the
-        // spawn cost.
-        assert_eq!(pick(&big, 4), "parallel-hash");
+        let tiny = || {
+            let rows = pairs(&[[1, 0], [1, 1], [2, 0]]);
+            let divisor = Relation::from_int_rows(&[&[0], &[1]]);
+            (TableStats::analyze(&rows), TableStats::analyze(&divisor))
+        };
+        assert_eq!(pick(tiny(), 1), "sort-merge");
+        assert_eq!(pick(tiny(), 8), "sort-merge");
+        assert_eq!(pick(division_shape(48_549, 2_048, 32), 1), "sort-merge");
+        assert_eq!(pick(division_shape(742_497, 8_192, 128), 1), "sort-merge");
+        assert_eq!(pick(division_shape(742_497, 8_192, 128), 2), "sort-merge");
+        assert_eq!(
+            pick(division_shape(742_497, 8_192, 128), 8),
+            "parallel-hash"
+        );
+        assert_eq!(pick(division_shape(48_549, 2_048, 32), 8), "sort-merge");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Columnar view of a relation: typed per-column vectors, a per-relation
-//! string dictionary, and the composite key hash the join kernels share.
+//! string dictionary, the composite key hash, and the joint code space
+//! two relations' columns are compared in.
 //!
 //! The row representation ([`crate::Relation`]'s sorted `Vec<Tuple>`) stays
 //! the *canonical* one — it is what equality, ordering, and the set
@@ -23,18 +24,34 @@
 //!   its partitions) visits is the operator's business (`sj-eval`'s
 //!   kernel layer), not a storage type.
 //!
-//! Keys are hashed in exactly one place, [`Columns::key_hashes`], which
-//! depends only on the cells' *values* — an integer hashes the same
-//! whether it sits in an `Int` or a `Mixed` column, and a string hashes
-//! the same under any dictionary — so hashes computed on two different
-//! relations pair up the build and probe sides of a hash join, and the
-//! same `u64` also places the row in a hash partition. Hash equality is
-//! never trusted on its own; the operators confirm with
-//! [`Columns::cell_eq`].
+//! **The joint code space.** [`joint_codes`] is the one place this
+//! workspace decides how a column of one relation is compared with a
+//! column of another: it maps both into one dense, **order-preserving**
+//! space of `i64`s, so equal cells get equal codes and code order is
+//! [`Value`] order, whatever the two columns hold:
+//!
+//! | columns | codes |
+//! |---|---|
+//! | `Int` / `Int` | the `i64` columns themselves, zero-copy |
+//! | `Str` / `Str` | dictionary codes remapped through the merge of the two sorted dictionaries |
+//! | anything else (`Mixed`, or `Int` against `Str`) | the rank of each cell in the sorted joint dictionary of both columns — O(n log n) |
+//!
+//! The division bodies and the set-join operand view of `sj-setjoin`
+//! read element columns through it, and `sj-eval`'s hash kernels key,
+//! place and confirm equality keys on it.
+//!
+//! [`Columns::key_hashes`] is the value-based composite key hash: an
+//! integer hashes the same whether it sits in an `Int` or a `Mixed`
+//! column, and a string hashes the same under any dictionary, so hashes
+//! computed on two different relations pair up without a shared code
+//! space. It places the rows of the merge kernels' partitions.
+//! [`Columns::cell_eq`] / [`Columns::cell_cmp`] compare single cells
+//! across relations.
 
 use crate::hash::fx_hash_one;
 use crate::tuple::Tuple;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -83,8 +100,7 @@ fn mix(h: u64, x: u64) -> u64 {
 ///
 /// Codes are indices into the sorted list, so **code order equals string
 /// order** within one dictionary. Codes from different dictionaries are
-/// not comparable; [`StrDict::translate_from`] builds the cross-dictionary
-/// code map the merge operators use.
+/// not comparable; [`joint_codes`] maps two columns into one space.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct StrDict {
     strings: Vec<Arc<str>>,
@@ -139,27 +155,6 @@ impl StrDict {
     #[inline]
     pub fn strings(&self) -> &[Arc<str>] {
         &self.strings
-    }
-
-    /// For every code of `other`, the equal string's code in `self` (or
-    /// `None` when `self` lacks the string). A single linear merge of the
-    /// two sorted entry lists — the cross-dictionary comparison table the
-    /// columnar set-join verification uses.
-    pub fn translate_from(&self, other: &StrDict) -> Vec<Option<u32>> {
-        let mut map = vec![None; other.len()];
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.strings.len() && j < other.strings.len() {
-            match self.strings[i].as_ref().cmp(other.strings[j].as_ref()) {
-                Ordering::Less => i += 1,
-                Ordering::Greater => j += 1,
-                Ordering::Equal => {
-                    map[j] = Some(i as u32);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        map
     }
 }
 
@@ -376,8 +371,9 @@ impl Columns {
     }
 
     /// Exact value equality between cell `(c, r)` of `self` and cell
-    /// `(oc, or_)` of `other` — the collision check behind hash-paired
-    /// rows. Cross-dictionary string cells compare by string content.
+    /// `(oc, or_)` of `other`, one cell at a time (a whole column pair is
+    /// compared through [`joint_codes`]). Cross-dictionary string cells
+    /// compare by string content.
     pub fn cell_eq(&self, c: usize, r: usize, other: &Columns, oc: usize, or_: usize) -> bool {
         use ColumnData::*;
         match (&self.cols[c], &other.cols[oc]) {
@@ -422,6 +418,157 @@ impl Columns {
             (Str(_), Int(_)) => Ordering::Greater,
             _ => self.value_at(c, r).cmp(&other.value_at(oc, or_)),
         }
+    }
+
+    /// Where the runs of equal `k`-prefix begin among the rows
+    /// `row(0), row(1), …, row(len − 1)` — ascending row indices, so
+    /// equal prefixes are adjacent — followed by `len`: run `t` covers
+    /// positions `starts[t]..starts[t + 1]`. One typed pass per prefix
+    /// column finds where a cell differs from the one before (within one
+    /// relation a dictionary code *is* its string); no rows give `[0]`,
+    /// and `k = 0` gives one run.
+    pub fn run_starts(&self, k: usize, len: usize, row: impl Fn(usize) -> usize) -> Vec<usize> {
+        /// Mark the positions whose cell differs from the one before.
+        fn mark<T: PartialEq>(cells: &[T], row: &impl Fn(usize) -> usize, head: &mut [bool]) {
+            for p in 1..head.len() {
+                head[p] |= cells[row(p)] != cells[row(p - 1)];
+            }
+        }
+        /// The positions whose first-column cell differs from the one
+        /// before, or that `head` marks (when the prefix is longer).
+        fn starts<T: PartialEq>(
+            cells: &[T],
+            len: usize,
+            row: &impl Fn(usize) -> usize,
+            head: &[bool],
+        ) -> Vec<usize> {
+            let mut out = vec![0];
+            for p in 1..len {
+                if cells[row(p)] != cells[row(p - 1)] || head.get(p) == Some(&true) {
+                    out.push(p);
+                }
+            }
+            out.push(len);
+            out
+        }
+        if len == 0 {
+            return vec![0];
+        }
+        let Some((first, rest)) = self.cols[..k].split_first() else {
+            return vec![0, len];
+        };
+        let mut head = vec![false; if rest.is_empty() { 0 } else { len }];
+        for col in rest {
+            match col {
+                ColumnData::Int(v) => mark(v, &row, &mut head),
+                ColumnData::Str(v) => mark(v, &row, &mut head),
+                ColumnData::Mixed(v) => mark(v, &row, &mut head),
+            }
+        }
+        match first {
+            ColumnData::Int(v) => starts(v, len, &row, &head),
+            ColumnData::Str(v) => starts(v, len, &row, &head),
+            ColumnData::Mixed(v) => starts(v, len, &row, &head),
+        }
+    }
+}
+
+/// Column `ca` of `a` and column `cb` of `b` in one joint,
+/// order-preserving dense code space (see the [module docs](self)):
+/// for every row pair, `codes_a[i] == codes_b[j]` iff the cells are
+/// equal, and `codes_a[i] < codes_b[j]` iff `a`'s cell sorts first.
+/// Two integer columns are their own codes; nothing else is borrowed.
+pub fn joint_codes<'a>(
+    (a, ca): (&'a Columns, usize),
+    (b, cb): (&'a Columns, usize),
+) -> (Cow<'a, [i64]>, Cow<'a, [i64]>) {
+    let widen = |codes: &[u32], map: Option<&[i64]>| -> Cow<'a, [i64]> {
+        match map {
+            Some(map) => codes.iter().map(|&c| map[c as usize]).collect(),
+            None => codes.iter().map(|&c| i64::from(c)).collect(),
+        }
+    };
+    match (a.col(ca), b.col(cb)) {
+        (ColumnData::Int(x), ColumnData::Int(y)) => (Cow::Borrowed(x), Cow::Borrowed(y)),
+        // One dictionary (a relation against itself): codes are joint.
+        (ColumnData::Str(x), ColumnData::Str(y)) if Arc::ptr_eq(a.dict(), b.dict()) => {
+            (widen(x, None), widen(y, None))
+        }
+        (ColumnData::Str(x), ColumnData::Str(y)) => {
+            let (ma, mb) = merge_dicts(a.dict(), b.dict());
+            (widen(x, Some(&ma)), widen(y, Some(&mb)))
+        }
+        _ => {
+            let (xs, ys) = (cells(a, ca), cells(b, cb));
+            let mut dict: Vec<Cell> = xs.iter().chain(&ys).copied().collect();
+            dict.sort_unstable();
+            dict.dedup();
+            let rank = |cells: Vec<Cell>| -> Cow<'a, [i64]> {
+                cells
+                    .iter()
+                    .map(|c| {
+                        dict.binary_search(c)
+                            .expect("the dictionary holds every cell")
+                            as i64
+                    })
+                    .collect()
+            };
+            (rank(xs), rank(ys))
+        }
+    }
+}
+
+/// Merge two sorted dictionaries into one joint code space: for each
+/// dictionary, the strictly increasing map from its codes to joint
+/// codes. Equal strings get the same joint code.
+fn merge_dicts(a: &StrDict, b: &StrDict) -> (Vec<i64>, Vec<i64>) {
+    let (mut ma, mut mb) = (Vec::with_capacity(a.len()), Vec::with_capacity(b.len()));
+    let (mut i, mut j) = (0usize, 0usize);
+    let mut next = 0i64;
+    while i < a.len() || j < b.len() {
+        let ord = if i == a.len() {
+            Ordering::Greater
+        } else if j == b.len() {
+            Ordering::Less
+        } else {
+            a.strings()[i].as_ref().cmp(b.strings()[j].as_ref())
+        };
+        if ord.is_le() {
+            ma.push(next);
+            i += 1;
+        }
+        if ord.is_ge() {
+            mb.push(next);
+            j += 1;
+        }
+        next += 1;
+    }
+    (ma, mb)
+}
+
+/// A borrowed cell, ordered as [`Value`] is (every integer before every
+/// string): what the ranking encoding of [`joint_codes`] sorts.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Cell<'a> {
+    Int(i64),
+    Str(&'a str),
+}
+
+/// Column `c` of `cols` as borrowed cells.
+fn cells(cols: &Columns, c: usize) -> Vec<Cell<'_>> {
+    match cols.col(c) {
+        ColumnData::Int(v) => v.iter().map(|&x| Cell::Int(x)).collect(),
+        ColumnData::Str(v) => v
+            .iter()
+            .map(|&code| Cell::Str(cols.dict().get(code)))
+            .collect(),
+        ColumnData::Mixed(v) => v
+            .iter()
+            .map(|x| match x {
+                Value::Int(i) => Cell::Int(*i),
+                Value::Str(s) => Cell::Str(s),
+            })
+            .collect(),
     }
 }
 
@@ -532,11 +679,72 @@ mod tests {
     }
 
     #[test]
-    fn translate_from_maps_codes_across_dictionaries() {
-        let a = StrDict::from_strings(["b", "d", "f"].map(Arc::from));
-        let b = StrDict::from_strings(["a", "b", "c", "d"].map(Arc::from));
-        // a's code for each of b's entries.
-        assert_eq!(a.translate_from(&b), vec![None, Some(0), None, Some(1)]);
-        assert_eq!(b.translate_from(&a), vec![Some(1), Some(3), None]);
+    fn run_starts_mark_every_change_of_the_prefix() {
+        let r = Relation::from_tuples(
+            3,
+            vec![
+                tuple![1, "a", 2],
+                tuple![1, "a", 3],
+                tuple![1, "b", 1],
+                tuple![2, "b", 1],
+            ],
+        )
+        .unwrap();
+        let c = r.columns();
+        let all = |k| c.run_starts(k, 4, |p| p);
+        assert_eq!(all(0), vec![0, 4]);
+        assert_eq!(all(1), vec![0, 3, 4]);
+        assert_eq!(all(2), vec![0, 2, 3, 4]);
+        assert_eq!(all(3), vec![0, 1, 2, 3, 4]);
+        // A selection: rows 0, 2, 3 — runs are over positions.
+        let picked = [0usize, 2, 3];
+        assert_eq!(c.run_starts(1, 3, |p| picked[p]), vec![0, 2, 3]);
+        assert_eq!(c.run_starts(2, 3, |p| picked[p]), vec![0, 1, 2, 3]);
+        assert_eq!(c.run_starts(2, 0, |p| p), vec![0]);
+        let s = Relation::from_str_rows(&[&["a", "x"], &["a", "y"], &["b", "x"]]);
+        assert_eq!(s.columns().run_starts(1, 3, |p| p), vec![0, 2, 3]);
+    }
+
+    #[test]
+    fn merged_dictionaries_agree_with_string_order() {
+        let a = StrDict::from_strings(["b", "d"].map(Arc::from));
+        let b = StrDict::from_strings(["a", "b", "c"].map(Arc::from));
+        // Joint space: a=0, b=1, c=2, d=3.
+        assert_eq!(merge_dicts(&a, &b), (vec![1, 3], vec![0, 1, 2]));
+    }
+
+    /// Every encoding maps equal cells of the two columns to equal codes
+    /// and keeps `Value` order — across dictionaries, within one
+    /// relation, and whenever a side mixes variants; two integer
+    /// columns are borrowed.
+    #[test]
+    fn joint_codes_are_joint_and_order_preserving() {
+        let ints = Relation::from_int_rows(&[&[1, 7], &[1, 9], &[2, 7]]);
+        let strs = Relation::from_str_rows(&[&["k", "7"], &["k", "x"], &["l", "a"]]);
+        let other_strs = Relation::from_str_rows(&[&["7"], &["b"], &["x"]]);
+        let mixed = Relation::from_tuples(
+            2,
+            vec![tuple![1, "x"], tuple![1, 7], tuple![2, "a"], tuple![2, 9]],
+        )
+        .unwrap();
+        for ((r, rc), (s, sc)) in [
+            ((&ints, 1), (&ints, 1)),
+            ((&ints, 0), (&ints, 1)),
+            ((&strs, 1), (&strs, 0)),
+            ((&strs, 1), (&other_strs, 0)),
+            ((&mixed, 1), (&ints, 1)),
+            ((&strs, 1), (&mixed, 1)),
+            ((&ints, 1), (&strs, 1)),
+        ] {
+            let (a, b) = joint_codes((r.columns(), rc), (s.columns(), sc));
+            assert_eq!((a.len(), b.len()), (r.len(), s.len()));
+            for (i, t) in r.iter().enumerate() {
+                for (j, u) in s.iter().enumerate() {
+                    assert_eq!(t[rc].cmp(&u[sc]), a[i].cmp(&b[j]), "{} vs {}", t[rc], u[sc]);
+                }
+            }
+        }
+        let (a, _) = joint_codes((ints.columns(), 0), (ints.columns(), 1));
+        assert!(matches!(a, Cow::Borrowed(_)));
     }
 }

@@ -16,10 +16,9 @@
 //!   canonically (sorted, deduplicated) so that set equality is structural
 //!   equality and membership is a binary search. Each relation also
 //!   carries a lazily built **columnar view** ([`Relation::columns`]) —
-//!   typed per-column vectors with dictionary-encoded strings, plus the
-//!   one composite key hash ([`Columns::key_hashes`]) that both places a
-//!   row in a hash partition and keys it in a join's hash table (see
-//!   [`mod@column`]).
+//!   typed per-column vectors with dictionary-encoded strings, and the
+//!   one joint, order-preserving code space two relations' columns are
+//!   compared in ([`column::joint_codes`]; see [`mod@column`]).
 //! * [`Database`] — an assignment of relations to relation names, together
 //!   with the notions the paper defines on databases: size (Definition 15 —
 //!   the sum of relation cardinalities), active domain, tuple space
