@@ -57,6 +57,16 @@ impl Selection {
     }
 }
 
+/// Where an expression keeps the group key of one relation (see
+/// [`Expr::local_to_groups_of`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum GroupKey {
+    /// The expression does not mention the relation.
+    Free,
+    /// Output column (1-based) that carries the relation's column 1.
+    At(usize),
+}
+
 /// An expression of the (extended) relational/semijoin algebra.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Expr {
@@ -357,6 +367,95 @@ impl Expr {
         self.subexpressions()
             .iter()
             .any(|e| matches!(e, Expr::GroupCount(..)))
+    }
+
+    // ----- group locality ---------------------------------------------------
+
+    /// True iff the expression is **local to the groups of `rel`**: for
+    /// every database, `Q(R) = ⋃ₐ Q(σ₁₌ₐR)` over the first-column values
+    /// `a` of `R = rel`, and every row of `Q(σ₁₌ₐR)` carries `a` in
+    /// output column 1. Division is the paper's example — `a ∈ R ÷ S`
+    /// depends on `{b | (a, b) ∈ R}` alone — and so are the §5 counting
+    /// plan and the semijoin shapes `π₁(R ⋉ …)`. Such a query's answer
+    /// after inserts into `R` is the old answer with the rows keyed by
+    /// the inserted tuples' first values replaced by `Q` run on just
+    /// those groups (`sj-server` patches cached results this way).
+    ///
+    /// Decided by induction, tracking which output column carries `R`'s
+    /// column 1 (the *key*); an expression not mentioning `rel` is
+    /// *free*. Writing `Eₐ` for `E(σ₁₌ₐR)`:
+    ///
+    /// * **scan** — `R` of arity ≥ 1 is local at 1: `R = ⋃ₐ σ₁₌ₐR`.
+    ///   Any other relation is free.
+    /// * **row-wise** — `σ(E)` and `τ_c(E)` keep the key where it is:
+    ///   both map each row alone, so they distribute over `⋃ₐ Eₐ` and
+    ///   keep each row's key.
+    /// * **projection** — `π_cols(E)` is local at the first position of
+    ///   the key in `cols`, and not local if `cols` drops it: π
+    ///   distributes over ∪ and moves column k to that position.
+    /// * **grouping** — `γ_cols(E)` likewise: with the key among the
+    ///   group columns, rows of different `Eₐ` never share a group, so
+    ///   every group and its count come from one `Eₐ`.
+    /// * **join** — `E ⋈ F` with one side local and the other free is
+    ///   local (at the key's position in `E`, or past `E`'s arity when
+    ///   `F` is the local side): `(⋃ₐ Eₐ) ⋈ F = ⋃ₐ (Eₐ ⋈ F)`, and a
+    ///   joined row keeps its local side's key.
+    /// * **filter by a free side** — `E ⋉ F` and `E − F` with `E` local
+    ///   and `F` free are local at `E`'s key: each row of `E` survives
+    ///   or not by itself, whatever the other rows of `E` are.
+    /// * **same-key set operators** — `E − F` and `E ∪ F` with both
+    ///   sides local at the same column k are local at k: a row keyed
+    ///   `a` can come only from `Eₐ` and `Fₐ`, so `(⋃ Eₐ) − (⋃ Fₐ) =
+    ///   ⋃ (Eₐ − Fₐ)` and `(⋃ Eₐ) ∪ (⋃ Fₐ) = ⋃ (Eₐ ∪ Fₐ)`.
+    ///
+    /// Everything else is not local: a free side of a union or on the
+    /// left of `−`/`⋉` contributes rows no group owns, and a join or
+    /// semijoin of two local sides pairs rows of different groups.
+    /// Column 1 is required of the whole expression so that both the
+    /// group slice and the splice are binary searches on the canonical
+    /// order.
+    pub fn local_to_groups_of(&self, rel: &str, schema: &Schema) -> bool {
+        matches!(self.group_key(rel, schema), Some(GroupKey::At(1)))
+    }
+
+    /// The induction behind [`Expr::local_to_groups_of`]; `None` when
+    /// the expression mentions `rel` and is not local.
+    fn group_key(&self, rel: &str, schema: &Schema) -> Option<GroupKey> {
+        use GroupKey::{At, Free};
+        let kept = |cols: &[usize], k: usize| cols.iter().position(|&c| c == k).map(|i| At(i + 1));
+        Some(match self {
+            Expr::Rel(name) if name == rel => match schema.arity_of(name)? {
+                0 => return None,
+                _ => At(1),
+            },
+            Expr::Rel(_) => Free,
+            Expr::Select(_, e) | Expr::ConstTag(_, e) => e.group_key(rel, schema)?,
+            Expr::Project(cols, e) | Expr::GroupCount(cols, e) => match e.group_key(rel, schema)? {
+                Free => Free,
+                At(k) => kept(cols, k)?,
+            },
+            Expr::Join(_, a, b) => match (a.group_key(rel, schema)?, b.group_key(rel, schema)?) {
+                (Free, Free) => Free,
+                (At(k), Free) => At(k),
+                (Free, At(k)) => At(a.arity(schema).ok()? + k),
+                (At(_), At(_)) => return None,
+            },
+            Expr::Semijoin(_, a, b) => match (a.group_key(rel, schema)?, b.group_key(rel, schema)?)
+            {
+                (key, Free) => key,
+                _ => return None,
+            },
+            Expr::Diff(a, b) => match (a.group_key(rel, schema)?, b.group_key(rel, schema)?) {
+                (key, Free) => key,
+                (At(k), At(j)) if k == j => At(k),
+                _ => return None,
+            },
+            Expr::Union(a, b) => match (a.group_key(rel, schema)?, b.group_key(rel, schema)?) {
+                (Free, Free) => Free,
+                (At(k), At(j)) if k == j => At(k),
+                _ => return None,
+            },
+        })
     }
 
     /// Replace derived forms by paper primitives: `σᵢ₌c(E)` becomes

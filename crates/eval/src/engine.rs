@@ -375,6 +375,15 @@ impl Query<'_> {
         Ok(engine.optimize.run(&self.expr, &engine.db.schema())?)
     }
 
+    /// Optimize and plan without executing: the [`PhysicalPlan`] that
+    /// [`Query::run`] executes under [`Strategy::Planned`], costed from
+    /// the engine's catalog. A plan names its scans and holds no data,
+    /// so the caller may execute it against any database of the same
+    /// schema ([`PhysicalPlan::execute_reported`]).
+    pub fn plan(&self) -> Result<PhysicalPlan, EvalError> {
+        self.engine.plan_for(&self.optimized()?)
+    }
+
     /// Optimize, plan (under [`Strategy::Planned`]), and execute.
     pub fn run(&self) -> Result<QueryOutput, EvalError> {
         let engine = self.engine;

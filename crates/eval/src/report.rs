@@ -88,6 +88,11 @@ pub struct Report {
     /// Which serving tier produced the result (`cold`, `plan-cache`,
     /// `result-cache`); `None` outside the server.
     pub tier: Option<&'static str>,
+    /// Set when the run read only these many groups of one relation:
+    /// `sj-server` patches a cached answer by running its plan on the
+    /// groups an insert touched, so the cardinalities and `|D|` describe
+    /// that slice, not the whole database. `None` for a full run.
+    pub patched_groups: Option<usize>,
 }
 
 impl Report {
@@ -153,9 +158,9 @@ impl Report {
     /// (`×1` for unshared nodes), the partition marker (`[serial]` or
     /// `[N partitions]`) and the node's self time — under a header with
     /// `|D|`, output rows, the largest intermediate, plan vs tree size,
-    /// workers, serving tier and end-to-end time. A report without nodes
-    /// (nothing executed) renders output rows, tier and elapsed time
-    /// and nothing else.
+    /// workers, serving tier, patched groups and end-to-end time. A
+    /// report without nodes (nothing executed) renders output rows, tier
+    /// and elapsed time and nothing else.
     pub fn render(&self) -> String {
         self.render_inner(true)
     }
@@ -192,6 +197,10 @@ impl Report {
         };
         if let Some(tier) = self.tier {
             out.push_str(&format!(", tier {tier}"));
+        }
+        if let Some(groups) = self.patched_groups {
+            let plural = if groups == 1 { "" } else { "s" };
+            out.push_str(&format!(", patched {groups} group{plural}"));
         }
         if let Some(elapsed) = self.elapsed {
             out.push_str(&format!(", elapsed {}", time(elapsed)));

@@ -117,11 +117,13 @@ impl<V: Clone> ExprCache<V> {
     }
 
     /// Drop every entry for which `keep` returns false — the eager
-    /// per-relation invalidation sweep.
-    pub fn retain(&self, mut keep: impl FnMut(&Expr, &V) -> bool) {
+    /// per-relation sweep after a write. `keep` may update the entries it
+    /// keeps (the result tier marks the ones an insert leaves
+    /// patchable).
+    pub fn retain(&self, mut keep: impl FnMut(&Expr, &mut V) -> bool) {
         let mut buckets = self.buckets.lock().expect("cache poisoned");
         for bucket in buckets.values_mut() {
-            bucket.retain(|s| keep(&s.expr, &s.value));
+            bucket.retain_mut(|s| keep(&s.expr, &mut s.value));
         }
         buckets.retain(|_, b| !b.is_empty());
     }
@@ -214,7 +216,7 @@ mod tests {
         cache.insert(a.clone(), 1);
         cache.insert(b.clone(), 2);
         cache.insert(c.clone(), 3);
-        cache.retain(|_, &v| v != 2);
+        cache.retain(|_, v| *v != 2);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.get(&b), None);
         assert_eq!(cache.get(&a), Some(1));

@@ -33,9 +33,15 @@
 //! misses, never wrong results):
 //!
 //! * the **result cache** stamps each entry with the version
-//!   ([`Database::version_of`]) of every relation the query reads; any
+//!   ([`Database::version_of`]) of every relation the query reads; a
 //!   write to one of them invalidates the entry (eager sweep + stamp
-//!   re-validation on hit, against the database the query sees).
+//!   re-validation on hit, against the database the query sees) —
+//!   except an insert into `R` when the query is local to `R`'s groups
+//!   ([`sj_algebra::Expr::local_to_groups_of`]: division, the §5
+//!   counting plan, `π₁(R ⋉ …)`). Such an answer changes only in the
+//!   rows keyed by the inserted tuple's first value, so the entry stays,
+//!   marked with that key, and the next read re-runs the plan on just
+//!   the marked groups of `R` and splices the output into the answer.
 //!   A hit never leaves the thread that asked: [`Session::query`]
 //!   probes the tier itself and only a miss becomes a queued job;
 //! * the **plan cache** stamps entries with the statistics epoch and

@@ -34,7 +34,7 @@
 //! * **Result cache** — keyed by the submitted expression, stamped
 //!   with the version of every relation the expression reads. A hit
 //!   skips *everything* (optimize, plan, execute) and returns the
-//!   shared result `Arc`. Any write to a referenced relation
+//!   shared result `Arc`. A write to a referenced relation
 //!   invalidates the entry (eagerly swept on write, re-validated on
 //!   hit by comparing its stamps with [`Database::version_of`] in the
 //!   database the query sees — the live master, or a transaction's
@@ -44,6 +44,19 @@
 //!   (above), and the worker as the first thing it does with a job —
 //!   so when many clients miss together after an invalidation, the
 //!   first job to finish answers the rest from the cache.
+//! * **Patches** — the one write that does not invalidate: an insert
+//!   of `t` into `R` when the expression is local to `R`'s groups
+//!   ([`Expr::local_to_groups_of`]: `Q(R) = ⋃ₐ Q(σ₁₌ₐR)`, each part
+//!   keyed `a` in column 1). Then the insert changes only the answer's
+//!   rows keyed `t[1]`, so the sweep keeps the entry and marks it with
+//!   that key (`ResultEntry::pending`). The marked entry's stamps are
+//!   stale, so it is never a hit on the live master; the next worker
+//!   that runs the query takes its plan from the tier it always would,
+//!   executes it on the snapshot with `R` rebound to the marked groups
+//!   (`Relation::keyed_rows`) and splices the output over the old rows
+//!   for those keys (`Relation::splice_keyed`). The snapshot must hold
+//!   `R` at the marked version and every other relation at its stamp,
+//!   or the query runs in full as before.
 //! * **Plan cache** — keyed the same way, stamped with the statistics
 //!   epoch and the operand arities. A hit skips optimize+plan and
 //!   re-executes the cached physical plan against the current
@@ -66,7 +79,7 @@ use sj_eval::{
     Q_ERROR_BUDGET,
 };
 use sj_obs::{Counter, Histogram, MaxGauge, Metrics};
-use sj_storage::{Database, Relation, Snapshot, StorageError, Tuple};
+use sj_storage::{Database, Relation, Schema, Snapshot, StorageError, Tuple, Value};
 use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -324,14 +337,77 @@ struct PlanEntry {
 /// A result-tier entry: the shared result plus the version stamps it was
 /// computed under. Cached behind an `Arc`, so a lookup clones a
 /// pointer, not the stamps.
+#[derive(Clone)]
 struct ResultEntry {
     relation: Arc<Relation>,
     /// [`Database::version_of`] every relation the expression reads, in
     /// the snapshot the result was computed from — the validity token.
     deps: Vec<(String, Option<u64>)>,
+    /// Inserts the answer has not absorbed yet (see [`Pending`]).
+    pending: Option<Pending>,
+}
+
+/// Inserts into one relation since a result was computed, which the
+/// result can absorb without a full re-run because its expression is
+/// local to that relation's groups ([`Expr::local_to_groups_of`]).
+#[derive(Clone)]
+struct Pending {
+    relation: String,
+    /// The relation's version once the inserts are in.
+    version: u64,
+    /// The inserted tuples' first columns — the groups the inserts
+    /// touched — sorted and deduplicated.
+    keys: Vec<Value>,
 }
 
 impl ResultEntry {
+    /// The version of `relation` this entry's answer is, or can be
+    /// patched to be, correct at: the pending version when its inserts
+    /// are into `relation`, the stamp when nothing is pending, and no
+    /// version at all when inserts into another relation are pending.
+    fn version_seen(&self, relation: &str) -> Option<u64> {
+        match &self.pending {
+            Some(p) if p.relation == relation => Some(p.version),
+            Some(_) => None,
+            None => self
+                .deps
+                .iter()
+                .find(|(n, _)| n == relation)
+                .and_then(|(_, v)| *v),
+        }
+    }
+
+    /// The pending inserts, when `db` holds their relation at the
+    /// pending version and every other dependency at its stamp: then
+    /// the answer for `db` is this answer with the pending groups
+    /// re-run.
+    fn patch_under(&self, db: &Database) -> Option<&Pending> {
+        let p = self.pending.as_ref()?;
+        let current = self.deps.iter().all(|(name, version)| {
+            let want = if *name == p.relation {
+                Some(p.version)
+            } else {
+                *version
+            };
+            db.version_of(name) == want
+        });
+        current.then_some(p)
+    }
+
+    /// Record one more insert into `relation`, keyed `key`, that moved
+    /// it to `version`.
+    fn absorb_insert(&mut self, relation: &str, version: u64, key: &Value) {
+        let pending = self.pending.get_or_insert_with(|| Pending {
+            relation: relation.to_string(),
+            version,
+            keys: Vec::new(),
+        });
+        pending.version = version;
+        if let Err(at) = pending.keys.binary_search(key) {
+            pending.keys.insert(at, key.clone());
+        }
+    }
+
     /// Does `db` hold every relation the result read at the version it
     /// was stamped with (a relation removed since is `None`, which
     /// matches no stamp of a result that ran)? Compared in place — the
@@ -383,6 +459,15 @@ struct Shared {
     /// Jobs whose panic a worker contained
     /// (`sj_server_worker_panics_total`).
     worker_panics: Arc<Counter>,
+    /// `sj_server_result_patches_total`: answers made by re-running a
+    /// plan on the groups inserts touched and splicing the output into
+    /// the cached answer; `sj_server_patched_groups_total`: the groups
+    /// those runs read.
+    patches: Arc<Counter>,
+    patched_groups: Arc<Counter>,
+    /// `sj_server_result_invalidations_total{cause=…}`: result entries a
+    /// write's sweep dropped, indexed by [`Cause`].
+    invalidations: [Arc<Counter>; 3],
     /// Serving latency per tier (`sj_server_query_seconds{tier=...}`),
     /// indexed by [`Provenance`].
     latency: [Arc<Histogram>; 3],
@@ -409,6 +494,27 @@ struct Shared {
 
 #[cfg(test)]
 type Failpoint = Arc<dyn Fn(&Expr) + Send + Sync>;
+
+/// The write that dropped a result entry: the label of
+/// `sj_server_result_invalidations_total{cause=…}`.
+#[derive(Clone, Copy)]
+enum Cause {
+    Insert,
+    Set,
+    Remove,
+}
+
+impl Cause {
+    const ALL: [Cause; 3] = [Cause::Insert, Cause::Set, Cause::Remove];
+
+    fn label(self) -> &'static str {
+        match self {
+            Cause::Insert => "insert",
+            Cause::Set => "set",
+            Cause::Remove => "remove",
+        }
+    }
+}
 
 /// The capture a query executes against: an immutable snapshot — which
 /// carries the version of every relation in it, the validity stamps of
@@ -469,9 +575,11 @@ impl Shared {
     /// the run that produced it (`None`: a result-cache hit, which ran
     /// nothing): the tier's latency
     /// observation, the estimator-drift series
-    /// (`sj_server_max_q_error`, `sj_server_q_error_over_budget_total`)
-    /// and, when asked for, the rendered profile — the report with tier
-    /// and serving time stamped on it.
+    /// (`sj_server_max_q_error`, `sj_server_q_error_over_budget_total`;
+    /// not from a patch, whose plan was estimated for all of the
+    /// relation it ran on a few groups of) and, when asked for, the
+    /// rendered profile — the report with tier and serving time stamped
+    /// on it.
     fn respond(
         &self,
         relation: Arc<Relation>,
@@ -483,7 +591,11 @@ impl Shared {
     ) -> QueryResponse {
         let elapsed = started.elapsed();
         self.latency[provenance as usize].observe_duration(elapsed);
-        if let Some(q) = report.as_ref().and_then(Report::max_q_error) {
+        if let Some(q) = report
+            .as_ref()
+            .filter(|r| r.patched_groups.is_none())
+            .and_then(Report::max_q_error)
+        {
             self.record_q_error(q);
         }
         let profile = want_profile.then(|| {
@@ -608,32 +720,43 @@ impl Shared {
                         .iter()
                         .all(|(n, a)| schema.arity_of(n) == Some(*a))
             });
-        let (provenance, relation, report) = if let Some(entry) = cached {
-            self.plan_hits.inc();
-            let (relation, report) = entry.plan.execute_reported(db, self.per_query)?;
-            (Provenance::PlanCache, relation, Some(report))
-        } else {
-            // Cold: fork the instrumented template engine onto the
-            // snapshot, compile, execute, and populate the plan tier.
-            let out = self.template.fork(db.clone()).query(expr.clone()).run()?;
-            if let Some(plan) = out.plan.filter(|_| self.caching) {
-                let deps = expr
-                    .relation_names()
-                    .into_iter()
-                    .filter_map(|n| schema.arity_of(n).map(|a| (n.to_string(), a)))
-                    .collect();
-                self.plan_cache.insert(
-                    expr.clone(),
-                    PlanEntry {
-                        plan,
-                        deps,
-                        stats_epoch: ctx.stats_epoch,
-                    },
-                );
+        let (provenance, plan) = match cached {
+            Some(entry) => {
+                self.plan_hits.inc();
+                (Provenance::PlanCache, entry.plan)
             }
-            (Provenance::Cold, out.relation, out.report)
+            // Cold: fork the instrumented template engine onto the
+            // snapshot and compile against all of it.
+            None => (
+                Provenance::Cold,
+                self.template.fork(db.clone()).query(expr.clone()).plan()?,
+            ),
         };
-        let relation = Arc::new(relation);
+        // A result entry whose only news is inserts into groups it is
+        // local to needs just those groups re-run.
+        let stale = self.caching.then(|| self.result_cache.get(expr)).flatten();
+        let (relation, report) = match stale.as_deref().and_then(|e| Some((e, e.patch_under(db)?)))
+        {
+            Some((entry, pending)) => self.patch(&plan, db, entry, pending)?,
+            None => {
+                let (relation, report) = plan.execute_reported(db, self.per_query)?;
+                (Arc::new(relation), report)
+            }
+        };
+        if provenance == Provenance::Cold && self.caching {
+            let deps = expr
+                .relation_names()
+                .into_iter()
+                .filter_map(|n| schema.arity_of(n).map(|a| (n.to_string(), a)))
+                .collect();
+            let stats_epoch = ctx.stats_epoch;
+            let entry = PlanEntry {
+                plan,
+                deps,
+                stats_epoch,
+            };
+            self.plan_cache.insert(expr.clone(), entry);
+        }
         self.store_result(expr, &relation, db);
         span.attr("tier", provenance.tier());
         span.attr("out_rows", relation.len());
@@ -641,10 +764,38 @@ impl Shared {
             relation,
             provenance,
             ctx.snap.epoch(),
-            report,
+            Some(report),
             started,
             want_profile,
         ))
+    }
+
+    /// Bring `entry`'s answer up to `db` by running `plan` on the
+    /// pending groups alone — `db` with the inserted-into relation
+    /// rebound to its rows keyed by `pending.keys` — and splicing the
+    /// output over the answer's rows for those keys. Sound because the
+    /// expression is local to that relation's groups, the only news
+    /// since the answer are inserts into those groups, and `db` holds
+    /// every other relation the answer read as it was.
+    fn patch(
+        &self,
+        plan: &PhysicalPlan,
+        db: &Database,
+        entry: &ResultEntry,
+        pending: &Pending,
+    ) -> Result<(Arc<Relation>, Report), ServerError> {
+        let mut groups = db.clone();
+        let rows = db
+            .get(&pending.relation)
+            .expect("the pending version is in db")
+            .keyed_rows(&pending.keys);
+        groups.set(pending.relation.clone(), rows);
+        let (fresh, mut report) = plan.execute_reported(&groups, self.per_query)?;
+        report.patched_groups = Some(pending.keys.len());
+        self.patches.inc();
+        self.patched_groups.add(pending.keys.len() as u64);
+        let relation = entry.relation.splice_keyed(&pending.keys, &fresh);
+        Ok((relation, report))
     }
 
     /// Populate the result tier. The entry carries the versions of the
@@ -664,6 +815,7 @@ impl Shared {
                 Arc::new(ResultEntry {
                     relation: relation.clone(),
                     deps,
+                    pending: None,
                 }),
             );
         }
@@ -675,16 +827,22 @@ impl Shared {
     fn apply_write(&self, op: WriteOp) -> Result<u64, ServerError> {
         match op {
             WriteOp::Insert { relation, tuple } => {
-                let (fresh, epoch) = {
+                let key = tuple.get(0).cloned();
+                let (epoch, versions) = {
                     let mut master = self.master.write().expect("master poisoned");
-                    (master.db.insert(&relation, tuple)?, master.db.epoch())
+                    let before = master.db.version_of(&relation);
+                    let fresh = master.db.insert(&relation, tuple)?;
+                    let after = master.db.version_of(&relation);
+                    let versions = fresh.then(|| (before, after, master.db.schema()));
+                    (master.db.epoch(), versions)
                 };
                 self.writes.inc();
-                // Inserts can't change arity: results referencing the
-                // relation die, plans survive. A tuple already present
-                // changed nothing — same epoch, nothing to sweep.
-                if fresh {
-                    self.sweep_results(&relation);
+                // Inserts can't change arity: plans survive, and so do
+                // the results local to the relation's groups. A tuple
+                // already present changed nothing — same epoch, nothing
+                // to sweep.
+                if let Some((Some(before), Some(after), schema)) = versions {
+                    self.sweep_insert(&relation, key.as_ref(), before, after, &schema);
                 }
                 Ok(epoch)
             }
@@ -696,7 +854,7 @@ impl Shared {
                 };
                 self.writes.inc();
                 // Replacement may change the schema: sweep both tiers.
-                self.sweep_results(&relation);
+                self.sweep_results(&relation, Cause::Set);
                 self.sweep_plans(&relation);
                 Ok(epoch)
             }
@@ -711,7 +869,7 @@ impl Shared {
                     master.db.epoch()
                 };
                 self.writes.inc();
-                self.sweep_results(&relation);
+                self.sweep_results(&relation, Cause::Remove);
                 self.sweep_plans(&relation);
                 Ok(epoch)
             }
@@ -737,9 +895,50 @@ impl Shared {
         }
     }
 
-    fn sweep_results(&self, relation: &str) {
-        self.result_cache
-            .retain(|_, e| !e.deps.iter().any(|(n, _)| n == relation));
+    /// Drop every result that read `relation`.
+    fn sweep_results(&self, relation: &str, cause: Cause) {
+        let dropped = &self.invalidations[cause as usize];
+        self.result_cache.retain(|_, e| {
+            let keep = !e.deps.iter().any(|(n, _)| n == relation);
+            if !keep {
+                dropped.inc();
+            }
+            keep
+        });
+    }
+
+    /// The sweep after a fresh insert keyed `key` moved `relation` from
+    /// version `before` to `after`: a result that read it survives,
+    /// marked with `key`, when its answer is (or is pending to be) the
+    /// one at `before`, its expression is local to the relation's
+    /// groups and no insert into another relation is pending on it.
+    /// Every other result that read the relation is dropped. A sweep
+    /// that runs late — another write to the relation landed in between
+    /// — finds no answer at `before` and drops, so out-of-order sweeps
+    /// cost patches, never correctness.
+    fn sweep_insert(
+        &self,
+        relation: &str,
+        key: Option<&Value>,
+        before: u64,
+        after: u64,
+        schema: &Schema,
+    ) {
+        let dropped = &self.invalidations[Cause::Insert as usize];
+        self.result_cache.retain(|expr, e| {
+            if !e.deps.iter().any(|(n, _)| n == relation) {
+                return true;
+            }
+            let key = key.filter(|_| {
+                e.version_seen(relation) == Some(before)
+                    && expr.local_to_groups_of(relation, schema)
+            });
+            match key {
+                Some(key) => Arc::make_mut(e).absorb_insert(relation, after, key),
+                None => dropped.inc(),
+            }
+            key.is_some()
+        });
     }
 
     fn sweep_plans(&self, relation: &str) {
@@ -862,6 +1061,14 @@ impl Server {
                 metrics.counter_with("sj_server_queries_by_class_total", &[("class", class)])
             }),
             worker_panics: metrics.counter("sj_server_worker_panics_total"),
+            patches: metrics.counter("sj_server_result_patches_total"),
+            patched_groups: metrics.counter("sj_server_patched_groups_total"),
+            invalidations: Cause::ALL.map(|cause| {
+                metrics.counter_with(
+                    "sj_server_result_invalidations_total",
+                    &[("cause", cause.label())],
+                )
+            }),
             latency: [
                 Provenance::Cold,
                 Provenance::PlanCache,
@@ -1215,6 +1422,127 @@ mod tests {
             .contains("sj_server_cache_hits_total{tier=\"plan\"} 1"));
     }
 
+    fn insert(session: &Session, relation: &str, tuple: Tuple) {
+        let relation = relation.to_string();
+        session.write(WriteOp::Insert { relation, tuple }).unwrap();
+    }
+
+    fn counter(server: &Server, name: &str) -> u64 {
+        server.metrics().counter(name).get()
+    }
+
+    /// A patch changes what a plan runs on, not where the plan came
+    /// from: off the plan tier it is a plan-cache answer, after ANALYZE
+    /// retired the plans it is a cold one.
+    #[test]
+    fn a_patched_read_keeps_its_tiers_provenance() {
+        let server = Server::start(division_db(), config(1, CacheMode::PlanAndResult));
+        let session = server.session();
+        let e = division::division_double_difference("R", "S");
+        assert_eq!(
+            session.query(e.clone()).unwrap().provenance,
+            Provenance::Cold
+        );
+
+        // Group 3 gains its missing 7.
+        insert(&session, "R", tuple![3, 7]);
+        let warm = session.query(e.clone()).unwrap();
+        assert_eq!(warm.provenance, Provenance::PlanCache);
+        assert_eq!(*warm.relation, Relation::from_int_rows(&[&[1], &[3]]));
+        assert_eq!(counter(&server, "sj_server_result_patches_total"), 1);
+
+        session.write(WriteOp::Analyze).unwrap();
+        insert(&session, "R", tuple![2, 8]);
+        let cold = session.query(e.clone()).unwrap();
+        assert_eq!(cold.provenance, Provenance::Cold);
+        assert_eq!(*cold.relation, Relation::from_int_rows(&[&[1], &[2], &[3]]));
+        assert_eq!(counter(&server, "sj_server_result_patches_total"), 2);
+        let stats = server.stats();
+        assert_eq!((stats.cold(), stats.plan_hits), (2, 1));
+        // The patched answer is cached like any other.
+        assert_eq!(
+            session.query(e).unwrap().provenance,
+            Provenance::ResultCache
+        );
+    }
+
+    /// Inserts that leave every touched group's answer as it was hand
+    /// back the cached allocation itself, however many accumulated.
+    #[test]
+    fn a_patch_that_changes_nothing_returns_the_cached_allocation() {
+        let server = Server::start(division_db(), config(1, CacheMode::PlanAndResult));
+        let session = server.session();
+        let e = division::division_double_difference("R", "S");
+        let first = session.query(e.clone()).unwrap();
+        // Group 3 still lacks 7.
+        insert(&session, "R", tuple![3, 10]);
+        let second = session.query(e.clone()).unwrap();
+        assert!(Arc::ptr_eq(&first.relation, &second.relation));
+        assert!(second.epoch > first.epoch);
+        // Two more inserts, into groups 2 and 3, patched together.
+        insert(&session, "R", tuple![2, 9]);
+        insert(&session, "R", tuple![3, 11]);
+        let third = session.query(e).unwrap();
+        assert!(Arc::ptr_eq(&first.relation, &third.relation));
+        assert_eq!(counter(&server, "sj_server_result_patches_total"), 2);
+        assert_eq!(counter(&server, "sj_server_patched_groups_total"), 3);
+    }
+
+    /// The patch adds a key whose group an insert completed, and drops
+    /// one from `÷₌` whose group an insert made larger than `S` — and
+    /// touches no other key.
+    #[test]
+    fn patches_add_and_remove_exactly_the_touched_keys() {
+        let server = Server::start(division_db(), config(1, CacheMode::PlanAndResult));
+        let session = server.session();
+        let contains = division::division_double_difference("R", "S");
+        let equals = division::division_equality("R", "S");
+        let answer = |e: &Expr| session.query(e.clone()).unwrap();
+        let one = Relation::from_int_rows(&[&[1]]);
+        assert_eq!(*answer(&contains).relation, one);
+        assert_eq!(*answer(&equals).relation, one);
+
+        // Group 2 = {7, 8} = S: in both quotients now.
+        insert(&session, "R", tuple![2, 8]);
+        let both = Relation::from_int_rows(&[&[1], &[2]]);
+        assert_eq!(*answer(&contains).relation, both);
+        assert_eq!(*answer(&equals).relation, both);
+
+        // Group 1 = {7, 8, 9} ⊋ S: still in ÷, out of ÷₌.
+        insert(&session, "R", tuple![1, 9]);
+        assert_eq!(*answer(&contains).relation, both);
+        assert_eq!(*answer(&equals).relation, Relation::from_int_rows(&[&[2]]));
+        assert_eq!(counter(&server, "sj_server_result_patches_total"), 4);
+        assert_eq!(server.stats().cold(), 2);
+    }
+
+    /// The pending entry still carries the answer at its stamps: a
+    /// transaction pinned before the insert is served it as a hit, and
+    /// once a live read has patched the entry, re-runs on its own
+    /// snapshot — the old answer either way.
+    #[test]
+    fn a_txn_pinned_before_an_insert_reads_the_old_answer() {
+        let server = Server::start(division_db(), config(1, CacheMode::PlanAndResult));
+        let session = server.session();
+        let e = division::division_double_difference("R", "S");
+        let old = session.query(e.clone()).unwrap().relation;
+        let txn = session.begin();
+        insert(&session, "R", tuple![2, 8]);
+
+        let pinned = txn.query(e.clone()).unwrap();
+        assert_eq!(pinned.provenance, Provenance::ResultCache);
+        assert!(Arc::ptr_eq(&pinned.relation, &old));
+        assert_eq!(pinned.epoch, txn.epoch());
+
+        let live = session.query(e.clone()).unwrap();
+        assert_eq!(live.provenance, Provenance::PlanCache);
+        assert_eq!(*live.relation, Relation::from_int_rows(&[&[1], &[2]]));
+
+        let again = txn.query(e).unwrap();
+        assert_eq!(again.relation, old);
+        assert_eq!(again.epoch, txn.epoch());
+    }
+
     #[test]
     fn writes_to_unrelated_relations_leave_results_cached() {
         let mut db = division_db();
@@ -1361,41 +1689,56 @@ mod tests {
 
     /// Estimator drift on the plan tier: a cached plan keeps the
     /// estimates it was costed with, so re-running it over data that
-    /// changed since is exactly the run whose q-error matters.
+    /// changed since is exactly the run whose q-error matters. A patch
+    /// runs such a plan on a few groups its estimates do not describe,
+    /// so it feeds nothing.
     #[test]
     fn plan_tier_executions_feed_the_q_error_series() {
         // σ₁₌₂ over 20 rows with a ≠ b everywhere: estimated ≈ 1 row,
-        // actually 0 — within budget on the cold run.
+        // actually 0 — within budget on the cold runs. `π₂` drops the
+        // group key, so only the bare filter is patched.
         let rows: Vec<[i64; 2]> = (0..20).map(|i| [i, i + 100]).collect();
         let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
         let mut db = Database::new();
         db.set("R", Relation::from_int_rows(&refs));
-        let e = Expr::rel("R").select_eq(1, 2);
+        let local = Expr::rel("R").select_eq(1, 2);
+        let e = local.clone().project([2]);
+        assert!(local.local_to_groups_of("R", &db.schema()));
+        assert!(!e.local_to_groups_of("R", &db.schema()));
         // The plan the server is about to cache, costed on those 20 rows.
         let plan = Engine::new(db.clone())
             .optimize(OptimizeLevel::Full)
             .query(e.clone())
-            .run()
-            .unwrap()
-            .plan
+            .plan()
             .unwrap();
 
         let server = Server::start(db, config(1, CacheMode::PlanAndResult));
         let session = server.session();
-        let over_budget = || {
-            let metrics = server.metrics();
-            metrics.counter("sj_server_q_error_over_budget_total").get()
-        };
-        let cold = session.query(e.clone()).unwrap();
-        assert_eq!(cold.provenance, Provenance::Cold);
+        let counter = |name: &str| server.metrics().counter(name).get();
+        let over_budget = || counter("sj_server_q_error_over_budget_total");
+        for query in [&e, &local] {
+            let cold = session.query(query.clone()).unwrap();
+            assert_eq!(cold.provenance, Provenance::Cold);
+        }
         assert_eq!(over_budget(), 0);
+        let seen = server.stats().max_q_error_seen;
 
-        // Twenty rows with a = b: the result entry dies, the plan — and
-        // its one-row estimate for the filter — survives.
+        // Twenty rows with a = b: the non-local result entry dies, the
+        // plans — and their one-row estimates for the filter — survive.
         for k in 200..220 {
             let (relation, tuple) = ("R".into(), tuple![k, k]);
             session.write(WriteOp::Insert { relation, tuple }).unwrap();
         }
+        let patched = session.query_profiled(local).unwrap();
+        assert_eq!(patched.provenance, Provenance::PlanCache);
+        assert_eq!(patched.relation.len(), 20);
+        let p = patched.profile.unwrap();
+        assert!(p.contains("patched 20 groups"), "{p}");
+        assert!(p.contains("(over budget)"), "a bad estimate: {p}");
+        assert_eq!(counter("sj_server_result_patches_total"), 1);
+        assert_eq!(over_budget(), 0, "the patch fed no q-error");
+        assert_eq!(server.stats().max_q_error_seen, seen);
+
         let warm = session.query(e).unwrap();
         assert_eq!(warm.provenance, Provenance::PlanCache);
         // That run again, outside the server: stale plan, new data.
@@ -1448,8 +1791,9 @@ mod tests {
             "a hit prints nothing it has no value for: {p}"
         );
 
-        // Kill the result entry but keep the plan: the plan-cache hit
-        // re-executes instrumented and carries the full breakdown.
+        // An insert into group 2 leaves the entry pending: the plan-cache
+        // hit re-executes instrumented on that group alone, and its
+        // breakdown says so — |D| is group 2 of R (two rows) plus S.
         session
             .write(WriteOp::Insert {
                 relation: "R".into(),
@@ -1459,7 +1803,8 @@ mod tests {
         let warm = session.query_profiled(e.clone()).unwrap();
         assert_eq!(warm.provenance, Provenance::PlanCache);
         let p = warm.profile.as_deref().unwrap();
-        assert!(p.contains("tier plan-cache"), "{p}");
+        assert!(p.contains("tier plan-cache, patched 1 group,"), "{p}");
+        assert!(p.contains("|D| = 4,"), "{p}");
         assert!(p.contains("arity"), "{p}");
         assert_eq!(*warm.relation, Relation::from_int_rows(&[&[1], &[2]]));
 
@@ -1502,6 +1847,29 @@ mod tests {
         assert!(text.contains("sj_server_max_q_error"), "{text}");
         // The exposition is stable between scrapes with no traffic.
         assert_eq!(server.metrics_text(), text);
+
+        // An insert patches the local division and drops the non-local
+        // `π₂(R)`; replacing S and removing R drop the rest.
+        let non_local = Expr::rel("R").project([2]);
+        session.query(non_local.clone()).unwrap();
+        insert(&session, "R", tuple![2, 8]);
+        session.query(e.clone()).unwrap();
+        let rows = Relation::from_int_rows(&[&[7]]);
+        let relation = "S".to_string();
+        session.write(WriteOp::Set { relation, rows }).unwrap();
+        session.query(non_local).unwrap();
+        let relation = "R".to_string();
+        session.write(WriteOp::Remove { relation }).unwrap();
+        let text = server.metrics_text();
+        for series in [
+            "sj_server_result_patches_total 1",
+            "sj_server_patched_groups_total 1",
+            "sj_server_result_invalidations_total{cause=\"insert\"} 1",
+            "sj_server_result_invalidations_total{cause=\"set\"} 1",
+            "sj_server_result_invalidations_total{cause=\"remove\"} 1",
+        ] {
+            assert!(text.contains(series), "{series}: {text}");
+        }
     }
 
     #[test]

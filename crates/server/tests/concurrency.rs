@@ -360,7 +360,10 @@ fn arb_db() -> impl Strategy<Value = Database> {
 #[derive(Clone, Debug)]
 enum Step {
     Query(usize),
+    /// Into `R`: patches the local pool entries, drops the rest.
     Insert(i64, i64),
+    /// Into `S`: drops every entry that read it.
+    InsertS(i64),
     Analyze,
 }
 
@@ -369,11 +372,14 @@ fn arb_script() -> impl Strategy<Value = Vec<Step>> {
     // the query arm so queries dominate the scripts.
     proptest::collection::vec(
         prop_oneof![
-            (0usize..6).prop_map(Step::Query),
-            (0usize..6).prop_map(Step::Query),
-            (0usize..6).prop_map(Step::Query),
-            (0usize..6).prop_map(Step::Query),
+            (0usize..7).prop_map(Step::Query),
+            (0usize..7).prop_map(Step::Query),
+            (0usize..7).prop_map(Step::Query),
+            (0usize..7).prop_map(Step::Query),
+            (0usize..7).prop_map(Step::Query),
             (0i64..6, 0i64..6).prop_map(|(g, b)| Step::Insert(g, b)),
+            (0i64..6, 0i64..6).prop_map(|(g, b)| Step::Insert(g, b)),
+            (0i64..6).prop_map(Step::InsertS),
             Just(Step::Analyze),
         ],
         1..25,
@@ -388,6 +394,8 @@ fn script_pool() -> Vec<Expr> {
         Expr::rel("R").project([1]),
         Expr::rel("R").semijoin_eq([(2, 1)], Expr::rel("S")),
         Expr::rel("R").select_eq(1, 2).project([2]),
+        // Keeps the group key, but not in column 1: never patched.
+        Expr::rel("R").project([2, 1]),
     ]
 }
 
@@ -420,6 +428,12 @@ proptest! {
                     local.insert("R", t.clone()).unwrap();
                     cs.write(WriteOp::Insert { relation: "R".into(), tuple: t.clone() }).unwrap();
                     us.write(WriteOp::Insert { relation: "R".into(), tuple: t }).unwrap();
+                }
+                Step::InsertS(b) => {
+                    let t = Tuple::from_ints(&[b]);
+                    local.insert("S", t.clone()).unwrap();
+                    cs.write(WriteOp::Insert { relation: "S".into(), tuple: t.clone() }).unwrap();
+                    us.write(WriteOp::Insert { relation: "S".into(), tuple: t }).unwrap();
                 }
                 Step::Analyze => {
                     cs.write(WriteOp::Analyze).unwrap();

@@ -167,6 +167,58 @@ impl Relation {
         self.tuples.binary_search(t).is_ok()
     }
 
+    /// The rows keyed by `key` — first column equal to it — as a range of
+    /// [`Relation::tuples`]: they are contiguous in the canonical order.
+    fn key_range(&self, key: &Value) -> std::ops::Range<usize> {
+        let start = self.tuples.partition_point(|t| t[0] < *key);
+        let len = self.tuples[start..].partition_point(|t| t[0] == *key);
+        start..start + len
+    }
+
+    /// The rows whose first column is one of `keys` (sorted,
+    /// deduplicated): `σ₁∈keys(self)`, one binary search per key, in
+    /// canonical order without re-sorting. The relation must have a
+    /// first column.
+    pub fn keyed_rows(&self, keys: &[Value]) -> Relation {
+        debug_assert!(self.arity >= 1, "keyed_rows: no first column");
+        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys not sorted");
+        let mut out = Vec::new();
+        for key in keys {
+            out.extend_from_slice(&self.tuples[self.key_range(key)]);
+        }
+        Relation::raw(self.arity, out)
+    }
+
+    /// `self` with the rows keyed by `keys` (sorted, deduplicated)
+    /// replaced by `rows`, whose first columns must all lie in `keys`:
+    /// `(self − σ₁∈keys(self)) ∪ rows` in one linear pass: each key's
+    /// new rows take the place of its old ones in the canonical order.
+    /// When the keyed rows already are `rows`, nothing is copied and the
+    /// result is `self`'s own `Arc`.
+    pub fn splice_keyed(self: &Arc<Self>, keys: &[Value], rows: &Relation) -> Arc<Relation> {
+        debug_assert_eq!(self.arity, rows.arity, "splice_keyed: arity mismatch");
+        debug_assert!(
+            rows.iter().all(|t| keys.binary_search(&t[0]).is_ok()),
+            "splice_keyed: a row outside the keys"
+        );
+        let ranges: Vec<_> = keys.iter().map(|k| self.key_range(k)).collect();
+        let replaced = ranges.iter().flat_map(|r| &self.tuples[r.clone()]);
+        if replaced.eq(rows.iter()) {
+            return self.clone();
+        }
+        let mut out = Vec::with_capacity(self.len() + rows.len());
+        let (mut from, mut new) = (0, rows.tuples.as_slice());
+        for (key, r) in keys.iter().zip(&ranges) {
+            out.extend_from_slice(&self.tuples[from..r.start]);
+            let n = new.partition_point(|t| t[0] == *key);
+            out.extend_from_slice(&new[..n]);
+            new = &new[n..];
+            from = r.end;
+        }
+        out.extend_from_slice(&self.tuples[from..]);
+        Arc::new(Relation::raw(self.arity, out))
+    }
+
     /// Insert a tuple, keeping the canonical order. Returns `true` if the
     /// tuple was new. Errors on arity mismatch.
     pub fn insert(&mut self, t: Tuple) -> crate::Result<bool> {
@@ -637,6 +689,44 @@ mod tests {
         // correct either way.
         assert!(!a.insert(tuple![2, 9]).unwrap());
         assert_eq!(a.columns().len(), 2);
+    }
+
+    #[test]
+    fn keyed_rows_slice_the_groups_of_sorted_keys() {
+        let a = r(&[&[1, 7], &[1, 8], &[2, 7], &[3, 8], &[3, 9]]);
+        let keys = |ks: &[i64]| ks.iter().map(|&k| Value::int(k)).collect::<Vec<_>>();
+        assert_eq!(
+            a.keyed_rows(&keys(&[1, 3])),
+            r(&[&[1, 7], &[1, 8], &[3, 8], &[3, 9]])
+        );
+        assert_eq!(a.keyed_rows(&keys(&[2])), r(&[&[2, 7]]));
+        assert!(a.keyed_rows(&keys(&[0, 4])).is_empty());
+        assert_eq!(a.keyed_rows(&keys(&[0, 4])).arity(), 2);
+        assert!(a.keyed_rows(&[]).is_empty());
+    }
+
+    #[test]
+    fn splice_keyed_replaces_exactly_the_keyed_groups() {
+        let a = Arc::new(r(&[&[1, 7], &[2, 7], &[2, 8], &[4, 1]]));
+        let keys = |ks: &[i64]| ks.iter().map(|&k| Value::int(k)).collect::<Vec<_>>();
+        // Same rows for the touched groups: the very same allocation.
+        let same = a.splice_keyed(&keys(&[2, 3]), &r(&[&[2, 7], &[2, 8]]));
+        assert!(Arc::ptr_eq(&same, &a));
+        // A group shrinks, one appears, one untouched group stays.
+        let patched = a.splice_keyed(&keys(&[2, 3]), &r(&[&[2, 9], &[3, 0]]));
+        assert_eq!(*patched, r(&[&[1, 7], &[2, 9], &[3, 0], &[4, 1]]));
+        // A group empties out.
+        let gone = a.splice_keyed(&keys(&[1, 4]), &Relation::empty(2));
+        assert_eq!(*gone, r(&[&[2, 7], &[2, 8]]));
+        // Every splice equals the set expression it stands for.
+        let ks = keys(&[1, 2]);
+        let rows = r(&[&[1, 1], &[2, 2]]);
+        let want = a
+            .difference(&a.keyed_rows(&ks))
+            .unwrap()
+            .union(&rows)
+            .unwrap();
+        assert_eq!(*a.splice_keyed(&ks, &rows), want);
     }
 
     #[test]
