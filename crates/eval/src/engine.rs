@@ -103,7 +103,7 @@ pub enum Instrument {
     Off,
     /// Record per-node cardinalities (the Definition 16 quantities),
     /// self times and — under [`Strategy::Planned`] — estimates and
-    /// partition counts in a [`Report`], plus the end-to-end
+    /// sharing counts in a [`Report`], plus the end-to-end
     /// [`Report::elapsed`]; [`Report::render`] is the `EXPLAIN
     /// ANALYZE`-style table (with a timing-masked form for golden
     /// tests).
@@ -121,10 +121,6 @@ pub struct QueryOutput {
     pub report: Option<Report>,
     /// The physical plan that was executed ([`Strategy::Planned`] only).
     pub plan: Option<PhysicalPlan>,
-    /// The parallelism the engine ran the query under. Worker counts and
-    /// per-partition timings appear in the report ([`Report::workers`],
-    /// [`crate::NodeStat::partitions`]).
-    pub parallelism: Parallelism,
 }
 
 /// The result of a table-routed [`Engine::divide`] /
@@ -192,15 +188,13 @@ impl Engine {
         self
     }
 
-    /// Set the execution parallelism. Under [`Parallelism::Threads`] the
-    /// planned executor runs independent DAG nodes concurrently and
-    /// join/semijoin nodes partition-parallel where the cost model's
-    /// gate says the operands are large enough, and the registry's
-    /// `auto` selectors price the partition-parallel division/set-join
-    /// variants at this worker count. Results are byte-identical to
-    /// [`Parallelism::Serial`] (the default) for every worker count; the
-    /// tree-walking [`Strategy::Naive`] evaluator — a measurement
-    /// instrument, not a production path — always runs serially.
+    /// Set the worker budget of [`Engine::divide`] and
+    /// [`Engine::set_join`]: the registry's `auto` selectors price the
+    /// partition-parallel division/set-join variants at this worker
+    /// count, and the pick runs at it. Queries ignore it: every plan runs
+    /// on the caller's thread (see [`crate::par`]). Results are
+    /// byte-identical to [`Parallelism::Serial`] (the default) for every
+    /// worker count.
     pub fn parallelism(mut self, parallelism: Parallelism) -> Engine {
         self.parallelism = parallelism;
         self
@@ -390,13 +384,6 @@ impl Query<'_> {
         let start = Instant::now();
         let expr = self.optimized()?;
         let instrumented = engine.instrument != Instrument::Off;
-        // The tree-walking evaluators are measurement instruments (one
-        // evaluation per tree node is their point); only the planned
-        // executor honors the parallelism knob.
-        let parallelism = match engine.strategy {
-            Strategy::Planned => engine.parallelism,
-            Strategy::Naive => Parallelism::Serial,
-        };
         let (relation, mut report, plan) = match engine.strategy {
             Strategy::Naive if instrumented => {
                 let (relation, report) = evaluate_instrumented(&expr, &engine.db)?;
@@ -406,10 +393,10 @@ impl Query<'_> {
             Strategy::Planned => {
                 let plan = engine.plan_for(&expr)?;
                 let (relation, report) = if instrumented {
-                    let (relation, report) = plan.execute_reported(&engine.db, parallelism)?;
+                    let (relation, report) = plan.execute_reported(&engine.db)?;
                     (relation, Some(report))
                 } else {
-                    (plan.execute_with(&engine.db, parallelism)?, None)
+                    (plan.execute_with(&engine.db)?, None)
                 };
                 (relation, report, Some(plan))
             }
@@ -421,7 +408,6 @@ impl Query<'_> {
             relation,
             report,
             plan,
-            parallelism,
         })
     }
 
@@ -508,7 +494,7 @@ mod tests {
             !rendered.contains("est≈"),
             "no estimate, no column: {rendered}"
         );
-        assert!(rendered.contains("  ×1  [serial]  -"), "{rendered}");
+        assert!(rendered.contains("  ×1  -"), "{rendered}");
         assert_eq!(report.nodes.len(), e.node_count());
         assert_eq!(report.output_rows, out.relation.len());
 
@@ -672,40 +658,29 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_knob_preserves_results_and_reports_workers() {
+    fn queries_run_the_same_under_every_parallelism() {
         let e = division::division_double_difference("R", "S");
         let serial = Engine::new(division_db())
             .instrument(Instrument::Cardinalities)
             .query(e.clone())
             .run()
             .unwrap();
-        assert_eq!(serial.parallelism, Parallelism::Serial);
-        for par in [Parallelism::Threads(2), Parallelism::Threads(4)] {
-            let out = Engine::new(division_db())
-                .parallelism(par)
-                .instrument(Instrument::Cardinalities)
-                .query(e.clone())
-                .run()
-                .unwrap();
-            assert_eq!(out.relation, serial.relation, "{par}");
-            assert_eq!(out.parallelism, par);
-            let report = out.report.unwrap();
-            assert_eq!(report.workers, par.workers());
-            assert_eq!(
-                report.max_intermediate(),
-                serial.report.as_ref().unwrap().max_intermediate()
-            );
+        let stable = serial.report.as_ref().unwrap().render_stable();
+        for strategy in [Strategy::Planned, Strategy::Naive] {
+            for par in [Parallelism::Threads(2), Parallelism::Threads(4)] {
+                let out = Engine::new(division_db())
+                    .strategy(strategy)
+                    .parallelism(par)
+                    .instrument(Instrument::Cardinalities)
+                    .query(e.clone())
+                    .run()
+                    .unwrap();
+                assert_eq!(out.relation, serial.relation, "{strategy} under {par}");
+                if strategy == Strategy::Planned {
+                    assert_eq!(out.report.unwrap().render_stable(), stable, "{par}");
+                }
+            }
         }
-        // The tree-walking strategies ignore the knob: they are the
-        // measurement instruments and always run serially.
-        let naive = Engine::new(division_db())
-            .strategy(Strategy::Naive)
-            .parallelism(Parallelism::Threads(4))
-            .query(e)
-            .run()
-            .unwrap();
-        assert_eq!(naive.parallelism, Parallelism::Serial);
-        assert_eq!(naive.relation, serial.relation);
     }
 
     #[test]

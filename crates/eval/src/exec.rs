@@ -15,8 +15,12 @@
 //! points accept and ignore, because `benchmark/` compiles against those
 //! signatures and only a benchmark-purpose PR may edit it; that PR drops
 //! the arguments and these types with them (and, in `sj-algebra`, the
-//! identity `OptimizeLevel::pipeline`). The test below fails, naming
-//! the shim, as soon as `benchmark/` stops calling one.
+//! identity `OptimizeLevel::pipeline`). Three more arguments outlived
+//! the partition-parallel plan executor the same way: the kernels'
+//! `workers`, `execute_with_execution`'s `Parallelism` and
+//! `ServerConfig::cores` — plans run on the caller's thread. The test
+//! below fails, naming the shim, as soon as `benchmark/` stops calling
+//! one.
 
 /// The planned executor's operator implementations. One value: not an
 /// option.
@@ -82,6 +86,12 @@ mod tests {
                 "sj_eval::JoinOrder (with PhysicalPlan::of_costed_with_order's order argument)",
             ),
             (".join_order(", "Engine::join_order"),
+            ("exec, nproc)", "the `kernel::*` entry points' `workers` argument"),
+            (
+                "execute_with_execution(db, Parallelism::",
+                "PhysicalPlan::execute_with_execution's `Parallelism` argument",
+            ),
+            ("cores:", "ServerConfig::cores"),
         ] {
             assert!(
                 source.contains(call),

@@ -51,7 +51,6 @@ pub fn evaluate_instrumented(expr: &Expr, db: &Database) -> Result<(Relation, Re
             estimate: None,
             occurrences: 1,
             elapsed,
-            partitions: Vec::new(),
         });
     });
     // Observed children first; reported in pre-order.
@@ -61,7 +60,6 @@ pub fn evaluate_instrumented(expr: &Expr, db: &Database) -> Result<(Relation, Re
         nodes,
         db_size: db.size(),
         expr_nodes: expr.node_count(),
-        workers: 1,
         ..Report::default()
     };
     Ok((result, report))

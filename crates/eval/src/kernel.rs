@@ -1,8 +1,7 @@
 //! The kernel layer: the one home of hash join, hash semijoin, merge
 //! join and merge semijoin on the planned path, each written **once**
-//! over a selection of its operands' rows (`Rows`), and of the planned
-//! path's projection, grouping and tagging ([`project`],
-//! [`group_count`], [`tag`]).
+//! over its two whole operands, and of the planned path's projection,
+//! grouping and tagging ([`project`], [`group_count`], [`tag`]).
 //!
 //! **Prefix consumers.** A canonical relation is sorted by every prefix
 //! `1..k` of its columns, and a ⋉ or σ emits ascending row ids of its
@@ -14,31 +13,17 @@
 //! built for the distinct keys only, never for the rows the consumer
 //! would discard.
 //!
-//! A kernel call cuts its two operands into partition pairs and runs the
-//! operator body on every pair:
-//!
-//! * `workers ≤ 1` is the degenerate partitioning: one pair covering
-//!   `0..len` of both operands as plain ranges. No index list is built,
-//!   no thread or `kernel.partition` span is opened, and no
-//!   [`PartitionStat`] is reported — a serial node has no partitions.
-//! * `workers > 1` places every row by a hash of its key (`hash %
-//!   workers`) into ascending index lists, so equal keys co-locate, and
-//!   fans the pairs out over scoped worker threads; the same body runs
-//!   per pair and one [`PartitionStat`] per pair is collected.
-//!
 //! **Key codes.** A hash kernel reads its equality columns in the joint,
 //! order-preserving code space of [`sj_storage::column::joint_codes`]:
 //! each left key column is coded together with its right partner, so a
 //! key is a row of `i64`s and key equality across the two relations is
 //! integer equality — zero-copy for integer columns, one remap per call
-//! for two dictionaries. The codes place the rows, key the build table,
-//! and confirm every candidate pair; no key cell is read as a `Value`.
-//! The merge variants compare key prefixes through
-//! [`sj_storage::Columns::cell_cmp`] (an `i64` or dictionary-code compare
-//! on typed columns) and place rows by the value-based
-//! [`sj_storage::Columns::key_hashes`]. No input tuple is cloned into a
-//! partition — partitions are 4-byte row indices into the shared
-//! operands.
+//! for two dictionaries. The codes key the build table and confirm every
+//! candidate pair; no key cell is read as a `Value`. The merge variants
+//! compare key prefixes through [`sj_storage::Columns::cell_cmp`] (an
+//! `i64` or dictionary-code compare on typed columns). No input tuple is
+//! cloned into a build table — postings are 4-byte row indices into the
+//! shared operands.
 //!
 //! **Runs.** Under a prefix consumer the left operand's rows come in
 //! runs of equal `k`-prefix, found by typed passes over its columns
@@ -47,325 +32,64 @@
 //! per run, and the gather that builds the output reads the key cells of
 //! one row per run from the columns.
 //!
-//! Every selection is ascending, so every body emits in canonical
-//! order: join bodies yield sorted tuples, semijoin bodies yield
-//! ascending left row ids. One partition's output therefore *is* the
-//! result; several partitions are merged by ordering `u32` row ids and
-//! gathering once (⋉), or by one canonicalization pass over the
-//! key-disjoint concatenation (⋈). Either way the result goes through
-//! [`Relation::from_sorted_tuples`], whose linear order check is the
-//! safety net behind the "already sorted" claims.
+//! Every body walks its left operand in row order, so every body emits
+//! in canonical order: join bodies yield sorted tuples, semijoin bodies
+//! yield ascending left row ids, gathered once. Either way the result
+//! goes through [`Relation::from_sorted_tuples`], whose linear order
+//! check is the safety net behind the "already sorted" claims.
 //!
-//! A θ with no equality atom has no key to hash: the filtered nested
-//! loop runs over the left operand cut into at most `workers` contiguous
-//! ranges, each seeing the whole right operand (one range when serial).
-//! Operands beyond the `u32` row capacity are an input condition, not a
-//! panic: one gate at every entry point, for every worker count, hands
-//! them to the row operators [`ops::join`] / [`ops::semijoin`] (a merge
-//! call on its rebuilt condition `1=1 ∧ … ∧ k=k ∧ residual`; a prefix
-//! consumer applies [`project`] / [`group_count`] to that result).
+//! A θ with no equality atom has no key to hash: a filtered nested loop
+//! runs instead. Operands beyond the `u32` row capacity are an input
+//! condition, not a panic: one gate at every entry point hands them to
+//! the row operators [`ops::join`] / [`ops::semijoin`] (a merge call on
+//! its rebuilt condition `1=1 ∧ … ∧ k=k ∧ residual`; a prefix consumer
+//! applies [`project`] / [`group_count`] to that result).
 //!
-//! Output is byte-identical to [`crate::ops`] for every worker count —
-//! `tests/vectorized.rs` holds the kernels to the row operators and to a
-//! brute-force nested loop on every θ shape and operand kind.
+//! Every kernel runs on the calling thread. The `workers` argument of
+//! [`join`], [`semijoin`], [`merge_join`], [`merge_semijoin`] and
+//! [`multiway_join`] is accepted and ignored, like their `_exec` (see
+//! [`crate::exec`]): `benchmark/` still spells both.
+//!
+//! Output is byte-identical to [`crate::ops`] — `tests/vectorized.rs`
+//! holds the kernels to the row operators and to a brute-force nested
+//! loop on every θ shape and operand kind.
 
 use crate::exec::Execution;
 use crate::ops::{self, split_condition};
 use crate::ops_vec::gather;
 use sj_algebra::Condition;
-use sj_setjoin::parallel::fan_out;
 use sj_storage::column::{hash_int_cell, joint_codes};
 use sj_storage::{ensure_u32_indexable, Columns, FxHashMap, Relation, Tuple, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::Range;
-use std::time::{Duration, Instant};
-
-/// Execution record of one partition of a partition-parallel operator,
-/// surfaced through [`crate::NodeStat::partitions`] so instrumented runs
-/// expose the per-partition build/probe timings and the skew between
-/// partitions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionStat {
-    /// Partition index (stable: a pure function of the tuple key hash).
-    pub partition: usize,
-    /// Left-operand tuples routed to this partition.
-    pub left_rows: usize,
-    /// Right-operand tuples routed to this partition.
-    pub right_rows: usize,
-    /// Rows this partition's body emitted: output tuples of a ⋈; left
-    /// rows with a partner of a ⋉ (under a fused `π[1..k]`, the first
-    /// survivor of each run of equal `k`-prefix); runs of equal key
-    /// prefix with a partner of a group-join.
-    pub out_rows: usize,
-    /// Wall-clock time of this partition's build + probe.
-    pub elapsed: Duration,
-}
-
-// ---------------------------------------------------------------------------
-// Row selections and the partition driver
-// ---------------------------------------------------------------------------
-
-/// An ascending selection of one operand's rows — what one partition of
-/// a kernel call sees of that operand.
-#[derive(Debug, Clone, Copy)]
-enum Rows<'a> {
-    /// The contiguous rows `start..end`: the whole operand of a serial
-    /// run, or one chunk of the split used when θ has no equality atom.
-    Range(usize, usize),
-    /// One hash partition: the listed rows, ascending.
-    List(&'a [u32]),
-}
-
-impl Rows<'_> {
-    /// Every row of `r`.
-    fn all(r: &Relation) -> Rows<'static> {
-        Rows::Range(0, r.len())
-    }
-
-    #[inline]
-    fn len(self) -> usize {
-        match self {
-            Rows::Range(start, end) => end - start,
-            Rows::List(rows) => rows.len(),
-        }
-    }
-
-    /// The absolute row index of the selection's `k`-th row.
-    #[inline(always)]
-    fn at(self, k: usize) -> usize {
-        match self {
-            Rows::Range(start, _) => start + k,
-            Rows::List(rows) => rows[k] as usize,
-        }
-    }
-
-    /// Where the runs of equal `k`-prefix of `r` begin among the
-    /// selected rows ([`Columns::run_starts`]).
-    fn run_starts(self, r: &Relation, k: usize) -> Vec<usize> {
-        let cols = r.columns();
-        match self {
-            Rows::Range(start, end) => cols.run_starts(k, end - start, |p| start + p),
-            Rows::List(rows) => cols.run_starts(k, rows.len(), |p| rows[p] as usize),
-        }
-    }
-
-    /// The first selected row at `positions` that `accept`s — the
-    /// selection's kind matched once, not per row.
-    #[inline]
-    fn find(self, positions: Range<usize>, accept: impl Fn(usize) -> bool) -> Option<usize> {
-        match self {
-            Rows::Range(start, _) => {
-                (start + positions.start..start + positions.end).find(|&i| accept(i))
-            }
-            Rows::List(rows) => rows[positions]
-                .iter()
-                .map(|&i| i as usize)
-                .find(|&i| accept(i)),
-        }
-    }
-}
 
 /// True when both operands fit the `u32` row ids the kernels store in
-/// partition lists, hash-table postings and semijoin survivor lists.
-/// Beyond that the row operators of [`crate::ops`] take over: capacity
-/// is an input condition, not a panic.
+/// hash-table postings and semijoin survivor lists. Beyond that the row
+/// operators of [`crate::ops`] take over: capacity is an input
+/// condition, not a panic.
 fn fits_row_ids(left_rows: usize, right_rows: usize) -> bool {
     ensure_u32_indexable(left_rows).is_ok() && ensure_u32_indexable(right_rows).is_ok()
 }
 
-/// Place rows `0..len` into `n` ascending index lists by
-/// `hash(row) % n`. Every caller sits behind the [`fits_row_ids`] gate,
-/// so `i as u32` is exact.
-fn place(len: usize, n: usize, hash: impl Fn(usize) -> u64) -> Vec<Vec<u32>> {
-    let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for i in 0..len {
-        lists[(hash(i) % n as u64) as usize].push(i as u32);
-    }
-    lists
-}
-
-/// Where a keyed kernel call placed its operands' rows: one ascending
-/// index list per partition and operand. A serial run places nothing.
-#[derive(Default)]
-struct Placement {
-    left: Vec<Vec<u32>>,
-    right: Vec<Vec<u32>>,
-}
-
-impl Placement {
-    /// Place both operands' `(rows, key hash)` so matching keys meet in
-    /// the same partition. A serial run hashes nothing.
-    fn by_hash(
-        (left_rows, left_hash): (usize, impl Fn(usize) -> u64),
-        (right_rows, right_hash): (usize, impl Fn(usize) -> u64),
-        workers: usize,
-    ) -> Placement {
-        if workers <= 1 {
-            return Placement::default();
-        }
-        Placement {
-            left: place(left_rows, workers, left_hash),
-            right: place(right_rows, workers, right_hash),
-        }
-    }
-
-    /// [`Placement::by_hash`] on the aligned key prefix `0..k` of a merge
-    /// kernel (partitions stay key-sorted — they are subsequences).
-    fn by_prefix(r1: &Relation, r2: &Relation, k: usize, workers: usize) -> Placement {
-        if workers <= 1 {
-            return Placement::default();
-        }
-        let cols: Vec<usize> = (0..k).collect();
-        let (lh, rh) = (
-            r1.columns().key_hashes(&cols),
-            r2.columns().key_hashes(&cols),
-        );
-        Placement::by_hash((lh.len(), |i| lh[i]), (rh.len(), |j| rh[j]), workers)
-    }
-
-    /// The partition pairs: the placed lists, or — nothing placed — the
-    /// one pair covering every row of both operands.
-    fn pairs(&self, r1: &Relation, r2: &Relation) -> Vec<(Rows<'_>, Rows<'_>)> {
-        if self.left.is_empty() {
-            return vec![(Rows::all(r1), Rows::all(r2))];
-        }
-        self.left
-            .iter()
-            .zip(&self.right)
-            .map(|(l, r)| (Rows::List(l), Rows::List(r)))
-            .collect()
-    }
-}
-
-/// Split `0..len` into at most `n` contiguous ranges — the partitioning
-/// used when there is no key to hash on. No rows, no chunks.
-fn chunk_rows(len: usize, n: usize) -> Vec<Rows<'static>> {
-    let per = len.div_ceil(n.max(1)).max(1);
-    (0..len)
-        .step_by(per)
-        .map(|start| Rows::Range(start, (start + per).min(len)))
-        .collect()
-}
-
-/// The partition pairs of a kernel call whose θ has no equality atom:
-/// the left operand in contiguous chunks, each seeing the whole right
-/// operand.
-fn chunk_pairs(
-    r1: &Relation,
-    r2: &Relation,
-    workers: usize,
-) -> Vec<(Rows<'static>, Rows<'static>)> {
-    chunk_rows(r1.len(), workers)
-        .into_iter()
-        .map(|chunk| (chunk, Rows::all(r2)))
-        .collect()
-}
-
-/// Run `body` on every partition pair. A serial run (`workers ≤ 1`) is
-/// the one-partition view: the body runs inline and reports nothing.
-/// Otherwise the pairs fan out over `workers` scoped threads, each under
-/// a `kernel.partition` span, and one [`PartitionStat`] per pair comes
-/// back with the outputs (in partition order).
-fn run_pairs<O: Send>(
-    pairs: Vec<(Rows<'_>, Rows<'_>)>,
-    workers: usize,
-    body: impl Fn(Rows<'_>, Rows<'_>) -> Vec<O> + Sync,
-) -> (Vec<Vec<O>>, Vec<PartitionStat>) {
-    if workers <= 1 {
-        let outs = pairs.into_iter().map(|(l, r)| body(l, r)).collect();
-        return (outs, Vec::new());
-    }
-    let parent = sj_obs::current_span();
-    let pairs: Vec<_> = pairs.into_iter().enumerate().collect();
-    fan_out(pairs, workers, |(partition, (l, r))| {
-        sj_obs::with_parent(parent, || {
-            let mut span = sj_obs::span!(
-                "kernel.partition",
-                partition = partition,
-                left = l.len(),
-                right = r.len()
-            );
-            let start = Instant::now();
-            let out = body(l, r);
-            let elapsed = start.elapsed();
-            span.attr("out_rows", out.len());
-            let stat = PartitionStat {
-                partition,
-                left_rows: l.len(),
-                right_rows: r.len(),
-                out_rows: out.len(),
-                elapsed,
-            };
-            (out, stat)
-        })
-    })
-    .into_iter()
-    .unzip()
-}
-
-/// The result of a ⋈-shaped kernel call from its partitions' outputs.
-/// Each output is in canonical order, so a single partition passes the
-/// order check untouched. Hash partitions are key-disjoint, so their
-/// concatenation holds no duplicates and is a sequence of sorted runs:
-/// the stable sort merges runs instead of re-sorting what is already
-/// sorted (the in-order chunks of the no-equality split are one run).
-fn union_outputs(arity: usize, mut outs: Vec<Vec<Tuple>>) -> Relation {
-    let tuples = if outs.len() == 1 {
-        outs.pop().expect("one partition")
-    } else {
-        let mut all: Vec<Tuple> = outs.into_iter().flatten().collect();
-        all.sort();
-        all
-    };
-    Relation::from_sorted_tuples(arity, tuples)
-}
-
-/// The result of a ⋉-shaped kernel call from its partitions' surviving
-/// left row ids: each list is ascending and the lists are disjoint, so
-/// merging the `u32` runs (the stable sort detects them) restores
-/// canonical order and the tuples — or, under a fused `π[1..k]`, their
-/// distinct `k`-prefixes — are gathered exactly once.
-fn gather_outputs(r1: &Relation, outs: Vec<Vec<u32>>, k: usize) -> Relation {
-    let keep = merge_ids(outs, |&id| id);
-    gather(r1, k, keep.len(), |p| keep[p] as usize)
-}
-
-/// One ascending list from per-partition lists that are each ascending
-/// in `id` and pairwise disjoint in it.
-fn merge_ids<T: Copy>(mut outs: Vec<Vec<T>>, id: impl Fn(&T) -> u32) -> Vec<T> {
-    if outs.len() == 1 {
-        return outs.pop().expect("one partition");
-    }
-    let mut all = outs.concat();
-    all.sort_by_key(id);
-    all
-}
-
 /// The shell every binary kernel shares: the `kernel.*` span with its
 /// operand sizes, and the capacity gate that hands oversized operands to
-/// the row operator `fallback` for every worker count.
+/// the row operator `fallback`.
 fn kernel_call(
     name: &'static str,
     r1: &Relation,
     r2: &Relation,
-    workers: usize,
     fallback: impl FnOnce() -> Relation,
-    run: impl FnOnce() -> (Relation, Vec<PartitionStat>),
-) -> (Relation, Vec<PartitionStat>) {
-    let mut span = sj_obs::span!(
-        name,
-        left = r1.len(),
-        right = r2.len(),
-        workers = workers.max(1)
-    );
-    let (rel, stats) = if fits_row_ids(r1.len(), r2.len()) {
+    run: impl FnOnce() -> Relation,
+) -> Relation {
+    let mut span = sj_obs::span!(name, left = r1.len(), right = r2.len());
+    let rel = if fits_row_ids(r1.len(), r2.len()) {
         run()
     } else {
-        (fallback(), Vec::new())
+        fallback()
     };
     span.attr("out_rows", rel.len());
-    (rel, stats)
+    rel
 }
 
 // ---------------------------------------------------------------------------
@@ -394,7 +118,7 @@ struct Key<'a>(&'a [&'a [i64]]);
 
 impl Key<'_> {
     /// Row `i`'s key hash: its codes' cell hashes, mixed a column at a
-    /// time. It places the row and buckets it in a build table.
+    /// time. It buckets the row in a build table.
     #[inline(always)]
     fn hash(self, i: usize) -> u64 {
         self.0
@@ -409,157 +133,112 @@ impl Key<'_> {
     }
 }
 
-/// One operand of a hash kernel: the relation, its key (indexed by
-/// absolute row, coded once for the whole call), and the rows this
-/// partition sees.
+/// One operand of a hash kernel: the relation and its key (indexed by
+/// row, coded once for the whole call).
 #[derive(Clone, Copy)]
 struct Keyed<'a> {
     rel: &'a Relation,
     key: Key<'a>,
-    rows: Rows<'a>,
 }
 
-/// Run a hash kernel `body` over the partition pairs of `r₁ ⋈/⋉ r₂` on
-/// the equality pairs `eq`: both operands' keys are coded once, and the
-/// same codes place the rows, bucket the partitions' tables and confirm
-/// their matches.
-fn run_hashed<O: Send>(
+/// Run a hash kernel `body` on `r₁ ⋈/⋉ r₂` over the equality pairs `eq`:
+/// both operands' keys are coded once, and the same codes bucket the
+/// build table and confirm its matches.
+fn run_hashed<O>(
     r1: &Relation,
     r2: &Relation,
     eq: &[(usize, usize)],
-    workers: usize,
-    body: impl Fn(Keyed<'_>, Keyed<'_>) -> Vec<O> + Sync,
-) -> (Vec<Vec<O>>, Vec<PartitionStat>) {
+    body: impl FnOnce(Keyed<'_>, Keyed<'_>) -> O,
+) -> O {
     let (lk, rk) = key_codes(r1, r2, eq);
     let (lk, rk): (Vec<&[i64]>, Vec<&[i64]>) = (
         lk.iter().map(|c| c.as_ref()).collect(),
         rk.iter().map(|c| c.as_ref()).collect(),
     );
-    let (lk, rk) = (Key(&lk), Key(&rk));
-    let placed = Placement::by_hash(
-        (r1.len(), |i| lk.hash(i)),
-        (r2.len(), |j| rk.hash(j)),
-        workers,
-    );
-    run_pairs(placed.pairs(r1, r2), workers, |l, r| {
-        let left = Keyed {
-            rel: r1,
-            key: lk,
-            rows: l,
-        };
-        let right = Keyed {
-            rel: r2,
-            key: rk,
-            rows: r,
-        };
-        body(left, right)
-    })
+    let left = Keyed {
+        rel: r1,
+        key: Key(&lk),
+    };
+    let right = Keyed {
+        rel: r2,
+        key: Key(&rk),
+    };
+    body(left, right)
 }
 
-/// `r₁ ⋈θ r₂` at the given worker count. Serial (`workers ≤ 1`) runs
-/// report no partitions; partitioned runs report one [`PartitionStat`]
-/// per partition. `_exec` is accepted and ignored (see
-/// [`crate::exec`]).
+/// `r₁ ⋈θ r₂`. `_exec` and `_workers` are accepted and ignored (see the
+/// module docs).
 pub fn join(
     r1: &Relation,
     r2: &Relation,
     theta: &Condition,
     _exec: Execution,
-    workers: usize,
-) -> (Relation, Vec<PartitionStat>) {
+    _workers: usize,
+) -> Relation {
     let fallback = || ops::join(r1, r2, theta);
-    kernel_call("kernel.join", r1, r2, workers, fallback, || {
+    kernel_call("kernel.join", r1, r2, fallback, || {
         let (eq, residual) = split_condition(theta);
-        let (outs, stats) = if eq.is_empty() {
-            run_pairs(chunk_pairs(r1, r2, workers), workers, |l, r| {
-                nested_loop_join(r1, r2, l, r, theta)
-            })
+        let tuples = if eq.is_empty() {
+            nested_loop_join(r1, r2, theta)
         } else {
-            run_hashed(r1, r2, &eq, workers, |l, r| hash_join(l, r, &residual))
+            run_hashed(r1, r2, &eq, |l, r| hash_join(l, r, &residual))
         };
-        (union_outputs(r1.arity() + r2.arity(), outs), stats)
+        Relation::from_sorted_tuples(r1.arity() + r2.arity(), tuples)
     })
 }
 
-/// `r₁ ⋉θ r₂` at the given worker count (see [`join`]).
+/// `r₁ ⋉θ r₂` (see [`join`]).
 pub fn semijoin(
     r1: &Relation,
     r2: &Relation,
     theta: &Condition,
     _exec: Execution,
-    workers: usize,
-) -> (Relation, Vec<PartitionStat>) {
-    project_semijoin(r1, r2, theta, r1.arity(), workers)
+    _workers: usize,
+) -> Relation {
+    project_semijoin(r1, r2, theta, r1.arity())
 }
 
-/// `π[1..k](r₁ ⋉θ r₂)` for `k ≤ arity(r₁)` at the given worker count:
-/// the [`semijoin`] bodies, with the surviving rows gathered as distinct
-/// `k`-prefixes. For `k < arity(r₁)` a body stops probing a run of equal
-/// `k`-prefix at its first survivor. `k = arity(r₁)` is [`semijoin`]
-/// itself. Partition stats count the survivors each body emitted.
-pub fn project_semijoin(
-    r1: &Relation,
-    r2: &Relation,
-    theta: &Condition,
-    k: usize,
-    workers: usize,
-) -> (Relation, Vec<PartitionStat>) {
+/// `π[1..k](r₁ ⋉θ r₂)` for `k ≤ arity(r₁)`: the [`semijoin`] bodies, with
+/// the surviving rows gathered as distinct `k`-prefixes. For
+/// `k < arity(r₁)` a body stops probing a run of equal `k`-prefix at its
+/// first survivor. `k = arity(r₁)` is [`semijoin`] itself.
+pub fn project_semijoin(r1: &Relation, r2: &Relation, theta: &Condition, k: usize) -> Relation {
     let fallback = || project(&ops::semijoin(r1, r2, theta), &prefix_cols(k));
-    kernel_call("kernel.semijoin", r1, r2, workers, fallback, || {
+    kernel_call("kernel.semijoin", r1, r2, fallback, || {
         let (eq, residual) = split_condition(theta);
-        let (outs, stats) = if eq.is_empty() {
-            run_pairs(chunk_pairs(r1, r2, workers), workers, |l, r| {
-                nested_loop_semijoin(r1, r2, l, r, theta, k)
-            })
+        let keep = if eq.is_empty() {
+            nested_loop_semijoin(r1, r2, theta, k)
         } else {
-            run_hashed(r1, r2, &eq, workers, |l, r| {
-                hash_semijoin(l, r, &residual, k)
-            })
+            run_hashed(r1, r2, &eq, |l, r| hash_semijoin(l, r, &residual, k))
         };
-        (gather_outputs(r1, outs, k), stats)
+        gather(r1, k, keep.len(), |p| keep[p] as usize)
     })
 }
 
-/// `γ[1..k; count](r₁ ⋈θ r₂)` for `1 ≤ k ≤ arity(r₁)` at the given worker
-/// count, without building a join row: for every left row the body
-/// counts its θ-partners — a hash probe confirmed on the key codes and
-/// the residual, or a filtered nested loop when θ has no equality atom —
-/// and sums the counts over runs of equal `k`-prefix, which a canonical
-/// `r₁` holds adjacent; a partition reports one `(first row, total)`
-/// per run with partners, never a row on its own. The rows are
-/// partitioned as by [`join`] (by θ's equality key, or in left chunks),
-/// so a run may be split across partitions: the per-partition totals
-/// merge by row id and the final pass sums the runs again. Partition
-/// stats count runs with at least one partner.
+/// `γ[1..k; count](r₁ ⋈θ r₂)` for `1 ≤ k ≤ arity(r₁)`, without building a
+/// join row: for every left row the body counts its θ-partners — a hash
+/// probe confirmed on the key codes and the residual, or a filtered
+/// nested loop when θ has no equality atom — and sums the counts over
+/// runs of equal `k`-prefix, which a canonical `r₁` holds adjacent. A
+/// run without partners has no join row and so no group.
 ///
 /// # Panics
 ///
 /// When `k` is 0 or exceeds `arity(r₁)`: `γ[]` counts `{(0)}` on an
 /// empty join, which no left row can report.
-pub fn group_join(
-    r1: &Relation,
-    r2: &Relation,
-    theta: &Condition,
-    k: usize,
-    workers: usize,
-) -> (Relation, Vec<PartitionStat>) {
+pub fn group_join(r1: &Relation, r2: &Relation, theta: &Condition, k: usize) -> Relation {
     assert!(
         (1..=r1.arity()).contains(&k),
         "group-join keys are a non-empty prefix of the left operand"
     );
     let fallback = || group_count(&ops::join(r1, r2, theta), &prefix_cols(k));
-    kernel_call("kernel.group_join", r1, r2, workers, fallback, || {
+    kernel_call("kernel.group_join", r1, r2, fallback, || {
         let (eq, residual) = split_condition(theta);
-        let (outs, stats) = if eq.is_empty() {
-            run_pairs(chunk_pairs(r1, r2, workers), workers, |l, r| {
-                nested_loop_counts(r1, r2, l, r, theta, k)
-            })
+        if eq.is_empty() {
+            nested_loop_counts(r1, r2, theta, k)
         } else {
-            run_hashed(r1, r2, &eq, workers, |l, r| hash_counts(l, r, &residual, k))
-        };
-        let runs = merge_ids(outs, |&(id, _)| id);
-        let grouped = sum_runs(r1, k, runs.len(), |p| runs[p].0 as usize, |p| runs[p].1);
-        (grouped, stats)
+            run_hashed(r1, r2, &eq, |l, r| hash_counts(l, r, &residual, k))
+        }
     })
 }
 
@@ -587,36 +266,34 @@ fn prefix_condition(k: usize, residual: &Condition) -> Condition {
 }
 
 /// Merge equi-join on an aligned key prefix of length `k` (see
-/// [`ops::merge_prefix_len`]) at the given worker count.
+/// [`ops::merge_prefix_len`]). `_exec` and `_workers` are accepted and
+/// ignored.
 pub fn merge_join(
     r1: &Relation,
     r2: &Relation,
     k: usize,
     residual: &Condition,
     _exec: Execution,
-    workers: usize,
-) -> (Relation, Vec<PartitionStat>) {
+    _workers: usize,
+) -> Relation {
     let fallback = || ops::join(r1, r2, &prefix_condition(k, residual));
-    kernel_call("kernel.merge_join", r1, r2, workers, fallback, || {
-        let placed = Placement::by_prefix(r1, r2, k, workers);
-        let (outs, stats) = run_pairs(placed.pairs(r1, r2), workers, |l, r| {
-            merge_join_rows(r1, r2, l, r, k, residual)
-        });
-        (union_outputs(r1.arity() + r2.arity(), outs), stats)
+    kernel_call("kernel.merge_join", r1, r2, fallback, || {
+        let tuples = merge_join_rows(r1, r2, k, residual);
+        Relation::from_sorted_tuples(r1.arity() + r2.arity(), tuples)
     })
 }
 
-/// Merge equi-semijoin on an aligned key prefix of length `k` at the
-/// given worker count.
+/// Merge equi-semijoin on an aligned key prefix of length `k` (see
+/// [`merge_join`]).
 pub fn merge_semijoin(
     r1: &Relation,
     r2: &Relation,
     k: usize,
     residual: &Condition,
     _exec: Execution,
-    workers: usize,
-) -> (Relation, Vec<PartitionStat>) {
-    project_merge_semijoin(r1, r2, k, residual, r1.arity(), workers)
+    _workers: usize,
+) -> Relation {
+    project_merge_semijoin(r1, r2, k, residual, r1.arity())
 }
 
 /// `π[1..keep](r₁ ⋉ r₂)` on the aligned key prefix of length `k`: the
@@ -628,29 +305,25 @@ pub fn project_merge_semijoin(
     k: usize,
     residual: &Condition,
     keep: usize,
-    workers: usize,
-) -> (Relation, Vec<PartitionStat>) {
+) -> Relation {
     let fallback = || {
         let semi = ops::semijoin(r1, r2, &prefix_condition(k, residual));
         project(&semi, &prefix_cols(keep))
     };
-    kernel_call("kernel.merge_semijoin", r1, r2, workers, fallback, || {
-        let placed = Placement::by_prefix(r1, r2, k, workers);
-        let (outs, stats) = run_pairs(placed.pairs(r1, r2), workers, |l, r| {
-            merge_semijoin_rows(r1, r2, l, r, k, residual)
-        });
-        (gather_outputs(r1, outs, keep), stats)
+    kernel_call("kernel.merge_semijoin", r1, r2, fallback, || {
+        let ids = merge_semijoin_rows(r1, r2, k, residual);
+        gather(r1, keep, ids.len(), |p| ids[p] as usize)
     })
 }
 
 // ---------------------------------------------------------------------------
-// Operator bodies: one per operator, over row selections
+// Operator bodies: one per operator, over whole operands
 // ---------------------------------------------------------------------------
 
-/// The build side's hash table: the selected rows bucketed by key hash
-/// in one counting sort — flat, no list per key, every bucket listing
-/// its rows ascending, each beside its full hash — with the side's key
-/// to confirm candidates on.
+/// The build side's hash table: its rows bucketed by key hash in one
+/// counting sort — flat, no list per key, every bucket listing its rows
+/// ascending, each beside its full hash — with the side's key to confirm
+/// candidates on.
 struct Table<'a> {
     key: Key<'a>,
     mask: usize,
@@ -663,14 +336,9 @@ struct Table<'a> {
 
 impl<'a> Table<'a> {
     fn build(side: Keyed<'a>) -> Self {
-        let n = side.rows.len();
+        let n = side.rel.len();
         let mask = (2 * n).next_power_of_two() - 1;
-        let hashed: Vec<(u64, u32)> = (0..n)
-            .map(|p| {
-                let j = side.rows.at(p);
-                (side.key.hash(j), j as u32)
-            })
-            .collect();
+        let hashed: Vec<(u64, u32)> = (0..n).map(|j| (side.key.hash(j), j as u32)).collect();
         let mut starts = vec![0u32; mask + 2];
         for &(h, _) in &hashed {
             starts[Self::bucket(h, mask) + 1] += 1;
@@ -693,8 +361,7 @@ impl<'a> Table<'a> {
         }
     }
 
-    /// A hash's bucket, from its high half: partition placement reads
-    /// the low bits, which all rows of one partition may share.
+    /// A hash's bucket, from its high half.
     #[inline(always)]
     fn bucket(hash: u64, mask: usize) -> usize {
         hash.rotate_left(32) as usize & mask
@@ -713,20 +380,17 @@ impl<'a> Table<'a> {
     }
 }
 
-/// Hash join of one partition pair: build on the right selection, probe
-/// from the left, confirm on the key codes, filter by the residual.
-/// Output is in canonical order (left rows ascending, postings
-/// ascending).
+/// Hash join: build on the right operand, probe from the left, confirm
+/// on the key codes, filter by the residual. Output is in canonical
+/// order (left rows ascending, postings ascending).
 fn hash_join(left: Keyed<'_>, right: Keyed<'_>, residual: &Condition) -> Vec<Tuple> {
     let table = Table::build(right);
-    let (a, b) = (left.rel.tuples(), right.rel.tuples());
+    let b = right.rel.tuples();
     // Hoisted: the empty residual is the common case, and `Condition`
     // lives in another crate — one call per call, not per pair.
     let unfiltered = residual.is_empty();
     let mut out: Vec<Tuple> = Vec::new();
-    for k in 0..left.rows.len() {
-        let i = left.rows.at(k);
-        let t1 = &a[i];
+    for (i, t1) in left.rel.tuples().iter().enumerate() {
         for j in table.partners(left.key, i) {
             let t2 = &b[j];
             if unfiltered || residual.eval(t1.values(), t2.values()) {
@@ -737,86 +401,54 @@ fn hash_join(left: Keyed<'_>, right: Keyed<'_>, residual: &Condition) -> Vec<Tup
     out
 }
 
-/// The ascending ids of the selected rows of `r` that `survives`. Under
-/// a fused `π[1..k]` (`k < arity(r)`) each run of rows sharing their
-/// `k`-prefix is probed only up to its first survivor: that prefix is in
-/// the output already.
-fn survivors(r: &Relation, rows: Rows<'_>, k: usize, survives: impl Fn(usize) -> bool) -> Vec<u32> {
-    let keep = |run: &[usize]| rows.find(run[0]..run[1], &survives).map(|i| i as u32);
+/// The ascending ids of the rows of `r` that `survives`. Under a fused
+/// `π[1..k]` (`k < arity(r)`) each run of rows sharing their `k`-prefix
+/// is probed only up to its first survivor: that prefix is in the output
+/// already.
+fn survivors(r: &Relation, k: usize, survives: impl Fn(usize) -> bool) -> Vec<u32> {
     if k == r.arity() {
-        (0..rows.len()).filter_map(|p| keep(&[p, p + 1])).collect()
-    } else {
-        rows.run_starts(r, k).windows(2).filter_map(keep).collect()
+        return (0..r.len())
+            .filter(|&i| survives(i))
+            .map(|i| i as u32)
+            .collect();
     }
+    let starts = r.columns().run_starts(k, r.len(), |i| i);
+    starts
+        .windows(2)
+        .filter_map(|run| (run[0]..run[1]).find(|&i| survives(i)).map(|i| i as u32))
+        .collect()
 }
 
-/// Hash semijoin of one partition pair (see [`hash_join`]) under a
-/// consumer keeping the `k`-prefix: the ascending ids of the left rows
-/// with a partner, one per run under a fused projection
-/// ([`survivors`]).
+/// Hash semijoin (see [`hash_join`]) under a consumer keeping the
+/// `k`-prefix: the ascending ids of the left rows with a partner, one per
+/// run under a fused projection ([`survivors`]).
 fn hash_semijoin(left: Keyed<'_>, right: Keyed<'_>, residual: &Condition, k: usize) -> Vec<u32> {
     let table = Table::build(right);
     let (a, b) = (left.rel.tuples(), right.rel.tuples());
     // The residual is tested once, not per candidate (see `hash_join`).
     if residual.is_empty() {
-        return survivors(left.rel, left.rows, k, |i| {
+        return survivors(left.rel, k, |i| {
             table.partners(left.key, i).next().is_some()
         });
     }
-    survivors(left.rel, left.rows, k, |i| {
+    survivors(left.rel, k, |i| {
         table
             .partners(left.key, i)
             .any(|j| residual.eval(a[i].values(), b[j].values()))
     })
 }
 
-/// A group-join partition's runs: `(first row, Σ partners)` for every
-/// run of equal `k`-prefix among its left rows with at least one
-/// partner, in row order — never a row on its own.
-fn partner_runs(
-    r: &Relation,
-    rows: Rows<'_>,
-    k: usize,
-    partners: impl Fn(usize) -> usize,
-) -> Vec<(u32, u64)> {
-    fn sums(
-        starts: &[usize],
-        row: impl Fn(usize) -> usize,
-        partners: impl Fn(usize) -> usize,
-    ) -> Vec<(u32, u64)> {
-        let runs = starts.windows(2).map(|run| (run[0], run[1]));
-        runs.filter_map(|(first, end)| {
-            let total: u64 = (first..end).map(|p| partners(row(p)) as u64).sum();
-            (total > 0).then(|| (row(first) as u32, total))
-        })
-        .collect()
-    }
-    // The selection's kind is matched once, not per row.
-    let starts = rows.run_starts(r, k);
-    match rows {
-        Rows::Range(start, _) => sums(&starts, |p| start + p, partners),
-        Rows::List(ids) => sums(&starts, |p| ids[p] as usize, partners),
-    }
-}
-
-/// The group-join probe of one partition pair (see [`hash_semijoin`]):
-/// partner counts summed per run of equal `k`-prefix.
-fn hash_counts(
-    left: Keyed<'_>,
-    right: Keyed<'_>,
-    residual: &Condition,
-    k: usize,
-) -> Vec<(u32, u64)> {
+/// The group-join probe (see [`hash_semijoin`]): partner counts summed
+/// per run of equal `k`-prefix ([`sum_runs`]).
+fn hash_counts(left: Keyed<'_>, right: Keyed<'_>, residual: &Condition, k: usize) -> Relation {
     let table = Table::build(right);
     let (a, b) = (left.rel.tuples(), right.rel.tuples());
     // Two bodies of one closure shape: testing the residual per
     // candidate is a call into another crate (see `hash_join`).
     if residual.is_empty() {
-        return partner_runs(left.rel, left.rows, k, |i| {
-            table.partners(left.key, i).count()
-        });
+        return sum_runs(left.rel, k, |i| table.partners(left.key, i).count());
     }
-    partner_runs(left.rel, left.rows, k, |i| {
+    sum_runs(left.rel, k, |i| {
         table
             .partners(left.key, i)
             .filter(|&j| residual.eval(a[i].values(), b[j].values()))
@@ -837,35 +469,35 @@ fn cmp_prefix(ca: &Columns, i: usize, cb: &Columns, j: usize, k: usize) -> Order
     Ordering::Equal
 }
 
-/// End (as a position in `rows`) of the run of selected rows sharing the
-/// first `k` column values of the row at position `start`.
+/// End of the run of rows sharing the first `k` column values of row
+/// `start`.
 #[inline]
-fn run_end(cols: &Columns, rows: Rows<'_>, start: usize, k: usize) -> usize {
-    let first = rows.at(start);
+fn run_end(cols: &Columns, start: usize, k: usize) -> usize {
     let mut end = start + 1;
-    while end < rows.len() && cmp_prefix(cols, rows.at(end), cols, first, k) == Ordering::Equal {
+    while end < cols.len() && cmp_prefix(cols, end, cols, start, k) == Ordering::Equal {
         end += 1;
     }
     end
 }
 
-/// Visit every pair of key-equal runs of two key-sorted selections: the
-/// merge walk both merge kernels share. `on_match` receives the position
-/// ranges (into `l` and `r`) of one left run and the right run with the
-/// same `k`-column key; a non-matching side skips its whole run at once.
+/// Visit every pair of key-equal runs of two key-sorted operands: the
+/// merge walk both merge kernels share. `on_match` receives the row
+/// ranges of one left run and the right run with the same `k`-column
+/// key; a non-matching side skips its whole run at once.
 fn merge_runs(
-    (ca, l): (&Columns, Rows<'_>),
-    (cb, r): (&Columns, Rows<'_>),
+    r1: &Relation,
+    r2: &Relation,
     k: usize,
     mut on_match: impl FnMut(Range<usize>, Range<usize>),
 ) {
+    let (ca, cb) = (r1.columns(), r2.columns());
     let (mut i, mut j) = (0usize, 0usize);
-    while i < l.len() && j < r.len() {
-        match cmp_prefix(ca, l.at(i), cb, r.at(j), k) {
-            Ordering::Less => i = run_end(ca, l, i, k),
-            Ordering::Greater => j = run_end(cb, r, j, k),
+    while i < r1.len() && j < r2.len() {
+        match cmp_prefix(ca, i, cb, j, k) {
+            Ordering::Less => i = run_end(ca, i, k),
+            Ordering::Greater => j = run_end(cb, j, k),
             Ordering::Equal => {
-                let (i_end, j_end) = (run_end(ca, l, i, k), run_end(cb, r, j, k));
+                let (i_end, j_end) = (run_end(ca, i, k), run_end(cb, j, k));
                 on_match(i..i_end, j..j_end);
                 i = i_end;
                 j = j_end;
@@ -874,24 +506,14 @@ fn merge_runs(
     }
 }
 
-/// Merge join of one partition pair on the aligned key prefix `0..k`:
-/// both selections are ascending, hence key-sorted, and the output is
-/// emitted in canonical order.
-fn merge_join_rows(
-    r1: &Relation,
-    r2: &Relation,
-    l: Rows<'_>,
-    r: Rows<'_>,
-    k: usize,
-    residual: &Condition,
-) -> Vec<Tuple> {
+/// Merge join on the aligned key prefix `0..k`: both canonical operands
+/// are key-sorted, and the output is emitted in canonical order.
+fn merge_join_rows(r1: &Relation, r2: &Relation, k: usize, residual: &Condition) -> Vec<Tuple> {
     let (a, b) = (r1.tuples(), r2.tuples());
     let mut out: Vec<Tuple> = Vec::new();
-    merge_runs((r1.columns(), l), (r2.columns(), r), k, |lrun, rrun| {
-        for ii in lrun {
-            let t1 = &a[l.at(ii)];
-            for jj in rrun.clone() {
-                let t2 = &b[r.at(jj)];
+    merge_runs(r1, r2, k, |lrun, rrun| {
+        for t1 in &a[lrun] {
+            for t2 in &b[rrun.clone()] {
                 if residual.eval(t1.values(), t2.values()) {
                     out.push(t1.concat(t2));
                 }
@@ -901,26 +523,18 @@ fn merge_join_rows(
     out
 }
 
-/// Merge semijoin of one partition pair (see [`merge_join_rows`]): the
-/// ascending ids of the left rows whose key run on the right holds a
-/// tuple passing `residual`.
-fn merge_semijoin_rows(
-    r1: &Relation,
-    r2: &Relation,
-    l: Rows<'_>,
-    r: Rows<'_>,
-    k: usize,
-    residual: &Condition,
-) -> Vec<u32> {
+/// Merge semijoin (see [`merge_join_rows`]): the ascending ids of the
+/// left rows whose key run on the right holds a tuple passing
+/// `residual`.
+fn merge_semijoin_rows(r1: &Relation, r2: &Relation, k: usize, residual: &Condition) -> Vec<u32> {
     let (a, b) = (r1.tuples(), r2.tuples());
     let mut keep: Vec<u32> = Vec::new();
-    merge_runs((r1.columns(), l), (r2.columns(), r), k, |lrun, rrun| {
-        for ii in lrun {
-            let i = l.at(ii);
+    merge_runs(r1, r2, k, |lrun, rrun| {
+        for i in lrun {
             if residual.is_empty()
-                || rrun
-                    .clone()
-                    .any(|jj| residual.eval(a[i].values(), b[r.at(jj)].values()))
+                || b[rrun.clone()]
+                    .iter()
+                    .any(|t2| residual.eval(a[i].values(), t2.values()))
             {
                 keep.push(i as u32);
             }
@@ -929,19 +543,12 @@ fn merge_semijoin_rows(
     keep
 }
 
-/// Filtered nested-loop join of one left chunk against the whole right
-/// operand, for a θ with no equality atom. Output is in canonical order.
-fn nested_loop_join(
-    r1: &Relation,
-    r2: &Relation,
-    l: Rows<'_>,
-    r: Rows<'_>,
-    theta: &Condition,
-) -> Vec<Tuple> {
-    let (a, b) = (r1.tuples(), r2.tuples());
+/// Filtered nested-loop join, for a θ with no equality atom. Output is
+/// in canonical order.
+fn nested_loop_join(r1: &Relation, r2: &Relation, theta: &Condition) -> Vec<Tuple> {
     let mut out: Vec<Tuple> = Vec::new();
-    for t1 in (0..l.len()).map(|k| &a[l.at(k)]) {
-        for t2 in (0..r.len()).map(|k| &b[r.at(k)]) {
+    for t1 in r1.tuples() {
+        for t2 in r2.tuples() {
             if theta.eval(t1.values(), t2.values()) {
                 out.push(t1.concat(t2));
             }
@@ -950,38 +557,23 @@ fn nested_loop_join(
     out
 }
 
-/// Nested-loop semijoin of one left chunk against the whole right
-/// operand, for a θ with no equality atom: the ascending ids of the left
-/// rows with a partner (one per run under a fused `π[1..k]`, see
-/// [`survivors`]).
-fn nested_loop_semijoin(
-    r1: &Relation,
-    r2: &Relation,
-    l: Rows<'_>,
-    r: Rows<'_>,
-    theta: &Condition,
-    k: usize,
-) -> Vec<u32> {
+/// Nested-loop semijoin, for a θ with no equality atom: the ascending
+/// ids of the left rows with a partner (one per run under a fused
+/// `π[1..k]`, see [`survivors`]).
+fn nested_loop_semijoin(r1: &Relation, r2: &Relation, theta: &Condition, k: usize) -> Vec<u32> {
     let (a, b) = (r1.tuples(), r2.tuples());
-    survivors(r1, l, k, |i| {
-        (0..r.len()).any(|p| theta.eval(a[i].values(), b[r.at(p)].values()))
+    survivors(r1, k, |i| {
+        b.iter().any(|t2| theta.eval(a[i].values(), t2.values()))
     })
 }
 
-/// The group-join count of one left chunk against the whole right
-/// operand, for a θ with no equality atom (see [`hash_counts`]).
-fn nested_loop_counts(
-    r1: &Relation,
-    r2: &Relation,
-    l: Rows<'_>,
-    r: Rows<'_>,
-    theta: &Condition,
-    k: usize,
-) -> Vec<(u32, u64)> {
+/// The group-join count for a θ with no equality atom (see
+/// [`hash_counts`]).
+fn nested_loop_counts(r1: &Relation, r2: &Relation, theta: &Condition, k: usize) -> Relation {
     let (a, b) = (r1.tuples(), r2.tuples());
-    partner_runs(r1, l, k, |i| {
-        (0..r.len())
-            .filter(|&p| theta.eval(a[i].values(), b[r.at(p)].values()))
+    sum_runs(r1, k, |i| {
+        b.iter()
+            .filter(|t2| theta.eval(a[i].values(), t2.values()))
             .count()
     })
 }
@@ -1013,7 +605,7 @@ pub fn project(r: &Relation, cols: &[usize]) -> Relation {
 pub fn group_count(r: &Relation, cols: &[usize]) -> Relation {
     match prefix_len(cols) {
         Some(0) => Relation::unary([Value::int(r.len() as i64)]),
-        Some(k) => sum_runs(r, k, r.len(), |p| p, |_| 1),
+        Some(k) => sum_runs(r, k, |_| 1),
         None => {
             let zero_based: Vec<usize> = cols.iter().map(|c| c - 1).collect();
             let mut groups: FxHashMap<Tuple, i64> = FxHashMap::default();
@@ -1032,29 +624,25 @@ pub fn tag(r: &Relation, c: &Value) -> Relation {
     Relation::from_sorted_tuples(r.arity() + 1, r.iter().map(|t| t.tag(c.clone())).collect())
 }
 
-/// `(prefix, Σ count)` for every run of equal `k`-prefix among the rows
-/// `row(0), …, row(len − 1)` of canonical `r` (ascending), each counted
-/// `count(p)` times — the step [`group_join`] and [`group_count`]
-/// share. The key cells of each run's first row are read from the
-/// columns; the runs come in key order, so the output is canonical as
-/// built.
-fn sum_runs(
-    r: &Relation,
-    k: usize,
-    len: usize,
-    row: impl Fn(usize) -> usize,
-    count: impl Fn(usize) -> u64,
-) -> Relation {
+/// `(prefix, Σ count)` for every run of equal `k`-prefix of canonical
+/// `r` whose sum is positive, row `i` counted `count(i)` times — the
+/// step [`group_join`] (a left row's partners; a run without any has no
+/// join row) and [`group_count`] (every row once) share. The key cells
+/// of each run's first row are read from the columns; the runs come in
+/// key order, so the output is canonical as built.
+fn sum_runs(r: &Relation, k: usize, count: impl Fn(usize) -> usize) -> Relation {
     let cols = r.columns();
-    let starts = cols.run_starts(k, len, &row);
+    let starts = cols.run_starts(k, r.len(), |i| i);
     let out = starts
         .windows(2)
-        .map(|w| {
-            let total: u64 = (w[0]..w[1]).map(&count).sum();
-            (0..k)
-                .map(|c| cols.value_at(c, row(w[0])))
-                .chain([Value::int(total as i64)])
-                .collect()
+        .filter_map(|run| {
+            let total: u64 = (run[0]..run[1]).map(|i| count(i) as u64).sum();
+            (total > 0).then(|| {
+                (0..k)
+                    .map(|c| cols.value_at(c, run[0]))
+                    .chain([Value::int(total as i64)])
+                    .collect()
+            })
         })
         .collect();
     Relation::from_sorted_tuples(k + 1, out)
@@ -1110,24 +698,19 @@ pub struct MultiwaySpec {
 /// indexing passes), which is exactly the regime where every pairwise
 /// order materializes a larger intermediate.
 ///
-/// `workers > 1` splits the start variable's candidate list into
-/// contiguous chunks fanned out over scoped threads (one
-/// [`PartitionStat`] per chunk, `right_rows = 0` — there is no probe
-/// side); the canonicalizing merge keeps the output byte-identical for
-/// every worker count. `_exec` is accepted and ignored (see
-/// [`crate::exec`]).
+/// `_exec` and `_workers` are accepted and ignored (see the module
+/// docs).
 pub fn multiway_join(
     children: &[&Relation],
     spec: &MultiwaySpec,
     _exec: Execution,
-    workers: usize,
-) -> (Relation, Vec<PartitionStat>) {
+    _workers: usize,
+) -> Relation {
     let k = spec.cycle.len();
     let mut span = sj_obs::span!(
         "kernel.multiway",
         children = children.len(),
-        rows = children.iter().map(|r| r.len()).sum::<usize>(),
-        workers = workers.max(1)
+        rows = children.iter().map(|r| r.len()).sum::<usize>()
     );
     debug_assert!(k >= 3, "a multiway cycle has at least 3 positions");
     debug_assert!(spec.cycle.iter().all(|p| children[p.child].arity() == 2));
@@ -1256,31 +839,19 @@ pub fn multiway_join(
         }
     }
     let rot_fwd: Vec<&FxHashMap<Value, Vec<Value>>> = (0..k).map(|i| &fwd[rot(i)]).collect();
-    let run = |chunk: Rows<'_>| {
-        let mut out: Vec<Tuple> = Vec::new();
-        let mut binding: Vec<Value> = Vec::with_capacity(k);
-        for ci in 0..chunk.len() {
-            binding.clear();
-            binding.push(cands[chunk.at(ci)].clone());
-            search(1, k, &rot_fwd, &bwd, &mut binding, &emit, &mut out);
-        }
-        out
-    };
-
-    // Chunks of the start candidates play the left operand; there is no
-    // right one.
-    let pairs = chunk_rows(cands.len(), workers)
-        .into_iter()
-        .map(|chunk| (chunk, Rows::Range(0, 0)))
-        .collect();
-    let (outs, stats) = run_pairs(pairs, workers, |chunk, _| run(chunk));
-    // Chunks partition the start candidates, and a binding determines
-    // its tuple, so the concatenation is duplicate-free; one
-    // canonicalization pass restores the global order.
-    let tuples: Vec<Tuple> = outs.into_iter().flatten().collect();
-    let merged = Relation::from_tuples(out_arity, tuples).expect("assembled arity");
+    let mut out: Vec<Tuple> = Vec::new();
+    let mut binding: Vec<Value> = Vec::with_capacity(k);
+    for start_value in cands {
+        binding.clear();
+        binding.push(start_value.clone());
+        search(1, k, &rot_fwd, &bwd, &mut binding, &emit, &mut out);
+    }
+    // A binding determines its tuple, so the bindings are
+    // duplicate-free; one canonicalization pass restores the global
+    // order.
+    let merged = Relation::from_tuples(out_arity, out).expect("assembled arity");
     span.attr("out_rows", merged.len());
-    (merged, stats)
+    merged
 }
 
 #[cfg(test)]
@@ -1325,9 +896,9 @@ mod tests {
         ]
     }
 
-    /// Every worker count is byte-identical to the row operators, for
-    /// joins and semijoins on every theta shape and operand type. (The
-    /// full matrix, with a brute-force oracle, is `tests/vectorized.rs`.)
+    /// The kernels are byte-identical to the row operators, for joins
+    /// and semijoins on every theta shape and operand type. (The full
+    /// matrix, with a brute-force oracle, is `tests/vectorized.rs`.)
     #[test]
     fn kernel_join_and_semijoin_match_serial_reference() {
         let thetas = [
@@ -1337,36 +908,23 @@ mod tests {
             Condition::lt(1, 1),
             Condition::always(),
         ];
+        let exec = Execution::Vectorized;
         for (name, a, b) in operands() {
             for theta in &thetas {
-                let want_join = ops::join(&a, &b, theta);
-                let want_semi = ops::semijoin(&a, &b, theta);
-                for workers in [1usize, 2, 4, 8] {
-                    let (j, jstats) = join(&a, &b, theta, Execution::Vectorized, workers);
-                    assert_eq!(j, want_join, "join {theta} on {name} @{workers}");
-                    let (s, _) = semijoin(&a, &b, theta, Execution::Vectorized, workers);
-                    assert_eq!(s, want_semi, "semijoin {theta} on {name} @{workers}");
-                    if workers <= 1 {
-                        assert!(jstats.is_empty(), "serial runs report no partitions");
-                    } else {
-                        // The no-equality split of an empty left side
-                        // has no chunks; every other partitioned run
-                        // reports partitions.
-                        let chunked_empty = split_condition(theta).0.is_empty() && a.is_empty();
-                        assert!(!jstats.is_empty() || chunked_empty);
-                        assert_eq!(
-                            jstats.iter().map(|p| p.out_rows).sum::<usize>(),
-                            j.len(),
-                            "partition stats account for every output tuple"
-                        );
-                    }
-                }
+                let join_out = join(&a, &b, theta, exec, 1);
+                assert_eq!(join_out, ops::join(&a, &b, theta), "join {theta} on {name}");
+                let semi_out = semijoin(&a, &b, theta, exec, 1);
+                assert_eq!(
+                    semi_out,
+                    ops::semijoin(&a, &b, theta),
+                    "semijoin {theta} on {name}"
+                );
             }
         }
     }
 
-    /// Merge variants: every worker count equals the row operators on
-    /// the rebuilt condition — the call the capacity fallback makes.
+    /// Merge variants equal the row operators on the rebuilt condition —
+    /// the call the capacity fallback makes.
     #[test]
     fn kernel_merge_variants_match_serial_reference() {
         let residuals = [
@@ -1377,91 +935,25 @@ mod tests {
                 right: 2,
             }]),
         ];
+        let exec = Execution::Vectorized;
         for (name, a, b) in operands() {
             for residual in &residuals {
                 let theta = prefix_condition(1, residual);
-                let want_join = ops::join(&a, &b, &theta);
-                let want_semi = ops::semijoin(&a, &b, &theta);
-                for workers in [1usize, 3, 4, 8] {
-                    let (j, jstats) =
-                        merge_join(&a, &b, 1, residual, Execution::Vectorized, workers);
-                    assert_eq!(j, want_join, "merge join on {name} @{workers}");
-                    assert_eq!(jstats.len(), if workers > 1 { workers } else { 0 });
-                    let (s, _) =
-                        merge_semijoin(&a, &b, 1, residual, Execution::Vectorized, workers);
-                    assert_eq!(s, want_semi, "merge semijoin on {name} @{workers}");
-                }
-            }
-        }
-    }
-
-    /// Hash placement sends every row to exactly one of `n` ascending
-    /// lists and equal keys to the same one; the no-equality split chunks
-    /// the left side and shows every chunk the whole right side.
-    #[test]
-    fn partitions_cover_every_row_exactly_once() {
-        let lrows: Vec<Vec<i64>> = (0..100).map(|i| vec![i % 11, i]).collect();
-        let lrefs: Vec<&[i64]> = lrows.iter().map(|r| r.as_slice()).collect();
-        let a = r(&lrefs);
-        let b = r(&[&[1, 5], &[2, 9], &[3, 1]]);
-        let exec = Execution::Vectorized;
-        let (out, stats) = join(&a, &b, &Condition::eq(1, 1), exec, 4);
-        assert_eq!(stats.len(), 4);
-        assert_eq!(stats.iter().map(|s| s.left_rows).sum::<usize>(), a.len());
-        assert_eq!(stats.iter().map(|s| s.right_rows).sum::<usize>(), b.len());
-        assert_eq!(stats.iter().map(|s| s.out_rows).sum::<usize>(), out.len());
-        for (i, s) in stats.iter().enumerate() {
-            assert_eq!(s.partition, i);
-        }
-        let (_, nl_stats) = join(&a, &b, &Condition::always(), exec, 4);
-        assert!(nl_stats.iter().all(|s| s.right_rows == b.len()));
-        assert_eq!(nl_stats.iter().map(|s| s.left_rows).sum::<usize>(), a.len());
-
-        let hashes = a.columns().key_hashes(&[0]);
-        for n in [2usize, 3, 8] {
-            let lists = place(hashes.len(), n, |i| hashes[i]);
-            assert_eq!(lists.len(), n);
-            assert!(lists.iter().all(|l| l.windows(2).all(|w| w[0] < w[1])));
-            assert_eq!(lists.iter().map(|l| l.len()).sum::<usize>(), a.len());
-            for key in 0..11i64 {
-                let holding = lists
-                    .iter()
-                    .filter(|l| {
-                        l.iter()
-                            .any(|&i| a.tuples()[i as usize][0] == Value::int(key))
-                    })
-                    .count();
-                assert_eq!(holding, 1, "key {key} spans partitions at n = {n}");
-            }
-        }
-    }
-
-    /// Chunks are contiguous, in order, cover `0..len`, and never
-    /// outnumber the rows or the workers.
-    #[test]
-    fn chunk_rows_cover_the_range_in_order() {
-        for len in [0usize, 1, 3, 4, 5, 100] {
-            for n in [0usize, 1, 2, 4, 7] {
-                let chunks = chunk_rows(len, n);
-                assert!(chunks.len() <= n.max(1).min(len.max(1)), "{len} / {n}");
-                let mut next = 0;
-                for c in &chunks {
-                    let Rows::Range(start, end) = *c else {
-                        panic!("chunks are ranges")
-                    };
-                    assert_eq!(start, next);
-                    assert!(end > start);
-                    next = end;
-                }
-                assert_eq!(next, len, "{len} / {n}");
+                let join_out = merge_join(&a, &b, 1, residual, exec, 1);
+                assert_eq!(join_out, ops::join(&a, &b, &theta), "merge join on {name}");
+                let semi_out = merge_semijoin(&a, &b, 1, residual, exec, 1);
+                assert_eq!(
+                    semi_out,
+                    ops::semijoin(&a, &b, &theta),
+                    "merge semijoin on {name}"
+                );
             }
         }
     }
 
     /// The capacity gate is a predicate on row counts: `u32::MAX` rows on
-    /// either side still index, one more falls back to the row operators
-    /// — at every worker count, because the gate sits at the kernel entry
-    /// before any partitioning.
+    /// either side still index, one more falls back to the row
+    /// operators.
     #[test]
     fn capacity_gate_is_a_predicate_on_counts() {
         let max = u32::MAX as usize;
@@ -1500,8 +992,7 @@ mod tests {
     }
 
     /// The multiway kernel equals the pairwise join chain on triangles
-    /// and 4-cycles, byte-identical at every worker count, with
-    /// partition stats accounting for every output tuple.
+    /// and 4-cycles.
     #[test]
     fn multiway_join_matches_pairwise_chain() {
         let e = edge_relation();
@@ -1527,20 +1018,8 @@ mod tests {
 
         for (k, want) in [(3usize, &tri_ref), (4, &quad_ref)] {
             let children: Vec<&Relation> = vec![&e; k];
-            let spec = cycle_spec(k);
-            for workers in [1usize, 2, 4, 8] {
-                let (got, stats) = multiway_join(&children, &spec, Execution::Vectorized, workers);
-                assert_eq!(got, *want, "k={k} @{workers}");
-                if workers <= 1 {
-                    assert!(stats.is_empty(), "serial runs report no partitions");
-                } else {
-                    assert_eq!(
-                        stats.iter().map(|p| p.out_rows).sum::<usize>(),
-                        got.len(),
-                        "partition stats account for every output tuple"
-                    );
-                }
-            }
+            let got = multiway_join(&children, &cycle_spec(k), Execution::Vectorized, 1);
+            assert_eq!(got, *want, "k={k}");
         }
     }
 
@@ -1551,16 +1030,14 @@ mod tests {
         let e = edge_relation();
         let empty = Relation::empty(2);
         let spec = cycle_spec(3);
-        for workers in [1usize, 4] {
-            let (got, _) = multiway_join(&[&e, &empty, &e], &spec, Execution::Vectorized, workers);
-            assert!(got.is_empty(), "empty child @{workers}");
-            assert_eq!(got.arity(), 6);
-        }
+        let got = multiway_join(&[&e, &empty, &e], &spec, Execution::Vectorized, 1);
+        assert!(got.is_empty(), "an empty child annihilates the cycle");
+        assert_eq!(got.arity(), 6);
         // An acyclic edge set (a DAG chain 0→1→2→…) has no triangles.
         let chain_rows: Vec<Vec<i64>> = (0..10).map(|i| vec![i, i + 1]).collect();
         let chain_refs: Vec<&[i64]> = chain_rows.iter().map(|r| r.as_slice()).collect();
         let dag = r(&chain_refs);
-        let (got, _) = multiway_join(&[&dag, &dag, &dag], &spec, Execution::Vectorized, 2);
+        let got = multiway_join(&[&dag, &dag, &dag], &spec, Execution::Vectorized, 1);
         assert!(got.is_empty(), "a DAG has no directed triangles");
     }
 }

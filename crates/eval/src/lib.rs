@@ -12,8 +12,8 @@
 //!   Ω(n²)) and is used by all dichotomy experiments.
 //! * [`report::Report`] — what an instrumented run measured, from either
 //!   evaluator: one [`NodeStat`] per node (cardinality, operator, self
-//!   time; estimate, sharing and partition counts where the planner
-//!   ran), the accessors the experiments read (`max_intermediate`,
+//!   time; estimate and sharing count where the planner ran), the
+//!   accessors the experiments read (`max_intermediate`,
 //!   `max_q_error`, …) and the one `EXPLAIN ANALYZE` table renderer.
 //! * [`reference::evaluate_reference`] — a naive nested-loop transliteration
 //!   of the paper's semantics, used to cross-validate the optimized
@@ -57,7 +57,7 @@ pub use exec::{Execution, JoinOrder, StatsMode};
 pub use explain::explain;
 pub use instrumented::evaluate_instrumented;
 pub use joinorder::DP_MAX_RELATIONS;
-pub use kernel::{multiway_join, MultiwayLeaf, MultiwaySpec, PartitionStat};
+pub use kernel::{multiway_join, MultiwayLeaf, MultiwaySpec};
 pub use par::Parallelism;
 pub use plain::evaluate;
 pub use plan::{PhysOp, PhysicalPlan};
@@ -69,7 +69,6 @@ pub mod prelude {
     pub use crate::engine::{Engine, Instrument, Query, QueryOutput, SetOpOutput, Strategy};
     pub use crate::exec::{Execution, JoinOrder, StatsMode};
     pub use crate::instrumented::evaluate_instrumented;
-    pub use crate::kernel::PartitionStat;
     pub use crate::par::Parallelism;
     pub use crate::plain::evaluate;
     pub use crate::reference::evaluate_reference;

@@ -1,7 +1,7 @@
 //! Vectorized selection over whole typed columns.
 //!
 //! σ is the one hot operator with no twin in [`crate::kernel`] (it has a
-//! single operand and nothing to partition): [`select`] scans the
+//! single operand and no key to hash or merge on): [`select`] scans the
 //! relation's [`Columns`] with one dense typed loop per predicate,
 //! collecting a **selection vector** of surviving row indices, and only
 //! then gathers the surviving tuples — the output is a subsequence of the

@@ -1,36 +1,38 @@
-//! The parallelism knob: how many worker threads the engine's executors
-//! may fan partitioned work out to.
+//! The parallelism knob: how many worker threads the registry's
+//! partition-parallel set operators may fan out to.
 //!
-//! One type serves every layer: the `Engine` builder stores it, the
-//! physical planner's DAG executor consults it (independent plan nodes
-//! run concurrently, join/semijoin nodes run partition-parallel — see
-//! [`crate::kernel`], where a serial run is the one-partition view of
-//! the same operator bodies), and the registry-routed set
-//! operators receive its worker count as the selection hint for the
-//! partition-parallel division/set-join variants.
+//! The `Engine` builder stores it, and [`crate::Engine::divide`] /
+//! [`crate::Engine::set_join`] hand its worker count to the registry's
+//! `auto` selectors, which price the `parallel-hash` and
+//! `parallel-signature` variants at it (they win on large set joins).
+//! Plans do not read it: a [`crate::PhysicalPlan`] runs on the caller's
+//! thread, one node after another, and every kernel runs one body over
+//! whole operands. Splitting plan nodes into partitions or running
+//! independent nodes on their own threads lost on every planned workload
+//! measured (serial ÷ threaded below 1 at two cores), and the paper's
+//! plans are linear or quadratic by their intermediates, whatever the
+//! thread count.
 //!
 //! Parallel execution is **semantically invisible**: partition placement
 //! is deterministic, workers never share mutable state, and every merge
 //! re-establishes the canonical relation order, so any `Parallelism`
 //! value produces byte-identical results (property-tested in
-//! `tests/parallel.rs`). [`Parallelism::Serial`] remains the default —
-//! existing callers are unaffected until they opt in.
+//! `tests/parallel.rs`). [`Parallelism::Serial`] is the default.
 
 use std::fmt;
 
-/// Worker-thread budget for partitioned execution.
+/// Worker-thread budget of the registry's set operators.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
 pub enum Parallelism {
     /// Single-threaded execution on the caller's thread — the default,
     /// and the behavior of every evaluator before the knob existed.
     #[default]
     Serial,
-    /// Fan partitioned operators (and independent plan nodes) out over
+    /// Let the registry's partition-parallel set operators fan out over
     /// this many scoped worker threads. `Threads(0)` means "one worker
     /// per available CPU" (capped at 8). `Threads(1)` resolves to one
-    /// worker ([`Parallelism::workers`]), and every executor at one
-    /// worker takes the kernels' one-partition path: it runs
-    /// byte-for-byte what `Serial` runs.
+    /// worker ([`Parallelism::workers`]) and runs byte-for-byte what
+    /// `Serial` runs.
     Threads(usize),
 }
 

@@ -48,19 +48,20 @@
 //! Every plan is costed. [`PhysicalPlan::of_costed_with_order`] is the
 //! one constructor: it takes the statistics source that orders join
 //! chains and annotates every node with an estimate, and the cost model
-//! that gates partition parallelism at execution time. Operator choice
-//! reads θ alone. [`crate::Engine`] calls it with its own
-//! catalog; [`PhysicalPlan::execute_with`] /
-//! [`PhysicalPlan::execute_reported`] run the plan (the latter hands a
-//! [`Report`] with per-node operator choice, estimate, cardinality and
-//! timing back beside the result), and [`PhysicalPlan::explain`] renders
-//! the DAG with sharing annotations.
+//! that prices a [`PhysOp::Divide`]'s algorithm. Operator choice reads θ
+//! alone. [`crate::Engine`] calls it with its own catalog;
+//! [`PhysicalPlan::execute_with`] / [`PhysicalPlan::execute_reported`]
+//! run the plan on the caller's thread, one node at a time in
+//! topological order (the latter hands a [`Report`] with per-node
+//! operator choice, estimate, cardinality and timing back beside the
+//! result), and [`PhysicalPlan::explain`] renders the DAG with sharing
+//! annotations.
 
 use crate::error::EvalError;
 use crate::exec::Execution;
 use crate::exec::JoinOrder;
 use crate::joinorder;
-use crate::kernel::{self, PartitionStat};
+use crate::kernel;
 use crate::ops;
 use crate::ops_vec;
 use crate::par::Parallelism;
@@ -75,10 +76,6 @@ use std::time::{Duration, Instant};
 /// Index of a node within a [`PhysicalPlan`] (topological: children come
 /// before parents, the root is the last node).
 pub type NodeId = usize;
-
-/// What executing one node yields: its output and, when it ran
-/// partition-parallel, one [`PartitionStat`] per partition.
-type NodeOutput = (Arc<Relation>, Vec<PartitionStat>);
 
 /// The physical operator executing one DAG node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -237,9 +234,6 @@ pub struct PhysicalPlan {
     nodes: Vec<PlanNode>,
     root: NodeId,
     expr_nodes: usize,
-    /// Gates partition parallelism per node from actual operand sizes
-    /// at execution time.
-    cost_model: CostModel,
 }
 
 impl PhysicalPlan {
@@ -258,9 +252,8 @@ impl PhysicalPlan {
     /// [`PhysicalPlan::explain`] and compared against actuals in
     /// instrumented reports). Binary operator choice reads θ alone —
     /// merge on an aligned prefix, otherwise the kernel's own
-    /// hash-or-nested-loop dispatch — and partition-parallel execution
-    /// is gated by `model` on actual operand sizes. Statistics change
-    /// constants, never results.
+    /// hash-or-nested-loop dispatch. Statistics change constants, never
+    /// results.
     ///
     /// `_order` is accepted and ignored ([`JoinOrder`] has one value).
     ///
@@ -306,7 +299,6 @@ impl PhysicalPlan {
             nodes: planner.nodes,
             root,
             expr_nodes: planned_expr.node_count(),
-            cost_model: model.clone(),
         })
     }
 
@@ -336,115 +328,72 @@ impl PhysicalPlan {
         self.nodes.iter().filter(|n| n.occurrences > 1).count()
     }
 
-    /// Execute the plan under the given [`Parallelism`]. The database
-    /// must conform to the schema the plan was built against; scans
-    /// re-check name and arity (the cheap part) and error out on
-    /// mismatch, everything else was validated at plan time. With more
-    /// than one worker, independent DAG nodes (same dependency depth) run
-    /// on concurrent scoped threads and join/semijoin nodes additionally
-    /// run partition-parallel ([`kernel::join`] and friends). Output is
-    /// byte-identical for every worker count.
-    pub fn execute_with(&self, db: &Database, par: Parallelism) -> Result<Relation, EvalError> {
-        Ok(unshare(self.run(db, par.workers(), |_, _, _, _, _| {})?))
+    /// Execute the plan on the caller's thread. The database must
+    /// conform to the schema the plan was built against; scans re-check
+    /// name and arity (the cheap part) and error out on mismatch,
+    /// everything else was validated at plan time.
+    pub fn execute_with(&self, db: &Database) -> Result<Relation, EvalError> {
+        Ok(unshare(self.run(db, |_, _, _, _| {})?))
     }
 
-    /// [`PhysicalPlan::execute_with`]; `_exec` is accepted and ignored
-    /// (see [`crate::exec`]).
+    /// [`PhysicalPlan::execute_with`]; `_par` and `_exec` are accepted
+    /// and ignored (see [`crate::exec`]).
     pub fn execute_with_execution(
         &self,
         db: &Database,
-        par: Parallelism,
+        _par: Parallelism,
         _exec: Execution,
     ) -> Result<Relation, EvalError> {
-        self.execute_with(db, par)
+        self.execute_with(db)
     }
 
     /// [`PhysicalPlan::execute_with`] with per-node instrumentation: the
     /// result beside a [`Report`] holding one [`NodeStat`] per **DAG
     /// node** (not per tree node — that is the point), in topological
     /// order with the root last. Each carries the plan's estimate and
-    /// sharing count next to the actual cardinality, parallel operator
-    /// nodes their per-partition build/probe timings
-    /// ([`NodeStat::partitions`]), and the report the worker count.
-    pub fn execute_reported(
-        &self,
-        db: &Database,
-        par: Parallelism,
-    ) -> Result<(Relation, Report), EvalError> {
-        let workers = par.workers();
+    /// sharing count next to the actual cardinality and the node's self
+    /// time.
+    pub fn execute_reported(&self, db: &Database) -> Result<(Relation, Report), EvalError> {
         let mut nodes = Vec::with_capacity(self.nodes.len());
-        let root = self.run(
-            db,
-            workers,
-            |id, node: &PlanNode, rel: &Relation, elapsed, partitions: &[PartitionStat]| {
-                nodes.push(NodeStat {
-                    id,
-                    label: node.label.clone(),
-                    operator: node.op.name(),
-                    arity: rel.arity(),
-                    cardinality: rel.len(),
-                    estimate: Some(node.est_rows),
-                    occurrences: node.occurrences,
-                    elapsed,
-                    partitions: partitions.to_vec(),
-                });
-            },
-        )?;
-        // Observed level by level; reported by id.
-        nodes.sort_by_key(|n| n.id);
+        let root = self.run(db, |id, node: &PlanNode, rel: &Relation, elapsed| {
+            nodes.push(NodeStat {
+                id,
+                label: node.label.clone(),
+                operator: node.op.name(),
+                arity: rel.arity(),
+                cardinality: rel.len(),
+                estimate: Some(node.est_rows),
+                occurrences: node.occurrences,
+                elapsed,
+            });
+        })?;
         let report = Report {
             output_rows: root.len(),
             nodes,
             db_size: db.size(),
             expr_nodes: self.expr_nodes,
-            workers,
             ..Report::default()
         };
         Ok((unshare(root), report))
     }
 
-    /// Execute one node against its already-computed children. Binary
-    /// join/semijoin operators go partition-parallel when `workers > 1`
-    /// **and** the actual operand sizes justify it: the one gate is
-    /// [`CostModel::parallel_node_worthwhile`] (spawn + partitioning
-    /// overhead vs the work the extra workers take over) — below its
-    /// bar, partitioning costs more than the operator itself (the
-    /// constants are hand-set; the benchmark's
-    /// `eval.class_par_ratio.*` is what the gate's decisions cost
-    /// against a serial run). The
+    /// Execute one node against its already-computed children. The
     /// cheap linear operators (scan, merge set ops, projection, filter,
-    /// tag, grouping) always run serially — their cost is one pass over
-    /// input the partitioning itself would have to make. A division node
-    /// hands the same gated worker count to its registry algorithm, whose
-    /// serial entries ignore it.
-    ///
-    /// Join/semijoin work routes through the kernel layer
-    /// ([`crate::kernel`]), which runs one body per operator at every
-    /// worker count: a serial node is the one-partition view of the same
-    /// kernel a partitioned node fans out, so every worker count stays
-    /// byte-identical.
+    /// tag, grouping) are one pass over their input; join/semijoin work
+    /// routes through the kernel layer ([`crate::kernel`]), which runs
+    /// one body per operator over whole operands. A division node runs
+    /// its registry algorithm at one worker, the count the planner
+    /// priced it at ([`Planner::pick_division`]).
     fn exec_op(
         &self,
         node: &PlanNode,
         kids: &[&Relation],
         db: &Database,
-        workers: usize,
-    ) -> Result<NodeOutput, EvalError> {
-        let serial = |r: Relation| (Arc::new(r), Vec::new());
-        let workers = if kids.len() == 2 {
-            let (l, r) = (kids[0].len(), kids[1].len());
-            if self.cost_model.parallel_node_worthwhile(l, r, workers) {
-                workers
-            } else {
-                1
-            }
-        } else {
-            workers
-        };
+    ) -> Result<Arc<Relation>, EvalError> {
         // The one value of a type the kernel signatures still carry (see
-        // `crate::exec`).
-        let exec = Execution::Vectorized;
-        Ok(match &node.op {
+        // `crate::exec`), and the worker count they ignore.
+        let (exec, workers) = (Execution::Vectorized, 1);
+        let rel = match &node.op {
             PhysOp::Scan(name) => {
                 let r = db.get_shared(name).ok_or_else(|| {
                     EvalError::Algebra(AlgebraError::UnknownRelation(name.clone()))
@@ -455,34 +404,26 @@ impl PhysicalPlan {
                         right: r.arity(),
                     }));
                 }
-                (r, Vec::new())
+                return Ok(r);
             }
-            PhysOp::MergeUnion => serial(kids[0].union(kids[1]).expect("validated: arities agree")),
-            PhysOp::MergeDiff => serial(
-                kids[0]
-                    .difference(kids[1])
-                    .expect("validated: arities agree"),
-            ),
-            PhysOp::Project(cols) => serial(kernel::project(kids[0], cols)),
+            PhysOp::MergeUnion => kids[0].union(kids[1]).expect("validated: arities agree"),
+            PhysOp::MergeDiff => kids[0]
+                .difference(kids[1])
+                .expect("validated: arities agree"),
+            PhysOp::Project(cols) => kernel::project(kids[0], cols),
             PhysOp::Filter { sel, project } => {
                 let k = project.unwrap_or(kids[0].arity());
-                serial(ops_vec::project_select(kids[0], sel, k))
+                ops_vec::project_select(kids[0], sel, k)
             }
-            PhysOp::Tag(c) => serial(kernel::tag(kids[0], c)),
-            PhysOp::Join(theta) => {
-                let (rel, parts) = kernel::join(kids[0], kids[1], theta, exec, workers);
-                (Arc::new(rel), parts)
-            }
+            PhysOp::Tag(c) => kernel::tag(kids[0], c),
+            PhysOp::Join(theta) => kernel::join(kids[0], kids[1], theta, exec, workers),
             PhysOp::MergeJoin { theta, prefix } => {
                 let (_, residual) = ops::split_condition(theta);
-                let (rel, parts) =
-                    kernel::merge_join(kids[0], kids[1], *prefix, &residual, exec, workers);
-                (Arc::new(rel), parts)
+                kernel::merge_join(kids[0], kids[1], *prefix, &residual, exec, workers)
             }
             PhysOp::Semijoin { theta, project } => {
                 let k = project.unwrap_or(kids[0].arity());
-                let (rel, parts) = kernel::project_semijoin(kids[0], kids[1], theta, k, workers);
-                (Arc::new(rel), parts)
+                kernel::project_semijoin(kids[0], kids[1], theta, k)
             }
             PhysOp::MergeSemijoin {
                 theta,
@@ -491,76 +432,24 @@ impl PhysicalPlan {
             } => {
                 let (_, residual) = ops::split_condition(theta);
                 let k = project.unwrap_or(kids[0].arity());
-                let (rel, parts) = kernel::project_merge_semijoin(
-                    kids[0], kids[1], *prefix, &residual, k, workers,
-                );
-                (Arc::new(rel), parts)
+                kernel::project_merge_semijoin(kids[0], kids[1], *prefix, &residual, k)
             }
-            PhysOp::HashGroupCount(cols) => serial(kernel::group_count(kids[0], cols)),
-            PhysOp::GroupJoin { theta, keys } => {
-                let (rel, parts) = kernel::group_join(kids[0], kids[1], theta, *keys, workers);
-                (Arc::new(rel), parts)
-            }
+            PhysOp::HashGroupCount(cols) => kernel::group_count(kids[0], cols),
+            PhysOp::GroupJoin { theta, keys } => kernel::group_join(kids[0], kids[1], theta, *keys),
             PhysOp::Divide { sem, algorithm } => {
                 let alg = Registry::standard()
                     .find_division(algorithm)
                     .expect("planned from the registry table");
-                serial(sj_setjoin::run_division_traced(
-                    alg, kids[0], kids[1], *sem, workers,
-                ))
+                sj_setjoin::run_division_traced(alg, kids[0], kids[1], *sem, workers)
             }
-            PhysOp::MultiwayJoin(spec) => {
-                // The n-ary node bypasses the binary gate above; gate
-                // it here on the total input size (there is no probe
-                // side — the second operand count is 0).
-                let total: usize = kids.iter().map(|k| k.len()).sum();
-                let worthwhile = self.cost_model.parallel_node_worthwhile(total, 0, workers);
-                let w = if worthwhile { workers } else { 1 };
-                let (rel, parts) = kernel::multiway_join(kids, spec, exec, w);
-                (Arc::new(rel), parts)
-            }
-        })
+            PhysOp::MultiwayJoin(spec) => kernel::multiway_join(kids, spec, exec, workers),
+        };
+        Ok(Arc::new(rel))
     }
 
-    /// Execute node `id` against the already-computed `results` of its
-    /// children under a `plan.node` span, timing the node's own operator.
-    fn run_node(
-        &self,
-        id: NodeId,
-        results: &[Option<Arc<Relation>>],
-        db: &Database,
-        workers: usize,
-    ) -> (Result<NodeOutput, EvalError>, Duration) {
-        let node = &self.nodes[id];
-        let kids: Vec<&Relation> = node
-            .children
-            .iter()
-            .map(|&c| {
-                results[c]
-                    .as_deref()
-                    .expect("children are computed before their parents")
-            })
-            .collect();
-        let mut span = sj_obs::span!(
-            "plan.node",
-            node = id,
-            op = node.op.name(),
-            input = kids.iter().map(|k| k.len()).sum::<usize>()
-        );
-        let start = Instant::now();
-        let out = self.exec_op(node, &kids, db, workers);
-        if let Ok((rel, _)) = &out {
-            span.attr("rows", rel.len());
-        }
-        (out, start.elapsed())
-    }
-
-    /// One pass over the DAG; `observe` sees every node's output. The
-    /// pass proceeds level by level. With `workers > 1` a node's level is
-    /// its dependency depth: nodes on the same level have no path between
-    /// them, so each level fans out over scoped threads. A serial pass is
-    /// the degenerate levelling — every node its own level, in
-    /// topological order.
+    /// One forward pass over the DAG in topological order; `observe`
+    /// sees every node's output and self time. Each node runs under a
+    /// `plan.node` span.
     ///
     /// Each intermediate is dropped as soon as its last consumer has run,
     /// so peak memory tracks the live frontier of the DAG rather than the
@@ -568,8 +457,7 @@ impl PhysicalPlan {
     fn run(
         &self,
         db: &Database,
-        workers: usize,
-        mut observe: impl FnMut(NodeId, &PlanNode, &Relation, Duration, &[PartitionStat]),
+        mut observe: impl FnMut(NodeId, &PlanNode, &Relation, Duration),
     ) -> Result<Arc<Relation>, EvalError> {
         let mut pending_consumers = vec![0usize; self.nodes.len()];
         for node in &self.nodes {
@@ -579,76 +467,37 @@ impl PhysicalPlan {
         }
         pending_consumers[self.root] += 1; // the caller consumes the root
         let mut results: Vec<Option<Arc<Relation>>> = vec![None; self.nodes.len()];
-        let levels = if workers <= 1 {
-            (0..self.nodes.len()).map(|id| vec![id]).collect()
-        } else {
-            self.levels()
-        };
-        for level in levels {
-            let outputs: Vec<_> = if level.len() == 1 {
-                // One node: run inline, skip the thread machinery (but
-                // keep intra-operator partition parallelism).
-                vec![(level[0], self.run_node(level[0], &results, db, workers))]
-            } else {
-                // The worker budget is split across the level's
-                // concurrent nodes so intra-operator partitioning
-                // never oversubscribes the budget quadratically.
-                let node_workers = (workers / level.len()).max(1);
-                let results = &results;
-                let parent = sj_obs::current_span();
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = level
-                        .iter()
-                        .map(|&id| {
-                            s.spawn(move || {
-                                sj_obs::with_parent(parent, || {
-                                    (id, self.run_node(id, results, db, node_workers))
-                                })
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("plan worker panicked"))
-                        .collect()
+        for (id, node) in self.nodes.iter().enumerate() {
+            let kids: Vec<&Relation> = node
+                .children
+                .iter()
+                .map(|&c| {
+                    results[c]
+                        .as_deref()
+                        .expect("children are computed before their parents")
                 })
-            };
-            for (id, (out, elapsed)) in outputs {
-                let (rel, parts) = out?;
-                observe(id, &self.nodes[id], &rel, elapsed, &parts);
-                results[id] = Some(rel);
-            }
-            for &id in &level {
-                for &c in &self.nodes[id].children {
-                    pending_consumers[c] -= 1;
-                    if pending_consumers[c] == 0 {
-                        results[c] = None;
-                    }
+                .collect();
+            let mut span = sj_obs::span!(
+                "plan.node",
+                node = id,
+                op = node.op.name(),
+                input = kids.iter().map(|k| k.len()).sum::<usize>()
+            );
+            let start = Instant::now();
+            let rel = self.exec_op(node, &kids, db)?;
+            let elapsed = start.elapsed();
+            span.attr("rows", rel.len());
+            drop(span);
+            observe(id, node, &rel, elapsed);
+            results[id] = Some(rel);
+            for &c in &node.children {
+                pending_consumers[c] -= 1;
+                if pending_consumers[c] == 0 {
+                    results[c] = None;
                 }
             }
         }
         Ok(results[self.root].take().expect("root computed"))
-    }
-
-    /// Group node ids by dependency depth (level 0 = leaves), each level
-    /// in ascending id order. Children always sit on strictly lower
-    /// levels, so the nodes of one level are pairwise independent.
-    fn levels(&self) -> Vec<Vec<NodeId>> {
-        let mut level = vec![0usize; self.nodes.len()];
-        let mut out: Vec<Vec<NodeId>> = Vec::new();
-        for (id, node) in self.nodes.iter().enumerate() {
-            level[id] = node
-                .children
-                .iter()
-                .map(|&c| level[c] + 1)
-                .max()
-                .unwrap_or(0);
-            if out.len() <= level[id] {
-                out.resize_with(level[id] + 1, Vec::new);
-            }
-            out[level[id]].push(id);
-        }
-        out
     }
 
     /// Render the DAG as an `EXPLAIN`-style tree. The first occurrence of
@@ -879,9 +728,8 @@ impl<'a> Planner<'a> {
     }
 
     /// The registry's cheapest division algorithm on the stored operands
-    /// `x` and `y` (both [`Expr::Rel`]), priced at one worker: a plan is
-    /// built before the parallelism it runs under is known, and the
-    /// server's plan tier reuses it at any.
+    /// `x` and `y` (both [`Expr::Rel`]), priced at one worker: the count
+    /// the executor runs it at.
     fn pick_division(&self, x: &Expr, y: &Expr) -> &'static str {
         let stats = |e: &Expr| {
             let Expr::Rel(name) = e else {
@@ -1203,7 +1051,7 @@ mod tests {
             // distinct first-column count (3 groups).
             assert!(root.est_rows <= 3.0, "{}", root.est_rows);
             assert!(plan.explain().contains(expected), "{}", plan.explain());
-            let (result, report) = plan.execute_reported(&db, Parallelism::Serial).unwrap();
+            let (result, report) = plan.execute_reported(&db).unwrap();
             assert_eq!(result, evaluate(&e, &db).unwrap(), "{e}");
             assert_eq!(report.max_intermediate(), r.len(), "{e}");
         }
@@ -1215,9 +1063,7 @@ mod tests {
         // once (the tree has it twice), π₁(R) once (twice in the tree).
         let e = near_miss_division();
         let db = near_miss_db();
-        let (result, report) = plan(&e, &db)
-            .execute_reported(&db, Parallelism::Serial)
-            .unwrap();
+        let (result, report) = plan(&e, &db).execute_reported(&db).unwrap();
         assert_eq!(report.expr_nodes, 10);
         assert_eq!(report.nodes.len(), 8);
         assert_eq!(report.evaluations_saved(), 2);
@@ -1262,9 +1108,7 @@ mod tests {
             division::cyclic_beer_query_ra(),
         ] {
             assert_eq!(
-                plan(&e, &db)
-                    .execute_with(&db, Parallelism::Serial)
-                    .unwrap(),
+                plan(&e, &db).execute_with(&db).unwrap(),
                 evaluate(&e, &db).unwrap(),
                 "{e}"
             );
@@ -1278,9 +1122,7 @@ mod tests {
             division::division_equality_counting("R", "S"),
         ] {
             assert_eq!(
-                plan(&e, &ddb)
-                    .execute_with(&ddb, Parallelism::Serial)
-                    .unwrap(),
+                plan(&e, &ddb).execute_with(&ddb).unwrap(),
                 evaluate(&e, &ddb).unwrap(),
                 "{e}"
             );
@@ -1369,9 +1211,7 @@ mod tests {
         ];
         for e in exprs {
             assert_eq!(
-                plan(&e, &db)
-                    .execute_with(&db, Parallelism::Serial)
-                    .unwrap(),
+                plan(&e, &db).execute_with(&db).unwrap(),
                 evaluate(&e, &db).unwrap(),
                 "{e}"
             );
@@ -1408,14 +1248,14 @@ mod tests {
         // Missing relation.
         let empty = Database::new();
         assert!(matches!(
-            plan.execute_with(&empty, Parallelism::Serial),
+            plan.execute_with(&empty),
             Err(EvalError::Algebra(AlgebraError::UnknownRelation(_)))
         ));
         // Wrong arity.
         let mut wrong = Database::new();
         wrong.set("R", Relation::from_int_rows(&[&[1, 2, 3]]));
         assert!(matches!(
-            plan.execute_with(&wrong, Parallelism::Serial),
+            plan.execute_with(&wrong),
             Err(EvalError::Algebra(AlgebraError::ArityMismatch { .. }))
         ));
     }
@@ -1451,126 +1291,8 @@ mod tests {
         db.set("R", Relation::from_int_rows(&[&[1], &[2]]));
         let plan = plan(&Expr::rel("R"), &db);
         // A bare scan's result must be the stored allocation itself.
-        let shared = plan.run(&db, 1, |_, _, _, _, _| {}).unwrap();
+        let shared = plan.run(&db, |_, _, _, _| {}).unwrap();
         assert!(std::ptr::eq(shared.as_ref(), db.get("R").unwrap()));
-    }
-
-    #[test]
-    fn parallel_execution_is_byte_identical_to_serial() {
-        let mut db = Database::new();
-        let rows: Vec<Vec<i64>> = (0..400).map(|i| vec![i % 29, i % 7]).collect();
-        let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
-        db.set("R", Relation::from_int_rows(&refs));
-        db.set("S", Relation::unary((0..7).map(Value::int)));
-        let exprs = [
-            division::division_double_difference("R", "S"),
-            division::division_counting("R", "S"),
-            Expr::rel("R").join(Condition::eq(1, 1), Expr::rel("R")),
-            Expr::rel("R").semijoin(Condition::eq(2, 1), Expr::rel("S")),
-        ];
-        for e in exprs {
-            let plan = plan(&e, &db);
-            let want = plan.execute_with(&db, Parallelism::Serial).unwrap();
-            for par in [
-                Parallelism::Threads(1),
-                Parallelism::Threads(2),
-                Parallelism::Threads(4),
-                Parallelism::Threads(8),
-            ] {
-                assert_eq!(
-                    plan.execute_with(&db, par).unwrap(),
-                    want,
-                    "{e} under {par}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_instrumented_report_is_ordered_and_records_workers() {
-        let e = near_miss_division();
-        // 16 000 groups: enough that the product node clears the cost
-        // model's gate at four workers and actually runs partitioned
-        // (tiny inputs are gated to serial).
-        let mut db = Database::new();
-        let rows: Vec<Vec<i64>> = (0..32_000).map(|i| vec![i % 16_000, i % 3]).collect();
-        let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
-        db.set("R", Relation::from_int_rows(&refs));
-        db.set("T", Relation::from_int_rows(&refs));
-        db.set("S", Relation::from_int_rows(&[&[0], &[1], &[2]]));
-        let plan = plan(&e, &db);
-        let (serial_result, serial) = plan.execute_reported(&db, Parallelism::Serial).unwrap();
-        assert_eq!(serial.workers, 1);
-        let (par_result, par) = plan.execute_reported(&db, Parallelism::Threads(4)).unwrap();
-        assert_eq!(par.workers, 4);
-        assert_eq!(par_result, serial_result);
-        // Same shape as the serial report: one stat per DAG node, ids in
-        // topological order, identical cardinalities.
-        assert_eq!(par.nodes.len(), serial.nodes.len());
-        for (p, s) in par.nodes.iter().zip(&serial.nodes) {
-            assert_eq!(p.id, s.id);
-            assert_eq!(p.label, s.label);
-            assert_eq!(p.operator, s.operator);
-            assert_eq!(p.cardinality, s.cardinality);
-        }
-        // Parallel join/semijoin nodes report their partitions; serial
-        // runs never do.
-        assert!(serial.nodes.iter().all(|n| n.partitions.is_empty()));
-        let join_node = par
-            .nodes
-            .iter()
-            .find(|n| n.operator.contains("join"))
-            .expect("division plan joins");
-        // Chunk partitioning never makes more partitions than input rows.
-        assert!(
-            (2..=4).contains(&join_node.partitions.len()),
-            "{join_node:?}"
-        );
-        assert_eq!(
-            join_node
-                .partitions
-                .iter()
-                .map(|p| p.out_rows)
-                .sum::<usize>(),
-            join_node.cardinality,
-            "partition outputs are disjoint and cover the node output"
-        );
-        assert!(par.render().contains("4 workers"), "{}", par.render());
-        assert!(par.render().contains("partitions]"), "{}", par.render());
-        // The lowered idiom answers the same at four workers without the
-        // 48 000-row product: its largest intermediate is R itself.
-        let lowered = try_plan(&division::division_double_difference("R", "S"), &db).unwrap();
-        let (div_result, div) = lowered
-            .execute_reported(&db, Parallelism::Threads(4))
-            .unwrap();
-        assert_eq!(div_result, serial_result);
-        assert_eq!(div.workers, 4);
-        assert_eq!(div.max_intermediate(), 32_000);
-    }
-
-    #[test]
-    fn levels_respect_dependencies() {
-        let e = division::division_double_difference("R", "S");
-        let plan = plan(&e, &division_db());
-        let levels = plan.levels();
-        assert_eq!(
-            levels.iter().map(|l| l.len()).sum::<usize>(),
-            plan.node_count()
-        );
-        let mut level_of = vec![0usize; plan.node_count()];
-        for (d, level) in levels.iter().enumerate() {
-            for &id in level {
-                level_of[id] = d;
-            }
-        }
-        for (id, node) in plan.nodes().iter().enumerate() {
-            for &c in &node.children {
-                assert!(level_of[c] < level_of[id], "child {c} not below {id}");
-            }
-        }
-        // The division DAG starts from two independent leaves: level 0
-        // holds both scans — the executor runs them concurrently.
-        assert_eq!(levels[0].len(), 2);
     }
 
     #[test]
@@ -1585,13 +1307,10 @@ mod tests {
             .find(|n| n.op == PhysOp::Scan("R".into()))
             .unwrap();
         assert_eq!(scan_r.est_rows, 5.0);
-        assert_eq!(
-            plan.execute_with(&db, Parallelism::Serial).unwrap(),
-            evaluate(&e, &db).unwrap()
-        );
+        assert_eq!(plan.execute_with(&db).unwrap(), evaluate(&e, &db).unwrap());
         assert!(plan.explain().contains("~5 rows"), "{}", plan.explain());
         // Instrumented report pairs estimates with actuals.
-        let (_, report) = plan.execute_reported(&db, Parallelism::Serial).unwrap();
+        let (_, report) = plan.execute_reported(&db).unwrap();
         assert!(report.nodes.iter().all(|n| n.estimate.is_some()));
         assert!(report.render().contains("est≈"), "{}", report.render());
     }
@@ -1619,7 +1338,7 @@ mod tests {
             let plan = plan(&e, &db);
             assert_eq!(plan.nodes()[plan.root()].op.name(), expect, "{e}");
             assert!(plan.explain().contains(expect), "{}", plan.explain());
-            let (result, report) = plan.execute_reported(&db, Parallelism::Serial).unwrap();
+            let (result, report) = plan.execute_reported(&db).unwrap();
             assert_eq!(report.nodes.last().unwrap().operator, expect, "{e}");
             assert_eq!(result, evaluate(&e, &db).unwrap(), "{e}");
         }
@@ -1639,9 +1358,7 @@ mod tests {
         let mut db = Database::new();
         db.set("R", Relation::from_int_rows(&refs));
         let e = Expr::rel("R").select_eq(1, 2);
-        let (_, report) = plan(&e, &db)
-            .execute_reported(&db, Parallelism::Serial)
-            .unwrap();
+        let (_, report) = plan(&e, &db).execute_reported(&db).unwrap();
         // The leaf scan is estimated exactly; the filter misses by >16×.
         let scan_id = report
             .nodes
@@ -1663,7 +1380,7 @@ mod tests {
     fn report_render_mentions_sharing_and_plan_size() {
         let db = near_miss_db();
         let (_, report) = plan(&near_miss_division(), &db)
-            .execute_reported(&db, Parallelism::Serial)
+            .execute_reported(&db)
             .unwrap();
         let s = report.render();
         assert!(s.contains("8 plan nodes for 10 tree nodes"), "{s}");
@@ -1673,7 +1390,7 @@ mod tests {
         // its largest intermediate.
         let db = division_db();
         let (_, report) = plan(&division::division_double_difference("R", "S"), &db)
-            .execute_reported(&db, Parallelism::Serial)
+            .execute_reported(&db)
             .unwrap();
         let s = report.render();
         assert!(s.contains("3 plan nodes for 10 tree nodes"), "{s}");

@@ -17,7 +17,6 @@
 //! [`crate::explain::render_tree`] is the tree-shaped view of the same
 //! struct.
 
-use crate::kernel::PartitionStat;
 use std::time::Duration;
 
 /// Estimation-accuracy budget: a node whose q-error
@@ -57,9 +56,6 @@ pub struct NodeStat {
     /// Wall-clock time spent in this node's own operator, children
     /// excluded.
     pub elapsed: Duration,
-    /// Per-partition timings when the node ran partition-parallel;
-    /// empty for serial operators and serial runs.
-    pub partitions: Vec<PartitionStat>,
 }
 
 /// What an instrumented run measured; the evaluator hands the result
@@ -78,9 +74,6 @@ pub struct Report {
     /// Size of the logical expression tree that ran; more than
     /// `nodes.len()` where memoization shared subexpressions.
     pub expr_nodes: usize,
-    /// Worker threads the executor ran with (1 for serial runs and the
-    /// tree walkers).
-    pub workers: usize,
     /// End-to-end wall time (optimize + plan + execute), stamped by
     /// whoever drove the run — [`crate::Query::run`], `sj-server`; the
     /// evaluators themselves leave it `None`.
@@ -155,10 +148,9 @@ impl Report {
     /// node — id, operator, label, arity, cardinality, then (only where
     /// the node carries an estimate) `est≈`, the q-error and an
     /// `(over budget)` marker past [`Q_ERROR_BUDGET`], the sharing count
-    /// (`×1` for unshared nodes), the partition marker (`[serial]` or
-    /// `[N partitions]`) and the node's self time — under a header with
-    /// `|D|`, output rows, the largest intermediate, plan vs tree size,
-    /// workers, serving tier, patched groups and end-to-end time. A
+    /// (`×1` for unshared nodes) and the node's self time — under a
+    /// header with `|D|`, output rows, the largest intermediate, plan vs
+    /// tree size, serving tier, patched groups and end-to-end time. A
     /// report without nodes (nothing executed) renders output rows, tier
     /// and elapsed time and nothing else.
     pub fn render(&self) -> String {
@@ -166,8 +158,7 @@ impl Report {
     }
 
     /// [`Report::render`] with every timing masked as `-`: cardinalities,
-    /// operator choices, estimates, worker and partition counts are
-    /// deterministic, so this form is byte-stable across runs of the
+    /// operator choices and estimates are deterministic, so this form is byte-stable across runs of the
     /// same configuration.
     pub fn render_stable(&self) -> String {
         self.render_inner(false)
@@ -186,13 +177,12 @@ impl Report {
         } else {
             format!(
                 "profile: |D| = {}, output = {} rows, max intermediate = {}, \
-                 {} plan nodes for {} tree nodes, {} workers",
+                 {} plan nodes for {} tree nodes",
                 self.db_size,
                 self.output_rows,
                 self.max_intermediate(),
                 self.nodes.len(),
                 self.expr_nodes,
-                self.workers,
             )
         };
         if let Some(tier) = self.tier {
@@ -214,13 +204,8 @@ impl Report {
                 (Some(e), Some(q)) => format!("  est≈{e:.0} q-error {q:.1}"),
                 _ => String::new(),
             };
-            let parts = if n.partitions.is_empty() {
-                "[serial]".to_string()
-            } else {
-                format!("[{} partitions]", n.partitions.len())
-            };
             out.push_str(&format!(
-                "  [{:>3}] {:<20} {:<28} arity {}  card {}{est}  ×{}  {parts}  {}\n",
+                "  [{:>3}] {:<20} {:<28} arity {}  card {}{est}  ×{}  {}\n",
                 n.id,
                 n.operator,
                 n.label,
@@ -271,7 +256,6 @@ mod tests {
         let stable = profile.render_stable();
         assert!(!stable.contains("µs"), "{stable}");
         assert!(stable.contains("est≈"), "{stable}");
-        assert!(stable.contains("[serial]"), "{stable}");
         // Stable rendering is deterministic across repeated runs.
         let again = engine
             .query(division::division_double_difference("R", "S"))
@@ -292,7 +276,7 @@ mod tests {
         let s = p.render_stable();
         assert!(s.contains("tier result-cache"), "{s}");
         assert!(s.contains("output = 42 rows"), "{s}");
-        // Nothing it has no value for: no `|D| = 0`, no `0 workers`.
+        // Nothing it has no value for: no `|D| = 0`, no `0 plan nodes`.
         assert_eq!(
             s,
             "profile: output = 42 rows, tier result-cache, elapsed -\n"

@@ -22,14 +22,13 @@
 //!
 //! The span taxonomy used across the workspace (see the README's
 //! "Observability" section): `server.dispatch` → `server.query` →
-//! `storage.snapshot` / `stats.analyze` / `plan.node` → `kernel.*` →
-//! `kernel.partition`.
+//! `storage.snapshot` / `stats.analyze` / `plan.node` → `kernel.*`.
 
 pub mod metrics;
 pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, MaxGauge, Metrics};
 pub use trace::{
-    current_span, enabled, install, uninstall, with_collector, with_parent, AttrValue, Collector,
-    RingCollector, SpanGuard, SpanId, SpanRecord, TraceLog,
+    enabled, install, uninstall, with_collector, AttrValue, Collector, RingCollector, SpanGuard,
+    SpanId, SpanRecord, TraceLog,
 };

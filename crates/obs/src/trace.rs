@@ -2,12 +2,9 @@
 //! buffer.
 //!
 //! A *span* is a named region of execution with key/value attributes
-//! and a parent — the innermost span open on the same thread (or one
-//! explicitly adopted across a thread boundary with [`with_parent`],
-//! which is how kernel partitions running on scoped worker threads stay
-//! attached to the kernel span that spawned them). Spans are emitted
-//! with the [`crate::span!`] macro and delivered to the process-global
-//! [`Collector`].
+//! and a parent — the innermost span open on the same thread. Spans are
+//! emitted with the [`crate::span!`] macro and delivered to the
+//! process-global [`Collector`].
 //!
 //! ## The null fast path
 //!
@@ -150,43 +147,6 @@ fn collector() -> Option<Arc<dyn Collector>> {
     COLLECTOR.read().expect("collector lock poisoned").clone()
 }
 
-/// The innermost span currently open on this thread, if any. Capture it
-/// before fanning work out to other threads and re-establish it there
-/// with [`with_parent`] so cross-thread children stay attached.
-pub fn current_span() -> Option<SpanId> {
-    if !enabled() {
-        return None;
-    }
-    STACK.with(|s| s.borrow().last().copied())
-}
-
-/// Run `f` with `parent` as this thread's innermost span, so spans `f`
-/// opens become its children. No-op (beyond one atomic load) when
-/// tracing is off or `parent` is `None`.
-pub fn with_parent<R>(parent: Option<SpanId>, f: impl FnOnce() -> R) -> R {
-    let adopted = if enabled() { parent } else { None };
-    if let Some(id) = adopted {
-        STACK.with(|s| s.borrow_mut().push(id));
-    }
-    struct Pop(Option<SpanId>);
-    impl Drop for Pop {
-        fn drop(&mut self) {
-            if let Some(id) = self.0 {
-                STACK.with(|s| {
-                    let mut stack = s.borrow_mut();
-                    if stack.last() == Some(&id) {
-                        stack.pop();
-                    } else if let Some(pos) = stack.iter().rposition(|&x| x == id) {
-                        stack.remove(pos);
-                    }
-                });
-            }
-        }
-    }
-    let _pop = Pop(adopted);
-    f()
-}
-
 /// An open span; closes (delivers `exit`) on drop. Inert when tracing
 /// was off at entry: dropping it does nothing and [`SpanGuard::attr`]
 /// is a no-op.
@@ -291,8 +251,8 @@ macro_rules! span {
 pub struct SpanRecord {
     /// Collector-unique id.
     pub id: SpanId,
-    /// Parent span at entry (same thread, or adopted via
-    /// [`with_parent`]).
+    /// Parent span at entry: the innermost span open on the same
+    /// thread.
     pub parent: Option<SpanId>,
     /// Span name (`kernel.join`, `server.dispatch`, …).
     pub name: &'static str,
@@ -556,7 +516,6 @@ mod tests {
         g.attr("out", 7usize);
         assert_eq!(g.id(), None);
         drop(g);
-        assert_eq!(current_span(), None);
     }
 
     #[test]
@@ -587,28 +546,6 @@ mod tests {
             inner_at > outer_at,
             "child indented under parent:\n{rendered}"
         );
-    }
-
-    #[test]
-    fn cross_thread_parent_adoption() {
-        let _lock = GLOBAL.lock().unwrap();
-        let ring = Arc::new(RingCollector::new(16));
-        with_collector(ring.clone(), || {
-            let _outer = crate::span!("fanout");
-            let parent = current_span();
-            assert!(parent.is_some());
-            std::thread::scope(|s| {
-                s.spawn(|| {
-                    with_parent(parent, || {
-                        let _child = crate::span!("partition", partition = 0usize);
-                    });
-                });
-            });
-        });
-        let log = ring.log();
-        let outer = log.spans("fanout").next().unwrap();
-        let child = log.spans("partition").next().unwrap();
-        assert_eq!(child.parent, Some(outer.id));
     }
 
     #[test]

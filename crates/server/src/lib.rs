@@ -48,11 +48,11 @@
 //!   operand arities; data writes leave plans valid (a physical plan is
 //!   correct for any contents), `ANALYZE` retires them.
 //!
-//! **Scheduling.** The configured core budget is divided between
-//! inter-query concurrency (worker threads) and intra-query partition
-//! parallelism (each worker's engine runs with `cores / workers`
-//! partition workers) — the engine's [`sj_eval::Parallelism`] knob
-//! becomes a server policy instead of a per-query setting.
+//! **Scheduling.** Concurrency is between queries: `workers` pool
+//! threads (one per available core by default), each running a query's
+//! plan on its own thread from start to finish. A plan does not fan out
+//! inside itself — the paper's plans are linear or quadratic by their
+//! intermediates, whatever the thread count.
 //!
 //! **Observability.** [`Server::stats`] counts queries, per-tier hits,
 //! writes, ANALYZEs and queue rejections, and folds the
@@ -69,8 +69,8 @@
 //! `server.query` spans around every job, and an inline result-cache
 //! hit opens a root `server.query` on the caller's thread (zero-cost
 //! while no [`sj_obs::Collector`] is installed), so an installed
-//! collector sees the full serving hierarchy down to individual kernel
-//! partitions;
+//! collector sees the full serving hierarchy down to the individual
+//! kernel calls;
 //! [`Session::query_profiled`] attaches the rendered
 //! [`sj_eval::Report`] (`EXPLAIN ANALYZE`) of whichever tier answered
 //! to the response.

@@ -75,8 +75,7 @@ use crate::metrics::StatsSnapshot;
 use crate::queue::{PushError, Queue};
 use sj_algebra::{Expr, OptimizeLevel};
 use sj_eval::{
-    Engine, EvalError, Execution, Instrument, Parallelism, PhysicalPlan, Report, Strategy,
-    Q_ERROR_BUDGET,
+    Engine, EvalError, Execution, Instrument, PhysicalPlan, Report, Strategy, Q_ERROR_BUDGET,
 };
 use sj_obs::{Counter, Histogram, MaxGauge, Metrics};
 use sj_storage::{Database, Relation, Schema, Snapshot, StorageError, Tuple, Value};
@@ -151,14 +150,13 @@ impl fmt::Display for CacheMode {
 /// `sj_server_q_error_over_budget_total`.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Server worker threads (inter-query concurrency). `0` = one per
-    /// available core (capped at 8).
+    /// Server worker threads (inter-query concurrency); each runs one
+    /// query at a time on its own thread. `0` = one per available core
+    /// (capped at 8).
     pub workers: usize,
-    /// Core budget divided between inter-query concurrency and
-    /// intra-query partition parallelism: each query runs with
-    /// `max(1, cores / workers)` partition workers. `0` = available
-    /// cores (capped at 8). This is the scheduler decision that turns
-    /// the engine's [`Parallelism`] knob into policy.
+    /// Accepted and ignored: a query's plan runs on the worker thread
+    /// that took it, so there is no per-query core share to set. Kept
+    /// because `benchmark/` sets it.
     pub cores: usize,
     /// Bounded submission-queue capacity ([`Session::query`] blocks
     /// when full, [`Session::try_query`] rejects).
@@ -484,7 +482,6 @@ struct Shared {
     next_session: AtomicU64,
     /// [`ServerConfig::cache`] is [`CacheMode::PlanAndResult`].
     caching: bool,
-    per_query: Parallelism,
     /// Test-only failpoint: called with every query a worker is about
     /// to execute — past the result tier, snapshot captured — and free
     /// to panic or block.
@@ -739,7 +736,7 @@ impl Shared {
         {
             Some((entry, pending)) => self.patch(&plan, db, entry, pending)?,
             None => {
-                let (relation, report) = plan.execute_reported(db, self.per_query)?;
+                let (relation, report) = plan.execute_reported(db)?;
                 (Arc::new(relation), report)
             }
         };
@@ -790,7 +787,7 @@ impl Shared {
             .expect("the pending version is in db")
             .keyed_rows(&pending.keys);
         groups.set(pending.relation.clone(), rows);
-        let (fresh, mut report) = plan.execute_reported(&groups, self.per_query)?;
+        let (fresh, mut report) = plan.execute_reported(&groups)?;
         report.patched_groups = Some(pending.keys.len());
         self.patches.inc();
         self.patched_groups.add(pending.keys.len() as u64);
@@ -1018,31 +1015,14 @@ impl Server {
     /// Start a server over `db` with `config`: spawns the worker pool
     /// and returns immediately.
     pub fn start(db: Database, config: ServerConfig) -> Server {
-        let cores = if config.cores == 0 {
-            sj_setjoin::parallel::resolve_workers(0)
-        } else {
-            config.cores
-        };
-        let workers = if config.workers == 0 {
-            cores
-        } else {
-            config.workers
-        };
-        // The scheduler decision: divide the core budget between
-        // inter-query concurrency (`workers` pool threads) and
-        // intra-query partition parallelism (each query's engine gets
-        // the remaining share).
-        let per = (cores / workers).max(1);
-        let per_query = if per == 1 {
-            Parallelism::Serial
-        } else {
-            Parallelism::Threads(per)
+        let workers = match config.workers {
+            0 => sj_setjoin::parallel::resolve_workers(0),
+            n => n,
         };
         let template = Engine::new(Database::new())
             .optimize(OptimizeLevel::Full)
             .strategy(Strategy::Planned)
-            .instrument(Instrument::Cardinalities)
-            .parallelism(per_query);
+            .instrument(Instrument::Cardinalities);
         let metrics = Arc::new(Metrics::new());
         let shared = Arc::new(Shared {
             master: RwLock::new(Master { db, stats_epoch: 0 }),
@@ -1083,7 +1063,6 @@ impl Server {
             metrics,
             next_session: AtomicU64::new(0),
             caching: config.cache == CacheMode::PlanAndResult,
-            per_query,
             #[cfg(test)]
             failpoint: std::sync::Mutex::new(None),
         });
@@ -1153,12 +1132,6 @@ impl Server {
     /// read quantiles from the latency histograms directly).
     pub fn metrics(&self) -> Arc<Metrics> {
         self.shared.metrics.clone()
-    }
-
-    /// The intra-query parallelism every query runs with (the
-    /// `cores / workers` scheduler split).
-    pub fn per_query_parallelism(&self) -> Parallelism {
-        self.shared.per_query
     }
 
     /// Worker-pool size.
@@ -1368,7 +1341,6 @@ mod tests {
     fn config(workers: usize, cache: CacheMode) -> ServerConfig {
         ServerConfig {
             workers,
-            cores: workers,
             cache,
             ..ServerConfig::default()
         }
@@ -1742,9 +1714,7 @@ mod tests {
         let warm = session.query(e).unwrap();
         assert_eq!(warm.provenance, Provenance::PlanCache);
         // That run again, outside the server: stale plan, new data.
-        let (_, report) = plan
-            .execute_reported(server.snapshot().db(), Parallelism::Serial)
-            .unwrap();
+        let (_, report) = plan.execute_reported(server.snapshot().db()).unwrap();
         let q = report.max_q_error().unwrap();
         assert!(q > sj_eval::Q_ERROR_BUDGET, "{}", report.render_stable());
         assert_eq!(over_budget(), 1, "the plan-tier run counted");
@@ -1787,7 +1757,7 @@ mod tests {
         assert!(p.contains("tier result-cache"), "{p}");
         assert!(!p.contains("arity"), "no nodes on a result hit: {p}");
         assert!(
-            !p.contains("|D|") && !p.contains("workers"),
+            !p.contains("|D|") && !p.contains("plan nodes"),
             "a hit prints nothing it has no value for: {p}"
         );
 
@@ -2098,32 +2068,5 @@ mod tests {
             }
         });
         assert!(server.metrics_text().contains("sj_server_queue_depth 0"));
-    }
-
-    #[test]
-    fn scheduler_divides_cores_between_workers_and_partitions() {
-        let server = Server::start(
-            division_db(),
-            ServerConfig {
-                workers: 2,
-                cores: 8,
-                ..ServerConfig::default()
-            },
-        );
-        assert_eq!(server.worker_count(), 2);
-        assert_eq!(server.per_query_parallelism(), Parallelism::Threads(4));
-        let server = Server::start(
-            division_db(),
-            ServerConfig {
-                workers: 8,
-                cores: 8,
-                ..ServerConfig::default()
-            },
-        );
-        assert_eq!(
-            server.per_query_parallelism(),
-            Parallelism::Serial,
-            "all cores spent on inter-query concurrency"
-        );
     }
 }

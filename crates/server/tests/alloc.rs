@@ -85,7 +85,6 @@ fn result_cache_hits_allocate_nothing() {
         db,
         ServerConfig {
             workers: 1,
-            cores: 1,
             ..ServerConfig::default()
         },
     );

@@ -20,7 +20,6 @@ use std::sync::{Arc, Barrier};
 fn config(workers: usize, cache: CacheMode) -> ServerConfig {
     ServerConfig {
         workers,
-        cores: workers,
         cache,
         ..ServerConfig::default()
     }

@@ -13,15 +13,13 @@
 //! on current hardware).
 //!
 //! A constant exists only for a decision execution honours: the
-//! registry's `auto` selectors and the planned executor's partition
-//! gate ([`CostModel::parallel_node_worthwhile`]) are the two readers.
+//! registry's `auto` selectors are its one reader (plan nodes run on the
+//! caller's thread, so nothing else is priced per worker).
 //! [`CostModel::default`] is the one statement of the seven values;
 //! they are hand-set, and nothing in the workspace refits them. What
 //! checks them is the benchmark (`benchmark/`, metric names in
 //! `/BENCHMARK.json`): `setjoin.auto_regret.*` is the registry
-//! selector's pick ÷ the fastest registered algorithm,
-//! `eval.class_par_ratio.*` and `eval.kernel.*_par_ratio` are what the
-//! partition gate's decisions cost against a serial run — a refit is an
+//! selector's pick ÷ the fastest registered algorithm — a refit is an
 //! edit of `Default` measured there.
 
 use std::fmt;
@@ -93,27 +91,6 @@ impl Default for CostModel {
     }
 }
 
-impl CostModel {
-    /// Should a partition-parallel binary plan node (hash/merge
-    /// join or semijoin) be partitioned across `workers` threads, given
-    /// the operands' actual cardinalities? Compares the partitioning
-    /// overhead (per-worker spawn plus one partitioning pass over both
-    /// inputs) against the work the extra workers take over
-    /// (`(1 − 1/w)` of a hash build/probe pass).
-    pub fn parallel_node_worthwhile(&self, left: usize, right: usize, workers: usize) -> bool {
-        if workers <= 1 {
-            return false;
-        }
-        let n = (left + right) as f64;
-        let overhead = self.spawn * workers as f64 + self.tuple_pass * n;
-        // A hash join/semijoin pass costs about one hash op plus one
-        // tuple pass per input tuple; workers take over all but 1/w of
-        // it.
-        let saved = (self.hash_op + self.tuple_pass) * n * (1.0 - 1.0 / workers as f64);
-        saved > overhead
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,17 +102,5 @@ mod tests {
         assert_eq!(ComplexityClass::Quadratic.to_string(), "O(n²)");
         assert!(ComplexityClass::Linear < ComplexityClass::Quasilinear);
         assert!(ComplexityClass::Quasilinear < ComplexityClass::Quadratic);
-    }
-
-    #[test]
-    fn parallel_gate_needs_scale_and_workers() {
-        let m = CostModel::default();
-        assert!(!m.parallel_node_worthwhile(1 << 20, 1 << 20, 1));
-        assert!(!m.parallel_node_worthwhile(100, 100, 4), "tiny input");
-        assert!(m.parallel_node_worthwhile(1 << 20, 1 << 20, 4));
-        // More workers raise the spawn bill, so the break-even moves up.
-        let n = 20_000usize;
-        assert!(m.parallel_node_worthwhile(n, n, 4));
-        assert!(!m.parallel_node_worthwhile(2_000, 2_000, 8));
     }
 }

@@ -19,8 +19,8 @@
 //! * [`CostModel`] — seven unit costs in tuple-operation units, stated
 //!   once in its `Default`. The `sj-setjoin` registry combines them
 //!   with input statistics into a scalar cost to pick the cheapest
-//!   algorithm; the `sj-eval` executor reads them to gate partition
-//!   parallelism. [`ComplexityClass`] (Definition 16's classes for the
+//!   algorithm (the `sj-eval` planner's division nodes included).
+//!   [`ComplexityClass`] (Definition 16's classes for the
 //!   direct algorithms) lives beside it, at the bottom of the crate
 //!   graph, and is re-exported by `sj-setjoin`.
 //! * [`Estimator`] — cardinality estimation for algebra expressions

@@ -1,20 +1,16 @@
 //! Workspace observability suite: instrumentation must be
 //! **differentially invisible** — turning [`Instrument::Cardinalities`] on
-//! or installing a trace collector never changes an answer at any tested
-//! worker count ([`common::WORKER_COUNTS`]) — while the
+//! or installing a trace collector never changes an answer — while the
 //! rendered artifacts (planned reports, query profiles, served traces,
 //! the Prometheus-style exposition) keep the shape golden tests can
 //! pin.
 
-use setjoins::obs::RingCollector;
+use setjoins::obs::{RingCollector, SpanRecord};
 use setjoins::prelude::*;
 use setjoins::server::{CacheMode, Server, ServerConfig, WriteOp};
 use sj_algebra::division;
 use sj_workload::DivisionWorkload;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-
-mod common;
-use common::WORKER_COUNTS;
 
 /// Every test here serializes on one lock: the trace collector is a
 /// process-wide resource, so a test that installs one would otherwise
@@ -40,7 +36,7 @@ fn division_db() -> Database {
 
 /// The tentpole invariant: `Instrument::Off`, `Instrument::Cardinalities`,
 /// and a run under an installed [`RingCollector`] produce byte-identical
-/// relations on the paper's division plans at every tested worker count.
+/// relations on the paper's division plans.
 #[test]
 fn observability_is_differentially_invisible() {
     let _guard = lock();
@@ -56,67 +52,65 @@ fn observability_is_differentially_invisible() {
             .run()
             .unwrap()
             .relation;
-        for n in WORKER_COUNTS {
-            let build = || {
-                Engine::new(db.clone())
-                    .strategy(Strategy::Planned)
-                    .parallelism(Parallelism::Threads(n))
-            };
-            let off = build().query(e.clone()).run().unwrap().relation;
-            assert_eq!(off, reference, "{e} @{n}w: Off ≠ reference");
+        let build = || Engine::new(db.clone()).strategy(Strategy::Planned);
+        let off = build().query(e.clone()).run().unwrap().relation;
+        assert_eq!(off, reference, "{e}: Off ≠ reference");
 
-            let profiled = build()
-                .instrument(Instrument::Cardinalities)
-                .query(e.clone())
-                .run()
-                .unwrap();
-            assert_eq!(
-                profiled.relation, reference,
-                "{e} @{n}w: Cardinalities ≠ reference"
-            );
-            assert!(profiled.report.is_some(), "instrumented ⇒ a report");
+        let profiled = build()
+            .instrument(Instrument::Cardinalities)
+            .query(e.clone())
+            .run()
+            .unwrap();
+        assert_eq!(
+            profiled.relation, reference,
+            "{e}: Cardinalities ≠ reference"
+        );
+        assert!(profiled.report.is_some(), "instrumented ⇒ a report");
 
-            let ring = Arc::new(RingCollector::new(1 << 14));
-            let collected = setjoins::obs::with_collector(ring.clone(), || {
-                build().query(e.clone()).run().unwrap().relation
-            });
-            assert_eq!(collected, reference, "{e} @{n}w: collector-on ≠ reference");
-            assert!(!ring.log().is_empty(), "collector captured engine spans");
-        }
+        let ring = Arc::new(RingCollector::new(1 << 14));
+        let collected = setjoins::obs::with_collector(ring.clone(), || {
+            build().query(e.clone()).run().unwrap().relation
+        });
+        assert_eq!(collected, reference, "{e}: collector-on ≠ reference");
+        assert!(!ring.log().is_empty(), "collector captured engine spans");
     }
 }
 
-/// Satellite golden: every node line of [`Report::render`] carries the sharing count (`×occ`) and the partition provenance
-/// (`[serial]` or `[N partitions]`) — uniformly, profiled or not.
+/// Satellite golden: every node line of [`Report::render`] carries the
+/// sharing count (`×occ`) followed by the node's self time and nothing
+/// else, and the header ends with the plan vs tree size and the
+/// end-to-end time.
 #[test]
 fn planned_report_render_marks_every_node() {
     let _guard = lock();
     let db = division_db();
-    for &n in &[1usize, 4] {
-        let out = Engine::new(db.clone())
-            .strategy(Strategy::Planned)
-            .instrument(Instrument::Cardinalities)
-            .parallelism(Parallelism::Threads(n))
-            .query(division::division_double_difference("R", "S"))
-            .run()
-            .unwrap();
-        let report = out.report.expect("instrumented ⇒ a report");
-        let rendered = report.render();
-        let node_lines: Vec<&str> = rendered.lines().skip(1).collect();
-        assert!(!node_lines.is_empty(), "report has node lines");
-        for line in node_lines {
-            assert!(line.contains("  ×"), "sharing count missing: {line:?}");
-            assert!(
-                line.contains("[serial]") || line.contains(" partitions]"),
-                "partition provenance missing: {line:?}"
-            );
-        }
+    let out = Engine::new(db)
+        .strategy(Strategy::Planned)
+        .instrument(Instrument::Cardinalities)
+        .query(division::division_double_difference("R", "S"))
+        .run()
+        .unwrap();
+    let report = out.report.expect("instrumented ⇒ a report");
+    let stable = report.render_stable();
+    let mut lines = stable.lines();
+    let header = lines.next().expect("a header");
+    let sizes = format!(
+        "{} plan nodes for {} tree nodes, elapsed -",
+        report.nodes.len(),
+        report.expr_nodes
+    );
+    assert!(header.ends_with(&sizes), "{header:?}");
+    let node_lines: Vec<&str> = lines.collect();
+    assert_eq!(node_lines.len(), report.nodes.len(), "one line per node");
+    for (line, node) in node_lines.iter().zip(&report.nodes) {
+        let tail = format!("  ×{}  -", node.occurrences);
+        assert!(line.ends_with(&tail), "sharing, then self time: {line:?}");
     }
 }
 
 /// [`Report::render_stable`] is byte-identical across two runs of
 /// the same configuration (timings masked), and the timed render
-/// carries estimates, q-errors, sharing, partitions, and wall-clock.
+/// carries estimates, q-errors, sharing and wall-clock.
 #[test]
 fn query_profile_render_is_deterministic_and_complete() {
     let _guard = lock();
@@ -125,7 +119,6 @@ fn query_profile_render_is_deterministic_and_complete() {
         Engine::new(db.clone())
             .strategy(Strategy::Planned)
             .instrument(Instrument::Cardinalities)
-            .parallelism(Parallelism::Threads(4))
             .query(division::division_double_difference("R", "S"))
             .run()
             .unwrap()
@@ -144,19 +137,16 @@ fn query_profile_render_is_deterministic_and_complete() {
     for needle in ["est≈", "q-error", "  ×", "µs"] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }
-    assert!(
-        text.contains("[serial]") || text.contains(" partitions]"),
-        "partition provenance missing:\n{text}"
-    );
 }
 
-/// One served query yields one connected trace:
+/// One served query yields one connected trace on the worker's thread:
 /// `server.dispatch → {storage.snapshot, server.query → {stats.analyze,
-/// plan.node → kernel.* → kernel.partition}}`, with the exit attributes
-/// (tier, output rows) on the query span. The second query is an
-/// equi-join big enough to open the partition gate at two workers, so
-/// its `kernel.partition` spans open on pool threads and must still hang
-/// off the serving span. The cache is off, so every query plans — and
+/// plan.node → kernel.* / setjoin.division}}`, every edge a direct
+/// parent, with the exit attributes on every span: tier and output rows
+/// on the query, rows on each plan node, output rows on each kernel
+/// call. The first query lowers to a division node, the second is an
+/// equi-join whose plan runs a `kernel.join`. The cache is off, so every
+/// query plans — and
 /// planning is where ANALYZE hides: a query reading a relation the
 /// catalog has not analyzed at its current `Arc` (first use, or first
 /// use after an insert) has a `stats.analyze` span under its
@@ -181,7 +171,6 @@ fn served_queries_trace_the_full_hierarchy() {
         db,
         ServerConfig {
             workers: 1,
-            cores: 2,
             cache: CacheMode::Off,
             ..ServerConfig::default()
         },
@@ -246,9 +235,6 @@ fn served_queries_trace_the_full_hierarchy() {
         5,
         "every ANALYZE hangs off the query that paid for it"
     );
-    assert!(queries
-        .iter()
-        .all(|q| log.has_ancestor(q, "server.dispatch")));
     assert_eq!(
         queries[0].attr("tier").map(ToString::to_string).as_deref(),
         Some("cold")
@@ -259,31 +245,34 @@ fn served_queries_trace_the_full_hierarchy() {
             .any(|s| log.has_ancestor(s, "server.dispatch")),
         "snapshot capture traced under dispatch"
     );
-    assert!(log.spans("plan.node").count() > 0, "plan nodes traced");
+    let parent_name = |r: &SpanRecord| r.parent.and_then(|p| log.get(p)).map(|p| p.name);
     assert!(
-        log.spans("plan.node")
-            .all(|p| log.has_ancestor(p, "server.query")),
-        "every plan node hangs off the query span"
+        queries
+            .iter()
+            .all(|q| parent_name(q) == Some("server.dispatch")),
+        "every query span is its dispatch's child"
     );
-    let mut kernels = log
+    assert!(queries
+        .iter()
+        .all(|q| q.attr("tier").is_some() && q.attr_u64("out_rows").is_some()));
+    let nodes: Vec<_> = log.spans("plan.node").collect();
+    assert!(!nodes.is_empty(), "plan nodes traced");
+    for node in &nodes {
+        assert_eq!(parent_name(node), Some("server.query"), "{node:?}");
+        assert!(node.attr_u64("rows").is_some(), "exit rows: {node:?}");
+    }
+    let calls: Vec<_> = log
         .records
         .iter()
-        .filter(|r| r.name.starts_with("kernel.") && r.name != "kernel.partition")
-        .peekable();
-    assert!(kernels.peek().is_some(), "kernel entry points traced");
-    assert!(
-        kernels.all(|k| log.has_ancestor(k, "plan.node")),
-        "every kernel call hangs off a plan node"
-    );
-    let mut partitions = log.spans("kernel.partition").peekable();
-    assert!(
-        partitions.peek().is_some(),
-        "the 12k ⋈ 12k join at 2 workers fans out into partition spans"
-    );
-    assert!(
-        partitions.all(|p| log.has_ancestor(p, "server.query")),
-        "cross-thread partition spans stay attached to the serving span"
-    );
+        .filter(|r| r.name.starts_with("kernel.") || r.name.starts_with("setjoin."))
+        .collect();
+    for name in ["kernel.join", "setjoin.division"] {
+        assert!(calls.iter().any(|c| c.name == name), "{name} traced");
+    }
+    for call in &calls {
+        assert_eq!(parent_name(call), Some("plan.node"), "{call:?}");
+        assert!(call.attr_u64("out_rows").is_some(), "exit rows: {call:?}");
+    }
 }
 
 /// [`Server::metrics_text`] exposes the serving series with correct
@@ -296,7 +285,6 @@ fn metrics_text_is_stable_and_complete() {
         division_db(),
         ServerConfig {
             workers: 2,
-            cores: 2,
             ..ServerConfig::default()
         },
     );

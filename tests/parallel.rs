@@ -1,12 +1,15 @@
 //! Differential suite proving **parallel ≡ serial**: every registered
 //! set-join and division algorithm at every tested worker count
-//! ([`common::WORKER_COUNTS`]), and every engine of the configuration
-//! matrix ([`common::engines`]), must produce byte-identical relations
-//! to the [`Parallelism::Serial`] run. Inputs cover random
-//! relations (property tests) as well as the adversarial shapes hash
-//! partitioning finds hardest: empty operands, skewed and
-//! zipf-distributed keys (one partition holds almost everything) and
-//! all-duplicate inputs.
+//! ([`common::WORKER_COUNTS`]) must produce byte-identical relations to
+//! its one-worker run, and the engine's set operators under every
+//! [`Parallelism`] to the [`Parallelism::Serial`] engine's. Plans do not
+//! read `Parallelism`: a planned query under `Threads(8)` returns the
+//! relation and the timing-masked report of the `Serial` run, and every
+//! engine of the configuration matrix ([`common::engines`]) the same
+//! relation. Inputs cover random relations (property tests) as well as
+//! the adversarial shapes hash partitioning finds hardest: empty
+//! operands, skewed and zipf-distributed keys (one partition holds
+//! almost everything) and all-duplicate inputs.
 
 use proptest::prelude::*;
 // `engine::Strategy` (the enum) and proptest's `Strategy` (the trait)
@@ -20,6 +23,19 @@ use sj_workload::{DivisionWorkload, ElementDist, SetJoinWorkload, SetSizeDist};
 
 mod common;
 use common::WORKER_COUNTS;
+
+/// `e` planned and run instrumented on `db` under `par`: the relation and
+/// the timing-masked report.
+fn planned_under(db: &Database, e: &Expr, par: Parallelism) -> (Relation, String) {
+    let out = Engine::new(db.clone())
+        .parallelism(par)
+        .instrument(Instrument::Cardinalities)
+        .query(e.clone())
+        .run()
+        .unwrap();
+    let report = out.report.expect("instrumented ⇒ a report");
+    (out.relation, report.render_stable())
+}
 
 // ---------------------------------------------------------------------------
 // Adversarial deterministic inputs
@@ -113,9 +129,10 @@ fn set_join_algorithms_parallel_equals_serial_on_adversarial_inputs() {
     }
 }
 
-/// The engine end to end on the paper's division plans: every engine of
-/// the matrix agrees with the serial default engine, on a real workload
-/// and on the adversarial shapes.
+/// The engine end to end on the paper's division plans: under
+/// `Threads(8)` a plan returns the serial relation and report, and every
+/// engine of the matrix agrees with the serial default engine, on a real
+/// workload and on the adversarial shapes.
 #[test]
 fn engine_division_plans_parallel_equals_serial() {
     let mut dbs: Vec<(String, Database)> = vec![(
@@ -143,10 +160,12 @@ fn engine_division_plans_parallel_equals_serial() {
     ];
     for (dbname, db) in &dbs {
         for e in &plans {
-            let serial = Engine::new(db.clone()).query(e.clone()).run().unwrap();
+            let serial = planned_under(db, e, Parallelism::Serial);
+            let threaded = planned_under(db, e, Parallelism::Threads(8));
+            assert_eq!(threaded, serial, "{dbname} {e} under threads(8)");
             for (label, engine) in common::engines(db) {
                 let out = engine.query(e.clone()).run().unwrap();
-                assert_eq!(out.relation, serial.relation, "{dbname} {e} {label}");
+                assert_eq!(out.relation, serial.0, "{dbname} {e} {label}");
             }
         }
     }
@@ -239,14 +258,17 @@ fn arb_expr() -> impl PropStrategy<Value = Expr> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random expression × random database × every engine of the
-    /// matrix: identical to the serial run.
+    /// Random expression × random database: the plan under
+    /// `Threads(8)` returns the serial relation and report, and every
+    /// engine of the matrix the serial relation.
     #[test]
     fn parallel_equals_serial_on_random_expressions(e in arb_expr(), db in arb_db()) {
-        let serial = Engine::new(db.clone()).query(e.clone()).run().unwrap();
+        let serial = planned_under(&db, &e, Parallelism::Serial);
+        let threaded = planned_under(&db, &e, Parallelism::Threads(8));
+        prop_assert_eq!(&threaded, &serial, "{} under threads(8)", e);
         for (label, engine) in common::engines(&db) {
             let out = engine.query(e.clone()).run().unwrap();
-            prop_assert_eq!(&out.relation, &serial.relation, "{} under {}", e, label);
+            prop_assert_eq!(&out.relation, &serial.0, "{} under {}", e, label);
         }
     }
 

@@ -33,7 +33,6 @@ fn served_answers_equal_direct_engine_at_every_worker_count() {
             w.database(),
             ServerConfig {
                 workers,
-                cores: workers,
                 ..ServerConfig::default()
             },
         );

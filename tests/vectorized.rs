@@ -5,45 +5,34 @@
 //! the definitions — for every θ shape (aligned prefix, off-diagonal
 //! equality, equality + residual, inequality only, empty) × operand kind
 //! (int, string, mixed-variant, cross-dictionary, empty, single row,
-//! all-duplicate, zipf) × worker count. A serial run is the
-//! one-partition view of the same body a partitioned run fans out, so
-//! the worker axis is the whole configuration space; operand sizes sit
-//! at 0 / 1 / n−1 / n / n+1 around every tested worker count `n`, where
-//! hash placement leaves partitions empty or singleton.
-//!
-//! Serial runs must report no `PartitionStat`; partitioned runs must
-//! account for every input and output row.
+//! all-duplicate, zipf, and every size from 0 to 9 rows). Every kernel
+//! has one body over whole operands, so the operand axis is the whole
+//! configuration space.
 //!
 //! The prefix consumers are held the same way: the fused bodies
 //! `kernel::project_semijoin` / `project_merge_semijoin` /
 //! `ops_vec::project_select` to `ops::project` over the row operator,
 //! `kernel::group_join` to `ops::group_count ∘ ops::join`, and
-//! `kernel::{project, group_count, tag}` to their `ops` twins — called
-//! directly, because the planner's parallel gate keeps operands this
-//! small serial. Through the `Engine`, every `common::engines`
+//! `kernel::{project, group_count, tag}` to their `ops` twins, called
+//! directly. Through the `Engine`, every `common::engines`
 //! configuration answers the fused shapes and their near misses exactly
 //! as `evaluate_reference` does, and every plan holds the fused nodes
 //! the corpus says.
 
 use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
-use setjoins::eval::{
-    evaluate_reference, kernel, ops, ops_vec, Execution, Parallelism, PartitionStat, Strategy,
-};
+use setjoins::eval::{evaluate_reference, kernel, ops, ops_vec, Execution, Strategy};
 use setjoins::prelude::*;
 use sj_algebra::{Atom, CompOp, Selection};
 use sj_workload::SplitMix64;
 use std::collections::BTreeMap;
-use std::ops::RangeInclusive;
 
 mod common;
-use common::WORKER_COUNTS;
 
-/// Worker counts for the direct kernel calls: [`WORKER_COUNTS`] plus 3,
-/// a modulus that is not a power of two.
-const KERNEL_WORKERS: [usize; 5] = [1, 2, 3, 4, 8];
-
+/// The one value of the kernels' accepted-and-ignored `exec` argument,
+/// and the worker count they ignore beside it.
 const EXEC: Execution = Execution::Vectorized;
+const WORKERS: usize = 1;
 
 fn pairs(rows: impl IntoIterator<Item = [i64; 2]>) -> Relation {
     Relation::from_tuples(2, rows.into_iter().map(|r| Tuple::from_ints(&r))).unwrap()
@@ -98,7 +87,7 @@ fn operand_pairs() -> Vec<(String, Relation, Relation)> {
         ),
         (
             // Harmonic key frequencies (rank-r key appears ~n/r times):
-            // one partition carries most rows, the tail is singletons.
+            // one key carries most rows, the tail is singletons.
             "zipf".into(),
             pairs((0..120).map(|i| [120 / (i + 1), i % 11])),
             pairs((0..80).map(|i| [80 / (i + 1), i % 7])),
@@ -113,14 +102,7 @@ fn operand_pairs() -> Vec<(String, Relation, Relation)> {
         ("empty-right".into(), sized(20), Relation::empty(2)),
         ("ints".into(), sized(300), sized(200)),
     ];
-    // 0 / 1 / n−1 / n / n+1 rows around every tested worker count n.
-    let mut sizes: Vec<usize> = KERNEL_WORKERS
-        .iter()
-        .flat_map(|&n| [0, 1, n - 1, n, n + 1])
-        .collect();
-    sizes.sort_unstable();
-    sizes.dedup();
-    for n in sizes {
+    for n in 0..=9 {
         out.push((format!("{n}-rows"), sized(n), sized(n / 2 + 1)));
     }
     out
@@ -204,54 +186,6 @@ fn prefix_operand_pairs() -> Vec<(String, Relation, Relation)> {
     out
 }
 
-/// Serial runs report nothing; partitioned runs account for every row.
-/// `keyed` says whether the rows were hash-placed (every row of both
-/// operands lands in exactly one of `workers` partitions) or the left
-/// operand was chunked against the whole right one. `out` bounds the
-/// rows the partitions emitted: exact for a ⋈ or ⋉, a range for a
-/// prefix consumer, whose runs a placement may split.
-fn check_stats(
-    what: &str,
-    stats: &[PartitionStat],
-    workers: usize,
-    keyed: bool,
-    left: usize,
-    right: usize,
-    out: RangeInclusive<usize>,
-) {
-    if workers <= 1 {
-        assert!(stats.is_empty(), "{what}: serial runs report no partitions");
-        return;
-    }
-    for (i, p) in stats.iter().enumerate() {
-        assert_eq!(p.partition, i, "{what}: partitions come back in order");
-    }
-    let emitted = stats.iter().map(|p| p.out_rows).sum::<usize>();
-    assert!(
-        out.contains(&emitted),
-        "{what}: partitions account for every output row ({emitted} ∉ {out:?})"
-    );
-    assert_eq!(
-        stats.iter().map(|p| p.left_rows).sum::<usize>(),
-        left,
-        "{what}: every left row is in exactly one partition"
-    );
-    if keyed {
-        assert_eq!(stats.len(), workers, "{what}: one partition per worker");
-        assert_eq!(stats.iter().map(|p| p.right_rows).sum::<usize>(), right);
-    } else {
-        assert!(
-            stats.len() <= workers,
-            "{what}: at most one chunk per worker"
-        );
-        assert!(stats.iter().all(|p| p.right_rows == right));
-    }
-}
-
-fn has_equality(theta: &Condition) -> bool {
-    theta.atoms().iter().any(|a| a.op == CompOp::Eq)
-}
-
 // ---------------------------------------------------------------------------
 // Direct operator differentials
 // ---------------------------------------------------------------------------
@@ -286,7 +220,7 @@ fn vectorized_select_equals_row_select() {
 }
 
 /// `kernel::{join, semijoin}` ≡ `ops::{join, semijoin}` ≡ brute force on
-/// every θ shape × operand kind × worker count.
+/// every θ shape × operand kind.
 #[test]
 fn vectorized_joins_equal_row_joins() {
     for (name, r, s) in operand_pairs() {
@@ -303,34 +237,16 @@ fn vectorized_joins_equal_row_joins() {
                 want_semi,
                 "ops semijoin {theta} on {name}"
             );
-            let keyed = has_equality(theta);
-            for workers in KERNEL_WORKERS {
-                let what = format!("join {theta} on {name} @{workers}");
-                let (j, stats) = kernel::join(&r, &s, theta, EXEC, workers);
-                assert_eq!(j, want_join, "{what}");
-                check_stats(
-                    &what,
-                    &stats,
-                    workers,
-                    keyed,
-                    r.len(),
-                    s.len(),
-                    j.len()..=j.len(),
-                );
-
-                let what = format!("semijoin {theta} on {name} @{workers}");
-                let (sj, stats) = kernel::semijoin(&r, &s, theta, EXEC, workers);
-                assert_eq!(sj, want_semi, "{what}");
-                check_stats(
-                    &what,
-                    &stats,
-                    workers,
-                    keyed,
-                    r.len(),
-                    s.len(),
-                    sj.len()..=sj.len(),
-                );
-            }
+            assert_eq!(
+                kernel::join(&r, &s, theta, EXEC, WORKERS),
+                want_join,
+                "join {theta} on {name}"
+            );
+            assert_eq!(
+                kernel::semijoin(&r, &s, theta, EXEC, WORKERS),
+                want_semi,
+                "semijoin {theta} on {name}"
+            );
         }
     }
 }
@@ -359,42 +275,20 @@ fn vectorized_merges_equal_row_merges() {
                 let want_semi = brute_semijoin(&r, &s, &theta);
                 assert_eq!(ops::join(&r, &s, &theta), want_join);
                 assert_eq!(ops::semijoin(&r, &s, &theta), want_semi);
-                for workers in KERNEL_WORKERS {
-                    let what = format!("merge join k={k} [{residual}] on {name} @{workers}");
-                    let (j, stats) = kernel::merge_join(&r, &s, k, residual, EXEC, workers);
-                    assert_eq!(j, want_join, "{what}");
-                    check_stats(
-                        &what,
-                        &stats,
-                        workers,
-                        true,
-                        r.len(),
-                        s.len(),
-                        j.len()..=j.len(),
-                    );
+                let what = format!("merge join k={k} [{residual}] on {name}");
+                let j = kernel::merge_join(&r, &s, k, residual, EXEC, WORKERS);
+                assert_eq!(j, want_join, "{what}");
 
-                    let what = format!("merge semijoin k={k} [{residual}] on {name} @{workers}");
-                    let (sj, stats) = kernel::merge_semijoin(&r, &s, k, residual, EXEC, workers);
-                    assert_eq!(sj, want_semi, "{what}");
-                    check_stats(
-                        &what,
-                        &stats,
-                        workers,
-                        true,
-                        r.len(),
-                        s.len(),
-                        sj.len()..=sj.len(),
-                    );
+                let what = format!("merge semijoin k={k} [{residual}] on {name}");
+                let sj = kernel::merge_semijoin(&r, &s, k, residual, EXEC, WORKERS);
+                assert_eq!(sj, want_semi, "{what}");
 
-                    for keep in 0..=r.arity() {
-                        let what = format!("π[1..{keep}]∘{what}");
-                        let (p, stats) =
-                            kernel::project_merge_semijoin(&r, &s, k, residual, keep, workers);
-                        assert_eq!(p, brute_prefixes(&want_semi, keep), "{what}");
-                        let survivors = want_semi.len();
-                        let out = survivors..=survivors;
-                        check_stats(&what, &stats, workers, true, r.len(), s.len(), out);
-                    }
+                for keep in 0..=r.arity() {
+                    assert_eq!(
+                        kernel::project_merge_semijoin(&r, &s, k, residual, keep),
+                        brute_prefixes(&want_semi, keep),
+                        "π[1..{keep}]∘{what}"
+                    );
                 }
             }
         }
@@ -404,20 +298,15 @@ fn vectorized_merges_equal_row_merges() {
 /// The fused prefix consumers: `kernel::project_semijoin` ≡
 /// `ops::project ∘ ops::semijoin` and `kernel::group_join` ≡
 /// `ops::group_count ∘ ops::join` ≡ the definitions, for every key
-/// prefix × θ shape × operand kind × worker count. Both bodies partition
-/// as `kernel::join` does. A partition emits one row per run of equal
-/// `k`-prefix that has a partner in it (the fused ⋉ stops probing a run
-/// at its first survivor, the group-join sums the run), so the
-/// partitions emit at least one row per output row and at most one per
-/// left row with a partner — exactly that many when `k` is the whole
-/// row.
+/// prefix × θ shape × operand kind. The fused ⋉ stops probing a run of
+/// equal `k`-prefix at its first survivor, and the group-join sums the
+/// run.
 #[test]
 fn prefix_consumer_kernels_equal_row_operators() {
     for (name, r, s) in prefix_operand_pairs() {
         for theta in &thetas() {
             let semi = brute_semijoin(&r, &s, theta);
             let join = brute_join(&r, &s, theta);
-            let keyed = has_equality(theta);
             for k in 0..=r.arity() {
                 let want_projected = brute_prefixes(&semi, k);
                 assert_eq!(
@@ -435,26 +324,17 @@ fn prefix_consumer_kernels_equal_row_operators() {
                         "ops γ[1..{k}]∘join {theta} on {name}"
                     );
                 }
-                for workers in KERNEL_WORKERS {
-                    let what = format!("π[1..{k}]∘semijoin {theta} on {name} @{workers}");
-                    let emitted = |out: usize| {
-                        if k == r.arity() {
-                            semi.len()..=semi.len()
-                        } else {
-                            out..=semi.len()
-                        }
-                    };
-                    let (p, stats) = kernel::project_semijoin(&r, &s, theta, k, workers);
-                    assert_eq!(p, want_projected, "{what}");
-                    let out = emitted(p.len());
-                    check_stats(&what, &stats, workers, keyed, r.len(), s.len(), out);
-
-                    let Some(want) = &want_counts else { continue };
-                    let what = format!("γ[1..{k}]∘join {theta} on {name} @{workers}");
-                    let (g, stats) = kernel::group_join(&r, &s, theta, k, workers);
-                    assert_eq!(&g, want, "{what}");
-                    let out = emitted(g.len());
-                    check_stats(&what, &stats, workers, keyed, r.len(), s.len(), out);
+                assert_eq!(
+                    kernel::project_semijoin(&r, &s, theta, k),
+                    want_projected,
+                    "π[1..{k}]∘semijoin {theta} on {name}"
+                );
+                if let Some(want) = &want_counts {
+                    assert_eq!(
+                        &kernel::group_join(&r, &s, theta, k),
+                        want,
+                        "γ[1..{k}]∘join {theta} on {name}"
+                    );
                 }
             }
         }
@@ -545,7 +425,7 @@ fn key_code_operands() -> Vec<(&'static str, Relation, Relation, bool)> {
 }
 
 /// The hash kernels called directly on [`key_code_operands`], single
-/// and composite keys, at workers {1, 2, 4, 8}: `kernel::join`,
+/// and composite keys: `kernel::join`,
 /// `kernel::project_semijoin` at every prefix and `kernel::group_join`
 /// at every non-empty prefix equal the definitions.
 #[test]
@@ -556,17 +436,15 @@ fn hash_kernels_key_on_joint_codes() {
             let join = brute_join(&r, &s, theta);
             let semi = brute_semijoin(&r, &s, theta);
             assert_eq!(!join.is_empty(), partners, "{name} {theta}: partners");
-            for workers in [1usize, 2, 4, 8] {
-                let what = format!("{theta} on {name} @{workers}");
-                let (j, _) = kernel::join(&r, &s, theta, EXEC, workers);
-                assert_eq!(j, join, "join {what}");
-                for k in 0..=r.arity() {
-                    let (p, _) = kernel::project_semijoin(&r, &s, theta, k, workers);
-                    assert_eq!(p, brute_prefixes(&semi, k), "π[1..{k}]∘semijoin {what}");
-                    if k >= 1 {
-                        let (g, _) = kernel::group_join(&r, &s, theta, k, workers);
-                        assert_eq!(g, brute_prefix_counts(&join, k), "γ[1..{k}]∘join {what}");
-                    }
+            let what = format!("{theta} on {name}");
+            let j = kernel::join(&r, &s, theta, EXEC, WORKERS);
+            assert_eq!(j, join, "join {what}");
+            for k in 0..=r.arity() {
+                let p = kernel::project_semijoin(&r, &s, theta, k);
+                assert_eq!(p, brute_prefixes(&semi, k), "π[1..{k}]∘semijoin {what}");
+                if k >= 1 {
+                    let g = kernel::group_join(&r, &s, theta, k);
+                    assert_eq!(g, brute_prefix_counts(&join, k), "γ[1..{k}]∘join {what}");
                 }
             }
         }
@@ -595,10 +473,10 @@ fn engine_queries() -> Vec<Expr> {
     ]
 }
 
-/// Every optimize level × worker count: `Strategy::Planned` (the
-/// kernels) byte-identical to `Strategy::Naive` (the row operators, one
-/// at a time), on a real workload, on every adversarial operand pair,
-/// and on operands large enough that the planner really partitions.
+/// Every optimize level: `Strategy::Planned` (the kernels)
+/// byte-identical to `Strategy::Naive` (the row operators, one at a
+/// time), on a real workload, on every adversarial operand pair, and on
+/// 3 000-row operands.
 #[test]
 fn engine_vectorized_equals_row_at_a_time() {
     use sj_workload::{DivisionWorkload, ElementDist, SetJoinWorkload, SetSizeDist};
@@ -629,9 +507,8 @@ fn engine_vectorized_equals_row_at_a_time() {
     };
     let mut dbs: Vec<(String, Database)> = vec![("division-workload".into(), workload_db)];
     let mut operands = operand_pairs();
-    // Past the planner's serial cutoff: these nodes run partitioned.
     operands.push((
-        "partitioned".into(),
+        "large".into(),
         pairs((0..3000).map(|i| [i % 211, i])),
         pairs((0..3000).map(|i| [i % 197, i % 89])),
     ));
@@ -645,24 +522,20 @@ fn engine_vectorized_equals_row_at_a_time() {
     for (dbname, db) in &dbs {
         for e in engine_queries() {
             for level in [OptimizeLevel::Off, OptimizeLevel::Full] {
-                let run = |strategy: Strategy, n: usize| {
+                let run = |strategy: Strategy| {
                     Engine::new(db.clone())
                         .optimize(level)
                         .strategy(strategy)
-                        .parallelism(Parallelism::Threads(n))
                         .query(e.clone())
                         .run()
                         .unwrap()
                         .relation
                 };
-                let row = run(Strategy::Naive, 1);
-                for n in WORKER_COUNTS {
-                    assert_eq!(
-                        run(Strategy::Planned, n),
-                        row,
-                        "{dbname} {e} {level:?} @{n} workers"
-                    );
-                }
+                assert_eq!(
+                    run(Strategy::Planned),
+                    run(Strategy::Naive),
+                    "{dbname} {e} {level:?}"
+                );
             }
         }
     }
@@ -848,7 +721,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random relations and conditions: every kernel equals its row
-    /// counterpart at every worker count.
+    /// counterpart.
     #[test]
     fn vectorized_ops_equal_row_ops_on_random_relations(
         r in arb_relation(2),
@@ -860,37 +733,35 @@ proptest! {
         prop_assert_eq!(ops_vec::select(&r, &sel), ops::select(&r, &sel));
         let always = Condition::always();
         let prefix = Condition::eq(1, 1);
-        for workers in KERNEL_WORKERS {
-            prop_assert_eq!(
-                kernel::join(&r, &s, &theta, EXEC, workers).0,
-                ops::join(&r, &s, &theta),
-                "join @{}", workers
-            );
-            prop_assert_eq!(
-                kernel::semijoin(&r, &s, &theta, EXEC, workers).0,
-                ops::semijoin(&r, &s, &theta),
-                "semijoin @{}", workers
-            );
-            prop_assert_eq!(
-                kernel::merge_join(&r, &s, 1, &always, EXEC, workers).0,
-                ops::join(&r, &s, &prefix),
-                "merge join @{}", workers
-            );
-            prop_assert_eq!(
-                kernel::merge_semijoin(&r, &s, 1, &always, EXEC, workers).0,
-                ops::semijoin(&r, &s, &prefix),
-                "merge semijoin @{}", workers
-            );
-            prop_assert_eq!(
-                kernel::project_semijoin(&r, &s, &theta, 1, workers).0,
-                ops::project(&ops::semijoin(&r, &s, &theta), &[1]),
-                "π₁∘semijoin @{}", workers
-            );
-            prop_assert_eq!(
-                kernel::group_join(&r, &s, &theta, 1, workers).0,
-                ops::group_count(&ops::join(&r, &s, &theta), &[1]),
-                "γ₁∘join @{}", workers
-            );
-        }
+        prop_assert_eq!(
+            kernel::join(&r, &s, &theta, EXEC, WORKERS),
+            ops::join(&r, &s, &theta),
+            "join"
+        );
+        prop_assert_eq!(
+            kernel::semijoin(&r, &s, &theta, EXEC, WORKERS),
+            ops::semijoin(&r, &s, &theta),
+            "semijoin"
+        );
+        prop_assert_eq!(
+            kernel::merge_join(&r, &s, 1, &always, EXEC, WORKERS),
+            ops::join(&r, &s, &prefix),
+            "merge join"
+        );
+        prop_assert_eq!(
+            kernel::merge_semijoin(&r, &s, 1, &always, EXEC, WORKERS),
+            ops::semijoin(&r, &s, &prefix),
+            "merge semijoin"
+        );
+        prop_assert_eq!(
+            kernel::project_semijoin(&r, &s, &theta, 1),
+            ops::project(&ops::semijoin(&r, &s, &theta), &[1]),
+            "π₁∘semijoin"
+        );
+        prop_assert_eq!(
+            kernel::group_join(&r, &s, &theta, 1),
+            ops::group_count(&ops::join(&r, &s, &theta), &[1]),
+            "γ₁∘join"
+        );
     }
 }
