@@ -1,4 +1,4 @@
-//! The bucketed expression cache underlying both serving cache tiers.
+//! The bucketed expression cache underlying the serving cache.
 //!
 //! Entries are keyed by [`Expr::structural_hash`] and confirmed with a
 //! **full-expression equality check**: two distinct expressions that
@@ -32,8 +32,8 @@ struct Slot<V> {
 }
 
 /// A thread-safe expression-keyed cache (see the module docs). `V` is
-/// the cached payload: a plan entry for the plan tier, a result entry
-/// for the result tier.
+/// the cached payload: the server keeps one shared entry per
+/// expression, holding its plan and its answer.
 pub struct ExprCache<V> {
     buckets: Mutex<FxHashMap<u64, Vec<Slot<V>>>>,
     hasher: ExprHashFn,
@@ -118,7 +118,7 @@ impl<V: Clone> ExprCache<V> {
 
     /// Drop every entry for which `keep` returns false — the eager
     /// per-relation sweep after a write. `keep` may update the entries it
-    /// keeps (the result tier marks the ones an insert leaves
+    /// keeps (the server marks the answers an insert leaves
     /// patchable).
     pub fn retain(&self, mut keep: impl FnMut(&Expr, &mut V) -> bool) {
         let mut buckets = self.buckets.lock().expect("cache poisoned");

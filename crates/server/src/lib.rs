@@ -2,22 +2,21 @@
 //!
 //! The serving front end over the paper engine: many concurrent client
 //! [`Session`]s run queries against an evolving [`Database`] while
-//! writers keep mutating it, with a two-tier plan/result cache making
-//! hot (zipf-skewed) query sets nearly free.
+//! writers keep mutating it, with one cache entry per query — its plan
+//! and its answer — making hot (zipf-skewed) query sets nearly free.
 //!
 //! ```text
-//!  clients ──► Session ──► result cache ──hit──► Arc<Relation>   (caller's thread:
-//!                              │miss                one lookup, stamps checked
-//!                              ▼                    under the read lock)
+//!  clients ──► Session ──► cache entry ──answer──► Arc<Relation>  (caller's thread:
+//!                              │ no answer         one lookup, stamps checked
+//!                              ▼                   under the read lock)
 //!                        bounded queue ──► worker pool (N threads)
-//!                                                 │ re-probe, then
-//!                  ┌──────────────────────────────┤ snapshot capture
-//!                  ▼                              ▼ (read lock, µs)
-//!        RwLock<master Database>        plan cache ──hit──► execute plan
-//!          ▲ copy-on-write writes          │miss
-//!          │ (storage re-stamps R)      Engine::fork(snapshot) — cold
-//!        WriteOp (Insert/Set/
-//!        Remove/Analyze)
+//!                                                 │ snapshot capture
+//!                  ┌──────────────────────────────┤ (read lock, µs), then
+//!                  ▼                              ▼ one lookup: Entry::serve
+//!        RwLock<master Database>       answer │ patch │ plan │ cold
+//!          ▲ copy-on-write writes        execute, then Entry::store
+//!          │ (storage re-stamps R)
+//!        WriteOp (Insert/Set/Remove/Analyze) ──► Entry::after on every entry
 //! ```
 //!
 //! **Snapshot isolation.** Every query executes against an immutable
@@ -28,25 +27,22 @@
 //! query never observes a torn write. [`Session::begin`] pins one
 //! snapshot across many queries ([`ReadTxn`]).
 //!
-//! **Cache tiers.** Both keyed by [`sj_algebra::Expr::structural_hash`]
-//! *plus a full expression equality check* (collisions degrade to
-//! misses, never wrong results):
-//!
-//! * the **result cache** stamps each entry with the version
-//!   ([`Database::version_of`]) of every relation the query reads; a
-//!   write to one of them invalidates the entry (eager sweep + stamp
-//!   re-validation on hit, against the database the query sees) —
-//!   except an insert into `R` when the query is local to `R`'s groups
-//!   ([`sj_algebra::Expr::local_to_groups_of`]: division, the §5
-//!   counting plan, `π₁(R ⋉ …)`). Such an answer changes only in the
-//!   rows keyed by the inserted tuple's first value, so the entry stays,
-//!   marked with that key, and the next read re-runs the plan on just
-//!   the marked groups of `R` and splices the output into the answer.
-//!   A hit never leaves the thread that asked: [`Session::query`]
-//!   probes the tier itself and only a miss becomes a queued job;
-//! * the **plan cache** stamps entries with the statistics epoch and
-//!   operand arities; data writes leave plans valid (a physical plan is
-//!   correct for any contents), `ANALYZE` retires them.
+//! **One cache entry, two stamps.** The cache holds one entry per
+//! expression, keyed by [`sj_algebra::Expr::structural_hash`] *plus a
+//! full expression equality check* (collisions degrade to misses, never
+//! wrong results). Its **answer** is stamped with the version
+//! ([`Database::version_of`]) of every relation the query read, and a
+//! write to one of them drops it — except an insert into `R` when the
+//! query is local to `R`'s groups
+//! ([`sj_algebra::Expr::local_to_groups_of`]: division, the §5 counting
+//! plan, `π₁(R ⋉ …)`): the answer stays, marked with the inserted key,
+//! and the next read re-runs the plan on just the marked groups and
+//! splices the output in. Its **plan** is stamped with the statistics
+//! epoch and operand arities: data writes leave it valid, `ANALYZE`
+//! retires it. A run keeps the newer plan and the newer answer, so a
+//! transaction pinned in the past never replaces what a live read
+//! stored. Every rule of this life cycle is one lock-free function of
+//! `entry.rs`; a hit never leaves the thread that asked.
 //!
 //! **Scheduling.** Concurrency is between queries: `workers` pool
 //! threads (one per available core by default), each running a query's
@@ -72,8 +68,8 @@
 //! collector sees the full serving hierarchy down to the individual
 //! kernel calls;
 //! [`Session::query_profiled`] attaches the rendered
-//! [`sj_eval::Report`] (`EXPLAIN ANALYZE`) of whichever tier answered
-//! to the response.
+//! [`sj_eval::Report`] (`EXPLAIN ANALYZE`) of whatever answered to the
+//! response.
 //!
 //! The serving workload driver lives in `sj-workload`
 //! (`ServingWorkload`), the throughput measurement in `benchmark/`
@@ -84,6 +80,7 @@
 #![warn(missing_docs)]
 
 mod cache;
+mod entry;
 mod metrics;
 mod queue;
 mod server;

@@ -1,11 +1,11 @@
 //! The serving core: master database, worker pool, sessions, and the
-//! two cache tiers.
+//! query cache.
 //!
 //! # Concurrency model
 //!
 //! One `RwLock<Master>` guards the **master** database and the
 //! statistics epoch. Nobody executes queries under that lock: a reader
-//! holds it only long enough to validate a cached result's stamps, or
+//! holds it only long enough to check a cached answer's stamps, or
 //! to capture a [`Snapshot`] (one `Arc` clone per relation —
 //! microseconds) and execute against the snapshot outside it. Writers
 //! take the write lock, mutate copy-on-write (never disturbing live
@@ -16,69 +16,37 @@
 //! block on readers beyond that window — the paper-engine's
 //! `Arc<Relation>` copy-on-write storage is what makes this cheap.
 //!
-//! Which thread serves which tier:
+//! Which thread serves what:
 //!
 //! * a **result-cache hit** is answered on the **caller's thread**,
 //!   inside [`Session::query`]: one cache lookup, one read-lock hold
-//!   to validate it, no snapshot, no heap allocation, no queue, no
+//!   to check it, no snapshot, no heap allocation, no queue, no
 //!   other thread (`tests/alloc.rs` pins the zero allocations);
-//! * everything else — plan-cache hits and cold queries — is a `Job`
-//!   on the bounded `queue::Queue`, executed by one of the
-//!   `workers` pool threads. Workers park on the queue's condvar until
-//!   there is work or the server closes; nothing polls. A panic inside
-//!   one job is caught at the job boundary: the client gets
-//!   [`ServerError::QueryPanicked`], the worker lives on.
+//! * everything else is a `Job` on the bounded `queue::Queue`,
+//!   executed by one of the `workers` pool threads: it captures its
+//!   snapshot, then looks the entry up once — a job queued behind the
+//!   one that refilled the cache is a hit by now. Workers park on the
+//!   queue's condvar until there is work or the server closes; nothing
+//!   polls. A panic inside one job is caught at the job boundary: the
+//!   client gets [`ServerError::QueryPanicked`], the worker lives on.
 //!
-//! # Cache tiers
+//! # The cache
 //!
-//! * **Result cache** — keyed by the submitted expression, stamped
-//!   with the version of every relation the expression reads. A hit
-//!   skips *everything* (optimize, plan, execute) and returns the
-//!   shared result `Arc`. A write to a referenced relation
-//!   invalidates the entry (eagerly swept on write, re-validated on
-//!   hit by comparing its stamps with [`Database::version_of`] in the
-//!   database the query sees — the live master, or a transaction's
-//!   pinned snapshot — so the sweep/insert race with an in-flight
-//!   query can never serve a stale result). The probe is one
-//!   function, `Shared::probe_result`, with two callers: the session
-//!   (above), and the worker as the first thing it does with a job —
-//!   so when many clients miss together after an invalidation, the
-//!   first job to finish answers the rest from the cache.
-//! * **Patches** — the one write that does not invalidate: an insert
-//!   of `t` into `R` when the expression is local to `R`'s groups
-//!   ([`Expr::local_to_groups_of`]: `Q(R) = ⋃ₐ Q(σ₁₌ₐR)`, each part
-//!   keyed `a` in column 1). Then the insert changes only the answer's
-//!   rows keyed `t[1]`, so the sweep keeps the entry and marks it with
-//!   that key (`ResultEntry::pending`). The marked entry's stamps are
-//!   stale, so it is never a hit on the live master; the next worker
-//!   that runs the query takes its plan from the tier it always would,
-//!   executes it on the snapshot with `R` rebound to the marked groups
-//!   (`Relation::keyed_rows`) and splices the output over the old rows
-//!   for those keys (`Relation::splice_keyed`). The snapshot must hold
-//!   `R` at the marked version and every other relation at its stamp,
-//!   or the query runs in full as before.
-//! * **Plan cache** — keyed the same way, stamped with the statistics
-//!   epoch and the operand arities. A hit skips optimize+plan and
-//!   re-executes the cached physical plan against the current
-//!   snapshot (plans resolve scans by *name* at execution, so this is
-//!   sound). Data writes leave plans valid — a plan is correct for
-//!   any contents, only its operator choices age — but ANALYZE bumps
-//!   the stats epoch and retires them, and schema changes
-//!   (replace/remove) sweep affected plans eagerly.
-//!
-//! Both tiers key by [`Expr::structural_hash`] **plus a full
-//! expression equality check** ([`crate::cache::ExprCache`]): hash
-//! collisions degrade to misses, never wrong results.
+//! One [`crate::cache::ExprCache`] holds an entry per expression, its
+//! plan and its answer; `crate::entry` holds every rule of an entry's
+//! life cycle, and this module applies them: `Entry::serve` on every
+//! read, `Entry::after` in the one sweep of every write, `Entry::store`
+//! after every run. [`Provenance`] names what served a read: the
+//! answer, the cached plan (re-run or patched), or a cold plan.
 
 use crate::cache::ExprCache;
+use crate::entry::{self, Entry, Serve, Write};
 use crate::metrics::StatsSnapshot;
 use crate::queue::{PushError, Queue};
 use sj_algebra::{Expr, OptimizeLevel};
-use sj_eval::{
-    Engine, EvalError, Execution, Instrument, PhysicalPlan, Report, Strategy, Q_ERROR_BUDGET,
-};
+use sj_eval::{Engine, EvalError, Execution, Instrument, Report, Strategy, Q_ERROR_BUDGET};
 use sj_obs::{Counter, Histogram, MaxGauge, Metrics};
-use sj_storage::{Database, Relation, Schema, Snapshot, StorageError, Tuple, Value};
+use sj_storage::{Database, Relation, Snapshot, StorageError, Tuple};
 use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -119,14 +87,18 @@ fn query_class(expr: &Expr) -> usize {
     }
 }
 
-/// Whether a server caches: both tiers or neither.
+/// The most expressions the cache holds an entry for; past it, the
+/// least recently used entry makes room.
+const CACHE_CAPACITY: usize = 1024;
+
+/// Whether a server caches plans and answers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum CacheMode {
     /// No caching: every query optimizes, plans, and executes.
     Off,
-    /// Both tiers (the default): hot queries skip execution entirely
-    /// until a write invalidates their result, and re-executions after
-    /// a data write skip optimize+plan.
+    /// Plans and answers (the default): hot queries skip execution
+    /// entirely until a write invalidates their answer, and
+    /// re-executions after a data write skip optimize+plan.
     #[default]
     PlanAndResult,
 }
@@ -142,7 +114,8 @@ impl fmt::Display for CacheMode {
 
 /// Server configuration: resource bounds sized to the deployment, plus
 /// whether to cache. `Default` is a production-shaped setup: auto-sized
-/// worker pool, both cache tiers. What is not configurable: every query
+/// worker pool, caching on. What is not configurable: the cache's
+/// capacity (1 024 expressions), and every query
 /// is compiled at [`OptimizeLevel::Full`], and every query that
 /// executes — cold or off a cached plan — runs instrumented, so its
 /// [`sj_eval::Report::max_q_error`] feeds
@@ -161,12 +134,8 @@ pub struct ServerConfig {
     /// Bounded submission-queue capacity ([`Session::query`] blocks
     /// when full, [`Session::try_query`] rejects).
     pub queue_capacity: usize,
-    /// Whether the cache tiers run.
+    /// Whether the cache runs.
     pub cache: CacheMode,
-    /// Plan-tier capacity (entries).
-    pub plan_cache_capacity: usize,
-    /// Result-tier capacity (entries).
-    pub result_cache_capacity: usize,
     /// Accepted and ignored: [`Execution`] has one value and selects
     /// nothing (see `sj_eval::exec`). Kept because `benchmark/` sets it.
     pub execution: Execution,
@@ -179,8 +148,6 @@ impl Default for ServerConfig {
             cores: 0,
             queue_capacity: 64,
             cache: CacheMode::default(),
-            plan_cache_capacity: 1024,
-            result_cache_capacity: 1024,
             execution: Execution::Vectorized,
         }
     }
@@ -321,103 +288,6 @@ struct Master {
     stats_epoch: u64,
 }
 
-/// A plan-tier entry: the compiled physical plan plus everything
-/// needed to prove it still applies.
-#[derive(Clone)]
-struct PlanEntry {
-    plan: PhysicalPlan,
-    /// `(relation, arity)` per referenced relation — a plan is only
-    /// reusable while its operands keep their shape.
-    deps: Vec<(String, usize)>,
-    stats_epoch: u64,
-}
-
-/// A result-tier entry: the shared result plus the version stamps it was
-/// computed under. Cached behind an `Arc`, so a lookup clones a
-/// pointer, not the stamps.
-#[derive(Clone)]
-struct ResultEntry {
-    relation: Arc<Relation>,
-    /// [`Database::version_of`] every relation the expression reads, in
-    /// the snapshot the result was computed from — the validity token.
-    deps: Vec<(String, Option<u64>)>,
-    /// Inserts the answer has not absorbed yet (see [`Pending`]).
-    pending: Option<Pending>,
-}
-
-/// Inserts into one relation since a result was computed, which the
-/// result can absorb without a full re-run because its expression is
-/// local to that relation's groups ([`Expr::local_to_groups_of`]).
-#[derive(Clone)]
-struct Pending {
-    relation: String,
-    /// The relation's version once the inserts are in.
-    version: u64,
-    /// The inserted tuples' first columns — the groups the inserts
-    /// touched — sorted and deduplicated.
-    keys: Vec<Value>,
-}
-
-impl ResultEntry {
-    /// The version of `relation` this entry's answer is, or can be
-    /// patched to be, correct at: the pending version when its inserts
-    /// are into `relation`, the stamp when nothing is pending, and no
-    /// version at all when inserts into another relation are pending.
-    fn version_seen(&self, relation: &str) -> Option<u64> {
-        match &self.pending {
-            Some(p) if p.relation == relation => Some(p.version),
-            Some(_) => None,
-            None => self
-                .deps
-                .iter()
-                .find(|(n, _)| n == relation)
-                .and_then(|(_, v)| *v),
-        }
-    }
-
-    /// The pending inserts, when `db` holds their relation at the
-    /// pending version and every other dependency at its stamp: then
-    /// the answer for `db` is this answer with the pending groups
-    /// re-run.
-    fn patch_under(&self, db: &Database) -> Option<&Pending> {
-        let p = self.pending.as_ref()?;
-        let current = self.deps.iter().all(|(name, version)| {
-            let want = if *name == p.relation {
-                Some(p.version)
-            } else {
-                *version
-            };
-            db.version_of(name) == want
-        });
-        current.then_some(p)
-    }
-
-    /// Record one more insert into `relation`, keyed `key`, that moved
-    /// it to `version`.
-    fn absorb_insert(&mut self, relation: &str, version: u64, key: &Value) {
-        let pending = self.pending.get_or_insert_with(|| Pending {
-            relation: relation.to_string(),
-            version,
-            keys: Vec::new(),
-        });
-        pending.version = version;
-        if let Err(at) = pending.keys.binary_search(key) {
-            pending.keys.insert(at, key.clone());
-        }
-    }
-
-    /// Does `db` hold every relation the result read at the version it
-    /// was stamped with (a relation removed since is `None`, which
-    /// matches no stamp of a result that ran)? Compared in place — the
-    /// entry was found under full expression equality, so its
-    /// dependency names *are* the probing expression's.
-    fn valid_under(&self, db: &Database) -> bool {
-        self.deps
-            .iter()
-            .all(|(name, version)| db.version_of(name) == *version)
-    }
-}
-
 /// Everything sessions and workers share.
 struct Shared {
     master: RwLock<Master>,
@@ -425,8 +295,8 @@ struct Shared {
     /// own database is empty — the catalog and cost model are the
     /// shared parts.
     template: Engine,
-    plan_cache: ExprCache<PlanEntry>,
-    result_cache: ExprCache<Arc<ResultEntry>>,
+    /// One entry per expression; `None` under [`CacheMode::Off`].
+    cache: Option<ExprCache<Arc<Entry>>>,
     /// The registry behind every series here ([`Server::metrics_text`]
     /// exposes it). Handles are resolved once, below, so serving a
     /// query never looks a series up.
@@ -463,8 +333,9 @@ struct Shared {
     /// those runs read.
     patches: Arc<Counter>,
     patched_groups: Arc<Counter>,
-    /// `sj_server_result_invalidations_total{cause=…}`: result entries a
-    /// write's sweep dropped, indexed by [`Cause`].
+    /// `sj_server_result_invalidations_total{cause=…}`: cached answers a
+    /// write's sweep dropped, one handle per write that drops them —
+    /// insert, set, remove.
     invalidations: [Arc<Counter>; 3],
     /// Serving latency per tier (`sj_server_query_seconds{tier=...}`),
     /// indexed by [`Provenance`].
@@ -480,10 +351,8 @@ struct Shared {
     queue: Queue<Job>,
     /// Session-id allocator (`server.dispatch` span attribute).
     next_session: AtomicU64,
-    /// [`ServerConfig::cache`] is [`CacheMode::PlanAndResult`].
-    caching: bool,
     /// Test-only failpoint: called with every query a worker is about
-    /// to execute — past the result tier, snapshot captured — and free
+    /// to execute — snapshot captured, no cached answer — and free
     /// to panic or block.
     #[cfg(test)]
     failpoint: std::sync::Mutex<Option<Failpoint>>,
@@ -491,27 +360,6 @@ struct Shared {
 
 #[cfg(test)]
 type Failpoint = Arc<dyn Fn(&Expr) + Send + Sync>;
-
-/// The write that dropped a result entry: the label of
-/// `sj_server_result_invalidations_total{cause=…}`.
-#[derive(Clone, Copy)]
-enum Cause {
-    Insert,
-    Set,
-    Remove,
-}
-
-impl Cause {
-    const ALL: [Cause; 3] = [Cause::Insert, Cause::Set, Cause::Remove];
-
-    fn label(self) -> &'static str {
-        match self {
-            Cause::Insert => "insert",
-            Cause::Set => "set",
-            Cause::Remove => "remove",
-        }
-    }
-}
 
 /// The capture a query executes against: an immutable snapshot — which
 /// carries the version of every relation in it, the validity stamps of
@@ -614,19 +462,12 @@ impl Shared {
         }
     }
 
-    /// Tier 1, the result cache: answer `expr` without executing
-    /// anything, or `None`. Called by [`Session::submit`] on the
-    /// client's own thread and by [`Shared::run_query`] on a worker,
-    /// and nowhere else.
-    ///
-    /// Validity and epoch are one consistent read of the database the
-    /// query sees — the transaction's pinned snapshot, or the live
-    /// master under a single read-lock hold: the entry's stamps are
-    /// compared with that database's versions and its epoch taken —
-    /// but nothing is snapshotted or allocated: the cache hands out a
-    /// pointer to its entry, and all that is cloned from the entry is
-    /// the result's `Arc`. A miss counts nothing and leaves no span:
-    /// whoever executes the query accounts for it.
+    /// Answer `expr` from its cached answer, or `None`: the inline probe
+    /// [`Session::submit`] runs on the client's own thread. The check
+    /// and the epoch are one read of the database the query sees — the
+    /// pinned snapshot, or the live master under one read-lock hold —
+    /// and nothing is snapshotted or allocated. A miss counts nothing
+    /// and leaves no span: whoever executes the query accounts for it.
     fn probe_result(
         &self,
         expr: &Expr,
@@ -634,22 +475,35 @@ impl Shared {
         want_profile: bool,
     ) -> Option<QueryResponse> {
         // Without caching the probe is this one branch.
-        if !self.caching {
-            return None;
-        }
+        let cache = self.cache.as_ref()?;
         let started = Instant::now();
-        let entry = self.result_cache.get(expr)?;
-        let epoch = {
+        let entry = cache.get(expr)?;
+        let (relation, epoch) = {
             let live;
-            let db: &Database = match pinned {
-                Some(txn) => &txn.snap,
+            let (db, stats_epoch) = match pinned {
+                Some(txn) => (txn.snap.db(), txn.stats_epoch),
                 None => {
                     live = self.master.read().expect("master poisoned");
-                    &live.db
+                    (&live.db, live.stats_epoch)
                 }
             };
-            entry.valid_under(db).then(|| db.epoch())
-        }?;
+            let Serve::Hit(relation) = entry.serve(db, stats_epoch) else {
+                return None;
+            };
+            (relation.clone(), db.epoch())
+        };
+        Some(self.hit(expr, relation, epoch, started, want_profile))
+    }
+
+    /// Account for and answer a read its cached answer served.
+    fn hit(
+        &self,
+        expr: &Expr,
+        relation: Arc<Relation>,
+        epoch: u64,
+        started: Instant,
+        want_profile: bool,
+    ) -> QueryResponse {
         let class = self.count_query(expr);
         self.result_hits.inc();
         // Opened once the hit is certain, so the span marks the hit
@@ -659,40 +513,39 @@ impl Shared {
             "server.query",
             class = class,
             tier = "result-cache",
-            out_rows = entry.relation.len()
+            out_rows = relation.len()
         );
-        Some(self.respond(
-            entry.relation.clone(),
-            Provenance::ResultCache,
-            epoch,
-            None,
-            started,
-            want_profile,
-        ))
+        let provenance = Provenance::ResultCache;
+        self.respond(relation, provenance, epoch, None, started, want_profile)
     }
 
-    /// Serve one queued job on a worker: re-probe the result tier (a
-    /// job queued behind the one that refilled the cache is a hit by
-    /// now), then capture and execute. Holds no lock while executing.
-    /// With `job.profile`, the response carries the rendered [`Report`]
-    /// of whichever tier answered.
+    /// Serve one queued job on a worker: capture the database, look the
+    /// entry up once and do what [`Entry::serve`] says — answer from it
+    /// (a job queued behind the one that refilled the cache), patch,
+    /// re-run its plan or compile cold — then fold the run into the
+    /// entry. Holds no lock while executing. With `job.profile`, the
+    /// response carries the rendered [`Report`] of whatever answered.
     fn run_query(&self, job: &Job) -> Result<QueryResponse, ServerError> {
         let started = Instant::now();
         let expr = &job.expr;
-        let pinned = job.pinned.as_deref();
-        let want_profile = job.profile;
-        if let Some(hit) = self.probe_result(expr, pinned, want_profile) {
-            return Ok(hit);
-        }
-        let class = self.count_query(expr);
         let fresh;
-        let ctx = match pinned {
+        let ctx = match job.pinned.as_deref() {
             Some(txn) => txn,
             None => {
                 fresh = self.capture();
                 &fresh
             }
         };
+        let db = ctx.snap.db();
+        let entry = self.cache.as_ref().and_then(|cache| cache.get(expr));
+        let served = entry.as_deref().map(|e| e.serve(db, ctx.stats_epoch));
+        let (cached, patch) = match served.unwrap_or(Serve::Run(None, None)) {
+            Serve::Hit(relation) => {
+                return Ok(self.hit(expr, relation.clone(), db.epoch(), started, job.profile))
+            }
+            Serve::Run(plan, patch) => (plan, patch),
+        };
+        let class = self.count_query(expr);
         #[cfg(test)]
         {
             let hook = self.failpoint.lock().expect("failpoint poisoned").clone();
@@ -701,60 +554,29 @@ impl Shared {
             }
         }
         let mut span = sj_obs::span!("server.query", class = class);
-
-        // Tier 2: plan cache — skip optimize+plan, execute the cached
-        // physical plan against this snapshot.
-        let db = ctx.snap.db();
-        let schema = ctx.snap.schema();
-        let cached = self
-            .caching
-            .then(|| self.plan_cache.get(expr))
-            .flatten()
-            .filter(|entry| {
-                entry.stats_epoch == ctx.stats_epoch
-                    && entry
-                        .deps
-                        .iter()
-                        .all(|(n, a)| schema.arity_of(n) == Some(*a))
-            });
         let (provenance, plan) = match cached {
-            Some(entry) => {
+            Some(plan) => {
                 self.plan_hits.inc();
-                (Provenance::PlanCache, entry.plan)
+                (Provenance::PlanCache, plan.clone())
             }
             // Cold: fork the instrumented template engine onto the
             // snapshot and compile against all of it.
             None => (
                 Provenance::Cold,
-                self.template.fork(db.clone()).query(expr.clone()).plan()?,
+                Arc::new(self.template.fork(db.clone()).query(expr.clone()).plan()?),
             ),
         };
-        // A result entry whose only news is inserts into groups it is
-        // local to needs just those groups re-run.
-        let stale = self.caching.then(|| self.result_cache.get(expr)).flatten();
-        let (relation, report) = match stale.as_deref().and_then(|e| Some((e, e.patch_under(db)?)))
-        {
-            Some((entry, pending)) => self.patch(&plan, db, entry, pending)?,
-            None => {
-                let (relation, report) = plan.execute_reported(db)?;
-                (Arc::new(relation), report)
-            }
-        };
-        if provenance == Provenance::Cold && self.caching {
-            let deps = expr
-                .relation_names()
-                .into_iter()
-                .filter_map(|n| schema.arity_of(n).map(|a| (n.to_string(), a)))
-                .collect();
-            let stats_epoch = ctx.stats_epoch;
-            let entry = PlanEntry {
-                plan,
-                deps,
-                stats_epoch,
-            };
-            self.plan_cache.insert(expr.clone(), entry);
+        let (relation, report) = entry::execute(&plan, db, patch)?;
+        if let Some(groups) = report.patched_groups {
+            self.patches.inc();
+            self.patched_groups.add(groups as u64);
         }
-        self.store_result(expr, &relation, db);
+        if let Some(cache) = &self.cache {
+            // Looked up again: a write may have changed the entry since.
+            let (entry, answer) = (cache.get(expr).unwrap_or_default(), relation.clone());
+            let stored = entry.store(expr, db, ctx.stats_epoch, plan, answer);
+            cache.insert(expr.clone(), Arc::new(stored));
+        }
         span.attr("tier", provenance.tier());
         span.attr("out_rows", relation.len());
         Ok(self.respond(
@@ -763,65 +585,15 @@ impl Shared {
             ctx.snap.epoch(),
             Some(report),
             started,
-            want_profile,
+            job.profile,
         ))
     }
 
-    /// Bring `entry`'s answer up to `db` by running `plan` on the
-    /// pending groups alone — `db` with the inserted-into relation
-    /// rebound to its rows keyed by `pending.keys` — and splicing the
-    /// output over the answer's rows for those keys. Sound because the
-    /// expression is local to that relation's groups, the only news
-    /// since the answer are inserts into those groups, and `db` holds
-    /// every other relation the answer read as it was.
-    fn patch(
-        &self,
-        plan: &PhysicalPlan,
-        db: &Database,
-        entry: &ResultEntry,
-        pending: &Pending,
-    ) -> Result<(Arc<Relation>, Report), ServerError> {
-        let mut groups = db.clone();
-        let rows = db
-            .get(&pending.relation)
-            .expect("the pending version is in db")
-            .keyed_rows(&pending.keys);
-        groups.set(pending.relation.clone(), rows);
-        let (fresh, mut report) = plan.execute_reported(&groups)?;
-        report.patched_groups = Some(pending.keys.len());
-        self.patches.inc();
-        self.patched_groups.add(pending.keys.len() as u64);
-        let relation = entry.relation.splice_keyed(&pending.keys, &fresh);
-        Ok((relation, report))
-    }
-
-    /// Populate the result tier. The entry carries the versions of the
-    /// snapshot `db` it was computed from: if a writer touched a
-    /// dependency in the meantime, the stamps are already stale and
-    /// every future hit attempt fails the comparison — the insert/sweep
-    /// race is benign.
-    fn store_result(&self, expr: &Expr, relation: &Arc<Relation>, db: &Database) {
-        if self.caching {
-            let deps = expr
-                .relation_names()
-                .into_iter()
-                .map(|n| (n.to_string(), db.version_of(n)))
-                .collect();
-            self.result_cache.insert(
-                expr.clone(),
-                Arc::new(ResultEntry {
-                    relation: relation.clone(),
-                    deps,
-                    pending: None,
-                }),
-            );
-        }
-    }
-
     /// Apply one write: mutate the master copy-on-write (storage
-    /// re-stamps the touched relation), then sweep the caches eagerly
-    /// (outside the write lock — stamp validation backstops the race).
+    /// re-stamps the touched relation), then sweep the cache eagerly
+    /// (outside the write lock — the stamps backstop the race).
     fn apply_write(&self, op: WriteOp) -> Result<u64, ServerError> {
+        let [by_insert, by_set, by_remove] = &self.invalidations;
         match op {
             WriteOp::Insert { relation, tuple } => {
                 let key = tuple.get(0).cloned();
@@ -834,12 +606,19 @@ impl Shared {
                     (master.db.epoch(), versions)
                 };
                 self.writes.inc();
-                // Inserts can't change arity: plans survive, and so do
-                // the results local to the relation's groups. A tuple
-                // already present changed nothing — same epoch, nothing
-                // to sweep.
+                // A tuple already present changed nothing — same epoch,
+                // nothing to sweep.
                 if let Some((Some(before), Some(after), schema)) = versions {
-                    self.sweep_insert(&relation, key.as_ref(), before, after, &schema);
+                    let key = key.as_ref();
+                    let relation = &relation;
+                    let write = Write::Insert {
+                        relation,
+                        key,
+                        before,
+                        after,
+                        schema: &schema,
+                    };
+                    by_insert.add(self.sweep(&write));
                 }
                 Ok(epoch)
             }
@@ -850,24 +629,19 @@ impl Shared {
                     master.db.epoch()
                 };
                 self.writes.inc();
-                // Replacement may change the schema: sweep both tiers.
-                self.sweep_results(&relation, Cause::Set);
-                self.sweep_plans(&relation);
+                by_set.add(self.sweep(&Write::Replace(&relation)));
                 Ok(epoch)
             }
             WriteOp::Remove { relation } => {
                 let epoch = {
                     let mut master = self.master.write().expect("master poisoned");
                     if master.db.remove(&relation).is_none() {
-                        return Err(ServerError::Storage(StorageError::UnknownRelation(
-                            relation.clone(),
-                        )));
+                        return Err(StorageError::UnknownRelation(relation).into());
                     }
                     master.db.epoch()
                 };
                 self.writes.inc();
-                self.sweep_results(&relation, Cause::Remove);
-                self.sweep_plans(&relation);
+                by_remove.add(self.sweep(&Write::Replace(&relation)));
                 Ok(epoch)
             }
             WriteOp::Analyze => {
@@ -883,68 +657,27 @@ impl Shared {
                 for name in snap.names() {
                     self.template.catalog().stats_for(&snap, name);
                 }
-                // Plans were chosen under the old statistics; retire
-                // them (lazily — the stats_epoch check on hit) and
-                // eagerly so the capacity isn't wasted on dead entries.
-                self.plan_cache.retain(|_, _| false);
+                self.sweep(&Write::Analyze);
                 Ok(snap.epoch())
             }
         }
     }
 
-    /// Drop every result that read `relation`.
-    fn sweep_results(&self, relation: &str, cause: Cause) {
-        let dropped = &self.invalidations[cause as usize];
-        self.result_cache.retain(|_, e| {
-            let keep = !e.deps.iter().any(|(n, _)| n == relation);
-            if !keep {
-                dropped.inc();
-            }
-            keep
-        });
-    }
-
-    /// The sweep after a fresh insert keyed `key` moved `relation` from
-    /// version `before` to `after`: a result that read it survives,
-    /// marked with `key`, when its answer is (or is pending to be) the
-    /// one at `before`, its expression is local to the relation's
-    /// groups and no insert into another relation is pending on it.
-    /// Every other result that read the relation is dropped. A sweep
-    /// that runs late — another write to the relation landed in between
-    /// — finds no answer at `before` and drops, so out-of-order sweeps
-    /// cost patches, never correctness.
-    fn sweep_insert(
-        &self,
-        relation: &str,
-        key: Option<&Value>,
-        before: u64,
-        after: u64,
-        schema: &Schema,
-    ) {
-        let dropped = &self.invalidations[Cause::Insert as usize];
-        self.result_cache.retain(|expr, e| {
-            if !e.deps.iter().any(|(n, _)| n == relation) {
-                return true;
-            }
-            let key = key.filter(|_| {
-                e.version_seen(relation) == Some(before)
-                    && expr.local_to_groups_of(relation, schema)
+    /// Apply `write` to every cached entry, dropping the ones left
+    /// empty; returns the number of answers it dropped.
+    fn sweep(&self, write: &Write) -> u64 {
+        let mut dropped = 0;
+        if let Some(cache) = &self.cache {
+            cache.retain(|expr, entry| {
+                dropped += u64::from(Entry::after(entry, expr, write));
+                !entry.is_empty()
             });
-            match key {
-                Some(key) => Arc::make_mut(e).absorb_insert(relation, after, key),
-                None => dropped.inc(),
-            }
-            key.is_some()
-        });
-    }
-
-    fn sweep_plans(&self, relation: &str) {
-        self.plan_cache
-            .retain(|_, e| !e.deps.iter().any(|(n, _)| n == relation));
+        }
+        dropped
     }
 }
 
-/// One unit of queued work: a query the result tier could not answer
+/// One unit of queued work: a query its cached answer could not answer
 /// inline, plus its reply channel (and, for transactional reads, the
 /// pinned snapshot context).
 struct Job {
@@ -1027,8 +760,8 @@ impl Server {
         let shared = Arc::new(Shared {
             master: RwLock::new(Master { db, stats_epoch: 0 }),
             template,
-            plan_cache: ExprCache::new(config.plan_cache_capacity),
-            result_cache: ExprCache::new(config.result_cache_capacity),
+            cache: (config.cache == CacheMode::PlanAndResult)
+                .then(|| ExprCache::new(CACHE_CAPACITY)),
             queries: metrics.counter("sj_server_queries_total"),
             plan_hits: metrics.counter_with("sj_server_cache_hits_total", &[("tier", "plan")]),
             result_hits: metrics.counter_with("sj_server_cache_hits_total", &[("tier", "result")]),
@@ -1043,11 +776,8 @@ impl Server {
             worker_panics: metrics.counter("sj_server_worker_panics_total"),
             patches: metrics.counter("sj_server_result_patches_total"),
             patched_groups: metrics.counter("sj_server_patched_groups_total"),
-            invalidations: Cause::ALL.map(|cause| {
-                metrics.counter_with(
-                    "sj_server_result_invalidations_total",
-                    &[("cause", cause.label())],
-                )
+            invalidations: ["insert", "set", "remove"].map(|cause| {
+                metrics.counter_with("sj_server_result_invalidations_total", &[("cause", cause)])
             }),
             latency: [
                 Provenance::Cold,
@@ -1062,7 +792,6 @@ impl Server {
             ),
             metrics,
             next_session: AtomicU64::new(0),
-            caching: config.cache == CacheMode::PlanAndResult,
             #[cfg(test)]
             failpoint: std::sync::Mutex::new(None),
         });
@@ -1139,14 +868,10 @@ impl Server {
         self.workers.len()
     }
 
-    /// Plan-tier entry count (introspection for tests/monitoring).
-    pub fn plan_cache_len(&self) -> usize {
-        self.shared.plan_cache.len()
-    }
-
-    /// Result-tier entry count.
-    pub fn result_cache_len(&self) -> usize {
-        self.shared.result_cache.len()
+    /// Cached expressions, each holding a plan, an answer or both
+    /// (introspection for tests/monitoring).
+    pub fn cache_len(&self) -> usize {
+        self.shared.cache.as_ref().map_or(0, ExprCache::len)
     }
 
     /// Stop accepting work, drain the workers, and return the final
@@ -1515,6 +1240,52 @@ mod tests {
         assert_eq!(again.epoch, txn.epoch());
     }
 
+    /// A transaction re-running on its old snapshot leaves the live
+    /// answer a newer read stored in place.
+    #[test]
+    fn a_pinned_rerun_never_replaces_the_live_answer() {
+        let server = Server::start(division_db(), config(1, CacheMode::PlanAndResult));
+        let session = server.session();
+        let e = division::division_double_difference("R", "S");
+        session.query(e.clone()).unwrap();
+        let txn = session.begin();
+        insert(&session, "R", tuple![2, 8]);
+        let live = session.query(e.clone()).unwrap();
+        assert_eq!(live.provenance, Provenance::PlanCache);
+        let pinned = txn.query(e.clone()).unwrap();
+        assert_eq!(pinned.provenance, Provenance::PlanCache);
+        assert_eq!(*pinned.relation, Relation::from_int_rows(&[&[1]]));
+
+        let again = session.query(e).unwrap();
+        assert_eq!(again.provenance, Provenance::ResultCache);
+        assert!(Arc::ptr_eq(&again.relation, &live.relation));
+    }
+
+    /// A transaction pinned before an ANALYZE re-plans under the old
+    /// statistics epoch, and leaves the live plan in place.
+    #[test]
+    fn a_pinned_replan_never_replaces_the_live_plan() {
+        let server = Server::start(division_db(), config(1, CacheMode::PlanAndResult));
+        let session = server.session();
+        let e = division::division_double_difference("R", "S");
+        session.query(e.clone()).unwrap();
+        let txn = session.begin();
+        insert(&session, "S", tuple![9]);
+        session.write(WriteOp::Analyze).unwrap();
+        let cold = |read: Result<QueryResponse, ServerError>| {
+            assert_eq!(read.unwrap().provenance, Provenance::Cold);
+        };
+        cold(session.query(e.clone()));
+        cold(txn.query(e.clone()));
+
+        // Group 3 = {8, 9} gains 7: the live read patches it with the
+        // live plan.
+        insert(&session, "R", tuple![3, 7]);
+        let live = session.query(e).unwrap();
+        assert_eq!(live.provenance, Provenance::PlanCache);
+        assert_eq!(*live.relation, Relation::from_int_rows(&[&[3]]));
+    }
+
     #[test]
     fn writes_to_unrelated_relations_leave_results_cached() {
         let mut db = division_db();
@@ -1588,15 +1359,18 @@ mod tests {
         let session = server.session();
         let e = division::division_double_difference("R", "S");
         session.query(e.clone()).unwrap();
-        assert_eq!(server.plan_cache_len(), 1);
         session.write(WriteOp::Analyze).unwrap();
-        assert_eq!(server.plan_cache_len(), 0, "ANALYZE retires plans");
         // Results don't depend on statistics: still a result hit.
         assert_eq!(
-            session.query(e).unwrap().provenance,
+            session.query(e.clone()).unwrap().provenance,
             Provenance::ResultCache
         );
         assert_eq!(server.stats().analyzes, 1);
+        // The next run needs a plan, and ANALYZE retired it.
+        insert(&session, "R", tuple![2, 8]);
+        let rerun = session.query(e).unwrap();
+        assert_eq!(rerun.provenance, Provenance::Cold, "ANALYZE retires plans");
+        assert_eq!(*rerun.relation, Relation::from_int_rows(&[&[1], &[2]]));
     }
 
     #[test]
@@ -1610,8 +1384,7 @@ mod tests {
                 Provenance::Cold
             );
         }
-        assert_eq!(server.plan_cache_len(), 0);
-        assert_eq!(server.result_cache_len(), 0);
+        assert_eq!(server.cache_len(), 0);
     }
 
     #[test]
@@ -1878,9 +1651,17 @@ mod tests {
                 relation: "S".into(),
             })
             .unwrap();
-        assert_eq!(server.plan_cache_len(), 0, "plans on S swept");
-        assert_eq!(server.result_cache_len(), 0, "results on S swept");
-        assert!(matches!(session.query(e), Err(ServerError::Eval(_))));
+        assert_eq!(server.cache_len(), 0, "the entry read S: swept");
+        assert!(matches!(
+            session.query(e.clone()),
+            Err(ServerError::Eval(_))
+        ));
+        // S back as it was: its plan went with the old S.
+        let (relation, rows) = ("S".to_string(), Relation::from_int_rows(&[&[7], &[8]]));
+        session.write(WriteOp::Set { relation, rows }).unwrap();
+        let rerun = session.query(e).unwrap();
+        assert_eq!(rerun.provenance, Provenance::Cold, "plans on S swept");
+        assert_eq!(*rerun.relation, Relation::from_int_rows(&[&[1]]));
     }
 
     #[test]
@@ -1954,11 +1735,7 @@ mod tests {
             assert!(early.epoch < write_epoch);
             write_epoch
         });
-        assert_eq!(
-            server.result_cache_len(),
-            1,
-            "the late entry is in the cache"
-        );
+        assert_eq!(server.cache_len(), 1, "the late entry is in the cache");
 
         let fresh = session.query(e).unwrap();
         assert_eq!(fresh.provenance, Provenance::PlanCache);

@@ -163,7 +163,7 @@ impl Database {
     /// mean equal contents in any two databases of the process** —
     /// snapshots of one evolving master, or databases built apart. That
     /// is what lets a cache shared across databases (`sj-stats`'
-    /// catalog, `sj-server`'s result tier) key on it. The converse does
+    /// catalog, `sj-server`'s cached answers) key on it. The converse does
     /// not hold: replacing a relation by an equal one is a new version.
     /// Like the epoch, versions are history and not part of equality.
     pub fn version_of(&self, name: &str) -> Option<u64> {
