@@ -73,8 +73,8 @@ use std::time::{Duration, Instant};
 pub enum Strategy {
     /// The DAG-memoizing, cost-based physical planner
     /// ([`crate::PhysicalPlan`]): every distinct subexpression evaluated
-    /// once, zero-copy leaf scans, merge operators on aligned key
-    /// prefixes, join chains ordered from statistics, the RA division
+    /// once, zero-copy leaf scans, hash joins on dense key codes, join
+    /// chains ordered from statistics, the RA division
     /// idioms run as one division node ([`crate::PhysOp::Divide`]). The
     /// production default.
     #[default]

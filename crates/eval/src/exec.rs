@@ -18,7 +18,9 @@
 //! identity `OptimizeLevel::pipeline`). Three more arguments outlived
 //! the partition-parallel plan executor the same way: the kernels'
 //! `workers`, `execute_with_execution`'s `Parallelism` and
-//! `ServerConfig::cores` — plans run on the caller's thread. The test
+//! `ServerConfig::cores` — plans run on the caller's thread — and
+//! `kernel::merge_join`, which outlived the merge operators as
+//! `kernel::join` on the aligned prefix condition. The test
 //! below fails, naming the shim, as soon as `benchmark/` stops calling
 //! one.
 
@@ -92,6 +94,7 @@ mod tests {
                 "PhysicalPlan::execute_with_execution's `Parallelism` argument",
             ),
             ("cores:", "ServerConfig::cores"),
+            ("kernel::merge_join(", "kernel::merge_join"),
         ] {
             assert!(
                 source.contains(call),

@@ -1,17 +1,17 @@
-//! The kernel layer: the one home of hash join, hash semijoin, merge
-//! join and merge semijoin on the planned path, each written **once**
-//! over its two whole operands, and of the planned path's projection,
-//! grouping and tagging ([`project`], [`group_count`], [`tag`]).
+//! The kernel layer: the one home of join and semijoin on the planned
+//! path, each written **once** over its two whole operands — a hash body
+//! on θ's equality atoms, a filtered nested loop when there are none —
+//! and of the planned path's projection, grouping and tagging
+//! ([`project`], [`group_count`], [`tag`]).
 //!
 //! **Prefix consumers.** A canonical relation is sorted by every prefix
 //! `1..k` of its columns, and a ⋉ or σ emits ascending row ids of its
 //! left input. So `π[1..k]` over either is one pass over those ids that
 //! keeps the first row of each run of equal prefixes
-//! ([`project_semijoin`], [`project_merge_semijoin`],
-//! [`crate::ops_vec::project_select`]), and `γ[1..k; count](r₁ ⋈θ r₂)`
-//! sums partner counts over the same runs ([`group_join`]): tuples are
-//! built for the distinct keys only, never for the rows the consumer
-//! would discard.
+//! ([`project_semijoin`], [`crate::ops_vec::project_select`]), and
+//! `γ[1..k; count](r₁ ⋈θ r₂)` sums partner counts over the same runs
+//! ([`group_join`]): tuples are built for the distinct keys only, never
+//! for the rows the consumer would discard.
 //!
 //! **Key codes.** A hash kernel reads its equality columns in the joint,
 //! order-preserving code space of [`sj_storage::column::joint_codes`]:
@@ -19,11 +19,11 @@
 //! key is a row of `i64`s and key equality across the two relations is
 //! integer equality — zero-copy for integer columns, one remap per call
 //! for two dictionaries. The codes key the build table and confirm every
-//! candidate pair; no key cell is read as a `Value`. The merge variants
-//! compare key prefixes through [`sj_storage::Columns::cell_cmp`] (an
-//! `i64` or dictionary-code compare on typed columns). No input tuple is
-//! cloned into a build table — postings are 4-byte row indices into the
-//! shared operands.
+//! candidate pair; no key cell is read as a `Value`. An aligned key
+//! (`1=1 ∧ … ∧ k=k`) is hashed like any other: both canonical operands
+//! are sorted by it, but a probe of dense codes costs what a merge walk
+//! does. No input tuple is cloned into a build table — postings are
+//! 4-byte row indices into the shared operands.
 //!
 //! **Runs.** Under a prefix consumer the left operand's rows come in
 //! runs of equal `k`-prefix, found by typed passes over its columns
@@ -41,14 +41,13 @@
 //! A θ with no equality atom has no key to hash: a filtered nested loop
 //! runs instead. Operands beyond the `u32` row capacity are an input
 //! condition, not a panic: one gate at every entry point hands them to
-//! the row operators [`ops::join`] / [`ops::semijoin`] (a merge call on
-//! its rebuilt condition `1=1 ∧ … ∧ k=k ∧ residual`; a prefix consumer
-//! applies [`project`] / [`group_count`] to that result).
+//! the row operators [`ops::join`] / [`ops::semijoin`] (a prefix
+//! consumer applies [`project`] / [`group_count`] to that result).
 //!
 //! Every kernel runs on the calling thread. The `workers` argument of
-//! [`join`], [`semijoin`], [`merge_join`], [`merge_semijoin`] and
-//! [`multiway_join`] is accepted and ignored, like their `_exec` (see
-//! [`crate::exec`]): `benchmark/` still spells both.
+//! [`join`], [`semijoin`], [`merge_join`] and [`multiway_join`] is
+//! accepted and ignored, like their `_exec` (see [`crate::exec`]):
+//! `benchmark/` still spells both, and calls the [`merge_join`] shim.
 //!
 //! Output is byte-identical to [`crate::ops`] — `tests/vectorized.rs`
 //! holds the kernels to the row operators and to a brute-force nested
@@ -59,10 +58,8 @@ use crate::ops::{self, split_condition};
 use crate::ops_vec::gather;
 use sj_algebra::Condition;
 use sj_storage::column::{hash_int_cell, joint_codes};
-use sj_storage::{ensure_u32_indexable, Columns, FxHashMap, Relation, Tuple, Value};
+use sj_storage::{ensure_u32_indexable, FxHashMap, Relation, Tuple, Value};
 use std::borrow::Cow;
-use std::cmp::Ordering;
-use std::ops::Range;
 
 /// True when both operands fit the `u32` row ids the kernels store in
 /// hash-table postings and semijoin survivor lists. Beyond that the row
@@ -257,63 +254,20 @@ pub(crate) fn prefix_len(cols: &[usize]) -> Option<usize> {
         .then_some(cols.len())
 }
 
-/// The θ a merge kernel call on the aligned prefix `0..k` computes,
-/// `1=1 ∧ … ∧ k=k ∧ residual` — what its capacity fallback hands to the
-/// row operators.
-fn prefix_condition(k: usize, residual: &Condition) -> Condition {
-    let prefix = Condition::eq_pairs((1..=k).map(|c| (c, c)));
-    Condition::new(prefix.atoms().iter().chain(residual.atoms()).copied())
-}
-
-/// Merge equi-join on an aligned key prefix of length `k` (see
-/// [`ops::merge_prefix_len`]). `_exec` and `_workers` are accepted and
-/// ignored.
+/// Accepted shim: the equi-join on the aligned key prefix `1..k` with
+/// `residual`, which is [`join`] on `1=1 ∧ … ∧ k=k ∧ residual`.
+/// `benchmark/` still calls it by this name.
 pub fn merge_join(
     r1: &Relation,
     r2: &Relation,
     k: usize,
     residual: &Condition,
-    _exec: Execution,
-    _workers: usize,
+    exec: Execution,
+    workers: usize,
 ) -> Relation {
-    let fallback = || ops::join(r1, r2, &prefix_condition(k, residual));
-    kernel_call("kernel.merge_join", r1, r2, fallback, || {
-        let tuples = merge_join_rows(r1, r2, k, residual);
-        Relation::from_sorted_tuples(r1.arity() + r2.arity(), tuples)
-    })
-}
-
-/// Merge equi-semijoin on an aligned key prefix of length `k` (see
-/// [`merge_join`]).
-pub fn merge_semijoin(
-    r1: &Relation,
-    r2: &Relation,
-    k: usize,
-    residual: &Condition,
-    _exec: Execution,
-    _workers: usize,
-) -> Relation {
-    project_merge_semijoin(r1, r2, k, residual, r1.arity())
-}
-
-/// `π[1..keep](r₁ ⋉ r₂)` on the aligned key prefix of length `k`: the
-/// [`merge_semijoin`] body with its survivors gathered as distinct
-/// `keep`-prefixes (see [`project_semijoin`]).
-pub fn project_merge_semijoin(
-    r1: &Relation,
-    r2: &Relation,
-    k: usize,
-    residual: &Condition,
-    keep: usize,
-) -> Relation {
-    let fallback = || {
-        let semi = ops::semijoin(r1, r2, &prefix_condition(k, residual));
-        project(&semi, &prefix_cols(keep))
-    };
-    kernel_call("kernel.merge_semijoin", r1, r2, fallback, || {
-        let ids = merge_semijoin_rows(r1, r2, k, residual);
-        gather(r1, keep, ids.len(), |p| ids[p] as usize)
-    })
+    let prefix = Condition::eq_pairs((1..=k).map(|c| (c, c)));
+    let theta = Condition::new(prefix.atoms().iter().chain(residual.atoms()).copied());
+    join(r1, r2, &theta, exec, workers)
 }
 
 // ---------------------------------------------------------------------------
@@ -454,93 +408,6 @@ fn hash_counts(left: Keyed<'_>, right: Keyed<'_>, residual: &Condition, k: usize
             .filter(|&j| residual.eval(a[i].values(), b[j].values()))
             .count()
     })
-}
-
-/// Compare the first `k` columns of row `i` of `ca` and row `j` of `cb`
-/// through the typed cell comparator.
-#[inline]
-fn cmp_prefix(ca: &Columns, i: usize, cb: &Columns, j: usize, k: usize) -> Ordering {
-    for c in 0..k {
-        match ca.cell_cmp(c, i, cb, c, j) {
-            Ordering::Equal => continue,
-            other => return other,
-        }
-    }
-    Ordering::Equal
-}
-
-/// End of the run of rows sharing the first `k` column values of row
-/// `start`.
-#[inline]
-fn run_end(cols: &Columns, start: usize, k: usize) -> usize {
-    let mut end = start + 1;
-    while end < cols.len() && cmp_prefix(cols, end, cols, start, k) == Ordering::Equal {
-        end += 1;
-    }
-    end
-}
-
-/// Visit every pair of key-equal runs of two key-sorted operands: the
-/// merge walk both merge kernels share. `on_match` receives the row
-/// ranges of one left run and the right run with the same `k`-column
-/// key; a non-matching side skips its whole run at once.
-fn merge_runs(
-    r1: &Relation,
-    r2: &Relation,
-    k: usize,
-    mut on_match: impl FnMut(Range<usize>, Range<usize>),
-) {
-    let (ca, cb) = (r1.columns(), r2.columns());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < r1.len() && j < r2.len() {
-        match cmp_prefix(ca, i, cb, j, k) {
-            Ordering::Less => i = run_end(ca, i, k),
-            Ordering::Greater => j = run_end(cb, j, k),
-            Ordering::Equal => {
-                let (i_end, j_end) = (run_end(ca, i, k), run_end(cb, j, k));
-                on_match(i..i_end, j..j_end);
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-}
-
-/// Merge join on the aligned key prefix `0..k`: both canonical operands
-/// are key-sorted, and the output is emitted in canonical order.
-fn merge_join_rows(r1: &Relation, r2: &Relation, k: usize, residual: &Condition) -> Vec<Tuple> {
-    let (a, b) = (r1.tuples(), r2.tuples());
-    let mut out: Vec<Tuple> = Vec::new();
-    merge_runs(r1, r2, k, |lrun, rrun| {
-        for t1 in &a[lrun] {
-            for t2 in &b[rrun.clone()] {
-                if residual.eval(t1.values(), t2.values()) {
-                    out.push(t1.concat(t2));
-                }
-            }
-        }
-    });
-    out
-}
-
-/// Merge semijoin (see [`merge_join_rows`]): the ascending ids of the
-/// left rows whose key run on the right holds a tuple passing
-/// `residual`.
-fn merge_semijoin_rows(r1: &Relation, r2: &Relation, k: usize, residual: &Condition) -> Vec<u32> {
-    let (a, b) = (r1.tuples(), r2.tuples());
-    let mut keep: Vec<u32> = Vec::new();
-    merge_runs(r1, r2, k, |lrun, rrun| {
-        for i in lrun {
-            if residual.is_empty()
-                || b[rrun.clone()]
-                    .iter()
-                    .any(|t2| residual.eval(a[i].values(), t2.values()))
-            {
-                keep.push(i as u32);
-            }
-        }
-    });
-    keep
 }
 
 /// Filtered nested-loop join, for a θ with no equality atom. Output is
@@ -857,7 +724,7 @@ pub fn multiway_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sj_algebra::{Atom, CompOp};
+    use sj_algebra::CompOp;
     use sj_storage::tuple;
 
     fn r(rows: &[&[i64]]) -> Relation {
@@ -918,34 +785,6 @@ mod tests {
                     semi_out,
                     ops::semijoin(&a, &b, theta),
                     "semijoin {theta} on {name}"
-                );
-            }
-        }
-    }
-
-    /// Merge variants equal the row operators on the rebuilt condition —
-    /// the call the capacity fallback makes.
-    #[test]
-    fn kernel_merge_variants_match_serial_reference() {
-        let residuals = [
-            Condition::always(),
-            Condition::new([Atom {
-                left: 2,
-                op: CompOp::Neq,
-                right: 2,
-            }]),
-        ];
-        let exec = Execution::Vectorized;
-        for (name, a, b) in operands() {
-            for residual in &residuals {
-                let theta = prefix_condition(1, residual);
-                let join_out = merge_join(&a, &b, 1, residual, exec, 1);
-                assert_eq!(join_out, ops::join(&a, &b, &theta), "merge join on {name}");
-                let semi_out = merge_semijoin(&a, &b, 1, residual, exec, 1);
-                assert_eq!(
-                    semi_out,
-                    ops::semijoin(&a, &b, &theta),
-                    "merge semijoin on {name}"
                 );
             }
         }

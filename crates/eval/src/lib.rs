@@ -21,9 +21,8 @@
 //! * [`plan::PhysicalPlan`] — the cost-based physical planner: the
 //!   expression is hash-consed into an operator DAG so each **distinct**
 //!   subexpression is evaluated exactly once, leaf relations are scanned
-//!   zero-copy via `Arc` handles, joins/semijoins whose equality keys
-//!   align with the canonical sort order run as sort-free merges, and
-//!   join chains are ordered from statistics. See [`plan`] for the
+//!   zero-copy via `Arc` handles, joins/semijoins hash on dense key
+//!   codes, and join chains are ordered from statistics. See [`plan`] for the
 //!   design; [`plan::PhysicalPlan::explain`] renders the chosen
 //!   operators.
 //! * [`engine::Engine`] — **the recommended entry point**: one facade

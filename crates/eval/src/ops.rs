@@ -63,8 +63,7 @@ pub(crate) fn split_condition(theta: &Condition) -> (Vec<(usize, usize)>, Condit
 /// The physical dispatch [`join`] and [`crate::kernel::join`] use for θ,
 /// by name: hash when θ has an equality atom, filtered nested loop
 /// otherwise. The single source of operator names for the naive walker's
-/// reports and for `PhysOp::Join` (the planner's merge variants are
-/// chosen a level above, in `plan`).
+/// reports and for `PhysOp::Join`.
 pub fn join_dispatch(theta: &Condition) -> &'static str {
     if split_condition(theta).0.is_empty() {
         "nested-loop-join"
@@ -167,31 +166,6 @@ pub fn semijoin(r1: &Relation, r2: &Relation, theta: &Condition) -> Relation {
             .collect()
     };
     Relation::from_tuples(r1.arity(), keep).expect("semijoin preserves left arity")
-}
-
-/// The length `k` of the shared sort-key prefix when θ's equality atoms
-/// pair the first `k` columns of both operands **in order** — i.e. the
-/// deduplicated equality pairs are exactly `{1=1, 2=2, …, k=k}` (1-based).
-///
-/// Relations are stored in canonical (lexicographic) order, so both
-/// operands of such a condition are already sorted by their key: the
-/// planner in [`crate::plan`] can then run [`crate::kernel::merge_join`]
-/// / [`crate::kernel::merge_semijoin`] without any sort or hash-table
-/// build. Returns `None` when θ has no equality atom or the equalities
-/// are not an aligned prefix.
-pub fn merge_prefix_len(theta: &Condition) -> Option<usize> {
-    let (mut eq, _) = split_condition(theta);
-    if eq.is_empty() {
-        return None;
-    }
-    eq.sort_unstable();
-    eq.dedup();
-    for (i, &(l, r)) in eq.iter().enumerate() {
-        if l != i || r != i {
-            return None;
-        }
-    }
-    Some(eq.len())
 }
 
 /// `γ_{cols; count}(r)` — group by the 1-based `cols` and append the group
@@ -340,44 +314,6 @@ mod tests {
     #[test]
     fn group_count_empty_input_with_groups() {
         assert_eq!(group_count(&Relation::empty(2), &[1]), Relation::empty(2));
-    }
-
-    #[test]
-    fn merge_prefix_detection() {
-        assert_eq!(merge_prefix_len(&Condition::eq(1, 1)), Some(1));
-        assert_eq!(
-            merge_prefix_len(&Condition::eq_pairs([(1, 1), (2, 2)])),
-            Some(2)
-        );
-        // Order and duplicates of atoms don't matter.
-        assert_eq!(
-            merge_prefix_len(&Condition::eq_pairs([(2, 2), (1, 1), (1, 1)])),
-            Some(2)
-        );
-        // A residual inequality atom doesn't block the equality prefix.
-        assert_eq!(
-            merge_prefix_len(&Condition::eq(1, 1).and(2, CompOp::Lt, 2)),
-            Some(1)
-        );
-        // Not an aligned prefix:
-        assert_eq!(merge_prefix_len(&Condition::eq(2, 1)), None);
-        assert_eq!(
-            merge_prefix_len(&Condition::eq_pairs([(1, 2), (2, 1)])),
-            None
-        );
-        assert_eq!(merge_prefix_len(&Condition::eq_pairs([(2, 2)])), None);
-        // A gap breaks the prefix: {1=1, 3=3} misses 2=2.
-        assert_eq!(
-            merge_prefix_len(&Condition::eq_pairs([(1, 1), (3, 3)])),
-            None
-        );
-        assert_eq!(merge_prefix_len(&Condition::always()), None);
-        assert_eq!(merge_prefix_len(&Condition::lt(1, 1)), None);
-        // An extra equality atom off the diagonal poisons the whole set.
-        assert_eq!(
-            merge_prefix_len(&Condition::eq_pairs([(1, 1), (2, 1)])),
-            None
-        );
     }
 
     #[test]

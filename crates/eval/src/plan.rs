@@ -18,22 +18,18 @@
 //!    [`Database::get_shared`] instead of cloning the relation; all
 //!    intermediate results flow through the DAG as `Arc<Relation>`, so a
 //!    node consumed by several parents is never copied.
-//! 3. **Physical operator choice.** Relations are stored in canonical
-//!    (lexicographic) order, so when a join/semijoin's equality atoms pair
-//!    an aligned column prefix (`1=1, …, k=k` — see
-//!    [`ops::merge_prefix_len`]) both operands are *already sorted by the
-//!    key* and the planner picks a sort-free merge join/semijoin. Every
-//!    other θ gets the one [`PhysOp::Join`] / [`PhysOp::Semijoin`]
-//!    variant, whose kernel hashes on θ's equality atoms and falls back
-//!    to a filtered nested loop when there are none — the node is named
-//!    by that same rule ([`ops::join_dispatch`]), so the name in
-//!    `EXPLAIN` is the body that runs. Non-equality atoms ride along as
-//!    residual filters. The two textbook RA division idioms over stored
-//!    operands — the double difference and its equality variant — lower
-//!    whole to one [`PhysOp::Divide`] node run by a linear algorithm of
-//!    the `sj-setjoin` registry: Proposition 26 says no RA rewrite can
-//!    make them linear, so the escape is an operator choice, made here
-//!    like merge-vs-hash and under every optimizer level. A consumer
+//! 3. **Physical operator choice.** Every θ-join and θ-semijoin is the
+//!    one [`PhysOp::Join`] / [`PhysOp::Semijoin`] variant, whose kernel
+//!    hashes on θ's equality atoms and falls back to a filtered nested
+//!    loop when there are none — the node is named by that same rule
+//!    ([`ops::join_dispatch`]), so the name in `EXPLAIN` is the body that
+//!    runs. Non-equality atoms ride along as residual filters. The two
+//!    textbook RA division idioms over stored operands — the double
+//!    difference and its equality variant — lower whole to one
+//!    [`PhysOp::Divide`] node run by a linear algorithm of the
+//!    `sj-setjoin` registry: Proposition 26 says no RA rewrite can make
+//!    them linear, so the escape is an operator choice, made here under
+//!    every optimizer level. A consumer
 //!    that keeps only a key prefix `1..k` of its input runs inside the
 //!    input's node, under every optimizer level too: `π[1..k](A ⋉θ B)`
 //!    and `π[1..k](σ(A))` are the ⋉ or σ node emitting the distinct
@@ -102,26 +98,15 @@ pub enum PhysOp {
     },
     /// Constant tagging.
     Tag(Value),
-    /// `⋈θ` off the aligned prefix, through [`kernel::join`]: hash join
-    /// on θ's equality atoms (build right, probe left, residual filter),
-    /// filtered nested loop when θ has none. [`PhysOp::name`] says which.
+    /// `⋈θ` through [`kernel::join`]: hash join on θ's equality atoms
+    /// (build right, probe left, residual filter), filtered nested loop
+    /// when θ has none. [`PhysOp::name`] says which.
     Join(Condition),
-    /// Sort-free merge join: the equality atoms pair the first `prefix`
-    /// columns of both operands in order, which both canonical inputs are
-    /// already sorted by.
-    MergeJoin { theta: Condition, prefix: usize },
-    /// `⋉θ` off the aligned prefix, through [`kernel::semijoin`] (see
-    /// [`PhysOp::Join`]); with `project: Some(k)` the fused
-    /// `π[1..k](A ⋉θ B)` of [`kernel::project_semijoin`].
+    /// `⋉θ` through [`kernel::semijoin`] (see [`PhysOp::Join`]); with
+    /// `project: Some(k)` the fused `π[1..k](A ⋉θ B)` of
+    /// [`kernel::project_semijoin`].
     Semijoin {
         theta: Condition,
-        project: Option<usize>,
-    },
-    /// Sort-free merge semijoin on an aligned key prefix; `project` as
-    /// for [`PhysOp::Semijoin`].
-    MergeSemijoin {
-        theta: Condition,
-        prefix: usize,
         project: Option<usize>,
     },
     /// Grouping with a count aggregate through [`kernel::group_count`]:
@@ -173,15 +158,12 @@ impl PhysOp {
             } => "filter+project",
             PhysOp::Tag(_) => "tag",
             PhysOp::Join(theta) => ops::join_dispatch(theta),
-            PhysOp::MergeJoin { .. } => "merge-join",
             PhysOp::Semijoin {
                 theta,
                 project: None,
             } => ops::semijoin_dispatch(theta),
             PhysOp::Semijoin { theta, .. } if hashed(theta) => "hash-semijoin+project",
             PhysOp::Semijoin { .. } => "nested-loop-semijoin+project",
-            PhysOp::MergeSemijoin { project: None, .. } => "merge-semijoin",
-            PhysOp::MergeSemijoin { .. } => "merge-semijoin+project",
             PhysOp::HashGroupCount(cols) if kernel::prefix_len(cols).is_some() => "sorted-group",
             PhysOp::HashGroupCount(_) => "hash-group",
             PhysOp::GroupJoin { theta, .. } if hashed(theta) => "hash-group-join",
@@ -194,9 +176,7 @@ impl PhysOp {
     /// `Some(k)` for a ⋉ or σ node that runs its consumer `π[1..k]`.
     fn fused_projection(&self) -> Option<usize> {
         match self {
-            PhysOp::Filter { project, .. }
-            | PhysOp::Semijoin { project, .. }
-            | PhysOp::MergeSemijoin { project, .. } => *project,
+            PhysOp::Filter { project, .. } | PhysOp::Semijoin { project, .. } => *project,
             _ => None,
         }
     }
@@ -251,9 +231,8 @@ impl PhysicalPlan {
     /// estimated output cardinality ([`PlanNode::est_rows`], shown by
     /// [`PhysicalPlan::explain`] and compared against actuals in
     /// instrumented reports). Binary operator choice reads θ alone —
-    /// merge on an aligned prefix, otherwise the kernel's own
-    /// hash-or-nested-loop dispatch. Statistics change constants, never
-    /// results.
+    /// the kernel's own hash-or-nested-loop dispatch. Statistics change
+    /// constants, never results.
     ///
     /// `_order` is accepted and ignored ([`JoinOrder`] has one value).
     ///
@@ -417,22 +396,9 @@ impl PhysicalPlan {
             }
             PhysOp::Tag(c) => kernel::tag(kids[0], c),
             PhysOp::Join(theta) => kernel::join(kids[0], kids[1], theta, exec, workers),
-            PhysOp::MergeJoin { theta, prefix } => {
-                let (_, residual) = ops::split_condition(theta);
-                kernel::merge_join(kids[0], kids[1], *prefix, &residual, exec, workers)
-            }
             PhysOp::Semijoin { theta, project } => {
                 let k = project.unwrap_or(kids[0].arity());
                 kernel::project_semijoin(kids[0], kids[1], theta, k)
-            }
-            PhysOp::MergeSemijoin {
-                theta,
-                prefix,
-                project,
-            } => {
-                let (_, residual) = ops::split_condition(theta);
-                let k = project.unwrap_or(kids[0].arity());
-                kernel::project_merge_semijoin(kids[0], kids[1], *prefix, &residual, k)
             }
             PhysOp::HashGroupCount(cols) => kernel::group_count(kids[0], cols),
             PhysOp::GroupJoin { theta, keys } => kernel::group_join(kids[0], kids[1], theta, *keys),
@@ -649,11 +615,17 @@ impl<'a> Planner<'a> {
                     let children = leaves.into_iter().map(|l| self.lower(l)).collect();
                     (PhysOp::MultiwayJoin(spec), children)
                 } else {
-                    (choose_join_for(theta), vec![self.lower(a), self.lower(b)])
+                    (
+                        PhysOp::Join(theta.clone()),
+                        vec![self.lower(a), self.lower(b)],
+                    )
                 }
             }
             Expr::Semijoin(theta, a, b) => (
-                choose_semijoin_for(theta, None),
+                PhysOp::Semijoin {
+                    theta: theta.clone(),
+                    project: None,
+                },
                 vec![self.lower(a), self.lower(b)],
             ),
             Expr::GroupCount(cols, a) => match self.fuse_grouping(e, cols, a) {
@@ -674,9 +646,7 @@ impl<'a> Planner<'a> {
                 (PhysOp::Tag(_), &[c]) => self.nodes[c].arity + 1,
                 (PhysOp::HashGroupCount(cols), _) => cols.len() + 1,
                 (PhysOp::GroupJoin { keys, .. }, _) => keys + 1,
-                (PhysOp::Join(_) | PhysOp::MergeJoin { .. }, &[l, r]) => {
-                    self.nodes[l].arity + self.nodes[r].arity
-                }
+                (PhysOp::Join(_), &[l, r]) => self.nodes[l].arity + self.nodes[r].arity,
                 (PhysOp::MultiwayJoin(_), kids) => {
                     kids.iter().map(|&c| self.nodes[c].arity).sum::<usize>()
                 }
@@ -755,7 +725,13 @@ impl<'a> Planner<'a> {
     ) -> Option<(PhysOp, Vec<NodeId>)> {
         let k = kernel::prefix_len(cols)?;
         let (op, operands): (PhysOp, Vec<&'a Expr>) = match input {
-            Expr::Semijoin(theta, a, b) => (choose_semijoin_for(theta, Some(k)), vec![a, b]),
+            Expr::Semijoin(theta, a, b) => (
+                PhysOp::Semijoin {
+                    theta: theta.clone(),
+                    project: Some(k),
+                },
+                vec![a, b],
+            ),
             Expr::Select(sel, a) => (
                 PhysOp::Filter {
                     sel: sel.clone(),
@@ -887,34 +863,6 @@ fn candidates_times<'e>(e: &'e Expr, x: &Expr) -> Option<&'e Expr> {
             Some(y)
         }
         _ => None,
-    }
-}
-
-/// Merge on an aligned key prefix (sort-free on canonical inputs);
-/// otherwise the one θ-dispatched variant.
-fn choose_join_for(theta: &Condition) -> PhysOp {
-    match ops::merge_prefix_len(theta) {
-        Some(prefix) => PhysOp::MergeJoin {
-            theta: theta.clone(),
-            prefix,
-        },
-        None => PhysOp::Join(theta.clone()),
-    }
-}
-
-/// [`choose_join_for`], for `⋉θ` under an optional fused prefix
-/// projection.
-fn choose_semijoin_for(theta: &Condition, project: Option<usize>) -> PhysOp {
-    match ops::merge_prefix_len(theta) {
-        Some(prefix) => PhysOp::MergeSemijoin {
-            theta: theta.clone(),
-            prefix,
-            project,
-        },
-        None => PhysOp::Semijoin {
-            theta: theta.clone(),
-            project,
-        },
     }
 }
 
@@ -1130,7 +1078,7 @@ mod tests {
     }
 
     #[test]
-    fn operator_choice_prefers_merge_on_aligned_prefix() {
+    fn operator_choice_reads_theta_alone() {
         let rows: Vec<Vec<i64>> = (0..500).map(|i| vec![i, i % 50]).collect();
         let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
         let mut db = Database::new();
@@ -1139,11 +1087,11 @@ mod tests {
         let cases = [
             (
                 Expr::rel("R").semijoin(Condition::eq(1, 1), Expr::rel("S")),
-                "merge-semijoin",
+                "hash-semijoin",
             ),
             (
                 Expr::rel("R").join(Condition::eq_pairs([(1, 1), (2, 2)]), Expr::rel("S")),
-                "merge-join",
+                "hash-join",
             ),
             (
                 Expr::rel("R").semijoin(Condition::eq(2, 1), Expr::rel("S")),
@@ -1162,32 +1110,32 @@ mod tests {
                 "nested-loop-semijoin",
             ),
             (
-                // Merge with a residual: 1=1 aligned, 2<2 rides along.
+                // 1=1 is hashed, 2<2 rides along as the residual.
                 Expr::rel("R").join(
                     Condition::eq(1, 1).and(2, sj_algebra::CompOp::Lt, 2),
                     Expr::rel("S"),
                 ),
-                "merge-join",
+                "hash-join",
             ),
         ];
         for (e, expect) in cases {
             let plan = plan(&e, &db);
             let root = &plan.nodes()[plan.root()];
             assert_eq!(root.op.name(), expect, "{e}");
-            // Off the aligned prefix the name is the kernel's own
-            // dispatch on θ — the body that runs.
+            // The name is the kernel's own dispatch on θ — the body
+            // that runs.
             match &root.op {
                 PhysOp::Join(theta) => assert_eq!(root.op.name(), ops::join_dispatch(theta)),
                 PhysOp::Semijoin { theta, .. } => {
                     assert_eq!(root.op.name(), ops::semijoin_dispatch(theta))
                 }
-                op => assert!(op.name().starts_with("merge-"), "{e}: {op:?}"),
+                op => panic!("{e}: {op:?}"),
             }
         }
     }
 
     #[test]
-    fn merge_operators_agree_with_naive_evaluation() {
+    fn aligned_prefix_joins_agree_with_naive_evaluation() {
         let mut db = Database::new();
         db.set(
             "R",
@@ -1317,7 +1265,7 @@ mod tests {
 
     #[test]
     fn tiny_equality_joins_plan_and_report_as_the_hash_body_that_runs() {
-        // 2 × 2 rows, off-prefix equality: `kernel::join` /
+        // 2 × 2 rows, one equality atom: `kernel::join` /
         // `kernel::semijoin` hash on the equality atom at every size, so
         // plan, EXPLAIN and report all say `hash-*`.
         let mut db = Database::new();
@@ -1342,10 +1290,10 @@ mod tests {
             assert_eq!(report.nodes.last().unwrap().operator, expect, "{e}");
             assert_eq!(result, evaluate(&e, &db).unwrap(), "{e}");
         }
-        // Merge on an aligned prefix is chosen at every size too.
+        // An aligned prefix is hashed too.
         let aligned = Expr::rel("R").join(Condition::eq(1, 1), Expr::rel("S"));
-        let merged = plan(&aligned, &db);
-        assert_eq!(merged.nodes()[merged.root()].op.name(), "merge-join");
+        let hashed = plan(&aligned, &db);
+        assert_eq!(hashed.nodes()[hashed.root()].op.name(), "hash-join");
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub struct NodeStat {
     /// Operator label (see `Expr::label`).
     pub label: String,
     /// The physical operator that produced this node's output (e.g.
-    /// `hash-join`, `merge-semijoin`, `scan`). The planner chooses per
+    /// `hash-join`, `hash-semijoin+project`, `scan`). The planner chooses per
     /// node; the tree walker reports the fixed choice `ops` makes.
     pub operator: &'static str,
     /// Output arity of the node.

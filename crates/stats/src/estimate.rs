@@ -24,7 +24,7 @@
 //! registry's algorithm pick), where an overestimate merely forfeits a
 //! cheaper alternative while an underestimate would rank a plan with a
 //! huge intermediate first. No estimate selects an operator body — the
-//! planner picks merge/hash/nested-loop from θ alone.
+//! planner picks hash or nested loop from θ alone.
 
 use crate::catalog::StatsSource;
 use crate::histogram::{Histogram, StringHistogram};

@@ -1,6 +1,6 @@
 //! Columnar view of a relation: typed per-column vectors, a per-relation
-//! string dictionary, the composite key hash, and the joint code space
-//! two relations' columns are compared in.
+//! string dictionary, and the joint code space two relations' columns
+//! are compared in.
 //!
 //! The row representation ([`crate::Relation`]'s sorted `Vec<Tuple>`) stays
 //! the *canonical* one — it is what equality, ordering, and the set
@@ -16,13 +16,12 @@
 //! * [`StrDict`] — the per-relation dictionary: all distinct strings of
 //!   the dictionary-encoded columns, **sorted lexicographically**, so
 //!   comparing two codes from the *same* dictionary is exactly comparing
-//!   the strings. Each entry also carries a precomputed value hash so
-//!   hashing a string cell is a table lookup.
+//!   the strings.
 //! * [`Columns`] — the full columnar image of one relation: row count,
 //!   one [`ColumnData`] per column, and the shared dictionary. Operators
-//!   address it by absolute row index; which rows an operator (or one of
-//!   its partitions) visits is the operator's business (`sj-eval`'s
-//!   kernel layer), not a storage type.
+//!   address it by absolute row index; which rows an operator visits is
+//!   the operator's business (`sj-eval`'s kernel layer), not a storage
+//!   type.
 //!
 //! **The joint code space.** [`joint_codes`] is the one place this
 //! workspace decides how a column of one relation is compared with a
@@ -37,18 +36,10 @@
 //! | anything else (`Mixed`, or `Int` against `Str`) | the rank of each cell in the sorted joint dictionary of both columns — O(n log n) |
 //!
 //! The division bodies and the set-join operand view of `sj-setjoin`
-//! read element columns through it, and `sj-eval`'s hash kernels key,
-//! place and confirm equality keys on it.
-//!
-//! [`Columns::key_hashes`] is the value-based composite key hash: an
-//! integer hashes the same whether it sits in an `Int` or a `Mixed`
-//! column, and a string hashes the same under any dictionary, so hashes
-//! computed on two different relations pair up without a shared code
-//! space. It places the rows of the merge kernels' partitions.
-//! [`Columns::cell_eq`] / [`Columns::cell_cmp`] compare single cells
-//! across relations.
+//! read element columns through it, and `sj-eval`'s hash kernels key and
+//! confirm equality keys on it. [`Columns::cell_eq`] /
+//! [`Columns::cell_cmp`] compare single cells across relations.
 
-use crate::hash::fx_hash_one;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::borrow::Cow;
@@ -65,36 +56,6 @@ pub fn hash_int_cell(v: i64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Hash of a string cell. Dictionary entries precompute this once per
-/// distinct string ([`StrDict::hash_of`]), so per-row hashing of an
-/// encoded column is a table lookup instead of a byte scan.
-#[inline]
-pub fn hash_str_cell(s: &str) -> u64 {
-    // XOR with a constant so `Str("")` and `Int(hash-seed)` cannot agree
-    // by construction; collisions are harmless (verified) but cheap to
-    // avoid for the common empty/small cases.
-    fx_hash_one(&s) ^ 0xc2b2_ae3d_27d4_eb4f
-}
-
-/// Hash of an arbitrary [`Value`] cell, consistent with
-/// [`hash_int_cell`] / [`hash_str_cell`]. Used for `Mixed` columns.
-#[inline]
-pub fn hash_value_cell(v: &Value) -> u64 {
-    match v {
-        Value::Int(i) => hash_int_cell(*i),
-        Value::Str(s) => hash_str_cell(s),
-    }
-}
-
-/// Seed of every composite key hash ([`Columns::key_hashes`]).
-const KEY_HASH_SEED: u64 = 0x5157_cc1b_7272_20a9;
-
-/// Mix one column's cell hash into a row's running key hash.
-#[inline]
-fn mix(h: u64, x: u64) -> u64 {
-    (h.rotate_left(23) ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-}
-
 /// A per-relation string dictionary: the distinct strings of all
 /// dictionary-encoded columns, sorted lexicographically.
 ///
@@ -104,7 +65,6 @@ fn mix(h: u64, x: u64) -> u64 {
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct StrDict {
     strings: Vec<Arc<str>>,
-    hashes: Vec<u64>,
 }
 
 impl StrDict {
@@ -114,8 +74,7 @@ impl StrDict {
         let mut v: Vec<Arc<str>> = strings.into_iter().collect();
         v.sort_unstable_by(|a, b| a.as_ref().cmp(b.as_ref()));
         v.dedup_by(|a, b| a.as_ref() == b.as_ref());
-        let hashes = v.iter().map(|s| hash_str_cell(s)).collect();
-        StrDict { strings: v, hashes }
+        StrDict { strings: v }
     }
 
     /// Number of distinct strings.
@@ -134,12 +93,6 @@ impl StrDict {
     #[inline]
     pub fn get(&self, code: u32) -> &Arc<str> {
         &self.strings[code as usize]
-    }
-
-    /// The precomputed cell hash for a code.
-    #[inline]
-    pub fn hash_of(&self, code: u32) -> u64 {
-        self.hashes[code as usize]
     }
 
     /// The code for a string, if present (binary search over the sorted
@@ -337,37 +290,6 @@ impl Columns {
             ColumnData::Str(v) => Value::Str(Arc::clone(self.dict.get(v[r]))),
             ColumnData::Mixed(v) => v[r].clone(),
         }
-    }
-
-    /// The composite hash of every row's key over the 0-based `key`
-    /// columns, computed one column at a time: an integer column hashes
-    /// as a dense `&[i64]` loop, a dictionary-encoded column as a
-    /// per-code table lookup, and no `Value` is cloned or boxed. The
-    /// hash is value-based (see the module docs), so equal keys of two
-    /// relations hash alike whatever their column representations. An
-    /// empty key hashes every row to the same value.
-    pub fn key_hashes(&self, key: &[usize]) -> Vec<u64> {
-        let mut out = vec![KEY_HASH_SEED; self.len];
-        for &c in key {
-            match &self.cols[c] {
-                ColumnData::Int(v) => {
-                    for (h, &x) in out.iter_mut().zip(v) {
-                        *h = mix(*h, hash_int_cell(x));
-                    }
-                }
-                ColumnData::Str(v) => {
-                    for (h, &code) in out.iter_mut().zip(v) {
-                        *h = mix(*h, self.dict.hash_of(code));
-                    }
-                }
-                ColumnData::Mixed(v) => {
-                    for (h, x) in out.iter_mut().zip(v) {
-                        *h = mix(*h, hash_value_cell(x));
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// Exact value equality between cell `(c, r)` of `self` and cell
@@ -622,46 +544,6 @@ mod tests {
                 assert_eq!(c.value_at(j, i), t[j]);
             }
         }
-    }
-
-    #[test]
-    fn key_hashes_are_representation_independent() {
-        // Same value in an Int column and a Mixed column.
-        let dense = Relation::from_int_rows(&[&[7]]);
-        let mixed = Relation::from_tuples(1, vec![tuple![7], tuple!["x"]]).unwrap();
-        assert_eq!(
-            dense.columns().key_hashes(&[0])[0],
-            mixed.columns().key_hashes(&[0])[0]
-        );
-        // Same string under two different dictionaries.
-        let a = Relation::from_str_rows(&[&["flu"], &["zzz"]]);
-        let b = Relation::from_str_rows(&[&["ague"], &["flu"]]);
-        assert_eq!(
-            a.columns().key_hashes(&[0])[0],
-            b.columns().key_hashes(&[0])[1]
-        );
-    }
-
-    #[test]
-    fn key_hashes_follow_the_key_columns_in_order() {
-        let r = Relation::from_tuples(
-            3,
-            vec![tuple![1, "a", 2], tuple![2, "a", 1], tuple![2, "b", 1]],
-        )
-        .unwrap();
-        let c = r.columns();
-        // One hash per row; rows agreeing on the key agree on the hash,
-        // and the composite is order-sensitive: (1, 2) ≠ (2, 1).
-        let on_b = c.key_hashes(&[1]);
-        assert_eq!(on_b.len(), 3);
-        assert_eq!(on_b[0], on_b[1]);
-        assert_ne!(on_b[1], on_b[2]);
-        assert_eq!(c.key_hashes(&[0, 2])[0], c.key_hashes(&[2, 0])[1]);
-        assert_ne!(c.key_hashes(&[0, 2])[0], c.key_hashes(&[0, 2])[1]);
-        // The empty key sends every row to one value; no rows, no hashes.
-        let none = c.key_hashes(&[]);
-        assert!(none.windows(2).all(|w| w[0] == w[1]));
-        assert!(Relation::empty(2).columns().key_hashes(&[0]).is_empty());
     }
 
     #[test]

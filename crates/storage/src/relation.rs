@@ -101,8 +101,8 @@ impl Relation {
     /// Build a relation from tuples **already in canonical order**
     /// (strictly increasing, hence deduplicated) without re-sorting.
     ///
-    /// The merge-based physical operators in `sj-eval` produce their
-    /// output in canonical order; this constructor lets them skip the
+    /// The physical operators in `sj-eval` produce their output in
+    /// canonical order; this constructor lets them skip the
     /// `O(n log n)` canonicalization of [`Relation::from_tuples`]. The
     /// order claim is verified with a linear scan: input that is *not*
     /// strictly increasing is canonicalized (sorted + deduplicated)
@@ -254,15 +254,10 @@ impl Relation {
     /// per-column vectors over the same rows, in the same canonical
     /// order. Built lazily on first use and cached; `insert`/`remove`
     /// invalidate the cache. Row `i` of the columns is tuple `i` of
-    /// [`Relation::tuples`].
+    /// [`Relation::tuples`]. A clone of the relation shares the built
+    /// view.
     #[inline]
     pub fn columns(&self) -> &Columns {
-        self.columns_shared()
-    }
-
-    /// [`Relation::columns`] as a shared handle, for operators that fan
-    /// the view out across worker threads.
-    pub fn columns_shared(&self) -> &Arc<Columns> {
         self.cols
             .get_or_init(|| Arc::new(Columns::from_tuples(self.arity, &self.tuples)))
     }
@@ -373,9 +368,8 @@ impl Relation {
     /// strictly increasing subsequence and inherits the canonical
     /// representation without re-sorting. Per-partition results can be
     /// merged back without global re-deduplication (keys never span
-    /// partitions). The join kernels of `sj-eval` do not call this: they
-    /// place row *indices* by [`crate::Columns::key_hashes`] and never
-    /// clone a tuple into a partition.
+    /// partitions). No engine path calls this: `sj-eval`'s kernels run
+    /// each operator over its whole operands on the calling thread.
     pub fn partition_by_hash(&self, cols: &[usize], n: usize) -> Vec<Relation> {
         let n = n.max(1);
         debug_assert!(

@@ -187,7 +187,7 @@ fn division_double_difference_lowers_to_three_nodes() {
 }
 
 #[test]
-fn planner_explain_marks_merge_operators_and_sharing() {
+fn planner_explain_marks_hash_semijoin_and_sharing() {
     let mut db = Database::new();
     db.set("R", Relation::from_int_rows(&[&[1, 7], &[2, 8]]));
     db.set("S", Relation::from_int_rows(&[&[1, 9]]));
@@ -199,7 +199,7 @@ fn planner_explain_marks_merge_operators_and_sharing() {
     // nodes (R, S, the semijoin, the union).
     assert_eq!(plan.node_count(), 4);
     let s = plan.explain();
-    assert!(s.contains("merge-semijoin"), "{s}");
+    assert!(s.contains("hash-semijoin"), "{s}");
     assert!(s.contains("×2"), "{s}");
 }
 

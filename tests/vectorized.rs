@@ -10,8 +10,8 @@
 //! configuration space.
 //!
 //! The prefix consumers are held the same way: the fused bodies
-//! `kernel::project_semijoin` / `project_merge_semijoin` /
-//! `ops_vec::project_select` to `ops::project` over the row operator,
+//! `kernel::project_semijoin` / `ops_vec::project_select` to
+//! `ops::project` over the row operator,
 //! `kernel::group_join` to `ops::group_count ∘ ops::join`, and
 //! `kernel::{project, group_count, tag}` to their `ops` twins, called
 //! directly. Through the `Engine`, every `common::engines`
@@ -120,6 +120,8 @@ fn thetas() -> Vec<Condition> {
         Condition::eq(2, 1),                       // off-diagonal equality
         Condition::eq(2, 2),                       // equality off the prefix
         Condition::eq(1, 1).and(2, CompOp::Lt, 2), // equality + residual
+        Condition::eq(1, 1).and(2, CompOp::Neq, 2),
+        Condition::eq_pairs([(1, 1), (2, 2)]).and(1, CompOp::Lt, 2),
         Condition::eq(2, 1).and(1, CompOp::Neq, 2),
         Condition::lt(1, 1), // inequality only
         Condition::always(), // empty
@@ -251,46 +253,23 @@ fn vectorized_joins_equal_row_joins() {
     }
 }
 
-/// `kernel::{merge_join, merge_semijoin}` ≡ `ops::{join, semijoin}` on
-/// the rebuilt condition (the kernels' capacity fallback) ≡ brute force
-/// on the canonical sort prefix, with and without residual atoms.
+/// `kernel::merge_join`, kept for `benchmark/`, is `kernel::join` on the
+/// rebuilt condition `1=1 ∧ … ∧ k=k ∧ residual`.
 #[test]
-fn vectorized_merges_equal_row_merges() {
-    let residuals = [
-        Condition::always(),
-        Condition::new([atom(2, CompOp::Lt, 2)]),
-        Condition::new([atom(2, CompOp::Neq, 2)]),
-    ];
+fn merge_join_shim_is_join_on_the_prefix_condition() {
+    let residual = Condition::new([atom(2, CompOp::Neq, 2)]);
     for (name, r, s) in operand_pairs() {
         for k in [1usize, 2] {
-            for residual in &residuals {
-                // θ = (1=1 ∧ … ∧ k=k) ∧ residual, for the row operators
-                // and the oracle.
-                let theta = Condition::new(
-                    (1..=k)
-                        .map(|c| atom(c, CompOp::Eq, c))
-                        .chain(residual.atoms().iter().copied()),
-                );
-                let want_join = brute_join(&r, &s, &theta);
-                let want_semi = brute_semijoin(&r, &s, &theta);
-                assert_eq!(ops::join(&r, &s, &theta), want_join);
-                assert_eq!(ops::semijoin(&r, &s, &theta), want_semi);
-                let what = format!("merge join k={k} [{residual}] on {name}");
-                let j = kernel::merge_join(&r, &s, k, residual, EXEC, WORKERS);
-                assert_eq!(j, want_join, "{what}");
-
-                let what = format!("merge semijoin k={k} [{residual}] on {name}");
-                let sj = kernel::merge_semijoin(&r, &s, k, residual, EXEC, WORKERS);
-                assert_eq!(sj, want_semi, "{what}");
-
-                for keep in 0..=r.arity() {
-                    assert_eq!(
-                        kernel::project_merge_semijoin(&r, &s, k, residual, keep),
-                        brute_prefixes(&want_semi, keep),
-                        "π[1..{keep}]∘{what}"
-                    );
-                }
-            }
+            let theta = Condition::new(
+                (1..=k)
+                    .map(|c| atom(c, CompOp::Eq, c))
+                    .chain(residual.atoms().iter().copied()),
+            );
+            assert_eq!(
+                kernel::merge_join(&r, &s, k, &residual, EXEC, WORKERS),
+                kernel::join(&r, &s, &theta, EXEC, WORKERS),
+                "k={k} on {name}"
+            );
         }
     }
 }
@@ -552,7 +531,7 @@ fn prefix_consumer_corpus(c: &Value) -> Vec<(&'static str, Expr, [usize; 2])> {
     let shared = semi(Condition::eq(2, 1));
     vec![
         ("π₁ ⋉ hash", semi(Condition::eq(2, 1)).project([1]), [1, 1]),
-        ("π₁ ⋉ merge", semi(Condition::eq(1, 1)).project([1]), [1, 1]),
+        ("π₁ ⋉ 1=1", semi(Condition::eq(1, 1)).project([1]), [1, 1]),
         (
             "π₁ ⋉ residual ≠",
             semi(Condition::eq(2, 1).and(1, CompOp::Neq, 2)).project([1]),
@@ -731,8 +710,6 @@ proptest! {
         let theta = [Condition::eq(1, 1), Condition::eq(2, 2), Condition::eq(2, 1)][ci].clone();
         let sel = Selection::Eq(1, 2);
         prop_assert_eq!(ops_vec::select(&r, &sel), ops::select(&r, &sel));
-        let always = Condition::always();
-        let prefix = Condition::eq(1, 1);
         prop_assert_eq!(
             kernel::join(&r, &s, &theta, EXEC, WORKERS),
             ops::join(&r, &s, &theta),
@@ -742,16 +719,6 @@ proptest! {
             kernel::semijoin(&r, &s, &theta, EXEC, WORKERS),
             ops::semijoin(&r, &s, &theta),
             "semijoin"
-        );
-        prop_assert_eq!(
-            kernel::merge_join(&r, &s, 1, &always, EXEC, WORKERS),
-            ops::join(&r, &s, &prefix),
-            "merge join"
-        );
-        prop_assert_eq!(
-            kernel::merge_semijoin(&r, &s, 1, &always, EXEC, WORKERS),
-            ops::semijoin(&r, &s, &prefix),
-            "merge semijoin"
         );
         prop_assert_eq!(
             kernel::project_semijoin(&r, &s, &theta, 1),
