@@ -53,6 +53,7 @@ pub fn evaluate_instrumented(expr: &Expr, db: &Database) -> Result<(Relation, Re
             elapsed,
         });
     });
+    let result = result.into_owned();
     // Observed children first; reported in pre-order.
     nodes.sort_by_key(|n| n.id);
     let report = Report {

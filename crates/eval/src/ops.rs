@@ -12,12 +12,51 @@
 
 use sj_algebra::{CompOp, Condition, Selection};
 use sj_storage::{FxHashMap, FxHashSet, HashIndex, Relation, Tuple, Value};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 
 /// `π_{cols}(r)` — 1-based columns, may repeat and reorder (Definition 1(3)).
+/// A row whose projection equals the last one kept is skipped before
+/// anything is allocated for it: on a leading-column projection every
+/// group then costs one tuple, not one per row.
 pub fn project(r: &Relation, cols: &[usize]) -> Relation {
     let zero_based: Vec<usize> = cols.iter().map(|c| c - 1).collect();
-    Relation::from_tuples(cols.len(), r.iter().map(|t| t.project(&zero_based)))
-        .expect("projection preserves arity")
+    let mut out: Vec<Tuple> = Vec::new();
+    for t in r {
+        let repeat = out.last().is_some_and(|last| {
+            zero_based
+                .iter()
+                .zip(last.values())
+                .all(|(&c, v)| t[c] == *v)
+        });
+        if !repeat {
+            out.push(t.project(&zero_based));
+        }
+    }
+    Relation::from_tuples(cols.len(), out).expect("projection preserves arity")
+}
+
+/// `r₁ − r₂` (arities must agree). An owned `r₁` gives its rows up —
+/// it is left empty — and loses those of `r₂` in place, one merge pass
+/// with nothing copied; a borrowed one is copied by
+/// [`Relation::difference`].
+pub fn difference(r1: &mut Cow<'_, Relation>, r2: &Relation) -> Relation {
+    let r1 = match r1 {
+        Cow::Borrowed(r1) => return r1.difference(r2).expect("validated: arities agree"),
+        Cow::Owned(r1) => r1,
+    };
+    debug_assert_eq!(r1.arity(), r2.arity(), "difference: arity mismatch");
+    let arity = r1.arity();
+    let mut removed = r2.iter().peekable();
+    let mut kept = std::mem::replace(r1, Relation::empty(arity)).into_tuples();
+    kept.retain(|t| loop {
+        match removed.peek().map(|u| (*u).cmp(t)) {
+            Some(Ordering::Less) => _ = removed.next(),
+            Some(Ordering::Equal) => return false,
+            Some(Ordering::Greater) | None => return true,
+        }
+    });
+    Relation::from_sorted_tuples(arity, kept)
 }
 
 /// `σ(r)` for the three selection forms (Definition 1(4) + derived σᵢ₌c).
@@ -88,7 +127,13 @@ pub fn join(r1: &Relation, r2: &Relation, theta: &Condition) -> Relation {
     let (eq, residual) = split_condition(theta);
     let out_arity = r1.arity() + r2.arity();
     let mut out: Vec<Tuple> = Vec::new();
-    if eq.is_empty() {
+    if theta.is_empty() {
+        // The product: every pair, nothing to test.
+        out.reserve_exact(r1.len() * r2.len());
+        for t1 in r1 {
+            out.extend(r2.iter().map(|t2| t1.concat(t2)));
+        }
+    } else if eq.is_empty() {
         for t1 in r1 {
             for t2 in r2 {
                 if theta.eval(t1.values(), t2.values()) {
@@ -112,7 +157,10 @@ pub fn join(r1: &Relation, r2: &Relation, theta: &Condition) -> Relation {
             }
         }
     }
-    Relation::from_tuples(out_arity, out).expect("join arity is n+m")
+    // Left rows ascend, and each one's partners ascend in the right
+    // relation's order, so the output is already canonical; the
+    // constructor checks that instead of sorting.
+    Relation::from_sorted_tuples(out_arity, out)
 }
 
 /// `r₁ ⋉θ r₂` (Definition 2). For equality-only θ a hash-set membership
@@ -165,7 +213,8 @@ pub fn semijoin(r1: &Relation, r2: &Relation, theta: &Condition) -> Relation {
             .cloned()
             .collect()
     };
-    Relation::from_tuples(r1.arity(), keep).expect("semijoin preserves left arity")
+    // A filter of a canonical relation is canonical.
+    Relation::from_sorted_tuples(r1.arity(), keep)
 }
 
 /// `γ_{cols; count}(r)` — group by the 1-based `cols` and append the group
@@ -175,9 +224,17 @@ pub fn semijoin(r1: &Relation, r2: &Relation, theta: &Condition) -> Relation {
 pub fn group_count(r: &Relation, cols: &[usize]) -> Relation {
     let zero_based: Vec<usize> = cols.iter().map(|c| c - 1).collect();
     let mut groups: FxHashMap<Vec<Value>, i64> = FxHashMap::default();
+    let mut key: Vec<Value> = Vec::with_capacity(zero_based.len());
     for t in r {
-        let key: Vec<Value> = zero_based.iter().map(|&c| t[c].clone()).collect();
-        *groups.entry(key).or_insert(0) += 1;
+        key.clear();
+        key.extend(zero_based.iter().map(|&c| t[c].clone()));
+        // Only a group's first row allocates its key.
+        match groups.get_mut(key.as_slice()) {
+            Some(n) => *n += 1,
+            None => {
+                groups.insert(key.clone(), 1);
+            }
+        }
     }
     if cols.is_empty() && groups.is_empty() {
         groups.insert(Vec::new(), 0);
@@ -207,6 +264,31 @@ mod tests {
         assert_eq!(project(&a, &[2]), r(&[&[2]])); // dedup: both rows map to (2)
         assert_eq!(project(&a, &[2, 1]), r(&[&[2, 1], &[2, 3]]));
         assert_eq!(project(&a, &[1, 1]), r(&[&[1, 1], &[3, 3]]));
+    }
+
+    #[test]
+    fn project_dedups_repeats_that_are_not_adjacent() {
+        let a = r(&[&[1, 2], &[1, 3], &[2, 2], &[2, 3]]);
+        assert_eq!(project(&a, &[2]), r(&[&[2], &[3]]));
+        assert_eq!(project(&a, &[1]), r(&[&[1], &[2]]));
+    }
+
+    #[test]
+    fn owned_and_borrowed_differences_agree() {
+        let a = r(&[&[1, 1], &[1, 2], &[2, 1], &[3, 3]]);
+        for b in [
+            r(&[&[1, 2], &[2, 0], &[3, 3], &[9, 9]]),
+            r(&[&[0, 0]]),
+            a.clone(),
+            Relation::empty(2),
+        ] {
+            let copied = difference(&mut Cow::Borrowed(&a), &b);
+            let mut owned = Cow::Owned(a.clone());
+            let in_place = difference(&mut owned, &b);
+            assert_eq!(in_place, copied, "{b:?}");
+            assert_eq!(copied, a.difference(&b).unwrap());
+            assert!(owned.is_empty(), "the owned operand gave its rows up");
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::error::EvalError;
 use crate::ops;
 use sj_algebra::Expr;
 use sj_storage::{Database, Relation};
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// Evaluate `expr` on `db`.
@@ -26,7 +27,7 @@ use std::time::{Duration, Instant};
 /// ```
 pub fn evaluate(expr: &Expr, db: &Database) -> Result<Relation, EvalError> {
     expr.arity(&db.schema())?;
-    Ok(walk(expr, db, &mut 0, &mut |_, _, _, _| {}))
+    Ok(walk(expr, db, &mut 0, &mut |_, _, _, _| {}).into_owned())
 }
 
 /// The tree walk behind [`evaluate`] and
@@ -35,27 +36,32 @@ pub fn evaluate(expr: &Expr, db: &Database) -> Result<Relation, EvalError> {
 /// `observe` sees every node once — its pre-order id (the order of
 /// [`Expr::subexpressions`]; `next_id` starts at 0), the node, its
 /// output, and the time spent in the node's own operator, children
-/// excluded.
-pub(crate) fn walk(
+/// excluded. A scan borrows the stored relation; every other node owns
+/// its output.
+pub(crate) fn walk<'db>(
     expr: &Expr,
-    db: &Database,
+    db: &'db Database,
     next_id: &mut usize,
     observe: &mut dyn FnMut(usize, &Expr, &Relation, Duration),
-) -> Relation {
+) -> Cow<'db, Relation> {
     let id = *next_id;
     *next_id += 1;
     // Children are evaluated before the node's own operator is timed, so
     // the observed time is self time.
-    let kids: Vec<Relation> = expr
+    let mut kids: Vec<Cow<'db, Relation>> = expr
         .children()
         .into_iter()
         .map(|child| walk(child, db, next_id, observe))
         .collect();
     let start = Instant::now();
-    let rel = match (expr, kids.as_slice()) {
-        (Expr::Rel(name), []) => db.get(name).expect("validated: relation exists").clone(),
+    let rel = match (expr, kids.as_mut_slice()) {
+        (Expr::Rel(name), []) => {
+            let rel = db.get(name).expect("validated: relation exists");
+            observe(id, expr, rel, start.elapsed());
+            return Cow::Borrowed(rel);
+        }
         (Expr::Union(..), [a, b]) => a.union(b).expect("validated: arities agree"),
-        (Expr::Diff(..), [a, b]) => a.difference(b).expect("validated: arities agree"),
+        (Expr::Diff(..), [a, b]) => ops::difference(a, b),
         (Expr::Project(cols, _), [a]) => ops::project(a, cols),
         (Expr::Select(sel, _), [a]) => ops::select(a, sel),
         (Expr::ConstTag(c, _), [a]) => ops::const_tag(a, c),
@@ -65,7 +71,7 @@ pub(crate) fn walk(
         _ => unreachable!("Expr::children yields each operator's own arity"),
     };
     observe(id, expr, &rel, start.elapsed());
-    rel
+    Cow::Owned(rel)
 }
 
 #[cfg(test)]

@@ -269,6 +269,16 @@ impl Metrics {
             .clone()
     }
 
+    /// Expose `counter`, a handle its owner already counts on, as the
+    /// series `name` (no labels), replacing any series of that name —
+    /// for a component that counts whether or not a registry exists.
+    pub fn register_counter(&self, name: &str, counter: Arc<Counter>) {
+        self.counters
+            .write()
+            .expect("metrics poisoned")
+            .insert(key(name, &[]), counter);
+    }
+
     /// The gauge `name` (no labels).
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
         self.gauge_with(name, &[])

@@ -2,20 +2,35 @@
 //! installed, a `span!` — including one with attribute expressions —
 //! is one relaxed atomic load and a no-op guard. This test pins that
 //! with a counting global allocator, which is why it lives in its own
-//! integration-test binary.
+//! integration-test binary. The count is per thread: the spans run on
+//! the test's own thread, and whatever the test harness's other threads
+//! allocate meanwhile (its output capture, a sibling test) is not
+//! theirs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use sj_obs::span;
 
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Const-initialized and without
+    /// a destructor, so reading it from the allocator never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_one() {
+    // `try_with`: a thread may still allocate while its locals are
+    // being torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` unchanged; the only
+// addition is a thread-local counter bump that does not allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -24,7 +39,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -41,14 +56,14 @@ fn disabled_spans_allocate_nothing() {
         let mut g = span!("warmup.span", index = i);
         g.attr("rows", i * 2);
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.get();
     for i in 0..100_000u64 {
         let mut g = span!("kernel.join", left = i, right = i * 3, workers = 4usize);
         g.attr("out_rows", i);
         drop(g);
         let _plain = span!("plan.node");
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = ALLOCS.get();
     assert_eq!(
         after - before,
         0,

@@ -596,7 +596,7 @@ impl Shared {
         let [by_insert, by_set, by_remove] = &self.invalidations;
         match op {
             WriteOp::Insert { relation, tuple } => {
-                let key = tuple.get(0).cloned();
+                let row = tuple.clone();
                 let (epoch, versions) = {
                     let mut master = self.master.write().expect("master poisoned");
                     let before = master.db.version_of(&relation);
@@ -609,7 +609,13 @@ impl Shared {
                 // A tuple already present changed nothing — same epoch,
                 // nothing to sweep.
                 if let Some((Some(before), Some(after), schema)) = versions {
-                    let key = key.as_ref();
+                    // Outside the master lock: the catalog's own lock
+                    // never nests inside it, and a reader that analyzed
+                    // the new version first turns this into a no-op.
+                    self.template
+                        .catalog()
+                        .absorb_insert(&relation, before, after, &row);
+                    let key = row.get(0);
                     let relation = &relation;
                     let write = Write::Insert {
                         relation,
@@ -645,6 +651,8 @@ impl Shared {
                 Ok(epoch)
             }
             WriteOp::Analyze => {
+                // Plans are retired by the epoch; the catalog re-analyzes
+                // only what no absorbed insert kept current.
                 let snap = {
                     let mut master = self.master.write().expect("master poisoned");
                     master.stats_epoch += 1;
@@ -757,6 +765,12 @@ impl Server {
             .strategy(Strategy::Planned)
             .instrument(Instrument::Cardinalities);
         let metrics = Arc::new(Metrics::new());
+        let catalog = template.catalog();
+        metrics.register_counter("sj_stats_analyses_total", catalog.analyses().clone());
+        metrics.register_counter(
+            "sj_stats_inserts_absorbed_total",
+            catalog.inserts_absorbed().clone(),
+        );
         let shared = Arc::new(Shared {
             master: RwLock::new(Master { db, stats_epoch: 0 }),
             template,
@@ -852,7 +866,10 @@ impl Server {
     /// `sj_server_max_q_error` maximum and the count of executions
     /// whose worst node missed its estimate by more than
     /// [`sj_eval::Q_ERROR_BUDGET`]
-    /// (`sj_server_q_error_over_budget_total`).
+    /// (`sj_server_q_error_over_budget_total`), and the statistics
+    /// catalog's work: relations analyzed (`sj_stats_analyses_total`)
+    /// and inserts it took without analyzing
+    /// (`sj_stats_inserts_absorbed_total`).
     pub fn metrics_text(&self) -> String {
         self.shared.metrics.expose()
     }
@@ -1351,6 +1368,39 @@ mod tests {
             })
             .unwrap();
         assert!(s.upgrade().is_none(), "the analyzed S outlived its removal");
+    }
+
+    /// Inserts keep the catalog current: after the first one, which
+    /// gives `R` a tally at its next analysis, neither the cold runs in
+    /// between nor the closing ANALYZE analyze anything, and every
+    /// answer is still right.
+    #[test]
+    fn inserts_between_analyzes_analyze_nothing_after_the_first() {
+        let server = Server::start(division_db(), config(1, CacheMode::Off));
+        let session = server.session();
+        let e = division::division_double_difference("R", "S");
+        let analyses = || counter(&server, "sj_stats_analyses_total");
+        session.write(WriteOp::Analyze).unwrap();
+        assert_eq!(analyses(), 2, "R and S");
+        insert(&session, "R", tuple![4, 7]);
+        session.query(e.clone()).unwrap();
+        assert_eq!(analyses(), 3, "R again, keeping a tally this time");
+        const N: i64 = 12;
+        for i in 0..N {
+            insert(&session, "R", tuple![5 + i % 3, -i]);
+            let served = session.query(e.clone()).unwrap();
+            let db = server.snapshot();
+            assert_eq!(*served.relation, sj_eval::evaluate(&e, db.db()).unwrap());
+        }
+        session.write(WriteOp::Analyze).unwrap();
+        assert_eq!(analyses(), 3, "every insert after the first absorbed");
+        assert_eq!(
+            counter(&server, "sj_stats_inserts_absorbed_total"),
+            N as u64
+        );
+        let text = server.metrics_text();
+        assert!(text.contains("sj_stats_analyses_total 3"), "{text}");
+        assert!(text.contains(&format!("sj_stats_inserts_absorbed_total {N}")));
     }
 
     #[test]

@@ -76,7 +76,19 @@ impl Histogram {
         hi: i64,
         max_buckets: usize,
     ) -> Histogram {
-        debug_assert!(lo <= hi, "build_range: empty range");
+        Self::from_counts(values.map(|v| (v, 1)), lo, hi, max_buckets)
+    }
+
+    /// [`Histogram::build_range`] over `(value, rows)` pairs: each value
+    /// counted `rows` times, in any order. Integer counts make the result
+    /// equal to `build_range` over the same multiset, in `O(distinct)`.
+    pub(crate) fn from_counts(
+        counts: impl Iterator<Item = (i64, u32)>,
+        lo: i64,
+        hi: i64,
+        max_buckets: usize,
+    ) -> Histogram {
+        debug_assert!(lo <= hi, "from_counts: empty range");
         // One bucket per distinct *possible* value when the range is
         // narrower than the budget — a single value gets exactly one
         // bucket, so its estimate is exact.
@@ -88,12 +100,26 @@ impl Histogram {
             buckets: vec![0; n],
             ints: 0,
         };
-        for v in values {
+        for (v, rows) in counts {
             let b = h.bucket_of(v);
-            h.buckets[b] += 1;
-            h.ints += 1;
+            h.buckets[b] += rows;
+            h.ints += rows as usize;
         }
         h
+    }
+
+    /// Count one more occurrence of `v` in place, when `v` lies inside
+    /// the bucket range `lo..=hi` — the layout depends on the range
+    /// alone, so the result equals a rebuild. `false` (and no change)
+    /// when it does not, or the histogram is empty.
+    pub(crate) fn add(&mut self, v: i64) -> bool {
+        if self.buckets.is_empty() || v < self.lo || v > self.hi {
+            return false;
+        }
+        let b = self.bucket_of(v);
+        self.buckets[b] += 1;
+        self.ints += 1;
+        true
     }
 
     /// The number of distinct values in `lo..=hi` (i128 arithmetic:

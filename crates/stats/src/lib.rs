@@ -13,9 +13,10 @@
 //!   binary relations.
 //! * [`StatsCatalog`] — cached statistics per relation name,
 //!   invalidated by the version `Database` stamps each relation's
-//!   contents with; [`StatsSource`] is the read interface the estimator
-//!   and the planner consume ([`CatalogSource`] binds a catalog to a
-//!   database).
+//!   contents with, and carried across an insert by
+//!   [`TableStats::with_insert`] when the writer reports it;
+//!   [`StatsSource`] is the read interface the estimator and the
+//!   planner consume ([`CatalogSource`] binds a catalog to a database).
 //! * [`CostModel`] — seven unit costs in tuple-operation units, stated
 //!   once in its `Default`. The `sj-setjoin` registry combines them
 //!   with input statistics into a scalar cost to pick the cheapest
@@ -29,9 +30,10 @@
 //!   [`division_rows`], [`containment_selectivity`]).
 //!
 //! Everything is deterministic and exact-input-driven: `analyze` scans
-//! the full relation (no sampling), so two runs over equal relations
-//! produce identical statistics, estimates, and therefore identical
-//! plans and algorithm picks.
+//! the full relation (no sampling), and `with_insert` updates exact
+//! counts to the same result, so two runs over equal relations produce
+//! identical statistics, estimates, and therefore identical plans and
+//! algorithm picks, however the statistics were arrived at.
 
 pub mod catalog;
 pub mod cost;
@@ -46,4 +48,4 @@ pub use estimate::{
     CardEst, ColEst, Estimator,
 };
 pub use histogram::{Histogram, StringHistogram};
-pub use table::{ColumnStats, GroupStats, TableStats};
+pub use table::{ColumnStats, GroupStats, TableStats, Tally};

@@ -25,9 +25,19 @@
 //!   (min/mean/max and the second moment, which quadratic-cost
 //!   estimates need — Definition 15 measures inputs by cardinality, but
 //!   the set-join algorithms' work is governed by *group* structure).
+//!
+//! A relation that takes inserts need not be scanned again after each
+//! one. For an all-integer relation, [`Tally::of`] keeps the exact
+//! aggregates every field above is a function of — per-value counts of
+//! each column and the number of groups of each set size — and
+//! [`TableStats::with_insert`] derives the statistics of the relation
+//! plus one fresh tuple from them, equal field for field to a fresh
+//! `analyze`: in `O(arity)`, or `O(distinct)` when the tuple moves a
+//! column's range and the histogram is rebuilt from the counts.
 
 use crate::histogram::{Histogram, StringHistogram, DEFAULT_BUCKETS};
-use sj_storage::{ColumnData, FxHashMap, Relation, StrDict, Value};
+use sj_storage::{ColumnData, FxHashMap, Relation, StrDict, Tuple, Value};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Statistics for one column of a relation.
@@ -70,6 +80,69 @@ pub struct GroupStats {
     pub mean_set_sq: f64,
 }
 
+/// The exact aggregates of an all-integer relation that
+/// [`TableStats::with_insert`] updates: each column's per-value row
+/// counts and, for a binary relation, how many groups have each set
+/// size. `analyze` builds some of these maps and drops them; the
+/// statistics catalog keeps a tally only for relations that take
+/// inserts.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Tally {
+    /// Per column, the number of rows holding each value. Column 0's
+    /// counts are the group sizes.
+    counts: Vec<FxHashMap<i64, u32>>,
+    /// Binary relations only: the number of groups of each set size,
+    /// ordered so the smallest and largest sizes are the ends.
+    sizes: BTreeMap<usize, usize>,
+    /// Binary relations only: the sum of the squared set sizes.
+    sum_sq: u64,
+}
+
+impl Tally {
+    /// The tally of `r`, or `None` unless every column holds integers
+    /// only (an empty relation qualifies). One counting pass per column.
+    pub fn of(r: &Relation) -> Option<Tally> {
+        let view = r.columns();
+        let counts = (0..r.arity())
+            .map(|c| {
+                let ColumnData::Int(v) = view.col(c) else {
+                    return None;
+                };
+                let mut counts = FxHashMap::default();
+                for &x in v {
+                    *counts.entry(x).or_insert(0) += 1;
+                }
+                Some(counts)
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let mut tally = Tally {
+            counts,
+            ..Tally::default()
+        };
+        if r.arity() == 2 {
+            let sizes: Vec<u32> = tally.counts[0].values().copied().collect();
+            for size in sizes {
+                tally.resize_group(0, size as usize);
+            }
+        }
+        Some(tally)
+    }
+
+    /// A group of `from` elements (0: a new group) now has `to`.
+    fn resize_group(&mut self, from: usize, to: usize) {
+        if from > 0 {
+            let n = self.sizes.get_mut(&from).expect("a group of that size");
+            *n -= 1;
+            if *n == 0 {
+                self.sizes.remove(&from);
+            }
+            self.sum_sq -= (from * from) as u64;
+        }
+        *self.sizes.entry(to).or_insert(0) += 1;
+        self.sum_sq += (to * to) as u64;
+    }
+}
+
 /// Statistics for one relation, produced by [`TableStats::analyze`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableStats {
@@ -87,9 +160,11 @@ impl TableStats {
     /// Analyze a relation through its columnar view: fused dense scans
     /// per column (see the module docs for the per-representation
     /// breakdown) plus the group scan over column 0's run lengths. The
-    /// catalog runs this once per relation version, on the first query
-    /// that touches it, so the scan count is cold-query latency — the
-    /// `stats.analyze` span is where a trace shows it.
+    /// catalog runs this on the first query that touches a relation
+    /// version it has no entry for — a version an absorbed insert
+    /// produced needs none ([`TableStats::with_insert`]) — so the scan
+    /// count is cold-query latency; the `stats.analyze` span is where a
+    /// trace shows it.
     ///
     /// Canonical storage order makes the leading column's distinct
     /// count and the group boundaries allocation-free run counts; only
@@ -114,6 +189,59 @@ impl TableStats {
             columns,
             group,
         }
+    }
+
+    /// The statistics of the relation these describe plus the tuple
+    /// `t`, which must be new to it, equal field for field to
+    /// [`TableStats::analyze`] of that relation; `tally` is this
+    /// relation's [`Tally`] and becomes the new one's. `None`, with
+    /// `tally` untouched, when `t` holds a string: the relation is no
+    /// longer all-integer, so it has to be analyzed again.
+    ///
+    /// Counts only grow, so `distinct`, `max_freq`, `min`/`max` and an
+    /// in-range histogram bucket update in place; a value outside a
+    /// column's range rebuilds that histogram from the column's counts
+    /// (`O(distinct)`, bit-equal: the counts are integers). The group
+    /// moments come from the set-size counts and the integer sum of
+    /// squares, divided on read as `analyze` divides them.
+    pub fn with_insert(&self, tally: &mut Tally, t: &Tuple) -> Option<TableStats> {
+        debug_assert_eq!(t.arity(), self.arity, "with_insert: arity mismatch");
+        let ints: Vec<i64> = t
+            .values()
+            .iter()
+            .map(Value::as_int)
+            .collect::<Option<_>>()?;
+        let mut next = self.clone();
+        next.rows += 1;
+        for ((col, counts), &x) in next.columns.iter_mut().zip(&mut tally.counts).zip(&ints) {
+            let rows = counts.entry(x).or_insert(0);
+            *rows += 1;
+            if *rows == 1 {
+                col.distinct += 1;
+            }
+            col.max_freq = col.max_freq.max(*rows as usize);
+            // A tallied column holds integers only: no bounds means empty.
+            let (lo, hi) = match (&col.min, &col.max) {
+                (Some(Value::Int(lo)), Some(Value::Int(hi))) => ((*lo).min(x), (*hi).max(x)),
+                _ => (x, x),
+            };
+            if !col.histogram.add(x) {
+                let counts = counts.iter().map(|(&v, &rows)| (v, rows));
+                col.histogram = Histogram::from_counts(counts, lo, hi, DEFAULT_BUCKETS);
+            }
+            col.min = Some(Value::int(lo));
+            col.max = Some(Value::int(hi));
+        }
+        if let Some(g) = next.group.as_mut() {
+            let size = tally.counts[0][&ints[0]] as usize;
+            tally.resize_group(size - 1, size);
+            g.groups = tally.counts[0].len();
+            g.min_set = *tally.sizes.keys().next().expect("a group");
+            g.max_set = *tally.sizes.keys().next_back().expect("a group");
+            g.mean_set = next.rows as f64 / g.groups as f64;
+            g.mean_set_sq = tally.sum_sq as f64 / g.groups as f64;
+        }
+        Some(next)
     }
 
     /// Integer column: fused distinct/max-frequency/min/max scan over
@@ -284,13 +412,15 @@ impl TableStats {
         let view = r.columns();
         let mut groups = 0usize;
         let (mut min_set, mut max_set) = (usize::MAX, 0usize);
-        let mut sum_sq = 0f64;
+        // An integer sum divided once on read, as `with_insert` does;
+        // equal to an `f64` sum while that one is exact (below 2⁵³).
+        let mut sum_sq = 0u64;
         {
             let mut close = |run: usize| {
                 groups += 1;
                 min_set = min_set.min(run);
                 max_set = max_set.max(run);
-                sum_sq += (run * run) as f64;
+                sum_sq += (run * run) as u64;
             };
             fn runs<T: PartialEq>(v: &[T], close: &mut impl FnMut(usize)) {
                 let mut run = 0usize;
@@ -326,7 +456,7 @@ impl TableStats {
             mean_set_sq: if groups == 0 {
                 0.0
             } else {
-                sum_sq / groups as f64
+                sum_sq as f64 / groups as f64
             },
         }
     }

@@ -272,6 +272,11 @@ impl Relation {
         &self.tuples
     }
 
+    /// Take the tuples out, in canonical order, without copying them.
+    pub fn into_tuples(self) -> Vec<Tuple> {
+        self.tuples
+    }
+
     /// Set union (arity must match). Linear merge of the two sorted runs.
     pub fn union(&self, other: &Relation) -> crate::Result<Relation> {
         self.check_same_arity(other)?;
