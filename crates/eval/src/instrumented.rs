@@ -41,13 +41,13 @@ fn naive_operator(expr: &Expr) -> &'static str {
 pub fn evaluate_instrumented(expr: &Expr, db: &Database) -> Result<(Relation, Report), EvalError> {
     expr.arity(&db.schema())?;
     let mut nodes = Vec::with_capacity(expr.node_count());
-    let result = walk(expr, db, &mut 0, &mut |id, node, rel, elapsed| {
+    let result = walk(expr, db, &mut 0, &mut |id, node, arity, rows, elapsed| {
         nodes.push(NodeStat {
             id,
             label: node.label(),
             operator: naive_operator(node),
-            arity: rel.arity(),
-            cardinality: rel.len(),
+            arity,
+            cardinality: rows,
             estimate: None,
             occurrences: 1,
             elapsed,

@@ -128,6 +128,15 @@ mod proptests {
             .relation
     }
 
+    /// `π_i(X) × π_j(Y)` for X, Y ∈ {R, S}.
+    fn leaf_product() -> impl Strategy<Value = Expr> {
+        let column = || {
+            (prop_oneof![Just("R"), Just("S")], 1usize..=2)
+                .prop_map(|(r, c)| Expr::rel(r).project([c]))
+        };
+        (column(), column()).prop_map(|(a, b)| a.product(b))
+    }
+
     /// Arbitrary **valid** arity-2 expressions over R, S (arity 2).
     fn arb_expr2() -> impl Strategy<Value = Expr> {
         let leaf = prop_oneof![Just(Expr::rel("R")), Just(Expr::rel("S"))];
@@ -135,6 +144,18 @@ mod proptests {
             prop_oneof![
                 (inner.clone(), inner.clone()).prop_map(|(a, b)| a.union(b)),
                 (inner.clone(), inner.clone()).prop_map(|(a, b)| a.diff(b)),
+                // A product as either operand of a difference, or both,
+                // which the walker reads without storing.
+                (
+                    leaf_product(),
+                    prop_oneof![inner.clone(), leaf_product()],
+                    any::<bool>()
+                )
+                    .prop_map(|(p, c, left)| if left {
+                        p.diff(c)
+                    } else {
+                        c.diff(p)
+                    }),
                 (1usize..=2, 1usize..=2, inner.clone()).prop_map(|(i, j, a)| a.select_eq(i, j)),
                 (1usize..=2, 1usize..=2, inner.clone()).prop_map(|(i, j, a)| a.select_lt(i, j)),
                 (0i64..6, inner.clone()).prop_map(|(c, a)| a.tag(Value::int(c)).project([1, 2])),

@@ -36,26 +36,111 @@ pub fn project(r: &Relation, cols: &[usize]) -> Relation {
     Relation::from_tuples(cols.len(), out).expect("projection preserves arity")
 }
 
-/// `r₁ − r₂` (arities must agree). An owned `r₁` gives its rows up —
-/// it is left empty — and loses those of `r₂` in place, one merge pass
-/// with nothing copied; a borrowed one is copied by
-/// [`Relation::difference`].
-pub fn difference(r1: &mut Cow<'_, Relation>, r2: &Relation) -> Relation {
-    let r1 = match r1 {
-        Cow::Borrowed(r1) => return r1.difference(r2).expect("validated: arities agree"),
-        Cow::Owned(r1) => r1,
-    };
+/// An operand of [`difference`]: a relation, owned or borrowed, or the
+/// product `a × b` of two, which the merge reads pair by pair in
+/// canonical order and never stores.
+pub enum Operand<'a> {
+    /// A relation's rows.
+    Rows(Cow<'a, Relation>),
+    /// The pairs of `a × b`.
+    Product(Cow<'a, Relation>, Cow<'a, Relation>),
+}
+
+impl Operand<'_> {
+    fn arity(&self) -> usize {
+        match self {
+            Operand::Rows(r) => r.arity(),
+            Operand::Product(a, b) => a.arity() + b.arity(),
+        }
+    }
+
+    fn cursor(&self) -> Cursor<'_> {
+        let (heads, tails) = match self {
+            Operand::Rows(r) => (r.tuples(), None),
+            Operand::Product(_, b) if b.is_empty() => (&[][..], None),
+            Operand::Product(a, b) => (a.tuples(), Some(b.tuples())),
+        };
+        Cursor {
+            heads,
+            tails,
+            i: 0,
+            j: 0,
+        }
+    }
+}
+
+/// A position in an [`Operand`]'s rows, which ascend: row `i` of a
+/// relation, or pair `(i, j)` of a product.
+struct Cursor<'a> {
+    heads: &'a [Tuple],
+    /// A product's right factor.
+    tails: Option<&'a [Tuple]>,
+    i: usize,
+    j: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// The row here, as a stored tuple and the values that follow it:
+    /// none for a relation's row.
+    fn row(&self) -> Option<(&'a Tuple, &'a [Value])> {
+        let head = self.heads.get(self.i)?;
+        Some((head, self.tails.map_or(&[][..], |b| b[self.j].values())))
+    }
+
+    fn advance(&mut self) {
+        self.j += 1;
+        if self.j >= self.tails.map_or(1, <[Tuple]>::len) {
+            self.j = 0;
+            self.i += 1;
+        }
+    }
+}
+
+/// Canonical order of two rows of one arity, each a head and a tail of
+/// values: slice comparisons, split where the shorter head ends.
+fn cmp_rows(x: (&[Value], &[Value]), y: (&[Value], &[Value])) -> Ordering {
+    if x.0.len() > y.0.len() {
+        return cmp_rows(y, x).reverse();
+    }
+    let (y_head, y_rest) = y.0.split_at(x.0.len());
+    let (x_mid, x_tail) = x.1.split_at(y_rest.len());
+    (x.0.cmp(y_head))
+        .then_with(|| x_mid.cmp(y_rest))
+        .then_with(|| x_tail.cmp(y.1))
+}
+
+/// `r₁ − r₂` (arities must agree): one merge pass over the operands'
+/// rows. A kept row is moved out of an owned `r₁`, copied out of a
+/// borrowed one, or built from its pair; a product's other pairs are
+/// never built.
+pub fn difference(r1: Operand<'_>, r2: &Operand<'_>) -> Relation {
     debug_assert_eq!(r1.arity(), r2.arity(), "difference: arity mismatch");
     let arity = r1.arity();
-    let mut removed = r2.iter().peekable();
-    let mut kept = std::mem::replace(r1, Relation::empty(arity)).into_tuples();
-    kept.retain(|t| loop {
-        match removed.peek().map(|u| (*u).cmp(t)) {
-            Some(Ordering::Less) => _ = removed.next(),
+    let mut removed = r2.cursor();
+    let mut lacks = |row: (&[Value], &[Value])| loop {
+        match removed.row().map(|(x, y)| cmp_rows((x.values(), y), row)) {
+            Some(Ordering::Less) => removed.advance(),
             Some(Ordering::Equal) => return false,
             Some(Ordering::Greater) | None => return true,
         }
-    });
+    };
+    let kept = match r1 {
+        Operand::Rows(Cow::Owned(r1)) => r1
+            .into_tuples()
+            .into_iter()
+            .filter(|t| lacks((t.values(), &[])))
+            .collect(),
+        r1 => {
+            let (mut rows, mut kept) = (r1.cursor(), Vec::new());
+            while let Some((x, y)) = rows.row() {
+                if lacks((x.values(), y)) {
+                    kept.push(Tuple::new([x.values(), y].concat()));
+                }
+                rows.advance();
+            }
+            kept
+        }
+    };
     Relation::from_sorted_tuples(arity, kept)
 }
 
@@ -127,13 +212,11 @@ pub fn join(r1: &Relation, r2: &Relation, theta: &Condition) -> Relation {
     let (eq, residual) = split_condition(theta);
     let out_arity = r1.arity() + r2.arity();
     let mut out: Vec<Tuple> = Vec::new();
-    if theta.is_empty() {
-        // The product: every pair, nothing to test.
-        out.reserve_exact(r1.len() * r2.len());
-        for t1 in r1 {
-            out.extend(r2.iter().map(|t2| t1.concat(t2)));
+    if eq.is_empty() {
+        if theta.is_empty() {
+            // The product keeps every pair.
+            out.reserve_exact(r1.len() * r2.len());
         }
-    } else if eq.is_empty() {
         for t1 in r1 {
             for t2 in r2 {
                 if theta.eval(t1.values(), t2.values()) {
@@ -274,21 +357,40 @@ mod tests {
     }
 
     #[test]
-    fn owned_and_borrowed_differences_agree() {
+    fn difference_matches_the_copying_merge() {
         let a = r(&[&[1, 1], &[1, 2], &[2, 1], &[3, 3]]);
+        let (x, y) = (r(&[&[1], &[2], &[3]]), r(&[&[1], &[2]]));
+        let product = || Operand::Product(Cow::Borrowed(&x), Cow::Borrowed(&y));
+        let xy = join(&x, &y, &Condition::always());
         for b in [
             r(&[&[1, 2], &[2, 0], &[3, 3], &[9, 9]]),
             r(&[&[0, 0]]),
             a.clone(),
             Relation::empty(2),
+            xy.clone(),
         ] {
-            let copied = difference(&mut Cow::Borrowed(&a), &b);
-            let mut owned = Cow::Owned(a.clone());
-            let in_place = difference(&mut owned, &b);
-            assert_eq!(in_place, copied, "{b:?}");
-            assert_eq!(copied, a.difference(&b).unwrap());
-            assert!(owned.is_empty(), "the owned operand gave its rows up");
+            let expected = a.difference(&b).unwrap();
+            let rows = Operand::Rows(Cow::Borrowed(&b));
+            let borrowed = difference(Operand::Rows(Cow::Borrowed(&a)), &rows);
+            assert_eq!(borrowed, expected, "{b:?}");
+            let owned = difference(Operand::Rows(Cow::Owned(a.clone())), &rows);
+            assert_eq!(owned, expected, "{b:?}");
+            // A product on either side equals its stored pairs there.
+            let minus_product = difference(Operand::Rows(Cow::Borrowed(&b)), &product());
+            assert_eq!(minus_product, b.difference(&xy).unwrap(), "{b:?}");
+            assert_eq!(
+                difference(product(), &rows),
+                xy.difference(&b).unwrap(),
+                "{b:?}"
+            );
         }
+        assert!(difference(product(), &product()).is_empty());
+        // Two products that share their left factor differ in the right.
+        let z = r(&[&[2], &[3]]);
+        let other = Operand::Product(Cow::Borrowed(&x), Cow::Borrowed(&z));
+        let xz = join(&x, &z, &Condition::always());
+        assert_eq!(difference(product(), &other), xy.difference(&xz).unwrap());
+        assert_eq!(difference(other, &product()), xz.difference(&xy).unwrap());
     }
 
     #[test]

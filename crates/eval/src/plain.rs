@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 /// ```
 pub fn evaluate(expr: &Expr, db: &Database) -> Result<Relation, EvalError> {
     expr.arity(&db.schema())?;
-    Ok(walk(expr, db, &mut 0, &mut |_, _, _, _| {}).into_owned())
+    Ok(walk(expr, db, &mut 0, &mut |_, _, _, _, _| {}).into_owned())
 }
 
 /// The tree walk behind [`evaluate`] and
@@ -35,33 +35,41 @@ pub fn evaluate(expr: &Expr, db: &Database) -> Result<Relation, EvalError> {
 /// a **validated** expression with the row operators of [`crate::ops`].
 /// `observe` sees every node once — its pre-order id (the order of
 /// [`Expr::subexpressions`]; `next_id` starts at 0), the node, its
-/// output, and the time spent in the node's own operator, children
-/// excluded. A scan borrows the stored relation; every other node owns
-/// its output.
+/// output's arity and row count, and the time spent in the node's own
+/// operator, children excluded. A scan borrows the stored relation; a
+/// product that a difference consumes is not stored (see [`operand`]);
+/// every other node owns its output.
 pub(crate) fn walk<'db>(
     expr: &Expr,
     db: &'db Database,
     next_id: &mut usize,
-    observe: &mut dyn FnMut(usize, &Expr, &Relation, Duration),
+    observe: &mut dyn FnMut(usize, &Expr, usize, usize, Duration),
 ) -> Cow<'db, Relation> {
     let id = *next_id;
     *next_id += 1;
     // Children are evaluated before the node's own operator is timed, so
     // the observed time is self time.
-    let mut kids: Vec<Cow<'db, Relation>> = expr
+    if let Expr::Diff(a, b) = expr {
+        let a = operand(a, db, next_id, observe);
+        let b = operand(b, db, next_id, observe);
+        let start = Instant::now();
+        let rel = ops::difference(a, &b);
+        observe(id, expr, rel.arity(), rel.len(), start.elapsed());
+        return Cow::Owned(rel);
+    }
+    let kids: Vec<Cow<'db, Relation>> = expr
         .children()
         .into_iter()
         .map(|child| walk(child, db, next_id, observe))
         .collect();
     let start = Instant::now();
-    let rel = match (expr, kids.as_mut_slice()) {
+    let rel = match (expr, kids.as_slice()) {
         (Expr::Rel(name), []) => {
             let rel = db.get(name).expect("validated: relation exists");
-            observe(id, expr, rel, start.elapsed());
+            observe(id, expr, rel.arity(), rel.len(), start.elapsed());
             return Cow::Borrowed(rel);
         }
         (Expr::Union(..), [a, b]) => a.union(b).expect("validated: arities agree"),
-        (Expr::Diff(..), [a, b]) => ops::difference(a, b),
         (Expr::Project(cols, _), [a]) => ops::project(a, cols),
         (Expr::Select(sel, _), [a]) => ops::select(a, sel),
         (Expr::ConstTag(c, _), [a]) => ops::const_tag(a, c),
@@ -70,8 +78,34 @@ pub(crate) fn walk<'db>(
         (Expr::GroupCount(cols, _), [a]) => ops::group_count(a, cols),
         _ => unreachable!("Expr::children yields each operator's own arity"),
     };
-    observe(id, expr, &rel, start.elapsed());
+    observe(id, expr, rel.arity(), rel.len(), start.elapsed());
     Cow::Owned(rel)
+}
+
+/// An operand of a difference. A product (a join on the empty θ) is
+/// handed over as its two factors, and the difference reads its pairs
+/// without storing them: on the double-difference division plan that
+/// saves building and freeing one tuple per pair of `π₁R × S`. The
+/// product node is observed with the size it would have and no time of
+/// its own. Any other node is walked.
+fn operand<'db>(
+    expr: &Expr,
+    db: &'db Database,
+    next_id: &mut usize,
+    observe: &mut dyn FnMut(usize, &Expr, usize, usize, Duration),
+) -> ops::Operand<'db> {
+    match expr {
+        Expr::Join(theta, a, b) if theta.is_empty() => {
+            let id = *next_id;
+            *next_id += 1;
+            let a = walk(a, db, next_id, observe);
+            let b = walk(b, db, next_id, observe);
+            let (arity, rows) = (a.arity() + b.arity(), a.len() * b.len());
+            observe(id, expr, arity, rows, Duration::ZERO);
+            ops::Operand::Product(a, b)
+        }
+        _ => ops::Operand::Rows(walk(expr, db, next_id, observe)),
+    }
 }
 
 #[cfg(test)]

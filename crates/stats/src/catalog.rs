@@ -108,8 +108,8 @@ impl StatsCatalog {
         // identical stats and the last write wins — correctness over
         // duplicate work.
         let relation = db.get(name)?;
-        let stats = Arc::new(TableStats::analyze(relation));
-        let tally = keep_tally.then(|| Tally::of(relation)).flatten();
+        let (stats, tally) = TableStats::analyze_tallied(relation, keep_tally);
+        let stats = Arc::new(stats);
         self.analyses.inc();
         let entry = Entry {
             version,

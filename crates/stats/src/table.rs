@@ -27,9 +27,10 @@
 //!   the set-join algorithms' work is governed by *group* structure).
 //!
 //! A relation that takes inserts need not be scanned again after each
-//! one. For an all-integer relation, [`Tally::of`] keeps the exact
-//! aggregates every field above is a function of — per-value counts of
-//! each column and the number of groups of each set size — and
+//! one. For an all-integer relation, [`TableStats::analyze_tallied`]
+//! also returns, from the same scans, the exact aggregates every field
+//! above is a function of — per-value counts of each column and the
+//! number of groups of each set size, a [`Tally`] — and
 //! [`TableStats::with_insert`] derives the statistics of the relation
 //! plus one fresh tuple from them, equal field for field to a fresh
 //! `analyze`: in `O(arity)`, or `O(distinct)` when the tuple moves a
@@ -83,9 +84,9 @@ pub struct GroupStats {
 /// The exact aggregates of an all-integer relation that
 /// [`TableStats::with_insert`] updates: each column's per-value row
 /// counts and, for a binary relation, how many groups have each set
-/// size. `analyze` builds some of these maps and drops them; the
-/// statistics catalog keeps a tally only for relations that take
-/// inserts.
+/// size. [`TableStats::analyze_tallied`] builds it from the maps its
+/// integer scans count anyway; the statistics catalog keeps a tally
+/// only for relations that take inserts.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Tally {
     /// Per column, the number of rows holding each value. Column 0's
@@ -99,33 +100,19 @@ pub struct Tally {
 }
 
 impl Tally {
-    /// The tally of `r`, or `None` unless every column holds integers
-    /// only (an empty relation qualifies). One counting pass per column.
-    pub fn of(r: &Relation) -> Option<Tally> {
-        let view = r.columns();
-        let counts = (0..r.arity())
-            .map(|c| {
-                let ColumnData::Int(v) = view.col(c) else {
-                    return None;
-                };
-                let mut counts = FxHashMap::default();
-                for &x in v {
-                    *counts.entry(x).or_insert(0) += 1;
-                }
-                Some(counts)
-            })
-            .collect::<Option<Vec<_>>>()?;
+    /// The tally of a relation of these per-column counts.
+    fn from_counts(counts: Vec<FxHashMap<i64, u32>>) -> Tally {
         let mut tally = Tally {
             counts,
             ..Tally::default()
         };
-        if r.arity() == 2 {
+        if tally.counts.len() == 2 {
             let sizes: Vec<u32> = tally.counts[0].values().copied().collect();
             for size in sizes {
                 tally.resize_group(0, size as usize);
             }
         }
-        Some(tally)
+        tally
     }
 
     /// A group of `from` elements (0: a new group) now has `to`.
@@ -171,24 +158,41 @@ impl TableStats {
     /// the non-leading distinct counts need a hash set (integers) or a
     /// code bitmap (strings).
     pub fn analyze(r: &Relation) -> TableStats {
+        Self::analyze_tallied(r, false).0
+    }
+
+    /// [`TableStats::analyze`], and with `keep_tally` also the
+    /// relation's [`Tally`] for [`TableStats::with_insert`], from the
+    /// same scans: `None` unless every column holds integers only (an
+    /// empty relation qualifies).
+    pub fn analyze_tallied(r: &Relation, keep_tally: bool) -> (TableStats, Option<Tally>) {
         let arity = r.arity();
         let _span = sj_obs::span!("stats.analyze", rows = r.len(), arity = arity);
         let view = r.columns();
         let mut columns = Vec::with_capacity(arity);
+        let mut counts = keep_tally.then(|| Vec::with_capacity(arity));
         for c in 0..arity {
-            columns.push(match view.col(c) {
-                ColumnData::Int(v) => Self::analyze_int(v, c == 0),
-                ColumnData::Str(codes) => Self::analyze_str(codes, view.dict(), c == 0),
-                ColumnData::Mixed(vals) => Self::analyze_mixed(vals, c == 0),
-            });
+            let (column, column_counts) = match view.col(c) {
+                ColumnData::Int(v) => Self::analyze_int(v, c == 0, counts.is_some()),
+                ColumnData::Str(codes) => (Self::analyze_str(codes, view.dict(), c == 0), None),
+                ColumnData::Mixed(vals) => (Self::analyze_mixed(vals, c == 0), None),
+            };
+            columns.push(column);
+            counts = counts
+                .zip(column_counts)
+                .map(|(mut counts, column_counts)| {
+                    counts.push(column_counts);
+                    counts
+                });
         }
         let group = (arity == 2).then(|| Self::group_scan(r));
-        TableStats {
+        let stats = TableStats {
             rows: r.len(),
             arity,
             columns,
             group,
-        }
+        };
+        (stats, counts.map(Tally::from_counts))
     }
 
     /// The statistics of the relation these describe plus the tuple
@@ -246,16 +250,23 @@ impl TableStats {
 
     /// Integer column: fused distinct/max-frequency/min/max scan over
     /// the dense `i64` slice, then one counting scan for the histogram.
-    fn analyze_int(v: &[i64], leading: bool) -> ColumnStats {
+    /// A non-leading column counts every value to find its distinct
+    /// count; with `keep_counts` those counts are returned, and a
+    /// leading column records each run's length as its value's count.
+    fn analyze_int(
+        v: &[i64],
+        leading: bool,
+        keep_counts: bool,
+    ) -> (ColumnStats, Option<FxHashMap<i64, u32>>) {
+        let mut counts: FxHashMap<i64, u32> = FxHashMap::default();
         let Some((&first, rest)) = v.split_first() else {
-            return Self::empty_column();
+            return (Self::empty_column(), keep_counts.then_some(counts));
         };
         let (mut lo, mut hi) = (first, first);
         let mut distinct = 1usize;
         let mut max_freq = 1usize;
         let mut run = 1usize;
         let mut prev = first;
-        let mut counts: FxHashMap<i64, u32> = FxHashMap::default();
         if !leading {
             counts.reserve(v.len());
             counts.insert(first, 1);
@@ -267,6 +278,9 @@ impl TableStats {
                 // Sorted order: distinct = run count, max frequency =
                 // longest run.
                 if x != prev {
+                    if keep_counts {
+                        counts.insert(prev, run as u32);
+                    }
                     distinct += 1;
                     prev = x;
                     run = 1;
@@ -278,18 +292,22 @@ impl TableStats {
                 *counts.entry(x).or_insert(0) += 1;
             }
         }
+        if leading && keep_counts {
+            counts.insert(prev, run as u32);
+        }
         if !leading {
             distinct = counts.len();
             max_freq = counts.values().copied().max().unwrap_or(1) as usize;
         }
-        ColumnStats {
+        let column = ColumnStats {
             distinct,
             max_freq,
             min: Some(Value::int(lo)),
             max: Some(Value::int(hi)),
             histogram: Histogram::build_range(v.iter().copied(), lo, hi, DEFAULT_BUCKETS),
             strings: None,
-        }
+        };
+        (column, keep_counts.then_some(counts))
     }
 
     /// String column: one fused scan over the dictionary codes —

@@ -1,14 +1,15 @@
 //! `TableStats::with_insert` is exact: over random insert sequences into
 //! random relations, the statistics it derives from a `Tally` equal a
 //! fresh `TableStats::analyze` of the grown relation, field by field,
-//! and the tally it leaves equals `Tally::of` that relation. Covers
+//! and the tally it leaves equals the one `TableStats::analyze_tallied`
+//! builds for that relation, whose statistics equal `analyze`'s. Covers
 //! arity 1–3; integer, string and mixed columns; empty starts; narrow
 //! and wide value ranges (histograms with one bucket per value and with
 //! shared buckets) and the `i64` extremes; and inserts below a column's
 //! minimum and above its maximum, which rebuild its histogram.
 
 use proptest::prelude::*;
-use sj_stats::{TableStats, Tally};
+use sj_stats::TableStats;
 use sj_storage::{Relation, Tuple, Value};
 use sj_workload::SplitMix64;
 
@@ -124,8 +125,7 @@ fn check(seed: u64) -> usize {
         })
         .collect();
     let mut relation = Relation::from_tuples(arity, start).unwrap();
-    let mut stats = TableStats::analyze(&relation);
-    let mut tally = Tally::of(&relation);
+    let (mut stats, mut tally) = TableStats::analyze_tallied(&relation, true);
     let mut absorbed = 0;
     for step in 0..inserts {
         // Inserts are all-integer most of the time, whatever the start.
@@ -147,17 +147,19 @@ fn check(seed: u64) -> usize {
         });
         assert!(relation.insert(t.clone()).unwrap());
         let analyzed = TableStats::analyze(&relation);
+        let (tallied, fresh_tally) = TableStats::analyze_tallied(&relation, true);
+        assert_same(&tallied, &analyzed, step);
         let has_string = t.values().iter().any(|v| v.as_int().is_none());
         match derived {
             Some(Some(next)) => {
                 assert!(!has_string, "with_insert took a string at step {step}");
                 assert_same(&next, &analyzed, step);
-                assert_eq!(tally, Tally::of(&relation), "tally, step {step}");
+                assert_eq!(tally, fresh_tally, "tally, step {step}");
                 absorbed += 1;
             }
             Some(None) => {
                 assert!(has_string, "with_insert refused integers at step {step}");
-                tally = Tally::of(&relation);
+                tally = fresh_tally;
                 assert!(tally.is_none(), "a relation holding strings has no tally");
             }
             None => {
@@ -193,8 +195,8 @@ fn the_property_exercises_the_insert_path() {
 fn an_empty_start_takes_its_first_rows_exactly() {
     for arity in 1..=3 {
         let mut relation = Relation::empty(arity);
-        let mut stats = TableStats::analyze(&relation);
-        let mut tally = Tally::of(&relation).expect("an empty relation is all-integer");
+        let (mut stats, tally) = TableStats::analyze_tallied(&relation, true);
+        let mut tally = tally.expect("an empty relation is all-integer");
         for (step, x) in [5i64, -3, 5, 40, -90, 5].into_iter().enumerate() {
             let row: Vec<i64> = (0..arity as i64).map(|c| x + c * step as i64).collect();
             let t = Tuple::from_ints(&row);
