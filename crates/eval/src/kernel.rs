@@ -39,10 +39,10 @@
 //! check is the safety net behind the "already sorted" claims.
 //!
 //! A θ with no equality atom has no key to hash: a filtered nested loop
-//! runs instead. Operands beyond the `u32` row capacity are an input
-//! condition, not a panic: one gate at every entry point hands them to
-//! the row operators [`ops::join`] / [`ops::semijoin`] (a prefix
-//! consumer applies [`project`] / [`group_count`] to that result).
+//! runs instead. The binary kernels store `u32` row ids, so their
+//! operands must fit them ([`sj_storage::ensure_u32_indexable`]): beyond that the
+//! planner answers [`crate::EvalError::Storage`] before it calls one, and
+//! the row operators of [`crate::ops`] run only in the tree walker.
 //!
 //! Every kernel runs on the calling thread. The `workers` argument of
 //! [`join`], [`semijoin`], [`merge_join`] and [`multiway_join`] is
@@ -54,37 +54,24 @@
 //! loop on every θ shape and operand kind.
 
 use crate::exec::Execution;
-use crate::ops::{self, split_condition};
+use crate::ops::split_condition;
 use crate::ops_vec::gather;
 use sj_algebra::Condition;
 use sj_storage::column::{hash_int_cell, joint_codes};
-use sj_storage::{ensure_u32_indexable, FxHashMap, Relation, Tuple, Value};
+use sj_storage::{FxHashMap, Relation, Tuple, Value};
 use std::borrow::Cow;
 
-/// True when both operands fit the `u32` row ids the kernels store in
-/// hash-table postings and semijoin survivor lists. Beyond that the row
-/// operators of [`crate::ops`] take over: capacity is an input
-/// condition, not a panic.
-fn fits_row_ids(left_rows: usize, right_rows: usize) -> bool {
-    ensure_u32_indexable(left_rows).is_ok() && ensure_u32_indexable(right_rows).is_ok()
-}
-
 /// The shell every binary kernel shares: the `kernel.*` span with its
-/// operand sizes, and the capacity gate that hands oversized operands to
-/// the row operator `fallback`.
+/// operand sizes. Both operands must fit the `u32` row ids the kernels
+/// store in hash-table postings and semijoin survivor lists.
 fn kernel_call(
     name: &'static str,
     r1: &Relation,
     r2: &Relation,
-    fallback: impl FnOnce() -> Relation,
     run: impl FnOnce() -> Relation,
 ) -> Relation {
     let mut span = sj_obs::span!(name, left = r1.len(), right = r2.len());
-    let rel = if fits_row_ids(r1.len(), r2.len()) {
-        run()
-    } else {
-        fallback()
-    };
+    let rel = run();
     span.attr("out_rows", rel.len());
     rel
 }
@@ -164,7 +151,8 @@ fn run_hashed<O>(
 }
 
 /// `r₁ ⋈θ r₂`. `_exec` and `_workers` are accepted and ignored (see the
-/// module docs).
+/// module docs). Both operands must fit `u32` row ids
+/// ([`sj_storage::ensure_u32_indexable`]), as for every binary kernel.
 pub fn join(
     r1: &Relation,
     r2: &Relation,
@@ -172,8 +160,7 @@ pub fn join(
     _exec: Execution,
     _workers: usize,
 ) -> Relation {
-    let fallback = || ops::join(r1, r2, theta);
-    kernel_call("kernel.join", r1, r2, fallback, || {
+    kernel_call("kernel.join", r1, r2, || {
         let (eq, residual) = split_condition(theta);
         let tuples = if eq.is_empty() {
             nested_loop_join(r1, r2, theta)
@@ -198,10 +185,10 @@ pub fn semijoin(
 /// `π[1..k](r₁ ⋉θ r₂)` for `k ≤ arity(r₁)`: the [`semijoin`] bodies, with
 /// the surviving rows gathered as distinct `k`-prefixes. For
 /// `k < arity(r₁)` a body stops probing a run of equal `k`-prefix at its
-/// first survivor. `k = arity(r₁)` is [`semijoin`] itself.
+/// first survivor. `k = arity(r₁)` is [`semijoin`] itself. Both operands
+/// must fit `u32` row ids, as for [`join`].
 pub fn project_semijoin(r1: &Relation, r2: &Relation, theta: &Condition, k: usize) -> Relation {
-    let fallback = || project(&ops::semijoin(r1, r2, theta), &prefix_cols(k));
-    kernel_call("kernel.semijoin", r1, r2, fallback, || {
+    kernel_call("kernel.semijoin", r1, r2, || {
         let (eq, residual) = split_condition(theta);
         let keep = if eq.is_empty() {
             nested_loop_semijoin(r1, r2, theta, k)
@@ -217,7 +204,8 @@ pub fn project_semijoin(r1: &Relation, r2: &Relation, theta: &Condition, k: usiz
 /// probe confirmed on the key codes and the residual, or a filtered
 /// nested loop when θ has no equality atom — and sums the counts over
 /// runs of equal `k`-prefix, which a canonical `r₁` holds adjacent. A
-/// run without partners has no join row and so no group.
+/// run without partners has no join row and so no group. Both operands
+/// must fit `u32` row ids, as for [`join`].
 ///
 /// # Panics
 ///
@@ -228,8 +216,7 @@ pub fn group_join(r1: &Relation, r2: &Relation, theta: &Condition, k: usize) -> 
         (1..=r1.arity()).contains(&k),
         "group-join keys are a non-empty prefix of the left operand"
     );
-    let fallback = || group_count(&ops::join(r1, r2, theta), &prefix_cols(k));
-    kernel_call("kernel.group_join", r1, r2, fallback, || {
+    kernel_call("kernel.group_join", r1, r2, || {
         let (eq, residual) = split_condition(theta);
         if eq.is_empty() {
             nested_loop_counts(r1, r2, theta, k)
@@ -237,11 +224,6 @@ pub fn group_join(r1: &Relation, r2: &Relation, theta: &Condition, k: usize) -> 
             run_hashed(r1, r2, &eq, |l, r| hash_counts(l, r, &residual, k))
         }
     })
-}
-
-/// `(1..=k)`: the 1-based column list of a `k`-prefix.
-pub(crate) fn prefix_cols(k: usize) -> Vec<usize> {
-    (1..=k).collect()
 }
 
 /// `Some(k)` when the 1-based `cols` are the prefix `1, 2, …, k` of the
@@ -724,6 +706,7 @@ pub fn multiway_join(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops;
     use sj_algebra::CompOp;
     use sj_storage::tuple;
 
@@ -788,19 +771,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// The capacity gate is a predicate on row counts: `u32::MAX` rows on
-    /// either side still index, one more falls back to the row
-    /// operators.
-    #[test]
-    fn capacity_gate_is_a_predicate_on_counts() {
-        let max = u32::MAX as usize;
-        assert!(fits_row_ids(0, 0));
-        assert!(fits_row_ids(max, max));
-        assert!(!fits_row_ids(max + 1, 0));
-        assert!(!fits_row_ids(0, max + 1));
-        assert!(!fits_row_ids(usize::MAX, usize::MAX));
     }
 
     /// A small directed graph with a hub, a matching, and some chain

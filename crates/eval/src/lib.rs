@@ -78,7 +78,9 @@ pub mod prelude {
 mod proptests {
     // `engine::Strategy` would shadow proptest's `Strategy` trait under a
     // glob, so the evaluator entry points are imported explicitly.
-    use super::{evaluate, evaluate_instrumented, evaluate_reference, Engine, Instrument};
+    use super::{
+        evaluate, evaluate_instrumented, evaluate_reference, Engine, Instrument, NodeStat,
+    };
     use proptest::prelude::*;
     use sj_algebra::{Atom, CompOp, Condition, Expr};
     use sj_storage::{Database, Relation, Tuple, Value};
@@ -165,8 +167,36 @@ mod proptests {
                     .prop_map(|(t, a, b)| a.semijoin(t, b)),
                 inner.clone().prop_map(|a| a.project([2, 1])),
                 inner.clone().prop_map(|a| a.group_count([1])),
+                // The three shapes the planner fuses into one node:
+                // `π∘⋉`, `π∘σ` (tagged back to arity 2) and `γ∘⋈`.
+                (arb_condition(), inner.clone(), inner.clone(), 0i64..6)
+                    .prop_map(|(t, a, b, c)| a.semijoin(t, b).project([1]).tag(Value::int(c))),
+                (1usize..=2, 1usize..=2, inner.clone(), 0i64..6)
+                    .prop_map(|(i, j, a, c)| a.select_eq(i, j).project([1]).tag(Value::int(c))),
+                (arb_condition(), inner.clone(), inner.clone())
+                    .prop_map(|(t, a, b)| a.join(t, b).group_count([1])),
             ]
         })
+    }
+
+    /// The arms above reach every fusion: over a fixed sample of
+    /// `arb_expr2`, each fused operator appears in some plan.
+    #[test]
+    fn arb_expr2_reaches_every_fusion() {
+        let mut rng = proptest::test_runner::TestRng::from_seed(7);
+        let db = arb_db().generate(&mut rng);
+        let mut seen = [false; 3];
+        for _ in 0..256 {
+            let e = arb_expr2().generate(&mut rng);
+            let plan = Engine::new(db.clone()).query(e).plan().unwrap();
+            for node in plan.nodes() {
+                let name = node.op.name();
+                seen[0] |= name.ends_with("semijoin+project");
+                seen[1] |= name == "filter+project";
+                seen[2] |= name.ends_with("group-join");
+            }
+        }
+        assert_eq!(seen, [true; 3], "π∘⋉, π∘σ, γ∘⋈");
     }
 
     proptest! {
@@ -250,9 +280,12 @@ mod proptests {
             prop_assert_eq!(report.output_rows, plain.len());
             prop_assert!(report.nodes.len() <= e.node_count());
             prop_assert_eq!(report.expr_nodes, e.node_count());
-            // Occurrences over plan nodes sum to the tree size.
+            // Occurrences over plan nodes sum to the tree size, a fused
+            // node (`π∘⋉`, `π∘σ`, `γ∘⋈`) weighed by the two tree nodes
+            // each of its occurrences stands for.
+            let tree_nodes = |n: &NodeStat| n.occurrences * (1 + n.label.matches('∘').count());
             prop_assert_eq!(
-                report.nodes.iter().map(|n| n.occurrences).sum::<usize>(),
+                report.nodes.iter().map(tree_nodes).sum::<usize>(),
                 e.node_count()
             );
             prop_assert_eq!(report.nodes.last().unwrap().cardinality, plain.len());

@@ -9,12 +9,12 @@
 //! same scan under its only consumer `π[1..k]`: it gathers the distinct
 //! `k`-prefixes of the survivors instead of the rows.
 //!
-//! Output-equivalent to [`ops::select`]; `tests/vectorized.rs` holds the
-//! two byte-identical on every predicate shape and column kind. A
-//! relation beyond the `u32` row-index capacity falls back to the row
-//! implementation rather than truncating.
+//! Output-equivalent to [`crate::ops::select`]; `tests/vectorized.rs`
+//! holds the two byte-identical on every predicate shape and column
+//! kind. The selection vector holds `u32` row indices, so the input must
+//! fit them ([`sj_storage::ensure_u32_indexable`]); the planner checks
+//! before it calls.
 
-use crate::{kernel, ops};
 use sj_algebra::Selection;
 use sj_storage::{ColumnData, Columns, Relation, Tuple, Value};
 use std::cmp::Ordering;
@@ -55,18 +55,15 @@ fn positions(hits: impl Iterator<Item = bool>) -> Vec<u32> {
         .collect()
 }
 
-/// Vectorized `σ(r)`. Output-equivalent to [`ops::select`].
+/// Vectorized `σ(r)`. Output-equivalent to [`crate::ops::select`].
 pub fn select(r: &Relation, sel: &Selection) -> Relation {
     project_select(r, sel, r.arity())
 }
 
 /// Vectorized `π[1..k](σ(r))` for `k ≤ arity(r)`: the selection vector
 /// of [`select`], gathered as distinct `k`-prefixes. `k = arity(r)` is
-/// [`select`] itself.
+/// [`select`] itself. `r` must fit `u32` row ids.
 pub fn project_select(r: &Relation, sel: &Selection, k: usize) -> Relation {
-    if sj_storage::ensure_u32_indexable(r.len()).is_err() {
-        return kernel::project(&ops::select(r, sel), &kernel::prefix_cols(k));
-    }
     let cols = r.columns();
     let keep = match sel {
         Selection::Eq(i, j) => sel_eq(cols, *i - 1, *j - 1),
@@ -124,6 +121,7 @@ fn sel_eq_const(cols: &Columns, i: usize, c: &Value) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops;
 
     #[test]
     fn select_matches_row_select() {

@@ -65,7 +65,7 @@ use crate::report::{NodeStat, Report};
 use sj_algebra::{AlgebraError, Condition, Expr, JoinGraph, Selection};
 use sj_setjoin::{DivisionSemantics, Registry};
 use sj_stats::{CardEst, CostModel, Estimator, StatsSource};
-use sj_storage::{Database, FxHashMap, Relation, Schema, Value};
+use sj_storage::{ensure_u32_indexable, Database, FxHashMap, Relation, Schema, Value};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -196,7 +196,10 @@ pub struct PlanNode {
     /// Output arity.
     pub arity: usize,
     /// How many times the subexpression occurs in the original tree —
-    /// `> 1` means the naive evaluator would have re-evaluated it.
+    /// `> 1` means the naive evaluator would have re-evaluated it. This
+    /// sharing count is the `×n` that `explain` and every profile print.
+    /// A fused node (`π∘⋉`, `π∘σ`, `γ∘⋈`) counts its consumer's
+    /// occurrences, and each stands for two tree nodes.
     pub occurrences: usize,
     /// Estimated output cardinality. Purely advisory: it appears in
     /// `explain` output and reports (next to the actual), never in
@@ -362,7 +365,9 @@ impl PhysicalPlan {
     /// routes through the kernel layer ([`crate::kernel`]), which runs
     /// one body per operator over whole operands. A division node runs
     /// its registry algorithm at one worker, the count the planner
-    /// priced it at ([`Planner::pick_division`]).
+    /// priced it at ([`Planner::pick_division`]). The filter and the
+    /// binary kernels index their operands' rows with `u32` ids: a larger
+    /// operand is an error here, not a second code path.
     fn exec_op(
         &self,
         node: &PlanNode,
@@ -372,6 +377,15 @@ impl PhysicalPlan {
         // The one value of a type the kernel signatures still carry (see
         // `crate::exec`), and the worker count they ignore.
         let (exec, workers) = (Execution::Vectorized, 1);
+        if matches!(
+            node.op,
+            PhysOp::Filter { .. }
+                | PhysOp::Join(_)
+                | PhysOp::Semijoin { .. }
+                | PhysOp::GroupJoin { .. }
+        ) {
+            ensure_row_ids(kids.iter().map(|k| k.len()))?;
+        }
         let rel = match &node.op {
             PhysOp::Scan(name) => {
                 let r = db.get_shared(name).ok_or_else(|| {
@@ -866,6 +880,15 @@ fn candidates_times<'e>(e: &'e Expr, x: &Expr) -> Option<&'e Expr> {
     }
 }
 
+/// `Ok` when every operand of these row counts fits the `u32` row ids
+/// the filter and the binary kernels index with;
+/// [`sj_storage::StorageError::RelationTooLarge`] otherwise.
+fn ensure_row_ids(rows: impl IntoIterator<Item = usize>) -> Result<(), EvalError> {
+    rows.into_iter()
+        .try_for_each(ensure_u32_indexable)
+        .map_err(EvalError::Storage)
+}
+
 /// The root's output as an owned relation: moved out when the plan held
 /// the only handle, copied when the root is a stored relation the
 /// database still shares (a bare scan).
@@ -880,6 +903,7 @@ mod tests {
     use crate::report::Q_ERROR_BUDGET;
     use sj_algebra::division;
     use sj_stats::{CatalogSource, StatsCatalog};
+    use sj_storage::StorageError;
 
     /// Plan `e` the way a default engine over `db` does: default cost
     /// model and join order, statistics analyzed on demand.
@@ -926,6 +950,23 @@ mod tests {
         let mut db = division_db();
         db.set("T", db.get("R").unwrap().clone());
         db
+    }
+
+    /// The capacity check is a predicate on row counts: `u32::MAX` rows
+    /// on either side still index, one more is an error.
+    #[test]
+    fn operands_beyond_u32_row_ids_are_an_error() {
+        let max = u32::MAX as usize;
+        assert_eq!(ensure_row_ids([]), Ok(()));
+        assert_eq!(ensure_row_ids([0, 0]), Ok(()));
+        assert_eq!(ensure_row_ids([max, max]), Ok(()));
+        let too_large = |rows| Err(EvalError::Storage(StorageError::RelationTooLarge { rows }));
+        assert_eq!(ensure_row_ids([max + 1, 0]), too_large(max + 1));
+        assert_eq!(ensure_row_ids([0, max + 1]), too_large(max + 1));
+        assert_eq!(
+            ensure_row_ids([usize::MAX, usize::MAX]),
+            too_large(usize::MAX)
+        );
     }
 
     #[test]

@@ -49,9 +49,11 @@ pub struct NodeStat {
     /// The planner's estimate of that cardinality; `None` under the tree
     /// walkers, which estimate nothing.
     pub estimate: Option<f64>,
-    /// Logical tree nodes this node served: `> 1` where the planner's
-    /// memoization shared a subexpression, always 1 under the tree
-    /// walkers.
+    /// How many times this node's subexpression occurs in the logical
+    /// tree, the sharing count a profile prints as `×n`: `> 1` where the
+    /// planner's memoization shared a subexpression, always 1 under the
+    /// tree walkers. A fused plan node (label `consumer∘input`) counts
+    /// its consumer's occurrences, and each stands for two tree nodes.
     pub occurrences: usize,
     /// Wall-clock time spent in this node's own operator, children
     /// excluded.

@@ -635,16 +635,14 @@ mod tests {
 
     /// Statistics of a dividend of `rows` tuples in `groups` groups and
     /// of a divisor of `divisor` values: the inputs the division
-    /// formulas read, at any scale without generating it.
+    /// formulas read, at any scale without generating it. The group
+    /// count is the leading column's distinct count.
     fn division_shape(rows: usize, groups: usize, divisor: usize) -> (TableStats, TableStats) {
         let mut r = TableStats::analyze(&pairs(&[[1, 1], [2, 1]]));
         r.rows = rows;
-        let g = r
-            .group
-            .as_mut()
-            .expect("binary relations have a group view");
-        g.groups = groups;
-        g.mean_set = rows as f64 / groups as f64;
+        r.columns[0].distinct = groups;
+        assert_eq!(r.groups(), groups);
+        assert_eq!(r.mean_set(), rows as f64 / groups as f64);
         let mut s = TableStats::analyze(&Relation::from_int_rows(&[&[1]]));
         s.rows = divisor;
         (r, s)

@@ -2,12 +2,14 @@
 //! operators.
 //!
 //! The estimator walks an [`Expr`] bottom-up, carrying per-column
-//! distinct counts (and, where available, histograms) through the
-//! operators:
+//! distinct counts, the `max_freq` skew statistic and, for a column that
+//! is a structural copy of a base column, a reference to that column's
+//! statistics through the catalog's shared [`TableStats`]:
 //!
-//! * **selection** selectivity comes from the column histogram for
-//!   constant predicates and the distinct-count uniform assumption for
-//!   column-column predicates;
+//! * **selection** selectivity comes from the base column's integer
+//!   histogram for constant predicates (`1/distinct` without one, as for
+//!   string constants), the distinct-count uniform assumption for
+//!   column-column equality, and the constant `RANGE_SEL` (1/3) for `<`;
 //! * **join** cardinality uses the classical
 //!   `|R|·|S| / max(d_R(a), d_S(b))` distinct-count formula per
 //!   equality atom, capped by the `|R|·|S|` product — the binary
@@ -27,9 +29,10 @@
 //! planner picks hash or nested loop from θ alone.
 
 use crate::catalog::StatsSource;
-use crate::histogram::{Histogram, StringHistogram};
+use crate::histogram::Histogram;
 use crate::table::TableStats;
 use sj_algebra::{CompOp, Condition, Expr, Selection};
+use std::sync::Arc;
 
 /// Default selectivity of a `<` / `>` atom (the System R convention).
 const RANGE_SEL: f64 = 1.0 / 3.0;
@@ -45,17 +48,24 @@ pub struct ColEst {
     /// statistic behind [`eq_join_rows_skewed`]. `0.0` means unknown;
     /// consumers fall back to the uniform `rows / distinct`. Exact for
     /// base-table columns ([`TableStats`]' `max_freq`), inherited under
-    /// the same structural-copy rule as [`ColEst::histogram`], and
+    /// the same structural-copy rule as [`ColEst::base`], and
     /// upper-leaning through filters (a selection can only shrink a
     /// value's count).
     pub max_freq: f64,
-    /// Histogram inherited from the base relation, when the column is
-    /// a structural copy of a base column (selections and reorderings
-    /// preserve it; unions, differences and aggregates drop it).
-    pub histogram: Option<Histogram>,
-    /// Dictionary-code histogram of a string base column, inherited
-    /// under the same structural-copy rule as [`ColEst::histogram`].
-    pub strings: Option<StringHistogram>,
+    /// The base relation's statistics and the 0-based column this one
+    /// is a structural copy of: selections, projections, differences,
+    /// joins and semijoins preserve it; unions and aggregates drop it,
+    /// and a tag's constant column has none. A shared handle on the
+    /// catalog's entry, so an estimate step copies no statistics.
+    pub base: Option<(Arc<TableStats>, usize)>,
+}
+
+impl ColEst {
+    /// The histogram of the base column this one copies, if any.
+    fn histogram(&self) -> Option<&Histogram> {
+        let (table, col) = self.base.as_ref()?;
+        Some(&table.columns[*col].histogram)
+    }
 }
 
 /// Estimated shape of an intermediate result.
@@ -118,11 +128,11 @@ impl<'a> Estimator<'a> {
                     cols: t
                         .columns
                         .iter()
-                        .map(|c| ColEst {
+                        .enumerate()
+                        .map(|(i, c)| ColEst {
                             distinct: c.distinct as f64,
                             max_freq: c.max_freq as f64,
-                            histogram: Some(c.histogram.clone()),
-                            strings: c.strings.clone(),
+                            base: Some((t.clone(), i)),
                         })
                         .collect(),
                 }
@@ -139,8 +149,7 @@ impl<'a> Estimator<'a> {
                         .map(|(x, y)| ColEst {
                             distinct: x.distinct + y.distinct,
                             max_freq: x.max_freq + y.max_freq,
-                            histogram: None,
-                            strings: None,
+                            base: None,
                         })
                         .collect(),
                 }
@@ -185,8 +194,7 @@ impl<'a> Estimator<'a> {
                     distinct: 1.0,
                     // Every row carries the constant.
                     max_freq: a.rows,
-                    histogram: None,
-                    strings: None,
+                    base: None,
                 });
                 a
             }
@@ -211,8 +219,7 @@ impl<'a> Estimator<'a> {
                     .map(|&c| ColEst {
                         distinct: a.cols[c - 1].distinct,
                         max_freq: 0.0,
-                        histogram: None,
-                        strings: None,
+                        base: None,
                     })
                     .collect();
                 let joint: f64 = kept.iter().map(|c| c.distinct.max(1.0)).product();
@@ -224,8 +231,7 @@ impl<'a> Estimator<'a> {
                 let count_col = ColEst {
                     distinct: rows.sqrt().max(1.0),
                     max_freq: 0.0,
-                    histogram: None,
-                    strings: None,
+                    base: None,
                 };
                 CardEst {
                     rows,
@@ -250,15 +256,7 @@ fn selection_selectivity(sel: &Selection, input: &CardEst) -> f64 {
         Selection::Lt(_, _) => RANGE_SEL,
         Selection::EqConst(i, c) => {
             let col = &input.cols[i - 1];
-            // A string constant against a dictionary-encoded column:
-            // the code histogram answers directly, and a constant
-            // outside the dictionary selects exactly nothing.
-            if let (Some(s), Some(sh)) = (c.as_str(), col.strings.as_ref()) {
-                if sh.count() > 0 {
-                    return (sh.estimate_eq(s) / sh.count() as f64).clamp(0.0, 1.0);
-                }
-            }
-            match &col.histogram {
+            match col.histogram() {
                 Some(h) if h.count() > 0 => (h.estimate_eq(c) / h.count() as f64).clamp(0.0, 1.0),
                 _ => 1.0 / col.distinct.max(1.0),
             }
@@ -374,32 +372,35 @@ fn semijoin_selectivity(theta: &Condition, a: &CardEst, b: &CardEst) -> f64 {
 /// with probability `p^|S|` — and only groups at least as large as the
 /// divisor can qualify at all. The equality semantics additionally
 /// requires the exact size match, modeled as one draw from the
-/// observed set-size range.
+/// observed set-size range. No plan reads it yet: it is meant to become
+/// the estimate of a plan's division node, and it is why
+/// [`crate::GroupStats`] keeps the extreme set sizes.
 pub fn division_rows(r: &TableStats, s_rows: usize, equality: bool) -> f64 {
     let Some(g) = &r.group else { return 0.0 };
-    if g.groups == 0 {
+    let groups = r.groups() as f64;
+    if groups == 0.0 {
         return 0.0;
     }
     if s_rows == 0 {
         // R ÷ ∅: every group qualifies under containment; equality
         // requires an empty set, which set semantics cannot store.
-        return if equality { 0.0 } else { g.groups as f64 };
+        return if equality { 0.0 } else { groups };
     }
     if g.max_set < s_rows {
         return 0.0;
     }
-    let p_elem = (g.mean_set / r.distinct(1).max(1) as f64).min(1.0);
+    let p_elem = (r.mean_set() / r.distinct(1).max(1) as f64).min(1.0);
     // `p_elem > 0` whenever `groups > 0` (every group holds ≥ 1 row),
     // so the estimate is floored strictly above 0.0: `powi` used to
     // underflow to exactly 0 for divisors in the thousands, and a hard
     // 0 reads as "provably empty" to whatever ranks costs downstream.
     // See [`prob_pow`].
-    let mut est = g.groups as f64 * prob_pow(p_elem, s_rows as f64);
+    let mut est = groups * prob_pow(p_elem, s_rows as f64);
     if equality {
         let size_span = (g.max_set - g.min_set + 1) as f64;
         est /= size_span;
     }
-    est.clamp(f64::MIN_POSITIVE, g.groups as f64)
+    est.clamp(f64::MIN_POSITIVE, groups)
 }
 
 /// Estimated selectivity of `B-set ⊇ D-set` over group pairs: the
@@ -408,14 +409,12 @@ pub fn division_rows(r: &TableStats, s_rows: usize, equality: bool) -> f64 {
 /// [`division_rows`]. Used by the cost model to price the exact
 /// verification work behind a signature filter.
 pub fn containment_selectivity(containing: &TableStats, contained: &TableStats) -> f64 {
-    let (Some(cg), Some(dg)) = (&containing.group, &contained.group) else {
-        return 0.0;
-    };
-    if cg.groups == 0 || dg.groups == 0 {
+    let binary = |t: &TableStats| t.group.is_some() && t.groups() > 0;
+    if !binary(containing) || !binary(contained) {
         return 0.0;
     }
-    let p_elem = (cg.mean_set / containing.distinct(1).max(1) as f64).min(1.0);
-    prob_pow(p_elem, dg.mean_set.max(1.0)).clamp(0.0, 1.0)
+    let p_elem = (containing.mean_set() / containing.distinct(1).max(1) as f64).min(1.0);
+    prob_pow(p_elem, contained.mean_set().max(1.0)).clamp(0.0, 1.0)
 }
 
 /// `p^n` for a probability `p ∈ [0, 1]`, computed in log-space and
@@ -658,28 +657,6 @@ mod tests {
         assert!(sel > 0.0);
         let empty = TableStats::analyze(&Relation::empty(2));
         assert_eq!(containment_selectivity(&empty, &t), 0.0);
-    }
-
-    #[test]
-    fn string_constant_selection_uses_the_code_histogram() {
-        // 3 rows of "flu", 1 of "ague"; "pox" never occurs.
-        let r = Relation::from_str_rows(&[
-            &["an", "flu"],
-            &["bob", "flu"],
-            &["cal", "flu"],
-            &["dee", "ague"],
-        ]);
-        let src = source(&[("R", &r)]);
-        let e = Estimator::new(&src);
-        let est = |s: &str| {
-            e.estimate(&Expr::rel("R").select_const(2, Value::str(s)))
-                .unwrap()
-                .rows
-        };
-        assert!((est("flu") - 3.0).abs() < 1e-9, "flu = {}", est("flu"));
-        assert!((est("ague") - 1.0).abs() < 1e-9);
-        assert_eq!(est("pox"), 0.0, "outside the dictionary: provably empty");
-        // Before the code histogram this fell back to 1/distinct = 2 rows.
     }
 
     #[test]

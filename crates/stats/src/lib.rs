@@ -7,10 +7,13 @@
 //! needs one more ingredient the paper assumes away: knowledge of the
 //! input. This crate supplies it:
 //!
-//! * [`TableStats::analyze`] — `ANALYZE` for a relation:
-//!   per-column distinct counts, min/max, equi-width [`Histogram`]s,
-//!   and the set-join view (group count and set-size moments) for
-//!   binary relations.
+//! * [`TableStats::analyze`] — `ANALYZE` for a relation: per-column
+//!   distinct counts, the `max_freq` skew statistic and equi-width
+//!   integer [`Histogram`]s, and for binary relations the extreme set
+//!   sizes of the set-join view (group count and mean set size derive
+//!   from the distinct counts). Each statistic is kept because a
+//!   decision reads it: the join order and multiway collapse, the
+//!   registry pick, or the q-error alarm.
 //! * [`StatsCatalog`] — cached statistics per relation name,
 //!   invalidated by the version `Database` stamps each relation's
 //!   contents with, and carried across an insert by
@@ -26,8 +29,9 @@
 //!   graph, and is re-exported by `sj-setjoin`.
 //! * [`Estimator`] — cardinality estimation for algebra expressions
 //!   (histogram selectivities, distinct-count join estimates capped by
-//!   the AGM product bound, group-statistics division estimates —
-//!   [`division_rows`], [`containment_selectivity`]).
+//!   the AGM product bound, the skew-aware [`eq_join_rows_skewed`],
+//!   group-statistics division estimates — [`division_rows`],
+//!   [`containment_selectivity`]).
 //!
 //! Everything is deterministic and exact-input-driven: `analyze` scans
 //! the full relation (no sampling), and `with_insert` updates exact
@@ -47,5 +51,5 @@ pub use estimate::{
     containment_selectivity, cycle_agm_bound, division_rows, eq_join_rows_skewed, join_est,
     CardEst, ColEst, Estimator,
 };
-pub use histogram::{Histogram, StringHistogram};
+pub use histogram::Histogram;
 pub use table::{ColumnStats, GroupStats, TableStats, Tally};

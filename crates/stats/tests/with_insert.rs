@@ -6,7 +6,8 @@
 //! arity 1–3; integer, string and mixed columns; empty starts; narrow
 //! and wide value ranges (histograms with one bucket per value and with
 //! shared buckets) and the `i64` extremes; and inserts below a column's
-//! minimum and above its maximum, which rebuild its histogram.
+//! minimum and above its maximum, which rebuild its histogram over the
+//! range read from the old one.
 
 use proptest::prelude::*;
 use sj_stats::TableStats;
@@ -57,36 +58,33 @@ impl Gen {
 /// Field-by-field equality, so a failure names the field.
 fn assert_same(derived: &TableStats, analyzed: &TableStats, step: usize) {
     assert_eq!(derived.rows, analyzed.rows, "rows, step {step}");
-    assert_eq!(derived.arity, analyzed.arity, "arity, step {step}");
+    assert_eq!(
+        derived.columns.len(),
+        analyzed.columns.len(),
+        "arity, step {step}"
+    );
     for (c, (d, a)) in derived.columns.iter().zip(&analyzed.columns).enumerate() {
         assert_eq!(d.distinct, a.distinct, "column {c} distinct, step {step}");
         assert_eq!(d.max_freq, a.max_freq, "column {c} max_freq, step {step}");
-        assert_eq!(d.min, a.min, "column {c} min, step {step}");
-        assert_eq!(d.max, a.max, "column {c} max, step {step}");
         assert_eq!(
             d.histogram, a.histogram,
             "column {c} histogram, step {step}"
         );
-        assert_eq!(d.strings, a.strings, "column {c} strings, step {step}");
     }
     match (&derived.group, &analyzed.group) {
         (Some(d), Some(a)) => {
-            assert_eq!(d.groups, a.groups, "groups, step {step}");
             assert_eq!(d.min_set, a.min_set, "min_set, step {step}");
             assert_eq!(d.max_set, a.max_set, "max_set, step {step}");
-            assert_eq!(
-                d.mean_set.to_bits(),
-                a.mean_set.to_bits(),
-                "mean_set, step {step}"
-            );
-            assert_eq!(
-                d.mean_set_sq.to_bits(),
-                a.mean_set_sq.to_bits(),
-                "mean_set_sq, step {step}"
-            );
         }
         (d, a) => assert_eq!(d, a, "group view, step {step}"),
     }
+    // What the registry reads, derived from the fields above.
+    assert_eq!(derived.groups(), analyzed.groups(), "groups, step {step}");
+    assert_eq!(
+        derived.mean_set().to_bits(),
+        analyzed.mean_set().to_bits(),
+        "mean_set, step {step}"
+    );
     assert_eq!(derived, analyzed, "step {step}");
 }
 
