@@ -40,9 +40,10 @@
 //!
 //! A θ with no equality atom has no key to hash: a filtered nested loop
 //! runs instead. The binary kernels store `u32` row ids, so their
-//! operands must fit them ([`sj_storage::ensure_u32_indexable`]): beyond that the
-//! planner answers [`crate::EvalError::Storage`] before it calls one, and
-//! the row operators of [`crate::ops`] run only in the tree walker.
+//! operands must fit them ([`sj_storage::ensure_u32_indexable`]):
+//! beyond that the planner answers [`crate::EvalError::Storage`] before
+//! it calls one, and the row operators of [`crate::ops`] run only in the
+//! tree walker.
 //!
 //! Every kernel runs on the calling thread. The `workers` argument of
 //! [`join`], [`semijoin`], [`merge_join`] and [`multiway_join`] is

@@ -424,9 +424,11 @@ impl TableStats {
     /// Mean set size of the set-join view, `rows / groups` (0 when not
     /// binary or empty).
     pub fn mean_set(&self) -> f64 {
-        match self.groups() {
-            groups if self.group.is_some() && groups > 0 => self.rows as f64 / groups as f64,
-            _ => 0.0,
+        let groups = self.groups();
+        if self.group.is_some() && groups > 0 {
+            self.rows as f64 / groups as f64
+        } else {
+            0.0
         }
     }
 }
