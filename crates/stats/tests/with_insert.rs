@@ -9,51 +9,13 @@
 //! minimum and above its maximum, which rebuild its histogram over the
 //! range read from the old one.
 
+mod common;
+
+use common::{Gen, Kind};
 use proptest::prelude::*;
 use sj_stats::TableStats;
 use sj_storage::{Relation, Tuple, Value};
 use sj_workload::SplitMix64;
-
-/// What a generated column holds.
-#[derive(Clone, Copy, Debug)]
-enum Kind {
-    Int,
-    Str,
-    Mixed,
-}
-
-/// One case: its values come from `-width..=width`.
-struct Gen {
-    rng: SplitMix64,
-    width: i64,
-}
-
-impl Gen {
-    fn int(&mut self) -> i64 {
-        match self.rng.below(50) {
-            0 => i64::MIN,
-            1 => i64::MAX,
-            _ => self.rng.range_i64(-self.width, self.width),
-        }
-    }
-
-    fn value(&mut self, kind: Kind) -> Value {
-        let string = match kind {
-            Kind::Int => false,
-            Kind::Str => true,
-            Kind::Mixed => self.rng.below(2) == 0,
-        };
-        if string {
-            Value::str(format!("s{}", self.rng.below(6)))
-        } else {
-            Value::int(self.int())
-        }
-    }
-
-    fn tuple(&mut self, kinds: &[Kind]) -> Tuple {
-        Tuple::new(kinds.iter().map(|&k| self.value(k)).collect())
-    }
-}
 
 /// Field-by-field equality, so a failure names the field.
 fn assert_same(derived: &TableStats, analyzed: &TableStats, step: usize) {
