@@ -66,55 +66,43 @@ pub fn select(r: &Relation, sel: &Selection) -> Relation {
 pub fn project_select(r: &Relation, sel: &Selection, k: usize) -> Relation {
     let cols = r.columns();
     let keep = match sel {
-        Selection::Eq(i, j) => sel_eq(cols, *i - 1, *j - 1),
-        Selection::Lt(i, j) => sel_lt(cols, *i - 1, *j - 1),
+        Selection::Eq(i, j) => sel_cmp(cols, *i - 1, *j - 1, Ordering::is_eq),
+        Selection::Lt(i, j) => sel_cmp(cols, *i - 1, *j - 1, Ordering::is_lt),
         Selection::EqConst(i, c) => sel_eq_const(cols, *i - 1, c),
     };
     gather(r, k, keep.len(), |p| keep[p] as usize)
 }
 
-/// Selection vector for `σ_{i=j}`.
-fn sel_eq(cols: &Columns, i: usize, j: usize) -> Vec<u32> {
+/// Selection vector for `σ_{i=j}` (`keep = Ordering::is_eq`) or
+/// `σ_{i<j}` (`Ordering::is_lt`). Two columns of one relation share its
+/// dictionary, so two coded columns compare by code; an integer column
+/// against a coded one compares values row by row.
+fn sel_cmp(cols: &Columns, i: usize, j: usize, keep: impl Fn(Ordering) -> bool) -> Vec<u32> {
     match (cols.col(i), cols.col(j)) {
-        (ColumnData::Int(a), ColumnData::Int(b)) => positions(a.iter().zip(b).map(|(x, y)| x == y)),
-        // Same relation ⇒ same dictionary: code equality is string equality.
-        (ColumnData::Str(a), ColumnData::Str(b)) => positions(a.iter().zip(b).map(|(x, y)| x == y)),
-        // An all-integer column never equals an all-string column.
-        (ColumnData::Int(_), ColumnData::Str(_)) | (ColumnData::Str(_), ColumnData::Int(_)) => {
-            Vec::new()
+        (ColumnData::Int(a), ColumnData::Int(b)) => {
+            positions(a.iter().zip(b).map(|(x, y)| keep(x.cmp(y))))
         }
-        _ => positions((0..cols.len()).map(|row| cols.cell_eq(i, row, cols, j, row))),
-    }
-}
-
-/// Selection vector for `σ_{i<j}`.
-fn sel_lt(cols: &Columns, i: usize, j: usize) -> Vec<u32> {
-    match (cols.col(i), cols.col(j)) {
-        (ColumnData::Int(a), ColumnData::Int(b)) => positions(a.iter().zip(b).map(|(x, y)| x < y)),
-        // Same dictionary: code order is string order.
-        (ColumnData::Str(a), ColumnData::Str(b)) => positions(a.iter().zip(b).map(|(x, y)| x < y)),
-        // Every integer sorts before every string, and never after.
-        (ColumnData::Int(_), ColumnData::Str(_)) => (0..cols.len() as u32).collect(),
-        (ColumnData::Str(_), ColumnData::Int(_)) => Vec::new(),
+        (ColumnData::Coded(a), ColumnData::Coded(b)) => {
+            positions(a.iter().zip(b).map(|(x, y)| keep(x.cmp(y))))
+        }
         _ => positions(
-            (0..cols.len()).map(|row| cols.cell_cmp(i, row, cols, j, row) == Ordering::Less),
+            (0..cols.len()).map(|row| keep(cols.value_at(i, row).cmp(&cols.value_at(j, row)))),
         ),
     }
 }
 
-/// Selection vector for `σ_{i=c}`.
+/// Selection vector for `σ_{i=c}`: one dictionary lookup, then a dense
+/// scan; a constant absent from the column's domain matches nothing.
 fn sel_eq_const(cols: &Columns, i: usize, c: &Value) -> Vec<u32> {
-    match (cols.col(i), c) {
-        (ColumnData::Int(v), Value::Int(x)) => positions(v.iter().map(|val| val == x)),
-        // One dictionary lookup, then a dense code scan; a constant
-        // absent from the dictionary matches nothing.
-        (ColumnData::Str(codes), Value::Str(s)) => match cols.dict().code_of(s) {
+    match cols.col(i) {
+        ColumnData::Int(v) => match c.as_int() {
+            Some(x) => positions(v.iter().map(|&val| val == x)),
+            None => Vec::new(),
+        },
+        ColumnData::Coded(codes) => match cols.dict().code_of(c) {
             Some(code) => positions(codes.iter().map(|&cd| cd == code)),
             None => Vec::new(),
         },
-        (ColumnData::Mixed(v), c) => positions(v.iter().map(|val| val == c)),
-        // Typed column vs other-variant constant: no row can match.
-        (ColumnData::Int(_), Value::Str(_)) | (ColumnData::Str(_), Value::Int(_)) => Vec::new(),
     }
 }
 

@@ -10,8 +10,8 @@
 //! (`Operand::pair`), or a dividend's element column and the divisor
 //! (`Operand::dividend`). Every cross-operand comparison, hash and
 //! signature bit is then an integer operation, whatever the cells hold;
-//! a mixed-variant column is one more *encoding* of the operand, not a
-//! second algorithm body. Group order is key order, so an algorithm's
+//! a string or mixed column is coded like any other, not a second
+//! algorithm body. Group order is key order, so an algorithm's
 //! result is a list of group indices (or index pairs), and the key
 //! `Value`s of the qualifying groups are the only cells ever
 //! materialized (`emit`, `Operand::quotient`).

@@ -66,9 +66,9 @@ mod proptests {
     enum Cells {
         /// All integers: the zero-copy `i64` column.
         Int,
-        /// All strings: joint dictionary codes.
+        /// All strings: codes remapped through the merged dictionaries.
         Str,
-        /// Integers and strings in one column: joint ranks.
+        /// Integers and strings in one column: coded like strings.
         Mixed,
     }
 
@@ -86,7 +86,8 @@ mod proptests {
     }
 
     /// The element kinds of an operand pair: all-int, all-string, mixed
-    /// int+string in one column, and an int operand against a string one.
+    /// int+string in one column, and an int operand against a string one
+    /// (the int column coded against its own distinct values).
     const KINDS: [(Cells, Cells); 4] = [
         (Cells::Int, Cells::Int),
         (Cells::Str, Cells::Str),

@@ -15,9 +15,10 @@
 //! * **integer columns** — one `i64` scan for distinct, max frequency
 //!   and the value range, one counting scan for the [`Histogram`] (the
 //!   range gates the bucket layout, so counting cannot start earlier);
-//! * **string columns** — a *single* scan over the dictionary codes: a
-//!   per-code count gives the exact distinct count and max frequency;
-//! * **mixed-variant columns** (rare) — the row-wise `Value` scan.
+//! * **coded columns** (strings, or integers and strings mixed) — a
+//!   *single* scan over the dictionary codes: a per-code count gives the
+//!   exact distinct count and max frequency, and the counts of the
+//!   dictionary's integer entries give the [`Histogram`].
 //!
 //! The output feeds the cost model and the cardinality estimator:
 //!
@@ -39,7 +40,7 @@
 //! column's range and the histogram is rebuilt from the counts.
 
 use crate::histogram::{Histogram, DEFAULT_BUCKETS};
-use sj_storage::{ColumnData, FxHashMap, Relation, Tuple, Value};
+use sj_storage::{ColumnData, Dict, FxHashMap, Relation, Tuple, Value};
 use std::collections::BTreeMap;
 
 /// Statistics for one column of a relation.
@@ -140,7 +141,7 @@ impl TableStats {
     /// Canonical storage order makes the leading column's distinct
     /// count and the group boundaries allocation-free run counts; only
     /// the non-leading distinct counts need a hash map (integers) or a
-    /// per-code count (strings).
+    /// per-code count (coded columns).
     pub fn analyze(r: &Relation) -> TableStats {
         Self::analyze_tallied(r, false).0
     }
@@ -158,10 +159,7 @@ impl TableStats {
         for c in 0..arity {
             let (column, column_counts) = match view.col(c) {
                 ColumnData::Int(v) => Self::analyze_int(v, c == 0, counts.is_some()),
-                ColumnData::Str(codes) => {
-                    (Self::analyze_str(codes, view.dict().len(), c == 0), None)
-                }
-                ColumnData::Mixed(vals) => (Self::analyze_mixed(vals, c == 0), None),
+                ColumnData::Coded(codes) => (Self::analyze_coded(codes, view.dict()), None),
             };
             columns.push(column);
             counts = counts
@@ -288,79 +286,32 @@ impl TableStats {
         (column, keep_counts.then_some(counts))
     }
 
-    /// String column: one scan over the dictionary codes of a
-    /// dictionary of `dict_len` strings, counting each code. No integer
-    /// values, so the histogram stays empty.
-    fn analyze_str(codes: &[u32], dict_len: usize, leading: bool) -> ColumnStats {
-        let mut distinct = 0usize;
-        let mut counts = vec![0u32; dict_len];
-        let mut prev = None;
+    /// Coded column: one scan over the codes, counting each entry of
+    /// the dictionary. The dictionary's integer entries come first and in
+    /// order, so the ones this column holds, with their counts, are the
+    /// histogram's input and their ends its range; the dictionary is
+    /// shared across columns, so entries this column lacks are skipped.
+    fn analyze_coded(codes: &[u32], dict: &Dict) -> ColumnStats {
+        let mut counts = vec![0u32; dict.len()];
         for &x in codes {
-            if leading {
-                if prev != Some(x) {
-                    distinct += 1;
-                    prev = Some(x);
-                }
-            } else if counts[x as usize] == 0 {
-                distinct += 1;
-            }
             counts[x as usize] += 1;
         }
-        ColumnStats {
-            distinct,
-            max_freq: counts.iter().copied().max().unwrap_or(0) as usize,
-            histogram: Histogram::empty(),
-        }
-    }
-
-    /// Mixed-variant column: the row-wise `Value` scan (two passes, as
-    /// the histogram needs the integer range first).
-    fn analyze_mixed(vals: &[Value], leading: bool) -> ColumnStats {
-        let mut runs = 0usize;
-        let mut run = 0usize;
-        let mut max_freq = 0usize;
-        let mut prev: Option<&Value> = None;
-        let mut counts: FxHashMap<&Value, u32> = FxHashMap::default();
-        if !leading {
-            counts.reserve(vals.len());
-        }
-        let mut int_range: Option<(i64, i64)> = None;
-        for v in vals {
-            if leading {
-                if prev != Some(v) {
-                    runs += 1;
-                    prev = Some(v);
-                    run = 1;
-                } else {
-                    run += 1;
-                }
-                max_freq = max_freq.max(run);
-            } else {
-                *counts.entry(v).or_insert(0) += 1;
+        let ints: Vec<(i64, u32)> = dict
+            .values()
+            .iter()
+            .zip(&counts)
+            .filter(|&(_, &rows)| rows > 0)
+            .map_while(|(v, &rows)| Some((v.as_int()?, rows)))
+            .collect();
+        let histogram = match (ints.first(), ints.last()) {
+            (Some(&(lo, _)), Some(&(hi, _))) => {
+                Histogram::from_counts(ints.iter().copied(), lo, hi, DEFAULT_BUCKETS)
             }
-            if let Some(i) = v.as_int() {
-                int_range = Some(match int_range {
-                    None => (i, i),
-                    Some((lo, hi)) => (lo.min(i), hi.max(i)),
-                });
-            }
-        }
-        let histogram = match int_range {
-            Some((lo, hi)) => Histogram::build_range(
-                vals.iter().filter_map(|v| v.as_int()),
-                lo,
-                hi,
-                DEFAULT_BUCKETS,
-            ),
-            None => Histogram::empty(),
+            _ => Histogram::empty(),
         };
         ColumnStats {
-            distinct: if leading { runs } else { counts.len() },
-            max_freq: if leading {
-                max_freq
-            } else {
-                counts.values().copied().max().unwrap_or(0) as usize
-            },
+            distinct: counts.iter().filter(|&&rows| rows > 0).count(),
+            max_freq: counts.iter().copied().max().unwrap_or(0) as usize,
             histogram,
         }
     }
@@ -400,8 +351,7 @@ impl TableStats {
         }
         match r.columns().col(0) {
             ColumnData::Int(v) => runs(v, &mut close),
-            ColumnData::Str(v) => runs(v, &mut close),
-            ColumnData::Mixed(v) => runs(v, &mut close),
+            ColumnData::Coded(v) => runs(v, &mut close),
         }
         GroupStats {
             min_set: if max_set == 0 { 0 } else { min_set },
@@ -515,8 +465,8 @@ mod tests {
 
     #[test]
     fn columnar_analyze_matches_on_mixed_columns() {
-        // A column holding both variants goes through the row-wise
-        // fallback; distinct/max_freq/histogram still line up.
+        // A column holding both variants is coded; its integer entries
+        // still make the histogram.
         let r = Relation::from_tuples(
             2,
             vec![

@@ -1,22 +1,21 @@
 //! Columnar view of a relation: typed per-column vectors, a per-relation
-//! string dictionary, and the joint code space two relations' columns
-//! are compared in.
+//! value dictionary, and the joint code space two relations' columns are
+//! compared in.
 //!
 //! The row representation ([`crate::Relation`]'s sorted `Vec<Tuple>`) stays
 //! the *canonical* one — it is what equality, ordering, and the set
 //! operators are defined on. The types here are a derived, cache-friendly
 //! projection of the same data:
 //!
-//! * [`ColumnData`] — one column as a dense typed vector. A column whose
-//!   cells are all integers becomes `Int(Vec<i64>)`; an all-string column
-//!   is dictionary-encoded as `Str(Vec<u32>)` with codes into the
-//!   relation's [`StrDict`]; a column mixing variants (legal, since the
-//!   universe `U` is the union of integers and strings) falls back to
-//!   `Mixed(Vec<Value>)`.
-//! * [`StrDict`] — the per-relation dictionary: all distinct strings of
-//!   the dictionary-encoded columns, **sorted lexicographically**, so
-//!   comparing two codes from the *same* dictionary is exactly comparing
-//!   the strings.
+//! * [`ColumnData`] — one column as a dense fixed-width vector. A column
+//!   whose cells are all integers is `Int(Vec<i64>)`; every other column
+//!   (all strings, or integers and strings mixed — the universe `U` is
+//!   their union) is `Coded(Vec<u32>)`, codes into the relation's
+//!   [`Dict`].
+//! * [`Dict`] — the per-relation dictionary: the distinct values of the
+//!   coded columns, **sorted in [`Value`] order** (every integer before
+//!   every string), so comparing two codes of the *same* dictionary is
+//!   exactly comparing the values.
 //! * [`Columns`] — the full columnar image of one relation: row count,
 //!   one [`ColumnData`] per column, and the shared dictionary. Operators
 //!   address it by absolute row index; which rows an operator visits is
@@ -32,13 +31,13 @@
 //! | columns | codes |
 //! |---|---|
 //! | `Int` / `Int` | the `i64` columns themselves, zero-copy |
-//! | `Str` / `Str` | dictionary codes remapped through the merge of the two sorted dictionaries |
-//! | anything else (`Mixed`, or `Int` against `Str`) | the rank of each cell in the sorted joint dictionary of both columns — O(n log n) |
+//! | `Coded` / `Coded`, one dictionary | the codes, widened |
+//! | `Coded` / `Coded`, two dictionaries | codes remapped through the merge of the two sorted dictionaries |
+//! | `Int` / `Coded` | the `Int` column coded against its own sorted distinct values — O(n log n) — then merged as above |
 //!
 //! The division bodies and the set-join operand view of `sj-setjoin`
 //! read element columns through it, and `sj-eval`'s hash kernels key and
-//! confirm equality keys on it. [`Columns::cell_eq`] /
-//! [`Columns::cell_cmp`] compare single cells across relations.
+//! confirm equality keys on it.
 
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -56,71 +55,65 @@ pub fn hash_int_cell(v: i64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A per-relation string dictionary: the distinct strings of all
-/// dictionary-encoded columns, sorted lexicographically.
+/// A per-relation value dictionary: the distinct values of all coded
+/// columns, sorted in [`Value`] order, so its integer entries come first.
 ///
-/// Codes are indices into the sorted list, so **code order equals string
+/// Codes are indices into the sorted list, so **code order equals value
 /// order** within one dictionary. Codes from different dictionaries are
 /// not comparable; [`joint_codes`] maps two columns into one space.
 #[derive(Debug, Default, PartialEq, Eq)]
-pub struct StrDict {
-    strings: Vec<Arc<str>>,
+pub struct Dict {
+    values: Vec<Value>,
 }
 
-impl StrDict {
-    /// Build a dictionary from an iterator of strings (cloned `Arc`s;
-    /// duplicates welcome — the result is sorted and deduplicated).
-    pub fn from_strings(strings: impl IntoIterator<Item = Arc<str>>) -> Self {
-        let mut v: Vec<Arc<str>> = strings.into_iter().collect();
-        v.sort_unstable_by(|a, b| a.as_ref().cmp(b.as_ref()));
-        v.dedup_by(|a, b| a.as_ref() == b.as_ref());
-        StrDict { strings: v }
+impl Dict {
+    /// Build a dictionary from an iterator of values (duplicates welcome
+    /// — the result is sorted and deduplicated).
+    pub fn from_values(values: impl IntoIterator<Item = Value>) -> Self {
+        let mut values: Vec<Value> = values.into_iter().collect();
+        values.sort_unstable();
+        values.dedup();
+        Dict { values }
     }
 
-    /// Number of distinct strings.
+    /// Number of distinct values.
     #[inline]
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.values.len()
     }
 
     /// True iff the dictionary is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.values.is_empty()
     }
 
-    /// The string for a code.
+    /// The value for a code.
     #[inline]
-    pub fn get(&self, code: u32) -> &Arc<str> {
-        &self.strings[code as usize]
+    pub fn get(&self, code: u32) -> &Value {
+        &self.values[code as usize]
     }
 
-    /// The code for a string, if present (binary search over the sorted
+    /// The code for a value, if present (binary search over the sorted
     /// entries).
-    pub fn code_of(&self, s: &str) -> Option<u32> {
-        self.strings
-            .binary_search_by(|e| e.as_ref().cmp(s))
-            .ok()
-            .map(|i| i as u32)
+    pub fn code_of(&self, v: &Value) -> Option<u32> {
+        self.values.binary_search(v).ok().map(|i| i as u32)
     }
 
-    /// All entries in code (= lexicographic) order.
+    /// All entries in code (= value) order.
     #[inline]
-    pub fn strings(&self) -> &[Arc<str>] {
-        &self.strings
+    pub fn values(&self) -> &[Value] {
+        &self.values
     }
 }
 
-/// One column of a relation as a dense typed vector.
+/// One column of a relation as a dense fixed-width vector.
 #[derive(Debug)]
 pub enum ColumnData {
     /// Every cell is an integer.
     Int(Vec<i64>),
-    /// Every cell is a string; values are codes into the relation's
-    /// [`StrDict`].
-    Str(Vec<u32>),
-    /// Cells mix integers and strings — stored as plain values.
-    Mixed(Vec<Value>),
+    /// Any other column: codes into the relation's [`Dict`].
+    Coded(Vec<u32>),
 }
 
 impl ColumnData {
@@ -129,8 +122,7 @@ impl ColumnData {
     pub fn len(&self) -> usize {
         match self {
             ColumnData::Int(v) => v.len(),
-            ColumnData::Str(v) => v.len(),
-            ColumnData::Mixed(v) => v.len(),
+            ColumnData::Coded(v) => v.len(),
         }
     }
 
@@ -145,22 +137,22 @@ impl ColumnData {
     pub fn as_ints(&self) -> Option<&[i64]> {
         match self {
             ColumnData::Int(v) => Some(v),
-            _ => None,
+            ColumnData::Coded(_) => None,
         }
     }
 
-    /// The code vector, if this is a dictionary-encoded `Str` column.
+    /// The code vector, if this is a `Coded` column.
     #[inline]
     pub fn as_codes(&self) -> Option<&[u32]> {
         match self {
-            ColumnData::Str(v) => Some(v),
-            _ => None,
+            ColumnData::Coded(v) => Some(v),
+            ColumnData::Int(_) => None,
         }
     }
 }
 
 /// The columnar image of one relation: `len` rows, one [`ColumnData`] per
-/// column, and the shared string dictionary.
+/// column, and the shared value dictionary.
 ///
 /// Row `i` of the columns is exactly tuple `i` of the canonical sorted
 /// tuple vector it was built from, so a sorted run of rows here is a
@@ -169,84 +161,45 @@ impl ColumnData {
 pub struct Columns {
     len: usize,
     cols: Vec<ColumnData>,
-    dict: Arc<StrDict>,
+    dict: Arc<Dict>,
 }
 
 impl Columns {
     /// Build the columnar image of `tuples` (all of the given arity, in
     /// any order — callers pass a [`crate::Relation`]'s canonical vector).
     ///
-    /// Per column: all-integer cells become `Int`, all-string cells are
-    /// dictionary-encoded as `Str` against one relation-wide dictionary,
-    /// anything else falls back to `Mixed`.
+    /// An all-integer column becomes `Int`; every other column is coded
+    /// against one relation-wide dictionary of the coded columns' values.
     pub fn from_tuples(arity: usize, tuples: &[Tuple]) -> Self {
-        let len = tuples.len();
-        // Pass 1: classify each column.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Kind {
-            Int,
-            Str,
-            Mixed,
-        }
-        let mut kinds = vec![Kind::Int; arity];
-        for (c, kind) in kinds.iter_mut().enumerate() {
-            let mut ints = 0usize;
-            let mut strs = 0usize;
-            for t in tuples {
-                match &t[c] {
-                    Value::Int(_) => ints += 1,
-                    Value::Str(_) => strs += 1,
-                }
-            }
-            *kind = if strs == 0 {
-                Kind::Int
-            } else if ints == 0 {
-                Kind::Str
-            } else {
-                Kind::Mixed
-            };
-        }
-        // Pass 2: one dictionary over all string columns.
-        let dict = StrDict::from_strings(
-            kinds
-                .iter()
-                .enumerate()
-                .filter(|(_, k)| **k == Kind::Str)
-                .flat_map(|(c, _)| {
-                    tuples.iter().map(move |t| match &t[c] {
-                        Value::Str(s) => Arc::clone(s),
-                        Value::Int(_) => unreachable!("classified as Str"),
-                    })
-                }),
+        let coded: Vec<bool> = (0..arity)
+            .map(|c| tuples.iter().any(|t| t[c].as_int().is_none()))
+            .collect();
+        let dict = Dict::from_values(
+            (0..arity)
+                .filter(|&c| coded[c])
+                .flat_map(|c| tuples.iter().map(move |t| t[c].clone())),
         );
-        // Pass 3: materialize the typed vectors.
-        let cols = kinds
-            .iter()
-            .enumerate()
-            .map(|(c, k)| match k {
-                Kind::Int => ColumnData::Int(
-                    tuples
-                        .iter()
-                        .map(|t| match &t[c] {
-                            Value::Int(v) => *v,
-                            Value::Str(_) => unreachable!("classified as Int"),
-                        })
-                        .collect(),
-                ),
-                Kind::Str => ColumnData::Str(
-                    tuples
-                        .iter()
-                        .map(|t| match &t[c] {
-                            Value::Str(s) => dict.code_of(s).expect("string is in the dictionary"),
-                            Value::Int(_) => unreachable!("classified as Str"),
-                        })
-                        .collect(),
-                ),
-                Kind::Mixed => ColumnData::Mixed(tuples.iter().map(|t| t[c].clone()).collect()),
+        let cols = (0..arity)
+            .map(|c| {
+                if coded[c] {
+                    ColumnData::Coded(
+                        tuples
+                            .iter()
+                            .map(|t| dict.code_of(&t[c]).expect("the value is in the dictionary"))
+                            .collect(),
+                    )
+                } else {
+                    ColumnData::Int(
+                        tuples
+                            .iter()
+                            .map(|t| t[c].as_int().expect("classified as Int"))
+                            .collect(),
+                    )
+                }
             })
             .collect();
         Columns {
-            len,
+            len: tuples.len(),
             cols,
             dict: Arc::new(dict),
         }
@@ -276,9 +229,9 @@ impl Columns {
         &self.cols[c]
     }
 
-    /// The shared string dictionary.
+    /// The shared value dictionary.
     #[inline]
-    pub fn dict(&self) -> &Arc<StrDict> {
+    pub fn dict(&self) -> &Arc<Dict> {
         &self.dict
     }
 
@@ -287,58 +240,7 @@ impl Columns {
     pub fn value_at(&self, c: usize, r: usize) -> Value {
         match &self.cols[c] {
             ColumnData::Int(v) => Value::Int(v[r]),
-            ColumnData::Str(v) => Value::Str(Arc::clone(self.dict.get(v[r]))),
-            ColumnData::Mixed(v) => v[r].clone(),
-        }
-    }
-
-    /// Exact value equality between cell `(c, r)` of `self` and cell
-    /// `(oc, or_)` of `other`, one cell at a time (a whole column pair is
-    /// compared through [`joint_codes`]). Cross-dictionary string cells
-    /// compare by string content.
-    pub fn cell_eq(&self, c: usize, r: usize, other: &Columns, oc: usize, or_: usize) -> bool {
-        use ColumnData::*;
-        match (&self.cols[c], &other.cols[oc]) {
-            (Int(a), Int(b)) => a[r] == b[or_],
-            (Str(a), Str(b)) => {
-                if Arc::ptr_eq(&self.dict, &other.dict) {
-                    a[r] == b[or_]
-                } else {
-                    self.dict.get(a[r]).as_ref() == other.dict.get(b[or_]).as_ref()
-                }
-            }
-            (Int(_), Str(_)) | (Str(_), Int(_)) => false,
-            (Int(a), Mixed(b)) => matches!(&b[or_], Value::Int(v) if *v == a[r]),
-            (Mixed(a), Int(b)) => matches!(&a[r], Value::Int(v) if *v == b[or_]),
-            (Str(a), Mixed(b)) => {
-                matches!(&b[or_], Value::Str(s) if s.as_ref() == self.dict.get(a[r]).as_ref())
-            }
-            (Mixed(a), Str(b)) => {
-                matches!(&a[r], Value::Str(s) if s.as_ref() == other.dict.get(b[or_]).as_ref())
-            }
-            (Mixed(a), Mixed(b)) => a[r] == b[or_],
-        }
-    }
-
-    /// Total order on cells across relations, matching [`Value`]'s order
-    /// (all integers before all strings). Drives the columnar merge paths.
-    pub fn cell_cmp(&self, c: usize, r: usize, other: &Columns, oc: usize, or_: usize) -> Ordering {
-        use ColumnData::*;
-        match (&self.cols[c], &other.cols[oc]) {
-            (Int(a), Int(b)) => a[r].cmp(&b[or_]),
-            (Str(a), Str(b)) => {
-                if Arc::ptr_eq(&self.dict, &other.dict) {
-                    a[r].cmp(&b[or_])
-                } else {
-                    self.dict
-                        .get(a[r])
-                        .as_ref()
-                        .cmp(other.dict.get(b[or_]).as_ref())
-                }
-            }
-            (Int(_), Str(_)) => Ordering::Less,
-            (Str(_), Int(_)) => Ordering::Greater,
-            _ => self.value_at(c, r).cmp(&other.value_at(oc, or_)),
+            ColumnData::Coded(v) => self.dict.get(v[r]).clone(),
         }
     }
 
@@ -347,7 +249,7 @@ impl Columns {
     /// equal prefixes are adjacent — followed by `len`: run `t` covers
     /// positions `starts[t]..starts[t + 1]`. One typed pass per prefix
     /// column finds where a cell differs from the one before (within one
-    /// relation a dictionary code *is* its string); no rows give `[0]`,
+    /// relation a dictionary code *is* its value); no rows give `[0]`,
     /// and `k = 0` gives one run.
     pub fn run_starts(&self, k: usize, len: usize, row: impl Fn(usize) -> usize) -> Vec<usize> {
         /// Mark the positions whose cell differs from the one before.
@@ -383,14 +285,12 @@ impl Columns {
         for col in rest {
             match col {
                 ColumnData::Int(v) => mark(v, &row, &mut head),
-                ColumnData::Str(v) => mark(v, &row, &mut head),
-                ColumnData::Mixed(v) => mark(v, &row, &mut head),
+                ColumnData::Coded(v) => mark(v, &row, &mut head),
             }
         }
         match first {
             ColumnData::Int(v) => starts(v, len, &row, &head),
-            ColumnData::Str(v) => starts(v, len, &row, &head),
-            ColumnData::Mixed(v) => starts(v, len, &row, &head),
+            ColumnData::Coded(v) => starts(v, len, &row, &head),
         }
     }
 }
@@ -413,37 +313,35 @@ pub fn joint_codes<'a>(
     match (a.col(ca), b.col(cb)) {
         (ColumnData::Int(x), ColumnData::Int(y)) => (Cow::Borrowed(x), Cow::Borrowed(y)),
         // One dictionary (a relation against itself): codes are joint.
-        (ColumnData::Str(x), ColumnData::Str(y)) if Arc::ptr_eq(a.dict(), b.dict()) => {
+        (ColumnData::Coded(x), ColumnData::Coded(y)) if Arc::ptr_eq(a.dict(), b.dict()) => {
             (widen(x, None), widen(y, None))
         }
-        (ColumnData::Str(x), ColumnData::Str(y)) => {
-            let (ma, mb) = merge_dicts(a.dict(), b.dict());
-            (widen(x, Some(&ma)), widen(y, Some(&mb)))
-        }
         _ => {
-            let (xs, ys) = (cells(a, ca), cells(b, cb));
-            let mut dict: Vec<Cell> = xs.iter().chain(&ys).copied().collect();
-            dict.sort_unstable();
-            dict.dedup();
-            let rank = |cells: Vec<Cell>| -> Cow<'a, [i64]> {
-                cells
-                    .iter()
-                    .map(|c| {
-                        dict.binary_search(c)
-                            .expect("the dictionary holds every cell")
-                            as i64
-                    })
-                    .collect()
-            };
-            (rank(xs), rank(ys))
+            let ((da, xa), (db, xb)) = (coded(a, ca), coded(b, cb));
+            let (ma, mb) = merge_dicts(&da, &db);
+            (widen(&xa, Some(&ma)), widen(&xb, Some(&mb)))
+        }
+    }
+}
+
+/// Column `c` of `cols` as codes into a sorted dictionary: a coded
+/// column's own, and an integer column's sorted distinct values.
+fn coded(cols: &Columns, c: usize) -> (Cow<'_, [Value]>, Cow<'_, [u32]>) {
+    match cols.col(c) {
+        ColumnData::Coded(codes) => (Cow::Borrowed(cols.dict().values()), Cow::Borrowed(codes)),
+        ColumnData::Int(v) => {
+            let dict = Dict::from_values(v.iter().map(|&x| Value::Int(x)));
+            let code = |&x: &i64| dict.code_of(&Value::Int(x)).expect("a value of the column");
+            let codes = v.iter().map(code).collect();
+            (Cow::Owned(dict.values), Cow::Owned(codes))
         }
     }
 }
 
 /// Merge two sorted dictionaries into one joint code space: for each
 /// dictionary, the strictly increasing map from its codes to joint
-/// codes. Equal strings get the same joint code.
-fn merge_dicts(a: &StrDict, b: &StrDict) -> (Vec<i64>, Vec<i64>) {
+/// codes. Equal values get the same joint code.
+fn merge_dicts(a: &[Value], b: &[Value]) -> (Vec<i64>, Vec<i64>) {
     let (mut ma, mut mb) = (Vec::with_capacity(a.len()), Vec::with_capacity(b.len()));
     let (mut i, mut j) = (0usize, 0usize);
     let mut next = 0i64;
@@ -453,7 +351,7 @@ fn merge_dicts(a: &StrDict, b: &StrDict) -> (Vec<i64>, Vec<i64>) {
         } else if j == b.len() {
             Ordering::Less
         } else {
-            a.strings()[i].as_ref().cmp(b.strings()[j].as_ref())
+            a[i].cmp(&b[j])
         };
         if ord.is_le() {
             ma.push(next);
@@ -466,32 +364,6 @@ fn merge_dicts(a: &StrDict, b: &StrDict) -> (Vec<i64>, Vec<i64>) {
         next += 1;
     }
     (ma, mb)
-}
-
-/// A borrowed cell, ordered as [`Value`] is (every integer before every
-/// string): what the ranking encoding of [`joint_codes`] sorts.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Cell<'a> {
-    Int(i64),
-    Str(&'a str),
-}
-
-/// Column `c` of `cols` as borrowed cells.
-fn cells(cols: &Columns, c: usize) -> Vec<Cell<'_>> {
-    match cols.col(c) {
-        ColumnData::Int(v) => v.iter().map(|&x| Cell::Int(x)).collect(),
-        ColumnData::Str(v) => v
-            .iter()
-            .map(|&code| Cell::Str(cols.dict().get(code)))
-            .collect(),
-        ColumnData::Mixed(v) => v
-            .iter()
-            .map(|x| match x {
-                Value::Int(i) => Cell::Int(*i),
-                Value::Str(s) => Cell::Str(s),
-            })
-            .collect(),
-    }
 }
 
 #[cfg(test)]
@@ -515,23 +387,35 @@ mod tests {
     fn str_columns_are_dictionary_encoded_in_order() {
         let r = Relation::from_str_rows(&[&["bob", "flu"], &["an", "flu"], &["an", "ague"]]);
         let c = r.columns();
-        // Dictionary is sorted: code order == lexicographic order.
-        let entries: Vec<&str> = c.dict().strings().iter().map(|s| s.as_ref()).collect();
+        // Dictionary is sorted: code order == value order.
+        let entries: Vec<String> = c.dict().values().iter().map(|v| v.to_string()).collect();
         assert_eq!(entries, vec!["ague", "an", "bob", "flu"]);
         // Rows are the canonical tuple order: (an, ague), (an, flu), (bob, flu).
         assert_eq!(c.col(0).as_codes(), Some(&[1u32, 1, 2][..]));
         assert_eq!(c.col(1).as_codes(), Some(&[0u32, 3, 3][..]));
-        assert_eq!(c.dict().code_of("bob"), Some(2));
-        assert_eq!(c.dict().code_of("zeus"), None);
+        assert_eq!(c.dict().code_of(&Value::str("bob")), Some(2));
+        assert_eq!(c.dict().code_of(&Value::str("zeus")), None);
     }
 
     #[test]
-    fn mixed_columns_fall_back_to_values() {
-        let r = Relation::from_tuples(1, vec![tuple![1], tuple!["x"]]).unwrap();
+    fn mixed_columns_are_coded_with_integers_first() {
+        let r =
+            Relation::from_tuples(2, vec![tuple![1, "x"], tuple!["x", 7], tuple![1, 3]]).unwrap();
         let c = r.columns();
-        assert!(matches!(c.col(0), ColumnData::Mixed(_)));
-        assert_eq!(c.value_at(0, 0), Value::int(1));
-        assert_eq!(c.value_at(0, 1), Value::str("x"));
+        // One dictionary for both columns, every integer before every string.
+        assert_eq!(
+            c.dict().values(),
+            &[Value::int(1), Value::int(3), Value::int(7), Value::str("x")]
+        );
+        // Rows: (1, 3), (1, "x"), ("x", 7).
+        assert_eq!(c.col(0).as_codes(), Some(&[0u32, 0, 3][..]));
+        assert_eq!(c.col(1).as_codes(), Some(&[1u32, 3, 2][..]));
+        assert_eq!(c.value_at(0, 2), Value::str("x"));
+        assert_eq!(c.value_at(1, 0), Value::int(3));
+        // An all-integer column beside coded ones stays `Int`.
+        let r = Relation::from_tuples(2, vec![tuple![1, "x"], tuple![2, 5]]).unwrap();
+        assert_eq!(r.columns().col(0).as_ints(), Some(&[1i64, 2][..]));
+        assert_eq!(r.columns().dict().len(), 2);
     }
 
     #[test]
@@ -544,20 +428,6 @@ mod tests {
                 assert_eq!(c.value_at(j, i), t[j]);
             }
         }
-    }
-
-    #[test]
-    fn cell_eq_and_cmp_across_representations() {
-        let ints = Relation::from_int_rows(&[&[1], &[5]]);
-        let strs = Relation::from_str_rows(&[&["a"], &["b"]]);
-        let mixed = Relation::from_tuples(1, vec![tuple![5], tuple!["b"]]).unwrap();
-        let (ic, sc, mc) = (ints.columns(), strs.columns(), mixed.columns());
-        assert!(ic.cell_eq(0, 1, mc, 0, 0)); // 5 == 5 (Int vs Mixed)
-        assert!(sc.cell_eq(0, 1, mc, 0, 1)); // "b" == "b" (Str vs Mixed)
-        assert!(!ic.cell_eq(0, 0, sc, 0, 0)); // 1 != "a"
-        assert_eq!(ic.cell_cmp(0, 0, sc, 0, 0), Ordering::Less); // ints < strings
-        assert_eq!(sc.cell_cmp(0, 1, sc, 0, 0), Ordering::Greater);
-        assert_eq!(mc.cell_cmp(0, 0, ic, 0, 1), Ordering::Equal);
     }
 
     #[test]
@@ -588,16 +458,19 @@ mod tests {
     }
 
     #[test]
-    fn merged_dictionaries_agree_with_string_order() {
-        let a = StrDict::from_strings(["b", "d"].map(Arc::from));
-        let b = StrDict::from_strings(["a", "b", "c"].map(Arc::from));
-        // Joint space: a=0, b=1, c=2, d=3.
-        assert_eq!(merge_dicts(&a, &b), (vec![1, 3], vec![0, 1, 2]));
+    fn merged_dictionaries_agree_with_value_order() {
+        let a = Dict::from_values([Value::str("d"), Value::int(4), Value::str("b")]);
+        let b = Dict::from_values(["a", "b", "c"].map(Value::str));
+        // Joint space: 4=0, a=1, b=2, c=3, d=4.
+        assert_eq!(
+            merge_dicts(a.values(), b.values()),
+            (vec![0, 2, 4], vec![1, 2, 3])
+        );
     }
 
-    /// Every encoding maps equal cells of the two columns to equal codes
-    /// and keeps `Value` order — across dictionaries, within one
-    /// relation, and whenever a side mixes variants; two integer
+    /// Every pair of encodings maps equal cells of the two columns to
+    /// equal codes and keeps `Value` order — across dictionaries, within
+    /// one relation, and whenever a side mixes variants; two integer
     /// columns are borrowed.
     #[test]
     fn joint_codes_are_joint_and_order_preserving() {
@@ -609,6 +482,8 @@ mod tests {
             vec![tuple![1, "x"], tuple![1, 7], tuple![2, "a"], tuple![2, 9]],
         )
         .unwrap();
+        let other_mixed =
+            Relation::from_tuples(1, vec![tuple![7], tuple![8], tuple!["a"], tuple!["y"]]).unwrap();
         for ((r, rc), (s, sc)) in [
             ((&ints, 1), (&ints, 1)),
             ((&ints, 0), (&ints, 1)),
@@ -617,6 +492,8 @@ mod tests {
             ((&mixed, 1), (&ints, 1)),
             ((&strs, 1), (&mixed, 1)),
             ((&ints, 1), (&strs, 1)),
+            ((&mixed, 1), (&other_mixed, 0)),
+            ((&mixed, 1), (&mixed, 0)),
         ] {
             let (a, b) = joint_codes((r.columns(), rc), (s.columns(), sc));
             assert_eq!((a.len(), b.len()), (r.len(), s.len()));

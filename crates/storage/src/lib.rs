@@ -16,9 +16,9 @@
 //!   canonically (sorted, deduplicated) so that set equality is structural
 //!   equality and membership is a binary search. Each relation also
 //!   carries a lazily built **columnar view** ([`Relation::columns`]) —
-//!   typed per-column vectors with dictionary-encoded strings, and the
-//!   one joint, order-preserving code space two relations' columns are
-//!   compared in ([`column::joint_codes`]; see [`mod@column`]).
+//!   an `i64` or a dictionary code per cell, and the one joint,
+//!   order-preserving code space two relations' columns are compared in
+//!   ([`column::joint_codes`]; see [`mod@column`]).
 //! * [`Database`] — an assignment of relations to relation names, together
 //!   with the notions the paper defines on databases: size (Definition 15 —
 //!   the sum of relation cardinalities), active domain, tuple space
@@ -46,7 +46,7 @@ pub mod schema;
 pub mod tuple;
 pub mod value;
 
-pub use column::{ColumnData, Columns, StrDict};
+pub use column::{ColumnData, Columns, Dict};
 pub use database::{Database, RelationMut, Snapshot};
 pub use error::StorageError;
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
