@@ -9,7 +9,10 @@
 //! * **selection** selectivity comes from the base column's integer
 //!   histogram for constant predicates (`1/distinct` without one, as for
 //!   string constants), the distinct-count uniform assumption for
-//!   column-column equality, and the constant `RANGE_SEL` (1/3) for `<`;
+//!   column-column equality, and for `<` the two columns' integer
+//!   histograms, read as independent and uniform inside a bucket
+//!   ([`Histogram::fraction_lt`]; the constant `RANGE_SEL` (1/3) when a
+//!   column has none);
 //! * **join** cardinality uses the classical
 //!   `|R|·|S| / max(d_R(a), d_S(b))` distinct-count formula per
 //!   equality atom, capped by the `|R|·|S|` product — the binary
@@ -65,6 +68,14 @@ impl ColEst {
     fn histogram(&self) -> Option<&Histogram> {
         let (table, col) = self.base.as_ref()?;
         Some(&table.columns[*col].histogram)
+    }
+
+    /// The histogram of the base column this one copies, if that column
+    /// holds integers only, so the histogram describes every row.
+    fn int_histogram(&self) -> Option<&Histogram> {
+        let (table, col) = self.base.as_ref()?;
+        let h = &table.columns[*col].histogram;
+        (h.count() == table.rows).then_some(h)
     }
 }
 
@@ -253,7 +264,13 @@ fn selection_selectivity(sel: &Selection, input: &CardEst) -> f64 {
             let (di, dj) = (input.cols[i - 1].distinct, input.cols[j - 1].distinct);
             1.0 / di.max(dj).max(1.0)
         }
-        Selection::Lt(_, _) => RANGE_SEL,
+        Selection::Lt(i, j) => {
+            let (ci, cj) = (&input.cols[i - 1], &input.cols[j - 1]);
+            match (ci.int_histogram(), cj.int_histogram()) {
+                (Some(hi), Some(hj)) => hi.fraction_lt(hj).unwrap_or(RANGE_SEL),
+                _ => RANGE_SEL,
+            }
+        }
         Selection::EqConst(i, c) => {
             let col = &input.cols[i - 1];
             match col.histogram() {

@@ -118,14 +118,35 @@ impl Histogram {
         ((off * n) / self.span()) as usize
     }
 
-    /// Number of distinct values a bucket's sub-range can hold.
-    fn bucket_width(&self, b: usize) -> u128 {
+    /// The offsets from `lo` a bucket covers: `[ceil(b·span/n),
+    /// ceil((b+1)·span/n))`.
+    fn bucket_offsets(&self, b: usize) -> (u128, u128) {
         let n = self.buckets.len() as u128;
         let span = self.span();
-        // Bucket b covers offsets [ceil(b·span/n), ceil((b+1)·span/n)).
         let start = (b as u128 * span).div_ceil(n);
         let end = ((b as u128 + 1) * span).div_ceil(n);
+        (start, end)
+    }
+
+    /// Number of distinct values a bucket's sub-range can hold.
+    fn bucket_width(&self, b: usize) -> u128 {
+        let (start, end) = self.bucket_offsets(b);
         (end - start).max(1)
+    }
+
+    /// The buckets that hold values, each as its value range `lo..=hi`
+    /// and its count.
+    fn filled(&self) -> impl Iterator<Item = ((i128, i128), f64)> + '_ {
+        (0..self.buckets.len())
+            .filter(|&b| self.buckets[b] > 0)
+            .map(|b| {
+                let (start, end) = self.bucket_offsets(b);
+                let lo = self.lo as i128 + start as i128;
+                (
+                    (lo, lo + (end - start).max(1) as i128 - 1),
+                    self.buckets[b] as f64,
+                )
+            })
     }
 
     /// Total integer values counted.
@@ -150,6 +171,34 @@ impl Histogram {
         }
         let b = self.bucket_of(v);
         self.buckets[b] as f64 / self.bucket_width(b) as f64
+    }
+
+    /// Estimated `P(X < Y)` for `X` drawn from this histogram's values
+    /// and `Y` from `other`'s, independently, each uniform over the
+    /// integers of its bucket; `None` when either counts nothing.
+    /// Disjoint ranges give exactly 0 or 1.
+    pub fn fraction_lt(&self, other: &Histogram) -> Option<f64> {
+        if self.ints == 0 || other.ints == 0 {
+            return None;
+        }
+        let mut lt = 0.0;
+        for ((a0, a1), ca) in self.filled() {
+            for ((b0, b1), cb) in other.filled() {
+                let (nx, ny) = ((a1 - a0 + 1) as f64, (b1 - b0 + 1) as f64);
+                // Pairs (x, y), x < y: every y for an x below b0, and
+                // b1 − x of them for an x in b0..=b1.
+                let below = (a1.min(b0 - 1) - a0 + 1).max(0) as f64 * ny;
+                let (l, h) = (a0.max(b0), a1.min(b1));
+                let inside = if l <= h {
+                    let n = (h - l + 1) as f64;
+                    n * (b1 - h) as f64 + n * (n - 1.0) / 2.0
+                } else {
+                    0.0
+                };
+                lt += ca * cb * (below + inside) / (nx * ny);
+            }
+        }
+        Some(lt / (self.ints as f64 * other.ints as f64))
     }
 }
 
@@ -217,6 +266,35 @@ mod tests {
         let h = build(&[i64::MIN, 0, i64::MAX], i64::MIN, i64::MAX);
         assert_eq!(h.count(), 3);
         assert!(h.estimate_eq(&Value::int(0)) >= 0.0);
+    }
+
+    #[test]
+    fn fraction_lt_of_disjoint_ranges_is_certain() {
+        let low = build(&[1, 2, 3, 9], 1, 9);
+        let high = build(&[10, 50, 70], 10, 70);
+        assert_eq!(low.fraction_lt(&high), Some(1.0));
+        assert_eq!(high.fraction_lt(&low), Some(0.0));
+        // Touching ranges: 9 < 9 is false, so no value of `low` exceeds 9.
+        let nine = build(&[9], 9, 9);
+        assert_eq!(nine.fraction_lt(&low), Some(0.0));
+        assert_eq!(Histogram::empty().fraction_lt(&low), None);
+        assert_eq!(low.fraction_lt(&Histogram::empty()), None);
+        let wide = build(&[i64::MIN, i64::MAX], i64::MIN, i64::MAX);
+        let inner = build(&[0], 0, 0);
+        assert_eq!(inner.fraction_lt(&wide), Some(0.5));
+    }
+
+    #[test]
+    fn fraction_lt_of_equal_uniform_columns_is_about_a_half() {
+        // Narrow (a bucket per value) and wide (shared buckets) ranges:
+        // P(X < Y) for two independent uniform draws is (1 − 1/n) / 2.
+        for n in [10i64, 1000] {
+            let vals: Vec<i64> = (0..n).collect();
+            let h = build(&vals, 0, n - 1);
+            let p = h.fraction_lt(&h).unwrap();
+            let exact = (1.0 - 1.0 / n as f64) / 2.0;
+            assert!((p - exact).abs() < 1e-9, "n = {n}: {p} vs {exact}");
+        }
     }
 
     #[test]
