@@ -97,11 +97,6 @@ impl Report {
         self.nodes.iter().map(|n| n.cardinality).max().unwrap_or(0)
     }
 
-    /// The node achieving the maximum intermediate size.
-    pub fn max_node(&self) -> Option<&NodeStat> {
-        self.nodes.iter().max_by_key(|n| n.cardinality)
-    }
-
     /// `max_intermediate / |D|` — the "expansion factor"; bounded by a
     /// constant across a scaling series iff the expression behaves linearly
     /// on that series.

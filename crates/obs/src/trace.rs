@@ -325,12 +325,6 @@ impl RingCollector {
         }
     }
 
-    /// Default capacity (64k spans) — enough for thousands of queries
-    /// between snapshots.
-    pub fn with_default_capacity() -> RingCollector {
-        RingCollector::new(65_536)
-    }
-
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }

@@ -321,11 +321,6 @@ impl Database {
             (n, mapped)
         }))
     }
-
-    /// Number of relation names.
-    pub fn relation_count(&self) -> usize {
-        self.relations.len()
-    }
 }
 
 /// A write-tracking mutable guard over one relation, handed out by
