@@ -9,8 +9,8 @@ use crate::value::Value;
 /// columns*, 0-based) to the row positions of a [`Relation`] holding those
 /// values.
 ///
-/// Used by the hash equi-join and equi-semijoin in `sj-eval` and by the
-/// hash-division algorithm in `sj-setjoin`.
+/// Used by the row operators' hash equi-join and equi-semijoin
+/// (`sj-eval`'s `ops`, which the tree walker runs).
 ///
 /// ```
 /// use sj_storage::{HashIndex, Relation};

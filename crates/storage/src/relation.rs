@@ -425,8 +425,8 @@ impl Relation {
 /// `rows` itself as a `u32`, so the safe capacity is `u32::MAX` **rows** —
 /// not the `u32::MAX + 1` that position indexing alone would allow.
 /// Anything larger gets a typed [`StorageError::RelationTooLarge`], which
-/// callers treat as an input condition (the `sj-eval` kernels fall back to
-/// the row operators) rather than truncating with `as u32`.
+/// callers return as an input condition (the `sj-eval` planner does,
+/// before it runs a plan) rather than truncating with `as u32`.
 pub fn ensure_u32_indexable(rows: usize) -> crate::Result<()> {
     if rows > u32::MAX as usize {
         return Err(StorageError::RelationTooLarge { rows });
