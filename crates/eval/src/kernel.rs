@@ -319,23 +319,29 @@ impl<'a> Table<'a> {
 
 /// Hash join: build on the right operand, probe from the left, confirm
 /// on the key codes, filter by the residual. Output is in canonical
-/// order (left rows ascending, postings ascending).
+/// order (left rows ascending, postings ascending). The matches are
+/// gathered as row-id pairs first, so the output rows are built into one
+/// allocation of the exact size: no rows moved by a growing buffer, and
+/// no spare capacity held by the result.
 fn hash_join(left: Keyed<'_>, right: Keyed<'_>, residual: &Condition) -> Vec<Tuple> {
     let table = Table::build(right);
     let b = right.rel.tuples();
     // Hoisted: the empty residual is the common case, and `Condition`
     // lives in another crate — one call per call, not per pair.
     let unfiltered = residual.is_empty();
-    let mut out: Vec<Tuple> = Vec::new();
-    for (i, t1) in left.rel.tuples().iter().enumerate() {
+    let a = left.rel.tuples();
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    for (i, t1) in a.iter().enumerate() {
         for j in table.partners(left.key, i) {
-            let t2 = &b[j];
-            if unfiltered || residual.eval(t1.values(), t2.values()) {
-                out.push(t1.concat(t2));
+            if unfiltered || residual.eval(t1.values(), b[j].values()) {
+                pairs.push((i as u32, j as u32));
             }
         }
     }
-    out
+    pairs
+        .into_iter()
+        .map(|(i, j)| a[i as usize].concat(&b[j as usize]))
+        .collect()
 }
 
 /// The ascending ids of the rows of `r` that `survives`. Under a fused

@@ -134,7 +134,7 @@ pub fn difference(r1: Operand<'_>, r2: &Operand<'_>) -> Relation {
             let (mut rows, mut kept) = (r1.cursor(), Vec::new());
             while let Some((x, y)) = rows.row() {
                 if lacks((x.values(), y)) {
-                    kept.push(Tuple::new([x.values(), y].concat()));
+                    kept.push(x.iter().chain(y).cloned().collect());
                 }
                 rows.advance();
             }
@@ -324,10 +324,9 @@ pub fn group_count(r: &Relation, cols: &[usize]) -> Relation {
     }
     Relation::from_tuples(
         cols.len() + 1,
-        groups.into_iter().map(|(mut key, n)| {
-            key.push(Value::int(n));
-            Tuple::new(key)
-        }),
+        groups
+            .into_iter()
+            .map(|(key, n)| key.into_iter().chain([Value::int(n)]).collect()),
     )
     .expect("group_count arity is k+1")
 }

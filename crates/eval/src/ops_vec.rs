@@ -26,17 +26,17 @@ use std::cmp::Ordering;
 /// runs ([`Columns::run_starts`]), and the output is canonical without
 /// a sort ([`Relation::from_sorted_tuples`]' linear order check stays as
 /// the safety net). A tuple is built for the first row of each run only,
-/// from its key cells in the columns.
+/// from the row's first `k` values; for `k = arity` it is a clone of the
+/// row, which holds a row of arity ≤ 2 inline and so allocates nothing.
 pub(crate) fn gather(r: &Relation, k: usize, len: usize, row: impl Fn(usize) -> usize) -> Relation {
-    let cols = r.columns();
-    let tuple = |p: usize| -> Tuple { (0..k).map(|c| cols.value_at(c, row(p))).collect() };
+    let rows = r.tuples();
     let out: Vec<Tuple> = if k == r.arity() {
-        (0..len).map(tuple).collect()
+        (0..len).map(|p| rows[row(p)].clone()).collect()
     } else {
-        let starts = cols.run_starts(k, len, &row);
+        let starts = r.columns().run_starts(k, len, &row);
         starts[..starts.len() - 1]
             .iter()
-            .map(|&p| tuple(p))
+            .map(|&p| rows[row(p)].values()[..k].iter().cloned().collect())
             .collect()
     };
     debug_assert!(

@@ -93,7 +93,7 @@ fn go(expr: &Expr, db: &Database) -> Relation {
                 })
                 .collect();
             if cols.is_empty() && out.is_empty() {
-                out.push(Tuple::new(vec![Value::int(0)]));
+                out.push(Tuple::from([Value::int(0)]));
             }
             Relation::from_tuples(cols.len() + 1, out).expect("group arity")
         }

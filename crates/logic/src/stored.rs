@@ -131,7 +131,7 @@ mod tests {
             if k == 2 {
                 for x in &pool {
                     for y in &pool {
-                        let t = Tuple::new(vec![x.clone(), y.clone()]);
+                        let t = Tuple::from([x.clone(), y.clone()]);
                         assert_eq!(all.contains(&t), is_c_stored(&db, &t, &c), "{t:?}");
                     }
                 }

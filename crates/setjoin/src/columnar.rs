@@ -93,7 +93,7 @@ impl<'a> Operand<'a> {
     /// indices): a division's quotient, built from the qualifying
     /// groups alone.
     pub(crate) fn quotient(&self, groups: impl IntoIterator<Item = usize>) -> Relation {
-        let keys = groups.into_iter().map(|g| Tuple::new(vec![self.key(g)]));
+        let keys = groups.into_iter().map(|g| Tuple::from([self.key(g)]));
         Relation::from_sorted_tuples(1, keys.collect())
     }
 
@@ -283,7 +283,7 @@ pub(crate) fn emit(r: &Operand, s: &Operand, mut pairs: Vec<(u32, u32)>) -> Rela
     pairs.dedup();
     let tuples = pairs
         .into_iter()
-        .map(|(a, c)| Tuple::new(vec![r.key(a as usize), s.key(c as usize)]))
+        .map(|(a, c)| Tuple::from([r.key(a as usize), s.key(c as usize)]))
         .collect();
     Relation::from_sorted_tuples(2, tuples)
 }

@@ -52,7 +52,7 @@ pub fn nested_loop_division(r: &Relation, s: &Relation, sem: DivisionSemantics) 
     let mut out: Vec<Tuple> = Vec::new();
     'cand: for a in candidates {
         for b in &divisor {
-            let probe = Tuple::new(vec![a.clone(), (*b).clone()]);
+            let probe = Tuple::from([a.clone(), (*b).clone()]);
             if !r.contains(&probe) {
                 continue 'cand;
             }
@@ -64,7 +64,7 @@ pub fn nested_loop_division(r: &Relation, s: &Relation, sem: DivisionSemantics) 
                 continue 'cand;
             }
         }
-        out.push(Tuple::new(vec![a]));
+        out.push(Tuple::from([a]));
     }
     Relation::from_tuples(1, out).expect("unary output")
 }

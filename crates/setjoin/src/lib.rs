@@ -107,7 +107,7 @@ mod proptests {
     fn relation(rows: &[(i64, i64)], keys: Cells, cells: Cells) -> Relation {
         let tuples = rows
             .iter()
-            .map(|&(a, b)| Tuple::new(vec![keys.cell(a), cells.cell(b)]));
+            .map(|&(a, b)| Tuple::from([keys.cell(a), cells.cell(b)]));
         Relation::from_tuples(2, tuples).unwrap()
     }
 
@@ -124,7 +124,7 @@ mod proptests {
     }
 
     fn divisor(vals: &[i64], cells: Cells) -> Relation {
-        Relation::from_tuples(1, vals.iter().map(|&v| Tuple::new(vec![cells.cell(v)]))).unwrap()
+        Relation::from_tuples(1, vals.iter().map(|&v| Tuple::from([cells.cell(v)]))).unwrap()
     }
 
     /// Brute-force division oracle.
@@ -146,7 +146,7 @@ mod proptests {
                 }
             }
         });
-        Relation::from_tuples(1, out.map(|a| Tuple::new(vec![a]))).unwrap()
+        Relation::from_tuples(1, out.map(|a| Tuple::from([a]))).unwrap()
     }
 
     /// Every set-join table entry, on every predicate it supports, at
@@ -258,7 +258,7 @@ mod proptests {
             // Lift the divisor into a single C-group keyed 0.
             let lifted = Relation::from_tuples(
                 2,
-                s.iter().map(|t| Tuple::new(vec![Value::int(0), t[0].clone()])),
+                s.iter().map(|t| Tuple::from([Value::int(0), t[0].clone()])),
             ).unwrap();
             for (pred, sem) in [
                 (SetPredicate::Contains, DivisionSemantics::Containment),
@@ -270,7 +270,7 @@ mod proptests {
                 ] {
                     let via_join = Relation::from_tuples(
                         1,
-                        join.iter().map(|t| Tuple::new(vec![t[0].clone()])),
+                        join.iter().map(|t| Tuple::from([t[0].clone()])),
                     ).unwrap();
                     prop_assert_eq!(via_join, hash_division(&r, &s, sem), "{:?}", sem);
                 }

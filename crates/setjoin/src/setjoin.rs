@@ -107,7 +107,7 @@ pub fn nested_loop_set_join(r: &Relation, s: &Relation, pred: SetPredicate) -> R
     for (a, b_set) in &rg {
         for (c, d_set) in &sg {
             if predicate_holds(pred, b_set, d_set) {
-                out.push(Tuple::new(vec![a.clone(), c.clone()]));
+                out.push(Tuple::from([a.clone(), c.clone()]));
             }
         }
     }

@@ -2,9 +2,10 @@
 //! value dictionary, and the joint code space two relations' columns are
 //! compared in.
 //!
-//! The row representation ([`crate::Relation`]'s sorted `Vec<Tuple>`) stays
-//! the *canonical* one — it is what equality, ordering, and the set
-//! operators are defined on. The types here are a derived, cache-friendly
+//! The row representation ([`crate::Relation`]'s sorted `Vec<Tuple>`, a
+//! row of arity ≤ 2 held inline in its 40-byte [`crate::Tuple`] and a
+//! wider one behind a boxed slice) stays the *canonical* one — it is what
+//! equality, ordering, and the set operators are defined on. The types here are a derived, cache-friendly
 //! projection of the same data:
 //!
 //! * [`ColumnData`] — one column as a dense fixed-width vector. A column

@@ -78,15 +78,15 @@ impl Relation {
         arity: usize,
         tuples: impl IntoIterator<Item = Tuple>,
     ) -> crate::Result<Self> {
-        let mut v: Vec<Tuple> = Vec::new();
-        for t in tuples {
-            if t.arity() != arity {
-                return Err(StorageError::ArityMismatch {
-                    expected: arity,
-                    found: t.arity(),
-                });
-            }
-            v.push(t);
+        // Collected in place where the source allows it (a `Vec<Tuple>`,
+        // or a map over one), and otherwise sized from the iterator's
+        // hint, so the rows are not copied into a second, doubling buffer.
+        let mut v: Vec<Tuple> = tuples.into_iter().collect();
+        if let Some(t) = v.iter().find(|t| t.arity() != arity) {
+            return Err(StorageError::ArityMismatch {
+                expected: arity,
+                found: t.arity(),
+            });
         }
         v.sort_unstable();
         v.dedup();
@@ -140,7 +140,7 @@ impl Relation {
 
     /// Build an arity-1 relation out of single values.
     pub fn unary(values: impl IntoIterator<Item = Value>) -> Self {
-        Relation::from_tuples(1, values.into_iter().map(|v| Tuple::new(vec![v])))
+        Relation::from_tuples(1, values.into_iter().map(|v| Tuple::from([v])))
             .expect("unary tuples always have arity 1")
     }
 

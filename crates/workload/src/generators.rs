@@ -93,8 +93,7 @@ impl DivisionWorkload {
         let s = Relation::unary(divisor.iter().map(|&b| Value::int(b)));
         // Empty divisor ⇒ every group that actually appears qualifies.
         let expected = if self.divisor_size == 0 {
-            Relation::from_tuples(1, r.iter().map(|t| Tuple::new(vec![t[0].clone()])))
-                .expect("unary")
+            Relation::from_tuples(1, r.iter().map(|t| Tuple::from([t[0].clone()]))).expect("unary")
         } else {
             Relation::from_tuples(1, winners).expect("unary")
         };
