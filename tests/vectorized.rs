@@ -371,10 +371,12 @@ fn single_operand_kernels_equal_row_operators() {
 
 /// Ternary left and binary right operands whose key columns sit in
 /// different code spaces: strings under two dictionaries that give the
-/// same string different codes (the remap of `joint_codes`), integer keys
-/// against string ones (never equal), and mixed-variant columns (joint
-/// ranks). Left runs of the prefix `1` are long, so a fused ⋉ stops
-/// probing early and a group-join sums many rows per run.
+/// same string different codes, integer keys against string ones (never
+/// equal), and mixed-variant columns. In `joint_codes` two dictionaries
+/// are merged and their codes remapped, and an integer key column is
+/// coded against its own distinct values before it meets a coded one.
+/// Left runs of the prefix `1` are long, so a fused ⋉ stops probing
+/// early and a group-join sums many rows per run.
 fn key_code_operands() -> Vec<(&'static str, Relation, Relation, bool)> {
     let text = |v: i64| Value::str(format!("s{v}"));
     let mixed = move |v: i64| if v % 2 == 0 { Value::int(v) } else { text(v) };
