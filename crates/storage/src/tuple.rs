@@ -101,14 +101,7 @@ impl Tuple {
 
     /// Concatenation `(ā, b̄)` as produced by the join operator.
     pub fn concat(&self, other: &Tuple) -> Tuple {
-        let (a, b) = (self.values(), other.values());
-        if a.len() + b.len() <= 2 {
-            return a.iter().chain(b).cloned().collect();
-        }
-        let mut vs = Vec::with_capacity(a.len() + b.len());
-        vs.extend_from_slice(a);
-        vs.extend_from_slice(b);
-        Tuple(Repr::Many(vs.into_boxed_slice()))
+        self.iter().chain(other).cloned().collect()
     }
 
     /// The tuple extended with one extra value at the end — the
