@@ -1,7 +1,7 @@
 //! The kernel layer: the one home of join and semijoin on the planned
-//! path, each written **once** over its two whole operands — a hash body
-//! on θ's equality atoms, a filtered nested loop when there are none —
-//! and of the planned path's projection, grouping and tagging
+//! path, each written **once** over its two whole operands — one hash
+//! body keyed on θ's equality atoms, with the rest of θ as a residual
+//! filter — and of the planned path's projection, grouping and tagging
 //! ([`project`], [`group_count`], [`tag`]).
 //!
 //! **Prefix consumers.** A canonical relation is sorted by every prefix
@@ -38,12 +38,13 @@
 //! goes through [`Relation::from_sorted_tuples`], whose linear order
 //! check is the safety net behind the "already sorted" claims.
 //!
-//! A θ with no equality atom has no key to hash: a filtered nested loop
-//! runs instead. The binary kernels store `u32` row ids, so their
-//! operands must fit them ([`sj_storage::ensure_u32_indexable`]):
-//! beyond that the planner answers [`crate::EvalError::Storage`] before
-//! it calls one, and the row operators of [`crate::ops`] run only in the
-//! tree walker.
+//! A θ with no equality atom keys on zero columns: every build row lands
+//! in one bucket, every probe reads all of it in order, and the residual
+//! (all of θ) filters each pair — the filtered nested loop, with the
+//! same body and the cost the node name `nested-loop-*` reports. The
+//! binary kernels store `u32` row ids, so their operands must fit them
+//! ([`sj_storage::ensure_u32_indexable`]): beyond that the planner
+//! answers [`crate::EvalError::Storage`] before it calls one.
 //!
 //! Every kernel runs on the calling thread. The `workers` argument of
 //! [`join`], [`semijoin`], [`merge_join`] and [`multiway_join`] is
@@ -126,16 +127,18 @@ struct Keyed<'a> {
     key: Key<'a>,
 }
 
-/// Run a hash kernel `body` on `r₁ ⋈/⋉ r₂` over the equality pairs `eq`:
-/// both operands' keys are coded once, and the same codes bucket the
-/// build table and confirm its matches.
+/// Run a hash kernel `body` on `r₁ ⋈/⋉ r₂` over θ's equality pairs, with
+/// the rest of θ as its residual: both operands' keys are coded once,
+/// and the same codes bucket the build table and confirm its matches.
+/// With no equality pair the key has zero columns.
 fn run_hashed<O>(
     r1: &Relation,
     r2: &Relation,
-    eq: &[(usize, usize)],
-    body: impl FnOnce(Keyed<'_>, Keyed<'_>) -> O,
+    theta: &Condition,
+    body: impl FnOnce(Keyed<'_>, Keyed<'_>, &Condition) -> O,
 ) -> O {
-    let (lk, rk) = key_codes(r1, r2, eq);
+    let (eq, residual) = split_condition(theta);
+    let (lk, rk) = key_codes(r1, r2, &eq);
     let (lk, rk): (Vec<&[i64]>, Vec<&[i64]>) = (
         lk.iter().map(|c| c.as_ref()).collect(),
         rk.iter().map(|c| c.as_ref()).collect(),
@@ -148,7 +151,7 @@ fn run_hashed<O>(
         rel: r2,
         key: Key(&rk),
     };
-    body(left, right)
+    body(left, right, &residual)
 }
 
 /// `r₁ ⋈θ r₂`. `_exec` and `_workers` are accepted and ignored (see the
@@ -162,12 +165,7 @@ pub fn join(
     _workers: usize,
 ) -> Relation {
     kernel_call("kernel.join", r1, r2, || {
-        let (eq, residual) = split_condition(theta);
-        let tuples = if eq.is_empty() {
-            nested_loop_join(r1, r2, theta)
-        } else {
-            run_hashed(r1, r2, &eq, |l, r| hash_join(l, r, &residual))
-        };
+        let tuples = run_hashed(r1, r2, theta, hash_join);
         Relation::from_sorted_tuples(r1.arity() + r2.arity(), tuples)
     })
 }
@@ -183,30 +181,26 @@ pub fn semijoin(
     project_semijoin(r1, r2, theta, r1.arity())
 }
 
-/// `π[1..k](r₁ ⋉θ r₂)` for `k ≤ arity(r₁)`: the [`semijoin`] bodies, with
+/// `π[1..k](r₁ ⋉θ r₂)` for `k ≤ arity(r₁)`: the [`semijoin`] body, with
 /// the surviving rows gathered as distinct `k`-prefixes. For
-/// `k < arity(r₁)` a body stops probing a run of equal `k`-prefix at its
+/// `k < arity(r₁)` it stops probing a run of equal `k`-prefix at its
 /// first survivor. `k = arity(r₁)` is [`semijoin`] itself. Both operands
 /// must fit `u32` row ids, as for [`join`].
 pub fn project_semijoin(r1: &Relation, r2: &Relation, theta: &Condition, k: usize) -> Relation {
     kernel_call("kernel.semijoin", r1, r2, || {
-        let (eq, residual) = split_condition(theta);
-        let keep = if eq.is_empty() {
-            nested_loop_semijoin(r1, r2, theta, k)
-        } else {
-            run_hashed(r1, r2, &eq, |l, r| hash_semijoin(l, r, &residual, k))
-        };
+        let keep = run_hashed(r1, r2, theta, |l, r, residual| {
+            hash_semijoin(l, r, residual, k)
+        });
         gather(r1, k, keep.len(), |p| keep[p] as usize)
     })
 }
 
 /// `γ[1..k; count](r₁ ⋈θ r₂)` for `1 ≤ k ≤ arity(r₁)`, without building a
 /// join row: for every left row the body counts its θ-partners — a hash
-/// probe confirmed on the key codes and the residual, or a filtered
-/// nested loop when θ has no equality atom — and sums the counts over
-/// runs of equal `k`-prefix, which a canonical `r₁` holds adjacent. A
-/// run without partners has no join row and so no group. Both operands
-/// must fit `u32` row ids, as for [`join`].
+/// probe confirmed on the key codes and the residual — and sums the
+/// counts over runs of equal `k`-prefix, which a canonical `r₁` holds
+/// adjacent. A run without partners has no join row and so no group.
+/// Both operands must fit `u32` row ids, as for [`join`].
 ///
 /// # Panics
 ///
@@ -218,12 +212,9 @@ pub fn group_join(r1: &Relation, r2: &Relation, theta: &Condition, k: usize) -> 
         "group-join keys are a non-empty prefix of the left operand"
     );
     kernel_call("kernel.group_join", r1, r2, || {
-        let (eq, residual) = split_condition(theta);
-        if eq.is_empty() {
-            nested_loop_counts(r1, r2, theta, k)
-        } else {
-            run_hashed(r1, r2, &eq, |l, r| hash_counts(l, r, &residual, k))
-        }
+        run_hashed(r1, r2, theta, |l, r, residual| {
+            hash_counts(l, r, residual, k)
+        })
     })
 }
 
@@ -260,7 +251,7 @@ pub fn merge_join(
 /// The build side's hash table: its rows bucketed by key hash in one
 /// counting sort — flat, no list per key, every bucket listing its rows
 /// ascending, each beside its full hash — with the side's key to confirm
-/// candidates on.
+/// candidates on. An empty key hashes every row alike: one bucket.
 struct Table<'a> {
     key: Key<'a>,
     mask: usize,
@@ -274,7 +265,11 @@ struct Table<'a> {
 impl<'a> Table<'a> {
     fn build(side: Keyed<'a>) -> Self {
         let n = side.rel.len();
-        let mask = (2 * n).next_power_of_two() - 1;
+        let mask = if side.key.0.is_empty() {
+            0
+        } else {
+            (2 * n).next_power_of_two() - 1
+        };
         let hashed: Vec<(u64, u32)> = (0..n).map(|j| (side.key.hash(j), j as u32)).collect();
         let mut starts = vec![0u32; mask + 2];
         for &(h, _) in &hashed {
@@ -395,41 +390,6 @@ fn hash_counts(left: Keyed<'_>, right: Keyed<'_>, residual: &Condition, k: usize
         table
             .partners(left.key, i)
             .filter(|&j| residual.eval(a[i].values(), b[j].values()))
-            .count()
-    })
-}
-
-/// Filtered nested-loop join, for a θ with no equality atom. Output is
-/// in canonical order.
-fn nested_loop_join(r1: &Relation, r2: &Relation, theta: &Condition) -> Vec<Tuple> {
-    let mut out: Vec<Tuple> = Vec::new();
-    for t1 in r1.tuples() {
-        for t2 in r2.tuples() {
-            if theta.eval(t1.values(), t2.values()) {
-                out.push(t1.concat(t2));
-            }
-        }
-    }
-    out
-}
-
-/// Nested-loop semijoin, for a θ with no equality atom: the ascending
-/// ids of the left rows with a partner (one per run under a fused
-/// `π[1..k]`, see [`survivors`]).
-fn nested_loop_semijoin(r1: &Relation, r2: &Relation, theta: &Condition, k: usize) -> Vec<u32> {
-    let (a, b) = (r1.tuples(), r2.tuples());
-    survivors(r1, k, |i| {
-        b.iter().any(|t2| theta.eval(a[i].values(), t2.values()))
-    })
-}
-
-/// The group-join count for a θ with no equality atom (see
-/// [`hash_counts`]).
-fn nested_loop_counts(r1: &Relation, r2: &Relation, theta: &Condition, k: usize) -> Relation {
-    let (a, b) = (r1.tuples(), r2.tuples());
-    sum_runs(r1, k, |i| {
-        b.iter()
-            .filter(|t2| theta.eval(a[i].values(), t2.values()))
             .count()
     })
 }

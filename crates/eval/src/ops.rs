@@ -1,17 +1,22 @@
 //! Physical operator implementations on [`Relation`]s.
 //!
 //! Each logical operator of the paper's algebra (Definitions 1 and 2, plus
-//! the Section 5 grouping extension) has one function here. Joins and
-//! semijoins dispatch on the condition: equality atoms are executed with a
-//! hash index (build on the right, probe from the left), remaining atoms
-//! (`≠`, `<`, `>`) are applied as residual filters; a condition with no
-//! equality atom falls back to a filtered nested loop.
+//! the Section 5 grouping extension) has one function here. A join or
+//! semijoin has one body: the right operand's rows are bucketed by their
+//! cells on θ's equality atoms, each left row probes its bucket, and the
+//! remaining atoms (`≠`, `<`, `>`) filter its partners. A condition with
+//! no equality atom buckets every row under the empty key, which is the
+//! filtered nested loop.
+//!
+//! This module is the tree walker's, and the reference the planned path
+//! is tested against: it reads `Value`s and imports nothing from
+//! [`crate::kernel`] or [`crate::ops_vec`].
 //!
 //! All functions assume the expressions were validated (column references
 //! in range); they index slices directly.
 
 use sj_algebra::{CompOp, Condition, Selection};
-use sj_storage::{FxHashMap, FxHashSet, HashIndex, Relation, Tuple, Value};
+use sj_storage::{FxHashMap, Relation, Tuple, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
@@ -184,10 +189,10 @@ pub(crate) fn split_condition(theta: &Condition) -> (Vec<(usize, usize)>, Condit
     (eq, residual)
 }
 
-/// The physical dispatch [`join`] and [`crate::kernel::join`] use for θ,
-/// by name: hash when θ has an equality atom, filtered nested loop
-/// otherwise. The single source of operator names for the naive walker's
-/// reports and for `PhysOp::Join`.
+/// The name of [`join`] and [`crate::kernel::join`] on θ, by cost: a hash
+/// join when θ has an equality atom, a filtered nested loop (every row in
+/// one bucket) otherwise. The single source of operator names for the
+/// naive walker's reports and for `PhysOp::Join`.
 pub fn join_dispatch(theta: &Condition) -> &'static str {
     if split_condition(theta).0.is_empty() {
         "nested-loop-join"
@@ -196,8 +201,8 @@ pub fn join_dispatch(theta: &Condition) -> &'static str {
     }
 }
 
-/// The physical dispatch [`semijoin`] and [`crate::kernel::semijoin`] use
-/// for θ, by name (see [`join_dispatch`]).
+/// The name of [`semijoin`] and [`crate::kernel::semijoin`] on θ, by cost
+/// (see [`join_dispatch`]).
 pub fn semijoin_dispatch(theta: &Condition) -> &'static str {
     if split_condition(theta).0.is_empty() {
         "nested-loop-semijoin"
@@ -206,96 +211,89 @@ pub fn semijoin_dispatch(theta: &Condition) -> &'static str {
     }
 }
 
-/// `r₁ ⋈θ r₂` (Definition 1(6)). Hash join on the equality atoms with a
-/// residual filter; filtered nested loop when θ has no equality atom.
-pub fn join(r1: &Relation, r2: &Relation, theta: &Condition) -> Relation {
-    let (eq, residual) = split_condition(theta);
-    let out_arity = r1.arity() + r2.arity();
-    let mut out: Vec<Tuple> = Vec::new();
-    if eq.is_empty() {
-        if theta.is_empty() {
-            // The product keeps every pair.
-            out.reserve_exact(r1.len() * r2.len());
-        }
-        for t1 in r1 {
-            for t2 in r2 {
-                if theta.eval(t1.values(), t2.values()) {
-                    out.push(t1.concat(t2));
+/// `r₂`'s row ids bucketed by their cells on the right columns of θ's
+/// equality pairs, each bucket ascending: the probe [`join`] and
+/// [`semijoin`] share. With no equality pair every row has the empty key,
+/// so one bucket holds all of `r₂`.
+struct Buckets {
+    /// θ's equality pairs, 0-based `(left, right)` columns.
+    eq: Vec<(usize, usize)>,
+    rows: FxHashMap<Vec<Value>, Vec<u32>>,
+    /// The probing row's key, reused from row to row.
+    key: Vec<Value>,
+}
+
+impl Buckets {
+    /// `r₂` bucketed on θ's equality atoms, beside the rest of θ.
+    fn build(r2: &Relation, theta: &Condition) -> (Self, Condition) {
+        let (eq, residual) = split_condition(theta);
+        let mut rows: FxHashMap<Vec<Value>, Vec<u32>> = FxHashMap::default();
+        let mut key: Vec<Value> = Vec::with_capacity(eq.len());
+        for (j, t2) in r2.iter().enumerate() {
+            let j = u32::try_from(j).expect("a relation's rows fit u32 ids");
+            key.clear();
+            key.extend(eq.iter().map(|&(_, rc)| t2[rc].clone()));
+            // Only a bucket's first row allocates its key.
+            match rows.get_mut(key.as_slice()) {
+                Some(bucket) => bucket.push(j),
+                None => {
+                    rows.insert(key.clone(), vec![j]);
                 }
             }
         }
-    } else {
-        let right_cols: Vec<usize> = eq.iter().map(|&(_, rc)| rc).collect();
-        let left_cols: Vec<usize> = eq.iter().map(|&(lc, _)| lc).collect();
-        let index = HashIndex::build(r2, &right_cols);
-        let mut key: Vec<Value> = Vec::with_capacity(left_cols.len());
-        for t1 in r1 {
-            key.clear();
-            key.extend(left_cols.iter().map(|&c| t1[c].clone()));
-            for &pos in index.probe(&key) {
-                let t2 = &r2.tuples()[pos];
-                if residual.eval(t1.values(), t2.values()) {
-                    out.push(t1.concat(t2));
-                }
+        (Buckets { eq, rows, key }, residual)
+    }
+
+    /// The ids of the rows of `r₂` whose key cells equal `t1`'s,
+    /// ascending.
+    fn probe(&mut self, t1: &Tuple) -> &[u32] {
+        self.key.clear();
+        self.key
+            .extend(self.eq.iter().map(|&(lc, _)| t1[lc].clone()));
+        self.rows
+            .get(self.key.as_slice())
+            .map_or(&[], Vec::as_slice)
+    }
+}
+
+/// `r₁ ⋈θ r₂` (Definition 1(6)): `r₂` is bucketed by its cells on θ's
+/// equality atoms (one bucket when θ has none), each left row probes its
+/// bucket, and the residual filters the partners.
+pub fn join(r1: &Relation, r2: &Relation, theta: &Condition) -> Relation {
+    let (mut buckets, residual) = Buckets::build(r2, theta);
+    let mut out: Vec<Tuple> = Vec::new();
+    if theta.is_empty() {
+        // The product keeps every pair.
+        out.reserve_exact(r1.len() * r2.len());
+    }
+    for t1 in r1 {
+        for &j in buckets.probe(t1) {
+            let t2 = &r2.tuples()[j as usize];
+            if residual.eval(t1.values(), t2.values()) {
+                out.push(t1.concat(t2));
             }
         }
     }
     // Left rows ascend, and each one's partners ascend in the right
     // relation's order, so the output is already canonical; the
     // constructor checks that instead of sorting.
-    Relation::from_sorted_tuples(out_arity, out)
+    Relation::from_sorted_tuples(r1.arity() + r2.arity(), out)
 }
 
-/// `r₁ ⋉θ r₂` (Definition 2). For equality-only θ a hash-set membership
-/// probe; for mixed conditions a hash probe plus residual check; otherwise
-/// a nested-loop `any`.
+/// `r₁ ⋉θ r₂` (Definition 2): the probe of [`join`], keeping a left row
+/// at its first partner.
 pub fn semijoin(r1: &Relation, r2: &Relation, theta: &Condition) -> Relation {
-    let (eq, residual) = split_condition(theta);
-    let keep: Vec<Tuple> = if eq.is_empty() {
-        if r2.is_empty() {
-            Vec::new()
-        } else if theta.is_empty() {
-            // Unconditional semijoin against a nonempty right side.
-            r1.iter().cloned().collect()
-        } else {
-            r1.iter()
-                .filter(|t1| r2.iter().any(|t2| theta.eval(t1.values(), t2.values())))
-                .cloned()
-                .collect()
-        }
-    } else if residual.is_empty() {
-        let right_cols: Vec<usize> = eq.iter().map(|&(_, rc)| rc).collect();
-        let left_cols: Vec<usize> = eq.iter().map(|&(lc, _)| lc).collect();
-        let mut keys: FxHashSet<Vec<Value>> = FxHashSet::default();
-        for t2 in r2 {
-            keys.insert(right_cols.iter().map(|&c| t2[c].clone()).collect());
-        }
-        let mut key: Vec<Value> = Vec::with_capacity(left_cols.len());
-        r1.iter()
-            .filter(|t1| {
-                key.clear();
-                key.extend(left_cols.iter().map(|&c| t1[c].clone()));
-                keys.contains(key.as_slice())
-            })
-            .cloned()
-            .collect()
-    } else {
-        let right_cols: Vec<usize> = eq.iter().map(|&(_, rc)| rc).collect();
-        let left_cols: Vec<usize> = eq.iter().map(|&(lc, _)| lc).collect();
-        let index = HashIndex::build(r2, &right_cols);
-        let mut key: Vec<Value> = Vec::with_capacity(left_cols.len());
-        r1.iter()
-            .filter(|t1| {
-                key.clear();
-                key.extend(left_cols.iter().map(|&c| t1[c].clone()));
-                index
-                    .probe(&key)
-                    .iter()
-                    .any(|&pos| residual.eval(t1.values(), r2.tuples()[pos].values()))
-            })
-            .cloned()
-            .collect()
-    };
+    let (mut buckets, residual) = Buckets::build(r2, theta);
+    let keep: Vec<Tuple> = r1
+        .iter()
+        .filter(|t1| {
+            buckets
+                .probe(t1)
+                .iter()
+                .any(|&j| residual.eval(t1.values(), r2.tuples()[j as usize].values()))
+        })
+        .cloned()
+        .collect();
     // A filter of a canonical relation is canonical.
     Relation::from_sorted_tuples(r1.arity(), keep)
 }

@@ -20,10 +20,10 @@
 //!    node consumed by several parents is never copied.
 //! 3. **Physical operator choice.** Every θ-join and θ-semijoin is the
 //!    one [`PhysOp::Join`] / [`PhysOp::Semijoin`] variant, whose kernel
-//!    hashes on θ's equality atoms and falls back to a filtered nested
-//!    loop when there are none — the node is named by that same rule
-//!    ([`ops::join_dispatch`]), so the name in `EXPLAIN` is the body that
-//!    runs. Non-equality atoms ride along as residual filters. The two
+//!    hashes on θ's equality atoms — on the empty key, one bucket and so
+//!    a filtered nested loop, when there are none. The node is named by
+//!    that cost ([`ops::join_dispatch`]), so the name in `EXPLAIN` says
+//!    how the one body runs. Non-equality atoms ride along as residual filters. The two
 //!    textbook RA division idioms over stored operands — the double
 //!    difference and its equality variant — lower whole to one
 //!    [`PhysOp::Divide`] node run by a linear algorithm of the
@@ -99,8 +99,9 @@ pub enum PhysOp {
     /// Constant tagging.
     Tag(Value),
     /// `⋈θ` through [`kernel::join`]: hash join on θ's equality atoms
-    /// (build right, probe left, residual filter), filtered nested loop
-    /// when θ has none. [`PhysOp::name`] says which.
+    /// (build right, probe left, residual filter); with none, every row
+    /// shares one bucket, a filtered nested loop. [`PhysOp::name`] says
+    /// which cost.
     Join(Condition),
     /// `⋉θ` through [`kernel::semijoin`] (see [`PhysOp::Join`]); with
     /// `project: Some(k)` the fused `π[1..k](A ⋉θ B)` of
@@ -233,8 +234,9 @@ impl PhysicalPlan {
     /// into the node they consume (see the module docs). Every node carries an
     /// estimated output cardinality ([`PlanNode::est_rows`], shown by
     /// [`PhysicalPlan::explain`] and compared against actuals in
-    /// instrumented reports). Binary operator choice reads θ alone —
-    /// the kernel's own hash-or-nested-loop dispatch. Statistics change
+    /// instrumented reports). A binary node's key is read off θ alone:
+    /// its equality atoms, or the empty key (one bucket) when it has
+    /// none. Statistics change
     /// constants, never results.
     ///
     /// `_order` is accepted and ignored ([`JoinOrder`] has one value).

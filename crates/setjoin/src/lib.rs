@@ -31,7 +31,6 @@
 
 pub mod columnar;
 pub mod division;
-pub mod general;
 pub mod inverted;
 pub mod parallel;
 pub mod registry;
@@ -41,7 +40,6 @@ pub mod wide_signature;
 pub use division::{
     counting_division, hash_division, nested_loop_division, sort_merge_division, DivisionSemantics,
 };
-pub use general::divide_general;
 pub use inverted::inverted_index_set_join;
 pub use parallel::{parallel_hash_division, parallel_signature_set_join};
 pub use registry::{
@@ -274,23 +272,6 @@ mod proptests {
                     ).unwrap();
                     prop_assert_eq!(via_join, hash_division(&r, &s, sem), "{:?}", sem);
                 }
-            }
-        }
-
-        /// Generalized division on a single key column reduces to binary
-        /// division.
-        #[test]
-        fn divide_general_reduces(
-            r in arb_pairs(6, 6, 24),
-            s in arb_divisor(6, 6),
-        ) {
-            let s = divisor(&s, Cells::Int);
-            for sem in [DivisionSemantics::Containment, DivisionSemantics::Equality] {
-                prop_assert_eq!(
-                    divide_general(&r, &[1], 2, &s, sem),
-                    hash_division(&r, &s, sem),
-                    "{:?}", sem
-                );
             }
         }
 

@@ -28,8 +28,8 @@
 //! alternatives by cost (join orders, the multiway collapse, the
 //! registry's algorithm pick), where an overestimate merely forfeits a
 //! cheaper alternative while an underestimate would rank a plan with a
-//! huge intermediate first. No estimate selects an operator body — the
-//! planner picks hash or nested loop from θ alone.
+//! huge intermediate first. No estimate selects an operator body: each
+//! binary operator has one, keyed on θ's equality atoms alone.
 
 use crate::catalog::StatsSource;
 use crate::histogram::Histogram;

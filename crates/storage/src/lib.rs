@@ -27,8 +27,7 @@
 //!
 //! In addition the crate provides substrate utilities used throughout the
 //! workspace: a fast non-cryptographic hasher ([`hash::FxHasher`], the
-//! FxHash algorithm), hash-based indexes on column subsets
-//! ([`index::HashIndex`]), and ASCII table rendering for the `experiments`
+//! FxHash algorithm) and ASCII table rendering for the `experiments`
 //! binary ([`display`]).
 //!
 //! Everything in this crate is deterministic: iteration orders over
@@ -40,7 +39,6 @@ pub mod database;
 pub mod display;
 pub mod error;
 pub mod hash;
-pub mod index;
 pub mod relation;
 pub mod schema;
 pub mod tuple;
@@ -50,7 +48,6 @@ pub use column::{ColumnData, Columns, Dict};
 pub use database::{Database, RelationMut, Snapshot};
 pub use error::StorageError;
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
-pub use index::HashIndex;
 pub use relation::{ensure_u32_indexable, Relation};
 pub use schema::Schema;
 pub use tuple::Tuple;

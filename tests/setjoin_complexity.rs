@@ -126,25 +126,3 @@ fn intersection_join_is_just_an_equijoin() {
         direct
     );
 }
-
-#[test]
-fn generalized_division_on_workload() {
-    // Composite-key division agrees with filtering per key prefix.
-    let w = SetJoinWorkload {
-        r_groups: 60,
-        s_groups: 1,
-        set_size: SetSizeDist::Uniform(2, 8),
-        domain: 32,
-        elements: ElementDist::Uniform,
-        seed: 5,
-    };
-    let (r2, _) = w.generate();
-    // Lift to arity 3 by tagging a payload column, then divide on col 1
-    // with values in col 2.
-    let r3 = Relation::from_tuples(3, r2.iter().map(|t| t.tag(Value::int(42)))).unwrap();
-    let divisor = Relation::unary(r2.iter().take(3).map(|t| t[1].clone()));
-    let via_general =
-        sj_setjoin::divide_general(&r3, &[1], 2, &divisor, DivisionSemantics::Containment);
-    let via_binary = sj_setjoin::hash_division(&r2, &divisor, DivisionSemantics::Containment);
-    assert_eq!(via_general, via_binary);
-}

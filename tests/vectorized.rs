@@ -3,7 +3,8 @@
 //! produce byte-identical relations to the row operators of
 //! `sj_eval::ops` **and** to a brute-force nested loop written here from
 //! the definitions — for every θ shape (aligned prefix, off-diagonal
-//! equality, equality + residual, inequality only, empty) × operand kind
+//! equality, equality + residual, inequality only, compound residual
+//! without equality, empty) × operand kind
 //! (int, string, mixed-variant, cross-dictionary, empty, single row,
 //! all-duplicate, zipf, and every size from 0 to 9 rows). Every kernel
 //! has one body over whole operands, so the operand axis is the whole
@@ -123,8 +124,10 @@ fn thetas() -> Vec<Condition> {
         Condition::eq(1, 1).and(2, CompOp::Neq, 2),
         Condition::eq_pairs([(1, 1), (2, 2)]).and(1, CompOp::Lt, 2),
         Condition::eq(2, 1).and(1, CompOp::Neq, 2),
-        Condition::lt(1, 1), // inequality only
-        Condition::always(), // empty
+        Condition::lt(1, 1),                        // inequality only
+        Condition::lt(1, 1).and(2, CompOp::Neq, 2), // no equality, compound residual
+        Condition::lt(2, 1),                        // no equality, off-diagonal
+        Condition::always(),                        // empty
     ]
 }
 
