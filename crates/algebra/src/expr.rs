@@ -21,6 +21,7 @@
 use crate::condition::Condition;
 use crate::error::AlgebraError;
 use sj_storage::{Schema, Value};
+use std::convert::Infallible;
 
 /// A selection predicate (Definition 1(4)), plus the derived constant form.
 ///
@@ -262,6 +263,36 @@ impl Expr {
         }
     }
 
+    /// The one structural rebuild every rewrite pass falls back to: a
+    /// fresh node of the same operator, with the same parameters, whose
+    /// children are `f` of this node's children. `f` visits the children
+    /// left to right, as [`Expr::children`] lists them; the first error
+    /// stops the walk, leaves the later children unvisited, and is
+    /// returned. A leaf has no children and comes back as a copy.
+    ///
+    /// A pass states only the arms where its rule fires and hands every
+    /// other node here, recursing through `f`.
+    pub fn map_children<E>(&self, mut f: impl FnMut(&Expr) -> Result<Expr, E>) -> Result<Expr, E> {
+        let mut child = |e: &Expr| f(e).map(Box::new);
+        Ok(match self {
+            Expr::Rel(n) => Expr::Rel(n.clone()),
+            Expr::Union(a, b) => Expr::Union(child(a)?, child(b)?),
+            Expr::Diff(a, b) => Expr::Diff(child(a)?, child(b)?),
+            Expr::Project(cols, e) => Expr::Project(cols.clone(), child(e)?),
+            Expr::Select(sel, e) => Expr::Select(sel.clone(), child(e)?),
+            Expr::ConstTag(c, e) => Expr::ConstTag(c.clone(), child(e)?),
+            Expr::Join(t, a, b) => Expr::Join(t.clone(), child(a)?, child(b)?),
+            Expr::Semijoin(t, a, b) => Expr::Semijoin(t.clone(), child(a)?, child(b)?),
+            Expr::GroupCount(cols, e) => Expr::GroupCount(cols.clone(), child(e)?),
+        })
+    }
+
+    /// [`Expr::map_children`] for a rewrite that cannot fail.
+    pub fn map_children_infallible(&self, mut f: impl FnMut(&Expr) -> Expr) -> Expr {
+        let Ok(e) = self.map_children(|c| Ok::<_, Infallible>(f(c)));
+        e
+    }
+
     /// All subexpressions in **pre-order** (the expression itself first).
     /// The position in this list is the node's stable id used by the
     /// instrumented evaluator.
@@ -462,26 +493,16 @@ impl Expr {
     /// `π₁,…,ₙ(σᵢ₌ₙ₊₁(τ_c(E)))` exactly as noted below Definition 1.
     /// The result contains only `Selection::Eq`/`Selection::Lt`.
     pub fn desugared(&self, schema: &Schema) -> Result<Expr, AlgebraError> {
-        Ok(match self {
-            Expr::Rel(n) => Expr::Rel(n.clone()),
-            Expr::Union(a, b) => a.desugared(schema)?.union(b.desugared(schema)?),
-            Expr::Diff(a, b) => a.desugared(schema)?.diff(b.desugared(schema)?),
-            Expr::Project(cols, e) => e.desugared(schema)?.project(cols.clone()),
+        match self {
             Expr::Select(Selection::EqConst(i, c), e) => {
                 let n = e.arity(schema)?;
-                e.desugared(schema)?
+                Ok(e.desugared(schema)?
                     .tag(c.clone())
                     .select_eq(*i, n + 1)
-                    .project(1..=n)
+                    .project(1..=n))
             }
-            Expr::Select(sel, e) => Expr::Select(sel.clone(), Box::new(e.desugared(schema)?)),
-            Expr::ConstTag(c, e) => e.desugared(schema)?.tag(c.clone()),
-            Expr::Join(t, a, b) => a.desugared(schema)?.join(t.clone(), b.desugared(schema)?),
-            Expr::Semijoin(t, a, b) => a
-                .desugared(schema)?
-                .semijoin(t.clone(), b.desugared(schema)?),
-            Expr::GroupCount(cols, e) => e.desugared(schema)?.group_count(cols.clone()),
-        })
+            _ => self.map_children(|c| c.desugared(schema)),
+        }
     }
 
     /// A structural hash of the expression: structurally identical
@@ -637,6 +658,40 @@ mod tests {
         assert_eq!(e.node_count(), 10);
         // π → ⋉ → − → π → ⋉ → Serves
         assert_eq!(e.depth(), 6);
+    }
+
+    #[test]
+    fn map_children_rebuilds_left_to_right_and_stops_at_the_first_error() {
+        let e = Expr::rel("R").join(Condition::eq(2, 1), Expr::rel("S").project([1]));
+        let mut seen = Vec::new();
+        let same = e.map_children(|c| {
+            seen.push(c.label());
+            Ok::<_, ()>(c.clone())
+        });
+        assert_eq!(same, Ok(e.clone()));
+        assert_eq!(seen, ["R", "project[1]"]);
+        // Children are replaced, the operator and its condition kept.
+        let tagged = e.map_children_infallible(|c| c.clone().tag(Value::int(1)));
+        assert_eq!(
+            tagged,
+            Expr::rel("R").tag(Value::int(1)).join(
+                Condition::eq(2, 1),
+                Expr::rel("S").project([1]).tag(Value::int(1))
+            )
+        );
+        // The first error is returned; the right child is never visited.
+        seen.clear();
+        let failed = e.map_children(|c| {
+            seen.push(c.label());
+            Err::<Expr, _>(c.label())
+        });
+        assert_eq!(failed, Err("R".to_string()));
+        assert_eq!(seen, ["R"]);
+        // A leaf has no children to visit.
+        assert_eq!(
+            Expr::rel("R").map_children(|_| Err::<Expr, _>(())),
+            Ok(Expr::rel("R"))
+        );
     }
 
     #[test]

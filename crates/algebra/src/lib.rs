@@ -27,6 +27,14 @@
 //! * [`joingraph`] — flattening join chains into (leaves, predicate
 //!   edges) graphs and rebuilding them in any association order — the
 //!   substrate of the cost-based join-order search in `sj-eval`.
+//!
+//! Every `Expr → Expr` pass — the [`optimize`] rewrites,
+//! [`Expr::desugared`], [`transform::semijoins_to_joins_checked`], and
+//! outside this crate the Theorem 18 rewriter and the join-order search —
+//! is written as the match arms where its rule fires, then one fallback
+//! to [`Expr::map_children`], the single structural rebuild: a fresh node
+//! of the same operator from the pass applied to each child, left to
+//! right, stopping at the first error.
 
 pub mod condition;
 pub mod display;

@@ -10,7 +10,7 @@
 //! * [`push_down_selections`] — move `σ` below `∪` and `−`, through `π`
 //!   (remapping column references), into the left side of `⋈` when every
 //!   referenced column is a left column, and into the left of `⋉` always.
-//! * [`prune_projections`] — collapse `π∘π`, drop identity projections.
+//! * [`prune_projections`] — collapse `π∘π` into one projection.
 //! * [`joins_to_semijoins`] — **semijoin reduction**: rewrite
 //!   `π_cols(E₁ ⋈θ E₂)` into `π_cols(E₁ ⋉θ E₂)` whenever `cols` only
 //!   references the left operand and θ is *right-lossless* for the kept
@@ -21,6 +21,10 @@
 //!   [`OptimizeLevel::run`] is the one fixpoint driver, and `sj-eval`'s
 //!   `Engine` carries a level as its optimizer configuration.
 //! * [`optimize`] — [`OptimizeLevel::Full`] by its classical name.
+//!
+//! Each pass is written as its rule arms, then [`Expr::map_children`]:
+//! a node where no rule fires is rebuilt from the pass applied to its
+//! children, so a pass states only what it rewrites.
 
 use crate::error::AlgebraError;
 use crate::expr::{Expr, Selection};
@@ -117,87 +121,62 @@ fn remap_selection(sel: &Selection, cols: &[usize]) -> Option<Selection> {
 /// left-side selection); subexpressions whose arity cannot be determined
 /// are conservatively left untouched.
 pub fn push_down_selections(e: &Expr, schema: &Schema) -> Expr {
-    match e {
-        Expr::Select(sel, inner) => {
-            let inner = push_down_selections(inner, schema);
-            match inner {
-                // σ(E₁ ∪ E₂) = σ(E₁) ∪ σ(E₂)
-                Expr::Union(a, b) => push_down_selections(&Expr::Select(sel.clone(), a), schema)
-                    .union(push_down_selections(&Expr::Select(sel.clone(), b), schema)),
-                // σ(E₁ − E₂) = σ(E₁) − E₂  (difference filters the left)
-                Expr::Diff(a, b) => {
-                    push_down_selections(&Expr::Select(sel.clone(), a), schema).diff(*b)
-                }
-                // σ(π_cols(E)) = π_cols(σ'(E)) with columns remapped —
-                // every output column of π is an input column, so any
-                // selection survives the trip below the projection.
-                Expr::Project(cols, a) => match remap_selection(sel, &cols) {
-                    Some(remapped) => {
-                        push_down_selections(&Expr::Select(remapped, a), schema).project(cols)
-                    }
-                    None => Expr::Select(sel.clone(), Box::new(a.project(cols))),
-                },
-                // σ(E₁ ⋈θ E₂) = σ(E₁) ⋈θ E₂ when σ only references the
-                // left operand's columns (all ≤ n₁).
-                Expr::Join(theta, a, b) => match a.arity(schema) {
-                    Ok(n1) if sel.columns().iter().all(|&c| c >= 1 && c <= n1) => {
-                        push_down_selections(&Expr::Select(sel.clone(), a), schema).join(theta, *b)
-                    }
-                    _ => Expr::Select(sel.clone(), Box::new(a.join(theta, *b))),
-                },
-                Expr::Semijoin(theta, a, b) => {
-                    // A semijoin's output columns are the left operand's;
-                    // every selection on it is a left selection.
-                    let pushed = push_down_selections(&Expr::Select(sel.clone(), a), schema);
-                    pushed.semijoin(theta, *b)
-                }
-                other => Expr::Select(sel.clone(), Box::new(other)),
+    let Expr::Select(sel, inner) = e else {
+        return e.map_children_infallible(|c| push_down_selections(c, schema));
+    };
+    match push_down_selections(inner, schema) {
+        // σ(E₁ ∪ E₂) = σ(E₁) ∪ σ(E₂)
+        Expr::Union(a, b) => push_down_selections(&Expr::Select(sel.clone(), a), schema)
+            .union(push_down_selections(&Expr::Select(sel.clone(), b), schema)),
+        // σ(E₁ − E₂) = σ(E₁) − E₂  (difference filters the left)
+        Expr::Diff(a, b) => push_down_selections(&Expr::Select(sel.clone(), a), schema).diff(*b),
+        // σ(π_cols(E)) = π_cols(σ'(E)) with columns remapped —
+        // every output column of π is an input column, so any
+        // selection survives the trip below the projection.
+        Expr::Project(cols, a) => match remap_selection(sel, &cols) {
+            Some(remapped) => {
+                push_down_selections(&Expr::Select(remapped, a), schema).project(cols)
             }
+            None => Expr::Select(sel.clone(), Box::new(a.project(cols))),
+        },
+        // σ(E₁ ⋈θ E₂) = σ(E₁) ⋈θ E₂ when σ only references the
+        // left operand's columns (all ≤ n₁).
+        Expr::Join(theta, a, b) => match a.arity(schema) {
+            Ok(n1) if sel.columns().iter().all(|&c| c >= 1 && c <= n1) => {
+                push_down_selections(&Expr::Select(sel.clone(), a), schema).join(theta, *b)
+            }
+            _ => Expr::Select(sel.clone(), Box::new(a.join(theta, *b))),
+        },
+        Expr::Semijoin(theta, a, b) => {
+            // A semijoin's output columns are the left operand's;
+            // every selection on it is a left selection.
+            let pushed = push_down_selections(&Expr::Select(sel.clone(), a), schema);
+            pushed.semijoin(theta, *b)
         }
-        Expr::Union(a, b) => push_down_selections(a, schema).union(push_down_selections(b, schema)),
-        Expr::Diff(a, b) => push_down_selections(a, schema).diff(push_down_selections(b, schema)),
-        Expr::Project(cols, a) => push_down_selections(a, schema).project(cols.clone()),
-        Expr::ConstTag(c, a) => push_down_selections(a, schema).tag(c.clone()),
-        Expr::Join(t, a, b) => {
-            push_down_selections(a, schema).join(t.clone(), push_down_selections(b, schema))
-        }
-        Expr::Semijoin(t, a, b) => {
-            push_down_selections(a, schema).semijoin(t.clone(), push_down_selections(b, schema))
-        }
-        Expr::GroupCount(cols, a) => push_down_selections(a, schema).group_count(cols.clone()),
-        Expr::Rel(_) => e.clone(),
+        other => Expr::Select(sel.clone(), Box::new(other)),
     }
 }
 
-/// Merge nested projections (`π_p(π_q(E)) = π_{q∘p}(E)`) and drop
-/// identity projections when the arity is syntactically evident.
+/// Merge nested projections: `π_p(π_q(E)) = π_{q∘p}(E)`. An identity
+/// projection stays: whether it is one depends on the schema, which this
+/// pass does not read.
 ///
 /// Malformed nodes (an outer column outside the inner projection's range)
 /// are left unchanged rather than composed: the rewrite is total on any
 /// input, validated or not, and never panics — `optimize` validates up
 /// front, but this function is public on its own.
 pub fn prune_projections(e: &Expr) -> Expr {
-    match e {
-        Expr::Project(outer, inner) => {
-            let inner = prune_projections(inner);
-            match inner {
-                Expr::Project(inner_cols, base)
-                    if outer.iter().all(|&o| o >= 1 && o <= inner_cols.len()) =>
-                {
-                    let composed: Vec<usize> = outer.iter().map(|&o| inner_cols[o - 1]).collect();
-                    prune_projections(&base.project(composed))
-                }
-                other => other.project(outer.clone()),
-            }
+    let Expr::Project(outer, inner) = e else {
+        return e.map_children_infallible(prune_projections);
+    };
+    match prune_projections(inner) {
+        Expr::Project(inner_cols, base)
+            if outer.iter().all(|&o| o >= 1 && o <= inner_cols.len()) =>
+        {
+            let composed: Vec<usize> = outer.iter().map(|&o| inner_cols[o - 1]).collect();
+            prune_projections(&base.project(composed))
         }
-        Expr::Union(a, b) => prune_projections(a).union(prune_projections(b)),
-        Expr::Diff(a, b) => prune_projections(a).diff(prune_projections(b)),
-        Expr::Select(s, a) => Expr::Select(s.clone(), Box::new(prune_projections(a))),
-        Expr::ConstTag(c, a) => prune_projections(a).tag(c.clone()),
-        Expr::Join(t, a, b) => prune_projections(a).join(t.clone(), prune_projections(b)),
-        Expr::Semijoin(t, a, b) => prune_projections(a).semijoin(t.clone(), prune_projections(b)),
-        Expr::GroupCount(cols, a) => prune_projections(a).group_count(cols.clone()),
-        Expr::Rel(_) => e.clone(),
+        other => other.project(outer.clone()),
     }
 }
 
@@ -217,31 +196,17 @@ pub fn prune_projections(e: &Expr) -> Expr {
 /// The rewrite therefore fires on condition 1 alone, for joins under a
 /// projection. It applies recursively.
 pub fn joins_to_semijoins(e: &Expr, schema: &Schema) -> Result<Expr, AlgebraError> {
-    Ok(match e {
-        Expr::Project(cols, inner) => {
-            if let Expr::Join(theta, a, b) = inner.as_ref() {
-                let n1 = a.arity(schema)?;
-                if cols.iter().all(|&c| c <= n1) {
-                    let a2 = joins_to_semijoins(a, schema)?;
-                    let b2 = joins_to_semijoins(b, schema)?;
-                    return Ok(a2.semijoin(theta.clone(), b2).project(cols.clone()));
-                }
+    if let Expr::Project(cols, inner) = e {
+        if let Expr::Join(theta, a, b) = inner.as_ref() {
+            let n1 = a.arity(schema)?;
+            if cols.iter().all(|&c| c <= n1) {
+                let a2 = joins_to_semijoins(a, schema)?;
+                let b2 = joins_to_semijoins(b, schema)?;
+                return Ok(a2.semijoin(theta.clone(), b2).project(cols.clone()));
             }
-            joins_to_semijoins(inner, schema)?.project(cols.clone())
         }
-        Expr::Union(a, b) => joins_to_semijoins(a, schema)?.union(joins_to_semijoins(b, schema)?),
-        Expr::Diff(a, b) => joins_to_semijoins(a, schema)?.diff(joins_to_semijoins(b, schema)?),
-        Expr::Select(s, a) => Expr::Select(s.clone(), Box::new(joins_to_semijoins(a, schema)?)),
-        Expr::ConstTag(c, a) => joins_to_semijoins(a, schema)?.tag(c.clone()),
-        Expr::Join(t, a, b) => {
-            joins_to_semijoins(a, schema)?.join(t.clone(), joins_to_semijoins(b, schema)?)
-        }
-        Expr::Semijoin(t, a, b) => {
-            joins_to_semijoins(a, schema)?.semijoin(t.clone(), joins_to_semijoins(b, schema)?)
-        }
-        Expr::GroupCount(cols, a) => joins_to_semijoins(a, schema)?.group_count(cols.clone()),
-        Expr::Rel(_) => e.clone(),
-    })
+    }
+    e.map_children(|c| joins_to_semijoins(c, schema))
 }
 
 #[cfg(test)]

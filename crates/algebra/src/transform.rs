@@ -18,7 +18,9 @@
 //! and only needed — for SA=.)
 
 use crate::condition::{Atom, Condition};
+use crate::error::AlgebraError;
 use crate::expr::Expr;
+use sj_storage::Schema;
 
 /// Rewrite every semijoin into the linear join/project form:
 ///
@@ -33,77 +35,33 @@ use crate::expr::Expr;
 /// schema parameter; it fails only if the expression is ill-formed over the
 /// schema. The result contains no `Semijoin` node and computes the same
 /// query; if the input was SA=, the output is a **linear** RA= expression.
-pub fn semijoins_to_joins_checked(
-    e: &Expr,
-    schema: &sj_storage::Schema,
-) -> Result<Expr, crate::error::AlgebraError> {
-    // Bottom-up rewrite carrying arities.
-    fn go(
-        e: &Expr,
-        schema: &sj_storage::Schema,
-    ) -> Result<(Expr, usize), crate::error::AlgebraError> {
-        Ok(match e {
-            Expr::Rel(n) => {
-                let a = Expr::Rel(n.clone()).arity(schema)?;
-                (Expr::Rel(n.clone()), a)
-            }
-            Expr::Union(a, b) => {
-                let (ea, na) = go(a, schema)?;
-                let (eb, _) = go(b, schema)?;
-                (ea.union(eb), na)
-            }
-            Expr::Diff(a, b) => {
-                let (ea, na) = go(a, schema)?;
-                let (eb, _) = go(b, schema)?;
-                (ea.diff(eb), na)
-            }
-            Expr::Project(cols, a) => {
-                let (ea, _) = go(a, schema)?;
-                (ea.project(cols.clone()), cols.len())
-            }
-            Expr::Select(sel, a) => {
-                let (ea, na) = go(a, schema)?;
-                (Expr::Select(sel.clone(), Box::new(ea)), na)
-            }
-            Expr::ConstTag(c, a) => {
-                let (ea, na) = go(a, schema)?;
-                (ea.tag(c.clone()), na + 1)
-            }
-            Expr::Join(t, a, b) => {
-                let (ea, na) = go(a, schema)?;
-                let (eb, nb) = go(b, schema)?;
-                (ea.join(t.clone(), eb), na + nb)
-            }
-            Expr::GroupCount(cols, a) => {
-                let (ea, _) = go(a, schema)?;
-                (ea.group_count(cols.clone()), cols.len() + 1)
-            }
-            Expr::Semijoin(theta, a, b) => {
-                let (ea, na) = go(a, schema)?;
-                let (eb, _) = go(b, schema)?;
-                let mut j_cols: Vec<usize> = theta.atoms().iter().map(|at| at.right).collect();
-                j_cols.sort_unstable();
-                j_cols.dedup();
-                let remapped = Condition::new(theta.atoms().iter().map(|at| Atom {
-                    left: at.left,
-                    op: at.op,
-                    right: j_cols.binary_search(&at.right).unwrap() + 1,
-                }));
-                let lowered = ea.join(remapped, eb.project(j_cols)).project(1..=na);
-                (lowered, na)
-            }
-        })
+pub fn semijoins_to_joins_checked(e: &Expr, schema: &Schema) -> Result<Expr, AlgebraError> {
+    fn go(e: &Expr, schema: &Schema) -> Result<Expr, AlgebraError> {
+        let Expr::Semijoin(theta, a, b) = e else {
+            return e.map_children(|c| go(c, schema));
+        };
+        let mut j_cols: Vec<usize> = theta.atoms().iter().map(|at| at.right).collect();
+        j_cols.sort_unstable();
+        j_cols.dedup();
+        let remapped = Condition::new(theta.atoms().iter().map(|at| Atom {
+            left: at.left,
+            op: at.op,
+            right: j_cols.binary_search(&at.right).unwrap() + 1,
+        }));
+        let na = a.arity(schema)?;
+        Ok(go(a, schema)?
+            .join(remapped, go(b, schema)?.project(j_cols))
+            .project(1..=na))
     }
     // Validate first so errors surface with the original expression.
     e.arity(schema)?;
-    go(e, schema).map(|(e, _)| e)
+    go(e, schema)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::display::to_text;
-    use sj_storage::Schema;
 
     #[test]
     fn lowers_binary_semijoin_like_paper_note() {

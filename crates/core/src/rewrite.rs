@@ -128,26 +128,13 @@ pub fn to_sa_eq(e: &Expr, schema: &Schema) -> Result<Expr, CoreError> {
 }
 
 fn rewrite(e: &Expr, schema: &Schema) -> Result<Expr, CoreError> {
-    Ok(match e {
-        Expr::Rel(n) => Expr::Rel(n.clone()),
-        Expr::Union(a, b) => rewrite(a, schema)?.union(rewrite(b, schema)?),
-        Expr::Diff(a, b) => rewrite(a, schema)?.diff(rewrite(b, schema)?),
-        Expr::Project(cols, a) => rewrite(a, schema)?.project(cols.clone()),
-        Expr::Select(sel, a) => Expr::Select(sel.clone(), Box::new(rewrite(a, schema)?)),
-        Expr::ConstTag(c, a) => rewrite(a, schema)?.tag(c.clone()),
-        Expr::Semijoin(theta, a, b) => {
-            if !theta.is_equi() {
-                return Err(CoreError::NotLinearSafe(
-                    "semijoin with a non-equality condition is linear but outside SA=".into(),
-                ));
-            }
-            rewrite(a, schema)?.semijoin(theta.clone(), rewrite(b, schema)?)
-        }
-        Expr::GroupCount(..) => {
-            return Err(CoreError::NotLinearSafe(
-                "grouping is outside the relational algebra (Section 5 extension)".into(),
-            ))
-        }
+    match e {
+        Expr::Semijoin(theta, ..) if !theta.is_equi() => Err(CoreError::NotLinearSafe(
+            "semijoin with a non-equality condition is linear but outside SA=".into(),
+        )),
+        Expr::GroupCount(..) => Err(CoreError::NotLinearSafe(
+            "grouping is outside the relational algebra (Section 5 extension)".into(),
+        )),
         Expr::Join(theta, a, b) => {
             let sa = rewrite(a, schema)?;
             let sb = rewrite(b, schema)?;
@@ -160,17 +147,18 @@ fn rewrite(e: &Expr, schema: &Schema) -> Result<Expr, CoreError> {
             let right_determined = (1..=n2).all(|j| eq_right.contains(&j) || cb[j - 1].is_some());
             let left_determined = (1..=n1).all(|i| eq_left.contains(&i) || ca[i - 1].is_some());
             if right_determined {
-                rewrite_right_determined(theta, sa, sb, n1, n2, &cb)?
+                rewrite_right_determined(theta, sa, sb, n1, n2, &cb)
             } else if left_determined {
-                rewrite_left_determined(theta, sa, sb, n1, n2, &ca)?
+                rewrite_left_determined(theta, sa, sb, n1, n2, &ca)
             } else {
-                return Err(CoreError::NotLinearSafe(format!(
+                Err(CoreError::NotLinearSafe(format!(
                     "join {theta}: neither side has all columns equality-constrained \
                      or constant"
-                )));
+                )))
             }
         }
-    })
+        _ => e.map_children(|c| rewrite(c, schema)),
+    }
 }
 
 /// `g(j) = min{ i | (i, j) ∈ θ= }` — the paper's retrieval function.

@@ -84,36 +84,7 @@ fn reorder_expr(e: &Expr, schema: &Schema, est: &Estimator<'_>) -> Expr {
             return g.join_expr_with(&tree, &leaves);
         }
     }
-    // Generic recursion for everything that is not a join chain root.
-    match e {
-        Expr::Rel(_) => e.clone(),
-        Expr::Union(a, b) => Expr::Union(
-            Box::new(reorder_expr(a, schema, est)),
-            Box::new(reorder_expr(b, schema, est)),
-        ),
-        Expr::Diff(a, b) => Expr::Diff(
-            Box::new(reorder_expr(a, schema, est)),
-            Box::new(reorder_expr(b, schema, est)),
-        ),
-        Expr::Project(cols, a) => {
-            Expr::Project(cols.clone(), Box::new(reorder_expr(a, schema, est)))
-        }
-        Expr::Select(sel, a) => Expr::Select(sel.clone(), Box::new(reorder_expr(a, schema, est))),
-        Expr::ConstTag(c, a) => Expr::ConstTag(c.clone(), Box::new(reorder_expr(a, schema, est))),
-        Expr::Join(theta, a, b) => Expr::Join(
-            theta.clone(),
-            Box::new(reorder_expr(a, schema, est)),
-            Box::new(reorder_expr(b, schema, est)),
-        ),
-        Expr::Semijoin(theta, a, b) => Expr::Semijoin(
-            theta.clone(),
-            Box::new(reorder_expr(a, schema, est)),
-            Box::new(reorder_expr(b, schema, est)),
-        ),
-        Expr::GroupCount(cols, a) => {
-            Expr::GroupCount(cols.clone(), Box::new(reorder_expr(a, schema, est)))
-        }
-    }
+    e.map_children_infallible(|c| reorder_expr(c, schema, est))
 }
 
 /// The cheapest association order for `g` under the `C_out` metric,
