@@ -23,17 +23,29 @@
 //!
 //! Round-trip guarantee: `parse(&to_text(e)) == e` for every well-formed
 //! expression (see the property test in the crate tests).
+//!
+//! Operators nest at most [`MAX_DEPTH`] deep, so over-deep input is a
+//! parse error rather than a stack overflow.
 
 use crate::condition::{Atom, CompOp, Condition};
 use crate::error::AlgebraError;
 use crate::expr::{Expr, Selection};
 use sj_storage::Value;
 
-/// Parse an expression; see the module docs for the grammar.
+/// The deepest operator nesting [`parse`] accepts: each operator is one
+/// level, and a relation name none. The committed tests, examples and
+/// round trips parse at most 100 deep (`tests::nested_deeply`). Without
+/// the bound, a debug build (rustc 1.95) on a 2 MiB test thread parses
+/// 304 nested projections and overflows at 305.
+pub const MAX_DEPTH: usize = 200;
+
+/// Parse an expression; see the module docs for the grammar. Input
+/// nested deeper than [`MAX_DEPTH`] is a parse error.
 pub fn parse(input: &str) -> Result<Expr, AlgebraError> {
     let mut p = Parser {
         input: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let e = p.expr()?;
     p.skip_ws();
@@ -46,6 +58,8 @@ pub fn parse(input: &str) -> Result<Expr, AlgebraError> {
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Operators open at the current byte.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -222,7 +236,12 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// An operator's `n` parenthesized operands, one level deeper.
     fn paren_args(&mut self, n: usize) -> Result<Vec<Expr>, AlgebraError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nested deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
         self.expect(b'(')?;
         let mut args = Vec::with_capacity(n);
         for k in 0..n {
@@ -232,6 +251,7 @@ impl<'a> Parser<'a> {
             args.push(self.expr()?);
         }
         self.expect(b')')?;
+        self.depth -= 1;
         Ok(args)
     }
 
@@ -376,6 +396,33 @@ mod tests {
     fn whitespace_insensitive() {
         let e = parse("  join [ 1 = 1 ] ( R ,  S )  ").unwrap();
         assert_eq!(to_text(&e), "join[1=1](R, S)");
+    }
+
+    fn projections(n: usize) -> String {
+        format!("{}R{}", "project[1](".repeat(n), ")".repeat(n))
+    }
+
+    #[test]
+    fn over_deep_input_is_a_parse_error() {
+        let err = parse(&projections(100_000)).unwrap_err();
+        assert!(matches!(err, AlgebraError::Parse { .. }), "{err}");
+        assert!(err.to_string().contains("nested deeper than 200"), "{err}");
+        // Every operator is one level, binary ones included.
+        let joins = format!(
+            "{}R{}",
+            "join[true](R, ".repeat(100_000),
+            ")".repeat(100_000)
+        );
+        assert!(parse(&joins).is_err());
+    }
+
+    #[test]
+    fn max_depth_is_accepted_and_one_more_is_not() {
+        assert_eq!(
+            parse(&projections(MAX_DEPTH)).unwrap().depth(),
+            MAX_DEPTH + 1
+        );
+        assert!(parse(&projections(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

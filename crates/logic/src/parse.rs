@@ -23,6 +23,10 @@
 //! `parse_formula(&to_ascii(f)) == f` up to connective re-association
 //! (the printer parenthesizes fully, so round-tripping is exact — see the
 //! property test).
+//!
+//! Nesting is bounded by [`MAX_DEPTH`], so over-deep input is a parse
+//! error rather than a stack overflow, both while parsing and when the
+//! formula is dropped or walked later.
 
 use crate::error::LogicError;
 use crate::formula::Formula;
@@ -60,14 +64,27 @@ pub fn to_ascii(f: &Formula) -> String {
     }
 }
 
+/// The deepest nesting [`parse_formula`] accepts. Two depths are held to
+/// it: the productions open at any point of the input (each parenthesis,
+/// `!`, `->` and quantifier body), and the height of the formula built,
+/// which counts each connective — every `&`, `|` or `<->` link of a chain
+/// too, though the parser reads a chain in a loop. The committed tests,
+/// examples and round trips parse at most 47 deep (a `sa_to_gf`
+/// translation re-parsed in `tests/gf_pipeline.rs`). Without the bound,
+/// a debug build (rustc 1.95) on a 2 MiB test thread parses 140 nested
+/// parentheses, the costliest production per level, and overflows at 141.
+pub const MAX_DEPTH: usize = 100;
+
 /// Parse a GF formula from the ASCII grammar. Guardedness is *not*
 /// enforced here (use [`Formula::check_guarded`]); the syntax is.
+/// Input nested deeper than [`MAX_DEPTH`] is a parse error.
 pub fn parse_formula(input: &str) -> Result<Formula, LogicError> {
     let mut p = P {
         b: input.as_bytes(),
         i: 0,
+        open: 0,
     };
-    let f = p.iff()?;
+    let (f, _) = p.iff()?;
     p.ws();
     if p.i != p.b.len() {
         return Err(p.err("trailing input"));
@@ -75,14 +92,48 @@ pub fn parse_formula(input: &str) -> Result<Formula, LogicError> {
     Ok(f)
 }
 
+/// A parsed formula and its height: the connectives on its longest path.
+type Node = (Formula, usize);
+
 struct P<'a> {
     b: &'a [u8],
     i: usize,
+    /// Productions open at the current byte.
+    open: usize,
 }
 
 impl<'a> P<'a> {
     fn err(&self, m: &str) -> LogicError {
         LogicError::Unguarded(format!("parse error at byte {}: {m}", self.i))
+    }
+
+    /// `depth` itself, or the parse error past [`MAX_DEPTH`].
+    fn bounded(&self, depth: usize) -> Result<usize, LogicError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err(&format!("nested deeper than {MAX_DEPTH}")));
+        }
+        Ok(depth)
+    }
+
+    /// Parse `inner` one production deeper.
+    fn nested<T>(
+        &mut self,
+        inner: impl FnOnce(&mut Self) -> Result<T, LogicError>,
+    ) -> Result<T, LogicError> {
+        self.open = self.bounded(self.open + 1)?;
+        let out = inner(self)?;
+        self.open -= 1;
+        Ok(out)
+    }
+
+    /// The connective `op` over two parsed operands.
+    fn link(
+        &self,
+        (a, ha): Node,
+        (b, hb): Node,
+        op: fn(Formula, Formula) -> Formula,
+    ) -> Result<Node, LogicError> {
+        Ok((op(a, b), self.bounded(ha.max(hb) + 1)?))
     }
 
     fn ws(&mut self) {
@@ -174,70 +225,75 @@ impl<'a> P<'a> {
         }
     }
 
-    fn iff(&mut self) -> Result<Formula, LogicError> {
+    fn iff(&mut self) -> Result<Node, LogicError> {
         let mut f = self.implies()?;
         while self.eat("<->") {
-            f = f.iff(self.implies()?);
+            let g = self.implies()?;
+            f = self.link(f, g, Formula::iff)?;
         }
         Ok(f)
     }
 
-    fn implies(&mut self) -> Result<Formula, LogicError> {
+    fn implies(&mut self) -> Result<Node, LogicError> {
         let f = self.or()?;
         if self.eat("->") {
             // right-associative
-            Ok(f.implies(self.implies()?))
+            let g = self.nested(Self::implies)?;
+            self.link(f, g, Formula::implies)
         } else {
             Ok(f)
         }
     }
 
-    fn or(&mut self) -> Result<Formula, LogicError> {
+    fn or(&mut self) -> Result<Node, LogicError> {
         let mut f = self.and()?;
         loop {
             // careful not to consume the '|' of nothing else; '|' only.
             self.ws();
             if self.b.get(self.i) == Some(&b'|') {
                 self.i += 1;
-                f = f.or(self.and()?);
+                let g = self.and()?;
+                f = self.link(f, g, Formula::or)?;
             } else {
                 return Ok(f);
             }
         }
     }
 
-    fn and(&mut self) -> Result<Formula, LogicError> {
+    fn and(&mut self) -> Result<Node, LogicError> {
         let mut f = self.unary()?;
         loop {
             self.ws();
             if self.b.get(self.i) == Some(&b'&') {
                 self.i += 1;
-                f = f.and(self.unary()?);
+                let g = self.unary()?;
+                f = self.link(f, g, Formula::and)?;
             } else {
                 return Ok(f);
             }
         }
     }
 
-    fn unary(&mut self) -> Result<Formula, LogicError> {
+    fn unary(&mut self) -> Result<Node, LogicError> {
         if self.eat("!") {
-            return Ok(self.unary()?.not());
+            let (f, h) = self.nested(Self::unary)?;
+            return Ok((f.not(), self.bounded(h + 1)?));
         }
         self.atom()
     }
 
-    fn atom(&mut self) -> Result<Formula, LogicError> {
+    fn atom(&mut self) -> Result<Node, LogicError> {
         if self.peek() == Some(b'(') {
             self.i += 1;
-            let f = self.iff()?;
+            let f = self.nested(Self::iff)?;
             self.expect(")")?;
             return Ok(f);
         }
         let save = self.i;
         let name = self.ident()?;
         match name.as_str() {
-            "true" => return Ok(Formula::Bool(true)),
-            "false" => return Ok(Formula::Bool(false)),
+            "true" => return Ok((Formula::Bool(true), 0)),
+            "false" => return Ok((Formula::Bool(false), 0)),
             "exists" => {
                 let vars = self.vars()?;
                 self.expect("(")?;
@@ -246,19 +302,20 @@ impl<'a> P<'a> {
                 let guard_args = self.vars()?;
                 self.expect(")")?;
                 self.expect("&")?;
-                let body = self.iff()?;
+                let (body, h) = self.nested(Self::iff)?;
                 self.expect(")")?;
-                return Ok(Formula::Exists {
+                let f = Formula::Exists {
                     vars,
                     guard_rel,
                     guard_args,
                     body: Box::new(body),
-                });
+                };
+                return Ok((f, self.bounded(h + 1)?));
             }
             _ => {}
         }
         // Relation atom, equality, or comparison.
-        match self.peek() {
+        let leaf = match self.peek() {
             Some(b'(') => {
                 self.i += 1;
                 let args = self.vars()?;
@@ -282,7 +339,8 @@ impl<'a> P<'a> {
                 Ok(Formula::Lt(name, self.ident()?))
             }
             _ => Err(self.err("expected '(', '=', or '<' after identifier")),
-        }
+        };
+        Ok((leaf?, 0))
     }
 }
 
@@ -357,6 +415,43 @@ mod tests {
             "3=x",
         ] {
             assert!(parse_formula(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    /// `n` levels of one nesting production around `R(x)`.
+    fn nested(kind: &str, n: usize) -> String {
+        match kind {
+            "(" => format!("{}R(x){}", "(".repeat(n), ")".repeat(n)),
+            "!" => format!("{}R(x)", "!".repeat(n)),
+            "exists" => format!("{}R(x){}", "exists y (R(x,y) & ".repeat(n), ")".repeat(n)),
+            link => vec!["R(x)"; n + 1].join(link),
+        }
+    }
+
+    const PRODUCTIONS: [&str; 7] = ["(", "!", "exists", " & ", " | ", " -> ", " <-> "];
+
+    #[test]
+    fn over_deep_input_is_a_parse_error() {
+        for kind in PRODUCTIONS {
+            let err = parse_formula(&nested(kind, 100_000)).unwrap_err();
+            assert!(
+                err.to_string().contains("nested deeper than 100"),
+                "{kind:?}: {err}"
+            );
+        }
+        // A flat chain is parsed in a loop, but the formula it builds is
+        // as deep as the chain is long.
+        assert!(parse_formula(&nested(" & ", 1_000_000)).is_err());
+    }
+
+    #[test]
+    fn max_depth_is_accepted_and_one_more_is_not() {
+        for kind in PRODUCTIONS {
+            assert!(parse_formula(&nested(kind, MAX_DEPTH)).is_ok(), "{kind:?}");
+            assert!(
+                parse_formula(&nested(kind, MAX_DEPTH + 1)).is_err(),
+                "{kind:?}"
+            );
         }
     }
 
