@@ -20,7 +20,7 @@
 //!
 //! Then `I* ∪ {m}` is the certificate.
 
-use crate::check::Bisimulation;
+use crate::check::{back_and_forth, Bisimulation};
 use crate::iso::{check_c_partial_iso, PartialIso};
 use sj_storage::{Database, Tuple, Value};
 
@@ -49,35 +49,13 @@ pub fn maximal_bisimulation(a: &Database, b: &Database, constants: &[Value]) -> 
             let snapshot = current.clone();
             current
                 .into_iter()
-                .filter(|f| survives(f, &snapshot, &guarded_a, &guarded_b))
+                .filter(|f| back_and_forth(f, &snapshot, &guarded_a, &guarded_b).is_none())
                 .collect()
         };
         if current.len() == before {
             return current;
         }
     }
-}
-
-/// Forth and back for `f` within the candidate set `i`.
-fn survives(
-    f: &PartialIso,
-    i: &[PartialIso],
-    guarded_a: &[Vec<Value>],
-    guarded_b: &[Vec<Value>],
-) -> bool {
-    let dom = f.domain();
-    let ran = f.range();
-    let forth = guarded_a.iter().all(|x_prime| {
-        i.iter()
-            .any(|g| g.domain() == *x_prime && f.agrees_forward(g, &dom))
-    });
-    if !forth {
-        return false;
-    }
-    guarded_b.iter().all(|y_prime| {
-        i.iter()
-            .any(|g| g.range() == *y_prime && f.agrees_backward(g, &ran))
-    })
 }
 
 /// Decide `A, ā ∼ᶜ B, b̄`: is there a C-guarded bisimulation containing
@@ -101,7 +79,7 @@ pub fn are_bisimilar(
     let maximal = maximal_bisimulation(a, b, constants);
     let guarded_a = a.guarded_sets();
     let guarded_b = b.guarded_sets();
-    if !survives(&m, &maximal, &guarded_a, &guarded_b) {
+    if back_and_forth(&m, &maximal, &guarded_a, &guarded_b).is_some() {
         return None;
     }
     let mut isos = maximal;
