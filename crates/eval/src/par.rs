@@ -50,11 +50,6 @@ impl Parallelism {
             Parallelism::Threads(n) => sj_setjoin::parallel::resolve_workers(n),
         }
     }
-
-    /// True iff more than one worker would run.
-    pub fn is_parallel(self) -> bool {
-        self.workers() > 1
-    }
 }
 
 impl fmt::Display for Parallelism {
@@ -81,9 +76,6 @@ mod tests {
             Parallelism::Threads(usize::MAX).workers(),
             sj_setjoin::parallel::MAX_WORKERS
         );
-        assert!(!Parallelism::Serial.is_parallel());
-        assert!(!Parallelism::Threads(1).is_parallel());
-        assert!(Parallelism::Threads(2).is_parallel());
     }
 
     #[test]

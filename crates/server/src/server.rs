@@ -880,11 +880,6 @@ impl Server {
         self.shared.metrics.clone()
     }
 
-    /// Worker-pool size.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Cached expressions, each holding a plan, an answer or both
     /// (introspection for tests/monitoring).
     pub fn cache_len(&self) -> usize {

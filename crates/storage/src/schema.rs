@@ -72,11 +72,6 @@ impl Schema {
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.arities.keys().map(|n| n.as_str())
     }
-
-    /// The maximum arity over all relations (0 for the empty schema).
-    pub fn max_arity(&self) -> usize {
-        self.arities.values().copied().max().unwrap_or(0)
-    }
 }
 
 impl fmt::Display for Schema {
@@ -110,7 +105,6 @@ mod tests {
         assert_eq!(s.arity_of("X"), None);
         assert!(s.contains("S"));
         assert_eq!(s.len(), 3);
-        assert_eq!(s.max_arity(), 3);
     }
 
     #[test]

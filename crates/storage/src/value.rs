@@ -64,12 +64,6 @@ impl Value {
         }
     }
 
-    /// True iff the value is an integer.
-    #[inline]
-    pub fn is_int(&self) -> bool {
-        matches!(self, Value::Int(_))
-    }
-
     /// A display form without quotes, used in rendered tables.
     pub fn render(&self) -> Cow<'_, str> {
         match self {
@@ -156,8 +150,6 @@ mod tests {
         assert_eq!(Value::int(3).as_str(), None);
         assert_eq!(Value::str("x").as_str(), Some("x"));
         assert_eq!(Value::str("x").as_int(), None);
-        assert!(Value::int(0).is_int());
-        assert!(!Value::str("0").is_int());
     }
 
     #[test]

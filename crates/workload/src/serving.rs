@@ -147,17 +147,6 @@ impl ServingWorkload {
             })
             .collect()
     }
-
-    /// A read-only variant of the trace (same seed, same zipf stream,
-    /// writes and ANALYZEs suppressed) — the steady-state phase for
-    /// measuring cache-hot throughput.
-    pub fn read_only(&self) -> ServingWorkload {
-        ServingWorkload {
-            write_fraction: 0.0,
-            analyze_fraction: 0.0,
-            ..self.clone()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -228,12 +217,6 @@ mod tests {
             "head queries should carry most traffic: {head}/{}",
             trace.len()
         );
-    }
-
-    #[test]
-    fn read_only_variant_has_no_writes() {
-        let w = ServingWorkload::default().read_only();
-        assert!(w.trace().iter().all(|op| matches!(op, TraceOp::Query(_))));
     }
 
     #[test]
