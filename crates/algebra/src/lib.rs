@@ -28,7 +28,7 @@
 //!   edges) graphs and rebuilding them in any association order — the
 //!   substrate of the cost-based join-order search in `sj-eval`.
 //!
-//! Every `Expr → Expr` pass — the [`optimize`] rewrites,
+//! Every `Expr → Expr` pass — the [`mod@optimize`] rewrites,
 //! [`Expr::desugared`], [`transform::semijoins_to_joins_checked`], and
 //! outside this crate the Theorem 18 rewriter and the join-order search —
 //! is written as the match arms where its rule fires, then one fallback

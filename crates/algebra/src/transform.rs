@@ -46,7 +46,7 @@ pub fn semijoins_to_joins_checked(e: &Expr, schema: &Schema) -> Result<Expr, Alg
         let remapped = Condition::new(theta.atoms().iter().map(|at| Atom {
             left: at.left,
             op: at.op,
-            right: j_cols.binary_search(&at.right).unwrap() + 1,
+            right: j_cols.partition_point(|&c| c < at.right) + 1,
         }));
         let na = a.arity(schema)?;
         Ok(go(a, schema)?
