@@ -147,9 +147,14 @@ fn rewrite(e: &Expr, schema: &Schema) -> Result<Expr, CoreError> {
             let right_determined = (1..=n2).all(|j| eq_right.contains(&j) || cb[j - 1].is_some());
             let left_determined = (1..=n1).all(|i| eq_left.contains(&i) || ca[i - 1].is_some());
             if right_determined {
-                rewrite_right_determined(theta, sa, sb, n1, n2, &cb)
+                let (z, cols) = rewrite_right_determined(theta, sa, sb, n1, n2, &cb);
+                Ok(z.project(cols))
             } else if left_determined {
-                rewrite_left_determined(theta, sa, sb, n1, n2, &ca)
+                // Z₁ is Z₂ of the mirrored join E₂ ⋈_θ' E₁, whose output
+                // (b̄, ā) the projection rotates back to (ā, b̄).
+                let (z, mut cols) = rewrite_right_determined(&theta.swapped(), sb, sa, n2, n1, &ca);
+                cols.rotate_left(n2);
+                Ok(z.project(cols))
             } else {
                 Err(CoreError::NotLinearSafe(format!(
                     "join {theta}: neither side has all columns equality-constrained \
@@ -171,20 +176,10 @@ fn g_of(theta: &Condition, j: usize) -> Option<usize> {
         .min()
 }
 
-/// `h(i) = min{ j | (i, j) ∈ θ= }` — the symmetric retrieval function.
-fn h_of(theta: &Condition, i: usize) -> Option<usize> {
-    theta
-        .theta(CompOp::Eq)
-        .into_iter()
-        .filter(|&(ii, _)| ii == i)
-        .map(|(_, j)| j)
-        .min()
-}
-
 /// The `Z₂` shape: every right column is retrievable from the left tuple
-/// (via `g`) or constant. Build
-/// `π_p̄( τ_c̄( σ_ψ(E₁) ⋉_{θ=} E₂ ) )` where ψ re-expresses the non-equality
-/// atoms against retrieved/constant right values.
+/// (via `g`) or constant. Build `τ_c̄( σ_ψ(E₁) ⋉_{θ=} E₂ )`, where ψ
+/// re-expresses the non-equality atoms against retrieved/constant right
+/// values, beside the columns `p̄` of its final projection onto (ā, b̄).
 fn rewrite_right_determined(
     theta: &Condition,
     sa: Expr,
@@ -192,7 +187,7 @@ fn rewrite_right_determined(
     n1: usize,
     n2: usize,
     cb: &[Option<Value>],
-) -> Result<Expr, CoreError> {
+) -> (Expr, Vec<usize>) {
     // ψ: residual atoms as selections on E₁.
     let mut left = sa;
     for atom in theta.atoms() {
@@ -215,7 +210,7 @@ fn rewrite_right_determined(
     let eq_cond = Condition::new(theta.atoms().iter().filter(|a| a.op == CompOp::Eq).copied());
     let filtered = left.semijoin(eq_cond, sb);
     // Tag the constants needed for unconstrained right columns, then
-    // project (ā, reconstructed b̄).
+    // read off (ā, reconstructed b̄).
     let mut tagged = filtered;
     let mut tag_pos: Vec<(usize, usize)> = Vec::new(); // (j, column position)
     let mut next = n1 + 1;
@@ -237,73 +232,7 @@ fn rewrite_right_determined(
             }
         }
     }
-    Ok(tagged.project(proj))
-}
-
-/// The `Z₁` shape, symmetric to [`rewrite_right_determined`]: every left
-/// column is retrievable from the right tuple (via `h`) or constant.
-fn rewrite_left_determined(
-    theta: &Condition,
-    sa: Expr,
-    sb: Expr,
-    n1: usize,
-    n2: usize,
-    ca: &[Option<Value>],
-) -> Result<Expr, CoreError> {
-    let mut right = sb;
-    for atom in theta.atoms() {
-        if atom.op == CompOp::Eq {
-            continue;
-        }
-        // Atom is leftᵢ α rightⱼ; express on E₂: retrieved(i) α j.
-        match h_of(theta, atom.left) {
-            Some(hi) => {
-                right = select_cols(right, hi, atom.op, atom.right);
-            }
-            None => {
-                let c = ca[atom.left - 1]
-                    .as_ref()
-                    .expect("left_determined: unconstrained column is constant");
-                // c α rightⱼ  ⟺  rightⱼ ᾱ c with the operator flipped.
-                right = select_vs_const(right, n2, atom.right, atom.op.flipped(), c);
-            }
-        }
-    }
-    let eq_swapped = Condition::new(
-        theta
-            .atoms()
-            .iter()
-            .filter(|a| a.op == CompOp::Eq)
-            .map(|a| sj_algebra::Atom {
-                left: a.right,
-                op: CompOp::Eq,
-                right: a.left,
-            }),
-    );
-    let filtered = right.semijoin(eq_swapped, sa);
-    let mut tagged = filtered;
-    let mut tag_pos: Vec<(usize, usize)> = Vec::new();
-    let mut next = n2 + 1;
-    for i in 1..=n1 {
-        if h_of(theta, i).is_none() {
-            let c = ca[i - 1].as_ref().expect("constant column");
-            tagged = tagged.tag(c.clone());
-            tag_pos.push((i, next));
-            next += 1;
-        }
-    }
-    let mut proj: Vec<usize> = Vec::with_capacity(n1 + n2);
-    for i in 1..=n1 {
-        match h_of(theta, i) {
-            Some(hi) => proj.push(hi),
-            None => {
-                let &(_, pos) = tag_pos.iter().find(|&&(ii, _)| ii == i).unwrap();
-                proj.push(pos);
-            }
-        }
-    }
-    proj.extend(1..=n2);
-    Ok(tagged.project(proj))
+    (tagged, proj)
 }
 
 #[cfg(test)]
@@ -374,6 +303,19 @@ mod tests {
         assert_rewrite_equivalent(&e2);
         let e3 = Expr::rel("R").join(Condition::eq(2, 1).and(1, CompOp::Neq, 1), Expr::rel("U1"));
         assert_rewrite_equivalent(&e3);
+        // Left-determined: U1 ⋈_{1=2 ∧ 1 α 1} R selects on R, whose
+        // column 2 carries U1's column 1.
+        for op in [CompOp::Lt, CompOp::Gt, CompOp::Neq] {
+            let e = Expr::rel("U1").join(Condition::eq(1, 2).and(1, op, 1), Expr::rel("R"));
+            assert_rewrite_equivalent(&e);
+        }
+        // Left-determined through a constant left column: σ₁₌₃(R)'s
+        // column 1 is compared with S's column 2 as the constant 3.
+        for op in [CompOp::Lt, CompOp::Neq] {
+            let left = Expr::rel("R").select_const(1, 3);
+            let e = left.join(Condition::eq(2, 1).and(1, op, 2), Expr::rel("S"));
+            assert_rewrite_equivalent(&e);
+        }
     }
 
     #[test]

@@ -12,7 +12,12 @@
 //! * [`translate`] — both directions of Theorem 8:
 //!   [`translate::gf_to_sa`] (full GF with constants → SA=, relative to
 //!   C-stored answers) and [`translate::sa_to_gf`] (constant-tagging-free
-//!   SA= → GF).
+//!   SA= → GF). `sa_to_gf` guards each projection and semijoin witness
+//!   by the stored relations the subexpression itself reads, so the
+//!   formula grows linearly in the expression; `gf_to_sa` ranges over all
+//!   C-stored tuples where the formula names no guard (the atoms `true`,
+//!   `false`, `x = y`, `x < y` and `x = c`, negation, and the widening of
+//!   `∧`/`∨` operands to their joint variables).
 
 pub mod distinguish;
 pub mod error;

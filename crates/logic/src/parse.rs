@@ -3,11 +3,9 @@
 //! Grammar (precedence low → high: `<->`, `->`, `|`, `&`, `!`):
 //!
 //! ```text
-//! formula := iff
-//! iff     := implies ( "<->" implies )*
-//! implies := or ( "->" or )*              -- right-associative
-//! or      := and ( "|" and )*
-//! and     := unary ( "&" unary )*
+//! formula := unary ( binop unary )*      -- by precedence: one loop
+//! binop   := "<->" | "->" | "|" | "&"     -- loosest first; "->" is
+//!                                         -- right-associative
 //! unary   := "!" unary | atom
 //! atom    := "true" | "false"
 //!          | "exists" vars "(" IDENT "(" vars ")" "&" formula ")"
@@ -68,12 +66,15 @@ pub fn to_ascii(f: &Formula) -> String {
 /// it: the productions open at any point of the input (each parenthesis,
 /// `!`, `->` and quantifier body), and the height of the formula built,
 /// which counts each connective — every `&`, `|` or `<->` link of a chain
-/// too, though the parser reads a chain in a loop. The committed tests,
-/// examples and round trips parse at most 47 deep (a `sa_to_gf`
-/// translation re-parsed in `tests/gf_pipeline.rs`). Without the bound,
-/// a debug build (rustc 1.95) on a 2 MiB test thread parses 140 nested
-/// parentheses, the costliest production per level, and overflows at 141.
-pub const MAX_DEPTH: usize = 100;
+/// too, though the parser reads a chain in a loop. Outside the parser's
+/// own depth and fuzz tests, the committed tests, examples and round
+/// trips parse at most 17 deep (the eight-semijoin `sa_to_gf` chain
+/// re-parsed in `tests/gf_pipeline.rs`; Example 3's translation is 9
+/// deep). Without the bound, a debug build (rustc 1.95) on a 2 MiB test
+/// thread parses 193 nested parentheses or quantifier bodies, the
+/// costliest productions per level, and overflows at 194: the bound keeps
+/// that margin at 1.4.
+pub const MAX_DEPTH: usize = 137;
 
 /// Parse a GF formula from the ASCII grammar. Guardedness is *not*
 /// enforced here (use [`Formula::check_guarded`]); the syntax is.
@@ -84,7 +85,7 @@ pub fn parse_formula(input: &str) -> Result<Formula, LogicError> {
         i: 0,
         open: 0,
     };
-    let (f, _) = p.iff()?;
+    let (f, _) = p.binary(0)?;
     p.ws();
     if p.i != p.b.len() {
         return Err(p.err("trailing input"));
@@ -94,6 +95,18 @@ pub fn parse_formula(input: &str) -> Result<Formula, LogicError> {
 
 /// A parsed formula and its height: the connectives on its longest path.
 type Node = (Formula, usize);
+
+/// The formula a binary connective builds from its two operands.
+type Connective = fn(Formula, Formula) -> Formula;
+
+/// The binary connectives, loosest first: token, right-associative, and
+/// the formula it builds.
+const BINARY: [(&str, bool, Connective); 4] = [
+    ("<->", false, Formula::iff),
+    ("->", true, Formula::implies),
+    ("|", false, Formula::or),
+    ("&", false, Formula::and),
+];
 
 struct P<'a> {
     b: &'a [u8],
@@ -127,12 +140,7 @@ impl<'a> P<'a> {
     }
 
     /// The connective `op` over two parsed operands.
-    fn link(
-        &self,
-        (a, ha): Node,
-        (b, hb): Node,
-        op: fn(Formula, Formula) -> Formula,
-    ) -> Result<Node, LogicError> {
+    fn link(&self, (a, ha): Node, (b, hb): Node, op: Connective) -> Result<Node, LogicError> {
         Ok((op(a, b), self.bounded(ha.max(hb) + 1)?))
     }
 
@@ -225,53 +233,20 @@ impl<'a> P<'a> {
         }
     }
 
-    fn iff(&mut self) -> Result<Node, LogicError> {
-        let mut f = self.implies()?;
-        while self.eat("<->") {
-            let g = self.implies()?;
-            f = self.link(f, g, Formula::iff)?;
+    /// A formula whose connectives all bind at least as tightly as
+    /// `BINARY[loosest]`: precedence climbing over [`BINARY`].
+    fn binary(&mut self, loosest: usize) -> Result<Node, LogicError> {
+        let mut f = self.unary()?;
+        while let Some(level) = (loosest..BINARY.len()).find(|&l| self.eat(BINARY[l].0)) {
+            let (_, right_assoc, op) = BINARY[level];
+            let g = if right_assoc {
+                self.nested(|p| p.binary(level))?
+            } else {
+                self.binary(level + 1)?
+            };
+            f = self.link(f, g, op)?;
         }
         Ok(f)
-    }
-
-    fn implies(&mut self) -> Result<Node, LogicError> {
-        let f = self.or()?;
-        if self.eat("->") {
-            // right-associative
-            let g = self.nested(Self::implies)?;
-            self.link(f, g, Formula::implies)
-        } else {
-            Ok(f)
-        }
-    }
-
-    fn or(&mut self) -> Result<Node, LogicError> {
-        let mut f = self.and()?;
-        loop {
-            // careful not to consume the '|' of nothing else; '|' only.
-            self.ws();
-            if self.b.get(self.i) == Some(&b'|') {
-                self.i += 1;
-                let g = self.and()?;
-                f = self.link(f, g, Formula::or)?;
-            } else {
-                return Ok(f);
-            }
-        }
-    }
-
-    fn and(&mut self) -> Result<Node, LogicError> {
-        let mut f = self.unary()?;
-        loop {
-            self.ws();
-            if self.b.get(self.i) == Some(&b'&') {
-                self.i += 1;
-                let g = self.unary()?;
-                f = self.link(f, g, Formula::and)?;
-            } else {
-                return Ok(f);
-            }
-        }
     }
 
     fn unary(&mut self) -> Result<Node, LogicError> {
@@ -285,7 +260,7 @@ impl<'a> P<'a> {
     fn atom(&mut self) -> Result<Node, LogicError> {
         if self.peek() == Some(b'(') {
             self.i += 1;
-            let f = self.nested(Self::iff)?;
+            let f = self.nested(|p| p.binary(0))?;
             self.expect(")")?;
             return Ok(f);
         }
@@ -302,7 +277,7 @@ impl<'a> P<'a> {
                 let guard_args = self.vars()?;
                 self.expect(")")?;
                 self.expect("&")?;
-                let (body, h) = self.nested(Self::iff)?;
+                let (body, h) = self.nested(|p| p.binary(0))?;
                 self.expect(")")?;
                 let f = Formula::Exists {
                     vars,
@@ -330,7 +305,7 @@ impl<'a> P<'a> {
                 }
             }
             Some(b'<') => {
-                // not '<->' (handled by iff); here a bare comparison
+                // not '<->' (a connective); here a bare comparison
                 if self.b.get(self.i + 1) == Some(&b'-') {
                     self.i = save;
                     return Err(self.err("unexpected '<-'"));
@@ -435,7 +410,8 @@ mod tests {
         for kind in PRODUCTIONS {
             let err = parse_formula(&nested(kind, 100_000)).unwrap_err();
             assert!(
-                err.to_string().contains("nested deeper than 100"),
+                err.to_string()
+                    .contains(&format!("nested deeper than {MAX_DEPTH}")),
                 "{kind:?}: {err}"
             );
         }

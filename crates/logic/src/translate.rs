@@ -21,12 +21,20 @@
 //!
 //! Every SA= output tuple is **C-stored** (Definition 4): its non-constant
 //! values sit inside a single stored tuple. Therefore a projection or
-//! semijoin witness can always be *guarded* by a relation atom, by
-//! disjoining over all relation names `R` and all mappings from expression
-//! columns to positions of `R` — a finite case split that converts
-//! unguarded ∃ into guarded ∃. Conversely, GF's guarded ∃ quantifies over
-//! tuples of a single relation, which a semijoin against that relation
-//! simulates.
+//! semijoin witness can always be *guarded* by a relation atom, which
+//! converts unguarded ∃ into guarded ∃. `sa_to_gf` reads the atom off the
+//! expression: each subexpression carries a list of *guards* `(R, g)`, a
+//! relation and a map from the subexpression's columns to positions of
+//! `R`, such that each output tuple `t` fits at least one — some stored
+//! `R`-tuple `s` has `t[l] = s[g(l)]` for every column `l`. `R` is its own
+//! guard under the identity; `σ`, `−` and `⋉` output tuples of their left
+//! operand and keep its guards; `∪` takes both operands' guards and `π`
+//! composes each guard's map with its column list. The list is enough
+//! because it follows every place an output tuple can come from, so a
+//! projection (or semijoin) becomes one guarded case per guard of the
+//! subexpression (of the right operand), each holding the subformula once.
+//! Conversely, GF's guarded ∃ quantifies over tuples of a single relation,
+//! which a semijoin against that relation simulates.
 
 use crate::error::LogicError;
 use crate::formula::{Formula, Var};
@@ -78,35 +86,12 @@ pub fn stored_tuples_expr(
         for c in constants {
             base = base.tag(c.clone());
         }
+        // Every map {1..k} → {1..pool}, as the k base-`pool` digits of
+        // an index, the last digit varying fastest.
         let pool = m + constants.len(); // columns to draw from
-        if k == 0 {
-            terms.push(base.project(Vec::<usize>::new()));
-            continue;
-        }
-        if pool == 0 {
-            continue; // arity-0 relation, no constants: nothing to draw
-        }
-        // Enumerate all maps {0..k} → {1..pool} with an odometer.
-        let mut idx = vec![1usize; k];
-        loop {
-            terms.push(base.clone().project(idx.clone()));
-            let mut pos = k;
-            let mut done = false;
-            loop {
-                if pos == 0 {
-                    done = true;
-                    break;
-                }
-                pos -= 1;
-                idx[pos] += 1;
-                if idx[pos] <= pool {
-                    break;
-                }
-                idx[pos] = 1;
-            }
-            if done {
-                break;
-            }
+        for i in 0..pool.pow(k as u32) {
+            let cols = (0..k).rev().map(|d| i / pool.pow(d as u32) % pool + 1);
+            terms.push(base.clone().project(cols.collect::<Vec<_>>()));
         }
     }
     terms
@@ -187,6 +172,39 @@ fn expand_to(
     Ok(stored.semijoin(Condition::eq_pairs(pairs), e_sub))
 }
 
+/// The relation atom `R(x̄)` as `R` with an equality selection for each
+/// repeated variable; beside it the distinct variables in order of first
+/// occurrence and the column where each first occurs.
+fn relation_atom(
+    r: &str,
+    args: &[Var],
+    schema: &Schema,
+) -> Result<(Expr, Vec<Var>, Vec<usize>), LogicError> {
+    let bad = |message: String| LogicError::BadRelationAtom {
+        relation: r.to_string(),
+        message,
+    };
+    let m = schema
+        .arity_of(r)
+        .ok_or_else(|| bad("not in schema".into()))?;
+    if m != args.len() {
+        return Err(bad(format!("arity {m} but {} arguments", args.len())));
+    }
+    let mut expr = Expr::rel(r);
+    let mut distinct: Vec<Var> = Vec::new();
+    let mut first_cols: Vec<usize> = Vec::new();
+    for (pos, v) in args.iter().enumerate() {
+        match distinct.iter().position(|w| w == v) {
+            Some(d) => expr = expr.select_eq(first_cols[d], pos + 1),
+            None => {
+                distinct.push(v.clone());
+                first_cols.push(pos + 1);
+            }
+        }
+    }
+    Ok((expr, distinct, first_cols))
+}
+
 fn translate_formula(
     f: &Formula,
     schema: &Schema,
@@ -237,35 +255,10 @@ fn translate_formula(
             free_vars: vec![x.clone()],
         }),
         Formula::Rel(r, args) => {
-            let m = schema
-                .arity_of(r)
-                .ok_or_else(|| LogicError::BadRelationAtom {
-                    relation: r.clone(),
-                    message: "not in schema".into(),
-                })?;
-            if m != args.len() {
-                return Err(LogicError::BadRelationAtom {
-                    relation: r.clone(),
-                    message: format!("arity {m} but {} arguments", args.len()),
-                });
-            }
-            // Distinct variables in first-occurrence order, equality
-            // selections for repeats.
-            let mut distinct: Vec<Var> = Vec::new();
-            let mut expr = Expr::rel(r);
-            let mut first_pos: Vec<usize> = Vec::new();
-            for (pos, v) in args.iter().enumerate() {
-                match args[..pos].iter().position(|w| w == v) {
-                    Some(first) => expr = expr.select_eq(first + 1, pos + 1),
-                    None => {
-                        distinct.push(v.clone());
-                        first_pos.push(pos + 1);
-                    }
-                }
-            }
+            let (expr, free_vars, cols) = relation_atom(r, args, schema)?;
             Ok(SaQuery {
-                expr: expr.project(first_pos),
-                free_vars: distinct,
+                expr: expr.project(cols),
+                free_vars,
             })
         }
         Formula::Not(g) => {
@@ -306,45 +299,15 @@ fn translate_formula(
             guard_args,
             body,
         } => {
-            let m = schema
-                .arity_of(guard_rel)
-                .ok_or_else(|| LogicError::BadRelationAtom {
-                    relation: guard_rel.clone(),
-                    message: "not in schema".into(),
-                })?;
-            if m != guard_args.len() {
-                return Err(LogicError::BadRelationAtom {
-                    relation: guard_rel.clone(),
-                    message: format!("arity {m} but {} arguments", guard_args.len()),
-                });
-            }
-            // Guard with repeat-equalities (full arity kept).
-            let mut guard = Expr::rel(guard_rel);
-            let mut distinct: Vec<Var> = Vec::new();
-            let mut first_pos_of: BTreeMap<Var, usize> = BTreeMap::new();
-            for (pos, v) in guard_args.iter().enumerate() {
-                match first_pos_of.get(v) {
-                    Some(&first) => guard = guard.select_eq(first + 1, pos + 1),
-                    None => {
-                        distinct.push(v.clone());
-                        first_pos_of.insert(v.clone(), pos);
-                    }
-                }
-            }
+            let (guard, distinct, first_cols) = relation_atom(guard_rel, guard_args, schema)?;
+            let col_of = |v: &Var| {
+                let d = distinct.iter().position(|w| w == v);
+                first_cols[d.expect("guardedness checked: body var occurs in guard")]
+            };
             // Filter by the body: semijoin on the body's free variables
             // (all occur in the guard by guardedness).
             let sub = translate_formula(body, schema, constants)?;
-            let pairs: Vec<(usize, usize)> = sub
-                .free_vars
-                .iter()
-                .enumerate()
-                .map(|(sub_pos, v)| {
-                    let gpos = first_pos_of
-                        .get(v)
-                        .expect("guardedness checked: body var occurs in guard");
-                    (gpos + 1, sub_pos + 1)
-                })
-                .collect();
+            let pairs: Vec<(usize, usize)> = sub.free_vars.iter().map(col_of).zip(1..).collect();
             let filtered = guard.semijoin(Condition::eq_pairs(pairs), sub.expr);
             // Project onto the un-quantified guard variables.
             let free: Vec<Var> = distinct
@@ -352,7 +315,7 @@ fn translate_formula(
                 .filter(|v| !vars.contains(v))
                 .cloned()
                 .collect();
-            let cols: Vec<usize> = free.iter().map(|v| first_pos_of[v] + 1).collect();
+            let cols: Vec<usize> = free.iter().map(col_of).collect();
             Ok(SaQuery {
                 expr: filtered.project(cols),
                 free_vars: free,
@@ -385,6 +348,18 @@ impl Fresh {
     }
 }
 
+/// A stored relation that holds an expression's output: column `l` of the
+/// output tuple is position `map[l]` (0-based) of some tuple of `rel`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Guard {
+    rel: String,
+    map: Vec<usize>,
+}
+
+/// A translated subexpression: its formula, the free variables naming its
+/// columns, and guards of which every output tuple fits at least one.
+type Translated = (Formula, Vec<Var>, Vec<Guard>);
+
 /// Translate an SA= expression into an equivalent GF formula (Theorem 8,
 /// first statement): `{d̄ | D ⊨ φ_E(d̄)} = E(D)` for every database `D`.
 ///
@@ -394,7 +369,7 @@ impl Fresh {
 pub fn sa_to_gf(e: &Expr, schema: &Schema) -> Result<GfQuery, LogicError> {
     e.arity(schema)?;
     let mut fresh = Fresh { n: 0 };
-    let (formula, free_vars) = translate_expr(e, schema, &mut fresh)?;
+    let (formula, free_vars, _) = translate_expr(e, schema, &mut fresh)?;
     debug_assert!(formula.check_guarded().is_ok());
     Ok(GfQuery { formula, free_vars })
 }
@@ -404,78 +379,74 @@ fn rename(f: &Formula, from: &[Var], to: &[Var]) -> Formula {
     f.rename_free(&map)
 }
 
-fn translate_expr(
-    e: &Expr,
-    schema: &Schema,
-    fresh: &mut Fresh,
-) -> Result<(Formula, Vec<Var>), LogicError> {
+/// The guards in order, each once.
+fn distinct_guards(guards: impl IntoIterator<Item = Guard>) -> Vec<Guard> {
+    let mut out: Vec<Guard> = Vec::new();
+    for g in guards {
+        if !out.contains(&g) {
+            out.push(g);
+        }
+    }
+    out
+}
+
+fn translate_expr(e: &Expr, schema: &Schema, fresh: &mut Fresh) -> Result<Translated, LogicError> {
     match e {
         Expr::Rel(r) => {
             let k = schema.arity_of(r).expect("validated");
             let vars = fresh.frees(k);
-            Ok((Formula::Rel(r.clone(), vars.clone()), vars))
+            let guard = Guard {
+                rel: r.clone(),
+                map: (0..k).collect(),
+            };
+            Ok((Formula::Rel(r.clone(), vars.clone()), vars, vec![guard]))
         }
         Expr::Union(a, b) => {
-            let (fa, va) = translate_expr(a, schema, fresh)?;
-            let (fb, vb) = translate_expr(b, schema, fresh)?;
-            Ok((fa.or(rename(&fb, &vb, &va)), va))
+            let (fa, va, ga) = translate_expr(a, schema, fresh)?;
+            let (fb, vb, gb) = translate_expr(b, schema, fresh)?;
+            Ok((
+                fa.or(rename(&fb, &vb, &va)),
+                va,
+                distinct_guards(ga.into_iter().chain(gb)),
+            ))
         }
         Expr::Diff(a, b) => {
-            let (fa, va) = translate_expr(a, schema, fresh)?;
-            let (fb, vb) = translate_expr(b, schema, fresh)?;
-            Ok((fa.and(rename(&fb, &vb, &va).not()), va))
+            let (fa, va, ga) = translate_expr(a, schema, fresh)?;
+            let (fb, vb, _) = translate_expr(b, schema, fresh)?;
+            Ok((fa.and(rename(&fb, &vb, &va).not()), va, ga))
         }
         Expr::Select(sel, a) => {
-            let (fa, va) = translate_expr(a, schema, fresh)?;
+            let (fa, va, ga) = translate_expr(a, schema, fresh)?;
             let atom = match sel {
                 Selection::Eq(i, j) => Formula::Eq(va[i - 1].clone(), va[j - 1].clone()),
                 Selection::Lt(i, j) => Formula::Lt(va[i - 1].clone(), va[j - 1].clone()),
                 Selection::EqConst(i, c) => Formula::EqConst(va[i - 1].clone(), c.clone()),
             };
-            Ok((fa.and(atom), va))
+            Ok((fa.and(atom), va, ga))
         }
         Expr::Project(cols, a) => {
-            let n = a.arity(schema).expect("validated");
-            let (fa, va) = translate_expr(a, schema, fresh)?;
-            if n == 0 {
+            let (fa, va, ga) = translate_expr(a, schema, fresh)?;
+            let guards = distinct_guards(ga.iter().map(|g| Guard {
+                rel: g.rel.clone(),
+                map: cols.iter().map(|&c| g.map[c - 1]).collect(),
+            }));
+            if va.is_empty() {
                 // cols is necessarily empty.
-                return Ok((fa, vec![]));
+                return Ok((fa, vec![], guards));
             }
+            // The output tuple is a projection of some tuple of `a`, which
+            // sits inside a stored tuple of one of `a`'s guards.
             let out_vars = fresh.frees(cols.len());
-            // Disjoin over every relation R and every map f from the
-            // subexpression's columns into R's positions: the output tuple,
-            // being ∅-stored, sits inside some stored R-tuple.
-            let mut cases: Vec<Formula> = Vec::new();
-            for (rel_name, m) in schema.iter() {
-                if m == 0 {
-                    continue;
-                }
-                let mut map_idx = vec![0usize; n];
-                loop {
-                    cases.push(projection_case(
-                        &fa, &va, cols, &out_vars, rel_name, m, &map_idx, fresh,
-                    ));
-                    // odometer over maps {0..n} → {0..m}
-                    let mut pos = n;
-                    let mut done = false;
-                    loop {
-                        if pos == 0 {
-                            done = true;
-                            break;
-                        }
-                        pos -= 1;
-                        map_idx[pos] += 1;
-                        if map_idx[pos] < m {
-                            break;
-                        }
-                        map_idx[pos] = 0;
-                    }
-                    if done {
-                        break;
-                    }
-                }
-            }
-            Ok((Formula::or_all(cases), out_vars))
+            let claims: Vec<(Var, usize)> = out_vars
+                .iter()
+                .cloned()
+                .zip(cols.iter().map(|&c| c - 1))
+                .collect();
+            let cases: Vec<Formula> = ga
+                .iter()
+                .map(|g| guarded_case(&claims, g, schema, &fa, &va, fresh))
+                .collect();
+            Ok((Formula::or_all(cases), out_vars, guards))
         }
         Expr::Semijoin(theta, a, b) => {
             if !theta.is_equi() {
@@ -483,45 +454,26 @@ fn translate_expr(
                     "sa_to_gf requires equality-only semijoin conditions (SA=)".into(),
                 ));
             }
-            let (fa, va) = translate_expr(a, schema, fresh)?;
-            let n2 = b.arity(schema).expect("validated");
-            let (fb, vb) = translate_expr(b, schema, fresh)?;
-            if n2 == 0 {
+            let (fa, va, ga) = translate_expr(a, schema, fresh)?;
+            let (fb, vb, gb) = translate_expr(b, schema, fresh)?;
+            if vb.is_empty() {
                 // Right side is nullary: the semijoin keeps the left side
                 // iff the right side is the nonempty nullary relation,
                 // i.e. iff φ_b (a sentence) holds.
-                return Ok((fa.and(fb), va));
+                return Ok((fa.and(fb), va, ga));
             }
-            let mut cases: Vec<Formula> = Vec::new();
-            for (rel_name, m) in schema.iter() {
-                if m == 0 {
-                    continue;
-                }
-                let mut map_idx = vec![0usize; n2];
-                loop {
-                    cases.push(semijoin_case(
-                        theta, &fb, &vb, &va, rel_name, m, &map_idx, fresh,
-                    ));
-                    let mut pos = n2;
-                    let mut done = false;
-                    loop {
-                        if pos == 0 {
-                            done = true;
-                            break;
-                        }
-                        pos -= 1;
-                        map_idx[pos] += 1;
-                        if map_idx[pos] < m {
-                            break;
-                        }
-                        map_idx[pos] = 0;
-                    }
-                    if done {
-                        break;
-                    }
-                }
-            }
-            Ok((fa.and(Formula::or_all(cases)), va))
+            // The witness sits inside a stored tuple of one of `b`'s
+            // guards; θ reads its constrained columns off the left tuple.
+            let claims: Vec<(Var, usize)> = theta
+                .atoms()
+                .iter()
+                .map(|t| (va[t.left - 1].clone(), t.right - 1))
+                .collect();
+            let cases: Vec<Formula> = gb
+                .iter()
+                .map(|g| guarded_case(&claims, g, schema, &fb, &vb, fresh))
+                .collect();
+            Ok((fa.and(Formula::or_all(cases)), va, ga))
         }
         Expr::ConstTag(..) => Err(LogicError::UnsupportedExpression(
             "sa_to_gf does not handle constant-tagging (τ_c); the cited \
@@ -537,33 +489,31 @@ fn translate_expr(
     }
 }
 
-/// One `(R, f)` case of the projection translation:
-/// `⋀ outer-equalities ∧ ∃ȳ (R(ū) ∧ φ_a[column l ↦ u_{f(l)}])` where
-/// `u_{f(colsⱼ)}` is the output variable `xⱼ` (first claimant; later
-/// claimants contribute outer equalities) and the unclaimed positions are
-/// fresh quantified variables.
-#[allow(clippy::too_many_arguments)]
-fn projection_case(
-    fa: &Formula,
-    va: &[Var],
-    cols: &[usize],
-    out_vars: &[Var],
-    rel_name: &str,
-    m: usize,
-    map_idx: &[usize],
+/// `⋀ equalities ∧ ∃ȳ (R(ū) ∧ φ[vₗ ↦ u_{g(l)}])` for one guard `(R, g)` of
+/// the subexpression `φ(v̄)`. A claim `(x, l)` puts the variable `x` at
+/// position `g(l)` of `R`; a later claim on a position held by another
+/// variable adds an equality instead. The unclaimed positions are the
+/// fresh quantified variables `ȳ`.
+fn guarded_case(
+    claims: &[(Var, usize)],
+    guard: &Guard,
+    schema: &Schema,
+    body: &Formula,
+    body_vars: &[Var],
     fresh: &mut Fresh,
 ) -> Formula {
-    let mut guard_vars: Vec<Option<Var>> = vec![None; m];
-    let mut outer_eqs: Vec<Formula> = Vec::new();
-    for (j, &col) in cols.iter().enumerate() {
-        let p = map_idx[col - 1];
-        match &guard_vars[p] {
-            None => guard_vars[p] = Some(out_vars[j].clone()),
-            Some(u) => outer_eqs.push(Formula::Eq(out_vars[j].clone(), u.clone())),
+    let m = schema.arity_of(&guard.rel).expect("validated");
+    let mut slots: Vec<Option<Var>> = vec![None; m];
+    let mut equalities: Vec<Formula> = Vec::new();
+    for (x, l) in claims {
+        match &slots[guard.map[*l]] {
+            None => slots[guard.map[*l]] = Some(x.clone()),
+            Some(u) if u != x => equalities.push(Formula::Eq(x.clone(), u.clone())),
+            Some(_) => {}
         }
     }
     let mut quantified: Vec<Var> = Vec::new();
-    let guard_args: Vec<Var> = guard_vars
+    let guard_args: Vec<Var> = slots
         .into_iter()
         .map(|slot| {
             slot.unwrap_or_else(|| {
@@ -573,70 +523,14 @@ fn projection_case(
             })
         })
         .collect();
-    let body_vars: Vec<Var> = (0..va.len())
-        .map(|l| guard_args[map_idx[l]].clone())
-        .collect();
-    let body = rename(fa, va, &body_vars);
+    let on_guard: Vec<Var> = guard.map.iter().map(|&p| guard_args[p].clone()).collect();
     let ex = Formula::Exists {
         vars: quantified,
-        guard_rel: rel_name.to_string(),
+        guard_rel: guard.rel.clone(),
         guard_args,
-        body: Box::new(body),
+        body: Box::new(rename(body, body_vars, &on_guard)),
     };
-    Formula::and_all(outer_eqs.into_iter().chain([ex]))
-}
-
-/// One `(R, f)` case of the semijoin translation: the positions of `R`
-/// hosting θ-constrained right columns take the corresponding **left**
-/// variables (free), the rest are fresh quantified variables; the body is
-/// `φ_b` with its columns read off the guard.
-#[allow(clippy::too_many_arguments)]
-fn semijoin_case(
-    theta: &Condition,
-    fb: &Formula,
-    vb: &[Var],
-    va: &[Var],
-    rel_name: &str,
-    m: usize,
-    map_idx: &[usize],
-    fresh: &mut Fresh,
-) -> Formula {
-    let mut guard_vars: Vec<Option<Var>> = vec![None; m];
-    let mut outer_eqs: Vec<Formula> = Vec::new();
-    for atom in theta.atoms() {
-        let left_var = va[atom.left - 1].clone();
-        let p = map_idx[atom.right - 1];
-        match &guard_vars[p] {
-            None => guard_vars[p] = Some(left_var),
-            Some(u) => {
-                if *u != left_var {
-                    outer_eqs.push(Formula::Eq(left_var, u.clone()));
-                }
-            }
-        }
-    }
-    let mut quantified: Vec<Var> = Vec::new();
-    let guard_args: Vec<Var> = guard_vars
-        .into_iter()
-        .map(|slot| {
-            slot.unwrap_or_else(|| {
-                let y = fresh.bound();
-                quantified.push(y.clone());
-                y
-            })
-        })
-        .collect();
-    let body_vars: Vec<Var> = (0..vb.len())
-        .map(|j| guard_args[map_idx[j]].clone())
-        .collect();
-    let body = rename(fb, vb, &body_vars);
-    let ex = Formula::Exists {
-        vars: quantified,
-        guard_rel: rel_name.to_string(),
-        guard_args,
-        body: Box::new(body),
-    };
-    Formula::and_all(outer_eqs.into_iter().chain([ex]))
+    Formula::and_all(equalities.into_iter().chain([ex]))
 }
 
 #[cfg(test)]
@@ -805,6 +699,21 @@ mod tests {
                     .semijoin(Condition::eq(2, 2), Expr::rel("Likes"))
                     .project([1]),
             ),
+            // A chain of three semijoins: each witness is guarded by the
+            // relation its own subexpression reads.
+            (0..3)
+                .fold(Expr::rel("Serves"), |inner, _| {
+                    Expr::rel("Visits").semijoin(Condition::eq(2, 1), inner)
+                })
+                .project([1]),
+            // A union under a projection carries both sides' guards.
+            Expr::rel("Likes")
+                .union(Expr::rel("Serves"))
+                .project([1])
+                .semijoin(
+                    Condition::eq(1, 2),
+                    Expr::rel("Visits").union(Expr::rel("Likes").project([2, 1])),
+                ),
         ];
         for e in exprs {
             let q = sa_to_gf(&e, &schema).unwrap();

@@ -33,6 +33,8 @@ fn main() {
     // Theorem 8, executed in both directions.
     let gf = sa_to_gf(&e3, &schema).unwrap();
     println!("Theorem 8, SA= → GF:\n  {}\n", gf.formula);
+    let via_translation = eval_query(engine.db(), &gf.formula, &gf.free_vars, &candidates);
+    assert_eq!(via_translation, drinkers.tuples().to_vec());
     let sa = gf_to_sa(&phi, &schema, &[]).unwrap();
     println!("Theorem 8, GF → SA=:\n  {}\n", sa.expr);
     assert_eq!(engine.query(sa.expr).run().unwrap().relation, drinkers);

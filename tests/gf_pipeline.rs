@@ -92,3 +92,31 @@ fn boolean_connectives_through_translation() {
         assert_eq!(got.tuples().to_vec(), want, "{text}");
     }
 }
+
+#[test]
+fn semijoin_chain_formula_grows_linearly() {
+    // π₁(R ⋉₂₌₁ (R ⋉₂₌₁ … (R ⋉₂₌₁ S))) with k semijoins. Each witness is
+    // guarded by the relation its own subexpression reads, so every
+    // semijoin adds a bounded amount of text.
+    let schema = Schema::new([("R", 2), ("S", 2)]);
+    let db = sj_workload::random_database(11, 12, 5);
+    let mut candidates = db.active_domain();
+    candidates.push(Value::int(-1));
+    let mut inner = Expr::rel("S");
+    for k in 1..=8 {
+        inner = Expr::rel("R").semijoin(Condition::eq(2, 1), inner);
+        let e = inner.clone().project([1]);
+        let gf = sa_to_gf(&e, &schema).unwrap();
+        gf.formula.check_guarded().unwrap();
+        let text = to_ascii(&gf.formula);
+        assert_eq!(parse_formula(&text).unwrap(), gf.formula, "k = {k}");
+        let want = evaluate(&e, &db).unwrap().tuples().to_vec();
+        assert!(!want.is_empty(), "k = {k}: the database answers nothing");
+        assert_eq!(
+            eval_query(&db, &gf.formula, &gf.free_vars, &candidates),
+            want,
+            "k = {k}"
+        );
+        assert!(text.len() <= 64 * k + 64, "k = {k}: {} bytes", text.len());
+    }
+}
