@@ -1,127 +1,34 @@
-//! Pretty-printing of expressions.
+//! The parseable text form of expressions.
 //!
-//! Two forms are provided:
-//!
-//! * [`to_text`] — a plain ASCII, fully parenthesized form accepted back by
-//!   the parser in [`mod@crate::parse`]: `project[1](semijoin[2=1](Visits, …))`.
-//! * [`to_unicode`] — a display form using the paper's symbols
-//!   (`π`, `σ`, `τ`, `⋈`, `⋉`, `∪`, `−`, `γ`), for reports and docs.
+//! [`to_text`] prints a plain ASCII, fully parenthesized form accepted
+//! back by the parser in [`mod@crate::parse`]:
+//! `project[1](semijoin[2=1](Visits, …))`. Each node prints as its
+//! [`Expr::label`] followed by its parenthesized operands.
 
-use crate::expr::{Expr, Selection};
+use crate::expr::Expr;
 use sj_storage::Value;
-use std::fmt::Write;
 
-fn cols_csv(cols: &[usize]) -> String {
-    cols.iter()
-        .map(|c| c.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// Render a constant as a literal the parser accepts: integers in braces
-/// (`{7}`), strings in single quotes (`'flu'`). The braces keep integer
-/// constants distinguishable from column references in selection conditions.
-fn value_literal(v: &Value) -> String {
+/// Render a constant as a literal both text grammars accept: integers in
+/// braces (`{7}`), strings in single quotes with each quote inside
+/// doubled (`'flu'`, `'it''s'`). The braces keep integer constants
+/// distinguishable from column references in selection conditions, and
+/// from strings of digits.
+pub fn value_literal(v: &Value) -> String {
     match v {
         Value::Int(i) => format!("{{{i}}}"),
-        Value::Str(s) => format!("'{s}'"),
+        Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
     }
 }
 
 /// Render the parseable ASCII form (see [`crate::parse::parse`]).
 pub fn to_text(e: &Expr) -> String {
-    let mut s = String::new();
-    write_text(e, &mut s);
-    s
-}
-
-fn write_text(e: &Expr, out: &mut String) {
-    match e {
-        Expr::Rel(n) => out.push_str(n),
-        Expr::Union(a, b) => {
-            out.push_str("union(");
-            write_text(a, out);
-            out.push_str(", ");
-            write_text(b, out);
-            out.push(')');
-        }
-        Expr::Diff(a, b) => {
-            out.push_str("diff(");
-            write_text(a, out);
-            out.push_str(", ");
-            write_text(b, out);
-            out.push(')');
-        }
-        Expr::Project(cols, a) => {
-            let _ = write!(out, "project[{}](", cols_csv(cols));
-            write_text(a, out);
-            out.push(')');
-        }
-        Expr::Select(sel, a) => {
-            match sel {
-                Selection::Eq(i, j) => {
-                    let _ = write!(out, "select[{i}={j}](");
-                }
-                Selection::Lt(i, j) => {
-                    let _ = write!(out, "select[{i}<{j}](");
-                }
-                Selection::EqConst(i, c) => {
-                    let _ = write!(out, "select[{i}={}](", value_literal(c));
-                }
-            }
-            write_text(a, out);
-            out.push(')');
-        }
-        Expr::ConstTag(c, a) => {
-            let _ = write!(out, "tag[{}](", value_literal(c));
-            write_text(a, out);
-            out.push(')');
-        }
-        Expr::Join(t, a, b) => {
-            let _ = write!(out, "join[{t}](");
-            write_text(a, out);
-            out.push_str(", ");
-            write_text(b, out);
-            out.push(')');
-        }
-        Expr::Semijoin(t, a, b) => {
-            let _ = write!(out, "semijoin[{t}](");
-            write_text(a, out);
-            out.push_str(", ");
-            write_text(b, out);
-            out.push(')');
-        }
-        Expr::GroupCount(cols, a) => {
-            let _ = write!(out, "gcount[{}](", cols_csv(cols));
-            write_text(a, out);
-            out.push(')');
-        }
+    let mut out = e.label();
+    let children = e.children();
+    if !children.is_empty() {
+        let operands: Vec<String> = children.into_iter().map(to_text).collect();
+        out = format!("{out}({})", operands.join(", "));
     }
-}
-
-/// Render the paper-style unicode form.
-pub fn to_unicode(e: &Expr) -> String {
-    match e {
-        Expr::Rel(n) => n.clone(),
-        Expr::Union(a, b) => format!("({} ∪ {})", to_unicode(a), to_unicode(b)),
-        Expr::Diff(a, b) => format!("({} − {})", to_unicode(a), to_unicode(b)),
-        Expr::Project(cols, a) => format!("π{}({})", cols_csv(cols), to_unicode(a)),
-        Expr::Select(Selection::Eq(i, j), a) => format!("σ{i}={j}({})", to_unicode(a)),
-        Expr::Select(Selection::Lt(i, j), a) => format!("σ{i}<{j}({})", to_unicode(a)),
-        Expr::Select(Selection::EqConst(i, c), a) => {
-            format!("σ{i}={}({})", value_literal(c), to_unicode(a))
-        }
-        Expr::ConstTag(c, a) => format!("τ{}({})", value_literal(c), to_unicode(a)),
-        Expr::Join(t, a, b) => {
-            format!("({} ⋈[{t}] {})", to_unicode(a), to_unicode(b))
-        }
-        Expr::Semijoin(t, a, b) => {
-            format!("({} ⋉[{t}] {})", to_unicode(a), to_unicode(b))
-        }
-        Expr::GroupCount(cols, a) => {
-            format!("γ{};count({})", cols_csv(cols), to_unicode(a))
-        }
-    }
+    out
 }
 
 impl std::fmt::Display for Expr {
@@ -158,14 +65,6 @@ mod tests {
     }
 
     #[test]
-    fn unicode_form_of_example3() {
-        let u = to_unicode(&example3());
-        assert!(u.contains('π'));
-        assert!(u.contains('⋉'));
-        assert!(u.contains('−'));
-    }
-
-    #[test]
     fn constants_and_selects() {
         let e = Expr::rel("R")
             .tag(Value::int(5))
@@ -173,9 +72,14 @@ mod tests {
             .select_lt(1, 2);
         let t = to_text(&e);
         assert_eq!(t, "select[1<2](select[1='x'](tag[{5}](R)))");
-        let u = to_unicode(&e);
-        assert!(u.contains("τ{5}"));
-        assert!(u.contains("σ1='x'"));
+    }
+
+    #[test]
+    fn quotes_inside_strings_are_doubled() {
+        let e = Expr::rel("R").select_const(1, Value::str("it's"));
+        assert_eq!(to_text(&e), "select[1='it''s'](R)");
+        assert_eq!(crate::parse(&to_text(&e)).unwrap(), e);
+        assert_eq!(value_literal(&Value::str("''")), "''''''");
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! evaluators translate to 0-based positions internally.
 
 use crate::condition::Condition;
+use crate::display::value_literal;
 use crate::error::AlgebraError;
 use sj_storage::{Schema, Value};
 use std::convert::Infallible;
@@ -520,32 +521,30 @@ impl Expr {
         h.finish()
     }
 
-    /// A short operator label, used in instrumentation reports.
+    /// A short operator label, used in instrumentation reports and as
+    /// the head of each node in [`crate::display::to_text`]: the operator
+    /// and its bracketed parameter, or a relation's name.
     pub fn label(&self) -> String {
+        let csv = |cols: &[usize]| {
+            cols.iter()
+                .map(|c| c.to_string())
+                .collect::<Vec<_>>()
+                .join(",")
+        };
         match self {
             Expr::Rel(n) => n.clone(),
             Expr::Union(..) => "union".into(),
             Expr::Diff(..) => "diff".into(),
-            Expr::Project(cols, _) => format!(
-                "project[{}]",
-                cols.iter()
-                    .map(|c| c.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ),
+            Expr::Project(cols, _) => format!("project[{}]", csv(cols)),
             Expr::Select(Selection::Eq(i, j), _) => format!("select[{i}={j}]"),
             Expr::Select(Selection::Lt(i, j), _) => format!("select[{i}<{j}]"),
-            Expr::Select(Selection::EqConst(i, c), _) => format!("select[{i}='{c}']"),
-            Expr::ConstTag(c, _) => format!("tag['{c}']"),
+            Expr::Select(Selection::EqConst(i, c), _) => {
+                format!("select[{i}={}]", value_literal(c))
+            }
+            Expr::ConstTag(c, _) => format!("tag[{}]", value_literal(c)),
             Expr::Join(t, _, _) => format!("join[{t}]"),
             Expr::Semijoin(t, _, _) => format!("semijoin[{t}]"),
-            Expr::GroupCount(cols, _) => format!(
-                "gcount[{}]",
-                cols.iter()
-                    .map(|c| c.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ),
+            Expr::GroupCount(cols, _) => format!("gcount[{}]", csv(cols)),
         }
     }
 }
@@ -774,5 +773,15 @@ mod tests {
                 .label(),
             "join[1=1]"
         );
+        // Integer and string constants label apart.
+        assert_eq!(
+            Expr::rel("R").select_const(1, Value::int(7)).label(),
+            "select[1={7}]"
+        );
+        assert_eq!(
+            Expr::rel("R").select_const(1, Value::str("7")).label(),
+            "select[1='7']"
+        );
+        assert_eq!(Expr::rel("R").tag(Value::int(-2)).label(), "tag[{-2}]");
     }
 }

@@ -19,7 +19,8 @@
 //!   fragment predicates, subexpression traversal.
 //! * [`condition`] — join/semijoin conditions θ and the Definition 20
 //!   machinery (`constrainedₗ` / `uncₗ`).
-//! * [`display`] / [`mod@parse`] — round-tripping text forms.
+//! * [`display`] / [`mod@parse`] — round-tripping text forms, and the
+//!   [`parse::Scanner`] that `sj-logic`'s formula grammar reads with too.
 //! * [`division`] — the classical division / set-join plans whose
 //!   complexity the paper analyzes, and the running-example queries.
 //! * [`transform`] — semijoin → join lowering (the linearity note under
@@ -47,7 +48,7 @@ pub mod parse;
 pub mod transform;
 
 pub use condition::{Atom, CompOp, Condition};
-pub use display::{to_text, to_unicode};
+pub use display::to_text;
 pub use error::AlgebraError;
 pub use expr::{Expr, Selection};
 pub use joingraph::{CyclePos, JoinEdge, JoinGraph, OrderTree};
@@ -82,6 +83,14 @@ mod proptests {
         .prop_map(Condition::new)
     }
 
+    /// Strings of up to `max` letters, spaces and the bytes the grammar
+    /// gives a meaning to, the quote among them.
+    fn arb_string(max: usize) -> impl Strategy<Value = String> {
+        let alphabet = "abz '{}[](),=<".chars().collect();
+        proptest::collection::vec(proptest::sample::select(alphabet), 0..=max)
+            .prop_map(String::from_iter)
+    }
+
     /// Strategy for arbitrary expressions over relations R, S (arity 2).
     /// All column references are drawn from 1..=2 so the expression is
     /// well-formed as long as sub-arities cooperate; we don't force
@@ -97,7 +106,7 @@ mod proptests {
                 (1usize..=2, 1usize..=2, inner.clone()).prop_map(|(i, j, a)| a.select_eq(i, j)),
                 (1usize..=2, 1usize..=2, inner.clone()).prop_map(|(i, j, a)| a.select_lt(i, j)),
                 (any::<i64>(), inner.clone()).prop_map(|(c, a)| a.tag(Value::int(c))),
-                ("[a-z ]{0,8}", inner.clone()).prop_map(|(s, a)| a.tag(Value::str(s))),
+                (arb_string(8), inner.clone()).prop_map(|(s, a)| a.tag(Value::str(s))),
                 (arb_condition(), inner.clone(), inner.clone()).prop_map(|(t, a, b)| a.join(t, b)),
                 (arb_condition(), inner.clone(), inner.clone())
                     .prop_map(|(t, a, b)| a.semijoin(t, b)),

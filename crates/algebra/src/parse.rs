@@ -1,5 +1,6 @@
 //! A parser for the ASCII expression form produced by
-//! [`crate::display::to_text`].
+//! [`crate::display::to_text`], and the [`Scanner`] that both text
+//! grammars read with: this one and `sj_logic`'s formula grammar.
 //!
 //! Grammar (whitespace-insensitive):
 //!
@@ -18,7 +19,7 @@
 //! cond    := "true" | atom ("," atom)*
 //! atom    := INT op INT          with op ∈ { "=", "!=", "<", ">" }
 //! literal := "{" "-"? INT "}"    -- integer constant
-//!          | "'" chars "'"       -- string constant (no escapes)
+//!          | "'" chars "'"       -- string constant; "''" is one quote
 //! ```
 //!
 //! Round-trip guarantee: `parse(&to_text(e)) == e` for every well-formed
@@ -36,287 +37,291 @@ use sj_storage::Value;
 /// level, and a relation name none. The committed tests, examples and
 /// round trips parse at most 100 deep (`tests::nested_deeply`). Without
 /// the bound, a debug build (rustc 1.95) on a 2 MiB test thread parses
-/// 304 nested projections and overflows at 305.
+/// 310 nested projections and overflows at 311.
 pub const MAX_DEPTH: usize = 200;
 
 /// Parse an expression; see the module docs for the grammar. Input
 /// nested deeper than [`MAX_DEPTH`] is a parse error.
 pub fn parse(input: &str) -> Result<Expr, AlgebraError> {
-    let mut p = Parser {
-        input: input.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    let e = p.expr()?;
-    p.skip_ws();
-    if p.pos != p.input.len() {
-        return Err(p.err("trailing input"));
-    }
+    let mut s = Scanner::new(input, MAX_DEPTH);
+    let e = expr(&mut s)?;
+    s.finish()?;
     Ok(e)
 }
 
-struct Parser<'a> {
+/// The lexical layer of both text grammars: a byte position in the
+/// input and the number of productions open at it. Every reader but
+/// [`Scanner::literal`]'s string body skips whitespace first, so the
+/// grammars are whitespace-insensitive between tokens. Errors are
+/// [`AlgebraError::Parse`] at the current byte.
+pub struct Scanner<'a> {
     input: &'a [u8],
     pos: usize,
-    /// Operators open at the current byte.
+    /// Productions open at the current byte.
     depth: usize,
+    max_depth: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn err(&self, message: impl Into<String>) -> AlgebraError {
+impl<'a> Scanner<'a> {
+    /// A scanner at the start of `input` that lets productions nest at
+    /// most `max_depth` deep.
+    pub fn new(input: &'a str, max_depth: usize) -> Self {
+        Scanner {
+            input: input.as_bytes(),
+            pos: 0,
+            depth: 0,
+            max_depth,
+        }
+    }
+
+    /// A parse error at the current byte.
+    pub fn err(&self, message: impl Into<String>) -> AlgebraError {
         AlgebraError::Parse {
             offset: self.pos,
             message: message.into(),
         }
     }
 
-    fn skip_ws(&mut self) {
-        while self.pos < self.input.len() && self.input[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
+    /// Skip whitespace; then a parse error unless the input is used up.
+    pub fn finish(&mut self) -> Result<(), AlgebraError> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(self.err("trailing input")),
         }
     }
 
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
+    /// The next byte after whitespace, not consumed.
+    pub fn peek(&mut self) -> Option<u8> {
+        self.skip(|b| b.is_ascii_whitespace());
         self.input.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), AlgebraError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
+    /// Consume `token` if the input continues with it after whitespace.
+    pub fn eat(&mut self, token: &str) -> bool {
+        self.peek();
+        let found = self.input[self.pos..].starts_with(token.as_bytes());
+        if found {
+            self.pos += token.len();
+        }
+        found
+    }
+
+    /// Consume `token`, or a parse error.
+    pub fn expect(&mut self, token: &str) -> Result<(), AlgebraError> {
+        if self.eat(token) {
             Ok(())
         } else {
-            Err(self.err(format!("expected '{}'", b as char)))
+            Err(self.err(format!("expected {token:?}")))
         }
     }
 
-    fn ident(&mut self) -> Result<String, AlgebraError> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.input.len() {
-            let b = self.input[self.pos];
-            if b.is_ascii_alphanumeric() || b == b'_' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
+    /// A run of ASCII letters, digits and `_` that does not start with a
+    /// digit.
+    pub fn ident(&mut self) -> Result<String, AlgebraError> {
+        self.peek();
+        let start = self.skip(|b| b.is_ascii_alphanumeric() || b == b'_');
         if self.pos == start || self.input[start].is_ascii_digit() {
+            self.pos = start;
             return Err(self.err("expected identifier"));
         }
         Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
     }
 
+    /// An optionally negative decimal `i64`.
     fn integer(&mut self) -> Result<i64, AlgebraError> {
-        self.skip_ws();
+        self.peek();
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        if self.input.get(self.pos) == Some(&b'-') {
             self.pos += 1;
         }
-        while self.pos < self.input.len() && self.input[self.pos].is_ascii_digit() {
+        self.skip(|b| b.is_ascii_digit());
+        let text = std::str::from_utf8(&self.input[start..self.pos]).unwrap();
+        text.parse().map_err(|_| self.err("expected integer"))
+    }
+
+    /// A constant as [`crate::display::value_literal`] prints it:
+    /// `{int}`, or `'string'` with each quote inside doubled.
+    pub fn literal(&mut self) -> Result<Value, AlgebraError> {
+        if self.eat("{") {
+            let v = self.integer()?;
+            self.expect("}")?;
+            return Ok(Value::int(v));
+        }
+        if !self.eat("'") {
+            return Err(self.err("expected literal ({int} or 'string')"));
+        }
+        let mut text = Vec::new();
+        loop {
+            let start = self.skip(|b| b != b'\'');
+            text.extend_from_slice(&self.input[start..self.pos]);
+            if self.pos == self.input.len() {
+                return Err(self.err("unterminated string literal"));
+            }
+            self.pos += 1;
+            if self.input.get(self.pos) != Some(&b'\'') {
+                return Ok(Value::str(String::from_utf8_lossy(&text)));
+            }
+            text.push(b'\'');
             self.pos += 1;
         }
-        let s = std::str::from_utf8(&self.input[start..self.pos]).unwrap();
-        s.parse::<i64>().map_err(|_| self.err("expected integer"))
     }
 
-    fn column(&mut self) -> Result<usize, AlgebraError> {
-        let v = self.integer()?;
-        usize::try_from(v).map_err(|_| self.err("column must be nonnegative"))
+    /// `depth` itself, or the parse error past the scanner's bound.
+    pub fn bounded(&self, depth: usize) -> Result<usize, AlgebraError> {
+        if depth > self.max_depth {
+            return Err(self.err(format!("nested deeper than {}", self.max_depth)));
+        }
+        Ok(depth)
     }
 
-    fn columns_until(&mut self, close: u8) -> Result<Vec<usize>, AlgebraError> {
-        let mut cols = Vec::new();
-        if self.peek() == Some(close) {
-            return Ok(cols);
-        }
-        loop {
-            cols.push(self.column()?);
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        Ok(cols)
-    }
-
-    /// `{int}` or `'string'`.
-    fn literal(&mut self) -> Result<Value, AlgebraError> {
-        match self.peek() {
-            Some(b'{') => {
-                self.pos += 1;
-                let v = self.integer()?;
-                self.expect(b'}')?;
-                Ok(Value::int(v))
-            }
-            Some(b'\'') => {
-                self.pos += 1;
-                let start = self.pos;
-                while self.pos < self.input.len() && self.input[self.pos] != b'\'' {
-                    self.pos += 1;
-                }
-                if self.pos >= self.input.len() {
-                    return Err(self.err("unterminated string literal"));
-                }
-                let s = String::from_utf8_lossy(&self.input[start..self.pos]).into_owned();
-                self.pos += 1;
-                Ok(Value::str(s))
-            }
-            _ => Err(self.err("expected literal ({int} or 'string')")),
-        }
-    }
-
-    fn comp_op(&mut self) -> Result<CompOp, AlgebraError> {
-        match self.peek() {
-            Some(b'=') => {
-                self.pos += 1;
-                Ok(CompOp::Eq)
-            }
-            Some(b'!') => {
-                self.pos += 1;
-                self.expect(b'=')?;
-                Ok(CompOp::Neq)
-            }
-            Some(b'<') => {
-                self.pos += 1;
-                Ok(CompOp::Lt)
-            }
-            Some(b'>') => {
-                self.pos += 1;
-                Ok(CompOp::Gt)
-            }
-            _ => Err(self.err("expected comparison operator")),
-        }
-    }
-
-    fn condition(&mut self) -> Result<Condition, AlgebraError> {
-        // "true" or atom list.
-        let save = self.pos;
-        if let Ok(id) = self.ident() {
-            if id == "true" {
-                return Ok(Condition::always());
-            }
-            self.pos = save;
-        } else {
-            self.pos = save;
-        }
-        let mut atoms = Vec::new();
-        loop {
-            let left = self.column()?;
-            let op = self.comp_op()?;
-            let right = self.column()?;
-            atoms.push(Atom { left, op, right });
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        Ok(Condition::new(atoms))
-    }
-
-    fn selection(&mut self) -> Result<Selection, AlgebraError> {
-        let i = self.column()?;
-        match self.peek() {
-            Some(b'=') => {
-                self.pos += 1;
-                match self.peek() {
-                    Some(b'{') | Some(b'\'') => Ok(Selection::EqConst(i, self.literal()?)),
-                    _ => Ok(Selection::Eq(i, self.column()?)),
-                }
-            }
-            Some(b'<') => {
-                self.pos += 1;
-                Ok(Selection::Lt(i, self.column()?))
-            }
-            _ => Err(self.err("expected '=' or '<' in selection")),
-        }
-    }
-
-    /// An operator's `n` parenthesized operands, one level deeper.
-    fn paren_args(&mut self, n: usize) -> Result<Vec<Expr>, AlgebraError> {
-        if self.depth == MAX_DEPTH {
-            return Err(self.err(format!("nested deeper than {MAX_DEPTH}")));
-        }
-        self.depth += 1;
-        self.expect(b'(')?;
-        let mut args = Vec::with_capacity(n);
-        for k in 0..n {
-            if k > 0 {
-                self.expect(b',')?;
-            }
-            args.push(self.expr()?);
-        }
-        self.expect(b')')?;
+    /// Parse `inner` one production deeper, or a parse error if that
+    /// nests past the scanner's bound.
+    pub fn nested<T, E: From<AlgebraError>>(
+        &mut self,
+        inner: impl FnOnce(&mut Self) -> Result<T, E>,
+    ) -> Result<T, E> {
+        self.depth = self.bounded(self.depth + 1)?;
+        let out = inner(self)?;
         self.depth -= 1;
-        Ok(args)
+        Ok(out)
     }
 
-    fn expr(&mut self) -> Result<Expr, AlgebraError> {
-        let name = self.ident()?;
-        // Operator keywords are recognized only when followed by their
-        // bracket/paren syntax; otherwise the identifier is a relation name.
-        match (name.as_str(), self.peek()) {
-            ("union", Some(b'(')) => {
-                let mut a = self.paren_args(2)?;
-                let b = a.pop().unwrap();
-                Ok(a.pop().unwrap().union(b))
-            }
-            ("diff", Some(b'(')) => {
-                let mut a = self.paren_args(2)?;
-                let b = a.pop().unwrap();
-                Ok(a.pop().unwrap().diff(b))
-            }
-            ("project", Some(b'[')) => {
-                self.pos += 1;
-                let cols = self.columns_until(b']')?;
-                self.expect(b']')?;
-                let mut a = self.paren_args(1)?;
-                Ok(a.pop().unwrap().project(cols))
-            }
-            ("gcount", Some(b'[')) => {
-                self.pos += 1;
-                let cols = self.columns_until(b']')?;
-                self.expect(b']')?;
-                let mut a = self.paren_args(1)?;
-                Ok(a.pop().unwrap().group_count(cols))
-            }
-            ("select", Some(b'[')) => {
-                self.pos += 1;
-                let sel = self.selection()?;
-                self.expect(b']')?;
-                let mut a = self.paren_args(1)?;
-                Ok(Expr::Select(sel, Box::new(a.pop().unwrap())))
-            }
-            ("tag", Some(b'[')) => {
-                self.pos += 1;
-                let v = self.literal()?;
-                self.expect(b']')?;
-                let mut a = self.paren_args(1)?;
-                Ok(a.pop().unwrap().tag(v))
-            }
-            ("join", Some(b'[')) => {
-                self.pos += 1;
-                let cond = self.condition()?;
-                self.expect(b']')?;
-                let mut a = self.paren_args(2)?;
-                let b = a.pop().unwrap();
-                Ok(a.pop().unwrap().join(cond, b))
-            }
-            ("semijoin", Some(b'[')) => {
-                self.pos += 1;
-                let cond = self.condition()?;
-                self.expect(b']')?;
-                let mut a = self.paren_args(2)?;
-                let b = a.pop().unwrap();
-                Ok(a.pop().unwrap().semijoin(cond, b))
-            }
-            _ => Ok(Expr::Rel(name)),
+    /// Advance over the bytes `keep` accepts; the position it started at.
+    fn skip(&mut self, keep: impl Fn(u8) -> bool) -> usize {
+        let start = self.pos;
+        while self.input.get(self.pos).is_some_and(|&b| keep(b)) {
+            self.pos += 1;
+        }
+        start
+    }
+}
+
+fn column(s: &mut Scanner) -> Result<usize, AlgebraError> {
+    let v = s.integer()?;
+    usize::try_from(v).map_err(|_| s.err("column must be nonnegative"))
+}
+
+fn columns(s: &mut Scanner) -> Result<Vec<usize>, AlgebraError> {
+    let mut cols = Vec::new();
+    if s.peek() != Some(b']') {
+        cols.push(column(s)?);
+        while s.eat(",") {
+            cols.push(column(s)?);
         }
     }
+    Ok(cols)
+}
+
+fn condition(s: &mut Scanner) -> Result<Condition, AlgebraError> {
+    if s.eat("true") {
+        return Ok(Condition::always());
+    }
+    let ops = [
+        ("=", CompOp::Eq),
+        ("!=", CompOp::Neq),
+        ("<", CompOp::Lt),
+        (">", CompOp::Gt),
+    ];
+    let mut atoms = Vec::new();
+    loop {
+        let left = column(s)?;
+        let Some((_, op)) = ops.into_iter().find(|(token, _)| s.eat(token)) else {
+            return Err(s.err("expected comparison operator"));
+        };
+        let right = column(s)?;
+        atoms.push(Atom { left, op, right });
+        if !s.eat(",") {
+            return Ok(Condition::new(atoms));
+        }
+    }
+}
+
+fn selection(s: &mut Scanner) -> Result<Selection, AlgebraError> {
+    let i = column(s)?;
+    if s.eat("<") {
+        return Ok(Selection::Lt(i, column(s)?));
+    }
+    if !s.eat("=") {
+        return Err(s.err("expected '=' or '<' in selection"));
+    }
+    match s.peek() {
+        Some(b'{' | b'\'') => Ok(Selection::EqConst(i, s.literal()?)),
+        _ => Ok(Selection::Eq(i, column(s)?)),
+    }
+}
+
+/// `"[" inner "]"`: an operator's parameter.
+fn bracketed<T>(
+    s: &mut Scanner,
+    inner: impl FnOnce(&mut Scanner) -> Result<T, AlgebraError>,
+) -> Result<T, AlgebraError> {
+    s.expect("[")?;
+    let x = inner(s)?;
+    s.expect("]")?;
+    Ok(x)
+}
+
+/// An operator's `N` parenthesized operands, one level deeper.
+fn operands<const N: usize>(s: &mut Scanner) -> Result<[Expr; N], AlgebraError> {
+    s.nested(|s| {
+        s.expect("(")?;
+        let mut args = Vec::with_capacity(N);
+        for k in 0..N {
+            if k > 0 {
+                s.expect(",")?;
+            }
+            args.push(expr(s)?);
+        }
+        s.expect(")")?;
+        Ok(args.try_into().expect("N operands"))
+    })
+}
+
+fn expr(s: &mut Scanner) -> Result<Expr, AlgebraError> {
+    let name = s.ident()?;
+    // Operator keywords are recognized only when followed by their
+    // bracket/paren syntax; otherwise the identifier is a relation name.
+    Ok(match (name.as_str(), s.peek()) {
+        ("union", Some(b'(')) => {
+            let [a, b] = operands(s)?;
+            a.union(b)
+        }
+        ("diff", Some(b'(')) => {
+            let [a, b] = operands(s)?;
+            a.diff(b)
+        }
+        ("project", Some(b'[')) => {
+            let cols = bracketed(s, columns)?;
+            let [a] = operands(s)?;
+            a.project(cols)
+        }
+        ("gcount", Some(b'[')) => {
+            let cols = bracketed(s, columns)?;
+            let [a] = operands(s)?;
+            a.group_count(cols)
+        }
+        ("select", Some(b'[')) => {
+            let sel = bracketed(s, selection)?;
+            let [a] = operands(s)?;
+            Expr::Select(sel, Box::new(a))
+        }
+        ("tag", Some(b'[')) => {
+            let c = bracketed(s, |s| s.literal())?;
+            let [a] = operands(s)?;
+            a.tag(c)
+        }
+        ("join", Some(b'[')) => {
+            let theta = bracketed(s, condition)?;
+            let [a, b] = operands(s)?;
+            a.join(theta, b)
+        }
+        ("semijoin", Some(b'[')) => {
+            let theta = bracketed(s, condition)?;
+            let [a, b] = operands(s)?;
+            a.semijoin(theta, b)
+        }
+        _ => Expr::Rel(name),
+    })
 }
 
 #[cfg(test)]
@@ -352,6 +357,8 @@ mod tests {
             "select[2='flu'](R)",
             "tag[{5}](R)",
             "tag['x y'](R)",
+            "tag['it''s'](R)",
+            "select[1=''''](R)",
             "join[true](R, S)",
             "join[1=1,2!=2,1<2,2>1](R, S)",
             "semijoin[2=1](R, S)",
@@ -383,6 +390,7 @@ mod tests {
             "union(R)",
             "R extra",
             "tag['unterminated](R)",
+            "tag['doubled''](R)",
             "project[-1](R)",
         ] {
             match parse(bad) {

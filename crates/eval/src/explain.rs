@@ -32,46 +32,57 @@ pub fn render_tree(e: &Expr, report: &Report) -> String {
         "|D| = {}   output = {}   max intermediate = {}\n",
         report.db_size, report.output_rows, max
     );
-    let mut id = 0usize;
-    render_node(e, report, max, &mut id, "", true, true, &mut out);
+    let mut stats = report.nodes.iter();
+    draw_tree(e, &mut out, &mut |e, branch, out| {
+        let stat = stats.next().expect("one report node per tree node");
+        let label = format!("{branch}{}", stat.label);
+        let marker = if stat.cardinality == max && max > 0 {
+            "   ◀ largest"
+        } else {
+            ""
+        };
+        out.push_str(&format!(
+            "{label:<44} card {:>8}{marker}\n",
+            stat.cardinality
+        ));
+        e.children()
+    });
     out
 }
 
-#[allow(clippy::too_many_arguments)]
-fn render_node(
-    e: &Expr,
-    report: &Report,
-    max: usize,
-    id: &mut usize,
-    prefix: &str,
-    is_last: bool,
-    is_root: bool,
+/// Draw a tree with `├─ └─ │` branches, pre-order from `root`. `line`
+/// writes one node's line given the branch glyphs that start it, and
+/// returns the children to draw beneath it.
+pub(crate) fn draw_tree<N>(
+    root: N,
     out: &mut String,
+    line: &mut impl FnMut(N, &str, &mut String) -> Vec<N>,
 ) {
-    let stat = &report.nodes[*id];
-    *id += 1;
-    let (branch, child_prefix) = if is_root {
-        (String::new(), String::new())
-    } else if is_last {
-        (format!("{prefix}└─ "), format!("{prefix}   "))
-    } else {
-        (format!("{prefix}├─ "), format!("{prefix}│  "))
-    };
-    let label = format!("{branch}{}", stat.label);
-    let marker = if stat.cardinality == max && max > 0 {
-        "   ◀ largest"
-    } else {
-        ""
-    };
-    out.push_str(&format!(
-        "{label:<44} card {:>8}{marker}\n",
-        stat.cardinality
-    ));
-    let children = e.children();
-    let n = children.len();
-    for (i, c) in children.into_iter().enumerate() {
-        render_node(c, report, max, id, &child_prefix, i + 1 == n, false, out);
+    fn walk<N>(
+        node: N,
+        branch: &str,
+        prefix: &str,
+        out: &mut String,
+        line: &mut impl FnMut(N, &str, &mut String) -> Vec<N>,
+    ) {
+        let children = line(node, branch, out);
+        let n = children.len();
+        for (i, c) in children.into_iter().enumerate() {
+            let (glyph, indent) = if i + 1 == n {
+                ("└─ ", "   ")
+            } else {
+                ("├─ ", "│  ")
+            };
+            walk(
+                c,
+                &format!("{prefix}{glyph}"),
+                &format!("{prefix}{indent}"),
+                out,
+                line,
+            );
+        }
     }
+    walk(root, "", "", out, line);
 }
 
 #[cfg(test)]

@@ -56,6 +56,7 @@
 use crate::error::EvalError;
 use crate::exec::Execution;
 use crate::exec::JoinOrder;
+use crate::explain::draw_tree;
 use crate::joinorder;
 use crate::kernel;
 use crate::ops;
@@ -502,47 +503,25 @@ impl PhysicalPlan {
             self.shared_node_count()
         );
         let mut seen = vec![false; self.nodes.len()];
-        self.render(self.root, "", true, true, &mut seen, &mut out);
+        draw_tree(self.root, &mut out, &mut |id, branch, out| {
+            if std::mem::replace(&mut seen[id], true) {
+                out.push_str(&format!("{branch}#{id} … see above\n"));
+                return Vec::new();
+            }
+            let node = &self.nodes[id];
+            let shared = if node.occurrences > 1 {
+                format!("  ×{}", node.occurrences)
+            } else {
+                String::new()
+            };
+            let head = format!("{branch}#{id} {}", node.op.name());
+            out.push_str(&format!(
+                "{head:<40} {}  ~{:.0} rows{shared}\n",
+                node.label, node.est_rows
+            ));
+            node.children.clone()
+        });
         out
-    }
-
-    #[allow(clippy::only_used_in_recursion)]
-    fn render(
-        &self,
-        id: NodeId,
-        prefix: &str,
-        is_last: bool,
-        is_root: bool,
-        seen: &mut [bool],
-        out: &mut String,
-    ) {
-        let (branch, child_prefix) = if is_root {
-            (String::new(), String::new())
-        } else if is_last {
-            (format!("{prefix}└─ "), format!("{prefix}   "))
-        } else {
-            (format!("{prefix}├─ "), format!("{prefix}│  "))
-        };
-        let node = &self.nodes[id];
-        if seen[id] {
-            out.push_str(&format!("{branch}#{id} … see above\n"));
-            return;
-        }
-        seen[id] = true;
-        let shared = if node.occurrences > 1 {
-            format!("  ×{}", node.occurrences)
-        } else {
-            String::new()
-        };
-        let head = format!("{branch}#{id} {}", node.op.name());
-        out.push_str(&format!(
-            "{head:<40} {}  ~{:.0} rows{shared}\n",
-            node.label, node.est_rows
-        ));
-        let n = node.children.len();
-        for (i, &c) in node.children.iter().enumerate() {
-            self.render(c, &child_prefix, i + 1 == n, false, seen, out);
-        }
     }
 }
 

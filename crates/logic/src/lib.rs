@@ -101,6 +101,14 @@ mod proptests {
         v
     }
 
+    /// Strings of up to `max` letters, spaces and the bytes either
+    /// grammar gives a meaning to, the quote among them.
+    fn arb_string(max: usize) -> impl Strategy<Value = String> {
+        let alphabet = "abz '{}[](),=<".chars().collect();
+        proptest::collection::vec(proptest::sample::select(alphabet), 0..=max)
+            .prop_map(String::from_iter)
+    }
+
     /// Arbitrary (syntactically valid, not necessarily guarded) formulas
     /// for the parser round-trip.
     fn arb_formula() -> impl Strategy<Value = Formula> {
@@ -112,7 +120,7 @@ mod proptests {
             (var.clone(), var.clone()).prop_map(|(a, b)| Formula::Lt(a.into(), b.into())),
             (var.clone(), any::<i64>())
                 .prop_map(|(a, c)| Formula::EqConst(a.into(), Value::int(c))),
-            (var.clone(), "[a-z ]{0,6}")
+            (var.clone(), arb_string(6))
                 .prop_map(|(a, s)| Formula::EqConst(a.into(), Value::str(s))),
             (var.clone(), var.clone())
                 .prop_map(|(a, b)| Formula::Rel("R".into(), vec![a.into(), b.into()])),
@@ -154,6 +162,7 @@ mod proptests {
         fn sa_to_gf_preserves_semantics(e in arb_sa_expr(), db in arb_db()) {
             let q = sa_to_gf(&e, &schema()).unwrap();
             prop_assert!(q.formula.check_guarded().is_ok());
+            prop_assert_eq!(parse_formula(&to_ascii(&q.formula)), Ok(q.formula.clone()));
             let want = evaluate(&e, &db).unwrap();
             let got = eval_query(&db, &q.formula, &q.free_vars, &candidates(&db));
             prop_assert_eq!(got, want.tuples().to_vec());

@@ -14,10 +14,15 @@
 //!          | IDENT "<" IDENT              -- x<y
 //!          | "(" formula ")"
 //! vars    := IDENT ("," IDENT)*
-//! literal := "{" "-"? INT "}" | "'" chars "'"
+//! literal := "{" "-"? INT "}" | "'" chars "'"   -- "''" is one quote
 //! ```
 //!
-//! [`to_ascii`] prints a formula in exactly this grammar;
+//! The tokens are read by [`sj_algebra::parse::Scanner`], the lexical
+//! layer the algebra's text form shares: identifiers, literals and
+//! whitespace mean the same in both, and a syntax error is
+//! [`LogicError::Algebra`] holding an [`AlgebraError::Parse`] with its
+//! byte offset. [`to_ascii`] prints a formula in exactly this grammar,
+//! constants through [`value_literal`];
 //! `parse_formula(&to_ascii(f)) == f` up to connective re-association
 //! (the printer parenthesizes fully, so round-tripping is exact — see the
 //! property test).
@@ -28,7 +33,9 @@
 
 use crate::error::LogicError;
 use crate::formula::Formula;
-use sj_storage::Value;
+use sj_algebra::display::value_literal;
+use sj_algebra::parse::Scanner;
+use sj_algebra::AlgebraError;
 
 /// Render a formula in the parseable ASCII grammar (fully parenthesized).
 pub fn to_ascii(f: &Formula) -> String {
@@ -37,10 +44,7 @@ pub fn to_ascii(f: &Formula) -> String {
         Formula::Bool(false) => "false".into(),
         Formula::Eq(x, y) => format!("{x}={y}"),
         Formula::Lt(x, y) => format!("{x}<{y}"),
-        Formula::EqConst(x, c) => match c {
-            Value::Int(i) => format!("{x}={{{i}}}"),
-            Value::Str(s) => format!("{x}='{s}'"),
-        },
+        Formula::EqConst(x, c) => format!("{x}={}", value_literal(c)),
         Formula::Rel(r, args) => format!("{r}({})", args.join(",")),
         Formula::Not(g) => format!("!({})", to_ascii(g)),
         Formula::And(a, b) => format!("({} & {})", to_ascii(a), to_ascii(b)),
@@ -71,25 +75,18 @@ pub fn to_ascii(f: &Formula) -> String {
 /// trips parse at most 17 deep (the eight-semijoin `sa_to_gf` chain
 /// re-parsed in `tests/gf_pipeline.rs`; Example 3's translation is 9
 /// deep). Without the bound, a debug build (rustc 1.95) on a 2 MiB test
-/// thread parses 193 nested parentheses or quantifier bodies, the
-/// costliest productions per level, and overflows at 194: the bound keeps
-/// that margin at 1.4.
+/// thread parses 242 nested parentheses or quantifier bodies, the
+/// costliest productions per level, and overflows at 243: the bound keeps
+/// a margin of at least 1.4.
 pub const MAX_DEPTH: usize = 137;
 
 /// Parse a GF formula from the ASCII grammar. Guardedness is *not*
 /// enforced here (use [`Formula::check_guarded`]); the syntax is.
 /// Input nested deeper than [`MAX_DEPTH`] is a parse error.
 pub fn parse_formula(input: &str) -> Result<Formula, LogicError> {
-    let mut p = P {
-        b: input.as_bytes(),
-        i: 0,
-        open: 0,
-    };
-    let (f, _) = p.binary(0)?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(p.err("trailing input"));
-    }
+    let mut s = Scanner::new(input, MAX_DEPTH);
+    let (f, _) = binary(&mut s, 0)?;
+    s.finish()?;
     Ok(f)
 }
 
@@ -108,221 +105,87 @@ const BINARY: [(&str, bool, Connective); 4] = [
     ("&", false, Formula::and),
 ];
 
-struct P<'a> {
-    b: &'a [u8],
-    i: usize,
-    /// Productions open at the current byte.
-    open: usize,
+/// A formula whose connectives all bind at least as tightly as
+/// `BINARY[loosest]`: precedence climbing over [`BINARY`].
+fn binary(s: &mut Scanner, loosest: usize) -> Result<Node, LogicError> {
+    let (mut f, mut h) = unary(s)?;
+    while let Some(level) = (loosest..BINARY.len()).find(|&l| s.eat(BINARY[l].0)) {
+        let (_, right_assoc, op) = BINARY[level];
+        let (g, hg) = if right_assoc {
+            s.nested(|s| binary(s, level))?
+        } else {
+            binary(s, level + 1)?
+        };
+        h = s.bounded(h.max(hg) + 1)?;
+        f = op(f, g);
+    }
+    Ok((f, h))
 }
 
-impl<'a> P<'a> {
-    fn err(&self, m: &str) -> LogicError {
-        LogicError::Unguarded(format!("parse error at byte {}: {m}", self.i))
+fn unary(s: &mut Scanner) -> Result<Node, LogicError> {
+    if s.eat("!") {
+        let (f, h) = s.nested(unary)?;
+        return Ok((f.not(), s.bounded(h + 1)?));
     }
+    atom(s)
+}
 
-    /// `depth` itself, or the parse error past [`MAX_DEPTH`].
-    fn bounded(&self, depth: usize) -> Result<usize, LogicError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err(&format!("nested deeper than {MAX_DEPTH}")));
-        }
-        Ok(depth)
+fn atom(s: &mut Scanner) -> Result<Node, LogicError> {
+    if s.eat("(") {
+        let f = s.nested(|s| binary(s, 0))?;
+        s.expect(")")?;
+        return Ok(f);
     }
-
-    /// Parse `inner` one production deeper.
-    fn nested<T>(
-        &mut self,
-        inner: impl FnOnce(&mut Self) -> Result<T, LogicError>,
-    ) -> Result<T, LogicError> {
-        self.open = self.bounded(self.open + 1)?;
-        let out = inner(self)?;
-        self.open -= 1;
-        Ok(out)
-    }
-
-    /// The connective `op` over two parsed operands.
-    fn link(&self, (a, ha): Node, (b, hb): Node, op: Connective) -> Result<Node, LogicError> {
-        Ok((op(a, b), self.bounded(ha.max(hb) + 1)?))
-    }
-
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.b.get(self.i).copied()
-    }
-
-    fn eat(&mut self, s: &str) -> bool {
-        self.ws();
-        if self.b[self.i..].starts_with(s.as_bytes()) {
-            self.i += s.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, s: &str) -> Result<(), LogicError> {
-        if self.eat(s) {
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {s:?}")))
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, LogicError> {
-        self.ws();
-        let start = self.i;
-        while self.i < self.b.len()
-            && (self.b[self.i].is_ascii_alphanumeric() || self.b[self.i] == b'_')
-        {
-            self.i += 1;
-        }
-        if self.i == start || self.b[start].is_ascii_digit() {
-            return Err(self.err("expected identifier"));
-        }
-        Ok(String::from_utf8_lossy(&self.b[start..self.i]).into_owned())
-    }
-
-    fn vars(&mut self) -> Result<Vec<String>, LogicError> {
-        let mut out = vec![self.ident()?];
-        while self.peek() == Some(b',') {
-            self.i += 1;
-            out.push(self.ident()?);
-        }
-        Ok(out)
-    }
-
-    fn literal(&mut self) -> Result<Value, LogicError> {
-        match self.peek() {
-            Some(b'{') => {
-                self.i += 1;
-                self.ws();
-                let start = self.i;
-                if self.peek() == Some(b'-') {
-                    self.i += 1;
-                }
-                while self.i < self.b.len() && self.b[self.i].is_ascii_digit() {
-                    self.i += 1;
-                }
-                let n: i64 = std::str::from_utf8(&self.b[start..self.i])
-                    .unwrap()
-                    .trim()
-                    .parse()
-                    .map_err(|_| self.err("bad integer literal"))?;
-                self.expect("}")?;
-                Ok(Value::int(n))
-            }
-            Some(b'\'') => {
-                self.i += 1;
-                let start = self.i;
-                while self.i < self.b.len() && self.b[self.i] != b'\'' {
-                    self.i += 1;
-                }
-                if self.i >= self.b.len() {
-                    return Err(self.err("unterminated string"));
-                }
-                let s = String::from_utf8_lossy(&self.b[start..self.i]).into_owned();
-                self.i += 1;
-                Ok(Value::str(s))
-            }
-            _ => Err(self.err("expected literal")),
-        }
-    }
-
-    /// A formula whose connectives all bind at least as tightly as
-    /// `BINARY[loosest]`: precedence climbing over [`BINARY`].
-    fn binary(&mut self, loosest: usize) -> Result<Node, LogicError> {
-        let mut f = self.unary()?;
-        while let Some(level) = (loosest..BINARY.len()).find(|&l| self.eat(BINARY[l].0)) {
-            let (_, right_assoc, op) = BINARY[level];
-            let g = if right_assoc {
-                self.nested(|p| p.binary(level))?
-            } else {
-                self.binary(level + 1)?
+    let name = s.ident()?;
+    let leaf = match name.as_str() {
+        "true" => Formula::Bool(true),
+        "false" => Formula::Bool(false),
+        "exists" => {
+            let bound = vars(s)?;
+            s.expect("(")?;
+            let guard_rel = s.ident()?;
+            s.expect("(")?;
+            let guard_args = vars(s)?;
+            s.expect(")")?;
+            s.expect("&")?;
+            let (body, h) = s.nested(|s| binary(s, 0))?;
+            s.expect(")")?;
+            let f = Formula::Exists {
+                vars: bound,
+                guard_rel,
+                guard_args,
+                body: Box::new(body),
             };
-            f = self.link(f, g, op)?;
+            return Ok((f, s.bounded(h + 1)?));
         }
-        Ok(f)
-    }
+        _ if s.eat("(") => {
+            let args = vars(s)?;
+            s.expect(")")?;
+            Formula::Rel(name, args)
+        }
+        _ if s.eat("=") => match s.peek() {
+            Some(b'{' | b'\'') => Formula::EqConst(name, s.literal()?),
+            _ => Formula::Eq(name, s.ident()?),
+        },
+        _ if s.eat("<") => Formula::Lt(name, s.ident()?),
+        _ => return Err(s.err("expected '(', '=', or '<' after identifier").into()),
+    };
+    Ok((leaf, 0))
+}
 
-    fn unary(&mut self) -> Result<Node, LogicError> {
-        if self.eat("!") {
-            let (f, h) = self.nested(Self::unary)?;
-            return Ok((f.not(), self.bounded(h + 1)?));
-        }
-        self.atom()
+fn vars(s: &mut Scanner) -> Result<Vec<String>, AlgebraError> {
+    let mut out = vec![s.ident()?];
+    while s.eat(",") {
+        out.push(s.ident()?);
     }
-
-    fn atom(&mut self) -> Result<Node, LogicError> {
-        if self.peek() == Some(b'(') {
-            self.i += 1;
-            let f = self.nested(|p| p.binary(0))?;
-            self.expect(")")?;
-            return Ok(f);
-        }
-        let save = self.i;
-        let name = self.ident()?;
-        match name.as_str() {
-            "true" => return Ok((Formula::Bool(true), 0)),
-            "false" => return Ok((Formula::Bool(false), 0)),
-            "exists" => {
-                let vars = self.vars()?;
-                self.expect("(")?;
-                let guard_rel = self.ident()?;
-                self.expect("(")?;
-                let guard_args = self.vars()?;
-                self.expect(")")?;
-                self.expect("&")?;
-                let (body, h) = self.nested(|p| p.binary(0))?;
-                self.expect(")")?;
-                let f = Formula::Exists {
-                    vars,
-                    guard_rel,
-                    guard_args,
-                    body: Box::new(body),
-                };
-                return Ok((f, self.bounded(h + 1)?));
-            }
-            _ => {}
-        }
-        // Relation atom, equality, or comparison.
-        let leaf = match self.peek() {
-            Some(b'(') => {
-                self.i += 1;
-                let args = self.vars()?;
-                self.expect(")")?;
-                Ok(Formula::Rel(name, args))
-            }
-            Some(b'=') => {
-                self.i += 1;
-                match self.peek() {
-                    Some(b'{') | Some(b'\'') => Ok(Formula::EqConst(name, self.literal()?)),
-                    _ => Ok(Formula::Eq(name, self.ident()?)),
-                }
-            }
-            Some(b'<') => {
-                // not '<->' (a connective); here a bare comparison
-                if self.b.get(self.i + 1) == Some(&b'-') {
-                    self.i = save;
-                    return Err(self.err("unexpected '<-'"));
-                }
-                self.i += 1;
-                Ok(Formula::Lt(name, self.ident()?))
-            }
-            _ => Err(self.err("expected '(', '=', or '<' after identifier")),
-        };
-        Ok((leaf?, 0))
-    }
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::formula::example7_lousy_bar;
+    use sj_storage::Value;
 
     #[test]
     fn parses_example7() {
@@ -342,6 +205,8 @@ mod tests {
             Formula::Lt("a".into(), "b".into()),
             Formula::EqConst("x".into(), Value::int(-5)),
             Formula::EqConst("x".into(), Value::str("flu season")),
+            Formula::EqConst("x".into(), Value::str("it's")),
+            Formula::EqConst("x".into(), Value::str("7")),
             Formula::Rel("R".into(), vec!["x".into(), "x".into(), "z".into()]),
             Formula::Eq("x".into(), "y".into()).not(),
             Formula::Bool(true).and(Formula::Bool(false)),
@@ -377,19 +242,30 @@ mod tests {
 
     #[test]
     fn errors() {
-        for bad in [
-            "",
-            "exists y Visits(x,y)",
-            "R(",
-            "x=",
-            "x<",
-            "(a=b",
-            "a=b extra",
-            "x={5",
-            "x='oops",
-            "3=x",
+        // Each bad input, and the byte its error points at where pinned.
+        for (bad, at) in [
+            ("", Some(0)),
+            ("exists", Some(6)),
+            ("exists y Visits(x,y)", Some(9)),
+            ("R(", Some(2)),
+            ("x=", Some(2)),
+            ("x<", None),
+            ("(a=b", Some(4)),
+            ("a=b extra", Some(4)),
+            ("x={5", None),
+            ("x='oops", Some(7)),
+            ("x='it''", None),
+            ("3=x", Some(0)),
+            ("x <-> y", None),
         ] {
-            assert!(parse_formula(bad).is_err(), "{bad:?} should fail");
+            match parse_formula(bad) {
+                Err(LogicError::Algebra(AlgebraError::Parse { offset, .. })) => {
+                    if let Some(at) = at {
+                        assert_eq!(offset, at, "{bad:?}");
+                    }
+                }
+                other => panic!("{bad:?} should be a parse error, got {other:?}"),
+            }
         }
     }
 

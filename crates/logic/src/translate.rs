@@ -493,7 +493,8 @@ fn translate_expr(e: &Expr, schema: &Schema, fresh: &mut Fresh) -> Result<Transl
 /// the subexpression `φ(v̄)`. A claim `(x, l)` puts the variable `x` at
 /// position `g(l)` of `R`; a later claim on a position held by another
 /// variable adds an equality instead. The unclaimed positions are the
-/// fresh quantified variables `ȳ`.
+/// fresh quantified variables `ȳ`; when every position is claimed, the
+/// case is `R(ū) ∧ φ[…]`, since `∃` needs a variable to bind.
 fn guarded_case(
     claims: &[(Var, usize)],
     guard: &Guard,
@@ -524,19 +525,25 @@ fn guarded_case(
         })
         .collect();
     let on_guard: Vec<Var> = guard.map.iter().map(|&p| guard_args[p].clone()).collect();
-    let ex = Formula::Exists {
-        vars: quantified,
-        guard_rel: guard.rel.clone(),
-        guard_args,
-        body: Box::new(rename(body, body_vars, &on_guard)),
+    let body = rename(body, body_vars, &on_guard);
+    let case = if quantified.is_empty() {
+        Formula::Rel(guard.rel.clone(), guard_args).and(body)
+    } else {
+        Formula::Exists {
+            vars: quantified,
+            guard_rel: guard.rel.clone(),
+            guard_args,
+            body: Box::new(body),
+        }
     };
-    Formula::and_all(equalities.into_iter().chain([ex]))
+    Formula::and_all(equalities.into_iter().chain([case]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::formula::example7_lousy_bar;
+    use crate::parse::{parse_formula, to_ascii};
     use crate::semantics::eval_query;
     use crate::stored::{all_c_stored_tuples, is_c_stored};
     use sj_eval::evaluate;
@@ -680,6 +687,7 @@ mod tests {
             Expr::rel("Likes").union(Expr::rel("Serves")),
             Expr::rel("Likes").diff(Expr::rel("Serves")),
             Expr::rel("Likes").project([2]),
+            // Claims every position of its guard: nothing to quantify.
             Expr::rel("Likes").project([2, 1]),
             Expr::rel("Likes").project([1, 1, 2]),
             Expr::rel("Likes").project(Vec::<usize>::new()),
@@ -718,6 +726,8 @@ mod tests {
         for e in exprs {
             let q = sa_to_gf(&e, &schema).unwrap();
             assert!(q.formula.check_guarded().is_ok(), "{e}");
+            let text = to_ascii(&q.formula);
+            assert_eq!(parse_formula(&text), Ok(q.formula.clone()), "{e}: {text}");
             let want = evaluate(&e, &db).unwrap();
             let got = eval_query(&db, &q.formula, &q.free_vars, &candidates(&db));
             assert_eq!(got, want.tuples().to_vec(), "E = {e}");

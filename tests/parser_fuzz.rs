@@ -66,6 +66,14 @@ fn arb_input<T: std::fmt::Debug + Clone + 'static>(
     ]
 }
 
+/// String constants of up to `max` letters, spaces and bytes the
+/// grammars give a meaning to, the quote among them.
+fn arb_string(max: usize) -> impl Strategy<Value = String> {
+    let alphabet = "abz '{}[](),=<".chars().collect();
+    proptest::collection::vec(proptest::sample::select(alphabet), 0..=max)
+        .prop_map(String::from_iter)
+}
+
 fn arb_condition() -> impl Strategy<Value = Condition> {
     proptest::collection::vec((1usize..=3, 0u8..4, 1usize..=3), 0..3).prop_map(|atoms| {
         Condition::new(atoms.into_iter().map(|(left, op, right)| Atom {
@@ -87,7 +95,7 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
             (1usize..=2, 1usize..=2, inner.clone()).prop_map(|(i, j, a)| a.select_eq(i, j)),
             (1usize..=2, 1usize..=2, inner.clone()).prop_map(|(i, j, a)| a.select_lt(i, j)),
             (any::<i64>(), inner.clone()).prop_map(|(c, a)| a.select_const(1, c)),
-            ("[a-z ]{0,8}", inner.clone()).prop_map(|(s, a)| a.tag(Value::str(s))),
+            (arb_string(8), inner.clone()).prop_map(|(s, a)| a.tag(Value::str(s))),
             (arb_condition(), inner.clone(), inner.clone()).prop_map(|(t, a, b)| a.join(t, b)),
             (arb_condition(), inner.clone(), inner.clone()).prop_map(|(t, a, b)| a.semijoin(t, b)),
             (proptest::collection::vec(1usize..=2, 0..3), inner)
@@ -103,7 +111,7 @@ fn arb_formula() -> impl Strategy<Value = Formula> {
         (var.clone(), var.clone()).prop_map(|(a, b)| Formula::Eq(a.into(), b.into())),
         (var.clone(), var.clone()).prop_map(|(a, b)| Formula::Lt(a.into(), b.into())),
         (var.clone(), any::<i64>()).prop_map(|(a, c)| Formula::EqConst(a.into(), Value::int(c))),
-        (var.clone(), "[a-z ]{0,6}").prop_map(|(a, s)| Formula::EqConst(a.into(), Value::str(s))),
+        (var.clone(), arb_string(6)).prop_map(|(a, s)| Formula::EqConst(a.into(), Value::str(s))),
         (var.clone(), var).prop_map(|(a, b)| Formula::Rel("R".into(), vec![a.into(), b.into()])),
     ];
     leaf.prop_recursive(4, 24, 2, |inner| {
