@@ -493,26 +493,29 @@ pub struct MultiwaySpec {
 
 /// Worst-case-optimal join of `k ≥ 3` binary relations forming one
 /// equality cycle `R₀(v₀,v₁) ⋈ R₁(v₁,v₂) ⋈ … ⋈ R_{k−1}(v_{k−1},v₀)` —
-/// the generic-join algorithm (Ngo–Porat–Ré) specialized to simple
-/// cycles:
+/// the generic-join algorithm (Ngo–Porat–Ré) over the children's
+/// canonical order, specialized to simple cycles:
 ///
-/// 1. Per cycle position, index the relation as a forward map
-///    `v_p → sorted [v_{p+1}]` (its posting lists).
-/// 2. Start from the **globally least-frequent variable** — the
-///    position whose candidate set (values occurring on both adjacent
-///    sides) is smallest; the cycle is rotated so iteration begins
-///    there.
-/// 3. Bind variables around the cycle through the forward lists; the
-///    **last** variable is bound by intersecting two sorted posting
-///    lists (the forward list of its predecessor and the backward list
-///    of the closing relation), never enumerated blindly.
+/// 1. Position `p` reads its child as a relation over `(v_p, v_{p+1})`:
+///    the child itself when `var_col` is 0, its swap `π₂,₁` otherwise.
+///    Canonical order makes the partners of a value of `v_p` one run of
+///    rows, found by binary search ([`Relation::key_range`]).
+/// 2. The cycle is rotated to start at the position with the fewest
+///    distinct values, and the variables are bound around it through
+///    those runs.
+/// 3. The **last** variable must extend its predecessor's run and reach
+///    `v₀` through the closing relation read backwards: the shorter of
+///    the two runs is walked and each of its values binary-searched in
+///    the longer, never enumerated blindly.
 ///
 /// Every binding writes one output tuple assembled in the children's
 /// original column order, so the output equals the pairwise join chain
-/// the planner replaced — no projection needed. Runtime is bounded by
-/// the AGM fractional-cover bound `∏ |Rᵢ|^{1/2}` (plus the linear
-/// indexing passes), which is exactly the regime where every pairwise
-/// order materializes a larger intermediate.
+/// the planner replaced — no projection needed. On a triangle, the
+/// cycle the planner collapses, each binding of `(v₀, v₁)` costs the
+/// smaller of the two runs it intersects, so the runtime is within the
+/// AGM fractional-cover bound `∏ |Rᵢ|^{1/2}` up to a logarithmic factor
+/// (plus one sorting pass per swapped child) — exactly the regime where
+/// every pairwise order materializes a larger intermediate.
 ///
 /// `_exec` and `_workers` are accepted and ignored (see the module
 /// docs).
@@ -529,143 +532,87 @@ pub fn multiway_join(
         rows = children.iter().map(|r| r.len()).sum::<usize>()
     );
     debug_assert!(k >= 3, "a multiway cycle has at least 3 positions");
-    debug_assert!(spec.cycle.iter().all(|p| children[p.child].arity() == 2));
-    let out_arity: usize = children.iter().map(|r| r.arity()).sum();
-    let offsets: Vec<usize> = children
-        .iter()
-        .scan(0usize, |acc, r| {
-            let o = *acc;
-            *acc += r.arity();
-            Some(o)
-        })
-        .collect();
-    // Forward posting lists per cycle position: v_p → sorted [v_{p+1}].
-    let fwd: Vec<FxHashMap<Value, Vec<Value>>> = spec
+    debug_assert!(children.len() == k && children.iter().all(|r| r.arity() == 2));
+    // Position `pos`'s child with column `first` (0-based) read first.
+    let oriented = |pos: &MultiwayLeaf, first: usize| match first {
+        0 => Cow::Borrowed(children[pos.child]),
+        _ => Cow::Owned(project(children[pos.child], &[2, 1])),
+    };
+    let views: Vec<Cow<'_, Relation>> = spec
         .cycle
         .iter()
-        .map(|pos| {
-            let mut m: FxHashMap<Value, Vec<Value>> = FxHashMap::default();
-            for t in children[pos.child].tuples() {
-                m.entry(t[pos.var_col].clone())
-                    .or_default()
-                    .push(t[pos.next_col].clone());
-            }
-            for list in m.values_mut() {
-                list.sort_unstable();
-            }
-            m
-        })
+        .map(|pos| oriented(pos, pos.var_col))
         .collect();
-    // Candidate list per position: values that occur as position p's
-    // variable AND as position p−1's next value. The start position is
-    // the globally least-frequent variable — the smallest such list.
-    let nexts: Vec<Vec<Value>> = fwd
-        .iter()
-        .map(|m| {
-            let mut vals: Vec<Value> = m.values().flatten().cloned().collect();
-            vals.sort_unstable();
-            vals.dedup();
-            vals
-        })
-        .collect();
-    let candidates: Vec<Vec<Value>> = (0..k)
-        .map(|p| {
-            let prev = &nexts[(p + k - 1) % k];
-            let mut vals: Vec<Value> = fwd[p]
-                .keys()
-                .filter(|v| prev.binary_search(v).is_ok())
-                .cloned()
-                .collect();
-            vals.sort_unstable();
-            vals
-        })
-        .collect();
+    let runs = |r: &Relation| r.tuples().chunk_by(|a, b| a[0] == b[0]).count();
     let start = (0..k)
-        .min_by_key(|&p| (candidates[p].len(), p))
+        .min_by_key(|&p| (runs(&views[p]), p))
         .expect("k >= 3");
     let rot = |i: usize| (start + i) % k;
-    let cands = &candidates[start];
-    // Backward posting lists of the closing relation (rotated position
-    // k−1): v_0 → sorted [v_{k−1}] — the second list of the final
-    // intersection.
+    let fwd: Vec<&Relation> = (0..k - 1).map(|i| views[rot(i)].as_ref()).collect();
     let closing = &spec.cycle[rot(k - 1)];
-    let mut bwd: FxHashMap<Value, Vec<Value>> = FxHashMap::default();
-    for t in children[closing.child].tuples() {
-        bwd.entry(t[closing.next_col].clone())
-            .or_default()
-            .push(t[closing.var_col].clone());
-    }
-    for list in bwd.values_mut() {
-        list.sort_unstable();
-    }
+    let back = oriented(closing, closing.next_col);
 
+    let mut out: Vec<Tuple> = Vec::new();
     // Emit the output tuple of one complete binding (rotated order).
-    let emit = |binding: &[Value], out: &mut Vec<Tuple>| {
-        let mut cells = vec![Value::int(0); out_arity];
+    let mut emit = |binding: &[&Value]| {
+        let mut cells = vec![Value::int(0); 2 * k];
         for (i, v) in binding.iter().enumerate() {
             let pos = &spec.cycle[rot(i)];
-            let base = offsets[pos.child];
-            cells[base + pos.var_col] = v.clone();
-            cells[base + pos.next_col] = binding[(i + 1) % k].clone();
+            cells[2 * pos.child + pos.var_col] = (*v).clone();
+            cells[2 * pos.child + pos.next_col] = binding[(i + 1) % k].clone();
         }
         out.push(Tuple::new(cells));
     };
-    // Depth-first bind v_1..v_{k−1} given v_0 = `binding[0]`; `fwd` is
-    // already in rotated cycle order (index = depth of the variable the
-    // map extends *from*).
-    fn search(
-        depth: usize,
-        k: usize,
-        fwd: &[&FxHashMap<Value, Vec<Value>>],
-        bwd: &FxHashMap<Value, Vec<Value>>,
-        binding: &mut Vec<Value>,
-        emit: &dyn Fn(&[Value], &mut Vec<Tuple>),
-        out: &mut Vec<Tuple>,
+    // Bind the variables after `binding` (v₀ … v_{d−1}, rotated), given
+    // `partners`, the rows (v_{d−1}, v_d) of `fwd[d − 1]`, and `back`,
+    // the rows (v₀, v_{k−1}) of the closing relation.
+    fn extend<'a>(
+        fwd: &[&'a Relation],
+        back: &'a [Tuple],
+        partners: &'a [Tuple],
+        binding: &mut Vec<&'a Value>,
+        emit: &mut dyn FnMut(&[&Value]),
     ) {
-        let Some(reachable) = fwd[depth - 1].get(&binding[depth - 1]) else {
-            return;
-        };
-        if depth == k - 1 {
-            // Close the cycle: v_{k−1} must extend v_{k−2} forward AND
-            // reach v_0 through the closing relation — a sorted
-            // intersection of the two posting lists.
-            let Some(back) = bwd.get(&binding[0]) else {
-                return;
+        let d = binding.len();
+        if d == fwd.len() {
+            // Close the cycle: v_{k−1} is a second value of both runs.
+            let (short, long) = if partners.len() <= back.len() {
+                (partners, back)
+            } else {
+                (back, partners)
             };
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < reachable.len() && j < back.len() {
-                match reachable[i].cmp(&back[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        binding.push(reachable[i].clone());
-                        emit(binding, out);
-                        binding.pop();
-                        i += 1;
-                        j += 1;
-                    }
+            for t in short {
+                if long.binary_search_by(|u| u[1].cmp(&t[1])).is_ok() {
+                    binding.push(&t[1]);
+                    emit(binding);
+                    binding.pop();
                 }
             }
             return;
         }
-        for v in reachable.clone() {
-            binding.push(v);
-            search(depth + 1, k, fwd, bwd, binding, emit, out);
-            binding.pop();
+        for t in partners {
+            let run = &fwd[d].tuples()[fwd[d].key_range(&t[1])];
+            if !run.is_empty() {
+                binding.push(&t[1]);
+                extend(fwd, back, run, binding, emit);
+                binding.pop();
+            }
         }
     }
-    let rot_fwd: Vec<&FxHashMap<Value, Vec<Value>>> = (0..k).map(|i| &fwd[rot(i)]).collect();
-    let mut out: Vec<Tuple> = Vec::new();
-    let mut binding: Vec<Value> = Vec::with_capacity(k);
-    for start_value in cands {
-        binding.clear();
-        binding.push(start_value.clone());
-        search(1, k, &rot_fwd, &bwd, &mut binding, &emit, &mut out);
+    let mut binding: Vec<&Value> = Vec::with_capacity(k);
+    for run in fwd[0].tuples().chunk_by(|a, b| a[0] == b[0]) {
+        let v0 = &run[0][0];
+        let closes = &back.tuples()[back.key_range(v0)];
+        if !closes.is_empty() {
+            binding.push(v0);
+            extend(&fwd, closes, run, &mut binding, &mut emit);
+            binding.pop();
+        }
     }
     // A binding determines its tuple, so the bindings are
     // duplicate-free; one canonicalization pass restores the global
     // order.
-    let merged = Relation::from_tuples(out_arity, out).expect("assembled arity");
+    let merged = Relation::from_tuples(2 * k, out).expect("assembled arity");
     span.attr("out_rows", merged.len());
     merged
 }
@@ -815,5 +762,61 @@ mod tests {
         let dag = r(&chain_refs);
         let got = multiway_join(&[&dag, &dag, &dag], &spec, Execution::Vectorized, 1);
         assert!(got.is_empty(), "a DAG has no directed triangles");
+    }
+
+    /// `E0 ⋈[2=2] E1ᵀ ⋈[3=1 ∧ 1=2] E2` by pairwise joins, where `E1ᵀ`
+    /// stores its edges as (head, tail).
+    fn reversed_middle_chain(e0: &Relation, e1t: &Relation, e2: &Relation) -> Relation {
+        ops::join(
+            &ops::join(e0, e1t, &Condition::eq(2, 2)),
+            e2,
+            &Condition::eq_pairs([(3, 1), (1, 2)]),
+        )
+    }
+
+    /// A triangle whose middle child is read against its stored column
+    /// order (`var_col: 1`) equals the pairwise chain, on integer and on
+    /// string cells.
+    #[test]
+    fn multiway_join_reads_a_reversed_child() {
+        let mut spec = cycle_spec(3);
+        spec.cycle[1] = MultiwayLeaf {
+            child: 1,
+            var_col: 1,
+            next_col: 0,
+        };
+        let e = edge_relation();
+        let swap = |r: &Relation| ops::project(r, &[2, 1]);
+        let name = |t: &Tuple| -> Tuple {
+            t.iter()
+                .map(|v| Value::str(format!("v{}", v.as_int().unwrap())))
+                .collect()
+        };
+        let s = Relation::from_tuples(2, e.iter().map(name)).unwrap();
+        for (cells, rel) in [("ints", &e), ("strings", &s)] {
+            let rev = swap(rel);
+            let want = reversed_middle_chain(rel, &rev, rel);
+            assert!(!want.is_empty(), "{cells}: the graph has triangles");
+            let got = multiway_join(&[rel, &rev, rel], &spec, Execution::Vectorized, 1);
+            assert_eq!(got, want, "{cells}");
+        }
+    }
+
+    /// The hub triangle `E0 = {(i,0)}`, `E1 = {(0,j)}`, `E2 = {(j,j)}`:
+    /// one hub whose partners the closing step must not walk per binding.
+    #[test]
+    fn multiway_join_on_a_hub_triangle() {
+        let n = 50;
+        let e0 = Relation::from_tuples(2, (1..=n).map(|i| tuple![i, 0])).unwrap();
+        let e1 = Relation::from_tuples(2, (1..=n).map(|j| tuple![0, j])).unwrap();
+        let e2 = Relation::from_tuples(2, (1..=n).map(|j| tuple![j, j])).unwrap();
+        let want = ops::join(
+            &ops::join(&e0, &e1, &Condition::eq(2, 1)),
+            &e2,
+            &Condition::eq_pairs([(4, 1), (1, 2)]),
+        );
+        assert_eq!(want.len(), n as usize, "one triangle (i, 0, i) per i");
+        let got = multiway_join(&[&e0, &e1, &e2], &cycle_spec(3), Execution::Vectorized, 1);
+        assert_eq!(got, want);
     }
 }

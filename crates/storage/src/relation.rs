@@ -168,8 +168,11 @@ impl Relation {
     }
 
     /// The rows keyed by `key` — first column equal to it — as a range of
-    /// [`Relation::tuples`]: they are contiguous in the canonical order.
-    fn key_range(&self, key: &Value) -> std::ops::Range<usize> {
+    /// [`Relation::tuples`]: they are contiguous in the canonical order,
+    /// found by binary search. The one "rows keyed by v" lookup: the
+    /// keyed splices below and the multiway join's runs share it. The
+    /// relation must have a first column.
+    pub fn key_range(&self, key: &Value) -> std::ops::Range<usize> {
         let start = self.tuples.partition_point(|t| t[0] < *key);
         let len = self.tuples[start..].partition_point(|t| t[0] == *key);
         start..start + len
