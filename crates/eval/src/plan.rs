@@ -10,10 +10,10 @@
 //! in three steps:
 //!
 //! 1. **Hash-consing.** Lowering walks the expression bottom-up and keys
-//!    each node by [`Expr::structural_hash`] (confirmed with `==`), so
-//!    structurally identical subtrees collapse into one [`PlanNode`]. The
-//!    result is a DAG in which every distinct subexpression is evaluated
-//!    exactly once per query.
+//!    each node by the subexpression itself (hashed and compared
+//!    structurally), so structurally identical subtrees collapse into
+//!    one [`PlanNode`]. The result is a DAG in which every distinct
+//!    subexpression is evaluated exactly once per query.
 //! 2. **Shared leaves.** Scans take an [`Arc`] handle from
 //!    [`Database::get_shared`] instead of cloning the relation; all
 //!    intermediate results flow through the DAG as `Arc<Relation>`, so a
@@ -265,21 +265,23 @@ impl PhysicalPlan {
         // as written — `lower` recognizes and collapses them whole.
         let reordered = joinorder::reorder(expr, schema, source);
         let planned_expr: &Expr = reordered.as_ref().unwrap_or(expr);
+        // Occurrence counts need a full tree walk: lowering stops at the
+        // first memo hit, so descendants of a shared subtree would be
+        // undercounted (R under a second π₁(R) occurrence, say).
+        let mut occurrences = FxHashMap::default();
+        for s in planned_expr.subexpressions() {
+            *occurrences.entry(s).or_insert(0) += 1;
+        }
         let mut planner = Planner {
             schema,
-            root: planned_expr,
             source,
             estimator: Estimator::new(source),
             model,
             nodes: Vec::new(),
             memo: FxHashMap::default(),
+            occurrences,
         };
         let root = planner.lower(planned_expr);
-        // Occurrence counts need a full tree walk: lowering stops at the
-        // first memo hit, so descendants of a shared subtree would be
-        // undercounted (R under a second π₁(R) occurrence, say).
-        planner.count_occurrences(planned_expr);
-        planner.annotate_estimates();
         Ok(PhysicalPlan {
             nodes: planner.nodes,
             root,
@@ -525,20 +527,17 @@ impl PhysicalPlan {
     }
 }
 
-/// Bottom-up lowering state: hash-consing memo keyed by structural hash,
-/// confirmed by full equality (hash collisions must not merge distinct
-/// subtrees).
+/// Bottom-up lowering state: the hash-consing memo and the occurrence
+/// counts, both keyed by the subexpression itself (hashed and compared
+/// structurally, so equal subtrees share one entry).
 ///
-/// Each memo lookup hashes the probed subtree, so lowering costs
+/// Each lookup hashes the probed subtree, so lowering costs
 /// `O(n · depth)` hashing overall — microseconds at the expression sizes
 /// of this reproduction (tens of nodes). Should machine-generated
 /// expressions ever make this the bottleneck, the memo can be re-keyed by
 /// `(operator, child NodeIds)` after lowering children for `O(n)` total.
 struct Planner<'a> {
     schema: &'a Schema,
-    /// The tree being lowered, for the occurrence counts that decide
-    /// whether a consumer may fuse with its input.
-    root: &'a Expr,
     /// The plan's statistics source; every leaf was checked to have
     /// statistics before lowering started.
     source: &'a dyn StatsSource,
@@ -547,37 +546,15 @@ struct Planner<'a> {
     /// Prices the division algorithms a [`PhysOp::Divide`] picks from.
     model: &'a CostModel,
     nodes: Vec<PlanNode>,
-    memo: FxHashMap<u64, Vec<(&'a Expr, NodeId)>>,
+    /// The plan node each lowered subexpression became.
+    memo: FxHashMap<&'a Expr, NodeId>,
+    /// How often each subexpression occurs in the tree being lowered.
+    occurrences: FxHashMap<&'a Expr, usize>,
 }
 
 impl<'a> Planner<'a> {
-    /// The plan node a (sub)expression with structural hash `h` lowered
-    /// to, if already planned.
-    fn find_hashed(&self, e: &Expr, h: u64) -> Option<NodeId> {
-        self.memo
-            .get(&h)?
-            .iter()
-            .find(|(cand, _)| *cand == e)
-            .map(|&(_, id)| id)
-    }
-
-    /// Count every occurrence of every subexpression in the tree into
-    /// the corresponding plan node. Subexpressions without a plan node
-    /// are skipped: the interior joins of a chain collapsed into a
-    /// [`PhysOp::MultiwayJoin`] were never lowered (only the chain root
-    /// and its leaves have nodes).
-    fn count_occurrences(&mut self, e: &Expr) {
-        if let Some(id) = self.find_hashed(e, e.structural_hash()) {
-            self.nodes[id].occurrences += 1;
-        }
-        for c in e.children() {
-            self.count_occurrences(c);
-        }
-    }
-
     fn lower(&mut self, e: &'a Expr) -> NodeId {
-        let h = e.structural_hash();
-        if let Some(id) = self.find_hashed(e, h) {
+        if let Some(&id) = self.memo.get(e) {
             return id;
         }
         let (op, children) = match e {
@@ -666,10 +643,10 @@ impl<'a> Planner<'a> {
             children,
             label,
             arity,
-            occurrences: 0, // filled by `count_occurrences`
-            est_rows: 0.0,  // filled by `annotate_estimates`
+            occurrences: self.occurrences[e],
+            est_rows: self.estimate(e).rows,
         });
-        self.memo.entry(h).or_default().push((e, id));
+        self.memo.insert(e, id);
         id
     }
 
@@ -679,17 +656,6 @@ impl<'a> Planner<'a> {
         self.estimator
             .estimate(e)
             .expect("every leaf has statistics: checked before lowering")
-    }
-
-    /// Record an estimated output cardinality on every plan node. One
-    /// estimator pass per distinct subexpression — quadratic in the
-    /// expression size, microseconds at this workspace's scales.
-    fn annotate_estimates(&mut self) {
-        let ids: Vec<(&Expr, NodeId)> =
-            self.memo.values().flat_map(|v| v.iter().copied()).collect();
-        for (e, id) in ids {
-            self.nodes[id].est_rows = self.estimate(e).rows;
-        }
     }
 
     /// The registry's cheapest division algorithm on the stored operands
@@ -776,12 +742,7 @@ impl<'a> Planner<'a> {
     /// an occurrence of `consumer`: fusing the two then leaves no other
     /// consumer without `input`'s memoized node.
     fn sole_consumer(&self, consumer: &Expr, input: &Expr) -> bool {
-        let (mut inputs, mut consumers) = (0usize, 0usize);
-        for s in self.root.subexpressions() {
-            inputs += usize::from(s == input);
-            consumers += usize::from(s == consumer);
-        }
-        inputs == consumers
+        self.occurrences[input] == self.occurrences[consumer]
     }
 
     /// Should this join chain collapse into one worst-case-optimal
