@@ -508,12 +508,10 @@ impl Expr {
 
     /// A structural hash of the expression: structurally identical
     /// subtrees hash identically (it is the derived [`Hash`] run through
-    /// the workspace's [`FxHasher`](sj_storage::FxHasher)). The physical
-    /// planner in `sj-eval` uses this to hash-cons the expression tree
-    /// into a DAG, so that repeated subexpressions — `division_double_difference`
-    /// mentions `R` three times and `π₁(R)` twice — are planned and
-    /// evaluated exactly once. Collisions are possible as with any 64-bit
-    /// hash; consumers must confirm with `==`.
+    /// the workspace's [`FxHasher`](sj_storage::FxHasher)). The expression
+    /// cache of `sj-server` keys its entries by it. Collisions are
+    /// possible as with any 64-bit hash; consumers must confirm with
+    /// `==`.
     pub fn structural_hash(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = sj_storage::FxHasher::default();

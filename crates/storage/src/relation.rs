@@ -173,6 +173,7 @@ impl Relation {
     /// keyed splices below and the multiway join's runs share it. The
     /// relation must have a first column.
     pub fn key_range(&self, key: &Value) -> std::ops::Range<usize> {
+        debug_assert!(self.arity >= 1, "key_range: no first column");
         let start = self.tuples.partition_point(|t| t[0] < *key);
         let len = self.tuples[start..].partition_point(|t| t[0] == *key);
         start..start + len
